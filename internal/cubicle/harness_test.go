@@ -14,10 +14,6 @@ type testSystem struct {
 	si   *SystemImage
 	cubs map[string]*Cubicle
 	env  *Env
-
-	// barBuf receives the pointer argument bar() was last called with.
-	barLastPtr vm.Addr
-	barLastIdx uint64
 }
 
 // bootPair boots a system with two isolated components FOO and BAR and a
@@ -34,8 +30,6 @@ func bootPair(t testing.TB, mode Mode) *testSystem {
 	}})
 	b.MustAdd(&Component{Name: "BAR", Kind: KindIsolated, Exports: []ExportDecl{
 		{Name: "bar", RegArgs: 2, Fn: func(e *Env, args []uint64) []uint64 {
-			ts.barLastPtr = vm.Addr(args[0])
-			ts.barLastIdx = args[1]
 			e.StoreByte(vm.Addr(args[0]).Add(args[1]), 0xAA)
 			return []uint64{1}
 		}},

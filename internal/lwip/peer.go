@@ -6,6 +6,11 @@ import (
 	"cubicleos/internal/netdev"
 )
 
+// maxPresize caps the receive buffer a response header can make the peer
+// reserve up front; a larger (or lying) Content-Length falls back to
+// ordinary growth.
+const maxPresize = 64 << 20
+
 // Peer is the host-side TCP endpoint: the network client that load
 // generators (siege, test harnesses) use to talk to the library OS over
 // the NETDEV wire. It lives entirely outside the simulated machine —
@@ -23,6 +28,9 @@ type Peer struct {
 	// generator has opened, and emits the deferred ACKs in a deterministic
 	// order (map iteration order is not).
 	ackq []*PeerConn
+	// BadFrames counts server frames dropped because their header claims
+	// more payload than the frame carries.
+	BadFrames uint64
 }
 
 // NewPeer attaches a host peer to the wire.
@@ -39,7 +47,7 @@ type PeerConn struct {
 	rcvNxt               uint32
 	lastAcked            uint32
 	srvWnd               uint32
-	recv                 bytes.Buffer
+	recv                 []byte
 	Established, FinRcvd bool
 	// pending holds outbound application data not yet sent to the wire
 	// (respecting the server's advertised receive window).
@@ -61,9 +69,10 @@ func (p *Peer) Connect(serverPort uint16) *PeerConn {
 	return c
 }
 
-// send emits one frame from the peer to the server.
+// send emits one frame from the peer to the server, encoded straight into
+// a frame the wire lends out and takes back with HostSend.
 func (p *Peer) send(c *PeerConn, flags uint8, payload []byte) {
-	frame := make([]byte, HdrSize+len(payload))
+	frame := p.w.Frame(HdrSize + len(payload))
 	EncodeHeader(frame, Header{
 		SrcPort: c.localPort, DstPort: c.remotePort,
 		Seq: c.sndNxt, Ack: c.rcvNxt, Flags: flags,
@@ -74,78 +83,145 @@ func (p *Peer) send(c *PeerConn, flags uint8, payload []byte) {
 }
 
 // Pump processes every frame the server has put on the wire; returns the
-// number of frames handled.
+// number of frames handled. Each frame goes back to the wire once handled,
+// so nothing below may keep a reference into it.
 func (p *Peer) Pump() int {
 	n := 0
-	for {
-		f := p.w.HostRecv()
-		if f == nil {
-			// Drained: send any deferred window-update acknowledgements, in
-			// data-arrival order.
-			for _, c := range p.ackq {
-				c.ackQueued = false
-				if !c.released && c.rcvNxt != c.lastAcked {
-					p.send(c, FlagACK, nil)
-					c.lastAcked = c.rcvNxt
-				}
-			}
-			p.ackq = p.ackq[:0]
-			return n
-		}
+	for f := p.w.HostRecv(); f != nil; f = p.w.HostRecv() {
 		n++
-		if len(f) < HdrSize {
-			continue
-		}
-		h := DecodeHeader(f)
-		c, ok := p.conns[h.DstPort]
-		if !ok {
-			continue
-		}
-		c.srvWnd = h.Wnd
-		if h.Flags&FlagACK != 0 {
-			if int32(h.Ack-(c.sndNxt-c.unacked)) > 0 {
-				acked := h.Ack - (c.sndNxt - c.unacked)
-				if acked > c.unacked {
-					acked = c.unacked
-				}
-				c.unacked -= acked
-			}
-		}
-		if h.Flags&FlagSYN != 0 {
-			c.rcvNxt = h.Seq + 1
-			c.Established = true
-			p.send(c, FlagACK, nil)
-			// The handshake ACK intentionally leaves lastAcked behind, so
-			// the drain below re-acknowledges once more: the peer has always
-			// confirmed its receive window right after establishment, and
-			// the figure goldens pin that frame sequence.
-			if !c.ackQueued {
-				c.ackQueued = true
-				p.ackq = append(p.ackq, c)
-			}
-			continue
-		}
-		if h.Len > 0 && h.Seq == c.rcvNxt {
-			c.recv.Write(f[HdrSize : HdrSize+int(h.Len)])
-			c.rcvNxt += uint32(h.Len)
-		}
-		if h.Flags&FlagFIN != 0 && h.Seq == c.rcvNxt {
-			c.rcvNxt++
-			c.FinRcvd = true
-		}
-		// Delayed acknowledgements: ack immediately on FIN or after four
-		// full segments; otherwise acknowledge once the pump drains
-		// (below), as real TCP receivers do.
-		if c.FinRcvd || c.rcvNxt-c.lastAcked >= 4*MSS {
+		p.handle(f)
+		p.w.Recycle(f)
+	}
+	// Drained: send any deferred window-update acknowledgements, in
+	// data-arrival order.
+	for i, c := range p.ackq {
+		p.ackq[i] = nil // the queue must not keep a finished connection's buffer alive
+		c.ackQueued = false
+		if !c.released && c.rcvNxt != c.lastAcked {
 			p.send(c, FlagACK, nil)
 			c.lastAcked = c.rcvNxt
-		} else if c.rcvNxt != c.lastAcked && !c.ackQueued {
-			c.ackQueued = true
-			p.ackq = append(p.ackq, c)
 		}
-		// Window may have opened: push pending data.
-		c.flush()
 	}
+	p.ackq = p.ackq[:0]
+	return n
+}
+
+// deferAck queues c for a window-update ACK once the pump drains.
+func (p *Peer) deferAck(c *PeerConn) {
+	if !c.ackQueued {
+		c.ackQueued = true
+		p.ackq = append(p.ackq, c)
+	}
+}
+
+// handle processes one frame from the server.
+func (p *Peer) handle(f []byte) {
+	if len(f) < HdrSize {
+		return
+	}
+	h := DecodeHeader(f)
+	if HdrSize+int(h.Len) > len(f) {
+		// The header overstates the payload. Frames are recycled buffers:
+		// slicing to the claimed length would read a previous frame's bytes.
+		p.BadFrames++
+		return
+	}
+	c, ok := p.conns[h.DstPort]
+	if !ok {
+		return
+	}
+	c.srvWnd = h.Wnd
+	if h.Flags&FlagACK != 0 {
+		if int32(h.Ack-(c.sndNxt-c.unacked)) > 0 {
+			acked := h.Ack - (c.sndNxt - c.unacked)
+			if acked > c.unacked {
+				acked = c.unacked
+			}
+			c.unacked -= acked
+		}
+	}
+	if h.Flags&FlagSYN != 0 {
+		c.rcvNxt = h.Seq + 1
+		c.Established = true
+		p.send(c, FlagACK, nil)
+		// The handshake ACK intentionally leaves lastAcked behind, so
+		// the drain re-acknowledges once more: the peer has always
+		// confirmed its receive window right after establishment, and
+		// the figure goldens pin that frame sequence.
+		p.deferAck(c)
+		return
+	}
+	if h.Len > 0 && h.Seq == c.rcvNxt {
+		c.receive(f[HdrSize : HdrSize+int(h.Len)])
+		c.rcvNxt += uint32(h.Len)
+	}
+	if h.Flags&FlagFIN != 0 && h.Seq == c.rcvNxt {
+		c.rcvNxt++
+		c.FinRcvd = true
+	}
+	// Delayed acknowledgements: ack immediately on FIN or after four
+	// full segments; otherwise acknowledge once the pump drains, as real
+	// TCP receivers do.
+	if c.FinRcvd || c.rcvNxt-c.lastAcked >= 4*MSS {
+		p.send(c, FlagACK, nil)
+		c.lastAcked = c.rcvNxt
+	} else if c.rcvNxt != c.lastAcked {
+		p.deferAck(c)
+	}
+	// Window may have opened: push pending data.
+	c.flush()
+}
+
+// receive appends one in-order segment to the connection's receive
+// buffer. The first segment sizes the buffer: when it holds a whole HTTP
+// response header with a Content-Length, the buffer is allocated once at
+// header + body size, so a bulk download is one allocation and one copy
+// per byte instead of a dozen regrowths. Anything else — no usable header,
+// or further responses on a keep-alive connection — doubles. Buffers are
+// per connection and never reused: Received stays valid for as long as
+// the caller keeps it, Release or not.
+func (c *PeerConn) receive(seg []byte) {
+	if need := len(c.recv) + len(seg); need > cap(c.recv) {
+		size := max(need, 2*cap(c.recv))
+		if c.recv == nil {
+			if total := responseSize(seg); total <= maxPresize {
+				size = max(size, total)
+			}
+		}
+		c.recv = append(make([]byte, 0, size), c.recv...)
+	}
+	c.recv = append(c.recv, seg...)
+}
+
+// responseSize returns the full length of the HTTP response that starts
+// in seg — header, blank line and Content-Length bytes of body — or 0 when
+// seg does not hold a complete header that states one.
+func responseSize(seg []byte) int {
+	end := bytes.Index(seg, []byte("\r\n\r\n"))
+	if end < 0 {
+		return 0
+	}
+	for head := seg[:end]; len(head) > 0; {
+		var line []byte
+		line, head, _ = bytes.Cut(head, []byte("\r\n"))
+		key, val, ok := bytes.Cut(line, []byte(":"))
+		if !ok || !bytes.EqualFold(key, []byte("Content-Length")) {
+			continue
+		}
+		val = bytes.TrimSpace(val)
+		n := 0
+		for _, d := range val {
+			if d < '0' || d > '9' || n > maxPresize {
+				return 0
+			}
+			n = n*10 + int(d-'0')
+		}
+		if len(val) == 0 {
+			return 0
+		}
+		return end + 4 + n
+	}
+	return 0
 }
 
 // Send queues application data toward the server; data beyond the
@@ -195,7 +271,7 @@ func (c *PeerConn) Release() {
 }
 
 // Received returns everything received so far.
-func (c *PeerConn) Received() []byte { return c.recv.Bytes() }
+func (c *PeerConn) Received() []byte { return c.recv }
 
 // ReceivedLen returns the number of bytes received so far.
-func (c *PeerConn) ReceivedLen() int { return c.recv.Len() }
+func (c *PeerConn) ReceivedLen() int { return len(c.recv) }

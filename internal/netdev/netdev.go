@@ -21,12 +21,55 @@ const MTU = 1514
 // doorbell, interrupt coalescing share).
 const driverWork = 1400
 
+// frameQueue is a FIFO of frames that pops by advancing a head index, so
+// the backing array is reused instead of being walked away from (q = q[1:])
+// and reallocated by the next append.
+type frameQueue struct {
+	q    [][]byte
+	head int
+}
+
+func (fq *frameQueue) len() int { return len(fq.q) - fq.head }
+
+func (fq *frameQueue) push(f []byte) {
+	if len(fq.q) == cap(fq.q) && fq.head >= fq.len() {
+		// Full, and at least half of it already popped: slide the live
+		// frames down instead of growing.
+		n := copy(fq.q, fq.q[fq.head:])
+		clear(fq.q[n:])
+		fq.q, fq.head = fq.q[:n], 0
+	}
+	fq.q = append(fq.q, f)
+}
+
+// peek returns the oldest frame of a non-empty queue.
+func (fq *frameQueue) peek() []byte { return fq.q[fq.head] }
+
+// pop removes and returns the oldest frame of a non-empty queue.
+func (fq *frameQueue) pop() []byte {
+	f := fq.q[fq.head]
+	fq.q[fq.head] = nil
+	if fq.head++; fq.head == len(fq.q) {
+		fq.q, fq.head = fq.q[:0], 0
+	}
+	return f
+}
+
 // Wire is the physical medium: frame queues between the device and the
 // host-side peer. It is trusted-harness state (hardware), not cubicle
 // memory.
+//
+// Frames are MTU-capacity buffers owned by the wire and lent out: a frame
+// is on the free list, in one of the two queues, or held by the host
+// between Frame and HostSend or between HostRecv and Recycle. The
+// list only grows when every frame is in flight, so it is bounded by the
+// high-water mark of frames in flight and a steady-state packet path
+// allocates nothing. (Not a sync.Pool: what a pool keeps depends on when
+// the collector runs, and the benchmark's allocation counts must repeat.)
 type Wire struct {
-	toHost   [][]byte
-	toDevice [][]byte
+	toHost   frameQueue
+	toDevice frameQueue
+	free     [][]byte
 	// Cap bounds each direction's queue in frames (0 = unbounded, the
 	// seed behaviour). A full receive queue drops host frames like a NIC
 	// ring overflow; a full transmit queue pushes EAGAIN back into the
@@ -46,6 +89,8 @@ type Wire struct {
 	// dropper, when set, is consulted once per frame in each direction;
 	// true loses the frame in flight (see SetDropper).
 	dropper func() bool
+	// tap, when set, sees every frame as it is queued (tests only).
+	tap func(toHost bool, frame []byte)
 }
 
 // SetDropper installs fn as the wire's in-flight loss decision: it is
@@ -57,40 +102,65 @@ type Wire struct {
 // detaches.
 func (w *Wire) SetDropper(fn func() bool) { w.dropper = fn }
 
-// HostSend injects a frame from the host side (load generator). When the
-// bounded receive queue is full the frame is dropped — the silicon has no
-// flow control to the wire, exactly like a NIC ring overflow.
+// Frame lends out an n-byte frame from the free list: to the host side
+// to fill and pass to HostSend, to the device to fill and queue. Its
+// contents are undefined: the borrower writes all n bytes.
+func (w *Wire) Frame(n int) []byte {
+	if k := len(w.free); k > 0 && n <= MTU {
+		f := w.free[k-1]
+		w.free = w.free[:k-1]
+		return f[:n]
+	}
+	return make([]byte, n, max(n, MTU))
+}
+
+// Recycle takes back a frame the host is done with: one HostRecv handed
+// out, or one from Frame that was never sent. The caller must not
+// touch it afterwards. Foreign slices too small to carry an MTU frame are
+// left to the collector.
+func (w *Wire) Recycle(frame []byte) {
+	if cap(frame) >= MTU {
+		w.free = append(w.free, frame)
+	}
+}
+
+// HostSend injects a frame from the host side (load generator) and takes
+// ownership of it. When the bounded receive queue is full the frame is
+// dropped — the silicon has no flow control to the wire, exactly like a
+// NIC ring overflow.
 func (w *Wire) HostSend(frame []byte) {
 	if w.dropper != nil && w.dropper() {
 		// Lost in flight before reaching the NIC: the host-side sender has
 		// no way to know (no wire-level flow control), the device never
 		// sees an arrival.
 		w.InjectedDropsIn++
+		w.Recycle(frame)
 		return
 	}
-	if w.Cap > 0 && len(w.toDevice) >= w.Cap {
+	if w.Cap > 0 && w.toDevice.len() >= w.Cap {
 		w.DropsIn++
+		w.Recycle(frame)
 		return
 	}
-	f := make([]byte, len(frame))
-	copy(f, frame)
-	w.toDevice = append(w.toDevice, f)
+	if w.tap != nil {
+		w.tap(false, frame)
+	}
+	w.toDevice.push(frame)
 	w.FramesIn++
 	w.BytesIn += uint64(len(frame))
 }
 
-// HostRecv pops a frame destined for the host side, or nil.
+// HostRecv pops a frame destined for the host side, or nil. The frame is
+// the host's until it hands it back with Recycle.
 func (w *Wire) HostRecv() []byte {
-	if len(w.toHost) == 0 {
+	if w.toHost.len() == 0 {
 		return nil
 	}
-	f := w.toHost[0]
-	w.toHost = w.toHost[1:]
-	return f
+	return w.toHost.pop()
 }
 
 // HostPending returns the number of frames waiting for the host.
-func (w *Wire) HostPending() int { return len(w.toHost) }
+func (w *Wire) HostPending() int { return w.toHost.len() }
 
 // Module is the NETDEV component state.
 type Module struct {
@@ -120,7 +190,7 @@ func (d *Module) tx(e *cubicle.Env, ptr, n uint64) []uint64 {
 	if n == 0 || n > MTU {
 		return []uint64{0, 22} // EINVAL
 	}
-	if d.wire.Cap > 0 && len(d.wire.toHost) >= d.wire.Cap {
+	if d.wire.Cap > 0 && d.wire.toHost.len() >= d.wire.Cap {
 		// Bounded transmit queue: explicit backpressure to the stack
 		// instead of unbounded growth.
 		d.wire.DropsOut++
@@ -128,7 +198,7 @@ func (d *Module) tx(e *cubicle.Env, ptr, n uint64) []uint64 {
 	}
 	d.ensureStaging(e)
 	e.Memcpy(d.staging, vm.Addr(ptr), n)
-	frame := make([]byte, n)
+	frame := d.wire.Frame(int(n))
 	e.Read(d.staging, frame)
 	d.wire.FramesOut++
 	d.wire.BytesOut += n
@@ -136,9 +206,13 @@ func (d *Module) tx(e *cubicle.Env, ptr, n uint64) []uint64 {
 		// Lost in flight after leaving the device: the transmit succeeded
 		// as far as the stack can tell, the peer never sees the frame.
 		d.wire.InjectedDropsOut++
+		d.wire.Recycle(frame)
 		return []uint64{n, 0}
 	}
-	d.wire.toHost = append(d.wire.toHost, frame)
+	if d.wire.tap != nil {
+		d.wire.tap(true, frame)
+	}
+	d.wire.toHost.push(frame)
 	return []uint64{n, 0}
 }
 
@@ -146,18 +220,20 @@ func (d *Module) tx(e *cubicle.Env, ptr, n uint64) []uint64 {
 // when no frame is pending.
 func (d *Module) rx(e *cubicle.Env, ptr, maxLen uint64) []uint64 {
 	e.Work(driverWork)
-	if len(d.wire.toDevice) == 0 {
+	if d.wire.toDevice.len() == 0 {
 		return []uint64{0, 0}
 	}
-	frame := d.wire.toDevice[0]
+	frame := d.wire.toDevice.peek()
 	if uint64(len(frame)) > maxLen {
 		return []uint64{0, 22}
 	}
-	d.wire.toDevice = d.wire.toDevice[1:]
+	d.wire.toDevice.pop()
 	d.ensureStaging(e)
 	e.Write(d.staging, frame)
-	e.Memcpy(vm.Addr(ptr), d.staging, uint64(len(frame)))
-	return []uint64{uint64(len(frame)), 0}
+	n := uint64(len(frame))
+	e.Memcpy(vm.Addr(ptr), d.staging, n)
+	d.wire.Recycle(frame)
+	return []uint64{n, 0}
 }
 
 // Component returns the NETDEV component for the builder.
@@ -174,7 +250,7 @@ func (d *Module) Component() *cubicle.Component {
 			}},
 			{Name: "netdev_rx_ready", Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(60)
-				return []uint64{uint64(len(d.wire.toDevice)), 0}
+				return []uint64{uint64(d.wire.toDevice.len()), 0}
 			}},
 		},
 	}

@@ -10,8 +10,6 @@ package siege
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"cubicleos/internal/cycles"
@@ -54,12 +52,11 @@ type OpenLoopStats struct {
 	Elapsed time.Duration
 }
 
+// olFlight is one arrival whose response has not completed yet.
 type olFlight struct {
 	conn    *lwip.PeerConn
 	startAt uint64
-	doneAt  uint64
 	sent    bool
-	done    bool
 }
 
 // openLoopRun is the open-loop driver unrolled into a resumable state
@@ -73,20 +70,24 @@ type openLoopRun struct {
 	clock *cycles.Clock
 	req   []byte
 
-	interval  uint64
-	start     uint64
-	next      uint64
-	flights   []*olFlight
+	interval uint64
+	start    uint64
+	next     uint64
+	// live holds the arrivals still in flight, in launch order. A flight
+	// is classified and its connection dropped the step its FIN arrives,
+	// so a step costs O(in flight), not O(launched), and a response body
+	// lives no longer than its request.
+	live      []olFlight
 	launched  int
-	open      int
 	idle      int
 	maxConns  int
 	steps     int
 	maxSteps  int
 	idleLimit int
 
-	lats          []uint64 // filled by finish
-	elapsedCycles uint64   // filled by finish
+	st            OpenLoopStats // outcome counts, booked as flights complete
+	lats          []uint64      // latencies of the 200s; sorted by finish
+	elapsedCycles uint64        // filled by finish
 }
 
 func (t *Target) newOpenLoopRun(o OpenLoopOptions) (*openLoopRun, error) {
@@ -97,7 +98,7 @@ func (t *Target) newOpenLoopRun(o OpenLoopOptions) (*openLoopRun, error) {
 		t:         t,
 		o:         o,
 		clock:     t.Sys.M.Clock,
-		req:       []byte(fmt.Sprintf("GET %s HTTP/1.0\r\nHost: cubicle\r\nUser-Agent: siege-sim\r\n\r\n", o.Path)),
+		req:       getRequest(o.Path, siegeHeaders),
 		maxSteps:  o.MaxSteps,
 		idleLimit: o.IdleStepLimit,
 	}
@@ -126,41 +127,40 @@ func (r *openLoopRun) step() bool {
 	r.steps++
 	t, clock := r.t, r.clock
 	for r.launched < r.o.Requests && clock.Cycles() >= r.next {
-		r.flights = append(r.flights, &olFlight{conn: t.Peer.Connect(80), startAt: clock.Cycles()})
+		r.live = append(r.live, olFlight{conn: t.Peer.Connect(80), startAt: clock.Cycles()})
 		r.launched++
-		r.open++
 		r.next += r.interval
 	}
 	t.stepH.Call(t.Sys.Env)
 	t.Peer.Pump()
 	progress := false
-	for _, f := range r.flights {
-		if f.done {
-			continue
-		}
+	live := r.live[:0]
+	for _, f := range r.live {
 		if f.conn.Established && !f.sent {
 			f.conn.Send(r.req)
 			f.sent = true
 			progress = true
 		}
 		if f.conn.FinRcvd {
-			f.done = true
-			f.doneAt = clock.Cycles()
-			// The response is complete: detach the connection so the peer's
-			// pump stays O(in-flight) however many requests the run issues.
-			// Received data stays readable for finish().
+			// The response is complete: classify it and detach the
+			// connection, so the peer's pump and this loop stay O(in-flight)
+			// however many requests the run issues.
+			r.classify(f, clock.Cycles())
 			f.conn.Release()
-			r.open--
 			progress = true
+			continue
 		}
+		live = append(live, f)
 	}
+	clear(r.live[len(live):])
+	r.live = live
 	if c := t.Srv.Conns(); c > r.maxConns {
 		r.maxConns = c
 	}
-	if r.launched == r.o.Requests && r.open == 0 {
+	if r.launched == r.o.Requests && len(r.live) == 0 {
 		return false
 	}
-	if r.open == 0 && r.launched < r.o.Requests {
+	if len(r.live) == 0 {
 		// Nothing in flight: idle until the next scheduled arrival.
 		clock.AdvanceTo(r.next)
 		return true
@@ -176,58 +176,42 @@ func (r *openLoopRun) step() bool {
 	return true
 }
 
-// finish classifies every flight and computes the run's statistics.
+// classify books a completed flight by the status of its response.
+func (r *openLoopRun) classify(f olFlight, doneAt uint64) {
+	status, _, err := parseResponse(f.conn.Received())
+	switch {
+	case err != nil:
+		r.st.Dropped++
+	case status == 200:
+		r.st.OK++
+		r.lats = append(r.lats, doneAt-f.startAt+r.t.RequestFloor)
+	case status == 429 || status == 503:
+		r.st.Shed++
+	default:
+		r.st.Errors++
+	}
+}
+
+// finish computes the run's statistics. Flights still live never
+// completed; they and unparseable responses count as dropped.
 func (r *openLoopRun) finish() *OpenLoopStats {
-	st := &OpenLoopStats{
-		OfferedRPS: r.o.Rate,
-		Arrivals:   r.launched,
-		MaxConns:   r.maxConns,
-		ArenaBytes: r.t.Sys.Alloc.TotalArenaBytes(),
-	}
-	var lats []uint64
-	for _, f := range r.flights {
-		if !f.done {
-			st.Dropped++
-			continue
-		}
-		raw := string(f.conn.Received())
-		head, _, ok := strings.Cut(raw, "\r\n\r\n")
-		if !ok {
-			st.Dropped++
-			continue
-		}
-		fields := strings.Fields(strings.SplitN(head, "\r\n", 2)[0])
-		if len(fields) < 2 {
-			st.Dropped++
-			continue
-		}
-		status, err := strconv.Atoi(fields[1])
-		if err != nil {
-			st.Dropped++
-			continue
-		}
-		switch {
-		case status == 200:
-			st.OK++
-			lats = append(lats, f.doneAt-f.startAt+r.t.RequestFloor)
-		case status == 429 || status == 503:
-			st.Shed++
-		default:
-			st.Errors++
-		}
-	}
+	st := r.st
+	st.OfferedRPS = r.o.Rate
+	st.Arrivals = r.launched
+	st.Dropped += len(r.live)
+	st.MaxConns = r.maxConns
+	st.ArenaBytes = r.t.Sys.Alloc.TotalArenaBytes()
 	elapsed := r.clock.Cycles() - r.start
 	r.elapsedCycles = elapsed
 	st.Elapsed = cycles.Duration(elapsed)
 	if elapsed > 0 {
 		st.GoodputRPS = float64(st.OK) * float64(cycles.FrequencyHz) / float64(elapsed)
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	st.P50 = percentile(lats, 0.50)
-	st.P99 = percentile(lats, 0.99)
-	st.P999 = percentile(lats, 0.999)
-	r.lats = lats
-	return st
+	sort.Slice(r.lats, func(i, j int) bool { return r.lats[i] < r.lats[j] })
+	st.P50 = percentile(r.lats, 0.50)
+	st.P99 = percentile(r.lats, 0.99)
+	st.P999 = percentile(r.lats, 0.999)
+	return &st
 }
 
 // OpenLoop offers o.Requests arrivals at o.Rate requests per virtual
@@ -307,7 +291,7 @@ func (d *OpenLoopDriver) Step(n int) bool {
 func (d *OpenLoopDriver) Launched() int { return d.r.launched }
 
 // InFlight returns how many requests are currently open.
-func (d *OpenLoopDriver) InFlight() int { return d.r.open }
+func (d *OpenLoopDriver) InFlight() int { return len(d.r.live) }
 
 // Finish classifies every flight and returns the run's statistics
 // (idempotent after the first call).

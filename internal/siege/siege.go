@@ -6,10 +6,11 @@
 package siege
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
-	"strings"
 
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
@@ -208,45 +209,7 @@ type Result struct {
 // Fetch issues GET path and drives the system until the response is
 // complete (server closes after each response, HTTP/1.0 style).
 func (t *Target) Fetch(path string) (*Result, error) {
-	start := t.Sys.M.Clock.Cycles()
-	conn := t.Peer.Connect(80)
-	defer conn.Release()
-	req := fmt.Sprintf("GET %s HTTP/1.0\r\nHost: cubicle\r\nUser-Agent: siege-sim\r\n\r\n", path)
-	sentReq := false
-	for i := 0; i < 5_000_000; i++ {
-		t.stepH.Call(t.Sys.Env)
-		t.Peer.Pump()
-		if conn.Established && !sentReq {
-			conn.Send([]byte(req))
-			sentReq = true
-		}
-		if conn.FinRcvd {
-			break
-		}
-	}
-	if !conn.FinRcvd {
-		return nil, fmt.Errorf("siege: request for %s did not complete", path)
-	}
-	raw := string(conn.Received())
-	head, body, ok := strings.Cut(raw, "\r\n\r\n")
-	if !ok {
-		return nil, fmt.Errorf("siege: malformed response %q", truncate(raw, 80))
-	}
-	fields := strings.Fields(strings.SplitN(head, "\r\n", 2)[0])
-	if len(fields) < 2 {
-		return nil, fmt.Errorf("siege: malformed status line %q", truncate(head, 80))
-	}
-	status, err := strconv.Atoi(fields[1])
-	if err != nil {
-		return nil, fmt.Errorf("siege: bad status %q", fields[1])
-	}
-	used := t.Sys.M.Clock.Cycles() - start
-	return &Result{
-		Status:  status,
-		Body:    []byte(body),
-		Cycles:  used,
-		Latency: cycles.Duration(used + t.RequestFloor),
-	}, nil
+	return t.FetchUntil(path, math.MaxUint64)
 }
 
 // ErrHalted is returned by FetchUntil when the virtual clock reached the
@@ -258,7 +221,8 @@ var ErrHalted = errors.New("siege: virtual clock reached the stop cycle")
 // time advances in discrete charges inside each step, so the clock halts
 // at the first step boundary at or after stop — every event with
 // Cycle <= stop has been emitted by then, which is what makes the
-// record/replay prefix comparison exact.
+// record/replay prefix comparison exact. The stop test only reads the
+// clock, so a Fetch (stop = never) costs the same virtual cycles.
 func (t *Target) FetchUntil(path string, stop uint64) (*Result, error) {
 	clk := t.Sys.M.Clock
 	if clk.Cycles() >= stop {
@@ -267,7 +231,6 @@ func (t *Target) FetchUntil(path string, stop uint64) (*Result, error) {
 	start := clk.Cycles()
 	conn := t.Peer.Connect(80)
 	defer conn.Release()
-	req := fmt.Sprintf("GET %s HTTP/1.0\r\nHost: cubicle\r\nUser-Agent: siege-sim\r\n\r\n", path)
 	sentReq := false
 	for i := 0; i < 5_000_000; i++ {
 		t.stepH.Call(t.Sys.Env)
@@ -276,7 +239,7 @@ func (t *Target) FetchUntil(path string, stop uint64) (*Result, error) {
 			return nil, ErrHalted
 		}
 		if conn.Established && !sentReq {
-			conn.Send([]byte(req))
+			conn.Send(getRequest(path, siegeHeaders))
 			sentReq = true
 		}
 		if conn.FinRcvd {
@@ -286,26 +249,63 @@ func (t *Target) FetchUntil(path string, stop uint64) (*Result, error) {
 	if !conn.FinRcvd {
 		return nil, fmt.Errorf("siege: request for %s did not complete", path)
 	}
-	raw := string(conn.Received())
-	head, body, ok := strings.Cut(raw, "\r\n\r\n")
-	if !ok {
-		return nil, fmt.Errorf("siege: malformed response %q", truncate(raw, 80))
-	}
-	fields := strings.Fields(strings.SplitN(head, "\r\n", 2)[0])
-	if len(fields) < 2 {
-		return nil, fmt.Errorf("siege: malformed status line %q", truncate(head, 80))
-	}
-	status, err := strconv.Atoi(fields[1])
+	status, body, err := parseResponse(conn.Received())
 	if err != nil {
-		return nil, fmt.Errorf("siege: bad status %q", fields[1])
+		return nil, err
 	}
 	used := clk.Cycles() - start
 	return &Result{
 		Status:  status,
-		Body:    []byte(body),
+		Body:    body,
 		Cycles:  used,
 		Latency: cycles.Duration(used + t.RequestFloor),
 	}, nil
+}
+
+// Header blocks of the HTTP/1.0 requests the load generator sends.
+const (
+	siegeHeaders = "Host: cubicle\r\nUser-Agent: siege-sim\r\n\r\n"
+	bareHeaders  = "Host: cubicle\r\n\r\n"
+)
+
+// getRequest builds "GET path HTTP/1.0" followed by headers.
+func getRequest(path, headers string) []byte {
+	const get, proto = "GET ", " HTTP/1.0\r\n"
+	req := make([]byte, 0, len(get)+len(path)+len(proto)+len(headers))
+	req = append(req, get...)
+	req = append(req, path...)
+	req = append(req, proto...)
+	return append(req, headers...)
+}
+
+// parseResponse splits a complete HTTP/1.0 response into its status code
+// and body. The body is a sub-slice of raw, not a copy: raw is a
+// PeerConn's receive buffer, which belongs to that connection alone and
+// is never reused, so the body stays valid for as long as it is held.
+func parseResponse(raw []byte) (status int, body []byte, err error) {
+	head, body, ok := bytes.Cut(raw, []byte("\r\n\r\n"))
+	if !ok {
+		return 0, nil, fmt.Errorf("siege: malformed response %q", truncate(string(raw), 80))
+	}
+	line, _, _ := bytes.Cut(head, []byte("\r\n"))
+	_, rest := field(line)
+	code, _ := field(rest)
+	if len(code) == 0 {
+		return 0, nil, fmt.Errorf("siege: malformed status line %q", truncate(string(line), 80))
+	}
+	if status, err = strconv.Atoi(string(code)); err != nil {
+		return 0, nil, fmt.Errorf("siege: bad status %q", code)
+	}
+	return status, body, nil
+}
+
+// field returns the first blank-delimited token of b and what follows it.
+func field(b []byte) (tok, rest []byte) {
+	b = bytes.TrimLeft(b, " \t")
+	if i := bytes.IndexAny(b, " \t"); i >= 0 {
+		return b[:i], b[i:]
+	}
+	return b, nil
 }
 
 // Step drives one server iteration (nginx_step) without pumping the
@@ -353,7 +353,7 @@ func (t *Target) FetchConcurrent(paths []string) ([]*Result, error) {
 		t.Peer.Pump()
 		for _, r := range reqs {
 			if r.conn.Established && !r.sent {
-				r.conn.Send([]byte(fmt.Sprintf("GET %s HTTP/1.0\r\nHost: cubicle\r\n\r\n", r.path)))
+				r.conn.Send(getRequest(r.path, bareHeaders))
 				r.sent = true
 			}
 			if r.conn.FinRcvd && !r.done {
@@ -368,19 +368,13 @@ func (t *Target) FetchConcurrent(paths []string) ([]*Result, error) {
 	}
 	out := make([]*Result, len(reqs))
 	for i, r := range reqs {
-		raw := string(r.conn.Received())
-		head, body, ok := strings.Cut(raw, "\r\n\r\n")
-		if !ok {
-			return nil, fmt.Errorf("siege: malformed response for %s", r.path)
-		}
-		fields := strings.Fields(strings.SplitN(head, "\r\n", 2)[0])
-		status, err := strconv.Atoi(fields[1])
+		status, body, err := parseResponse(r.conn.Received())
 		if err != nil {
-			return nil, fmt.Errorf("siege: bad status for %s", r.path)
+			return nil, fmt.Errorf("%w (for %s)", err, r.path)
 		}
 		out[i] = &Result{
 			Status:  status,
-			Body:    []byte(body),
+			Body:    body,
 			Cycles:  r.cycles,
 			Latency: cycles.Duration(r.cycles + t.RequestFloor),
 		}

@@ -86,4 +86,12 @@ go run ./cmd/cubicle-trace -check -format json -cores 4 -requests 10 >/dev/null
 go run ./cmd/cubicle-top -once -requests 120 >/dev/null
 ./scripts/bench.sh -assert
 
+# Benchmark module gates: benchmark/ is a Go module of its own, so the
+# `go test ./...` above never reaches it — yet it keeps traced copies of
+# siege's Fetch and OpenLoop loops that call Peer, PeerConn and Target
+# directly and must cost the same virtual cycles. Vet it and run every
+# workload and probe at 1/50 scale (~3 s).
+go vet -C benchmark ./...
+go test -C benchmark ./...
+
 echo "check.sh: all green"
