@@ -112,11 +112,7 @@ type counters struct {
 	DeadlineFaults    uint64      `json:"deadline_faults"`
 	QuotaFaults       uint64      `json:"quota_faults"`
 	Retries           uint64      `json:"retries"`
-	TLBHits           uint64      `json:"tlb_hits"`
-	TLBMisses         uint64      `json:"tlb_misses"`
-	TLBInvalidations  uint64      `json:"tlb_invalidations"`
 	TLBShootdowns     uint64      `json:"tlb_shootdowns"`
-	TLBShootdownInval uint64      `json:"tlb_shootdown_invalidations"`
 	Edges             []edgeCount `json:"call_edges"`
 	VirtualCycles     uint64      `json:"virtual_cycles"`
 	VirtualMs         float64     `json:"virtual_ms"`
@@ -199,11 +195,7 @@ func buildReport(m *cubicleos.Monitor) *report {
 		DeadlineFaults:    st.DeadlineFaults,
 		QuotaFaults:       st.QuotaFaults,
 		Retries:           st.Retries,
-		TLBHits:           st.TLBHits,
-		TLBMisses:         st.TLBMisses,
-		TLBInvalidations:  st.TLBInvalidations,
 		TLBShootdowns:     st.TLBShootdowns,
-		TLBShootdownInval: st.TLBShootdownInvalidations,
 		VirtualCycles:     m.Clock.Cycles(),
 		VirtualMs:         float64(m.Clock.Duration().Microseconds()) / 1000,
 	}
@@ -455,10 +447,7 @@ func main() {
 	fmt.Printf("  deadline faults       %10d\n", st.DeadlineFaults)
 	fmt.Printf("  quota faults          %10d\n", st.QuotaFaults)
 	fmt.Printf("  crossing retries      %10d\n", st.Retries)
-	fmt.Printf("  span-TLB hits         %10d (%d misses, %d invalidations)\n",
-		st.TLBHits, st.TLBMisses, st.TLBInvalidations)
-	fmt.Printf("  TLB shootdowns        %10d (%d remote entries cleared)\n",
-		st.TLBShootdowns, st.TLBShootdownInvalidations)
+	fmt.Printf("  retag shootdowns      %10d\n", st.TLBShootdowns)
 	fmt.Printf("  virtual time          %10d cycles (%.3f ms at 2.2 GHz)\n",
 		m.Clock.Cycles(), float64(m.Clock.Duration().Microseconds())/1000)
 

@@ -35,6 +35,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"reflect"
 
 	"cubicleos"
 	"cubicleos/internal/cubicle"
@@ -290,55 +291,14 @@ func validate(tgt *siege.Target, format string, output []byte) {
 		}
 	}
 
-	// Trace-derived counters must equal the legacy Stats exactly.
+	// Trace-derived counters must equal the legacy Stats exactly, every
+	// scalar field of the struct.
 	derived := cubicle.StatsFromTrace(trc)
-	if got, want := derived.CallsTotal, m.Stats.CallsTotal; got != want {
-		fail("trace-derived calls %d != stats %d", got, want)
-	}
-	if got, want := derived.Faults, m.Stats.Faults; got != want {
-		fail("trace-derived faults %d != stats %d", got, want)
-	}
-	if got, want := derived.Retags, m.Stats.Retags; got != want {
-		fail("trace-derived retags %d != stats %d", got, want)
-	}
-	if got, want := derived.WRPKRUs, m.Stats.WRPKRUs; got != want {
-		fail("trace-derived wrpkrus %d != stats %d", got, want)
-	}
-	if got, want := derived.ContainedFaults, m.Stats.ContainedFaults; got != want {
-		fail("trace-derived contained faults %d != stats %d", got, want)
-	}
-	if got, want := derived.Quarantines, m.Stats.Quarantines; got != want {
-		fail("trace-derived quarantines %d != stats %d", got, want)
-	}
-	if got, want := derived.Restarts, m.Stats.Restarts; got != want {
-		fail("trace-derived restarts %d != stats %d", got, want)
-	}
-	if got, want := derived.InjectedFaults, m.Stats.InjectedFaults; got != want {
-		fail("trace-derived injected faults %d != stats %d", got, want)
-	}
-	if got, want := derived.Sheds, m.Stats.Sheds; got != want {
-		fail("trace-derived sheds %d != stats %d", got, want)
-	}
-	if got, want := derived.DeadlineFaults, m.Stats.DeadlineFaults; got != want {
-		fail("trace-derived deadline faults %d != stats %d", got, want)
-	}
-	if got, want := derived.QuotaFaults, m.Stats.QuotaFaults; got != want {
-		fail("trace-derived quota faults %d != stats %d", got, want)
-	}
-	if got, want := derived.Retries, m.Stats.Retries; got != want {
-		fail("trace-derived retries %d != stats %d", got, want)
-	}
-	if got, want := derived.Checkpoints, m.Stats.Checkpoints; got != want {
-		fail("trace-derived checkpoints %d != stats %d", got, want)
-	}
-	if got, want := derived.CheckpointBytes, m.Stats.CheckpointBytes; got != want {
-		fail("trace-derived checkpoint bytes %d != stats %d", got, want)
-	}
-	if got, want := derived.WarmRestarts, m.Stats.WarmRestarts; got != want {
-		fail("trace-derived warm restarts %d != stats %d", got, want)
-	}
-	if got, want := derived.ColdRestarts, m.Stats.ColdRestarts; got != want {
-		fail("trace-derived cold restarts %d != stats %d", got, want)
+	dv, sv := reflect.ValueOf(derived), reflect.ValueOf(m.Stats)
+	for i := 0; i < sv.NumField(); i++ {
+		if sv.Field(i).Kind() == reflect.Uint64 && dv.Field(i).Uint() != sv.Field(i).Uint() {
+			fail("trace-derived %s %d != stats %d", sv.Type().Field(i).Name, dv.Field(i).Uint(), sv.Field(i).Uint())
+		}
 	}
 	if m.Stats.Restarts != m.Stats.WarmRestarts+m.Stats.ColdRestarts {
 		fail("restarts %d != warm %d + cold %d", m.Stats.Restarts, m.Stats.WarmRestarts, m.Stats.ColdRestarts)

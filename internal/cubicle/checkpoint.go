@@ -293,9 +293,8 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 	// Re-map every captured heap page at its original page number and
 	// restore its contents. Pages take the cubicle's CURRENT key, not the
 	// snapshot's — the key may have been recycled by tag virtualisation
-	// since capture. MapAt bumps the address-space epoch, which invalidates
-	// every thread's span TLB; on SMP one summary shootdown round below
-	// pays the cross-core synchronisation.
+	// since capture. On SMP one summary shootdown round below pays the
+	// cross-core synchronisation.
 	key := m.keyFor(c.ID)
 	for i := range img.Pages {
 		pi := &img.Pages[i]
@@ -369,7 +368,7 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 	if len(img.Pages) > 0 {
 		// One summary shootdown round synchronises the re-tagged pages
 		// across cores (single-core machines charge nothing).
-		m.shootdown(nil, c.ID, img.Pages[0].PN)
+		m.shootdown(nil, c.ID)
 	}
 	return nil
 }

@@ -1,8 +1,6 @@
 package cubicle
 
 import (
-	"encoding/binary"
-
 	"cubicleos/internal/mpk"
 	"cubicleos/internal/vm"
 )
@@ -17,8 +15,8 @@ import (
 // memory-management unit would check them.
 //
 // No Env method takes a shared lock on its own behalf: the checked
-// accessors run the lock-free TLB/page-walk fast path and only a trap
-// locks (monitor.go); allocation takes the owning cubicle's inner lock;
+// accessors run the lock-free page walk and only a trap locks
+// (monitor.go); allocation takes the owning cubicle's inner lock;
 // window calls lock inside the monitor's window layer. This is what lets
 // component code on different cores proceed independently.
 type Env struct {
@@ -79,19 +77,14 @@ func (e *Env) Work(n uint64) {
 
 // --- Checked memory access -------------------------------------------------
 //
-// Every accessor below resolves the span through the per-thread TLB
-// (tlb.go): the common case — a span within one already-validated page — is
-// a single cache probe plus a direct copy from the backing array, with zero
-// virtual-time side effects, exactly like the walk it replaces.
+// Every accessor below is resolveSpan (the per-page permission walk, which
+// charges nothing unless it traps) followed by one address-space call that
+// moves the bytes.
 
 // Read copies len(b) bytes at addr into b, after access checks.
 func (e *Env) Read(addr vm.Addr, b []byte) {
 	n := uint64(len(b))
 	if n == 0 {
-		return
-	}
-	if v, ok := e.M.fastView(e.T, mpk.AccessRead, addr, n); ok {
-		copy(b, v)
 		return
 	}
 	e.M.resolveSpan(e.T, mpk.AccessRead, addr, n)
@@ -105,10 +98,6 @@ func (e *Env) Read(addr vm.Addr, b []byte) {
 func (e *Env) Write(addr vm.Addr, b []byte) {
 	n := uint64(len(b))
 	if n == 0 {
-		return
-	}
-	if v, ok := e.M.fastView(e.T, mpk.AccessWrite, addr, n); ok {
-		copy(v, b)
 		return
 	}
 	e.M.resolveSpan(e.T, mpk.AccessWrite, addr, n)
@@ -128,10 +117,6 @@ func (e *Env) View(addr vm.Addr, n uint64, fn func(off uint64, chunk []byte)) {
 	if n == 0 {
 		return
 	}
-	if v, ok := e.M.fastView(e.T, mpk.AccessRead, addr, n); ok {
-		fn(0, v)
-		return
-	}
 	e.M.resolveSpan(e.T, mpk.AccessRead, addr, n)
 	if err := e.M.AS.Span(addr, n, fn); err != nil {
 		panic(&ProtectionFault{Addr: addr, Access: mpk.AccessRead, Cubicle: e.T.cur,
@@ -143,10 +128,6 @@ func (e *Env) View(addr vm.Addr, n uint64, fn func(off uint64, chunk []byte)) {
 // of [addr, addr+n) after a write access check.
 func (e *Env) MutableView(addr vm.Addr, n uint64, fn func(off uint64, chunk []byte)) {
 	if n == 0 {
-		return
-	}
-	if v, ok := e.M.fastView(e.T, mpk.AccessWrite, addr, n); ok {
-		fn(0, v)
 		return
 	}
 	e.M.resolveSpan(e.T, mpk.AccessWrite, addr, n)
@@ -165,9 +146,6 @@ func (e *Env) ReadBytes(addr vm.Addr, n uint64) []byte {
 
 // ReadU64 reads a 64-bit little-endian word.
 func (e *Env) ReadU64(addr vm.Addr) uint64 {
-	if v, ok := e.M.fastView(e.T, mpk.AccessRead, addr, 8); ok {
-		return binary.LittleEndian.Uint64(v)
-	}
 	e.M.resolveSpan(e.T, mpk.AccessRead, addr, 8)
 	v, err := e.M.AS.ReadU64(addr)
 	if err != nil {
@@ -179,10 +157,6 @@ func (e *Env) ReadU64(addr vm.Addr) uint64 {
 
 // WriteU64 writes a 64-bit little-endian word.
 func (e *Env) WriteU64(addr vm.Addr, v uint64) {
-	if b, ok := e.M.fastView(e.T, mpk.AccessWrite, addr, 8); ok {
-		binary.LittleEndian.PutUint64(b, v)
-		return
-	}
 	e.M.resolveSpan(e.T, mpk.AccessWrite, addr, 8)
 	if err := e.M.AS.WriteU64(addr, v); err != nil {
 		panic(&ProtectionFault{Addr: addr, Access: mpk.AccessWrite, Cubicle: e.T.cur,
@@ -192,9 +166,6 @@ func (e *Env) WriteU64(addr vm.Addr, v uint64) {
 
 // LoadByte reads one byte.
 func (e *Env) LoadByte(addr vm.Addr) byte {
-	if v, ok := e.M.fastView(e.T, mpk.AccessRead, addr, 1); ok {
-		return v[0]
-	}
 	var b [1]byte
 	e.Read(addr, b[:])
 	return b[0]
@@ -202,10 +173,6 @@ func (e *Env) LoadByte(addr vm.Addr) byte {
 
 // StoreByte writes one byte.
 func (e *Env) StoreByte(addr vm.Addr, v byte) {
-	if b, ok := e.M.fastView(e.T, mpk.AccessWrite, addr, 1); ok {
-		b[0] = v
-		return
-	}
 	b := [1]byte{v}
 	e.Write(addr, b[:])
 }

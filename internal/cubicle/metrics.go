@@ -43,8 +43,6 @@ type MetricsSample struct {
 	Retries         uint64 `json:"retries"`
 	ContainedFaults uint64 `json:"contained_faults"`
 	Restarts        uint64 `json:"restarts"`
-	TLBHits         uint64 `json:"tlb_hits"`
-	TLBMisses       uint64 `json:"tlb_misses"`
 	TLBShootdowns   uint64 `json:"tlb_shootdowns"`
 
 	// Rates over the interval, in events per virtual second.
@@ -65,9 +63,9 @@ type MetricsSample struct {
 
 // metricsTotals is the scalar counter set deltas are computed over.
 type metricsTotals struct {
-	calls, shared, faults, retags, wrpkrus      uint64
-	sheds, quota, deadline, retries, contained  uint64
-	restarts, tlbHits, tlbMisses, tlbShootdowns uint64
+	calls, shared, faults, retags, wrpkrus     uint64
+	sheds, quota, deadline, retries, contained uint64
+	restarts, tlbShootdowns                    uint64
 }
 
 func (m *Monitor) metricsTotalsNow() metricsTotals {
@@ -77,7 +75,7 @@ func (m *Monitor) metricsTotalsNow() metricsTotals {
 		retags: s.Retags, wrpkrus: s.WRPKRUs, sheds: s.Sheds,
 		quota: s.QuotaFaults, deadline: s.DeadlineFaults, retries: s.Retries,
 		contained: s.ContainedFaults, restarts: s.Restarts,
-		tlbHits: s.TLBHits, tlbMisses: s.TLBMisses, tlbShootdowns: s.TLBShootdowns,
+		tlbShootdowns: s.TLBShootdowns,
 	}
 }
 
@@ -154,8 +152,6 @@ func (mc *metricsCollector) sample(m *Monitor, now uint64) {
 		Retries:         cur.retries - mc.prev.retries,
 		ContainedFaults: cur.contained - mc.prev.contained,
 		Restarts:        cur.restarts - mc.prev.restarts,
-		TLBHits:         cur.tlbHits - mc.prev.tlbHits,
-		TLBMisses:       cur.tlbMisses - mc.prev.tlbMisses,
 		TLBShootdowns:   cur.tlbShootdowns - mc.prev.tlbShootdowns,
 	}
 	s.CallRate = float64(s.Calls) / secs
@@ -274,9 +270,7 @@ func (m *Monitor) WriteOpenMetrics(w io.Writer) error {
 	counter("retries", "Bounded-retry attempts", s.Retries)
 	counter("contained_faults", "Faults contained at crossings", s.ContainedFaults)
 	counter("restarts", "Supervisor restarts", s.Restarts)
-	counter("tlb_hits", "Span-TLB hits", s.TLBHits)
-	counter("tlb_misses", "Span-TLB misses", s.TLBMisses)
-	counter("tlb_shootdowns", "Cross-core TLB shootdowns", s.TLBShootdowns)
+	counter("tlb_shootdowns", "Cross-core retag synchronisation rounds", s.TLBShootdowns)
 	gauge("virtual_seconds", "Virtual time elapsed", float64(m.smpNow())/float64(cycles.FrequencyHz))
 	if mc := m.met; mc != nil {
 		counter("metrics_samples", "Metrics snapshots taken", m.MetricsRecorded())

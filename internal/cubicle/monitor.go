@@ -67,11 +67,6 @@ type Monitor struct {
 	memQuota map[ID]uint64
 	memUsed  map[ID]uint64
 
-	// tlbOn gates the per-thread span TLB (see tlb.go). On by default;
-	// tests and the differential-fuzz oracle disable it to force the naive
-	// page walk on every access.
-	tlbOn bool
-
 	// SMP state (see smp.go). smpN is the simulated core count (0/1 =
 	// single-core, every SMP hook a no-op); coreClks[0] aliases Clock;
 	// machine is the GVT view over the core clocks.
@@ -147,7 +142,6 @@ func NewMonitor(mode Mode, costs cycles.Costs) *Monitor {
 		ckpts:        make(map[ID]*checkpointRecord),
 		memQuota:     make(map[ID]uint64),
 		memUsed:      make(map[ID]uint64),
-		tlbOn:        true,
 		pkruEpoch:    1,
 	}
 	m.recomputeFastCross()
@@ -176,15 +170,15 @@ func (m *Monitor) EnableTracing(ringCap int) *trace.Tracer {
 		}
 		return ""
 	})
-	m.trc.SetTLBCounters(func() (uint64, uint64, uint64) {
-		return m.Stats.TLBHits, m.Stats.TLBMisses, m.Stats.TLBInvalidations
-	})
 	if m.smpN > 1 {
 		m.installCoreResolver()
 	}
 	m.recomputeFastCross()
 	return m.trc
 }
+
+// SetTLBEnabled does nothing: compile shim whose sole caller is benchmark/probes.go.
+func (m *Monitor) SetTLBEnabled(bool) {}
 
 // recomputeFastCross refreshes the trusted-crossing fast-path flag after
 // an optional subsystem was attached or detached (boot-time wiring).
@@ -384,14 +378,12 @@ func (m *Monitor) pkruFor(id ID) mpk.PKRU {
 }
 
 // resolveSpan validates an n-byte access of the given kind at addr by
-// thread t and leaves the thread's software TLB primed with the touched
-// pages. A TLB hit skips the page walk entirely; a miss runs the full
-// legacy logic — page lookup, page-table permission check, PKRU check and,
-// on denial, the watchdog checkpoint and the trap-and-map protocol of §5.3
-// / Figure 4 — before filling the entry. It panics with a ProtectionFault
-// if the access is not authorised. The length is a full 64-bit byte count
-// (n = 0 checks one byte); ranges that would wrap the address space fault
-// instead of silently truncating.
+// thread t, page by page: page lookup, page-table permission check, PKRU
+// check and, on denial, the watchdog checkpoint and the trap-and-map
+// protocol of §5.3 / Figure 4. It panics with a ProtectionFault if the
+// access is not authorised. The length is a full 64-bit byte count (n = 0
+// checks one byte); ranges that would wrap the address space fault instead
+// of silently truncating.
 func (m *Monitor) resolveSpan(t *Thread, kind mpk.AccessKind, addr vm.Addr, n uint64) {
 	if n == 0 {
 		n = 1
@@ -406,23 +398,12 @@ func (m *Monitor) resolveSpan(t *Thread, kind mpk.AccessKind, addr vm.Addr, n ui
 	}
 	first, last := vm.PagesIn(addr, n)
 	for pn := first; pn <= last; pn++ {
-		if m.tlbOn {
-			if m.tlbLookup(t, pn, kind) != nil {
-				continue // TLB hit: the walk below would charge nothing anyway
-			}
-			p := m.checkPageSlow(t, kind, pn)
-			m.tlbFill(t, pn, p)
-			continue
-		}
-		m.checkPageSlow(t, kind, pn)
+		m.checkPage(t, kind, pn)
 	}
 }
 
-// checkPageSlow is the TLB-miss path of resolveSpan: the legacy per-page
-// access check, byte-for-byte identical in its virtual-time behaviour (the
-// allowed path charges nothing; denial pays the watchdog checkpoint and
-// trap-and-map). It returns the page, whose metadata reflects any retag the
-// trap performed.
+// checkPage is the per-page access check of resolveSpan. The allowed path
+// charges nothing; denial pays the watchdog checkpoint and trap-and-map.
 //
 // The prefix up to and including the PKRU check is lock-free: the page
 // lookup is an atomic page-table read, (perm, key) is one atomic metadata
@@ -432,7 +413,7 @@ func (m *Monitor) resolveSpan(t *Thread, kind mpk.AccessKind, addr vm.Addr, n ui
 // under the lock: if a concurrent retag granted the access between check
 // and trap, the trap simply re-retags to the same key, an interleaving the
 // old big lock merely hid by picking one order.
-func (m *Monitor) checkPageSlow(t *Thread, kind mpk.AccessKind, pn uint64) *vm.Page {
+func (m *Monitor) checkPage(t *Thread, kind mpk.AccessKind, pn uint64) {
 	pa := vm.PageAddr(pn)
 	p := m.AS.Page(pa)
 	if p == nil {
@@ -447,7 +428,7 @@ func (m *Monitor) checkPageSlow(t *Thread, kind mpk.AccessKind, pn uint64) *vm.P
 			PageType: p.Type, Reason: fmt.Sprintf("page-table permission %s denies %s", perm, kind)})
 	}
 	if t.pkru.Check(kind, perm, mpk.Key(key)) {
-		return p // fast path: no trap
+		return // allowed: no trap
 	}
 	if m.sup != nil {
 		// Monitor entry is a watchdog checkpoint: a runaway callee that
@@ -457,7 +438,6 @@ func (m *Monitor) checkPageSlow(t *Thread, kind mpk.AccessKind, pn uint64) *vm.P
 	m.lockGlobal(t)
 	defer m.unlockGlobal(t)
 	m.trapAndMap(t, kind, pa, p)
-	return p
 }
 
 func pageTablePerm(kind mpk.AccessKind, perm vm.Perm) bool {
@@ -481,7 +461,7 @@ func pageTablePerm(kind mpk.AccessKind, perm vm.Perm) bool {
 //	❹ index the window's cubicle bitmask with the faulting cubicle, O(1);
 //	❺ if allowed, retag the page's MPK key to the faulting cubicle.
 //
-// Runs under the global lock (taken by checkPageSlow): the window search
+// Runs under the global lock (taken by checkPage): the window search
 // reads owner window state and the retag mutates the key registry and
 // page metadata, both gmu-guarded.
 func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.Page) {
@@ -573,7 +553,7 @@ func (m *Monitor) noteRetag(t *Thread, cub ID, addr vm.Addr, key mpk.Key) {
 	if m.trc != nil {
 		m.trc.Retag(tidOf(t), int(cub), uint64(addr), uint8(key))
 	}
-	m.shootdown(t, cub, addr.PageNum())
+	m.shootdown(t, cub)
 }
 
 // wrpkru models one execution of the wrpkru instruction on thread t.

@@ -126,8 +126,8 @@ func (m *Monitor) pinnedKeysFor(id ID) []mpk.Key {
 // lazy, exactly like the causal tag reassignment of §5.6. The acting
 // thread's own register is still refreshed eagerly. A remote worker's
 // in-flight access to a newly pinned page also stays correct without the
-// eager rewrite: its TLB permission check re-reads the page's live key on
-// every lookup, and a key miss falls back to the slow path under the lock.
+// eager rewrite: its page walk re-reads the page's live key on every
+// access, and a key miss traps under the lock.
 func (m *Monitor) refreshThreadPKRUs(act *Thread) {
 	if !m.Mode.MPKEnabled() {
 		return

@@ -32,11 +32,9 @@ import (
 //     a deadlock waiting to happen and panics under EnableLockCheck.
 //   - read-mostly metadata is epoch/RCU-published and read without any
 //     lock: the page table is an atomic pointer to a table of atomic page
-//     pointers, page (perm, key) metadata is one packed atomic word, the
-//     address-space epoch and per-core clocks are atomic words, and the
-//     per-thread span TLB holds immutable entries in atomic slots. The
-//     crossing fast path, the Env accessors and the TLB hit path therefore
-//     take no shared lock at all.
+//     pointers, page (perm, key) metadata is one packed atomic word, and
+//     per-core clocks are atomic words. The crossing fast path and the Env
+//     accessors' page walk therefore take no shared lock at all.
 //
 // Everything above only arms itself in PARALLEL mode: SetThreadCore marks
 // a thread as driven by its own goroutine worker, and the first such call
@@ -349,39 +347,20 @@ func (m *Monitor) smpNow() uint64 {
 // shootdown synchronises a page retag across cores, libmpk-style: a safe
 // multi-threaded pkey_mprotect must update every other thread's view of
 // the key state before the retag takes effect, an IPI-like round trip per
-// remote core. The simulator models it by charging ShootdownIPI per
-// remote core to the retagging thread and invalidating the page's entry
-// in every OTHER thread's span TLB (the retagging thread's own entry is
-// revalidated against live state at its next lookup, exactly as before).
-// Remote entries are cleared by CAS on the atomic slot, so a shootdown
-// races safely with the victim thread's own lookups and fills; only
-// entries actually cleared are counted. Single-core machines charge and
-// invalidate nothing, keeping their figures byte-identical to the pre-SMP
-// cost model. Callers hold gmu (retags only happen under it), which keeps
-// m.threads stable.
-func (m *Monitor) shootdown(t *Thread, cub ID, pn uint64) {
+// remote core. The simulator models only that cost — ShootdownIPI per
+// remote core, charged to the retagging thread — because there is no
+// per-thread state to flush: every checked access re-reads the page's live
+// (perm, key) word. Single-core machines charge nothing, keeping their
+// figures byte-identical to the pre-SMP cost model.
+func (m *Monitor) shootdown(t *Thread, cub ID) {
 	if m.smpN <= 1 {
 		return
 	}
-	var cleared uint64
-	for _, th := range m.threads {
-		if th == t {
-			continue
-		}
-		slot := &th.tlb[pn&tlbMask]
-		if e := slot.Load(); e != nil && e.pn == pn {
-			if slot.CompareAndSwap(e, nil) {
-				cleared++
-			}
-		}
-	}
 	cost := m.Costs.ShootdownIPI * uint64(m.smpN-1)
 	m.clkOf(t).Charge(cost)
-	st := m.st(t)
-	st.TLBShootdowns++
-	st.TLBShootdownInvalidations += cleared
+	m.st(t).TLBShootdowns++
 	if m.trc != nil {
-		m.trc.Shootdown(tidOf(t), int(cub), cleared, cost)
+		m.trc.Shootdown(tidOf(t), int(cub), cost)
 	}
 }
 

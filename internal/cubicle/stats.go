@@ -60,28 +60,17 @@ type Stats struct {
 	// Retries counts bounded-retry attempts after transient contained
 	// faults.
 	Retries uint64
-	// TLBHits counts checked accesses served from the per-thread span TLB
-	// without a page walk. Unlike the counters above these three are
-	// wall-clock diagnostics of the simulator itself, not architectural
-	// events: they are maintained directly by the monitor (a hit is far too
-	// frequent to record as a trace event) and mirrored into the
-	// trace-derived view by StatsFromTrace.
-	TLBHits uint64
-	// TLBMisses counts page checks that ran the full walk (cold, conflict
-	// or invalidated TLB slot).
-	TLBMisses uint64
-	// TLBInvalidations counts TLB entries observed stale at lookup — the
-	// slot held the right page but its (PKRU, epoch) validation tuple no
-	// longer matched after a wrpkru, retag, map/unmap or restart.
-	TLBInvalidations uint64
 	// TLBShootdowns counts cross-core retag synchronisation rounds: on an
 	// SMP machine every trap-and-map or pin retag pays one IPI round trip
 	// per remote core (libmpk's per-thread sync). Always 0 on single-core
 	// deployments.
 	TLBShootdowns uint64
-	// TLBShootdownInvalidations counts remote span-TLB entries cleared by
-	// shootdowns (at most threads-1 per shootdown).
-	TLBShootdownInvalidations uint64
+	// Always zero: compile shim whose sole reader is benchmark/layers.go.
+	TLBHits uint64
+	// Always zero: compile shim whose sole reader is benchmark/layers.go.
+	TLBMisses uint64
+	// Always zero: compile shim whose sole reader is benchmark/layers.go.
+	TLBInvalidations uint64
 	// Checkpoints counts cubicle checkpoints captured at quiescent points;
 	// CheckpointBytes sums their encoded image sizes.
 	Checkpoints     uint64
@@ -141,11 +130,7 @@ func (s *Stats) Merge(o *Stats) {
 	s.DeadlineFaults += o.DeadlineFaults
 	s.QuotaFaults += o.QuotaFaults
 	s.Retries += o.Retries
-	s.TLBHits += o.TLBHits
-	s.TLBMisses += o.TLBMisses
-	s.TLBInvalidations += o.TLBInvalidations
 	s.TLBShootdowns += o.TLBShootdowns
-	s.TLBShootdownInvalidations += o.TLBShootdownInvalidations
 	s.Checkpoints += o.Checkpoints
 	s.CheckpointBytes += o.CheckpointBytes
 	s.WarmRestarts += o.WarmRestarts

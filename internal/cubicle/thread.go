@@ -3,7 +3,6 @@ package cubicle
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"cubicleos/internal/cycles"
 	"cubicleos/internal/mpk"
@@ -88,22 +87,6 @@ type Thread struct {
 	// below it fault, so the arming cubicle always regains control.
 	deadline      uint64
 	deadlineFrame int
-	// tlb is the thread's direct-mapped span TLB (see tlb.go). Each slot is
-	// an atomic pointer to an immutable entry caching only the pn→page
-	// translation, validated against the address-space epoch; permissions
-	// are re-checked against the live (PKRU, key, perm) state on every
-	// lookup, so no explicit flush exists. MPK permissions being per-thread
-	// (the PKRU is a per-thread register) is exactly why the cache is
-	// per-thread too. The atomic slots are what let a cross-core shootdown
-	// clear a remote thread's entry without stopping that thread.
-	tlb [tlbSize]atomic.Pointer[tlbEntry]
-
-	// tlbBuf backs the slots outside parallel mode: fills rewrite the
-	// slot's entry in place instead of allocating, which keeps the
-	// single-threaded hot path (every production deployment) free of
-	// per-miss garbage. Parallel mode never touches it — concurrent
-	// shootdown readers require published entries to stay immutable.
-	tlbBuf [tlbSize]tlbEntry
 }
 
 // NewThread creates a thread that starts executing in the monitor cubicle

@@ -35,14 +35,7 @@ func StatsFromTrace(trc *trace.Tracer) Stats {
 	s.DeadlineFaults = c.DeadlineFaults
 	s.QuotaFaults = c.QuotaFaults
 	s.Retries = c.Retries
-	// The TLB counters are wall-clock diagnostics mirrored from the
-	// monitor's live gauges (see trace.Counts): too frequent to be events,
-	// still part of the cross-checked view.
-	s.TLBHits = c.TLBHits
-	s.TLBMisses = c.TLBMisses
-	s.TLBInvalidations = c.TLBInvalidations
 	s.TLBShootdowns = c.TLBShootdowns
-	s.TLBShootdownInvalidations = c.TLBShootdownInvalidations
 	s.Checkpoints = c.Checkpoints
 	s.CheckpointBytes = c.CheckpointBytes
 	s.WarmRestarts = c.WarmRestarts

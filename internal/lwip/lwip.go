@@ -349,8 +349,8 @@ func (l *Module) poll(e *cubicle.Env) uint64 {
 		activity++
 		l.SegmentsRx++
 		e.Work(stackWork)
-		// Decode the staged frame header through a stack buffer: the
-		// checked read is a single span-TLB probe, no heap allocation.
+		// Decode the staged frame header through a stack buffer: one
+		// checked read, no heap allocation.
 		var hb [HdrSize]byte
 		e.Read(l.stage, hb[:])
 		l.handleFrame(e, DecodeHeader(hb[:]))

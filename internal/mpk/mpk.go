@@ -135,7 +135,5 @@ func PkeyMprotect(as *vm.AddrSpace, addr vm.Addr, npages int, key Key) error {
 		}
 		p.SetKey(uint8(key))
 	}
-	// No epoch bump: a retag changes permissions, not the translation, and
-	// software TLBs re-check (PKRU, key, perm) against live metadata.
 	return nil
 }

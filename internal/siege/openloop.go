@@ -229,8 +229,6 @@ func (t *Target) OpenLoop(o OpenLoopOptions) (*OpenLoopStats, error) {
 	return r.finish(), nil
 }
 
-// percentile returns the p-quantile of sorted cycle latencies as a
-// duration (nearest-rank; zero when empty).
 // Percentile converts the p-th percentile of an ascending cycle-latency
 // slice to a duration (nearest-rank). Exported for the cluster driver,
 // which pools latencies across backends but classifies them itself.

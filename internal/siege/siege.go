@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"time"
 
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
@@ -23,7 +24,6 @@ import (
 	"cubicleos/internal/ualloc"
 	"cubicleos/internal/uktime"
 	"cubicleos/internal/vfscore"
-	"time"
 )
 
 // DefaultRequestFloor is the fixed client+network+connection cost per

@@ -113,12 +113,10 @@ const (
 	// fault; Cubicle is the retrying caller, Arg the attempt number,
 	// Cost the virtual-cycle backoff charged before it.
 	EvRetry
-	// EvShootdown is the TLB shootdown a page retag performs on a
-	// multi-core machine (libmpk-style per-core key synchronisation):
-	// Cubicle is the retagged page's owner, Arg the number of remote
-	// span-TLB entries invalidated, Cost the synchronisation cycles
-	// charged (ShootdownIPI per remote core). Single-core runs never
-	// record one.
+	// EvShootdown is the per-core key synchronisation a page retag pays
+	// on a multi-core machine (libmpk-style): Cubicle is the retagged
+	// page's owner, Cost the cycles charged (ShootdownIPI per remote
+	// core). Single-core runs never record one.
 	EvShootdown
 	// EvCheckpoint is one cubicle checkpoint captured at a quiescent
 	// point: Cubicle is the checkpointed cubicle, Arg the encoded image
@@ -270,7 +268,7 @@ func newShard(core int16, clock *cycles.Clock, ringCap int) *shard {
 
 // weightedKind marks the kinds whose Arg accumulates into weights.
 var weightedKind = [numKinds]bool{
-	EvCallEnter: true, EvWindowSearch: true, EvCopy: true, EvIPC: true, EvShootdown: true,
+	EvCallEnter: true, EvWindowSearch: true, EvCopy: true, EvIPC: true,
 	EvCheckpoint: true,
 }
 
@@ -414,10 +412,6 @@ type Tracer struct {
 	open     atomic.Pointer[[]*openStack]
 	openGrow sync.Mutex
 	openM    []openCall
-
-	// tlbCounters, when set, supplies the monitor's span-TLB gauges for
-	// Counts (see SetTLBCounters).
-	tlbCounters func() (hits, misses, invalidations uint64)
 }
 
 type openCall struct {
@@ -607,11 +601,10 @@ func (t *Tracer) Retag(thread, cur int, addr uint64, key uint8) {
 	t.shardFor(thread).record(EvRetag, int32(thread), int32(cur), int32(key), addr, 0, "")
 }
 
-// Shootdown records the TLB shootdown a retag performs on a multi-core
-// machine: cleared is the number of remote span-TLB entries invalidated,
-// cost the synchronisation cycles charged.
-func (t *Tracer) Shootdown(thread, cur int, cleared, cost uint64) {
-	t.shardFor(thread).record(EvShootdown, int32(thread), int32(cur), 0, cleared, cost, "")
+// Shootdown records the cross-core synchronisation a retag pays on a
+// multi-core machine; cost is the cycles charged.
+func (t *Tracer) Shootdown(thread, cur int, cost uint64) {
+	t.shardFor(thread).record(EvShootdown, int32(thread), int32(cur), 0, 0, cost, "")
 }
 
 // WRPKRU records one wrpkru execution.
@@ -764,7 +757,7 @@ func (t *Tracer) Count(k Kind) uint64 {
 
 // Weight returns the accumulated Arg sum for weighted kinds: stack-arg
 // bytes for EvCallEnter, search steps for EvWindowSearch, bytes for
-// EvCopy and EvIPC, invalidated entries for EvShootdown.
+// EvCopy and EvIPC, image bytes for EvCheckpoint.
 func (t *Tracer) Weight(k Kind) uint64 {
 	var n uint64
 	for _, s := range t.shards {
@@ -985,11 +978,8 @@ type Counts struct {
 	DeadlineFaults    uint64
 	QuotaFaults       uint64
 	Retries           uint64
-	// TLBShootdowns counts multi-core retag synchronisations;
-	// TLBShootdownInvalidations sums the remote span-TLB entries they
-	// cleared (the EvShootdown weight).
-	TLBShootdowns             uint64
-	TLBShootdownInvalidations uint64
+	// TLBShootdowns counts multi-core retag synchronisations.
+	TLBShootdowns uint64
 	// Checkpoints counts captured cubicle checkpoints; CheckpointBytes
 	// sums their encoded sizes (the EvCheckpoint weight). WarmRestarts and
 	// ColdRestarts split Restarts by recovery path.
@@ -1004,22 +994,7 @@ type Counts struct {
 	Routes    uint64
 	Drains    uint64
 	Failovers uint64
-	// TLBHits/TLBMisses/TLBInvalidations are the monitor's span-TLB
-	// counters. They are not event-derived: a TLB hit is the hot path the
-	// tracer exists to stay off of, so recording one event per hit would
-	// defeat the cache. Instead the monitor registers a live source via
-	// SetTLBCounters and Counts reads it at derivation time, keeping the
-	// Stats-equality invariant exact.
-	TLBHits          uint64
-	TLBMisses        uint64
-	TLBInvalidations uint64
-	Calls            map[Edge]uint64
-}
-
-// SetTLBCounters installs the source of the monitor-maintained span-TLB
-// counters mirrored into Counts (hits, misses, invalidations).
-func (t *Tracer) SetTLBCounters(fn func() (hits, misses, invalidations uint64)) {
-	t.tlbCounters = fn
+	Calls     map[Edge]uint64
 }
 
 // Counts derives the flat counters from the event stream, summed over
@@ -1032,44 +1007,36 @@ func (t *Tracer) Counts() Counts {
 			weights[k] += s.weights[k]
 		}
 	}
-	var tlbHits, tlbMisses, tlbInval uint64
-	if t.tlbCounters != nil {
-		tlbHits, tlbMisses, tlbInval = t.tlbCounters()
-	}
 	return Counts{
-		CallsTotal:                counts[EvCallEnter],
-		SharedCalls:               counts[EvSharedCall],
-		Faults:                    counts[EvFault],
-		DeniedFaults:              counts[EvDeniedFault],
-		Retags:                    counts[EvRetag],
-		WRPKRUs:                   counts[EvWRPKRU],
-		WindowOps:                 counts[EvWindowOp],
-		WindowSearchSteps:         weights[EvWindowSearch],
-		StackBytesCopied:          weights[EvCallEnter],
-		BulkBytesCopied:           weights[EvCopy],
-		KeyEvictions:              counts[EvKeyEviction],
-		IPCMessages:               counts[EvIPC],
-		ContainedFaults:           counts[EvContained],
-		Quarantines:               counts[EvQuarantine],
-		Restarts:                  counts[EvRestart],
-		InjectedFaults:            counts[EvInjected],
-		Sheds:                     counts[EvShed],
-		DeadlineFaults:            counts[EvDeadline],
-		QuotaFaults:               counts[EvQuota],
-		Retries:                   counts[EvRetry],
-		TLBShootdowns:             counts[EvShootdown],
-		TLBShootdownInvalidations: weights[EvShootdown],
-		Checkpoints:               counts[EvCheckpoint],
-		CheckpointBytes:           weights[EvCheckpoint],
-		WarmRestarts:              counts[EvWarmRestart],
-		ColdRestarts:              counts[EvColdRestart],
-		Routes:                    counts[EvRoute],
-		Drains:                    counts[EvDrain],
-		Failovers:                 counts[EvFailover],
-		TLBHits:                   tlbHits,
-		TLBMisses:                 tlbMisses,
-		TLBInvalidations:          tlbInval,
-		Calls:                     t.EdgeCalls(),
+		CallsTotal:        counts[EvCallEnter],
+		SharedCalls:       counts[EvSharedCall],
+		Faults:            counts[EvFault],
+		DeniedFaults:      counts[EvDeniedFault],
+		Retags:            counts[EvRetag],
+		WRPKRUs:           counts[EvWRPKRU],
+		WindowOps:         counts[EvWindowOp],
+		WindowSearchSteps: weights[EvWindowSearch],
+		StackBytesCopied:  weights[EvCallEnter],
+		BulkBytesCopied:   weights[EvCopy],
+		KeyEvictions:      counts[EvKeyEviction],
+		IPCMessages:       counts[EvIPC],
+		ContainedFaults:   counts[EvContained],
+		Quarantines:       counts[EvQuarantine],
+		Restarts:          counts[EvRestart],
+		InjectedFaults:    counts[EvInjected],
+		Sheds:             counts[EvShed],
+		DeadlineFaults:    counts[EvDeadline],
+		QuotaFaults:       counts[EvQuota],
+		Retries:           counts[EvRetry],
+		TLBShootdowns:     counts[EvShootdown],
+		Checkpoints:       counts[EvCheckpoint],
+		CheckpointBytes:   weights[EvCheckpoint],
+		WarmRestarts:      counts[EvWarmRestart],
+		ColdRestarts:      counts[EvColdRestart],
+		Routes:            counts[EvRoute],
+		Drains:            counts[EvDrain],
+		Failovers:         counts[EvFailover],
+		Calls:             t.EdgeCalls(),
 	}
 }
 

@@ -75,37 +75,6 @@ func TestSpanErrors(t *testing.T) {
 	}
 }
 
-// TestEpochBumps checks that every address-space mutation visible to a
-// software TLB moves the epoch: Map, Unmap, and explicit BumpEpoch.
-func TestEpochBumps(t *testing.T) {
-	as := NewAddrSpace()
-	e0 := as.Epoch()
-	a := mustMap(as, 2, 1, PageHeap, PermRead|PermWrite, 0)
-	e1 := as.Epoch()
-	if e1 <= e0 {
-		t.Errorf("Map did not bump epoch: %d -> %d", e0, e1)
-	}
-	if err := as.Unmap(a, 2); err != nil {
-		t.Fatal(err)
-	}
-	e2 := as.Epoch()
-	if e2 <= e1 {
-		t.Errorf("Unmap did not bump epoch: %d -> %d", e1, e2)
-	}
-	as.BumpEpoch()
-	if as.Epoch() != e2+1 {
-		t.Errorf("BumpEpoch: %d -> %d, want +1", e2, as.Epoch())
-	}
-	// Failed maps must not churn the epoch.
-	e3 := as.Epoch()
-	if _, err := as.Map(0, 1, PageHeap, PermRead, 0); err == nil {
-		t.Fatal("Map(0 pages) succeeded")
-	}
-	if as.Epoch() != e3 {
-		t.Errorf("failed Map bumped epoch: %d -> %d", e3, as.Epoch())
-	}
-}
-
 // TestCheckMappedWrap checks the uint64 width fix at the vm layer: a
 // range whose end wraps must be rejected outright.
 func TestCheckMappedWrap(t *testing.T) {

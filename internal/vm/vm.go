@@ -17,13 +17,12 @@
 // Concurrency contract: all mutations (Map, MapAt, Unmap, retags via
 // SetKey/SetPerm) happen under the monitor's global lock — one writer at a
 // time. Reads, however, may come from any core with no lock at all: the
-// cubicle runtime's span-TLB fast path translates addresses lock-free. The
+// cubicle runtime's checked accessors translate addresses lock-free. The
 // page table is therefore published through an atomic pointer (growth
-// copies to a fresh array), each slot is an atomic *Page, the translation
-// epoch is an atomic counter, and the retaggable metadata (key, perm) is a
-// single packed word accessed atomically. A lock-free reader sees either
-// the pre- or post-mutation state of any one word, never a torn mix, and
-// the epoch protocol lets caches detect staleness.
+// copies to a fresh array), each slot is an atomic *Page, and the
+// retaggable metadata (key, perm) is a single packed word accessed
+// atomically. A lock-free reader sees either the pre- or post-mutation
+// state of any one word, never a torn mix.
 package vm
 
 import (
@@ -163,7 +162,7 @@ type AddrSpace struct {
 	// pt is the current page table. Growth allocates a larger table,
 	// copies the slots, and publishes it here; readers holding the old
 	// snapshot still resolve correctly (slot stores before the swap went
-	// to the old table, and the epoch protocol catches anything staler).
+	// to the old table).
 	pt atomic.Pointer[pageTable]
 	// top is the next fresh page number handed out by Map when the free
 	// list cannot satisfy a request.
@@ -175,14 +174,6 @@ type AddrSpace struct {
 	// and recycling would rewrite the object under it. With pooling off
 	// the GC's reachability is the grace period.
 	pooling bool
-	// epoch counts translation mutations (map, unmap). Any cached pn→page
-	// binding — notably the per-thread software TLBs of the cubicle
-	// runtime — is valid only for the epoch it was filled in; a bump
-	// invalidates every such cache. In-place metadata changes (retags,
-	// permission changes) do not bump: caches must re-check permissions
-	// against live page state instead. Atomic: bumped by the serialised
-	// writer, read by lock-free validators on every TLB hit.
-	epoch uint64
 }
 
 // NewAddrSpace returns an empty address space.
@@ -203,17 +194,6 @@ func (as *AddrSpace) SetPooling(on bool) {
 		as.pool = nil
 	}
 }
-
-// Epoch returns the current translation epoch. It increases monotonically
-// and never wraps in practice (a 64-bit counter of map/unmap events).
-func (as *AddrSpace) Epoch() uint64 { return atomic.LoadUint64(&as.epoch) }
-
-// BumpEpoch advances the translation epoch. Map and Unmap bump it
-// internally; software TLBs stamp the epoch into their entries, so a bump
-// drops every cached pn→page binding at once. In-place metadata changes
-// (retags, permission changes) deliberately do NOT bump: caches re-check
-// permissions against live page state on every lookup.
-func (as *AddrSpace) BumpEpoch() { atomic.AddUint64(&as.epoch, 1) }
 
 // table returns the current page-table snapshot.
 func (as *AddrSpace) table() pageTable { return *as.pt.Load() }
@@ -263,7 +243,6 @@ func (as *AddrSpace) Map(npages int, owner int, typ PageType, perm Perm, key uin
 	if npages <= 0 {
 		return 0, fmt.Errorf("vm: Map with non-positive page count %d", npages)
 	}
-	as.BumpEpoch()
 	if npages == 1 && len(as.free) > 0 {
 		pn := as.free[len(as.free)-1]
 		as.free = as.free[:len(as.free)-1]
@@ -335,8 +314,6 @@ func (as *AddrSpace) takeRun(npages int) (uint64, bool) {
 // addresses so that every address the cubicle's state holds — free-list
 // blocks, file page pointers — stays valid. Mapping over an already-mapped
 // page is an error; the caller decides whether that aborts the restore.
-// Like Map, MapAt bumps the translation epoch, so every software TLB drops
-// its cached bindings.
 func (as *AddrSpace) MapAt(pn uint64, owner int, typ PageType, perm Perm, key uint8) (*Page, error) {
 	if pn == 0 {
 		return nil, fmt.Errorf("vm: MapAt of reserved page 0")
@@ -356,7 +333,6 @@ func (as *AddrSpace) MapAt(pn uint64, owner int, typ PageType, perm Perm, key ui
 	}
 	p := as.newPage(owner, typ, perm, key)
 	as.setPage(pn, p)
-	as.BumpEpoch()
 	return p, nil
 }
 
@@ -380,7 +356,6 @@ func (as *AddrSpace) Unmap(addr Addr, npages int) error {
 		t[pn+i].Store(nil)
 		as.free = append(as.free, pn+i)
 	}
-	as.BumpEpoch()
 	return nil
 }
 
@@ -396,7 +371,7 @@ func (as *AddrSpace) ForEachPage(fn func(pn uint64, p *Page)) {
 
 // Page returns the page containing addr, or nil if it is unmapped. It is
 // safe to call with no lock from any goroutine: the table snapshot and the
-// slot are both atomic, and staleness is bounded by the epoch protocol.
+// slot are both atomic.
 func (as *AddrSpace) Page(addr Addr) *Page {
 	t := *as.pt.Load()
 	pn := addr.PageNum()
@@ -435,8 +410,7 @@ func (as *AddrSpace) CheckMapped(addr Addr, n uint64) error {
 // the backing pages, calling fn once per chunk in address order (one chunk
 // per page crossed; a chunk never spans pages). off is the chunk's byte
 // offset from addr. The slices alias page memory — they are zero-copy and
-// valid only until the page is unmapped; callers that hold them across
-// metadata mutations must revalidate against Epoch. Span itself performs no
+// valid only until the page is unmapped. Span itself performs no
 // permission checking (package doc): it is the raw backing-resolution
 // primitive underneath the checked View accessors of the cubicle runtime.
 //

@@ -12,9 +12,10 @@ go build ./...
 go test -race ./...
 go test -race ./internal/faultinject/...
 
-# Span fast-path gates: the TLB-vs-naive differential fuzz seeds (run as
-# unit tests), a race pass over the cubicle runtime, and a bench smoke
-# that compiles and runs every hot-path bench body once.
+# Checked-access gates: the checked-access fuzz seeds (run as unit tests;
+# the target keeps its pre-removal name FuzzSpanTLBDifferential), a race
+# pass over the cubicle runtime, and a bench smoke that compiles and runs
+# every hot-path bench body once.
 go test -race -run FuzzSpanTLBDifferential ./internal/cubicle/
 go test -race ./internal/cubicle/...
 ./scripts/bench.sh -quick >/dev/null
