@@ -53,7 +53,7 @@ func main() {
 			{Name: "vault_init", Fn: func(e *cubicleos.Env, a []uint64) []uint64 {
 				secret := e.HeapAlloc(32)
 				e.Write(secret, []byte("TLS-PRIVATE-KEY-0123456789abcdef"))
-				return []uint64{uint64(secret)}
+				return e.Ret(uint64(secret))
 			}},
 		},
 	})
@@ -62,7 +62,7 @@ func main() {
 		Exports: []cubicleos.ExportDecl{
 			{Name: "intrude", RegArgs: 1, Fn: func(e *cubicleos.Env, a []uint64) []uint64 {
 				// Attempt to read the vault's secret directly.
-				return []uint64{uint64(e.LoadByte(cubicleos.Addr(a[0])))}
+				return e.Ret(uint64(e.LoadByte(cubicleos.Addr(a[0]))))
 			}},
 		},
 	})

@@ -31,7 +31,7 @@ func main() {
 			// bar(ptr, a): ptr[a] = 0xAA — exactly Figure 1.
 			{Name: "bar", RegArgs: 2, Fn: func(e *cubicleos.Env, args []uint64) []uint64 {
 				e.StoreByte(cubicleos.Addr(args[0]).Add(args[1]), 0xAA)
-				return []uint64{1}
+				return e.Ret(1)
 			}},
 		},
 	})

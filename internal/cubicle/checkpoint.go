@@ -108,16 +108,18 @@ func (m *Monitor) LastCheckpoint(id ID) (CheckpointInfo, bool) {
 }
 
 // maybeCheckpoint is the cadence gate, called at trampoline entry at frame
-// depth zero with the monitor lock held. It fires at most one sweep per
-// interval threshold, stamped against global virtual time so SMP cores
-// agree on the schedule.
+// depth zero. It fires at most one sweep per interval threshold, stamped
+// against global virtual time so SMP cores agree on the schedule. Only the
+// cooperative boot thread gets here (Handle.Call excludes parallel
+// workers), so ckptNext has a single writer and is compared before the
+// lock: the lock is paid once per interval, not once per outermost call.
 func (m *Monitor) maybeCheckpoint(t *Thread) {
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	now := m.smpNow()
 	if now < m.ckptNext {
 		return
 	}
+	m.lockGlobal(t)
+	defer m.unlockGlobal(t)
 	for m.ckptNext <= now {
 		m.ckptNext += m.ckptInterval
 	}

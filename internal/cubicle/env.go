@@ -39,6 +39,18 @@ func (m *Monitor) RunAs(e *Env, id ID, fn func(e *Env)) error {
 	return Catch(func() { fn(e) })
 }
 
+// Ret returns v as an entry point's result words. Up to retWords words are
+// copied into the thread's result scratch, so returning allocates nothing;
+// the slice is valid until the thread's next Handle.Call (see Fn). More
+// words than the scratch holds get a slice of their own.
+func (e *Env) Ret(v ...uint64) []uint64 {
+	if len(v) > retWords {
+		return append([]uint64(nil), v...)
+	}
+	n := copy(e.T.ret[:], v)
+	return e.T.ret[:n:n]
+}
+
 // Cubicle returns the cubicle whose privileges the code is running with.
 func (e *Env) Cubicle() ID { return e.T.cur }
 

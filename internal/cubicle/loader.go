@@ -137,7 +137,6 @@ func (ld *Loader) Load(si *SystemImage, c *Component, group string) (*Cubicle, e
 		tr := &Trampoline{
 			id:         uint32(len(m.trampolines) + 1),
 			callee:     cub.ID,
-			component:  c.Name,
 			sym:        ex.Name,
 			symbol:     c.Name + "." + ex.Name,
 			fn:         ld.wrapEntry(cub, ex.Fn, c.Name+"."+ex.Name),

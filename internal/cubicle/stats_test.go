@@ -75,6 +75,54 @@ func TestTracingDisabledAddsNoAllocations(t *testing.T) {
 	})
 }
 
+// TestCrossingWithWordsAddsNoAllocations is the exact gate on the crossing
+// ABI: a call that carries three argument words and returns two allocates
+// nothing — the words ride the thread's word stack, the results its
+// scratch — in the three monitor shapes the benchmark's HTTP workloads
+// run: bare (crossFast), supervised (crossFast with the contain defer) and
+// checkpointing (crossFull, entered at depth 0 so the cadence gate runs).
+func TestCrossingWithWordsAddsNoAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wire func(m *Monitor)
+	}{
+		{"bare", nil},
+		{"supervised", func(m *Monitor) { m.EnableContainment(DefaultRestartPolicy()) }},
+		{"checkpointing", func(m *Monitor) { m.EnableCheckpoints(5_000_000) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := bootABI(t, tc.wire)
+			e := w.env
+			call := func() {
+				if r := w.monLeaf3.Call(e, 1, 2, 3); r[0] != 3 || r[1] != 3 {
+					t.Fatalf("leaf3(1, 2, 3) returned %v, want [3 3]", r)
+				}
+			}
+			for i := 0; i < 16; i++ {
+				call() // the per-edge stats entry, LEAF's stack, the word stack
+			}
+			if allocs := testing.AllocsPerRun(1000, call); allocs != 0 {
+				t.Fatalf("a 3-words-in, 2-words-out crossing allocates %.0f objects, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkCrossingArgsRets is the crossing real callers make — three
+// argument words in, two result words out. scripts/bench.sh -assert gates
+// its allocs/op at exactly 0.
+func BenchmarkCrossingArgsRets(b *testing.B) {
+	w := bootABI(b, nil)
+	e := w.env
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := w.monLeaf3.Call(e, uint64(i), 2, 3); r[1] != 3 {
+			b.Fatalf("leaf3 returned %v", r)
+		}
+	}
+}
+
 // benchCall measures one FOO←BAR noop cross-cubicle call in ModeFull.
 func benchCall(b *testing.B, traced bool) {
 	var tt testing.T

@@ -40,6 +40,10 @@ type frame struct {
 	jmark int
 	// entryCycles is the virtual clock at call entry, for the watchdog.
 	entryCycles uint64
+	// wmark is the length of the thread's argument word stack at call
+	// entry: the call's own words sit above it and popFrame truncates back
+	// to it, so an unwinding fault releases them exactly as it releases sp.
+	wmark int
 }
 
 // Thread is one execution context. Each thread carries its own PKRU value
@@ -87,6 +91,32 @@ type Thread struct {
 	// below it fault, so the arming cubicle always regains control.
 	deadline      uint64
 	deadlineFrame int
+	// words is the argument word stack: every call stages its argument
+	// words above the frame's wmark (stageArgs) and the callee reads them in
+	// place, the way §5.5's trampoline copies in-stack arguments onto the
+	// callee stack. ret is the result scratch Env.Ret fills; Handle.Call
+	// poisons it on entry. Both are owner-goroutine state like frames.
+	words []uint64
+	ret   [retWords]uint64
+}
+
+// retWords is the capacity of the per-thread result scratch; no entry point
+// of the component set returns more than two words.
+const retWords = 4
+
+// retPoison fills the result scratch at every call entry, so a result
+// slice read after a later call yields this pattern, never a plausible
+// neighbour's value.
+const retPoison = 0xDEADDEADDEADDEAD
+
+// stageArgs copies a call's argument words onto the word stack and returns
+// the callee's view of them. The view's capacity is clamped to its length:
+// a callee that appends to its arguments gets a private copy instead of
+// scribbling over words a deeper call will stage.
+func (t *Thread) stageArgs(args []uint64) []uint64 {
+	base := len(t.words)
+	t.words = append(t.words, args...)
+	return t.words[base:len(t.words):len(t.words)]
 }
 
 // NewThread creates a thread that starts executing in the monitor cubicle
@@ -206,6 +236,7 @@ func (t *Thread) pushFrame(callee ID, crossing bool) {
 		crossing:    crossing,
 		jmark:       len(t.journal),
 		entryCycles: t.clk.Cycles(),
+		wmark:       len(t.words),
 	})
 }
 
@@ -221,6 +252,7 @@ func (t *Thread) popFrame() {
 	if s, ok := t.stacks[f.exec]; ok {
 		s.sp = f.entrySP
 	}
+	t.words = t.words[:f.wmark]
 	if f.crossing {
 		t.cur = f.caller
 		if t.parallel {

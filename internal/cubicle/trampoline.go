@@ -13,6 +13,13 @@ import (
 // virtual addresses. The first RegArgs words travel in registers; any
 // additional StackBytes of argument data travel on the stack and are
 // copied across per-cubicle stacks by the trampoline (§5.5).
+//
+// Both slices belong to the trampoline, not to the entry point. args is a
+// view of the calling thread's argument word stack, valid for the duration
+// of the call. The result is handed back with Env.Ret, which places it in a
+// per-thread scratch: a result slice is valid until the thread's next
+// Handle.Call, so callers take the words they need (r[0], r[1]) before
+// calling again and never store the slice.
 type Fn func(e *Env, args []uint64) []uint64
 
 // Trampoline is a cross-cubicle call thunk generated and signed by the
@@ -22,9 +29,8 @@ type Fn func(e *Env, args []uint64) []uint64
 type Trampoline struct {
 	id         uint32
 	callee     ID
-	component  string
 	sym        string
-	symbol     string // cached "component.symbol", so hot paths never concatenate
+	symbol     string // "component.symbol", built once by the loader
 	fn         Fn
 	regArgs    int
 	stackBytes int
@@ -37,12 +43,7 @@ type Trampoline struct {
 }
 
 // Symbol returns the trampoline's "component.symbol" name.
-func (tr *Trampoline) Symbol() string {
-	if tr.symbol == "" {
-		tr.symbol = tr.component + "." + tr.sym
-	}
-	return tr.symbol
-}
+func (tr *Trampoline) Symbol() string { return tr.symbol }
 
 // Handle is a resolved cross-cubicle call target: the dynamic-symbol
 // binding the loader installs so that calls "go through the appropriate
@@ -128,12 +129,23 @@ func (tr *Trampoline) GuardAddr(caller ID) vm.Addr { return tr.guards[caller] }
 
 // Call invokes the handle's target with the given argument words,
 // performing the full cross-cubicle call sequence of §5.5 under the
-// system's isolation mode. It returns the callee's result words.
+// system's isolation mode. It returns the callee's result words, which are
+// valid until the thread's next Call (see Fn); args is copied and not
+// retained.
+//
+// Call itself is the prelude every call pays — handle and CFI checks,
+// checkpoint cadence, admission, call accounting — and holds no defer; the
+// three bodies it ends in (callLocal, crossFast, crossFull) have one return
+// and at most two defers each, which keeps every defer in this file
+// open-coded (scripts/defercheck.sh fails on one that is not).
 func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 	if h.tr == nil {
 		panic(&CFIFault{Cubicle: e.T.cur, Target: "<nil>", Reason: "call through unresolved handle"})
 	}
 	m, t, tr := h.m, e.T, h.tr
+	for i := range t.ret {
+		t.ret[i] = retPoison
+	}
 	// No lock is taken for the call sequence itself: admission reads the
 	// callee's atomic health bit, accounting goes to the thread's stats
 	// shard, charges go to the thread's own clock and the PKRU values come
@@ -151,9 +163,7 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 
 	// Same-cubicle call: a plain function call, no TCB involvement.
 	if tr.callee == t.cur {
-		t.pushFrame(tr.callee, false)
-		defer t.popFrame()
-		return tr.fn(e, args)
+		return h.callLocal(e, args)
 	}
 
 	// Shared cubicle: executes with the privileges, stack and heap of the
@@ -163,9 +173,7 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 		if m.trc != nil {
 			m.trc.SharedCall(t.id, int(t.cur), int(tr.callee), tr.Symbol())
 		}
-		t.pushFrame(tr.callee, false)
-		defer t.popFrame()
-		return tr.fn(e, args)
+		return h.callLocal(e, args)
 	}
 
 	// Cross-cubicle call. The handle must be used from the cubicle it was
@@ -186,45 +194,65 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 	st.Calls[Edge{From: t.cur, To: tr.callee}]++
 
 	if m.fastCross {
-		// Trusted-crossing fast path: no tracer, injector, metrics
-		// sampling or checkpoint cadence is attached (one precomputed
-		// flag), and admission above already proved the callee healthy.
-		// What remains is exactly the architectural call sequence — the
-		// charges, the frame switch, the two wrpkru executions — with the
-		// slow-path setup (trace event assembly, sampling cadence checks,
-		// injection draws) skipped entirely. Charge order is identical to
-		// the full path below, so virtual time is unaffected.
-		if m.Mode.TrampolinesEnabled() {
-			t.clk.Charge(m.Costs.TrampolineBase)
-			if tr.stackBytes > 0 {
-				t.clk.Charge(uint64(tr.stackBytes) * m.Costs.StackArgByte)
-				st.StackBytesCopied += uint64(tr.stackBytes)
-			}
-		}
-		t.pushFrame(tr.callee, true)
-		defer t.popFrame()
-		if m.sup != nil {
-			defer m.sup.contain(t, tr)
-		}
-		if t.deadline != 0 {
-			m.checkDeadline(t)
-		}
-		if tr.stackBytes > 0 {
-			t.alloca(uint64(tr.stackBytes))
-		}
-		if m.Mode.MPKEnabled() {
-			m.wrpkru(t, m.pkruForFast(t, tr.callee))
-		}
-		rets := tr.fn(e, args)
-		if m.Mode.TrampolinesEnabled() {
-			t.clk.Charge(m.Costs.TrampolineBase)
-		}
-		if m.Mode.MPKEnabled() {
-			m.wrpkru(t, m.pkruForFast(t, h.caller))
-		}
-		return rets
+		return h.crossFast(e, st, args)
 	}
+	return h.crossFull(e, st, args)
+}
 
+// callLocal runs a call that stays in the caller's cubicle — a
+// same-cubicle call or a call into a shared cubicle: a frame for stack
+// variable lifetime, no permission or stack switch.
+func (h Handle) callLocal(e *Env, args []uint64) []uint64 {
+	t := e.T
+	t.pushFrame(h.tr.callee, false)
+	defer t.popFrame()
+	return h.tr.fn(e, t.stageArgs(args))
+}
+
+// crossFast is the trusted-crossing fast path: no tracer, injector, metrics
+// sampling or checkpoint cadence is attached (one precomputed flag), and
+// admission already proved the callee healthy. What remains is exactly the
+// architectural call sequence — the charges, the frame switch, the two
+// wrpkru executions — with the slow-path setup (trace event assembly,
+// sampling cadence checks, injection draws) skipped entirely. Charge order
+// is identical to crossFull, so virtual time is unaffected.
+func (h Handle) crossFast(e *Env, st *Stats, args []uint64) []uint64 {
+	m, t, tr := h.m, e.T, h.tr
+	if m.Mode.TrampolinesEnabled() {
+		t.clk.Charge(m.Costs.TrampolineBase)
+		if tr.stackBytes > 0 {
+			t.clk.Charge(uint64(tr.stackBytes) * m.Costs.StackArgByte)
+			st.StackBytesCopied += uint64(tr.stackBytes)
+		}
+	}
+	t.pushFrame(tr.callee, true)
+	defer t.popFrame()
+	if m.sup != nil {
+		defer m.sup.contain(t, tr)
+	}
+	if t.deadline != 0 {
+		m.checkDeadline(t)
+	}
+	if tr.stackBytes > 0 {
+		t.alloca(uint64(tr.stackBytes))
+	}
+	if m.Mode.MPKEnabled() {
+		m.wrpkru(t, m.pkruForFast(t, tr.callee))
+	}
+	rets := tr.fn(e, t.stageArgs(args))
+	if m.Mode.TrampolinesEnabled() {
+		t.clk.Charge(m.Costs.TrampolineBase)
+	}
+	if m.Mode.MPKEnabled() {
+		m.wrpkru(t, m.pkruForFast(t, h.caller))
+	}
+	return rets
+}
+
+// crossFull is the crossing with every attachment consulted: metrics
+// sampling, trace events, fault injection.
+func (h Handle) crossFull(e *Env, st *Stats, args []uint64) []uint64 {
+	m, t, tr := h.m, e.T, h.tr
 	if m.met != nil {
 		// Metrics sampling rides the crossing rate: the first crossing at
 		// or past each interval threshold takes the snapshot.
@@ -270,7 +298,7 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 		m.injectAtCrossing(t, tr)
 	}
 
-	rets := tr.fn(e, args)
+	rets := tr.fn(e, t.stageArgs(args))
 
 	// Return path: switch permissions and stacks back (§5.5 "function
 	// returns across cubicles are handled in a similar way").

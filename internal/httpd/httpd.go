@@ -14,7 +14,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cubicleos/internal/cubicle"
@@ -302,7 +302,7 @@ func (s *Server) step(e *cubicle.Env) uint64 {
 	for fd := range s.conns {
 		s.order = append(s.order, fd)
 	}
-	sort.Slice(s.order, func(i, j int) bool { return s.order[i] < s.order[j] })
+	slices.Sort(s.order)
 	for _, fd := range s.order {
 		c, ok := s.conns[fd]
 		if !ok {
@@ -725,10 +725,10 @@ func (s *Server) Component() *cubicle.Component {
 		Kind: cubicle.KindIsolated,
 		Exports: []cubicle.ExportDecl{
 			{Name: "nginx_init", Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				return []uint64{s.initServer(e)}
+				return e.Ret(s.initServer(e))
 			}},
 			{Name: "nginx_step", Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				return []uint64{s.step(e)}
+				return e.Ret(s.step(e))
 			}},
 		},
 		Snapshot: s.Snapshot,

@@ -643,30 +643,30 @@ func (l *Module) Component() *cubicle.Component {
 			{Name: "lwip_socket", Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				l.ensureInit(e)
 				e.Work(stackWork)
-				return []uint64{l.newSock(e).fd, EOK}
+				return e.Ret(l.newSock(e).fd, EOK)
 			}},
 			{Name: "lwip_bind", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				cubicle.GuardArgs(e, "lwip_bind", a, 2)
 				e.Work(100)
 				s, errno := l.get(a[0])
 				if errno != EOK {
-					return []uint64{0, errno}
+					return e.Ret(0, errno)
 				}
 				if _, taken := l.listeners[uint16(a[1])]; taken {
-					return []uint64{0, EINVAL}
+					return e.Ret(0, EINVAL)
 				}
 				s.localPort = uint16(a[1])
-				return []uint64{0, EOK}
+				return e.Ret(0, EOK)
 			}},
 			{Name: "lwip_listen", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				cubicle.GuardArgs(e, "lwip_listen", a, 2)
 				e.Work(100)
 				s, errno := l.get(a[0])
 				if errno != EOK {
-					return []uint64{0, errno}
+					return e.Ret(0, errno)
 				}
 				if s.localPort == 0 {
-					return []uint64{0, EINVAL}
+					return e.Ret(0, EINVAL)
 				}
 				s.state = stListen
 				s.backlog = int(a[1])
@@ -674,56 +674,56 @@ func (l *Module) Component() *cubicle.Component {
 					s.backlog = 8
 				}
 				l.listeners[s.localPort] = s
-				return []uint64{0, EOK}
+				return e.Ret(0, EOK)
 			}},
 			{Name: "lwip_accept", RegArgs: 1, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				cubicle.GuardArgs(e, "lwip_accept", a, 1)
 				e.Work(150)
 				s, errno := l.get(a[0])
 				if errno != EOK {
-					return []uint64{0, errno}
+					return e.Ret(0, errno)
 				}
 				if s.state != stListen {
-					return []uint64{0, EINVAL}
+					return e.Ret(0, EINVAL)
 				}
 				if len(s.acceptQ) == 0 {
-					return []uint64{0, EAGAIN}
+					return e.Ret(0, EAGAIN)
 				}
 				fd := s.acceptQ[0]
 				s.acceptQ = s.acceptQ[1:]
-				return []uint64{fd, EOK}
+				return e.Ret(fd, EOK)
 			}},
 			{Name: "lwip_recv", RegArgs: 3, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				cubicle.GuardArgs(e, "lwip_recv", a, 3)
 				e.Work(200)
 				s, errno := l.get(a[0])
 				if errno != EOK {
-					return []uint64{0, errno}
+					return e.Ret(0, errno)
 				}
 				if s.rx.len == 0 {
 					if s.finRcvd {
-						return []uint64{0, EOK} // EOF
+						return e.Ret(0, EOK) // EOF
 					}
-					return []uint64{0, EAGAIN}
+					return e.Ret(0, EAGAIN)
 				}
 				n := s.rx.read(e, vm.Addr(a[1]), a[2])
 				s.needAck = true // window update
-				return []uint64{n, EOK}
+				return e.Ret(n, EOK)
 			}},
 			{Name: "lwip_send", RegArgs: 3, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				cubicle.GuardArgs(e, "lwip_send", a, 3)
 				e.Work(200)
 				s, errno := l.get(a[0])
 				if errno != EOK {
-					return []uint64{0, errno}
+					return e.Ret(0, errno)
 				}
 				if s.state != stEstab && s.state != stCloseWait {
-					return []uint64{0, EINVAL}
+					return e.Ret(0, EINVAL)
 				}
 				// The send buffer bounds unsent + unacknowledged bytes.
 				used := s.tx.len + uint64(s.inflight())
 				if used >= l.SendBufCap {
-					return []uint64{0, EAGAIN}
+					return e.Ret(0, EAGAIN)
 				}
 				n := a[2]
 				if n > l.SendBufCap-used {
@@ -733,28 +733,28 @@ func (l *Module) Component() *cubicle.Component {
 					n = s.tx.space()
 				}
 				if n == 0 {
-					return []uint64{0, EAGAIN}
+					return e.Ret(0, EAGAIN)
 				}
 				s.tx.write(e, vm.Addr(a[1]), n)
-				return []uint64{n, EOK}
+				return e.Ret(n, EOK)
 			}},
 			{Name: "lwip_close", RegArgs: 1, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				cubicle.GuardArgs(e, "lwip_close", a, 1)
 				e.Work(150)
 				s, errno := l.get(a[0])
 				if errno != EOK {
-					return []uint64{0, errno}
+					return e.Ret(0, errno)
 				}
 				if s.state == stListen {
 					delete(l.listeners, s.localPort)
 					s.state = stClosed
-					return []uint64{0, EOK}
+					return e.Ret(0, EOK)
 				}
 				s.finQueued = true
-				return []uint64{0, EOK}
+				return e.Ret(0, EOK)
 			}},
 			{Name: "lwip_poll", Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				return []uint64{l.poll(e), EOK}
+				return e.Ret(l.poll(e), EOK)
 			}},
 		},
 	}

@@ -188,13 +188,13 @@ func (d *Module) ensureStaging(e *cubicle.Env) {
 func (d *Module) tx(e *cubicle.Env, ptr, n uint64) []uint64 {
 	e.Work(driverWork)
 	if n == 0 || n > MTU {
-		return []uint64{0, 22} // EINVAL
+		return e.Ret(0, 22) // EINVAL
 	}
 	if d.wire.Cap > 0 && d.wire.toHost.len() >= d.wire.Cap {
 		// Bounded transmit queue: explicit backpressure to the stack
 		// instead of unbounded growth.
 		d.wire.DropsOut++
-		return []uint64{0, 11} // EAGAIN
+		return e.Ret(0, 11) // EAGAIN
 	}
 	d.ensureStaging(e)
 	e.Memcpy(d.staging, vm.Addr(ptr), n)
@@ -207,13 +207,13 @@ func (d *Module) tx(e *cubicle.Env, ptr, n uint64) []uint64 {
 		// as far as the stack can tell, the peer never sees the frame.
 		d.wire.InjectedDropsOut++
 		d.wire.Recycle(frame)
-		return []uint64{n, 0}
+		return e.Ret(n, 0)
 	}
 	if d.wire.tap != nil {
 		d.wire.tap(true, frame)
 	}
 	d.wire.toHost.push(frame)
-	return []uint64{n, 0}
+	return e.Ret(n, 0)
 }
 
 // rx receives the next pending frame into caller memory; returns 0 bytes
@@ -221,11 +221,11 @@ func (d *Module) tx(e *cubicle.Env, ptr, n uint64) []uint64 {
 func (d *Module) rx(e *cubicle.Env, ptr, maxLen uint64) []uint64 {
 	e.Work(driverWork)
 	if d.wire.toDevice.len() == 0 {
-		return []uint64{0, 0}
+		return e.Ret(0, 0)
 	}
 	frame := d.wire.toDevice.peek()
 	if uint64(len(frame)) > maxLen {
-		return []uint64{0, 22}
+		return e.Ret(0, 22)
 	}
 	d.wire.toDevice.pop()
 	d.ensureStaging(e)
@@ -233,7 +233,7 @@ func (d *Module) rx(e *cubicle.Env, ptr, maxLen uint64) []uint64 {
 	n := uint64(len(frame))
 	e.Memcpy(vm.Addr(ptr), d.staging, n)
 	d.wire.Recycle(frame)
-	return []uint64{n, 0}
+	return e.Ret(n, 0)
 }
 
 // Component returns the NETDEV component for the builder.
@@ -250,7 +250,7 @@ func (d *Module) Component() *cubicle.Component {
 			}},
 			{Name: "netdev_rx_ready", Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(60)
-				return []uint64{uint64(d.wire.toDevice.len()), 0}
+				return e.Ret(uint64(d.wire.toDevice.len()), 0)
 			}},
 		},
 	}

@@ -5,8 +5,6 @@
 package plat
 
 import (
-	"bytes"
-
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/vm"
 )
@@ -17,9 +15,15 @@ const Name = "PLAT"
 // consoleWork models the per-call cost of the console output path.
 const consoleWork = 150
 
+// consoleKeep is the console scrollback: the module keeps at least the
+// last consoleKeep bytes written and at most twice that. A server writes
+// an access-log line per request, so an unbounded console grows the host
+// process by ~50 B a request for as long as it runs.
+const consoleKeep = 64 << 10
+
 // Module is the PLAT component state.
 type Module struct {
-	console bytes.Buffer
+	console []byte
 	halted  bool
 	bootMsg string
 }
@@ -27,8 +31,9 @@ type Module struct {
 // New creates the platform module.
 func New() *Module { return &Module{} }
 
-// ConsoleOutput returns everything written to the console so far.
-func (p *Module) ConsoleOutput() string { return p.console.String() }
+// ConsoleOutput returns the console scrollback: everything written so far,
+// or its tail of consoleKeep to 2×consoleKeep bytes once more was written.
+func (p *Module) ConsoleOutput() string { return string(p.console) }
 
 // Halted reports whether plat_halt was called.
 func (p *Module) Halted() bool { return p.halted }
@@ -41,9 +46,13 @@ func (p *Module) Component() *cubicle.Component {
 		Exports: []cubicle.ExportDecl{
 			{Name: "console_write", RegArgs: 2, Fn: func(e *cubicle.Env, args []uint64) []uint64 {
 				e.Work(consoleWork)
-				data := e.ReadBytes(vm.Addr(args[0]), args[1])
-				p.console.Write(data)
-				return []uint64{args[1]}
+				e.View(vm.Addr(args[0]), args[1], func(_ uint64, chunk []byte) {
+					p.console = append(p.console, chunk...)
+				})
+				if len(p.console) > 2*consoleKeep {
+					p.console = p.console[:copy(p.console, p.console[len(p.console)-consoleKeep:])]
+				}
+				return e.Ret(args[1])
 			}},
 			{Name: "plat_halt", Fn: func(e *cubicle.Env, args []uint64) []uint64 {
 				p.halted = true
@@ -53,7 +62,7 @@ func (p *Module) Component() *cubicle.Component {
 				// Boot-time platform probe (one call per boot, visible in
 				// the Figure 8 call counts as the BOOT edge).
 				e.Work(500)
-				return []uint64{1}
+				return e.Ret(1)
 			}},
 		},
 	}

@@ -119,17 +119,17 @@ func (fs *Module) readPath(e *cubicle.Env, ptr, n uint64) string {
 	return sb.String()
 }
 
-func errRet(errno uint64) []uint64 { return []uint64{0, errno} }
-func okRet(val uint64) []uint64    { return []uint64{val, vfscore.EOK} }
+func errRet(e *cubicle.Env, errno uint64) []uint64 { return e.Ret(0, errno) }
+func okRet(e *cubicle.Env, val uint64) []uint64    { return e.Ret(val, vfscore.EOK) }
 
 func (fs *Module) lookup(e *cubicle.Env, ptr, n uint64) []uint64 {
 	e.Work(fs.opWork)
 	fs.OpCount++
 	_, _, node, errno := fs.walk(fs.readPath(e, ptr, n))
 	if errno != vfscore.EOK || node == nil {
-		return errRet(uint64(errno))
+		return errRet(e, uint64(errno))
 	}
-	return okRet(node.ino)
+	return okRet(e, node.ino)
 }
 
 func (fs *Module) create(e *cubicle.Env, ptr, n uint64) []uint64 {
@@ -137,16 +137,16 @@ func (fs *Module) create(e *cubicle.Env, ptr, n uint64) []uint64 {
 	fs.OpCount++
 	parent, name, node, errno := fs.walk(fs.readPath(e, ptr, n))
 	if node != nil {
-		return errRet(vfscore.EEXIST)
+		return errRet(e, vfscore.EEXIST)
 	}
 	if errno != vfscore.ENOENT || parent == nil {
-		return errRet(uint64(errno))
+		return errRet(e, uint64(errno))
 	}
 	ino := fs.next
 	fs.next++
 	fs.inodes[ino] = &inode{ino: ino}
 	parent.children[name] = ino
-	return okRet(ino)
+	return okRet(e, ino)
 }
 
 func (fs *Module) mkdir(e *cubicle.Env, ptr, n uint64) []uint64 {
@@ -154,16 +154,16 @@ func (fs *Module) mkdir(e *cubicle.Env, ptr, n uint64) []uint64 {
 	fs.OpCount++
 	parent, name, node, errno := fs.walk(fs.readPath(e, ptr, n))
 	if node != nil {
-		return errRet(vfscore.EEXIST)
+		return errRet(e, vfscore.EEXIST)
 	}
 	if errno != vfscore.ENOENT || parent == nil {
-		return errRet(uint64(errno))
+		return errRet(e, uint64(errno))
 	}
 	ino := fs.next
 	fs.next++
 	fs.inodes[ino] = &inode{ino: ino, dir: true, children: make(map[string]uint64)}
 	parent.children[name] = ino
-	return okRet(ino)
+	return okRet(e, ino)
 }
 
 func (fs *Module) unlink(e *cubicle.Env, ptr, n uint64) []uint64 {
@@ -171,15 +171,15 @@ func (fs *Module) unlink(e *cubicle.Env, ptr, n uint64) []uint64 {
 	fs.OpCount++
 	parent, name, node, errno := fs.walk(fs.readPath(e, ptr, n))
 	if errno != vfscore.EOK || node == nil {
-		return errRet(uint64(errno))
+		return errRet(e, uint64(errno))
 	}
 	if node.dir && len(node.children) > 0 {
-		return errRet(vfscore.EINVAL)
+		return errRet(e, vfscore.EINVAL)
 	}
 	fs.releasePages(e, node)
 	delete(parent.children, name)
 	delete(fs.inodes, node.ino)
-	return okRet(0)
+	return okRet(e, 0)
 }
 
 func (fs *Module) releasePages(e *cubicle.Env, node *inode) {
@@ -243,13 +243,13 @@ func (fs *Module) read(e *cubicle.Env, ino, off, buf, n uint64) []uint64 {
 	fs.OpCount++
 	node, errno := fs.node(ino)
 	if errno != vfscore.EOK {
-		return errRet(errno)
+		return errRet(e, errno)
 	}
 	if node.dir {
-		return errRet(vfscore.EISDIR)
+		return errRet(e, vfscore.EISDIR)
 	}
 	if off >= node.size {
-		return okRet(0)
+		return okRet(e, 0)
 	}
 	if off+n > node.size {
 		n = node.size - off
@@ -268,7 +268,7 @@ func (fs *Module) read(e *cubicle.Env, ino, off, buf, n uint64) []uint64 {
 		fs.libc.Memcpy(e, vm.Addr(buf+done), fs.pageAt(e, node, pi).Add(po), chunk)
 		done += chunk
 	}
-	return okRet(n)
+	return okRet(e, n)
 }
 
 func (fs *Module) write(e *cubicle.Env, ino, off, buf, n uint64) []uint64 {
@@ -276,10 +276,10 @@ func (fs *Module) write(e *cubicle.Env, ino, off, buf, n uint64) []uint64 {
 	fs.OpCount++
 	node, errno := fs.node(ino)
 	if errno != vfscore.EOK {
-		return errRet(errno)
+		return errRet(e, errno)
 	}
 	if node.dir {
-		return errRet(vfscore.EISDIR)
+		return errRet(e, vfscore.EISDIR)
 	}
 	fs.ensurePages(e, node, off+n)
 	if off > node.size {
@@ -301,7 +301,7 @@ func (fs *Module) write(e *cubicle.Env, ino, off, buf, n uint64) []uint64 {
 	if off+n > node.size {
 		node.size = off + n
 	}
-	return okRet(n)
+	return okRet(e, n)
 }
 
 func (fs *Module) getSize(e *cubicle.Env, ino uint64) []uint64 {
@@ -309,9 +309,9 @@ func (fs *Module) getSize(e *cubicle.Env, ino uint64) []uint64 {
 	fs.OpCount++
 	node, errno := fs.node(ino)
 	if errno != vfscore.EOK {
-		return errRet(errno)
+		return errRet(e, errno)
 	}
-	return okRet(node.size)
+	return okRet(e, node.size)
 }
 
 func (fs *Module) setSize(e *cubicle.Env, ino, size uint64) []uint64 {
@@ -319,14 +319,14 @@ func (fs *Module) setSize(e *cubicle.Env, ino, size uint64) []uint64 {
 	fs.OpCount++
 	node, errno := fs.node(ino)
 	if errno != vfscore.EOK {
-		return errRet(errno)
+		return errRet(e, errno)
 	}
 	if node.dir {
-		return errRet(vfscore.EISDIR)
+		return errRet(e, vfscore.EISDIR)
 	}
 	if size == 0 {
 		fs.releasePages(e, node)
-		return okRet(0)
+		return okRet(e, 0)
 	}
 	fs.ensurePages(e, node, size)
 	if size < node.size {
@@ -344,7 +344,7 @@ func (fs *Module) setSize(e *cubicle.Env, ino, size uint64) []uint64 {
 		fs.zeroRange(e, node, node.size, size)
 	}
 	node.size = size
-	return okRet(0)
+	return okRet(e, 0)
 }
 
 func (fs *Module) readdir(e *cubicle.Env, ino, idx, buf, bufLen uint64) []uint64 {
@@ -352,10 +352,10 @@ func (fs *Module) readdir(e *cubicle.Env, ino, idx, buf, bufLen uint64) []uint64
 	fs.OpCount++
 	node, errno := fs.node(ino)
 	if errno != vfscore.EOK {
-		return errRet(errno)
+		return errRet(e, errno)
 	}
 	if !node.dir {
-		return errRet(vfscore.ENOTDIR)
+		return errRet(e, vfscore.ENOTDIR)
 	}
 	names := make([]string, 0, len(node.children))
 	for name := range node.children {
@@ -363,14 +363,14 @@ func (fs *Module) readdir(e *cubicle.Env, ino, idx, buf, bufLen uint64) []uint64
 	}
 	sort.Strings(names)
 	if idx >= uint64(len(names)) {
-		return errRet(vfscore.ENOENT)
+		return errRet(e, vfscore.ENOENT)
 	}
 	name := names[idx]
 	if uint64(len(name)) > bufLen {
-		return errRet(vfscore.EINVAL)
+		return errRet(e, vfscore.EINVAL)
 	}
 	e.Write(vm.Addr(buf), []byte(name))
-	return okRet(uint64(len(name)))
+	return okRet(e, uint64(len(name)))
 }
 
 func (fs *Module) rename(e *cubicle.Env, p1, l1, p2, l2 uint64) []uint64 {
@@ -378,7 +378,7 @@ func (fs *Module) rename(e *cubicle.Env, p1, l1, p2, l2 uint64) []uint64 {
 	fs.OpCount++
 	fromParent, fromName, node, errno := fs.walk(fs.readPath(e, p1, l1))
 	if errno != vfscore.EOK || node == nil {
-		return errRet(uint64(errno))
+		return errRet(e, uint64(errno))
 	}
 	toParent, toName, existing, errno2 := fs.walk(fs.readPath(e, p2, l2))
 	if errno2 == vfscore.EOK && existing != nil {
@@ -386,11 +386,11 @@ func (fs *Module) rename(e *cubicle.Env, p1, l1, p2, l2 uint64) []uint64 {
 		fs.releasePages(e, existing)
 		delete(fs.inodes, existing.ino)
 	} else if errno2 != vfscore.ENOENT || toParent == nil {
-		return errRet(uint64(errno2))
+		return errRet(e, uint64(errno2))
 	}
 	delete(fromParent.children, fromName)
 	toParent.children[toName] = node.ino
-	return okRet(0)
+	return okRet(e, 0)
 }
 
 // Snapshot serialises the file-system tree — inode metadata, page
@@ -595,7 +595,7 @@ func (fs *Module) Component() *cubicle.Component {
 			{Name: "ramfs_fsync", RegArgs: 1, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(fs.opWork)
 				fs.OpCount++
-				return okRet(0)
+				return okRet(e, 0)
 			}},
 			{Name: "ramfs_rename", RegArgs: 4, Fn: guard("ramfs_rename", 4, func(e *cubicle.Env, a []uint64) []uint64 { return fs.rename(e, a[0], a[1], a[2], a[3]) })},
 		},

@@ -233,7 +233,7 @@ func (a *Module) Component() *cubicle.Component {
 		Exports: []cubicle.ExportDecl{
 			{Name: "alloc_malloc", RegArgs: 1, Fn: func(e *cubicle.Env, args []uint64) []uint64 {
 				cubicle.GuardArgs(e, "alloc_malloc", args, 1)
-				return []uint64{uint64(a.malloc(e, args[0]))}
+				return e.Ret(uint64(a.malloc(e, args[0])))
 			}},
 			{Name: "alloc_free", RegArgs: 1, Fn: func(e *cubicle.Env, args []uint64) []uint64 {
 				cubicle.GuardArgs(e, "alloc_free", args, 1)
@@ -242,7 +242,7 @@ func (a *Module) Component() *cubicle.Component {
 			}},
 			{Name: "alloc_palloc", RegArgs: 1, Fn: func(e *cubicle.Env, args []uint64) []uint64 {
 				cubicle.GuardArgs(e, "alloc_palloc", args, 1)
-				return []uint64{uint64(a.malloc(e, args[0]*vm.PageSize))}
+				return e.Ret(uint64(a.malloc(e, args[0]*vm.PageSize)))
 			}},
 			{Name: "alloc_share", RegArgs: 2, Fn: func(e *cubicle.Env, args []uint64) []uint64 {
 				cubicle.GuardArgs(e, "alloc_share", args, 2)

@@ -37,14 +37,14 @@ func (t *Module) Component() *cubicle.Component {
 		Exports: []cubicle.ExportDecl{
 			{Name: "time_monotonic_ns", Fn: func(e *cubicle.Env, args []uint64) []uint64 {
 				e.Work(40) // clocksource read
-				return []uint64{t.MonotonicNs()}
+				return e.Ret(t.MonotonicNs())
 			}},
 			{Name: "time_wall_ns", Fn: func(e *cubicle.Env, args []uint64) []uint64 {
 				e.Work(40)
-				return []uint64{wallEpochNs + t.MonotonicNs()}
+				return e.Ret(wallEpochNs + t.MonotonicNs())
 			}},
 			{Name: "time_cycles", Fn: func(e *cubicle.Env, args []uint64) []uint64 {
-				return []uint64{t.clock.Cycles()}
+				return e.Ret(t.clock.Cycles())
 			}},
 		},
 	}

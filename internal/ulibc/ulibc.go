@@ -34,14 +34,14 @@ func Component() *cubicle.Component {
 func memcpy(e *cubicle.Env, args []uint64) []uint64 {
 	cubicle.GuardArgs(e, "memcpy", args, 3)
 	e.Memcpy(vm.Addr(args[0]), vm.Addr(args[1]), args[2])
-	return []uint64{args[0]}
+	return e.Ret(args[0])
 }
 
 // memset(dst, c, n) fills n bytes with c and returns dst.
 func memset(e *cubicle.Env, args []uint64) []uint64 {
 	cubicle.GuardArgs(e, "memset", args, 3)
 	e.Memset(vm.Addr(args[0]), byte(args[1]), args[2])
-	return []uint64{args[0]}
+	return e.Ret(args[0])
 }
 
 // memcmp(a, b, n) returns 0/1/^0 like C memcmp (sign as two's complement
@@ -67,11 +67,11 @@ func memcmp(e *cubicle.Env, args []uint64) []uint64 {
 	}
 	switch {
 	case r < 0:
-		return []uint64{^uint64(0)}
+		return e.Ret(^uint64(0))
 	case r > 0:
-		return []uint64{1}
+		return e.Ret(1)
 	}
-	return []uint64{0}
+	return e.Ret(0)
 }
 
 // chunkLen clamps n so that [a, a+n) and [b, b+n) each stay on one page.
@@ -100,7 +100,7 @@ func strlen(e *cubicle.Env, args []uint64) []uint64 {
 			found = bytes.IndexByte(chunk, 0)
 		})
 		if found >= 0 {
-			return []uint64{n + uint64(found)}
+			return e.Ret(n + uint64(found))
 		}
 		n += k
 	}
@@ -140,11 +140,11 @@ func strncmp(e *cubicle.Env, args []uint64) []uint64 {
 	}
 	switch {
 	case r < 0:
-		return []uint64{^uint64(0)}
+		return e.Ret(^uint64(0))
 	case r > 0:
-		return []uint64{1}
+		return e.Ret(1)
 	}
-	return []uint64{0}
+	return e.Ret(0)
 }
 
 // Client provides typed access to LIBC from another component.

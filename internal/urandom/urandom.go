@@ -44,7 +44,7 @@ func (d *Device) Component() *cubicle.Component {
 		Kind: cubicle.KindShared,
 		Exports: []cubicle.ExportDecl{
 			{Name: "rand_u64", Fn: func(e *cubicle.Env, args []uint64) []uint64 {
-				return []uint64{d.next()}
+				return e.Ret(d.next())
 			}},
 			{Name: "rand_fill", RegArgs: 2, Fn: func(e *cubicle.Env, args []uint64) []uint64 {
 				addr, n := vm.Addr(args[0]), args[1]

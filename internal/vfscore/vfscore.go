@@ -152,8 +152,8 @@ func (v *Module) touchBuf(e *cubicle.Env, ptr, n uint64) {
 	}
 }
 
-func errRet(errno uint64) []uint64 { return []uint64{0, errno} }
-func okRet(val uint64) []uint64    { return []uint64{val, EOK} }
+func errRet(e *cubicle.Env, errno uint64) []uint64 { return e.Ret(0, errno) }
+func okRet(e *cubicle.Env, val uint64) []uint64    { return e.Ret(val, EOK) }
 
 func (v *Module) open(e *cubicle.Env, pathPtr, pathLen, flags uint64) []uint64 {
 	e.Work(v.opWork)
@@ -166,14 +166,14 @@ func (v *Module) open(e *cubicle.Env, pathPtr, pathLen, flags uint64) []uint64 {
 		rets = v.backend.Create.Call(e, pathPtr, pathLen)
 		ino, errno = rets[0], rets[1]
 		if errno != EOK {
-			return errRet(errno)
+			return errRet(e, errno)
 		}
 	case errno != EOK:
-		return errRet(errno)
+		return errRet(e, errno)
 	}
 	if flags&OTrunc != 0 {
 		if r := v.backend.SetSize.Call(e, ino, 0); r[1] != EOK {
-			return errRet(r[1])
+			return errRet(e, r[1])
 		}
 	}
 	fd := v.nextFD
@@ -185,7 +185,7 @@ func (v *Module) open(e *cubicle.Env, pathPtr, pathLen, flags uint64) []uint64 {
 		}
 	}
 	v.fds[fd] = f
-	return okRet(fd)
+	return okRet(e, fd)
 }
 
 func (v *Module) file(fd uint64) (*file, uint64) {
@@ -201,7 +201,7 @@ func (v *Module) read(e *cubicle.Env, fd, buf, n uint64) []uint64 {
 	v.OpCount++
 	f, errno := v.file(fd)
 	if errno != EOK {
-		return errRet(errno)
+		return errRet(e, errno)
 	}
 	v.touchBuf(e, buf, n)
 	r := v.backend.Read.Call(e, f.ino, f.off, buf, n)
@@ -216,7 +216,7 @@ func (v *Module) write(e *cubicle.Env, fd, buf, n uint64) []uint64 {
 	v.OpCount++
 	f, errno := v.file(fd)
 	if errno != EOK {
-		return errRet(errno)
+		return errRet(e, errno)
 	}
 	v.touchBuf(e, buf, n)
 	if f.append {
@@ -236,7 +236,7 @@ func (v *Module) pread(e *cubicle.Env, fd, buf, n, off uint64) []uint64 {
 	v.OpCount++
 	f, errno := v.file(fd)
 	if errno != EOK {
-		return errRet(errno)
+		return errRet(e, errno)
 	}
 	v.touchBuf(e, buf, n)
 	return v.backend.Read.Call(e, f.ino, off, buf, n)
@@ -247,7 +247,7 @@ func (v *Module) pwrite(e *cubicle.Env, fd, buf, n, off uint64) []uint64 {
 	v.OpCount++
 	f, errno := v.file(fd)
 	if errno != EOK {
-		return errRet(errno)
+		return errRet(e, errno)
 	}
 	v.touchBuf(e, buf, n)
 	return v.backend.Write.Call(e, f.ino, off, buf, n)
@@ -258,7 +258,7 @@ func (v *Module) lseek(e *cubicle.Env, fd, off, whence uint64) []uint64 {
 	v.OpCount++
 	f, errno := v.file(fd)
 	if errno != EOK {
-		return errRet(errno)
+		return errRet(e, errno)
 	}
 	switch whence {
 	case SeekSet:
@@ -268,13 +268,13 @@ func (v *Module) lseek(e *cubicle.Env, fd, off, whence uint64) []uint64 {
 	case SeekEnd:
 		r := v.backend.GetSize.Call(e, f.ino)
 		if r[1] != EOK {
-			return errRet(r[1])
+			return errRet(e, r[1])
 		}
 		f.off = r[0] + off
 	default:
-		return errRet(EINVAL)
+		return errRet(e, EINVAL)
 	}
-	return okRet(f.off)
+	return okRet(e, f.off)
 }
 
 // Component returns the VFSCORE component for the builder.
@@ -290,10 +290,10 @@ func (v *Module) Component() *cubicle.Component {
 				e.Work(v.opWork)
 				v.OpCount++
 				if _, errno := v.file(a[0]); errno != EOK {
-					return errRet(errno)
+					return errRet(e, errno)
 				}
 				delete(v.fds, a[0])
-				return okRet(0)
+				return okRet(e, 0)
 			}},
 			{Name: "vfs_read", RegArgs: 3, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				return v.read(e, a[0], a[1], a[2])
@@ -315,7 +315,7 @@ func (v *Module) Component() *cubicle.Component {
 				v.OpCount++
 				r := v.backend.Lookup.Call(e, a[0], a[1])
 				if r[1] != EOK {
-					return errRet(r[1])
+					return errRet(e, r[1])
 				}
 				return v.backend.GetSize.Call(e, r[0])
 			}},
@@ -324,7 +324,7 @@ func (v *Module) Component() *cubicle.Component {
 				v.OpCount++
 				f, errno := v.file(a[0])
 				if errno != EOK {
-					return errRet(errno)
+					return errRet(e, errno)
 				}
 				return v.backend.GetSize.Call(e, f.ino)
 			}},
@@ -333,7 +333,7 @@ func (v *Module) Component() *cubicle.Component {
 				v.OpCount++
 				f, errno := v.file(a[0])
 				if errno != EOK {
-					return errRet(errno)
+					return errRet(e, errno)
 				}
 				return v.backend.SetSize.Call(e, f.ino, a[1])
 			}},
@@ -342,7 +342,7 @@ func (v *Module) Component() *cubicle.Component {
 				v.OpCount++
 				f, errno := v.file(a[0])
 				if errno != EOK {
-					return errRet(errno)
+					return errRet(e, errno)
 				}
 				return v.backend.Fsync.Call(e, f.ino)
 			}},
@@ -362,7 +362,7 @@ func (v *Module) Component() *cubicle.Component {
 				v.OpCount++
 				r := v.backend.Lookup.Call(e, a[0], a[1])
 				if r[1] != EOK {
-					return errRet(r[1])
+					return errRet(e, r[1])
 				}
 				return v.backend.Readdir.Call(e, r[0], a[2], a[3], a[4])
 			}},

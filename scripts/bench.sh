@@ -10,6 +10,9 @@
 #   CallTracing{Disabled,Enabled}  crossing cost with the tracer off/on
 #   CallTracingPaired      the same pair interleaved batch-by-batch; its
 #       "ratio" metric is the drift-immune tracing-overhead measurement
+#   CrossCubicleCall/*, CrossingArgsRets  one crossing per isolation mode,
+#       and the crossing real callers make (3 words in, 2 out); their
+#       allocs/op is the exact gate of the crossing ABI
 #   SMPSiege/cores-{1,2,4} sharded open-loop siege per core count: wallrps
 #       shows wall-clock scaling, gvtcycles/ok are deterministic
 #   ClusterGoodput/backends-{1,2,4}  the virtual cluster behind the
@@ -31,6 +34,9 @@
 #            fails:
 #              - tracing-overhead ratio > MAX_TRACING_RATIO (default 1.6)
 #                — the always-on observability gate
+#              - allocs/op != 0 on CrossCubicleCall/* or
+#                CrossingArgsRets — a crossing allocates nothing; exact,
+#                so immune to host noise
 #              - SMPSiege wallrps at cores=2 < MIN_SMP_SCALING (default
 #                1.4) × wallrps at cores=1 — the BKL-free monitor must
 #                scale with real cores. Skipped when nproc < 4: on a
@@ -82,6 +88,8 @@ fi
 COUNT=1
 [ "$MODE" = assert ] && COUNT=3
 go test -run '^$' -bench 'CallTracing' -benchtime "$BENCHTIME" -count "$COUNT" ./internal/cubicle/ | tee -a "$TMP"
+go test -run '^$' -bench 'CrossCubicleCall' -benchtime "$BENCHTIME" -benchmem . | tee -a "$TMP"
+go test -run '^$' -bench 'CrossingArgsRets' -benchtime "$BENCHTIME" ./internal/cubicle/ | tee -a "$TMP"
 
 RATIO="$(awk '
 /^BenchmarkCallTracingPaired/ {
@@ -104,6 +112,22 @@ if [ "$MODE" = assert ]; then
         }
         printf "bench.sh: assert ok: tracing %.3fx <= %.2fx\n", r, max
     }' || exit 1
+
+    # Crossing allocation gate: argument words ride the thread's word
+    # stack and result words its scratch, so a crossing allocates nothing
+    # in any isolation mode. A count, not a time: gated exactly.
+    awk '
+    /^Benchmark(CrossCubicleCall|CrossingArgsRets)/ {
+        for (i = 3; i + 1 <= NF; i += 2) if ($(i + 1) == "allocs/op") {
+            n++
+            if ($i != 0) { printf "bench.sh: assert: %s allocates %s objects/op, want 0\n", $1, $i; bad = 1 }
+        }
+    }
+    END {
+        if (n < 5) { print "bench.sh: assert: crossing allocation measurements missing"; exit 1 }
+        if (bad) exit 1
+        printf "bench.sh: assert ok: %d crossing benches at 0 allocs/op\n", n
+    }' "$TMP" || exit 1
 
     # SMP wall-clock scaling gate: with the BKL gone, two real cores must
     # serve meaningfully more requests per wall second than one. Only

@@ -20,6 +20,14 @@ go test -race -run FuzzSpanTLBDifferential ./internal/cubicle/
 go test -race ./internal/cubicle/...
 ./scripts/bench.sh -quick >/dev/null
 
+# Crossing gates: every defer in the trampoline must stay open-coded (the
+# compiler falls back to deferprocStack past 8 defers or 15 defer×return
+# sites a function, which put ~8 % on every crossing), and the crossing
+# ABI's ownership tests run in the contention shape (-race, 5 repetitions)
+# because the word stack and result scratch are per-thread state.
+./scripts/defercheck.sh
+go test -race -count 5 -run 'TestContention|TestLockOrder|TestCrossingABI' ./internal/cubicle/
+
 go run ./cmd/cubicle-trace -format chrome -requests 5 -check >/dev/null
 go run ./cmd/cubicle-trace -format prom -requests 5 -check >/dev/null
 go run ./cmd/cubicle-trace -format json -requests 5 -check >/dev/null
