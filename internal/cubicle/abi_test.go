@@ -1,9 +1,7 @@
 package cubicle
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"cubicleos/internal/cycles"
 	"cubicleos/internal/vm"
@@ -11,10 +9,7 @@ import (
 
 // This file pins the crossing ABI's ownership rules (DESIGN.md §15):
 // argument words ride the thread's word stack, result words ride the
-// thread's result scratch, and both belong to the trampoline. The tests
-// are named TestCrossingABI* so the CI contention slot runs them under
-// -race -count=5 too: words and ret are per-thread state on parallel
-// workers.
+// thread's result scratch, and both belong to the trampoline.
 
 // abiWorld is a four-cubicle chain APP → TOP → MID → LEAF whose entry
 // points check, after their own callee returned, that their argument words
@@ -244,37 +239,39 @@ func TestCrossingABIStaleResultReadsPoison(t *testing.T) {
 	})
 }
 
-// TestCrossingABIParallelWorkers runs the chain, the append and the stale
-// read on four workers at once: the word stack and the result scratch are
-// per thread, so under -race nothing is shared and every worker sees only
-// its own words.
+// TestCrossingABIParallelWorkers interleaves the chain, the append and a
+// held result across four threads on four cores: the word stack and the
+// result scratch are per thread, so a result one thread holds survives the
+// other three threads' calls and every thread sees only its own words.
 func TestCrossingABIParallelWorkers(t *testing.T) {
 	const cores, iters = 4, 300
 	w := bootABI(t, nil)
 	w.m.EnableSMP(cores)
-	w.m.EnableLockCheck()
 	workers := make([]*Env, cores)
+	held := make([][]uint64, cores)
 	for c := range workers {
 		workers[c] = newWorker(w.m, c)
+		enterOn(w.testSystem, workers[c], "APP")
 	}
-	var wg sync.WaitGroup
-	for c := 0; c < cores; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			e := workers[c]
-			enterOn(w.testSystem, e, "APP")
-			defer leaveOn(w.testSystem, e)
-			for i := 0; i < iters; i++ {
-				w.chain(t, e, uint64(1000*c+i))
-				if n := w.grow.Call(e, 7, 8)[0]; n != 3 {
-					t.Errorf("worker %d: mid_grow returned %d, want 3", c, n)
-				}
-			}
-			if n := len(e.T.words); n != 0 {
-				t.Errorf("worker %d: %d words left on the word stack", c, n)
-			}
-		}(c)
+	roundRobin(cores, iters, func(c, i int) {
+		e := workers[c]
+		// held[c] was returned one round ago and the other three threads
+		// have each run a full step since; only this thread's next call
+		// poisons it.
+		if i > 0 && (held[c][0] != uint64(c+i-1) || held[c][1] != 3) {
+			t.Fatalf("worker %d: result held across other threads' calls reads %v, want [%d 3]",
+				c, held[c], c+i-1)
+		}
+		w.chain(t, e, uint64(1000*c+i))
+		if n := w.grow.Call(e, 7, 8)[0]; n != 3 {
+			t.Errorf("worker %d: mid_grow returned %d, want 3", c, n)
+		}
+		held[c] = w.leaf3.Call(e, uint64(c), uint64(i), 3)
+	})
+	for c, e := range workers {
+		if n := len(e.T.words); n != 0 {
+			t.Errorf("worker %d: %d words left on the word stack", c, n)
+		}
+		leaveOn(w.testSystem, e)
 	}
-	joinWithin(t, &wg, 2*time.Minute, "crossing ABI workload")
 }

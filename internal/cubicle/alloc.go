@@ -33,15 +33,13 @@ func newSubAllocator(m *Monitor, owner ID) *subAllocator {
 	return &subAllocator{m: m, owner: owner, sizes: make(map[vm.Addr]uint64)}
 }
 
-// grow asks the monitor for a fresh arena of at least n bytes. The caller
-// holds both the global lock and the cubicle lock (in that order), so the
-// page grant goes through mapOwnedLocked directly.
+// grow asks the monitor for a fresh arena of at least n bytes.
 func (a *subAllocator) grow(t *Thread, n uint64) {
 	pages := vm.PagesFor(n)
 	if pages < arenaPages {
 		pages = arenaPages
 	}
-	addr := a.m.mapOwnedLocked(t, a.owner, pages, vm.PageHeap, vm.PermRead|vm.PermWrite)
+	addr := a.m.mapOwnedFor(t, a.owner, pages, vm.PageHeap, vm.PermRead|vm.PermWrite)
 	a.arenaBytes += uint64(pages) * vm.PageSize
 	a.insertFree(block{addr: addr, size: uint64(pages) * vm.PageSize})
 }
@@ -67,7 +65,7 @@ func (a *subAllocator) insertFree(b block) {
 }
 
 // fit carves a 16-byte-aligned block of n (already rounded) bytes out of
-// the free list, or reports failure. The caller holds the cubicle lock.
+// the free list, or reports failure.
 func (a *subAllocator) fit(n, align uint64) (vm.Addr, bool) {
 	for i := range a.free {
 		b := a.free[i]
@@ -95,15 +93,6 @@ func (a *subAllocator) fit(n, align uint64) (vm.Addr, bool) {
 // alloc returns a 16-byte-aligned block of n bytes. Allocations of a page
 // or more are page-aligned so that callers can window them without
 // unintended sharing (§5.3 note on structure alignment).
-//
-// Locking: the fast path takes only the owning cubicle's lock — two
-// cubicles allocating on different cores never contend. Growing the arena
-// mutates the page table, which is global-lock territory; the hierarchy
-// forbids taking the global lock while holding a cubicle lock, so the slow
-// path drops the cubicle lock, reacquires both in order, and re-tries the
-// fit first (another worker may have grown the arena in the gap). In
-// non-parallel deployments every lock call is a no-op and the control flow
-// reduces to the legacy fit-grow-fit sequence.
 func (a *subAllocator) alloc(t *Thread, n uint64) vm.Addr {
 	if n == 0 {
 		n = 1
@@ -113,24 +102,11 @@ func (a *subAllocator) alloc(t *Thread, n uint64) vm.Addr {
 		align = vm.PageSize
 	}
 	n = (n + 15) &^ 15
-	m := a.m
-	cub := m.cubicle(a.owner)
-	m.lockCub(t, cub)
-	if addr, ok := a.fit(n, align); ok {
-		m.unlockCub(t, cub)
-		return addr
-	}
-	m.unlockCub(t, cub)
-
-	m.lockGlobal(t)
-	m.lockCub(t, cub)
 	addr, ok := a.fit(n, align)
 	if !ok {
 		a.grow(t, n+align)
 		addr, ok = a.fit(n, align)
 	}
-	m.unlockCub(t, cub)
-	m.unlockGlobal(t)
 	if !ok {
 		panic(&APIError{Cubicle: a.owner, Op: "heap_alloc",
 			Reason: fmt.Sprintf("allocator failed to satisfy %d bytes after growing", n)})
@@ -139,20 +115,15 @@ func (a *subAllocator) alloc(t *Thread, n uint64) vm.Addr {
 }
 
 // free releases a block previously returned by alloc.
-func (a *subAllocator) free_(t *Thread, addr vm.Addr) {
-	m := a.m
-	cub := m.cubicle(a.owner)
-	m.lockCub(t, cub)
+func (a *subAllocator) free_(addr vm.Addr) {
 	n, ok := a.sizes[addr]
 	if !ok {
-		m.unlockCub(t, cub)
 		panic(&APIError{Cubicle: a.owner, Op: "free",
 			Reason: fmt.Sprintf("free of unallocated address %#x", uint64(addr))})
 	}
 	delete(a.sizes, addr)
 	a.liveBytes -= n
 	a.insertFree(block{addr: addr, size: n})
-	m.unlockCub(t, cub)
 }
 
 // LiveBytes returns the number of live heap bytes in cubicle id.

@@ -25,11 +25,9 @@ import (
 // Quiescence rule: a cubicle may only be checkpointed when no thread has a
 // frame executing inside it (so no crossing is in flight) and every window
 // it owns is closed and unpinned (so no temporal grant is half-made). The
-// cadence hook sits at trampoline Call entry at frame depth zero, driven
-// only by non-parallel threads: cooperative threads never run concurrently,
-// so at that point no cooperative thread is mid-crossing anywhere, and any
-// parallel worker mid-crossing shows up in the cubicle's active-crossing
-// counter, which quiescent() consults first.
+// cadence hook sits at trampoline Call entry at frame depth zero; threads
+// are cooperative, so another thread may be parked mid-crossing there, and
+// quiescent() scans every thread's frames.
 
 // snapHook is one component's snapshot/restore callback pair, registered
 // by the loader in load order.
@@ -109,17 +107,12 @@ func (m *Monitor) LastCheckpoint(id ID) (CheckpointInfo, bool) {
 
 // maybeCheckpoint is the cadence gate, called at trampoline entry at frame
 // depth zero. It fires at most one sweep per interval threshold, stamped
-// against global virtual time so SMP cores agree on the schedule. Only the
-// cooperative boot thread gets here (Handle.Call excludes parallel
-// workers), so ckptNext has a single writer and is compared before the
-// lock: the lock is paid once per interval, not once per outermost call.
+// against global virtual time so SMP cores agree on the schedule.
 func (m *Monitor) maybeCheckpoint(t *Thread) {
 	now := m.smpNow()
 	if now < m.ckptNext {
 		return
 	}
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	for m.ckptNext <= now {
 		m.ckptNext += m.ckptInterval
 	}
@@ -161,15 +154,7 @@ func (m *Monitor) checkpointable(c *Cubicle) bool {
 // quiescent applies the quiescence rule: no thread frame executing inside
 // the cubicle, and all owned windows closed and unpinned.
 func (m *Monitor) quiescent(c *Cubicle) bool {
-	// Parallel workers are accounted by the active-crossing counter; their
-	// frame slices belong to their own goroutines and are never scanned.
-	if c.active.Load() != 0 {
-		return false
-	}
 	for _, th := range m.threads {
-		if th.parallel {
-			continue
-		}
 		for i := range th.frames {
 			if th.frames[i].exec == c.ID {
 				return false
@@ -251,9 +236,8 @@ func (m *Monitor) checkpointOne(t *Thread, c *Cubicle, now uint64) {
 	cost := (size + 15) / 16 * m.Costs.CopyChunk16
 	m.clkOf(t).Charge(cost)
 	m.ckpts[c.ID] = &checkpointRecord{img: enc, cycle: now, pages: uint64(len(img.Pages))}
-	st := m.st(t)
-	st.Checkpoints++
-	st.CheckpointBytes += size
+	m.Stats.Checkpoints++
+	m.Stats.CheckpointBytes += size
 	if m.trc != nil {
 		m.trc.Checkpoint(int(c.ID), size, cost)
 	}
@@ -364,9 +348,7 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 
 	// The restore itself is a bulk copy of the image back through the
 	// monitor; charged at the same checked-memcpy rate as capture.
-	// clkOf(nil) is the legacy monitor clock in non-parallel deployments
-	// and the lock-protected shadow clock under parallel workers.
-	m.clkOf(nil).Charge((uint64(len(ck.img)) + 15) / 16 * m.Costs.CopyChunk16)
+	m.Clock.Charge((uint64(len(ck.img)) + 15) / 16 * m.Costs.CopyChunk16)
 	if len(img.Pages) > 0 {
 		// One summary shootdown round synchronises the re-tagged pages
 		// across cores (single-core machines charge nothing).

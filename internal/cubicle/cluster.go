@@ -12,8 +12,7 @@ package cubicle
 // truth for the merged fleet view too.
 //
 // All entry points here are harness context: the cluster driver drives
-// each backend from a single goroutine, exactly like the siege drivers,
-// so they follow the boot-wiring locking discipline (no monitor lock).
+// each backend from a single goroutine, exactly like the siege drivers.
 
 // HealthHook observes cubicle health-ladder transitions. It is invoked
 // synchronously from inside the supervisor — while the monitor is mid-
@@ -84,8 +83,6 @@ func (s *Supervisor) Kill(name string, cause error) bool {
 	if cause == nil {
 		cause = ErrQuarantined
 	}
-	s.m.lockGlobal(nil)
-	s.quarantine(nil, c.ID, cause)
-	s.m.unlockGlobal(nil)
+	s.quarantine(c.ID, cause)
 	return true
 }

@@ -1,71 +1,20 @@
 package cubicle
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"cubicleos/internal/vm"
 )
 
-// This file is the contention stress suite for the monitor's lock
-// hierarchy (DESIGN.md §14): N worker goroutines on distinct simulated
-// cores hammer crossings, window operations, trap-and-map retags with
-// shootdowns, and the per-cubicle heap allocator, all with the lock-order
-// checker armed. Run under -race it is the data-race gate for the
-// post-big-lock monitor. The assertions are the three properties the old
-// big kernel lock gave for free and the new design must prove:
-//
-//   - no deadlock: every workload joins within the watchdog budget;
-//   - no lost stats: folded counters balance exactly against the known
-//     per-worker operation counts — a torn or dropped increment anywhere
-//     in the staged-shard scheme shows up as an off-by-N here;
-//   - per-core clocks never regress: a sampler goroutine watches every
-//     core clock concurrently and fails on any backwards step.
+// This file is the multi-core stress suite: threads placed on distinct
+// simulated cores, stepped round-robin by the test goroutine (the
+// concurrency contract of DESIGN.md §10), hammer crossings, window
+// operations, trap-and-map retags with shootdowns, the per-cubicle heap
+// allocator and supervised restarts. The assertions are exact: counters
+// balance against the known per-thread operation counts, allocator
+// accounting balances to the byte, and every core clock advances.
 
-// joinWithin waits for the group and panics if it does not finish — a
-// deadlock in the lock hierarchy must fail loudly with full stacks rather
-// than eat the whole go-test timeout.
-func joinWithin(t *testing.T, wg *sync.WaitGroup, d time.Duration, what string) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(d):
-		panic("contention: " + what + " did not finish: deadlock?")
-	}
-}
-
-// watchClocks starts a goroutine that polls every core clock until stop is
-// closed, failing the test if any clock ever moves backwards. Returns a
-// join func.
-func watchClocks(t *testing.T, m *Monitor, cores int, stop chan struct{}) func() {
-	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		last := make([]uint64, cores)
-		for {
-			for c := 0; c < cores; c++ {
-				if v := m.CoreClock(c).Cycles(); v < last[c] {
-					t.Errorf("core %d clock regressed: %d -> %d", c, last[c], v)
-					return
-				} else {
-					last[c] = v
-				}
-			}
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
-	}()
-	return func() { <-done }
-}
-
-// TestContentionCrossingsWindowsRetags is the main stress: four workers on
+// TestContentionCrossingsWindowsRetags is the main stress: four threads on
 // four cores each ping-pong ownership of their own page with BAR (every
 // iteration crosses, traps, retags and shoots down), churn their window,
 // and churn the shared FOO heap allocator. Counter conservation is exact:
@@ -76,160 +25,138 @@ func TestContentionCrossingsWindowsRetags(t *testing.T) {
 	ts := bootPair(t, ModeFull)
 	m := ts.m
 	m.EnableSMP(cores)
-	m.EnableLockCheck()
 	barID := ts.cubs["BAR"].ID
 	barH := m.MustResolve(ts.cubs["FOO"].ID, "BAR", "bar")
 
 	workers := make([]*Env, cores)
 	addrs := make([]vm.Addr, cores)
+	wids := make([]WID, cores)
 	for c := range workers {
 		workers[c] = newWorker(m, c)
-		// Page-sized buffers: each worker retags its own page, so the
-		// expected retag count is exact and workers contend on the lock
-		// protocol, not on each other's pages.
+		// Page-sized buffers: each thread retags its own page, so the
+		// expected retag count is exact.
 		addrs[c] = ts.heapIn(t, "FOO", 4096)
 	}
-	base := *m.FoldStats() // boot-time counters; Calls map not asserted
+	base := m.Stats // boot-time counters; Calls map not asserted
 
-	var before [cores]uint64
+	var last [cores]uint64
 	for c := 0; c < cores; c++ {
-		before[c] = m.CoreClock(c).Cycles()
+		last[c] = m.CoreClock(c).Cycles()
+		e := workers[c]
+		enterOn(ts, e, "FOO")
+		wids[c] = e.WindowInit()
+		e.WindowAdd(wids[c], addrs[c], 64)
+		e.WindowOpen(wids[c], barID)
 	}
-	stop := make(chan struct{})
-	joinSampler := watchClocks(t, m, cores, stop)
-
-	var wg sync.WaitGroup
-	for c := 0; c < cores; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			e := workers[c]
-			enterOn(ts, e, "FOO")
-			defer leaveOn(ts, e)
-			wid := e.WindowInit()
-			e.WindowAdd(wid, addrs[c], 64)
-			e.WindowOpen(wid, barID)
-			for i := 0; i < iters; i++ {
-				// Crossing + trap: BAR's store retags the page to BAR.
-				barH.Call(e, uint64(addrs[c]), uint64(i%64))
-				// Owner store traps the page back: second retag + shootdown.
-				e.StoreByte(addrs[c], byte(i))
-				// Window churn under the global lock.
-				e.WindowClose(wid, barID)
-				e.WindowOpen(wid, barID)
-				// Allocator churn under FOO's cubicle lock: the block must
-				// come back intact (overlapping handouts would corrupt it).
-				blk := e.HeapAlloc(96)
-				e.StoreByte(blk, byte(c+1))
-				if got := e.LoadByte(blk); got != byte(c+1) {
-					t.Errorf("worker %d: allocator handed out an overlapping block", c)
-				}
-				e.HeapFree(blk)
-			}
-		}(c)
-	}
-	joinWithin(t, &wg, 2*time.Minute, "crossing workload")
-	close(stop)
-	joinSampler()
-
-	got := *m.FoldStats()
-	want := func(name string, got, want uint64) {
-		if got != want {
-			t.Errorf("%s delta = %d, want %d (lost or duplicated updates)", name, got, want)
+	roundRobin(cores, iters, func(c, i int) {
+		e, wid := workers[c], wids[c]
+		before := m.Stats
+		// Crossing + trap: BAR's store retags the page to BAR.
+		barH.Call(e, uint64(addrs[c]), uint64(i%64))
+		// Owner store traps the page back: second retag + shootdown.
+		e.StoreByte(addrs[c], byte(i))
+		e.WindowClose(wid, barID)
+		e.WindowOpen(wid, barID)
+		// Allocator churn on the heap all four threads share: the block
+		// must come back intact (overlapping handouts would corrupt it).
+		blk := e.HeapAlloc(96)
+		e.StoreByte(blk, byte(c+1))
+		if got := e.LoadByte(blk); got != byte(c+1) {
+			t.Errorf("worker %d: allocator handed out an overlapping block", c)
 		}
+		e.HeapFree(blk)
+
+		d := [5]uint64{m.Stats.CallsTotal - before.CallsTotal, m.Stats.Faults - before.Faults,
+			m.Stats.Retags - before.Retags, m.Stats.TLBShootdowns - before.TLBShootdowns,
+			m.Stats.WindowOps - before.WindowOps}
+		if d != [5]uint64{1, 2, 2, 2, 2} {
+			t.Fatalf("core %d iteration %d: calls/faults/retags/shootdowns/window ops = %v, want [1 2 2 2 2]", c, i, d)
+		}
+		if now := m.CoreClock(c).Cycles(); now <= last[c] {
+			t.Fatalf("core %d clock did not advance over iteration %d: %d -> %d", c, i, last[c], now)
+		} else {
+			last[c] = now
+		}
+	})
+	for c := range workers {
+		leaveOn(ts, workers[c])
 	}
-	want("CallsTotal", got.CallsTotal-base.CallsTotal, cores*iters)
-	want("Faults", got.Faults-base.Faults, 2*cores*iters)
-	want("Retags", got.Retags-base.Retags, 2*cores*iters)
-	want("TLBShootdowns", got.TLBShootdowns-base.TLBShootdowns, 2*cores*iters)
+
 	// Per worker: WindowInit+Add+Open at setup, Close+Open per iteration.
-	want("WindowOps", got.WindowOps-base.WindowOps, cores*(3+2*iters))
-	for c := 0; c < cores; c++ {
-		if m.CoreClock(c).Cycles() <= before[c] {
-			t.Errorf("core %d clock did not advance under load", c)
-		}
+	if got, want := m.Stats.WindowOps-base.WindowOps, uint64(cores*(3+2*iters)); got != want {
+		t.Errorf("WindowOps delta = %d, want %d", got, want)
+	}
+	if got, want := m.Stats.CallsTotal-base.CallsTotal, uint64(cores*iters); got != want {
+		t.Errorf("CallsTotal delta = %d, want %d", got, want)
 	}
 }
 
 // TestContentionAllocator hammers one cubicle's sub-allocator from four
-// cores at once: the free-list fast path runs under the cubicle lock, the
-// grow path escalates to the global lock, and the accounting must balance
-// to the byte when everything is freed.
+// cores in turn — mixed sizes force both the free-list fit and the
+// page-grow path — and the accounting must balance to the byte when
+// everything is freed.
 func TestContentionAllocator(t *testing.T) {
 	const cores, iters = 4, 300
 	ts := bootPair(t, ModeFull)
 	m := ts.m
 	m.EnableSMP(cores)
-	m.EnableLockCheck()
 
 	workers := make([]*Env, cores)
+	blocks := make([][]vm.Addr, cores)
 	for c := range workers {
 		workers[c] = newWorker(m, c)
+		enterOn(ts, workers[c], "FOO")
 	}
 	liveBase := m.LiveBytes(ts.cubs["FOO"].ID)
 
-	var wg sync.WaitGroup
-	for c := 0; c < cores; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			e := workers[c]
-			enterOn(ts, e, "FOO")
-			defer leaveOn(ts, e)
-			tag := byte(c + 1)
-			var blocks []vm.Addr
-			for i := 0; i < iters; i++ {
-				// Mixed sizes force both the small free lists and the
-				// page-grow slow path (gmu nested inside the escalation,
-				// never inside cub.mu — the order checker is watching).
-				size := uint64(16 + (i%40)*67)
-				a := e.HeapAlloc(size)
-				e.Memset(a, tag, size)
-				blocks = append(blocks, a)
-				if i%3 == 2 {
-					// Free the oldest live block, verifying the tag first:
-					// an overlapping handout to another worker would have
-					// scribbled over it.
-					b := blocks[0]
-					blocks = blocks[1:]
-					if got := e.LoadByte(b); got != tag {
-						t.Errorf("worker %d: block %#x corrupted (tag %#x)", c, uint64(b), got)
-					}
-					e.HeapFree(b)
-				}
+	roundRobin(cores, iters, func(c, i int) {
+		e, tag := workers[c], byte(c+1)
+		size := uint64(16 + (i%40)*67)
+		a := e.HeapAlloc(size)
+		e.Memset(a, tag, size)
+		blocks[c] = append(blocks[c], a)
+		if i%3 == 2 {
+			// Free the oldest live block, verifying the tag first: an
+			// overlapping handout to another thread would have scribbled
+			// over it.
+			b := blocks[c][0]
+			blocks[c] = blocks[c][1:]
+			if got := e.LoadByte(b); got != tag {
+				t.Errorf("worker %d: block %#x corrupted (tag %#x)", c, uint64(b), got)
 			}
-			for _, b := range blocks {
-				if got := e.LoadByte(b); got != tag {
-					t.Errorf("worker %d: block %#x corrupted at teardown", c, uint64(b))
-				}
-				e.HeapFree(b)
+			e.HeapFree(b)
+		}
+	})
+	for c, e := range workers {
+		for _, b := range blocks[c] {
+			if got := e.LoadByte(b); got != byte(c+1) {
+				t.Errorf("worker %d: block %#x corrupted at teardown", c, uint64(b))
 			}
-		}(c)
+			e.HeapFree(b)
+		}
+		leaveOn(ts, e)
 	}
-	joinWithin(t, &wg, 2*time.Minute, "allocator workload")
 	if got := m.LiveBytes(ts.cubs["FOO"].ID); got != liveBase {
-		t.Errorf("allocator accounting off after concurrent churn: live %d, want %d", got, liveBase)
+		t.Errorf("allocator accounting off after interleaved churn: live %d, want %d", got, liveBase)
 	}
 }
 
-// TestContentionRestartStorm restarts BAR under fire: three workers cross
-// into BAR continuously while the boot thread forces warm restarts. The
-// Dekker gate between the restarting flag and the active-crossing counter
-// must never let a reclaim yank a stack out from under a live crossing,
-// and every call must complete and be counted exactly once.
+// TestContentionRestartStorm restarts BAR under fire: three threads cross
+// into BAR in turn while the boot thread forces a restart between every two
+// crossings. Each restart reclaims the BAR stacks all three threads have
+// cached, so every crossing after it runs on a freshly mapped one; every
+// call must complete and be counted exactly once.
 func TestContentionRestartStorm(t *testing.T) {
 	const workersN, iters = 3, 150
 	ts := bootPair(t, ModeFull)
 	m := ts.m
 	m.EnableSMP(workersN + 1)
-	m.EnableLockCheck()
 	policy := DefaultRestartPolicy()
 	policy.MaxRestarts = 0 // unlimited: the storm must not exhaust the budget
 	m.EnableContainment(policy)
 	bar := ts.cubs["BAR"]
 	barID := bar.ID
 	barH := m.MustResolve(ts.cubs["FOO"].ID, "BAR", "bar")
-	t0 := ts.env.T
 
 	workers := make([]*Env, workersN)
 	addrs := make([]vm.Addr, workersN)
@@ -237,61 +164,34 @@ func TestContentionRestartStorm(t *testing.T) {
 		workers[c] = newWorker(m, c+1) // boot thread keeps core 0
 		addrs[c] = ts.heapIn(t, "FOO", 4096)
 	}
-	base := *m.FoldStats()
+	base := m.Stats
 
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	for c := 0; c < workersN; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			e := workers[c]
-			enterOn(ts, e, "FOO")
-			defer leaveOn(ts, e)
-			wid := e.WindowInit()
-			e.WindowAdd(wid, addrs[c], 64)
-			e.WindowOpen(wid, barID)
-			for i := 0; i < iters; i++ {
-				barH.Call(e, uint64(addrs[c]), uint64(i%64))
-				e.StoreByte(addrs[c], byte(i))
-			}
-		}(c)
+	for c, e := range workers {
+		enterOn(ts, e, "FOO")
+		wid := e.WindowInit()
+		e.WindowAdd(wid, addrs[c], 64)
+		e.WindowOpen(wid, barID)
 	}
-	go func() { wg.Wait(); close(done) }()
-
-	// Keep forcing restarts until the workers finish; attempts that catch
-	// BAR mid-crossing are refused by the quiescence check and retried.
 	restarts := 0
-	for storm := true; storm; {
-		select {
-		case <-done:
-			storm = false
-		default:
-			m.lockGlobal(t0)
-			if m.sup.restart(t0, bar) {
-				restarts++
-			}
-			m.unlockGlobal(t0)
+	roundRobin(workersN, iters, func(c, i int) {
+		e := workers[c]
+		barH.Call(e, uint64(addrs[c]), uint64(i%64))
+		e.StoreByte(addrs[c], byte(i))
+		if !m.sup.restart(bar) {
+			t.Fatalf("restart refused with no frame inside BAR (core %d, iteration %d)", c+1, i)
 		}
+		restarts++
+	})
+	for _, e := range workers {
+		leaveOn(ts, e)
 	}
-	joinWithin(t, &wg, 2*time.Minute, "restart storm workload")
 
-	// Quiescent now: one more restart must succeed, so the test always
-	// proves at least one full reclaim interleaved with the workload type.
-	m.lockGlobal(t0)
-	if !m.sup.restart(t0, bar) {
-		t.Error("restart refused at quiescence")
-	}
-	m.unlockGlobal(t0)
-	restarts++
-
-	got := *m.FoldStats()
-	if delta := got.CallsTotal - base.CallsTotal; delta != workersN*iters {
+	if delta := m.Stats.CallsTotal - base.CallsTotal; delta != workersN*iters {
 		t.Errorf("CallsTotal delta = %d, want %d: restarts lost or duplicated crossings",
 			delta, workersN*iters)
 	}
-	if got.Restarts-base.Restarts != uint64(restarts) {
-		t.Errorf("Restarts = %d, want %d", got.Restarts-base.Restarts, restarts)
+	if m.Stats.Restarts-base.Restarts != uint64(restarts) {
+		t.Errorf("Restarts = %d, want %d", m.Stats.Restarts-base.Restarts, restarts)
 	}
 	if h := bar.Health(); h != Healthy {
 		t.Errorf("BAR health after storm = %v, want Healthy", h)
@@ -304,45 +204,5 @@ func TestContentionRestartStorm(t *testing.T) {
 		if rets := barH.Call(e, uint64(addrs[0]), 7); rets[0] != 1 {
 			t.Errorf("post-storm call returned %v", rets)
 		}
-	})
-}
-
-// TestLockOrderCheckerPanics pins the checker itself: acquiring the global
-// lock while holding a cubicle lock, taking a cubicle lock twice, and
-// taking cubicle locks against ID order must all panic with the
-// documented message — in or out of parallel mode.
-func TestLockOrderCheckerPanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: lock-order violation did not panic", name)
-			}
-		}()
-		fn()
-	}
-	ts := bootPair(t, ModeFull)
-	m := ts.m
-	m.EnableLockCheck()
-	foo, bar := ts.cubs["FOO"], ts.cubs["BAR"]
-	lo, hi := foo, bar
-	if lo.ID > hi.ID {
-		lo, hi = hi, lo
-	}
-
-	mustPanic("global-after-cubicle", func() {
-		m.lockCub(nil, lo)
-		defer m.unlockCub(nil, lo)
-		m.lockGlobal(nil)
-	})
-	mustPanic("cubicle-twice", func() {
-		m.lockCub(nil, lo)
-		defer m.unlockCub(nil, lo)
-		m.lockCub(nil, lo)
-	})
-	mustPanic("descending-id-order", func() {
-		m.lockCub(nil, hi)
-		defer m.unlockCub(nil, hi)
-		m.lockCub(nil, lo)
 	})
 }

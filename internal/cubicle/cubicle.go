@@ -9,7 +9,6 @@ package cubicle
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"cubicleos/internal/mpk"
@@ -94,39 +93,11 @@ type Cubicle struct {
 	Kind Kind
 	Key  mpk.Key
 
-	// mu is the cubicle's inner lock in the hierarchy of smp.go: it guards
-	// cubicle-local mutable state (the heap sub-allocator's free lists and
-	// the window descriptor slots) against concurrent parallel workers.
-	// Order: the global monitor lock, if needed, is taken BEFORE mu, and
-	// multiple cubicle locks are taken in ascending ID order. Outside
-	// parallel mode the lock helpers never touch it.
-	mu sync.Mutex
-
 	// unhealthy mirrors health != Healthy as one atomic bit so the crossing
-	// fast path can admit calls into a healthy cubicle without any lock.
-	// The supervisor flips it under the global lock exactly when health
-	// changes; the zero value (false) matches the Healthy boot state.
+	// fast path can admit calls into a healthy cubicle with one load. The
+	// supervisor flips it exactly when health changes; the zero value
+	// (false) matches the Healthy boot state.
 	unhealthy atomic.Bool
-
-	// active counts crossings currently executing inside the cubicle,
-	// maintained by parallel threads in pushFrame/popFrame. Restart and
-	// checkpoint quiescence checks read it instead of scanning other
-	// workers' live frame slices.
-	active atomic.Int64
-
-	// restarting is the supervisor's half of the Dekker pair with active:
-	// it is published before restart reads the active counter, and a
-	// parallel crossing re-checks it after incrementing active, so at
-	// least one side always observes the other. Crossings that lose the
-	// race back off until the reclaim finishes.
-	restarting atomic.Bool
-
-	// pkruCache caches the cubicle's computed PKRU value for parallel-mode
-	// crossings: the high 32 bits hold the monitor's pkruEpoch at fill
-	// time, the low 32 the PKRU bits. Any event that changes key
-	// assignments or pinned grants bumps the epoch, invalidating every
-	// cubicle's cache at once. Zero means empty (the epoch starts at 1).
-	pkruCache atomic.Uint64
 
 	// windows holds the cubicle's window descriptors, indexed by window
 	// ID. Destroyed windows leave nil holes so IDs stay stable.
@@ -147,20 +118,12 @@ type Cubicle struct {
 	// than one when a deployment groups components, e.g. CubicleOS-3).
 	components []string
 
-	// gen is the cubicle's restart generation. The supervisor bumps it when
-	// it reclaims the cubicle's pages, and stackFor re-validates cached
-	// per-thread stacks against it — restart cannot reach into a parallel
-	// worker's private stacks map, so stale entries invalidate lazily.
-	gen atomic.Uint64
-
 	// Supervision state. Without a supervisor these stay at their zero
 	// values (Healthy, no restarts).
 	health    Health
 	restarts  uint64 // lifetime restart count
 	lastFault error  // cause of the most recent contained fault
 	// consecFaults counts contained faults since the last healthy return.
-	// It is atomic because the supervisor's healthy-return path reads and
-	// clears it without taking the global lock.
 	consecFaults atomic.Int32
 	restartAt    uint64   // cycle at which a quarantined cubicle may restart
 	restartLog   []uint64 // cycles of recent restarts, pruned to the policy window

@@ -13,12 +13,6 @@ import (
 // Env plays the role of the CPU executing untrusted component code: loads
 // and stores are checked against the thread's PKRU register exactly as the
 // memory-management unit would check them.
-//
-// No Env method takes a shared lock on its own behalf: the checked
-// accessors run the lock-free page walk and only a trap locks
-// (monitor.go); allocation takes the owning cubicle's inner lock;
-// window calls lock inside the monitor's window layer. This is what lets
-// component code on different cores proceed independently.
 type Env struct {
 	M *Monitor
 	T *Thread
@@ -34,7 +28,7 @@ func (m *Monitor) RunAs(e *Env, id ID, fn func(e *Env)) error {
 	e.T.pushFrame(id, true)
 	defer e.T.popFrame()
 	if m.Mode.MPKEnabled() {
-		m.wrpkru(e.T, m.pkruForFast(e.T, id))
+		m.wrpkru(e.T, m.pkruFor(id))
 	}
 	return Catch(func() { fn(e) })
 }
@@ -60,8 +54,7 @@ func (e *Env) Caller() ID { return e.T.Caller() }
 
 // CubicleOf returns the cubicle hosting the named component. All cubicle
 // IDs are known at link time, so components legitimately embed them in
-// window-open calls (Figure 2: "open_window(BUF, RAMFS)"). The component
-// table is immutable after loading, so the lookup needs no lock.
+// window-open calls (Figure 2: "open_window(BUF, RAMFS)").
 func (e *Env) CubicleOf(component string) ID {
 	c, ok := e.M.compOf[component]
 	if !ok {
@@ -192,7 +185,7 @@ func (e *Env) StoreByte(addr vm.Addr, v byte) {
 // chargeCopy charges the streaming cost of moving n bytes.
 func (e *Env) chargeCopy(n uint64) {
 	e.T.clk.Charge(((n + 15) / 16) * e.M.Costs.CopyChunk16)
-	e.M.st(e.T).BulkBytesCopied += n
+	e.M.Stats.BulkBytesCopied += n
 	if e.M.trc != nil {
 		e.M.trc.Copy(e.T.id, int(e.T.cur), n)
 	}
@@ -278,16 +271,14 @@ func (e *Env) Memset(dst vm.Addr, c byte, n uint64) {
 
 // HeapAlloc allocates n bytes from the current cubicle's private
 // sub-allocator; the pages backing it are owned by and tagged for the
-// current cubicle. The sub-allocator serialises concurrent workers with
-// the cubicle's inner lock; growing the arena additionally takes the
-// global lock in the documented order (alloc.go).
+// current cubicle.
 func (e *Env) HeapAlloc(n uint64) vm.Addr {
 	return e.M.cubicle(e.T.cur).heap.alloc(e.T, n)
 }
 
 // HeapFree releases an allocation made by HeapAlloc in the same cubicle.
 func (e *Env) HeapFree(addr vm.Addr) {
-	e.M.cubicle(e.T.cur).heap.free_(e.T, addr)
+	e.M.cubicle(e.T.cur).heap.free_(addr)
 }
 
 // Alloca allocates n bytes on the current cubicle's stack; the space is
@@ -313,11 +304,6 @@ func (e *Env) AllocaPage(n uint64) vm.Addr {
 }
 
 // --- Window API (Table 1) ----------------------------------------------------
-//
-// The window wrappers take no lock here: each monitor window operation
-// locks internally (global lock, then the owner cubicle's inner lock),
-// so the journal appends below run outside any lock, on thread-local
-// state.
 
 // WindowInit initialises an empty window owned by the current cubicle
 // (cubicle_window_init).

@@ -121,28 +121,28 @@ func (e *Env) RaiseQuota(victim ID, resource string, used, limit uint64) {
 }
 
 func (m *Monitor) noteShed(t *Thread, cub ID, reason string, status uint64) {
-	m.st(t).Sheds++
+	m.Stats.Sheds++
 	if m.trc != nil {
 		m.trc.Shed(tidOf(t), int(cub), reason, status)
 	}
 }
 
 func (m *Monitor) noteDeadline(t *Thread, deadline, now uint64) {
-	m.st(t).DeadlineFaults++
+	m.Stats.DeadlineFaults++
 	if m.trc != nil {
 		m.trc.DeadlineMiss(t.id, int(t.cur), deadline, now)
 	}
 }
 
 func (m *Monitor) noteQuota(t *Thread, cub ID, resource string, used, limit uint64) {
-	m.st(t).QuotaFaults++
+	m.Stats.QuotaFaults++
 	if m.trc != nil {
 		m.trc.QuotaHit(tidOf(t), int(cub), resource, used, limit)
 	}
 }
 
 func (m *Monitor) noteRetry(t *Thread, cub ID, attempt int, backoff uint64) {
-	m.st(t).Retries++
+	m.Stats.Retries++
 	if m.trc != nil {
 		m.trc.Retry(tidOf(t), int(cub), uint64(attempt), backoff)
 	}

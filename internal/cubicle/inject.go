@@ -50,8 +50,8 @@ func (m *Monitor) SetInjector(inj Injector) {
 
 // noteInjected records one injection firing against cubicle id at the
 // named site (site must be a constant string).
-func (m *Monitor) noteInjected(t *Thread, id ID, site string) {
-	m.st(t).InjectedFaults++
+func (m *Monitor) noteInjected(id ID, site string) {
+	m.Stats.InjectedFaults++
 	if m.trc != nil {
 		m.trc.Injected(int(id), site)
 	}
@@ -65,7 +65,7 @@ func (m *Monitor) injectAtCrossing(t *Thread, tr *Trampoline) {
 	if kind == InjectNone {
 		return
 	}
-	m.noteInjected(t, tr.callee, "crossing")
+	m.noteInjected(tr.callee, "crossing")
 	switch kind {
 	case InjectCFI:
 		panic(&CFIFault{Cubicle: tr.callee, Target: tr.Symbol(),

@@ -93,7 +93,7 @@ type metricsCollector struct {
 // virtual cycles (sampled at crossing granularity — the first crossing at
 // or past each threshold takes the snapshot) the monitor records one
 // MetricsSample into a bounded ring of ringCap samples (rounded up to a
-// power of two, minimum 16). Safe to call once, before workers run.
+// power of two, minimum 16). Boot wiring; call once.
 func (m *Monitor) EnableMetrics(interval uint64, ringCap int) {
 	if interval == 0 {
 		interval = 1

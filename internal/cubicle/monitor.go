@@ -2,7 +2,6 @@ package cubicle
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"cubicleos/internal/cycles"
 	"cubicleos/internal/mpk"
@@ -73,29 +72,6 @@ type Monitor struct {
 	smpN     int
 	coreClks []*cycles.Clock
 	machine  *cycles.Machine
-	// gmu is the global monitor lock of the smp.go hierarchy, guarding
-	// monitor-wide mutation (page table, key registry, windows/pins seen
-	// by trap-and-map, health transitions, restart/checkpoint machinery).
-	// parallel arms the hierarchy: it is set by the first SetThreadCore
-	// and never cleared; while false every lock helper is a no-op.
-	gmu      gLock
-	parallel bool
-	// lockCheck arms the lock-order checker (EnableLockCheck); heldBoot is
-	// the checker's held-lock stack for monitor-context callers (t == nil).
-	lockCheck bool
-	heldBoot  []int32
-	// monClk absorbs monitor-context (t == nil) virtual-time charges in
-	// parallel mode, where m.Clock belongs to whichever worker runs core 0
-	// and must keep its single-writer discipline. Serialised by gmu (all
-	// monitor-context charges happen under it). Never used outside
-	// parallel mode, so production accounting is untouched.
-	monClk cycles.Clock
-	// pkruEpoch (atomic, starts at 1) versions everything a cubicle's PKRU
-	// value derives from: key assignments and pinned-window grants. Any
-	// change bumps it, invalidating every cubicle's pkruCache at once;
-	// parallel-mode crossings recompute the PKRU under gmu on a stale
-	// epoch and otherwise read the cached value lock-free.
-	pkruEpoch uint64
 	// fastCross caches "no optional subsystem wants a hook at crossings":
 	// tracing, fault injection, metrics sampling and checkpoint cadence
 	// all disabled. The trampoline's trusted fast path tests this one flag
@@ -142,7 +118,6 @@ func NewMonitor(mode Mode, costs cycles.Costs) *Monitor {
 		ckpts:        make(map[ID]*checkpointRecord),
 		memQuota:     make(map[ID]uint64),
 		memUsed:      make(map[ID]uint64),
-		pkruEpoch:    1,
 	}
 	m.recomputeFastCross()
 	for i := range m.keyHolder {
@@ -184,37 +159,6 @@ func (m *Monitor) SetTLBEnabled(bool) {}
 // an optional subsystem was attached or detached (boot-time wiring).
 func (m *Monitor) recomputeFastCross() {
 	m.fastCross = m.trc == nil && m.inj == nil && m.met == nil && m.ckptInterval == 0
-}
-
-// bumpPKRUEpoch invalidates every cubicle's cached PKRU value. Called
-// under gmu whenever key assignments or pinned grants change; a no-op
-// outside parallel mode, where thread PKRUs are rewritten eagerly and no
-// cache exists.
-func (m *Monitor) bumpPKRUEpoch() {
-	if m.parallel {
-		atomic.AddUint64(&m.pkruEpoch, 1)
-	}
-}
-
-// pkruForFast returns pkruFor(id), serving parallel-mode crossings from
-// the cubicle's lock-free epoch-validated cache. Outside parallel mode it
-// is exactly pkruFor, LRU key ticks included; in parallel mode a cache
-// hit skips the tick (key-use recency degrades to per-epoch granularity,
-// which only matters once 14 isolated cubicles contend for keys).
-func (m *Monitor) pkruForFast(t *Thread, id ID) mpk.PKRU {
-	if t == nil || !t.parallel {
-		return m.pkruFor(id)
-	}
-	c := m.cubicle(id)
-	ep := atomic.LoadUint64(&m.pkruEpoch)
-	if v := c.pkruCache.Load(); v != 0 && uint32(v>>32) == uint32(ep) {
-		return mpk.PKRU(uint32(v))
-	}
-	m.lockGlobal(t)
-	p := m.pkruFor(id)
-	c.pkruCache.Store(uint64(uint32(ep))<<32 | uint64(uint32(p)))
-	m.unlockGlobal(t)
-	return p
 }
 
 // Tracer returns the attached tracer, or nil when tracing is disabled.
@@ -332,7 +276,6 @@ func (m *Monitor) assignKey(id ID, k mpk.Key) mpk.Key {
 	if c := m.cubicleIfValid(id); c != nil {
 		c.Key = k
 	}
-	m.bumpPKRUEpoch()
 	return k
 }
 
@@ -404,15 +347,6 @@ func (m *Monitor) resolveSpan(t *Thread, kind mpk.AccessKind, addr vm.Addr, n ui
 
 // checkPage is the per-page access check of resolveSpan. The allowed path
 // charges nothing; denial pays the watchdog checkpoint and trap-and-map.
-//
-// The prefix up to and including the PKRU check is lock-free: the page
-// lookup is an atomic page-table read, (perm, key) is one atomic metadata
-// word, and t.pkru belongs to the calling thread. Only a denied access —
-// the trap — takes the global lock, under which the window search and the
-// retag run exclusively. The permission check is deliberately NOT repeated
-// under the lock: if a concurrent retag granted the access between check
-// and trap, the trap simply re-retags to the same key, an interleaving the
-// old big lock merely hid by picking one order.
 func (m *Monitor) checkPage(t *Thread, kind mpk.AccessKind, pn uint64) {
 	pa := vm.PageAddr(pn)
 	p := m.AS.Page(pa)
@@ -435,8 +369,6 @@ func (m *Monitor) checkPage(t *Thread, kind mpk.AccessKind, pn uint64) {
 		// keeps touching memory is caught here.
 		m.sup.watchdog(t)
 	}
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	m.trapAndMap(t, kind, pa, p)
 }
 
@@ -460,12 +392,8 @@ func pageTablePerm(kind mpk.AccessKind, perm vm.Perm) bool {
 //	❸ linearly search the owner's window descriptors of the page's class;
 //	❹ index the window's cubicle bitmask with the faulting cubicle, O(1);
 //	❺ if allowed, retag the page's MPK key to the faulting cubicle.
-//
-// Runs under the global lock (taken by checkPage): the window search
-// reads owner window state and the retag mutates the key registry and
-// page metadata, both gmu-guarded.
 func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.Page) {
-	m.st(t).Faults++
+	m.Stats.Faults++
 	clk := m.clkOf(t)
 	trapStart := clk.Cycles()
 	clk.Charge(m.Costs.TrapEntry + m.Costs.PageMetaLookup)
@@ -473,7 +401,7 @@ func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.P
 	cur := t.cur
 	owner := ID(p.Owner)
 	deny := func(reason string) {
-		m.st(t).DeniedFaults++
+		m.Stats.DeniedFaults++
 		if m.trc != nil {
 			m.trc.Fault(t.id, int(cur), int(owner), uint64(pa), clk.Cycles()-trapStart)
 			m.trc.DeniedFault(t.id, int(cur), int(owner), uint64(pa))
@@ -515,7 +443,7 @@ func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.P
 		}
 	}
 	if searchSteps > 0 {
-		m.st(t).WindowSearchSteps += searchSteps
+		m.Stats.WindowSearchSteps += searchSteps
 		if m.trc != nil {
 			m.trc.WindowSearch(t.id, int(cur), searchSteps)
 		}
@@ -527,7 +455,7 @@ func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.P
 		if k := m.inj.AtRetag(t.core, m.cubicle(cur).Name); k != InjectNone {
 			// An injected retag failure presents as a denied trap so the
 			// fault/denial accounting stays consistent with real denials.
-			m.noteInjected(t, cur, "retag")
+			m.noteInjected(cur, "retag")
 			deny("injected fault at retag")
 		}
 	}
@@ -549,7 +477,7 @@ func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.P
 // shootdown synchronisation (smp.go).
 func (m *Monitor) noteRetag(t *Thread, cub ID, addr vm.Addr, key mpk.Key) {
 	m.clkOf(t).Charge(m.Costs.PkeyMprotect)
-	m.st(t).Retags++
+	m.Stats.Retags++
 	if m.trc != nil {
 		m.trc.Retag(tidOf(t), int(cub), uint64(addr), uint8(key))
 	}
@@ -561,7 +489,7 @@ func (m *Monitor) wrpkru(t *Thread, v mpk.PKRU) {
 	t.pkru = v
 	if m.Mode.MPKEnabled() {
 		t.clk.Charge(m.Costs.WRPKRU)
-		m.st(t).WRPKRUs++
+		m.Stats.WRPKRUs++
 		if m.trc != nil {
 			m.trc.WRPKRU(t.id, int(t.cur), uint64(v))
 		}
@@ -576,19 +504,9 @@ func (m *Monitor) MapOwned(id ID, npages int, typ vm.PageType, perm vm.Perm) vm.
 	return m.mapOwnedFor(nil, id, npages, typ, perm)
 }
 
-// mapOwnedFor is MapOwned on behalf of thread t, which identifies the
-// locker (lazy stack allocation runs inside a crossing; the lock must be
-// attributed to the crossing thread, not monitor context).
+// mapOwnedFor is MapOwned on behalf of thread t (nil for monitor context),
+// to which a quota refusal is attributed.
 func (m *Monitor) mapOwnedFor(t *Thread, id ID, npages int, typ vm.PageType, perm vm.Perm) vm.Addr {
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
-	return m.mapOwnedLocked(t, id, npages, typ, perm)
-}
-
-// mapOwnedLocked is MapOwned under an already-held global lock, on behalf
-// of thread t (nil for monitor context). Internal callers that hold gmu —
-// the heap grow path, restart reclamation — use it directly.
-func (m *Monitor) mapOwnedLocked(t *Thread, id ID, npages int, typ vm.PageType, perm vm.Perm) vm.Addr {
 	bytes := uint64(npages) * vm.PageSize
 	// Stack pages are exempt from the quota: they are crossing
 	// infrastructure allocated lazily in pushFrame, BEFORE the crossing's

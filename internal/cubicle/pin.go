@@ -26,8 +26,6 @@ const noPin = mpk.Key(0xFF)
 // pinWindow assigns window wid of cubicle c a dedicated key. It reports
 // whether the window was newly pinned (for the containment journal).
 func (m *Monitor) pinWindow(t *Thread, c ID, wid WID) bool {
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	m.chargeWindowOp(t, c, "pin", wid)
 	w := m.window(c, wid, "window_pin")
 	if w.pinned != noPin {
@@ -43,7 +41,7 @@ func (m *Monitor) pinWindow(t *Thread, c ID, wid WID) bool {
 	// Retag every page of the window to the dedicated key — each one a
 	// kernel pkey_mprotect, paid once.
 	m.retagWindow(t, w, key)
-	m.refreshThreadPKRUs(t)
+	m.refreshThreadPKRUs()
 	return true
 }
 
@@ -51,8 +49,6 @@ func (m *Monitor) pinWindow(t *Thread, c ID, wid WID) bool {
 // the owner's key and subsequent cross-cubicle accesses go back to
 // trap-and-map.
 func (m *Monitor) unpinWindow(t *Thread, c ID, wid WID) {
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	m.chargeWindowOp(t, c, "unpin", wid)
 	w := m.window(c, wid, "window_unpin")
 	if w.pinned == noPin {
@@ -67,7 +63,7 @@ func (m *Monitor) unpinWindow(t *Thread, c ID, wid WID) {
 			break
 		}
 	}
-	m.refreshThreadPKRUs(t)
+	m.refreshThreadPKRUs()
 }
 
 // retagWindow sets every page of the window to key.
@@ -116,27 +112,9 @@ func (m *Monitor) pinnedKeysFor(id ID) []mpk.Key {
 // refreshThreadPKRUs reapplies the PKRU of every live thread whose
 // current cubicle's rights may have changed (pin/unpin/open/close of a
 // pinned window must take effect immediately — revocation cannot wait
-// for the next cubicle switch). Callers hold the global lock; act is the
-// acting thread (nil in monitor context, e.g. supervisor rollback).
-//
-// In parallel mode a cross-thread PKRU rewrite would race with the worker
-// that owns the register, so other workers are not touched: the PKRU-epoch
-// bump invalidates every per-cubicle PKRU cache, and each worker picks up
-// the new rights at its next crossing — revocation is at most one crossing
-// lazy, exactly like the causal tag reassignment of §5.6. The acting
-// thread's own register is still refreshed eagerly. A remote worker's
-// in-flight access to a newly pinned page also stays correct without the
-// eager rewrite: its page walk re-reads the page's live key on every
-// access, and a key miss traps under the lock.
-func (m *Monitor) refreshThreadPKRUs(act *Thread) {
+// for the next cubicle switch).
+func (m *Monitor) refreshThreadPKRUs() {
 	if !m.Mode.MPKEnabled() {
-		return
-	}
-	if m.parallel {
-		m.bumpPKRUEpoch()
-		if act != nil {
-			act.pkru = m.pkruFor(act.cur)
-		}
 		return
 	}
 	for _, t := range m.threads {

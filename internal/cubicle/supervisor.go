@@ -123,22 +123,15 @@ type ClassCount struct {
 func (s *Supervisor) admit(t *Thread, tr *Trampoline) {
 	s.watchdog(t) // the caller itself may have overrun its crossing budget
 	c := s.m.cubicle(tr.callee)
-	// Fast path: one lock-free atomic bit. The supervisor flips the mirror
-	// under the global lock exactly when health leaves or re-enters
-	// Healthy, so a clear bit admits the call with no shared lock — this
-	// is what keeps supervised crossings scalable across cores.
+	// Fast path: one bit, flipped by the supervisor exactly when health
+	// leaves or re-enters Healthy.
 	if !c.unhealthy.Load() {
 		return
 	}
 	m := s.m
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	switch c.health {
-	case Healthy:
-		// Lost a race with a concurrent restart that already healed it.
-		return
 	case Quarantined:
-		if m.smpNow() >= c.restartAt && s.restart(t, c) {
+		if m.smpNow() >= c.restartAt && s.restart(c) {
 			return
 		}
 		if c.health == Dead { // the refused restart exhausted the budget
@@ -152,10 +145,9 @@ func (s *Supervisor) admit(t *Thread, tr *Trampoline) {
 
 // refuse fails a call fast with a ContainedFault before it crosses into
 // the unhealthy callee.
-// Callers hold the global lock (containedByClass is a shared map).
 func (s *Supervisor) refuse(t *Thread, tr *Trampoline, cause error) {
 	m := s.m
-	m.st(t).ContainedFaults++
+	m.Stats.ContainedFaults++
 	s.containedByClass[faultClass(cause)]++
 	if m.trc != nil {
 		m.trc.Contained(t.id, int(tr.callee), int(t.cur), faultClass(cause))
@@ -174,9 +166,7 @@ func (s *Supervisor) contain(t *Thread, tr *Trampoline) {
 	r := recover()
 	if r == nil {
 		// A healthy return clears the callee's consecutive-fault streak so
-		// backoff escalation only tracks back-to-back failures. The streak
-		// counter is atomic and the health read is the lock-free mirror, so
-		// the (overwhelmingly common) fault-free return takes no lock.
+		// backoff escalation only tracks back-to-back failures.
 		if c := s.m.cubicle(tr.callee); c.consecFaults.Load() != 0 && !c.unhealthy.Load() {
 			c.consecFaults.Store(0)
 		}
@@ -214,17 +204,12 @@ func (s *Supervisor) contain(t *Thread, tr *Trampoline) {
 	case *DeadlineFault:
 		transient = true
 	}
-	// Rollback mutates window state and quarantine the health ladder —
-	// both global-lock territory. No defer: the function ends in a panic,
-	// so the unlock is explicit before the fault is re-delivered.
-	m.lockGlobal(t)
 	s.rollback(t, jmark, tr.callee)
 	if !transient {
-		s.quarantine(t, victim, cause)
+		s.quarantine(victim, cause)
 	}
-	m.st(t).ContainedFaults++
+	m.Stats.ContainedFaults++
 	s.containedByClass[faultClass(cause)]++
-	m.unlockGlobal(t)
 	if m.trc != nil {
 		m.trc.Contained(t.id, int(victim), int(f.caller), faultClass(cause))
 		// Close the call span the aborted crossing left open so B/E events
@@ -253,7 +238,7 @@ func (s *Supervisor) rollback(t *Thread, jmark int, victim ID) {
 		case undoCloseWindow:
 			w.Open &^= 1 << uint(u.grantee)
 			if w.pinned != noPin {
-				m.refreshThreadPKRUs(t)
+				m.refreshThreadPKRUs()
 			}
 		case undoUnpinWindow:
 			if w.pinned != noPin {
@@ -298,14 +283,14 @@ func (s *Supervisor) releasePin(w *Window) {
 			break
 		}
 	}
-	m.refreshThreadPKRUs(nil)
+	m.refreshThreadPKRUs()
 }
 
 // quarantine moves an isolated cubicle into the Quarantined state with an
 // exponential backoff on the virtual clock. Shared and trusted cubicles
 // are never quarantined: shared code executes as its caller, and a
-// trusted-cubicle fault is a runtime bug. Callers hold the global lock.
-func (s *Supervisor) quarantine(t *Thread, id ID, cause error) {
+// trusted-cubicle fault is a runtime bug.
+func (s *Supervisor) quarantine(id ID, cause error) {
 	c := s.m.cubicleIfValid(id)
 	if c == nil || c.Kind != KindIsolated {
 		return
@@ -320,7 +305,7 @@ func (s *Supervisor) quarantine(t *Thread, id ID, cause error) {
 	c.health = Quarantined
 	c.unhealthy.Store(true)
 	c.restartAt = s.m.smpNow() + backoff
-	s.m.st(t).Quarantines++
+	s.m.Stats.Quarantines++
 	if s.m.trc != nil {
 		s.m.trc.Quarantine(int(id), backoff)
 	}
@@ -353,25 +338,11 @@ func (s *Supervisor) backoffFor(n int) uint64 {
 // OnRestart hooks rebuild their Go-side state. Returns false — leaving
 // the cubicle Quarantined or moving it to Dead — when the restart cannot
 // or may not happen.
-func (s *Supervisor) restart(t *Thread, c *Cubicle) bool {
+func (s *Supervisor) restart(c *Cubicle) bool {
 	m := s.m
 	// Never yank state from under a live frame still executing inside the
 	// victim (e.g. the victim called out and the callee is re-entering).
-	// Parallel workers are accounted by the cubicle's active-crossing
-	// counter — their live frame slices must not be scanned from here.
-	// The restarting flag must be visible before the active counter is
-	// read (Dekker pairing with pushFrame): a crossing racing this check
-	// either bumps active in time to abort the restart, or sees the flag
-	// and backs off until the reclaim is over.
-	c.restarting.Store(true)
-	defer c.restarting.Store(false)
-	if c.active.Load() != 0 {
-		return false
-	}
 	for _, th := range m.threads {
-		if th.parallel {
-			continue
-		}
 		for i := range th.frames {
 			if th.frames[i].exec == c.ID {
 				return false
@@ -395,10 +366,7 @@ func (s *Supervisor) restart(t *Thread, c *Cubicle) bool {
 		return false
 	}
 
-	// clkOf(nil) keeps the legacy charge target (the monitor clock) in all
-	// non-parallel deployments and routes to the lock-protected monitor
-	// shadow clock when workers run in parallel.
-	m.clkOf(nil).Charge(s.policy.RestartCost)
+	m.Clock.Charge(s.policy.RestartCost)
 	// Tear down every window the cubicle owns (releasing pinned keys) and
 	// reset the descriptor arrays.
 	for _, w := range c.windows {
@@ -412,15 +380,10 @@ func (s *Supervisor) restart(t *Thread, c *Cubicle) bool {
 	}
 	// Release the cubicle's heap and stack pages and give it a fresh
 	// sub-allocator; threads re-create their per-cubicle stacks lazily.
-	// Parallel workers own their stacks maps, so their stale entries are
-	// invalidated by the restart-generation bump instead of deleted here.
 	s.reclaimPages(c)
 	c.heap = newSubAllocator(m, c.ID)
-	c.gen.Add(1)
 	for _, th := range m.threads {
-		if !th.parallel {
-			delete(th.stacks, c.ID)
-		}
+		delete(th.stacks, c.ID)
 	}
 	// Warm path: restore the last good checkpoint instead of rebuilding
 	// from empty. A decode/restore failure tears the partial restore back
@@ -449,12 +412,11 @@ func (s *Supervisor) restart(t *Thread, c *Cubicle) bool {
 	c.restarts++
 	c.restartAt = 0
 	c.restartLog = append(c.restartLog, now)
-	st := m.st(t)
-	st.Restarts++
+	m.Stats.Restarts++
 	if warm {
-		st.WarmRestarts++
+		m.Stats.WarmRestarts++
 	} else {
-		st.ColdRestarts++
+		m.Stats.ColdRestarts++
 	}
 	if m.trc != nil {
 		m.trc.Restart(int(c.ID), c.restarts)

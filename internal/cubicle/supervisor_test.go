@@ -47,6 +47,7 @@ func TestSupervisorRestartAfterBackoff(t *testing.T) {
 		}
 	})
 	faultSVC(t, ts, appBuf)
+	oldStack := ts.env.T.stacks[svc.ID] // cached by the two crossings above
 
 	// Before the backoff expires, calls are refused without a restart.
 	if _, cf := callSVCOk(t, ts); cf == nil || !errors.Is(cf, ErrQuarantined) {
@@ -89,6 +90,24 @@ func TestSupervisorRestartAfterBackoff(t *testing.T) {
 	})
 	if heapPages != 0 {
 		t.Errorf("%d heap pages still owned by SVC after restart", heapPages)
+	}
+	// The thread's cached SVC stack went with them: the call that restarted
+	// SVC crossed on a freshly mapped stack, and no other stack page is left.
+	newStack := ts.env.T.stacks[svc.ID]
+	if oldStack == nil || newStack == nil || newStack == oldStack {
+		t.Fatalf("SVC stack before/after restart = %p/%p, want two distinct stacks", oldStack, newStack)
+	}
+	stackPages := 0
+	ts.m.AS.ForEachPage(func(pn uint64, p *vm.Page) {
+		if ID(p.Owner) == svc.ID && p.Type == vm.PageStack {
+			stackPages++
+			if a := vm.PageAddr(pn); a < newStack.base || a >= newStack.base.Add(newStack.size) {
+				t.Errorf("stack page %#x survived the restart outside the new stack", uint64(a))
+			}
+		}
+	})
+	if stackPages != StackPages {
+		t.Errorf("%d stack pages owned by SVC after restart, want the new stack's %d", stackPages, StackPages)
 	}
 	if err := errors.Unwrap(svc.LastFault()); err != nil {
 		_ = err // LastFault is informational; just ensure it is set
@@ -269,7 +288,7 @@ func TestSupervisorRefusesRestartUnderLiveFrame(t *testing.T) {
 	svc.health = Quarantined
 	svc.restartAt = 0
 	ts.enter(t, "SVC", func(e *Env) {
-		if ts.m.sup.restart(nil, svc) {
+		if ts.m.sup.restart(svc) {
 			t.Error("restart succeeded while SVC had a live frame")
 		}
 	})
@@ -277,7 +296,7 @@ func TestSupervisorRefusesRestartUnderLiveFrame(t *testing.T) {
 		t.Errorf("health = %v, want still Quarantined", svc.Health())
 	}
 	// With the frame gone the same restart goes through.
-	if !ts.m.sup.restart(nil, svc) {
+	if !ts.m.sup.restart(svc) {
 		t.Error("restart refused with no live frames")
 	}
 	if svc.Health() != Healthy {

@@ -2,7 +2,6 @@ package cubicle
 
 import (
 	"fmt"
-	"runtime"
 
 	"cubicleos/internal/cycles"
 	"cubicleos/internal/mpk"
@@ -18,10 +17,6 @@ type stack struct {
 	base vm.Addr // lowest address of the region
 	size uint64
 	sp   vm.Addr // current stack pointer (grows down)
-	// gen is the owning cubicle's restart generation at allocation time.
-	// A mismatch in stackFor means a supervisor restart reclaimed the
-	// pages; the cached entry is replaced instead of dereferenced.
-	gen uint64
 }
 
 // frame records state saved by a call so that the return path can restore
@@ -48,13 +43,10 @@ type frame struct {
 
 // Thread is one execution context. Each thread carries its own PKRU value
 // and per-cubicle stacks, as MPK permissions are per-thread (the PKRU is a
-// per-thread register, §8). On a single-core deployment threads are
-// cooperative and never run concurrently, following Unikraft's model; on
-// an SMP deployment (EnableSMP) threads placed on different cores execute
-// on real goroutine workers concurrently, synchronised inside the monitor
-// by the lock hierarchy of smp.go (lock-free on the read-mostly hot
-// paths). A Thread itself must still be driven by at most one goroutine at
-// a time.
+// per-thread register, §8). Threads are cooperative and never run
+// concurrently, following Unikraft's model — on an SMP deployment
+// (EnableSMP) too, where threads placed on different cores charge different
+// clocks but are still stepped by the one goroutine that drives the monitor.
 type Thread struct {
 	m      *Monitor
 	id     int // dense thread index, stamped into trace events
@@ -68,20 +60,6 @@ type Thread struct {
 	// behaviour exactly.
 	core int
 	clk  *cycles.Clock
-	// parallel marks a thread driven by its own goroutine worker
-	// (SetThreadCore). Parallel threads stage Stats in their own shard,
-	// maintain the per-cubicle active-crossing counters and take the real
-	// locks of smp.go; non-parallel threads (all production deployments)
-	// keep the lock-free single-threaded behaviour byte-identical to the
-	// legacy monitor.
-	parallel bool
-	// stats is the thread's staged counter shard in parallel mode, merged
-	// into Monitor.Stats by FoldStats at quiescence. Only the owning
-	// goroutine writes it.
-	stats Stats
-	// held is the thread's lock-order bookkeeping under EnableLockCheck
-	// (smp.go): the stack of lock slots currently held, owner-written only.
-	held []int32
 	// journal records window-state changes for containment rollback; it is
 	// only appended to while a supervisor is attached and is truncated when
 	// the thread unwinds to depth zero (everything below is committed).
@@ -95,7 +73,7 @@ type Thread struct {
 	// words above the frame's wmark (stageArgs) and the callee reads them in
 	// place, the way §5.5's trampoline copies in-stack arguments onto the
 	// callee stack. ret is the result scratch Env.Ret fills; Handle.Call
-	// poisons it on entry. Both are owner-goroutine state like frames.
+	// poisons it on entry.
 	words []uint64
 	ret   [retWords]uint64
 }
@@ -128,7 +106,6 @@ func (m *Monitor) NewThread() *Thread {
 		cur:    MonitorID,
 		pkru:   mpk.AllAllowed,
 		stacks: make(map[ID]*stack),
-		stats:  newStats(),
 		clk:    m.Clock,
 	}
 	t.pkru = m.pkruFor(MonitorID)
@@ -164,12 +141,11 @@ func (t *Thread) Depth() int { return len(t.frames) }
 // first use (the loader "allocates the necessary per-cubicle stacks for
 // the current thread", §5.4).
 func (t *Thread) stackFor(id ID) *stack {
-	gen := t.m.cubicle(id).gen.Load()
-	if s, ok := t.stacks[id]; ok && s.gen == gen {
+	if s, ok := t.stacks[id]; ok {
 		return s
 	}
 	base := t.m.mapOwnedFor(t, id, StackPages, vm.PageStack, vm.PermRead|vm.PermWrite)
-	s := &stack{base: base, size: StackPages * vm.PageSize, gen: gen}
+	s := &stack{base: base, size: StackPages * vm.PageSize}
 	s.sp = base.Add(s.size)
 	t.stacks[id] = s
 	return s
@@ -197,30 +173,6 @@ func (t *Thread) pushFrame(callee ID, crossing bool) {
 	caller := t.cur
 	if crossing {
 		t.cur = callee
-		if t.parallel {
-			// Parallel threads maintain the per-cubicle active-crossing
-			// counter so restart and checkpoint quiescence checks need not
-			// scan other workers' live frame slices. The increment pairs
-			// with the supervisor's restarting flag, Dekker-style: the
-			// restarter publishes restarting before loading active, we
-			// publish the increment before loading restarting, so either
-			// the restart aborts (it saw our crossing) or we back off and
-			// wait out the reclaim (we saw its flag) — a crossing can never
-			// run on a stack whose pages a concurrent restart is unmapping.
-			// Callers hold no monitor locks here (the restarter owns gmu
-			// for the whole reclaim), so the spin cannot deadlock.
-			cub := t.m.cubicle(callee)
-			for {
-				cub.active.Add(1)
-				if !cub.restarting.Load() {
-					break
-				}
-				cub.active.Add(-1)
-				for cub.restarting.Load() {
-					runtime.Gosched()
-				}
-			}
-		}
 		// The profiler attributes elapsed cycles to the executing
 		// cubicle; a crossing frame is exactly a cubicle switch.
 		if trc := t.m.trc; trc != nil {
@@ -255,9 +207,6 @@ func (t *Thread) popFrame() {
 	t.words = t.words[:f.wmark]
 	if f.crossing {
 		t.cur = f.caller
-		if t.parallel {
-			t.m.cubicle(f.exec).active.Add(-1)
-		}
 		if trc := t.m.trc; trc != nil {
 			trc.SwitchCubicle(t.id, int(f.caller))
 		}

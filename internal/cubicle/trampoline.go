@@ -146,17 +146,9 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 	for i := range t.ret {
 		t.ret[i] = retPoison
 	}
-	// No lock is taken for the call sequence itself: admission reads the
-	// callee's atomic health bit, accounting goes to the thread's stats
-	// shard, charges go to the thread's own clock and the PKRU values come
-	// from the lock-free epoch cache. Only genuinely global slow paths —
-	// a trap inside the callee, a restart, a heap grow — lock, inside the
-	// operations that need it (see smp.go).
-	if m.ckptInterval != 0 && len(t.frames) == 0 && !t.parallel {
-		// Checkpoint cadence: outermost call entries of the cooperative
-		// boot thread are the monitor's quiescent points. Parallel workers
-		// never sweep — their outermost entry says nothing about other
-		// cores being mid-crossing.
+	if m.ckptInterval != 0 && len(t.frames) == 0 {
+		// Checkpoint cadence: outermost call entries are the monitor's
+		// quiescent points.
 		m.maybeCheckpoint(t)
 	}
 	callee := m.cubicle(tr.callee)
@@ -169,7 +161,7 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 	// Shared cubicle: executes with the privileges, stack and heap of the
 	// calling cubicle; never involves the runtime TCB (§3 ❹).
 	if callee.Kind == KindShared {
-		m.st(t).SharedCalls++
+		m.Stats.SharedCalls++
 		if m.trc != nil {
 			m.trc.SharedCall(t.id, int(t.cur), int(tr.callee), tr.Symbol())
 		}
@@ -189,14 +181,13 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 		// accounting; an expired quarantine restarts the callee in place.
 		m.sup.admit(t, tr)
 	}
-	st := m.st(t)
-	st.CallsTotal++
-	st.Calls[Edge{From: t.cur, To: tr.callee}]++
+	m.Stats.CallsTotal++
+	m.Stats.Calls[Edge{From: t.cur, To: tr.callee}]++
 
 	if m.fastCross {
-		return h.crossFast(e, st, args)
+		return h.crossFast(e, args)
 	}
-	return h.crossFull(e, st, args)
+	return h.crossFull(e, args)
 }
 
 // callLocal runs a call that stays in the caller's cubicle — a
@@ -216,13 +207,13 @@ func (h Handle) callLocal(e *Env, args []uint64) []uint64 {
 // wrpkru executions — with the slow-path setup (trace event assembly,
 // sampling cadence checks, injection draws) skipped entirely. Charge order
 // is identical to crossFull, so virtual time is unaffected.
-func (h Handle) crossFast(e *Env, st *Stats, args []uint64) []uint64 {
+func (h Handle) crossFast(e *Env, args []uint64) []uint64 {
 	m, t, tr := h.m, e.T, h.tr
 	if m.Mode.TrampolinesEnabled() {
 		t.clk.Charge(m.Costs.TrampolineBase)
 		if tr.stackBytes > 0 {
 			t.clk.Charge(uint64(tr.stackBytes) * m.Costs.StackArgByte)
-			st.StackBytesCopied += uint64(tr.stackBytes)
+			m.Stats.StackBytesCopied += uint64(tr.stackBytes)
 		}
 	}
 	t.pushFrame(tr.callee, true)
@@ -237,21 +228,21 @@ func (h Handle) crossFast(e *Env, st *Stats, args []uint64) []uint64 {
 		t.alloca(uint64(tr.stackBytes))
 	}
 	if m.Mode.MPKEnabled() {
-		m.wrpkru(t, m.pkruForFast(t, tr.callee))
+		m.wrpkru(t, m.pkruFor(tr.callee))
 	}
 	rets := tr.fn(e, t.stageArgs(args))
 	if m.Mode.TrampolinesEnabled() {
 		t.clk.Charge(m.Costs.TrampolineBase)
 	}
 	if m.Mode.MPKEnabled() {
-		m.wrpkru(t, m.pkruForFast(t, h.caller))
+		m.wrpkru(t, m.pkruFor(h.caller))
 	}
 	return rets
 }
 
 // crossFull is the crossing with every attachment consulted: metrics
 // sampling, trace events, fault injection.
-func (h Handle) crossFull(e *Env, st *Stats, args []uint64) []uint64 {
+func (h Handle) crossFull(e *Env, args []uint64) []uint64 {
 	m, t, tr := h.m, e.T, h.tr
 	if m.met != nil {
 		// Metrics sampling rides the crossing rate: the first crossing at
@@ -270,7 +261,7 @@ func (h Handle) crossFull(e *Env, st *Stats, args []uint64) []uint64 {
 		t.clk.Charge(m.Costs.TrampolineBase)
 		if tr.stackBytes > 0 {
 			t.clk.Charge(uint64(tr.stackBytes) * m.Costs.StackArgByte)
-			st.StackBytesCopied += uint64(tr.stackBytes)
+			m.Stats.StackBytesCopied += uint64(tr.stackBytes)
 		}
 	}
 	t.pushFrame(tr.callee, true)
@@ -292,7 +283,7 @@ func (h Handle) crossFull(e *Env, st *Stats, args []uint64) []uint64 {
 		t.alloca(uint64(tr.stackBytes))
 	}
 	if m.Mode.MPKEnabled() {
-		m.wrpkru(t, m.pkruForFast(t, tr.callee))
+		m.wrpkru(t, m.pkruFor(tr.callee))
 	}
 	if m.inj != nil {
 		m.injectAtCrossing(t, tr)
@@ -306,7 +297,7 @@ func (h Handle) crossFull(e *Env, st *Stats, args []uint64) []uint64 {
 		t.clk.Charge(m.Costs.TrampolineBase)
 	}
 	if m.Mode.MPKEnabled() {
-		m.wrpkru(t, m.pkruForFast(t, h.caller))
+		m.wrpkru(t, m.pkruFor(h.caller))
 	}
 	if m.trc != nil {
 		m.trc.CallExit(t.id, int(h.caller), int(tr.callee), tr.Symbol())
@@ -320,8 +311,6 @@ func (h Handle) crossFull(e *Env, st *Stats, args []uint64) []uint64 {
 // modification), guard pages may only be entered at offset 0, and
 // trampoline thunks in the monitor's cubicle are never directly
 // executable by cubicles.
-// Lock-free: the page lookup is atomic and guardPages is immutable after
-// boot-time resolution; the final resolveSpan locks only if it traps.
 func (m *Monitor) ExecuteAt(t *Thread, addr vm.Addr) {
 	p := m.AS.Page(addr)
 	if p == nil {

@@ -70,32 +70,22 @@ func (w *Window) String() string {
 func (m *Monitor) chargeWindowOp(t *Thread, c ID, op string, wid WID) {
 	if m.Mode.ACLEnabled() {
 		m.clkOf(t).Charge(m.Costs.WindowOp)
-		m.st(t).WindowOps++
+		m.Stats.WindowOps++
 		if m.trc != nil {
 			m.trc.WindowOp(tidOf(t), int(c), op, int(wid))
 		}
 	}
 	if m.inj != nil {
 		if k := m.inj.AtWindowOp(coreOfThread(t), m.cubicle(c).Name, op); k != InjectNone {
-			m.noteInjected(t, c, "window_op")
+			m.noteInjected(c, "window_op")
 			panic(&ProtectionFault{Cubicle: c, Owner: c,
 				Reason: "injected fault at window op"})
 		}
 	}
 }
 
-// Window operations serialise on the monitor's global lock, not the
-// per-cubicle lock: opening, closing or pinning a window touches global
-// state — the key registry, every thread's PKRU rights, and the window
-// descriptors the trap-and-map handler walks under the same lock. The
-// per-cubicle lock covers only state that never escapes the cubicle (the
-// heap sub-allocator). In non-parallel deployments the lock calls are
-// no-ops and the code path is byte-identical to the legacy monitor.
-
 // windowInit implements cubicle_window_init for cubicle c.
 func (m *Monitor) windowInit(t *Thread, c ID) WID {
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	cub := m.cubicle(c)
 	// Reuse a destroyed slot if one exists; otherwise the cubicle asks
 	// the monitor to extend the descriptor array (§5.3).
@@ -131,8 +121,6 @@ func (m *Monitor) window(c ID, wid WID, op string) *Window {
 // cannot open a window onto data shared with it by another cubicle (the
 // nested-call rule of §5.6).
 func (m *Monitor) windowAdd(t *Thread, c ID, wid WID, ptr vm.Addr, size uint64) {
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	m.chargeWindowOp(t, c, "add", wid)
 	w := m.window(c, wid, "window_add")
 	if size == 0 {
@@ -181,8 +169,6 @@ func (m *Monitor) windowAdd(t *Thread, c ID, wid WID, ptr vm.Addr, size uint64) 
 // windowRemove implements cubicle_window_remove: drop the range previously
 // associated with wid that starts at ptr.
 func (m *Monitor) windowRemove(t *Thread, c ID, wid WID, ptr vm.Addr) {
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	m.chargeWindowOp(t, c, "remove", wid)
 	w := m.window(c, wid, "window_remove")
 	for i, r := range w.Ranges {
@@ -198,8 +184,6 @@ func (m *Monitor) windowRemove(t *Thread, c ID, wid WID, ptr vm.Addr) {
 // the window's contents. It reports whether the grant is new, so the
 // containment journal only records transitions it must undo.
 func (m *Monitor) windowOpen(t *Thread, c ID, wid WID, cid ID) bool {
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	m.chargeWindowOp(t, c, "open", wid)
 	w := m.window(c, wid, "window_open")
 	if cid < 0 || cid >= MaxCubicles || int(cid) >= len(m.cubicles) {
@@ -208,7 +192,7 @@ func (m *Monitor) windowOpen(t *Thread, c ID, wid WID, cid ID) bool {
 	newGrant := w.Open&(1<<uint(cid)) == 0
 	w.Open |= 1 << uint(cid)
 	if w.pinned != noPin {
-		m.refreshThreadPKRUs(t)
+		m.refreshThreadPKRUs()
 	}
 	return newGrant
 }
@@ -217,8 +201,6 @@ func (m *Monitor) windowOpen(t *Thread, c ID, wid WID, cid ID) bool {
 // pages: the monitor maintains causal tag consistency (§5.6), lazily
 // reassigning tags only when a page is next accessed.
 func (m *Monitor) windowClose(t *Thread, c ID, wid WID, cid ID) {
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	m.chargeWindowOp(t, c, "close", wid)
 	w := m.window(c, wid, "window_close")
 	if cid >= 0 && cid < MaxCubicles {
@@ -227,27 +209,22 @@ func (m *Monitor) windowClose(t *Thread, c ID, wid WID, cid ID) {
 	if w.pinned != noPin {
 		// Pinned windows revoke eagerly: the grantee's PKRU loses the
 		// window key immediately (no causal laziness to fall back on).
-		m.refreshThreadPKRUs(t)
+		m.refreshThreadPKRUs()
 	}
 }
 
 // windowCloseAll implements cubicle_window_close_all.
 func (m *Monitor) windowCloseAll(t *Thread, c ID, wid WID) {
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	m.chargeWindowOp(t, c, "close_all", wid)
 	w := m.window(c, wid, "window_close_all")
 	w.Open = 0
 	if w.pinned != noPin {
-		m.refreshThreadPKRUs(t)
+		m.refreshThreadPKRUs()
 	}
 }
 
 // windowDestroy implements cubicle_window_destroy.
 func (m *Monitor) windowDestroy(t *Thread, c ID, wid WID) {
-	// Reentrant: unpinWindow below re-acquires the global lock.
-	m.lockGlobal(t)
-	defer m.unlockGlobal(t)
 	m.chargeWindowOp(t, c, "destroy", wid)
 	w := m.window(c, wid, "window_destroy")
 	if w.pinned != noPin {

@@ -97,8 +97,7 @@ func (p *profiler) forEach(fn func(cub int32, cyc, samples uint64)) {
 
 // SwitchCubicle informs the profiler that execution on thread's core
 // switched to cub. The monitor calls this from every crossing frame
-// push/pop; on SMP machines the monitor lock serialises the calls with
-// recording, exactly as for event emission.
+// push/pop.
 func (t *Tracer) SwitchCubicle(thread, cub int) {
 	t.shardFor(thread).prof.switchTo(int32(cub))
 }

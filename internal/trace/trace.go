@@ -14,18 +14,13 @@
 //
 // # Sharded recording
 //
-// Recording is lock-free: the tracer keeps one single-producer ring shard
-// per simulated core, and every emission routes to the shard of the core
-// the recording thread runs on (monitor-context events, thread -1, record
-// on core 0 — the boot clock, exactly where clkOf(nil) charges them).
-// Events are stamped with the recording core's virtual clock and a
-// per-shard sequence number; no mutex or atomic is taken on the hot path.
-// The safety argument mirrors the monitor's: on an SMP machine every
-// emission site already runs under the monitor's big lock, and on a
-// single-core machine there is only one goroutine, so shard state needs
-// no synchronisation of its own. The report-building exporters
-// (ChromeTrace, WritePrometheus, Snapshot, Profile, Events, Counts) are
-// coordinator-only: call them after the run, with all workers quiescent.
+// The tracer keeps one ring shard per simulated core, and every emission
+// routes to the shard of the core the recording thread runs on
+// (monitor-context events, thread -1, record on core 0 — the boot clock,
+// exactly where clkOf(nil) charges them). Events are stamped with the
+// recording core's virtual clock and a per-shard sequence number. A Tracer
+// is driven by the one goroutine that drives its monitor, emission and
+// export alike, so it takes no mutex or atomic anywhere.
 //
 // At export the per-shard streams merge into one deterministic stream
 // ordered by (Cycle, Core, Seq): per-shard cycles are nondecreasing and
@@ -37,8 +32,6 @@ package trace
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"cubicleos/internal/cycles"
 )
@@ -229,9 +222,7 @@ func flatSlot(e Edge) int {
 	return -1
 }
 
-// shard is one core's single-producer trace ring plus its streaming
-// counters. Only the goroutine driving that core (under the monitor lock
-// on SMP machines) ever writes it; exporters read it quiescently.
+// shard is one core's trace ring plus its streaming counters.
 type shard struct {
 	core  int16
 	clock *cycles.Clock
@@ -388,9 +379,7 @@ func (s *shard) forEachEdge(fn func(e Edge, calls uint64, h *Hist)) {
 }
 
 // Tracer is the recording side of the observability layer: one ring shard
-// per simulated core (see the package comment for the sharding and safety
-// rules). All emission methods are lock-free; exporters and queries are
-// coordinator-only.
+// per simulated core (see the package comment for the sharding rules).
 type Tracer struct {
 	clock *cycles.Clock // boot/GVT base clock (shard 0's clock)
 	namer func(int) string
@@ -402,16 +391,11 @@ type Tracer struct {
 	shards []*shard
 	s0     *shard // shards[0], kept flat for the single-core fast path
 
-	// open call spans per thread, for elapsed-cycle computation. Thread
-	// IDs are dense. Each inner stack is written only by its own thread's
-	// goroutine; the outer index is an immutable slice republished under
-	// openGrow when a new thread ID appears, so concurrent recorders can
-	// index it with a plain atomic load and no shared lock. openM holds
-	// monitor-context (thread -1) spans, which only record while the
-	// recording thread holds the monitor's global lock.
-	open     atomic.Pointer[[]*openStack]
-	openGrow sync.Mutex
-	openM    []openCall
+	// open holds the open call spans per thread (dense thread IDs), for
+	// elapsed-cycle computation; openM holds monitor-context (thread -1)
+	// spans.
+	open  [][]openCall
+	openM []openCall
 }
 
 type openCall struct {
@@ -419,36 +403,16 @@ type openCall struct {
 	start uint64
 }
 
-// openStack is one thread's stack of open call spans. Only that thread's
-// goroutine pushes and pops, so the slice needs no lock of its own — the
-// pointer indirection exists so the outer index can be republished while
-// stacks stay in place.
-type openStack struct {
-	s []openCall
-}
-
-// stackOf returns thread's open-call stack, growing the outer index if
-// this is the first event from that thread ID.
-func (t *Tracer) stackOf(thread int) *openStack {
-	if p := t.open.Load(); p != nil && thread < len(*p) {
-		return (*p)[thread]
+// stackOf returns thread's open-call stack (openM for monitor context),
+// growing the index on the first event from a new thread ID.
+func (t *Tracer) stackOf(thread int) *[]openCall {
+	if thread < 0 {
+		return &t.openM
 	}
-	t.openGrow.Lock()
-	defer t.openGrow.Unlock()
-	var cur []*openStack
-	if p := t.open.Load(); p != nil {
-		cur = *p
+	for thread >= len(t.open) {
+		t.open = append(t.open, nil)
 	}
-	if thread < len(cur) {
-		return cur[thread]
-	}
-	grown := make([]*openStack, thread+1)
-	copy(grown, cur)
-	for i := len(cur); i < len(grown); i++ {
-		grown[i] = &openStack{}
-	}
-	t.open.Store(&grown)
-	return grown[thread]
+	return &t.open[thread]
 }
 
 // New creates a tracer over the given virtual clock with one ring shard of
@@ -474,7 +438,7 @@ func (t *Tracer) SetNamer(fn func(int) string) { t.namer = fn }
 // SetCores reshards the tracer for a multi-core machine: shard i records
 // with clks[i] (clks[0] must be the boot clock the tracer was created
 // over), and coreOf routes a recording thread to its core. Install it at
-// boot, before workers run; shard 0 keeps anything recorded so far. Each
+// boot; shard 0 keeps anything recorded so far. Each
 // new shard gets its own ring of the same capacity, so per-core streams
 // drop independently — and accountably — under overload.
 func (t *Tracer) SetCores(clks []*cycles.Clock, coreOf func(thread int) int) {
@@ -536,19 +500,12 @@ func (t *Tracer) shardForSlow(thread int) *shard {
 }
 
 func (t *Tracer) pushOpen(thread int, oc openCall) {
-	if thread < 0 {
-		t.openM = append(t.openM, oc)
-		return
-	}
 	stk := t.stackOf(thread)
-	stk.s = append(stk.s, oc)
+	*stk = append(*stk, oc)
 }
 
 func (t *Tracer) popOpen(thread int) (openCall, bool) {
-	stk := &t.openM
-	if thread >= 0 {
-		stk = &t.stackOf(thread).s
-	}
+	stk := t.stackOf(thread)
 	if n := len(*stk); n > 0 {
 		oc := (*stk)[n-1]
 		*stk = (*stk)[:n-1]

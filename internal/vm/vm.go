@@ -14,15 +14,13 @@
 // accessors of the cubicle runtime, which consult the per-thread PKRU
 // before delegating to the raw operations here.
 //
-// Concurrency contract: all mutations (Map, MapAt, Unmap, retags via
-// SetKey/SetPerm) happen under the monitor's global lock — one writer at a
-// time. Reads, however, may come from any core with no lock at all: the
-// cubicle runtime's checked accessors translate addresses lock-free. The
-// page table is therefore published through an atomic pointer (growth
-// copies to a fresh array), each slot is an atomic *Page, and the
-// retaggable metadata (key, perm) is a single packed word accessed
-// atomically. A lock-free reader sees either the pre- or post-mutation
-// state of any one word, never a torn mix.
+// Concurrency contract: an AddrSpace is driven by one goroutine at a time,
+// the one driving its monitor (DESIGN.md §10). The page table is still
+// published through an atomic pointer (growth copies to a fresh array),
+// each slot is an atomic *Page, and the retaggable metadata (key, perm) is
+// a single packed word accessed atomically: that is their only
+// representation, and swapping it for plain words is a measurement nobody
+// has made, not a clean-up.
 package vm
 
 import (
@@ -111,9 +109,8 @@ func (t PageType) String() string {
 const NoOwner = -1
 
 // Page is one mapped page together with its metadata. Owner and Type are
-// fixed at map time; the MPK key and page-table permissions can change
-// while lock-free readers validate against them, so they live in one
-// packed word (perm<<8 | key) behind atomic accessors.
+// fixed at map time; the MPK key and page-table permissions can change,
+// and live in one packed word (perm<<8 | key) behind atomic accessors.
 type Page struct {
 	Data  [PageSize]byte
 	meta  uint32   // atomic: Perm<<8 | Key
@@ -129,16 +126,13 @@ func (p *Page) Key() uint8 { return uint8(atomic.LoadUint32(&p.meta)) }
 // Perm returns the page-table permissions.
 func (p *Page) Perm() Perm { return Perm(atomic.LoadUint32(&p.meta) >> 8) }
 
-// Meta returns the page's permissions and key as one consistent pair —
-// a lock-free checker can never observe a key from before a retag paired
-// with permissions from after it.
+// Meta returns the page's permissions and key with one load.
 func (p *Page) Meta() (Perm, uint8) {
 	m := atomic.LoadUint32(&p.meta)
 	return Perm(m >> 8), uint8(m)
 }
 
-// SetKey retags the page. Callers serialise (monitor global lock); readers
-// may observe the old or new key, never a torn value.
+// SetKey retags the page.
 func (p *Page) SetKey(key uint8) {
 	m := atomic.LoadUint32(&p.meta)
 	atomic.StoreUint32(&p.meta, m&^0xFF|uint32(key))
@@ -169,30 +163,14 @@ type AddrSpace struct {
 	top  uint64
 	free []uint64 // freed page numbers available for reuse
 	pool []*Page  // retired Page objects, recycled to keep GC churn flat
-	// pooling gates the retired-page pool. Parallel-mode runs disable it:
-	// a lock-free reader may still hold a *Page briefly after an unmap,
-	// and recycling would rewrite the object under it. With pooling off
-	// the GC's reachability is the grace period.
-	pooling bool
 }
 
 // NewAddrSpace returns an empty address space.
 func NewAddrSpace() *AddrSpace {
-	as := &AddrSpace{top: 1, pooling: true} // page 0 reserved
+	as := &AddrSpace{top: 1} // page 0 reserved
 	t := make(pageTable, 1)
 	as.pt.Store(&t)
 	return as
-}
-
-// SetPooling enables or disables recycling of retired Page objects.
-// Disabling drains the pool; parallel-mode callers do this so unmapped
-// pages are reclaimed by the GC only after every lock-free reader that
-// might still reference them has moved on.
-func (as *AddrSpace) SetPooling(on bool) {
-	as.pooling = on
-	if !on {
-		as.pool = nil
-	}
 }
 
 // table returns the current page-table snapshot.
@@ -350,9 +328,7 @@ func (as *AddrSpace) Unmap(addr Addr, npages int) error {
 		}
 	}
 	for i := uint64(0); i < uint64(npages); i++ {
-		if as.pooling {
-			as.pool = append(as.pool, t[pn+i].Load())
-		}
+		as.pool = append(as.pool, t[pn+i].Load())
 		t[pn+i].Store(nil)
 		as.free = append(as.free, pn+i)
 	}
@@ -369,9 +345,7 @@ func (as *AddrSpace) ForEachPage(fn func(pn uint64, p *Page)) {
 	}
 }
 
-// Page returns the page containing addr, or nil if it is unmapped. It is
-// safe to call with no lock from any goroutine: the table snapshot and the
-// slot are both atomic.
+// Page returns the page containing addr, or nil if it is unmapped.
 func (as *AddrSpace) Page(addr Addr) *Page {
 	t := *as.pt.Load()
 	pn := addr.PageNum()

@@ -38,10 +38,11 @@
 #                CrossingArgsRets — a crossing allocates nothing; exact,
 #                so immune to host noise
 #              - SMPSiege wallrps at cores=2 < MIN_SMP_SCALING (default
-#                1.4) × wallrps at cores=1 — the BKL-free monitor must
-#                scale with real cores. Skipped when nproc < 4: on a
-#                box without spare cores the workers time-slice one CPU
-#                and wall-clock scaling is physically impossible.
+#                1.4) × wallrps at cores=1 — shared-nothing shards,
+#                one system and one monitor each, must scale with real
+#                cores. Skipped when nproc < 4: on a box without spare
+#                cores the shards time-slice one CPU and wall-clock
+#                scaling is physically impossible.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -129,9 +130,10 @@ if [ "$MODE" = assert ]; then
         printf "bench.sh: assert ok: %d crossing benches at 0 allocs/op\n", n
     }' "$TMP" || exit 1
 
-    # SMP wall-clock scaling gate: with the BKL gone, two real cores must
-    # serve meaningfully more requests per wall second than one. Only
-    # meaningful when the host has cores to spare for the workers.
+    # Shard-siege wall-clock scaling gate: two shared-nothing shards (one
+    # monitor each) on two real cores must serve meaningfully more requests
+    # per wall second than one. Only meaningful when the host has cores to
+    # spare for the shards.
     if [ "$(nproc)" -ge 4 ]; then
         SMPTMP="$(mktemp)"
         go test -run '^$' -bench 'SMPSiege/cores-[12]$' -benchtime 1x -count 3 . | tee "$SMPTMP"

@@ -20,13 +20,16 @@ go test -race -run FuzzSpanTLBDifferential ./internal/cubicle/
 go test -race ./internal/cubicle/...
 ./scripts/bench.sh -quick >/dev/null
 
-# Crossing gates: every defer in the trampoline must stay open-coded (the
+# Crossing gate: every defer in the trampoline must stay open-coded (the
 # compiler falls back to deferprocStack past 8 defers or 15 defer×return
-# sites a function, which put ~8 % on every crossing), and the crossing
-# ABI's ownership tests run in the contention shape (-race, 5 repetitions)
-# because the word stack and result scratch are per-thread state.
+# sites a function, which put ~8 % on every crossing).
 ./scripts/defercheck.sh
-go test -race -count 5 -run 'TestContention|TestLockOrder|TestCrossingABI' ./internal/cubicle/
+
+# Concurrency contract (DESIGN.md §10): a monitor is driven by one goroutine
+# at a time, so the runtime holds no lock and starts no goroutine.
+if grep -nE 'sync\.(RW)?Mutex|^[[:space:]]*go [a-zA-Z_(]' $(ls internal/cubicle/*.go | grep -v _test.go); then
+    echo "check.sh: internal/cubicle takes a lock or starts a goroutine" >&2; exit 1
+fi
 
 go run ./cmd/cubicle-trace -format chrome -requests 5 -check >/dev/null
 go run ./cmd/cubicle-trace -format prom -requests 5 -check >/dev/null
@@ -43,21 +46,23 @@ go run ./cmd/cubicle-trace -format json -requests 40 -chaos-seed 7 -check >/dev/
 go run ./cmd/httpbench -openloop -rates 1000,8000 -requests 120 -assert-degrade >/dev/null
 
 # SMP gates: the multi-core paths (per-core clocks, GVT barriers, retag
-# shootdowns, parallel siege, chaos under SMP) under the race detector,
-# the concurrent-retag fuzz seeds, and the 1-core byte-identity golden —
-# cores=1 must reproduce the pre-SMP Figure 7 exactly.
+# shootdowns, chaos under SMP) and the shard siege under the race detector —
+# host parallelism is shared-nothing shards with one monitor each, and
+# TestParallelOpenLoop* under -race is the guard that they share nothing —
+# and the 1-core byte-identity golden: cores=1 must reproduce the pre-SMP
+# Figure 7 exactly.
 go test -race -run 'SMP|Shootdown|Parallel' ./internal/cubicle/ ./internal/uksched/ ./internal/siege/ ./internal/cycles/
-go test -race -run FuzzSpanTLBConcurrent ./internal/cubicle/
 go run ./cmd/cubicle-bench -fig 7 | diff - cmd/cubicle-bench/testdata/fig7_seed.golden
 
-# SMP siege smoke: the sharded open-loop driver at 2 and 4 cores must
+# Shard siege smoke: the sharded open-loop driver (one system, one monitor
+# and one goroutine per core, nothing shared) at 2 and 4 cores must
 # complete. The wall-clock scaling assertion (>=2x on 4 cores) only means
 # anything on a host with >=4 CPUs; on smaller hosts the sweep still runs
 # but the ratio is not enforced.
 if [ "$(nproc)" -ge 4 ]; then
     go run ./cmd/httpbench -cores 4 -rates 2000,4000 -requests 200 -assert-scale 2
 else
-    echo "check.sh: $(nproc) CPU(s); SMP siege smoke without the scaling assertion"
+    echo "check.sh: $(nproc) CPU(s); shard siege smoke without the scaling assertion"
     go run ./cmd/httpbench -cores 4 -rates 2000 -requests 100 >/dev/null
 fi
 go run ./cmd/httpbench -cores 2 -rates 2000 -requests 100 >/dev/null
@@ -68,7 +73,8 @@ go run ./cmd/httpbench -cores 2 -rates 2000 -requests 100 >/dev/null
 # budget exhaustion, warm-vs-cold siege) under the race detector, and a
 # record/replay smoke at 1 and 4 cores: -replay -until re-executes the
 # chaos run and requires the event streams to be bit-identical up to the
-# halt cycle.
+# halt cycle. (-cores 4 on this CLI adds the shootdown surcharge and three
+# empty ring shards: every thread it creates stays on core 0.)
 go test -race ./internal/snapshot/
 go test -race -run FuzzSnapshotDecode ./internal/snapshot/
 go test -race -run 'Checkpoint|Snapshot|Restore|WarmRestart|WarmVsCold|RestartBudget|ReplayDeterminism' ./internal/cubicle/ ./internal/siege/
@@ -88,9 +94,14 @@ go run ./cmd/httpbench -cluster 4 -assert-degrade >/dev/null
 go run ./cmd/cubicle-top -cluster 2 -requests 180 >/dev/null
 go run ./cmd/cubicle-inspect -cluster 2 -json >/dev/null
 
-# Observability gates: SMP merge invariants over the sharded rings at
-# cores=4, the /metrics exposition and dashboard smoke, and the
-# tracing-overhead ratio (paired benchmark, drift-immune; <= 1.6).
+# Observability gates: the trace invariants at -cores 4 — which on this
+# CLI means the shootdown surcharge plus ring sharding with every thread
+# on core 0 (it prints the events per shard); the multi-core merge itself
+# is tested by TestSMPMergedStreamDeterministic and internal/trace's
+# TestShardMergeOrdering, TestChromePerCoreTracks and
+# TestShardDropAccounting — then the /metrics exposition and dashboard
+# smoke, and the tracing-overhead ratio (paired benchmark, drift-immune;
+# <= 1.6).
 go run ./cmd/cubicle-trace -check -format json -cores 4 -requests 10 >/dev/null
 go run ./cmd/cubicle-top -once -requests 120 >/dev/null
 ./scripts/bench.sh -assert
