@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // B+tree page types.
@@ -21,128 +22,145 @@ const (
 //	[3:7)  right pointer: next-leaf link (leaf) or rightmost child (interior)
 //	[7:16) reserved
 //	[16:)  cells, stored contiguously, each u16 length-prefixed
+//
+// Every byte past the last cell is zero. A cell body is, by page type:
+//
+//	table leaf      rowid u64 | record
+//	table interior  max rowid u64 | child u32    (child holds rowids <= max)
+//	index leaf      key length u32 | key | rowid u64
+//	index interior  key length u32 | key | rowid u64 | child u32
+//
+// Interior index cells carry the full (key, rowid) separator so that
+// duplicate keys still have a strict total order across children.
 const (
 	pgHdrSize  = 16
 	maxPayload = PageSize - pgHdrSize - 64 // one cell must always fit
 )
 
+var le = binary.LittleEndian
+
 // initBtreePage formats a zeroed page.
 func initBtreePage(data []byte, typ byte) {
-	for i := range data[:pgHdrSize] {
-		data[i] = 0
-	}
+	clear(data[:pgHdrSize])
 	data[0] = typ
 }
 
-// tcell is a decoded table-tree cell: leaf = (rowid, record); interior =
-// (maxRowid, child) meaning child holds rowids <= maxRowid.
-type tcell struct {
-	rowid   int64
-	payload []byte // leaf only
-	child   uint32 // interior only
+// node is a page frame seen as a B+tree page: the bytes in their on-disk
+// format plus a directory of where each cell starts, so that a visit
+// costs a binary search and a mutation one copy, with no decoding. The
+// pager keeps one per cached frame (cpage) and rebuilds the directory
+// lazily after handing the frame's bytes out raw; see Pager.node.
+type node struct {
+	data []byte
+	// dir[i] is the offset of cell i's length prefix and the last entry
+	// the offset one past the last cell. Empty means stale: not built yet,
+	// or the bytes have changed behind it.
+	dir []uint16
 }
 
-// icell is a decoded index-tree cell: leaf = (key, rowid); interior =
-// (sepKey, child).
-type icell struct {
-	key   []byte
-	rowid int64
-	child uint32
+func (n *node) typ() byte     { return n.data[0] }
+func (n *node) right() uint32 { return le.Uint32(n.data[3:]) }
+func (n *node) count() int    { return len(n.dir) - 1 }
+func (n *node) end() int      { return int(n.dir[len(n.dir)-1]) }
+
+// cell returns the body of cell i, a view into the page.
+func (n *node) cell(i int) []byte { return n.data[n.dir[i]+2 : n.dir[i+1]] }
+
+// index builds the directory from the page bytes if it is stale.
+func (n *node) index() {
+	if len(n.dir) > 0 {
+		return
+	}
+	cnt, off := int(le.Uint16(n.data[1:])), pgHdrSize
+	n.dir = slices.Grow(n.dir, cnt+2) // the cells, the end, and the insert a visit is likely for
+	for ; cnt > 0; cnt-- {
+		n.dir = append(n.dir, uint16(off))
+		off += 2 + int(le.Uint16(n.data[off:]))
+	}
+	n.dir = append(n.dir, uint16(off))
 }
 
-// --- Cell codecs -------------------------------------------------------------
-
-// encodeTCell builds a table-cell body. Cells travel as bodies; only
-// encodePage adds the on-page u16 length prefix.
-func encodeTCell(typ byte, c tcell) []byte {
-	if typ == pgTableLeaf {
-		body := make([]byte, 8, 8+len(c.payload))
-		binary.LittleEndian.PutUint64(body, uint64(c.rowid))
-		return append(body, c.payload...)
-	}
-	body := make([]byte, 12)
-	binary.LittleEndian.PutUint64(body, uint64(c.rowid))
-	binary.LittleEndian.PutUint32(body[8:], c.child)
-	return body
+// reset formats n as an empty page.
+func (n *node) reset(typ byte, right uint32) {
+	clear(n.data)
+	n.data[0] = typ
+	le.PutUint32(n.data[3:], right)
+	n.dir = append(n.dir[:0], pgHdrSize)
 }
 
-// encodeICell builds an index-cell body (see encodeTCell). Interior
-// cells carry the full (key, rowid) separator so that duplicate keys
-// still have a strict total order across children.
-func encodeICell(typ byte, c icell) []byte {
-	body := make([]byte, 4, 4+len(c.key)+12)
-	binary.LittleEndian.PutUint32(body, uint32(len(c.key)))
-	body = append(body, c.key...)
-	var r [8]byte
-	binary.LittleEndian.PutUint64(r[:], uint64(c.rowid))
-	body = append(body, r[:]...)
-	if typ == pgIndexLeaf {
-		return body
+// shift moves cell pos and everything after it by delta bytes with one
+// copy. A move down zeroes what it vacates: page images stay identical
+// to a page written out from scratch.
+func (n *node) shift(pos, delta int) {
+	from, end := int(n.dir[pos]), n.end()
+	copy(n.data[from+delta:], n.data[from:end])
+	if delta < 0 {
+		clear(n.data[end+delta : end])
 	}
-	var ch [4]byte
-	binary.LittleEndian.PutUint32(ch[:], c.child)
-	return append(body, ch[:]...)
+	for i := pos; i < len(n.dir); i++ {
+		n.dir[i] = uint16(int(n.dir[i]) + delta)
+	}
 }
 
-// decodePage splits a page into its raw cell bodies.
-func decodePage(data []byte) (typ byte, right uint32, cells [][]byte) {
-	typ = data[0]
-	n := int(binary.LittleEndian.Uint16(data[1:]))
-	right = binary.LittleEndian.Uint32(data[3:])
-	off := pgHdrSize
-	cells = make([][]byte, n)
-	for i := 0; i < n; i++ {
-		l := int(binary.LittleEndian.Uint16(data[off:]))
-		cells[i] = data[off+2 : off+2+l]
-		off += 2 + l
+// splice makes cell pos one of size body bytes — a new cell, or with
+// replace set the one already there resized — and returns the body for
+// the caller to fill. It reports false, having changed nothing, when the
+// page cannot hold it.
+func (n *node) splice(pos int, replace bool, size int) ([]byte, bool) {
+	off, next, delta := int(n.dir[pos]), pos, 2+size
+	if replace {
+		next++
+		delta -= int(n.dir[next]) - off
 	}
-	return typ, right, cells
+	if n.end()+delta > len(n.data) {
+		return nil, false
+	}
+	n.shift(next, delta)
+	if !replace {
+		n.dir = slices.Insert(n.dir, pos, uint16(off))
+		le.PutUint16(n.data[1:], uint16(n.count()))
+	}
+	le.PutUint16(n.data[off:], uint16(size))
+	return n.data[off+2 : off+2+size], true
 }
 
-// encodePage writes cells back into a page; returns false if they do not
-// fit. Cell slices may alias the destination page (decodePage returns
-// views into it), so the page is assembled in a scratch buffer first.
-func encodePage(data []byte, typ byte, right uint32, cells [][]byte) bool {
-	need := pgHdrSize
-	for _, c := range cells {
-		need += 2 + len(c)
-	}
-	if need > PageSize {
-		return false
-	}
-	var scratch [PageSize]byte
-	scratch[0] = typ
-	binary.LittleEndian.PutUint16(scratch[1:], uint16(len(cells)))
-	binary.LittleEndian.PutUint32(scratch[3:], right)
-	off := pgHdrSize
-	for _, c := range cells {
-		binary.LittleEndian.PutUint16(scratch[off:], uint16(len(c)))
-		copy(scratch[off+2:], c)
-		off += 2 + len(c)
-	}
-	copy(data, scratch[:])
-	return true
+// remove deletes cell pos.
+func (n *node) remove(pos int) {
+	n.shift(pos+1, int(n.dir[pos])-int(n.dir[pos+1]))
+	n.dir = slices.Delete(n.dir, pos, pos+1)
+	le.PutUint16(n.data[1:], uint16(n.count()))
 }
 
-func decodeTCell(typ byte, body []byte) tcell {
-	c := tcell{rowid: int64(binary.LittleEndian.Uint64(body))}
-	if typ == pgTableLeaf {
-		c.payload = body[8:]
-	} else {
-		c.child = binary.LittleEndian.Uint32(body[8:])
+// take fills the freshly reset n with cells [from, to) of src.
+func (n *node) take(src *node, from, to int) {
+	lo := src.dir[from]
+	copy(n.data[pgHdrSize:], src.data[lo:src.dir[to]])
+	le.PutUint16(n.data[1:], uint16(to-from))
+	n.dir = n.dir[:0]
+	for _, off := range src.dir[from : to+1] {
+		n.dir = append(n.dir, off-lo+pgHdrSize)
 	}
-	return c
 }
 
-func decodeICell(typ byte, body []byte) icell {
-	kl := int(binary.LittleEndian.Uint32(body))
-	c := icell{key: body[4 : 4+kl]}
-	rest := body[4+kl:]
-	c.rowid = int64(binary.LittleEndian.Uint64(rest))
-	if typ != pgIndexLeaf {
-		c.child = binary.LittleEndian.Uint32(rest[8:])
+// child returns the child of an interior page that covers position pos:
+// a cell's pointer (its last four bytes), or past the last cell the
+// page's right pointer.
+func (n *node) child(pos int) uint32 {
+	if pos == n.count() {
+		return n.right()
 	}
-	return c
+	body := n.cell(pos)
+	return le.Uint32(body[len(body)-4:])
+}
+
+// setChild overwrites the pointer child reads.
+func (n *node) setChild(pos int, pgno uint32) {
+	if pos == n.count() {
+		le.PutUint32(n.data[3:], pgno)
+		return
+	}
+	body := n.cell(pos)
+	le.PutUint32(body[len(body)-4:], pgno)
 }
 
 // Btree is a B+tree rooted at a page. The root page number is stable
@@ -151,13 +169,19 @@ type Btree struct {
 	p     *Pager
 	root  uint32
 	index bool
+	// leaf and interior are the page types of this kind of tree.
+	leaf, interior byte
 }
 
 // NewTableTree opens a table B+tree at root.
-func NewTableTree(p *Pager, root uint32) *Btree { return &Btree{p: p, root: root} }
+func NewTableTree(p *Pager, root uint32) *Btree {
+	return &Btree{p: p, root: root, leaf: pgTableLeaf, interior: pgTableInterior}
+}
 
 // NewIndexTree opens an index B+tree at root.
-func NewIndexTree(p *Pager, root uint32) *Btree { return &Btree{p: p, root: root, index: true} }
+func NewIndexTree(p *Pager, root uint32) *Btree {
+	return &Btree{p: p, root: root, index: true, leaf: pgIndexLeaf, interior: pgIndexInterior}
+}
 
 // CreateTableTree allocates and formats a new table tree; returns its root.
 func CreateTableTree(p *Pager) uint32 {
@@ -173,29 +197,66 @@ func CreateIndexTree(p *Pager) uint32 {
 	return pg
 }
 
-// leafType/interiorType for this tree.
-func (t *Btree) leafType() byte {
+// cellKey returns what a cell sorts by: its key (nil in a table tree)
+// and rowid.
+func (t *Btree) cellKey(body []byte) ([]byte, int64) {
+	var key []byte
 	if t.index {
-		return pgIndexLeaf
+		kl := 4 + le.Uint32(body)
+		key, body = body[4:kl], body[kl:]
 	}
-	return pgTableLeaf
-}
-func (t *Btree) interiorType() byte {
-	if t.index {
-		return pgIndexInterior
-	}
-	return pgTableInterior
+	return key, int64(le.Uint64(body))
 }
 
-// cellKeyLess orders a search key against a cell.
-func (t *Btree) searchCells(typ byte, cells [][]byte, key []byte, rowid int64) int {
-	// Binary search for the first cell with cellKey >= key.
+// cell is a cell to be written: kp is its variable part — the record of
+// a table leaf, the key of an index cell, nothing in a table interior
+// cell — and child its pointer on an interior page.
+type cell struct {
+	kp    []byte
+	rowid int64
+	child uint32
+}
+
+// cellSize returns the body length of c on a page of this tree.
+func (t *Btree) cellSize(leaf bool, c cell) int {
+	size := 8 + len(c.kp)
+	if t.index {
+		size += 4
+	}
+	if !leaf {
+		size += 4
+	}
+	return size
+}
+
+// putCell fills in a body of cellSize bytes.
+func (t *Btree) putCell(body []byte, leaf bool, c cell) {
+	if t.index {
+		le.PutUint32(body, uint32(len(c.kp)))
+		body = body[4+copy(body[4:], c.kp):]
+	} else {
+		copy(body[8:], c.kp)
+	}
+	le.PutUint64(body, uint64(c.rowid))
+	if !leaf {
+		le.PutUint32(body[len(body)-4:], c.child)
+	}
+}
+
+// search returns the position of the first cell that does not sort
+// before (key, rowid); table trees ignore key.
+func (t *Btree) search(n *cpage, key []byte, rowid int64) int {
 	t.p.e.Work(workNodeSearch)
-	lo, hi := 0, len(cells)
+	lo, hi := 0, n.count()
 	for lo < hi {
 		t.p.e.Work(workPerCompare)
 		mid := (lo + hi) / 2
-		if t.cellLess(typ, cells[mid], key, rowid) {
+		k, r := t.cellKey(n.cell(mid))
+		cmp := 0
+		if t.index {
+			cmp = bytes.Compare(k, key)
+		}
+		if cmp < 0 || (cmp == 0 && r < rowid) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -204,187 +265,111 @@ func (t *Btree) searchCells(typ byte, cells [][]byte, key []byte, rowid int64) i
 	return lo
 }
 
-// cellLess reports whether the cell sorts strictly before (key, rowid).
-func (t *Btree) cellLess(typ byte, body []byte, key []byte, rowid int64) bool {
-	if t.index {
-		c := decodeICell(typ, body)
-		if cmp := bytes.Compare(c.key, key); cmp != 0 {
-			return cmp < 0
-		}
-		return c.rowid < rowid
-	}
-	c := decodeTCell(typ, body)
-	return c.rowid < rowid
-}
-
 // split describes a page split propagating upward: newPg holds the upper
-// half; sepKey/sepRowid is the max key of the lower half.
+// half; sep is the max key of the lower half.
 type split struct {
-	sepKey   []byte
-	sepRowid int64
-	newPg    uint32
+	sep   cell
+	newPg uint32
 }
 
-// insert walks down from page pg and inserts the cell; returns a split if
-// the page overflowed.
-func (t *Btree) insert(pg uint32, key []byte, rowid int64, cell []byte) *split {
-	data := t.p.Get(pg)
-	typ, right, cells := decodePage(data)
-	if typ == t.leafType() {
-		pos := t.searchCells(typ, cells, key, rowid)
-		// Replace in place on exact match (table trees: same rowid).
-		if !t.index && pos < len(cells) {
-			if c := decodeTCell(typ, cells[pos]); c.rowid == rowid {
-				cells[pos] = cell
-				return t.writeOrSplit(pg, typ, right, cells, pos)
-			}
+// insert walks down from page pgno and stores the leaf cell c, over the
+// row already at c.rowid in a table tree; returns a split if the page
+// overflowed.
+func (t *Btree) insert(pgno uint32, c cell) *split {
+	n := t.p.node(pgno)
+	pos := t.search(n, c.kp, c.rowid)
+	if n.typ() == t.leaf {
+		replace := false
+		if !t.index && pos < n.count() {
+			_, have := t.cellKey(n.cell(pos))
+			replace = have == c.rowid
 		}
-		cells = append(cells, nil)
-		copy(cells[pos+1:], cells[pos:])
-		cells[pos] = cell
-		return t.writeOrSplit(pg, typ, right, cells, pos)
+		return t.put(t.p.edit(pgno), pos, replace, c)
 	}
-	// Interior: find child to descend into.
-	pos := t.searchCells(typ, cells, key, rowid)
-	var child uint32
-	if pos < len(cells) {
-		if t.index {
-			child = decodeICell(typ, cells[pos]).child
-		} else {
-			child = decodeTCell(typ, cells[pos]).child
-		}
-	} else {
-		child = right
-	}
-	sp := t.insert(child, key, rowid, cell)
+	child := n.child(pos)
+	sp := t.insert(child, c)
 	if sp == nil {
 		return nil
 	}
-	// The child split: child keeps the lower half (keys <= sep), the new
-	// page holds the upper half. Insert a separator cell pointing at the
-	// lower page and relink.
-	var sepCell []byte
-	if t.index {
-		sepCell = encodeICell(typ, icell{key: sp.sepKey, rowid: sp.sepRowid, child: child})
-	} else {
-		sepCell = encodeTCell(typ, tcell{rowid: sp.sepRowid, child: child})
-	}
-	// The existing cell at pos (or right pointer) must now point at newPg.
-	if pos < len(cells) {
-		if t.index {
-			c := decodeICell(typ, cells[pos])
-			c.child = sp.newPg
-			cells[pos] = encodeICell(typ, c)
-		} else {
-			c := decodeTCell(typ, cells[pos])
-			c.child = sp.newPg
-			cells[pos] = encodeTCell(typ, c)
-		}
-	} else {
-		right = sp.newPg
-	}
-	cells = append(cells, nil)
-	copy(cells[pos+1:], cells[pos:])
-	cells[pos] = sepCell
-	return t.writeOrSplit(pg, typ, right, cells, pos)
+	// The child split: it keeps the lower half (keys <= sep), the new
+	// page holds the upper half. The pointer that led here moves to the
+	// new page and a separator cell pointing at the child goes in before
+	// it. (The page is fetched again: the descent may have evicted it.)
+	n = t.p.edit(pgno)
+	n.setChild(pos, sp.newPg)
+	sp.sep.child = child
+	return t.put(n, pos, false, sp.sep)
 }
 
-// writeOrSplit stores cells into pg, splitting if they overflow. hint is
-// the position that was just modified (unused, kept for clarity).
-func (t *Btree) writeOrSplit(pg uint32, typ byte, right uint32, cells [][]byte, hint int) *split {
-	if encodePage(t.p.Write(pg), typ, right, cells) {
-		return nil
+// put stores c at pos of n, which the caller got from Pager.edit — over
+// the cell there when replace is set — and splits the page when the cell
+// no longer fits.
+func (t *Btree) put(n *cpage, pos int, replace bool, c cell) *split {
+	leaf := n.typ() == t.leaf
+	body, ok := n.splice(pos, replace, t.cellSize(leaf, c))
+	if !ok {
+		return t.splitPut(n, pos, replace, c)
 	}
-	// Split: lower half stays in pg, upper half moves to a fresh page.
-	// Cell slices alias pg's buffer, which the encodePage calls below
-	// rewrite with shifted offsets — so every cell that outlives the
-	// rewrite (the separator, and the halves themselves) is copied first.
-	for i, c := range cells {
-		cells[i] = append(make([]byte, 0, len(c)), c...)
-	}
-	mid := len(cells) / 2
-	if mid == 0 {
-		mid = 1
-	}
-	lower, upper := cells[:mid], cells[mid:]
-	newPg := t.p.Allocate()
-
-	isLeaf := typ == t.leafType()
-	var newRight, lowRight uint32
-	if isLeaf {
-		// Leaf split: sibling links pg -> newPg -> old right.
-		newRight = right
-		lowRight = newPg
-	} else {
-		// Interior split: the separator between halves is pushed up; the
-		// lower page's rightmost child becomes the separator's child.
-		sep := upper[0]
-		upper = upper[1:]
-		newRight = right
-		if t.index {
-			lowRight = decodeICell(typ, sep).child
-		} else {
-			lowRight = decodeTCell(typ, sep).child
-		}
-		// Separator key travels up via the returned split.
-		if !encodePage(t.p.Write(newPg), typ, newRight, upper) {
-			panic("sqldb: interior split still overflows")
-		}
-		if !encodePage(t.p.Write(pg), typ, lowRight, lower) {
-			panic("sqldb: interior split lower overflows")
-		}
-		sp := &split{newPg: newPg}
-		if t.index {
-			c := decodeICell(typ, sep)
-			sp.sepKey = append([]byte{}, c.key...)
-			sp.sepRowid = c.rowid
-		} else {
-			sp.sepRowid = decodeTCell(typ, sep).rowid
-		}
-		return t.maybeGrowRoot(pg, sp)
-	}
-	if !encodePage(t.p.Write(newPg), typ, newRight, upper) {
-		panic("sqldb: leaf split still overflows")
-	}
-	if !encodePage(t.p.Write(pg), typ, lowRight, lower) {
-		panic("sqldb: leaf split lower overflows")
-	}
-	sp := &split{newPg: newPg}
-	last := lower[len(lower)-1]
-	if t.index {
-		c := decodeICell(typ, last)
-		sp.sepKey = append([]byte{}, c.key...)
-		sp.sepRowid = c.rowid
-	} else {
-		sp.sepRowid = decodeTCell(typ, last).rowid
-	}
-	return t.maybeGrowRoot(pg, sp)
+	t.putCell(body, leaf, c)
+	return nil
 }
 
-// maybeGrowRoot handles a split reaching the root: the root's content
-// moves to a fresh page so the root page number stays stable.
-func (t *Btree) maybeGrowRoot(pg uint32, sp *split) *split {
-	if pg != t.root || sp == nil {
+// splitPut is put on a page without room: it makes the same edit on a
+// copy that has room (the pager's scratch: a stack array would escape),
+// cuts the run of cells in two at the middle cell and writes the halves
+// out to n's page and a new one.
+func (t *Btree) splitPut(n *cpage, pos int, replace bool, c cell) *split {
+	big := &t.p.big
+	if big.data == nil {
+		big.data = make([]byte, 2*PageSize)
+	}
+	big.dir = append(big.dir[:0], n.dir...)
+	copy(big.data, n.data[:n.end()])
+	typ, leaf := n.typ(), n.typ() == t.leaf
+	body, _ := big.splice(pos, replace, t.cellSize(leaf, c))
+	t.putCell(body, leaf, c)
+	cnt := big.count()
+	mid := max(cnt/2, 1)
+	// A leaf keeps cells [0, mid) and links to the new page, which takes
+	// the rest; the separator is the last key kept. An interior page
+	// pushes cell mid up instead: the child it points at becomes the
+	// rightmost child of the half that stays.
+	sepAt, upFrom := mid-1, mid
+	if !leaf {
+		sepAt, upFrom = mid, mid+1
+	}
+	if int(big.dir[mid]) > PageSize || big.end()-int(big.dir[upFrom]) > PageSize-pgHdrSize {
+		fail("page %d cannot be split in the middle around a %d-byte cell", n.pgno, len(body))
+	}
+	sp := &split{}
+	sp.sep.kp, sp.sep.rowid = t.cellKey(big.cell(sepAt))
+	sp.sep.kp = append([]byte(nil), sp.sep.kp...)
+	right := n.right()
+	sp.newPg = t.p.Allocate()
+	lowRight := sp.newPg
+	if !leaf {
+		lowRight = big.child(sepAt)
+	}
+	up := t.p.edit(sp.newPg)
+	up.reset(typ, right)
+	up.take(big, upFrom, cnt)
+	low := t.p.edit(n.pgno)
+	low.reset(typ, lowRight)
+	low.take(big, 0, mid)
+	if n.pgno != t.root {
 		return sp
 	}
-	// Move current root content to a new page.
-	moved := t.p.Allocate()
-	rootData := t.p.Get(t.root)
-	typ, right, cells := decodePage(rootData)
-	if !encodePage(t.p.Write(moved), typ, right, cells) {
-		panic("sqldb: root move overflows")
-	}
-	var sepCell []byte
-	it := t.interiorType()
-	if t.index {
-		sepCell = encodeICell(it, icell{key: sp.sepKey, rowid: sp.sepRowid, child: moved})
-	} else {
-		sepCell = encodeTCell(it, tcell{rowid: sp.sepRowid, child: moved})
-	}
-	if !encodePage(t.p.Write(t.root), it, sp.newPg, [][]byte{sepCell}) {
-		panic("sqldb: new root overflows")
-	}
-	return nil
+	// The split reached the root: its content moves to a fresh page — a
+	// page copy — so that the root page number stays stable, and the root
+	// becomes an interior page over the two halves.
+	sp.sep.child = t.p.Allocate()
+	src := t.p.node(t.root)
+	dst := t.p.edit(sp.sep.child)
+	copy(dst.data, src.data)
+	dst.dir = append(dst.dir[:0], src.dir...)
+	root := t.p.edit(t.root)
+	root.reset(t.interior, sp.newPg)
+	return t.put(root, 0, false, sp.sep)
 }
 
 // --- Table-tree API ----------------------------------------------------------
@@ -398,11 +383,7 @@ func (t *Btree) InsertRow(rowid int64, record []byte) error {
 		return fmt.Errorf("sqldb: record of %d bytes exceeds page capacity", len(record))
 	}
 	t.p.e.Work(workRecEncode)
-	cell := encodeTCell(pgTableLeaf, tcell{rowid: rowid, payload: record})
-	sp := t.insert(t.root, nil, rowid, cell)
-	if sp != nil {
-		panic("sqldb: unhandled root split")
-	}
+	t.insert(t.root, cell{kp: record, rowid: rowid})
 	return nil
 }
 
@@ -414,135 +395,109 @@ func (t *Btree) findLeaf(key []byte, rowid int64) uint32 {
 		if depth > 64 {
 			panic(fmt.Sprintf("sqldb: findLeaf exceeded depth 64 at page %d (corrupt tree)", pg))
 		}
-		data := t.p.Get(pg)
-		typ, right, cells := decodePage(data)
-		if typ == t.leafType() {
+		n := t.p.node(pg)
+		if n.typ() == t.leaf {
 			return pg
 		}
-		pos := t.searchCells(typ, cells, key, rowid)
-		if pos < len(cells) {
-			if t.index {
-				pg = decodeICell(typ, cells[pos]).child
-			} else {
-				pg = decodeTCell(typ, cells[pos]).child
-			}
-		} else {
-			pg = right
+		pg = n.child(t.search(n, key, rowid))
+	}
+}
+
+// find returns the leaf holding exactly (key, rowid) and the cell's
+// position, or a nil leaf.
+func (t *Btree) find(key []byte, rowid int64) (*cpage, int) {
+	n := t.p.node(t.findLeaf(key, rowid))
+	pos := t.search(n, key, rowid)
+	if pos < n.count() {
+		if k, r := t.cellKey(n.cell(pos)); r == rowid && bytes.Equal(k, key) {
+			return n, pos
 		}
 	}
+	return nil, 0
 }
 
 // GetRow fetches the record stored at rowid, or nil.
 func (t *Btree) GetRow(rowid int64) []byte {
-	leaf := t.findLeaf(nil, rowid)
-	data := t.p.Get(leaf)
-	typ, _, cells := decodePage(data)
-	pos := t.searchCells(typ, cells, nil, rowid)
-	if pos < len(cells) {
-		if c := decodeTCell(typ, cells[pos]); c.rowid == rowid {
-			t.p.e.Work(workRecDecode)
-			out := make([]byte, len(c.payload))
-			copy(out, c.payload)
-			return out
-		}
+	n, pos := t.find(nil, rowid)
+	if n == nil {
+		return nil
 	}
-	return nil
+	t.p.e.Work(workRecDecode)
+	record := n.cell(pos)[8:]
+	out := make([]byte, len(record))
+	copy(out, record)
+	return out
 }
 
 // DeleteRow removes rowid; reports whether it existed.
-func (t *Btree) DeleteRow(rowid int64) bool {
-	leaf := t.findLeaf(nil, rowid)
-	data := t.p.Get(leaf)
-	typ, right, cells := decodePage(data)
-	pos := t.searchCells(typ, cells, nil, rowid)
-	if pos >= len(cells) || decodeTCell(typ, cells[pos]).rowid != rowid {
-		return false
-	}
-	cells = append(cells[:pos], cells[pos+1:]...)
-	if !encodePage(t.p.Write(leaf), typ, right, cells) {
-		panic("sqldb: delete overflow")
-	}
-	return true
-}
+func (t *Btree) DeleteRow(rowid int64) bool { return t.DeleteKey(nil, rowid) }
 
 // MaxRowid returns the largest rowid in the table (0 when empty).
 func (t *Btree) MaxRowid() int64 {
-	pg := t.root
-	for {
-		data := t.p.Get(pg)
-		typ, right, cells := decodePage(data)
-		if typ == t.leafType() {
-			for pg2 := right; pg2 != 0; {
-				// Rightmost leaf is reached via right links only when
-				// descending interior rightmost pointers, so right here
-				// should be 0; guard anyway.
-				data = t.p.Get(pg2)
-				typ, right, cells = decodePage(data)
-				pg2 = right
-			}
-			if len(cells) == 0 {
-				return 0
-			}
-			return decodeTCell(t.leafType(), cells[len(cells)-1]).rowid
-		}
-		pg = right
+	n := t.p.node(t.root)
+	for n.typ() != t.leaf {
+		n = t.p.node(n.right())
 	}
+	// The rightmost leaf is reached by rightmost pointers only, so its
+	// right link should be 0; guard anyway.
+	for n.right() != 0 {
+		n = t.p.node(n.right())
+	}
+	if n.count() == 0 {
+		return 0
+	}
+	_, rowid := t.cellKey(n.cell(n.count() - 1))
+	return rowid
+}
+
+// eachCell calls fn on every cell of leaf pgno, in order, until fn
+// returns false; it returns the next leaf, or 0 when stopped. fn must not
+// write to the page it is being shown — the directory is the cached one —
+// which Pager.guardScans turns into a panic under test.
+func (t *Btree) eachCell(pgno uint32, fn func(body []byte) bool) uint32 {
+	n := t.p.node(pgno)
+	next := n.right()
+	n.scans++
+	defer func() { n.scans-- }()
+	for i := 0; i < n.count(); i++ {
+		if !fn(n.cell(i)) {
+			return 0
+		}
+	}
+	return next
 }
 
 // ScanTable walks all rows in rowid order; fn returns false to stop.
 func (t *Btree) ScanTable(fn func(rowid int64, record []byte) bool) {
-	pg := t.leftmostLeaf()
-	for pg != 0 {
-		data := t.p.Get(pg)
-		typ, right, cells := decodePage(data)
-		for _, body := range cells {
-			c := decodeTCell(typ, body)
-			t.p.e.Work(workRecDecode)
-			if !fn(c.rowid, c.payload) {
-				return
-			}
-		}
-		pg = right
-	}
+	t.scanRows(t.leftmostLeaf(), -1<<63, fn)
 }
 
 // ScanTableFrom walks rows with rowid >= start in order.
 func (t *Btree) ScanTableFrom(start int64, fn func(rowid int64, record []byte) bool) {
-	pg := t.findLeaf(nil, start)
+	t.scanRows(t.findLeaf(nil, start), start, fn)
+}
+
+func (t *Btree) scanRows(pg uint32, start int64, fn func(rowid int64, record []byte) bool) {
 	for pg != 0 {
-		data := t.p.Get(pg)
-		typ, right, cells := decodePage(data)
-		for _, body := range cells {
-			c := decodeTCell(typ, body)
-			if c.rowid < start {
-				continue
+		pg = t.eachCell(pg, func(body []byte) bool {
+			rowid := int64(le.Uint64(body))
+			if rowid < start {
+				return true
 			}
 			t.p.e.Work(workRecDecode)
-			if !fn(c.rowid, c.payload) {
-				return
-			}
-		}
-		pg = right
+			return fn(rowid, body[8:])
+		})
 	}
 }
 
 func (t *Btree) leftmostLeaf() uint32 {
 	pg := t.root
 	for {
-		data := t.p.Get(pg)
-		typ, right, cells := decodePage(data)
-		if typ == t.leafType() {
+		n := t.p.node(pg)
+		if n.typ() == t.leaf {
 			return pg
 		}
-		if len(cells) > 0 {
-			if t.index {
-				pg = decodeICell(typ, cells[0]).child
-			} else {
-				pg = decodeTCell(typ, cells[0]).child
-			}
-		} else {
-			pg = right
-		}
+		pg = n.child(0)
 	}
 }
 
@@ -557,31 +512,17 @@ func (t *Btree) InsertKey(key []byte, rowid int64) error {
 		return fmt.Errorf("sqldb: index key too large")
 	}
 	t.p.e.Work(workRecEncode)
-	cell := encodeICell(pgIndexLeaf, icell{key: key, rowid: rowid})
-	sp := t.insert(t.root, key, rowid, cell)
-	if sp != nil {
-		panic("sqldb: unhandled root split")
-	}
+	t.insert(t.root, cell{kp: key, rowid: rowid})
 	return nil
 }
 
 // DeleteKey removes (key, rowid); reports whether it existed.
 func (t *Btree) DeleteKey(key []byte, rowid int64) bool {
-	leaf := t.findLeaf(key, rowid)
-	data := t.p.Get(leaf)
-	typ, right, cells := decodePage(data)
-	pos := t.searchCells(typ, cells, key, rowid)
-	if pos >= len(cells) {
+	n, pos := t.find(key, rowid)
+	if n == nil {
 		return false
 	}
-	c := decodeICell(typ, cells[pos])
-	if !bytes.Equal(c.key, key) || c.rowid != rowid {
-		return false
-	}
-	cells = append(cells[:pos], cells[pos+1:]...)
-	if !encodePage(t.p.Write(leaf), typ, right, cells) {
-		panic("sqldb: index delete overflow")
-	}
+	t.p.edit(n.pgno).remove(pos)
 	return true
 }
 
@@ -595,22 +536,17 @@ func (t *Btree) ScanIndexRange(lo, hi []byte, fn func(key []byte, rowid int64) b
 		pg = t.findLeaf(lo, -1<<62)
 	}
 	for pg != 0 {
-		data := t.p.Get(pg)
-		typ, right, cells := decodePage(data)
-		for _, body := range cells {
-			c := decodeICell(typ, body)
-			if lo != nil && bytes.Compare(c.key, lo) < 0 {
-				continue
+		pg = t.eachCell(pg, func(body []byte) bool {
+			key, rowid := t.cellKey(body)
+			if lo != nil && bytes.Compare(key, lo) < 0 {
+				return true
 			}
-			if hi != nil && bytes.Compare(c.key, hi) > 0 {
-				return
+			if hi != nil && bytes.Compare(key, hi) > 0 {
+				return false
 			}
 			t.p.e.Work(workRecDecode)
-			if !fn(c.key, c.rowid) {
-				return
-			}
-		}
-		pg = right
+			return fn(key, rowid)
+		})
 	}
 }
 
@@ -630,49 +566,41 @@ func (t *Btree) Check() []string {
 			problems = append(problems, "depth > 64 (cycle?)")
 			return
 		}
-		data := t.p.Get(pg)
-		typ, right, cells := decodePage(data)
-		switch typ {
-		case t.leafType():
+		n := t.p.node(pg)
+		switch n.typ() {
+		case t.leaf:
 			seenLeaf = true
-			for _, body := range cells {
+			for i := 0; i < n.count(); i++ {
+				body := n.cell(i)
+				key, rowid := t.cellKey(body)
 				if t.index {
-					c := decodeICell(typ, body)
 					if lastKey != nil {
-						if cmp := bytes.Compare(lastKey, c.key); cmp > 0 || (cmp == 0 && lastRowid >= c.rowid) {
+						if cmp := bytes.Compare(lastKey, key); cmp > 0 || (cmp == 0 && lastRowid >= rowid) {
 							problems = append(problems, fmt.Sprintf("page %d: index keys out of order", pg))
 						}
 					}
-					lastKey = append(make([]byte, 0, len(c.key)), c.key...)
-					lastRowid = c.rowid
+					lastKey = append(make([]byte, 0, len(key)), key...)
 				} else {
-					c := decodeTCell(typ, body)
-					if c.rowid <= lastRowid {
-						problems = append(problems, fmt.Sprintf("page %d: rowids out of order (%d after %d)", pg, c.rowid, lastRowid))
+					if rowid <= lastRowid {
+						problems = append(problems, fmt.Sprintf("page %d: rowids out of order (%d after %d)", pg, rowid, lastRowid))
 					}
-					lastRowid = c.rowid
-					if _, err := DecodeRecord(c.payload); err != nil {
-						problems = append(problems, fmt.Sprintf("page %d rowid %d: %v", pg, c.rowid, err))
+					if _, err := DecodeRecord(body[8:]); err != nil {
+						problems = append(problems, fmt.Sprintf("page %d rowid %d: %v", pg, rowid, err))
 					}
 				}
+				lastRowid = rowid
 			}
-		case t.interiorType():
-			for _, body := range cells {
-				var child uint32
-				if t.index {
-					child = decodeICell(typ, body).child
-				} else {
-					child = decodeTCell(typ, body).child
-				}
-				walk(child, depth+1)
+		case t.interior:
+			for i := 0; i < n.count(); i++ {
+				walk(n.child(i), depth+1)
 			}
-			if right == 0 {
+			if n.right() == 0 {
 				problems = append(problems, fmt.Sprintf("page %d: interior without rightmost child", pg))
 			} else {
-				walk(right, depth+1)
+				walk(n.right(), depth+1)
 			}
 		default:
-			problems = append(problems, fmt.Sprintf("page %d: bad page type %d", pg, typ))
+			problems = append(problems, fmt.Sprintf("page %d: bad page type %d", pg, n.typ()))
 		}
 	}
 	walk(t.root, 0)

@@ -1,7 +1,9 @@
 package sqldb
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"cubicleos/internal/boot"
@@ -12,7 +14,7 @@ import (
 
 // withPager boots a minimal system and hands fn a pager with the given
 // cache capacity.
-func withPager(t *testing.T, cacheCap int, fn func(p *Pager)) {
+func withPager(t testing.TB, cacheCap int, fn func(p *Pager)) {
 	t.Helper()
 	s := boot.MustNewFS(boot.Config{Mode: cubicle.ModeUnikraft, Extra: []*cubicle.Component{{
 		Name: "APP", Kind: cubicle.KindIsolated,
@@ -121,9 +123,371 @@ func TestTableTreeHeavy(t *testing.T) {
 	})
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// --- FuzzPageOps --------------------------------------------------------------
+
+// ikey is one index entry of the model.
+type ikey struct {
+	key   []byte
+	rowid int64
+}
+
+func (a ikey) cmp(b ikey) int {
+	if c := bytes.Compare(a.key, b.key); c != 0 {
+		return c
 	}
-	return b
+	return int(min(max(a.rowid-b.rowid, -1), 1))
+}
+
+// pageOps is the state FuzzPageOps drives: a table tree and an index
+// tree on one pager, the same two trees under the old page algorithm
+// (pageoracle_test.go) and a sorted in-memory model of their contents.
+type pageOps struct {
+	t          *testing.T
+	p          *Pager
+	tbl, idx   *Btree
+	otbl, oidx *oracle
+	pages      map[uint32][]byte
+	next       uint32
+	rows       map[int64][]byte
+	keys       []ikey
+	saved      *pageOps // the state at Begin, for rollback
+}
+
+// snapshot deep-copies everything a rollback has to bring back.
+func (s *pageOps) snapshot() {
+	c := &pageOps{next: s.next, pages: map[uint32][]byte{}, rows: map[int64][]byte{}, keys: slices.Clone(s.keys)}
+	for pg, data := range s.pages {
+		c.pages[pg] = bytes.Clone(data)
+	}
+	for rowid, rec := range s.rows {
+		c.rows[rowid] = rec
+	}
+	s.saved = c
+}
+
+func (s *pageOps) restore() {
+	c := s.saved
+	s.next, s.rows, s.keys = c.next, c.rows, c.keys
+	clear(s.pages) // the oracles share the map
+	for pg, data := range c.pages {
+		s.pages[pg] = data
+	}
+}
+
+// check compares every page with the oracle's, byte for byte, and every
+// cached directory with a fresh walk of its page.
+func (s *pageOps) check(step int) {
+	s.t.Helper()
+	if s.p.NPages() != s.next {
+		s.t.Fatalf("step %d: %d pages, oracle has %d", step, s.p.NPages(), s.next)
+	}
+	for pgno, want := range s.pages {
+		got := s.p.Get(pgno)
+		for i := range want {
+			if got[i] != want[i] {
+				s.t.Fatalf("step %d: page %d differs from the oracle at byte %d: %#x, want %#x", step, pgno, i, got[i], want[i])
+			}
+		}
+	}
+	for pgno, pg := range s.p.cache {
+		if s.pages[pgno] == nil {
+			continue // header or catalog page
+		}
+		fresh := node{data: pg.data}
+		fresh.index()
+		if len(pg.dir) > 0 && !slices.Equal(pg.dir, fresh.dir) {
+			s.t.Fatalf("step %d: page %d: cached directory %v, a fresh walk gives %v", step, pgno, pg.dir, fresh.dir)
+		}
+		for i, b := range pg.data[fresh.end():] {
+			if b != 0 {
+				s.t.Fatalf("step %d: page %d: byte %d past the last cell is %#x", step, pgno, fresh.end()+i, b)
+			}
+		}
+	}
+}
+
+// both runs the same mutation on the real tree and on the oracle. The
+// one way it may fail is a split that cannot put each half on a page;
+// then both must fail, and it reports false: the sequence ends there.
+func (s *pageOps) both(step int, real, old func()) bool {
+	s.t.Helper()
+	try := func(fn func()) (r any) {
+		defer func() { r = recover() }()
+		fn()
+		return nil
+	}
+	r, o := try(real), try(old)
+	if (r == nil) != (o == nil) {
+		s.t.Fatalf("step %d: in-place code: %v; oracle: %v", step, r, o)
+	}
+	if _, typed := r.(execErr); r != nil && !typed {
+		s.t.Fatalf("step %d: untyped panic: %v", step, r)
+	}
+	return r == nil
+}
+
+func fuzzRecord(c byte) []byte {
+	text := make([]byte, min(int(c)*16, maxPayload-16))
+	for i := range text {
+		text[i] = c + byte(i)
+	}
+	return EncodeRecord([]Value{Text(string(text))})
+}
+
+func fuzzKey(a, b, c byte) ikey {
+	key := bytes.Repeat([]byte{a}, int(c)*15)
+	if len(key) > 0 {
+		key[len(key)-1] = b
+	}
+	return ikey{key, int64(b & 3)}
+}
+
+// runPageOps interprets prog, four bytes an operation: opcode, a, b, c.
+func runPageOps(t *testing.T, prog []byte) {
+	withPager(t, 8, func(p *Pager) {
+		p.guardScans = true
+		s := &pageOps{t: t, p: p, pages: map[uint32][]byte{}, next: p.NPages(), rows: map[int64][]byte{}}
+		s.tbl = NewTableTree(p, CreateTableTree(p))
+		s.otbl = newOracle(s.pages, &s.next, false)
+		s.idx = NewIndexTree(p, CreateIndexTree(p))
+		s.oidx = newOracle(s.pages, &s.next, true)
+		if s.tbl.root != s.otbl.root || s.idx.root != s.oidx.root {
+			t.Fatalf("roots %d/%d, oracle %d/%d", s.tbl.root, s.idx.root, s.otbl.root, s.oidx.root)
+		}
+		if err := p.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		s.snapshot()
+		for step := 0; len(prog) >= 4; step, prog = step+1, prog[4:] {
+			a, b, c := prog[1], prog[2], prog[3]
+			rowid := int64(a&0x0f)<<8 | int64(b)
+			k := fuzzKey(a, b, c)
+			grew := s.next
+			switch prog[0] % 8 {
+			case 0, 1: // insert or replace a row
+				rec := fuzzRecord(c)
+				if !s.both(step, func() { s.tbl.InsertRow(rowid, rec) }, func() { s.otbl.insertRow(rowid, rec) }) {
+					return
+				}
+				s.rows[rowid] = rec
+			case 2: // delete a row
+				var got, want bool
+				s.both(step, func() { got = s.tbl.DeleteRow(rowid) }, func() { want = s.otbl.delete(nil, rowid) })
+				if _, have := s.rows[rowid]; got != want || got != have {
+					t.Fatalf("step %d: DeleteRow(%d) = %v, oracle %v, model %v", step, rowid, got, want, have)
+				}
+				delete(s.rows, rowid)
+			case 3: // insert an index entry (the engine never enters one twice, and Check objects)
+				at, have := slices.BinarySearchFunc(s.keys, k, ikey.cmp)
+				if have {
+					continue
+				}
+				if !s.both(step, func() { s.idx.InsertKey(k.key, k.rowid) }, func() { s.oidx.insertKey(k.key, k.rowid) }) {
+					return
+				}
+				s.keys = slices.Insert(s.keys, at, k)
+			case 4: // delete an index entry
+				var got, want bool
+				s.both(step, func() { got = s.idx.DeleteKey(k.key, k.rowid) }, func() { want = s.oidx.delete(k.key, k.rowid) })
+				at, have := slices.BinarySearchFunc(s.keys, k, ikey.cmp)
+				if got != want || got != have {
+					t.Fatalf("step %d: DeleteKey = %v, oracle %v, model %v", step, got, want, have)
+				}
+				if have {
+					s.keys = slices.Delete(s.keys, at, at+1)
+				}
+			case 5: // range scans, at most c entries each
+				s.scanRows(step, rowid, int(c))
+				s.scanKeys(step, k.key, fuzzKey(a|0x0f, 0xff, c).key, int(c))
+			case 6:
+				if err := p.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				p.Begin()
+				s.snapshot()
+			case 7:
+				if err := p.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+				p.Begin()
+				s.restore()
+				s.snapshot()
+				grew = 0 // check every page
+			}
+			if s.next != grew || step%64 == 63 {
+				s.check(step)
+			}
+		}
+		s.check(-1)
+		s.scanRows(-1, -1<<63, 1<<30)
+		s.scanKeys(-1, nil, nil, 1<<30)
+		if got, want := s.tbl.GetRow(7) != nil, s.rows[7] != nil; got != want {
+			t.Fatalf("GetRow(7) found %v, model %v", got, want)
+		}
+		for _, tr := range []*Btree{s.tbl, s.idx} {
+			if problems := tr.Check(); len(problems) > 0 {
+				t.Fatalf("integrity: %v", problems[:min(4, len(problems))])
+			}
+		}
+	})
+}
+
+// scanRows checks ScanTableFrom (ScanTable when start is the minimum)
+// against the model.
+func (s *pageOps) scanRows(step int, start int64, limit int) {
+	s.t.Helper()
+	var want []int64
+	for rowid := range s.rows {
+		if rowid >= start {
+			want = append(want, rowid)
+		}
+	}
+	slices.Sort(want)
+	want = want[:min(limit, len(want))]
+	var got []int64
+	visit := func(rowid int64, record []byte) bool {
+		if len(got) == limit {
+			return false
+		}
+		if !bytes.Equal(record, s.rows[rowid]) {
+			s.t.Fatalf("step %d: row %d: %d-byte record, model has %d bytes", step, rowid, len(record), len(s.rows[rowid]))
+		}
+		got = append(got, rowid)
+		return true
+	}
+	if start == -1<<63 {
+		s.tbl.ScanTable(visit)
+	} else {
+		s.tbl.ScanTableFrom(start, visit)
+	}
+	if !slices.Equal(got, want) {
+		s.t.Fatalf("step %d: scan from %d: rowids %v, model %v", step, start, got, want)
+	}
+}
+
+// scanKeys checks ScanIndexRange against the model.
+func (s *pageOps) scanKeys(step int, lo, hi []byte, limit int) {
+	s.t.Helper()
+	var want, got []ikey
+	for _, k := range s.keys {
+		if (lo == nil || bytes.Compare(k.key, lo) >= 0) && (hi == nil || bytes.Compare(k.key, hi) <= 0) && len(want) < limit {
+			want = append(want, k)
+		}
+	}
+	s.idx.ScanIndexRange(lo, hi, func(key []byte, rowid int64) bool {
+		if len(got) == limit {
+			return false
+		}
+		got = append(got, ikey{bytes.Clone(key), rowid})
+		return true
+	})
+	if !slices.EqualFunc(got, want, func(a, b ikey) bool { return a.cmp(b) == 0 }) {
+		s.t.Fatalf("step %d: index scan returned %d entries, model %d", step, len(got), len(want))
+	}
+}
+
+// FuzzPageOps runs random insert / replace / delete / range-scan /
+// commit / rollback sequences on a table tree and an index tree and
+// checks them against a sorted in-memory model and, page by page, against
+// the page algorithm the in-place code replaced. The seed corpus in
+// testdata/fuzz/FuzzPageOps, one file a case, covers leaf split, interior
+// split in both kinds of tree, root growth, a replace with a longer
+// record that splits, delete-to-empty, a rollback across splits and the
+// split that fails because one half would not fit a page.
+func FuzzPageOps(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 10, 3, 7, 7, 7, 5, 0, 0, 255, 2, 0, 1, 0, 4, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		runPageOps(t, prog[:min(len(prog), 4*2048)])
+	})
+}
+
+// TestGuardScansCatchesAWriteUnderAScan is the positive control of the
+// scan guard: a callback that writes the page it is being shown panics.
+func TestGuardScansCatchesAWriteUnderAScan(t *testing.T) {
+	withPager(t, 16, func(p *Pager) {
+		p.guardScans = true
+		tr := NewTableTree(p, CreateTableTree(p))
+		for i := int64(1); i <= 3; i++ {
+			tr.InsertRow(i, []byte("row"))
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("a scan callback deleted from the page under it and nothing happened")
+			}
+			if pg := p.cache[tr.root]; pg.scans != 0 {
+				t.Errorf("%d scans still counted on the page after the panic", pg.scans)
+			}
+		}()
+		tr.ScanTable(func(rowid int64, record []byte) bool { return tr.DeleteRow(rowid) })
+	})
+}
+
+// TestPagePathAllocations gates what the page path may allocate.
+func TestPagePathAllocations(t *testing.T) {
+	withPager(t, 64, func(p *Pager) {
+		tbl := NewTableTree(p, CreateTableTree(p))
+		for i := int64(0); i < 100; i++ {
+			tbl.InsertRow(i, EncodeRecord([]Value{Int(i), Text("twenty bytes of text.")}))
+		}
+		idx := NewIndexTree(p, CreateIndexTree(p))
+		for i := int64(0); i < 100; i++ {
+			idx.InsertKey(EncodeKey([]Value{Int(2 * i)}), i)
+		}
+		key := EncodeKey([]Value{Int(51)})
+		rows := 0
+		for _, c := range []struct {
+			name string
+			max  float64
+			fn   func()
+		}{
+			{"GetRow (the returned copy)", 1, func() { tbl.GetRow(42) }},
+			{"InsertKey+DeleteKey without a split", 1, func() { idx.InsertKey(key, 7); idx.DeleteKey(key, 7) }},
+			{"100-row ScanTable", 0, func() { tbl.ScanTable(func(int64, []byte) bool { rows++; return true }) }},
+		} {
+			if got := testing.AllocsPerRun(50, c.fn); got > c.max {
+				t.Errorf("%s: %v allocations, want at most %v", c.name, got, c.max)
+			}
+		}
+		if rows == 0 || p.Stats.Misses != 0 {
+			t.Errorf("premise broken: %d rows scanned, %d cache misses", rows, p.Stats.Misses)
+		}
+	})
+}
+
+func benchTree(b *testing.B, fn func(tbl, idx *Btree)) {
+	withPager(b, 512, func(p *Pager) {
+		tbl, idx := NewTableTree(p, CreateTableTree(p)), NewIndexTree(p, CreateIndexTree(p))
+		for i := int64(0); i < 10000; i++ {
+			tbl.InsertRow(i, EncodeRecord([]Value{Int(i), Text("twenty bytes of text.")}))
+			idx.InsertKey(EncodeKey([]Value{Int(2 * i)}), i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		fn(tbl, idx)
+	})
+}
+
+// BenchmarkBtreePointLookup is GetRow on a three-level cached tree.
+func BenchmarkBtreePointLookup(b *testing.B) {
+	benchTree(b, func(tbl, _ *Btree) {
+		for i := 0; i < b.N; i++ {
+			if tbl.GetRow(int64(i*7919%10000)) == nil {
+				b.Fatal("row missing")
+			}
+		}
+	})
+}
+
+// BenchmarkBtreeInsertDelete adds and removes one index entry among a
+// leaf's worth of neighbours, no split.
+func BenchmarkBtreeInsertDelete(b *testing.B) {
+	benchTree(b, func(_, idx *Btree) {
+		for i := 0; i < b.N; i++ {
+			key := EncodeKey([]Value{Int(int64(i*7919%10000)*2 + 1)})
+			idx.InsertKey(key, 1)
+			if !idx.DeleteKey(key, 1) {
+				b.Fatal("entry missing")
+			}
+		}
+	})
 }

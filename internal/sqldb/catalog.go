@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -50,6 +51,8 @@ type Catalog struct {
 	tree    *Btree
 	tables  map[string]*Table
 	indexes map[string]*Index
+	// byTable holds each table's indexes in name order, keyed like tables.
+	byTable map[string][]*Index
 }
 
 // catalog record layout: (kind TEXT, name TEXT, table TEXT, root INT,
@@ -89,6 +92,7 @@ func LoadCatalog(p *Pager) (*Catalog, error) {
 		tree:    NewTableTree(p, p.CatalogRoot()),
 		tables:  make(map[string]*Table),
 		indexes: make(map[string]*Index),
+		byTable: make(map[string][]*Index),
 	}
 	var err error
 	c.tree.ScanTable(func(rowid int64, record []byte) bool {
@@ -119,7 +123,7 @@ func LoadCatalog(p *Pager) (*Catalog, error) {
 				def = strings.TrimPrefix(def, "UNIQUE:")
 			}
 			idx.Cols = strings.Split(def, ",")
-			c.indexes[strings.ToLower(vals[1].S)] = idx
+			c.addIndex(idx)
 		default:
 			err = fmt.Errorf("sqldb: unknown catalog entry kind %q", vals[0].S)
 			return false
@@ -140,16 +144,18 @@ func (c *Catalog) Index(name string) *Index { return c.indexes[strings.ToLower(n
 
 // TableIndexes returns all indexes on a table, in name order (map
 // iteration order must not leak into page layouts — runs have to be
-// deterministic for the experiments).
+// deterministic for the experiments). The slice is the catalog's own:
+// callers only range over it.
 func (c *Catalog) TableIndexes(table string) []*Index {
-	var out []*Index
-	for _, idx := range c.indexes {
-		if idx.Table == strings.ToLower(table) {
-			out = append(out, idx)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return c.byTable[strings.ToLower(table)]
+}
+
+// addIndex enters idx into the schema cache.
+func (c *Catalog) addIndex(idx *Index) {
+	c.indexes[strings.ToLower(idx.Name)] = idx
+	list := c.byTable[idx.Table]
+	at := sort.Search(len(list), func(i int) bool { return list[i].Name >= idx.Name })
+	c.byTable[idx.Table] = slices.Insert(list, at, idx)
 }
 
 // Tables returns all table names, sorted.
@@ -204,7 +210,7 @@ func (c *Catalog) CreateIndex(name, table string, cols []string, unique bool) (*
 	if err := c.tree.InsertRow(idx.catRowid, rec); err != nil {
 		return nil, err
 	}
-	c.indexes[strings.ToLower(name)] = idx
+	c.addIndex(idx)
 	return idx, nil
 }
 
@@ -218,6 +224,7 @@ func (c *Catalog) DropTable(name string) error {
 		c.tree.DeleteRow(idx.catRowid)
 		delete(c.indexes, strings.ToLower(idx.Name))
 	}
+	delete(c.byTable, strings.ToLower(name))
 	c.tree.DeleteRow(t.catRowid)
 	delete(c.tables, strings.ToLower(name))
 	return nil
@@ -231,6 +238,7 @@ func (c *Catalog) DropIndex(name string) error {
 	}
 	c.tree.DeleteRow(idx.catRowid)
 	delete(c.indexes, strings.ToLower(name))
+	c.byTable[idx.Table] = slices.DeleteFunc(c.byTable[idx.Table], func(i *Index) bool { return i == idx })
 	return nil
 }
 

@@ -32,13 +32,17 @@ const (
 //	[16:20) freelist head page (0 = empty)
 var magic = [8]byte{'C', 'U', 'B', 'I', 'Q', 'L', 'D', 'B'}
 
-// cpage is a cached page.
+// cpage is a cached page: the frame (node.data) with, beside it, the
+// B+tree's cell directory for it.
 type cpage struct {
-	pgno  uint32
-	data  []byte
+	pgno uint32
+	node
 	dirty bool
 	// lru is the last-touch tick.
 	lru uint64
+	// scans counts the B+tree scans up the stack that are iterating this
+	// page (Pager.guardScans).
+	scans int
 }
 
 // PagerStats counts pager events for the experiment reports.
@@ -60,6 +64,7 @@ type Pager struct {
 	ioBuf   vm.Addr
 	cache   map[uint32]*cpage
 	cap     int
+	big     node // Btree.splitPut's copy of an over-full page
 	tick    uint64
 	nPages  uint32
 	catRoot uint32
@@ -67,8 +72,13 @@ type Pager struct {
 
 	inTxn    bool
 	origs    map[uint32][]byte // pre-transaction page images
+	free     []*[PageSize]byte // images of finished transactions, for reuse
 	jWritten map[uint32]bool   // images already spilled to the journal file
 	jOffset  uint64
+
+	// guardScans, set only by tests, makes handing out for writing a page
+	// that a scan is iterating a panic rather than silently stale data.
+	guardScans bool
 
 	// Window discipline (the ported SQLite's CubicleOS-specific code,
 	// §6.2): the I/O buffer's window is opened for the file-system
@@ -220,7 +230,7 @@ func (p *Pager) writeHeader() {
 
 // freshPage installs an all-zero cached page without touching the file.
 func (p *Pager) freshPage(pgno uint32) *cpage {
-	pg := &cpage{pgno: pgno, data: make([]byte, PageSize), dirty: true}
+	pg := &cpage{pgno: pgno, node: node{data: make([]byte, PageSize)}, dirty: true}
 	p.cache[pgno] = pg
 	p.touch(pg)
 	return pg
@@ -243,9 +253,8 @@ func (p *Pager) readPage(pgno uint32) error {
 	if errno != vfscore.EOK {
 		return fmt.Errorf("sqldb: read page %d: errno %d", pgno, errno)
 	}
-	data := make([]byte, PageSize)
-	copy(data, p.e.ReadBytes(p.ioBuf, n))
-	pg := &cpage{pgno: pgno, data: data}
+	pg := &cpage{pgno: pgno, node: node{data: make([]byte, PageSize)}}
+	p.e.Read(p.ioBuf, pg.data[:n])
 	p.cache[pgno] = pg
 	p.touch(pg)
 	p.evictIfNeeded()
@@ -286,13 +295,20 @@ func (p *Pager) evictIfNeeded() {
 		}
 		if victim.dirty {
 			p.Stats.Spills++
+			var err error
 			if p.inTxn {
-				p.spillJournal()
+				err = p.spillJournal()
 			}
-			if err := p.flushPage(victim); err != nil {
-				panic(err)
+			if err == nil {
+				err = p.flushPage(victim)
+			}
+			if err != nil {
+				panic(execErr{err}) // the statement fails; Exec reports it
 			}
 		}
+		// The frame is dropped, not recycled for the next miss: a scan up
+		// the stack may still be iterating it (speedtest's q310 holds its
+		// outer page while the inner look-ups evict it).
 		delete(p.cache, victim.pgno)
 	}
 }
@@ -314,24 +330,56 @@ func (p *Pager) page(pgno uint32) *cpage {
 // Get returns a page's contents for reading.
 func (p *Pager) Get(pgno uint32) []byte { return p.page(pgno).data }
 
+// node returns a page for the B+tree to read, its cell directory rebuilt
+// if the bytes have been handed out raw since it was last used.
+func (p *Pager) node(pgno uint32) *cpage {
+	pg := p.page(pgno)
+	pg.index()
+	return pg
+}
+
 // beforeWrite records the page's pre-transaction image.
 func (p *Pager) beforeWrite(pg *cpage) {
 	if !p.inTxn {
 		return
 	}
 	if _, ok := p.origs[pg.pgno]; !ok {
-		orig := make([]byte, PageSize)
+		var orig []byte
+		if last := len(p.free) - 1; last >= 0 {
+			orig, p.free = p.free[last][:], p.free[:last]
+		} else {
+			orig = make([]byte, PageSize)
+		}
 		copy(orig, pg.data)
 		p.origs[pg.pgno] = orig
 	}
 }
 
-// Write returns a page's contents for modification, journaling the
-// original image first.
-func (p *Pager) Write(pgno uint32) []byte {
+// modify returns a page for modification, journaling the original image
+// first.
+func (p *Pager) modify(pgno uint32) *cpage {
 	pg := p.page(pgno)
+	if p.guardScans && pg.scans > 0 {
+		panic(fmt.Sprintf("sqldb: page %d written while a scan is iterating it", pgno))
+	}
 	p.beforeWrite(pg)
 	pg.dirty = true
+	return pg
+}
+
+// edit is modify for the B+tree, which keeps the cell directory in step
+// with its edits.
+func (p *Pager) edit(pgno uint32) *cpage {
+	pg := p.modify(pgno)
+	pg.index()
+	return pg
+}
+
+// Write returns a page's contents for modification, for immediate use.
+// Whatever the caller does to the bytes, the cell directory is stale.
+func (p *Pager) Write(pgno uint32) []byte {
+	pg := p.modify(pgno)
+	pg.dir = pg.dir[:0]
 	return pg.data
 }
 
@@ -383,20 +431,36 @@ func (p *Pager) Begin() error {
 		return fmt.Errorf("sqldb: nested transaction")
 	}
 	p.inTxn = true
-	p.origs = make(map[uint32][]byte)
-	p.jWritten = make(map[uint32]bool)
 	p.jOffset = 0
 	return nil
 }
 
+// endTxn closes the transaction's journal, on disk and in memory.
+func (p *Pager) endTxn() {
+	if p.jfd != 0 {
+		p.vfs.Close(p.e, p.jfd)
+		p.vfs.Unlink(p.e, p.path+"-journal")
+		p.jfd = 0
+	}
+	p.inTxn = false
+	for _, orig := range p.origs {
+		if len(p.free) < p.cap { // one bulk load must not pin its journal for good
+			p.free = append(p.free, (*[PageSize]byte)(orig))
+		}
+	}
+	clear(p.origs)
+	clear(p.jWritten)
+}
+
 // spillJournal makes sure every recorded original image is on disk in the
 // journal file before a dirty page may overwrite the database (the
-// rollback-journal write-ahead rule).
-func (p *Pager) spillJournal() {
+// rollback-journal write-ahead rule). After an error the caller must not
+// write any database page.
+func (p *Pager) spillJournal() error {
 	if p.jfd == 0 {
 		fd, errno := p.vfs.Open(p.e, p.path+"-journal", vfscore.OCreat|vfscore.OWronly|vfscore.OTrunc)
 		if errno != vfscore.EOK {
-			panic(fmt.Sprintf("sqldb: journal open: errno %d", errno))
+			return fmt.Errorf("sqldb: journal open: errno %d", errno)
 		}
 		p.jfd = fd
 	}
@@ -413,20 +477,23 @@ func (p *Pager) spillJournal() {
 		p.Stats.JournalPages++
 		var hdr [8]byte
 		binary.LittleEndian.PutUint32(hdr[:], pgno)
-		p.e.Write(p.ioBuf, hdr[:])
-		p.openIOWindow()
-		p.vfs.PWrite(p.e, p.jfd, p.ioBuf, 8, p.jOffset)
-		p.closeIOWindow()
-		p.jOffset += 8
-		p.e.Write(p.ioBuf, orig)
-		p.openIOWindow()
-		p.vfs.PWrite(p.e, p.jfd, p.ioBuf, PageSize, p.jOffset)
-		p.closeIOWindow()
-		p.jOffset += PageSize
+		for _, part := range [2][]byte{hdr[:], orig} {
+			p.e.Write(p.ioBuf, part)
+			p.openIOWindow()
+			n, errno := p.vfs.PWrite(p.e, p.jfd, p.ioBuf, uint64(len(part)), p.jOffset)
+			p.closeIOWindow()
+			if errno != vfscore.EOK || n != uint64(len(part)) {
+				return fmt.Errorf("sqldb: journal write of page %d: errno %d", pgno, errno)
+			}
+			p.jOffset += n
+		}
 		p.jWritten[pgno] = true
 	}
-	p.vfs.FSync(p.e, p.jfd)
 	p.Stats.Fsyncs++
+	if errno := p.vfs.FSync(p.e, p.jfd); errno != vfscore.EOK {
+		return fmt.Errorf("sqldb: journal fsync: errno %d", errno)
+	}
+	return nil
 }
 
 // flushAll writes every dirty cached page in ascending page order (both
@@ -458,21 +525,16 @@ func (p *Pager) Commit() error {
 	}
 	p.Stats.Commits++
 	if len(p.origs) > 0 {
-		p.spillJournal()
+		if err := p.spillJournal(); err != nil {
+			return err
+		}
 	}
 	if err := p.flushAll(); err != nil {
 		return err
 	}
 	p.vfs.FSync(p.e, p.fd)
 	p.Stats.Fsyncs++
-	if p.jfd != 0 {
-		p.vfs.Close(p.e, p.jfd)
-		p.vfs.Unlink(p.e, p.path+"-journal")
-		p.jfd = 0
-	}
-	p.inTxn = false
-	p.origs = map[uint32][]byte{}
-	p.jWritten = map[uint32]bool{}
+	p.endTxn()
 	return nil
 }
 
@@ -488,7 +550,7 @@ func (p *Pager) Rollback() error {
 			pg = p.cache[pgno]
 		}
 		copy(pg.data, orig)
-		pg.dirty = true
+		pg.dirty, pg.dir = true, pg.dir[:0]
 	}
 	// Restore header-derived fields.
 	hdr := p.page(1)
@@ -498,14 +560,7 @@ func (p *Pager) Rollback() error {
 	if err := p.flushAll(); err != nil {
 		return err
 	}
-	if p.jfd != 0 {
-		p.vfs.Close(p.e, p.jfd)
-		p.vfs.Unlink(p.e, p.path+"-journal")
-		p.jfd = 0
-	}
-	p.inTxn = false
-	p.origs = map[uint32][]byte{}
-	p.jWritten = map[uint32]bool{}
+	p.endTxn()
 	return nil
 }
 

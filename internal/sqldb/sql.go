@@ -23,76 +23,85 @@ type token struct {
 	text string
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
-}
+// ops2 are the two-character operators; oneCharOps holds the text of each
+// single-character one ("" for a byte that is not an operator), so that
+// an operator token costs no allocation.
+var (
+	ops2       = [...]string{"<=", ">=", "<>", "!=", "==", "||"}
+	oneCharOps = func() (t [256]string) {
+		for _, c := range "+-*/%=<>(),.;" {
+			t[c] = string(c)
+		}
+		return t
+	}()
+)
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+	toks := make([]token, 0, len(src)/4+2)
+	pos := 0
+scan:
+	for pos < len(src) {
+		c := src[pos]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			l.pos++
-		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
+			pos++
+		case c == '-' && pos+1 < len(src) && src[pos+1] == '-':
+			for pos < len(src) && src[pos] != '\n' {
+				pos++
 			}
-		case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
-			start := l.pos
-			for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.' || l.src[l.pos] == 'e' || l.src[l.pos] == 'E' ||
-				((l.src[l.pos] == '+' || l.src[l.pos] == '-') && l.pos > start && (l.src[l.pos-1] == 'e' || l.src[l.pos-1] == 'E'))) {
-				l.pos++
+		case isDigit(c) || (c == '.' && pos+1 < len(src) && isDigit(src[pos+1])):
+			start := pos
+			for pos < len(src) && (isDigit(src[pos]) || src[pos] == '.' || src[pos] == 'e' || src[pos] == 'E' ||
+				((src[pos] == '+' || src[pos] == '-') && pos > start && (src[pos-1] == 'e' || src[pos-1] == 'E'))) {
+				pos++
 			}
-			l.toks = append(l.toks, token{tkNumber, l.src[start:l.pos]})
+			toks = append(toks, token{tkNumber, src[start:pos]})
 		case c == '\'':
-			l.pos++
-			var sb strings.Builder
-			for {
-				if l.pos >= len(l.src) {
+			// The literal ends at the first quote that is not doubled; with
+			// no doubled quote inside, its text is a piece of the source.
+			start, escaped := pos+1, false
+			for pos = start; ; pos++ {
+				if pos >= len(src) {
 					return nil, fmt.Errorf("sql: unterminated string")
 				}
-				if l.src[l.pos] == '\'' {
-					if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-						sb.WriteByte('\'')
-						l.pos += 2
-						continue
-					}
-					l.pos++
+				if src[pos] != '\'' {
+					continue
+				}
+				if pos+1 >= len(src) || src[pos+1] != '\'' {
 					break
 				}
-				sb.WriteByte(l.src[l.pos])
-				l.pos++
+				escaped = true
+				pos++
 			}
-			l.toks = append(l.toks, token{tkString, sb.String()})
+			text := src[start:pos]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			toks = append(toks, token{tkString, text})
+			pos++
 		case isIdentStart(c):
-			start := l.pos
-			for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
-				l.pos++
+			start := pos
+			for pos < len(src) && isIdentPart(src[pos]) {
+				pos++
 			}
-			l.toks = append(l.toks, token{tkIdent, l.src[start:l.pos]})
+			toks = append(toks, token{tkIdent, src[start:pos]})
 		default:
 			// Multi-char operators first.
-			for _, op := range []string{"<=", ">=", "<>", "!=", "==", "||"} {
-				if strings.HasPrefix(l.src[l.pos:], op) {
-					l.toks = append(l.toks, token{tkOp, op})
-					l.pos += 2
-					goto next
+			for _, op := range ops2 {
+				if strings.HasPrefix(src[pos:], op) {
+					toks = append(toks, token{tkOp, op})
+					pos += 2
+					continue scan
 				}
 			}
-			if strings.ContainsRune("+-*/%=<>(),.;", rune(c)) {
-				l.toks = append(l.toks, token{tkOp, string(c)})
-				l.pos++
-			} else {
+			if oneCharOps[c] == "" {
 				return nil, fmt.Errorf("sql: unexpected character %q", c)
 			}
-		next:
+			toks = append(toks, token{tkOp, oneCharOps[c]})
+			pos++
 		}
 	}
-	l.toks = append(l.toks, token{tkEOF, ""})
-	return l.toks, nil
+	return append(toks, token{tkEOF, ""}), nil
 }
 
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,47 @@ func TestParseStatements(t *testing.T) {
 			t.Errorf("Parse(%q) unexpectedly succeeded", src)
 		}
 	}
+	// The lexer's own table: '' escapes, unterminated literals and every
+	// operator, one character and two.
+	op := func(texts ...string) (toks []token) {
+		for _, text := range texts {
+			toks = append(toks, token{tkOp, text})
+		}
+		return toks
+	}
+	for _, c := range []struct {
+		src  string
+		want []token // without the closing tkEOF; nil = a lex error
+	}{
+		{"'plain'", []token{{tkString, "plain"}}},
+		{"''", []token{{tkString, ""}}},
+		{"''''", []token{{tkString, "'"}}},
+		{"'it''s'", []token{{tkString, "it's"}}},
+		{"'''a'''", []token{{tkString, "'a'"}}},
+		{"'a''''b'", []token{{tkString, "a''b"}}},
+		{"'a' 'b'", []token{{tkString, "a"}, {tkString, "b"}}},
+		{"'a'b", []token{{tkString, "a"}, {tkIdent, "b"}}},
+		{"'open", nil}, {"'", nil}, {"'a''", nil}, {"x = 'it''s", nil},
+		{"+-*/%=<>(),.;", op("+", "-", "*", "/", "%", "=", "<>", "(", ")", ",", ".", ";")},
+		{"< > = . ;", op("<", ">", "=", ".", ";")},
+		{"<=>=<>!===||", op("<=", ">=", "<>", "!=", "==", "||")},
+		{"a<=b", []token{{tkIdent, "a"}, {tkOp, "<="}, {tkIdent, "b"}}},
+		{"a<-1", []token{{tkIdent, "a"}, {tkOp, "<"}, {tkOp, "-"}, {tkNumber, "1"}}},
+		{"1.5e-3 x", []token{{tkNumber, "1.5e-3"}, {tkIdent, "x"}}},
+		{"a -- b\n c", []token{{tkIdent, "a"}, {tkIdent, "c"}}},
+		{"a ! b", nil}, {"a | b", nil}, {"a & b", nil}, {"\x80", nil},
+	} {
+		got, err := lex(c.src)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("lex(%q) = %v, want an error", c.src, got)
+			}
+			continue
+		}
+		if want := append(c.want, token{tkEOF, ""}); err != nil || !slices.Equal(got, want) {
+			t.Errorf("lex(%q) = %v, %v; want %v", c.src, got, err, want)
+		}
+	}
 }
 
 // TestParseNeverPanics throws random token soup at the parser.
@@ -88,7 +130,13 @@ func TestParseNeverPanics(t *testing.T) {
 func TestLexNeverPanics(t *testing.T) {
 	f := func(raw []byte) bool {
 		_, _ = Parse(string(raw))
+		// The same bytes inside, and cut off inside, a string literal.
+		_, _ = Parse("SELECT '" + string(raw) + "'")
+		_, _ = Parse("SELECT '" + string(raw))
 		return true
+	}
+	for _, src := range []string{"'", "''", "'''", "x'", "'\x00", "<", "|", "||", "!", "-", "--", ".", ".e", "1e", "1e+"} {
+		f([]byte(src))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package sqldb_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/ramfs"
+	"cubicleos/internal/speedtest"
 	"cubicleos/internal/sqldb"
 	"cubicleos/internal/vfscore"
 )
@@ -38,6 +40,10 @@ func testDBNamed(t *testing.T, path string, cacheCap int, fn func(e *cubicle.Env
 			t.Fatal(err)
 		}
 		defer db.Close()
+		// Every statement of this file runs under the scan guard: one that
+		// wrote a page while a scan up the stack was iterating it would
+		// panic here instead of reading shifted cells.
+		db.Pager().GuardScans()
 		fn(e, db)
 	})
 	if err != nil {
@@ -555,4 +561,145 @@ func TestNotBetweenAndNotLike(t *testing.T) {
 			t.Errorf("NOT LIKE: %v", got)
 		}
 	})
+}
+
+// TestSpeedtestNeverWritesAPageUnderAScan runs the benchmark's workload —
+// speedtest1 at size 100 on a 128-page cache, set-up and every query —
+// under the scan guard.
+func TestSpeedtestNeverWritesAPageUnderAScan(t *testing.T) {
+	testDBNamed(t, "/speedtest.db", 128, func(e *cubicle.Env, db *sqldb.DB) {
+		r := speedtest.New(db, speedtest.Config{Size: 100})
+		if err := r.Setup(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range speedtest.QueryIDs {
+			if err := r.Run(id); err != nil {
+				t.Fatalf("query %d: %v", id, err)
+			}
+		}
+	})
+}
+
+// failingJournal makes every write to the rollback journal fail with
+// ENOSPC while armed. The journal is the one file the pager opens
+// write-only.
+type failingJournal struct {
+	armed bool
+	jfd   uint64
+}
+
+type callerFunc func(e *cubicle.Env, args ...uint64) []uint64
+
+func (f callerFunc) Call(e *cubicle.Env, args ...uint64) []uint64 { return f(e, args...) }
+
+func (f *failingJournal) wrap(name string, inner vfscore.Caller) vfscore.Caller {
+	switch name {
+	case "vfs_open":
+		return callerFunc(func(e *cubicle.Env, args ...uint64) []uint64 {
+			r := inner.Call(e, args...)
+			if args[2]&vfscore.OWronly != 0 {
+				f.jfd = r[0]
+			}
+			return r
+		})
+	case "vfs_pwrite":
+		return callerFunc(func(e *cubicle.Env, args ...uint64) []uint64 {
+			if f.armed && args[0] == f.jfd {
+				return []uint64{0, vfscore.ENOSPC}
+			}
+			return inner.Call(e, args...)
+		})
+	}
+	return inner
+}
+
+// TestJournalWriteFailureFailsTheStatement: when the journal cannot take
+// a page's pre-image, the statement that needed the spill must fail and
+// no database page may have been overwritten — the write-ahead rule. (The
+// pager used to ignore the journal's errno and byte count and go on to
+// overwrite the page the journal was there to protect.)
+func TestJournalWriteFailureFailsTheStatement(t *testing.T) {
+	s := boot.MustNewFS(boot.Config{Mode: cubicle.ModeFull, Extra: []*cubicle.Component{{
+		Name: "SQLITE", Kind: cubicle.KindIsolated,
+		Exports: []cubicle.ExportDecl{{Name: "sqlite_main", Fn: func(e *cubicle.Env, a []uint64) []uint64 { return nil }}},
+	}}})
+	err := s.RunAs("SQLITE", func(e *cubicle.Env) {
+		vfs := vfscore.NewClient(s.M, s.Cubs["SQLITE"].ID)
+		vfs.InitBuffers(e, e.CubicleOf(ramfs.Name))
+		journal := &failingJournal{}
+		vfs.Wrap(journal.wrap)
+		bufs := e.HeapAlloc(2 * sqldb.PageSize)
+		wid := e.WindowInit()
+		e.WindowAdd(wid, bufs, 2*sqldb.PageSize)
+		e.WindowOpen(wid, e.CubicleOf(vfscore.Name))
+		e.WindowOpen(wid, e.CubicleOf(ramfs.Name))
+		const path = "/journal.db"
+		db, err := sqldb.Open(e, vfs, path, bufs, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, s TEXT)")
+		db.MustExec("BEGIN")
+		for i := 1; i <= 300; i++ {
+			db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, '%s')", i, strings.Repeat("a", 100)))
+		}
+		db.MustExec("COMMIT")
+
+		// image reads the database file as it is on disk, past the pager.
+		image := func() []byte {
+			fd, errno := vfs.Open(e, path, vfscore.ORdonly)
+			if errno != vfscore.EOK {
+				t.Fatalf("open: errno %d", errno)
+			}
+			defer vfs.Close(e, fd)
+			var out []byte
+			for off := uint64(0); ; off += sqldb.PageSize {
+				n, errno := vfs.PRead(e, fd, bufs+sqldb.PageSize, sqldb.PageSize, off)
+				if errno != vfscore.EOK {
+					t.Fatalf("pread: errno %d", errno)
+				}
+				if n == 0 {
+					return out
+				}
+				out = append(out, e.ReadBytes(bufs+sqldb.PageSize, n)...)
+			}
+		}
+		before := image()
+		update := "UPDATE t SET s = '" + strings.Repeat("b", 100) + "'"
+
+		// Nine leaves do not fit an eight-page cache: the update has to
+		// spill, and the spill has to journal first.
+		journal.armed = true
+		spills := db.Pager().Stats.Spills
+		if _, err := db.Exec(update); err == nil || !strings.Contains(err.Error(), "journal write") {
+			t.Fatalf("update with a failing journal: err = %v, want the journal write error", err)
+		}
+		if db.Pager().Stats.Spills == spills {
+			t.Fatal("premise broken: the update never spilled")
+		}
+		journal.armed = false
+		if after := image(); !bytes.Equal(before, after) {
+			t.Error("the database file changed although the journal write failed")
+		}
+		if r := db.MustExec("SELECT count(*) FROM t WHERE s LIKE 'a%'"); one(t, r).I != 300 {
+			t.Errorf("%d rows kept their value, want 300", one(t, r).I)
+		}
+		if r := db.MustExec("PRAGMA integrity_check"); one(t, r).S != "ok" {
+			t.Errorf("integrity_check: %v", r.Rows)
+		}
+
+		// With the journal back, the same statement goes through.
+		if r := db.MustExec(update); r.RowsAffected != 300 {
+			t.Errorf("update affected %d rows, want 300", r.RowsAffected)
+		}
+		if r := db.MustExec("SELECT count(*) FROM t WHERE s LIKE 'b%'"); one(t, r).I != 300 {
+			t.Errorf("%d rows updated, want 300", one(t, r).I)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -18,6 +18,10 @@
 #   ClusterGoodput/backends-{1,2,4}  the virtual cluster behind the
 #       health-aware balancer: goodputrps/ok are deterministic and must
 #       scale near-linearly with fleet size
+#   sqldb: BtreePointLookup, BtreeInsertDelete (internal/sqldb) and
+#       SpeedtestPass (internal/experiments: boot, fill and the 31 queries
+#       of the repo benchmark's sqlite_speedtest), with -benchmem — the
+#       B+tree page path edits pages in place and its allocs/op say so
 #
 # The JSON also records tracing_overhead_ratio (CallTracingPaired's ratio
 # metric): the cost of leaving the observability layer on. -assert gates
@@ -74,6 +78,10 @@ if [ "$MODE" != assert ]; then
     go test -run '^$' -bench 'Fig7Nginx/65536B' -benchtime "$HTTPTIME" . | tee -a "$TMP"
     go test -run '^$' -bench 'SMPSiege' -benchtime "$HTTPTIME" . | tee -a "$TMP"
     go test -run '^$' -bench 'ClusterGoodput' -benchtime "$HTTPTIME" . | tee -a "$TMP"
+    go test -run '^$' -bench 'Btree' -benchtime "$BENCHTIME" -benchmem ./internal/sqldb/ | tee -a "$TMP"
+    SQLTIME=5x
+    [ "$MODE" = quick ] && SQLTIME=1x
+    go test -run '^$' -bench 'SpeedtestPass' -benchtime "$SQLTIME" -benchmem ./internal/experiments/ | tee -a "$TMP"
     # Warm-restart MTTR: checkpointed vs cold chaos-siege recovery. The
     # interesting metrics are deterministic virtual-clock series
     # (warm/colddegradedcycles, warm/coldfailed), so one iteration is

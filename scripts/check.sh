@@ -20,6 +20,12 @@ go test -race -run FuzzSpanTLBDifferential ./internal/cubicle/
 go test -race ./internal/cubicle/...
 ./scripts/bench.sh -quick >/dev/null
 
+# Page-path gates: the B+tree's in-place page edits against the old
+# decode/encode algorithm kept as a byte oracle (FuzzPageOps' seed corpus,
+# run as unit tests), and the pinned speedtest image: page count, CRC of
+# every page, all pager counters and the virtual clock of one pass.
+go test -race -run 'FuzzPageOps|TestSpeedtestImagePinned' ./internal/sqldb/ ./internal/experiments/
+
 # Crossing gate: every defer in the trampoline must stay open-coded (the
 # compiler falls back to deferprocStack past 8 defers or 15 defer×return
 # sites a function, which put ~8 % on every crossing).
