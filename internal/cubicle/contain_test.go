@@ -50,6 +50,11 @@ func bootFaulty(t testing.TB, policy RestartPolicy, restarts *int) *testSystem {
 			}
 			return nil
 		}},
+		// svc_spin_n is svc_spin as one advance of the clock.
+		{Name: "svc_spin_n", RegArgs: 1, Fn: func(e *Env, args []uint64) []uint64 {
+			e.WorkN(1_000, args[0])
+			return nil
+		}},
 		{Name: "svc_bug", Fn: func(e *Env, args []uint64) []uint64 {
 			panic("svc application bug")
 		}},

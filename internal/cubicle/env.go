@@ -80,6 +80,24 @@ func (e *Env) Work(n uint64) {
 	}
 }
 
+// WorkN charges k units of n cycles of modelled CPU work: the clock ends
+// where k calls of Work(n) leave it, but the watchdog and deadline
+// checkpoints run once, after the whole advance, so a budget or deadline
+// that trips part-way is noticed up to (k-1) units late. For a loop whose
+// units are a few cycles each; with k = 0 nothing happens.
+func (e *Env) WorkN(n, k uint64) {
+	if k == 0 {
+		return
+	}
+	e.T.clk.ChargeWorkN(n, k)
+	if e.M.sup != nil {
+		e.M.sup.watchdog(e.T)
+	}
+	if e.T.deadline != 0 {
+		e.M.checkDeadline(e.T)
+	}
+}
+
 // --- Checked memory access -------------------------------------------------
 //
 // Every accessor below is resolveSpan (the per-page permission walk, which

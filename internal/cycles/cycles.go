@@ -63,6 +63,20 @@ func (c *Clock) ChargeWork(n uint64) {
 	}
 }
 
+// ChargeWorkN adds k charges of n cycles of modelled compute as one
+// advance: the clock ends exactly where k calls of ChargeWork(n) leave it
+// (n is scaled and truncated once, as each of those calls would), stored
+// and shown to the observer once. With k = 0 nothing happens.
+func (c *Clock) ChargeWorkN(n, k uint64) {
+	if k == 0 {
+		return
+	}
+	if c.workDen != 0 {
+		n = n * c.workNum / c.workDen
+	}
+	c.Charge(n * k)
+}
+
 // SetOnAdvance installs (or with nil removes) the clock-advance observer.
 func (c *Clock) SetOnAdvance(fn func(now uint64)) { c.onAdvance = fn }
 

@@ -90,3 +90,45 @@ func TestDefaultCostsSane(t *testing.T) {
 		t.Error("window management must be cheaper than taking a fault")
 	}
 }
+
+// workNScales are the work scales of TestWorkNEqualsRepeatedWork here and
+// in internal/cubicle: unset (0), native, Unikraft's (boot.UnikraftWorkScale
+// = 3.4, not imported: boot imports this package's users) and one whose
+// scaled charge truncates.
+var workNScales = []float64{0, 1, 3.4, 3.4 * 1.37}
+
+// TestWorkNEqualsRepeatedWork: ChargeWorkN(n, k) leaves the clock where k
+// calls of ChargeWork(n) do — each n scaled and truncated on its own — but
+// advances it once.
+func TestWorkNEqualsRepeatedWork(t *testing.T) {
+	for _, scale := range workNScales {
+		for _, k := range []uint64{0, 1, 9} {
+			for _, n := range []uint64{1, 18, 120, 2500} {
+				var once, many Clock
+				if scale != 0 {
+					once.SetWorkScale(scale)
+					many.SetWorkScale(scale)
+				}
+				once.Charge(777)
+				many.Charge(777)
+				var seen []uint64
+				once.SetOnAdvance(func(now uint64) { seen = append(seen, now) })
+				once.ChargeWorkN(n, k)
+				for i := uint64(0); i < k; i++ {
+					many.ChargeWork(n)
+				}
+				if once.Cycles() != many.Cycles() {
+					t.Errorf("scale %v: ChargeWorkN(%d, %d) = %d cycles, %d calls of ChargeWork = %d",
+						scale, n, k, once.Cycles(), k, many.Cycles())
+				}
+				if k == 0 && len(seen) != 0 {
+					t.Errorf("scale %v: ChargeWorkN(%d, 0) advanced the clock: observer saw %v", scale, n, seen)
+				}
+				if k > 0 && (len(seen) != 1 || seen[0] != many.Cycles()) {
+					t.Errorf("scale %v: ChargeWorkN(%d, %d): observer saw %v, want the final value %d once",
+						scale, n, k, seen, many.Cycles())
+				}
+			}
+		}
+	}
+}

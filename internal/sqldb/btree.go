@@ -247,9 +247,9 @@ func (t *Btree) putCell(body []byte, leaf bool, c cell) {
 // before (key, rowid); table trees ignore key.
 func (t *Btree) search(n *cpage, key []byte, rowid int64) int {
 	t.p.e.Work(workNodeSearch)
-	lo, hi := 0, n.count()
+	lo, hi, probes := 0, n.count(), uint64(0)
 	for lo < hi {
-		t.p.e.Work(workPerCompare)
+		probes++
 		mid := (lo + hi) / 2
 		k, r := t.cellKey(n.cell(mid))
 		cmp := 0
@@ -262,6 +262,7 @@ func (t *Btree) search(n *cpage, key []byte, rowid int64) int {
 			hi = mid
 		}
 	}
+	t.p.e.WorkN(workPerCompare, probes)
 	return lo
 }
 

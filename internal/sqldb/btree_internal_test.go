@@ -10,11 +10,12 @@ import (
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/ramfs"
 	"cubicleos/internal/vfscore"
+	"cubicleos/internal/vm"
 )
 
-// withPager boots a minimal system and hands fn a pager with the given
-// cache capacity.
-func withPager(t testing.TB, cacheCap int, fn func(p *Pager)) {
+// withStack boots a minimal system and runs fn inside its application
+// cubicle with what opening a database there takes.
+func withStack(t testing.TB, fn func(e *cubicle.Env, vfs *vfscore.Client, ioBuf vm.Addr)) {
 	t.Helper()
 	s := boot.MustNewFS(boot.Config{Mode: cubicle.ModeUnikraft, Extra: []*cubicle.Component{{
 		Name: "APP", Kind: cubicle.KindIsolated,
@@ -23,16 +24,36 @@ func withPager(t testing.TB, cacheCap int, fn func(p *Pager)) {
 	err := s.RunAs("APP", func(e *cubicle.Env) {
 		vfs := vfscore.NewClient(s.M, s.Cubs["APP"].ID)
 		vfs.InitBuffers(e, e.CubicleOf(ramfs.Name))
-		ioBuf := e.HeapAlloc(PageSize)
+		fn(e, vfs, e.HeapAlloc(PageSize))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// withPager hands fn a pager with the given cache capacity.
+func withPager(t testing.TB, cacheCap int, fn func(p *Pager)) {
+	t.Helper()
+	withStack(t, func(e *cubicle.Env, vfs *vfscore.Client, ioBuf vm.Addr) {
 		p, err := OpenPager(e, vfs, "/bt.db", ioBuf, cacheCap)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fn(p)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// withDB hands fn an open database with the given cache capacity.
+func withDB(t testing.TB, cacheCap int, fn func(db *DB)) {
+	t.Helper()
+	withStack(t, func(e *cubicle.Env, vfs *vfscore.Client, ioBuf vm.Addr) {
+		db, err := Open(e, vfs, "/rows.db", ioBuf, cacheCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		fn(db)
+	})
 }
 
 func TestIndexTreeDuplicateKeys(t *testing.T) {

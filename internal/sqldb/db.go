@@ -2,7 +2,7 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cubicleos/internal/cubicle"
@@ -22,6 +22,19 @@ type DB struct {
 	autoTxn bool
 	// Statements counts executed statements.
 	Statements uint64
+
+	// parser lexes and parses every statement of Exec, reusing its token
+	// buffer and node chunks from one statement to the next.
+	parser parser
+	// rowBuf, recBuf and keyBuf are the row being assembled, its record and
+	// one of its index keys on the way to the B+tree, which copies them into
+	// a page: each is dead by the time the next one is built.
+	rowBuf []Value
+	recBuf []byte
+	keyBuf []byte
+	// afterRow, set only by tests, runs on a bind when the callback of the
+	// row bound to it has returned.
+	afterRow func(*tblCtx)
 }
 
 // Open opens (or creates) the database at path. ioBuf must be a
@@ -75,7 +88,7 @@ func (db *DB) Exec(sql string) (res *Result, err error) {
 	}()
 	db.e.Work(workParseSQL)
 	db.Statements++
-	stmt, perr := Parse(sql)
+	stmt, perr := db.parser.parse(sql)
 	if perr != nil {
 		return nil, perr
 	}
@@ -174,12 +187,17 @@ func (db *DB) execMut(stmt any) (*Result, error) {
 
 // --- INSERT -------------------------------------------------------------------
 
-// rowValues assembles a full column-ordered row from an insert statement.
+// blankRow returns the row scratch as an all-NULL row of t.
+func (db *DB) blankRow(t *Table) []Value {
+	db.rowBuf = slices.Grow(db.rowBuf[:0], len(t.Columns))[:len(t.Columns)]
+	clear(db.rowBuf)
+	return db.rowBuf
+}
+
+// insertRowValues assembles a full column-ordered row from an insert
+// statement, in the row scratch.
 func (db *DB) insertRowValues(t *Table, cols []string, exprs []Expr, rc *rowCtx) []Value {
-	vals := make([]Value, len(t.Columns))
-	for i := range vals {
-		vals[i] = Null()
-	}
+	vals := db.blankRow(t)
 	if len(cols) == 0 {
 		if len(exprs) != len(t.Columns) {
 			fail("table %s has %d columns but %d values supplied", t.Name, len(t.Columns), len(exprs))
@@ -246,8 +264,7 @@ func (db *DB) insertRow(t *Table, vals []Value, replace bool) int64 {
 			}
 		}
 	}
-	rec := EncodeRecord(vals)
-	if err := tree.InsertRow(rowid, rec); err != nil {
+	if err := tree.InsertRow(rowid, db.record(vals)); err != nil {
 		fail("%v", err)
 	}
 	for _, idx := range db.cat.TableIndexes(t.Name) {
@@ -259,37 +276,42 @@ func (db *DB) insertRow(t *Table, vals []Value, replace bool) int64 {
 	return rowid
 }
 
-// indexKey builds the encoded key of idx for a row.
-func (db *DB) indexKey(t *Table, idx *Index, vals []Value) []byte {
-	kvals := make([]Value, len(idx.Cols))
-	for i, c := range idx.Cols {
-		kvals[i] = vals[t.ColIndex(c)]
+// scratch returns buf emptied for reuse, or nothing when it has grown past
+// what a page can hold: a statement's oversized row is not kept around.
+func scratch(buf []byte) []byte {
+	if cap(buf) > PageSize {
+		return nil
 	}
-	return EncodeKey(kvals)
+	return buf[:0]
+}
+
+// record serialises a row into the record scratch.
+func (db *DB) record(vals []Value) []byte {
+	db.recBuf = appendRecord(scratch(db.recBuf), vals)
+	return db.recBuf
+}
+
+// indexKey builds the encoded key of idx for a row, in the key scratch.
+func (db *DB) indexKey(t *Table, idx *Index, vals []Value) []byte {
+	db.keyBuf = scratch(db.keyBuf)
+	for _, c := range idx.Cols {
+		db.keyBuf = appendKey(db.keyBuf, vals[t.ColIndex(c)])
+	}
+	return db.keyBuf
 }
 
 // deleteIndexEntriesFor removes all index entries of a stored row.
 func (db *DB) deleteIndexEntriesFor(t *Table, rowid int64, record []byte) {
-	vals, err := DecodeRecord(record)
-	if err != nil {
-		fail("%v", err)
-	}
-	vals = db.padRow(t, vals, rowid)
+	b := tblCtx{tbl: t}
+	db.bindRow(&b, rowid, record)
+	db.deleteIndexEntries(t, rowid, b.solid())
+}
+
+// deleteIndexEntries removes all index entries of the row vals.
+func (db *DB) deleteIndexEntries(t *Table, rowid int64, vals []Value) {
 	for _, idx := range db.cat.TableIndexes(t.Name) {
 		NewIndexTree(db.pager, idx.Root).DeleteKey(db.indexKey(t, idx, vals), rowid)
 	}
-}
-
-// padRow extends a stored row to the current column count (ALTER TABLE
-// ADD COLUMN reads old rows as NULL) and materialises the rowid alias.
-func (db *DB) padRow(t *Table, vals []Value, rowid int64) []Value {
-	for len(vals) < len(t.Columns) {
-		vals = append(vals, Null())
-	}
-	if t.RowidCol >= 0 {
-		vals[t.RowidCol] = Int(rowid)
-	}
-	return vals
 }
 
 func (db *DB) execInsert(s *InsertStmt) (*Result, error) {
@@ -301,10 +323,7 @@ func (db *DB) execInsert(s *InsertStmt) (*Result, error) {
 	if s.FromSelect != nil {
 		sub := db.execSelect(s.FromSelect, nil)
 		for _, row := range sub.Rows {
-			vals := make([]Value, len(t.Columns))
-			for i := range vals {
-				vals[i] = Null()
-			}
+			vals := db.blankRow(t)
 			if len(s.Cols) == 0 {
 				if len(row) != len(t.Columns) {
 					return nil, fmt.Errorf("sqldb: SELECT yields %d columns, table has %d", len(row), len(t.Columns))
@@ -335,23 +354,13 @@ func (db *DB) execUpdate(s *UpdateStmt) (*Result, error) {
 	if t == nil {
 		return nil, fmt.Errorf("sqldb: no such table %s", s.Table)
 	}
-	type hit struct {
-		rowid int64
-		vals  []Value
-	}
-	var hits []hit
-	db.scanFiltered(t, s.Table, s.Where, func(rowid int64, vals []Value) bool {
-		cp := make([]Value, len(vals))
-		copy(cp, vals)
-		hits = append(hits, hit{rowid, cp})
-		return true
-	})
 	res := &Result{}
 	tree := NewTableTree(db.pager, t.Root)
-	for _, h := range hits {
-		rc := &rowCtx{tables: []*tblCtx{{alias: s.Table, tbl: t, vals: h.vals, rowid: h.rowid}}}
-		newVals := make([]Value, len(h.vals))
-		copy(newVals, h.vals)
+	old := &tblCtx{alias: s.Table, tbl: t}
+	rc := &rowCtx{tables: []*tblCtx{old}}
+	for _, h := range db.scanFiltered(t, s.Table, s.Where) {
+		old.rowid, old.vals = h.rowid, h.vals
+		newVals := slices.Clone(h.vals)
 		newRowid := h.rowid
 		for _, set := range s.Sets {
 			ci := t.ColIndex(set.Col)
@@ -367,11 +376,11 @@ func (db *DB) execUpdate(s *UpdateStmt) (*Result, error) {
 				newRowid = v.I
 			}
 		}
-		db.deleteIndexEntriesFor(t, h.rowid, EncodeRecord(h.vals))
+		db.deleteIndexEntries(t, h.rowid, h.vals)
 		if newRowid != h.rowid {
 			tree.DeleteRow(h.rowid)
 		}
-		if err := tree.InsertRow(newRowid, EncodeRecord(newVals)); err != nil {
+		if err := tree.InsertRow(newRowid, db.record(newVals)); err != nil {
 			return nil, err
 		}
 		for _, idx := range db.cat.TableIndexes(t.Name) {
@@ -387,21 +396,10 @@ func (db *DB) execDelete(s *DeleteStmt) (*Result, error) {
 	if t == nil {
 		return nil, fmt.Errorf("sqldb: no such table %s", s.Table)
 	}
-	type hit struct {
-		rowid int64
-		vals  []Value
-	}
-	var hits []hit
-	db.scanFiltered(t, s.Table, s.Where, func(rowid int64, vals []Value) bool {
-		cp := make([]Value, len(vals))
-		copy(cp, vals)
-		hits = append(hits, hit{rowid, cp})
-		return true
-	})
 	tree := NewTableTree(db.pager, t.Root)
 	res := &Result{}
-	for _, h := range hits {
-		db.deleteIndexEntriesFor(t, h.rowid, EncodeRecord(h.vals))
+	for _, h := range db.scanFiltered(t, s.Table, s.Where) {
+		db.deleteIndexEntries(t, h.rowid, h.vals)
 		tree.DeleteRow(h.rowid)
 		res.RowsAffected++
 	}
@@ -420,18 +418,11 @@ func (db *DB) execCreateIndex(s *CreateIndexStmt) (*Result, error) {
 	tree := NewTableTree(db.pager, t.Root)
 	itree := NewIndexTree(db.pager, idx.Root)
 	var ierr error
+	row := tblCtx{tbl: t}
 	tree.ScanTable(func(rowid int64, record []byte) bool {
-		vals, err := DecodeRecord(record)
-		if err != nil {
-			ierr = err
-			return false
-		}
-		vals = db.padRow(t, vals, rowid)
-		if err := itree.InsertKey(db.indexKey(t, idx, vals), rowid); err != nil {
-			ierr = err
-			return false
-		}
-		return true
+		db.bindRow(&row, rowid, record)
+		ierr = itree.InsertKey(db.indexKey(t, idx, row.solid()), rowid)
+		return ierr == nil
 	})
 	return &Result{}, ierr
 }
@@ -548,6 +539,7 @@ func (db *DB) execSelect(s *SelectStmt, parent *rowCtx) *Result {
 		okeys[i] = okey{idx: idx, desc: oi.Desc}
 	}
 
+	width := visibleWidth + len(allCols) - len(s.Cols) // of a result row, hidden columns included
 	aggregate := len(s.GroupBy) > 0
 	for _, c := range allCols {
 		if !c.Star && hasAgg(c.Expr) {
@@ -611,8 +603,7 @@ func (db *DB) execSelect(s *SelectStmt, parent *rowCtx) *Result {
 				// Snapshot the row context for non-aggregate columns.
 				snap := &rowCtx{parent: rc.parent}
 				for _, tc := range rc.tables {
-					cp := &tblCtx{alias: tc.alias, tbl: tc.tbl, rowid: tc.rowid}
-					cp.vals = append([]Value{}, tc.vals...)
+					cp := &tblCtx{alias: tc.alias, tbl: tc.tbl, rowid: tc.rowid, vals: slices.Clone(tc.solid())}
 					snap.tables = append(snap.tables, cp)
 				}
 				g = &group{key: key, first: snap}
@@ -631,7 +622,7 @@ func (db *DB) execSelect(s *SelectStmt, parent *rowCtx) *Result {
 			}
 			return true
 		}
-		row := db.projectRow(rc, allCols, nil, nil)
+		row := db.projectRow(rc, allCols, width, nil, nil)
 		res.Rows = append(res.Rows, row)
 		// Fast-path LIMIT without ORDER BY.
 		if s.Limit >= 0 && len(s.OrderBy) == 0 && int64(len(res.Rows)) >= s.Limit {
@@ -654,7 +645,7 @@ func (db *DB) execSelect(s *SelectStmt, parent *rowCtx) *Result {
 		}
 		for _, key := range groupOrder {
 			g := groups[key]
-			row := db.projectRow(g.first, allCols, aggTargets, g.states)
+			row := db.projectRow(g.first, allCols, width, aggTargets, g.states)
 			res.Rows = append(res.Rows, row)
 		}
 	}
@@ -688,18 +679,18 @@ func (db *DB) execSelect(s *SelectStmt, parent *rowCtx) *Result {
 		res.Rows = kept
 	}
 	if len(s.OrderBy) > 0 {
-		sort.SliceStable(res.Rows, func(a, b int) bool {
+		slices.SortStableFunc(res.Rows, func(a, b []Value) int {
 			db.e.Work(workPerCompare)
 			for _, k := range okeys {
-				cmp := Compare(res.Rows[a][k.idx], res.Rows[b][k.idx])
+				cmp := Compare(a[k.idx], b[k.idx])
 				if k.desc {
 					cmp = -cmp
 				}
 				if cmp != 0 {
-					return cmp < 0
+					return cmp
 				}
 			}
-			return false
+			return 0
 		})
 	}
 	if s.Limit >= 0 && int64(len(res.Rows)) > s.Limit {
@@ -714,10 +705,11 @@ func (db *DB) execSelect(s *SelectStmt, parent *rowCtx) *Result {
 	return res
 }
 
-// projectRow evaluates the select list for one row/group. When aggStates
-// is non-nil, aggregate calls are substituted positionally.
-func (db *DB) projectRow(rc *rowCtx, cols []SelectCol, aggTargets []*EFunc, aggStates []*aggState) []Value {
-	var row []Value
+// projectRow evaluates the select list, width values wide, for one
+// row/group. When aggStates is non-nil, aggregate calls are substituted
+// positionally.
+func (db *DB) projectRow(rc *rowCtx, cols []SelectCol, width int, aggTargets []*EFunc, aggStates []*aggState) []Value {
+	row := make([]Value, 0, width)
 	agg := 0
 	var evalWithAgg func(e Expr) Value
 	evalWithAgg = func(e Expr) Value {
@@ -743,13 +735,7 @@ func (db *DB) projectRow(rc *rowCtx, cols []SelectCol, aggTargets []*EFunc, aggS
 		if c.Star {
 			for _, tc := range rc.tables {
 				for i := range tc.tbl.Columns {
-					if i == tc.tbl.RowidCol {
-						row = append(row, Int(tc.rowid))
-					} else if i < len(tc.vals) {
-						row = append(row, tc.vals[i])
-					} else {
-						row = append(row, Null())
-					}
+					row = append(row, tc.col(i))
 				}
 			}
 			continue

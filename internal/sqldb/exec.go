@@ -24,8 +24,33 @@ func fail(format string, args ...any) {
 type tblCtx struct {
 	alias string
 	tbl   *Table
-	vals  []Value
 	rowid int64
+	// rec is the bound row's record as the scan showed it — a view of a page
+	// frame, or GetRow's copy — and is good until the row's callback returns.
+	rec []byte
+	// vals has an entry per column and is reused from row to row: bindRow
+	// decodes numbers and NULLs into it and leaves a text or blob in rec as
+	// a lazy value, which col copies out on first use. A tblCtx that holds
+	// a kept row (solid's result) has no rec.
+	vals []Value
+}
+
+// col returns column i of the bound row. The value shares nothing with
+// rec or vals, so the caller may keep it.
+func (b *tblCtx) col(i int) Value {
+	if b.vals[i].Kind&lazy != 0 {
+		b.vals[i] = solid(b.vals[i], b.rec)
+	}
+	return b.vals[i]
+}
+
+// solid returns the bound row with every column resolved, for whoever
+// keeps rows beyond the callback to clone: the slice itself is reused.
+func (b *tblCtx) solid() []Value {
+	for i := range b.vals {
+		b.col(i)
+	}
+	return b.vals
 }
 
 // rowCtx is the evaluation context: bound tables plus an optional parent
@@ -46,13 +71,7 @@ func (rc *rowCtx) resolve(table, name string) (Value, bool) {
 				return Int(t.rowid), true
 			}
 			if i := t.tbl.ColIndex(name); i >= 0 {
-				if t.tbl.RowidCol == i {
-					return Int(t.rowid), true
-				}
-				if i < len(t.vals) {
-					return t.vals[i], true
-				}
-				return Null(), true // column added after the row was written
+				return t.col(i), true
 			}
 		}
 	}

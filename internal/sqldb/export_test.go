@@ -5,3 +5,17 @@ package sqldb
 // scan walks is the one a write edits, so such a statement would read
 // shifted cells; the external tests run every statement under the guard.
 func (p *Pager) GuardScans() { p.guardScans = true }
+
+// PoisonRows overwrites a bind's reused row with a poison value as soon as
+// the callback of the row bound to it has returned, and takes its record
+// away: whatever kept the slice, or a lazy value of it, instead of the
+// values reads POISON or panics. The external tests run every statement
+// under it.
+func (db *DB) PoisonRows() {
+	db.afterRow = func(b *tblCtx) {
+		for i := range b.vals {
+			b.vals[i] = Text("POISON")
+		}
+		b.rec = nil
+	}
+}

@@ -38,8 +38,11 @@ type cpage struct {
 	pgno uint32
 	node
 	dirty bool
-	// lru is the last-touch tick.
-	lru uint64
+	// prev and next link the ring of every cached page in order of last
+	// touch, closed by the sentinel Pager.recent: prev is the page touched
+	// after this one, next the one before it, so recent.next is the most
+	// recently used page and recent.prev the one evictIfNeeded takes.
+	prev, next *cpage
 	// scans counts the B+tree scans up the stack that are iterating this
 	// page (Pager.guardScans).
 	scans int
@@ -64,8 +67,8 @@ type Pager struct {
 	ioBuf   vm.Addr
 	cache   map[uint32]*cpage
 	cap     int
-	big     node // Btree.splitPut's copy of an over-full page
-	tick    uint64
+	big     node  // Btree.splitPut's copy of an over-full page
+	recent  cpage // sentinel of the recency ring, see cpage.prev
 	nPages  uint32
 	catRoot uint32
 	freeHd  uint32
@@ -135,6 +138,7 @@ func OpenPager(e *cubicle.Env, vfs *vfscore.Client, path string, ioBuf vm.Addr, 
 		cache: make(map[uint32]*cpage), cap: cacheCap,
 		origs: make(map[uint32][]byte), jWritten: make(map[uint32]bool),
 	}
+	p.recent.prev, p.recent.next = &p.recent, &p.recent
 	fd, errno := vfs.Open(e, path, vfscore.OCreat|vfscore.ORdwr)
 	if errno != vfscore.EOK {
 		return nil, fmt.Errorf("sqldb: open %s: errno %d", path, errno)
@@ -230,15 +234,28 @@ func (p *Pager) writeHeader() {
 
 // freshPage installs an all-zero cached page without touching the file.
 func (p *Pager) freshPage(pgno uint32) *cpage {
+	if old, ok := p.cache[pgno]; ok {
+		p.drop(old) // a page number a rolled-back transaction had allocated
+	}
 	pg := &cpage{pgno: pgno, node: node{data: make([]byte, PageSize)}, dirty: true}
 	p.cache[pgno] = pg
 	p.touch(pg)
 	return pg
 }
 
+// touch makes pg the most recently used page.
 func (p *Pager) touch(pg *cpage) {
-	p.tick++
-	pg.lru = p.tick
+	if pg.prev != nil {
+		pg.prev.next, pg.next.prev = pg.next, pg.prev
+	}
+	pg.prev, pg.next = &p.recent, p.recent.next
+	pg.prev.next, pg.next.prev = pg, pg
+}
+
+// drop takes pg out of the cache.
+func (p *Pager) drop(pg *cpage) {
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	delete(p.cache, pg.pgno)
 }
 
 // readPage faults a page in from the file through the window-shared I/O
@@ -281,16 +298,11 @@ func (p *Pager) flushPage(pg *cpage) error {
 // (after their original image is safely in the journal).
 func (p *Pager) evictIfNeeded() {
 	for len(p.cache) > p.cap {
-		var victim *cpage
-		for _, pg := range p.cache {
-			if pg.pgno == 1 {
-				continue // keep the header resident
-			}
-			if victim == nil || pg.lru < victim.lru {
-				victim = pg
-			}
+		victim := p.recent.prev
+		if victim.pgno == 1 {
+			victim = victim.prev // keep the header resident
 		}
-		if victim == nil {
+		if victim == &p.recent {
 			return
 		}
 		if victim.dirty {
@@ -309,7 +321,7 @@ func (p *Pager) evictIfNeeded() {
 		// The frame is dropped, not recycled for the next miss: a scan up
 		// the stack may still be iterating it (speedtest's q310 holds its
 		// outer page while the inner look-ups evict it).
-		delete(p.cache, victim.pgno)
+		p.drop(victim)
 	}
 }
 

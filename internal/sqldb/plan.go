@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -112,16 +114,18 @@ type access struct {
 	hiIncl bool
 }
 
+var (
+	accessRank = map[string]int{"scan": 0, "index-range": 1, "rowid-range": 2, "index-eq": 3, "rowid-eq": 4}
+	flipOp     = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+)
+
 // planAccess chooses the access path for bind i given the conjuncts that
 // become fully bound at this level.
 func (db *DB) planAccess(binds []*tblCtx, i int, conjuncts []Expr) access {
 	b := binds[i]
 	var best access
 	best.kind = "scan"
-	better := func(a access) bool {
-		rank := map[string]int{"scan": 0, "index-range": 1, "rowid-range": 2, "index-eq": 3, "rowid-eq": 4}
-		return rank[a.kind] > rank[best.kind]
-	}
+	better := func(a access) bool { return accessRank[a.kind] > accessRank[best.kind] }
 	indexOn := func(ci int) *Index {
 		col := b.tbl.Columns[ci].Name
 		for _, idx := range db.cat.TableIndexes(b.tbl.Name) {
@@ -170,7 +174,6 @@ func (db *DB) planAccess(binds []*tblCtx, i int, conjuncts []Expr) access {
 			best = a
 		}
 	}
-	flip := map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 	for _, c := range conjuncts {
 		if maxBindIdx(c, binds) != i {
 			continue
@@ -182,7 +185,7 @@ func (db *DB) planAccess(binds []*tblCtx, i int, conjuncts []Expr) access {
 				if ci := colOn(x.L, binds, i); ci != -1 {
 					consider(ci, x.Op, x.R)
 				} else if ci := colOn(x.R, binds, i); ci != -1 {
-					consider(ci, flip[x.Op], x.L)
+					consider(ci, flipOp[x.Op], x.L)
 				}
 			}
 		case *EBetween:
@@ -209,14 +212,51 @@ func (db *DB) planAccess(binds []*tblCtx, i int, conjuncts []Expr) access {
 	return best
 }
 
-// bindRow decodes a fetched row into the bind.
+// bindRow binds a fetched row: the bind's value slice is decoded over,
+// not replaced, and extended to the current column count (ALTER TABLE ADD
+// COLUMN reads old rows as NULL) with the rowid alias filled in.
 func (db *DB) bindRow(b *tblCtx, rowid int64, record []byte) {
-	vals, err := DecodeRecord(record)
+	vals, err := decodeRecord(b.vals, record)
 	if err != nil {
 		fail("%v", err)
 	}
-	b.vals = db.padRow(b.tbl, vals, rowid)
-	b.rowid = rowid
+	for len(vals) < len(b.tbl.Columns) {
+		vals = append(vals, Null())
+	}
+	if b.tbl.RowidCol >= 0 {
+		vals[b.tbl.RowidCol] = Int(rowid)
+	}
+	b.rowid, b.rec, b.vals = rowid, record, vals
+}
+
+// rowidBound turns the value a rowid is compared against into the rowid a
+// range scan starts at or, for an upper bound, stops at: exactly for an
+// integer, since float64 merges integers past 2^53. For anything else the
+// bound only has to admit every match, because tryRow re-checks the
+// conjunct: a real is truncated, text and blobs sort above every number.
+// ok is false when no rowid can match.
+func rowidBound(v Value, upper, incl bool) (bound int64, ok bool) {
+	switch v.Kind {
+	case KInt:
+		switch {
+		case incl:
+			return v.I, true
+		case upper:
+			return v.I - 1, v.I != math.MinInt64
+		}
+		return v.I + 1, v.I != math.MaxInt64
+	case KReal:
+		switch {
+		case v.R >= 1<<63:
+			return math.MaxInt64, true
+		case v.R < -(1 << 63):
+			return math.MinInt64, true
+		}
+		return int64(v.R), true
+	case KText, KBlob:
+		return math.MaxInt64, upper
+	}
+	return 0, false // NULL
 }
 
 // joinLoop enumerates rows of binds[i:] under the already-bound prefix,
@@ -252,13 +292,19 @@ func (db *DB) joinLoop(binds []*tblCtx, i int, rc *rowCtx, conjuncts []Expr, emi
 	tryRow := func(rowid int64, record []byte) bool {
 		db.bindRow(b, rowid, record)
 		db.e.Work(workRowFilter)
+		pass := true
 		for _, c := range applicable {
 			v := db.eval(rc, c)
 			if v.IsNull() || !v.Truthy() {
-				return true // filtered out; keep scanning
+				pass = false // filtered out; keep scanning
+				break
 			}
 		}
-		return db.joinLoop(binds, i+1, rc, conjuncts, emit)
+		more := !pass || db.joinLoop(binds, i+1, rc, conjuncts, emit)
+		if db.afterRow != nil {
+			db.afterRow(b)
+		}
+		return more
 	}
 
 	// rc.tables must not include the current bind while evaluating outer
@@ -273,32 +319,25 @@ func (db *DB) joinLoop(binds []*tblCtx, i int, rc *rowCtx, conjuncts []Expr, emi
 		if v.IsNull() || v.Kind != KInt && v.Kind != KReal {
 			return true
 		}
-		rowid := int64(v.Num())
+		rowid := v.I
+		if v.Kind == KReal {
+			rowid = int64(v.R) // tryRow rejects the row unless v.R is exactly its rowid
+		}
 		if rec := tree.GetRow(rowid); rec != nil {
 			return tryRow(rowid, rec)
 		}
 		return true
 	case "rowid-range":
-		lo := int64(-1 << 62)
-		hi := int64(1<<62 - 1)
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		var feasible bool
 		if a.lo != nil {
-			v := db.eval(outer, a.lo)
-			if v.IsNull() {
+			if lo, feasible = rowidBound(db.eval(outer, a.lo), false, a.loIncl); !feasible {
 				return true
-			}
-			lo = int64(v.Num())
-			if !a.loIncl {
-				lo++
 			}
 		}
 		if a.hi != nil {
-			v := db.eval(outer, a.hi)
-			if v.IsNull() {
+			if hi, feasible = rowidBound(db.eval(outer, a.hi), true, a.hiIncl); !feasible {
 				return true
-			}
-			hi = int64(v.Num())
-			if !a.hiIncl {
-				hi--
 			}
 		}
 		ok := true
@@ -318,7 +357,7 @@ func (db *DB) joinLoop(binds []*tblCtx, i int, rc *rowCtx, conjuncts []Expr, emi
 			if v.IsNull() {
 				return true
 			}
-			lo = EncodeKey([]Value{v})
+			lo = appendKey(nil, v)
 			hi = append(append([]byte{}, lo...), 0xFF)
 		} else {
 			// Range bounds only need to be a superset of the matching
@@ -329,14 +368,14 @@ func (db *DB) joinLoop(binds []*tblCtx, i int, rc *rowCtx, conjuncts []Expr, emi
 				if v.IsNull() {
 					return true
 				}
-				lo = EncodeKey([]Value{v})
+				lo = appendKey(nil, v)
 			}
 			if a.hi != nil {
 				v := db.eval(outer, a.hi)
 				if v.IsNull() {
 					return true
 				}
-				hi = append(EncodeKey([]Value{v}), 0xFF)
+				hi = append(appendKey(nil, v), 0xFF)
 			}
 		}
 		ok := true
@@ -359,12 +398,19 @@ func (db *DB) joinLoop(binds []*tblCtx, i int, rc *rowCtx, conjuncts []Expr, emi
 	return ok
 }
 
-// scanFiltered enumerates a single table's rows matching where.
-func (db *DB) scanFiltered(t *Table, alias string, where Expr, fn func(rowid int64, vals []Value) bool) {
+// hit is a row an UPDATE or DELETE is about to change, with values of its
+// own: the table is written only once the scan that found it is over.
+type hit struct {
+	rowid int64
+	vals  []Value
+}
+
+// scanFiltered returns a single table's rows matching where.
+func (db *DB) scanFiltered(t *Table, alias string, where Expr) (hits []hit) {
 	binds := []*tblCtx{{alias: alias, tbl: t}}
-	conjuncts := splitConjuncts(where)
-	rc := &rowCtx{}
-	db.joinLoop(binds, 0, rc, conjuncts, func(rc *rowCtx) bool {
-		return fn(binds[0].rowid, binds[0].vals)
+	db.joinLoop(binds, 0, &rowCtx{}, splitConjuncts(where), func(*rowCtx) bool {
+		hits = append(hits, hit{binds[0].rowid, slices.Clone(binds[0].solid())})
+		return true
 	})
+	return hits
 }

@@ -1,0 +1,227 @@
+package sqldb
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// TestLRUVictimMatchesScan drives random fetches, touches and allocations
+// — some over a page number that is still cached — against the model the
+// recency ring replaced: a tick per cached page, the victim the page other
+// than page 1 with the lowest. After every step the cache holds exactly
+// the model's pages and the ring exactly the cache's, most recent first.
+func TestLRUVictimMatchesScan(t *testing.T) {
+	withPager(t, 8, func(p *Pager) {
+		ticks, tick := map[uint32]uint64{}, uint64(0)
+		touch := func(pgno uint32) { tick++; ticks[pgno] = tick }
+		for pg := p.recent.prev; pg != &p.recent; pg = pg.prev {
+			touch(pg.pgno)
+		}
+		evict := func() {
+			for len(ticks) > p.cap {
+				victim := uint32(0)
+				for pgno, at := range ticks {
+					if pgno != 1 && (victim == 0 || at < ticks[victim]) {
+						victim = pgno
+					}
+				}
+				delete(ticks, victim)
+			}
+		}
+		rng := rand.New(rand.NewSource(18))
+		for step := 0; step < 4000; step++ {
+			switch op := rng.Intn(8); {
+			case op < 5: // fetch: a hit touches, a miss inserts, touches and evicts
+				pgno := 1 + uint32(rng.Intn(int(p.nPages)))
+				p.page(pgno)
+				touch(pgno)
+				evict()
+			case op < 7: // allocate, one time in three over the last page number given out
+				if rng.Intn(3) == 0 && p.nPages > 2 {
+					p.nPages--
+				}
+				touch(p.Allocate())
+				touch(1) // the header write
+				evict()
+			default:
+				for _, pg := range p.cache { // any cached page
+					p.touch(pg)
+					touch(pg.pgno)
+					break
+				}
+			}
+			if len(p.cache) != len(ticks) {
+				t.Fatalf("step %d: %d pages cached, the model has %d", step, len(p.cache), len(ticks))
+			}
+			n, last := 0, tick+1
+			for pg := p.recent.next; pg != &p.recent; pg = pg.next {
+				at, ok := ticks[pg.pgno]
+				switch {
+				case !ok:
+					t.Fatalf("step %d: page %d is cached, the model evicted it", step, pg.pgno)
+				case p.cache[pg.pgno] != pg:
+					t.Fatalf("step %d: the ring holds a stale frame of page %d", step, pg.pgno)
+				case at >= last:
+					t.Fatalf("step %d: page %d (tick %d) sits behind a page of tick %d", step, pg.pgno, at, last)
+				case pg.next.prev != pg:
+					t.Fatalf("step %d: broken link after page %d", step, pg.pgno)
+				}
+				n, last = n+1, at
+			}
+			if n != len(p.cache) {
+				t.Fatalf("step %d: %d pages on the ring, %d cached", step, n, len(p.cache))
+			}
+		}
+		if p.Stats.Misses < 100 || p.Stats.Hits < 100 {
+			t.Errorf("premise broken: %d hits, %d misses", p.Stats.Hits, p.Stats.Misses)
+		}
+	})
+}
+
+// TestPoisonRowsCatchesAKeptRow is the positive control of the row poison:
+// a callback that keeps the bind's slice, not a clone of it, reads POISON
+// once the row's callback has returned.
+func TestPoisonRowsCatchesAKeptRow(t *testing.T) {
+	withDB(t, 64, func(db *DB) {
+		db.PoisonRows()
+		db.MustExec("CREATE TABLE t (a INTEGER, s TEXT)")
+		db.MustExec("INSERT INTO t VALUES (1, 'one'), (2, 'two')")
+		binds := []*tblCtx{{alias: "t", tbl: db.cat.Table("t")}}
+		var kept, cloned [][]Value
+		db.joinLoop(binds, 0, &rowCtx{}, nil, func(*rowCtx) bool {
+			kept = append(kept, binds[0].vals)
+			cloned = append(cloned, slices.Clone(binds[0].solid()))
+			return true
+		})
+		for i, want := range []string{"one", "two"} {
+			if got := kept[i][1].S; got != "POISON" {
+				t.Errorf("row %d: the kept slice reads %q after its callback", i, got)
+			}
+			if got := cloned[i][1].S; got != want {
+				t.Errorf("row %d: the clone reads %q, want %q", i, got, want)
+			}
+		}
+	})
+}
+
+// speedtestInsert is the shape of speedtest1's most common statement.
+const speedtestInsert = "INSERT INTO z1 VALUES (4711, 815277, 'four thousand seven hundred eleven......')"
+
+// TestCompareIsATotalOrder: integers and reals compare exactly, so the
+// order Compare gives ORDER BY, MIN and MAX is antisymmetric and transitive
+// where float64 would merge neighbouring integers.
+func TestCompareIsATotalOrder(t *testing.T) {
+	const p53 = 1 << 53
+	vals := []Value{
+		Null(), Real(-1e300), Int(-1 << 63), Real(-1 << 63), Int(-3), Real(-2.5), Int(-2), Real(-0.5),
+		Int(0), Real(0), Real(0.5), Int(2), Real(2), Real(2.5), Int(3),
+		Int(p53 - 1), Int(p53), Real(p53), Int(p53 + 1), Int(p53 + 2), Real(p53 + 2),
+		Int(1<<63 - 1), Real(1 << 63), Real(1e300), Text(""), Text("1"), Blob(nil), Blob([]byte{0}),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if ab, ba := Compare(a, b), Compare(b, a); ab != -ba {
+				t.Errorf("Compare(%v, %v) = %d but reversed %d", a, b, ab, ba)
+			}
+			for _, c := range vals {
+				if Compare(a, b) <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
+					t.Errorf("%v <= %v <= %v but Compare(%v, %v) > 0", a, b, c, a, c)
+				}
+			}
+		}
+	}
+	// The list above is in order, equal neighbours aside.
+	if !slices.IsSortedFunc(vals, Compare) {
+		t.Errorf("not in Compare order: %v", vals)
+	}
+}
+
+// fillScanTable creates table name (a INTEGER, b INTEGER, c TEXT) with n
+// rows, b never negative.
+func fillScanTable(db *DB, name string, n int) {
+	db.MustExec("CREATE TABLE " + name + " (a INTEGER, b INTEGER, c TEXT)")
+	db.MustExec("BEGIN")
+	for i := 0; i < n; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO %s VALUES (%d, %d, 'some text of row %d')", name, i, i%97, i))
+	}
+	db.MustExec("COMMIT")
+}
+
+// TestRowPathAllocations gates what a row costs in heap objects, exactly:
+// per row visited, per row emitted, per row inserted, per statement parsed.
+func TestRowPathAllocations(t *testing.T) {
+	withDB(t, 256, func(db *DB) {
+		fillScanTable(db, "t1000", 1000)
+		fillScanTable(db, "t2000", 2000)
+		allocs := func(sql string) int {
+			return int(testing.AllocsPerRun(10, func() { db.MustExec(sql) }))
+		}
+		// A scan whose WHERE reads integers and rejects every row: a
+		// thousand more rows, not one more object.
+		small, big := allocs("SELECT c FROM t1000 WHERE b < 0"), allocs("SELECT c FROM t2000 WHERE b < 0")
+		if small != big {
+			t.Errorf("rejecting scan: %d allocations over 1000 rows, %d over 2000: %.3f a row, want 0",
+				small, big, float64(big-small)/1000)
+		}
+		// The same scan emitting one text column: the string and the result
+		// row for each row, and a few steps of the result's own growth.
+		small, big = allocs("SELECT c FROM t1000 WHERE b >= 0"), allocs("SELECT c FROM t2000 WHERE b >= 0")
+		if d := big - small; d/1000 != 2 || d%1000 > 8 {
+			t.Errorf("emitting scan: %d allocations over 1000 rows, %d over 2000: %.3f a row, want 2", small, big, float64(d)/1000)
+		}
+
+		// One 3-column row into a table with one index, inside a
+		// transaction: the statement, its row list, the expression list and
+		// the Result (the parent read 15). A split now and then is below
+		// AllocsPerRun's integer average.
+		db.MustExec("CREATE TABLE z1 (a INTEGER, b INTEGER, c TEXT)")
+		db.MustExec("CREATE INDEX z1b ON z1 (b)")
+		db.MustExec("BEGIN")
+		if got := testing.AllocsPerRun(300, func() { db.MustExec(speedtestInsert) }); got > 4 {
+			t.Errorf("INSERT of one row with one index: %v allocations, want at most 4", got)
+		}
+		db.MustExec("COMMIT")
+		// The same statement parsed as Exec parses it, by a parser that has
+		// parsed before: the statement, its row list, the expression list,
+		// and a literal chunk every tenth time. The parent's Parse read 9,
+		// which a parser with nothing to reuse must still not exceed.
+		if got := testing.AllocsPerRun(320, func() { db.parser.parse(speedtestInsert) }); got > 3 {
+			t.Errorf("parse of %q by Exec's parser: %v allocations, want at most 3", speedtestInsert, got)
+		}
+		if got := testing.AllocsPerRun(100, func() { Parse(speedtestInsert) }); got > 9 {
+			t.Errorf("Parse(%q): %v allocations, want at most 9", speedtestInsert, got)
+		}
+		if db.pager.Stats.Misses != 0 {
+			t.Errorf("premise broken: %d cache misses", db.pager.Stats.Misses)
+		}
+	})
+}
+
+// BenchmarkFilteredScan is a 1000-row full scan whose WHERE rejects every
+// row: its allocs/op are the statement's, none a row's.
+func BenchmarkFilteredScan(b *testing.B) {
+	withDB(b, 256, func(db *DB) {
+		fillScanTable(db, "t", 1000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if r := db.MustExec("SELECT c FROM t WHERE b < 0"); len(r.Rows) != 0 {
+				b.Fatal("a row passed the filter")
+			}
+		}
+	})
+}
+
+// BenchmarkParseInsert parses speedtest1's most common statement the way
+// Exec does, with a parser that lives as long as the database.
+func BenchmarkParseInsert(b *testing.B) {
+	var p parser
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.parse(speedtestInsert); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

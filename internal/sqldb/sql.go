@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -36,8 +37,9 @@ var (
 	}()
 )
 
-func lex(src string) ([]token, error) {
-	toks := make([]token, 0, len(src)/4+2)
+// lex appends the tokens of src to toks[:0].
+func lex(toks []token, src string) ([]token, error) {
+	toks = slices.Grow(toks[:0], len(src)/4+2)
 	pos := 0
 scan:
 	for pos < len(src) {
@@ -252,18 +254,56 @@ type PragmaStmt struct{ Name string }
 
 // --- Parser ------------------------------------------------------------------
 
+// parser parses one statement after another. What it reuses between them
+// is bounded: at most maxKeptToks tokens, one chunk of each node type and
+// the depth of the deepest expression list.
 type parser struct {
 	toks []token
 	pos  int
+	// lits, cols and bins are the chunks the next literal, column and
+	// binary nodes are carved from.
+	lits []ELit
+	cols []ECol
+	bins []EBin
+	// list holds the expressions of the lists being parsed, innermost last.
+	list []Expr
+}
+
+const (
+	nodeChunk   = 32
+	maxKeptToks = 1024
+)
+
+// carve places v in *chunk and returns where, starting a new chunk when
+// this one is full so that the nodes handed out before stay valid. Chunks
+// double up to nodeChunk: a parser used once (Parse) does not pay for 32
+// nodes, one that lives with its database soon carves from nothing else.
+func carve[T any](chunk *[]T, v T) *T {
+	if len(*chunk) == cap(*chunk) {
+		*chunk = make([]T, 0, min(nodeChunk, max(4, 2*cap(*chunk))))
+	}
+	*chunk = append(*chunk, v)
+	return &(*chunk)[len(*chunk)-1]
+}
+
+func (p *parser) lit(v Value) *ELit            { return carve(&p.lits, ELit{V: v}) }
+func (p *parser) col(table, name string) *ECol { return carve(&p.cols, ECol{Table: table, Name: name}) }
+func (p *parser) bin(op string, l, r Expr) *EBin {
+	return carve(&p.bins, EBin{Op: op, L: l, R: r})
 }
 
 // Parse parses one SQL statement.
-func Parse(src string) (any, error) {
-	toks, err := lex(src)
-	if err != nil {
+func Parse(src string) (any, error) { return new(parser).parse(src) }
+
+func (p *parser) parse(src string) (any, error) {
+	if cap(p.toks) > maxKeptToks {
+		p.toks = nil
+	}
+	var err error
+	if p.toks, err = lex(p.toks, src); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p.pos, p.list = 0, p.list[:0]
 	stmt, err := p.statement()
 	if err != nil {
 		return nil, err
@@ -276,14 +316,6 @@ func Parse(src string) (any, error) {
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
-
-func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tkEOF {
-		p.pos++
-	}
-	return t
-}
 
 // acceptKw consumes a keyword (case-insensitive) if present.
 func (p *parser) acceptKw(kw string) bool {
@@ -444,7 +476,7 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 					if s.Where == nil {
 						s.Where = on
 					} else {
-						s.Where = &EBin{Op: "AND", L: s.Where, R: on}
+						s.Where = p.bin("AND", s.Where, on)
 					}
 				}
 			default:
@@ -460,22 +492,16 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 		if s.Where == nil {
 			s.Where = w
 		} else {
-			s.Where = &EBin{Op: "AND", L: s.Where, R: w}
+			s.Where = p.bin("AND", s.Where, w)
 		}
 	}
 	if p.acceptKw("GROUP") {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			s.GroupBy = append(s.GroupBy, e)
-			if !p.accept(tkOp, ",") {
-				break
-			}
+		var err error
+		if s.GroupBy, err = p.exprList(); err != nil {
+			return nil, err
 		}
 	}
 	if p.acceptKw("HAVING") {
@@ -588,16 +614,9 @@ func (p *parser) insertStmt() (*InsertStmt, error) {
 		if err := p.expectOp("("); err != nil {
 			return nil, err
 		}
-		var row []Expr
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.accept(tkOp, ",") {
-				break
-			}
+		row, err := p.exprList()
+		if err != nil {
+			return nil, err
 		}
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
@@ -816,7 +835,7 @@ func (p *parser) exprOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &EBin{Op: "OR", L: l, R: r}
+		l = p.bin("OR", l, r)
 	}
 	return l, nil
 }
@@ -831,7 +850,7 @@ func (p *parser) exprAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &EBin{Op: "AND", L: l, R: r}
+		l = p.bin("AND", l, r)
 	}
 	return l, nil
 }
@@ -859,49 +878,49 @@ func (p *parser) exprCmp() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: "=", L: l, R: r}
+			l = p.bin("=", l, r)
 		case p.accept(tkOp, "!="), p.accept(tkOp, "<>"):
 			r, err := p.exprAdd()
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: "!=", L: l, R: r}
+			l = p.bin("!=", l, r)
 		case p.accept(tkOp, "<="):
 			r, err := p.exprAdd()
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: "<=", L: l, R: r}
+			l = p.bin("<=", l, r)
 		case p.accept(tkOp, ">="):
 			r, err := p.exprAdd()
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: ">=", L: l, R: r}
+			l = p.bin(">=", l, r)
 		case p.accept(tkOp, "<"):
 			r, err := p.exprAdd()
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: "<", L: l, R: r}
+			l = p.bin("<", l, r)
 		case p.accept(tkOp, ">"):
 			r, err := p.exprAdd()
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: ">", L: l, R: r}
+			l = p.bin(">", l, r)
 		case p.acceptKw("LIKE"):
 			r, err := p.exprAdd()
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: "LIKE", L: l, R: r}
+			l = p.bin("LIKE", l, r)
 		case p.acceptKw("IS"):
 			not := p.acceptKw("NOT")
 			if err := p.expectKw("NULL"); err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: "IS NULL", L: l, R: &ELit{V: Bool(!not)}}
+			l = p.bin("IS NULL", l, p.lit(Bool(!not)))
 		case p.acceptKw("BETWEEN"):
 			lo, err := p.exprAdd()
 			if err != nil {
@@ -947,7 +966,7 @@ func (p *parser) exprCmp() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				l = &EUn{Op: "NOT", E: &EBin{Op: "LIKE", L: l, R: r}}
+				l = &EUn{Op: "NOT", E: p.bin("LIKE", l, r)}
 			default:
 				return nil, fmt.Errorf("sql: expected IN, BETWEEN or LIKE after NOT, got %q", p.peek().text)
 			}
@@ -955,6 +974,27 @@ func (p *parser) exprCmp() (Expr, error) {
 			return l, nil
 		}
 	}
+}
+
+// exprList parses a comma-separated list of expressions. They collect on
+// p.list above those of the lists around this one, so the slice returned
+// is allocated once, at its final size.
+func (p *parser) exprList() ([]Expr, error) {
+	base := len(p.list)
+	for {
+		e, err := p.expr()
+		if err != nil {
+			return nil, err
+		}
+		p.list = append(p.list, e)
+		if !p.accept(tkOp, ",") {
+			break
+		}
+	}
+	out := slices.Clone(p.list[base:])
+	clear(p.list[base:])
+	p.list = p.list[:base]
+	return out, nil
 }
 
 // inTail parses the parenthesised tail of an IN predicate.
@@ -972,16 +1012,9 @@ func (p *parser) inTail(l Expr, not bool) (Expr, error) {
 		}
 		return &EIn{E: l, Sub: sub, Not: not}, nil
 	}
-	var list []Expr
-	for {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		list = append(list, e)
-		if !p.accept(tkOp, ",") {
-			break
-		}
+	list, err := p.exprList()
+	if err != nil {
+		return nil, err
 	}
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
@@ -1001,19 +1034,19 @@ func (p *parser) exprAdd() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: "+", L: l, R: r}
+			l = p.bin("+", l, r)
 		case p.accept(tkOp, "-"):
 			r, err := p.exprMul()
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: "-", L: l, R: r}
+			l = p.bin("-", l, r)
 		case p.accept(tkOp, "||"):
 			r, err := p.exprMul()
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: "||", L: l, R: r}
+			l = p.bin("||", l, r)
 		default:
 			return l, nil
 		}
@@ -1032,19 +1065,19 @@ func (p *parser) exprMul() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: "*", L: l, R: r}
+			l = p.bin("*", l, r)
 		case p.accept(tkOp, "/"):
 			r, err := p.exprUnary()
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: "/", L: l, R: r}
+			l = p.bin("/", l, r)
 		case p.accept(tkOp, "%"):
 			r, err := p.exprUnary()
 			if err != nil {
 				return nil, err
 			}
-			l = &EBin{Op: "%", L: l, R: r}
+			l = p.bin("%", l, r)
 		default:
 			return l, nil
 		}
@@ -1060,9 +1093,9 @@ func (p *parser) exprUnary() (Expr, error) {
 		if lit, ok := e.(*ELit); ok {
 			switch lit.V.Kind {
 			case KInt:
-				return &ELit{V: Int(-lit.V.I)}, nil
+				return p.lit(Int(-lit.V.I)), nil
 			case KReal:
-				return &ELit{V: Real(-lit.V.R)}, nil
+				return p.lit(Real(-lit.V.R)), nil
 			}
 		}
 		return &EUn{Op: "-", E: e}, nil
@@ -1083,16 +1116,16 @@ func (p *parser) exprPrimary() (Expr, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sql: bad number %q", t.text)
 			}
-			return &ELit{V: Real(f)}, nil
+			return p.lit(Real(f)), nil
 		}
 		i, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("sql: bad integer %q", t.text)
 		}
-		return &ELit{V: Int(i)}, nil
+		return p.lit(Int(i)), nil
 	case tkString:
 		p.pos++
-		return &ELit{V: Text(t.text)}, nil
+		return p.lit(Text(t.text)), nil
 	case tkOp:
 		if t.text == "(" {
 			p.pos++
@@ -1120,43 +1153,32 @@ func (p *parser) exprPrimary() (Expr, error) {
 		switch strings.ToUpper(t.text) {
 		case "NULL":
 			p.pos++
-			return &ELit{V: Null()}, nil
+			return p.lit(Null()), nil
 		case "TRUE":
 			p.pos++
-			return &ELit{V: Int(1)}, nil
+			return p.lit(Int(1)), nil
 		case "FALSE":
 			p.pos++
-			return &ELit{V: Int(0)}, nil
+			return p.lit(Int(0)), nil
 		}
 		p.pos++
 		name := t.text
 		// Function call?
 		if p.accept(tkOp, "(") {
 			f := &EFunc{Name: strings.ToLower(name)}
-			if p.accept(tkOp, "*") {
+			switch {
+			case p.accept(tkOp, ")"):
+				return f, nil
+			case p.accept(tkOp, "*"):
 				f.Star = true
-			} else if !p.accept(tkOp, ")") {
-				for {
-					a, err := p.expr()
-					if err != nil {
-						return nil, err
-					}
-					f.Args = append(f.Args, a)
-					if !p.accept(tkOp, ",") {
-						break
-					}
-				}
-				if err := p.expectOp(")"); err != nil {
+			default:
+				var err error
+				if f.Args, err = p.exprList(); err != nil {
 					return nil, err
 				}
-				return f, nil
-			} else {
-				return f, nil
 			}
-			if f.Star {
-				if err := p.expectOp(")"); err != nil {
-					return nil, err
-				}
+			if err := p.expectOp(")"); err != nil {
+				return nil, err
 			}
 			return f, nil
 		}
@@ -1166,9 +1188,9 @@ func (p *parser) exprPrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &ECol{Table: name, Name: col}, nil
+			return p.col(name, col), nil
 		}
-		return &ECol{Name: name}, nil
+		return p.col("", name), nil
 	}
 	return nil, fmt.Errorf("sql: unexpected token %q", t.text)
 }

@@ -88,7 +88,7 @@ func TestParseStatements(t *testing.T) {
 		{"a -- b\n c", []token{{tkIdent, "a"}, {tkIdent, "c"}}},
 		{"a ! b", nil}, {"a | b", nil}, {"a & b", nil}, {"\x80", nil},
 	} {
-		got, err := lex(c.src)
+		got, err := lex(nil, c.src)
 		if c.want == nil {
 			if err == nil {
 				t.Errorf("lex(%q) = %v, want an error", c.src, got)

@@ -16,12 +16,12 @@ import (
 
 // testDB boots the FS stack with an SQLITE app cubicle and opens a
 // database inside it. fn runs with the SQLITE cubicle's privileges.
-func testDB(t *testing.T, fn func(e *cubicle.Env, db *sqldb.DB)) {
+func testDB(t testing.TB, fn func(e *cubicle.Env, db *sqldb.DB)) {
 	t.Helper()
 	testDBNamed(t, "/test.db", 64, fn)
 }
 
-func testDBNamed(t *testing.T, path string, cacheCap int, fn func(e *cubicle.Env, db *sqldb.DB)) {
+func testDBNamed(t testing.TB, path string, cacheCap int, fn func(e *cubicle.Env, db *sqldb.DB)) {
 	t.Helper()
 	s := boot.MustNewFS(boot.Config{Mode: cubicle.ModeFull, Extra: []*cubicle.Component{{
 		Name: "SQLITE", Kind: cubicle.KindIsolated,
@@ -44,6 +44,9 @@ func testDBNamed(t *testing.T, path string, cacheCap int, fn func(e *cubicle.Env
 		// wrote a page while a scan up the stack was iterating it would
 		// panic here instead of reading shifted cells.
 		db.Pager().GuardScans()
+		// ... and with each bind's reused row poisoned once its callback has
+		// returned: a statement that kept one would read POISON.
+		db.PoisonRows()
 		fn(e, db)
 	})
 	if err != nil {

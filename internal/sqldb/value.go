@@ -8,9 +8,12 @@
 package sqldb
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -124,11 +127,19 @@ func Compare(a, b Value) int {
 	case 0:
 		return 0
 	case 1:
-		x, y := a.Num(), b.Num()
+		// Exact: float64 merges integers past 2^53.
 		switch {
-		case x < y:
+		case a.Kind == KInt && b.Kind == KInt:
+			return cmp.Compare(a.I, b.I)
+		case a.Kind == KInt:
+			return cmpIntReal(a.I, b.R)
+		case b.Kind == KInt:
+			return -cmpIntReal(b.I, a.R)
+		}
+		switch {
+		case a.R < b.R:
 			return -1
-		case x > y:
+		case a.R > b.R:
 			return 1
 		}
 		return 0
@@ -154,81 +165,131 @@ func Compare(a, b Value) int {
 	}
 }
 
+// cmpIntReal orders an integer against a real without rounding the
+// integer, so that Compare stays transitive across the two kinds. A NaN
+// equals everything, as it does between two reals.
+func cmpIntReal(i int64, r float64) int {
+	switch {
+	case r != r:
+		return 0
+	case r >= 1<<63:
+		return -1
+	case r < -(1 << 63):
+		return 1
+	}
+	t := math.Trunc(r) // in int64's range, so int64(t) is exact
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c // |r - t| < 1: the integers on either side of t are on that side of r
+	}
+	return cmp.Compare(t, r)
+}
+
 // --- Record serialisation ---------------------------------------------------
 
 // EncodeRecord serialises a row of values.
 func EncodeRecord(vals []Value) []byte {
-	out := make([]byte, 0, 16*len(vals)+2)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(vals)))
+	return appendRecord(make([]byte, 0, 16*len(vals)+2), vals)
+}
+
+// appendRecord appends the serialised row to dst.
+func appendRecord(dst []byte, vals []Value) []byte {
+	dst = le.AppendUint16(dst, uint16(len(vals)))
 	for _, v := range vals {
-		out = append(out, byte(v.Kind))
+		dst = append(dst, byte(v.Kind))
 		switch v.Kind {
 		case KInt:
-			out = binary.LittleEndian.AppendUint64(out, uint64(v.I))
+			dst = le.AppendUint64(dst, uint64(v.I))
 		case KReal:
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v.R))
+			dst = le.AppendUint64(dst, math.Float64bits(v.R))
 		case KText:
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(v.S)))
-			out = append(out, v.S...)
+			dst = le.AppendUint32(dst, uint32(len(v.S)))
+			dst = append(dst, v.S...)
 		case KBlob:
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(v.B)))
-			out = append(out, v.B...)
+			dst = le.AppendUint32(dst, uint32(len(v.B)))
+			dst = append(dst, v.B...)
 		}
 	}
-	return out
+	return dst
 }
+
+// lazyText and lazyBlob are a text or blob still inside its record: I is
+// the payload's offset there, right behind its u32 length. decodeRecord
+// produces them and solid resolves them; they exist nowhere else.
+const (
+	lazy     Kind = 0x80
+	lazyText      = lazy | KText
+	lazyBlob      = lazy | KBlob
+)
 
 // DecodeRecord parses a serialised row.
 func DecodeRecord(b []byte) ([]Value, error) {
+	vals, err := decodeRecord(nil, b)
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range vals {
+		vals[i] = solid(v, b)
+	}
+	return vals, nil
+}
+
+// decodeRecord parses a serialised row into dst[:0] without copying
+// anything out of it: numbers and NULLs are decoded, a text or blob is
+// left in b as a lazy value.
+func decodeRecord(dst []Value, b []byte) ([]Value, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("sqldb: record too short")
 	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	vals := make([]Value, 0, n)
+	n, off := int(le.Uint16(b)), 2
+	dst = slices.Grow(dst[:0], n)
 	for i := 0; i < n; i++ {
-		if len(b) < 1 {
+		if len(b) <= off {
 			return nil, fmt.Errorf("sqldb: truncated record")
 		}
-		k := Kind(b[0])
-		b = b[1:]
+		k := Kind(b[off])
+		off++
 		switch k {
 		case KNull:
-			vals = append(vals, Null())
-		case KInt:
-			if len(b) < 8 {
-				return nil, fmt.Errorf("sqldb: truncated int")
+			dst = append(dst, Value{})
+		case KInt, KReal:
+			if len(b) < off+8 {
+				return nil, fmt.Errorf("sqldb: truncated number")
 			}
-			vals = append(vals, Int(int64(binary.LittleEndian.Uint64(b))))
-			b = b[8:]
-		case KReal:
-			if len(b) < 8 {
-				return nil, fmt.Errorf("sqldb: truncated real")
+			bits := le.Uint64(b[off:])
+			if k == KInt {
+				dst = append(dst, Value{Kind: KInt, I: int64(bits)})
+			} else {
+				dst = append(dst, Value{Kind: KReal, R: math.Float64frombits(bits)})
 			}
-			vals = append(vals, Real(math.Float64frombits(binary.LittleEndian.Uint64(b))))
-			b = b[8:]
+			off += 8
 		case KText, KBlob:
-			if len(b) < 4 {
+			if len(b) < off+4 {
 				return nil, fmt.Errorf("sqldb: truncated length")
 			}
-			l := int(binary.LittleEndian.Uint32(b))
-			b = b[4:]
-			if len(b) < l {
+			l := int(le.Uint32(b[off:]))
+			off += 4
+			if len(b)-off < l {
 				return nil, fmt.Errorf("sqldb: truncated payload")
 			}
-			if k == KText {
-				vals = append(vals, Text(string(b[:l])))
-			} else {
-				blob := make([]byte, l)
-				copy(blob, b[:l])
-				vals = append(vals, Blob(blob))
-			}
-			b = b[l:]
+			dst = append(dst, Value{Kind: lazy | k, I: int64(off)})
+			off += l
 		default:
 			return nil, fmt.Errorf("sqldb: bad value kind %d", k)
 		}
 	}
-	return vals, nil
+	return dst, nil
+}
+
+// solid returns v with a lazy text or blob copied out of its record: the
+// result shares no memory with rec, which may be a page frame.
+func solid(v Value, rec []byte) Value {
+	switch v.Kind {
+	case lazyText:
+		return Text(string(rec[v.I:][:le.Uint32(rec[v.I-4:])]))
+	case lazyBlob:
+		return Blob(bytes.Clone(rec[v.I:][:le.Uint32(rec[v.I-4:])]))
+	}
+	return v
 }
 
 // --- Order-preserving index key encoding -------------------------------------
@@ -238,41 +299,46 @@ func DecodeRecord(b []byte) ([]Value, error) {
 func EncodeKey(vals []Value) []byte {
 	out := make([]byte, 0, 16*len(vals))
 	for _, v := range vals {
-		switch v.Kind {
-		case KNull:
-			out = append(out, 0x00)
-		case KInt, KReal:
-			out = append(out, 0x01)
-			bits := math.Float64bits(v.Num())
-			// Flip for total order: positive floats get the sign bit set,
-			// negatives are fully inverted.
-			if bits&(1<<63) != 0 {
-				bits = ^bits
-			} else {
-				bits |= 1 << 63
-			}
-			out = binary.BigEndian.AppendUint64(out, bits)
-		case KText:
-			out = append(out, 0x02)
-			// 0x00 bytes are escaped as 0x00 0xFF; terminator 0x00 0x00.
-			for i := 0; i < len(v.S); i++ {
-				c := v.S[i]
-				out = append(out, c)
-				if c == 0x00 {
-					out = append(out, 0xFF)
-				}
-			}
-			out = append(out, 0x00, 0x00)
-		case KBlob:
-			out = append(out, 0x03)
-			for _, c := range v.B {
-				out = append(out, c)
-				if c == 0x00 {
-					out = append(out, 0xFF)
-				}
-			}
-			out = append(out, 0x00, 0x00)
-		}
+		out = appendKey(out, v)
 	}
 	return out
+}
+
+// appendKey appends one value of a key tuple to dst.
+func appendKey(dst []byte, v Value) []byte {
+	switch v.Kind {
+	case KNull:
+		return append(dst, 0x00)
+	case KInt, KReal:
+		bits := math.Float64bits(v.Num())
+		// Flip for total order: positive floats get the sign bit set,
+		// negatives are fully inverted.
+		if bits&(1<<63) != 0 {
+			bits = ^bits
+		} else {
+			bits |= 1 << 63
+		}
+		return binary.BigEndian.AppendUint64(append(dst, 0x01), bits)
+	case KText:
+		dst = append(dst, 0x02)
+		// 0x00 bytes are escaped as 0x00 0xFF; terminator 0x00 0x00.
+		for i := 0; i < len(v.S); i++ {
+			c := v.S[i]
+			dst = append(dst, c)
+			if c == 0x00 {
+				dst = append(dst, 0xFF)
+			}
+		}
+		return append(dst, 0x00, 0x00)
+	case KBlob:
+		dst = append(dst, 0x03)
+		for _, c := range v.B {
+			dst = append(dst, c)
+			if c == 0x00 {
+				dst = append(dst, 0xFF)
+			}
+		}
+		return append(dst, 0x00, 0x00)
+	}
+	return dst
 }

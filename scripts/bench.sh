@@ -21,7 +21,11 @@
 #   sqldb: BtreePointLookup, BtreeInsertDelete (internal/sqldb) and
 #       SpeedtestPass (internal/experiments: boot, fill and the 31 queries
 #       of the repo benchmark's sqlite_speedtest), with -benchmem — the
-#       B+tree page path edits pages in place and its allocs/op say so
+#       B+tree page path edits pages in place and its allocs/op say so;
+#       FilteredScan (a 1000-row scan whose WHERE rejects every row) and
+#       ParseInsert (speedtest1's most common statement through a parser
+#       that lives with its database): the row and parse paths reuse their
+#       buffers, and their allocs/op are gated
 #
 # The JSON also records tracing_overhead_ratio (CallTracingPaired's ratio
 # metric): the cost of leaving the observability layer on. -assert gates
@@ -41,6 +45,10 @@
 #              - allocs/op != 0 on CrossCubicleCall/* or
 #                CrossingArgsRets — a crossing allocates nothing; exact,
 #                so immune to host noise
+#              - allocs/op > 16 on FilteredScan or > 3 on ParseInsert — a
+#                row visited allocates nothing (one object a row would read
+#                1016), a statement parsed allocates its statement, row
+#                list and expression list; exact as well
 #              - SMPSiege wallrps at cores=2 < MIN_SMP_SCALING (default
 #                1.4) × wallrps at cores=1 — shared-nothing shards,
 #                one system and one monitor each, must scale with real
@@ -99,6 +107,7 @@ COUNT=1
 go test -run '^$' -bench 'CallTracing' -benchtime "$BENCHTIME" -count "$COUNT" ./internal/cubicle/ | tee -a "$TMP"
 go test -run '^$' -bench 'CrossCubicleCall' -benchtime "$BENCHTIME" -benchmem . | tee -a "$TMP"
 go test -run '^$' -bench 'CrossingArgsRets' -benchtime "$BENCHTIME" ./internal/cubicle/ | tee -a "$TMP"
+go test -run '^$' -bench 'FilteredScan|ParseInsert' -benchtime "$BENCHTIME" -benchmem ./internal/sqldb/ | tee -a "$TMP"
 
 RATIO="$(awk '
 /^BenchmarkCallTracingPaired/ {
@@ -136,6 +145,24 @@ if [ "$MODE" = assert ]; then
         if (n < 5) { print "bench.sh: assert: crossing allocation measurements missing"; exit 1 }
         if (bad) exit 1
         printf "bench.sh: assert ok: %d crossing benches at 0 allocs/op\n", n
+    }' "$TMP" || exit 1
+
+    # Row-path allocation gate: a scan decodes each row into its bind's
+    # reused slice and Exec's parser reuses its token buffer and node
+    # chunks, so neither count grows with the rows visited or the statements
+    # parsed before. Counts, gated exactly.
+    awk '
+    /^Benchmark(FilteredScan|ParseInsert)/ {
+        max = ($1 ~ /FilteredScan/) ? 16 : 3
+        for (i = 3; i + 1 <= NF; i += 2) if ($(i + 1) == "allocs/op") {
+            n++
+            if ($i > max) { printf "bench.sh: assert: %s allocates %s objects/op, want at most %s\n", $1, $i, max; bad = 1 }
+        }
+    }
+    END {
+        if (n < 2) { print "bench.sh: assert: row-path allocation measurements missing"; exit 1 }
+        if (bad) exit 1
+        print "bench.sh: assert ok: FilteredScan <= 16 and ParseInsert <= 3 allocs/op"
     }' "$TMP" || exit 1
 
     # Shard-siege wall-clock scaling gate: two shared-nothing shards (one

@@ -23,8 +23,13 @@ go test -race ./internal/cubicle/...
 # Page-path gates: the B+tree's in-place page edits against the old
 # decode/encode algorithm kept as a byte oracle (FuzzPageOps' seed corpus,
 # run as unit tests), and the pinned speedtest image: page count, CRC of
-# every page, all pager counters and the virtual clock of one pass.
-go test -race -run 'FuzzPageOps|TestSpeedtestImagePinned' ./internal/sqldb/ ./internal/experiments/
+# every page, all pager counters and the virtual clock of one pass. With
+# them the row-path gates: the LRU ring against the min-tick scan it
+# replaced, one WorkN against k calls of Work, every statement shape that
+# keeps a row beyond its callback under the row poison, and the exact
+# allocation budgets of a row visited, emitted, inserted and parsed.
+go test -race -run 'FuzzPageOps|TestSpeedtestImagePinned|TestLRUVictimMatchesScan|TestWorkNEqualsRepeatedWork|TestReusedRowsDoNotLeak|TestRowPathAllocations' \
+    ./internal/sqldb/ ./internal/experiments/ ./internal/cycles/ ./internal/cubicle/
 
 # Crossing gate: every defer in the trampoline must stay open-coded (the
 # compiler falls back to deferprocStack past 8 defers or 15 defer×return
