@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -27,7 +28,11 @@ type report struct {
 	Cubicles []cubicleInfo  `json:"cubicles"`
 	PageMap  []pageMapEntry `json:"page_map"`
 	Tramps   []string       `json:"trampolines"`
-	Counters counters       `json:"counters"`
+	// Counters holds every row of cubicle.Counters under the row's name.
+	Counters      map[string]uint64 `json:"counters"`
+	Edges         []edgeCount       `json:"call_edges"`
+	VirtualCycles uint64            `json:"virtual_cycles"`
+	VirtualMs     float64           `json:"virtual_ms"`
 	// TraceShards, when the run is traced, reports each per-core ring
 	// shard's recorded/dropped accounting — the drop counters show whether
 	// the ring capacity kept up with the event rate.
@@ -88,36 +93,6 @@ type edgeCount struct {
 	Count uint64 `json:"count"`
 }
 
-type counters struct {
-	Calls             uint64      `json:"cross_cubicle_calls"`
-	SharedCalls       uint64      `json:"shared_cubicle_calls"`
-	Faults            uint64      `json:"protection_traps"`
-	DeniedFaults      uint64      `json:"denied_traps"`
-	Retags            uint64      `json:"page_retags"`
-	WRPKRUs           uint64      `json:"wrpkru_executions"`
-	WindowOps         uint64      `json:"window_operations"`
-	WindowSearchSteps uint64      `json:"window_search_steps"`
-	StackBytesCopied  uint64      `json:"stack_arg_bytes"`
-	BulkBytesCopied   uint64      `json:"bulk_bytes_copied"`
-	KeyEvictions      uint64      `json:"key_evictions"`
-	ContainedFaults   uint64      `json:"contained_faults"`
-	Quarantines       uint64      `json:"quarantines"`
-	Restarts          uint64      `json:"restarts"`
-	WarmRestarts      uint64      `json:"warm_restarts"`
-	ColdRestarts      uint64      `json:"cold_restarts"`
-	Checkpoints       uint64      `json:"checkpoints"`
-	CheckpointBytes   uint64      `json:"checkpoint_bytes"`
-	InjectedFaults    uint64      `json:"injected_faults"`
-	Sheds             uint64      `json:"sheds"`
-	DeadlineFaults    uint64      `json:"deadline_faults"`
-	QuotaFaults       uint64      `json:"quota_faults"`
-	Retries           uint64      `json:"retries"`
-	TLBShootdowns     uint64      `json:"tlb_shootdowns"`
-	Edges             []edgeCount `json:"call_edges"`
-	VirtualCycles     uint64      `json:"virtual_cycles"`
-	VirtualMs         float64     `json:"virtual_ms"`
-}
-
 func buildReport(m *cubicleos.Monitor) *report {
 	r := &report{Mode: m.Mode.String()}
 	names := map[int]string{int(cubicle.MonitorID): "MONITOR"}
@@ -170,40 +145,15 @@ func buildReport(m *cubicleos.Monitor) *report {
 		r.Tramps = append(r.Tramps, tr.Symbol())
 	}
 	sort.Strings(r.Tramps)
-	st := m.Stats
-	r.Counters = counters{
-		Calls:             st.CallsTotal,
-		SharedCalls:       st.SharedCalls,
-		Faults:            st.Faults,
-		DeniedFaults:      st.DeniedFaults,
-		Retags:            st.Retags,
-		WRPKRUs:           st.WRPKRUs,
-		WindowOps:         st.WindowOps,
-		WindowSearchSteps: st.WindowSearchSteps,
-		StackBytesCopied:  st.StackBytesCopied,
-		BulkBytesCopied:   st.BulkBytesCopied,
-		KeyEvictions:      st.KeyEvictions,
-		ContainedFaults:   st.ContainedFaults,
-		Quarantines:       st.Quarantines,
-		Restarts:          st.Restarts,
-		WarmRestarts:      st.WarmRestarts,
-		ColdRestarts:      st.ColdRestarts,
-		Checkpoints:       st.Checkpoints,
-		CheckpointBytes:   st.CheckpointBytes,
-		InjectedFaults:    st.InjectedFaults,
-		Sheds:             st.Sheds,
-		DeadlineFaults:    st.DeadlineFaults,
-		QuotaFaults:       st.QuotaFaults,
-		Retries:           st.Retries,
-		TLBShootdowns:     st.TLBShootdowns,
-		VirtualCycles:     m.Clock.Cycles(),
-		VirtualMs:         float64(m.Clock.Duration().Microseconds()) / 1000,
+	r.Counters = make(map[string]uint64, len(cubicle.Counters))
+	for _, c := range cubicle.Counters {
+		r.Counters[c.Name] = *c.Field(&m.Stats)
 	}
-	for _, e := range st.SortedEdges() {
-		r.Counters.Edges = append(r.Counters.Edges, edgeCount{
-			From: int(e.From), To: int(e.To), Count: e.Count,
-		})
+	for _, e := range m.Stats.SortedEdges() {
+		r.Edges = append(r.Edges, edgeCount{From: int(e.From), To: int(e.To), Count: e.Count})
 	}
+	r.VirtualCycles = m.Clock.Cycles()
+	r.VirtualMs = float64(m.Clock.Duration().Microseconds()) / 1000
 	if trc := m.Tracer(); trc != nil {
 		for c := 0; c < trc.Cores(); c++ {
 			r.TraceShards = append(r.TraceShards, shardInfo{
@@ -223,6 +173,67 @@ func buildReport(m *cubicleos.Monitor) *report {
 		}
 	}
 	return r
+}
+
+// writeText renders the report as the human-readable dump.
+func writeText(w io.Writer, r *report) {
+	fmt.Fprintln(w, "CUBICLES")
+	fmt.Fprintf(w, "%-4s %-10s %-9s %-4s %-8s %-11s %-8s %s\n",
+		"id", "name", "kind", "key", "windows", "health", "restarts", "exports")
+	for _, c := range r.Cubicles {
+		show := c.Exports
+		if len(show) > 4 {
+			show = append(append([]string{}, show[:4]...), fmt.Sprintf("… (%d total)", len(c.Exports)))
+		}
+		fmt.Fprintf(w, "%-4d %-10s %-9s %-4d %-8d %-11s %-8d %v\n", c.ID, c.Name, c.Kind, c.Key,
+			c.Windows, c.Health, c.Restarts, show)
+		if c.LastFault != "" {
+			fmt.Fprintf(w, "     last fault: %s\n", c.LastFault)
+		}
+		if cp := c.Checkpoint; cp != nil {
+			fmt.Fprintf(w, "     last checkpoint: cycle %d, %d bytes, %d heap pages\n",
+				cp.Cycle, cp.Bytes, cp.Pages)
+		}
+	}
+
+	fmt.Fprintln(w, "\nPAGE MAP (pages by owner and type)")
+	for _, e := range r.PageMap {
+		fmt.Fprintf(w, "  %-10s %-7s %6d pages (%d KiB)\n", e.OwnerName, e.Type, e.Pages, e.KiB)
+	}
+
+	fmt.Fprintln(w, "\nTRAMPOLINES")
+	fmt.Fprintf(w, "  %d cross-cubicle call trampolines installed (one per public symbol)\n", len(r.Tramps))
+	for i, sym := range r.Tramps {
+		if i >= 8 {
+			fmt.Fprintf(w, "  … and %d more\n", len(r.Tramps)-8)
+			break
+		}
+		fmt.Fprintf(w, "  %s\n", sym)
+	}
+
+	fmt.Fprintln(w, "\nEVENT COUNTERS")
+	for _, c := range cubicle.Counters {
+		fmt.Fprintf(w, "  %-20s %10d  %s\n", c.Name, r.Counters[c.Name], c.Help)
+	}
+	fmt.Fprintf(w, "  %-20s %10d cycles (%.3f ms at 2.2 GHz)\n", "virtual time", r.VirtualCycles, r.VirtualMs)
+
+	if len(r.TraceShards) > 0 {
+		fmt.Fprintln(w, "\nTRACE RING SHARDS")
+		for _, sh := range r.TraceShards {
+			fmt.Fprintf(w, "  core %d: %d events recorded, %d dropped, %d retained in ring\n",
+				sh.Core, sh.Recorded, sh.Dropped, sh.Retained)
+		}
+	}
+	if mi := r.Metrics; mi != nil {
+		fmt.Fprintln(w, "\nMETRICS PIPELINE")
+		fmt.Fprintf(w, "  interval %d cycles; %d snapshots recorded, %d dropped from ring\n",
+			mi.IntervalCycles, mi.Recorded, mi.Dropped)
+		if n := len(mi.Samples); n > 0 {
+			s := mi.Samples[n-1]
+			fmt.Fprintf(w, "  last sample: cycle %d  calls/s %.0f  faults/s %.0f  xing p99 %dcy\n",
+				s.Cycle, s.CallRate, s.FaultRate, s.CallP99)
+		}
+	}
 }
 
 // clusterReport is the machine-readable fleet dump (-cluster -json).
@@ -353,118 +364,15 @@ func main() {
 			}
 		}
 	}
-	m := tgt.Sys.M
-
+	r := buildReport(tgt.Sys.M)
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", " ")
-		if err := enc.Encode(buildReport(m)); err != nil {
+		if err := enc.Encode(r); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
-	fmt.Println("CUBICLES")
-	fmt.Printf("%-4s %-10s %-9s %-4s %-8s %-11s %-8s %s\n",
-		"id", "name", "kind", "key", "windows", "health", "restarts", "exports")
-	for _, c := range m.Cubicles() {
-		exports := c.Exports()
-		sort.Strings(exports)
-		show := exports
-		if len(show) > 4 {
-			show = append(append([]string{}, show[:4]...), fmt.Sprintf("… (%d total)", len(exports)))
-		}
-		fmt.Printf("%-4d %-10s %-9s %-4d %-8d %-11s %-8d %v\n", c.ID, c.Name, c.Kind, c.Key,
-			m.WindowCount(c.ID), c.Health(), c.Restarts(), show)
-		if lf := c.LastFault(); lf != nil {
-			fmt.Printf("     last fault: %v\n", lf)
-		}
-		if info, ok := m.LastCheckpoint(c.ID); ok {
-			fmt.Printf("     last checkpoint: cycle %d, %d bytes, %d heap pages\n",
-				info.Cycle, info.Bytes, info.Pages)
-		}
-	}
-
-	fmt.Println("\nPAGE MAP (pages by owner and type)")
-	type key struct {
-		owner int
-		typ   vm.PageType
-	}
-	counts := map[key]int{}
-	m.AS.ForEachPage(func(pn uint64, p *vm.Page) {
-		counts[key{p.Owner, p.Type}]++
-	})
-	names := map[int]string{int(cubicle.MonitorID): "MONITOR"}
-	for _, c := range m.Cubicles() {
-		names[int(c.ID)] = c.Name
-	}
-	var keys []key
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].owner != keys[j].owner {
-			return keys[i].owner < keys[j].owner
-		}
-		return keys[i].typ < keys[j].typ
-	})
-	for _, k := range keys {
-		owner := names[k.owner]
-		if owner == "" {
-			owner = fmt.Sprintf("cubicle-%d", k.owner)
-		}
-		fmt.Printf("  %-10s %-7s %6d pages (%d KiB)\n", owner, k.typ, counts[k],
-			counts[k]*vm.PageSize/1024)
-	}
-
-	fmt.Println("\nTRAMPOLINES")
-	trs := m.Trampolines()
-	fmt.Printf("  %d cross-cubicle call trampolines installed (one per public symbol)\n", len(trs))
-	for i, tr := range trs {
-		if i >= 8 {
-			fmt.Printf("  … and %d more\n", len(trs)-8)
-			break
-		}
-		fmt.Printf("  %s\n", tr.Symbol())
-	}
-
-	st := m.Stats
-	fmt.Println("\nEVENT COUNTERS")
-	fmt.Printf("  cross-cubicle calls   %10d\n", st.CallsTotal)
-	fmt.Printf("  shared-cubicle calls  %10d\n", st.SharedCalls)
-	fmt.Printf("  protection traps      %10d (%d denied)\n", st.Faults, st.DeniedFaults)
-	fmt.Printf("  page retags           %10d\n", st.Retags)
-	fmt.Printf("  wrpkru executions     %10d\n", st.WRPKRUs)
-	fmt.Printf("  window operations     %10d\n", st.WindowOps)
-	fmt.Printf("  window search steps   %10d\n", st.WindowSearchSteps)
-	fmt.Printf("  stack arg bytes       %10d\n", st.StackBytesCopied)
-	fmt.Printf("  bulk bytes copied     %10d\n", st.BulkBytesCopied)
-	fmt.Printf("  contained faults      %10d (%d injected)\n", st.ContainedFaults, st.InjectedFaults)
-	fmt.Printf("  quarantines           %10d (%d restarts)\n", st.Quarantines, st.Restarts)
-	fmt.Printf("  warm restarts         %10d (%d cold)\n", st.WarmRestarts, st.ColdRestarts)
-	fmt.Printf("  checkpoints taken     %10d (%d bytes)\n", st.Checkpoints, st.CheckpointBytes)
-	fmt.Printf("  load sheds            %10d\n", st.Sheds)
-	fmt.Printf("  deadline faults       %10d\n", st.DeadlineFaults)
-	fmt.Printf("  quota faults          %10d\n", st.QuotaFaults)
-	fmt.Printf("  crossing retries      %10d\n", st.Retries)
-	fmt.Printf("  retag shootdowns      %10d\n", st.TLBShootdowns)
-	fmt.Printf("  virtual time          %10d cycles (%.3f ms at 2.2 GHz)\n",
-		m.Clock.Cycles(), float64(m.Clock.Duration().Microseconds())/1000)
-
-	if trc := m.Tracer(); trc != nil {
-		fmt.Println("\nTRACE RING SHARDS")
-		for c := 0; c < trc.Cores(); c++ {
-			fmt.Printf("  core %d: %d events recorded, %d dropped, %d retained in ring\n",
-				c, trc.ShardRecorded(c), trc.ShardDropped(c), len(trc.ShardEvents(c)))
-		}
-	}
-	if m.MetricsEnabled() {
-		fmt.Println("\nMETRICS PIPELINE")
-		fmt.Printf("  interval %d cycles; %d snapshots recorded, %d dropped from ring\n",
-			m.MetricsInterval(), m.MetricsRecorded(), m.MetricsDropped())
-		if s, ok := m.LastMetricsSample(); ok {
-			fmt.Printf("  last sample: cycle %d  calls/s %.0f  faults/s %.0f  xing p99 %dcy\n",
-				s.Cycle, s.CallRate, s.FaultRate, s.CallP99)
-		}
-	}
+	writeText(os.Stdout, r)
 }

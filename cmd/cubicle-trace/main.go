@@ -53,7 +53,7 @@ func main() {
 	sample := flag.Uint64("sample", 100_000, "profiler sample period in virtual cycles (0 = spans only)")
 	out := flag.String("o", "", "output file (default stdout)")
 	check := flag.Bool("check", false, "validate output invariants and report them on stderr")
-	cores := flag.Int("cores", 1, "simulated cores: > 1 boots per-core clocks and per-core trace ring shards")
+	cores := flag.Int("cores", 1, "simulated cores: > 1 adds the shootdown surcharge and ring sharding; threads stay on core 0")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "run under supervision with deterministic fault injection into RAMFS from this seed (0 = off)")
 	checkpoint := flag.Uint64("checkpoint", 0, "checkpoint interval in virtual cycles (0 = off): quiescent cubicles are snapshotted and supervised restarts restore warm state")
 	replay := flag.Bool("replay", false, "record/replay determinism check: execute the run twice and compare the event streams bit-identically")
@@ -245,8 +245,17 @@ func runReplay(mkOpts func() siege.Options, requests, size int, chaosSeed, until
 				i, cutoff, a[i], b[i])
 		}
 	}
-	fmt.Fprintf(os.Stderr, "replay ok: %d events bit-identical up to cycle %d (record ran to %d, replay halted at %d) over %d core shards\n",
-		len(a), cutoff, end, rep.Sys.M.Clock.Cycles(), recTrc.Cores())
+	fmt.Fprintf(os.Stderr, "replay ok: %d events bit-identical up to cycle %d (record ran to %d, replay halted at %d), recorded per core shard %v, %d dropped\n",
+		len(a), cutoff, end, rep.Sys.M.Clock.Cycles(), shardRecorded(recTrc), recTrc.Dropped())
+}
+
+// shardRecorded returns the events each core's ring shard recorded.
+func shardRecorded(trc *trace.Tracer) []uint64 {
+	n := make([]uint64, trc.Cores())
+	for c := range n {
+		n[c] = trc.ShardRecorded(c)
+	}
+	return n
 }
 
 // prefix returns the events with Cycle <= cutoff; the merged stream is
@@ -337,10 +346,9 @@ func validate(tgt *siege.Target, format string, output []byte) {
 		perCore[ev.Core]++
 	}
 	var retained, recorded, dropped uint64
-	perShard := make([]uint64, trc.Cores())
+	perShard := shardRecorded(trc)
 	for c := range perShard {
 		retained += uint64(len(trc.ShardEvents(c)))
-		perShard[c] = trc.ShardRecorded(c)
 		recorded += perShard[c]
 		dropped += trc.ShardDropped(c)
 	}

@@ -61,31 +61,13 @@ type MetricsSample struct {
 	CallP99 uint64 `json:"call_p99_cycles"`
 }
 
-// metricsTotals is the scalar counter set deltas are computed over.
-type metricsTotals struct {
-	calls, shared, faults, retags, wrpkrus     uint64
-	sheds, quota, deadline, retries, contained uint64
-	restarts, tlbShootdowns                    uint64
-}
-
-func (m *Monitor) metricsTotalsNow() metricsTotals {
-	s := &m.Stats
-	return metricsTotals{
-		calls: s.CallsTotal, shared: s.SharedCalls, faults: s.Faults,
-		retags: s.Retags, wrpkrus: s.WRPKRUs, sheds: s.Sheds,
-		quota: s.QuotaFaults, deadline: s.DeadlineFaults, retries: s.Retries,
-		contained: s.ContainedFaults, restarts: s.Restarts,
-		tlbShootdowns: s.TLBShootdowns,
-	}
-}
-
 // metricsCollector is the bounded time-series ring behind the pipeline.
 type metricsCollector struct {
 	interval uint64
 	next     uint64 // next sampling threshold on the virtual clock
 	ring     []MetricsSample
 	n        uint64 // samples taken (ring index n & mask)
-	prev     metricsTotals
+	prev     Stats // counters at the previous sample; deltas subtract it
 	prevCyc  uint64
 }
 
@@ -110,7 +92,7 @@ func (m *Monitor) EnableMetrics(interval uint64, ringCap int) {
 		interval: interval,
 		next:     now + interval,
 		ring:     make([]MetricsSample, capa),
-		prev:     m.metricsTotalsNow(),
+		prev:     m.Stats,
 		prevCyc:  now,
 	}
 	m.recomputeFastCross()
@@ -131,7 +113,7 @@ func (m *Monitor) maybeSampleMetrics(now uint64) {
 }
 
 func (mc *metricsCollector) sample(m *Monitor, now uint64) {
-	cur := m.metricsTotalsNow()
+	cur, prev := &m.Stats, &mc.prev
 	span := now - mc.prevCyc
 	if span == 0 {
 		span = 1
@@ -141,18 +123,18 @@ func (mc *metricsCollector) sample(m *Monitor, now uint64) {
 		Seq:             mc.n,
 		Cycle:           now,
 		Interval:        span,
-		Calls:           cur.calls - mc.prev.calls,
-		SharedCalls:     cur.shared - mc.prev.shared,
-		Faults:          cur.faults - mc.prev.faults,
-		Retags:          cur.retags - mc.prev.retags,
-		WRPKRUs:         cur.wrpkrus - mc.prev.wrpkrus,
-		Sheds:           cur.sheds - mc.prev.sheds,
-		QuotaFaults:     cur.quota - mc.prev.quota,
-		DeadlineFaults:  cur.deadline - mc.prev.deadline,
-		Retries:         cur.retries - mc.prev.retries,
-		ContainedFaults: cur.contained - mc.prev.contained,
-		Restarts:        cur.restarts - mc.prev.restarts,
-		TLBShootdowns:   cur.tlbShootdowns - mc.prev.tlbShootdowns,
+		Calls:           cur.CallsTotal - prev.CallsTotal,
+		SharedCalls:     cur.SharedCalls - prev.SharedCalls,
+		Faults:          cur.Faults - prev.Faults,
+		Retags:          cur.Retags - prev.Retags,
+		WRPKRUs:         cur.WRPKRUs - prev.WRPKRUs,
+		Sheds:           cur.Sheds - prev.Sheds,
+		QuotaFaults:     cur.QuotaFaults - prev.QuotaFaults,
+		DeadlineFaults:  cur.DeadlineFaults - prev.DeadlineFaults,
+		Retries:         cur.Retries - prev.Retries,
+		ContainedFaults: cur.ContainedFaults - prev.ContainedFaults,
+		Restarts:        cur.Restarts - prev.Restarts,
+		TLBShootdowns:   cur.TLBShootdowns - prev.TLBShootdowns,
 	}
 	s.CallRate = float64(s.Calls) / secs
 	s.FaultRate = float64(s.Faults) / secs
@@ -175,7 +157,7 @@ func (mc *metricsCollector) sample(m *Monitor, now uint64) {
 	}
 	mc.ring[mc.n&uint64(len(mc.ring)-1)] = s
 	mc.n++
-	mc.prev = cur
+	mc.prev = *cur
 	mc.prevCyc = now
 }
 
@@ -258,19 +240,9 @@ func (m *Monitor) WriteOpenMetrics(w io.Writer) error {
 		fmt.Fprintf(bw, "# TYPE cubicleos_%s gauge\n", name)
 		fmt.Fprintf(bw, "cubicleos_%s %g\n", name, v)
 	}
-	s := &m.Stats
-	counter("calls", "Cross-cubicle calls", s.CallsTotal)
-	counter("shared_calls", "Calls into shared cubicles", s.SharedCalls)
-	counter("faults", "Protection traps served by trap-and-map", s.Faults)
-	counter("retags", "Pages retagged", s.Retags)
-	counter("wrpkrus", "Executed wrpkru instructions", s.WRPKRUs)
-	counter("sheds", "Requests refused by admission control", s.Sheds)
-	counter("quota_faults", "Memory-quota refusals", s.QuotaFaults)
-	counter("deadline_faults", "Crossings abandoned past deadline", s.DeadlineFaults)
-	counter("retries", "Bounded-retry attempts", s.Retries)
-	counter("contained_faults", "Faults contained at crossings", s.ContainedFaults)
-	counter("restarts", "Supervisor restarts", s.Restarts)
-	counter("tlb_shootdowns", "Cross-core retag synchronisation rounds", s.TLBShootdowns)
+	for _, c := range Counters {
+		counter(c.Name, c.Help, *c.Field(&m.Stats))
+	}
 	gauge("virtual_seconds", "Virtual time elapsed", float64(m.smpNow())/float64(cycles.FrequencyHz))
 	if mc := m.met; mc != nil {
 		counter("metrics_samples", "Metrics snapshots taken", m.MetricsRecorded())

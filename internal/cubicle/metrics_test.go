@@ -109,8 +109,11 @@ func TestOpenMetricsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, body)
 	}
-	if got := series["cubicleos_calls_total"]; got != float64(ts.m.Stats.CallsTotal) {
-		t.Errorf("calls_total = %v, want %d", got, ts.m.Stats.CallsTotal)
+	for _, c := range Counters {
+		name := "cubicleos_" + c.Name + "_total"
+		if got, ok := series[name]; !ok || got != float64(*c.Field(&ts.m.Stats)) {
+			t.Errorf("%s = %v (present=%v), want %d", name, got, ok, *c.Field(&ts.m.Stats))
+		}
 	}
 	for _, want := range []string{
 		"cubicleos_faults_total", "cubicleos_retags_total", "cubicleos_wrpkrus_total",

@@ -1,6 +1,10 @@
 package cubicle
 
-import "sort"
+import (
+	"sort"
+
+	"cubicleos/internal/trace"
+)
 
 // Edge identifies a directed cross-cubicle call edge, used to reproduce
 // the call-count graphs of Figures 5 and 8.
@@ -104,6 +108,52 @@ func (s *Stats) Reset() {
 	*s = newStats()
 }
 
+// Counter is one row of the counter table: a scalar Stats counter, the
+// name and help text every report shows it under, and the trace event
+// that defines it — Kind's event count, or the sum of its Arg weights
+// when Weighted.
+type Counter struct {
+	Name, Help string
+	Kind       trace.Kind
+	Weighted   bool
+	Field      func(*Stats) *uint64
+}
+
+// Counters is the one declaration of every scalar counter. Stats.Merge,
+// StatsFromTrace, the /metrics exposition (cubicleos_<Name>_total) and
+// cubicle-inspect all iterate it, so a new counter is one row here and
+// one increment where the event happens. The three TLB* shims are not
+// rows: nothing increments them and no event defines them.
+var Counters = [...]Counter{
+	{"calls", "Cross-cubicle calls", trace.EvCallEnter, false, func(s *Stats) *uint64 { return &s.CallsTotal }},
+	{"shared_calls", "Calls into shared cubicles", trace.EvSharedCall, false, func(s *Stats) *uint64 { return &s.SharedCalls }},
+	{"faults", "Protection traps served by trap-and-map", trace.EvFault, false, func(s *Stats) *uint64 { return &s.Faults }},
+	{"retags", "Pages retagged", trace.EvRetag, false, func(s *Stats) *uint64 { return &s.Retags }},
+	{"wrpkrus", "Executed wrpkru instructions", trace.EvWRPKRU, false, func(s *Stats) *uint64 { return &s.WRPKRUs }},
+	{"window_ops", "Window-management API calls", trace.EvWindowOp, false, func(s *Stats) *uint64 { return &s.WindowOps }},
+	{"window_search_steps", "Window descriptor entries visited by the trap handler", trace.EvWindowSearch, true, func(s *Stats) *uint64 { return &s.WindowSearchSteps }},
+	{"stack_bytes_copied", "In-stack argument bytes copied by trampolines", trace.EvCallEnter, true, func(s *Stats) *uint64 { return &s.StackBytesCopied }},
+	{"bulk_bytes_copied", "Bytes moved by checked memcpy operations", trace.EvCopy, true, func(s *Stats) *uint64 { return &s.BulkBytesCopied }},
+	{"denied_faults", "Protection traps no window authorised", trace.EvDeniedFault, false, func(s *Stats) *uint64 { return &s.DeniedFaults }},
+	{"key_evictions", "MPK keys recycled by tag virtualisation", trace.EvKeyEviction, false, func(s *Stats) *uint64 { return &s.KeyEvictions }},
+	{"contained_faults", "Faults contained at crossings", trace.EvContained, false, func(s *Stats) *uint64 { return &s.ContainedFaults }},
+	{"quarantines", "Cubicles entering quarantine", trace.EvQuarantine, false, func(s *Stats) *uint64 { return &s.Quarantines }},
+	{"restarts", "Supervisor restarts", trace.EvRestart, false, func(s *Stats) *uint64 { return &s.Restarts }},
+	{"injected_faults", "Deterministic fault injections fired", trace.EvInjected, false, func(s *Stats) *uint64 { return &s.InjectedFaults }},
+	{"sheds", "Requests refused by admission control", trace.EvShed, false, func(s *Stats) *uint64 { return &s.Sheds }},
+	{"deadline_faults", "Crossings abandoned past deadline", trace.EvDeadline, false, func(s *Stats) *uint64 { return &s.DeadlineFaults }},
+	{"quota_faults", "Memory-quota refusals", trace.EvQuota, false, func(s *Stats) *uint64 { return &s.QuotaFaults }},
+	{"retries", "Bounded-retry attempts", trace.EvRetry, false, func(s *Stats) *uint64 { return &s.Retries }},
+	{"tlb_shootdowns", "Cross-core retag synchronisation rounds", trace.EvShootdown, false, func(s *Stats) *uint64 { return &s.TLBShootdowns }},
+	{"checkpoints", "Cubicle checkpoints captured", trace.EvCheckpoint, false, func(s *Stats) *uint64 { return &s.Checkpoints }},
+	{"checkpoint_bytes", "Encoded bytes of captured checkpoints", trace.EvCheckpoint, true, func(s *Stats) *uint64 { return &s.CheckpointBytes }},
+	{"warm_restarts", "Restarts restored from a checkpoint", trace.EvWarmRestart, false, func(s *Stats) *uint64 { return &s.WarmRestarts }},
+	{"cold_restarts", "Restarts rebuilt from empty", trace.EvColdRestart, false, func(s *Stats) *uint64 { return &s.ColdRestarts }},
+	{"routes", "Balancer decisions that routed a request here", trace.EvRoute, false, func(s *Stats) *uint64 { return &s.Routes }},
+	{"drains", "Balancer drain and readmit transitions", trace.EvDrain, false, func(s *Stats) *uint64 { return &s.Drains }},
+	{"failovers", "Requests the balancer re-issued elsewhere", trace.EvFailover, false, func(s *Stats) *uint64 { return &s.Failovers }},
+}
+
 // Merge adds every counter of o into s, merging the per-edge call map.
 // The sharded siege driver uses it to combine the per-core monitors'
 // figures into one machine-wide view.
@@ -111,33 +161,9 @@ func (s *Stats) Merge(o *Stats) {
 	for e, n := range o.Calls {
 		s.Calls[e] += n
 	}
-	s.CallsTotal += o.CallsTotal
-	s.SharedCalls += o.SharedCalls
-	s.Faults += o.Faults
-	s.Retags += o.Retags
-	s.WRPKRUs += o.WRPKRUs
-	s.WindowOps += o.WindowOps
-	s.WindowSearchSteps += o.WindowSearchSteps
-	s.StackBytesCopied += o.StackBytesCopied
-	s.BulkBytesCopied += o.BulkBytesCopied
-	s.DeniedFaults += o.DeniedFaults
-	s.KeyEvictions += o.KeyEvictions
-	s.ContainedFaults += o.ContainedFaults
-	s.Quarantines += o.Quarantines
-	s.Restarts += o.Restarts
-	s.InjectedFaults += o.InjectedFaults
-	s.Sheds += o.Sheds
-	s.DeadlineFaults += o.DeadlineFaults
-	s.QuotaFaults += o.QuotaFaults
-	s.Retries += o.Retries
-	s.TLBShootdowns += o.TLBShootdowns
-	s.Checkpoints += o.Checkpoints
-	s.CheckpointBytes += o.CheckpointBytes
-	s.WarmRestarts += o.WarmRestarts
-	s.ColdRestarts += o.ColdRestarts
-	s.Routes += o.Routes
-	s.Drains += o.Drains
-	s.Failovers += o.Failovers
+	for _, c := range Counters {
+		*c.Field(s) += *c.Field(o)
+	}
 }
 
 // EdgeCount is one row of a call-count report.

@@ -7,6 +7,7 @@ import (
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/faultinject"
 	"cubicleos/internal/ramfs"
+	"cubicleos/internal/trace"
 )
 
 // TestSiegeUnderChaos is the robustness acceptance test: a full NGINX
@@ -133,13 +134,12 @@ func TestSiegeUnderChaos(t *testing.T) {
 	if cover < 0.99 || cover > 1.01 {
 		t.Errorf("profile covers %.4f of the virtual clock under chaos", cover)
 	}
-	counts := trc.Counts()
-	if counts.ContainedFaults != m.Stats.ContainedFaults ||
-		counts.InjectedFaults != m.Stats.InjectedFaults ||
-		counts.Quarantines != m.Stats.Quarantines ||
-		counts.Restarts != m.Stats.Restarts {
-		t.Errorf("streaming trace counters diverge from stats\n  trace: %+v\n  stats: %+v",
-			counts, m.Stats)
+	if trc.Count(trace.EvContained) != m.Stats.ContainedFaults ||
+		trc.Count(trace.EvInjected) != m.Stats.InjectedFaults ||
+		trc.Count(trace.EvQuarantine) != m.Stats.Quarantines ||
+		trc.Count(trace.EvRestart) != m.Stats.Restarts {
+		t.Errorf("streaming trace counters diverge from stats\n  derived: %+v\n  stats: %+v",
+			derived, m.Stats)
 	}
 }
 

@@ -40,7 +40,7 @@ func TestMetricsEndpointServesOpenMetrics(t *testing.T) {
 			t.Fatalf("request %d: status %d", i, res.Status)
 		}
 	}
-	callsBefore := tgt.Sys.M.Stats.CallsTotal
+	before := tgt.Sys.M.Stats
 
 	res, err := tgt.Fetch("/metrics")
 	if err != nil {
@@ -53,14 +53,29 @@ func TestMetricsEndpointServesOpenMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/metrics body does not parse as OpenMetrics: %v\n%s", err, res.Body)
 	}
-	// The body was rendered while serving, so its counters sit between the
-	// pre-request totals and the current ones.
-	calls := series["cubicleos_calls_total"]
-	if calls < float64(callsBefore) || calls > float64(tgt.Sys.M.Stats.CallsTotal) {
-		t.Errorf("calls_total %v outside [%d, %d]", calls, callsBefore, tgt.Sys.M.Stats.CallsTotal)
+	// Every row of the counter table is one series. The body was rendered
+	// while serving, so a counter sits between its pre-request total and
+	// the current one — equal to both for the counters this request does
+	// not move, denied_faults among them.
+	for _, c := range cubicle.Counters {
+		name := "cubicleos_" + c.Name + "_total"
+		v, ok := series[name]
+		lo, hi := *c.Field(&before), *c.Field(&tgt.Sys.M.Stats)
+		if !ok || v < float64(lo) || v > float64(hi) {
+			t.Errorf("%s = %v (present=%v), want within [%d, %d]", name, v, ok, lo, hi)
+		}
+	}
+	if before.CallsTotal == tgt.Sys.M.Stats.CallsTotal || before.DeniedFaults != tgt.Sys.M.Stats.DeniedFaults {
+		t.Error("serving /metrics should move calls and leave denied_faults alone")
 	}
 	for _, want := range []string{
-		"cubicleos_faults_total", "cubicleos_virtual_seconds",
+		// The twelve series the endpoint had before the table.
+		"cubicleos_calls_total", "cubicleos_shared_calls_total", "cubicleos_faults_total",
+		"cubicleos_retags_total", "cubicleos_wrpkrus_total", "cubicleos_sheds_total",
+		"cubicleos_quota_faults_total", "cubicleos_deadline_faults_total",
+		"cubicleos_retries_total", "cubicleos_contained_faults_total",
+		"cubicleos_restarts_total", "cubicleos_tlb_shootdowns_total",
+		"cubicleos_virtual_seconds",
 		"cubicleos_metrics_samples_total", "cubicleos_healthy_cubicles",
 		`cubicleos_trace_shard_recorded_total{core="0"}`,
 	} {

@@ -16,9 +16,9 @@ func cyclesToUs(c uint64) float64 {
 }
 
 // countsAll sums the per-shard streaming counters into one view.
-func (t *Tracer) countsAll() (counts, weights [numKinds]uint64) {
+func (t *Tracer) countsAll() (counts, weights [NumKinds]uint64) {
 	for _, s := range t.shards {
-		for k := 0; k < int(numKinds); k++ {
+		for k := 0; k < int(NumKinds); k++ {
 			counts[k] += s.counts[k]
 			weights[k] += s.weights[k]
 		}
@@ -168,7 +168,7 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 
 	p("# HELP cubicleos_events_total Architectural events observed on the simulated machine.\n")
 	p("# TYPE cubicleos_events_total counter\n")
-	for k := Kind(0); k < numKinds; k++ {
+	for k := Kind(0); k < NumKinds; k++ {
 		p("cubicleos_events_total{kind=%q} %d\n", k.String(), counts[k])
 	}
 
@@ -219,7 +219,7 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 		p("cubicleos_call_cycles_quantile{from=%q,to=%q,q=\"1\"} %d\n", from, to, s.Max)
 	}
 
-	for k := Kind(0); k < numKinds; k++ {
+	for k := Kind(0); k < NumKinds; k++ {
 		h := t.ClassHist(k)
 		if h == nil || h.Count() == 0 {
 			continue
@@ -317,7 +317,7 @@ func (t *Tracer) Snapshot() *Snapshot {
 		}
 	}
 	counts, weights := t.countsAll()
-	for k := Kind(0); k < numKinds; k++ {
+	for k := Kind(0); k < NumKinds; k++ {
 		if counts[k] != 0 {
 			s.Counts[k.String()] = counts[k]
 		}

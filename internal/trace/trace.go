@@ -138,10 +138,11 @@ const (
 	// re-issue.
 	EvFailover
 
-	numKinds
+	// NumKinds is the number of event kinds.
+	NumKinds
 )
 
-var kindNames = [numKinds]string{
+var kindNames = [NumKinds]string{
 	EvCallEnter:    "call_enter",
 	EvCallExit:     "call_exit",
 	EvSharedCall:   "shared_call",
@@ -232,14 +233,14 @@ type shard struct {
 	mask uint64
 	next uint64
 
-	counts  [numKinds]uint64
-	weights [numKinds]uint64 // sum of Arg for weighted kinds
+	counts  [NumKinds]uint64
+	weights [NumKinds]uint64 // sum of Arg for weighted kinds
 
 	edgeCalls     []uint64 // flat [edgeDim*edgeDim]
 	edgeHists     []*Hist  // flat [edgeDim*edgeDim], lazily allocated
 	overflowCalls map[Edge]uint64
 	overflowHists map[Edge]*Hist
-	classHist     [numKinds]*Hist // cycle cost distributions per event class
+	classHist     [NumKinds]*Hist // cycle cost distributions per event class
 
 	prof profiler
 }
@@ -258,7 +259,7 @@ func newShard(core int16, clock *cycles.Clock, ringCap int) *shard {
 }
 
 // weightedKind marks the kinds whose Arg accumulates into weights.
-var weightedKind = [numKinds]bool{
+var weightedKind = [NumKinds]bool{
 	EvCallEnter: true, EvWindowSearch: true, EvCopy: true, EvIPC: true,
 	EvCheckpoint: true,
 }
@@ -910,91 +911,6 @@ func (t *Tracer) MaxCycles() uint64 {
 		}
 	}
 	return max
-}
-
-// Counts is the flat event-count view of the trace, mirroring the legacy
-// Stats counters so the two can be cross-checked field by field.
-type Counts struct {
-	CallsTotal        uint64
-	SharedCalls       uint64
-	Faults            uint64
-	DeniedFaults      uint64
-	Retags            uint64
-	WRPKRUs           uint64
-	WindowOps         uint64
-	WindowSearchSteps uint64
-	StackBytesCopied  uint64
-	BulkBytesCopied   uint64
-	KeyEvictions      uint64
-	IPCMessages       uint64
-	ContainedFaults   uint64
-	Quarantines       uint64
-	Restarts          uint64
-	InjectedFaults    uint64
-	Sheds             uint64
-	DeadlineFaults    uint64
-	QuotaFaults       uint64
-	Retries           uint64
-	// TLBShootdowns counts multi-core retag synchronisations.
-	TLBShootdowns uint64
-	// Checkpoints counts captured cubicle checkpoints; CheckpointBytes
-	// sums their encoded sizes (the EvCheckpoint weight). WarmRestarts and
-	// ColdRestarts split Restarts by recovery path.
-	Checkpoints     uint64
-	CheckpointBytes uint64
-	WarmRestarts    uint64
-	ColdRestarts    uint64
-	// Routes counts cluster balancer decisions that selected this system
-	// as the backend; Drains counts its balancer health-ladder
-	// transitions (drain + readmit); Failovers counts requests re-issued
-	// away from it (retry/hedge/drain).
-	Routes    uint64
-	Drains    uint64
-	Failovers uint64
-	Calls     map[Edge]uint64
-}
-
-// Counts derives the flat counters from the event stream, summed over
-// shards.
-func (t *Tracer) Counts() Counts {
-	var counts, weights [numKinds]uint64
-	for _, s := range t.shards {
-		for k := 0; k < int(numKinds); k++ {
-			counts[k] += s.counts[k]
-			weights[k] += s.weights[k]
-		}
-	}
-	return Counts{
-		CallsTotal:        counts[EvCallEnter],
-		SharedCalls:       counts[EvSharedCall],
-		Faults:            counts[EvFault],
-		DeniedFaults:      counts[EvDeniedFault],
-		Retags:            counts[EvRetag],
-		WRPKRUs:           counts[EvWRPKRU],
-		WindowOps:         counts[EvWindowOp],
-		WindowSearchSteps: weights[EvWindowSearch],
-		StackBytesCopied:  weights[EvCallEnter],
-		BulkBytesCopied:   weights[EvCopy],
-		KeyEvictions:      counts[EvKeyEviction],
-		IPCMessages:       counts[EvIPC],
-		ContainedFaults:   counts[EvContained],
-		Quarantines:       counts[EvQuarantine],
-		Restarts:          counts[EvRestart],
-		InjectedFaults:    counts[EvInjected],
-		Sheds:             counts[EvShed],
-		DeadlineFaults:    counts[EvDeadline],
-		QuotaFaults:       counts[EvQuota],
-		Retries:           counts[EvRetry],
-		TLBShootdowns:     counts[EvShootdown],
-		Checkpoints:       counts[EvCheckpoint],
-		CheckpointBytes:   weights[EvCheckpoint],
-		WarmRestarts:      counts[EvWarmRestart],
-		ColdRestarts:      counts[EvColdRestart],
-		Routes:            counts[EvRoute],
-		Drains:            counts[EvDrain],
-		Failovers:         counts[EvFailover],
-		Calls:             t.EdgeCalls(),
-	}
 }
 
 // itoa is strconv.Itoa for small non-negative ints without the import.

@@ -107,12 +107,11 @@ func TestCallPairingAndEdgeHist(t *testing.T) {
 	if h := tr.EdgeHist(Edge{1, 2}); h == nil || h.Count() != 1 || h.Sum() != 1000 {
 		t.Fatalf("outer edge hist = %+v", h)
 	}
-	c := tr.Counts()
-	if c.CallsTotal != 2 || c.StackBytesCopied != 48 {
-		t.Fatalf("counts = %+v", c)
+	if calls, bytes := tr.Count(EvCallEnter), tr.Weight(EvCallEnter); calls != 2 || bytes != 48 {
+		t.Fatalf("call enters = %d carrying %d stack bytes, want 2 and 48", calls, bytes)
 	}
-	if c.Calls[Edge{1, 2}] != 1 || c.Calls[Edge{2, 3}] != 1 {
-		t.Fatalf("edge calls = %v", c.Calls)
+	if calls := tr.EdgeCalls(); calls[Edge{1, 2}] != 1 || calls[Edge{2, 3}] != 1 {
+		t.Fatalf("edge calls = %v", calls)
 	}
 }
 

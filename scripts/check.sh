@@ -111,10 +111,12 @@ go run ./cmd/cubicle-inspect -cluster 2 -json >/dev/null
 # is tested by TestSMPMergedStreamDeterministic and internal/trace's
 # TestShardMergeOrdering, TestChromePerCoreTracks and
 # TestShardDropAccounting — then the /metrics exposition and dashboard
-# smoke, and the tracing-overhead ratio (paired benchmark, drift-immune;
-# <= 1.6).
+# smoke, the single-system dump as valid JSON (the cluster gates above
+# only run -cluster 2 -json), and the tracing-overhead ratio (paired
+# benchmark, drift-immune; <= 1.6).
 go run ./cmd/cubicle-trace -check -format json -cores 4 -requests 10 >/dev/null
 go run ./cmd/cubicle-top -once -requests 120 >/dev/null
+go run ./cmd/cubicle-inspect -json | python3 -m json.tool >/dev/null
 ./scripts/bench.sh -assert
 
 # Benchmark module gates: benchmark/ is a Go module of its own, so the
@@ -125,4 +127,6 @@ go run ./cmd/cubicle-top -once -requests 120 >/dev/null
 go vet -C benchmark ./...
 go test -C benchmark ./...
 
+# Baseline for the next simplicity PR.
+echo "check.sh: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l) non-test Go lines outside benchmark/"
 echo "check.sh: all green"
