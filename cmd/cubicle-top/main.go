@@ -20,7 +20,6 @@ import (
 	"cubicleos"
 	"cubicleos/internal/cluster"
 	"cubicleos/internal/dash"
-	"cubicleos/internal/httpd"
 	"cubicleos/internal/siege"
 )
 
@@ -74,14 +73,7 @@ func main() {
 		MetricsInterval: *interval,
 	}
 	if !*ungoverned {
-		pol := cubicleos.DefaultRestartPolicy()
-		pol.CrossingBudget = 0
-		o.Supervision = &pol
-		o.Governance = &httpd.Governance{
-			MaxConns: 16, RetryAfter: 1, Retry: cubicleos.DefaultRetryPolicy(),
-		}
-		o.WireCap = 256
-		o.ReapClosed = true
+		o = o.Governed()
 	}
 	tgt, err := siege.NewTargetOpts(o)
 	if err != nil {

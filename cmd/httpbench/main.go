@@ -15,16 +15,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"reflect"
 	"strconv"
 	"strings"
-	"time"
 
 	"cubicleos"
 	"cubicleos/internal/cluster"
-	"cubicleos/internal/dash"
-	"cubicleos/internal/httpd"
 	"cubicleos/internal/siege"
 )
 
@@ -49,14 +45,7 @@ func openLoopSweep(rateList string, requests int, assert bool) {
 		return func() (*siege.Target, error) {
 			o := siege.Options{Mode: cubicleos.ModeFull}
 			if governed {
-				pol := cubicleos.DefaultRestartPolicy()
-				pol.CrossingBudget = 0
-				o.Supervision = &pol
-				o.Governance = &httpd.Governance{
-					MaxConns: 16, RetryAfter: 1, Retry: cubicleos.DefaultRetryPolicy(),
-				}
-				o.WireCap = 256
-				o.ReapClosed = true
+				o = o.Governed()
 			}
 			tgt, err := siege.NewTargetOpts(o)
 			if err != nil {
@@ -116,42 +105,6 @@ func openLoopSweep(rateList string, requests int, assert bool) {
 			gov[hi].ArenaBytes/1024, ungov[hi].ArenaBytes/1024)
 	}
 	fmt.Println("assert-degrade ok: explicit sheds, bounded connections and memory, no silent drops")
-}
-
-// liveRun drives one governed open-loop run while rendering the
-// cubicle-top dashboard (httpbench -live): the same deployment the
-// -openloop sweep governs, watched through the observability layer as the
-// load crosses the saturation knee.
-func liveRun(rate float64, requests int, refresh time.Duration) {
-	pol := cubicleos.DefaultRestartPolicy()
-	pol.CrossingBudget = 0
-	tgt, err := siege.NewTargetOpts(siege.Options{
-		Mode:        cubicleos.ModeFull,
-		TraceEvents: 1 << 15, TraceSamplePeriod: 50_000,
-		MetricsInterval: 2_000_000,
-		Supervision:     &pol,
-		Governance: &httpd.Governance{
-			MaxConns: 16, RetryAfter: 1, Retry: cubicleos.DefaultRetryPolicy(),
-		},
-		WireCap:    256,
-		ReapClosed: true,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := tgt.PutFile("/index.html", make([]byte, 4096)); err != nil {
-		log.Fatal(err)
-	}
-	st, err := dash.Live(tgt,
-		siege.OpenLoopOptions{Path: "/index.html", Rate: rate, Requests: requests},
-		os.Stdout,
-		dash.LiveOptions{Refresh: refresh, Dash: dash.Options{ANSI: refresh > 0}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nrun: offered %.0f rps  ok %d  shed %d  dropped %d  goodput %.0f rps  p50 %s  p99 %s\n",
-		st.OfferedRPS, st.OK, st.Shed, st.Dropped, st.GoodputRPS,
-		st.P50.Round(10*time.Microsecond), st.P99.Round(10*time.Microsecond))
 }
 
 // parallelSweep runs the open-loop sweep through the SMP driver: each
@@ -332,9 +285,6 @@ func main() {
 	assertDegrade := flag.Bool("assert-degrade", false, "with -openloop: exit non-zero unless degradation is graceful")
 	cores := flag.Int("cores", 0, "shard the open-loop sweep across N simulated cores (SMP driver)")
 	assertScale := flag.Float64("assert-scale", 0, "with -cores: exit non-zero unless wall throughput >= X times a 1-core reference")
-	live := flag.Bool("live", false, "drive one governed open-loop run with the live cubicle-top dashboard")
-	liveRate := flag.Float64("live-rate", 6000, "offered rate for -live")
-	liveRefresh := flag.Duration("live-refresh", 80*time.Millisecond, "wall-clock pause per -live frame (0 = render once at the end)")
 	clusterN := flag.Int("cluster", 0, "run the virtual-cluster scaling + failover scenario with N backends")
 	clusterRate := flag.Float64("cluster-rate", 6000, "cluster-wide offered rate (rps) for -cluster")
 	clusterSeed := flag.Uint64("cluster-seed", 7, "seed for the -cluster chaos and hash streams")
@@ -342,10 +292,6 @@ func main() {
 
 	if *clusterN > 0 {
 		clusterRun(*clusterN, *clusterRate, 90, *clusterSeed, *assertDegrade)
-		return
-	}
-	if *live {
-		liveRun(*liveRate, *requests, *liveRefresh)
 		return
 	}
 	if *cores > 0 {

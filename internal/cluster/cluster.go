@@ -301,15 +301,6 @@ func New(o Options) (*Cluster, error) {
 	return c, nil
 }
 
-// MustNew is New for tests where failure is fatal.
-func MustNew(o Options) *Cluster {
-	c, err := New(o)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // PutFile provisions the same static file on every backend.
 func (c *Cluster) PutFile(path string, data []byte) error {
 	for _, b := range c.Backends {

@@ -6,13 +6,16 @@
 // every in-flight request for responses, timeouts, hedges and retries.
 // One goroutine, no wall-clock reads: the same seed replays the same
 // run bit for bit.
+//
+// This is a loop of its own, not a parameter of siege's OpenLoopDriver: it
+// steps many targets against one cluster clock, and a flight's legs outlive
+// any one connection. From siege it takes the request builder and response
+// framer (KAConn), the latency summary and Target.Step.
 
 package cluster
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/cycles"
@@ -28,10 +31,6 @@ const Quantum = 500_000
 // take inside a quantum before its clock is force-advanced — a guard
 // against steps that stop charging virtual time.
 const maxStepsPerQuantum = 4096
-
-// cyclesPerSecond is the modelled CPU frequency (2.2 GHz), matching the
-// cycles package's latency conversion.
-const cyclesPerSecond = 2_200_000_000
 
 // RunOptions configures one open-loop cluster run.
 type RunOptions struct {
@@ -68,13 +67,9 @@ type Stats struct {
 	// after retries; Errors counts other statuses and routing failures;
 	// Dropped counts requests that never completed.
 	OK, Shed, Errors, Dropped int
-	// GoodputRPS is completed 200s per virtual second of the run.
-	GoodputRPS float64
-	// P50/P99/P999 are end-to-end latencies of the 200s, queueing and
-	// retries included.
-	P50, P99, P999 time.Duration
-	// Elapsed is the cluster-clock span of the run.
-	Elapsed time.Duration
+	// The latencies summarised are end to end, queueing and retries
+	// included; Elapsed is the cluster-clock span of the run.
+	siege.LatencySummary
 	// Balancer mechanics.
 	Retries, Hedges, HedgeWins, Failovers uint64
 	Drains, Readmits, RouteFaults         uint64
@@ -126,7 +121,7 @@ func (c *Cluster) RunOpenLoop(o RunOptions) (*Stats, error) {
 	if o.Rate <= 0 || o.Requests <= 0 {
 		return nil, fmt.Errorf("cluster: open loop needs Rate > 0 and Requests > 0")
 	}
-	interval := uint64(cyclesPerSecond / o.Rate)
+	interval := uint64(cycles.FrequencyHz / o.Rate)
 	if interval == 0 {
 		interval = 1
 	}
@@ -160,7 +155,7 @@ func (c *Cluster) RunOpenLoop(o RunOptions) (*Stats, error) {
 	// Stragglers at the quanta cap never completed.
 	for _, f := range r.flights {
 		if !f.done {
-			r.finish(f, "dropped", nil, -1)
+			r.finish(f, "dropped", -1)
 		}
 	}
 	r.assemble(start)
@@ -267,7 +262,7 @@ func (r *run) dispatch(f *flight, exclude int) {
 	f.attempts++
 	idx, err := r.c.Route(f.id, f.attempts, exclude)
 	if err != nil {
-		r.finish(f, "error", nil, -1)
+		r.finish(f, "error", -1)
 		return
 	}
 	b := r.c.Backends[idx]
@@ -336,7 +331,7 @@ func (r *run) scheduleRetry(f *flight, failed int) {
 
 // finish settles a flight into its terminal class. leg < 0 attributes
 // nothing to a backend (routing failures, stragglers with no live leg).
-func (r *run) finish(f *flight, kind string, resp *siege.KAResponse, backend int) {
+func (r *run) finish(f *flight, kind string, backend int) {
 	for _, l := range f.legs {
 		r.abandon(l)
 	}
@@ -369,7 +364,6 @@ func (r *run) finish(f *flight, kind string, resp *siege.KAResponse, backend int
 			b.Errors++
 		}
 	}
-	_ = resp
 }
 
 // settle classifies a completed response, retrying refusals when the
@@ -390,15 +384,15 @@ func (r *run) settle(f *flight, win *leg, resp *siege.KAResponse) {
 	}
 	switch {
 	case resp.Status == 200:
-		r.finish(f, "ok", resp, win.backend)
+		r.finish(f, "ok", win.backend)
 	case resp.Status == 429 || resp.Status == 503:
 		if f.attempts < r.c.O.MaxAttempts && r.budgetOK() {
 			r.scheduleRetry(f, win.backend)
 			return
 		}
-		r.finish(f, "shed", resp, win.backend)
+		r.finish(f, "shed", win.backend)
 	default:
-		r.finish(f, "error", resp, win.backend)
+		r.finish(f, "error", win.backend)
 	}
 }
 
@@ -453,7 +447,7 @@ func (r *run) pollFlights() {
 			if lastBackend >= 0 && f.attempts < r.c.O.MaxAttempts && r.budgetOK() {
 				r.scheduleRetry(f, lastBackend)
 			} else {
-				r.finish(f, "dropped", nil, lastBackend)
+				r.finish(f, "dropped", lastBackend)
 			}
 			continue
 		}
@@ -462,7 +456,7 @@ func (r *run) pollFlights() {
 			if f.attempts < r.c.O.MaxAttempts && r.budgetOK() {
 				r.scheduleRetry(f, lastBackend)
 			} else {
-				r.finish(f, "dropped", nil, lastBackend)
+				r.finish(f, "dropped", lastBackend)
 			}
 			continue
 		}
@@ -490,15 +484,7 @@ func (r *run) pollFlights() {
 // per-backend and merged system counters.
 func (r *run) assemble(start uint64) {
 	st := r.st
-	sort.Slice(r.lat, func(i, j int) bool { return r.lat[i] < r.lat[j] })
-	st.P50 = siege.Percentile(r.lat, 0.50)
-	st.P99 = siege.Percentile(r.lat, 0.99)
-	st.P999 = siege.Percentile(r.lat, 0.999)
-	span := r.c.now - start
-	st.Elapsed = cycles.Duration(span)
-	if span > 0 {
-		st.GoodputRPS = float64(st.OK) * cyclesPerSecond / float64(span)
-	}
+	st.LatencySummary = siege.Summarise(r.lat, st.OK, r.c.now-start)
 	st.Retries = r.c.Retries
 	st.Hedges = r.c.Hedges
 	st.HedgeWins = r.c.HedgeWins

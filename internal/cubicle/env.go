@@ -209,9 +209,6 @@ func (e *Env) chargeCopy(n uint64) {
 	}
 }
 
-// Tracing reports whether the deployment records trace events.
-func (e *Env) Tracing() bool { return e.M.trc != nil }
-
 // TraceMark records an application-level trace marker (a no-op when
 // tracing is disabled). Pass constant labels so the hot path stays
 // allocation-free.

@@ -56,9 +56,6 @@ func (m *Monitor) SetMemQuota(id ID, bytes uint64) {
 	m.memQuota[id] = bytes
 }
 
-// MemQuota returns cubicle id's page quota in bytes (0 = unlimited).
-func (m *Monitor) MemQuota(id ID) uint64 { return m.memQuota[id] }
-
 // MemUsed returns the bytes of pages currently granted to cubicle id
 // through MapOwned.
 func (m *Monitor) MemUsed(id ID) uint64 { return m.memUsed[id] }

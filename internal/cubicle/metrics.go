@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -330,15 +329,4 @@ func ParseOpenMetrics(r io.Reader) (map[string]float64, error) {
 		return nil, fmt.Errorf("openmetrics: missing # EOF terminator")
 	}
 	return out, nil
-}
-
-// SortedSeries returns the series names of a parsed exposition in sorted
-// order, for deterministic reports.
-func SortedSeries(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

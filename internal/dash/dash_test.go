@@ -7,25 +7,16 @@ import (
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/dash"
-	"cubicleos/internal/httpd"
 	"cubicleos/internal/siege"
 )
 
 func bootDashTarget(t *testing.T) *siege.Target {
 	t.Helper()
-	pol := cubicle.DefaultRestartPolicy()
-	pol.CrossingBudget = 0
 	tgt, err := siege.NewTargetOpts(siege.Options{
 		Mode:        cubicle.ModeFull,
 		TraceEvents: 1 << 14, TraceSamplePeriod: 50_000,
 		MetricsInterval: 2_000_000,
-		Supervision:     &pol,
-		Governance: &httpd.Governance{
-			MaxConns: 16, RetryAfter: 1, Retry: cubicle.DefaultRetryPolicy(),
-		},
-		WireCap:    256,
-		ReapClosed: true,
-	})
+	}.Governed())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,6 @@ type LiveOptions struct {
 	// watch a run that would otherwise finish in milliseconds (0 = none;
 	// tests use 0).
 	Refresh time.Duration
-	// StepsPerCheck bounds how many driver iterations run between clock
-	// checks (0 = default 1: the clock can jump a whole idle gap in one
-	// step, so coarser checks skip frames).
-	StepsPerCheck int
 	// Dash options pass through to the renderer.
 	Dash Options
 }
@@ -32,9 +28,6 @@ func Live(tgt *siege.Target, lo siege.OpenLoopOptions, w io.Writer, o LiveOption
 	if o.FrameCycles == 0 {
 		o.FrameCycles = 4_400_000 // 2 ms at 2.2 GHz
 	}
-	if o.StepsPerCheck == 0 {
-		o.StepsPerCheck = 1
-	}
 	d := New(tgt.Sys.M, w, o.Dash)
 	drv, err := tgt.StartOpenLoop(lo)
 	if err != nil {
@@ -42,7 +35,9 @@ func Live(tgt *siege.Target, lo siege.OpenLoopOptions, w io.Writer, o LiveOption
 	}
 	clock := tgt.Sys.M.Clock
 	next := clock.Cycles() + o.FrameCycles
-	for drv.Step(o.StepsPerCheck) {
+	// The clock is checked after every step: it can jump a whole idle gap
+	// in one, so coarser checks would skip frames.
+	for drv.Step(1) {
 		if now := clock.Cycles(); now >= next {
 			d.Frame()
 			for next <= now {

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"cubicleos/internal/cubicle"
-	"cubicleos/internal/cycles"
 	"cubicleos/internal/siege"
 	"cubicleos/internal/speedtest"
 	"cubicleos/internal/sqldb"
@@ -445,16 +443,4 @@ func Fig10b(size int) ([]Fig10bRow, error) {
 	}
 	rows = append(rows, Fig10bRow{Kernel: "CubicleOS", Slowdown: meanSlowdown(c4, c3)})
 	return rows, nil
-}
-
-// MsFromCycles converts cycles to milliseconds at the paper's 2.2 GHz.
-func MsFromCycles(c uint64) float64 {
-	return float64(cycles.Duration(c).Microseconds()) / 1000
-}
-
-// SortedQueryIDs returns the Figure 6 x-axis (ascending).
-func SortedQueryIDs() []int {
-	ids := append([]int{}, speedtest.QueryIDs...)
-	sort.Ints(ids)
-	return ids
 }

@@ -24,10 +24,19 @@ func body(n int) []byte {
 	return b
 }
 
+func mustTarget(t *testing.T, mode cubicle.Mode) *siege.Target {
+	t.Helper()
+	tgt, err := siege.NewTarget(mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tgt
+}
+
 func TestServeSmallFile(t *testing.T) {
 	for _, mode := range []cubicle.Mode{cubicle.ModeUnikraft, cubicle.ModeFull} {
 		t.Run(mode.String(), func(t *testing.T) {
-			tgt := siege.MustNewTarget(mode)
+			tgt := mustTarget(t, mode)
 			want := body(1000)
 			if err := tgt.PutFile("/index.html", want); err != nil {
 				t.Fatal(err)
@@ -53,7 +62,7 @@ func TestServeSmallFile(t *testing.T) {
 }
 
 func TestServeLargeFileAcrossSendBuffer(t *testing.T) {
-	tgt := siege.MustNewTarget(cubicle.ModeFull)
+	tgt := mustTarget(t, cubicle.ModeFull)
 	want := body(2 << 20) // 2 MiB > 1 MiB LWIP send buffer
 	if err := tgt.PutFile("/big.bin", want); err != nil {
 		t.Fatal(err)
@@ -68,7 +77,7 @@ func TestServeLargeFileAcrossSendBuffer(t *testing.T) {
 }
 
 func TestNotFound(t *testing.T) {
-	tgt := siege.MustNewTarget(cubicle.ModeFull)
+	tgt := mustTarget(t, cubicle.ModeFull)
 	if err := tgt.PutFile("/exists", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +91,7 @@ func TestNotFound(t *testing.T) {
 }
 
 func TestBadRequest(t *testing.T) {
-	tgt := siege.MustNewTarget(cubicle.ModeFull)
+	tgt := mustTarget(t, cubicle.ModeFull)
 	conn := tgt.Peer.Connect(80)
 	step := tgt.Sys.M.MustResolve(cubicle.MonitorID, httpd.Name, "nginx_step")
 	sent := false
@@ -100,7 +109,7 @@ func TestBadRequest(t *testing.T) {
 }
 
 func TestSequentialRequests(t *testing.T) {
-	tgt := siege.MustNewTarget(cubicle.ModeFull)
+	tgt := mustTarget(t, cubicle.ModeFull)
 	for i, name := range []string{"/a", "/b", "/c"} {
 		if err := tgt.PutFile(name, body(100*(i+1))); err != nil {
 			t.Fatal(err)
@@ -128,7 +137,7 @@ func TestSequentialRequests(t *testing.T) {
 // Figure 5: NGINX talks to LWIP, VFSCORE, TIME and PLAT; LWIP to NETDEV;
 // VFSCORE to RAMFS; and ALLOC is called by many cubicles.
 func TestFigure5Edges(t *testing.T) {
-	tgt := siege.MustNewTarget(cubicle.ModeFull)
+	tgt := mustTarget(t, cubicle.ModeFull)
 	if err := tgt.PutFile("/f", body(64<<10)); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +182,7 @@ func TestFigure5Edges(t *testing.T) {
 // Unikraft for the same request — the Figure 7 overhead.
 func TestModeOverheadNginx(t *testing.T) {
 	cyclesFor := func(mode cubicle.Mode) uint64 {
-		tgt := siege.MustNewTarget(mode)
+		tgt := mustTarget(t, mode)
 		if err := tgt.PutFile("/f", body(256<<10)); err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +207,7 @@ func TestModeOverheadNginx(t *testing.T) {
 // TestConcurrentConnections interleaves several connections through the
 // server's per-connection state machines.
 func TestConcurrentConnections(t *testing.T) {
-	tgt := siege.MustNewTarget(cubicle.ModeFull)
+	tgt := mustTarget(t, cubicle.ModeFull)
 	sizes := map[string]int{"/a": 2 << 10, "/b": 100 << 10, "/c": 700}
 	var paths []string
 	for name, n := range sizes {
@@ -207,16 +216,37 @@ func TestConcurrentConnections(t *testing.T) {
 		}
 		paths = append(paths, name, name) // two connections per file
 	}
-	results, err := tgt.FetchConcurrent(paths)
-	if err != nil {
-		t.Fatal(err)
+	// All requests at once over separate connections (siege's -c), the
+	// server stepped until every response has closed.
+	conns := make([]*lwip.PeerConn, len(paths))
+	for i := range paths {
+		conns[i] = tgt.Peer.Connect(80)
 	}
-	for i, res := range results {
-		want := sizes[paths[i]]
-		if res.Status != 200 || len(res.Body) != want {
-			t.Errorf("request %d (%s): status %d, %d bytes (want %d)", i, paths[i], res.Status, len(res.Body), want)
+	sent := make([]bool, len(paths))
+	for iter, open := 0, len(paths); open > 0; iter++ {
+		if iter == 100000 {
+			t.Fatalf("%d of %d concurrent requests did not complete", open, len(paths))
 		}
-		if !bytes.Equal(res.Body, body(want)) {
+		tgt.Step()
+		tgt.Peer.Pump()
+		open = 0
+		for i, c := range conns {
+			if c.Established && !sent[i] {
+				c.Send([]byte("GET " + paths[i] + " HTTP/1.0\r\nHost: cubicle\r\n\r\n"))
+				sent[i] = true
+			}
+			if !c.FinRcvd {
+				open++
+			}
+		}
+	}
+	for i, c := range conns {
+		head, got, _ := bytes.Cut(c.Received(), []byte("\r\n\r\n"))
+		want := sizes[paths[i]]
+		if !bytes.HasPrefix(head, []byte("HTTP/1.0 200 ")) || len(got) != want {
+			t.Errorf("request %d (%s): head %q, %d bytes (want %d)", i, paths[i], head, len(got), want)
+		}
+		if !bytes.Equal(got, body(want)) {
 			t.Errorf("request %d (%s): body corrupted under concurrency", i, paths[i])
 		}
 	}
@@ -226,7 +256,7 @@ func TestConcurrentConnections(t *testing.T) {
 }
 
 func TestHeadRequest(t *testing.T) {
-	tgt := siege.MustNewTarget(cubicle.ModeFull)
+	tgt := mustTarget(t, cubicle.ModeFull)
 	if err := tgt.PutFile("/doc", body(5000)); err != nil {
 		t.Fatal(err)
 	}

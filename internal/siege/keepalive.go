@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"cubicleos/internal/lwip"
 )
@@ -35,13 +34,7 @@ func (t *Target) OpenKA() *KAConn {
 
 // Request sends GET path as HTTP/1.1 (keep-alive by default).
 func (k *KAConn) Request(path string) {
-	k.Conn.Send([]byte(fmt.Sprintf("GET %s HTTP/1.1\r\nHost: cubicle\r\nUser-Agent: siege-sim\r\n\r\n", path)))
-}
-
-// RequestClose sends GET path as HTTP/1.1 with Connection: close — the
-// polite way to retire the connection after this response.
-func (k *KAConn) RequestClose(path string) {
-	k.Conn.Send([]byte(fmt.Sprintf("GET %s HTTP/1.1\r\nHost: cubicle\r\nConnection: close\r\n\r\n", path)))
+	k.Conn.Send(getRequest(path, "HTTP/1.1"))
 }
 
 // KAResponse is one response parsed off a keep-alive connection.
@@ -54,81 +47,46 @@ type KAResponse struct {
 
 // Next parses the next complete response out of the connection's receive
 // buffer. It returns (nil, nil) when more bytes are needed — drive the
-// system and Pump, then ask again.
+// system and Pump, then ask again. The body is a sub-slice of the receive
+// buffer, which is never reused (see parseResponse).
 func (k *KAConn) Next() (*KAResponse, error) {
 	buf := k.Conn.Received()[k.off:]
-	hdrEnd := bytes.Index(buf, []byte("\r\n\r\n"))
-	if hdrEnd < 0 {
-		return nil, nil
+	h, ok, err := parseHead(buf)
+	if !ok || err != nil {
+		return nil, err
 	}
-	head := string(buf[:hdrEnd])
-	lines := strings.Split(head, "\r\n")
-	fields := strings.Fields(lines[0])
-	if len(fields) < 2 {
-		return nil, fmt.Errorf("siege: malformed status line %q", truncate(lines[0], 80))
-	}
-	status, err := strconv.Atoi(fields[1])
-	if err != nil {
-		return nil, fmt.Errorf("siege: bad status %q", fields[1])
-	}
-	clen, closing := -1, !strings.HasPrefix(fields[0], "HTTP/1.1")
-	for _, l := range lines[1:] {
-		key, val, ok := strings.Cut(l, ":")
+	clen, closing := -1, !bytes.HasPrefix(h.proto, []byte("HTTP/1.1"))
+	for fields := h.fields; len(fields) > 0; {
+		var line []byte
+		line, fields, _ = bytes.Cut(fields, []byte("\r\n"))
+		key, val, ok := bytes.Cut(line, []byte(":"))
 		if !ok {
 			continue
 		}
-		val = strings.TrimSpace(val)
+		val = bytes.TrimSpace(val)
 		switch {
-		case strings.EqualFold(key, "Content-Length"):
-			if clen, err = strconv.Atoi(val); err != nil {
+		case bytes.EqualFold(key, []byte("Content-Length")):
+			if clen, err = strconv.Atoi(string(val)); err != nil {
 				return nil, fmt.Errorf("siege: bad Content-Length %q", val)
 			}
-		case strings.EqualFold(key, "Connection"):
-			closing = !strings.EqualFold(val, "keep-alive")
+		case bytes.EqualFold(key, []byte("Connection")):
+			closing = !bytes.EqualFold(val, []byte("keep-alive"))
 		}
 	}
 	if clen < 0 {
-		return nil, fmt.Errorf("siege: response without Content-Length: %q", truncate(head, 120))
+		return nil, fmt.Errorf("siege: response without Content-Length: %.120q", buf[:h.bodyAt])
 	}
-	total := hdrEnd + 4 + clen
-	if len(buf) < total {
+	// Compared against what has arrived, not added to the header length:
+	// the length is the server's word, and one near MaxInt64 must read as
+	// "need more", not wrap into a slice bound.
+	if clen > len(buf)-h.bodyAt {
 		return nil, nil
 	}
-	body := make([]byte, clen)
-	copy(body, buf[hdrEnd+4:total])
+	total := h.bodyAt + clen
 	k.off += total
 	k.Served++
 	if closing {
 		k.SawClose = true
 	}
-	return &KAResponse{Status: status, Body: body, Close: closing}, nil
-}
-
-// FetchKA issues GET path over the keep-alive connection and drives the
-// system until the response completes. The first call on a fresh
-// connection also waits out the TCP handshake.
-func (t *Target) FetchKA(k *KAConn, path string) (*KAResponse, error) {
-	sent := false
-	for i := 0; i < 5_000_000; i++ {
-		t.stepH.Call(t.Sys.Env)
-		t.Peer.Pump()
-		if k.Conn.Established && !sent {
-			k.Request(path)
-			sent = true
-		}
-		if sent {
-			r, err := k.Next()
-			if err != nil || r != nil {
-				return r, err
-			}
-		}
-		if k.Conn.FinRcvd {
-			break
-		}
-	}
-	// A final response may have raced the server's FIN onto the wire.
-	if r, err := k.Next(); err != nil || r != nil {
-		return r, err
-	}
-	return nil, fmt.Errorf("siege: keep-alive request for %s did not complete", path)
+	return &KAResponse{Status: h.status, Body: buf[h.bodyAt:total:total], Close: closing}, nil
 }

@@ -9,20 +9,64 @@ import (
 	"cubicleos/internal/httpd"
 )
 
+// mustTarget boots a default deployment in the given mode.
+func mustTarget(t *testing.T, mode cubicle.Mode) *Target {
+	t.Helper()
+	tg, err := NewTarget(mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tg
+}
+
+// drive steps the server and pumps the peer — what benchmark/ itself
+// does — until done reports true, failing the test at the step bound.
+func drive(t *testing.T, tg *Target, what string, done func() bool) {
+	t.Helper()
+	for i := 0; i < 2_000_000; i++ {
+		if done() {
+			return
+		}
+		tg.Step()
+		tg.Peer.Pump()
+	}
+	t.Fatalf("%s: not within the step bound", what)
+}
+
+// fetchKA issues GET path over the keep-alive connection (waiting out the
+// handshake on a fresh one) and drives the system to the response.
+func fetchKA(t *testing.T, tg *Target, k *KAConn, path string) *KAResponse {
+	t.Helper()
+	drive(t, tg, "handshake", func() bool { return k.Conn.Established })
+	k.Request(path)
+	var r *KAResponse
+	drive(t, tg, "GET "+path, func() bool {
+		var err error
+		if r, err = k.Next(); err != nil {
+			t.Fatal(err)
+		}
+		return r != nil
+	})
+	return r
+}
+
+// requestClose sends GET path as HTTP/1.1 with Connection: close — the
+// polite way to retire the connection after this response.
+func requestClose(k *KAConn, path string) {
+	k.Conn.Send([]byte("GET " + path + " HTTP/1.1\r\nHost: cubicle\r\nConnection: close\r\n\r\n"))
+}
+
 // TestKeepAliveReusesConnection drives several requests over one
 // connection and checks each response is framed and answered correctly.
 func TestKeepAliveReusesConnection(t *testing.T) {
-	tg := MustNewTarget(cubicle.ModeFull)
+	tg := mustTarget(t, cubicle.ModeFull)
 	body := bytes.Repeat([]byte("ka"), 2048)
 	if err := tg.PutFile("/ka.html", body); err != nil {
 		t.Fatal(err)
 	}
 	k := tg.OpenKA()
 	for i := 0; i < 5; i++ {
-		r, err := tg.FetchKA(k, "/ka.html")
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
+		r := fetchKA(t, tg, k, "/ka.html")
 		if r.Status != 200 || !bytes.Equal(r.Body, body) {
 			t.Fatalf("request %d: status %d, body %d bytes", i, r.Status, len(r.Body))
 		}
@@ -37,33 +81,50 @@ func TestKeepAliveReusesConnection(t *testing.T) {
 		t.Fatal("server closed the connection despite keep-alive")
 	}
 	// Missing files keep the connection too: errors are per-request.
-	r, err := tg.FetchKA(k, "/nope.html")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fetchKA(t, tg, k, "/nope.html")
 	if r.Status != 404 || r.Close {
 		t.Fatalf("missing file: status %d close %v, want 404 keep-alive", r.Status, r.Close)
 	}
 	// Connection: close retires it.
-	k.RequestClose("/ka.html")
+	requestClose(k, "/ka.html")
 	var last *KAResponse
-	for i := 0; i < 2_000_000 && last == nil; i++ {
-		tg.stepH.Call(tg.Sys.Env)
-		tg.Peer.Pump()
-		last, err = k.Next()
-		if err != nil {
+	drive(t, tg, "Connection: close answer", func() bool {
+		var err error
+		if last, err = k.Next(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if last == nil || last.Status != 200 || !last.Close {
+		return last != nil
+	})
+	if last.Status != 200 || !last.Close {
 		t.Fatalf("Connection: close answer = %+v, want 200 with close", last)
 	}
-	for i := 0; i < 2_000_000 && !k.Conn.FinRcvd; i++ {
-		tg.stepH.Call(tg.Sys.Env)
-		tg.Peer.Pump()
-	}
-	if !k.Conn.FinRcvd {
-		t.Fatal("server did not close after Connection: close")
+	drive(t, tg, "close after Connection: close", func() bool { return k.Conn.FinRcvd })
+}
+
+// TestKeepAliveHostileContentLength: the server is the system under test
+// and under chaos its bytes are not trusted, so a Content-Length that the
+// receive buffer cannot hold must read as "need more" or a typed error —
+// never reach a slice bound. (hdrEnd + 4 + clen used to wrap negative near
+// MaxInt64, pass the length guard and panic in make.) Each hostile header
+// is served as a file body, then read again as if it were the server's
+// own framing.
+func TestKeepAliveHostileContentLength(t *testing.T) {
+	tg := mustTarget(t, cubicle.ModeFull)
+	k := tg.OpenKA()
+	for _, clen := range []string{"9223372036854775807", "9223372036854775000", "99999999999999999999", "-1", "12x"} {
+		head := "HTTP/1.1 200 OK\r\nContent-Length: " + clen + "\r\n\r\n"
+		if err := tg.PutFile("/hostile", []byte(head)); err != nil {
+			t.Fatal(err)
+		}
+		if r := fetchKA(t, tg, k, "/hostile"); string(r.Body) != head {
+			t.Fatalf("Content-Length %s: served %q", clen, r.Body)
+		}
+		hostile := &KAConn{Conn: k.Conn, off: k.off - len(head)}
+		r, err := hostile.Next()
+		if r != nil {
+			t.Errorf("Content-Length %s: framed a %d-byte body out of a bare header", clen, len(r.Body))
+		}
+		t.Logf("Content-Length %s: %v", clen, err)
 	}
 }
 
@@ -71,7 +132,7 @@ func TestKeepAliveReusesConnection(t *testing.T) {
 // both responses must come back in order on the same connection, the
 // second parsed straight from buffered bytes without another Recv.
 func TestKeepAlivePipelining(t *testing.T) {
-	tg := MustNewTarget(cubicle.ModeFull)
+	tg := mustTarget(t, cubicle.ModeFull)
 	if err := tg.PutFile("/a.html", []byte("alpha")); err != nil {
 		t.Fatal(err)
 	}
@@ -79,30 +140,22 @@ func TestKeepAlivePipelining(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := tg.OpenKA()
-	for i := 0; i < 2_000_000 && !k.Conn.Established; i++ {
-		tg.stepH.Call(tg.Sys.Env)
-		tg.Peer.Pump()
-	}
+	drive(t, tg, "handshake", func() bool { return k.Conn.Established })
 	k.Request("/a.html")
 	k.Request("/b.html")
 	var got []*KAResponse
-	for i := 0; i < 2_000_000 && len(got) < 2; i++ {
-		tg.stepH.Call(tg.Sys.Env)
-		tg.Peer.Pump()
+	drive(t, tg, "two pipelined responses", func() bool {
 		for {
 			r, err := k.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if r == nil {
-				break
+				return len(got) == 2
 			}
 			got = append(got, r)
 		}
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d pipelined responses, want 2", len(got))
-	}
+	})
 	if string(got[0].Body) != "alpha" || string(got[1].Body) != "bravo" {
 		t.Fatalf("pipelined bodies out of order: %q, %q", got[0].Body, got[1].Body)
 	}
@@ -123,29 +176,20 @@ func TestKeepAliveRequestCap(t *testing.T) {
 	}
 	k := tg.OpenKA()
 	for i := 0; i < 3; i++ {
-		r, err := tg.FetchKA(k, "/c.html")
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
+		r := fetchKA(t, tg, k, "/c.html")
 		wantClose := i == 2
 		if r.Status != 200 || r.Close != wantClose {
 			t.Fatalf("request %d: status %d close %v, want 200 close=%v", i, r.Status, r.Close, wantClose)
 		}
 	}
-	for i := 0; i < 2_000_000 && !k.Conn.FinRcvd; i++ {
-		tg.stepH.Call(tg.Sys.Env)
-		tg.Peer.Pump()
-	}
-	if !k.Conn.FinRcvd {
-		t.Fatal("server did not close at the requests-per-conn cap")
-	}
+	drive(t, tg, "close at the requests-per-conn cap", func() bool { return k.Conn.FinRcvd })
 }
 
 // TestHTTP10StaysByteIdentical: a plain HTTP/1.0 request must get the
 // pre-keep-alive response bytes — no Connection header — and a close.
 // The golden-figure determinism gates depend on this.
 func TestHTTP10StaysByteIdentical(t *testing.T) {
-	tg := MustNewTarget(cubicle.ModeFull)
+	tg := mustTarget(t, cubicle.ModeFull)
 	if err := tg.PutFile("/ten.html", []byte("ten")); err != nil {
 		t.Fatal(err)
 	}
@@ -158,15 +202,9 @@ func TestHTTP10StaysByteIdentical(t *testing.T) {
 	}
 	// Re-fetch raw to inspect the header bytes.
 	conn := tg.Peer.Connect(80)
-	sent := false
-	for i := 0; i < 2_000_000 && !conn.FinRcvd; i++ {
-		tg.stepH.Call(tg.Sys.Env)
-		tg.Peer.Pump()
-		if conn.Established && !sent {
-			conn.Send([]byte("GET /ten.html HTTP/1.0\r\nHost: cubicle\r\n\r\n"))
-			sent = true
-		}
-	}
+	drive(t, tg, "handshake", func() bool { return conn.Established })
+	conn.Send([]byte("GET /ten.html HTTP/1.0\r\nHost: cubicle\r\n\r\n"))
+	drive(t, tg, "HTTP/1.0 close", func() bool { return conn.FinRcvd })
 	raw := string(conn.Received())
 	want := "HTTP/1.0 200 OK\r\nServer: cubicle-nginx\r\nContent-Length: 3\r\n\r\nten"
 	if raw != want {
@@ -174,22 +212,12 @@ func TestHTTP10StaysByteIdentical(t *testing.T) {
 	}
 	// An HTTP/1.0 client may still opt in to keep-alive explicitly.
 	conn2 := tg.Peer.Connect(80)
-	sent = false
-	var raw2 string
-	for i := 0; i < 2_000_000; i++ {
-		tg.stepH.Call(tg.Sys.Env)
-		tg.Peer.Pump()
-		if conn2.Established && !sent {
-			conn2.Send([]byte("GET /ten.html HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"))
-			sent = true
-		}
-		raw2 = string(conn2.Received())
-		if strings.Contains(raw2, "ten") {
-			break
-		}
-	}
+	drive(t, tg, "handshake", func() bool { return conn2.Established })
+	conn2.Send([]byte("GET /ten.html HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"))
+	drive(t, tg, "HTTP/1.0 keep-alive answer", func() bool { return bytes.Contains(conn2.Received(), []byte("ten")) })
+	raw2 := string(conn2.Received())
 	if !strings.Contains(raw2, "Connection: keep-alive\r\n") {
-		t.Fatalf("HTTP/1.0 keep-alive opt-in not honoured: %q", truncate(raw2, 120))
+		t.Fatalf("HTTP/1.0 keep-alive opt-in not honoured: %.120q", raw2)
 	}
 	if conn2.FinRcvd {
 		t.Fatal("server closed an HTTP/1.0 keep-alive connection")
@@ -211,22 +239,11 @@ func TestKeepAliveChurnStaysBounded(t *testing.T) {
 	var after10 uint64
 	for i := 0; i < 40; i++ {
 		k := tg.OpenKA()
-		for j := 0; j < 4; j++ {
-			if _, err := tg.FetchKA(k, "/churn.html"); err != nil {
-				t.Fatalf("conn %d request %d: %v", i, j, err)
-			}
+		for j := 0; j < 5; j++ {
+			fetchKA(t, tg, k, "/churn.html")
 		}
-		if _, err := tg.FetchKA(k, "/churn.html"); err != nil {
-			t.Fatalf("conn %d close request: %v", i, err)
-		}
-		k.RequestClose("/churn.html")
-		for s := 0; s < 2_000_000 && !k.Conn.FinRcvd; s++ {
-			tg.stepH.Call(tg.Sys.Env)
-			tg.Peer.Pump()
-		}
-		if !k.Conn.FinRcvd {
-			t.Fatalf("conn %d never retired", i)
-		}
+		requestClose(k, "/churn.html")
+		drive(t, tg, "retire", func() bool { return k.Conn.FinRcvd })
 		if i == 9 {
 			after10 = tg.Sys.Alloc.TotalArenaBytes()
 		}

@@ -156,7 +156,7 @@ func TestOpenLoopDriverMatchesOpenLoop(t *testing.T) {
 	if d.Step(1) {
 		t.Error("Step reports progress after Finish")
 	}
-	if d.Launched() != opts.Requests || d.InFlight() != 0 {
-		t.Errorf("launched=%d inflight=%d after completion", d.Launched(), d.InFlight())
+	if got.Arrivals != opts.Requests || got.Dropped != 0 {
+		t.Errorf("arrivals=%d dropped=%d after completion", got.Arrivals, got.Dropped)
 	}
 }

@@ -1,15 +1,16 @@
 // Open-loop load generation: requests arrive on a fixed virtual-clock
 // schedule regardless of whether earlier ones completed, the way real
-// traffic behaves. Closed-loop drivers (Fetch, FetchConcurrent) can never
-// push a server past saturation — the client waits, so the queue cannot
-// grow; an open-loop sweep across offered rates is what exposes the
-// saturation knee and how the system degrades beyond it.
+// traffic behaves. A closed-loop client (Fetch) can never push a server
+// past saturation — it waits, so the queue cannot grow; an open-loop sweep
+// across offered rates is what exposes the saturation knee and how the
+// system degrades beyond it.
 
 package siege
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 
 	"cubicleos/internal/cycles"
@@ -24,11 +25,6 @@ type OpenLoopOptions struct {
 	Rate float64
 	// Requests is the number of scheduled arrivals.
 	Requests int
-	// MaxSteps bounds driver iterations as a safety net (0 = default).
-	MaxSteps int
-	// IdleStepLimit breaks the drain phase when this many consecutive
-	// steps make no progress; stragglers count as dropped (0 = default).
-	IdleStepLimit int
 }
 
 // OpenLoopStats summarises one open-loop run at a fixed offered rate.
@@ -39,17 +35,12 @@ type OpenLoopStats struct {
 	// Errors counts other statuses; Dropped counts connections that never
 	// completed (lost SYN, server never answered).
 	OK, Shed, Errors, Dropped int
-	// GoodputRPS is completed 200s per virtual second of the run.
-	GoodputRPS float64
-	// P50/P99/P999 are download latencies of the 200 responses.
-	P50, P99, P999 time.Duration
+	LatencySummary
 	// MaxConns is the high-water mark of concurrent server connections.
 	MaxConns int
 	// ArenaBytes is ALLOC's total arena footprint at the end of the run —
 	// the memory the overload left behind.
 	ArenaBytes uint64
-	// Elapsed is the virtual wall-clock span of the run.
-	Elapsed time.Duration
 }
 
 // olFlight is one arrival whose response has not completed yet.
@@ -59,80 +50,95 @@ type olFlight struct {
 	sent    bool
 }
 
-// openLoopRun is the open-loop driver unrolled into a resumable state
-// machine: step() is exactly one iteration of the original driver loop,
-// so a run stepped to completion is byte-identical (in virtual time and
-// in every counter) to the monolithic loop it replaced — while the
-// parallel driver can interleave quanta of many runs.
-type openLoopRun struct {
-	t     *Target
-	o     OpenLoopOptions
-	clock *cycles.Clock
-	req   []byte
+// OpenLoopDriver is the load generator's one request loop, as a resumable
+// state machine. Every driver of a single target is this run stepped to
+// completion — OpenLoop, Fetch (one arrival due now, with a stop cycle and
+// the response kept), a shard of ParallelOpenLoop, and the cubicle-top
+// dashboard, which steps it one quantum at a time and renders between
+// quanta — so they cost the same virtual cycles by construction. Nothing
+// else in the package steps the server and pumps the peer.
+type OpenLoopDriver struct {
+	t        *Target
+	clock    *cycles.Clock
+	req      []byte
+	requests int // scheduled arrivals
 
 	interval uint64
 	start    uint64
 	next     uint64
+	// stop ends the run with ErrHalted once the clock reaches it:
+	// FetchUntil's replay halt, never for an open-loop run.
+	stop uint64
 	// live holds the arrivals still in flight, in launch order. A flight
 	// is classified and its connection dropped the step its FIN arrives,
 	// so a step costs O(in flight), not O(launched), and a response body
 	// lives no longer than its request.
-	live      []olFlight
-	launched  int
-	idle      int
-	maxConns  int
+	live []olFlight
+	idle int
+	// steps is bounded by maxSteps as a safety net; idleLimit breaks the
+	// drain phase when that many consecutive steps make no progress, the
+	// stragglers counting as dropped.
 	steps     int
 	maxSteps  int
 	idleLimit int
+	done      bool
 
-	st            OpenLoopStats // outcome counts, booked as flights complete
-	lats          []uint64      // latencies of the 200s; sorted by finish
-	elapsedCycles uint64        // filled by finish
+	// kept, when non-nil, receives a completed response itself instead of
+	// its class: a Fetch wants the body, a flood only the count.
+	kept *Result
+	err  error // ErrHalted, or the kept response's parse error
+
+	st      OpenLoopStats // arrivals and outcomes, booked as they happen
+	lats    []uint64      // latencies of the 200s; sorted by Finish
+	elapsed uint64        // cycles from start to the end of the run
 }
 
-func (t *Target) newOpenLoopRun(o OpenLoopOptions) (*openLoopRun, error) {
+// StartOpenLoop begins an open-loop run without driving it; call Step
+// until it returns false, then Finish.
+func (t *Target) StartOpenLoop(o OpenLoopOptions) (*OpenLoopDriver, error) {
 	if o.Rate <= 0 || o.Requests <= 0 {
 		return nil, fmt.Errorf("siege: open loop needs positive rate and request count")
 	}
-	r := &openLoopRun{
+	r := &OpenLoopDriver{
 		t:         t,
-		o:         o,
 		clock:     t.Sys.M.Clock,
-		req:       getRequest(o.Path, siegeHeaders),
-		maxSteps:  o.MaxSteps,
-		idleLimit: o.IdleStepLimit,
-	}
-	if r.maxSteps == 0 {
-		r.maxSteps = 5_000_000
-	}
-	if r.idleLimit == 0 {
-		r.idleLimit = 20_000
-	}
-	r.interval = uint64(float64(cycles.FrequencyHz) / o.Rate)
-	if r.interval == 0 {
-		r.interval = 1
+		req:       getRequest(o.Path, "HTTP/1.0"),
+		requests:  o.Requests,
+		interval:  max(1, uint64(float64(cycles.FrequencyHz)/o.Rate)),
+		stop:      math.MaxUint64,
+		maxSteps:  5_000_000,
+		idleLimit: 20_000,
+		st:        OpenLoopStats{OfferedRPS: o.Rate},
 	}
 	r.start = r.clock.Cycles()
 	r.next = r.start
 	return r, nil
 }
 
-// step runs one driver iteration. It returns false once the run is over
-// (all arrivals resolved, the drain phase gave up, or the step budget ran
-// out).
-func (r *openLoopRun) step() bool {
-	if r.steps >= r.maxSteps {
-		return false
+// step runs one driver iteration. It returns false once the run is over:
+// all arrivals resolved, the clock reached the stop cycle, the drain phase
+// gave up, or the step budget ran out.
+func (r *OpenLoopDriver) step() bool {
+	if r.done || r.steps >= r.maxSteps {
+		return r.end()
 	}
 	r.steps++
 	t, clock := r.t, r.clock
-	for r.launched < r.o.Requests && clock.Cycles() >= r.next {
+	for r.st.Arrivals < r.requests && clock.Cycles() >= r.next {
 		r.live = append(r.live, olFlight{conn: t.Peer.Connect(80), startAt: clock.Cycles()})
-		r.launched++
+		r.st.Arrivals++
 		r.next += r.interval
 	}
-	t.stepH.Call(t.Sys.Env)
+	t.Step()
 	t.Peer.Pump()
+	// The halt sits between the pump and the send, and only reads the
+	// clock: virtual time advances in discrete charges inside a step, so
+	// the run stops at the first step boundary at or after stop with every
+	// event of Cycle <= stop emitted and nothing of the next step begun.
+	if clock.Cycles() >= r.stop {
+		r.err = ErrHalted
+		return r.end()
+	}
 	progress := false
 	live := r.live[:0]
 	for _, f := range r.live {
@@ -142,10 +148,10 @@ func (r *openLoopRun) step() bool {
 			progress = true
 		}
 		if f.conn.FinRcvd {
-			// The response is complete: classify it and detach the
-			// connection, so the peer's pump and this loop stay O(in-flight)
-			// however many requests the run issues.
-			r.classify(f, clock.Cycles())
+			// The response is complete: book it and detach the connection,
+			// so the peer's pump and this loop stay O(in-flight) however
+			// many requests the run issues.
+			r.complete(f, clock.Cycles())
 			f.conn.Release()
 			progress = true
 			continue
@@ -154,21 +160,19 @@ func (r *openLoopRun) step() bool {
 	}
 	clear(r.live[len(live):])
 	r.live = live
-	if c := t.Srv.Conns(); c > r.maxConns {
-		r.maxConns = c
-	}
-	if r.launched == r.o.Requests && len(r.live) == 0 {
-		return false
+	r.st.MaxConns = max(r.st.MaxConns, t.Srv.Conns())
+	if r.st.Arrivals == r.requests && len(r.live) == 0 {
+		return r.end()
 	}
 	if len(r.live) == 0 {
 		// Nothing in flight: idle until the next scheduled arrival.
 		clock.AdvanceTo(r.next)
 		return true
 	}
-	if r.launched == r.o.Requests && !progress {
+	if r.st.Arrivals == r.requests && !progress {
 		// Drain phase: give stalled connections a bounded chance.
 		if r.idle++; r.idle > r.idleLimit {
-			return false
+			return r.end()
 		}
 	} else {
 		r.idle = 0
@@ -176,15 +180,20 @@ func (r *openLoopRun) step() bool {
 	return true
 }
 
-// classify books a completed flight by the status of its response.
-func (r *openLoopRun) classify(f olFlight, doneAt uint64) {
-	status, _, err := parseResponse(f.conn.Received())
+// complete books a flight whose response has arrived: kept whole for a
+// Fetch, otherwise counted by the class of its status.
+func (r *OpenLoopDriver) complete(f olFlight, doneAt uint64) {
+	status, body, err := parseResponse(f.conn.Received())
+	used := doneAt - f.startAt
 	switch {
+	case r.kept != nil:
+		*r.kept = Result{Status: status, Body: body, Cycles: used, Latency: cycles.Duration(used + r.t.RequestFloor)}
+		r.err = err
 	case err != nil:
 		r.st.Dropped++
 	case status == 200:
 		r.st.OK++
-		r.lats = append(r.lats, doneAt-f.startAt+r.t.RequestFloor)
+		r.lats = append(r.lats, used+r.t.RequestFloor)
 	case status == 429 || status == 503:
 		r.st.Shed++
 	default:
@@ -192,25 +201,40 @@ func (r *openLoopRun) classify(f olFlight, doneAt uint64) {
 	}
 }
 
-// finish computes the run's statistics. Flights still live never
-// completed; they and unparseable responses count as dropped.
-func (r *openLoopRun) finish() *OpenLoopStats {
-	st := r.st
-	st.OfferedRPS = r.o.Rate
-	st.Arrivals = r.launched
-	st.Dropped += len(r.live)
-	st.MaxConns = r.maxConns
-	st.ArenaBytes = r.t.Sys.Alloc.TotalArenaBytes()
-	elapsed := r.clock.Cycles() - r.start
-	r.elapsedCycles = elapsed
-	st.Elapsed = cycles.Duration(elapsed)
-	if elapsed > 0 {
-		st.GoodputRPS = float64(st.OK) * float64(cycles.FrequencyHz) / float64(elapsed)
+// end closes the run and reports false, as step does from then on.
+// Flights still in the air never completed: they count as dropped, and
+// their connections are detached so the peer keeps nothing of the run.
+func (r *OpenLoopDriver) end() bool {
+	if !r.done {
+		r.done = true
+		r.elapsed = r.clock.Cycles() - r.start
+		r.st.Dropped += len(r.live)
+		for _, f := range r.live {
+			f.conn.Release()
+		}
+		clear(r.live)
+		r.live = r.live[:0]
 	}
-	sort.Slice(r.lats, func(i, j int) bool { return r.lats[i] < r.lats[j] })
-	st.P50 = percentile(r.lats, 0.50)
-	st.P99 = percentile(r.lats, 0.99)
-	st.P999 = percentile(r.lats, 0.999)
+	return false
+}
+
+// Step runs up to n driver iterations (n <= 0 means 1). It returns false
+// once the run is over.
+func (r *OpenLoopDriver) Step(n int) bool {
+	for i := 0; i < max(n, 1); i++ {
+		if !r.step() {
+			return false
+		}
+	}
+	return true
+}
+
+// Finish ends the run if it is still going and returns its statistics.
+func (r *OpenLoopDriver) Finish() *OpenLoopStats {
+	r.end()
+	st := r.st
+	st.ArenaBytes = r.t.Sys.Alloc.TotalArenaBytes()
+	st.LatencySummary = Summarise(r.lats, st.OK, r.elapsed)
 	return &st
 }
 
@@ -220,84 +244,42 @@ func (r *openLoopRun) finish() *OpenLoopStats {
 // saturation measures unloaded latency and a run above it measures the
 // queue the overload builds.
 func (t *Target) OpenLoop(o OpenLoopOptions) (*OpenLoopStats, error) {
-	r, err := t.newOpenLoopRun(o)
+	r, err := t.StartOpenLoop(o)
 	if err != nil {
 		return nil, err
 	}
 	for r.step() {
 	}
-	return r.finish(), nil
+	return r.Finish(), nil
 }
 
-// Percentile converts the p-th percentile of an ascending cycle-latency
-// slice to a duration (nearest-rank). Exported for the cluster driver,
-// which pools latencies across backends but classifies them itself.
-func Percentile(sorted []uint64, p float64) time.Duration {
-	return percentile(sorted, p)
+// LatencySummary is the tail of a load run's report: what a set of
+// per-request latencies and a span of virtual time say about it.
+type LatencySummary struct {
+	// GoodputRPS is completed 200s per virtual second of the run.
+	GoodputRPS float64
+	// P50/P99/P999 are download latencies of the 200 responses.
+	P50, P99, P999 time.Duration
+	// Elapsed is the virtual wall-clock span of the run.
+	Elapsed time.Duration
 }
 
-func percentile(sorted []uint64, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return cycles.Duration(sorted[i])
-}
-
-// OpenLoopDriver is the open-loop run as a resumable state machine, for
-// callers that interleave driving with observation — the cubicle-top
-// dashboard steps the run one quantum at a time and renders the metrics
-// ring between quanta. Step and Finish mirror the internal driver
-// exactly, so a run stepped to completion produces the same virtual-time
-// figures as OpenLoop.
-type OpenLoopDriver struct {
-	r        *openLoopRun
-	finished *OpenLoopStats
-}
-
-// StartOpenLoop begins an open-loop run without driving it; call Step
-// until it returns false, then Finish.
-func (t *Target) StartOpenLoop(o OpenLoopOptions) (*OpenLoopDriver, error) {
-	r, err := t.newOpenLoopRun(o)
-	if err != nil {
-		return nil, err
-	}
-	return &OpenLoopDriver{r: r}, nil
-}
-
-// Step runs up to n driver iterations (n <= 0 means 1). It returns false
-// once the run is over.
-func (d *OpenLoopDriver) Step(n int) bool {
-	if d.finished != nil {
-		return false
-	}
-	if n <= 0 {
-		n = 1
-	}
-	for i := 0; i < n; i++ {
-		if !d.r.step() {
-			return false
+// Summarise sorts lats (cycle latencies of the ok completed requests, in
+// place) and reduces them and the run's span in cycles to a summary.
+// Percentiles are nearest-rank.
+func Summarise(lats []uint64, ok int, span uint64) LatencySummary {
+	slices.Sort(lats)
+	rank := func(p float64) time.Duration {
+		if len(lats) == 0 {
+			return 0
 		}
+		return cycles.Duration(lats[min(int(p*float64(len(lats))), len(lats)-1)])
 	}
-	return true
-}
-
-// Launched returns how many arrivals have been issued so far.
-func (d *OpenLoopDriver) Launched() int { return d.r.launched }
-
-// InFlight returns how many requests are currently open.
-func (d *OpenLoopDriver) InFlight() int { return len(d.r.live) }
-
-// Finish classifies every flight and returns the run's statistics
-// (idempotent after the first call).
-func (d *OpenLoopDriver) Finish() *OpenLoopStats {
-	if d.finished == nil {
-		d.finished = d.r.finish()
+	s := LatencySummary{P50: rank(0.50), P99: rank(0.99), P999: rank(0.999), Elapsed: cycles.Duration(span)}
+	if span > 0 {
+		s.GoodputRPS = float64(ok) * float64(cycles.FrequencyHz) / float64(span)
 	}
-	return d.finished
+	return s
 }
 
 // OpenLoopSweep runs an offered-load sweep: one fresh target per rate

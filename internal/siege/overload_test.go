@@ -43,13 +43,7 @@ func TestOpenLoopGracefulDegradation(t *testing.T) {
 		return siege.Options{
 			Mode:        cubicle.ModeFull,
 			TraceEvents: 1 << 14, TraceSamplePeriod: 50_000,
-			Supervision: supervisionOnly(),
-			Governance: &httpd.Governance{
-				MaxConns: 16, RetryAfter: 1, Retry: cubicle.DefaultRetryPolicy(),
-			},
-			WireCap:    256,
-			ReapClosed: true,
-		}
+		}.Governed()
 	}
 	run := func(o siege.Options, rate float64) (*siege.Target, *siege.OpenLoopStats) {
 		tgt := bootOverloadTarget(t, o)

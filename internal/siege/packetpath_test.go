@@ -11,6 +11,7 @@ import (
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/httpd"
+	"cubicleos/internal/lwip"
 )
 
 func TestParseResponse(t *testing.T) {
@@ -69,7 +70,7 @@ func seededFiles(t *testing.T, tgt *Target, n, size int) (paths []string, sums [
 // buffer, so that buffer must never be reused by a later request, and
 // must stay readable after Release.
 func TestResultBodyOutlivesLaterFetches(t *testing.T) {
-	tgt := MustNewTarget(cubicle.ModeFull)
+	tgt := mustTarget(t, cubicle.ModeFull)
 	paths, sums := seededFiles(t, tgt, 9, 6000)
 
 	conn := tgt.Peer.Connect(80)
@@ -77,7 +78,7 @@ func TestResultBodyOutlivesLaterFetches(t *testing.T) {
 		tgt.Step()
 		tgt.Peer.Pump()
 		if conn.Established && conn.ReceivedLen() == 0 && i < 4 {
-			conn.Send(getRequest(paths[0], siegeHeaders))
+			conn.Send(getRequest(paths[0], "HTTP/1.0"))
 		}
 	}
 	conn.Release()
@@ -129,17 +130,38 @@ func TestBulkFetchGarbage(t *testing.T) {
 	}
 }
 
+// raceBuild is set by race_test.go: the exact allocation gates skip under
+// the race detector, whose instrumentation moves the counts.
+var raceBuild bool
+
+// mallocsPer runs fn, which performs n operations, and returns the heap
+// objects it allocated per operation.
+func mallocsPer(n int, fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
 // TestFetchAllocationCounts pins the objects one Fetch allocates, counts
-// not nanoseconds: 131 for a 4 KiB file and 2 625 for a 1 MiB one while
-// every crossing heap-allocated its argument and result words (55 and 923
-// crossings a request); what is left is the connection, the request and
-// the response buffer.
+// not nanoseconds, at the measured value plus at most one: 40 for a 4 KiB
+// file and 102 for a 1 MiB one — the connection, the request, the response
+// buffer, the Result and what the server side allocates per segment. (131
+// and 2 625 while every crossing heap-allocated its argument and result
+// words.) Every HTTP workload of the benchmark bounds allocs_per_op at
+// 2 %, less than one object a request: this is that bound as a tier-1
+// test. The run state of a Fetch lives on its stack and its flight list
+// is the target's, so the one request loop costs a Fetch nothing here.
 func TestFetchAllocationCounts(t *testing.T) {
+	if raceBuild {
+		t.Skip("exact allocation counts are not meaningful under the race detector")
+	}
 	for _, tc := range []struct {
 		size, max int
 	}{
-		{4 << 10, 56},
-		{1 << 20, 160},
+		{4 << 10, 41},
+		{1 << 20, 103},
 	} {
 		t.Run(fmt.Sprint(tc.size), func(t *testing.T) {
 			tgt, err := NewTargetOpts(Options{Mode: cubicle.ModeFull, ReapClosed: true})
@@ -165,10 +187,38 @@ func TestFetchAllocationCounts(t *testing.T) {
 	}
 }
 
+// TestOpenLoopAllocationCounts is the same gate for an open-loop arrival
+// on the governed deployment: 38.1 objects measured (the run's own state
+// amortised over 256 arrivals), 39 allowed. An arrival is a Fetch less
+// its Result and its request, which the run builds once.
+func TestOpenLoopAllocationCounts(t *testing.T) {
+	if raceBuild {
+		t.Skip("exact allocation counts are not meaningful under the race detector")
+	}
+	tgt, err := NewTargetOpts(Options{Mode: cubicle.ModeFull}.Governed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, _ := seededFiles(t, tgt, 1, 4<<10)
+	const arrivals = 256
+	run := func() {
+		st, err := tgt.OpenLoop(OpenLoopOptions{Path: paths[0], Rate: 3500, Requests: arrivals})
+		if err != nil || st.OK != arrivals {
+			t.Fatalf("run: %+v, %v", st, err)
+		}
+	}
+	run() // free lists and stacks reach their high-water mark
+	if got := mallocsPer(arrivals, run); got > 39 {
+		t.Errorf("an open-loop arrival allocates %.2f objects, more than 39", got)
+	} else {
+		t.Logf("open-loop arrival: %.2f allocations", got)
+	}
+}
+
 // TestOpenLoopHoldsOnlyLiveFlights: the driver's working set is the
 // flights in the air, not the flights ever launched — a completed flight
 // is classified and its connection dropped the step its FIN arrives, so
-// by the time the run is over there is no PeerConn left for finish() to
+// by the time the run is over there is no PeerConn left for Finish to
 // look at.
 func TestOpenLoopHoldsOnlyLiveFlights(t *testing.T) {
 	gov := httpd.Governance{MaxConns: 16, RetryAfter: 1, Retry: cubicle.DefaultRetryPolicy()}
@@ -178,7 +228,7 @@ func TestOpenLoopHoldsOnlyLiveFlights(t *testing.T) {
 	}
 	paths, _ := seededFiles(t, tgt, 1, 4<<10)
 	const arrivals = 4000
-	r, err := tgt.newOpenLoopRun(OpenLoopOptions{Path: paths[0], Rate: 3500, Requests: arrivals})
+	r, err := tgt.StartOpenLoop(OpenLoopOptions{Path: paths[0], Rate: 3500, Requests: arrivals})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +244,69 @@ func TestOpenLoopHoldsOnlyLiveFlights(t *testing.T) {
 			t.Fatalf("slot %d of the live list still holds a connection after the run", i)
 		}
 	}
-	if st := r.finish(); st.OK != arrivals || st.Dropped != 0 {
+	if st := r.Finish(); st.OK != arrivals || st.Dropped != 0 {
 		t.Errorf("run: %+v", st)
+	}
+}
+
+// TestEndedRunLeavesNoConnection: a run that ends with a flight still in
+// the air — halted at a stop cycle, or out of steps — detaches it, so the
+// peer holds no connection of that run: driven further, the server's
+// remaining segments fall on the floor instead of completing a response
+// nobody will read. Fetch got this from a deferred Release; the one
+// request loop does it where a run ends.
+func TestEndedRunLeavesNoConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(r *OpenLoopDriver)
+		err  error
+	}{
+		{"halted", func(r *OpenLoopDriver) { r.stop = r.clock.Cycles() + 300_000 }, ErrHalted},
+		{"step bound", func(r *OpenLoopDriver) { r.maxSteps = 3 }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tgt := mustTarget(t, cubicle.ModeFull)
+			paths, _ := seededFiles(t, tgt, 1, 256<<10)
+			r, err := tgt.StartOpenLoop(OpenLoopOptions{Path: paths[0], Rate: 1000, Requests: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.arm(r)
+			var conn *lwip.PeerConn
+			for r.step() {
+				conn = r.live[0].conn
+			}
+			if conn == nil || conn.FinRcvd || r.err != tc.err {
+				t.Fatalf("run did not end mid-flight after %d steps: err %v", r.steps, r.err)
+			}
+			if st := r.Finish(); st.Dropped != 1 || st.OK != 0 {
+				t.Fatalf("ended run: %+v", st)
+			}
+			got := conn.ReceivedLen()
+			for i := 0; i < 2000; i++ {
+				tgt.Step()
+				tgt.Peer.Pump()
+			}
+			if conn.ReceivedLen() != got || conn.FinRcvd {
+				t.Errorf("the peer still serves the ended run's connection: %d -> %d bytes, FIN %v",
+					got, conn.ReceivedLen(), conn.FinRcvd)
+			}
+		})
+	}
+
+	// The same through Fetch: the flight list it lends the run comes back
+	// empty, and the target is good for the next request.
+	tgt := mustTarget(t, cubicle.ModeFull)
+	paths, sums := seededFiles(t, tgt, 1, 256<<10)
+	if _, err := tgt.FetchUntil(paths[0], tgt.Sys.M.Clock.Cycles()+300_000); err != ErrHalted {
+		t.Fatalf("FetchUntil: %v, want ErrHalted", err)
+	}
+	for i, f := range tgt.flights[:cap(tgt.flights)] {
+		if f.conn != nil {
+			t.Errorf("slot %d of the target's flight list holds a connection after ErrHalted", i)
+		}
+	}
+	if res, err := tgt.Fetch(paths[0]); err != nil || res.Status != 200 || crc32.ChecksumIEEE(res.Body) != sums[0] {
+		t.Errorf("fetch after a halted one: %+v, %v", res, err)
 	}
 }

@@ -13,7 +13,6 @@ package siege
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"cubicleos/internal/cycles"
@@ -60,8 +59,7 @@ func ParallelOpenLoop(cores int, mk func(core int) (*Target, error), o OpenLoopO
 		return nil, fmt.Errorf("siege: open loop needs positive rate and request count")
 	}
 
-	targets := make([]*Target, cores)
-	runs := make([]*openLoopRun, cores)
+	runs := make([]*OpenLoopDriver, cores)
 	clks := make([]*cycles.Clock, cores)
 	base, rem := o.Requests/cores, o.Requests%cores
 	for c := 0; c < cores; c++ {
@@ -75,17 +73,15 @@ func ParallelOpenLoop(cores int, mk func(core int) (*Target, error), o OpenLoopO
 		if c < rem {
 			so.Requests++
 		}
+		clks[c] = t.Sys.M.Clock
 		if so.Requests == 0 {
-			// More cores than requests: the shard idles. Keep a target so
-			// the core count stays honest, but no run to step.
-			targets[c], clks[c] = t, t.Sys.M.Clock
+			// More cores than requests: the shard idles. Its clock keeps
+			// the core count honest, but there is no run to step.
 			continue
 		}
-		r, err := t.newOpenLoopRun(so)
-		if err != nil {
+		if runs[c], err = t.StartOpenLoop(so); err != nil {
 			return nil, err
 		}
-		targets[c], runs[c], clks[c] = t, r, t.Sys.M.Clock
 	}
 
 	machine := cycles.MachineOver(clks...)
@@ -121,11 +117,11 @@ func ParallelOpenLoop(cores int, mk func(core int) (*Target, error), o OpenLoopO
 	ps.OfferedRPS = o.Rate
 	var lats []uint64
 	var maxElapsed uint64
-	for c := 0; c < cores; c++ {
-		if runs[c] == nil {
+	for _, r := range runs {
+		if r == nil {
 			continue
 		}
-		st := runs[c].finish()
+		st := r.Finish()
 		ps.PerCore = append(ps.PerCore, st)
 		ps.Arrivals += st.Arrivals
 		ps.OK += st.OK
@@ -134,19 +130,10 @@ func ParallelOpenLoop(cores int, mk func(core int) (*Target, error), o OpenLoopO
 		ps.Dropped += st.Dropped
 		ps.MaxConns += st.MaxConns
 		ps.ArenaBytes += st.ArenaBytes
-		if runs[c].elapsedCycles > maxElapsed {
-			maxElapsed = runs[c].elapsedCycles
-		}
-		lats = append(lats, runs[c].lats...)
+		maxElapsed = max(maxElapsed, r.elapsed)
+		lats = append(lats, r.lats...)
 	}
-	ps.Elapsed = cycles.Duration(maxElapsed)
-	if maxElapsed > 0 {
-		ps.GoodputRPS = float64(ps.OK) * float64(cycles.FrequencyHz) / float64(maxElapsed)
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	ps.P50 = percentile(lats, 0.50)
-	ps.P99 = percentile(lats, 0.99)
-	ps.P999 = percentile(lats, 0.999)
+	ps.LatencySummary = Summarise(lats, ps.OK, maxElapsed)
 	ps.WallSeconds = wall.Seconds()
 	if ps.WallSeconds > 0 {
 		ps.WallRPS = float64(ps.OK) / ps.WallSeconds

@@ -15,7 +15,6 @@ import (
 
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
-	"cubicleos/internal/cycles"
 	"cubicleos/internal/faultinject"
 	"cubicleos/internal/httpd"
 	"cubicleos/internal/lwip"
@@ -39,16 +38,21 @@ type Target struct {
 	Srv  *httpd.Server
 	Peer *lwip.Peer
 
-	initH, stepH cubicle.Handle
+	stepH cubicle.Handle
 	// RequestFloor is added to every request's measured cycles.
 	RequestFloor uint64
+	// flights is the one-slot flight list a Fetch lends its run, kept so
+	// that a closed-loop request allocates no list of its own.
+	flights []olFlight
 }
 
 // Options configures a target boot beyond the isolation mode.
 type Options struct {
 	Mode cubicle.Mode
-	// TraceEvents/TraceSamplePeriod enable the observability layer (see
-	// NewTargetTraced).
+	// TraceEvents/TraceSamplePeriod enable the observability layer from
+	// cycle 0: a trace ring of that many events plus, when the period is
+	// non-zero, the virtual-clock sampling profiler. Inspect the run
+	// through Target.Sys.M.Tracer().
 	TraceEvents       int
 	TraceSamplePeriod uint64
 	// MetricsInterval/MetricsRing enable the virtual-time metrics pipeline
@@ -84,20 +88,28 @@ type Options struct {
 	Cluster int
 }
 
+// Governed returns o with overload protection on — the one declaration of
+// the governed deployment that httpbench -openloop sweeps and cubicle-top
+// watches: supervision with the crossing watchdog off (overload exercises
+// deadlines and quotas, not runaway crossings), admission control at 16
+// connections answering Retry-After: 1, a 256-frame wire and closed
+// sockets reaped.
+func (o Options) Governed() Options {
+	pol := cubicle.DefaultRestartPolicy()
+	pol.CrossingBudget = 0
+	o.Supervision = &pol
+	o.Governance = &httpd.Governance{MaxConns: 16, RetryAfter: 1, Retry: cubicle.DefaultRetryPolicy()}
+	o.WireCap = 256
+	o.ReapClosed = true
+	return o
+}
+
 // NewTarget boots the Figure 5 deployment: eight isolated cubicles
 // (NGINX, LWIP, NETDEV, VFSCORE, RAMFS, PLAT, ALLOC, TIME) with LIBC and
 // RANDOM shared, every buffer allocated through ALLOC, in the given
 // isolation mode.
 func NewTarget(mode cubicle.Mode) (*Target, error) {
 	return NewTargetOpts(Options{Mode: mode})
-}
-
-// NewTargetTraced boots the same deployment with the observability layer
-// enabled from cycle 0: a trace ring of ringCap events plus, when
-// samplePeriod is non-zero, the virtual-clock sampling profiler. Inspect
-// the run through Target.Sys.M.Tracer().
-func NewTargetTraced(mode cubicle.Mode, ringCap int, samplePeriod uint64) (*Target, error) {
-	return NewTargetOpts(Options{Mode: mode, TraceEvents: ringCap, TraceSamplePeriod: samplePeriod})
 }
 
 // NewTargetOpts boots the deployment with the full option set, including
@@ -148,7 +160,6 @@ func NewTargetOpts(o Options) (*Target, error) {
 		Sys:          sys,
 		Srv:          srv,
 		Peer:         lwip.NewPeer(sys.Netdev.Wire()),
-		initH:        m.MustResolve(cubicle.MonitorID, httpd.Name, "nginx_init"),
 		stepH:        m.MustResolve(cubicle.MonitorID, httpd.Name, "nginx_step"),
 		RequestFloor: DefaultRequestFloor,
 	}
@@ -158,19 +169,10 @@ func NewTargetOpts(o Options) (*Target, error) {
 	if o.MetricsInterval > 0 {
 		srv.SetMetricsSource(sys.M.OpenMetricsBody)
 	}
-	if errno := t.initH.Call(sys.Env)[0]; errno != 0 {
+	if errno := m.MustResolve(cubicle.MonitorID, httpd.Name, "nginx_init").Call(sys.Env)[0]; errno != 0 {
 		return nil, fmt.Errorf("siege: nginx_init failed with errno %d", errno)
 	}
 	return t, nil
-}
-
-// MustNewTarget is NewTarget for tests and benchmarks.
-func MustNewTarget(mode cubicle.Mode) *Target {
-	t, err := NewTarget(mode)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // PutFile provisions a static file on the server. Chaos injection, if
@@ -217,65 +219,84 @@ func (t *Target) Fetch(path string) (*Result, error) {
 var ErrHalted = errors.New("siege: virtual clock reached the stop cycle")
 
 // FetchUntil is Fetch with a replay halt: it stops driving the system as
-// soon as the virtual clock reaches stop, returning ErrHalted. Virtual
-// time advances in discrete charges inside each step, so the clock halts
-// at the first step boundary at or after stop — every event with
-// Cycle <= stop has been emitted by then, which is what makes the
-// record/replay prefix comparison exact. The stop test only reads the
-// clock, so a Fetch (stop = never) costs the same virtual cycles.
+// soon as the virtual clock reaches stop, returning ErrHalted with every
+// event of Cycle <= stop emitted, which is what makes the record/replay
+// prefix comparison exact. The request is a run of the one request loop
+// (OpenLoopDriver) with a single arrival due now and the response kept;
+// the run lives on this stack frame. Being a closed loop it waits for its
+// response up to the step bound, with no idle give-up.
 func (t *Target) FetchUntil(path string, stop uint64) (*Result, error) {
 	clk := t.Sys.M.Clock
-	if clk.Cycles() >= stop {
+	now := clk.Cycles()
+	if now >= stop {
 		return nil, ErrHalted
 	}
-	start := clk.Cycles()
-	conn := t.Peer.Connect(80)
-	defer conn.Release()
-	sentReq := false
-	for i := 0; i < 5_000_000; i++ {
-		t.stepH.Call(t.Sys.Env)
-		t.Peer.Pump()
-		if clk.Cycles() >= stop {
-			return nil, ErrHalted
-		}
-		if conn.Established && !sentReq {
-			conn.Send(getRequest(path, siegeHeaders))
-			sentReq = true
-		}
-		if conn.FinRcvd {
-			break
-		}
+	res := new(Result)
+	r := OpenLoopDriver{
+		t:         t,
+		clock:     clk,
+		req:       getRequest(path, "HTTP/1.0"),
+		requests:  1,
+		start:     now,
+		next:      now,
+		stop:      stop,
+		live:      t.flights[:0],
+		maxSteps:  5_000_000,
+		idleLimit: 5_000_000,
+		kept:      res,
 	}
-	if !conn.FinRcvd {
+	for r.step() {
+	}
+	t.flights = r.live
+	switch {
+	case r.err != nil:
+		return nil, r.err
+	case r.st.Dropped > 0:
 		return nil, fmt.Errorf("siege: request for %s did not complete", path)
 	}
-	status, body, err := parseResponse(conn.Received())
-	if err != nil {
-		return nil, err
-	}
-	used := clk.Cycles() - start
-	return &Result{
-		Status:  status,
-		Body:    body,
-		Cycles:  used,
-		Latency: cycles.Duration(used + t.RequestFloor),
-	}, nil
+	return res, nil
 }
 
-// Header blocks of the HTTP/1.0 requests the load generator sends.
-const (
-	siegeHeaders = "Host: cubicle\r\nUser-Agent: siege-sim\r\n\r\n"
-	bareHeaders  = "Host: cubicle\r\n\r\n"
-)
-
-// getRequest builds "GET path HTTP/1.0" followed by headers.
-func getRequest(path, headers string) []byte {
-	const get, proto = "GET ", " HTTP/1.0\r\n"
-	req := make([]byte, 0, len(get)+len(path)+len(proto)+len(headers))
+// getRequest builds the GET the load generator sends for path, in the
+// given protocol version ("HTTP/1.0": the server's close delimits the
+// response; "HTTP/1.1": keep-alive, Content-Length delimits it).
+func getRequest(path, proto string) []byte {
+	const get, headers = "GET ", "\r\nHost: cubicle\r\nUser-Agent: siege-sim\r\n\r\n"
+	req := make([]byte, 0, len(get)+len(path)+1+len(proto)+len(headers))
 	req = append(req, get...)
 	req = append(req, path...)
+	req = append(req, ' ')
 	req = append(req, proto...)
 	return append(req, headers...)
+}
+
+// respHead is a response's status line and header block.
+type respHead struct {
+	proto  []byte // "HTTP/1.1"
+	status int
+	fields []byte // the header lines after the status line, CRLF-separated
+	bodyAt int    // offset of the first body byte
+}
+
+// parseHead is the one status-line scan behind both response framings
+// (close-delimited parseResponse, length-delimited KAConn.Next). ok is
+// false while raw holds no complete header block yet.
+func parseHead(raw []byte) (h respHead, ok bool, err error) {
+	end := bytes.Index(raw, []byte("\r\n\r\n"))
+	if end < 0 {
+		return h, false, nil
+	}
+	line, fields, _ := bytes.Cut(raw[:end], []byte("\r\n"))
+	proto, rest := field(line)
+	code, _ := field(rest)
+	if len(code) == 0 {
+		return h, true, fmt.Errorf("siege: malformed status line %.80q", line)
+	}
+	status, err := strconv.Atoi(string(code))
+	if err != nil {
+		return h, true, fmt.Errorf("siege: bad status %q", code)
+	}
+	return respHead{proto: proto, status: status, fields: fields, bodyAt: end + 4}, true, nil
 }
 
 // parseResponse splits a complete HTTP/1.0 response into its status code
@@ -283,20 +304,14 @@ func getRequest(path, headers string) []byte {
 // PeerConn's receive buffer, which belongs to that connection alone and
 // is never reused, so the body stays valid for as long as it is held.
 func parseResponse(raw []byte) (status int, body []byte, err error) {
-	head, body, ok := bytes.Cut(raw, []byte("\r\n\r\n"))
+	h, ok, err := parseHead(raw)
 	if !ok {
-		return 0, nil, fmt.Errorf("siege: malformed response %q", truncate(string(raw), 80))
+		return 0, nil, fmt.Errorf("siege: malformed response %.80q", raw)
 	}
-	line, _, _ := bytes.Cut(head, []byte("\r\n"))
-	_, rest := field(line)
-	code, _ := field(rest)
-	if len(code) == 0 {
-		return 0, nil, fmt.Errorf("siege: malformed status line %q", truncate(string(line), 80))
+	if err != nil {
+		return 0, nil, err
 	}
-	if status, err = strconv.Atoi(string(code)); err != nil {
-		return 0, nil, fmt.Errorf("siege: bad status %q", code)
-	}
-	return status, body, nil
+	return h.status, raw[h.bodyAt:], nil
 }
 
 // field returns the first blank-delimited token of b and what follows it.
@@ -309,75 +324,13 @@ func field(b []byte) (tok, rest []byte) {
 }
 
 // Step drives one server iteration (nginx_step) without pumping the
-// peer. The cluster driver uses it to advance each backend in lockstep
-// with the cluster clock; callers own the CatchContained wrapping, since
-// a quarantined NGINX refuses the crossing with a ContainedFault.
+// peer: the only crossing into the server after boot. The request loop
+// calls it, and so does the cluster driver to advance each backend in
+// lockstep with the cluster clock; callers own the CatchContained
+// wrapping, since a quarantined NGINX refuses the crossing with a
+// ContainedFault.
 func (t *Target) Step() uint64 { return t.stepH.Call(t.Sys.Env)[0] }
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
-}
 
 // Edges returns the cross-cubicle call-count table of the run so far —
 // the data behind Figure 5.
 func (t *Target) Edges() []cubicle.EdgeCount { return t.Sys.M.Stats.SortedEdges() }
-
-// FetchConcurrent issues all requests at once over separate connections
-// (siege's -c concurrency) and drives the system until every response
-// completes. Results are returned in request order; each latency covers
-// the span from the batch start to that response's completion.
-func (t *Target) FetchConcurrent(paths []string) ([]*Result, error) {
-	start := t.Sys.M.Clock.Cycles()
-	type pending struct {
-		conn   *lwip.PeerConn
-		path   string
-		sent   bool
-		done   bool
-		cycles uint64
-	}
-	reqs := make([]*pending, len(paths))
-	for i, p := range paths {
-		reqs[i] = &pending{conn: t.Peer.Connect(80), path: p}
-	}
-	defer func() {
-		for _, r := range reqs {
-			r.conn.Release()
-		}
-	}()
-	remaining := len(reqs)
-	for iter := 0; iter < 5_000_000 && remaining > 0; iter++ {
-		t.stepH.Call(t.Sys.Env)
-		t.Peer.Pump()
-		for _, r := range reqs {
-			if r.conn.Established && !r.sent {
-				r.conn.Send(getRequest(r.path, bareHeaders))
-				r.sent = true
-			}
-			if r.conn.FinRcvd && !r.done {
-				r.done = true
-				r.cycles = t.Sys.M.Clock.Cycles() - start
-				remaining--
-			}
-		}
-	}
-	if remaining > 0 {
-		return nil, fmt.Errorf("siege: %d of %d concurrent requests did not complete", remaining, len(paths))
-	}
-	out := make([]*Result, len(reqs))
-	for i, r := range reqs {
-		status, body, err := parseResponse(r.conn.Received())
-		if err != nil {
-			return nil, fmt.Errorf("%w (for %s)", err, r.path)
-		}
-		out[i] = &Result{
-			Status:  status,
-			Body:    body,
-			Cycles:  r.cycles,
-			Latency: cycles.Duration(r.cycles + t.RequestFloor),
-		}
-	}
-	return out, nil
-}

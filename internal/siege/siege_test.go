@@ -7,8 +7,17 @@ import (
 	"cubicleos/internal/siege"
 )
 
+func mustTarget(t *testing.T, mode cubicle.Mode) *siege.Target {
+	t.Helper()
+	tgt, err := siege.NewTarget(mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tgt
+}
+
 func TestFetchAccountsFloor(t *testing.T) {
-	tgt := siege.MustNewTarget(cubicle.ModeUnikraft)
+	tgt := mustTarget(t, cubicle.ModeUnikraft)
 	if err := tgt.PutFile("/x", make([]byte, 512)); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +33,7 @@ func TestFetchAccountsFloor(t *testing.T) {
 }
 
 func TestFetchMissingIs404(t *testing.T) {
-	tgt := siege.MustNewTarget(cubicle.ModeFull)
+	tgt := mustTarget(t, cubicle.ModeFull)
 	if err := tgt.PutFile("/present", []byte("y")); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +47,7 @@ func TestFetchMissingIs404(t *testing.T) {
 }
 
 func TestEdgesReporting(t *testing.T) {
-	tgt := siege.MustNewTarget(cubicle.ModeFull)
+	tgt := mustTarget(t, cubicle.ModeFull)
 	if err := tgt.PutFile("/e", make([]byte, 1024)); err != nil {
 		t.Fatal(err)
 	}
@@ -53,19 +62,5 @@ func TestEdgesReporting(t *testing.T) {
 		if edges[i].Count > edges[i-1].Count {
 			t.Fatal("edges not sorted by count")
 		}
-	}
-}
-
-func TestFetchConcurrentSingle(t *testing.T) {
-	tgt := siege.MustNewTarget(cubicle.ModeFull)
-	if err := tgt.PutFile("/c", make([]byte, 2048)); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := tgt.FetchConcurrent([]string{"/c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 1 || rs[0].Status != 200 || len(rs[0].Body) != 2048 {
-		t.Fatalf("concurrent single: %+v", rs[0])
 	}
 }

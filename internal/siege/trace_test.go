@@ -14,7 +14,7 @@ import (
 // truth), and the per-cubicle cycle profile accounts for the whole
 // virtual clock.
 func TestTraceDerivedStatsMatchLegacy(t *testing.T) {
-	tgt, err := NewTargetTraced(cubicle.ModeFull, 1<<14, 50_000)
+	tgt, err := NewTargetOpts(Options{Mode: cubicle.ModeFull, TraceEvents: 1 << 14, TraceSamplePeriod: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,14 +154,6 @@ func (a *Module) malloc(e *cubicle.Env, size uint64) vm.Addr {
 		Reason: fmt.Sprintf("arena growth failed to satisfy %d bytes", size)})
 }
 
-// ClientArenaBytes returns the arena footprint of one client cubicle.
-func (a *Module) ClientArenaBytes(id cubicle.ID) uint64 {
-	if cs, ok := a.clients[id]; ok {
-		return cs.arena
-	}
-	return 0
-}
-
 // TotalArenaBytes returns the arena footprint across all clients.
 func (a *Module) TotalArenaBytes() uint64 {
 	var n uint64

@@ -119,14 +119,21 @@ go run ./cmd/cubicle-top -once -requests 120 >/dev/null
 go run ./cmd/cubicle-inspect -json | python3 -m json.tool >/dev/null
 ./scripts/bench.sh -assert
 
+# Allocation budget: the benchmark bounds allocs_per_op at 2 %, less than
+# one object a request, on every HTTP workload. The exact per-request
+# counts of a Fetch, an open-loop arrival and a cluster arrival are tier-1
+# tests; they skip under the race detector above, so run them plain.
+go test -run 'TestFetchAllocationCounts|TestOpenLoopAllocationCounts|TestClusterAllocationCounts' ./internal/siege/ ./internal/cluster/
+
 # Benchmark module gates: benchmark/ is a Go module of its own, so the
 # `go test ./...` above never reaches it — yet it keeps traced copies of
-# siege's Fetch and OpenLoop loops that call Peer, PeerConn and Target
-# directly and must cost the same virtual cycles. Vet it and run every
-# workload and probe at 1/50 scale (~3 s).
+# siege's request loop that call Peer, PeerConn and Target directly and
+# must cost the same virtual cycles, and it compiles against siege's and
+# cluster's exported surface. Vet it and run every workload and probe at
+# 1/50 scale (~3 s).
 go vet -C benchmark ./...
 go test -C benchmark ./...
 
 # Baseline for the next simplicity PR.
-echo "check.sh: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l) non-test Go lines outside benchmark/"
+echo "check.sh: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l) non-test Go lines outside benchmark/, $(find internal/siege internal/cluster -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) of them in internal/siege + internal/cluster"
 echo "check.sh: all green"
