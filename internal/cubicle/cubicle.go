@@ -9,7 +9,6 @@ package cubicle
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"cubicleos/internal/mpk"
 	"cubicleos/internal/vm"
@@ -93,12 +92,6 @@ type Cubicle struct {
 	Kind Kind
 	Key  mpk.Key
 
-	// unhealthy mirrors health != Healthy as one atomic bit so the crossing
-	// fast path can admit calls into a healthy cubicle with one load. The
-	// supervisor flips it exactly when health changes; the zero value
-	// (false) matches the Healthy boot state.
-	unhealthy atomic.Bool
-
 	// windows holds the cubicle's window descriptors, indexed by window
 	// ID. Destroyed windows leave nil holes so IDs stay stable.
 	windows []*Window
@@ -124,7 +117,7 @@ type Cubicle struct {
 	restarts  uint64 // lifetime restart count
 	lastFault error  // cause of the most recent contained fault
 	// consecFaults counts contained faults since the last healthy return.
-	consecFaults atomic.Int32
+	consecFaults int32
 	restartAt    uint64   // cycle at which a quarantined cubicle may restart
 	restartLog   []uint64 // cycles of recent restarts, pruned to the policy window
 }

@@ -123,9 +123,7 @@ type ClassCount struct {
 func (s *Supervisor) admit(t *Thread, tr *Trampoline) {
 	s.watchdog(t) // the caller itself may have overrun its crossing budget
 	c := s.m.cubicle(tr.callee)
-	// Fast path: one bit, flipped by the supervisor exactly when health
-	// leaves or re-enters Healthy.
-	if !c.unhealthy.Load() {
+	if c.health == Healthy { // the fast path: one load
 		return
 	}
 	m := s.m
@@ -167,8 +165,8 @@ func (s *Supervisor) contain(t *Thread, tr *Trampoline) {
 	if r == nil {
 		// A healthy return clears the callee's consecutive-fault streak so
 		// backoff escalation only tracks back-to-back failures.
-		if c := s.m.cubicle(tr.callee); c.consecFaults.Load() != 0 && !c.unhealthy.Load() {
-			c.consecFaults.Store(0)
+		if c := s.m.cubicle(tr.callee); c.consecFaults != 0 && c.health == Healthy {
+			c.consecFaults = 0
 		}
 		return
 	}
@@ -296,14 +294,13 @@ func (s *Supervisor) quarantine(id ID, cause error) {
 		return
 	}
 	c.lastFault = cause
-	c.consecFaults.Add(1)
+	c.consecFaults++
 	if c.health == Dead {
 		return
 	}
-	backoff := s.backoffFor(int(c.consecFaults.Load()))
+	backoff := s.backoffFor(int(c.consecFaults))
 	old := c.health
 	c.health = Quarantined
-	c.unhealthy.Store(true)
 	c.restartAt = s.m.smpNow() + backoff
 	s.m.Stats.Quarantines++
 	if s.m.trc != nil {
@@ -360,7 +357,6 @@ func (s *Supervisor) restart(c *Cubicle) bool {
 	if s.policy.MaxRestarts > 0 && len(c.restartLog) >= s.policy.MaxRestarts {
 		old := c.health
 		c.health = Dead
-		c.unhealthy.Store(true)
 		s.deaths++
 		s.m.notifyHealth(c, old, Dead)
 		return false
@@ -408,7 +404,6 @@ func (s *Supervisor) restart(c *Cubicle) bool {
 	}
 	old := c.health
 	c.health = Healthy
-	c.unhealthy.Store(false)
 	c.restarts++
 	c.restartAt = 0
 	c.restartLog = append(c.restartLog, now)

@@ -11,24 +11,22 @@
 // seconds at the paper's 2.20 GHz (Intel Xeon Silver 4210).
 package cycles
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // FrequencyHz is the clock frequency of the paper's evaluation machine,
 // an Intel Xeon Silver 4210 at 2.20 GHz.
 const FrequencyHz = 2_200_000_000
 
-// Clock accumulates virtual cycles. A clock has exactly one writer at any
-// time — the boot thread of a single-core System, or the worker goroutine
-// driving one core of a Machine — so advances need no compare-and-swap;
-// the writer publishes each new value with an atomic store and cross-core
-// observers (GVT computation, quarantine deadlines, the monitor's smpNow)
-// read it with an atomic load. The single-writer discipline keeps the
-// plain read-modify in Charge safe: nobody else ever stores.
+// Clock accumulates virtual cycles in a plain word. The rule it relies on:
+// a clock has one writer — the goroutine driving its monitor (DESIGN.md
+// §10) — and another goroutine may read it only after it has synchronised
+// with that writer. The one place that happens is uksched.SMP.RunQuantum,
+// the only go statement in non-test code: it joins the shard workers with
+// wg.Wait() before Machine.Barrier reads the core clocks. A store here is
+// an ordinary MOV, not the XCHG an atomic store costs on amd64; the clock
+// is written some 25 000 times per MiB served.
 type Clock struct {
-	cycles uint64 // atomic: single writer, many readers
+	cycles uint64
 	// workNum/workDen scale modelled-compute charges (ChargeWork) to
 	// represent implementation efficiency differences between runtimes
 	// (e.g. Unikraft 0.4 vs native Linux). Architectural-event charges
@@ -44,7 +42,7 @@ type Clock struct {
 // Charge adds n cycles to the clock (architectural events; unscaled).
 func (c *Clock) Charge(n uint64) {
 	now := c.cycles + n
-	atomic.StoreUint64(&c.cycles, now)
+	c.cycles = now
 	if c.onAdvance != nil {
 		c.onAdvance(now)
 	}
@@ -56,11 +54,7 @@ func (c *Clock) ChargeWork(n uint64) {
 	if c.workDen != 0 {
 		n = n * c.workNum / c.workDen
 	}
-	now := c.cycles + n
-	atomic.StoreUint64(&c.cycles, now)
-	if c.onAdvance != nil {
-		c.onAdvance(now)
-	}
+	c.Charge(n)
 }
 
 // ChargeWorkN adds k charges of n cycles of modelled compute as one
@@ -86,10 +80,9 @@ func (c *Clock) SetWorkScale(f float64) {
 	c.workDen = 1000
 }
 
-// Cycles returns the number of cycles charged so far. Safe to call from
-// any goroutine; the owning core sees its own advances, remote observers
-// see a value no newer than the clock's latest published store.
-func (c *Clock) Cycles() uint64 { return atomic.LoadUint64(&c.cycles) }
+// Cycles returns the number of cycles charged so far. Call it from the
+// clock's writer, or after synchronising with it (see Clock).
+func (c *Clock) Cycles() uint64 { return c.cycles }
 
 // AdvanceTo moves the clock forward to target if it is behind it. Open-loop
 // load generation uses it to model idle wall-clock time between scheduled
@@ -102,7 +95,7 @@ func (c *Clock) AdvanceTo(target uint64) {
 }
 
 // Reset sets the clock back to zero.
-func (c *Clock) Reset() { atomic.StoreUint64(&c.cycles, 0) }
+func (c *Clock) Reset() { c.cycles = 0 }
 
 // Duration converts the accumulated cycles to wall-clock time at
 // FrequencyHz.

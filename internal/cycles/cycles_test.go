@@ -132,3 +132,35 @@ func TestWorkNEqualsRepeatedWork(t *testing.T) {
 		}
 	}
 }
+
+// benchClock is package-level so the compiler cannot keep its word in a
+// register across iterations.
+var benchClock = &Clock{}
+
+// BenchmarkClockCharge: back-to-back charges, the store hitting L1 with
+// nothing in the store buffer ahead of it.
+func BenchmarkClockCharge(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		benchClock.Charge(20)
+	}
+}
+
+// BenchmarkClockChargeAfterCopy is the bulk path's pattern: a charge right
+// behind a 1 400-byte copy (one TCP segment) whose destination rotates
+// through a 2 MiB working set, so the store buffer is full of lines that
+// miss L1 when the clock is written. A fencing store waits for all of them
+// to drain; a plain one queues behind them.
+func BenchmarkClockChargeAfterCopy(b *testing.B) {
+	const seg, set = 1400, 2 << 20
+	src, dst := make([]byte, seg), make([]byte, set)
+	off := 0
+	b.SetBytes(seg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(dst[off:off+seg], src)
+		benchClock.Charge(seg / 16)
+		if off += seg; off+seg > set {
+			off = 0
+		}
+	}
+}

@@ -13,11 +13,12 @@ package cycles
 // time: for a fixed seed and core count the per-core cycle sequences, and
 // therefore every GVT sample, are identical run to run.
 //
-// Concurrency contract: Clock itself stays unsynchronised (each core's
-// clock has exactly one writer — the worker driving that core). Barrier,
-// GVT and the accessors must only be called from the coordinating
-// goroutine while all workers are quiescent (e.g. after the scheduler's
-// quantum WaitGroup join), which is precisely when a barrier is defined.
+// Concurrency contract: a Clock is a plain word with exactly one writer,
+// the worker driving that core. Barrier, GVT and the accessors are called
+// from the coordinating goroutine, and only after it has synchronised with
+// every worker — uksched.SMP.RunQuantum's wg.Wait(), which is precisely
+// when a barrier is defined and what makes Barrier's plain reads of the
+// core clocks see each worker's last store.
 type Machine struct {
 	clocks []*Clock
 	gvt    uint64

@@ -28,6 +28,13 @@ type Peer struct {
 	// generator has opened, and emits the deferred ACKs in a deterministic
 	// order (map iteration order is not).
 	ackq []*PeerConn
+	// free lists the receive buffers connections handed back with Recycle,
+	// last in first out. It only grows when no listed buffer is large
+	// enough, so a load generator whose callers recycle settles at the
+	// high-water mark of responses in flight. (Like netdev.Wire's frame
+	// list it is not a sync.Pool: what a pool keeps depends on when the
+	// collector runs, and allocation counts must repeat.)
+	free [][]byte
 	// BadFrames counts server frames dropped because their header claims
 	// more payload than the frame carries.
 	BadFrames uint64
@@ -177,9 +184,12 @@ func (p *Peer) handle(f []byte) {
 // response header with a Content-Length, the buffer is allocated once at
 // header + body size, so a bulk download is one allocation and one copy
 // per byte instead of a dozen regrowths. Anything else — no usable header,
-// or further responses on a keep-alive connection — doubles. Buffers are
-// per connection and never reused: Received stays valid for as long as
-// the caller keeps it, Release or not.
+// or further responses on a keep-alive connection — doubles. The buffer
+// comes off the peer's free list when one there covers the size, and is
+// allocated otherwise. Either way it is this connection's alone until the
+// connection's owner calls Recycle: Received stays valid for as long as
+// the caller keeps it, Release or not, and an outgrown buffer is left to
+// the collector because a caller may still hold it.
 func (c *PeerConn) receive(seg []byte) {
 	if need := len(c.recv) + len(seg); need > cap(c.recv) {
 		size := max(need, 2*cap(c.recv))
@@ -188,9 +198,24 @@ func (c *PeerConn) receive(seg []byte) {
 				size = max(size, total)
 			}
 		}
-		c.recv = append(make([]byte, 0, size), c.recv...)
+		c.recv = append(c.p.buffer(size), c.recv...)
 	}
 	c.recv = append(c.recv, seg...)
+}
+
+// buffer returns an empty receive buffer of at least size bytes of
+// capacity: the most recently recycled one that is large enough, or a new
+// one of exactly that capacity.
+func (p *Peer) buffer(size int) []byte {
+	for i := len(p.free) - 1; i >= 0; i-- {
+		if b := p.free[i]; cap(b) >= size {
+			last := len(p.free) - 1
+			p.free[i], p.free[last] = p.free[last], nil
+			p.free = p.free[:last]
+			return b
+		}
+	}
+	return make([]byte, 0, size)
 }
 
 // responseSize returns the full length of the HTTP response that starts
@@ -259,7 +284,8 @@ func (c *PeerConn) Close() {
 
 // Release detaches a finished connection from the peer so its state can
 // be collected: frames still in flight for the port are dropped, exactly
-// like a closed socket. Received data stays readable. Without this a
+// like a closed socket. Received data stays readable, for ever: the buffer
+// goes with the connection, not back to the peer. Without this a
 // long-running load generator accretes one dead PeerConn per request and
 // every Pump drain walks them all.
 func (c *PeerConn) Release() {
@@ -270,8 +296,28 @@ func (c *PeerConn) Release() {
 	delete(c.p.conns, c.localPort)
 }
 
+// Recycle is Release plus handing the receive buffer back to the peer for
+// a later connection to fill: Received, and every slice of it, is invalid
+// from here on. Only the code that knows nobody else holds those bytes may
+// call it — the load generator for a response it has already classified
+// and dropped, or for a body whose validity it documented as ended. A
+// connection nobody recycles keeps its buffer.
+func (c *PeerConn) Recycle() {
+	c.Release()
+	if cap(c.recv) > 0 {
+		c.p.free = append(c.p.free, c.recv[:0])
+	}
+	c.recv = nil
+}
+
 // Received returns everything received so far.
 func (c *PeerConn) Received() []byte { return c.recv }
+
+// DropReceived forgets everything received so far and keeps the buffer:
+// what arrives next overwrites the bytes Received returned before. For an
+// owner that has consumed them all (a keep-alive client between
+// responses).
+func (c *PeerConn) DropReceived() { c.recv = c.recv[:0] }
 
 // ReceivedLen returns the number of bytes received so far.
 func (c *PeerConn) ReceivedLen() int { return len(c.recv) }

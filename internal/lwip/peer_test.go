@@ -2,6 +2,12 @@ package lwip_test
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"strconv"
+	"sync"
 	"testing"
 
 	"cubicleos/internal/boot"
@@ -16,7 +22,15 @@ import (
 // between the component and the peer vouches for the header.
 func rawTx(t *testing.T, s *boot.System, frames ...[]byte) {
 	t.Helper()
+	if err := rawTxErr(s, frames...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rawTxErr is rawTx for a goroutine that may not fail the test itself.
+func rawTxErr(s *boot.System, frames ...[]byte) error {
 	nd := netdev.NewClient(s.M, s.Cubs["APP"].ID)
+	var txErr error
 	err := s.RunAs("APP", func(e *cubicle.Env) {
 		buf := e.HeapAlloc(vm.PageSize)
 		wid := e.WindowInit()
@@ -25,23 +39,44 @@ func rawTx(t *testing.T, s *boot.System, frames ...[]byte) {
 		for _, f := range frames {
 			e.Write(buf, f)
 			if n, errno := nd.Tx(e, buf, uint64(len(f))); errno != 0 || n != uint64(len(f)) {
-				t.Fatalf("netdev_tx: n=%d errno=%d", n, errno)
+				txErr = fmt.Errorf("netdev_tx: n=%d errno=%d", n, errno)
+				return
 			}
 		}
 	})
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
+	return txErr
 }
 
 // serverFrame encodes a frame from server port 80 to the peer's first
 // connection (port 40000). claim is the payload length the header states.
 func serverFrame(seq uint32, flags uint8, claim int, payload []byte) []byte {
+	return serverFrameTo(40000, seq, flags, claim, payload)
+}
+
+// serverFrameTo is serverFrame to the connection on the given peer port.
+func serverFrameTo(port uint16, seq uint32, flags uint8, claim int, payload []byte) []byte {
 	f := make([]byte, lwip.HdrSize+len(payload))
-	lwip.EncodeHeader(f, lwip.Header{SrcPort: 80, DstPort: 40000, Seq: seq, Ack: 1,
+	lwip.EncodeHeader(f, lwip.Header{SrcPort: 80, DstPort: port, Seq: seq, Ack: 1,
 		Flags: flags, Wnd: 65535, Len: uint16(claim)})
 	copy(f[lwip.HdrSize:], payload)
 	return f
+}
+
+// responseFrames plays the server's side of one exchange with the
+// connection on the given peer port: the SYN-ACK, then resp cut into
+// MSS-sized in-order segments.
+func responseFrames(port uint16, resp []byte) [][]byte {
+	frames := [][]byte{serverFrameTo(port, 7, lwip.FlagSYN|lwip.FlagACK, 0, nil)}
+	seq := uint32(8)
+	for off := 0; off < len(resp); off += lwip.MSS {
+		seg := resp[off:min(off+lwip.MSS, len(resp))]
+		frames = append(frames, serverFrameTo(port, seq, lwip.FlagACK, len(seg), seg))
+		seq += uint32(len(seg))
+	}
+	return frames
 }
 
 // TestPeerDropsFrameWithOverstatedLen: a frame whose header claims more
@@ -100,14 +135,7 @@ func TestPeerReceiveBuffer(t *testing.T) {
 			peer := lwip.NewPeer(s.Netdev.Wire())
 			conn := peer.Connect(80)
 			resp := append([]byte(tc.head), body...)
-			frames := [][]byte{serverFrame(7, lwip.FlagSYN|lwip.FlagACK, 0, nil)}
-			seq := uint32(8)
-			for off := 0; off < len(resp); off += lwip.MSS {
-				seg := resp[off:min(off+lwip.MSS, len(resp))]
-				frames = append(frames, serverFrame(seq, lwip.FlagACK, len(seg), seg))
-				seq += uint32(len(seg))
-			}
-			rawTx(t, s, frames...)
+			rawTx(t, s, responseFrames(40000, resp)...)
 			peer.Pump()
 			conn.Release()
 			got := conn.Received()
@@ -118,5 +146,102 @@ func TestPeerReceiveBuffer(t *testing.T) {
 				t.Errorf("buffer capacity %d for a %d-byte response, presized = %v", cap(got), len(resp), tc.presized)
 			}
 		})
+	}
+}
+
+// recycleRun opens 60 connections on a fresh system, one after another,
+// plays the server's side of a response of varying size to each, and hands
+// every connection but each seventh back with Recycle. It returns the
+// capacity of the buffer each response arrived in — which buffer the free
+// list handed out — and the heap objects the run allocated.
+func recycleRun(t *testing.T) (caps []int, mallocs uint64, err error) {
+	s := bootNet(t, cubicle.ModeFull, 0)
+	peer := lwip.NewPeer(s.Netdev.Wire())
+	sizes := []int{300, 3000, 20000, 1200, 3000}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 60; i++ {
+		conn := peer.Connect(80)
+		size := sizes[i%len(sizes)]
+		// (No fmt here: its sync.Pool is what the free list must not be.)
+		resp := strconv.AppendInt([]byte("HTTP/1.0 200 OK\r\nContent-Length: "), int64(size), 10)
+		resp = append(append(resp, "\r\n\r\n"...), bytes.Repeat([]byte{byte(i)}, size)...)
+		if err := rawTxErr(s, responseFrames(uint16(40000+i), resp)...); err != nil {
+			return nil, 0, err
+		}
+		peer.Pump()
+		if !bytes.Equal(conn.Received(), resp) {
+			return nil, 0, fmt.Errorf("connection %d received %d bytes, want %d", i, conn.ReceivedLen(), len(resp))
+		}
+		caps = append(caps, cap(conn.Received()))
+		if i%7 == 6 {
+			conn.Release() // a buffer somebody keeps
+		} else {
+			conn.Recycle()
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return caps, after.Mallocs - before.Mallocs, nil
+}
+
+// TestPeerFreeListDeterministic: which buffer a connection gets, and how
+// many objects a run allocates, depend on the sequence of calls alone —
+// the reason the free list is a slice and not a sync.Pool, whose contents
+// depend on when the collector ran. The list is used: most responses
+// arrive in a buffer larger than they asked for.
+func TestPeerFreeListDeterministic(t *testing.T) {
+	// No collection inside a run: one restarts the allocator's tiny blocks,
+	// which moves the runtime's own object count by one or two.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if _, _, err := recycleRun(t); err != nil { // package-level lazy set-up
+		t.Fatal(err)
+	}
+	caps1, mallocs1, err := recycleRun(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC() // a pool would be emptied here
+	caps2, mallocs2, err := recycleRun(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(caps1, caps2) {
+		t.Errorf("two identical runs were handed different buffers:\n%v\n%v", caps1, caps2)
+	}
+	if mallocs1 != mallocs2 {
+		t.Errorf("two identical runs allocated %d and %d objects", mallocs1, mallocs2)
+	}
+	// The sizes asked for cycle through four values; a free list that is
+	// used hands the small responses the large buffers instead.
+	sorted := slices.Clone(caps1)
+	slices.Sort(sorted)
+	if n := len(slices.Compact(sorted)); n >= 4 {
+		t.Errorf("60 connections arrived in buffers of %d capacities, one a size asked for: the free list is not used", n)
+	}
+}
+
+// TestParallelPeersShareNoBuffers is the shard guard for the free list:
+// it belongs to one Peer, so two peers driven from two goroutines, as the
+// shards of siege.ParallelOpenLoop are, touch no common word (-race says)
+// and each sees exactly what a lone run sees.
+func TestParallelPeersShareNoBuffers(t *testing.T) {
+	want, _, err := recycleRun(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got, errs := make([][]int, 2), make([]error, 2)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _, errs[i] = recycleRun(t)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || !slices.Equal(got[i], want) {
+			t.Errorf("shard %d: %v\n got %v\nwant %v", i, errs[i], got[i], want)
+		}
 	}
 }

@@ -34,22 +34,35 @@ func (t *Target) OpenKA() *KAConn {
 
 // Request sends GET path as HTTP/1.1 (keep-alive by default).
 func (k *KAConn) Request(path string) {
+	k.rewind()
 	k.Conn.Send(getRequest(path, "HTTP/1.1"))
+}
+
+// rewind restarts the receive buffer once every byte in it has been
+// parsed, so a connection holds the responses still being read, not every
+// response it ever carried (the server allows 100 a connection).
+func (k *KAConn) rewind() {
+	if k.off > 0 && k.off == k.Conn.ReceivedLen() {
+		k.Conn.DropReceived()
+		k.off = 0
+	}
 }
 
 // KAResponse is one response parsed off a keep-alive connection.
 type KAResponse struct {
 	Status int
-	Body   []byte
+	// Body is a view of the connection's receive buffer, valid until the
+	// next Request or Next on the connection.
+	Body []byte
 	// Close reports that this response retires the connection.
 	Close bool
 }
 
 // Next parses the next complete response out of the connection's receive
 // buffer. It returns (nil, nil) when more bytes are needed — drive the
-// system and Pump, then ask again. The body is a sub-slice of the receive
-// buffer, which is never reused (see parseResponse).
+// system and Pump, then ask again.
 func (k *KAConn) Next() (*KAResponse, error) {
+	k.rewind()
 	buf := k.Conn.Received()[k.off:]
 	h, ok, err := parseHead(buf)
 	if !ok || err != nil {

@@ -2,6 +2,7 @@ package siege
 
 import (
 	"bytes"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestKeepAlivePipelining(t *testing.T) {
 	drive(t, tg, "handshake", func() bool { return k.Conn.Established })
 	k.Request("/a.html")
 	k.Request("/b.html")
-	var got []*KAResponse
+	var got []string // copies: a body dies at the next Next on its connection
 	drive(t, tg, "two pipelined responses", func() bool {
 		for {
 			r, err := k.Next()
@@ -153,11 +154,34 @@ func TestKeepAlivePipelining(t *testing.T) {
 			if r == nil {
 				return len(got) == 2
 			}
-			got = append(got, r)
+			got = append(got, string(r.Body))
 		}
 	})
-	if string(got[0].Body) != "alpha" || string(got[1].Body) != "bravo" {
-		t.Fatalf("pipelined bodies out of order: %q, %q", got[0].Body, got[1].Body)
+	if got[0] != "alpha" || got[1] != "bravo" {
+		t.Fatalf("pipelined bodies out of order: %q, %q", got[0], got[1])
+	}
+}
+
+// TestKeepAliveBufferStaysOneResponse: a pooled connection restarts its
+// receive buffer once a response has been parsed, so after the server's
+// cap of 100 requests it holds room for one or two responses, not for all
+// hundred (≈ 440 KiB a connection, before).
+func TestKeepAliveBufferStaysOneResponse(t *testing.T) {
+	tg := mustTarget(t, cubicle.ModeFull)
+	paths, sums := seededFiles(t, tg, 1, 4<<10)
+	k := tg.OpenKA()
+	one := 0 // a response's length, header included
+	for i := 0; i < 100; i++ {
+		r := fetchKA(t, tg, k, paths[0])
+		if r.Status != 200 || crc32.ChecksumIEEE(r.Body) != sums[0] {
+			t.Fatalf("request %d: status %d, %d-byte body", i, r.Status, len(r.Body))
+		}
+		if i == 0 {
+			one = k.Conn.ReceivedLen()
+		}
+	}
+	if got := cap(k.Conn.Received()); got > 2*one {
+		t.Errorf("after 100 responses of %d bytes the connection's buffer holds %d", one, got)
 	}
 }
 

@@ -71,8 +71,8 @@ type OpenLoopDriver struct {
 	stop uint64
 	// live holds the arrivals still in flight, in launch order. A flight
 	// is classified and its connection dropped the step its FIN arrives,
-	// so a step costs O(in flight), not O(launched), and a response body
-	// lives no longer than its request.
+	// so a step costs O(in flight), not O(launched), and a counted
+	// response's buffer goes back to the peer on the spot.
 	live []olFlight
 	idle int
 	// steps is bounded by maxSteps as a safety net; idleLimit breaks the
@@ -99,6 +99,7 @@ func (t *Target) StartOpenLoop(o OpenLoopOptions) (*OpenLoopDriver, error) {
 	if o.Rate <= 0 || o.Requests <= 0 {
 		return nil, fmt.Errorf("siege: open loop needs positive rate and request count")
 	}
+	t.recycleKept()
 	r := &OpenLoopDriver{
 		t:         t,
 		clock:     t.Sys.M.Clock,
@@ -152,7 +153,6 @@ func (r *OpenLoopDriver) step() bool {
 			// so the peer's pump and this loop stay O(in-flight) however
 			// many requests the run issues.
 			r.complete(f, clock.Cycles())
-			f.conn.Release()
 			progress = true
 			continue
 		}
@@ -180,15 +180,22 @@ func (r *OpenLoopDriver) step() bool {
 	return true
 }
 
-// complete books a flight whose response has arrived: kept whole for a
-// Fetch, otherwise counted by the class of its status.
+// complete books a flight whose response has arrived and detaches its
+// connection: kept whole for a Fetch, otherwise counted by the class of
+// its status. A counted response is read here and nowhere else, so its
+// buffer is recycled on the spot; a kept one stays with its connection
+// until the target's next request (Result.Body).
 func (r *OpenLoopDriver) complete(f olFlight, doneAt uint64) {
 	status, body, err := parseResponse(f.conn.Received())
 	used := doneAt - f.startAt
-	switch {
-	case r.kept != nil:
+	if r.kept != nil {
 		*r.kept = Result{Status: status, Body: body, Cycles: used, Latency: cycles.Duration(used + r.t.RequestFloor)}
 		r.err = err
+		f.conn.Release()
+		r.t.kept = f.conn
+		return
+	}
+	switch {
 	case err != nil:
 		r.st.Dropped++
 	case status == 200:
@@ -199,6 +206,7 @@ func (r *OpenLoopDriver) complete(f olFlight, doneAt uint64) {
 	default:
 		r.st.Errors++
 	}
+	recycle(f.conn)
 }
 
 // end closes the run and reports false, as step does from then on.

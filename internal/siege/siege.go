@@ -44,6 +44,9 @@ type Target struct {
 	// flights is the one-slot flight list a Fetch lends its run, kept so
 	// that a closed-loop request allocates no list of its own.
 	flights []olFlight
+	// kept is the connection whose receive buffer the last Fetch's
+	// Result.Body points into. The next request on the target recycles it.
+	kept *lwip.PeerConn
 }
 
 // Options configures a target boot beyond the isolation mode.
@@ -199,7 +202,12 @@ func (t *Target) PutFile(path string, data []byte) error {
 // Result is one completed request.
 type Result struct {
 	Status int
-	Body   []byte
+	// Body is a view of the connection's receive buffer, not a copy. It is
+	// valid until the next Fetch, FetchUntil or StartOpenLoop on the same
+	// Target (the bufio.Scanner.Bytes rule): that call hands the buffer
+	// back to the peer and a later response overwrites it. Copy what must
+	// outlive it.
+	Body []byte
 	// Cycles is the virtual cycles the system spent on the request
 	// (excluding the client/network floor).
 	Cycles uint64
@@ -226,6 +234,7 @@ var ErrHalted = errors.New("siege: virtual clock reached the stop cycle")
 // the run lives on this stack frame. Being a closed loop it waits for its
 // response up to the step bound, with no idle give-up.
 func (t *Target) FetchUntil(path string, stop uint64) (*Result, error) {
+	t.recycleKept()
 	clk := t.Sys.M.Clock
 	now := clk.Cycles()
 	if now >= stop {
@@ -255,6 +264,35 @@ func (t *Target) FetchUntil(path string, stop uint64) (*Result, error) {
 		return nil, fmt.Errorf("siege: request for %s did not complete", path)
 	}
 	return res, nil
+}
+
+// recycleKept ends the life of the body the previous Fetch returned: its
+// caller has made the next request, so by Result.Body's rule nobody reads
+// it any more and the buffer can carry a later response.
+func (t *Target) recycleKept() {
+	if t.kept != nil {
+		recycle(t.kept)
+		t.kept = nil
+	}
+}
+
+// poisonRecycled makes recycle fill a buffer with 0xDD on its way to the
+// peer's free list, so that a reader of a dead body fails its checksum
+// instead of passing on bytes nobody has overwritten yet. The package's
+// tests set it, for all of them.
+var poisonRecycled bool
+
+// recycle detaches a finished connection and hands its receive buffer
+// back to the peer. The caller vouches that nothing reads it any more.
+func recycle(c *lwip.PeerConn) {
+	if poisonRecycled {
+		b := c.Received()
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xDD
+		}
+	}
+	c.Recycle()
 }
 
 // getRequest builds the GET the load generator sends for path, in the
@@ -301,8 +339,9 @@ func parseHead(raw []byte) (h respHead, ok bool, err error) {
 
 // parseResponse splits a complete HTTP/1.0 response into its status code
 // and body. The body is a sub-slice of raw, not a copy: raw is a
-// PeerConn's receive buffer, which belongs to that connection alone and
-// is never reused, so the body stays valid for as long as it is held.
+// PeerConn's receive buffer, so the body lives until whoever owns the
+// connection calls Recycle on it (complete, recycleKept), and for ever on a
+// connection nobody recycles.
 func parseResponse(raw []byte) (status int, body []byte, err error) {
 	h, ok, err := parseHead(raw)
 	if !ok {

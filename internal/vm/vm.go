@@ -15,18 +15,18 @@
 // before delegating to the raw operations here.
 //
 // Concurrency contract: an AddrSpace is driven by one goroutine at a time,
-// the one driving its monitor (DESIGN.md §10). The page table is still
-// published through an atomic pointer (growth copies to a fresh array),
-// each slot is an atomic *Page, and the retaggable metadata (key, perm) is
-// a single packed word accessed atomically: that is their only
-// representation, and swapping it for plain words is a measurement nobody
-// has made, not a clean-up.
+// the one driving its monitor (DESIGN.md §10), so the page table, its
+// slots and the retaggable metadata word are plain memory. Atomics here
+// would order nothing and buy nothing: the swap measured as no resolvable
+// change in host time (httpd_bulk 739 → 745 µs, httpd_small 17.3 →
+// 17.0 µs, sqlite_speedtest 162 → 165 ms, all inside their spread;
+// EXPERIMENTS.md, "The clock is a plain word"). Plain words are here for
+// having one concurrency story, not for speed.
 package vm
 
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // PageShift is log2 of the page size.
@@ -110,10 +110,11 @@ const NoOwner = -1
 
 // Page is one mapped page together with its metadata. Owner and Type are
 // fixed at map time; the MPK key and page-table permissions can change,
-// and live in one packed word (perm<<8 | key) behind atomic accessors.
+// and live in one packed word (perm<<8 | key), so a checked access reads
+// both with one load.
 type Page struct {
 	Data  [PageSize]byte
-	meta  uint32   // atomic: Perm<<8 | Key
+	meta  uint32   // Perm<<8 | Key
 	Owner int      // owning cubicle ID, or NoOwner
 	Type  PageType // code / global / stack / heap
 }
@@ -121,43 +122,26 @@ type Page struct {
 func packMeta(perm Perm, key uint8) uint32 { return uint32(perm)<<8 | uint32(key) }
 
 // Key returns the MPK protection key currently tagged on the page.
-func (p *Page) Key() uint8 { return uint8(atomic.LoadUint32(&p.meta)) }
+func (p *Page) Key() uint8 { return uint8(p.meta) }
 
 // Perm returns the page-table permissions.
-func (p *Page) Perm() Perm { return Perm(atomic.LoadUint32(&p.meta) >> 8) }
+func (p *Page) Perm() Perm { return Perm(p.meta >> 8) }
 
 // Meta returns the page's permissions and key with one load.
-func (p *Page) Meta() (Perm, uint8) {
-	m := atomic.LoadUint32(&p.meta)
-	return Perm(m >> 8), uint8(m)
-}
+func (p *Page) Meta() (Perm, uint8) { return Perm(p.meta >> 8), uint8(p.meta) }
 
 // SetKey retags the page.
-func (p *Page) SetKey(key uint8) {
-	m := atomic.LoadUint32(&p.meta)
-	atomic.StoreUint32(&p.meta, m&^0xFF|uint32(key))
-}
+func (p *Page) SetKey(key uint8) { p.meta = p.meta&^0xFF | uint32(key) }
 
 // SetPerm replaces the page-table permissions.
-func (p *Page) SetPerm(perm Perm) {
-	m := atomic.LoadUint32(&p.meta)
-	atomic.StoreUint32(&p.meta, m&0xFF|uint32(perm)<<8)
-}
-
-// pageTable is one immutable-length snapshot of the page array. Slots are
-// atomic so a reader can load a translation while the (serialised) writer
-// maps or unmaps neighbouring pages in place.
-type pageTable []atomic.Pointer[Page]
+func (p *Page) SetPerm(perm Perm) { p.meta = p.meta&0xFF | uint32(perm)<<8 }
 
 // AddrSpace is the simulated address space: a growable array of pages
 // indexed by page number. Page number 0 is reserved so that Addr 0 is
 // always invalid.
 type AddrSpace struct {
-	// pt is the current page table. Growth allocates a larger table,
-	// copies the slots, and publishes it here; readers holding the old
-	// snapshot still resolve correctly (slot stores before the swap went
-	// to the old table).
-	pt atomic.Pointer[pageTable]
+	// pt is the page table: slot pn holds page pn, or nil when unmapped.
+	pt []*Page
 	// top is the next fresh page number handed out by Map when the free
 	// list cannot satisfy a request.
 	top  uint64
@@ -167,45 +151,29 @@ type AddrSpace struct {
 
 // NewAddrSpace returns an empty address space.
 func NewAddrSpace() *AddrSpace {
-	as := &AddrSpace{top: 1} // page 0 reserved
-	t := make(pageTable, 1)
-	as.pt.Store(&t)
-	return as
+	return &AddrSpace{top: 1, pt: make([]*Page, 1)} // page 0 reserved
 }
-
-// table returns the current page-table snapshot.
-func (as *AddrSpace) table() pageTable { return *as.pt.Load() }
 
 // ensure grows the page table so that page number pn is addressable.
 // Growth is geometric, so repeated single-page appends stay amortised
-// O(1) despite the copy-on-grow publication.
+// O(1).
 func (as *AddrSpace) ensure(pn uint64) {
-	old := as.table()
-	if pn < uint64(len(old)) {
+	if pn < uint64(len(as.pt)) {
 		return
 	}
-	n := uint64(len(old)) * 2
-	if n <= pn {
-		n = pn + 1
-	}
-	t := make(pageTable, n)
-	for i := range old {
-		t[i].Store(old[i].Load())
-	}
-	as.pt.Store(&t)
+	t := make([]*Page, max(uint64(len(as.pt))*2, pn+1))
+	copy(t, as.pt)
+	as.pt = t
 }
 
 // setPage installs p at page number pn (table already grown).
-func (as *AddrSpace) setPage(pn uint64, p *Page) {
-	as.table()[pn].Store(p)
-}
+func (as *AddrSpace) setPage(pn uint64, p *Page) { as.pt[pn] = p }
 
 // MappedPages returns the number of currently mapped pages.
 func (as *AddrSpace) MappedPages() int {
 	n := 0
-	t := as.table()
-	for i := range t {
-		if t[i].Load() != nil {
+	for _, p := range as.pt {
+		if p != nil {
 			n++
 		}
 	}
@@ -321,15 +289,15 @@ func (as *AddrSpace) Unmap(addr Addr, npages int) error {
 		return fmt.Errorf("vm: Unmap of unaligned address %#x", uint64(addr))
 	}
 	pn := addr.PageNum()
-	t := as.table()
+	t := as.pt
 	for i := uint64(0); i < uint64(npages); i++ {
-		if pn+i >= uint64(len(t)) || t[pn+i].Load() == nil {
+		if pn+i >= uint64(len(t)) || t[pn+i] == nil {
 			return fmt.Errorf("vm: Unmap of unmapped page %#x", (pn+i)<<PageShift)
 		}
 	}
 	for i := uint64(0); i < uint64(npages); i++ {
-		as.pool = append(as.pool, t[pn+i].Load())
-		t[pn+i].Store(nil)
+		as.pool = append(as.pool, t[pn+i])
+		t[pn+i] = nil
 		as.free = append(as.free, pn+i)
 	}
 	return nil
@@ -337,9 +305,8 @@ func (as *AddrSpace) Unmap(addr Addr, npages int) error {
 
 // ForEachPage calls fn for every mapped page, in page-number order.
 func (as *AddrSpace) ForEachPage(fn func(pn uint64, p *Page)) {
-	t := as.table()
-	for pn := range t {
-		if p := t[pn].Load(); p != nil {
+	for pn, p := range as.pt {
+		if p != nil {
 			fn(uint64(pn), p)
 		}
 	}
@@ -347,12 +314,11 @@ func (as *AddrSpace) ForEachPage(fn func(pn uint64, p *Page)) {
 
 // Page returns the page containing addr, or nil if it is unmapped.
 func (as *AddrSpace) Page(addr Addr) *Page {
-	t := *as.pt.Load()
 	pn := addr.PageNum()
-	if pn >= uint64(len(t)) {
+	if pn >= uint64(len(as.pt)) {
 		return nil
 	}
-	return t[pn].Load()
+	return as.pt[pn]
 }
 
 // errRange describes an access that touches unmapped memory.

@@ -5,6 +5,10 @@
 # Covered series:
 #   Fastpath{LoadByte,StoreByte,ReadU64,Memcpy4K,Memset4K}  per-byte/word
 #       checked access through the per-page walk (internal/cubicle)
+#   ClockCharge, ClockChargeAfterCopy  one advance of the virtual clock
+#       (internal/cycles): back to back, and right behind a 1 400-byte copy
+#       into a 2 MiB working set, the bulk path's pattern. A plain store
+#       since PR 22; readings, not gates
 #   Fig7Nginx/65536B       the paper's figure workload, and the end-to-end
 #       wall-clock series (wall + virtual time)
 #   CallTracing{Disabled,Enabled}  crossing cost with the tracer off/on
@@ -40,8 +44,13 @@
 #            bench body once; the JSON is written to /dev/null)
 #   -assert  run only the gate benches and exit non-zero when a gate
 #            fails:
-#              - tracing-overhead ratio > MAX_TRACING_RATIO (default 1.6)
-#                — the always-on observability gate
+#              - tracing-overhead ratio > MAX_TRACING_RATIO (default 1.9)
+#                — the always-on observability gate. 1.6 until PR 22 took
+#                ≈ 20 ns of fenced clock stores out of *both* sides of the
+#                quotient: the tax in ns did not move (≈ 75 on the host of
+#                that day, either side), the ratio went 1.59 → 1.76 paired,
+#                and the gate moved with its base (EXPERIMENTS.md, "Tracing
+#                overhead")
 #              - allocs/op != 0 on CrossCubicleCall/* or
 #                CrossingArgsRets — a crossing allocates nothing; exact,
 #                so immune to host noise
@@ -62,7 +71,7 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-1s}"
 HTTPTIME="500x"
 OUT="BENCH_simulator.json"
-MAX_TRACING_RATIO="${MAX_TRACING_RATIO:-1.6}"
+MAX_TRACING_RATIO="${MAX_TRACING_RATIO:-1.9}"
 MIN_SMP_SCALING="${MIN_SMP_SCALING:-1.4}"
 MODE=full
 for arg in "$@"; do
@@ -83,6 +92,7 @@ trap 'rm -f "$TMP"' EXIT
 
 if [ "$MODE" != assert ]; then
     go test -run '^$' -bench 'Fastpath' -benchtime "$BENCHTIME" ./internal/cubicle/ | tee -a "$TMP"
+    go test -run '^$' -bench 'ClockCharge' -benchtime "$BENCHTIME" ./internal/cycles/ | tee -a "$TMP"
     go test -run '^$' -bench 'Fig7Nginx/65536B' -benchtime "$HTTPTIME" . | tee -a "$TMP"
     go test -run '^$' -bench 'SMPSiege' -benchtime "$HTTPTIME" . | tee -a "$TMP"
     go test -run '^$' -bench 'ClusterGoodput' -benchtime "$HTTPTIME" . | tee -a "$TMP"

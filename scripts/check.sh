@@ -37,9 +37,14 @@ go test -race -run 'FuzzPageOps|TestSpeedtestImagePinned|TestLRUVictimMatchesSca
 ./scripts/defercheck.sh
 
 # Concurrency contract (DESIGN.md §10): a monitor is driven by one goroutine
-# at a time, so the runtime holds no lock and starts no goroutine.
+# at a time, so the runtime holds no lock and starts no goroutine — and the
+# clock, the page words and the cubicle's health are plain memory, because
+# an atomic there orders nothing and costs a fence a store (§14).
 if grep -nE 'sync\.(RW)?Mutex|^[[:space:]]*go [a-zA-Z_(]' $(ls internal/cubicle/*.go | grep -v _test.go); then
     echo "check.sh: internal/cubicle takes a lock or starts a goroutine" >&2; exit 1
+fi
+if grep -n '"sync/atomic"' $(ls internal/cycles/*.go internal/vm/*.go internal/cubicle/*.go | grep -v _test.go); then
+    echo "check.sh: internal/cycles, internal/vm or internal/cubicle imports sync/atomic" >&2; exit 1
 fi
 
 go run ./cmd/cubicle-trace -format chrome -requests 5 -check >/dev/null
@@ -59,10 +64,11 @@ go run ./cmd/httpbench -openloop -rates 1000,8000 -requests 120 -assert-degrade 
 # SMP gates: the multi-core paths (per-core clocks, GVT barriers, retag
 # shootdowns, chaos under SMP) and the shard siege under the race detector —
 # host parallelism is shared-nothing shards with one monitor each, and
-# TestParallelOpenLoop* under -race is the guard that they share nothing —
-# and the 1-core byte-identity golden: cores=1 must reproduce the pre-SMP
+# TestParallelOpenLoop* under -race is the guard that they share nothing
+# (TestParallelPeersShareNoBuffers the same for each shard's peer and its
+# free list of receive buffers) — and the 1-core byte-identity golden: cores=1 must reproduce the pre-SMP
 # Figure 7 exactly.
-go test -race -run 'SMP|Shootdown|Parallel' ./internal/cubicle/ ./internal/uksched/ ./internal/siege/ ./internal/cycles/
+go test -race -run 'SMP|Shootdown|Parallel' ./internal/cubicle/ ./internal/uksched/ ./internal/siege/ ./internal/cycles/ ./internal/lwip/
 go run ./cmd/cubicle-bench -fig 7 | diff - cmd/cubicle-bench/testdata/fig7_seed.golden
 
 # Shard siege smoke: the sharded open-loop driver (one system, one monitor
