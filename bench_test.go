@@ -302,6 +302,12 @@ func BenchmarkFig10bSeparation(b *testing.B) {
 // mechanism benches.
 func pairSystem(b *testing.B, mode cubicleos.Mode) (*cubicleos.Monitor, *cubicleos.Env, cubicleos.Handle, cubicleos.Addr) {
 	b.Helper()
+	return pairSystemOn(b, cubicleos.NewMonitor(mode, cubicleos.DefaultCosts()))
+}
+
+// pairSystemOn is pairSystem on a monitor the caller has configured.
+func pairSystemOn(b *testing.B, m *cubicleos.Monitor) (*cubicleos.Monitor, *cubicleos.Env, cubicleos.Handle, cubicleos.Addr) {
+	b.Helper()
 	bl := cubicleos.NewBuilder()
 	bl.MustAdd(&cubicleos.Component{Name: "A", Kind: cubicleos.KindIsolated,
 		Exports: []cubicleos.ExportDecl{{Name: "a_main", Fn: func(e *cubicleos.Env, a []uint64) []uint64 { return nil }}}})
@@ -314,7 +320,6 @@ func pairSystem(b *testing.B, mode cubicleos.Mode) (*cubicleos.Monitor, *cubicle
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := cubicleos.NewMonitor(mode, cubicleos.DefaultCosts())
 	cubs, err := cubicleos.NewLoader(m).LoadSystem(si, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -335,11 +340,15 @@ func pairSystem(b *testing.B, mode cubicleos.Mode) (*cubicleos.Monitor, *cubicle
 }
 
 // BenchmarkCrossCubicleCall measures one cross-cubicle call (with the
-// argument page ping-ponging between the two cubicles) per mode.
+// argument page ping-ponging between the two cubicles) per mode, and once
+// more ("supervised") on the path production and the cluster take: full
+// isolation with a supervisor and a checkpoint cadence attached, so the
+// crossing is admitted, contained and consults every attachment
+// (crossFull; the bare modes run crossFast).
 func BenchmarkCrossCubicleCall(b *testing.B) {
-	for _, m := range benchModes {
-		b.Run(m.name, func(b *testing.B) {
-			mon, env, h, buf := pairSystem(b, m.mode)
+	run := func(name string, monitor func() *cubicleos.Monitor) {
+		b.Run(name, func(b *testing.B) {
+			mon, env, h, buf := pairSystemOn(b, monitor())
 			cubs := mon.CubicleByName("A")
 			start := mon.Clock.Cycles()
 			b.ResetTimer()
@@ -355,6 +364,101 @@ func BenchmarkCrossCubicleCall(b *testing.B) {
 			reportVirtual(b, mon.Clock, start)
 		})
 	}
+	for _, m := range benchModes {
+		run(m.name, func() *cubicleos.Monitor { return cubicleos.NewMonitor(m.mode, cubicleos.DefaultCosts()) })
+	}
+	run("supervised", func() *cubicleos.Monitor {
+		m := cubicleos.NewMonitor(cubicleos.ModeFull, cubicleos.DefaultCosts())
+		m.EnableContainment(cubicleos.DefaultRestartPolicy())
+		m.EnableCheckpoints(5_000_000)
+		return m
+	})
+}
+
+// productionTarget boots the deployment a cluster backend runs — full
+// isolation, supervisor, 5 M-cycle checkpoint cadence, closed sockets
+// reaped — with 32 files of 4 KiB in its RAMFS.
+func productionTarget(b *testing.B) *siege.Target {
+	b.Helper()
+	policy := cubicleos.DefaultRestartPolicy()
+	tgt, err := siege.NewTargetOpts(siege.Options{Mode: cubicleos.ModeFull, Supervision: &policy,
+		CheckpointInterval: 5_000_000, ReapClosed: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		if err := tgt.PutFile(fmt.Sprintf("/f%d", i), make([]byte, 4<<10)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return tgt
+}
+
+// BenchmarkIdleStep measures one nginx_step that finds nothing to do on a
+// server holding N idle keep-alive connections — lwip_poll, an empty
+// accept, one lwip_recv crossing per connection. It is the operation
+// cluster_failover performs 127 times an arrival (ROADMAP item 8).
+func BenchmarkIdleStep(b *testing.B) {
+	for _, conns := range []int{1, 16, 64} {
+		b.Run(fmt.Sprintf("conns-%d", conns), func(b *testing.B) {
+			tgt := productionTarget(b)
+			kas := make([]*siege.KAConn, conns)
+			for i := range kas {
+				kas[i] = tgt.OpenKA()
+			}
+			// One exchange each leaves every connection reset for its next
+			// request, as the balancer's pool keeps them.
+			for sent, answered := 0, 0; answered < conns; {
+				tgt.Step()
+				tgt.Peer.Pump()
+				for ; sent < conns && kas[sent].Conn.Established; sent++ {
+					kas[sent].Request("/f0")
+				}
+				for ; answered < sent; answered++ {
+					if res, err := kas[answered].Next(); err != nil {
+						b.Fatal(err)
+					} else if res == nil {
+						break
+					}
+				}
+			}
+			for tgt.Step() != 0 {
+				tgt.Peer.Pump()
+			}
+			if tgt.Srv.Conns() != conns {
+				b.Fatalf("server holds %d connections, want %d", tgt.Srv.Conns(), conns)
+			}
+			clock := tgt.Sys.M.Clock
+			start := clock.Cycles()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tgt.Step()
+			}
+			b.StopTimer()
+			reportVirtual(b, clock, start)
+		})
+	}
+}
+
+// BenchmarkCheckpointSweep measures one checkpoint sweep of a provisioned,
+// idle target: the clock is pushed past the cadence threshold, and the
+// nginx_step that follows (connectionless: see BenchmarkIdleStep for what
+// a step costs by itself) captures every checkpointable cubicle.
+func BenchmarkCheckpointSweep(b *testing.B) {
+	tgt := productionTarget(b)
+	m := tgt.Sys.M
+	tgt.Step()
+	sweeps, bytes := m.Stats.Checkpoints, m.Stats.CheckpointBytes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Clock.Charge(m.CheckpointInterval())
+		tgt.Step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(m.Stats.Checkpoints-sweeps)/float64(b.N), "checkpoints/op")
+	b.ReportMetric(float64(m.Stats.CheckpointBytes-bytes)/float64(b.N), "ckptbytes/op")
 }
 
 // --- Ablations (DESIGN.md §4) -----------------------------------------------------

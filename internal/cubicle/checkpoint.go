@@ -194,16 +194,17 @@ func (m *Monitor) checkpointOne(t *Thread, c *Cubicle, now uint64) {
 		img.Comps = append(img.Comps, snapshot.ComponentImage{Name: h.name, Data: data})
 	}
 
-	// Heap pages, in page-number order (ForEachPage iterates ascending).
-	m.AS.ForEachPage(func(pn uint64, p *vm.Page) {
-		if ID(p.Owner) != c.ID || p.Type != vm.PageHeap {
-			return
+	// Heap pages, in page-number order (the owned list is ascending).
+	for _, pn := range c.owned {
+		p := m.AS.Page(vm.PageAddr(pn))
+		if p.Type != vm.PageHeap {
+			continue
 		}
 		perm, key := p.Meta()
 		pi := snapshot.PageImage{PN: pn, Key: key, Perm: uint8(perm), Type: uint8(p.Type)}
 		pi.Data = p.Data
 		img.Pages = append(img.Pages, pi)
-	})
+	}
 
 	// Sub-allocator state: the free list is kept sorted by address; the
 	// live-block table is a map and must be sorted for determinism.
@@ -290,6 +291,7 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 			return err
 		}
 		p.Data = pi.Data
+		c.ownPages(pi.PN, 1)
 	}
 	m.memUsed[c.ID] += bytes
 

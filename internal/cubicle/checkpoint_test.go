@@ -1,14 +1,17 @@
 package cubicle
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"cubicleos/internal/cycles"
+	"cubicleos/internal/snapshot"
 	"cubicleos/internal/vm"
 )
 
@@ -52,6 +55,14 @@ func bootCkpt(t testing.TB, interval uint64) *ckptWorld {
 		}},
 		{Name: "svc_touch", RegArgs: 1, Fn: func(e *Env, args []uint64) []uint64 {
 			e.StoreByte(vm.Addr(args[0]), 1)
+			return nil
+		}},
+		// svc_fill allocates args[0] pages and writes args[1] into each.
+		{Name: "svc_fill", RegArgs: 2, Fn: func(e *Env, args []uint64) []uint64 {
+			base := e.HeapAlloc(args[0] * vm.PageSize)
+			for i := uint64(0); i < args[0]; i++ {
+				e.StoreByte(base.Add(i*vm.PageSize), byte(args[1]))
+			}
 			return nil
 		}},
 		// svc_window opens a window on its heap for APP and leaves it open:
@@ -366,5 +377,143 @@ func TestWarmRestartCountsAgainstBudget(t *testing.T) {
 	}
 	if w.m.Stats.WarmRestarts != 2 {
 		t.Errorf("WarmRestarts = %d, want 2 (both budgeted restarts were warm)", w.m.Stats.WarmRestarts)
+	}
+}
+
+// walkHeapPages captures a cubicle's heap pages the way checkpointOne did
+// before the owned-page list: a walk of the whole page table.
+func walkHeapPages(m *Monitor, id ID) []snapshot.PageImage {
+	var out []snapshot.PageImage
+	m.AS.ForEachPage(func(pn uint64, p *vm.Page) {
+		if ID(p.Owner) != id || p.Type != vm.PageHeap {
+			return
+		}
+		perm, key := p.Meta()
+		out = append(out, snapshot.PageImage{PN: pn, Key: key, Perm: uint8(perm), Type: uint8(p.Type), Data: p.Data})
+	})
+	return out
+}
+
+// TestCheckpointImageUnchanged: the image checkpointOne encodes from the
+// owned-page list is, byte for byte, the one the page-table walk gives —
+// with SVC's arenas interleaved with APP's and with stacks, and again once
+// a restart has made Map hand out recycled lower page numbers.
+func TestCheckpointImageUnchanged(t *testing.T) {
+	w := bootCkpt(t, ckptTestInterval)
+	svc := w.cubs["SVC"]
+	compare := func(when string, wantPages int) {
+		t.Helper()
+		w.m.Clock.Charge(ckptTestInterval)
+		before := w.m.Stats.Checkpoints
+		if _, cf := w.call(t, "svc_get"); cf != nil {
+			t.Fatal(cf)
+		}
+		if w.m.Stats.Checkpoints != before+1 {
+			t.Fatalf("%s: no checkpoint taken", when)
+		}
+		rec := w.m.ckpts[svc.ID]
+		img, err := snapshot.Decode(rec.img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(img.Pages) < wantPages {
+			t.Fatalf("%s: image holds %d pages, want at least %d", when, len(img.Pages), wantPages)
+		}
+		img.Pages = walkHeapPages(w.m, svc.ID)
+		if !bytes.Equal(snapshot.Encode(img), rec.img) {
+			t.Errorf("%s: the image differs from the one built by the walk", when)
+		}
+	}
+	fill := func(pages, val uint64) {
+		t.Helper()
+		if _, cf := w.call(t, "svc_fill", pages, val); cf != nil {
+			t.Fatal(cf)
+		}
+	}
+	fill(70, 1)
+	w.heapIn(t, "APP", 70*vm.PageSize)
+	fill(130, 2)
+	w.heapIn(t, "APP", 8)
+	fill(70, 3)
+	compare("three arenas between APP's", 270)
+
+	// Warm restart, then more arenas: the reclaim freed SVC's stack pages
+	// and everything past the checkpoint, so Map recycles lower numbers.
+	fill(70, 4)
+	w.faultAndExpire(t)
+	fill(1, 5)
+	w.heapIn(t, "APP", 70*vm.PageSize)
+	fill(130, 6)
+	compare("after a warm restart", 400)
+	if w.m.Stats.WarmRestarts != 1 {
+		t.Fatalf("WarmRestarts = %d, want 1", w.m.Stats.WarmRestarts)
+	}
+}
+
+// TestTrampolineCubiclePointersSurviveRestart pins what lets a trampoline
+// and a handle carry *Cubicle: a restart, cold or warm, rebuilds the
+// cubicle in place. It also pins the rule the per-thread stack array keeps
+// from the map it replaces: no thread holds a stack for a restarted cubicle.
+func TestTrampolineCubiclePointersSurviveRestart(t *testing.T) {
+	w := bootCkpt(t, ckptTestInterval)
+	svc, app := w.cubs["SVC"], w.cubs["APP"]
+	fromApp := w.m.MustResolve(app.ID, "SVC", "svc_get")
+	other := w.m.NewEnv(w.m.NewThread())
+	check := func(when string) {
+		t.Helper()
+		for _, tr := range w.m.trampolines {
+			if tr.cub != w.m.cubicle(tr.callee) {
+				t.Errorf("%s: trampoline %s points at a stale cubicle", when, tr.Symbol())
+			}
+		}
+		if fromApp.caller != w.m.cubicle(app.ID) || fromApp.tr.cub != svc || w.m.CubicleByName("SVC") != svc {
+			t.Errorf("%s: the handle's cubicles are not the monitor's", when)
+		}
+	}
+	// restart faults SVC and restarts it directly, so the state between the
+	// restart and the crossing that follows it can be looked at.
+	restart := func(when string) {
+		t.Helper()
+		for _, e := range []*Env{w.env, other} {
+			if cf := CatchContained(func() { w.m.MustResolve(MonitorID, "SVC", "svc_get").Call(e) }); cf != nil {
+				t.Fatal(cf)
+			}
+			if e.T.stacks[svc.ID] == nil {
+				t.Fatalf("%s: a crossing into SVC left the thread no stack there", when)
+			}
+		}
+		w.faultAndExpire(t)
+		if !w.m.sup.restart(svc) {
+			t.Fatalf("%s: restart refused", when)
+		}
+		for _, th := range w.m.threads {
+			if th.stacks[svc.ID] != nil {
+				t.Errorf("%s: thread %d still holds a stack in the restarted cubicle", when, th.id)
+			}
+		}
+		check(when)
+		// The next crossing maps a fresh stack out of pages SVC owns.
+		if _, cf := w.call(t, "svc_get"); cf != nil {
+			t.Fatal(cf)
+		}
+		s := w.env.T.stacks[svc.ID]
+		if s == nil || !slices.Contains(svc.owned, s.base.PageNum()) {
+			t.Errorf("%s: no stack in pages SVC owns after the next crossing", when)
+		}
+	}
+	check("at boot")
+	restart("cold restart")
+	if _, cf := w.call(t, "svc_set", 9); cf != nil {
+		t.Fatal(cf)
+	}
+	w.m.Clock.Charge(ckptTestInterval)
+	restart("warm restart")
+	if st := w.m.Stats; st.ColdRestarts != 1 || st.WarmRestarts != 1 {
+		t.Fatalf("Cold=%d Warm=%d, want 1/1", st.ColdRestarts, st.WarmRestarts)
+	}
+	var ret []uint64
+	w.enter(t, "APP", func(e *Env) { ret = fromApp.Call(e) })
+	if ret[0] != 9 {
+		t.Errorf("svc_get through the old handle = %d, want the checkpointed 9", ret[0])
 	}
 }

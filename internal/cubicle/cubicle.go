@@ -9,6 +9,7 @@ package cubicle
 
 import (
 	"fmt"
+	"slices"
 
 	"cubicleos/internal/mpk"
 	"cubicleos/internal/vm"
@@ -103,6 +104,13 @@ type Cubicle struct {
 	// isolated cubicle has its own memory sub-allocator").
 	heap *subAllocator
 
+	// owned lists the page numbers of the cubicle's heap and stack pages,
+	// ascending: the pages a restart reclaims and (heap only) a checkpoint
+	// captures. It has three writers — mapOwnedFor, restoreCheckpoint and
+	// reclaimPages, the only callers of AS.Map, AS.MapAt and AS.Unmap — so
+	// neither the sweep nor the restart walks the page table.
+	owned []uint64
+
 	// exports maps symbol name to the trampoline (or direct function for
 	// shared cubicles) registered by the loader.
 	exports map[string]*Trampoline
@@ -122,6 +130,17 @@ type Cubicle struct {
 	restartLog   []uint64 // cycles of recent restarts, pruned to the policy window
 }
 
+// ownPages records the npages pages from pn on as owned. Map hands back
+// recycled lower page numbers, so the run is inserted where it sorts.
+func (c *Cubicle) ownPages(pn uint64, npages int) {
+	i, _ := slices.BinarySearch(c.owned, pn)
+	c.owned = slices.Grow(c.owned, npages)[:len(c.owned)+npages]
+	copy(c.owned[i+npages:], c.owned[i:])
+	for k := range npages {
+		c.owned[i+k] = pn + uint64(k)
+	}
+}
+
 // HasComponent reports whether the named component was loaded into this
 // cubicle.
 func (c *Cubicle) HasComponent(name string) bool {
@@ -139,6 +158,10 @@ func (c *Cubicle) Components() []string {
 	copy(out, c.components)
 	return out
 }
+
+// OwnedPages returns the page numbers of the cubicle's heap and stack
+// pages, ascending.
+func (c *Cubicle) OwnedPages() []uint64 { return slices.Clone(c.owned) }
 
 // Exports returns the names of the cubicle's exported entry points.
 func (c *Cubicle) Exports() []string {

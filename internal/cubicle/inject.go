@@ -61,7 +61,7 @@ func (m *Monitor) noteInjected(id ID, site string) {
 // crossing. It runs with the callee's frame pushed, so containment
 // attributes the fault to the callee exactly as a real one.
 func (m *Monitor) injectAtCrossing(t *Thread, tr *Trampoline) {
-	kind := m.inj.AtCrossing(t.core, m.cubicle(tr.callee).Name, tr.sym)
+	kind := m.inj.AtCrossing(t.core, tr.cub.Name, tr.sym)
 	if kind == InjectNone {
 		return
 	}

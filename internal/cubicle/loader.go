@@ -137,6 +137,7 @@ func (ld *Loader) Load(si *SystemImage, c *Component, group string) (*Cubicle, e
 		tr := &Trampoline{
 			id:         uint32(len(m.trampolines) + 1),
 			callee:     cub.ID,
+			cub:        cub,
 			sym:        ex.Name,
 			symbol:     c.Name + "." + ex.Name,
 			fn:         ld.wrapEntry(cub, ex.Fn, c.Name+"."+ex.Name),

@@ -95,8 +95,8 @@ type Monitor struct {
 	// assignment is static; beyond that the monitor virtualises keys in
 	// the style the paper points to (libmpk, §8), recycling the least
 	// recently used key and retagging the evicted cubicle's pages.
+	// A cubicle's current physical key is its Key field (0xFF while evicted).
 	keyHolder [mpk.NumKeys]ID // which cubicle holds each physical key (-1 free)
-	keyOf     map[ID]mpk.Key  // current physical key per isolated cubicle
 	keyClock  uint64          // LRU tick
 	keyUsed   [mpk.NumKeys]uint64
 }
@@ -112,7 +112,6 @@ func NewMonitor(mode Mode, costs cycles.Costs) *Monitor {
 		byName:       make(map[string]*Cubicle),
 		compOf:       make(map[string]*Cubicle),
 		guardPages:   make(map[uint64]guardInfo),
-		keyOf:        make(map[ID]mpk.Key),
 		restartHooks: make(map[ID][]func()),
 		snapHooks:    make(map[ID][]snapHook),
 		ckpts:        make(map[ID]*checkpointRecord),
@@ -206,7 +205,7 @@ func (m *Monitor) addCubicle(name string, kind Kind) (*Cubicle, error) {
 			c.Key = monitorKey
 		}
 	default:
-		c.Key = m.acquireKey(c.ID)
+		m.acquireKey(c)
 	}
 	c.heap = newSubAllocator(m, c.ID)
 	m.cubicles = append(m.cubicles, c)
@@ -214,21 +213,16 @@ func (m *Monitor) addCubicle(name string, kind Kind) (*Cubicle, error) {
 	return c, nil
 }
 
-// acquireKey hands cubicle id a physical MPK key, evicting the least
-// recently used holder if all 14 isolated keys are taken (tag
-// virtualisation, §8). Eviction retags every page carrying the victim's
+// acquireKey hands cubicle c, which holds none, a physical MPK key,
+// evicting the least recently used holder if all 14 isolated keys are taken
+// (tag virtualisation, §8). Eviction retags every page carrying the victim's
 // key to the monitor key so that the victim's next access simply traps and
 // remaps, preserving isolation throughout.
-func (m *Monitor) acquireKey(id ID) mpk.Key {
-	if k, ok := m.keyOf[id]; ok {
-		m.keyClock++
-		m.keyUsed[k] = m.keyClock
-		return k
-	}
+func (m *Monitor) acquireKey(c *Cubicle) mpk.Key {
 	// Free key?
 	for k := 1; k <= numIsolatedKeys; k++ {
 		if m.keyHolder[k] == -1 {
-			return m.assignKey(id, mpk.Key(k))
+			return m.assignKey(c, mpk.Key(k))
 		}
 	}
 	// Evict the LRU holder.
@@ -241,24 +235,25 @@ func (m *Monitor) acquireKey(id ID) mpk.Key {
 		}
 	}
 	victimID := m.keyHolder[victim]
-	delete(m.keyOf, victimID)
 	m.Stats.KeyEvictions++
 	if m.trc != nil {
 		m.trc.KeyEviction(int(victimID), uint8(victim))
 	}
 	// Retag the victim's pages to the monitor key; each retag is a
 	// pkey_mprotect through the host kernel — the price of key recycling
-	// that libmpk measures and the paper's design mostly avoids.
+	// that libmpk measures and the paper's design mostly avoids. The walk is
+	// by key, not by owner (trap-mapped window pages of other cubicles carry
+	// the victim's key too), so no cubicle's owned-page list answers it.
 	m.AS.ForEachPage(func(pn uint64, p *vm.Page) {
 		if mpk.Key(p.Key()) == victim {
 			p.SetKey(uint8(monitorKey))
 			m.noteRetag(nil, victimID, vm.PageAddr(pn), monitorKey)
 		}
 	})
-	if c := m.cubicleIfValid(victimID); c != nil {
-		c.Key = 0xFF // no physical key until re-acquired
+	if v := m.cubicleIfValid(victimID); v != nil {
+		v.Key = 0xFF // no physical key until re-acquired
 	}
-	return m.assignKey(id, victim)
+	return m.assignKey(c, victim)
 }
 
 func (m *Monitor) cubicleIfValid(id ID) *Cubicle {
@@ -268,21 +263,18 @@ func (m *Monitor) cubicleIfValid(id ID) *Cubicle {
 	return m.cubicles[id]
 }
 
-func (m *Monitor) assignKey(id ID, k mpk.Key) mpk.Key {
-	m.keyHolder[k] = id
-	m.keyOf[id] = k
+func (m *Monitor) assignKey(c *Cubicle, k mpk.Key) mpk.Key {
+	m.keyHolder[k] = c.ID
 	m.keyClock++
 	m.keyUsed[k] = m.keyClock
-	if c := m.cubicleIfValid(id); c != nil {
-		c.Key = k
-	}
+	c.Key = k
 	return k
 }
 
-// keyFor returns the physical key of cubicle id, acquiring one if it was
-// evicted. Shared and trusted cubicles have fixed keys.
-func (m *Monitor) keyFor(id ID) mpk.Key {
-	c := m.cubicle(id)
+// keyOf returns the physical key of cubicle c, acquiring one if it was
+// evicted. Shared and trusted cubicles have fixed keys. Every use touches
+// the key's LRU stamp: the eviction order is virtual behaviour.
+func (m *Monitor) keyOf(c *Cubicle) mpk.Key {
 	switch c.Kind {
 	case KindShared:
 		return sharedKey
@@ -290,35 +282,37 @@ func (m *Monitor) keyFor(id ID) mpk.Key {
 		return monitorKey
 	}
 	if c.Key == 0xFF {
-		return m.acquireKey(id)
+		return m.acquireKey(c)
 	}
 	m.keyClock++
 	m.keyUsed[c.Key] = m.keyClock
 	return c.Key
 }
 
-// pkruFor computes the PKRU register value for a thread executing in
-// cubicle id: its own key plus the shared key, everything else denied
+// keyFor is keyOf for callers that hold an ID.
+func (m *Monitor) keyFor(id ID) mpk.Key { return m.keyOf(m.cubicle(id)) }
+
+// pkruOf computes the PKRU register value for a thread executing in
+// cubicle c: its own key plus the shared key, everything else denied
 // (Figure 3). When MPK is disabled (ablation modes) every thread runs
 // with all keys allowed.
-func (m *Monitor) pkruFor(id ID) mpk.PKRU {
-	if !m.Mode.MPKEnabled() {
+func (m *Monitor) pkruOf(c *Cubicle) mpk.PKRU {
+	if !m.Mode.MPKEnabled() || c.Kind == KindTrusted {
 		return mpk.AllAllowed
 	}
-	c := m.cubicle(id)
-	if c.Kind == KindTrusted {
-		return mpk.AllAllowed
-	}
-	p := mpk.AllDenied
-	p = p.Allow(m.keyFor(id))
-	p = p.Allow(sharedKey)
+	p := mpk.AllDenied.Allow(m.keyOf(c)).Allow(sharedKey)
 	// Window-specific tags (§8 extension): keys of pinned windows the
 	// cubicle owns or is granted.
-	for _, k := range m.pinnedKeysFor(id) {
-		p = p.Allow(k)
+	for _, w := range m.pinned {
+		if w.Owner == c.ID || w.IsOpenFor(c.ID) {
+			p = p.Allow(w.pinned)
+		}
 	}
 	return p
 }
+
+// pkruFor is pkruOf for callers that hold an ID.
+func (m *Monitor) pkruFor(id ID) mpk.PKRU { return m.pkruOf(m.cubicle(id)) }
 
 // resolveSpan validates an n-byte access of the given kind at addr by
 // thread t, page by page: page lookup, page-table permission check, PKRU
@@ -519,13 +513,16 @@ func (m *Monitor) mapOwnedFor(t *Thread, id ID, npages int, typ vm.PageType, per
 			panic(&QuotaFault{Cubicle: id, Resource: "pages", Used: m.memUsed[id] + bytes, Limit: q})
 		}
 	}
-	key := m.keyFor(id)
-	addr, err := m.AS.Map(npages, int(id), typ, perm, uint8(key))
+	c := m.cubicle(id)
+	addr, err := m.AS.Map(npages, int(id), typ, perm, uint8(m.keyOf(c)))
 	if err != nil {
 		panic(&APIError{Cubicle: id, Op: "map", Reason: err.Error()})
 	}
 	if typ != vm.PageStack {
 		m.memUsed[id] += bytes
+	}
+	if typ == vm.PageHeap || typ == vm.PageStack {
+		c.ownPages(addr.PageNum(), npages)
 	}
 	return addr
 }

@@ -97,18 +97,6 @@ func (m *Monitor) releasePinKey(k mpk.Key) {
 	}
 }
 
-// pinnedKeysFor returns the window-specific keys cubicle id may use: keys
-// of pinned windows it owns or that are open for it.
-func (m *Monitor) pinnedKeysFor(id ID) []mpk.Key {
-	var out []mpk.Key
-	for _, w := range m.pinned {
-		if w.Owner == id || w.IsOpenFor(id) {
-			out = append(out, w.pinned)
-		}
-	}
-	return out
-}
-
 // refreshThreadPKRUs reapplies the PKRU of every live thread whose
 // current cubicle's rights may have changed (pin/unpin/open/close of a
 // pinned window must take effect immediately — revocation cannot wait

@@ -122,7 +122,7 @@ type ClassCount struct {
 // ContainedFault.
 func (s *Supervisor) admit(t *Thread, tr *Trampoline) {
 	s.watchdog(t) // the caller itself may have overrun its crossing budget
-	c := s.m.cubicle(tr.callee)
+	c := tr.cub
 	if c.health == Healthy { // the fast path: one load
 		return
 	}
@@ -165,7 +165,7 @@ func (s *Supervisor) contain(t *Thread, tr *Trampoline) {
 	if r == nil {
 		// A healthy return clears the callee's consecutive-fault streak so
 		// backoff escalation only tracks back-to-back failures.
-		if c := s.m.cubicle(tr.callee); c.consecFaults != 0 && c.health == Healthy {
+		if c := tr.cub; c.consecFaults != 0 && c.health == Healthy {
 			c.consecFaults = 0
 		}
 		return
@@ -379,7 +379,7 @@ func (s *Supervisor) restart(c *Cubicle) bool {
 	s.reclaimPages(c)
 	c.heap = newSubAllocator(m, c.ID)
 	for _, th := range m.threads {
-		delete(th.stacks, c.ID)
+		th.stacks[c.ID] = nil
 	}
 	// Warm path: restore the last good checkpoint instead of rebuilding
 	// from empty. A decode/restore failure tears the partial restore back
@@ -430,21 +430,17 @@ func (s *Supervisor) restart(c *Cubicle) bool {
 // re-verified state, exactly as after the original load.
 func (s *Supervisor) reclaimPages(c *Cubicle) {
 	m := s.m
-	var addrs []vm.Addr
 	charged := uint64(0) // stack pages are never charged to the quota
-	m.AS.ForEachPage(func(pn uint64, p *vm.Page) {
-		if ID(p.Owner) == c.ID && (p.Type == vm.PageHeap || p.Type == vm.PageStack) {
-			addrs = append(addrs, vm.PageAddr(pn))
-			if p.Type != vm.PageStack {
-				charged += vm.PageSize
-			}
+	for _, pn := range c.owned {
+		a := vm.PageAddr(pn)
+		if p := m.AS.Page(a); p != nil && p.Type != vm.PageStack {
+			charged += vm.PageSize
 		}
-	})
-	for _, a := range addrs {
 		if err := m.AS.Unmap(a, 1); err != nil {
 			panic("cubicle: restart unmap failed: " + err.Error())
 		}
 	}
+	c.owned = c.owned[:0]
 	// Credit the reclaimed pages back to the cubicle's memory quota.
 	if m.memUsed[c.ID] >= charged {
 		m.memUsed[c.ID] -= charged

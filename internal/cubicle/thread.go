@@ -48,11 +48,14 @@ type frame struct {
 // (EnableSMP) too, where threads placed on different cores charge different
 // clocks but are still stepped by the one goroutine that drives the monitor.
 type Thread struct {
-	m      *Monitor
-	id     int // dense thread index, stamped into trace events
-	cur    ID  // cubicle whose privileges the thread currently runs with
-	pkru   mpk.PKRU
-	stacks map[ID]*stack
+	m    *Monitor
+	id   int // dense thread index, stamped into trace events
+	cur  ID  // cubicle whose privileges the thread currently runs with
+	pkru mpk.PKRU
+	// stacks is indexed by cubicle ID (addCubicle bounds IDs by
+	// MaxCubicles); nil until the thread first runs in that cubicle, and
+	// again after the cubicle restarts.
+	stacks [MaxCubicles]*stack
 	frames []frame
 	// core/clk place the thread on a simulated core (SetThreadCore): all
 	// virtual-time charges the thread causes go to clk. On a single-core
@@ -101,12 +104,11 @@ func (t *Thread) stageArgs(args []uint64) []uint64 {
 // (boot context).
 func (m *Monitor) NewThread() *Thread {
 	t := &Thread{
-		m:      m,
-		id:     len(m.threads),
-		cur:    MonitorID,
-		pkru:   mpk.AllAllowed,
-		stacks: make(map[ID]*stack),
-		clk:    m.Clock,
+		m:    m,
+		id:   len(m.threads),
+		cur:  MonitorID,
+		pkru: mpk.AllAllowed,
+		clk:  m.Clock,
 	}
 	t.pkru = m.pkruFor(MonitorID)
 	m.threads = append(m.threads, t)
@@ -141,7 +143,7 @@ func (t *Thread) Depth() int { return len(t.frames) }
 // first use (the loader "allocates the necessary per-cubicle stacks for
 // the current thread", §5.4).
 func (t *Thread) stackFor(id ID) *stack {
-	if s, ok := t.stacks[id]; ok {
+	if s := t.stacks[id]; s != nil {
 		return s
 	}
 	base := t.m.mapOwnedFor(t, id, StackPages, vm.PageStack, vm.PermRead|vm.PermWrite)
@@ -201,7 +203,7 @@ func (t *Thread) popFrame() {
 	}
 	f := t.frames[len(t.frames)-1]
 	t.frames = t.frames[:len(t.frames)-1]
-	if s, ok := t.stacks[f.exec]; ok {
+	if s := t.stacks[f.exec]; s != nil {
 		s.sp = f.entrySP
 	}
 	t.words = t.words[:f.wmark]

@@ -27,8 +27,12 @@ type Fn func(e *Env, args []uint64) []uint64
 // between the caller's and callee's MPK keys with wrpkru, switches
 // per-cubicle stacks, and copies in-stack arguments across them.
 type Trampoline struct {
-	id         uint32
-	callee     ID
+	id     uint32
+	callee ID
+	// cub is the callee's cubicle, bound by the loader as §5.4 binds the
+	// symbol: m.cubicles is append-only and a restart rebuilds a cubicle in
+	// place, so the pointer stays the one m.cubicle(callee) returns.
+	cub        *Cubicle
 	sym        string
 	symbol     string // "component.symbol", built once by the loader
 	fn         Fn
@@ -53,7 +57,7 @@ func (tr *Trampoline) Symbol() string { return tr.symbol }
 type Handle struct {
 	m      *Monitor
 	tr     *Trampoline
-	caller ID
+	caller *Cubicle
 }
 
 // Valid reports whether the handle is bound.
@@ -90,7 +94,7 @@ func (m *Monitor) Resolve(caller ID, comp, sym string) (Handle, error) {
 		return Handle{}, fmt.Errorf("cubicle: %q is not a public entry point of component %q", sym, comp)
 	}
 	m.installGuard(tr, caller)
-	return Handle{m: m, tr: tr, caller: caller}, nil
+	return Handle{m: m, tr: tr, caller: m.cubicle(caller)}, nil
 }
 
 // MustResolve is Resolve for boot-time wiring, where failure is a
@@ -110,7 +114,7 @@ func (m *Monitor) installGuard(tr *Trampoline, caller ID) {
 	if tr.callee == caller {
 		return // same-cubicle call needs no guard
 	}
-	if m.cubicle(tr.callee).Kind == KindShared {
+	if tr.cub.Kind == KindShared {
 		return // shared cubicles are entered directly, no TCB involved
 	}
 	if _, ok := tr.guards[caller]; ok {
@@ -151,7 +155,6 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 		// quiescent points.
 		m.maybeCheckpoint(t)
 	}
-	callee := m.cubicle(tr.callee)
 
 	// Same-cubicle call: a plain function call, no TCB involvement.
 	if tr.callee == t.cur {
@@ -160,7 +163,7 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 
 	// Shared cubicle: executes with the privileges, stack and heap of the
 	// calling cubicle; never involves the runtime TCB (§3 ❹).
-	if callee.Kind == KindShared {
+	if tr.cub.Kind == KindShared {
 		m.Stats.SharedCalls++
 		if m.trc != nil {
 			m.trc.SharedCall(t.id, int(t.cur), int(tr.callee), tr.Symbol())
@@ -172,9 +175,9 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 	// resolved for: a handle leaking to another cubicle models a jump
 	// into a guard page that lives in someone else's cubicle, which MPK
 	// exec permissions forbid.
-	if h.caller != t.cur {
+	if h.caller.ID != t.cur {
 		panic(&CFIFault{Cubicle: t.cur, Target: tr.Symbol(),
-			Reason: fmt.Sprintf("handle was resolved for cubicle %d", h.caller)})
+			Reason: fmt.Sprintf("handle was resolved for cubicle %d", h.caller.ID)})
 	}
 	if m.sup != nil {
 		// Health gate: quarantined/dead callees fail fast before any call
@@ -228,14 +231,14 @@ func (h Handle) crossFast(e *Env, args []uint64) []uint64 {
 		t.alloca(uint64(tr.stackBytes))
 	}
 	if m.Mode.MPKEnabled() {
-		m.wrpkru(t, m.pkruFor(tr.callee))
+		m.wrpkru(t, m.pkruOf(tr.cub))
 	}
 	rets := tr.fn(e, t.stageArgs(args))
 	if m.Mode.TrampolinesEnabled() {
 		t.clk.Charge(m.Costs.TrampolineBase)
 	}
 	if m.Mode.MPKEnabled() {
-		m.wrpkru(t, m.pkruFor(h.caller))
+		m.wrpkru(t, m.pkruOf(h.caller))
 	}
 	return rets
 }
@@ -283,7 +286,7 @@ func (h Handle) crossFull(e *Env, args []uint64) []uint64 {
 		t.alloca(uint64(tr.stackBytes))
 	}
 	if m.Mode.MPKEnabled() {
-		m.wrpkru(t, m.pkruFor(tr.callee))
+		m.wrpkru(t, m.pkruOf(tr.cub))
 	}
 	if m.inj != nil {
 		m.injectAtCrossing(t, tr)
@@ -297,10 +300,10 @@ func (h Handle) crossFull(e *Env, args []uint64) []uint64 {
 		t.clk.Charge(m.Costs.TrampolineBase)
 	}
 	if m.Mode.MPKEnabled() {
-		m.wrpkru(t, m.pkruFor(h.caller))
+		m.wrpkru(t, m.pkruOf(h.caller))
 	}
 	if m.trc != nil {
-		m.trc.CallExit(t.id, int(h.caller), int(tr.callee), tr.Symbol())
+		m.trc.CallExit(t.id, int(h.caller.ID), int(tr.callee), tr.Symbol())
 	}
 	return rets
 }

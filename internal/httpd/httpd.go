@@ -12,10 +12,13 @@ package httpd
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"strings"
+	"strconv"
+	"unicode"
+	"unicode/utf8"
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/lwip"
@@ -86,6 +89,9 @@ type conn struct {
 	http11    bool
 	keepAlive bool
 	served    int
+	// closed is set when the connection leaves Server.conns, so the step
+	// that is walking a snapshot of the list skips it.
+	closed bool
 }
 
 // proto is the response protocol version, echoing the request's.
@@ -142,17 +148,21 @@ type Server struct {
 
 	lwipID, vfsID, ramfsID, platID cubicle.ID
 
-	port  uint16
-	lfd   uint64
-	conns map[uint64]*conn
-	// order is scratch for stepping connections in fd order: Go map
-	// iteration is randomized per run, and stepping in a varying order
-	// varies the virtual-time cost accounting — the determinism gate on
-	// the live dashboard caught exactly that.
-	order   []uint64
+	port uint16
+	lfd  uint64
+	// conns holds the live connections in ascending fd order, which is the
+	// order step advances them in: the order decides which connection's
+	// crossing pays a trap or finds a buffer free, so it has to be the same
+	// on every run. addConn and dropConn are its only writers. order is
+	// step's scratch copy of it.
+	conns   []*conn
+	order   []*conn
 	logBuf  vm.Addr
 	shedBuf vm.Addr
 	gov     Governance
+	// scratch is where response heads and access-log lines are formatted
+	// before e.Write copies them into simulated memory.
+	scratch []byte
 	// metricsSource, when set, serves GET /metrics with its OpenMetrics
 	// body — the monitor's own counters flowing out through the server's
 	// isolation boundaries like any other response.
@@ -173,7 +183,7 @@ type Server struct {
 
 // New creates the server; deployment wiring must call SetDeps.
 func New(port uint16) *Server {
-	return &Server{port: port, conns: make(map[uint64]*conn)}
+	return &Server{port: port}
 }
 
 // SetGovernance installs overload-protection limits. Call before the
@@ -248,7 +258,34 @@ func (s *Server) closeConn(e *cubicle.Env, c *conn) {
 	s.lwip.Close(e, c.fd)
 	s.alloc.Free(e, c.reqBuf)
 	s.alloc.Free(e, c.ioBuf)
-	delete(s.conns, c.fd)
+	s.dropConn(c)
+}
+
+// connIndex returns where fd sorts in conns and whether it is there.
+func (s *Server) connIndex(fd uint64) (int, bool) {
+	return slices.BinarySearchFunc(s.conns, fd, func(c *conn, fd uint64) int {
+		return cmp.Compare(c.fd, fd)
+	})
+}
+
+// addConn lists an accepted connection. lwip's descriptors only grow, so
+// the insert lands at the end; it is placed by search all the same.
+func (s *Server) addConn(c *conn) {
+	i, _ := s.connIndex(c.fd)
+	s.conns = slices.Insert(s.conns, i, c)
+}
+
+// dropConn takes a connection off the list; it is the only place one
+// leaves. Dropping twice is harmless: a close that faulted half way is
+// followed by a bare drop.
+func (s *Server) dropConn(c *conn) {
+	if c.closed {
+		return
+	}
+	c.closed = true
+	if i, ok := s.connIndex(c.fd); ok {
+		s.conns = slices.Delete(s.conns, i, i+1)
+	}
 }
 
 // step drives the server: polls the stack, accepts connections, advances
@@ -290,7 +327,7 @@ func (s *Server) step(e *cubicle.Env) uint64 {
 			if s.gov.RequestDeadline != 0 {
 				c.deadline = e.Now() + s.gov.RequestDeadline
 			}
-			s.conns[fd] = c
+			s.addConn(c)
 			activity++
 		}
 	}); cf != nil {
@@ -298,14 +335,11 @@ func (s *Server) step(e *cubicle.Env) uint64 {
 		// connections cannot make progress either, so try again later.
 		return activity
 	}
-	s.order = s.order[:0]
-	for fd := range s.conns {
-		s.order = append(s.order, fd)
-	}
-	slices.Sort(s.order)
-	for _, fd := range s.order {
-		c, ok := s.conns[fd]
-		if !ok {
+	// Walk a copy: advancing a connection can drop it (or a later one) from
+	// the list.
+	s.order = append(s.order[:0], s.conns...)
+	for _, c := range s.order {
+		if c.closed {
 			continue
 		}
 		armed := c.deadline != 0 && !c.expired
@@ -323,6 +357,7 @@ func (s *Server) step(e *cubicle.Env) uint64 {
 			activity++
 		}
 	}
+	clear(s.order) // keep no closed connection alive
 	return activity
 }
 
@@ -382,7 +417,7 @@ func (s *Server) fail503(e *cubicle.Env, c *conn, cf *cubicle.ContainedFault) {
 	}
 	if c.wrote > 0 {
 		if cf := cubicle.CatchContained(func() { s.closeConn(e, c) }); cf != nil {
-			delete(s.conns, c.fd)
+			s.dropConn(c)
 		}
 		return
 	}
@@ -391,7 +426,7 @@ func (s *Server) fail503(e *cubicle.Env, c *conn, cf *cubicle.ContainedFault) {
 		s.startResponse(e, c, "503 Service Unavailable", []byte("service unavailable\n"))
 	}); cf != nil {
 		if cf := cubicle.CatchContained(func() { s.closeConn(e, c) }); cf != nil {
-			delete(s.conns, c.fd)
+			s.dropConn(c)
 		}
 	}
 }
@@ -403,7 +438,7 @@ func (s *Server) advance(e *cubicle.Env, c *conn) uint64 {
 		// A pipelined request may already sit complete in the bookkeeping
 		// buffer from the previous keep-alive exchange; serve it before
 		// asking the stack for more bytes.
-		if bytes.Contains(c.req, []byte("\r\n\r\n")) {
+		if bytes.Contains(c.req, headEnd) {
 			s.parseRequest(e, c)
 			return 1
 		}
@@ -427,7 +462,7 @@ func (s *Server) advance(e *cubicle.Env, c *conn) uint64 {
 		e.View(c.reqBuf, n, func(_ uint64, chunk []byte) {
 			c.req = append(c.req, chunk...)
 		})
-		if idx := bytes.Index(c.req, []byte("\r\n\r\n")); idx >= 0 {
+		if bytes.Contains(c.req, headEnd) {
 			s.parseRequest(e, c)
 			return 1
 		}
@@ -438,16 +473,89 @@ func (s *Server) advance(e *cubicle.Env, c *conn) uint64 {
 	return 0
 }
 
-// connDirective extracts the request's Connection header value,
-// lower-cased, or "" when absent.
-func connDirective(head string) string {
-	for _, line := range strings.Split(head, "\r\n")[1:] {
-		k, v, ok := strings.Cut(line, ":")
-		if ok && strings.EqualFold(strings.TrimSpace(k), "Connection") {
-			return strings.ToLower(strings.TrimSpace(v))
+var (
+	crlf    = []byte("\r\n")
+	headEnd = []byte("\r\n\r\n")
+)
+
+// connDirective returns the value of the first Connection header among
+// the header lines hdrs, trimmed, or nil when there is none.
+func connDirective(hdrs []byte) []byte {
+	for len(hdrs) > 0 {
+		var line []byte
+		line, hdrs, _ = bytes.Cut(hdrs, crlf)
+		k, v, ok := bytes.Cut(line, []byte(":"))
+		if ok && bytes.EqualFold(bytes.TrimSpace(k), []byte("Connection")) {
+			return bytes.TrimSpace(v)
 		}
 	}
-	return ""
+	return nil
+}
+
+// lowerIs reports whether b, lower-cased, spells the lower-case ASCII word
+// want — strings.ToLower(string(b)) == want without building the string.
+func lowerIs(b []byte, want string) bool {
+	for i := 0; i < len(want); i++ {
+		r, n := utf8.DecodeRune(b)
+		if n == 0 || unicode.ToLower(r) != rune(want[i]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return len(b) == 0
+}
+
+// nextField splits off b's first whitespace-separated field, the way
+// strings.Fields delimits one.
+func nextField(b []byte) (field, rest []byte) {
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
+		return b[:i], b[i:]
+	}
+	return b, nil
+}
+
+// scanHead reads one request head (without its blank line): the method
+// and path of the request line, whether it asks for HTTP/1.1, and whether
+// the connection persists — the protocol's default unless a Connection
+// header says close or keep-alive. A request line of fewer than two fields
+// has an empty path.
+func scanHead(head []byte) (method, path []byte, http11, keepAlive bool) {
+	line, hdrs, _ := bytes.Cut(head, crlf)
+	method, line = nextField(line)
+	path, line = nextField(line)
+	proto, _ := nextField(line)
+	http11 = string(proto) == "HTTP/1.1"
+	dir := connDirective(hdrs)
+	keepAlive = lowerIs(dir, "keep-alive") || (http11 && !lowerIs(dir, "close"))
+	return method, path, http11, keepAlive
+}
+
+// appendHead appends a response head: status line, Server, the optional
+// Content-Type line, the connection header and Content-Length. Its length
+// feeds lwip.Send and so the virtual clock.
+func appendHead(b []byte, c *conn, status, contentType string, length uint64) []byte {
+	b = append(b, c.proto()...)
+	b = append(b, ' ')
+	b = append(b, status...)
+	b = append(b, "\r\nServer: cubicle-nginx\r\n"...)
+	b = append(b, contentType...)
+	b = append(b, c.connHeader()...)
+	b = append(b, "Content-Length: "...)
+	b = strconv.AppendUint(b, length, 10)
+	return append(b, headEnd...)
+}
+
+// appendLogLine appends the access-log line of a finished request.
+func appendLogLine(b []byte, sec uint64, c *conn) []byte {
+	b = strconv.AppendUint(b, sec, 10)
+	b = append(b, " GET "...)
+	b = append(b, c.path...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(c.status), 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, c.size, 10)
+	return append(b, '\n')
 }
 
 // parseRequest handles the request line and opens the file. It consumes
@@ -456,20 +564,11 @@ func connDirective(head string) string {
 func (s *Server) parseRequest(e *cubicle.Env, c *conn) {
 	e.TraceMark("http.request.parsed")
 	e.Work(parseWork)
-	idx := bytes.Index(c.req, []byte("\r\n\r\n"))
-	head := string(c.req[:idx])
+	// The head is scanned where it lies; only the path outlives the call.
+	idx := bytes.Index(c.req, headEnd)
+	var method, path []byte
+	method, path, c.http11, c.keepAlive = scanHead(c.req[:idx])
 	c.req = c.req[idx+4:]
-	line, _, _ := strings.Cut(head, "\r\n")
-	fields := strings.Fields(line)
-	c.http11 = len(fields) >= 3 && fields[2] == "HTTP/1.1"
-	switch connDirective(head) {
-	case "close":
-		c.keepAlive = false
-	case "keep-alive":
-		c.keepAlive = true
-	default:
-		c.keepAlive = c.http11
-	}
 	maxReq := s.gov.MaxConnRequests
 	if maxReq == 0 {
 		maxReq = defaultConnRequests
@@ -482,15 +581,15 @@ func (s *Server) parseRequest(e *cubicle.Env, c *conn) {
 		// the first request keeps the one armed at accept.
 		c.deadline = e.Now() + s.gov.RequestDeadline
 	}
-	if len(fields) < 2 || (fields[0] != "GET" && fields[0] != "HEAD") {
+	if len(path) == 0 || (string(method) != "GET" && string(method) != "HEAD") {
 		// Framing past a malformed request is unknowable: answer and close.
 		c.status = 400
 		c.keepAlive = false
 		s.startResponse(e, c, "400 Bad Request", []byte("bad request\n"))
 		return
 	}
-	c.headOnly = fields[0] == "HEAD"
-	c.path = fields[1]
+	c.headOnly = string(method) == "HEAD"
+	c.path = string(path)
 	if c.path == "/metrics" && s.metricsSource != nil {
 		s.serveMetrics(e, c)
 		return
@@ -510,9 +609,9 @@ func (s *Server) parseRequest(e *cubicle.Env, c *conn) {
 	}
 	c.fileFD = fd
 	c.size = size
-	hdr := fmt.Sprintf("%s 200 OK\r\nServer: cubicle-nginx\r\n%sContent-Length: %d\r\n\r\n", c.proto(), c.connHeader(), size)
-	e.Write(c.ioBuf, []byte(hdr))
-	c.pending = uint64(len(hdr))
+	s.scratch = appendHead(s.scratch[:0], c, "200 OK", "", size)
+	e.Write(c.ioBuf, s.scratch)
+	c.pending = uint64(len(s.scratch))
 	c.pendOff = 0
 	c.hdrDone = false
 	if c.headOnly {
@@ -529,26 +628,29 @@ func (s *Server) parseRequest(e *cubicle.Env, c *conn) {
 // checked copy into the connection's I/O buffer, LWIP send, access log.
 func (s *Server) serveMetrics(e *cubicle.Env, c *conn) {
 	body := s.metricsSource()
-	hdr := fmt.Sprintf("%s 200 OK\r\nServer: cubicle-nginx\r\nContent-Type: application/openmetrics-text; version=1.0.0\r\n%sContent-Length: %d\r\n\r\n", c.proto(), c.connHeader(), len(body))
-	if uint64(len(hdr)+len(body)) > ioBufSize {
-		body = body[:ioBufSize-uint64(len(hdr))]
+	s.scratch = appendHead(s.scratch[:0], c, "200 OK",
+		"Content-Type: application/openmetrics-text; version=1.0.0\r\n", uint64(len(body)))
+	hdrLen := len(s.scratch)
+	if hdrLen+len(body) > ioBufSize {
+		body = body[:ioBufSize-hdrLen]
 	}
-	e.Write(c.ioBuf, append([]byte(hdr), body...))
-	c.pending = uint64(len(hdr) + len(body))
+	s.scratch = append(s.scratch, body...)
+	e.Write(c.ioBuf, s.scratch)
+	c.pending = uint64(len(s.scratch))
 	c.pendOff = 0
 	c.size = 0
 	c.sent = 0
 	if c.headOnly {
-		c.pending = uint64(len(hdr))
+		c.pending = uint64(hdrLen)
 	}
 	c.state = stServe
 }
 
 // startResponse stages a small error response.
 func (s *Server) startResponse(e *cubicle.Env, c *conn, status string, body []byte) {
-	hdr := fmt.Sprintf("%s %s\r\nServer: cubicle-nginx\r\n%sContent-Length: %d\r\n\r\n", c.proto(), status, c.connHeader(), len(body))
-	e.Write(c.ioBuf, append([]byte(hdr), body...))
-	c.pending = uint64(len(hdr) + len(body))
+	s.scratch = append(appendHead(s.scratch[:0], c, status, "", uint64(len(body))), body...)
+	e.Write(c.ioBuf, s.scratch)
+	c.pending = uint64(len(s.scratch))
 	c.pendOff = 0
 	c.size = 0
 	c.sent = 0
@@ -602,11 +704,9 @@ func (s *Server) serve(e *cubicle.Env, c *conn) uint64 {
 // keep-alive exchange — recycles it for the next request.
 func (s *Server) finish(e *cubicle.Env, c *conn) {
 	ts := s.time.WallNs(e)
-	line := fmt.Sprintf("%d GET %s %d %d\n", ts/1_000_000_000, c.path, c.status, c.size)
-	if uint64(len(line)) > logBufSize {
-		line = line[:logBufSize]
-	}
-	e.Write(s.logBuf, []byte(line))
+	s.scratch = appendLogLine(s.scratch[:0], ts/1_000_000_000, c)
+	line := s.scratch[:min(len(s.scratch), logBufSize)]
+	e.Write(s.logBuf, line)
 	s.plat.ConsoleWrite(e, s.logBuf, uint64(len(line)))
 	s.Requests++
 	e.TraceMark("http.request.done")
@@ -713,8 +813,7 @@ func (s *Server) Restore(sc *cubicle.SnapCtx, blob []byte) error {
 	s.Errors503 = u64(33)
 	s.Shed429 = u64(41)
 	s.Shed503 = u64(49)
-	s.conns = make(map[uint64]*conn)
-	s.order = s.order[:0]
+	s.conns = nil
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/faultinject"
 	"cubicleos/internal/ramfs"
 	"cubicleos/internal/trace"
@@ -52,6 +53,11 @@ func TestSiegeUnderChaos(t *testing.T) {
 	truncated := 0
 	for i := 0; i < 40; i++ {
 		res, err := tgt.Fetch("/f.bin")
+		// Whatever this request's contained faults and restarts did, every
+		// cubicle's owned-page list still is what the page table holds.
+		if err := cubicletest.OwnedPages(m); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
 		if err != nil {
 			// A connection the server had to abort mid-response (fault after
 			// bytes hit the wire): HTTP/1.0 signals that by closing early.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/faultinject"
 	"cubicleos/internal/ramfs"
 	"cubicleos/internal/trace"
@@ -156,6 +157,9 @@ func driveRecovery(t *testing.T, checkpointInterval uint64) recoveryRun {
 	for i := 0; i < out.requests; i++ {
 		before := m.Clock.Cycles()
 		res, err := tgt.Fetch("/f.bin")
+		if err := cubicletest.OwnedPages(m); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
 		ok := err == nil && res.Status == 200
 		if ok {
 			if degradedSince != 0 {

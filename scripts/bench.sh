@@ -16,7 +16,16 @@
 #       "ratio" metric is the drift-immune tracing-overhead measurement
 #   CrossCubicleCall/*, CrossingArgsRets  one crossing per isolation mode,
 #       and the crossing real callers make (3 words in, 2 out); their
-#       allocs/op is the exact gate of the crossing ABI
+#       allocs/op is the exact gate of the crossing ABI. The bare modes run
+#       the trusted fast path (crossFast); CrossCubicleCall/supervised is
+#       the same body with a supervisor and a checkpoint cadence attached
+#       (crossFull) — the crossing prod_openloop and cluster_failover make
+#   IdleStep/conns-{1,16,64}  one nginx_step with nothing to do on a
+#       production-configured target holding N idle keep-alive connections:
+#       the operation cluster_failover performs 127 times an arrival
+#   CheckpointSweep        one checkpoint sweep of a provisioned idle target
+#       (the step that carries it included); checkpoints/op and ckptbytes/op
+#       are deterministic. Readings, not gates
 #   SMPSiege/cores-{1,2,4} sharded open-loop siege per core count: wallrps
 #       shows wall-clock scaling, gvtcycles/ok are deterministic
 #   ClusterGoodput/backends-{1,2,4}  the virtual cluster behind the
@@ -51,9 +60,9 @@
 #                that day, either side), the ratio went 1.59 → 1.76 paired,
 #                and the gate moved with its base (EXPERIMENTS.md, "Tracing
 #                overhead")
-#              - allocs/op != 0 on CrossCubicleCall/* or
-#                CrossingArgsRets — a crossing allocates nothing; exact,
-#                so immune to host noise
+#              - allocs/op != 0 on CrossCubicleCall/* (the supervised
+#                crossing included) or CrossingArgsRets — a crossing
+#                allocates nothing; exact, so immune to host noise
 #              - allocs/op > 16 on FilteredScan or > 3 on ParseInsert — a
 #                row visited allocates nothing (one object a row would read
 #                1016), a statement parsed allocates its statement, row
@@ -116,6 +125,9 @@ COUNT=1
 [ "$MODE" = assert ] && COUNT=3
 go test -run '^$' -bench 'CallTracing' -benchtime "$BENCHTIME" -count "$COUNT" ./internal/cubicle/ | tee -a "$TMP"
 go test -run '^$' -bench 'CrossCubicleCall' -benchtime "$BENCHTIME" -benchmem . | tee -a "$TMP"
+if [ "$MODE" != assert ]; then
+    go test -run '^$' -bench 'IdleStep|CheckpointSweep' -benchtime "$BENCHTIME" -benchmem . | tee -a "$TMP"
+fi
 go test -run '^$' -bench 'CrossingArgsRets' -benchtime "$BENCHTIME" ./internal/cubicle/ | tee -a "$TMP"
 go test -run '^$' -bench 'FilteredScan|ParseInsert' -benchtime "$BENCHTIME" -benchmem ./internal/sqldb/ | tee -a "$TMP"
 
@@ -152,7 +164,7 @@ if [ "$MODE" = assert ]; then
         }
     }
     END {
-        if (n < 5) { print "bench.sh: assert: crossing allocation measurements missing"; exit 1 }
+        if (n < 6) { print "bench.sh: assert: crossing allocation measurements missing"; exit 1 }
         if (bad) exit 1
         printf "bench.sh: assert ok: %d crossing benches at 0 allocs/op\n", n
     }' "$TMP" || exit 1

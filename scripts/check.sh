@@ -47,6 +47,16 @@ if grep -n '"sync/atomic"' $(ls internal/cycles/*.go internal/vm/*.go internal/c
     echo "check.sh: internal/cycles, internal/vm or internal/cubicle imports sync/atomic" >&2; exit 1
 fi
 
+# One page-table walk: the monitor knows which pages a cubicle owns
+# (Cubicle.owned; DESIGN.md §12), so nothing in the runtime finds them by
+# walking the table. The one walk left is by key, not by owner: the retag
+# of a recycled key's pages in acquireKey.
+walks="$(awk '/^func /{fn=$0} /\.ForEachPage\(/{ if (fn !~ /acquireKey/) print FILENAME ":" FNR ": " $0 }' $(ls internal/cubicle/*.go | grep -v _test.go))"
+if [ -n "$walks" ]; then
+    echo "$walks"
+    echo "check.sh: internal/cubicle walks the whole page table outside acquireKey" >&2; exit 1
+fi
+
 go run ./cmd/cubicle-trace -format chrome -requests 5 -check >/dev/null
 go run ./cmd/cubicle-trace -format prom -requests 5 -check >/dev/null
 go run ./cmd/cubicle-trace -format json -requests 5 -check >/dev/null
@@ -87,14 +97,18 @@ go run ./cmd/httpbench -cores 2 -rates 2000 -requests 100 >/dev/null
 # Recovery gates: the snapshot codec (round-trip, determinism, corruption
 # rejection, fuzz seeds run as unit tests), the checkpoint/warm-restart
 # suite (warm restore, snapshot veto, cold fallback, quiescence skip,
-# budget exhaustion, warm-vs-cold siege) under the race detector, and a
+# budget exhaustion, warm-vs-cold siege) with the index-against-oracle tests
+# (owned-page lists against a page-table walk after every step of a random
+# program and every chaos request, the checkpoint image against the one
+# the walk builds, trampoline and handle *Cubicle pointers across cold and
+# warm restarts) under the race detector, and a
 # record/replay smoke at 1 and 4 cores: -replay -until re-executes the
 # chaos run and requires the event streams to be bit-identical up to the
 # halt cycle. (-cores 4 on this CLI adds the shootdown surcharge and three
 # empty ring shards: every thread it creates stays on core 0.)
 go test -race ./internal/snapshot/
 go test -race -run FuzzSnapshotDecode ./internal/snapshot/
-go test -race -run 'Checkpoint|Snapshot|Restore|WarmRestart|WarmVsCold|RestartBudget|ReplayDeterminism' ./internal/cubicle/ ./internal/siege/
+go test -race -run 'Checkpoint|Snapshot|Restore|WarmRestart|WarmVsCold|RestartBudget|ReplayDeterminism|OwnedPages|CubiclePointers|SiegeUnderChaos' ./internal/cubicle/ ./internal/siege/
 go run ./cmd/cubicle-trace -replay -requests 10 -chaos-seed 7 -checkpoint 500000 -until 3000000 >/dev/null
 go run ./cmd/cubicle-trace -replay -cores 4 -requests 10 -chaos-seed 7 -checkpoint 500000 -until 3000000 >/dev/null
 
@@ -107,6 +121,10 @@ go run ./cmd/cubicle-trace -replay -cores 4 -requests 10 -chaos-seed 7 -checkpoi
 # bit-identical.
 go test -race ./internal/cluster/
 go test -race -run 'KeepAlive|HTTP10|WireDrop' ./internal/siege/ ./internal/netdev/ ./internal/faultinject/
+# httpd steps its connections in fd order off a list it keeps sorted; the
+# list against its invariants under churn, and the skip of a connection
+# closed earlier in the same step.
+go test -race -run 'StepOrder|StepSkips' ./internal/httpd/
 go run ./cmd/httpbench -cluster 4 -assert-degrade >/dev/null
 go run ./cmd/cubicle-top -cluster 2 -requests 180 >/dev/null
 go run ./cmd/cubicle-inspect -cluster 2 -json >/dev/null
