@@ -33,20 +33,18 @@ type report struct {
 	Edges         []edgeCount       `json:"call_edges"`
 	VirtualCycles uint64            `json:"virtual_cycles"`
 	VirtualMs     float64           `json:"virtual_ms"`
-	// TraceShards, when the run is traced, reports each per-core ring
-	// shard's recorded/dropped accounting — the drop counters show whether
-	// the ring capacity kept up with the event rate.
-	TraceShards []shardInfo `json:"trace_shards,omitempty"`
+	// TraceRing, when the run is traced, is the ring's recorded/dropped
+	// accounting — the drop counter shows whether the ring capacity kept
+	// up with the event rate.
+	TraceRing *ringInfo `json:"trace_ring,omitempty"`
 	// Metrics, when the virtual-time metrics pipeline is enabled, carries
 	// its configuration and the buffered interval snapshots.
 	Metrics *metricsInfo `json:"metrics,omitempty"`
 }
 
-type shardInfo struct {
-	Core     int    `json:"core"`
+type ringInfo struct {
 	Recorded uint64 `json:"recorded"`
 	Dropped  uint64 `json:"dropped"`
-	Retained int    `json:"retained"`
 }
 
 type metricsInfo struct {
@@ -155,14 +153,7 @@ func buildReport(m *cubicleos.Monitor) *report {
 	r.VirtualCycles = m.Clock.Cycles()
 	r.VirtualMs = float64(m.Clock.Duration().Microseconds()) / 1000
 	if trc := m.Tracer(); trc != nil {
-		for c := 0; c < trc.Cores(); c++ {
-			r.TraceShards = append(r.TraceShards, shardInfo{
-				Core:     c,
-				Recorded: trc.ShardRecorded(c),
-				Dropped:  trc.ShardDropped(c),
-				Retained: len(trc.ShardEvents(c)),
-			})
-		}
+		r.TraceRing = &ringInfo{Recorded: trc.Recorded(), Dropped: trc.Dropped()}
 	}
 	if m.MetricsEnabled() {
 		r.Metrics = &metricsInfo{
@@ -217,12 +208,10 @@ func writeText(w io.Writer, r *report) {
 	}
 	fmt.Fprintf(w, "  %-20s %10d cycles (%.3f ms at 2.2 GHz)\n", "virtual time", r.VirtualCycles, r.VirtualMs)
 
-	if len(r.TraceShards) > 0 {
-		fmt.Fprintln(w, "\nTRACE RING SHARDS")
-		for _, sh := range r.TraceShards {
-			fmt.Fprintf(w, "  core %d: %d events recorded, %d dropped, %d retained in ring\n",
-				sh.Core, sh.Recorded, sh.Dropped, sh.Retained)
-		}
+	if tr := r.TraceRing; tr != nil {
+		fmt.Fprintln(w, "\nTRACE RING")
+		fmt.Fprintf(w, "  %d events recorded, %d dropped, %d retained in ring\n",
+			tr.Recorded, tr.Dropped, tr.Recorded-tr.Dropped)
 	}
 	if mi := r.Metrics; mi != nil {
 		fmt.Fprintln(w, "\nMETRICS PIPELINE")
@@ -332,7 +321,7 @@ func inspectCluster(n int, asJSON bool) {
 func main() {
 	workload := flag.Bool("workload", true, "run a short HTTP workload before dumping")
 	asJSON := flag.Bool("json", false, "emit the report as machine-readable JSON")
-	ring := flag.Int("ring", 1<<14, "trace ring capacity in events per core shard (0 = tracing off)")
+	ring := flag.Int("ring", 1<<14, "trace ring capacity in events (0 = tracing off)")
 	metricsInterval := flag.Uint64("metrics-interval", 500_000, "metrics snapshot interval in virtual cycles (0 = metrics off)")
 	checkpoint := flag.Uint64("checkpoint", 500_000, "checkpoint interval in virtual cycles (0 = checkpoints off)")
 	clusterN := flag.Int("cluster", 0, "inspect an N-backend virtual cluster after a scripted failover instead of one system")

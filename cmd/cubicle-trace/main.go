@@ -21,7 +21,7 @@
 // With -replay the command becomes a record/replay determinism check: the
 // same workload (same seed, same chaos schedule) is executed twice, the
 // second run halting its virtual clock at -until cycles (0 = run to the
-// end), and the two shard-merged event streams must agree bit-identically
+// end), and the two event streams must agree bit-identically
 // on every event with Cycle <= until. Any divergence — one event, one
 // field — is a determinism bug and exits non-zero.
 package main
@@ -53,7 +53,7 @@ func main() {
 	sample := flag.Uint64("sample", 100_000, "profiler sample period in virtual cycles (0 = spans only)")
 	out := flag.String("o", "", "output file (default stdout)")
 	check := flag.Bool("check", false, "validate output invariants and report them on stderr")
-	cores := flag.Int("cores", 1, "simulated cores: > 1 adds the shootdown surcharge and ring sharding; threads stay on core 0")
+	cores := flag.Int("cores", 1, "simulated cores: > 1 adds the retag shootdown surcharge for the remote ones")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "run under supervision with deterministic fault injection into RAMFS from this seed (0 = off)")
 	checkpoint := flag.Uint64("checkpoint", 0, "checkpoint interval in virtual cycles (0 = off): quiescent cubicles are snapshotted and supervised restarts restore warm state")
 	replay := flag.Bool("replay", false, "record/replay determinism check: execute the run twice and compare the event streams bit-identically")
@@ -212,7 +212,7 @@ func runWorkload(opts siege.Options, requests, size int, chaosSeed, stop uint64)
 }
 
 // runReplay executes the workload twice — record, then replay halted at
-// `until` — and requires the shard-merged event streams to agree
+// `until` — and requires the event streams to agree
 // bit-identically on every event with Cycle <= until.
 func runReplay(mkOpts func() siege.Options, requests, size int, chaosSeed, until uint64) {
 	rec, err := runWorkload(mkOpts(), requests, size, chaosSeed, 0)
@@ -245,20 +245,11 @@ func runReplay(mkOpts func() siege.Options, requests, size int, chaosSeed, until
 				i, cutoff, a[i], b[i])
 		}
 	}
-	fmt.Fprintf(os.Stderr, "replay ok: %d events bit-identical up to cycle %d (record ran to %d, replay halted at %d), recorded per core shard %v, %d dropped\n",
-		len(a), cutoff, end, rep.Sys.M.Clock.Cycles(), shardRecorded(recTrc), recTrc.Dropped())
+	fmt.Fprintf(os.Stderr, "replay ok: %d events bit-identical up to cycle %d (record ran to %d, replay halted at %d), %d recorded, %d dropped\n",
+		len(a), cutoff, end, rep.Sys.M.Clock.Cycles(), recTrc.Recorded(), recTrc.Dropped())
 }
 
-// shardRecorded returns the events each core's ring shard recorded.
-func shardRecorded(trc *trace.Tracer) []uint64 {
-	n := make([]uint64, trc.Cores())
-	for c := range n {
-		n[c] = trc.ShardRecorded(c)
-	}
-	return n
-}
-
-// prefix returns the events with Cycle <= cutoff; the merged stream is
+// prefix returns the events with Cycle <= cutoff; the stream is
 // nondecreasing in cycle, so this is a true stream prefix.
 func prefix(events []trace.Event, cutoff uint64) []trace.Event {
 	for i, ev := range events {
@@ -318,49 +309,17 @@ func validate(tgt *siege.Target, format string, output []byte) {
 		}
 	}
 
-	// SMP merge invariants over the sharded rings. The merged stream must
-	// be totally ordered by (Cycle, Core, Seq) — nondecreasing in GVT with
-	// a deterministic tie-break — each per-core subsequence must be
-	// strictly ordered by its shard sequence numbers, and the per-core
-	// event counts must sum to the legacy totals, retained and recorded
-	// alike: sharding is not allowed to lose or invent events.
+	// Ring invariants: the surviving stream is nondecreasing in cycle and
+	// consecutive in sequence number, and it is exactly what was recorded
+	// minus what ring wrap overwrote.
 	events := trc.Events()
-	lastSeq := make(map[int16]uint64)
-	seenCore := make(map[int16]bool)
-	perCore := make(map[int16]int)
-	for i, ev := range events {
-		if i > 0 {
-			p := events[i-1]
-			if ev.Cycle < p.Cycle {
-				fail("merged stream regresses in GVT at %d: cycle %d after %d", i, ev.Cycle, p.Cycle)
-			}
-			if ev.Cycle == p.Cycle && (ev.Core < p.Core || (ev.Core == p.Core && ev.Seq < p.Seq)) {
-				fail("merged stream breaks the (cycle, core, seq) tie-break at %d", i)
-			}
+	for i := 1; i < len(events); i++ {
+		if p, ev := events[i-1], events[i]; ev.Cycle < p.Cycle || ev.Seq != p.Seq+1 {
+			fail("stream out of order at %d: (cycle %d, seq %d) after (cycle %d, seq %d)", i, ev.Cycle, ev.Seq, p.Cycle, p.Seq)
 		}
-		if seenCore[ev.Core] && ev.Seq <= lastSeq[ev.Core] {
-			fail("core %d subsequence not strictly ordered: seq %d after %d", ev.Core, ev.Seq, lastSeq[ev.Core])
-		}
-		seenCore[ev.Core] = true
-		lastSeq[ev.Core] = ev.Seq
-		perCore[ev.Core]++
 	}
-	var retained, recorded, dropped uint64
-	perShard := shardRecorded(trc)
-	for c := range perShard {
-		retained += uint64(len(trc.ShardEvents(c)))
-		recorded += perShard[c]
-		dropped += trc.ShardDropped(c)
-	}
-	if retained != uint64(len(events)) {
-		fail("shard events sum to %d, merged stream has %d", retained, len(events))
-	}
-	if recorded != trc.Recorded() || dropped != trc.Dropped() {
-		fail("shard accounting %d recorded/%d dropped != totals %d/%d",
-			recorded, dropped, trc.Recorded(), trc.Dropped())
-	}
-	if recorded-dropped != uint64(len(events)) {
-		fail("recorded %d - dropped %d != %d retained events", recorded, dropped, len(events))
+	if trc.Recorded()-trc.Dropped() != uint64(len(events)) {
+		fail("recorded %d - dropped %d != %d retained events", trc.Recorded(), trc.Dropped(), len(events))
 	}
 
 	// The per-cubicle profile must account for the whole virtual clock.
@@ -373,6 +332,6 @@ func validate(tgt *siege.Target, format string, output []byte) {
 	if cover < 0.99 || cover > 1.01 {
 		fail("profile covers %.4f of the virtual clock (want within 1%%)", cover)
 	}
-	fmt.Fprintf(os.Stderr, "check ok: %d events, per core shard %v, stats match, merge ordered, profile covers %.4f%% of %d cycles\n",
-		trc.Recorded(), perShard, 100*cover, clock)
+	fmt.Fprintf(os.Stderr, "check ok: %d events, stats match, stream ordered, profile covers %.4f%% of %d cycles\n",
+		trc.Recorded(), 100*cover, clock)
 }

@@ -99,10 +99,9 @@ type Config struct {
 	// are taken but never consumed).
 	CheckpointInterval uint64
 	// SMPCores, when > 1, gives the simulated machine that many cores:
-	// per-core virtual clocks, a GVT machine over them, and a libmpk-style
-	// per-core synchronisation charge on every retag. The default (0 or 1)
-	// keeps the single-core monitor, whose figures are byte-identical to
-	// the seed.
+	// every retag pays a libmpk-style synchronisation charge per remote
+	// core. The default (0 or 1) charges nothing, and its figures are
+	// byte-identical to the seed.
 	SMPCores int
 	// Cluster is this system's backend index when it boots as one member
 	// of a virtual cluster (internal/cluster); 0 for standalone systems.

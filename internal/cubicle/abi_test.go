@@ -240,7 +240,7 @@ func TestCrossingABIStaleResultReadsPoison(t *testing.T) {
 }
 
 // TestCrossingABIParallelWorkers interleaves the chain, the append and a
-// held result across four threads on four cores: the word stack and the
+// held result across four interleaved threads: the word stack and the
 // result scratch are per thread, so a result one thread holds survives the
 // other three threads' calls and every thread sees only its own words.
 func TestCrossingABIParallelWorkers(t *testing.T) {
@@ -250,7 +250,7 @@ func TestCrossingABIParallelWorkers(t *testing.T) {
 	workers := make([]*Env, cores)
 	held := make([][]uint64, cores)
 	for c := range workers {
-		workers[c] = newWorker(w.m, c)
+		workers[c] = newWorker(w.m)
 		enterOn(w.testSystem, workers[c], "APP")
 	}
 	roundRobin(cores, iters, func(c, i int) {

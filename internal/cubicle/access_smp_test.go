@@ -6,12 +6,12 @@ import (
 	"cubicleos/internal/vm"
 )
 
-// FuzzSpanTLBConcurrent is the two-core extension of FuzzSpanTLBDifferential
+// FuzzSpanTLBConcurrent is the two-thread extension of FuzzSpanTLBDifferential
 // (like it, named after its checked-in corpus directory, not after a TLB):
-// the boot thread on core 0 performs fuzz-chosen retag-inducing operations
+// the boot thread performs fuzz-chosen retag-inducing operations
 // (cross-cubicle writes that trap pages to BAR, owner stores that trap them
-// back, window churn, restarts of BAR) and after every one of them a thread
-// on core 1 reads the same pages. The two threads are stepped by the one
+// back, window churn, restarts of BAR) and after every one of them a second
+// thread reads the same pages. The two threads are stepped by the one
 // test goroutine, as the concurrency contract requires. The property under
 // test is that a retag or restart between two reads never lets a read land
 // in the wrong frame:
@@ -38,7 +38,7 @@ func FuzzSpanTLBConcurrent(f *testing.F) {
 		m := ts.m
 		m.EnableSMP(2)
 		m.EnableContainment(DefaultRestartPolicy())
-		reader := newWorker(m, 1) // monitor privileges: always authorised
+		reader := newWorker(m) // monitor privileges: always authorised
 		barID := ts.cubs["BAR"].ID
 
 		const pages = 2
@@ -48,7 +48,7 @@ func FuzzSpanTLBConcurrent(f *testing.F) {
 		}
 		var last [pages]byte
 
-		e := ts.env // writer: the boot thread, core 0
+		e := ts.env // writer: the boot thread
 		enterOn(ts, e, "FOO")
 		barH := m.MustResolve(ts.cubs["FOO"].ID, "BAR", "bar")
 		var wids [pages]WID

@@ -106,28 +106,27 @@ func (m *Monitor) LastCheckpoint(id ID) (CheckpointInfo, bool) {
 }
 
 // maybeCheckpoint is the cadence gate, called at trampoline entry at frame
-// depth zero. It fires at most one sweep per interval threshold, stamped
-// against global virtual time so SMP cores agree on the schedule.
-func (m *Monitor) maybeCheckpoint(t *Thread) {
-	now := m.smpNow()
+// depth zero. It fires at most one sweep per interval threshold.
+func (m *Monitor) maybeCheckpoint() {
+	now := m.Clock.Cycles()
 	if now < m.ckptNext {
 		return
 	}
 	for m.ckptNext <= now {
 		m.ckptNext += m.ckptInterval
 	}
-	m.checkpointSweep(t, now)
+	m.checkpointSweep(now)
 }
 
 // checkpointSweep captures every checkpointable, quiescent cubicle, in ID
 // order for determinism. Cubicles that veto (a Snapshot hook returned an
 // error) or are not quiescent keep their previous checkpoint.
-func (m *Monitor) checkpointSweep(t *Thread, now uint64) {
+func (m *Monitor) checkpointSweep(now uint64) {
 	for _, c := range m.cubicles {
 		if !m.checkpointable(c) {
 			continue
 		}
-		m.checkpointOne(t, c, now)
+		m.checkpointOne(c, now)
 	}
 }
 
@@ -177,7 +176,7 @@ func (m *Monitor) quiescent(c *Cubicle) bool {
 // through the monitor — is charged to the calling thread's clock at the
 // checked-memcpy rate, so checkpoint cadence shows up honestly in the
 // virtual-time figures.
-func (m *Monitor) checkpointOne(t *Thread, c *Cubicle, now uint64) {
+func (m *Monitor) checkpointOne(c *Cubicle, now uint64) {
 	if !m.quiescent(c) {
 		return
 	}
@@ -235,7 +234,7 @@ func (m *Monitor) checkpointOne(t *Thread, c *Cubicle, now uint64) {
 	enc := snapshot.Encode(img)
 	size := uint64(len(enc))
 	cost := (size + 15) / 16 * m.Costs.CopyChunk16
-	m.clkOf(t).Charge(cost)
+	m.Clock.Charge(cost)
 	m.ckpts[c.ID] = &checkpointRecord{img: enc, cycle: now, pages: uint64(len(img.Pages))}
 	m.Stats.Checkpoints++
 	m.Stats.CheckpointBytes += size

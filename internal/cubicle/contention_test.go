@@ -6,17 +6,15 @@ import (
 	"cubicleos/internal/vm"
 )
 
-// This file is the multi-core stress suite: threads placed on distinct
-// simulated cores, stepped round-robin by the test goroutine (the
-// concurrency contract of DESIGN.md §10), hammer crossings, window
-// operations, trap-and-map retags with shootdowns, the per-cubicle heap
-// allocator and supervised restarts. The assertions are exact: counters
+// This file is the interleaved-thread stress suite: threads stepped
+// round-robin by the test goroutine (the concurrency contract of
+// DESIGN.md §10) hammer crossings, window operations, trap-and-map retags
+// with shootdowns, the per-cubicle heap allocator and supervised restarts. The assertions are exact: counters
 // balance against the known per-thread operation counts, allocator
-// accounting balances to the byte, and every core clock advances.
+// accounting balances to the byte, and the clock advances.
 
-// TestContentionCrossingsWindowsRetags is the main stress: four threads on
-// four cores each ping-pong ownership of their own page with BAR (every
-// iteration crosses, traps, retags and shoots down), churn their window,
+// TestContentionCrossingsWindowsRetags is the main stress: four threads each
+// ping-pong ownership of their own page with BAR (every iteration crosses, traps, retags and shoots down), churn their window,
 // and churn the shared FOO heap allocator. Counter conservation is exact:
 // each iteration contributes precisely one crossing, two faults, two
 // retags, two shootdowns and two window ops.
@@ -32,7 +30,7 @@ func TestContentionCrossingsWindowsRetags(t *testing.T) {
 	addrs := make([]vm.Addr, cores)
 	wids := make([]WID, cores)
 	for c := range workers {
-		workers[c] = newWorker(m, c)
+		workers[c] = newWorker(m)
 		// Page-sized buffers: each thread retags its own page, so the
 		// expected retag count is exact.
 		addrs[c] = ts.heapIn(t, "FOO", 4096)
@@ -41,7 +39,7 @@ func TestContentionCrossingsWindowsRetags(t *testing.T) {
 
 	var last [cores]uint64
 	for c := 0; c < cores; c++ {
-		last[c] = m.CoreClock(c).Cycles()
+		last[c] = m.Clock.Cycles()
 		e := workers[c]
 		enterOn(ts, e, "FOO")
 		wids[c] = e.WindowInit()
@@ -72,8 +70,8 @@ func TestContentionCrossingsWindowsRetags(t *testing.T) {
 		if d != [5]uint64{1, 2, 2, 2, 2} {
 			t.Fatalf("core %d iteration %d: calls/faults/retags/shootdowns/window ops = %v, want [1 2 2 2 2]", c, i, d)
 		}
-		if now := m.CoreClock(c).Cycles(); now <= last[c] {
-			t.Fatalf("core %d clock did not advance over iteration %d: %d -> %d", c, i, last[c], now)
+		if now := m.Clock.Cycles(); now <= last[c] {
+			t.Fatalf("worker %d: clock did not advance over iteration %d: %d -> %d", c, i, last[c], now)
 		} else {
 			last[c] = now
 		}
@@ -92,7 +90,7 @@ func TestContentionCrossingsWindowsRetags(t *testing.T) {
 }
 
 // TestContentionAllocator hammers one cubicle's sub-allocator from four
-// cores in turn — mixed sizes force both the free-list fit and the
+// threads in turn — mixed sizes force both the free-list fit and the
 // page-grow path — and the accounting must balance to the byte when
 // everything is freed.
 func TestContentionAllocator(t *testing.T) {
@@ -104,7 +102,7 @@ func TestContentionAllocator(t *testing.T) {
 	workers := make([]*Env, cores)
 	blocks := make([][]vm.Addr, cores)
 	for c := range workers {
-		workers[c] = newWorker(m, c)
+		workers[c] = newWorker(m)
 		enterOn(ts, workers[c], "FOO")
 	}
 	liveBase := m.LiveBytes(ts.cubs["FOO"].ID)
@@ -161,7 +159,7 @@ func TestContentionRestartStorm(t *testing.T) {
 	workers := make([]*Env, workersN)
 	addrs := make([]vm.Addr, workersN)
 	for c := range workers {
-		workers[c] = newWorker(m, c+1) // boot thread keeps core 0
+		workers[c] = newWorker(m)
 		addrs[c] = ts.heapIn(t, "FOO", 4096)
 	}
 	base := m.Stats

@@ -67,7 +67,7 @@ func (e *Env) CubicleOf(component string) ID {
 // identical across all isolation modes, scaled by the deployment's
 // runtime-efficiency factor).
 func (e *Env) Work(n uint64) {
-	e.T.clk.ChargeWork(n)
+	e.M.Clock.ChargeWork(n)
 	if e.M.sup != nil {
 		// Modelled work is a watchdog checkpoint: it is how a runaway
 		// callee burns cycles without otherwise entering the monitor.
@@ -89,7 +89,7 @@ func (e *Env) WorkN(n, k uint64) {
 	if k == 0 {
 		return
 	}
-	e.T.clk.ChargeWorkN(n, k)
+	e.M.Clock.ChargeWorkN(n, k)
 	if e.M.sup != nil {
 		e.M.sup.watchdog(e.T)
 	}
@@ -202,7 +202,7 @@ func (e *Env) StoreByte(addr vm.Addr, v byte) {
 
 // chargeCopy charges the streaming cost of moving n bytes.
 func (e *Env) chargeCopy(n uint64) {
-	e.T.clk.Charge(((n + 15) / 16) * e.M.Costs.CopyChunk16)
+	e.M.Clock.Charge(((n + 15) / 16) * e.M.Costs.CopyChunk16)
 	e.M.Stats.BulkBytesCopied += n
 	if e.M.trc != nil {
 		e.M.trc.Copy(e.T.id, int(e.T.cur), n)
@@ -302,7 +302,7 @@ func (e *Env) HeapFree(addr vm.Addr) {
 // "char BUF[10]; char pad[4086]" — padding to a page boundary to prevent
 // unintended sharing).
 func (e *Env) Alloca(n uint64) vm.Addr {
-	e.T.clk.Charge(e.M.Costs.Alloca)
+	e.M.Clock.Charge(e.M.Costs.Alloca)
 	return e.T.alloca(n)
 }
 
@@ -310,7 +310,7 @@ func (e *Env) Alloca(n uint64) vm.Addr {
 // allocation to whole pages), the alignment discipline §5.3 requires of
 // component developers for windowed stack data.
 func (e *Env) AllocaPage(n uint64) vm.Addr {
-	e.T.clk.Charge(e.M.Costs.Alloca)
+	e.M.Clock.Charge(e.M.Costs.Alloca)
 	pages := vm.PagesFor(n)
 	// Carve enough to guarantee page alignment within the stack region.
 	raw := e.T.alloca(uint64(pages)*vm.PageSize + vm.PageSize - 16)
@@ -338,7 +338,8 @@ func (e *Env) WindowAdd(wid WID, ptr vm.Addr, size uint64) {
 }
 
 // WindowRemove removes the range starting at ptr from window wid
-// (cubicle_window_remove).
+// (cubicle_window_remove). No component calls it; it stays because Table 1
+// of the paper is the API surface.
 func (e *Env) WindowRemove(wid WID, ptr vm.Addr) {
 	e.M.windowRemove(e.T, e.T.cur, wid, ptr)
 }

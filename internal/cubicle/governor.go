@@ -80,8 +80,8 @@ func (e *Env) ClearDeadline() {
 // Deadline returns the armed deadline, or 0.
 func (e *Env) Deadline() uint64 { return e.T.deadline }
 
-// Now returns the virtual clock of the thread's core.
-func (e *Env) Now() uint64 { return e.T.clk.Cycles() }
+// Now returns the virtual clock.
+func (e *Env) Now() uint64 { return e.M.Clock.Cycles() }
 
 // checkDeadline raises a DeadlineFault when thread t's armed deadline has
 // passed. It only fires below the frame that armed the deadline, so the
@@ -90,7 +90,7 @@ func (m *Monitor) checkDeadline(t *Thread) {
 	if t.deadline == 0 || len(t.frames) <= t.deadlineFrame {
 		return
 	}
-	now := t.clk.Cycles()
+	now := m.Clock.Cycles()
 	if now < t.deadline {
 		return
 	}
@@ -209,7 +209,7 @@ func RetryContained(e *Env, p RetryPolicy, fn func()) *ContainedFault {
 		if p.BackoffMax > 0 && backoff > p.BackoffMax {
 			backoff = p.BackoffMax
 		}
-		e.T.clk.Charge(backoff)
+		e.M.Clock.Charge(backoff)
 		e.M.noteRetry(e.T, e.T.cur, attempt, backoff)
 		if p.BackoffFactor > 1 {
 			backoff *= p.BackoffFactor

@@ -23,19 +23,17 @@ const (
 // deterministic for a given workload. The monitor consults the injector
 // at three sites: cross-cubicle call entry, window-management API calls,
 // and trap-and-map retags. Methods take component/cubicle names so the
-// implementation needs no dependency on this package's ID space, plus the
-// simulated core of the acting thread so SMP deployments can draw from
-// per-core decision streams (core 0 reproduces the single-core stream).
+// implementation needs no dependency on this package's ID space.
 type Injector interface {
 	// AtCrossing is consulted after the crossing switched into the callee;
 	// the injected fault is attributed to — and contained against — the
 	// callee cubicle.
-	AtCrossing(core int, callee, symbol string) InjectKind
+	AtCrossing(callee, symbol string) InjectKind
 	// AtWindowOp is consulted on window-management calls by cubicle owner.
-	AtWindowOp(core int, owner, op string) InjectKind
+	AtWindowOp(owner, op string) InjectKind
 	// AtRetag is consulted when the trap-and-map handler is about to retag
 	// a page for the named cubicle.
-	AtRetag(core int, cubicle string) InjectKind
+	AtRetag(cubicle string) InjectKind
 }
 
 // SetInjector attaches (or, with nil, detaches) a deterministic fault
@@ -61,7 +59,7 @@ func (m *Monitor) noteInjected(id ID, site string) {
 // crossing. It runs with the callee's frame pushed, so containment
 // attributes the fault to the callee exactly as a real one.
 func (m *Monitor) injectAtCrossing(t *Thread, tr *Trampoline) {
-	kind := m.inj.AtCrossing(t.core, tr.cub.Name, tr.sym)
+	kind := m.inj.AtCrossing(tr.cub.Name, tr.sym)
 	if kind == InjectNone {
 		return
 	}

@@ -24,7 +24,7 @@ import (
 type MetricsSample struct {
 	// Seq is the sample's position in the stream (survives ring wrap).
 	Seq uint64 `json:"seq"`
-	// Cycle is the sampling core's virtual clock at snapshot time.
+	// Cycle is the virtual clock at snapshot time.
 	Cycle uint64 `json:"cycle"`
 	// Interval is the virtual cycles since the previous sample (the
 	// configured interval, or more if crossings were sparse).
@@ -66,7 +66,7 @@ type metricsCollector struct {
 	next     uint64 // next sampling threshold on the virtual clock
 	ring     []MetricsSample
 	n        uint64 // samples taken (ring index n & mask)
-	prev     Stats // counters at the previous sample; deltas subtract it
+	prev     Stats  // counters at the previous sample; deltas subtract it
 	prevCyc  uint64
 }
 
@@ -224,7 +224,7 @@ func (m *Monitor) MetricsDropped() uint64 {
 // --- OpenMetrics exposition ---------------------------------------------------
 
 // WriteOpenMetrics writes the monitor's counters, the latest metrics
-// sample's rate gauges, and the trace ring-shard accounting in OpenMetrics
+// sample's rate gauges, and the trace ring's accounting in OpenMetrics
 // text exposition format, terminated by the mandatory "# EOF" marker. This
 // is the body the simulated httpd serves from /metrics.
 func (m *Monitor) WriteOpenMetrics(w io.Writer) error {
@@ -242,7 +242,7 @@ func (m *Monitor) WriteOpenMetrics(w io.Writer) error {
 	for _, c := range Counters {
 		counter(c.Name, c.Help, *c.Field(&m.Stats))
 	}
-	gauge("virtual_seconds", "Virtual time elapsed", float64(m.smpNow())/float64(cycles.FrequencyHz))
+	gauge("virtual_seconds", "Virtual time elapsed", float64(m.Clock.Cycles())/float64(cycles.FrequencyHz))
 	if mc := m.met; mc != nil {
 		counter("metrics_samples", "Metrics snapshots taken", m.MetricsRecorded())
 		counter("metrics_samples_dropped", "Metrics snapshots aged out of the ring", m.MetricsDropped())
@@ -258,16 +258,8 @@ func (m *Monitor) WriteOpenMetrics(w io.Writer) error {
 		}
 	}
 	if trc := m.trc; trc != nil {
-		fmt.Fprintf(bw, "# HELP cubicleos_trace_shard_recorded Events recorded per trace ring shard\n")
-		fmt.Fprintf(bw, "# TYPE cubicleos_trace_shard_recorded counter\n")
-		for c := 0; c < trc.Cores(); c++ {
-			fmt.Fprintf(bw, "cubicleos_trace_shard_recorded_total{core=\"%d\"} %d\n", c, trc.ShardRecorded(c))
-		}
-		fmt.Fprintf(bw, "# HELP cubicleos_trace_shard_dropped Events overwritten by ring wrap per shard\n")
-		fmt.Fprintf(bw, "# TYPE cubicleos_trace_shard_dropped counter\n")
-		for c := 0; c < trc.Cores(); c++ {
-			fmt.Fprintf(bw, "cubicleos_trace_shard_dropped_total{core=\"%d\"} %d\n", c, trc.ShardDropped(c))
-		}
+		counter("trace_events_recorded", "Events recorded by the trace ring", trc.Recorded())
+		counter("trace_events_dropped", "Events overwritten by trace ring wrap", trc.Dropped())
 	}
 	fmt.Fprint(bw, "# EOF\n")
 	return bw.Flush()
@@ -282,10 +274,10 @@ func (m *Monitor) OpenMetricsBody() []byte {
 }
 
 // ParseOpenMetrics is a minimal parser for the exposition WriteOpenMetrics
-// produces: it returns the sample values keyed by series name (labels
-// included verbatim, e.g. `cubicleos_trace_shard_dropped_total{core="1"}`)
-// and verifies the mandatory trailing "# EOF". It exists so tests and the
-// dashboard can round-trip the endpoint without external dependencies.
+// produces: it returns the sample values keyed by series name (labels,
+// if any, included verbatim) and verifies the mandatory trailing "# EOF".
+// It exists so tests and the dashboard can round-trip the endpoint without
+// external dependencies.
 func ParseOpenMetrics(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)

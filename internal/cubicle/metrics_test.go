@@ -120,8 +120,8 @@ func TestOpenMetricsRoundTrip(t *testing.T) {
 		"cubicleos_virtual_seconds", "cubicleos_metrics_samples_total",
 		"cubicleos_call_rate", "cubicleos_healthy_cubicles",
 		"cubicleos_call_p50_cycles",
-		`cubicleos_trace_shard_recorded_total{core="0"}`,
-		`cubicleos_trace_shard_dropped_total{core="0"}`,
+		`cubicleos_trace_events_recorded_total`,
+		`cubicleos_trace_events_dropped_total`,
 	} {
 		if _, ok := series[want]; !ok {
 			t.Errorf("exposition missing series %s", want)

@@ -66,12 +66,9 @@ type Monitor struct {
 	memQuota map[ID]uint64
 	memUsed  map[ID]uint64
 
-	// SMP state (see smp.go). smpN is the simulated core count (0/1 =
-	// single-core, every SMP hook a no-op); coreClks[0] aliases Clock;
-	// machine is the GVT view over the core clocks.
-	smpN     int
-	coreClks []*cycles.Clock
-	machine  *cycles.Machine
+	// smpN is the simulated core count (0/1 = single-core): a retag pays
+	// the shootdown surcharge for smpN-1 remote cores (smp.go).
+	smpN int
 	// fastCross caches "no optional subsystem wants a hook at crossings":
 	// tracing, fault injection, metrics sampling and checkpoint cadence
 	// all disabled. The trampoline's trusted fast path tests this one flag
@@ -144,9 +141,6 @@ func (m *Monitor) EnableTracing(ringCap int) *trace.Tracer {
 		}
 		return ""
 	})
-	if m.smpN > 1 {
-		m.installCoreResolver()
-	}
 	m.recomputeFastCross()
 	return m.trc
 }
@@ -388,7 +382,7 @@ func pageTablePerm(kind mpk.AccessKind, perm vm.Perm) bool {
 //	❺ if allowed, retag the page's MPK key to the faulting cubicle.
 func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.Page) {
 	m.Stats.Faults++
-	clk := m.clkOf(t)
+	clk := m.Clock
 	trapStart := clk.Cycles()
 	clk.Charge(m.Costs.TrapEntry + m.Costs.PageMetaLookup)
 
@@ -446,7 +440,7 @@ func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.P
 		deny("no open window authorises the access")
 	}
 	if m.inj != nil {
-		if k := m.inj.AtRetag(t.core, m.cubicle(cur).Name); k != InjectNone {
+		if k := m.inj.AtRetag(m.cubicle(cur).Name); k != InjectNone {
 			// An injected retag failure presents as a denied trap so the
 			// fault/denial accounting stays consistent with real denials.
 			m.noteInjected(cur, "retag")
@@ -470,7 +464,7 @@ func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.P
 // retags). On an SMP machine the retag additionally pays the per-core
 // shootdown synchronisation (smp.go).
 func (m *Monitor) noteRetag(t *Thread, cub ID, addr vm.Addr, key mpk.Key) {
-	m.clkOf(t).Charge(m.Costs.PkeyMprotect)
+	m.Clock.Charge(m.Costs.PkeyMprotect)
 	m.Stats.Retags++
 	if m.trc != nil {
 		m.trc.Retag(tidOf(t), int(cub), uint64(addr), uint8(key))
@@ -482,7 +476,7 @@ func (m *Monitor) noteRetag(t *Thread, cub ID, addr vm.Addr, key mpk.Key) {
 func (m *Monitor) wrpkru(t *Thread, v mpk.PKRU) {
 	t.pkru = v
 	if m.Mode.MPKEnabled() {
-		t.clk.Charge(m.Costs.WRPKRU)
+		m.Clock.Charge(m.Costs.WRPKRU)
 		m.Stats.WRPKRUs++
 		if m.trc != nil {
 			m.trc.WRPKRU(t.id, int(t.cur), uint64(v))

@@ -111,7 +111,8 @@ func (m *Monitor) refreshThreadPKRUs() {
 }
 
 // WindowPin assigns window wid a dedicated MPK key (§8 extension): its
-// contents stop trap-and-mapping for the owner and every grantee.
+// contents stop trap-and-mapping for the owner and every grantee. Like
+// WindowUnpin, only tests call it; both stay as part of the Table 1 surface.
 func (e *Env) WindowPin(wid WID) {
 	if e.M.pinWindow(e.T, e.T.cur, wid) && e.M.sup != nil {
 		e.T.journal = append(e.T.journal, undoEntry{kind: undoUnpinWindow,

@@ -8,11 +8,9 @@ import (
 	"cubicleos/internal/vm"
 )
 
-// newWorker creates a thread placed on the given core with its own Env.
-func newWorker(m *Monitor, core int) *Env {
-	t := m.NewThread()
-	m.SetThreadCore(t, core)
-	return m.NewEnv(t)
+// newWorker creates a thread with its own Env.
+func newWorker(m *Monitor) *Env {
+	return m.NewEnv(m.NewThread())
 }
 
 // enterOn switches a worker thread into the named cubicle the way the
@@ -30,8 +28,8 @@ func leaveOn(ts *testSystem, e *Env) {
 	e.T.popFrame()
 }
 
-// roundRobin is how one goroutine drives threads placed on several cores:
-// it steps every core once per iteration, in core order.
+// roundRobin is how one goroutine drives several threads: it steps every
+// worker once per iteration, in worker order.
 func roundRobin(cores, iters int, step func(c, i int)) {
 	for i := 0; i < iters; i++ {
 		for c := 0; c < cores; c++ {
@@ -42,21 +40,20 @@ func roundRobin(cores, iters int, step func(c, i int)) {
 
 // TestShootdownInvalidatesRemoteTLBs is the unit contract of the
 // libmpk-style retag sync: on a 2-core monitor a shootdown charges
-// ShootdownIPI per remote core to the retagging thread and counts one
-// shootdown. It models the cost only; the simulator has no per-thread
-// translation state to invalidate.
+// ShootdownIPI per remote core and counts one shootdown. It models the
+// cost only; the simulator has no per-thread translation state to
+// invalidate.
 func TestShootdownInvalidatesRemoteTLBs(t *testing.T) {
 	ts := bootPair(t, ModeFull)
 	m := ts.m
 	m.EnableSMP(2)
-	newWorker(m, 1)
-	t0 := ts.env.T // boot thread stays on core 0
+	t0 := ts.env.T
 
-	before := t0.clk.Cycles()
+	before := m.Clock.Cycles()
 	m.shootdown(t0, ts.cubs["FOO"].ID)
 
 	wantCost := m.Costs.ShootdownIPI // one remote core
-	if got := t0.clk.Cycles() - before; got != wantCost {
+	if got := m.Clock.Cycles() - before; got != wantCost {
 		t.Fatalf("shootdown charged %d cycles, want %d", got, wantCost)
 	}
 	if m.Stats.TLBShootdowns != 1 {
@@ -80,19 +77,18 @@ func TestShootdownSingleCoreIsFree(t *testing.T) {
 	}
 }
 
-// TestSMPRetagShootsDownEndToEnd drives a real trap-and-map retag on core
-// 0 of a 2-core machine and asserts the retag carried a shootdown: the
-// counters moved, and the trace recorded the shootdown with the retagging
-// thread's core.
+// TestSMPRetagShootsDownEndToEnd drives a real trap-and-map retag on a
+// 2-core machine and asserts the retag carried a shootdown: the counters
+// moved, and the trace recorded it.
 func TestSMPRetagShootsDownEndToEnd(t *testing.T) {
 	ts := bootPair(t, ModeFull)
 	m := ts.m
 	trc := m.EnableTracing(1 << 12)
 	m.EnableSMP(2)
-	e1 := newWorker(m, 1)
+	e1 := newWorker(m)
 
 	addr := ts.heapIn(t, "FOO", 64)
-	// A crossing on core 1, so the trace holds events from both cores.
+	// A crossing on a second thread, so the trace holds events from two.
 	m.MustResolve(MonitorID, "FOO", "foo_noop").Call(e1)
 
 	barID := ts.cubs["BAR"].ID
@@ -114,29 +110,18 @@ func TestSMPRetagShootsDownEndToEnd(t *testing.T) {
 	if got := StatsFromTrace(trc); !reflect.DeepEqual(got, m.Stats) {
 		t.Fatalf("StatsFromTrace diverged:\n got  %+v\n want %+v", got, m.Stats)
 	}
-	// Events carry the recording thread's core.
-	core1 := false
-	for _, ev := range trc.Events() {
-		if ev.Core == 1 {
-			core1 = true
-			break
-		}
-	}
-	if !core1 {
-		t.Fatalf("no trace event stamped with core 1")
-	}
 }
 
 // smpRun is everything one run of smpPingPong leaves behind that must
-// repeat exactly: per-core clocks, live counters and the merged
-// (Cycle, Core, Seq)-ordered trace stream.
+// repeat exactly: the clock after each worker's last step, live counters
+// and the trace stream.
 type smpRun struct {
 	clocks    []uint64
 	stats     Stats
 	fromTrace Stats
 	events    []trace.Event
 
-	// The system itself and the per-core buffers, for callers that inspect
+	// The system itself and the per-worker buffers, for callers that inspect
 	// memory afterwards.
 	ts    *testSystem
 	addrs []vm.Addr
@@ -144,11 +129,11 @@ type smpRun struct {
 
 // smpPingPong runs the retag ping-pong with one thread per core, stepped
 // round-robin: thread c enters FOO and opens a window on its own size-byte
-// buffer to BAR — the three set-up calls interleaved across cores too —
+// buffer to BAR — the three set-up calls interleaved across threads too —
 // then alternates BAR-writes (retag to BAR) with its own stores (retag back
 // to FOO), so every iteration crosses cubicles, traps, retags and shoots
-// down. Page-sized buffers give every core its own page; 64-byte ones share
-// a single heap page, so the cores retag it out from under each other.
+// down. Page-sized buffers give every thread its own page; 64-byte ones share
+// a single heap page, so the threads retag it out from under each other.
 func smpPingPong(t *testing.T, cores, iters int, size uint64) smpRun {
 	t.Helper()
 	ts := bootPair(t, ModeFull)
@@ -162,7 +147,7 @@ func smpPingPong(t *testing.T, cores, iters int, size uint64) smpRun {
 	addrs := make([]vm.Addr, cores)
 	wids := make([]WID, cores)
 	for c := range workers {
-		workers[c] = newWorker(m, c)
+		workers[c] = newWorker(m)
 		addrs[c] = ts.heapIn(t, "FOO", size)
 	}
 	roundRobin(cores, 4, func(c, step int) {
@@ -183,8 +168,8 @@ func smpPingPong(t *testing.T, cores, iters int, size uint64) smpRun {
 		e := workers[c]
 		barH.Call(e, uint64(addrs[c]), uint64(i%64))
 		e.StoreByte(addrs[c], byte(i))
-		if now := m.CoreClock(c).Cycles(); now <= last[c] {
-			t.Fatalf("core %d clock did not advance over iteration %d: %d -> %d", c, i, last[c], now)
+		if now := m.Clock.Cycles(); now <= last[c] {
+			t.Fatalf("worker %d: clock did not advance over iteration %d: %d -> %d", c, i, last[c], now)
 		} else {
 			last[c] = now
 		}
@@ -197,8 +182,8 @@ func smpPingPong(t *testing.T, cores, iters int, size uint64) smpRun {
 }
 
 // fiveRunsIdentical is the determinism gate: the trace view of run 0 equals
-// its live counters, and four more runs reproduce its per-core clocks, its
-// Stats (WindowSearchSteps included) and its merged event stream — symbols,
+// its live counters, and four more runs reproduce its clock readings, its
+// Stats (WindowSearchSteps included) and its event stream — symbols,
 // payloads and cycle stamps — exactly. It returns run 0.
 func fiveRunsIdentical(t *testing.T, cores, iters int, size uint64) smpRun {
 	t.Helper()
@@ -209,7 +194,7 @@ func fiveRunsIdentical(t *testing.T, cores, iters int, size uint64) smpRun {
 	for run := 1; run < 5; run++ {
 		r := smpPingPong(t, cores, iters, size)
 		if !reflect.DeepEqual(r.clocks, r0.clocks) {
-			t.Fatalf("run %d per-core clocks diverged: %v vs %v", run, r.clocks, r0.clocks)
+			t.Fatalf("run %d clocks diverged: %v vs %v", run, r.clocks, r0.clocks)
 		}
 		if !reflect.DeepEqual(r.stats, r0.stats) {
 			t.Fatalf("run %d stats diverged:\n got  %+v\n want %+v", run, r.stats, r0.stats)
@@ -218,11 +203,11 @@ func fiveRunsIdentical(t *testing.T, cores, iters int, size uint64) smpRun {
 			t.Fatalf("run %d trace view diverged", run)
 		}
 		if len(r.events) != len(r0.events) {
-			t.Fatalf("run %d merged %d events, run 0 merged %d", run, len(r.events), len(r0.events))
+			t.Fatalf("run %d recorded %d events, run 0 recorded %d", run, len(r.events), len(r0.events))
 		}
 		for i := range r.events {
 			if r.events[i] != r0.events[i] {
-				t.Fatalf("run %d merged stream diverged at event %d:\n got  %+v\n want %+v",
+				t.Fatalf("run %d stream diverged at event %d:\n got  %+v\n want %+v",
 					run, i, r.events[i], r0.events[i])
 			}
 		}
@@ -231,9 +216,9 @@ func fiveRunsIdentical(t *testing.T, cores, iters int, size uint64) smpRun {
 }
 
 // TestSMPParallelRetagsDeterministic is the monitor-level determinism gate:
-// threads on two cores hammer cross-cubicle calls and trap-and-map retags
-// of their own pages, and five runs must produce identical per-core clocks,
-// stats and events.
+// two interleaved threads hammer cross-cubicle calls and trap-and-map retags
+// of their own pages, and five runs must produce identical clocks, stats
+// and events.
 func TestSMPParallelRetagsDeterministic(t *testing.T) {
 	r := fiveRunsIdentical(t, 2, 40, 4096)
 	if r.stats.TLBShootdowns == 0 {
@@ -245,9 +230,9 @@ func TestSMPParallelRetagsDeterministic(t *testing.T) {
 }
 
 // TestSMPSharedPageRetagsConserve is the contended shape: both threads'
-// 64-byte buffers sit on ONE heap page, so each core's trap retags the page
-// the other core last held. One goroutine drives both threads, so the two
-// cores' retags are ordered by program order and the run is held to the
+// 64-byte buffers sit on ONE heap page, so each thread's trap retags the page
+// the other thread last held. One goroutine drives both threads, so their
+// retags are ordered by program order and the run is held to the
 // same five-run identity as the disjoint-page shape — on top of the
 // conservation laws: no call, window op or store is lost, every trap is
 // answered by exactly one retag and one shootdown, and nothing is denied.
@@ -282,41 +267,4 @@ func TestSMPSharedPageRetagsConserve(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestSMPMergedStreamDeterministic is the observability determinism gate
-// at cores=4: every core contributes events to the merged stream, and five
-// runs merge to identical streams.
-func TestSMPMergedStreamDeterministic(t *testing.T) {
-	const cores = 4
-	r := fiveRunsIdentical(t, cores, 25, 4096)
-	seen := make(map[int16]bool)
-	for _, ev := range r.events {
-		seen[ev.Core] = true
-	}
-	for c := int16(0); c < cores; c++ {
-		if !seen[c] {
-			t.Fatalf("no events from core %d in the merged stream", c)
-		}
-	}
-}
-
-// TestSMPCoreClocksIndependent asserts threads charge their own core's
-// clock: work on core 1 must not advance core 0.
-func TestSMPCoreClocksIndependent(t *testing.T) {
-	ts := bootPair(t, ModeFull)
-	m := ts.m
-	m.EnableSMP(2)
-	e1 := newWorker(m, 1)
-	before0, before1 := m.CoreClock(0).Cycles(), m.CoreClock(1).Cycles()
-	e1.Work(10_000)
-	if got := m.CoreClock(0).Cycles(); got != before0 {
-		t.Fatalf("core 0 clock moved by core 1 work: %d -> %d", before0, got)
-	}
-	if got := m.CoreClock(1).Cycles(); got <= before1 {
-		t.Fatalf("core 1 clock did not advance")
-	}
-	if now := m.smpNow(); now < m.CoreClock(1).Cycles() {
-		t.Fatalf("smpNow %d below core 1 clock", now)
-	}
 }

@@ -7,9 +7,8 @@ import (
 )
 
 // RestartPolicy parameterises the supervisor. All durations are virtual
-// cycles; on SMP machines health timestamps use global virtual time as
-// observed at monitor entry (smpNow), so supervision decisions are
-// consistent across cores and deterministic for a given workload.
+// cycles on the monitor's clock, so supervision decisions are
+// deterministic for a given workload.
 type RestartPolicy struct {
 	// MaxRestarts is how many restarts a cubicle may consume within
 	// RestartWindow before it is declared Dead (0 = unlimited).
@@ -93,9 +92,6 @@ func (m *Monitor) EnableContainment(policy RestartPolicy) *Supervisor {
 // disabled.
 func (m *Monitor) Supervisor() *Supervisor { return m.sup }
 
-// Policy returns the supervisor's restart policy.
-func (s *Supervisor) Policy() RestartPolicy { return s.policy }
-
 // Deaths returns how many cubicles were declared Dead.
 func (s *Supervisor) Deaths() uint64 { return s.deaths }
 
@@ -129,7 +125,7 @@ func (s *Supervisor) admit(t *Thread, tr *Trampoline) {
 	m := s.m
 	switch c.health {
 	case Quarantined:
-		if m.smpNow() >= c.restartAt && s.restart(c) {
+		if m.Clock.Cycles() >= c.restartAt && s.restart(c) {
 			return
 		}
 		if c.health == Dead { // the refused restart exhausted the budget
@@ -301,7 +297,7 @@ func (s *Supervisor) quarantine(id ID, cause error) {
 	backoff := s.backoffFor(int(c.consecFaults))
 	old := c.health
 	c.health = Quarantined
-	c.restartAt = s.m.smpNow() + backoff
+	c.restartAt = s.m.Clock.Cycles() + backoff
 	s.m.Stats.Quarantines++
 	if s.m.trc != nil {
 		s.m.trc.Quarantine(int(id), backoff)
@@ -346,7 +342,7 @@ func (s *Supervisor) restart(c *Cubicle) bool {
 			}
 		}
 	}
-	now := m.smpNow()
+	now := m.Clock.Cycles()
 	keep := c.restartLog[:0]
 	for _, ts := range c.restartLog {
 		if now-ts < s.policy.RestartWindow {
@@ -463,7 +459,7 @@ func (s *Supervisor) watchdog(t *Thread) {
 		if !f.crossing {
 			continue
 		}
-		if used := t.clk.Cycles() - f.entryCycles; used > b {
+		if used := s.m.Clock.Cycles() - f.entryCycles; used > b {
 			panic(&BudgetFault{Cubicle: f.exec, Used: used, Budget: b,
 				Reason: "crossing exceeded its watchdog cycle budget"})
 		}

@@ -3,7 +3,6 @@ package cubicle
 import (
 	"fmt"
 
-	"cubicleos/internal/cycles"
 	"cubicleos/internal/mpk"
 	"cubicleos/internal/vm"
 )
@@ -44,9 +43,8 @@ type frame struct {
 // Thread is one execution context. Each thread carries its own PKRU value
 // and per-cubicle stacks, as MPK permissions are per-thread (the PKRU is a
 // per-thread register, §8). Threads are cooperative and never run
-// concurrently, following Unikraft's model — on an SMP deployment
-// (EnableSMP) too, where threads placed on different cores charge different
-// clocks but are still stepped by the one goroutine that drives the monitor.
+// concurrently, following Unikraft's model: the one goroutine that drives
+// the monitor steps them, and all of them charge the monitor's clock.
 type Thread struct {
 	m    *Monitor
 	id   int // dense thread index, stamped into trace events
@@ -57,12 +55,6 @@ type Thread struct {
 	// again after the cubicle restarts.
 	stacks [MaxCubicles]*stack
 	frames []frame
-	// core/clk place the thread on a simulated core (SetThreadCore): all
-	// virtual-time charges the thread causes go to clk. On a single-core
-	// monitor clk aliases m.Clock and core is 0, preserving the legacy
-	// behaviour exactly.
-	core int
-	clk  *cycles.Clock
 	// journal records window-state changes for containment rollback; it is
 	// only appended to while a supervisor is attached and is truncated when
 	// the thread unwinds to depth zero (everything below is committed).
@@ -108,7 +100,6 @@ func (m *Monitor) NewThread() *Thread {
 		id:   len(m.threads),
 		cur:  MonitorID,
 		pkru: mpk.AllAllowed,
-		clk:  m.Clock,
 	}
 	t.pkru = m.pkruFor(MonitorID)
 	m.threads = append(m.threads, t)
@@ -117,9 +108,6 @@ func (m *Monitor) NewThread() *Thread {
 
 // TID returns the thread's dense index (the "tid" of its trace track).
 func (t *Thread) TID() int { return t.id }
-
-// Core returns the simulated core the thread is placed on.
-func (t *Thread) Core() int { return t.core }
 
 // Current returns the cubicle whose privileges the thread is running with.
 func (t *Thread) Current() ID { return t.cur }
@@ -178,7 +166,7 @@ func (t *Thread) pushFrame(callee ID, crossing bool) {
 		// The profiler attributes elapsed cycles to the executing
 		// cubicle; a crossing frame is exactly a cubicle switch.
 		if trc := t.m.trc; trc != nil {
-			trc.SwitchCubicle(t.id, int(callee))
+			trc.SwitchCubicle(int(callee))
 		}
 	}
 	s := t.stackFor(t.cur)
@@ -189,7 +177,7 @@ func (t *Thread) pushFrame(callee ID, crossing bool) {
 		savedPKRU:   t.pkru,
 		crossing:    crossing,
 		jmark:       len(t.journal),
-		entryCycles: t.clk.Cycles(),
+		entryCycles: t.m.Clock.Cycles(),
 		wmark:       len(t.words),
 	})
 }
@@ -210,7 +198,7 @@ func (t *Thread) popFrame() {
 	if f.crossing {
 		t.cur = f.caller
 		if trc := t.m.trc; trc != nil {
-			trc.SwitchCubicle(t.id, int(f.caller))
+			trc.SwitchCubicle(int(f.caller))
 		}
 	}
 	t.pkru = f.savedPKRU

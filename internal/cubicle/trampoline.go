@@ -129,6 +129,8 @@ func (m *Monitor) installGuard(tr *Trampoline, caller ID) {
 }
 
 // GuardAddr returns the guard page address installed for caller, or 0.
+// With ExecuteAt it is the CFI attack hook: only tests use the pair, and the
+// red-team battery (ROADMAP item 3) builds on it.
 func (tr *Trampoline) GuardAddr(caller ID) vm.Addr { return tr.guards[caller] }
 
 // Call invokes the handle's target with the given argument words,
@@ -153,7 +155,7 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 	if m.ckptInterval != 0 && len(t.frames) == 0 {
 		// Checkpoint cadence: outermost call entries are the monitor's
 		// quiescent points.
-		m.maybeCheckpoint(t)
+		m.maybeCheckpoint()
 	}
 
 	// Same-cubicle call: a plain function call, no TCB involvement.
@@ -213,9 +215,9 @@ func (h Handle) callLocal(e *Env, args []uint64) []uint64 {
 func (h Handle) crossFast(e *Env, args []uint64) []uint64 {
 	m, t, tr := h.m, e.T, h.tr
 	if m.Mode.TrampolinesEnabled() {
-		t.clk.Charge(m.Costs.TrampolineBase)
+		m.Clock.Charge(m.Costs.TrampolineBase)
 		if tr.stackBytes > 0 {
-			t.clk.Charge(uint64(tr.stackBytes) * m.Costs.StackArgByte)
+			m.Clock.Charge(uint64(tr.stackBytes) * m.Costs.StackArgByte)
 			m.Stats.StackBytesCopied += uint64(tr.stackBytes)
 		}
 	}
@@ -235,7 +237,7 @@ func (h Handle) crossFast(e *Env, args []uint64) []uint64 {
 	}
 	rets := tr.fn(e, t.stageArgs(args))
 	if m.Mode.TrampolinesEnabled() {
-		t.clk.Charge(m.Costs.TrampolineBase)
+		m.Clock.Charge(m.Costs.TrampolineBase)
 	}
 	if m.Mode.MPKEnabled() {
 		m.wrpkru(t, m.pkruOf(h.caller))
@@ -250,7 +252,7 @@ func (h Handle) crossFull(e *Env, args []uint64) []uint64 {
 	if m.met != nil {
 		// Metrics sampling rides the crossing rate: the first crossing at
 		// or past each interval threshold takes the snapshot.
-		m.maybeSampleMetrics(t.clk.Cycles())
+		m.maybeSampleMetrics(m.Clock.Cycles())
 	}
 
 	var copied uint64
@@ -261,9 +263,9 @@ func (h Handle) crossFull(e *Env, args []uint64) []uint64 {
 		m.trc.CallEnter(t.id, int(t.cur), int(tr.callee), tr.Symbol(), copied)
 	}
 	if m.Mode.TrampolinesEnabled() {
-		t.clk.Charge(m.Costs.TrampolineBase)
+		m.Clock.Charge(m.Costs.TrampolineBase)
 		if tr.stackBytes > 0 {
-			t.clk.Charge(uint64(tr.stackBytes) * m.Costs.StackArgByte)
+			m.Clock.Charge(uint64(tr.stackBytes) * m.Costs.StackArgByte)
 			m.Stats.StackBytesCopied += uint64(tr.stackBytes)
 		}
 	}
@@ -297,7 +299,7 @@ func (h Handle) crossFull(e *Env, args []uint64) []uint64 {
 	// Return path: switch permissions and stacks back (§5.5 "function
 	// returns across cubicles are handled in a similar way").
 	if m.Mode.TrampolinesEnabled() {
-		t.clk.Charge(m.Costs.TrampolineBase)
+		m.Clock.Charge(m.Costs.TrampolineBase)
 	}
 	if m.Mode.MPKEnabled() {
 		m.wrpkru(t, m.pkruOf(h.caller))

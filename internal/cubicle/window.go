@@ -69,14 +69,14 @@ func (w *Window) String() string {
 // event (wid -1 when the window is not yet allocated).
 func (m *Monitor) chargeWindowOp(t *Thread, c ID, op string, wid WID) {
 	if m.Mode.ACLEnabled() {
-		m.clkOf(t).Charge(m.Costs.WindowOp)
+		m.Clock.Charge(m.Costs.WindowOp)
 		m.Stats.WindowOps++
 		if m.trc != nil {
 			m.trc.WindowOp(tidOf(t), int(c), op, int(wid))
 		}
 	}
 	if m.inj != nil {
-		if k := m.inj.AtWindowOp(coreOfThread(t), m.cubicle(c).Name, op); k != InjectNone {
+		if k := m.inj.AtWindowOp(m.cubicle(c).Name, op); k != InjectNone {
 			m.noteInjected(c, "window_op")
 			panic(&ProtectionFault{Cubicle: c, Owner: c,
 				Reason: "injected fault at window op"})

@@ -22,21 +22,6 @@ package cycles
 type Machine struct {
 	clocks []*Clock
 	gvt    uint64
-	// barriers counts Barrier calls (observability; the uksched quantum
-	// counter and this must agree when the scheduler drives the machine).
-	barriers uint64
-}
-
-// NewMachine creates a machine with n fresh per-core clocks (n >= 1).
-func NewMachine(n int) *Machine {
-	if n < 1 {
-		n = 1
-	}
-	clocks := make([]*Clock, n)
-	for i := range clocks {
-		clocks[i] = &Clock{}
-	}
-	return &Machine{clocks: clocks}
 }
 
 // MachineOver adopts existing clocks as the machine's cores, one core per
@@ -51,18 +36,11 @@ func MachineOver(clocks ...*Clock) *Machine {
 	return m
 }
 
-// NumCores returns the number of cores.
-func (m *Machine) NumCores() int { return len(m.clocks) }
-
-// Core returns core i's clock.
-func (m *Machine) Core(i int) *Clock { return m.clocks[i] }
-
 // Barrier is the quantum barrier: it recomputes global virtual time as
 // the maximum over the per-core clocks and returns it. GVT is clamped
 // monotone — a Clock.Reset on one core can never move global time
 // backwards, which is the property the monotonicity tests pin down.
 func (m *Machine) Barrier() uint64 {
-	m.barriers++
 	max := m.gvt
 	for _, c := range m.clocks {
 		if v := c.Cycles(); v > max {
@@ -76,6 +54,3 @@ func (m *Machine) Barrier() uint64 {
 // GVT returns global virtual time as of the last barrier (0 before the
 // first one).
 func (m *Machine) GVT() uint64 { return m.gvt }
-
-// Barriers returns how many quantum barriers have been taken.
-func (m *Machine) Barriers() uint64 { return m.barriers }

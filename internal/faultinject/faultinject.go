@@ -67,15 +67,14 @@ const (
 // Injector is a deterministic cubicle.Injector. It starts disarmed so
 // that boot wiring and provisioning run fault-free; call Arm when the
 // workload under test begins. All methods are safe for concurrent use:
-// SMP monitors consult the injector from worker goroutines (under the
-// monitor lock, but injectors may be shared across monitors).
+// a monitor is driven by one goroutine, but one Injector may be shared by
+// the monitors of several shards, each on its own goroutine.
 //
-// Each simulated core draws from its own splitmix64 stream, seeded as
-// Seed ⊕ mix64(core). Decisions on one core therefore never shift the
-// stream of another — the property that makes chaos schedules
-// reproducible when cores interleave nondeterministically in wall-clock
-// time — and mix64(0) == 0, so core 0 reproduces the single-core stream
-// bit for bit.
+// Each decision stream is its own splitmix64 sequence, seeded as
+// Seed ⊕ mix64(key): the monitor's three sites share stream 0
+// (mix64(0) == 0, so it is the plain seeded stream), every wire and every
+// routed-to backend has its own. Decisions on one stream therefore never
+// shift another.
 type Injector struct {
 	mu     sync.Mutex
 	cfg    Config
@@ -92,12 +91,12 @@ type Injector struct {
 	Fired     uint64
 }
 
-// Stream-key bases for the non-crossing decision streams. Each site
-// family draws from its own splitmix64 stream per key, offset far from
-// any plausible core number, so wire and route decisions never shift the
-// crossing streams (and vice versa) — chaos schedules stay reproducible
-// when the sites interleave differently run to run.
+// Stream keys: the monitor's sites draw from monitorKey; the wire and
+// route families draw from one stream per wire or backend, offset so they
+// never shift the monitor's stream (and vice versa) — chaos schedules stay
+// reproducible when the sites interleave differently run to run.
 const (
+	monitorKey   = 0
 	wireKeyBase  = 1 << 20
 	routeKeyBase = 2 << 20
 )
@@ -107,7 +106,7 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, states: make(map[int]uint64)}
 }
 
-// mix64 is the splitmix64 output permutation, used to derive per-core
+// mix64 is the splitmix64 output permutation, used to derive per-key
 // stream seeds. mix64(0) == 0 by construction.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -136,20 +135,20 @@ func (j *Injector) Armed() bool {
 	return j.armed
 }
 
-// next advances core's splitmix64 stream, creating it on first use.
-func (j *Injector) next(core int) uint64 {
-	st, ok := j.states[core]
+// next advances key's splitmix64 stream, creating it on first use.
+func (j *Injector) next(key int) uint64 {
+	st, ok := j.states[key]
 	if !ok {
-		st = (j.cfg.Seed ^ 0x9e3779b97f4a7c15) ^ mix64(uint64(core))
+		st = (j.cfg.Seed ^ 0x9e3779b97f4a7c15) ^ mix64(uint64(key))
 	}
 	st += 0x9e3779b97f4a7c15
-	j.states[core] = st
+	j.states[key] = st
 	return mix64(st)
 }
 
-// draw returns a uniform float64 in [0, 1) from core's stream.
-func (j *Injector) draw(core int) float64 {
-	return float64(j.next(core)>>11) / (1 << 53)
+// draw returns a uniform float64 in [0, 1) from key's stream.
+func (j *Injector) draw(key int) float64 {
+	return float64(j.next(key)>>11) / (1 << 53)
 }
 
 func (j *Injector) match(name string) bool {
@@ -160,14 +159,14 @@ func (j *Injector) match(name string) bool {
 // crossing fault kinds via a cumulative probability ladder; sites that do
 // not match the target filter consume no draw, so narrowing the target
 // does not shift the decision stream of the targeted cubicle.
-func (j *Injector) AtCrossing(core int, callee, symbol string) cubicle.InjectKind {
+func (j *Injector) AtCrossing(callee, symbol string) cubicle.InjectKind {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.armed || !j.match(callee) {
 		return cubicle.InjectNone
 	}
 	j.Crossings++
-	u := j.draw(core)
+	u := j.draw(monitorKey)
 	p := j.cfg.ProtAtCrossing
 	if u < p {
 		j.Fired++
@@ -192,14 +191,14 @@ func (j *Injector) AtCrossing(core int, callee, symbol string) cubicle.InjectKin
 }
 
 // AtWindowOp implements cubicle.Injector.
-func (j *Injector) AtWindowOp(core int, owner, op string) cubicle.InjectKind {
+func (j *Injector) AtWindowOp(owner, op string) cubicle.InjectKind {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.armed || !j.match(owner) || j.cfg.ProtAtWindowOp <= 0 {
 		return cubicle.InjectNone
 	}
 	j.WindowOps++
-	if j.draw(core) < j.cfg.ProtAtWindowOp {
+	if j.draw(monitorKey) < j.cfg.ProtAtWindowOp {
 		j.Fired++
 		return cubicle.InjectProt
 	}
@@ -252,14 +251,14 @@ func (j *Injector) AtRoute(backend int) RouteChaos {
 }
 
 // AtRetag implements cubicle.Injector.
-func (j *Injector) AtRetag(core int, cub string) cubicle.InjectKind {
+func (j *Injector) AtRetag(cub string) cubicle.InjectKind {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.armed || !j.match(cub) || j.cfg.ProtAtRetag <= 0 {
 		return cubicle.InjectNone
 	}
 	j.Retags++
-	if j.draw(core) < j.cfg.ProtAtRetag {
+	if j.draw(monitorKey) < j.cfg.ProtAtRetag {
 		j.Fired++
 		return cubicle.InjectProt
 	}

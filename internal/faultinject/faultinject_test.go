@@ -9,7 +9,7 @@ import (
 func drive(j *Injector, n int, name string) []cubicle.InjectKind {
 	out := make([]cubicle.InjectKind, n)
 	for i := range out {
-		out[i] = j.AtCrossing(0, name, "sym")
+		out[i] = j.AtCrossing(name, "sym")
 	}
 	return out
 }
@@ -84,9 +84,9 @@ func TestDisarmedAndZeroConfigNeverFire(t *testing.T) {
 	z := New(Config{Seed: 1}) // armed, all probabilities zero
 	z.Arm()
 	for i := 0; i < 100; i++ {
-		if z.AtCrossing(0, "X", "s") != cubicle.InjectNone ||
-			z.AtWindowOp(0, "X", "op") != cubicle.InjectNone ||
-			z.AtRetag(0, "X") != cubicle.InjectNone {
+		if z.AtCrossing("X", "s") != cubicle.InjectNone ||
+			z.AtWindowOp("X", "op") != cubicle.InjectNone ||
+			z.AtRetag("X") != cubicle.InjectNone {
 			t.Fatal("zero-probability injector fired")
 		}
 	}
@@ -105,10 +105,10 @@ func TestTargetFilterDoesNotShiftStream(t *testing.T) {
 	want := drive(pure, 1000, "RAMFS")
 	var got []cubicle.InjectKind
 	for i := 0; i < 1000; i++ {
-		if k := mixed.AtCrossing(0, "LWIP", "s"); k != cubicle.InjectNone {
+		if k := mixed.AtCrossing("LWIP", "s"); k != cubicle.InjectNone {
 			t.Fatal("injected into a cubicle outside the target filter")
 		}
-		got = append(got, mixed.AtCrossing(0, "RAMFS", "s"))
+		got = append(got, mixed.AtCrossing("RAMFS", "s"))
 	}
 	for i := range want {
 		if want[i] != got[i] {
@@ -142,10 +142,10 @@ func TestWindowOpAndRetagSites(t *testing.T) {
 	j.Arm()
 	firedW, firedR := 0, 0
 	for i := 0; i < 1000; i++ {
-		if j.AtWindowOp(0, "X", "window_open") == cubicle.InjectProt {
+		if j.AtWindowOp("X", "window_open") == cubicle.InjectProt {
 			firedW++
 		}
-		if j.AtRetag(0, "X") == cubicle.InjectProt {
+		if j.AtRetag("X") == cubicle.InjectProt {
 			firedR++
 		}
 	}
@@ -182,7 +182,7 @@ func TestWireDropScheduleDeterministic(t *testing.T) {
 	got := make([]bool, 0, 5000)
 	for i := 0; i < 5000; i++ {
 		if i%3 == 0 {
-			b.AtCrossing(0, "RAMFS", "sym")
+			b.AtCrossing("RAMFS", "sym")
 		}
 		got = append(got, b.AtWire(0))
 	}

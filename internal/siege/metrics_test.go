@@ -77,7 +77,7 @@ func TestMetricsEndpointServesOpenMetrics(t *testing.T) {
 		"cubicleos_restarts_total", "cubicleos_tlb_shootdowns_total",
 		"cubicleos_virtual_seconds",
 		"cubicleos_metrics_samples_total", "cubicleos_healthy_cubicles",
-		`cubicleos_trace_shard_recorded_total{core="0"}`,
+		"cubicleos_trace_events_recorded_total", "cubicleos_trace_events_dropped_total",
 	} {
 		if _, ok := series[want]; !ok {
 			t.Errorf("/metrics missing series %s", want)

@@ -288,9 +288,9 @@ func TestRestartBudgetExhaustionUnderLoad(t *testing.T) {
 	}
 }
 
-// replayEvents drives the chaos+checkpoint workload and returns the
-// shard-merged trace events with Cycle <= stop (stop=0: the full run).
-func replayEvents(t *testing.T, cores int, stop uint64) []trace.Event {
+// replayRun drives the chaos+checkpoint workload on a fresh target, to
+// the end (stop=0) or until the virtual clock passes stop.
+func replayRun(t *testing.T, cores int, stop uint64) *Target {
 	t.Helper()
 	policy := cubicle.DefaultRestartPolicy()
 	policy.MaxRestarts = 1000
@@ -326,11 +326,18 @@ func replayEvents(t *testing.T, cores int, stop uint64) []trace.Event {
 		}
 	}
 	tgt.Sys.Chaos.Disarm()
-	trc := tgt.Sys.M.Tracer()
-	if d := trc.Dropped(); d != 0 {
+	if d := tgt.Sys.M.Tracer().Dropped(); d != 0 {
 		t.Fatalf("trace ring dropped %d events; prefix comparison unsound", d)
 	}
-	events := trc.Events()
+	return tgt
+}
+
+// replayEvents returns the trace events of one replayRun with
+// Cycle <= stop (stop=0: the full run).
+func replayEvents(t *testing.T, cores int, stop uint64) []trace.Event {
+	t.Helper()
+	tgt := replayRun(t, cores, stop)
+	events := tgt.Sys.M.Tracer().Events()
 	cutoff := stop
 	if cutoff == 0 {
 		cutoff = tgt.Sys.M.Clock.Cycles()

@@ -77,8 +77,8 @@ type Options struct {
 	AllocClientQuota uint64
 	WireCap          int
 	ReapClosed       bool
-	// SMPCores passes through to boot.Config: > 1 gives the deployment
-	// per-core virtual clocks and per-core trace ring shards.
+	// SMPCores passes through to boot.Config: > 1 adds the retag
+	// shootdown surcharge for the remote cores.
 	SMPCores int
 	// CheckpointInterval passes through to boot.Config: > 0 makes the
 	// monitor checkpoint quiescent cubicles on that virtual-clock cadence,

@@ -59,9 +59,6 @@ func (db *DB) Close() error { return db.pager.Close() }
 // Pager exposes pager statistics to the benchmark harness.
 func (db *DB) Pager() *Pager { return db.pager }
 
-// Catalog exposes the schema (read-only use).
-func (db *DB) Catalog() *Catalog { return db.cat }
-
 func (db *DB) nextRand() uint64 {
 	x := db.rand
 	x ^= x >> 12

@@ -15,17 +15,6 @@ func cyclesToUs(c uint64) float64 {
 	return float64(c) / (float64(cycles.FrequencyHz) / 1e6)
 }
 
-// countsAll sums the per-shard streaming counters into one view.
-func (t *Tracer) countsAll() (counts, weights [NumKinds]uint64) {
-	for _, s := range t.shards {
-		for k := 0; k < int(NumKinds); k++ {
-			counts[k] += s.counts[k]
-			weights[k] += s.weights[k]
-		}
-	}
-	return counts, weights
-}
-
 // --- Chrome trace_event JSON -------------------------------------------------
 
 // chromeEvent is one entry of the Chrome trace_event format (the JSON
@@ -48,24 +37,18 @@ type chromeTrace struct {
 	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 
-// chromeTid maps an event to its Chrome track. Monitor-context events
-// (thread -1) share one synthetic track. On a single-core machine worker
-// tracks are the thread IDs, as before sharding; on a multi-core machine
-// each core gets its own track band — Event.Core picks the band, the
-// thread the lane within it — so Perfetto renders per-core swimlanes.
+// chromeTid maps an event to its Chrome track: the thread ID, with
+// monitor-context events (thread -1) sharing one synthetic track.
 const monitorTid = 99
 
-func (t *Tracer) chromeTid(ev Event) int {
+func chromeTid(ev Event) int {
 	if ev.Thread < 0 {
 		return monitorTid
-	}
-	if len(t.shards) > 1 {
-		return 1000*(int(ev.Core)+1) + int(ev.Thread)
 	}
 	return int(ev.Thread)
 }
 
-// ChromeTrace renders the merged ring contents as a Chrome trace_event
+// ChromeTrace renders the ring contents as a Chrome trace_event
 // JSON document. Call spans become B/E duration events on the recording
 // thread's track; faults become complete ("X") events spanning the
 // handler's cycle cost; everything else becomes thread-scoped instants.
@@ -75,7 +58,6 @@ func (t *Tracer) ChromeTrace() ([]byte, error) {
 		DisplayTimeUnit: "ns",
 		OtherData: map[string]any{
 			"clock":           "virtual cycles at 2.20 GHz",
-			"cores":           len(t.shards),
 			"events_recorded": t.Recorded(),
 			"events_dropped":  t.Dropped(),
 		},
@@ -87,7 +69,7 @@ func (t *Tracer) ChromeTrace() ([]byte, error) {
 	})
 	seenTids := map[int]bool{}
 	for _, ev := range events {
-		id := t.chromeTid(ev)
+		id := chromeTid(ev)
 		if seenTids[id] {
 			continue
 		}
@@ -95,8 +77,6 @@ func (t *Tracer) ChromeTrace() ([]byte, error) {
 		name := "thread " + itoa(int(ev.Thread))
 		if id == monitorTid {
 			name = "monitor context"
-		} else if len(t.shards) > 1 {
-			name = "core " + itoa(int(ev.Core)) + " thread " + itoa(int(ev.Thread))
 		}
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
 			Name: "thread_name", Ph: "M", Pid: 1, Tid: id,
@@ -104,7 +84,7 @@ func (t *Tracer) ChromeTrace() ([]byte, error) {
 		})
 	}
 	for _, ev := range events {
-		ce := chromeEvent{Pid: 1, Tid: t.chromeTid(ev), Ts: cyclesToUs(ev.Cycle), Cat: ev.Kind.String()}
+		ce := chromeEvent{Pid: 1, Tid: chromeTid(ev), Ts: cyclesToUs(ev.Cycle), Cat: ev.Kind.String()}
 		switch ev.Kind {
 		case EvCallEnter:
 			ce.Ph = "B"
@@ -156,7 +136,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 
 // WritePrometheus writes the streaming counters, per-edge call-latency
 // histograms and the per-cubicle cycle profile in the Prometheus text
-// exposition format, merged over shards.
+// exposition format.
 func (t *Tracer) WritePrometheus(w io.Writer) error {
 	var err error
 	p := func(format string, a ...any) {
@@ -164,20 +144,18 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, format, a...)
 		}
 	}
-	counts, weights := t.countsAll()
-
 	p("# HELP cubicleos_events_total Architectural events observed on the simulated machine.\n")
 	p("# TYPE cubicleos_events_total counter\n")
 	for k := Kind(0); k < NumKinds; k++ {
-		p("cubicleos_events_total{kind=%q} %d\n", k.String(), counts[k])
+		p("cubicleos_events_total{kind=%q} %d\n", k.String(), t.counts[k])
 	}
 
 	p("# HELP cubicleos_event_bytes_total Byte weights carried by weighted events.\n")
 	p("# TYPE cubicleos_event_bytes_total counter\n")
-	p("cubicleos_event_bytes_total{kind=\"stack_args\"} %d\n", weights[EvCallEnter])
-	p("cubicleos_event_bytes_total{kind=\"bulk_copy\"} %d\n", weights[EvCopy])
-	p("cubicleos_event_bytes_total{kind=\"ipc_payload\"} %d\n", weights[EvIPC])
-	p("cubicleos_window_search_steps_total %d\n", weights[EvWindowSearch])
+	p("cubicleos_event_bytes_total{kind=\"stack_args\"} %d\n", t.weights[EvCallEnter])
+	p("cubicleos_event_bytes_total{kind=\"bulk_copy\"} %d\n", t.weights[EvCopy])
+	p("cubicleos_event_bytes_total{kind=\"ipc_payload\"} %d\n", t.weights[EvIPC])
+	p("cubicleos_window_search_steps_total %d\n", t.weights[EvWindowSearch])
 
 	p("# HELP cubicleos_call_cycles Cross-cubicle call latency in virtual cycles, per directed edge.\n")
 	p("# TYPE cubicleos_call_cycles histogram\n")
@@ -185,7 +163,7 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 		e Edge
 		h *Hist
 	}
-	hists := t.edgeHistsMerged()
+	hists := t.edgeHistsByEdge()
 	rows := make([]edgeRow, 0, len(hists))
 	for e, h := range hists {
 		rows = append(rows, edgeRow{e, h})
@@ -247,21 +225,9 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 	}
 	p("# HELP cubicleos_virtual_cycles Total virtual cycles on the machine clock.\n")
 	p("# TYPE cubicleos_virtual_cycles counter\n")
-	p("cubicleos_virtual_cycles %d\n", t.MaxCycles())
+	p("cubicleos_virtual_cycles %d\n", t.clock.Cycles())
 	p("cubicleos_trace_events_recorded %d\n", t.Recorded())
 	p("cubicleos_trace_events_dropped %d\n", t.Dropped())
-	if len(t.shards) > 1 {
-		p("# HELP cubicleos_trace_shard_events_recorded Events recorded per ring shard.\n")
-		p("# TYPE cubicleos_trace_shard_events_recorded counter\n")
-		for i, s := range t.shards {
-			p("cubicleos_trace_shard_events_recorded{core=\"%d\"} %d\n", i, s.next)
-		}
-		p("# HELP cubicleos_trace_shard_events_dropped Events overwritten by ring wrap per shard.\n")
-		p("# TYPE cubicleos_trace_shard_events_dropped counter\n")
-		for i, s := range t.shards {
-			p("cubicleos_trace_shard_events_dropped{core=\"%d\"} %d\n", i, s.dropped())
-		}
-	}
 	return err
 }
 
@@ -277,20 +243,11 @@ type SnapshotEdge struct {
 	Cycles Summary `json:"cycles"`
 }
 
-// ShardStat is one ring shard's recording/drop accounting.
-type ShardStat struct {
-	Core     int    `json:"core"`
-	Recorded uint64 `json:"recorded"`
-	Dropped  uint64 `json:"dropped"`
-}
-
 // Snapshot is the machine-readable digest of a traced run.
 type Snapshot struct {
 	VirtualCycles uint64             `json:"virtual_cycles"`
-	Cores         int                `json:"cores"`
 	Recorded      uint64             `json:"events_recorded"`
 	Dropped       uint64             `json:"events_dropped"`
-	Shards        []ShardStat        `json:"shards,omitempty"`
 	Counts        map[string]uint64  `json:"counts"`
 	Weights       map[string]uint64  `json:"weights"`
 	Edges         []SnapshotEdge     `json:"edges"`
@@ -302,8 +259,7 @@ type Snapshot struct {
 // has observed.
 func (t *Tracer) Snapshot() *Snapshot {
 	s := &Snapshot{
-		VirtualCycles: t.MaxCycles(),
-		Cores:         len(t.shards),
+		VirtualCycles: t.clock.Cycles(),
 		Recorded:      t.Recorded(),
 		Dropped:       t.Dropped(),
 		Counts:        make(map[string]uint64),
@@ -311,18 +267,12 @@ func (t *Tracer) Snapshot() *Snapshot {
 		EventCycles:   make(map[string]Summary),
 		Profile:       t.Profile(),
 	}
-	if len(t.shards) > 1 {
-		for i, sh := range t.shards {
-			s.Shards = append(s.Shards, ShardStat{Core: i, Recorded: sh.next, Dropped: sh.dropped()})
-		}
-	}
-	counts, weights := t.countsAll()
 	for k := Kind(0); k < NumKinds; k++ {
-		if counts[k] != 0 {
-			s.Counts[k.String()] = counts[k]
+		if t.counts[k] != 0 {
+			s.Counts[k.String()] = t.counts[k]
 		}
-		if weights[k] != 0 {
-			s.Weights[k.String()] = weights[k]
+		if t.weights[k] != 0 {
+			s.Weights[k.String()] = t.weights[k]
 		}
 		if h := t.ClassHist(k); h != nil && h.Count() > 0 {
 			s.EventCycles[k.String()] = h.Summary()

@@ -15,7 +15,6 @@ type Hist struct {
 	buckets [NumBuckets]uint64
 	count   uint64
 	sum     uint64
-	min     uint64
 	max     uint64
 }
 
@@ -44,32 +43,9 @@ func (h *Hist) Observe(v uint64) {
 	h.buckets[bucketOf(v)]++
 	h.count++
 	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
-}
-
-// Merge folds another histogram's observations into h. The per-core ring
-// shards keep independent histograms on the hot path; exporters merge
-// them into one view at report time.
-func (h *Hist) Merge(o *Hist) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	for i, n := range o.buckets {
-		h.buckets[i] += n
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
 }
 
 // Count returns the number of observations.
@@ -77,12 +53,6 @@ func (h *Hist) Count() uint64 { return h.count }
 
 // Sum returns the sum of all observations.
 func (h *Hist) Sum() uint64 { return h.sum }
-
-// Max returns the largest observation (0 if none).
-func (h *Hist) Max() uint64 { return h.max }
-
-// Min returns the smallest observation (0 if none).
-func (h *Hist) Min() uint64 { return h.min }
 
 // Mean returns the arithmetic mean (0 if none).
 func (h *Hist) Mean() float64 {

@@ -7,12 +7,11 @@ import (
 )
 
 // profiler attributes virtual cycles to the cubicle that was executing
-// when they were charged. Each ring shard carries its own profiler over
-// its core's clock: a core is cooperatively scheduled from the monitor's
-// point of view, so a single "currently executing cubicle" register per
-// core is exact — the monitor tells the profiler about every cubicle
-// switch (trampoline call enter and exit, RunAs) on that core, and every
-// clock charge in between belongs to the cubicle in that register. On top
+// when they were charged. Threads are cooperatively scheduled on one
+// clock, so a single "currently executing cubicle" register is exact —
+// the monitor tells the profiler about every cubicle switch (trampoline
+// call enter and exit, RunAs), and every clock charge in between belongs
+// to the cubicle in that register. On top
 // of the exact span attribution, an optional virtual-clock sampler ticks
 // every Period cycles and counts one sample against the running cubicle —
 // the flat profile a hardware perf-style sampler would deliver.
@@ -95,27 +94,23 @@ func (p *profiler) forEach(fn func(cub int32, cyc, samples uint64)) {
 	}
 }
 
-// SwitchCubicle informs the profiler that execution on thread's core
-// switched to cub. The monitor calls this from every crossing frame
-// push/pop.
-func (t *Tracer) SwitchCubicle(thread, cub int) {
-	t.shardFor(thread).prof.switchTo(int32(cub))
+// SwitchCubicle informs the profiler that execution switched to cub. The
+// monitor calls this from every crossing frame push/pop.
+func (t *Tracer) SwitchCubicle(cub int) {
+	t.prof.switchTo(int32(cub))
 }
 
 // EnableSampling starts the virtual-clock sampler with the given period
-// in cycles on every shard, hooking each core clock's advance observer.
-// A period of 0 disables sampling again.
+// in cycles, hooking the clock's advance observer. A period of 0 disables
+// sampling again.
 func (t *Tracer) EnableSampling(period uint64) {
-	for _, s := range t.shards {
-		if period == 0 {
-			s.clock.SetOnAdvance(nil)
-			s.prof.period = 0
-			continue
-		}
-		s.prof.period = period
-		s.prof.nextSample = s.clock.Cycles() + period
-		s.clock.SetOnAdvance(s.prof.tick)
+	t.prof.period = period
+	if period == 0 {
+		t.clock.SetOnAdvance(nil)
+		return
 	}
+	t.prof.nextSample = t.clock.Cycles() + period
+	t.clock.SetOnAdvance(t.prof.tick)
 }
 
 // ProfileEntry is one cubicle's row of the cycle profile.
@@ -129,38 +124,28 @@ type ProfileEntry struct {
 
 // Profile is the per-cubicle "where did the time go" report.
 type Profile struct {
-	// TotalCycles is the sum over entries — on a single-core machine,
-	// equal to the virtual clock minus the cycle at which tracing was
-	// enabled; on SMP, the sum of every core's traced span.
+	// TotalCycles is the sum over entries: the virtual clock minus the
+	// cycle at which tracing was enabled.
 	TotalCycles uint64         `json:"total_cycles"`
 	Samples     uint64         `json:"samples"`
 	Period      uint64         `json:"sample_period,omitempty"`
 	Entries     []ProfileEntry `json:"entries"`
 }
 
-// Profile flushes the open spans and returns the per-cubicle cycle
-// profile merged over cores, sorted by descending cycles (ties by
-// cubicle ID).
+// Profile flushes the open span and returns the per-cubicle cycle
+// profile, sorted by descending cycles (ties by cubicle ID).
 func (t *Tracer) Profile() Profile {
-	cyclesBy := make(map[int32]uint64)
-	samplesBy := make(map[int32]uint64)
-	for _, s := range t.shards {
-		s.prof.flush()
-		s.prof.forEach(func(cub int32, cyc, n uint64) {
-			cyclesBy[cub] += cyc
-			samplesBy[cub] += n
-		})
-	}
-	p := Profile{Period: t.s0.prof.period}
-	for cub, cyc := range cyclesBy {
+	t.prof.flush()
+	p := Profile{Period: t.prof.period}
+	t.prof.forEach(func(cub int32, cyc, n uint64) {
 		p.TotalCycles += cyc
 		p.Entries = append(p.Entries, ProfileEntry{
 			Cubicle: int(cub),
 			Name:    t.Name(int(cub)),
 			Cycles:  cyc,
-			Samples: samplesBy[cub],
+			Samples: n,
 		})
-	}
+	})
 	for i := range p.Entries {
 		if p.TotalCycles > 0 {
 			p.Entries[i].Percent = 100 * float64(p.Entries[i].Cycles) / float64(p.TotalCycles)

@@ -12,22 +12,11 @@
 // histograms are fixed-size, and event labels are interned strings the
 // instrumentation sites pass as constants.
 //
-// # Sharded recording
-//
-// The tracer keeps one ring shard per simulated core, and every emission
-// routes to the shard of the core the recording thread runs on
-// (monitor-context events, thread -1, record on core 0 — the boot clock,
-// exactly where clkOf(nil) charges them). Events are stamped with the
-// recording core's virtual clock and a per-shard sequence number. A Tracer
-// is driven by the one goroutine that drives its monitor, emission and
-// export alike, so it takes no mutex or atomic anywhere.
-//
-// At export the per-shard streams merge into one deterministic stream
-// ordered by (Cycle, Core, Seq): per-shard cycles are nondecreasing and
-// per-shard sequence numbers strictly increasing, so the merge preserves
-// every shard's internal order, is nondecreasing in GVT, and — because
-// shard contents are deterministic under the monitor's deterministic
-// scheduling — reproduces byte-identically across runs.
+// A Tracer is one ring over its monitor's one clock: events are stamped
+// with the virtual cycle at record time and a sequence number, so the
+// stream is nondecreasing in Cycle and strictly increasing in Seq. It is
+// driven by the one goroutine that drives its monitor, emission and export
+// alike, so it takes no mutex or atomic anywhere.
 package trace
 
 import (
@@ -180,12 +169,11 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Event is one entry of a trace ring shard. Field meaning varies by Kind
-// (see the Kind constants); Cycle is the recording core's virtual clock at
-// record time, Core the shard the event was recorded on (0 on single-core
-// machines and for monitor-context events), Seq the event's position in
-// its shard's stream, Cost the cycles attributed to the event itself where
-// that is meaningful (call elapsed, fault-handler span, IPC charge).
+// Event is one entry of the trace ring. Field meaning varies by Kind
+// (see the Kind constants); Cycle is the virtual clock at record time, Seq
+// the event's position in the stream, Cost the cycles attributed to the
+// event itself where that is meaningful (call elapsed, fault-handler span,
+// IPC charge).
 // The field order packs Event into exactly 64 bytes — one cache line per
 // ring slot — which matters on the recording hot path: every emission
 // rewrites one slot of a ring far larger than L1, so slot size is the
@@ -199,7 +187,6 @@ type Event struct {
 	Thread  int32
 	Cubicle int32
 	Other   int32
-	Core    int16
 	Kind    Kind
 }
 
@@ -223,14 +210,14 @@ func flatSlot(e Edge) int {
 	return -1
 }
 
-// shard is one core's trace ring plus its streaming counters.
-type shard struct {
-	core  int16
+// Tracer is the recording side of the observability layer: the event
+// ring plus its streaming counters, histograms and profiler.
+type Tracer struct {
 	clock *cycles.Clock
+	namer func(int) string
 
-	// Ring buffer: buf[seq & mask] for seq in [next-len, next).
+	// Ring buffer: buf[seq & (len-1)] for seq in [next-len, next).
 	buf  []Event
-	mask uint64
 	next uint64
 
 	counts  [NumKinds]uint64
@@ -243,154 +230,6 @@ type shard struct {
 	classHist     [NumKinds]*Hist // cycle cost distributions per event class
 
 	prof profiler
-}
-
-func newShard(core int16, clock *cycles.Clock, ringCap int) *shard {
-	s := &shard{
-		core:      core,
-		clock:     clock,
-		buf:       make([]Event, ringCap),
-		mask:      uint64(ringCap - 1),
-		edgeCalls: make([]uint64, edgeDim*edgeDim),
-		edgeHists: make([]*Hist, edgeDim*edgeDim),
-	}
-	s.prof.init(clock)
-	return s
-}
-
-// weightedKind marks the kinds whose Arg accumulates into weights.
-var weightedKind = [NumKinds]bool{
-	EvCallEnter: true, EvWindowSearch: true, EvCopy: true, EvIPC: true,
-	EvCheckpoint: true,
-}
-
-// record stamps one event and writes it in place into the shard's ring
-// slot — scalar parameters keep the hot path free of Event struct copies
-// (the fields travel in registers and land directly in the ring). It
-// returns the cycle stamp so call sites reuse it.
-func (s *shard) record(k Kind, thread, cubicle, other int32, arg, cost uint64, name string) uint64 {
-	now := s.clock.Cycles()
-	// Index with len-1 directly so the compiler elides the bounds check
-	// (ring capacity is always a power of two).
-	ev := &s.buf[s.next&uint64(len(s.buf)-1)]
-	ev.Seq = s.next
-	ev.Cycle = now
-	ev.Kind = k
-	ev.Thread = thread
-	ev.Core = s.core
-	ev.Cubicle = cubicle
-	ev.Other = other
-	ev.Arg = arg
-	ev.Cost = cost
-	ev.Name = name
-	s.next++
-	s.counts[k]++
-	if weightedKind[k] {
-		s.weights[k] += arg
-	}
-	if cost > 0 {
-		s.observeClass(k, cost)
-	}
-	return now
-}
-
-// observeClass folds one cost observation into the event class histogram.
-func (s *shard) observeClass(k Kind, cost uint64) {
-	h := s.classHist[k]
-	if h == nil {
-		h = &Hist{}
-		s.classHist[k] = h
-	}
-	h.Observe(cost)
-}
-
-// bumpEdge counts one call on edge e.
-func (s *shard) bumpEdge(e Edge) {
-	if i := flatSlot(e); i >= 0 {
-		s.edgeCalls[i]++
-		return
-	}
-	if s.overflowCalls == nil {
-		s.overflowCalls = make(map[Edge]uint64)
-	}
-	s.overflowCalls[e]++
-}
-
-// observeEdge folds one elapsed-cycle observation into edge e's histogram.
-func (s *shard) observeEdge(e Edge, elapsed uint64) {
-	if i := flatSlot(e); i >= 0 {
-		h := s.edgeHists[i]
-		if h == nil {
-			h = &Hist{}
-			s.edgeHists[i] = h
-		}
-		h.Observe(elapsed)
-		return
-	}
-	if s.overflowHists == nil {
-		s.overflowHists = make(map[Edge]*Hist)
-	}
-	h := s.overflowHists[e]
-	if h == nil {
-		h = &Hist{}
-		s.overflowHists[e] = h
-	}
-	h.Observe(elapsed)
-}
-
-// dropped is how many of the shard's events ring wrap has overwritten.
-func (s *shard) dropped() uint64 {
-	if capa := uint64(len(s.buf)); s.next > capa {
-		return s.next - capa
-	}
-	return 0
-}
-
-// events returns the shard's ring contents in chronological order.
-func (s *shard) events() []Event {
-	n := s.next
-	capa := uint64(len(s.buf))
-	if n <= capa {
-		out := make([]Event, n)
-		copy(out, s.buf[:n])
-		return out
-	}
-	out := make([]Event, capa)
-	start := n & s.mask
-	copy(out, s.buf[start:])
-	copy(out[capa-start:], s.buf[:start])
-	return out
-}
-
-// forEachEdge visits every edge with recorded calls or observations.
-func (s *shard) forEachEdge(fn func(e Edge, calls uint64, h *Hist)) {
-	for i, n := range s.edgeCalls {
-		h := s.edgeHists[i]
-		if n == 0 && h == nil {
-			continue
-		}
-		fn(Edge{From: int32(i / edgeDim), To: int32(i % edgeDim)}, n, h)
-	}
-	for e, n := range s.overflowCalls {
-		fn(e, n, nil)
-	}
-	for e, h := range s.overflowHists {
-		fn(e, 0, h)
-	}
-}
-
-// Tracer is the recording side of the observability layer: one ring shard
-// per simulated core (see the package comment for the sharding rules).
-type Tracer struct {
-	clock *cycles.Clock // boot/GVT base clock (shard 0's clock)
-	namer func(int) string
-	// coreOf, when set (SetCores), resolves a recording thread to its
-	// simulated core so its events land on that core's shard. Unset
-	// (single-core), every event records on shard 0.
-	coreOf func(thread int) int
-
-	shards []*shard
-	s0     *shard // shards[0], kept flat for the single-core fast path
 
 	// open holds the open call spans per thread (dense thread IDs), for
 	// elapsed-cycle computation; openM holds monitor-context (thread -1)
@@ -416,9 +255,8 @@ func (t *Tracer) stackOf(thread int) *[]openCall {
 	return &t.open[thread]
 }
 
-// New creates a tracer over the given virtual clock with one ring shard of
-// ringCap events (rounded up to a power of two, minimum 16). Multi-core
-// machines attach further shards with SetCores.
+// New creates a tracer over the given virtual clock with a ring of ringCap
+// events (rounded up to a power of two, minimum 16).
 func New(clock *cycles.Clock, ringCap int) *Tracer {
 	if ringCap < 16 {
 		ringCap = 16
@@ -427,47 +265,114 @@ func New(clock *cycles.Clock, ringCap int) *Tracer {
 	for capa < ringCap {
 		capa <<= 1
 	}
-	t := &Tracer{clock: clock}
-	t.s0 = newShard(0, clock, capa)
-	t.shards = []*shard{t.s0}
+	t := &Tracer{
+		clock:     clock,
+		buf:       make([]Event, capa),
+		edgeCalls: make([]uint64, edgeDim*edgeDim),
+		edgeHists: make([]*Hist, edgeDim*edgeDim),
+	}
+	t.prof.init(clock)
 	return t
+}
+
+// weightedKind marks the kinds whose Arg accumulates into weights.
+var weightedKind = [NumKinds]bool{
+	EvCallEnter: true, EvWindowSearch: true, EvCopy: true, EvIPC: true,
+	EvCheckpoint: true,
+}
+
+// record stamps one event and writes it in place into its ring slot —
+// scalar parameters keep the hot path free of Event struct copies
+// (the fields travel in registers and land directly in the ring). It
+// returns the cycle stamp so call sites reuse it.
+func (t *Tracer) record(k Kind, thread, cubicle, other int32, arg, cost uint64, name string) uint64 {
+	now := t.clock.Cycles()
+	// Index with len-1 directly so the compiler elides the bounds check
+	// (ring capacity is always a power of two).
+	ev := &t.buf[t.next&uint64(len(t.buf)-1)]
+	ev.Seq = t.next
+	ev.Cycle = now
+	ev.Kind = k
+	ev.Thread = thread
+	ev.Cubicle = cubicle
+	ev.Other = other
+	ev.Arg = arg
+	ev.Cost = cost
+	ev.Name = name
+	t.next++
+	t.counts[k]++
+	if weightedKind[k] {
+		t.weights[k] += arg
+	}
+	if cost > 0 {
+		t.observeClass(k, cost)
+	}
+	return now
+}
+
+// observeClass folds one cost observation into the event class histogram.
+func (t *Tracer) observeClass(k Kind, cost uint64) {
+	h := t.classHist[k]
+	if h == nil {
+		h = &Hist{}
+		t.classHist[k] = h
+	}
+	h.Observe(cost)
+}
+
+// bumpEdge counts one call on edge e.
+func (t *Tracer) bumpEdge(e Edge) {
+	if i := flatSlot(e); i >= 0 {
+		t.edgeCalls[i]++
+		return
+	}
+	if t.overflowCalls == nil {
+		t.overflowCalls = make(map[Edge]uint64)
+	}
+	t.overflowCalls[e]++
+}
+
+// observeEdge folds one elapsed-cycle observation into edge e's histogram.
+func (t *Tracer) observeEdge(e Edge, elapsed uint64) {
+	if i := flatSlot(e); i >= 0 {
+		h := t.edgeHists[i]
+		if h == nil {
+			h = &Hist{}
+			t.edgeHists[i] = h
+		}
+		h.Observe(elapsed)
+		return
+	}
+	if t.overflowHists == nil {
+		t.overflowHists = make(map[Edge]*Hist)
+	}
+	h := t.overflowHists[e]
+	if h == nil {
+		h = &Hist{}
+		t.overflowHists[e] = h
+	}
+	h.Observe(elapsed)
+}
+
+// forEachEdge visits every edge with recorded calls or observations.
+func (t *Tracer) forEachEdge(fn func(e Edge, calls uint64, h *Hist)) {
+	for i, n := range t.edgeCalls {
+		h := t.edgeHists[i]
+		if n == 0 && h == nil {
+			continue
+		}
+		fn(Edge{From: int32(i / edgeDim), To: int32(i % edgeDim)}, n, h)
+	}
+	for e, n := range t.overflowCalls {
+		fn(e, n, nil)
+	}
+	for e, h := range t.overflowHists {
+		fn(e, 0, h)
+	}
 }
 
 // SetNamer installs the cubicle-ID → name resolver used by exporters.
 func (t *Tracer) SetNamer(fn func(int) string) { t.namer = fn }
-
-// SetCores reshards the tracer for a multi-core machine: shard i records
-// with clks[i] (clks[0] must be the boot clock the tracer was created
-// over), and coreOf routes a recording thread to its core. Install it at
-// boot; shard 0 keeps anything recorded so far. Each
-// new shard gets its own ring of the same capacity, so per-core streams
-// drop independently — and accountably — under overload.
-func (t *Tracer) SetCores(clks []*cycles.Clock, coreOf func(thread int) int) {
-	if len(clks) == 0 {
-		return
-	}
-	t.coreOf = coreOf
-	if clks[0] != t.s0.clock {
-		t.s0.clock = clks[0]
-		t.s0.prof.clock = clks[0]
-		t.s0.prof.mark = clks[0].Cycles()
-	}
-	for i := 1; i < len(clks); i++ {
-		if i < len(t.shards) {
-			continue
-		}
-		s := newShard(int16(i), clks[i], len(t.s0.buf))
-		if p := t.s0.prof.period; p != 0 {
-			s.prof.period = p
-			s.prof.nextSample = s.clock.Cycles() + p
-			s.clock.SetOnAdvance(s.prof.tick)
-		}
-		t.shards = append(t.shards, s)
-	}
-}
-
-// Cores returns the number of ring shards (1 unless SetCores ran).
-func (t *Tracer) Cores() int { return len(t.shards) }
 
 // Name resolves a cubicle ID to a display name.
 func (t *Tracer) Name(id int) string {
@@ -480,24 +385,6 @@ func (t *Tracer) Name(id int) string {
 		return "runtime"
 	}
 	return "cubicle-" + itoa(id)
-}
-
-// shardFor routes a recording thread to its core's shard. Monitor-context
-// events (thread < 0) record on shard 0, whose clock is the boot clock —
-// the same clock monitor-context work charges. The single-core/monitor
-// path is split out so shardFor inlines into the emission methods.
-func (t *Tracer) shardFor(thread int) *shard {
-	if t.coreOf == nil || thread < 0 {
-		return t.s0
-	}
-	return t.shardForSlow(thread)
-}
-
-func (t *Tracer) shardForSlow(thread int) *shard {
-	if c := t.coreOf(thread); c > 0 && c < len(t.shards) {
-		return t.shards[c]
-	}
-	return t.s0
 }
 
 func (t *Tracer) pushOpen(thread int, oc openCall) {
@@ -518,137 +405,134 @@ func (t *Tracer) popOpen(thread int) (openCall, bool) {
 // CallEnter records a cross-cubicle call entering its trampoline and
 // opens the span used to compute its elapsed cycles.
 func (t *Tracer) CallEnter(thread, from, to int, sym string, stackBytes uint64) {
-	s := t.shardFor(thread)
 	e := Edge{From: int32(from), To: int32(to)}
-	s.bumpEdge(e)
-	now := s.record(EvCallEnter, int32(thread), int32(from), int32(to), stackBytes, 0, sym)
+	t.bumpEdge(e)
+	now := t.record(EvCallEnter, int32(thread), int32(from), int32(to), stackBytes, 0, sym)
 	t.pushOpen(thread, openCall{edge: e, start: now})
 }
 
 // CallExit records the return of the innermost open call on thread,
 // observing its inclusive elapsed cycles into the per-edge histogram.
 func (t *Tracer) CallExit(thread, from, to int, sym string) {
-	s := t.shardFor(thread)
 	var elapsed uint64
 	if oc, ok := t.popOpen(thread); ok {
-		elapsed = s.clock.Cycles() - oc.start
-		s.observeEdge(oc.edge, elapsed)
+		elapsed = t.clock.Cycles() - oc.start
+		t.observeEdge(oc.edge, elapsed)
 	}
-	s.record(EvCallExit, int32(thread), int32(from), int32(to), elapsed, elapsed, sym)
+	t.record(EvCallExit, int32(thread), int32(from), int32(to), elapsed, elapsed, sym)
 }
 
 // SharedCall records a call into a shared cubicle.
 func (t *Tracer) SharedCall(thread, cur, callee int, sym string) {
-	t.shardFor(thread).record(EvSharedCall, int32(thread), int32(cur), int32(callee), 0, 0, sym)
+	t.record(EvSharedCall, int32(thread), int32(cur), int32(callee), 0, 0, sym)
 }
 
 // Fault records a protection trap served by trap-and-map; elapsed is the
 // cycles the handler charged.
 func (t *Tracer) Fault(thread, cur, owner int, addr, elapsed uint64) {
-	t.shardFor(thread).record(EvFault, int32(thread), int32(cur), int32(owner), addr, elapsed, "")
+	t.record(EvFault, int32(thread), int32(cur), int32(owner), addr, elapsed, "")
 }
 
 // DeniedFault records a protection trap that no window authorised.
 func (t *Tracer) DeniedFault(thread, cur, owner int, addr uint64) {
-	t.shardFor(thread).record(EvDeniedFault, int32(thread), int32(cur), int32(owner), addr, 0, "")
+	t.record(EvDeniedFault, int32(thread), int32(cur), int32(owner), addr, 0, "")
 }
 
 // Retag records one page retag to the given key on behalf of thread
 // (-1 for monitor-context retags such as key evictions and pin rollback).
 func (t *Tracer) Retag(thread, cur int, addr uint64, key uint8) {
-	t.shardFor(thread).record(EvRetag, int32(thread), int32(cur), int32(key), addr, 0, "")
+	t.record(EvRetag, int32(thread), int32(cur), int32(key), addr, 0, "")
 }
 
 // Shootdown records the cross-core synchronisation a retag pays on a
 // multi-core machine; cost is the cycles charged.
 func (t *Tracer) Shootdown(thread, cur int, cost uint64) {
-	t.shardFor(thread).record(EvShootdown, int32(thread), int32(cur), 0, 0, cost, "")
+	t.record(EvShootdown, int32(thread), int32(cur), 0, 0, cost, "")
 }
 
 // WRPKRU records one wrpkru execution.
 func (t *Tracer) WRPKRU(thread, cur int, pkru uint64) {
-	t.shardFor(thread).record(EvWRPKRU, int32(thread), int32(cur), 0, pkru, 0, "")
+	t.record(EvWRPKRU, int32(thread), int32(cur), 0, pkru, 0, "")
 }
 
 // WindowOp records one window-management API call by cubicle cur on
 // behalf of thread (-1 for monitor-context window work).
 func (t *Tracer) WindowOp(thread, cur int, op string, wid int) {
-	t.shardFor(thread).record(EvWindowOp, int32(thread), int32(cur), 0, uint64(wid), 0, op)
+	t.record(EvWindowOp, int32(thread), int32(cur), 0, uint64(wid), 0, op)
 }
 
 // WindowSearch records one linear window-descriptor search of the trap
 // handler; steps is the number of descriptor entries visited.
 func (t *Tracer) WindowSearch(thread, cur int, steps uint64) {
-	t.shardFor(thread).record(EvWindowSearch, int32(thread), int32(cur), 0, steps, 0, "")
+	t.record(EvWindowSearch, int32(thread), int32(cur), 0, steps, 0, "")
 }
 
 // KeyEviction records an MPK key recycled away from cubicle victim.
 func (t *Tracer) KeyEviction(victim int, key uint8) {
-	t.s0.record(EvKeyEviction, -1, int32(victim), int32(key), uint64(key), 0, "")
+	t.record(EvKeyEviction, -1, int32(victim), int32(key), uint64(key), 0, "")
 }
 
 // IPC records one message-passing call of a microkernel baseline.
 func (t *Tracer) IPC(thread, cur int, op string, bytes, cost uint64) {
-	t.shardFor(thread).record(EvIPC, int32(thread), int32(cur), 0, bytes, cost, op)
+	t.record(EvIPC, int32(thread), int32(cur), 0, bytes, cost, op)
 }
 
 // Copy records a checked bulk copy of n bytes by thread.
 func (t *Tracer) Copy(thread, cur int, n uint64) {
-	t.shardFor(thread).record(EvCopy, int32(thread), int32(cur), 0, n, 0, "")
+	t.record(EvCopy, int32(thread), int32(cur), 0, n, 0, "")
 }
 
 // Mark records an application-level marker. Label should be a constant
 // string so that recording stays allocation-free.
 func (t *Tracer) Mark(thread, cur int, label string) {
-	t.shardFor(thread).record(EvMark, int32(thread), int32(cur), 0, 0, 0, label)
+	t.record(EvMark, int32(thread), int32(cur), 0, 0, 0, label)
 }
 
 // Contained records a fault contained at a crossing: callee is the cubicle
 // whose fault was converted into a typed error, caller the cubicle it was
 // delivered to, class the fault class label (a constant string).
 func (t *Tracer) Contained(thread, callee, caller int, class string) {
-	t.shardFor(thread).record(EvContained, int32(thread), int32(callee), int32(caller), 0, 0, class)
+	t.record(EvContained, int32(thread), int32(callee), int32(caller), 0, 0, class)
 }
 
 // Quarantine records cubicle id entering quarantine with the given backoff
 // in virtual cycles.
 func (t *Tracer) Quarantine(id int, backoff uint64) {
-	t.s0.record(EvQuarantine, -1, int32(id), 0, backoff, 0, "")
+	t.record(EvQuarantine, -1, int32(id), 0, backoff, 0, "")
 }
 
 // Restart records a supervisor restart of cubicle id; count is the
 // cubicle's lifetime restart count including this one.
 func (t *Tracer) Restart(id int, count uint64) {
-	t.s0.record(EvRestart, -1, int32(id), 0, count, 0, "")
+	t.record(EvRestart, -1, int32(id), 0, count, 0, "")
 }
 
 // Checkpoint records one cubicle checkpoint captured at a quiescent
 // point; size is the encoded image in bytes, cost the virtual cycles the
-// capture charged. Checkpoints are monitor-context work: shard 0.
+// capture charged.
 func (t *Tracer) Checkpoint(id int, size, cost uint64) {
-	t.s0.record(EvCheckpoint, -1, int32(id), 0, size, cost, "")
+	t.record(EvCheckpoint, -1, int32(id), 0, size, cost, "")
 }
 
 // WarmRestart records a supervisor restart that restored cubicle id from
 // its last good checkpoint; pages is the number of heap pages
 // re-established. Recorded in addition to the EvRestart for the restart.
 func (t *Tracer) WarmRestart(id int, pages uint64) {
-	t.s0.record(EvWarmRestart, -1, int32(id), 0, pages, 0, "")
+	t.record(EvWarmRestart, -1, int32(id), 0, pages, 0, "")
 }
 
 // ColdRestart records a supervisor restart that rebuilt cubicle id from
 // empty; failedRestore is 1 when a checkpoint restore was attempted and
 // fell back, 0 when no checkpoint existed.
 func (t *Tracer) ColdRestart(id int, failedRestore uint64) {
-	t.s0.record(EvColdRestart, -1, int32(id), 0, failedRestore, 0, "")
+	t.record(EvColdRestart, -1, int32(id), 0, failedRestore, 0, "")
 }
 
 // Route records one cluster balancer routing decision that selected
 // backend; policy is the balancer policy label (a constant string) and
-// attempt the request attempt number (0 = first try). Routing decisions
-// are balancer-context work, recorded on the backend's shard 0.
+// attempt the request attempt number (0 = first try).
 func (t *Tracer) Route(policy string, backend int, attempt uint64) {
-	t.s0.record(EvRoute, -1, int32(backend), 0, attempt, 0, policy)
+	t.record(EvRoute, -1, int32(backend), 0, attempt, 0, policy)
 }
 
 // Drain records a cluster health-ladder transition for backend: phase is
@@ -656,27 +540,27 @@ func (t *Tracer) Route(policy string, backend int, attempt uint64) {
 // returns; deadline is the drain deadline in virtual cycles (0 on
 // readmit).
 func (t *Tracer) Drain(phase string, backend int, deadline uint64) {
-	t.s0.record(EvDrain, -1, int32(backend), 0, deadline, 0, phase)
+	t.record(EvDrain, -1, int32(backend), 0, deadline, 0, phase)
 }
 
 // Failover records a request re-issued away from backend; reason is the
 // constant label (retry/hedge/drain) and attempt the attempt number of
 // the re-issue.
 func (t *Tracer) Failover(reason string, backend int, attempt uint64) {
-	t.s0.record(EvFailover, -1, int32(backend), 0, attempt, 0, reason)
+	t.record(EvFailover, -1, int32(backend), 0, attempt, 0, reason)
 }
 
 // Injected records one deterministic fault injection against cubicle cub
 // at the named site (a constant string).
 func (t *Tracer) Injected(cub int, site string) {
-	t.s0.record(EvInjected, -1, int32(cub), 0, 0, 0, site)
+	t.record(EvInjected, -1, int32(cub), 0, 0, 0, site)
 }
 
 // Shed records a request refused by admission control in cubicle cub on
 // behalf of thread; reason is a constant label and status the HTTP status
 // sent back.
 func (t *Tracer) Shed(thread, cub int, reason string, status uint64) {
-	t.shardFor(thread).record(EvShed, int32(thread), int32(cub), 0, status, 0, reason)
+	t.record(EvShed, int32(thread), int32(cub), 0, status, 0, reason)
 }
 
 // DeadlineMiss records work abandoned in cubicle cub because the thread's
@@ -686,78 +570,52 @@ func (t *Tracer) DeadlineMiss(thread, cub int, deadline, now uint64) {
 	if now > deadline {
 		over = now - deadline
 	}
-	t.shardFor(thread).record(EvDeadline, int32(thread), int32(cub), 0, deadline, over, "")
+	t.record(EvDeadline, int32(thread), int32(cub), 0, deadline, over, "")
 }
 
 // QuotaHit records a memory-quota refusal for cubicle cub on the named
 // resource (a constant string); used is the attempted usage, limit the cap.
 func (t *Tracer) QuotaHit(thread, cub int, resource string, used, limit uint64) {
-	t.shardFor(thread).record(EvQuota, int32(thread), int32(cub), 0, used, limit, resource)
+	t.record(EvQuota, int32(thread), int32(cub), 0, used, limit, resource)
 }
 
 // Retry records one bounded-retry attempt by cubicle cub after a transient
 // contained fault; backoff is the virtual-cycle penalty charged before it.
 func (t *Tracer) Retry(thread, cub int, attempt, backoff uint64) {
-	t.shardFor(thread).record(EvRetry, int32(thread), int32(cub), 0, attempt, backoff, "")
+	t.record(EvRetry, int32(thread), int32(cub), 0, attempt, backoff, "")
 }
 
 // --- Queries -----------------------------------------------------------------
 
 // Count returns the number of events of kind k recorded so far (streaming;
-// unaffected by ring overwrites), summed over shards.
-func (t *Tracer) Count(k Kind) uint64 {
-	var n uint64
-	for _, s := range t.shards {
-		n += s.counts[k]
-	}
-	return n
-}
+// unaffected by ring overwrites).
+func (t *Tracer) Count(k Kind) uint64 { return t.counts[k] }
 
 // Weight returns the accumulated Arg sum for weighted kinds: stack-arg
 // bytes for EvCallEnter, search steps for EvWindowSearch, bytes for
 // EvCopy and EvIPC, image bytes for EvCheckpoint.
-func (t *Tracer) Weight(k Kind) uint64 {
-	var n uint64
-	for _, s := range t.shards {
-		n += s.weights[k]
-	}
-	return n
-}
+func (t *Tracer) Weight(k Kind) uint64 { return t.weights[k] }
 
-// EdgeCalls returns a copy of the per-edge call counts, merged over shards.
+// EdgeCalls returns a copy of the per-edge call counts.
 func (t *Tracer) EdgeCalls() map[Edge]uint64 {
 	out := make(map[Edge]uint64)
-	for _, s := range t.shards {
-		s.forEachEdge(func(e Edge, calls uint64, _ *Hist) {
-			if calls > 0 {
-				out[e] += calls
-			}
-		})
-	}
+	t.forEachEdge(func(e Edge, calls uint64, _ *Hist) {
+		if calls > 0 {
+			out[e] += calls
+		}
+	})
 	return out
 }
 
-// edgeHistsMerged merges the per-shard edge histograms. With one shard the
-// returned map aliases the live histograms; exporters only read.
-func (t *Tracer) edgeHistsMerged() map[Edge]*Hist {
+// edgeHistsByEdge returns the live histogram of every edge with observations;
+// exporters only read them.
+func (t *Tracer) edgeHistsByEdge() map[Edge]*Hist {
 	out := make(map[Edge]*Hist)
-	for _, s := range t.shards {
-		s.forEachEdge(func(e Edge, _ uint64, h *Hist) {
-			if h == nil || h.Count() == 0 {
-				return
-			}
-			if len(t.shards) == 1 {
-				out[e] = h
-				return
-			}
-			m := out[e]
-			if m == nil {
-				m = &Hist{}
-				out[e] = m
-			}
-			m.Merge(h)
-		})
-	}
+	t.forEachEdge(func(e Edge, _ uint64, h *Hist) {
+		if h != nil && h.Count() > 0 {
+			out[e] = h
+		}
+	})
 	return out
 }
 
@@ -770,7 +628,7 @@ type EdgeSummary struct {
 // EdgeSummaries returns the per-edge call-latency digests sorted by
 // descending call count (ties by edge).
 func (t *Tracer) EdgeSummaries() []EdgeSummary {
-	hists := t.edgeHistsMerged()
+	hists := t.edgeHistsByEdge()
 	out := make([]EdgeSummary, 0, len(hists))
 	for e, h := range hists {
 		out = append(out, EdgeSummary{Edge: e, Hist: h.Summary()})
@@ -787,130 +645,38 @@ func (t *Tracer) EdgeSummaries() []EdgeSummary {
 	return out
 }
 
-// EdgeHist returns the latency histogram of one edge (merged over shards),
-// or nil if the edge has no observations.
-func (t *Tracer) EdgeHist(e Edge) *Hist {
-	var merged *Hist
-	for _, s := range t.shards {
-		var h *Hist
-		if i := flatSlot(e); i >= 0 {
-			h = s.edgeHists[i]
-		} else {
-			h = s.overflowHists[e]
-		}
-		if h == nil || h.Count() == 0 {
-			continue
-		}
-		if len(t.shards) == 1 {
-			return h
-		}
-		if merged == nil {
-			merged = &Hist{}
-		}
-		merged.Merge(h)
-	}
-	return merged
-}
+// ClassHist returns the cycle-cost histogram of one event class, or nil if
+// no event of that class carried a cost.
+func (t *Tracer) ClassHist(k Kind) *Hist { return t.classHist[k] }
 
-// ClassHist returns the cycle-cost histogram of one event class (merged
-// over shards), or nil if no event of that class carried a cost.
-func (t *Tracer) ClassHist(k Kind) *Hist {
-	var merged *Hist
-	for _, s := range t.shards {
-		h := s.classHist[k]
-		if h == nil || h.Count() == 0 {
-			continue
-		}
-		if len(t.shards) == 1 {
-			return h
-		}
-		if merged == nil {
-			merged = &Hist{}
-		}
-		merged.Merge(h)
-	}
-	return merged
-}
-
-// Events returns the surviving ring contents of all shards merged into one
-// stream ordered by (Cycle, Core, Seq) — deterministic, nondecreasing in
-// GVT, and order-preserving within every shard. The slice holds fresh
-// copies; mutating it does not affect the tracer.
+// Events returns the surviving ring contents in chronological order. The
+// slice holds fresh copies; mutating it does not affect the tracer.
 func (t *Tracer) Events() []Event {
-	if len(t.shards) == 1 {
-		return t.s0.events()
+	n := t.next
+	capa := uint64(len(t.buf))
+	if n <= capa {
+		out := make([]Event, n)
+		copy(out, t.buf[:n])
+		return out
 	}
-	var out []Event
-	for _, s := range t.shards {
-		out = append(out, s.events()...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cycle != out[j].Cycle {
-			return out[i].Cycle < out[j].Cycle
-		}
-		if out[i].Core != out[j].Core {
-			return out[i].Core < out[j].Core
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	out := make([]Event, capa)
+	start := n & (capa - 1)
+	copy(out, t.buf[start:])
+	copy(out[capa-start:], t.buf[:start])
 	return out
 }
 
-// ShardEvents returns one shard's surviving ring contents in order.
-func (t *Tracer) ShardEvents(core int) []Event {
-	if core < 0 || core >= len(t.shards) {
-		return nil
-	}
-	return t.shards[core].events()
-}
+// Recorded returns the total number of events recorded (including those
+// overwritten in the ring).
+func (t *Tracer) Recorded() uint64 { return t.next }
 
-// Recorded returns the total number of events recorded across all shards
-// (including those overwritten in the rings).
-func (t *Tracer) Recorded() uint64 {
-	var n uint64
-	for _, s := range t.shards {
-		n += s.next
-	}
-	return n
-}
-
-// Dropped returns how many events have been overwritten by ring wrap,
-// summed over shards. Bounded rings never lose events silently: every
-// overwrite is counted here and per shard in ShardDropped.
+// Dropped returns how many events ring wrap has overwritten. A bounded
+// ring never loses events silently: every overwrite is counted here.
 func (t *Tracer) Dropped() uint64 {
-	var n uint64
-	for _, s := range t.shards {
-		n += s.dropped()
+	if capa := uint64(len(t.buf)); t.next > capa {
+		return t.next - capa
 	}
-	return n
-}
-
-// ShardRecorded returns how many events shard core has recorded.
-func (t *Tracer) ShardRecorded(core int) uint64 {
-	if core < 0 || core >= len(t.shards) {
-		return 0
-	}
-	return t.shards[core].next
-}
-
-// ShardDropped returns how many of shard core's events ring wrap overwrote.
-func (t *Tracer) ShardDropped(core int) uint64 {
-	if core < 0 || core >= len(t.shards) {
-		return 0
-	}
-	return t.shards[core].dropped()
-}
-
-// MaxCycles is global virtual time as the tracer sees it: the maximum over
-// shard clocks (the boot clock on a single-core machine).
-func (t *Tracer) MaxCycles() uint64 {
-	max := uint64(0)
-	for _, s := range t.shards {
-		if v := s.clock.Cycles(); v > max {
-			max = v
-		}
-	}
-	return max
+	return 0
 }
 
 // itoa is strconv.Itoa for small non-negative ints without the import.

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"cubicleos/internal/cycles"
 )
@@ -33,8 +34,8 @@ func TestHistBuckets(t *testing.T) {
 	if h.Count() != uint64(len(cases)) {
 		t.Fatalf("count = %d, want %d", h.Count(), len(cases))
 	}
-	if h.Max() != 1025 || h.Min() != 0 {
-		t.Fatalf("min/max = %d/%d, want 0/1025", h.Min(), h.Max())
+	if h.max != 1025 {
+		t.Fatalf("max = %d, want 1025", h.max)
 	}
 }
 
@@ -101,10 +102,11 @@ func TestCallPairingAndEdgeHist(t *testing.T) {
 	clock.Charge(400)
 	tr.CallExit(0, 1, 2, "a.f")
 
-	if h := tr.EdgeHist(Edge{2, 3}); h == nil || h.Count() != 1 || h.Sum() != 100 {
+	hists := tr.edgeHistsByEdge()
+	if h := hists[Edge{2, 3}]; h == nil || h.Count() != 1 || h.Sum() != 100 {
 		t.Fatalf("inner edge hist = %+v", h)
 	}
-	if h := tr.EdgeHist(Edge{1, 2}); h == nil || h.Count() != 1 || h.Sum() != 1000 {
+	if h := hists[Edge{1, 2}]; h == nil || h.Count() != 1 || h.Sum() != 1000 {
 		t.Fatalf("outer edge hist = %+v", h)
 	}
 	if calls, bytes := tr.Count(EvCallEnter), tr.Weight(EvCallEnter); calls != 2 || bytes != 48 {
@@ -121,9 +123,9 @@ func TestProfileAttribution(t *testing.T) {
 	tr.SetNamer(func(id int) string { return map[int]string{0: "A", 1: "B"}[id] })
 
 	clock.Charge(100) // cubicle 0 (initial)
-	tr.SwitchCubicle(0, 1)
+	tr.SwitchCubicle(1)
 	clock.Charge(300) // cubicle 1
-	tr.SwitchCubicle(0, 0)
+	tr.SwitchCubicle(0)
 	clock.Charge(50) // cubicle 0 again
 
 	p := tr.Profile()
@@ -146,7 +148,7 @@ func TestSamplingProfiler(t *testing.T) {
 	clock := &cycles.Clock{}
 	tr := New(clock, 64)
 	tr.EnableSampling(100)
-	tr.SwitchCubicle(0, 7)
+	tr.SwitchCubicle(7)
 	for i := 0; i < 10; i++ {
 		clock.Charge(100)
 	}
@@ -201,121 +203,11 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// multiShardTracer builds a 3-core tracer with thread n pinned to core n
-// and a distinct clock per core.
-func multiShardTracer(ringCap int) (*Tracer, []*cycles.Clock) {
-	clks := []*cycles.Clock{{}, {}, {}}
-	tr := New(clks[0], ringCap)
-	tr.SetCores(clks, func(thread int) int { return thread % 3 })
-	return tr, clks
-}
-
-func TestChromePerCoreTracks(t *testing.T) {
-	tr, clks := multiShardTracer(64)
-	tr.CallEnter(0, 1, 2, "a.f", 0)
-	clks[0].Charge(10)
-	tr.CallExit(0, 1, 2, "a.f")
-	tr.CallEnter(1, 1, 2, "b.g", 0)
-	clks[1].Charge(10)
-	tr.CallExit(1, 1, 2, "b.g")
-	tr.Retag(-1, 1, 0x4000, 2) // monitor context: shard 0, synthetic track
-
-	raw, err := tr.ChromeTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("chrome trace does not parse: %v", err)
-	}
-	tids := map[float64]bool{}
-	for _, ev := range doc.TraceEvents {
-		if ev["ph"] == "M" {
-			continue
-		}
-		tids[ev["tid"].(float64)] = true
-	}
-	// Multi-shard tid bands: 1000*(core+1)+thread, monitor events on 99.
-	for _, want := range []float64{1000, 2001, 99} {
-		if !tids[want] {
-			t.Errorf("missing per-core track tid %v (got %v)", want, tids)
-		}
-	}
-	if tids[0] || tids[1] {
-		t.Errorf("multi-core trace still uses bare thread tids: %v", tids)
-	}
-}
-
-func TestShardMergeOrdering(t *testing.T) {
-	tr, clks := multiShardTracer(64)
-	// Interleave emissions so per-core cycle stamps overlap: core 2 runs
-	// ahead, core 0 lags, core 1 in between.
-	for i := 0; i < 5; i++ {
-		clks[0].Charge(10)
-		tr.Retag(0, 1, uint64(i), 2)
-		clks[1].Charge(25)
-		tr.Retag(1, 1, uint64(100+i), 2)
-		clks[2].Charge(40)
-		tr.Retag(2, 1, uint64(200+i), 2)
-	}
-	evs := tr.Events()
-	if len(evs) != 15 {
-		t.Fatalf("merged %d events, want 15", len(evs))
-	}
-	lastSeq := map[int16]uint64{}
-	seen := map[int16]bool{}
-	for i, ev := range evs {
-		if i > 0 {
-			p := evs[i-1]
-			if ev.Cycle < p.Cycle {
-				t.Fatalf("merge regresses in GVT at %d: %d after %d", i, ev.Cycle, p.Cycle)
-			}
-			if ev.Cycle == p.Cycle && (ev.Core < p.Core || (ev.Core == p.Core && ev.Seq < p.Seq)) {
-				t.Fatalf("merge breaks (cycle, core, seq) tie-break at %d", i)
-			}
-		}
-		if seen[ev.Core] && ev.Seq <= lastSeq[ev.Core] {
-			t.Fatalf("core %d subsequence out of order at %d", ev.Core, i)
-		}
-		seen[ev.Core], lastSeq[ev.Core] = true, ev.Seq
-	}
-	// Per-shard counts must sum to the merged total.
-	var sum int
-	for c := 0; c < tr.Cores(); c++ {
-		sum += len(tr.ShardEvents(c))
-	}
-	if sum != len(evs) {
-		t.Fatalf("shard events sum to %d, merged stream has %d", sum, len(evs))
-	}
-	if tr.Recorded() != 15 || tr.Dropped() != 0 {
-		t.Fatalf("recorded/dropped = %d/%d, want 15/0", tr.Recorded(), tr.Dropped())
-	}
-}
-
-func TestShardDropAccounting(t *testing.T) {
-	tr, clks := multiShardTracer(16)
-	// Overflow only core 1's ring; drops must be counted per shard and
-	// never bleed into the others.
-	for i := 0; i < 40; i++ {
-		clks[1].Charge(10)
-		tr.Retag(1, 1, uint64(i), 2)
-	}
-	clks[0].Charge(10)
-	tr.Retag(0, 1, 999, 2)
-	if got := tr.ShardDropped(1); got != 40-16 {
-		t.Fatalf("core 1 dropped %d, want %d", got, 40-16)
-	}
-	if tr.ShardDropped(0) != 0 || tr.ShardDropped(2) != 0 {
-		t.Fatalf("drops bled across shards: %d/%d",
-			tr.ShardDropped(0), tr.ShardDropped(2))
-	}
-	if tr.Dropped() != 40-16 {
-		t.Fatalf("total dropped %d, want %d", tr.Dropped(), 40-16)
-	}
-	if got := tr.Count(EvRetag); got != 41 {
-		t.Fatalf("streaming count %d survived drops wrong, want 41", got)
+// TestEventIsOneCacheLine pins the ring slot at 64 bytes: every emission
+// rewrites one slot of a ring far larger than L1.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 64", got)
 	}
 }
 
@@ -325,7 +217,7 @@ func TestPrometheusExposition(t *testing.T) {
 	tr.CallEnter(0, 1, 2, "b.read", 64)
 	clock.Charge(4000)
 	tr.CallExit(0, 1, 2, "b.read")
-	tr.SwitchCubicle(0, 1)
+	tr.SwitchCubicle(1)
 	clock.Charge(100)
 
 	var buf bytes.Buffer

@@ -8,33 +8,24 @@ import (
 
 // SMP is the sharded multi-core scheduler: one run queue per simulated
 // core, each quantum executed by a real goroutine worker per core, with a
-// barrier between quanta and deterministic work stealing decided at the
-// barrier.
+// barrier between quanta. Tasks stay on the core they were added to: a
+// migrated task would charge its birth core's clock from another worker.
 //
 // Determinism contract: within a quantum a worker touches only its own
 // core's queue and state, so the host's goroutine interleaving cannot
-// change what any core executes. All cross-core decisions — the GVT
-// barrier on the attached Machine and the rebalance pass — happen on the
-// coordinating goroutine between quanta, from state that is itself
-// deterministic. For a fixed task set and core count, every run executes
-// the identical per-core step sequences (the determinism tests pin five
-// runs to identical counters).
+// change what any core executes. The one cross-core decision — the GVT
+// barrier on the attached Machine — happens on the coordinating goroutine
+// between quanta, from state that is itself deterministic. For a fixed
+// task set and core count, every run executes the identical per-core step
+// sequences (the determinism tests pin five runs to identical counters).
 type SMP struct {
 	queues [][]namedTask
 
-	// StepsPerQuantum is how many round-robin passes each core makes over
-	// its queue per quantum (default 1).
-	StepsPerQuantum int
-	// Steal enables work stealing: at each barrier, cores with empty
-	// queues take the tail task of the longest remaining queue.
-	Steal bool
 	// Machine, when set, gets a GVT barrier after every quantum.
 	Machine *cycles.Machine
 
 	// Steps counts task steps executed per core (observability).
 	Steps []uint64
-	// Stolen counts tasks migrated by the rebalance pass.
-	Stolen uint64
 	// Quanta counts completed quanta.
 	Quanta uint64
 }
@@ -49,15 +40,8 @@ func NewSMP(n int) *SMP {
 	if n < 1 {
 		n = 1
 	}
-	return &SMP{
-		queues:          make([][]namedTask, n),
-		StepsPerQuantum: 1,
-		Steps:           make([]uint64, n),
-	}
+	return &SMP{queues: make([][]namedTask, n), Steps: make([]uint64, n)}
 }
-
-// NumCores returns the number of cores.
-func (s *SMP) NumCores() int { return len(s.queues) }
 
 // Add queues a task on the given core under a diagnostic name.
 func (s *SMP) Add(core int, name string, t Task) {
@@ -78,42 +62,32 @@ func (s *SMP) Len() int {
 	return n
 }
 
-// runCore makes this core's passes for one quantum. It is the only code
-// that touches queues[core] while workers run; the coordinator's
+// runCore makes this core's round-robin pass for one quantum. It is the
+// only code that touches queues[core] while workers run; the coordinator's
 // WaitGroup join publishes the result before any cross-core access.
 func (s *SMP) runCore(core int) bool {
-	passes := s.StepsPerQuantum
-	if passes < 1 {
-		passes = 1
-	}
 	progress := false
-	for p := 0; p < passes; p++ {
-		q := s.queues[core]
-		if len(q) == 0 {
-			break
+	q := s.queues[core]
+	for i := 0; i < len(q); {
+		s.Steps[core]++
+		switch q[i].t.Step() {
+		case Done:
+			q = append(q[:i], q[i+1:]...)
+			progress = true
+		case Yield:
+			progress = true
+			i++
+		default: // Block
+			i++
 		}
-		for i := 0; i < len(q); {
-			s.Steps[core]++
-			switch q[i].t.Step() {
-			case Done:
-				q = append(q[:i], q[i+1:]...)
-				progress = true
-			case Yield:
-				progress = true
-				i++
-			default: // Block
-				i++
-			}
-		}
-		s.queues[core] = q
 	}
+	s.queues[core] = q
 	return progress
 }
 
 // RunQuantum runs one quantum: every core with queued tasks executes its
-// passes on its own goroutine, the coordinator joins them, takes the GVT
-// barrier, and rebalances queues if stealing is enabled. It reports
-// whether any core made progress.
+// pass on its own goroutine, then the coordinator joins them and takes the
+// GVT barrier. It reports whether any core made progress.
 func (s *SMP) RunQuantum() bool {
 	progress := make([]bool, len(s.queues))
 	var wg sync.WaitGroup
@@ -132,41 +106,12 @@ func (s *SMP) RunQuantum() bool {
 	if s.Machine != nil {
 		s.Machine.Barrier()
 	}
-	if s.Steal {
-		s.rebalance()
-	}
 	for _, p := range progress {
 		if p {
 			return true
 		}
 	}
 	return false
-}
-
-// rebalance is the deterministic stealing pass: idle cores (ascending
-// index) each take the tail task of the longest queue (lowest index on
-// ties) as long as some queue holds more than one task. Taking the tail
-// leaves the victim's round-robin order — and therefore its step
-// sequence — unchanged.
-func (s *SMP) rebalance() {
-	for core := range s.queues {
-		if len(s.queues[core]) != 0 {
-			continue
-		}
-		victim, best := -1, 1
-		for v := range s.queues {
-			if len(s.queues[v]) > best {
-				victim, best = v, len(s.queues[v])
-			}
-		}
-		if victim < 0 {
-			return
-		}
-		q := s.queues[victim]
-		s.queues[core] = append(s.queues[core], q[len(q)-1])
-		s.queues[victim] = q[:len(q)-1]
-		s.Stolen++
-	}
 }
 
 // Run drives quanta until all tasks are done, or until maxIdle

@@ -31,28 +31,21 @@ func (t *countTask) Step() Status {
 
 // run builds a fixed 4-core workload over a fresh machine and returns the
 // observable counters after it completes.
-func runSMPWorkload(t *testing.T) ([]uint64, uint64, uint64, []uint64, uint64) {
+func runSMPWorkload(t *testing.T) ([]uint64, uint64, []uint64, uint64) {
 	t.Helper()
 	const cores = 4
-	m := cycles.NewMachine(cores)
+	clks := []*cycles.Clock{{}, {}, {}, {}}
+	m := cycles.MachineOver(clks...)
 	s := NewSMP(cores)
 	s.Machine = m
-	s.Steal = true
 	for c := 0; c < cores; c++ {
-		// Deliberately unbalanced: core 0 gets most of the tasks so the
-		// stealing pass has something to move. Steal-eligible tasks carry no
-		// clock — a migrated task would otherwise charge its birth core's
-		// clock from another worker (callers that charge clocks either pin
-		// their tasks or re-home the clock at the barrier, as the monitor's
-		// SetThreadCore does).
+		// Deliberately unbalanced: core 0 gets most of the tasks.
 		n := 1
-		clk := m.Core(c)
 		if c == 0 {
 			n = 5
-			clk = nil
 		}
 		for i := 0; i < n; i++ {
-			s.Add(c, "w", &countTask{left: 3 + (c+i*7)%5, cost: uint64(10 + c), clk: clk})
+			s.Add(c, "w", &countTask{left: 3 + (c+i*7)%5, cost: uint64(10 + c), clk: clks[c]})
 		}
 	}
 	if !s.Run(4) {
@@ -60,49 +53,25 @@ func runSMPWorkload(t *testing.T) ([]uint64, uint64, uint64, []uint64, uint64) {
 	}
 	clocks := make([]uint64, cores)
 	for c := 0; c < cores; c++ {
-		clocks[c] = m.Core(c).Cycles()
+		clocks[c] = clks[c].Cycles()
 	}
-	return append([]uint64(nil), s.Steps...), s.Stolen, s.Quanta, clocks, m.GVT()
+	return append([]uint64(nil), s.Steps...), s.Quanta, clocks, m.GVT()
 }
 
 // TestSMPDeterministicAcrossRuns pins the determinism contract: for a
 // fixed task set and core count, five runs produce identical per-core
-// step counts, steal counts, quanta, per-core clocks and GVT — no matter
+// step counts, quanta, per-core clocks and GVT — no matter
 // how the host scheduler interleaves the worker goroutines. Run under
 // -race this is also the data-race gate for the quantum/barrier protocol.
 func TestSMPDeterministicAcrossRuns(t *testing.T) {
-	steps0, stolen0, quanta0, clocks0, gvt0 := runSMPWorkload(t)
+	steps0, quanta0, clocks0, gvt0 := runSMPWorkload(t)
 	for run := 1; run < 5; run++ {
-		steps, stolen, quanta, clocks, gvt := runSMPWorkload(t)
-		if !reflect.DeepEqual(steps, steps0) || stolen != stolen0 || quanta != quanta0 ||
+		steps, quanta, clocks, gvt := runSMPWorkload(t)
+		if !reflect.DeepEqual(steps, steps0) || quanta != quanta0 ||
 			!reflect.DeepEqual(clocks, clocks0) || gvt != gvt0 {
-			t.Fatalf("run %d diverged:\n got steps=%v stolen=%d quanta=%d clocks=%v gvt=%d\nwant steps=%v stolen=%d quanta=%d clocks=%v gvt=%d",
-				run, steps, stolen, quanta, clocks, gvt, steps0, stolen0, quanta0, clocks0, gvt0)
+			t.Fatalf("run %d diverged:\n got steps=%v quanta=%d clocks=%v gvt=%d\nwant steps=%v quanta=%d clocks=%v gvt=%d",
+				run, steps, quanta, clocks, gvt, steps0, quanta0, clocks0, gvt0)
 		}
-	}
-}
-
-// TestSMPWorkStealing asserts idle cores actually take over queued work:
-// every task lands on core 0, stealing is on, and the run must finish
-// with steps recorded on other cores too.
-func TestSMPWorkStealing(t *testing.T) {
-	s := NewSMP(4)
-	s.Steal = true
-	for i := 0; i < 12; i++ {
-		s.Add(0, "w", &countTask{left: 6})
-	}
-	if !s.Run(4) {
-		t.Fatalf("did not complete; blocked: %v", s.Blocked())
-	}
-	if s.Stolen == 0 {
-		t.Fatalf("expected the rebalance pass to migrate tasks, Stolen == 0")
-	}
-	other := uint64(0)
-	for c := 1; c < 4; c++ {
-		other += s.Steps[c]
-	}
-	if other == 0 {
-		t.Fatalf("no steps executed off core 0: steps=%v", s.Steps)
 	}
 }
 
@@ -152,18 +121,19 @@ func TestSMPBlockedTasksStopRun(t *testing.T) {
 // observation made at a barrier.
 func TestSMPPerCoreClocksAndGVTMonotone(t *testing.T) {
 	const cores = 3
-	m := cycles.NewMachine(cores)
+	clks := []*cycles.Clock{{}, {}, {}}
+	m := cycles.MachineOver(clks...)
 	s := NewSMP(cores)
 	s.Machine = m
 	for c := 0; c < cores; c++ {
-		s.Add(c, "w", &countTask{left: 8, cost: uint64(100 * (c + 1)), clk: m.Core(c)})
+		s.Add(c, "w", &countTask{left: 8, cost: uint64(100 * (c + 1)), clk: clks[c]})
 	}
 	prevClocks := make([]uint64, cores)
 	prevGVT := uint64(0)
 	for s.Len() > 0 {
 		s.RunQuantum()
 		for c := 0; c < cores; c++ {
-			now := m.Core(c).Cycles()
+			now := clks[c].Cycles()
 			if now < prevClocks[c] {
 				t.Fatalf("core %d clock regressed: %d -> %d", c, prevClocks[c], now)
 			}

@@ -31,7 +31,6 @@ const (
 	EISDIR  = 21
 	EINVAL  = 22
 	ENOSPC  = 28
-	ENOTSUP = 95
 )
 
 // Open flags (subset of POSIX).

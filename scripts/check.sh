@@ -57,6 +57,14 @@ if [ -n "$walks" ]; then
     echo "check.sh: internal/cubicle walks the whole page table outside acquireKey" >&2; exit 1
 fi
 
+# One monitor, one clock (DESIGN.md §10): every thread charges, and the
+# tracer stamps with, the clock NewMonitor made.
+clocks="$(awk '/^func /{fn=$0} /cycles\.Clock\{|new\(cycles\.Clock\)/{ if (fn !~ /NewMonitor/) print FILENAME ":" FNR ": " $0 }' $(ls internal/cubicle/*.go internal/trace/*.go | grep -v _test.go))"
+if [ -n "$clocks" ]; then
+    echo "$clocks"
+    echo "check.sh: internal/cubicle or internal/trace constructs a cycles.Clock outside NewMonitor" >&2; exit 1
+fi
+
 go run ./cmd/cubicle-trace -format chrome -requests 5 -check >/dev/null
 go run ./cmd/cubicle-trace -format prom -requests 5 -check >/dev/null
 go run ./cmd/cubicle-trace -format json -requests 5 -check >/dev/null
@@ -71,13 +79,13 @@ go run ./cmd/cubicle-trace -format json -requests 40 -chaos-seed 7 -check >/dev/
 # explicitly, keeps connections and memory bounded, and drops nothing.
 go run ./cmd/httpbench -openloop -rates 1000,8000 -requests 120 -assert-degrade >/dev/null
 
-# SMP gates: the multi-core paths (per-core clocks, GVT barriers, retag
-# shootdowns, chaos under SMP) and the shard siege under the race detector —
+# SMP gates: interleaved threads on one monitor, the retag shootdown
+# surcharge, GVT barriers and the shard siege under the race detector —
 # host parallelism is shared-nothing shards with one monitor each, and
 # TestParallelOpenLoop* under -race is the guard that they share nothing
 # (TestParallelPeersShareNoBuffers the same for each shard's peer and its
-# free list of receive buffers) — and the 1-core byte-identity golden: cores=1 must reproduce the pre-SMP
-# Figure 7 exactly.
+# free list of receive buffers) — and the 1-core byte-identity golden:
+# cores=1 must reproduce the pre-SMP Figure 7 exactly.
 go test -race -run 'SMP|Shootdown|Parallel' ./internal/cubicle/ ./internal/uksched/ ./internal/siege/ ./internal/cycles/ ./internal/lwip/
 go run ./cmd/cubicle-bench -fig 7 | diff - cmd/cubicle-bench/testdata/fig7_seed.golden
 
@@ -104,8 +112,7 @@ go run ./cmd/httpbench -cores 2 -rates 2000 -requests 100 >/dev/null
 # warm restarts) under the race detector, and a
 # record/replay smoke at 1 and 4 cores: -replay -until re-executes the
 # chaos run and requires the event streams to be bit-identical up to the
-# halt cycle. (-cores 4 on this CLI adds the shootdown surcharge and three
-# empty ring shards: every thread it creates stays on core 0.)
+# halt cycle. (-cores 4 means the retag surcharge.)
 go test -race ./internal/snapshot/
 go test -race -run FuzzSnapshotDecode ./internal/snapshot/
 go test -race -run 'Checkpoint|Snapshot|Restore|WarmRestart|WarmVsCold|RestartBudget|ReplayDeterminism|OwnedPages|CubiclePointers|SiegeUnderChaos' ./internal/cubicle/ ./internal/siege/
@@ -129,15 +136,11 @@ go run ./cmd/httpbench -cluster 4 -assert-degrade >/dev/null
 go run ./cmd/cubicle-top -cluster 2 -requests 180 >/dev/null
 go run ./cmd/cubicle-inspect -cluster 2 -json >/dev/null
 
-# Observability gates: the trace invariants at -cores 4 — which on this
-# CLI means the shootdown surcharge plus ring sharding with every thread
-# on core 0 (it prints the events per shard); the multi-core merge itself
-# is tested by TestSMPMergedStreamDeterministic and internal/trace's
-# TestShardMergeOrdering, TestChromePerCoreTracks and
-# TestShardDropAccounting — then the /metrics exposition and dashboard
-# smoke, the single-system dump as valid JSON (the cluster gates above
-# only run -cluster 2 -json), and the tracing-overhead ratio (paired
-# benchmark, drift-immune; <= 1.6).
+# Observability gates: the trace invariants at -cores 4 (the retag
+# surcharge), then the /metrics exposition and dashboard smoke, the
+# single-system dump as valid JSON (the cluster gates above only run
+# -cluster 2 -json), and the tracing-overhead ratio (paired benchmark,
+# drift-immune; <= 1.9).
 go run ./cmd/cubicle-trace -check -format json -cores 4 -requests 10 >/dev/null
 go run ./cmd/cubicle-top -once -requests 120 >/dev/null
 go run ./cmd/cubicle-inspect -json | python3 -m json.tool >/dev/null
