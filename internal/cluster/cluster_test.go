@@ -40,7 +40,8 @@ var raceBuild bool
 // TestClusterAllocationCounts pins the objects one cluster arrival
 // allocates on the keep-alive path (flight, leg, request, response, and
 // the backend's share of checkpoints), the run's own state amortised over
-// 256 arrivals: 19.3 measured, 20 allowed. It was 27.4 while httpd split
+// 256 arrivals: 12.3 measured, 13 allowed. It was 19.3 while each VFS call
+// boxed its argument words on the heap, 27.4 while httpd split
 // the request head into strings and built the response head and the log
 // line with Sprintf, and 32.3 while KAConn.Request and KAConn.Next did the
 // like on the client side.
@@ -61,8 +62,8 @@ func TestClusterAllocationCounts(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
-	if got := float64(after.Mallocs-before.Mallocs) / arrivals; got > 20 {
-		t.Errorf("a cluster arrival allocates %.2f objects, more than 20", got)
+	if got := float64(after.Mallocs-before.Mallocs) / arrivals; got > 13 {
+		t.Errorf("a cluster arrival allocates %.2f objects, more than 13", got)
 	} else {
 		t.Logf("cluster arrival: %.2f allocations", got)
 	}

@@ -27,17 +27,24 @@ const FrequencyHz = 2_200_000_000
 // is written some 25 000 times per MiB served.
 type Clock struct {
 	cycles uint64
-	// workNum/workDen scale modelled-compute charges (ChargeWork) to
+	// workNum/workDen scales modelled-compute charges (ChargeWork) to
 	// represent implementation efficiency differences between runtimes
-	// (e.g. Unikraft 0.4 vs native Linux). Architectural-event charges
-	// (Charge) are never scaled — traps and wrpkru cost what the
-	// hardware costs regardless of who runs on top.
-	workNum, workDen uint64
+	// (e.g. Unikraft 0.4 vs native Linux), once SetWorkScale has set scaled.
+	// Architectural-event charges (Charge) are never scaled — traps and
+	// wrpkru cost what the hardware costs regardless of who runs on top.
+	workNum uint64
+	scaled  bool
 	// onAdvance, when set, observes every clock advance with the new
 	// cycle count. The tracing layer uses it to drive the virtual-clock
 	// sampling profiler; when unset the cost is one nil check per charge.
 	onAdvance func(now uint64)
 }
+
+// workDen is the work scale's fixed denominator: the factor is kept in
+// thousandths, and a constant divisor compiles to a multiply, not the DIV a
+// field would cost on each of the million ChargeWork calls of a speedtest
+// pass.
+const workDen = 1000
 
 // Charge adds n cycles to the clock (architectural events; unscaled).
 func (c *Clock) Charge(n uint64) {
@@ -51,8 +58,8 @@ func (c *Clock) Charge(n uint64) {
 // ChargeWork adds n cycles of modelled compute, scaled by the work-scale
 // factor.
 func (c *Clock) ChargeWork(n uint64) {
-	if c.workDen != 0 {
-		n = n * c.workNum / c.workDen
+	if c.scaled {
+		n = n * c.workNum / workDen
 	}
 	c.Charge(n)
 }
@@ -65,8 +72,8 @@ func (c *Clock) ChargeWorkN(n, k uint64) {
 	if k == 0 {
 		return
 	}
-	if c.workDen != 0 {
-		n = n * c.workNum / c.workDen
+	if c.scaled {
+		n = n * c.workNum / workDen
 	}
 	c.Charge(n * k)
 }
@@ -76,8 +83,8 @@ func (c *Clock) SetOnAdvance(fn func(now uint64)) { c.onAdvance = fn }
 
 // SetWorkScale sets the modelled-compute scale factor (1.0 = native).
 func (c *Clock) SetWorkScale(f float64) {
-	c.workNum = uint64(f * 1000)
-	c.workDen = 1000
+	c.workNum = uint64(f * workDen)
+	c.scaled = true
 }
 
 // Cycles returns the number of cycles charged so far. Call it from the

@@ -51,6 +51,14 @@ func TestWorkScale(t *testing.T) {
 	if c.Cycles() != 2700 {
 		t.Errorf("Charge scaled: %d", c.Cycles())
 	}
+	// A scale of zero is a scale, not "unset": modelled compute is free.
+	c.Reset()
+	c.SetWorkScale(0)
+	c.ChargeWork(1000)
+	c.ChargeWorkN(1000, 9)
+	if c.Cycles() != 0 {
+		t.Errorf("ChargeWork at scale 0 = %d", c.Cycles())
+	}
 }
 
 // TestChargeLinear: charging in pieces equals charging at once.

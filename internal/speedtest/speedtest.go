@@ -13,6 +13,8 @@ package speedtest
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"cubicleos/internal/sqldb"
 )
@@ -90,6 +92,12 @@ type Runner struct {
 
 	n   int // rows in the cached tables
 	big int // rows in the larger-than-cache table
+
+	// sql is where exec builds each statement's text.
+	sql []byte
+	// onExec, set only by tests, sees every statement exec runs: its
+	// format, a copy of its arguments and the text built from them.
+	onExec func(format string, args []any, sql string)
 }
 
 // New creates a runner. Size 0 selects the default scale of 100.
@@ -114,13 +122,19 @@ func (r *Runner) rand() uint64 {
 
 func (r *Runner) randN(n int) int { return int(r.rand() % uint64(n)) }
 
-// pad yields deterministic filler text.
-func pad(i, width int) string {
-	s := fmt.Sprintf("%0*d", width, i*2654435761%100000000)
-	for len(s) < width {
-		s += "x"
+// filler is deterministic filler text: i·2654435761 mod 10^8 in decimal,
+// zero-padded to width. exec writes it straight into the statement.
+type filler struct{ i, width int }
+
+func pad(i, width int) filler { return filler{i, width} }
+
+func (f filler) appendTo(dst []byte) []byte {
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(f.i*2654435761%100000000), 10)
+	for range f.width - len(digits) {
+		dst = append(dst, '0')
 	}
-	return s
+	return append(dst, digits...)
 }
 
 // Setup creates and fills the schema every query runs against.
@@ -136,16 +150,15 @@ func (r *Runner) Setup() error {
 		"CREATE TABLE zj4 (id INTEGER PRIMARY KEY, v INTEGER)",
 	}
 	for _, s := range stmts {
-		if _, err := r.DB.Exec(s); err != nil {
+		if err := r.exec(s); err != nil {
 			return err
 		}
 	}
-	if _, err := r.DB.Exec("BEGIN"); err != nil {
+	if err := r.exec("BEGIN"); err != nil {
 		return err
 	}
 	for i := 1; i <= r.big; i++ {
-		if _, err := r.DB.Exec(fmt.Sprintf(
-			"INSERT INTO zbig VALUES (%d, %d, '%s')", i, i%997, pad(i, 180))); err != nil {
+		if err := r.exec("INSERT INTO zbig VALUES (%d, %d, '%s')", i, i%997, pad(i, 180)); err != nil {
 			return err
 		}
 	}
@@ -155,22 +168,18 @@ func (r *Runner) Setup() error {
 	}
 	for i := 1; i <= join; i++ {
 		for _, tbl := range []string{"zj1", "zj2", "zj3"} {
-			if _, err := r.DB.Exec(fmt.Sprintf(
-				"INSERT INTO %s VALUES (%d, %d)", tbl, i, (i%join)+1)); err != nil {
+			if err := r.exec("INSERT INTO %s VALUES (%d, %d)", tbl, i, (i%join)+1); err != nil {
 				return err
 			}
 		}
-		if _, err := r.DB.Exec(fmt.Sprintf("INSERT INTO zj4 VALUES (%d, %d)", i, i*7)); err != nil {
+		if err := r.exec("INSERT INTO zj4 VALUES (%d, %d)", i, i*7); err != nil {
 			return err
 		}
 	}
-	if _, err := r.DB.Exec("CREATE INDEX izbig ON zbig (k)"); err != nil {
+	if err := r.exec("CREATE INDEX izbig ON zbig (k)"); err != nil {
 		return err
 	}
-	if _, err := r.DB.Exec("COMMIT"); err != nil {
-		return err
-	}
-	return nil
+	return r.exec("COMMIT")
 }
 
 // Run executes one query workload by ID.
@@ -425,9 +434,61 @@ func (r *Runner) Run(id int) error {
 	return fmt.Errorf("speedtest: unknown query ID %d", id)
 }
 
+// exec runs the statement format describes: %d takes an int, %s a string
+// or a filler, %% is a percent sign. The text is built in r.sql and copied
+// once into the string Exec takes; the arguments do not escape, so boxing
+// them costs the caller nothing.
 func (r *Runner) exec(format string, args ...any) error {
-	_, err := r.DB.Exec(fmt.Sprintf(format, args...))
+	r.sql = appendSQL(r.sql[:0], format, args)
+	sql := string(r.sql)
+	if r.onExec != nil {
+		// The hook gets copies: handing it args would move every caller's
+		// arguments to the heap.
+		own := make([]any, len(args))
+		for i, a := range args {
+			switch v := a.(type) {
+			case int:
+				own[i] = v
+			case string:
+				own[i] = v
+			case filler:
+				own[i] = v
+			}
+		}
+		r.onExec(format, own, sql)
+	}
+	_, err := r.DB.Exec(sql)
 	return err
+}
+
+// appendSQL appends format to dst with its verbs filled in from args.
+func appendSQL(dst []byte, format string, args []any) []byte {
+	for {
+		i := strings.IndexByte(format, '%')
+		if i < 0 {
+			return append(dst, format...)
+		}
+		dst = append(dst, format[:i]...)
+		verb := format[i+1]
+		format = format[i+2:]
+		if verb == '%' {
+			dst = append(dst, '%')
+			continue
+		}
+		switch arg := args[0]; {
+		case verb == 'd':
+			dst = strconv.AppendInt(dst, int64(arg.(int)), 10)
+		case verb != 's':
+			panic("speedtest: unsupported verb %" + string(verb))
+		default:
+			if f, ok := arg.(filler); ok {
+				dst = f.appendTo(dst)
+			} else {
+				dst = append(dst, arg.(string)...)
+			}
+		}
+		args = args[1:]
+	}
 }
 
 func (r *Runner) inTxn(fn func() error) error {

@@ -1,6 +1,7 @@
 package speedtest_test
 
 import (
+	"strings"
 	"testing"
 
 	"cubicleos/internal/boot"
@@ -57,6 +58,38 @@ func TestEveryQueryRuns(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStatementsMatchSprintf: every statement of Setup and of every query
+// at size 10 is, byte for byte, what fmt.Sprintf and the fmt-based pad made
+// of the same format and arguments.
+func TestStatementsMatchSprintf(t *testing.T) {
+	s, r := newRunner(t, 10)
+	verbs := map[string]int{}
+	r.OnExec(func(format string, args []any, sql string) {
+		if want := speedtest.SprintfStatement(format, args); sql != want {
+			t.Fatalf("format %q:\n got %q\nwant %q", format, sql, want)
+		}
+		for _, v := range []string{"%d", "%s", "%%"} {
+			verbs[v] += strings.Count(format, v)
+		}
+	})
+	err := s.RunAs("SQLITE", func(e *cubicle.Env) {
+		if err := r.Setup(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range speedtest.QueryIDs {
+			if err := r.Run(id); err != nil {
+				t.Fatalf("query %d: %v", id, err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verbs["%d"] == 0 || verbs["%s"] == 0 || verbs["%%"] == 0 {
+		t.Errorf("premise broken: verbs seen %v", verbs)
 	}
 }
 

@@ -326,7 +326,9 @@ func (t *Btree) splitPut(n *cpage, pos int, replace bool, c cell) *split {
 	}
 	big.dir = append(big.dir[:0], n.dir...)
 	copy(big.data, n.data[:n.end()])
-	typ, leaf := n.typ(), n.typ() == t.leaf
+	// n is not read past the first Allocate, which may evict it and hand
+	// its frame to another page: what the split needs of it is read here.
+	pgno, typ, leaf, right := n.pgno, n.typ(), n.typ() == t.leaf, n.right()
 	body, _ := big.splice(pos, replace, t.cellSize(leaf, c))
 	t.putCell(body, leaf, c)
 	cnt := big.count()
@@ -340,12 +342,11 @@ func (t *Btree) splitPut(n *cpage, pos int, replace bool, c cell) *split {
 		sepAt, upFrom = mid, mid+1
 	}
 	if int(big.dir[mid]) > PageSize || big.end()-int(big.dir[upFrom]) > PageSize-pgHdrSize {
-		fail("page %d cannot be split in the middle around a %d-byte cell", n.pgno, len(body))
+		fail("page %d cannot be split in the middle around a %d-byte cell", pgno, len(body))
 	}
 	sp := &split{}
 	sp.sep.kp, sp.sep.rowid = t.cellKey(big.cell(sepAt))
 	sp.sep.kp = append([]byte(nil), sp.sep.kp...)
-	right := n.right()
 	sp.newPg = t.p.Allocate()
 	lowRight := sp.newPg
 	if !leaf {
@@ -354,10 +355,10 @@ func (t *Btree) splitPut(n *cpage, pos int, replace bool, c cell) *split {
 	up := t.p.edit(sp.newPg)
 	up.reset(typ, right)
 	up.take(big, upFrom, cnt)
-	low := t.p.edit(n.pgno)
+	low := t.p.edit(pgno)
 	low.reset(typ, lowRight)
 	low.take(big, 0, mid)
-	if n.pgno != t.root {
+	if pgno != t.root {
 		return sp
 	}
 	// The split reached the root: its content moves to a fresh page — a
@@ -417,17 +418,27 @@ func (t *Btree) find(key []byte, rowid int64) (*cpage, int) {
 	return nil, 0
 }
 
-// GetRow fetches the record stored at rowid, or nil.
-func (t *Btree) GetRow(rowid int64) []byte {
+// Row calls fn on the record stored at rowid, a view of the leaf that
+// holds it, and reports whether there is one. The leaf is pinned until fn
+// returns: fn may call into the pager — a join's inner look-ups do — and
+// the view stays the bytes it was shown. fn must not write the leaf (under
+// Pager.guardScans that panics) nor keep the view.
+func (t *Btree) Row(rowid int64, fn func(record []byte)) bool {
 	n, pos := t.find(nil, rowid)
 	if n == nil {
-		return nil
+		return false
 	}
 	t.p.e.Work(workRecDecode)
-	record := n.cell(pos)[8:]
-	out := make([]byte, len(record))
-	copy(out, record)
-	return out
+	n.pins++
+	defer func() { n.pins-- }()
+	fn(n.cell(pos)[8:])
+	return true
+}
+
+// GetRow returns a copy of the record stored at rowid, or nil.
+func (t *Btree) GetRow(rowid int64) (record []byte) {
+	t.Row(rowid, func(view []byte) { record = bytes.Clone(view) })
+	return record
 }
 
 // DeleteRow removes rowid; reports whether it existed.
@@ -452,14 +463,15 @@ func (t *Btree) MaxRowid() int64 {
 }
 
 // eachCell calls fn on every cell of leaf pgno, in order, until fn
-// returns false; it returns the next leaf, or 0 when stopped. fn must not
-// write to the page it is being shown — the directory is the cached one —
-// which Pager.guardScans turns into a panic under test.
+// returns false; it returns the next leaf, or 0 when stopped. The leaf is
+// pinned meanwhile. fn must not write to the page it is being shown — the
+// directory is the cached one — which Pager.guardScans turns into a panic
+// under test.
 func (t *Btree) eachCell(pgno uint32, fn func(body []byte) bool) uint32 {
 	n := t.p.node(pgno)
 	next := n.right()
-	n.scans++
-	defer func() { n.scans-- }()
+	n.pins++
+	defer func() { n.pins-- }()
 	for i := 0; i < n.count(); i++ {
 		if !fn(n.cell(i)) {
 			return 0
@@ -592,6 +604,9 @@ func (t *Btree) Check() []string {
 				lastRowid = rowid
 			}
 		case t.interior:
+			// The walks below may evict n: pinned, its frame stays n's.
+			n.pins++
+			defer func() { n.pins-- }()
 			for i := 0; i < n.count(); i++ {
 				walk(n.child(i), depth+1)
 			}

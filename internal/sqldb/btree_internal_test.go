@@ -210,9 +210,12 @@ func (s *pageOps) check(step int) {
 			}
 		}
 	}
+	if len(s.p.spare) > maxSpare {
+		s.t.Fatalf("step %d: %d frames on the spare list, at most %d", step, len(s.p.spare), maxSpare)
+	}
 	for pgno, pg := range s.p.cache {
-		if s.pages[pgno] == nil {
-			continue // header or catalog page
+		if pg == nil || s.pages[uint32(pgno)] == nil {
+			continue // not cached, or the header or catalog page
 		}
 		fresh := node{data: pg.data}
 		fresh.index()
@@ -435,17 +438,22 @@ func TestGuardScansCatchesAWriteUnderAScan(t *testing.T) {
 			if recover() == nil {
 				t.Error("a scan callback deleted from the page under it and nothing happened")
 			}
-			if pg := p.cache[tr.root]; pg.scans != 0 {
-				t.Errorf("%d scans still counted on the page after the panic", pg.scans)
+			if pg := p.cache[tr.root]; pg.pins != 0 {
+				t.Errorf("%d pins still counted on the page after the panic", pg.pins)
 			}
 		}()
 		tr.ScanTable(func(rowid int64, record []byte) bool { return tr.DeleteRow(rowid) })
 	})
 }
 
-// TestPagePathAllocations gates what the page path may allocate.
+// TestPagePathAllocations gates what the page path may allocate; a bound
+// of 0 is exact.
 func TestPagePathAllocations(t *testing.T) {
-	withPager(t, 64, func(p *Pager) {
+	withStack(t, func(e *cubicle.Env, vfs *vfscore.Client, ioBuf vm.Addr) {
+		p, err := OpenPager(e, vfs, "/bt.db", ioBuf, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tbl := NewTableTree(p, CreateTableTree(p))
 		for i := int64(0); i < 100; i++ {
 			tbl.InsertRow(i, EncodeRecord([]Value{Int(i), Text("twenty bytes of text.")}))
@@ -455,22 +463,47 @@ func TestPagePathAllocations(t *testing.T) {
 			idx.InsertKey(EncodeKey([]Value{Int(2 * i)}), i)
 		}
 		key := EncodeKey([]Value{Int(51)})
-		rows := 0
+		rows, viewed := 0, 0
+		// A pager a third the size of its file, the pages clean: fetched
+		// round robin, every page misses and evicts a frame onto the spare
+		// list for the next miss to take.
+		small, err := OpenPager(e, vfs, "/miss.db", e.HeapAlloc(PageSize), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 24; i++ {
+			initBtreePage(small.Write(small.Allocate()), pgTableLeaf)
+		}
+		if err := small.flushAll(); err != nil {
+			t.Fatal(err)
+		}
+		next := uint32(1)
+		miss := func() {
+			next = max(2, (next+1)%(small.nPages+1))
+			small.page(next)
+		}
+		for range small.nPages {
+			miss()
+		}
+		misses := small.Stats.Misses
 		for _, c := range []struct {
 			name string
 			max  float64
 			fn   func()
 		}{
 			{"GetRow (the returned copy)", 1, func() { tbl.GetRow(42) }},
+			{"executor row look-up", 0, func() { tbl.Row(42, func(record []byte) { viewed += len(record) }) }},
 			{"InsertKey+DeleteKey without a split", 1, func() { idx.InsertKey(key, 7); idx.DeleteKey(key, 7) }},
 			{"100-row ScanTable", 0, func() { tbl.ScanTable(func(int64, []byte) bool { rows++; return true }) }},
+			{"page miss with a warm spare list", 0, miss},
 		} {
 			if got := testing.AllocsPerRun(50, c.fn); got > c.max {
 				t.Errorf("%s: %v allocations, want at most %v", c.name, got, c.max)
 			}
 		}
-		if rows == 0 || p.Stats.Misses != 0 {
-			t.Errorf("premise broken: %d rows scanned, %d cache misses", rows, p.Stats.Misses)
+		if rows == 0 || viewed == 0 || p.Stats.Misses != 0 || small.Stats.Misses-misses != 51 {
+			t.Errorf("premise broken: %d rows scanned, %d bytes viewed, %d cache misses; %d of 51 fetches missed",
+				rows, viewed, p.Stats.Misses, small.Stats.Misses-misses)
 		}
 	})
 }

@@ -32,6 +32,10 @@ type DB struct {
 	rowBuf []Value
 	recBuf []byte
 	keyBuf []byte
+	// stored binds the row insertRow's conflict checks find in the table
+	// (storedRow); its values are dead once that row's index entries are
+	// deleted.
+	stored tblCtx
 	// afterRow, set only by tests, runs on a bind when the callback of the
 	// row bound to it has returned.
 	afterRow func(*tblCtx)
@@ -224,11 +228,11 @@ func (db *DB) insertRow(t *Table, vals []Value, replace bool) int64 {
 	var rowid int64
 	if t.RowidCol >= 0 && !vals[t.RowidCol].IsNull() {
 		rowid = vals[t.RowidCol].I
-		if existing := tree.GetRow(rowid); existing != nil {
+		if existing := db.storedRow(tree, t, rowid); existing != nil {
 			if !replace {
 				fail("UNIQUE constraint failed: %s rowid %d", t.Name, rowid)
 			}
-			db.deleteIndexEntriesFor(t, rowid, existing)
+			db.deleteIndexEntries(t, rowid, existing)
 		}
 	} else {
 		rowid = tree.MaxRowid() + 1
@@ -254,9 +258,8 @@ func (db *DB) insertRow(t *Table, vals []Value, replace bool) int64 {
 			if !replace {
 				fail("UNIQUE constraint failed: index %s", idx.Name)
 			}
-			old := tree.GetRow(conflict)
-			if old != nil {
-				db.deleteIndexEntriesFor(t, conflict, old)
+			if old := db.storedRow(tree, t, conflict); old != nil {
+				db.deleteIndexEntries(t, conflict, old)
 				tree.DeleteRow(conflict)
 			}
 		}
@@ -297,11 +300,18 @@ func (db *DB) indexKey(t *Table, idx *Index, vals []Value) []byte {
 	return db.keyBuf
 }
 
-// deleteIndexEntriesFor removes all index entries of a stored row.
-func (db *DB) deleteIndexEntriesFor(t *Table, rowid int64, record []byte) {
-	b := tblCtx{tbl: t}
-	db.bindRow(&b, rowid, record)
-	db.deleteIndexEntries(t, rowid, b.solid())
+// storedRow returns the row of t stored at rowid, or nil, every column
+// copied out of the leaf before it is unpinned: the caller's writes come
+// after the read. The slice is the stored-row scratch, dead at the next
+// call.
+func (db *DB) storedRow(tree *Btree, t *Table, rowid int64) (vals []Value) {
+	db.stored.tbl = t
+	tree.Row(rowid, func(record []byte) {
+		db.bindRow(&db.stored, rowid, record)
+		vals = db.stored.solid()
+	})
+	db.stored.rec = nil
+	return vals
 }
 
 // deleteIndexEntries removes all index entries of the row vals.

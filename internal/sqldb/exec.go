@@ -25,8 +25,9 @@ type tblCtx struct {
 	alias string
 	tbl   *Table
 	rowid int64
-	// rec is the bound row's record as the scan showed it — a view of a page
-	// frame, or GetRow's copy — and is good until the row's callback returns.
+	// rec is the bound row's record as the scan or look-up showed it — a
+	// view of a pinned page frame — and is good until the row's callback
+	// returns.
 	rec []byte
 	// vals has an entry per column and is reused from row to row: bindRow
 	// decodes numbers and NULLs into it and leaves a text or blob in rec as

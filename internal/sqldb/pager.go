@@ -3,7 +3,7 @@ package sqldb
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/vfscore"
@@ -32,6 +32,12 @@ const (
 //	[16:20) freelist head page (0 = empty)
 var magic = [8]byte{'C', 'U', 'B', 'I', 'Q', 'L', 'D', 'B'}
 
+// maxSpare bounds Pager.spare. A miss takes a frame and the eviction it
+// causes gives one back, so the list is rarely longer than one; only the
+// first eviction after a rollback, which may install pages without
+// evicting, can give back several at once.
+const maxSpare = 4
+
 // cpage is a cached page: the frame (node.data) with, beside it, the
 // B+tree's cell directory for it.
 type cpage struct {
@@ -43,9 +49,13 @@ type cpage struct {
 	// after this one, next the one before it, so recent.next is the most
 	// recently used page and recent.prev the one evictIfNeeded takes.
 	prev, next *cpage
-	// scans counts the B+tree scans up the stack that are iterating this
-	// page (Pager.guardScans).
-	scans int
+	// pins counts the holders up the stack that read this frame across a
+	// pager call that may evict it: a scan iterating it (eachCell), a row
+	// view (Btree.Row), Check walking an interior page's children. An
+	// evicted frame with a pin is dropped, not recycled, so its holders go
+	// on reading the bytes they were shown (DESIGN.md §16); under
+	// Pager.guardScans a write to a pinned page panics.
+	pins int
 }
 
 // PagerStats counts pager events for the experiment reports.
@@ -65,22 +75,27 @@ type Pager struct {
 	fd      uint64
 	jfd     uint64 // journal fd while a journal file exists
 	ioBuf   vm.Addr
-	cache   map[uint32]*cpage
+	cache   []*cpage // by page number, nil where not cached
+	cached  int      // the non-nil entries of cache
 	cap     int
-	big     node  // Btree.splitPut's copy of an over-full page
-	recent  cpage // sentinel of the recency ring, see cpage.prev
+	spare   []*cpage // evicted unpinned frames for the next miss, at most maxSpare
+	big     node     // Btree.splitPut's copy of an over-full page
+	recent  cpage    // sentinel of the recency ring, see cpage.prev
 	nPages  uint32
 	catRoot uint32
 	freeHd  uint32
 
-	inTxn    bool
-	origs    map[uint32][]byte // pre-transaction page images
-	free     []*[PageSize]byte // images of finished transactions, for reuse
-	jWritten map[uint32]bool   // images already spilled to the journal file
-	jOffset  uint64
+	inTxn bool
+	origs map[uint32][]byte // pre-transaction page images
+	free  []*[PageSize]byte // images of finished transactions, for reuse
+	// unjournaled lists the pages of origs not yet in the journal file, in
+	// the order beforeWrite recorded them.
+	unjournaled []uint32
+	jOffset     uint64
 
 	// guardScans, set only by tests, makes handing out for writing a page
-	// that a scan is iterating a panic rather than silently stale data.
+	// that a holder has pinned a panic rather than silently stale data, and
+	// fills an evicted frame with 0xDD before it is recycled.
 	guardScans bool
 
 	// Window discipline (the ported SQLite's CubicleOS-specific code,
@@ -135,8 +150,8 @@ func OpenPager(e *cubicle.Env, vfs *vfscore.Client, path string, ioBuf vm.Addr, 
 	}
 	p := &Pager{
 		e: e, vfs: vfs, path: path, ioBuf: ioBuf,
-		cache: make(map[uint32]*cpage), cap: cacheCap,
-		origs: make(map[uint32][]byte), jWritten: make(map[uint32]bool),
+		cap: cacheCap, spare: make([]*cpage, 0, maxSpare),
+		origs: make(map[uint32][]byte),
 	}
 	p.recent.prev, p.recent.next = &p.recent, &p.recent
 	fd, errno := vfs.Open(e, path, vfscore.OCreat|vfscore.ORdwr)
@@ -234,13 +249,65 @@ func (p *Pager) writeHeader() {
 
 // freshPage installs an all-zero cached page without touching the file.
 func (p *Pager) freshPage(pgno uint32) *cpage {
-	if old, ok := p.cache[pgno]; ok {
+	if old := p.lookup(pgno); old != nil {
 		p.drop(old) // a page number a rolled-back transaction had allocated
 	}
-	pg := &cpage{pgno: pgno, node: node{data: make([]byte, PageSize)}, dirty: true}
-	p.cache[pgno] = pg
-	p.touch(pg)
+	pg := p.frame(pgno)
+	clear(pg.data)
+	pg.dirty = true
+	p.install(pg)
 	return pg
+}
+
+// frame returns a frame for pgno, not yet cached: an evicted one off the
+// spare list, its bytes and directory capacity kept for the caller to
+// overwrite, or a new one.
+func (p *Pager) frame(pgno uint32) *cpage {
+	last := len(p.spare) - 1
+	if last < 0 {
+		return &cpage{pgno: pgno, node: node{data: make([]byte, PageSize)}}
+	}
+	pg := p.spare[last]
+	p.spare = p.spare[:last]
+	*pg = cpage{pgno: pgno, node: node{data: pg.data, dir: pg.dir[:0]}}
+	return pg
+}
+
+// recycle puts a frame evictIfNeeded dropped on the spare list, unless the
+// list is full or a holder has it pinned: that holder goes on reading the
+// dropped frame, which nobody touches again.
+func (p *Pager) recycle(pg *cpage) {
+	if pg.pins > 0 || len(p.spare) == maxSpare {
+		return
+	}
+	if p.guardScans {
+		// A holder that should have pinned the frame now reads poison, and
+		// a page number that page refuses.
+		pg.pgno = 0xDDDDDDDD
+		for i := range pg.data {
+			pg.data[i] = 0xDD
+		}
+	}
+	p.spare = append(p.spare, pg)
+}
+
+// lookup returns the cached frame of pgno, or nil.
+func (p *Pager) lookup(pgno uint32) *cpage {
+	if int(pgno) < len(p.cache) {
+		return p.cache[pgno]
+	}
+	return nil
+}
+
+// install caches pg, whose page number is not cached, as the most
+// recently used page.
+func (p *Pager) install(pg *cpage) {
+	for int(pg.pgno) >= len(p.cache) {
+		p.cache = append(p.cache, nil)
+	}
+	p.cache[pg.pgno] = pg
+	p.cached++
+	p.touch(pg)
 }
 
 // touch makes pg the most recently used page.
@@ -255,7 +322,8 @@ func (p *Pager) touch(pg *cpage) {
 // drop takes pg out of the cache.
 func (p *Pager) drop(pg *cpage) {
 	pg.prev.next, pg.next.prev = pg.next, pg.prev
-	delete(p.cache, pg.pgno)
+	p.cache[pg.pgno] = nil
+	p.cached--
 }
 
 // readPage faults a page in from the file through the window-shared I/O
@@ -270,10 +338,10 @@ func (p *Pager) readPage(pgno uint32) error {
 	if errno != vfscore.EOK {
 		return fmt.Errorf("sqldb: read page %d: errno %d", pgno, errno)
 	}
-	pg := &cpage{pgno: pgno, node: node{data: make([]byte, PageSize)}}
+	pg := p.frame(pgno)
 	p.e.Read(p.ioBuf, pg.data[:n])
-	p.cache[pgno] = pg
-	p.touch(pg)
+	clear(pg.data[n:])
+	p.install(pg)
 	p.evictIfNeeded()
 	return nil
 }
@@ -297,7 +365,7 @@ func (p *Pager) flushPage(pg *cpage) error {
 // evictIfNeeded keeps the cache within capacity, spilling dirty pages
 // (after their original image is safely in the journal).
 func (p *Pager) evictIfNeeded() {
-	for len(p.cache) > p.cap {
+	for p.cached > p.cap {
 		victim := p.recent.prev
 		if victim.pgno == 1 {
 			victim = victim.prev // keep the header resident
@@ -318,19 +386,23 @@ func (p *Pager) evictIfNeeded() {
 				panic(execErr{err}) // the statement fails; Exec reports it
 			}
 		}
-		// The frame is dropped, not recycled for the next miss: a scan up
-		// the stack may still be iterating it (speedtest's q310 holds its
-		// outer page while the inner look-ups evict it).
+		// A pinned frame stays with its holders (speedtest's q310 holds its
+		// outer page while the inner look-ups evict it); any other is the
+		// next miss's.
 		p.drop(victim)
+		p.recycle(victim)
 	}
 }
 
 // page returns the cached page, faulting it in if necessary.
 func (p *Pager) page(pgno uint32) *cpage {
-	if pg, ok := p.cache[pgno]; ok {
+	if pg := p.lookup(pgno); pg != nil {
 		p.Stats.Hits++
 		p.touch(pg)
 		return pg
+	}
+	if pgno == 0 || pgno > p.nPages {
+		panic(execErr{fmt.Errorf("sqldb: page %d is past the end of a %d-page file", pgno, p.nPages)})
 	}
 	p.Stats.Misses++
 	if err := p.readPage(pgno); err != nil {
@@ -364,6 +436,7 @@ func (p *Pager) beforeWrite(pg *cpage) {
 		}
 		copy(orig, pg.data)
 		p.origs[pg.pgno] = orig
+		p.unjournaled = append(p.unjournaled, pg.pgno)
 	}
 }
 
@@ -371,8 +444,8 @@ func (p *Pager) beforeWrite(pg *cpage) {
 // first.
 func (p *Pager) modify(pgno uint32) *cpage {
 	pg := p.page(pgno)
-	if p.guardScans && pg.scans > 0 {
-		panic(fmt.Sprintf("sqldb: page %d written while a scan is iterating it", pgno))
+	if p.guardScans && pg.pins > 0 {
+		panic(fmt.Sprintf("sqldb: page %d written while a scan or a row view is reading it", pgno))
 	}
 	p.beforeWrite(pg)
 	pg.dirty = true
@@ -411,8 +484,7 @@ func (p *Pager) Allocate() uint32 {
 	}
 	p.nPages++
 	pgno := p.nPages
-	p.freshPage(pgno)
-	p.beforeWrite(p.cache[pgno])
+	p.beforeWrite(p.freshPage(pgno))
 	p.writeHeader()
 	p.evictIfNeeded()
 	return pgno
@@ -461,7 +533,7 @@ func (p *Pager) endTxn() {
 		}
 	}
 	clear(p.origs)
-	clear(p.jWritten)
+	p.unjournaled = p.unjournaled[:0]
 }
 
 // spillJournal makes sure every recorded original image is on disk in the
@@ -476,14 +548,8 @@ func (p *Pager) spillJournal() error {
 		}
 		p.jfd = fd
 	}
-	pgnos := make([]uint32, 0, len(p.origs))
-	for pgno := range p.origs {
-		if !p.jWritten[pgno] {
-			pgnos = append(pgnos, pgno)
-		}
-	}
-	sort.Slice(pgnos, func(i, j int) bool { return pgnos[i] < pgnos[j] })
-	for _, pgno := range pgnos {
+	slices.Sort(p.unjournaled)
+	for i, pgno := range p.unjournaled {
 		orig := p.origs[pgno]
 		p.e.Work(workPageIO)
 		p.Stats.JournalPages++
@@ -495,12 +561,13 @@ func (p *Pager) spillJournal() error {
 			n, errno := p.vfs.PWrite(p.e, p.jfd, p.ioBuf, uint64(len(part)), p.jOffset)
 			p.closeIOWindow()
 			if errno != vfscore.EOK || n != uint64(len(part)) {
+				p.unjournaled = p.unjournaled[:copy(p.unjournaled, p.unjournaled[i:])]
 				return fmt.Errorf("sqldb: journal write of page %d: errno %d", pgno, errno)
 			}
 			p.jOffset += n
 		}
-		p.jWritten[pgno] = true
 	}
+	p.unjournaled = p.unjournaled[:0]
 	p.Stats.Fsyncs++
 	if errno := p.vfs.FSync(p.e, p.jfd); errno != vfscore.EOK {
 		return fmt.Errorf("sqldb: journal fsync: errno %d", errno)
@@ -512,16 +579,11 @@ func (p *Pager) spillJournal() error {
 // for write locality and so that sparse-file zero-filling behaves
 // deterministically).
 func (p *Pager) flushAll() error {
-	pgnos := make([]uint32, 0, len(p.cache))
-	for pgno, pg := range p.cache {
-		if pg.dirty {
-			pgnos = append(pgnos, pgno)
-		}
-	}
-	sort.Slice(pgnos, func(i, j int) bool { return pgnos[i] < pgnos[j] })
-	for _, pgno := range pgnos {
-		if err := p.flushPage(p.cache[pgno]); err != nil {
-			return err
+	for _, pg := range p.cache {
+		if pg != nil && pg.dirty {
+			if err := p.flushPage(pg); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -556,10 +618,9 @@ func (p *Pager) Rollback() error {
 		return fmt.Errorf("sqldb: rollback outside transaction")
 	}
 	for pgno, orig := range p.origs {
-		pg, ok := p.cache[pgno]
-		if !ok {
-			p.freshPage(pgno)
-			pg = p.cache[pgno]
+		pg := p.lookup(pgno)
+		if pg == nil {
+			pg = p.freshPage(pgno)
 		}
 		copy(pg.data, orig)
 		pg.dirty, pg.dir = true, pg.dir[:0]

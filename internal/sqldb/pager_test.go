@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"cubicleos/internal/cubicle"
@@ -169,11 +171,112 @@ func TestHeaderResident(t *testing.T) {
 			pg := p.Allocate()
 			initBtreePage(p.Write(pg), pgTableLeaf)
 		}
-		if _, ok := p.cache[1]; !ok {
+		if p.lookup(1) == nil {
 			t.Error("header page evicted")
 		}
-		if len(p.cache) > p.cap+1 {
-			t.Errorf("cache over capacity: %d > %d", len(p.cache), p.cap)
+		if p.cached > p.cap+1 {
+			t.Errorf("cache over capacity: %d > %d", p.cached, p.cap)
+		}
+	})
+}
+
+// leafPages gives a fresh pager n more pages, each an empty table leaf,
+// and writes them out: evicting them costs no spill.
+func leafPages(t *testing.T, p *Pager, n int) {
+	t.Helper()
+	for range n {
+		initBtreePage(p.Write(p.Allocate()), pgTableLeaf)
+	}
+	if err := p.flushAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// evict fetches pages 2.. round robin until pgno is no longer cached.
+func evict(t *testing.T, p *Pager, pgno uint32) {
+	t.Helper()
+	for next := uint32(2); p.lookup(pgno) != nil; next = max(2, (next+1)%(p.nPages+1)) {
+		if next != pgno {
+			p.page(next)
+		}
+	}
+}
+
+// TestFrameReusePinRule is the positive control of the eviction poison:
+// under the guard, a frame evicted while nobody pins it is filled with
+// 0xDD on its way to the spare list, so a holder that kept it without a
+// pin reads poison and a page number the pager refuses; a pinned frame is
+// dropped with its bytes and never handed out again.
+func TestFrameReusePinRule(t *testing.T) {
+	withPager(t, 8, func(p *Pager) {
+		p.guardScans = true
+		leafPages(t, p, 24)
+		held := p.page(2)
+		evict(t, p, 2)
+		if held.pgno != 0xDDDDDDDD || !slices.Equal(held.data, bytes.Repeat([]byte{0xDD}, PageSize)) {
+			t.Errorf("an unpinned evicted frame reads page %#x, first bytes %x", held.pgno, held.data[:4])
+		}
+		if !slices.Contains(p.spare, held) {
+			t.Error("an unpinned evicted frame is not on the spare list")
+		}
+		func() {
+			defer func() {
+				if _, ok := recover().(execErr); !ok {
+					t.Error("fetching a poisoned frame's page number did not fail the statement")
+				}
+			}()
+			p.page(held.pgno)
+		}()
+
+		pinned := p.page(3)
+		pinned.data[PageSize-1] = 0x5A // a byte page 3 does not have on disk
+		pinned.pins++
+		evict(t, p, 3)
+		for pgno := uint32(4); pgno <= p.nPages; pgno++ {
+			p.page(pgno) // misses, each taking a frame off the spare list
+		}
+		if pinned.pgno != 3 || pinned.data[PageSize-1] != 0x5A || slices.Contains(p.spare, pinned) {
+			t.Errorf("a pinned evicted frame was recycled: page %d, last byte %#x", pinned.pgno, pinned.data[PageSize-1])
+		}
+		if got := p.page(3); got == pinned || got.data[PageSize-1] != 0 {
+			t.Error("page 3 after the eviction is not a fresh read of the file")
+		}
+	})
+}
+
+// TestFrameReuseSpareListBounded pins the spare list's length: one frame
+// once misses are in their steady state (each takes the frame the last one
+// evicted), and maxSpare after the first eviction that follows a rollback,
+// which installs pre-images without evicting and leaves the cache well over
+// capacity.
+func TestFrameReuseSpareListBounded(t *testing.T) {
+	withPager(t, 8, func(p *Pager) {
+		leafPages(t, p, 24)
+		if len(p.spare) != 1 {
+			t.Fatalf("%d frames on the spare list after 24 allocations, want 1", len(p.spare))
+		}
+		for pgno := uint32(2); pgno <= p.nPages; pgno++ {
+			p.page(pgno)
+			if len(p.spare) != 1 {
+				t.Fatalf("%d frames on the spare list after a miss on page %d, want 1", len(p.spare), pgno)
+			}
+		}
+		if err := p.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		for pgno := uint32(2); pgno <= p.nPages; pgno++ {
+			p.Write(pgno)[PageSize-1] = 1
+		}
+		if err := p.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		if p.cached < p.cap+maxSpare {
+			t.Fatalf("premise broken: %d pages cached after the rollback, capacity %d", p.cached, p.cap)
+		}
+		p.Allocate()
+		if len(p.spare) != maxSpare || p.cached != p.cap {
+			t.Errorf("%d frames on the spare list and %d pages cached after evicting down to %d, want %d",
+				len(p.spare), p.cached, p.cap, maxSpare)
 		}
 	})
 }

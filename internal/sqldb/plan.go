@@ -323,10 +323,9 @@ func (db *DB) joinLoop(binds []*tblCtx, i int, rc *rowCtx, conjuncts []Expr, emi
 		if v.Kind == KReal {
 			rowid = int64(v.R) // tryRow rejects the row unless v.R is exactly its rowid
 		}
-		if rec := tree.GetRow(rowid); rec != nil {
-			return tryRow(rowid, rec)
-		}
-		return true
+		ok := true
+		tree.Row(rowid, func(record []byte) { ok = tryRow(rowid, record) })
+		return ok
 	case "rowid-range":
 		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 		var feasible bool
@@ -380,11 +379,7 @@ func (db *DB) joinLoop(binds []*tblCtx, i int, rc *rowCtx, conjuncts []Expr, emi
 		}
 		ok := true
 		itree.ScanIndexRange(lo, hi, func(key []byte, rowid int64) bool {
-			rec := tree.GetRow(rowid)
-			if rec == nil {
-				return true
-			}
-			ok = tryRow(rowid, rec)
+			tree.Row(rowid, func(record []byte) { ok = tryRow(rowid, record) })
 			return ok
 		})
 		return ok

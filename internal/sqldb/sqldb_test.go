@@ -583,6 +583,49 @@ func TestSpeedtestNeverWritesAPageUnderAScan(t *testing.T) {
 	})
 }
 
+// TestFrameReuseRowViewOutlivesEviction: the row a look-up shows the join
+// stays readable while the levels under it evict its leaf. On an 8-page
+// cache, a correlated subquery scans a 17-page table between the look-up
+// that binds a row of a — by rowid, then through an index — and the
+// projection that reads the row's text. Were the leaf not pinned, its
+// frame would be the next miss's, and under the guard read 0xDD first.
+func TestFrameReuseRowViewOutlivesEviction(t *testing.T) {
+	testDBNamed(t, "/view.db", 8, func(e *cubicle.Env, db *sqldb.DB) {
+		db.MustExec("CREATE TABLE a (id INTEGER PRIMARY KEY, k INTEGER, s TEXT)")
+		db.MustExec("CREATE INDEX ak ON a (k)")
+		db.MustExec("CREATE TABLE big (v INTEGER, pad TEXT)")
+		db.MustExec("CREATE TABLE x (ref INTEGER)")
+		pad := strings.Repeat("p", 200)
+		db.MustExec("BEGIN")
+		for i := 1; i <= 300; i++ {
+			db.MustExec(fmt.Sprintf("INSERT INTO a VALUES (%d, %d, 'row %d %s')", i, 1000+i, i, pad))
+			db.MustExec(fmt.Sprintf("INSERT INTO big VALUES (%d, '%s')", i, pad))
+		}
+		for i := 1; i <= 30; i++ {
+			db.MustExec(fmt.Sprintf("INSERT INTO x VALUES (%d)", 7*i))
+		}
+		db.MustExec("COMMIT")
+		for _, q := range []string{
+			"SELECT a.s FROM x, a WHERE a.id = x.ref AND (SELECT count(*) FROM big WHERE big.v <> a.id) > 0",
+			"SELECT a.s FROM x, a WHERE a.k = x.ref + 1000 AND (SELECT count(*) FROM big WHERE big.v <> a.id) > 0",
+		} {
+			misses := db.Pager().Stats.Misses
+			r := db.MustExec(q)
+			if len(r.Rows) != 30 {
+				t.Fatalf("%s: %d rows, want 30", q, len(r.Rows))
+			}
+			for i, row := range r.Rows {
+				if want := fmt.Sprintf("row %d %s", 7*(i+1), pad); row[0].S != want {
+					t.Errorf("%s: row %d reads %.24q, want %.24q", q, i, row[0].S, want)
+				}
+			}
+			if got := db.Pager().Stats.Misses - misses; got < 30*17 {
+				t.Errorf("premise broken: %d misses, want every subquery to scan big from the file", got)
+			}
+		}
+	})
+}
+
 // failingJournal makes every write to the rollback journal fail with
 // ENOSPC while armed. The journal is the one file the pager opens
 // write-only.

@@ -13,6 +13,8 @@
 package vfscore
 
 import (
+	"slices"
+
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/vm"
 )
@@ -61,6 +63,17 @@ const DefaultOpWork = 150
 // them with message-passing IPC costs.
 type Caller interface {
 	Call(e *cubicle.Env, args ...uint64) []uint64
+}
+
+// call invokes c. A resolved handle — every caller but the microkernel
+// baseline's wrappers and tests' — is called as what it is, so that args
+// stay on the caller's stack: through the interface they would escape, a
+// heap object a file-system call and two for each read or write of a page.
+func call(e *cubicle.Env, c Caller, args ...uint64) []uint64 {
+	if h, ok := c.(cubicle.Handle); ok {
+		return h.Call(e, args...)
+	}
+	return c.Call(e, slices.Clone(args)...)
 }
 
 // Backend is the callback table filled in by the file-system backend at
@@ -158,11 +171,11 @@ func (v *Module) open(e *cubicle.Env, pathPtr, pathLen, flags uint64) []uint64 {
 	e.Work(v.opWork)
 	v.OpCount++
 	v.touchPath(e, pathPtr, pathLen)
-	rets := v.backend.Lookup.Call(e, pathPtr, pathLen)
+	rets := call(e, v.backend.Lookup, pathPtr, pathLen)
 	ino, errno := rets[0], rets[1]
 	switch {
 	case errno == ENOENT && flags&OCreat != 0:
-		rets = v.backend.Create.Call(e, pathPtr, pathLen)
+		rets = call(e, v.backend.Create, pathPtr, pathLen)
 		ino, errno = rets[0], rets[1]
 		if errno != EOK {
 			return errRet(e, errno)
@@ -171,7 +184,7 @@ func (v *Module) open(e *cubicle.Env, pathPtr, pathLen, flags uint64) []uint64 {
 		return errRet(e, errno)
 	}
 	if flags&OTrunc != 0 {
-		if r := v.backend.SetSize.Call(e, ino, 0); r[1] != EOK {
+		if r := call(e, v.backend.SetSize, ino, 0); r[1] != EOK {
 			return errRet(e, r[1])
 		}
 	}
@@ -179,7 +192,7 @@ func (v *Module) open(e *cubicle.Env, pathPtr, pathLen, flags uint64) []uint64 {
 	v.nextFD++
 	f := &file{ino: ino, flags: flags, append: flags&OAppend != 0}
 	if f.append {
-		if r := v.backend.GetSize.Call(e, ino); r[1] == EOK {
+		if r := call(e, v.backend.GetSize, ino); r[1] == EOK {
 			f.off = r[0]
 		}
 	}
@@ -203,7 +216,7 @@ func (v *Module) read(e *cubicle.Env, fd, buf, n uint64) []uint64 {
 		return errRet(e, errno)
 	}
 	v.touchBuf(e, buf, n)
-	r := v.backend.Read.Call(e, f.ino, f.off, buf, n)
+	r := call(e, v.backend.Read, f.ino, f.off, buf, n)
 	if r[1] == EOK {
 		f.off += r[0]
 	}
@@ -219,11 +232,11 @@ func (v *Module) write(e *cubicle.Env, fd, buf, n uint64) []uint64 {
 	}
 	v.touchBuf(e, buf, n)
 	if f.append {
-		if r := v.backend.GetSize.Call(e, f.ino); r[1] == EOK {
+		if r := call(e, v.backend.GetSize, f.ino); r[1] == EOK {
 			f.off = r[0]
 		}
 	}
-	r := v.backend.Write.Call(e, f.ino, f.off, buf, n)
+	r := call(e, v.backend.Write, f.ino, f.off, buf, n)
 	if r[1] == EOK {
 		f.off += r[0]
 	}
@@ -238,7 +251,7 @@ func (v *Module) pread(e *cubicle.Env, fd, buf, n, off uint64) []uint64 {
 		return errRet(e, errno)
 	}
 	v.touchBuf(e, buf, n)
-	return v.backend.Read.Call(e, f.ino, off, buf, n)
+	return call(e, v.backend.Read, f.ino, off, buf, n)
 }
 
 func (v *Module) pwrite(e *cubicle.Env, fd, buf, n, off uint64) []uint64 {
@@ -249,7 +262,7 @@ func (v *Module) pwrite(e *cubicle.Env, fd, buf, n, off uint64) []uint64 {
 		return errRet(e, errno)
 	}
 	v.touchBuf(e, buf, n)
-	return v.backend.Write.Call(e, f.ino, off, buf, n)
+	return call(e, v.backend.Write, f.ino, off, buf, n)
 }
 
 func (v *Module) lseek(e *cubicle.Env, fd, off, whence uint64) []uint64 {
@@ -265,7 +278,7 @@ func (v *Module) lseek(e *cubicle.Env, fd, off, whence uint64) []uint64 {
 	case SeekCur:
 		f.off += off // off is two's-complement; wraparound implements negative seeks
 	case SeekEnd:
-		r := v.backend.GetSize.Call(e, f.ino)
+		r := call(e, v.backend.GetSize, f.ino)
 		if r[1] != EOK {
 			return errRet(e, r[1])
 		}
@@ -312,11 +325,11 @@ func (v *Module) Component() *cubicle.Component {
 			{Name: "vfs_stat", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
 				v.OpCount++
-				r := v.backend.Lookup.Call(e, a[0], a[1])
+				r := call(e, v.backend.Lookup, a[0], a[1])
 				if r[1] != EOK {
 					return errRet(e, r[1])
 				}
-				return v.backend.GetSize.Call(e, r[0])
+				return call(e, v.backend.GetSize, r[0])
 			}},
 			{Name: "vfs_fstat", RegArgs: 1, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
@@ -325,7 +338,7 @@ func (v *Module) Component() *cubicle.Component {
 				if errno != EOK {
 					return errRet(e, errno)
 				}
-				return v.backend.GetSize.Call(e, f.ino)
+				return call(e, v.backend.GetSize, f.ino)
 			}},
 			{Name: "vfs_ftruncate", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
@@ -334,7 +347,7 @@ func (v *Module) Component() *cubicle.Component {
 				if errno != EOK {
 					return errRet(e, errno)
 				}
-				return v.backend.SetSize.Call(e, f.ino, a[1])
+				return call(e, v.backend.SetSize, f.ino, a[1])
 			}},
 			{Name: "vfs_fsync", RegArgs: 1, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
@@ -343,32 +356,32 @@ func (v *Module) Component() *cubicle.Component {
 				if errno != EOK {
 					return errRet(e, errno)
 				}
-				return v.backend.Fsync.Call(e, f.ino)
+				return call(e, v.backend.Fsync, f.ino)
 			}},
 			{Name: "vfs_unlink", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
 				v.OpCount++
-				return v.backend.Unlink.Call(e, a[0], a[1])
+				return call(e, v.backend.Unlink, a[0], a[1])
 			}},
 			{Name: "vfs_mkdir", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
 				v.OpCount++
-				return v.backend.Mkdir.Call(e, a[0], a[1])
+				return call(e, v.backend.Mkdir, a[0], a[1])
 			}},
 			{Name: "vfs_readdir", RegArgs: 5, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				// (pathPtr, pathLen, idx, nameBuf, nameBufLen)
 				e.Work(v.opWork)
 				v.OpCount++
-				r := v.backend.Lookup.Call(e, a[0], a[1])
+				r := call(e, v.backend.Lookup, a[0], a[1])
 				if r[1] != EOK {
 					return errRet(e, r[1])
 				}
-				return v.backend.Readdir.Call(e, r[0], a[2], a[3], a[4])
+				return call(e, v.backend.Readdir, r[0], a[2], a[3], a[4])
 			}},
 			{Name: "vfs_rename", RegArgs: 4, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
 				v.OpCount++
-				return v.backend.Rename.Call(e, a[0], a[1], a[2], a[3])
+				return call(e, v.backend.Rename, a[0], a[1], a[2], a[3])
 			}},
 		},
 	}
@@ -463,78 +476,78 @@ func (c *Client) stagePath(e *cubicle.Env, path string) (vm.Addr, uint64) {
 // Open opens path with flags; returns the fd and errno.
 func (c *Client) Open(e *cubicle.Env, path string, flags uint64) (uint64, uint64) {
 	p, n := c.stagePath(e, path)
-	r := c.open.Call(e, uint64(p), n, flags)
+	r := call(e, c.open, uint64(p), n, flags)
 	return r[0], r[1]
 }
 
 // Close closes fd.
 func (c *Client) Close(e *cubicle.Env, fd uint64) uint64 {
-	return c.close_.Call(e, fd)[1]
+	return call(e, c.close_, fd)[1]
 }
 
 // Read reads up to n bytes into buf; returns bytes read and errno.
 func (c *Client) Read(e *cubicle.Env, fd uint64, buf vm.Addr, n uint64) (uint64, uint64) {
-	r := c.read.Call(e, fd, uint64(buf), n)
+	r := call(e, c.read, fd, uint64(buf), n)
 	return r[0], r[1]
 }
 
 // Write writes n bytes from buf; returns bytes written and errno.
 func (c *Client) Write(e *cubicle.Env, fd uint64, buf vm.Addr, n uint64) (uint64, uint64) {
-	r := c.write.Call(e, fd, uint64(buf), n)
+	r := call(e, c.write, fd, uint64(buf), n)
 	return r[0], r[1]
 }
 
 // PRead reads at an explicit offset without moving the file position.
 func (c *Client) PRead(e *cubicle.Env, fd uint64, buf vm.Addr, n, off uint64) (uint64, uint64) {
-	r := c.pread.Call(e, fd, uint64(buf), n, off)
+	r := call(e, c.pread, fd, uint64(buf), n, off)
 	return r[0], r[1]
 }
 
 // PWrite writes at an explicit offset without moving the file position.
 func (c *Client) PWrite(e *cubicle.Env, fd uint64, buf vm.Addr, n, off uint64) (uint64, uint64) {
-	r := c.pwrite.Call(e, fd, uint64(buf), n, off)
+	r := call(e, c.pwrite, fd, uint64(buf), n, off)
 	return r[0], r[1]
 }
 
 // Lseek repositions fd; returns the new offset and errno.
 func (c *Client) Lseek(e *cubicle.Env, fd, off, whence uint64) (uint64, uint64) {
-	r := c.lseek.Call(e, fd, off, whence)
+	r := call(e, c.lseek, fd, off, whence)
 	return r[0], r[1]
 }
 
 // Stat returns the size of the file at path and errno.
 func (c *Client) Stat(e *cubicle.Env, path string) (uint64, uint64) {
 	p, n := c.stagePath(e, path)
-	r := c.stat.Call(e, uint64(p), n)
+	r := call(e, c.stat, uint64(p), n)
 	return r[0], r[1]
 }
 
 // FStat returns the size of the open file and errno.
 func (c *Client) FStat(e *cubicle.Env, fd uint64) (uint64, uint64) {
-	r := c.fstat.Call(e, fd)
+	r := call(e, c.fstat, fd)
 	return r[0], r[1]
 }
 
 // FTruncate sets the file size.
 func (c *Client) FTruncate(e *cubicle.Env, fd, size uint64) uint64 {
-	return c.ftruncate.Call(e, fd, size)[1]
+	return call(e, c.ftruncate, fd, size)[1]
 }
 
 // FSync flushes the file.
 func (c *Client) FSync(e *cubicle.Env, fd uint64) uint64 {
-	return c.fsync.Call(e, fd)[1]
+	return call(e, c.fsync, fd)[1]
 }
 
 // Unlink removes the file at path.
 func (c *Client) Unlink(e *cubicle.Env, path string) uint64 {
 	p, n := c.stagePath(e, path)
-	return c.unlink.Call(e, uint64(p), n)[1]
+	return call(e, c.unlink, uint64(p), n)[1]
 }
 
 // Mkdir creates a directory at path.
 func (c *Client) Mkdir(e *cubicle.Env, path string) uint64 {
 	p, n := c.stagePath(e, path)
-	return c.mkdir.Call(e, uint64(p), n)[1]
+	return call(e, c.mkdir, uint64(p), n)[1]
 }
 
 // Readdir returns the idx-th entry name of the directory at path, or
@@ -543,7 +556,7 @@ func (c *Client) Readdir(e *cubicle.Env, path string, idx uint64) (string, uint6
 	p, n := c.stagePath(e, path)
 	// The name is written into the second half of the transfer buffer.
 	nameBuf := p.Add(c.pathBufSize / 2)
-	r := c.readdir.Call(e, uint64(p), n, idx, uint64(nameBuf), c.pathBufSize/2)
+	r := call(e, c.readdir, uint64(p), n, idx, uint64(nameBuf), c.pathBufSize/2)
 	if r[1] != EOK {
 		return "", r[1]
 	}
@@ -561,5 +574,5 @@ func (c *Client) Rename(e *cubicle.Env, from, to string) uint64 {
 	}
 	e.Write(c.pathBuf, []byte(from))
 	e.Write(c.pathBuf.Add(half), []byte(to))
-	return c.rename.Call(e, uint64(c.pathBuf), uint64(len(from)), uint64(c.pathBuf.Add(half)), uint64(len(to)))[1]
+	return call(e, c.rename, uint64(c.pathBuf), uint64(len(from)), uint64(c.pathBuf.Add(half)), uint64(len(to)))[1]
 }

@@ -67,6 +67,10 @@
 #                row visited allocates nothing (one object a row would read
 #                1016), a statement parsed allocates its statement, row
 #                list and expression list; exact as well
+#              - B/op > 55 000 000 on SpeedtestPass (boot, fill, 31
+#                queries; 49.6 MB since PR 25, 91.9 MB before it) — a page
+#                miss takes an evicted frame, a look-up reads its row in
+#                place; a frame allocated per miss again would read ≈ 80 MB
 #              - SMPSiege wallrps at cores=2 < MIN_SMP_SCALING (default
 #                1.4) × wallrps at cores=1 — shared-nothing shards,
 #                one system and one monitor each, must scale with real
@@ -130,6 +134,9 @@ if [ "$MODE" != assert ]; then
 fi
 go test -run '^$' -bench 'CrossingArgsRets' -benchtime "$BENCHTIME" ./internal/cubicle/ | tee -a "$TMP"
 go test -run '^$' -bench 'FilteredScan|ParseInsert' -benchtime "$BENCHTIME" -benchmem ./internal/sqldb/ | tee -a "$TMP"
+if [ "$MODE" = assert ]; then
+    go test -run '^$' -bench 'SpeedtestPass' -benchtime 1x -benchmem ./internal/experiments/ | tee -a "$TMP"
+fi
 
 RATIO="$(awk '
 /^BenchmarkCallTracingPaired/ {
@@ -185,6 +192,23 @@ if [ "$MODE" = assert ]; then
         if (n < 2) { print "bench.sh: assert: row-path allocation measurements missing"; exit 1 }
         if (bad) exit 1
         print "bench.sh: assert ok: FilteredScan <= 16 and ParseInsert <= 3 allocs/op"
+    }' "$TMP" || exit 1
+
+    # Page-frame gate: evicted frames are reused under the pin rule and
+    # look-ups read rows in place (DESIGN.md §16), so a speedtest pass
+    # allocates about half the bytes it did. A byte count of a fixed
+    # workload: it moves by kilobytes between runs, not megabytes.
+    awk '
+    /^BenchmarkSpeedtestPass/ {
+        for (i = 3; i + 1 <= NF; i += 2) if ($(i + 1) == "B/op") {
+            n++
+            if ($i > 55000000) { printf "bench.sh: assert: %s allocates %s B/op, want at most 55000000\n", $1, $i; bad = 1 }
+        }
+    }
+    END {
+        if (n < 1) { print "bench.sh: assert: SpeedtestPass measurement missing"; exit 1 }
+        if (bad) exit 1
+        print "bench.sh: assert ok: SpeedtestPass <= 55000000 B/op"
     }' "$TMP" || exit 1
 
     # Shard-siege wall-clock scaling gate: two shared-nothing shards (one

@@ -27,8 +27,11 @@ go test -race ./internal/cubicle/...
 # them the row-path gates: the LRU ring against the min-tick scan it
 # replaced, one WorkN against k calls of Work, every statement shape that
 # keeps a row beyond its callback under the row poison, and the exact
-# allocation budgets of a row visited, emitted, inserted and parsed.
-go test -race -run 'FuzzPageOps|TestSpeedtestImagePinned|TestLRUVictimMatchesScan|TestWorkNEqualsRepeatedWork|TestReusedRowsDoNotLeak|TestRowPathAllocations' \
+# allocation budgets of a row visited, emitted, inserted and parsed. And the
+# pin rule of frame reuse: with evicted frames poisoned under the guard, a
+# holder that should have pinned one reads 0xDD (FuzzPageOps, the row view
+# under eviction), and the spare list stays at its bound.
+go test -race -run 'FuzzPageOps|TestSpeedtestImagePinned|TestFrameReuse|TestLRUVictimMatchesScan|TestWorkNEqualsRepeatedWork|TestReusedRowsDoNotLeak|TestRowPathAllocations' \
     ./internal/sqldb/ ./internal/experiments/ ./internal/cycles/ ./internal/cubicle/
 
 # Crossing gate: every defer in the trampoline must stay open-coded (the
