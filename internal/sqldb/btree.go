@@ -572,6 +572,8 @@ func (t *Btree) Check() []string {
 	var problems []string
 	var lastKey []byte
 	var lastRowid int64 = -1 << 62
+	var vals []Value // each record decodes into it, views of the page
+	var err error
 	seenLeaf := false
 	var walk func(pg uint32, depth int)
 	walk = func(pg uint32, depth int) {
@@ -592,12 +594,12 @@ func (t *Btree) Check() []string {
 							problems = append(problems, fmt.Sprintf("page %d: index keys out of order", pg))
 						}
 					}
-					lastKey = append(make([]byte, 0, len(key)), key...)
+					lastKey = append(lastKey[:0], key...)
 				} else {
 					if rowid <= lastRowid {
 						problems = append(problems, fmt.Sprintf("page %d: rowids out of order (%d after %d)", pg, rowid, lastRowid))
 					}
-					if _, err := DecodeRecord(body[8:]); err != nil {
+					if vals, err = decodeRecord(vals, body[8:]); err != nil {
 						problems = append(problems, fmt.Sprintf("page %d rowid %d: %v", pg, rowid, err))
 					}
 				}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -151,12 +153,79 @@ func TestLikeMatch(t *testing.T) {
 		{"a%b%c", "acb", false},
 		{"", "", true},
 		{"", "x", false},
+		{"%a%a%a%a%a%a%a%b", strings.Repeat("a", 30), false},
+		{"%a%a%a%a%a%a%a%b", strings.Repeat("a", 30) + "b", true},
+		{"%%a", "ba", true},
+		// Only ASCII letters fold, as in SQLite without ICU; _ is one byte.
+		{"É", "é", false},
+		{"é", "é", true},
+		{"_", "é", false},
+		{"__", "é", true},
 	}
 	for _, c := range cases {
-		if got := likeMatch(c.pat, c.s); got != c.want {
+		if got, _ := likeMatch(c.pat, c.s); got != c.want {
 			t.Errorf("likeMatch(%q, %q) = %v", c.pat, c.s, got)
 		}
 	}
+}
+
+// TestLikeStepsBounded: patterns that made the recursive matcher this one
+// replaced backtrack exponentially — one 30-byte value took 94 ms, and each
+// % more multiplied that — take at most (len(s)+1)·(len(pat)+1) steps.
+func TestLikeStepsBounded(t *testing.T) {
+	s := strings.Repeat("a", 4096)
+	for _, pat := range []string{
+		"%a%a%a%a%a%a%a%b",
+		strings.Repeat("%a", 40) + "%b",
+		strings.Repeat("%_", 64) + "b",
+		"%" + strings.Repeat("a", 100) + "b%",
+	} {
+		match, steps := likeMatch(pat, s)
+		if bound := (len(s) + 1) * (len(pat) + 1); match || steps > bound {
+			t.Errorf("likeMatch(%.20q…, 4 KiB of a) = %v in %d steps, want false in at most %d", pat, match, steps, bound)
+		}
+	}
+}
+
+// FuzzLike compares likeMatch, on ASCII, with the regular expression the
+// pattern stands for, and bounds its steps.
+func FuzzLike(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"a%b", "axxb"}, {"%a%a%b", "aaaa"}, {"_B_", "abc"}, {"%%", ""},
+		{"a.c", "abc"}, {"%\n_", "x\ny"}, {"[a]%", "[A]"}, {"%a%", "AbA"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, pat, s string) {
+		if !isASCII(pat) || !isASCII(s) {
+			t.Skip()
+		}
+		re := "(?is)^"
+		for i := range len(pat) {
+			switch pat[i] {
+			case '%':
+				re += ".*"
+			case '_':
+				re += "."
+			default:
+				re += regexp.QuoteMeta(pat[i : i+1])
+			}
+		}
+		want := regexp.MustCompile(re + "$").MatchString(s)
+		got, steps := likeMatch(pat, s)
+		if bound := (len(s) + 1) * (len(pat) + 1); got != want || steps > bound {
+			t.Errorf("likeMatch(%q, %q) = %v in %d steps, want %v in at most %d", pat, s, got, steps, want, bound)
+		}
+	})
+}
+
+func isASCII(s string) bool {
+	for i := range len(s) {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestValueHelpers covers the scalar coercions.

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"cubicleos/internal/cubicle"
@@ -23,8 +24,8 @@ type DB struct {
 	// Statements counts executed statements.
 	Statements uint64
 
-	// parser lexes and parses every statement of Exec, reusing its token
-	// buffer and node chunks from one statement to the next.
+	// parser lexes and parses every statement of Exec into nodes, statement
+	// structs and lists it hands out again for the next one.
 	parser parser
 	// rowBuf, recBuf and keyBuf are the row being assembled, its record and
 	// one of its index keys on the way to the B+tree, which copies them into
@@ -32,13 +33,18 @@ type DB struct {
 	rowBuf []Value
 	recBuf []byte
 	keyBuf []byte
+	// hits holds the rows an UPDATE or DELETE changes (scanFiltered).
+	hits []byte
 	// stored binds the row insertRow's conflict checks find in the table
-	// (storedRow); its values are dead once that row's index entries are
-	// deleted.
-	stored tblCtx
+	// to a copy of its record, storedRec (storedRow); both are dead once
+	// that row's index entries are deleted.
+	stored    tblCtx
+	storedRec []byte
 	// afterRow, set only by tests, runs on a bind when the callback of the
-	// row bound to it has returned.
+	// row bound to it has returned; onParse sees every statement Exec
+	// parses, before it runs.
 	afterRow func(*tblCtx)
+	onParse  func(sql string, stmt any)
 }
 
 // Open opens (or creates) the database at path. ioBuf must be a
@@ -92,6 +98,9 @@ func (db *DB) Exec(sql string) (res *Result, err error) {
 	stmt, perr := db.parser.parse(sql)
 	if perr != nil {
 		return nil, perr
+	}
+	if db.onParse != nil {
+		db.onParse(sql, stmt)
 	}
 	return db.exec(stmt)
 }
@@ -300,18 +309,17 @@ func (db *DB) indexKey(t *Table, idx *Index, vals []Value) []byte {
 	return db.keyBuf
 }
 
-// storedRow returns the row of t stored at rowid, or nil, every column
-// copied out of the leaf before it is unpinned: the caller's writes come
-// after the read. The slice is the stored-row scratch, dead at the next
-// call.
-func (db *DB) storedRow(tree *Btree, t *Table, rowid int64) (vals []Value) {
+// storedRow returns the row of t stored at rowid, or nil, decoded from a
+// copy of its record taken while the leaf was pinned: the caller's writes
+// come after the read. The slice and its text are the stored-row scratch,
+// dead at the next call.
+func (db *DB) storedRow(tree *Btree, t *Table, rowid int64) []Value {
+	if !tree.Row(rowid, func(record []byte) { db.storedRec = append(db.storedRec[:0], record...) }) {
+		return nil
+	}
 	db.stored.tbl = t
-	tree.Row(rowid, func(record []byte) {
-		db.bindRow(&db.stored, rowid, record)
-		vals = db.stored.solid()
-	})
-	db.stored.rec = nil
-	return vals
+	db.bindRow(&db.stored, rowid, db.storedRec)
+	return db.stored.vals
 }
 
 // deleteIndexEntries removes all index entries of the row vals.
@@ -365,10 +373,11 @@ func (db *DB) execUpdate(s *UpdateStmt) (*Result, error) {
 	tree := NewTableTree(db.pager, t.Root)
 	old := &tblCtx{alias: s.Table, tbl: t}
 	rc := &rowCtx{tables: []*tblCtx{old}}
-	for _, h := range db.scanFiltered(t, s.Table, s.Where) {
-		old.rowid, old.vals = h.rowid, h.vals
-		newVals := slices.Clone(h.vals)
-		newRowid := h.rowid
+	for hits := db.scanFiltered(t, s.Table, s.Where); len(hits) > 0; {
+		hits = db.nextHit(old, hits)
+		newVals := append(db.rowBuf[:0], old.vals...)
+		db.rowBuf = newVals
+		newRowid := old.rowid
 		for _, set := range s.Sets {
 			ci := t.ColIndex(set.Col)
 			if ci < 0 {
@@ -383,9 +392,9 @@ func (db *DB) execUpdate(s *UpdateStmt) (*Result, error) {
 				newRowid = v.I
 			}
 		}
-		db.deleteIndexEntries(t, h.rowid, h.vals)
-		if newRowid != h.rowid {
-			tree.DeleteRow(h.rowid)
+		db.deleteIndexEntries(t, old.rowid, old.vals)
+		if newRowid != old.rowid {
+			tree.DeleteRow(old.rowid)
 		}
 		if err := tree.InsertRow(newRowid, db.record(newVals)); err != nil {
 			return nil, err
@@ -405,9 +414,11 @@ func (db *DB) execDelete(s *DeleteStmt) (*Result, error) {
 	}
 	tree := NewTableTree(db.pager, t.Root)
 	res := &Result{}
-	for _, h := range db.scanFiltered(t, s.Table, s.Where) {
-		db.deleteIndexEntries(t, h.rowid, h.vals)
-		tree.DeleteRow(h.rowid)
+	row := tblCtx{tbl: t}
+	for hits := db.scanFiltered(t, s.Table, s.Where); len(hits) > 0; {
+		hits = db.nextHit(&row, hits)
+		db.deleteIndexEntries(t, row.rowid, row.vals)
+		tree.DeleteRow(row.rowid)
 		res.RowsAffected++
 	}
 	return res, nil
@@ -428,7 +439,7 @@ func (db *DB) execCreateIndex(s *CreateIndexStmt) (*Result, error) {
 	row := tblCtx{tbl: t}
 	tree.ScanTable(func(rowid int64, record []byte) bool {
 		db.bindRow(&row, rowid, record)
-		ierr = itree.InsertKey(db.indexKey(t, idx, row.solid()), rowid)
+		ierr = itree.InsertKey(db.indexKey(t, idx, row.vals), rowid)
 		return ierr == nil
 	})
 	return &Result{}, ierr
@@ -555,7 +566,6 @@ func (db *DB) execSelect(s *SelectStmt, parent *rowCtx) *Result {
 	}
 
 	type group struct {
-		key    string
 		first  *rowCtx
 		states []*aggState
 	}
@@ -597,28 +607,36 @@ func (db *DB) execSelect(s *SelectStmt, parent *rowCtx) *Result {
 		}
 	}
 
+	var key []byte // the group key of the row, NUL-separated texts of its values
 	emit := func(rc *rowCtx) bool {
 		db.e.Work(workRowFilter)
 		if aggregate {
-			keyParts := make([]string, len(s.GroupBy))
+			key = key[:0]
 			for i, ge := range s.GroupBy {
-				keyParts[i] = db.eval(rc, ge).String()
-			}
-			key := strings.Join(keyParts, "\x00")
-			g, ok := groups[key]
-			if !ok {
-				// Snapshot the row context for non-aggregate columns.
-				snap := &rowCtx{parent: rc.parent}
-				for _, tc := range rc.tables {
-					cp := &tblCtx{alias: tc.alias, tbl: tc.tbl, rowid: tc.rowid, vals: slices.Clone(tc.solid())}
-					snap.tables = append(snap.tables, cp)
+				if i > 0 {
+					key = append(key, 0)
 				}
-				g = &group{key: key, first: snap}
+				if v := db.eval(rc, ge); v.Kind == KInt {
+					key = strconv.AppendInt(key, v.I, 10)
+				} else {
+					key = append(key, v.String()...)
+				}
+			}
+			g, ok := groups[string(key)]
+			if !ok {
+				// A new group keeps its key and a copy of its first row, which
+				// the columns that are not aggregates read.
+				g = &group{first: &rowCtx{parent: rc.parent}}
+				for _, tc := range rc.tables {
+					g.first.tables = append(g.first.tables,
+						&tblCtx{alias: tc.alias, tbl: tc.tbl, rowid: tc.rowid, vals: keptRow(tc.vals)})
+				}
 				for _, at := range aggTargets {
 					g.states = append(g.states, &aggState{fn: at.Name, isInt: true})
 				}
-				groups[key] = g
-				groupOrder = append(groupOrder, key)
+				k := string(key)
+				groups[k] = g
+				groupOrder = append(groupOrder, k)
 			}
 			for i, at := range aggTargets {
 				if at.Star {
@@ -658,18 +676,18 @@ func (db *DB) execSelect(s *SelectStmt, parent *rowCtx) *Result {
 	}
 
 	if havingIdx >= 0 {
-		kept := res.Rows[:0]
+		pass := res.Rows[:0]
 		for _, row := range res.Rows {
 			v := row[havingIdx]
 			if !v.IsNull() && v.Truthy() {
-				kept = append(kept, row)
+				pass = append(pass, row)
 			}
 		}
-		res.Rows = kept
+		res.Rows = pass
 	}
 	if s.Distinct {
 		seen := make(map[string]bool, len(res.Rows))
-		kept := res.Rows[:0]
+		pass := res.Rows[:0]
 		for _, row := range res.Rows {
 			var sb strings.Builder
 			for _, v := range row[:visibleWidth] {
@@ -680,10 +698,10 @@ func (db *DB) execSelect(s *SelectStmt, parent *rowCtx) *Result {
 			k := sb.String()
 			if !seen[k] {
 				seen[k] = true
-				kept = append(kept, row)
+				pass = append(pass, row)
 			}
 		}
-		res.Rows = kept
+		res.Rows = pass
 	}
 	if len(s.OrderBy) > 0 {
 		slices.SortStableFunc(res.Rows, func(a, b []Value) int {
@@ -738,16 +756,18 @@ func (db *DB) projectRow(rc *rowCtx, cols []SelectCol, width int, aggTargets []*
 		}
 		return db.eval(rc, e)
 	}
+	// The row goes into the Result, which outlives the bound rows: every
+	// value is copied out of them.
 	for _, c := range cols {
 		if c.Star {
 			for _, tc := range rc.tables {
-				for i := range tc.tbl.Columns {
-					row = append(row, tc.col(i))
+				for _, v := range tc.vals[:len(tc.tbl.Columns)] {
+					row = append(row, kept(v))
 				}
 			}
 			continue
 		}
-		row = append(row, evalWithAgg(c.Expr))
+		row = append(row, kept(evalWithAgg(c.Expr)))
 	}
 	return row
 }

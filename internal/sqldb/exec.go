@@ -26,32 +26,16 @@ type tblCtx struct {
 	tbl   *Table
 	rowid int64
 	// rec is the bound row's record as the scan or look-up showed it — a
-	// view of a pinned page frame — and is good until the row's callback
-	// returns.
+	// view of a pinned page frame, or of the DB's copy of one (a staged
+	// hit, a stored row) — and is good until the row's callback returns.
 	rec []byte
 	// vals has an entry per column and is reused from row to row: bindRow
-	// decodes numbers and NULLs into it and leaves a text or blob in rec as
-	// a lazy value, which col copies out on first use. A tblCtx that holds
-	// a kept row (solid's result) has no rec.
+	// decodes rec into it, a text or blob as a view of rec. A value that
+	// outlives the row's callback is copied by whoever keeps it (kept).
 	vals []Value
-}
-
-// col returns column i of the bound row. The value shares nothing with
-// rec or vals, so the caller may keep it.
-func (b *tblCtx) col(i int) Value {
-	if b.vals[i].Kind&lazy != 0 {
-		b.vals[i] = solid(b.vals[i], b.rec)
-	}
-	return b.vals[i]
-}
-
-// solid returns the bound row with every column resolved, for whoever
-// keeps rows beyond the callback to clone: the slice itself is reused.
-func (b *tblCtx) solid() []Value {
-	for i := range b.vals {
-		b.col(i)
-	}
-	return b.vals
+	// own is the bind's copy of each record under PoisonRows, which fills
+	// it with 0xDD once the row's callback has returned.
+	own []byte
 }
 
 // rowCtx is the evaluation context: bound tables plus an optional parent
@@ -72,7 +56,7 @@ func (rc *rowCtx) resolve(table, name string) (Value, bool) {
 				return Int(t.rowid), true
 			}
 			if i := t.tbl.ColIndex(name); i >= 0 {
-				return t.col(i), true
+				return t.vals[i], true
 			}
 		}
 	}
@@ -86,9 +70,9 @@ type aggState struct {
 	sum   float64
 	sumI  int64
 	isInt bool
-	min   Value
-	max   Value
-	seen  bool
+	// ext is the least value added so far for min, the greatest for max:
+	// a copy, since the group's later rows are bound after it.
+	ext Value
 }
 
 func (a *aggState) add(v Value) {
@@ -104,15 +88,9 @@ func (a *aggState) add(v Value) {
 		a.isInt = false
 		a.sum += v.Num()
 	}
-	if !a.seen {
-		a.min, a.max, a.seen = v, v, true
-		return
-	}
-	if Compare(v, a.min) < 0 {
-		a.min = v
-	}
-	if Compare(v, a.max) > 0 {
-		a.max = v
+	if a.fn == "min" && (a.count == 1 || Compare(v, a.ext) < 0) ||
+		a.fn == "max" && (a.count == 1 || Compare(v, a.ext) > 0) {
+		a.ext = kept(v)
 	}
 }
 
@@ -136,16 +114,11 @@ func (a *aggState) result() Value {
 			return Null()
 		}
 		return Real(a.sum / float64(a.count))
-	case "min":
-		if !a.seen {
+	case "min", "max":
+		if a.count == 0 {
 			return Null()
 		}
-		return a.min
-	case "max":
-		if !a.seen {
-			return Null()
-		}
-		return a.max
+		return a.ext
 	}
 	return Null()
 }
@@ -189,41 +162,39 @@ func hasAgg(e Expr) bool {
 	return false
 }
 
-// likeMatch implements SQL LIKE (case-insensitive ASCII, % and _).
-func likeMatch(pat, s string) bool {
-	pat, s = strings.ToLower(pat), strings.ToLower(s)
-	var match func(p, t string) bool
-	match = func(p, t string) bool {
-		for len(p) > 0 {
-			switch p[0] {
-			case '%':
-				for len(p) > 0 && p[0] == '%' {
-					p = p[1:]
-				}
-				if len(p) == 0 {
-					return true
-				}
-				for i := 0; i <= len(t); i++ {
-					if match(p, t[i:]) {
-						return true
-					}
-				}
-				return false
-			case '_':
-				if len(t) == 0 {
-					return false
-				}
-				p, t = p[1:], t[1:]
-			default:
-				if len(t) == 0 || p[0] != t[0] {
-					return false
-				}
-				p, t = p[1:], t[1:]
-			}
+// likeMatch implements SQL LIKE: % matches any run of bytes, _ any one
+// byte, and an ASCII letter either case of itself; other bytes match only
+// themselves, as in SQLite without ICU. A mismatch backs up to the last %
+// only — a run the pattern before it matched stays matched — so a match
+// takes at most (len(s)+1)·(len(pat)+1) steps, which it returns for tests.
+func likeMatch(pat, s string) (match bool, steps int) {
+	p, t := 0, 0
+	star, resume := -1, 0 // the last % seen, and where its run ends next
+	for ; t < len(s); steps++ {
+		switch {
+		case p < len(pat) && pat[p] == '%':
+			star, resume = p, t
+			p++
+		case p < len(pat) && (pat[p] == '_' || lowerASCII(pat[p]) == lowerASCII(s[t])):
+			p, t = p+1, t+1
+		case star >= 0:
+			resume++
+			p, t = star+1, resume
+		default:
+			return false, steps
 		}
-		return len(t) == 0
 	}
-	return match(pat, s)
+	for p < len(pat) && pat[p] == '%' {
+		p++
+	}
+	return p == len(pat), steps
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // eval computes an expression in the given row context.
@@ -467,7 +438,8 @@ func (db *DB) evalBin(rc *rowCtx, x *EBin) Value {
 		if l.IsNull() || r.IsNull() {
 			return Null()
 		}
-		return Bool(likeMatch(r.String(), l.String()))
+		match, _ := likeMatch(r.String(), l.String())
+		return Bool(match)
 	case "||":
 		if l.IsNull() || r.IsNull() {
 			return Null()
@@ -510,8 +482,8 @@ func (db *DB) evalBin(rc *rowCtx, x *EBin) Value {
 				return Null()
 			}
 			return Real(a / b)
-		case "%":
-			if b == 0 {
+		case "%": // on the operands truncated to integers, as SQLite does
+			if int64(b) == 0 {
 				return Null()
 			}
 			return Int(int64(a) % int64(b))
@@ -521,13 +493,28 @@ func (db *DB) evalBin(rc *rowCtx, x *EBin) Value {
 	return Null()
 }
 
+// scalarArity is how many arguments each scalar function takes: at least
+// [0] and at most [1], 127 being SQLite's default cap for any function.
+var scalarArity = map[string][2]int{
+	"length": {1, 1}, "abs": {1, 1}, "upper": {1, 1}, "lower": {1, 1}, "typeof": {1, 1},
+	"substr": {2, 3}, "coalesce": {2, 127}, "ifnull": {2, 2}, "random": {0, 0},
+}
+
 func (db *DB) evalFunc(rc *rowCtx, x *EFunc) Value {
 	if isAggFn(x.Name) {
 		fail("aggregate %s used outside an aggregate query", x.Name)
 	}
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		args[i] = db.eval(rc, a)
+	arity, known := scalarArity[x.Name]
+	switch n := len(x.Args); {
+	case !known:
+		fail("no such function %s", x.Name)
+	case n < arity[0] || n > arity[1] || x.Star:
+		fail("wrong number of arguments to function %s()", x.Name)
+	}
+	var buf [3]Value
+	args := buf[:0]
+	for _, a := range x.Args {
+		args = append(args, db.eval(rc, a))
 	}
 	switch x.Name {
 	case "length":
@@ -569,11 +556,8 @@ func (db *DB) evalFunc(rc *rowCtx, x *EFunc) Value {
 			return Text("")
 		}
 		end := len(s)
-		if len(args) > 2 {
-			end = start + int(args[2].Num())
-			if end > len(s) {
-				end = len(s)
-			}
+		if len(args) > 2 { // a negative length reads as 0
+			end = min(max(start+int(args[2].Num()), start), len(s))
 		}
 		return Text(s[start:end])
 	case "coalesce", "ifnull":
@@ -585,20 +569,16 @@ func (db *DB) evalFunc(rc *rowCtx, x *EFunc) Value {
 		return Null()
 	case "random":
 		return Int(int64(db.nextRand()))
-	case "typeof":
-		switch args[0].Kind {
-		case KNull:
-			return Text("null")
-		case KInt:
-			return Text("integer")
-		case KReal:
-			return Text("real")
-		case KText:
-			return Text("text")
-		default:
-			return Text("blob")
-		}
 	}
-	fail("no such function %s", x.Name)
-	return Null()
+	switch args[0].Kind { // typeof
+	case KNull:
+		return Text("null")
+	case KInt:
+		return Text("integer")
+	case KReal:
+		return Text("real")
+	case KText:
+		return Text("text")
+	}
+	return Text("blob")
 }

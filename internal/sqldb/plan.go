@@ -216,7 +216,12 @@ func (db *DB) planAccess(binds []*tblCtx, i int, conjuncts []Expr) access {
 // not replaced, and extended to the current column count (ALTER TABLE ADD
 // COLUMN reads old rows as NULL) with the rowid alias filled in.
 func (db *DB) bindRow(b *tblCtx, rowid int64, record []byte) {
-	vals, err := decodeRecord(b.vals, record)
+	src := record
+	if db.afterRow != nil { // PoisonRows: views alias a copy it can poison
+		b.own = append(b.own[:0], record...)
+		src = b.own
+	}
+	vals, err := decodeRecord(b.vals, src)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -393,19 +398,32 @@ func (db *DB) joinLoop(binds []*tblCtx, i int, rc *rowCtx, conjuncts []Expr, emi
 	return ok
 }
 
-// hit is a row an UPDATE or DELETE is about to change, with values of its
-// own: the table is written only once the scan that found it is over.
-type hit struct {
-	rowid int64
-	vals  []Value
-}
-
-// scanFiltered returns a single table's rows matching where.
-func (db *DB) scanFiltered(t *Table, alias string, where Expr) (hits []hit) {
+// scanFiltered stages the rows of t that match where — the rows an UPDATE
+// or DELETE is about to change — and returns them for nextHit, each as its
+// rowid, record length and record copied into db.hits: the table is
+// written only once the scan that found them is over.
+func (db *DB) scanFiltered(t *Table, alias string, where Expr) []byte {
+	if cap(db.hits) > db.pager.cap*PageSize {
+		db.hits = nil // grown past what the cache holds: not kept
+	}
+	db.hits = db.hits[:0]
 	binds := []*tblCtx{{alias: alias, tbl: t}}
 	db.joinLoop(binds, 0, &rowCtx{}, splitConjuncts(where), func(*rowCtx) bool {
-		hits = append(hits, hit{binds[0].rowid, slices.Clone(binds[0].solid())})
+		b := binds[0]
+		if need := 12 + len(b.rec); cap(db.hits)-len(db.hits) < need {
+			db.hits = slices.Grow(db.hits, len(db.hits)+need) // doubles: append grows by a quarter
+		}
+		db.hits = le.AppendUint32(le.AppendUint64(db.hits, uint64(b.rowid)), uint32(len(b.rec)))
+		db.hits = append(db.hits, b.rec...)
 		return true
 	})
-	return hits
+	return db.hits
+}
+
+// nextHit binds the first row staged in hits to b and returns the rest.
+// The row's text and blobs are views of hits.
+func (db *DB) nextHit(b *tblCtx, hits []byte) []byte {
+	end := 12 + int(le.Uint32(hits[8:]))
+	db.bindRow(b, int64(le.Uint64(hits)), hits[12:end])
+	return hits[end:]
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -83,27 +84,69 @@ func TestLRUVictimMatchesScan(t *testing.T) {
 }
 
 // TestPoisonRowsCatchesAKeptRow is the positive control of the row poison:
-// a callback that keeps the bind's slice, not a clone of it, reads POISON
-// once the row's callback has returned.
+// a callback that keeps the bind's slice reads POISON once the row's
+// callback has returned, and one that keeps a text value without copying
+// it reads 0xDD bytes. A copy reads the row.
 func TestPoisonRowsCatchesAKeptRow(t *testing.T) {
 	withDB(t, 64, func(db *DB) {
 		db.PoisonRows()
 		db.MustExec("CREATE TABLE t (a INTEGER, s TEXT)")
 		db.MustExec("INSERT INTO t VALUES (1, 'one'), (2, 'two')")
 		binds := []*tblCtx{{alias: "t", tbl: db.cat.Table("t")}}
-		var kept, cloned [][]Value
+		var slice, views, copies [][]Value
 		db.joinLoop(binds, 0, &rowCtx{}, nil, func(*rowCtx) bool {
-			kept = append(kept, binds[0].vals)
-			cloned = append(cloned, slices.Clone(binds[0].solid()))
+			slice = append(slice, binds[0].vals)
+			views = append(views, slices.Clone(binds[0].vals))
+			copies = append(copies, keptRow(binds[0].vals))
 			return true
 		})
 		for i, want := range []string{"one", "two"} {
-			if got := kept[i][1].S; got != "POISON" {
+			if got := slice[i][1].S; got != "POISON" {
 				t.Errorf("row %d: the kept slice reads %q after its callback", i, got)
 			}
-			if got := cloned[i][1].S; got != want {
-				t.Errorf("row %d: the clone reads %q, want %q", i, got, want)
+			if got := views[i][1].S; got != strings.Repeat("\xdd", len(want)) {
+				t.Errorf("row %d: the kept view reads %q after its callback", i, got)
 			}
+			if got := copies[i][1].S; got != want {
+				t.Errorf("row %d: the copy reads %q, want %q", i, got, want)
+			}
+		}
+	})
+}
+
+// TestStoredRowOutlivesEviction: a REPLACE reads the row it replaces and
+// then deletes that row's index entries, one index at a time, and the
+// first descents evict the table leaf the row was read from before the
+// last key is built. storedRow decodes a copy of the record, so the keys
+// deleted are the row's. Decoded from the leaf, under the scan guard they
+// would read the 0xDD of a recycled frame, and the old entries would stay:
+// an index would list a row twice. Runs without PoisonRows, under which
+// every bind decodes a copy anyway.
+func TestStoredRowOutlivesEviction(t *testing.T) {
+	withDB(t, 8, func(db *DB) {
+		db.pager.GuardScans()
+		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, a TEXT, b TEXT, c TEXT)")
+		for i, cols := range []string{"a", "b", "c", "a, b", "b, c", "c, a"} {
+			db.MustExec(fmt.Sprintf("CREATE INDEX t%d ON t (%s)", i, cols))
+		}
+		pad := strings.Repeat("p", 100)
+		db.MustExec("BEGIN")
+		for i := 1; i <= 300; i++ {
+			db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 'a%d%s', 'b%d%s', 'c%d%s')", i, i, pad, i, pad, i, pad))
+		}
+		db.MustExec("COMMIT")
+		for i := 10; i <= 300; i += 10 {
+			db.MustExec(fmt.Sprintf("REPLACE INTO t VALUES (%d, 'x', 'y', 'z')", i))
+		}
+		for _, idx := range db.cat.TableIndexes("t") {
+			n := 0
+			NewIndexTree(db.pager, idx.Root).ScanIndexRange(nil, nil, func([]byte, int64) bool { n++; return true })
+			if n != 300 {
+				t.Errorf("index %s (%s) lists %d rows, want 300", idx.Name, strings.Join(idx.Cols, ", "), n)
+			}
+		}
+		if db.pager.Stats.Misses < 1000 {
+			t.Errorf("premise broken: %d cache misses", db.pager.Stats.Misses)
 		}
 	})
 }
@@ -152,45 +195,64 @@ func fillScanTable(db *DB, name string, n int) {
 }
 
 // TestRowPathAllocations gates what a row costs in heap objects, exactly:
-// per row visited, per row emitted, per row inserted, per statement parsed.
+// per row visited, emitted, updated, deleted and checked, per row inserted,
+// per statement parsed. A per-row count is the difference between a
+// statement over 1 000 rows and the same statement over 2 000.
 func TestRowPathAllocations(t *testing.T) {
+	perRow := func(what string, small, big, want int) {
+		t.Helper()
+		if d := big - small; d/1000 != want || d%1000 > 8 {
+			t.Errorf("%s: %d allocations over 1000 rows, %d over 2000: %.3f a row, want %d",
+				what, small, big, float64(d)/1000, want)
+		}
+	}
 	withDB(t, 256, func(db *DB) {
 		fillScanTable(db, "t1000", 1000)
 		fillScanTable(db, "t2000", 2000)
 		allocs := func(sql string) int {
-			return int(testing.AllocsPerRun(10, func() { db.MustExec(sql) }))
+			return int(testing.AllocsPerRun(10, func() {
+				for _, stmt := range strings.Split(sql, "; ") {
+					db.MustExec(stmt)
+				}
+			}))
 		}
-		// A scan whose WHERE reads integers and rejects every row: a
-		// thousand more rows, not one more object.
-		small, big := allocs("SELECT c FROM t1000 WHERE b < 0"), allocs("SELECT c FROM t2000 WHERE b < 0")
-		if small != big {
-			t.Errorf("rejecting scan: %d allocations over 1000 rows, %d over 2000: %.3f a row, want 0",
-				small, big, float64(big-small)/1000)
+		on := func(sql string) (int, int) { // sql names the table {t}
+			return allocs(strings.ReplaceAll(sql, "{t}", "t1000")), allocs(strings.ReplaceAll(sql, "{t}", "t2000"))
+		}
+		// Scans whose WHERE rejects every row, reading an integer, reading
+		// text in place, matching text: a thousand more rows, not one more
+		// object.
+		for _, where := range []string{"b < 0", "c < ''", "c LIKE 'x%'"} {
+			small, big := on("SELECT c FROM {t} WHERE " + where)
+			perRow("rejecting scan, WHERE "+where, small, big, 0)
 		}
 		// The same scan emitting one text column: the string and the result
 		// row for each row, and a few steps of the result's own growth.
-		small, big = allocs("SELECT c FROM t1000 WHERE b >= 0"), allocs("SELECT c FROM t2000 WHERE b >= 0")
-		if d := big - small; d/1000 != 2 || d%1000 > 8 {
-			t.Errorf("emitting scan: %d allocations over 1000 rows, %d over 2000: %.3f a row, want 2", small, big, float64(d)/1000)
-		}
+		small, big := on("SELECT c FROM {t} WHERE b >= 0")
+		perRow("emitting scan", small, big, 2)
+		// Every row updated, and every row deleted — under a rollback, so
+		// that each run finds them again: the hits are staged in the DB's
+		// buffer and bound from there, the new row built in its scratch.
+		small, big = on("UPDATE {t} SET b = b + 1")
+		perRow("UPDATE of every row", small, big, 0)
+		small, big = on("BEGIN; DELETE FROM {t}; ROLLBACK")
+		perRow("DELETE of every row", small, big, 0)
 
 		// One 3-column row into a table with one index, inside a
-		// transaction: the statement, its row list, the expression list and
-		// the Result (the parent read 15). A split now and then is below
-		// AllocsPerRun's integer average.
+		// transaction: the Result, and nothing of the row or the statement.
+		// A split now and then is below AllocsPerRun's integer average.
 		db.MustExec("CREATE TABLE z1 (a INTEGER, b INTEGER, c TEXT)")
 		db.MustExec("CREATE INDEX z1b ON z1 (b)")
 		db.MustExec("BEGIN")
-		if got := testing.AllocsPerRun(300, func() { db.MustExec(speedtestInsert) }); got > 4 {
-			t.Errorf("INSERT of one row with one index: %v allocations, want at most 4", got)
+		if got := testing.AllocsPerRun(300, func() { db.MustExec(speedtestInsert) }); got > 1 {
+			t.Errorf("INSERT of one row with one index: %v allocations, want at most 1", got)
 		}
 		db.MustExec("COMMIT")
 		// The same statement parsed as Exec parses it, by a parser that has
-		// parsed before: the statement, its row list, the expression list,
-		// and a literal chunk every tenth time. The parent's Parse read 9,
-		// which a parser with nothing to reuse must still not exceed.
-		if got := testing.AllocsPerRun(320, func() { db.parser.parse(speedtestInsert) }); got > 3 {
-			t.Errorf("parse of %q by Exec's parser: %v allocations, want at most 3", speedtestInsert, got)
+		// parsed before: nothing, its nodes, statement and lists are the last
+		// statement's. A parser with nothing to reuse stays at 9.
+		if got := testing.AllocsPerRun(320, func() { db.parser.parse(speedtestInsert) }); got != 0 {
+			t.Errorf("parse of %q by Exec's parser: %v allocations, want 0", speedtestInsert, got)
 		}
 		if got := testing.AllocsPerRun(100, func() { Parse(speedtestInsert) }); got > 9 {
 			t.Errorf("Parse(%q): %v allocations, want at most 9", speedtestInsert, got)
@@ -199,6 +261,17 @@ func TestRowPathAllocations(t *testing.T) {
 			t.Errorf("premise broken: %d cache misses", db.pager.Stats.Misses)
 		}
 	})
+	// PRAGMA integrity_check validates every record in place, in a
+	// database holding one table of each size.
+	var checks [2]int
+	for i, n := range []int{1000, 2000} {
+		withDB(t, 256, func(db *DB) {
+			fillScanTable(db, "t", n)
+			db.MustExec("CREATE INDEX tc ON t (c)")
+			checks[i] = int(testing.AllocsPerRun(10, func() { db.MustExec("PRAGMA integrity_check") }))
+		})
+	}
+	perRow("PRAGMA integrity_check", checks[0], checks[1], 0)
 }
 
 // BenchmarkFilteredScan is a 1000-row full scan whose WHERE rejects every

@@ -92,8 +92,10 @@ func TestIntegerCompareIsExact(t *testing.T) {
 
 // TestReusedRowsDoNotLeak runs, under the row poison testDB switches on,
 // everything that keeps a row or a value of one beyond the row's callback:
-// a bind's value slice is reused from row to row and its text columns sit
-// in a page frame until read.
+// a bind's value slice is reused from row to row and its text columns are
+// views of a page frame. Each Result is checked again at the end, after
+// every later statement has reused the parser's nodes, the binds' buffers
+// and the frames: only the Result outlives its statement.
 func TestReusedRowsDoNotLeak(t *testing.T) {
 	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
 		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, grp TEXT, n INTEGER, s TEXT)")
@@ -101,6 +103,11 @@ func TestReusedRowsDoNotLeak(t *testing.T) {
 			" (4,'b',40,'row4'), (5,'c',50,'row5'), (6,'c',60,'row6')")
 		db.MustExec("CREATE TABLE p (x TEXT)")
 		db.MustExec("INSERT INTO p VALUES ('first'), ('second')")
+		type result struct {
+			sql, want string
+			r         *sqldb.Result
+		}
+		var results []result
 		check := func(sql, want string) {
 			t.Helper()
 			r, err := db.Exec(sql)
@@ -108,8 +115,17 @@ func TestReusedRowsDoNotLeak(t *testing.T) {
 				t.Errorf("%s: %v", sql, err)
 			} else if got := rows(r); got != want {
 				t.Errorf("%s\n got %q\nwant %q", sql, got, want)
+			} else {
+				results = append(results, result{sql, want, r})
 			}
 		}
+		defer func() {
+			for _, res := range results {
+				if got := rows(res.r); got != res.want {
+					t.Errorf("%s, read after the later statements\n got %q\nwant %q", res.sql, got, res.want)
+				}
+			}
+		}()
 		// ORDER BY, by a hidden sort column and by visible ones.
 		check("SELECT s FROM t ORDER BY n DESC", "row6;row5;row4;row3;row2;row1")
 		check("SELECT s, grp FROM t ORDER BY grp DESC, s", "row5,c;row6,c;row2,b;row4,b;row1,a;row3,a")
@@ -119,6 +135,10 @@ func TestReusedRowsDoNotLeak(t *testing.T) {
 		check("SELECT grp, s, sum(n) FROM t GROUP BY grp HAVING sum(n) > 50 ORDER BY s DESC", "c,row5,110;b,row2,60")
 		check("SELECT DISTINCT grp FROM t", "a;b;c")
 		check("SELECT DISTINCT grp, length(s) FROM t ORDER BY grp DESC", "c,4;b,4;a,4")
+		// MIN and MAX over text keep a value while the scan goes on.
+		check("SELECT grp, min(s), max(s) FROM t GROUP BY grp", "a,row1,row3;b,row2,row4;c,row5,row6")
+		check("SELECT min(s), max(s), min(grp) FROM t WHERE n > 15", "row2,row6,a")
+		check("SELECT substr(s, 1, 3), s || grp FROM t WHERE id = 2", "row,row2b")
 		// A correlated subquery: the outer row is read again after the inner
 		// scan has bound, and dropped, rows of the same table.
 		check("SELECT s, (SELECT count(*) FROM t u WHERE u.grp = t.grp), grp FROM t WHERE id <= 2", "row1,2,a;row2,2,b")

@@ -141,8 +141,8 @@ type EFunc struct {
 }
 
 // ESub is a scalar subquery. Uncorrelated subqueries are evaluated once
-// per statement execution and cached (ASTs are not shared across
-// statement executions).
+// per statement execution and cached: every parse allocates its ESub
+// nodes, which the parser never hands out again.
 type ESub struct {
 	Sel    *SelectStmt
 	cached *Value
@@ -254,19 +254,28 @@ type PragmaStmt struct{ Name string }
 
 // --- Parser ------------------------------------------------------------------
 
-// parser parses one statement after another. What it reuses between them
-// is bounded: at most maxKeptToks tokens, one chunk of each node type and
-// the depth of the deepest expression list.
+// parser parses one statement after another and hands the nodes,
+// statement structs and lists of each out again for the next: a
+// statement's AST lives until the next parse. What it keeps between
+// statements is bounded: one chunk of each node type, lists as long as one
+// statement's, and after a statement of more than maxKeptToks tokens
+// nothing at all.
 type parser struct {
 	toks []token
 	pos  int
-	// lits, cols and bins are the chunks the next literal, column and
-	// binary nodes are carved from.
+	// lits, cols, bins and sels are the chunks literal, column, binary and
+	// SELECT nodes are carved from.
 	lits []ELit
 	cols []ECol
 	bins []EBin
-	// list holds the expressions of the lists being parsed, innermost last.
-	list []Expr
+	sels []SelectStmt
+	// ins, upd and del are the INSERT, UPDATE or DELETE being parsed.
+	ins InsertStmt
+	upd UpdateStmt
+	del DeleteStmt
+	// list holds the expressions of the lists being parsed, innermost last;
+	// exprs holds the lists parsed, each cut to size.
+	list, exprs []Expr
 }
 
 const (
@@ -274,22 +283,29 @@ const (
 	maxKeptToks = 1024
 )
 
-// carve places v in *chunk and returns where, starting a new chunk when
-// this one is full so that the nodes handed out before stay valid. Chunks
-// double up to nodeChunk: a parser used once (Parse) does not pay for 32
-// nodes, one that lives with its database soon carves from nothing else.
-func carve[T any](chunk *[]T, v T) *T {
+// carve returns the next slot of *chunk as the last statement left it,
+// starting a new chunk when this one is full so that the slots handed out
+// before stay put. Chunks double up to nodeChunk: a parser used once
+// (Parse) does not pay for 32 nodes. parse rewinds the last chunk.
+func carve[T any](chunk *[]T) *T {
 	if len(*chunk) == cap(*chunk) {
 		*chunk = make([]T, 0, min(nodeChunk, max(4, 2*cap(*chunk))))
 	}
-	*chunk = append(*chunk, v)
+	*chunk = (*chunk)[:len(*chunk)+1]
 	return &(*chunk)[len(*chunk)-1]
 }
 
-func (p *parser) lit(v Value) *ELit            { return carve(&p.lits, ELit{V: v}) }
-func (p *parser) col(table, name string) *ECol { return carve(&p.cols, ECol{Table: table, Name: name}) }
+// place puts v in the next slot of *chunk.
+func place[T any](chunk *[]T, v T) *T {
+	n := carve(chunk)
+	*n = v
+	return n
+}
+
+func (p *parser) lit(v Value) *ELit            { return place(&p.lits, ELit{V: v}) }
+func (p *parser) col(table, name string) *ECol { return place(&p.cols, ECol{Table: table, Name: name}) }
 func (p *parser) bin(op string, l, r Expr) *EBin {
-	return carve(&p.bins, EBin{Op: op, L: l, R: r})
+	return place(&p.bins, EBin{Op: op, L: l, R: r})
 }
 
 // Parse parses one SQL statement.
@@ -297,13 +313,14 @@ func Parse(src string) (any, error) { return new(parser).parse(src) }
 
 func (p *parser) parse(src string) (any, error) {
 	if cap(p.toks) > maxKeptToks {
-		p.toks = nil
+		*p = parser{}
 	}
 	var err error
 	if p.toks, err = lex(p.toks, src); err != nil {
 		return nil, err
 	}
-	p.pos, p.list = 0, p.list[:0]
+	p.pos, p.list, p.exprs = 0, p.list[:0], p.exprs[:0]
+	p.lits, p.cols, p.bins, p.sels = p.lits[:0], p.cols[:0], p.bins[:0], p.sels[:0]
 	stmt, err := p.statement()
 	if err != nil {
 		return nil, err
@@ -405,7 +422,8 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
-	s := &SelectStmt{Limit: -1}
+	s := carve(&p.sels)
+	*s = SelectStmt{Cols: s.Cols[:0], From: s.From[:0], OrderBy: s.OrderBy[:0], Limit: -1}
 	if p.acceptKw("DISTINCT") {
 		s.Distinct = true
 	} else {
@@ -546,6 +564,8 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 	return s, nil
 }
 
+// keywords, upper case: an identifier that spells one is not read as a
+// table's alias or a column's type.
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
 	"ORDER": true, "LIMIT": true, "JOIN": true, "INNER": true, "ON": true,
@@ -559,10 +579,32 @@ var keywords = map[string]bool{
 	"UNION": true, "END": true, "TRANSACTION": true,
 }
 
-func isKeyword(s string) bool { return keywords[strings.ToUpper(s)] }
+// isKeyword reports whether the identifier s spells a keyword in any case.
+func isKeyword(s string) bool {
+	_, ok := lookupKw(keywords, s)
+	return ok
+}
+
+// lookupKw looks the identifier s up in m, whose keys are keywords in
+// upper case, without allocating.
+func lookupKw[V any](m map[string]V, s string) (v V, ok bool) {
+	var up [len("TRANSACTION")]byte // the longest keyword
+	if len(s) > len(up) {
+		return v, false
+	}
+	for i := range len(s) {
+		up[i] = s[i]
+		if 'a' <= s[i] && s[i] <= 'z' {
+			up[i] -= 'a' - 'A'
+		}
+	}
+	v, ok = m[string(up[:len(s)])]
+	return v, ok
+}
 
 func (p *parser) insertStmt() (*InsertStmt, error) {
-	s := &InsertStmt{}
+	s := &p.ins
+	*s = InsertStmt{Cols: s.Cols[:0], Rows: s.Rows[:0]}
 	if p.acceptKw("REPLACE") {
 		s.Replace = true
 	} else {
@@ -637,7 +679,8 @@ func (p *parser) updateStmt() (*UpdateStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &UpdateStmt{Table: name}
+	s := &p.upd
+	*s = UpdateStmt{Table: name, Sets: s.Sets[:0]}
 	if err := p.expectKw("SET"); err != nil {
 		return nil, err
 	}
@@ -682,7 +725,8 @@ func (p *parser) deleteStmt() (*DeleteStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &DeleteStmt{Table: name}
+	s := &p.del
+	*s = DeleteStmt{Table: name}
 	if p.acceptKw("WHERE") {
 		w, err := p.expr()
 		if err != nil {
@@ -823,162 +867,124 @@ func (p *parser) alterStmt() (*AlterAddColumnStmt, error) {
 
 // --- Expression parsing (precedence climbing) ---------------------------------
 
-func (p *parser) expr() (Expr, error) { return p.exprOr() }
-
-func (p *parser) exprOr() (Expr, error) {
-	l, err := p.exprAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("OR") {
-		r, err := p.exprAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = p.bin("OR", l, r)
-	}
-	return l, nil
+// binOp is a binary operator's precedence level, loosest 0, and the Op of
+// its node.
+type binOp struct {
+	level int
+	op    string
 }
 
-func (p *parser) exprAnd() (Expr, error) {
-	l, err := p.exprNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("AND") {
-		r, err := p.exprNot()
-		if err != nil {
-			return nil, err
-		}
-		l = p.bin("AND", l, r)
-	}
-	return l, nil
+// binOps holds every binary operator, a keyword upper case (matched in any
+// case). IS, BETWEEN, IN and NOT have no Op: they start the comparisons
+// cmpTail parses.
+var binOps = map[string]binOp{
+	"OR": {0, "OR"}, "AND": {1, "AND"},
+	"=": {cmpLevel, "="}, "==": {cmpLevel, "="}, "!=": {cmpLevel, "!="}, "<>": {cmpLevel, "!="},
+	"<": {cmpLevel, "<"}, "<=": {cmpLevel, "<="}, ">": {cmpLevel, ">"}, ">=": {cmpLevel, ">="},
+	"LIKE": {cmpLevel, "LIKE"}, "IS": {cmpLevel, ""}, "BETWEEN": {cmpLevel, ""}, "IN": {cmpLevel, ""}, "NOT": {cmpLevel, ""},
+	"+": {cmpLevel + 1, "+"}, "-": {cmpLevel + 1, "-"}, "||": {cmpLevel + 1, "||"},
+	"*": {cmpLevel + 2, "*"}, "/": {cmpLevel + 2, "/"}, "%": {cmpLevel + 2, "%"},
 }
 
-func (p *parser) exprNot() (Expr, error) {
-	if p.acceptKw("NOT") {
-		e, err := p.exprNot()
-		if err != nil {
+const (
+	notLevel = 2 // where NOT is a prefix: looser than a comparison, tighter than AND
+	cmpLevel = 3
+)
+
+func (p *parser) expr() (Expr, error) { return p.binary(0) }
+
+// binary parses an operand and every operator after it that binds at
+// least as tightly as level, left to right; an operator's right operand
+// binds one level tighter.
+func (p *parser) binary(level int) (Expr, error) {
+	var l Expr
+	var err error
+	if level <= notLevel && p.acceptKw("NOT") {
+		if l, err = p.binary(notLevel); err != nil {
 			return nil, err
 		}
-		return &EUn{Op: "NOT", E: e}, nil
-	}
-	return p.exprCmp()
-}
-
-func (p *parser) exprCmp() (Expr, error) {
-	l, err := p.exprAdd()
-	if err != nil {
+		l = &EUn{Op: "NOT", E: l}
+	} else if l, err = p.exprUnary(); err != nil {
 		return nil, err
 	}
 	for {
+		t := p.peek()
+		var o binOp
+		ok := false
+		switch t.kind {
+		case tkOp:
+			o, ok = binOps[t.text]
+		case tkIdent:
+			o, ok = lookupKw(binOps, t.text)
+		}
 		switch {
-		case p.accept(tkOp, "="), p.accept(tkOp, "=="):
-			r, err := p.exprAdd()
-			if err != nil {
+		case !ok || o.level < level:
+			return l, nil
+		case o.op == "":
+			if l, err = p.cmpTail(l); err != nil {
 				return nil, err
-			}
-			l = p.bin("=", l, r)
-		case p.accept(tkOp, "!="), p.accept(tkOp, "<>"):
-			r, err := p.exprAdd()
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin("!=", l, r)
-		case p.accept(tkOp, "<="):
-			r, err := p.exprAdd()
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin("<=", l, r)
-		case p.accept(tkOp, ">="):
-			r, err := p.exprAdd()
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin(">=", l, r)
-		case p.accept(tkOp, "<"):
-			r, err := p.exprAdd()
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin("<", l, r)
-		case p.accept(tkOp, ">"):
-			r, err := p.exprAdd()
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin(">", l, r)
-		case p.acceptKw("LIKE"):
-			r, err := p.exprAdd()
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin("LIKE", l, r)
-		case p.acceptKw("IS"):
-			not := p.acceptKw("NOT")
-			if err := p.expectKw("NULL"); err != nil {
-				return nil, err
-			}
-			l = p.bin("IS NULL", l, p.lit(Bool(!not)))
-		case p.acceptKw("BETWEEN"):
-			lo, err := p.exprAdd()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("AND"); err != nil {
-				return nil, err
-			}
-			hi, err := p.exprAdd()
-			if err != nil {
-				return nil, err
-			}
-			l = &EBetween{E: l, Lo: lo, Hi: hi}
-		case p.acceptKw("IN"):
-			in, err := p.inTail(l, false)
-			if err != nil {
-				return nil, err
-			}
-			l = in
-		case p.acceptKw("NOT"):
-			switch {
-			case p.acceptKw("IN"):
-				in, err := p.inTail(l, true)
-				if err != nil {
-					return nil, err
-				}
-				l = in
-			case p.acceptKw("BETWEEN"):
-				lo, err := p.exprAdd()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectKw("AND"); err != nil {
-					return nil, err
-				}
-				hi, err := p.exprAdd()
-				if err != nil {
-					return nil, err
-				}
-				l = &EBetween{E: l, Lo: lo, Hi: hi, Not: true}
-			case p.acceptKw("LIKE"):
-				r, err := p.exprAdd()
-				if err != nil {
-					return nil, err
-				}
-				l = &EUn{Op: "NOT", E: p.bin("LIKE", l, r)}
-			default:
-				return nil, fmt.Errorf("sql: expected IN, BETWEEN or LIKE after NOT, got %q", p.peek().text)
 			}
 		default:
-			return l, nil
+			p.pos++
+			r, err := p.binary(o.level + 1)
+			if err != nil {
+				return nil, err
+			}
+			l = p.bin(o.op, l, r)
 		}
 	}
 }
 
+// cmpTail parses the comparison on l that IS, BETWEEN, IN or NOT starts:
+// IS [NOT] NULL, [NOT] BETWEEN, [NOT] IN or NOT LIKE.
+func (p *parser) cmpTail(l Expr) (Expr, error) {
+	switch {
+	case p.acceptKw("IS"):
+		not := p.acceptKw("NOT")
+		if err := p.expectKw("NULL"); err != nil {
+			return nil, err
+		}
+		return p.bin("IS NULL", l, p.lit(Bool(!not))), nil
+	case p.acceptKw("BETWEEN"):
+		return p.between(l, false)
+	case p.acceptKw("IN"):
+		return p.inTail(l, false)
+	}
+	p.pos++ // NOT
+	switch {
+	case p.acceptKw("IN"):
+		return p.inTail(l, true)
+	case p.acceptKw("BETWEEN"):
+		return p.between(l, true)
+	case p.acceptKw("LIKE"):
+		r, err := p.binary(cmpLevel + 1)
+		if err != nil {
+			return nil, err
+		}
+		return &EUn{Op: "NOT", E: p.bin("LIKE", l, r)}, nil
+	}
+	return nil, fmt.Errorf("sql: expected IN, BETWEEN or LIKE after NOT, got %q", p.peek().text)
+}
+
+// between parses the bounds of e [NOT] BETWEEN lo AND hi.
+func (p *parser) between(e Expr, not bool) (Expr, error) {
+	lo, err := p.binary(cmpLevel + 1)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectKw("AND"); err != nil {
+		return nil, err
+	}
+	hi, err := p.binary(cmpLevel + 1)
+	if err != nil {
+		return nil, err
+	}
+	return &EBetween{E: e, Lo: lo, Hi: hi, Not: not}, nil
+}
+
 // exprList parses a comma-separated list of expressions. They collect on
-// p.list above those of the lists around this one, so the slice returned
-// is allocated once, at its final size.
+// p.list above those of the lists around this one, and the finished list
+// moves to p.exprs, cut to size.
 func (p *parser) exprList() ([]Expr, error) {
 	base := len(p.list)
 	for {
@@ -991,10 +997,10 @@ func (p *parser) exprList() ([]Expr, error) {
 			break
 		}
 	}
-	out := slices.Clone(p.list[base:])
-	clear(p.list[base:])
+	start := len(p.exprs)
+	p.exprs = append(p.exprs, p.list[base:]...)
 	p.list = p.list[:base]
-	return out, nil
+	return p.exprs[start:len(p.exprs):len(p.exprs)], nil
 }
 
 // inTail parses the parenthesised tail of an IN predicate.
@@ -1020,68 +1026,6 @@ func (p *parser) inTail(l Expr, not bool) (Expr, error) {
 		return nil, err
 	}
 	return &EIn{E: l, List: list, Not: not}, nil
-}
-
-func (p *parser) exprAdd() (Expr, error) {
-	l, err := p.exprMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.accept(tkOp, "+"):
-			r, err := p.exprMul()
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin("+", l, r)
-		case p.accept(tkOp, "-"):
-			r, err := p.exprMul()
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin("-", l, r)
-		case p.accept(tkOp, "||"):
-			r, err := p.exprMul()
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin("||", l, r)
-		default:
-			return l, nil
-		}
-	}
-}
-
-func (p *parser) exprMul() (Expr, error) {
-	l, err := p.exprUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.accept(tkOp, "*"):
-			r, err := p.exprUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin("*", l, r)
-		case p.accept(tkOp, "/"):
-			r, err := p.exprUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin("/", l, r)
-		case p.accept(tkOp, "%"):
-			r, err := p.exprUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin("%", l, r)
-		default:
-			return l, nil
-		}
-	}
 }
 
 func (p *parser) exprUnary() (Expr, error) {
@@ -1150,18 +1094,15 @@ func (p *parser) exprPrimary() (Expr, error) {
 			return e, nil
 		}
 	case tkIdent:
-		switch strings.ToUpper(t.text) {
-		case "NULL":
-			p.pos++
+		p.pos++
+		switch {
+		case strings.EqualFold(t.text, "NULL"):
 			return p.lit(Null()), nil
-		case "TRUE":
-			p.pos++
+		case strings.EqualFold(t.text, "TRUE"):
 			return p.lit(Int(1)), nil
-		case "FALSE":
-			p.pos++
+		case strings.EqualFold(t.text, "FALSE"):
 			return p.lit(Int(0)), nil
 		}
-		p.pos++
 		name := t.text
 		// Function call?
 		if p.accept(tkOp, "(") {

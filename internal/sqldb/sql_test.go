@@ -8,40 +8,47 @@ import (
 	"testing/quick"
 )
 
+// goodStatements must parse; the AST of each is pinned in
+// testdata/ast.golden.
+var goodStatements = []string{
+	"SELECT 1",
+	"SELECT a, b AS x FROM t WHERE a > 1 AND b < 2 OR NOT a = b",
+	"SELECT * FROM t ORDER BY a DESC, b ASC LIMIT 10",
+	"SELECT count(*), sum(a+1) FROM t GROUP BY b HAVING count(*) > 2",
+	"SELECT DISTINCT a FROM t",
+	"SELECT t1.a, t2.b FROM t1 JOIN t2 ON t1.id = t2.ref",
+	"SELECT a FROM t1, t2, t3 WHERE t1.a = t2.b AND t2.b = t3.c",
+	"SELECT a FROM t WHERE b IN (1, 2, 3) AND c NOT IN (SELECT x FROM u)",
+	"SELECT a FROM t WHERE b BETWEEN 1 AND 10 AND c NOT BETWEEN 2 AND 3",
+	"SELECT a FROM t WHERE s LIKE 'x%' AND s NOT LIKE '%y'",
+	"SELECT a FROM t WHERE b IS NULL OR c IS NOT NULL",
+	"SELECT (SELECT max(a) FROM t) + 1",
+	"INSERT INTO t VALUES (1, 'two', 3.5, NULL)",
+	"INSERT INTO t (a, b) VALUES (1, 2), (3, 4)",
+	"INSERT OR REPLACE INTO t VALUES (1)",
+	"REPLACE INTO t VALUES (1)",
+	"INSERT INTO t SELECT a, b FROM u",
+	"UPDATE t SET a = a + 1, b = 'x' WHERE id = 5",
+	"DELETE FROM t WHERE a < 0",
+	"CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT NOT NULL, r REAL)",
+	"CREATE UNIQUE INDEX i ON t (a, b)",
+	"DROP TABLE t",
+	"DROP INDEX i",
+	"ALTER TABLE t ADD COLUMN extra INTEGER",
+	"BEGIN", "BEGIN TRANSACTION", "COMMIT", "END", "ROLLBACK",
+	"PRAGMA integrity_check",
+	"SELECT -a, +b, a || b, a % b FROM t",
+	"SELECT a + b * c - d / e % f || g, a - -1, (a + b) * c FROM t",
+	"SELECT a FROM t WHERE NOT NOT a = b AND c OR NOT d LIKE e AND f",
+	"SELECT a FROM t WHERE a = b = c AND x IS NOT NULL OR y IS NULL = 1",
+	"SELECT a FROM t WHERE a + 1 NOT BETWEEN b * 2 AND c - 1 OR d NOT IN (1, 2) AND e IN (SELECT f FROM u)",
+	"SELECT 'it''s quoted'",
+	"SELECT 1 -- trailing comment",
+	"SELECT 1;",
+}
+
 func TestParseStatements(t *testing.T) {
-	good := []string{
-		"SELECT 1",
-		"SELECT a, b AS x FROM t WHERE a > 1 AND b < 2 OR NOT a = b",
-		"SELECT * FROM t ORDER BY a DESC, b ASC LIMIT 10",
-		"SELECT count(*), sum(a+1) FROM t GROUP BY b HAVING count(*) > 2",
-		"SELECT DISTINCT a FROM t",
-		"SELECT t1.a, t2.b FROM t1 JOIN t2 ON t1.id = t2.ref",
-		"SELECT a FROM t1, t2, t3 WHERE t1.a = t2.b AND t2.b = t3.c",
-		"SELECT a FROM t WHERE b IN (1, 2, 3) AND c NOT IN (SELECT x FROM u)",
-		"SELECT a FROM t WHERE b BETWEEN 1 AND 10 AND c NOT BETWEEN 2 AND 3",
-		"SELECT a FROM t WHERE s LIKE 'x%' AND s NOT LIKE '%y'",
-		"SELECT a FROM t WHERE b IS NULL OR c IS NOT NULL",
-		"SELECT (SELECT max(a) FROM t) + 1",
-		"INSERT INTO t VALUES (1, 'two', 3.5, NULL)",
-		"INSERT INTO t (a, b) VALUES (1, 2), (3, 4)",
-		"INSERT OR REPLACE INTO t VALUES (1)",
-		"REPLACE INTO t VALUES (1)",
-		"INSERT INTO t SELECT a, b FROM u",
-		"UPDATE t SET a = a + 1, b = 'x' WHERE id = 5",
-		"DELETE FROM t WHERE a < 0",
-		"CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT NOT NULL, r REAL)",
-		"CREATE UNIQUE INDEX i ON t (a, b)",
-		"DROP TABLE t",
-		"DROP INDEX i",
-		"ALTER TABLE t ADD COLUMN extra INTEGER",
-		"BEGIN", "BEGIN TRANSACTION", "COMMIT", "END", "ROLLBACK",
-		"PRAGMA integrity_check",
-		"SELECT -a, +b, a || b, a % b FROM t",
-		"SELECT 'it''s quoted'",
-		"SELECT 1 -- trailing comment",
-		"SELECT 1;",
-	}
-	for _, src := range good {
+	for _, src := range goodStatements {
 		if _, err := Parse(src); err != nil {
 			t.Errorf("Parse(%q): %v", src, err)
 		}

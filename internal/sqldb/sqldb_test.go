@@ -44,8 +44,9 @@ func testDBNamed(t testing.TB, path string, cacheCap int, fn func(e *cubicle.Env
 		// wrote a page while a scan up the stack was iterating it would
 		// panic here instead of reading shifted cells.
 		db.Pager().GuardScans()
-		// ... and with each bind's reused row poisoned once its callback has
-		// returned: a statement that kept one would read POISON.
+		// ... and with each bind's reused row and record poisoned once its
+		// callback has returned: a statement that kept the row would read
+		// POISON, one that kept a text without copying it 0xDD bytes.
 		db.PoisonRows()
 		fn(e, db)
 	})
@@ -332,6 +333,50 @@ func TestSubqueryAndExprs(t *testing.T) {
 		}
 		if got := one(t, db.MustExec("SELECT count(*) FROM t WHERE a IS NOT NULL AND NOT a = 2")); got.I != 2 {
 			t.Errorf("not: %v", got)
+		}
+		// % works on the operands truncated to integers: a divisor that
+		// truncates to 0 gives NULL, as SQLite does. (It was an integer
+		// divide by zero that escaped Exec as a runtime panic.)
+		for sql, want := range map[string]string{
+			"SELECT 5 % 0.5, 5 % 0, 5.0 % 0.9, 5 % -0.5": "NULL,NULL,NULL,NULL",
+			"SELECT 5.5 % 2, -7 % 3, 7 % -3, 7.9 % 2.9":  "1,-1,1,1",
+		} {
+			if got := rows(db.MustExec(sql)); got != want {
+				t.Errorf("%s = %q, want %q", sql, got, want)
+			}
+		}
+	})
+}
+
+// TestFunctionArity: a scalar function called with too few or too many
+// arguments fails its statement with SQLite's message, and the database
+// goes on answering. Each of these used to index an argument it never
+// counted — a runtime panic that escaped Exec and the SQLITE cubicle.
+func TestFunctionArity(t *testing.T) {
+	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
+		many := strings.Repeat("1, ", 127) + "1" // SQLite's cap is 127
+		for _, call := range []string{
+			"length()", "length('a', 'b')", "abs()", "abs(1, 2)", "upper()", "upper('a', 'b')",
+			"lower()", "lower('a', 'b')", "typeof()", "typeof(1, 2)", "substr('x')", "substr('x', 1, 2, 3)",
+			"coalesce(1)", "coalesce(" + many + ")", "ifnull(1)", "ifnull(1, 2, 3)", "random(1)",
+			"length(*)", "random(*)",
+		} {
+			name := call[:strings.IndexByte(call, '(')]
+			if _, err := db.Exec("SELECT " + call); err == nil ||
+				!strings.Contains(err.Error(), "wrong number of arguments to function "+name+"()") {
+				t.Errorf("SELECT %.24s: err = %v, want wrong number of arguments", call, err)
+			}
+			if got := rows(db.MustExec("SELECT 1")); got != "1" {
+				t.Fatalf("after SELECT %.24s: SELECT 1 = %q", call, got)
+			}
+		}
+		const sql = "SELECT length('abc'), abs(-2), upper('a'), lower('B'), typeof(1.5), substr('hello', 2)," +
+			" substr('hello', 2, 3), substr('hello', 2, -1), coalesce(NULL, 2), coalesce(NULL, NULL, 3), ifnull(NULL, 'x')"
+		if got, want := rows(db.MustExec(sql)), "3,2,A,b,real,ello,ell,,2,3,x"; got != want {
+			t.Errorf("%s = %q, want %q", sql, got, want)
+		}
+		if _, err := db.Exec("SELECT nosuch(1)"); err == nil || !strings.Contains(err.Error(), "no such function nosuch") {
+			t.Errorf("SELECT nosuch(1): err = %v", err)
 		}
 	})
 }

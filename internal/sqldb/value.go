@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind is a value's dynamic type.
@@ -212,30 +213,18 @@ func appendRecord(dst []byte, vals []Value) []byte {
 	return dst
 }
 
-// lazyText and lazyBlob are a text or blob still inside its record: I is
-// the payload's offset there, right behind its u32 length. decodeRecord
-// produces them and solid resolves them; they exist nowhere else.
-const (
-	lazy     Kind = 0x80
-	lazyText      = lazy | KText
-	lazyBlob      = lazy | KBlob
-)
-
-// DecodeRecord parses a serialised row.
+// DecodeRecord parses a serialised row into values of their own.
 func DecodeRecord(b []byte) ([]Value, error) {
 	vals, err := decodeRecord(nil, b)
-	if err != nil {
-		return nil, err
-	}
 	for i, v := range vals {
-		vals[i] = solid(v, b)
+		vals[i] = kept(v)
 	}
-	return vals, nil
+	return vals, err
 }
 
 // decodeRecord parses a serialised row into dst[:0] without copying
-// anything out of it: numbers and NULLs are decoded, a text or blob is
-// left in b as a lazy value.
+// anything out of it: a text or blob is a view of b, valid while b's bytes
+// stay as they are.
 func decodeRecord(dst []Value, b []byte) ([]Value, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("sqldb: record too short")
@@ -271,7 +260,12 @@ func decodeRecord(dst []Value, b []byte) ([]Value, error) {
 			if len(b)-off < l {
 				return nil, fmt.Errorf("sqldb: truncated payload")
 			}
-			dst = append(dst, Value{Kind: lazy | k, I: int64(off)})
+			payload := b[off : off+l : off+l]
+			if k == KText {
+				dst = append(dst, Text(view(payload)))
+			} else {
+				dst = append(dst, Blob(payload))
+			}
 			off += l
 		default:
 			return nil, fmt.Errorf("sqldb: bad value kind %d", k)
@@ -280,16 +274,31 @@ func decodeRecord(dst []Value, b []byte) ([]Value, error) {
 	return dst, nil
 }
 
-// solid returns v with a lazy text or blob copied out of its record: the
-// result shares no memory with rec, which may be a page frame.
-func solid(v Value, rec []byte) Value {
+// view returns b as a string without copying it, so the string changes
+// when b does. It is the one place the package makes such a string: only
+// decodeRecord calls it, and whoever keeps what it decoded past the life of
+// the record's bytes keeps it through kept (DESIGN.md §16).
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// kept returns v sharing no memory with anything: a text or blob, which
+// may be a view of a record, is copied.
+func kept(v Value) Value {
 	switch v.Kind {
-	case lazyText:
-		return Text(string(rec[v.I:][:le.Uint32(rec[v.I-4:])]))
-	case lazyBlob:
-		return Blob(bytes.Clone(rec[v.I:][:le.Uint32(rec[v.I-4:])]))
+	case KText:
+		v.S = strings.Clone(v.S)
+	case KBlob:
+		v.B = bytes.Clone(v.B)
 	}
 	return v
+}
+
+// keptRow returns a copy of vals that shares no memory with anything.
+func keptRow(vals []Value) []Value {
+	out := make([]Value, len(vals))
+	for i, v := range vals {
+		out[i] = kept(v)
+	}
+	return out
 }
 
 // --- Order-preserving index key encoding -------------------------------------

@@ -27,12 +27,25 @@ go test -race ./internal/cubicle/...
 # them the row-path gates: the LRU ring against the min-tick scan it
 # replaced, one WorkN against k calls of Work, every statement shape that
 # keeps a row beyond its callback under the row poison, and the exact
-# allocation budgets of a row visited, emitted, inserted and parsed. And the
-# pin rule of frame reuse: with evicted frames poisoned under the guard, a
-# holder that should have pinned one reads 0xDD (FuzzPageOps, the row view
-# under eviction), and the spare list stays at its bound.
-go test -race -run 'FuzzPageOps|TestSpeedtestImagePinned|TestFrameReuse|TestLRUVictimMatchesScan|TestWorkNEqualsRepeatedWork|TestReusedRowsDoNotLeak|TestRowPathAllocations' \
+# allocation budgets of a row visited, emitted, updated, deleted, checked,
+# inserted and parsed. And the pin rule of frame reuse: with evicted frames
+# poisoned under the guard, a holder that should have pinned one reads 0xDD
+# (FuzzPageOps, the row view under eviction), and the spare list stays at
+# its bound. And the statement's lifetime (DESIGN.md §16): a text view kept
+# past its row reads the poison (the positive control, the stored row under
+# eviction), ASTs are those of the parser before it reused its nodes, LIKE
+# against a regexp reference within its step bound, function arity.
+go test -race -run 'FuzzPageOps|TestSpeedtestImagePinned|TestFrameReuse|TestLRUVictimMatchesScan|TestWorkNEqualsRepeatedWork|TestReusedRowsDoNotLeak|TestRowPathAllocations|TestPoisonRowsCatchesAKeptRow|TestStoredRowOutlivesEviction|TestASTGolden|FuzzLike|TestLikeStepsBounded|TestFunctionArity' \
     ./internal/sqldb/ ./internal/experiments/ ./internal/cycles/ ./internal/cubicle/
+
+# One view maker: a text that aliases a record's bytes is made by view in
+# internal/sqldb/value.go and nowhere else, so grepping for its callers
+# finds every string that changes when a page does.
+unsafes="$(awk '/^func /{fn=$0} /unsafe\./{ if (fn !~ /^func view\(/) print FILENAME ":" FNR ": " $0 }' $(ls internal/sqldb/*.go | grep -v _test.go))"
+if [ -n "$unsafes" ] || [ "$(grep -l '"unsafe"' $(ls internal/sqldb/*.go | grep -v _test.go))" != internal/sqldb/value.go ]; then
+    echo "$unsafes"
+    echo "check.sh: internal/sqldb uses unsafe outside view in value.go" >&2; exit 1
+fi
 
 # Crossing gate: every defer in the trampoline must stay open-coded (the
 # compiler falls back to deferprocStack past 8 defers or 15 defer×return
