@@ -6,12 +6,15 @@
 //	                  chrome://tracing to see cross-cubicle call spans,
 //	                  fault handler costs, retags and wrpkru instants on
 //	                  the virtual-time axis
-//	-format prom      Prometheus text exposition: event counters, per-edge
-//	                  call-latency histograms with quantiles, per-cubicle
-//	                  cycle totals
+//	-format prom      Prometheus text exposition: the monitor's counters,
+//	                  per-edge call-latency histograms with quantiles,
+//	                  per-cubicle cycle totals
 //	-format json      machine-readable snapshot (counters, edge digests,
 //	                  per-cubicle profile)
 //	-format profile   human-readable per-cubicle cycle profile
+//
+// The counters are the monitor's Stats, one per cubicle.Counters row; the
+// rest is what only the tracer knows.
 //
 // With -check the emitted chrome/json output is additionally validated to
 // round-trip through encoding/json, and the per-cubicle profile total is
@@ -35,7 +38,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"reflect"
 
 	"cubicleos"
 	"cubicleos/internal/cubicle"
@@ -127,15 +129,29 @@ func main() {
 		}
 	}
 
-	trc := tgt.Sys.M.Tracer()
+	mon := tgt.Sys.M
+	trc := mon.Tracer()
 	var buf bytes.Buffer
 	switch *format {
 	case "chrome":
 		err = trc.WriteChromeTrace(&buf)
 	case "prom":
+		for _, c := range cubicle.Counters {
+			fmt.Fprintf(&buf, "# HELP cubicleos_%s_total %s\n# TYPE cubicleos_%s_total counter\ncubicleos_%s_total %d\n",
+				c.Name, c.Help, c.Name, c.Name, *c.Field(&mon.Stats))
+		}
 		err = trc.WritePrometheus(&buf)
 	case "json":
-		err = trc.WriteJSON(&buf)
+		counters := make(map[string]uint64, len(cubicle.Counters))
+		for _, c := range cubicle.Counters {
+			counters[c.Name] = *c.Field(&mon.Stats)
+		}
+		var b []byte
+		b, err = json.MarshalIndent(struct {
+			Counters map[string]uint64 `json:"counters"`
+			*trace.Snapshot
+		}{counters, trc.Snapshot()}, "", " ")
+		buf.Write(b)
 	case "profile":
 		writeProfile(&buf, tgt)
 	default:
@@ -291,22 +307,8 @@ func validate(tgt *siege.Target, format string, output []byte) {
 		}
 	}
 
-	// Trace-derived counters must equal the legacy Stats exactly, every
-	// scalar field of the struct.
-	derived := cubicle.StatsFromTrace(trc)
-	dv, sv := reflect.ValueOf(derived), reflect.ValueOf(m.Stats)
-	for i := 0; i < sv.NumField(); i++ {
-		if sv.Field(i).Kind() == reflect.Uint64 && dv.Field(i).Uint() != sv.Field(i).Uint() {
-			fail("trace-derived %s %d != stats %d", sv.Type().Field(i).Name, dv.Field(i).Uint(), sv.Field(i).Uint())
-		}
-	}
 	if m.Stats.Restarts != m.Stats.WarmRestarts+m.Stats.ColdRestarts {
 		fail("restarts %d != warm %d + cold %d", m.Stats.Restarts, m.Stats.WarmRestarts, m.Stats.ColdRestarts)
-	}
-	for e, n := range m.Stats.Calls {
-		if derived.Calls[e] != n {
-			fail("edge %d->%d: trace %d != stats %d", e.From, e.To, derived.Calls[e], n)
-		}
 	}
 
 	// Ring invariants: the surviving stream is nondecreasing in cycle and
@@ -332,6 +334,6 @@ func validate(tgt *siege.Target, format string, output []byte) {
 	if cover < 0.99 || cover > 1.01 {
 		fail("profile covers %.4f of the virtual clock (want within 1%%)", cover)
 	}
-	fmt.Fprintf(os.Stderr, "check ok: %d events, stats match, stream ordered, profile covers %.4f%% of %d cycles\n",
+	fmt.Fprintf(os.Stderr, "check ok: %d events, stream ordered, profile covers %.4f%% of %d cycles\n",
 		trc.Recorded(), 100*cover, clock)
 }

@@ -14,6 +14,7 @@ import (
 	"cubicleos/internal/netdev"
 	"cubicleos/internal/plat"
 	"cubicleos/internal/ramfs"
+	"cubicleos/internal/trace"
 	"cubicleos/internal/ualloc"
 	"cubicleos/internal/uktime"
 	"cubicleos/internal/ulibc"
@@ -140,6 +141,10 @@ type System struct {
 // mode. The VFSCORE→RAMFS callback table is interposed with cross-cubicle
 // handles, and RAMFS gets its allocator strategy.
 func NewFS(cfg Config) (*System, error) {
+	if cfg.TraceEvents > trace.MaxRing || cfg.MetricsRing > trace.MaxRing {
+		return nil, fmt.Errorf("boot: a ring holds at most %d entries (trace %d, metrics %d)",
+			trace.MaxRing, cfg.TraceEvents, cfg.MetricsRing)
+	}
 	costs := cycles.DefaultCosts()
 	if cfg.Costs != nil {
 		costs = *cfg.Costs

@@ -2,6 +2,8 @@ package boot
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"cubicleos/internal/cubicle"
@@ -413,5 +415,17 @@ func TestCooperativeTasksInterleaved(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRingPastBoundIsAnError: a trace or metrics ring past trace.MaxRing
+// fails the boot with an error, before any ring is made, instead of
+// hanging or exhausting memory making it.
+func TestRingPastBoundIsAnError(t *testing.T) {
+	for _, cfg := range []Config{{TraceEvents: math.MaxInt}, {MetricsInterval: 1, MetricsRing: math.MaxInt}} {
+		cfg.Mode = cubicle.ModeFull
+		if _, err := NewFS(cfg); err == nil || !strings.Contains(err.Error(), "at most") {
+			t.Errorf("NewFS(%+v) = %v, want a ring-bound error", cfg, err)
+		}
 	}
 }

@@ -142,9 +142,9 @@ func TestClusterFailover(t *testing.T) {
 }
 
 // chaosOptions is the shared chaos configuration of the determinism and
-// trace-equality tests: wire drops, route chaos, a scripted kill, and
-// hedging all active at once.
-func chaosOptions(trace int) Options {
+// merge tests: wire drops, route chaos, a scripted kill, and hedging all
+// active at once.
+func chaosOptions() Options {
 	return Options{
 		Backends:           4,
 		Mode:               cubicle.ModeFull,
@@ -152,7 +152,6 @@ func chaosOptions(trace int) Options {
 		CheckpointInterval: 5_000_000,
 		HedgeAfter:         20_000_000,
 		RetryBudget:        0.25,
-		TraceEvents:        trace,
 		Chaos: &faultinject.Config{
 			Seed:       11,
 			DropAtWire: 0.015,
@@ -164,9 +163,9 @@ func chaosOptions(trace int) Options {
 	}
 }
 
-func runChaos(t *testing.T, trace int) (*Cluster, *Stats) {
+func runChaos(t *testing.T) (*Cluster, *Stats) {
 	t.Helper()
-	c := bootCluster(t, chaosOptions(trace))
+	c := bootCluster(t, chaosOptions())
 	c.Arm()
 	st, err := c.RunOpenLoop(RunOptions{Path: "/index.html", Rate: 5000, Requests: 300})
 	if err != nil {
@@ -180,7 +179,7 @@ func runChaos(t *testing.T, trace int) (*Cluster, *Stats) {
 // seed, chaos schedule and kill script produce byte-identical reports —
 // the whole failover run is a pure function of the seed.
 func TestClusterDeterministicUnderChaos(t *testing.T) {
-	c, first := runChaos(t, 0)
+	c, first := runChaos(t)
 	var drops uint64
 	for _, b := range c.Backends {
 		drops += b.T.Sys.Chaos.Fired
@@ -190,26 +189,9 @@ func TestClusterDeterministicUnderChaos(t *testing.T) {
 			first.Failovers, first.Hedges, drops)
 	}
 	for i := 1; i < 5; i++ {
-		_, st := runChaos(t, 0)
+		_, st := runChaos(t)
 		if !reflect.DeepEqual(st, first) {
 			t.Fatalf("run %d diverged:\n got  %+v\n want %+v", i, st, first)
-		}
-	}
-}
-
-// TestClusterStatsFromTraceEquality: after a chaos run with tracing on,
-// every backend's monitor counters — including the new route, drain and
-// failover counters — are reconstructible from its trace ring.
-func TestClusterStatsFromTraceEquality(t *testing.T) {
-	c, st := runChaos(t, 4096)
-	if st.Drains == 0 || st.Failovers == 0 {
-		t.Fatalf("chaos run recorded no drains (%d) or failovers (%d)", st.Drains, st.Failovers)
-	}
-	for _, b := range c.Backends {
-		m := b.T.Sys.M
-		got := cubicle.StatsFromTrace(m.Tracer())
-		if !reflect.DeepEqual(got, m.Stats) {
-			t.Fatalf("backend %d: StatsFromTrace diverged:\n got  %+v\n want %+v", b.Index, got, m.Stats)
 		}
 	}
 }
@@ -218,7 +200,7 @@ func TestClusterStatsFromTraceEquality(t *testing.T) {
 // stats is order- and grouping-independent, so fleet roll-ups never
 // depend on which backend reports first.
 func TestClusterStatsMergeAssociative(t *testing.T) {
-	c, _ := runChaos(t, 0)
+	c, _ := runChaos(t)
 	s := make([]*cubicle.Stats, len(c.Backends))
 	for i, b := range c.Backends {
 		s[i] = &b.T.Sys.M.Stats

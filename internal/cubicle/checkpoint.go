@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"cubicleos/internal/snapshot"
+	"cubicleos/internal/trace"
 	"cubicleos/internal/vm"
 )
 
@@ -236,11 +237,7 @@ func (m *Monitor) checkpointOne(c *Cubicle, now uint64) {
 	cost := (size + 15) / 16 * m.Costs.CopyChunk16
 	m.Clock.Charge(cost)
 	m.ckpts[c.ID] = &checkpointRecord{img: enc, cycle: now, pages: uint64(len(img.Pages))}
-	m.Stats.Checkpoints++
-	m.Stats.CheckpointBytes += size
-	if m.trc != nil {
-		m.trc.Checkpoint(int(c.ID), size, cost)
-	}
+	m.note(trace.EvCheckpoint, nil, c.ID, 0, size, cost, "")
 }
 
 // restoreCheckpoint rebuilds cubicle c from its last good checkpoint. It

@@ -1,15 +1,16 @@
 package cubicle
 
+import "cubicleos/internal/trace"
+
 // This file is the monitor's cluster-facing surface: the hooks a
 // load-balancer tier sitting *outside* the booted system uses to observe
 // and account for whole-system health. A virtual cluster (internal/
 // cluster) runs N independent single-core monitors; the balancer routes
 // requests between them, drains a backend whose supervisor ladder turns
 // unhealthy, and re-admits it once a restart brings it back. The
-// balancer-side events (route, drain/readmit, failover) are recorded
-// against the backend's own monitor so every backend keeps the
-// StatsFromTrace equality — the trace stream stays the single source of
-// truth for the merged fleet view too.
+// balancer-side events (route, drain/readmit, failover) are noted on the
+// backend's own monitor like any monitor event: each bumps its Stats row,
+// which the fleet view merges, and lands in that backend's trace ring.
 //
 // All entry points here are harness context: the cluster driver drives
 // each backend from a single goroutine, exactly like the siege drivers.
@@ -40,10 +41,7 @@ func (m *Monitor) notifyHealth(c *Cubicle, old, new Health) {
 // string), backend this system's index in the cluster, and attempt the
 // request attempt number (0 = first try).
 func (m *Monitor) NoteRoute(policy string, backend int, attempt uint64) {
-	m.Stats.Routes++
-	if m.trc != nil {
-		m.trc.Route(policy, backend, attempt)
-	}
+	m.note(trace.EvRoute, nil, ID(backend), 0, attempt, 0, policy)
 }
 
 // NoteDrain records a balancer health-ladder transition for this system:
@@ -53,20 +51,14 @@ func (m *Monitor) NoteRoute(policy string, backend int, attempt uint64) {
 // them, and a drained backend that never comes back is visible as an odd
 // count.
 func (m *Monitor) NoteDrain(phase string, backend int, deadline uint64) {
-	m.Stats.Drains++
-	if m.trc != nil {
-		m.trc.Drain(phase, backend, deadline)
-	}
+	m.note(trace.EvDrain, nil, ID(backend), 0, deadline, 0, phase)
 }
 
 // NoteFailover records a request the balancer re-issued away from this
 // system; reason is the constant label (retry/hedge/drain), attempt the
 // attempt number of the re-issue.
 func (m *Monitor) NoteFailover(reason string, backend int, attempt uint64) {
-	m.Stats.Failovers++
-	if m.trc != nil {
-		m.trc.Failover(reason, backend, attempt)
-	}
+	m.note(trace.EvFailover, nil, ID(backend), 0, attempt, 0, reason)
 }
 
 // Kill quarantines the named cubicle as if it had just faulted — the

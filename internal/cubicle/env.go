@@ -2,6 +2,7 @@ package cubicle
 
 import (
 	"cubicleos/internal/mpk"
+	"cubicleos/internal/trace"
 	"cubicleos/internal/vm"
 )
 
@@ -203,19 +204,14 @@ func (e *Env) StoreByte(addr vm.Addr, v byte) {
 // chargeCopy charges the streaming cost of moving n bytes.
 func (e *Env) chargeCopy(n uint64) {
 	e.M.Clock.Charge(((n + 15) / 16) * e.M.Costs.CopyChunk16)
-	e.M.Stats.BulkBytesCopied += n
-	if e.M.trc != nil {
-		e.M.trc.Copy(e.T.id, int(e.T.cur), n)
-	}
+	e.M.note(trace.EvCopy, e.T, e.T.cur, 0, n, 0, "")
 }
 
 // TraceMark records an application-level trace marker (a no-op when
 // tracing is disabled). Pass constant labels so the hot path stays
 // allocation-free.
 func (e *Env) TraceMark(label string) {
-	if e.M.trc != nil {
-		e.M.trc.Mark(e.T.id, int(e.T.cur), label)
-	}
+	e.M.note(trace.EvMark, e.T, e.T.cur, 0, 0, 0, label)
 }
 
 // Memcpy copies n bytes from src to dst with access checks on both sides

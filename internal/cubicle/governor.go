@@ -1,6 +1,10 @@
 package cubicle
 
-import "fmt"
+import (
+	"fmt"
+
+	"cubicleos/internal/trace"
+)
 
 // This file is the resource-governance layer: per-cubicle memory quotas
 // enforced at the monitor's page-granting primitive, virtual-clock request
@@ -96,7 +100,7 @@ func (m *Monitor) checkDeadline(t *Thread) {
 	}
 	f := &DeadlineFault{Cubicle: t.cur, Deadline: t.deadline, Now: now}
 	t.deadline = 0 // one fault per armed deadline; the caller re-arms per request
-	m.noteDeadline(t, f.Deadline, now)
+	m.note(trace.EvDeadline, t, t.cur, 0, f.Deadline, now-f.Deadline, "")
 	panic(f)
 }
 
@@ -105,7 +109,7 @@ func (m *Monitor) checkDeadline(t *Thread) {
 // NoteShed records one request refused by admission control in the current
 // cubicle; reason is a constant label, status the HTTP status sent back.
 func (e *Env) NoteShed(reason string, status uint64) {
-	e.M.noteShed(e.T, e.T.cur, reason, status)
+	e.M.note(trace.EvShed, e.T, e.T.cur, 0, status, 0, reason)
 }
 
 // RaiseQuota records a quota refusal attributed to cubicle victim and
@@ -113,36 +117,8 @@ func (e *Env) NoteShed(reason string, status uint64) {
 // (e.g. the ALLOC per-client arena quota) use it so the fault carries the
 // client at fault, not the enforcing component.
 func (e *Env) RaiseQuota(victim ID, resource string, used, limit uint64) {
-	e.M.noteQuota(e.T, victim, resource, used, limit)
+	e.M.note(trace.EvQuota, e.T, victim, 0, used, limit, resource)
 	panic(&QuotaFault{Cubicle: victim, Resource: resource, Used: used, Limit: limit})
-}
-
-func (m *Monitor) noteShed(t *Thread, cub ID, reason string, status uint64) {
-	m.Stats.Sheds++
-	if m.trc != nil {
-		m.trc.Shed(tidOf(t), int(cub), reason, status)
-	}
-}
-
-func (m *Monitor) noteDeadline(t *Thread, deadline, now uint64) {
-	m.Stats.DeadlineFaults++
-	if m.trc != nil {
-		m.trc.DeadlineMiss(t.id, int(t.cur), deadline, now)
-	}
-}
-
-func (m *Monitor) noteQuota(t *Thread, cub ID, resource string, used, limit uint64) {
-	m.Stats.QuotaFaults++
-	if m.trc != nil {
-		m.trc.QuotaHit(tidOf(t), int(cub), resource, used, limit)
-	}
-}
-
-func (m *Monitor) noteRetry(t *Thread, cub ID, attempt int, backoff uint64) {
-	m.Stats.Retries++
-	if m.trc != nil {
-		m.trc.Retry(tidOf(t), int(cub), uint64(attempt), backoff)
-	}
 }
 
 // --- Bounded retry -----------------------------------------------------------
@@ -210,7 +186,7 @@ func RetryContained(e *Env, p RetryPolicy, fn func()) *ContainedFault {
 			backoff = p.BackoffMax
 		}
 		e.M.Clock.Charge(backoff)
-		e.M.noteRetry(e.T, e.T.cur, attempt, backoff)
+		e.M.note(trace.EvRetry, e.T, e.T.cur, 0, uint64(attempt), backoff, "")
 		if p.BackoffFactor > 1 {
 			backoff *= p.BackoffFactor
 		}

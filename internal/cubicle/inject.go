@@ -1,5 +1,7 @@
 package cubicle
 
+import "cubicleos/internal/trace"
+
 // InjectKind is a deterministic fault-injection decision returned by an
 // Injector at one of the monitor's injection sites.
 type InjectKind uint8
@@ -46,15 +48,6 @@ func (m *Monitor) SetInjector(inj Injector) {
 	m.recomputeFastCross()
 }
 
-// noteInjected records one injection firing against cubicle id at the
-// named site (site must be a constant string).
-func (m *Monitor) noteInjected(id ID, site string) {
-	m.Stats.InjectedFaults++
-	if m.trc != nil {
-		m.trc.Injected(int(id), site)
-	}
-}
-
 // injectAtCrossing fires an injected fault inside a freshly entered
 // crossing. It runs with the callee's frame pushed, so containment
 // attributes the fault to the callee exactly as a real one.
@@ -63,7 +56,7 @@ func (m *Monitor) injectAtCrossing(t *Thread, tr *Trampoline) {
 	if kind == InjectNone {
 		return
 	}
-	m.noteInjected(tr.callee, "crossing")
+	m.note(trace.EvInjected, nil, tr.callee, 0, 0, 0, "crossing")
 	switch kind {
 	case InjectCFI:
 		panic(&CFIFault{Cubicle: tr.callee, Target: tr.Symbol(),

@@ -73,24 +73,17 @@ type metricsCollector struct {
 // EnableMetrics starts the virtual-time metrics pipeline: every interval
 // virtual cycles (sampled at crossing granularity — the first crossing at
 // or past each threshold takes the snapshot) the monitor records one
-// MetricsSample into a bounded ring of ringCap samples (rounded up to a
-// power of two, minimum 16). Boot wiring; call once.
+// MetricsSample into a bounded ring of trace.RingCap(ringCap) samples.
+// Boot wiring; call once.
 func (m *Monitor) EnableMetrics(interval uint64, ringCap int) {
 	if interval == 0 {
 		interval = 1
-	}
-	if ringCap < 16 {
-		ringCap = 16
-	}
-	capa := 16
-	for capa < ringCap {
-		capa <<= 1
 	}
 	now := m.Clock.Cycles()
 	m.met = &metricsCollector{
 		interval: interval,
 		next:     now + interval,
-		ring:     make([]MetricsSample, capa),
+		ring:     make([]MetricsSample, trace.RingCap(ringCap)),
 		prev:     m.Stats,
 		prevCyc:  now,
 	}
@@ -148,8 +141,8 @@ func (mc *metricsCollector) sample(m *Monitor, now uint64) {
 			s.Dead++
 		}
 	}
-	if m.trc != nil {
-		if h := m.trc.ClassHist(trace.EvCallExit); h != nil {
+	if trc := m.trc; trc != nil {
+		if h := trc.ClassHist(trace.EvCallExit); h != nil {
 			s.CallP50 = h.Quantile(0.50)
 			s.CallP99 = h.Quantile(0.99)
 		}

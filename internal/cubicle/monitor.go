@@ -33,8 +33,14 @@ type Monitor struct {
 	Mode  Mode
 	Stats Stats
 
+	// rows is note's table (bindCounters): per event kind, the Stats
+	// fields of its count and Weighted Counters rows. A kind with no count
+	// row counts into sink, which nothing reads.
+	rows [trace.NumKinds]struct{ count, weight *uint64 }
+	sink uint64
+
 	// trc is the optional tracing layer. It is nil unless EnableTracing
-	// was called; every hot-path instrumentation site guards on that nil
+	// was called; note, and each close of a call span, guards on that nil
 	// check, which keeps ModeFull benchmarks with tracing off unaffected.
 	trc *trace.Tracer
 
@@ -115,6 +121,7 @@ func NewMonitor(mode Mode, costs cycles.Costs) *Monitor {
 		memQuota:     make(map[ID]uint64),
 		memUsed:      make(map[ID]uint64),
 	}
+	m.bindCounters()
 	m.recomputeFastCross()
 	for i := range m.keyHolder {
 		m.keyHolder[i] = -1
@@ -134,15 +141,16 @@ func NewMonitor(mode Mode, costs cycles.Costs) *Monitor {
 // profile covers the whole virtual clock. The returned tracer is also
 // available through Tracer.
 func (m *Monitor) EnableTracing(ringCap int) *trace.Tracer {
-	m.trc = trace.New(m.Clock, ringCap)
-	m.trc.SetNamer(func(id int) string {
+	trc := trace.New(m.Clock, ringCap)
+	trc.SetNamer(func(id int) string {
 		if c := m.cubicleIfValid(ID(id)); c != nil {
 			return c.Name
 		}
 		return ""
 	})
+	m.trc = trc
 	m.recomputeFastCross()
-	return m.trc
+	return trc
 }
 
 // SetTLBEnabled does nothing: compile shim whose sole caller is benchmark/probes.go.
@@ -229,10 +237,7 @@ func (m *Monitor) acquireKey(c *Cubicle) mpk.Key {
 		}
 	}
 	victimID := m.keyHolder[victim]
-	m.Stats.KeyEvictions++
-	if m.trc != nil {
-		m.trc.KeyEviction(int(victimID), uint8(victim))
-	}
+	m.note(trace.EvKeyEviction, nil, victimID, ID(victim), uint64(victim), 0, "")
 	// Retag the victim's pages to the monitor key; each retag is a
 	// pkey_mprotect through the host kernel — the price of key recycling
 	// that libmpk measures and the paper's design mostly avoids. The walk is
@@ -241,7 +246,7 @@ func (m *Monitor) acquireKey(c *Cubicle) mpk.Key {
 	m.AS.ForEachPage(func(pn uint64, p *vm.Page) {
 		if mpk.Key(p.Key()) == victim {
 			p.SetKey(uint8(monitorKey))
-			m.noteRetag(nil, victimID, vm.PageAddr(pn), monitorKey)
+			m.chargeRetag(nil, victimID, vm.PageAddr(pn), monitorKey)
 		}
 	})
 	if v := m.cubicleIfValid(victimID); v != nil {
@@ -381,7 +386,6 @@ func pageTablePerm(kind mpk.AccessKind, perm vm.Perm) bool {
 //	❹ index the window's cubicle bitmask with the faulting cubicle, O(1);
 //	❺ if allowed, retag the page's MPK key to the faulting cubicle.
 func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.Page) {
-	m.Stats.Faults++
 	clk := m.Clock
 	trapStart := clk.Cycles()
 	clk.Charge(m.Costs.TrapEntry + m.Costs.PageMetaLookup)
@@ -389,11 +393,10 @@ func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.P
 	cur := t.cur
 	owner := ID(p.Owner)
 	deny := func(reason string) {
-		m.Stats.DeniedFaults++
-		if m.trc != nil {
-			m.trc.Fault(t.id, int(cur), int(owner), uint64(pa), clk.Cycles()-trapStart)
-			m.trc.DeniedFault(t.id, int(cur), int(owner), uint64(pa))
-		}
+		// The trap was taken and paid for, then refused: a fault and a
+		// denied fault.
+		m.note(trace.EvFault, t, cur, owner, uint64(pa), clk.Cycles()-trapStart, "")
+		m.note(trace.EvDeniedFault, t, cur, owner, uint64(pa), 0, "")
 		panic(&ProtectionFault{Addr: pa, Access: kind, Cubicle: cur, Owner: owner,
 			PageType: p.Type, Reason: reason})
 	}
@@ -431,10 +434,7 @@ func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.P
 		}
 	}
 	if searchSteps > 0 {
-		m.Stats.WindowSearchSteps += searchSteps
-		if m.trc != nil {
-			m.trc.WindowSearch(t.id, int(cur), searchSteps)
-		}
+		m.note(trace.EvWindowSearch, t, cur, 0, searchSteps, 0, "")
 	}
 	if !allowed {
 		deny("no open window authorises the access")
@@ -443,7 +443,7 @@ func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.P
 		if k := m.inj.AtRetag(m.cubicle(cur).Name); k != InjectNone {
 			// An injected retag failure presents as a denied trap so the
 			// fault/denial accounting stays consistent with real denials.
-			m.noteInjected(cur, "retag")
+			m.note(trace.EvInjected, nil, cur, 0, 0, 0, "retag")
 			deny("injected fault at retag")
 		}
 	}
@@ -453,22 +453,17 @@ func (m *Monitor) trapAndMap(t *Thread, kind mpk.AccessKind, pa vm.Addr, p *vm.P
 	if err := mpk.PkeyMprotect(m.AS, pa, 1, key); err != nil {
 		panic(fmt.Sprintf("cubicle: retag failed: %v", err))
 	}
-	m.noteRetag(t, cur, pa, key)
-	if m.trc != nil {
-		m.trc.Fault(t.id, int(cur), int(owner), uint64(pa), clk.Cycles()-trapStart)
-	}
+	m.chargeRetag(t, cur, pa, key)
+	m.note(trace.EvFault, t, cur, owner, uint64(pa), clk.Cycles()-trapStart, "")
 }
 
-// noteRetag charges and records one page retag (the caller has already
+// chargeRetag charges and records one page retag (the caller has already
 // changed the page's key), on behalf of thread t (nil for monitor-context
 // retags). On an SMP machine the retag additionally pays the per-core
 // shootdown synchronisation (smp.go).
-func (m *Monitor) noteRetag(t *Thread, cub ID, addr vm.Addr, key mpk.Key) {
+func (m *Monitor) chargeRetag(t *Thread, cub ID, addr vm.Addr, key mpk.Key) {
 	m.Clock.Charge(m.Costs.PkeyMprotect)
-	m.Stats.Retags++
-	if m.trc != nil {
-		m.trc.Retag(tidOf(t), int(cub), uint64(addr), uint8(key))
-	}
+	m.note(trace.EvRetag, t, cub, ID(key), uint64(addr), 0, "")
 	m.shootdown(t, cub)
 }
 
@@ -477,10 +472,7 @@ func (m *Monitor) wrpkru(t *Thread, v mpk.PKRU) {
 	t.pkru = v
 	if m.Mode.MPKEnabled() {
 		m.Clock.Charge(m.Costs.WRPKRU)
-		m.Stats.WRPKRUs++
-		if m.trc != nil {
-			m.trc.WRPKRU(t.id, int(t.cur), uint64(v))
-		}
+		m.note(trace.EvWRPKRU, t, t.cur, 0, uint64(v), 0, "")
 	}
 }
 
@@ -503,7 +495,7 @@ func (m *Monitor) mapOwnedFor(t *Thread, id ID, npages int, typ vm.PageType, per
 	// buffer growth; per-thread stacks are small and bounded.
 	if typ != vm.PageStack {
 		if q := m.memQuota[id]; q != 0 && m.memUsed[id]+bytes > q {
-			m.noteQuota(t, id, "pages", m.memUsed[id]+bytes, q)
+			m.note(trace.EvQuota, t, id, 0, m.memUsed[id]+bytes, q, "pages")
 			panic(&QuotaFault{Cubicle: id, Resource: "pages", Used: m.memUsed[id] + bytes, Limit: q})
 		}
 	}

@@ -74,7 +74,7 @@ func (m *Monitor) retagWindow(t *Thread, w *Window, key mpk.Key) {
 			if err := mpk.PkeyMprotect(m.AS, vm.PageAddr(pn), 1, key); err != nil {
 				panic(fmt.Sprintf("cubicle: pin retag failed: %v", err))
 			}
-			m.noteRetag(t, w.Owner, vm.PageAddr(pn), key)
+			m.chargeRetag(t, w.Owner, vm.PageAddr(pn), key)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package cubicle
 
+import "cubicleos/internal/trace"
+
 // A Monitor has one virtual clock and every Thread charges it; its threads
 // are cooperative and stepped by the one goroutine that drives the monitor.
 // What a multi-core deployment costs inside a monitor is libmpk's: a safe
@@ -26,14 +28,6 @@ func (m *Monitor) Cores() int {
 	return m.smpN
 }
 
-// tidOf is the trace thread ID of t (-1 for monitor context).
-func tidOf(t *Thread) int {
-	if t == nil {
-		return -1
-	}
-	return t.id
-}
-
 // shootdown synchronises a page retag across cores, libmpk-style: a safe
 // multi-threaded pkey_mprotect must update every other thread's view of
 // the key state before the retag takes effect, an IPI-like round trip per
@@ -47,8 +41,5 @@ func (m *Monitor) shootdown(t *Thread, cub ID) {
 	}
 	cost := m.Costs.ShootdownIPI * uint64(m.smpN-1)
 	m.Clock.Charge(cost)
-	m.Stats.TLBShootdowns++
-	if m.trc != nil {
-		m.trc.Shootdown(tidOf(t), int(cub), cost)
-	}
+	m.note(trace.EvShootdown, t, cub, 0, 0, cost, "")
 }

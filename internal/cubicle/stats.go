@@ -109,9 +109,9 @@ func (s *Stats) Reset() {
 }
 
 // Counter is one row of the counter table: a scalar Stats counter, the
-// name and help text every report shows it under, and the trace event
-// that defines it — Kind's event count, or the sum of its Arg weights
-// when Weighted.
+// name and help text every report shows it under, and the event that
+// defines it — note bumps the row by one per Kind event, or by the event's
+// Arg when Weighted.
 type Counter struct {
 	Name, Help string
 	Kind       trace.Kind
@@ -119,11 +119,13 @@ type Counter struct {
 	Field      func(*Stats) *uint64
 }
 
-// Counters is the one declaration of every scalar counter. Stats.Merge,
-// StatsFromTrace, the /metrics exposition (cubicleos_<Name>_total) and
-// cubicle-inspect all iterate it, so a new counter is one row here and
-// one increment where the event happens. The three TLB* shims are not
-// rows: nothing increments them and no event defines them.
+// Counters is the one declaration of every scalar counter. note bumps
+// the rows through tables built from it, and Stats.Merge, the /metrics
+// exposition (cubicleos_<Name>_total), cubicle-inspect and cubicle-trace
+// iterate it, so a new counter is one row here and one note where its
+// event happens. Each kind defines at most one count and one Weighted row;
+// call_exit, ipc and mark define none. The three TLB* shims are not rows:
+// nothing increments them and no event defines them.
 var Counters = [...]Counter{
 	{"calls", "Cross-cubicle calls", trace.EvCallEnter, false, func(s *Stats) *uint64 { return &s.CallsTotal }},
 	{"shared_calls", "Calls into shared cubicles", trace.EvSharedCall, false, func(s *Stats) *uint64 { return &s.SharedCalls }},
@@ -152,6 +154,53 @@ var Counters = [...]Counter{
 	{"routes", "Balancer decisions that routed a request here", trace.EvRoute, false, func(s *Stats) *uint64 { return &s.Routes }},
 	{"drains", "Balancer drain and readmit transitions", trace.EvDrain, false, func(s *Stats) *uint64 { return &s.Drains }},
 	{"failovers", "Requests the balancer re-issued elsewhere", trace.EvFailover, false, func(s *Stats) *uint64 { return &s.Failovers }},
+}
+
+// bindCounters builds note's table from Counters, once per monitor.
+func (m *Monitor) bindCounters() {
+	for k := range m.rows {
+		m.rows[k].count = &m.sink
+	}
+	for _, c := range Counters {
+		if c.Weighted {
+			m.rows[c.Kind].weight = c.Field(&m.Stats)
+		} else {
+			m.rows[c.Kind].count = c.Field(&m.Stats)
+		}
+	}
+}
+
+// note is the one way an event happens in the monitor. It bumps the
+// Counters rows k defines, the count row by one and the Weighted row by
+// arg, and a crossing's per-edge call count; when tracing is on it appends
+// the event to the ring, a crossing's as the call span's open. t is nil in
+// monitor context; cub, other, arg, cost and name are the trace.Event
+// fields, whose meaning varies by kind (see the trace.Kind constants).
+func (m *Monitor) note(k trace.Kind, t *Thread, cub, other ID, arg, cost uint64, name string) {
+	r := &m.rows[k]
+	*r.count++
+	if r.weight != nil {
+		*r.weight += arg
+	}
+	if k == trace.EvCallEnter {
+		m.Stats.Calls[Edge{From: cub, To: other}]++
+	}
+	if m.trc == nil {
+		return
+	}
+	if k == trace.EvCallEnter {
+		m.trc.CallEnter(tidOf(t), int(cub), int(other), name, arg)
+		return
+	}
+	m.trc.Record(k, tidOf(t), int(cub), int(other), arg, cost, name)
+}
+
+// tidOf is the trace thread ID of t (-1 for monitor context).
+func tidOf(t *Thread) int {
+	if t == nil {
+		return -1
+	}
+	return t.id
 }
 
 // Merge adds every counter of o into s, merging the per-edge call map.

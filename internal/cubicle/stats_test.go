@@ -1,9 +1,116 @@
 package cubicle
 
 import (
+	"maps"
+	"reflect"
 	"testing"
 	"time"
+
+	"cubicleos/internal/trace"
 )
+
+// TestEveryCounterIsEventDerived requires the Counters table to be total:
+// every scalar counter of Stats is the field of exactly one row, so note,
+// Merge and every report cover it, and every trace kind is either some
+// row's defining event or a declared non-counter. A counter added without
+// a row, or a kind added without either, fails here instead of silently
+// reading 0. The three always-zero benchmark shims are the only exemption.
+func TestEveryCounterIsEventDerived(t *testing.T) {
+	var s Stats
+	rowsAt := map[*uint64]int{}
+	names := map[string]bool{}
+	type event struct {
+		kind     trace.Kind
+		weighted bool
+	}
+	events := map[event]string{}
+	counted := map[trace.Kind]bool{}
+	for _, c := range Counters {
+		rowsAt[c.Field(&s)]++
+		if names[c.Name] || c.Name == "" || c.Help == "" {
+			t.Errorf("row %q: name must be unique and name and help non-empty", c.Name)
+		}
+		names[c.Name] = true
+		ev := event{c.Kind, c.Weighted}
+		if other, dup := events[ev]; dup {
+			t.Errorf("rows %q and %q are both defined by %v (weighted=%v)", other, c.Name, c.Kind, c.Weighted)
+		}
+		events[ev] = c.Name
+		counted[c.Kind] = true
+	}
+
+	shim := map[string]bool{"TLBHits": true, "TLBMisses": true, "TLBInvalidations": true}
+	sv := reflect.ValueOf(&s).Elem()
+	fields := 0
+	for i := 0; i < sv.NumField(); i++ {
+		p, ok := sv.Field(i).Addr().Interface().(*uint64)
+		if !ok {
+			continue
+		}
+		name, want := sv.Type().Field(i).Name, 1
+		if shim[name] {
+			want = 0
+		}
+		if got := rowsAt[p]; got != want {
+			t.Errorf("Stats.%s is the field of %d Counters rows, want %d", name, got, want)
+		}
+		fields += want
+	}
+	if fields != len(Counters) {
+		t.Errorf("%d rows over %d counter fields: a row's accessor points outside Stats' uint64 fields", len(Counters), fields)
+	}
+
+	// Kinds that are spans, baselines or annotations rather than counters.
+	notCounted := map[trace.Kind]bool{trace.EvCallExit: true, trace.EvIPC: true, trace.EvMark: true}
+	for k := trace.Kind(0); k < trace.NumKinds; k++ {
+		if counted[k] == notCounted[k] {
+			t.Errorf("kind %v: counted by a row = %v, declared non-counter = %v", k, counted[k], notCounted[k])
+		}
+	}
+}
+
+// TestNoteIsTheCounterTable checks the rule note implements: for every
+// event kind, one note on a fresh monitor moves exactly the Counters rows
+// that kind defines — the count row by one, the Weighted row by the
+// event's Arg — and the per-edge call count only for a crossing; with
+// tracing on, the same note appends exactly that event to the ring.
+func TestNoteIsTheCounterTable(t *testing.T) {
+	for k := trace.Kind(0); k < trace.NumKinds; k++ {
+		for _, traced := range []bool{false, true} {
+			m := NewMonitor(ModeFull, testCosts())
+			if traced {
+				m.EnableTracing(16)
+			}
+			m.note(k, nil, 1, 2, 7, 0, "x")
+			for _, c := range Counters {
+				var want uint64
+				if c.Kind == k {
+					want = 1
+					if c.Weighted {
+						want = 7
+					}
+				}
+				if got := *c.Field(&m.Stats); got != want {
+					t.Errorf("note(%v) left %s at %d, want %d (traced %v)", k, c.Name, got, want, traced)
+				}
+			}
+			wantCalls := map[Edge]uint64{}
+			if k == trace.EvCallEnter {
+				wantCalls[Edge{From: 1, To: 2}] = 1
+			}
+			if !maps.Equal(m.Stats.Calls, wantCalls) {
+				t.Errorf("note(%v) left the edge counts at %v, want %v", k, m.Stats.Calls, wantCalls)
+			}
+			if !traced {
+				continue
+			}
+			want := trace.Event{Kind: k, Thread: -1, Cubicle: 1, Other: 2, Arg: 7, Name: "x"}
+			if evs := m.Tracer().Events(); len(evs) != 1 || evs[0] != want {
+				t.Errorf("note(%v) recorded %+v, want [%+v]", k, evs, want)
+			}
+		}
+	}
+}
 
 func TestSortedEdgesTieBreaking(t *testing.T) {
 	s := newStats()

@@ -1,8 +1,7 @@
 package cubicle
 
 import (
-	"sort"
-
+	"cubicleos/internal/trace"
 	"cubicleos/internal/vm"
 )
 
@@ -75,15 +74,13 @@ type Supervisor struct {
 	// deaths counts cubicles permanently disabled after exhausting their
 	// restart budget.
 	deaths uint64
-	// containedByClass counts contained faults per fault class label.
-	containedByClass map[string]uint64
 }
 
 // EnableContainment attaches a supervisor with the given restart policy.
 // Like tracing, containment is opt-in: without it the monitor keeps the
 // seed behaviour of unwinding every fault to the outermost Catch.
 func (m *Monitor) EnableContainment(policy RestartPolicy) *Supervisor {
-	s := &Supervisor{m: m, policy: policy, containedByClass: make(map[string]uint64)}
+	s := &Supervisor{m: m, policy: policy}
 	m.sup = s
 	return s
 }
@@ -94,23 +91,6 @@ func (m *Monitor) Supervisor() *Supervisor { return m.sup }
 
 // Deaths returns how many cubicles were declared Dead.
 func (s *Supervisor) Deaths() uint64 { return s.deaths }
-
-// ContainedByClass returns the contained-fault counts per fault class,
-// as stable sorted (class, count) pairs.
-func (s *Supervisor) ContainedByClass() []ClassCount {
-	out := make([]ClassCount, 0, len(s.containedByClass))
-	for cls, n := range s.containedByClass {
-		out = append(out, ClassCount{Class: cls, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
-	return out
-}
-
-// ClassCount is one row of the per-class contained-fault report.
-type ClassCount struct {
-	Class string
-	Count uint64
-}
 
 // admit gates a cross-cubicle call on the callee's health before any call
 // accounting happens. Quarantined cubicles whose backoff expired are
@@ -140,12 +120,7 @@ func (s *Supervisor) admit(t *Thread, tr *Trampoline) {
 // refuse fails a call fast with a ContainedFault before it crosses into
 // the unhealthy callee.
 func (s *Supervisor) refuse(t *Thread, tr *Trampoline, cause error) {
-	m := s.m
-	m.Stats.ContainedFaults++
-	s.containedByClass[faultClass(cause)]++
-	if m.trc != nil {
-		m.trc.Contained(t.id, int(tr.callee), int(t.cur), faultClass(cause))
-	}
+	s.m.note(trace.EvContained, t, tr.callee, t.cur, 0, 0, faultClass(cause))
 	panic(&ContainedFault{Cubicle: tr.callee, Symbol: tr.Symbol(), Cause: cause})
 }
 
@@ -202,10 +177,8 @@ func (s *Supervisor) contain(t *Thread, tr *Trampoline) {
 	if !transient {
 		s.quarantine(victim, cause)
 	}
-	m.Stats.ContainedFaults++
-	s.containedByClass[faultClass(cause)]++
+	m.note(trace.EvContained, t, victim, f.caller, 0, 0, faultClass(cause))
 	if m.trc != nil {
-		m.trc.Contained(t.id, int(victim), int(f.caller), faultClass(cause))
 		// Close the call span the aborted crossing left open so B/E events
 		// stay balanced and elapsed attribution survives the unwind.
 		m.trc.CallExit(t.id, int(f.caller), int(victim), tr.Symbol())
@@ -298,10 +271,7 @@ func (s *Supervisor) quarantine(id ID, cause error) {
 	old := c.health
 	c.health = Quarantined
 	c.restartAt = s.m.Clock.Cycles() + backoff
-	s.m.Stats.Quarantines++
-	if s.m.trc != nil {
-		s.m.trc.Quarantine(int(id), backoff)
-	}
+	s.m.note(trace.EvQuarantine, nil, id, 0, backoff, 0, "")
 	s.m.notifyHealth(c, old, Quarantined)
 }
 
@@ -403,19 +373,11 @@ func (s *Supervisor) restart(c *Cubicle) bool {
 	c.restarts++
 	c.restartAt = 0
 	c.restartLog = append(c.restartLog, now)
-	m.Stats.Restarts++
+	m.note(trace.EvRestart, nil, c.ID, 0, c.restarts, 0, "")
 	if warm {
-		m.Stats.WarmRestarts++
+		m.note(trace.EvWarmRestart, nil, c.ID, 0, m.ckpts[c.ID].pages, 0, "")
 	} else {
-		m.Stats.ColdRestarts++
-	}
-	if m.trc != nil {
-		m.trc.Restart(int(c.ID), c.restarts)
-		if warm {
-			m.trc.WarmRestart(int(c.ID), m.ckpts[c.ID].pages)
-		} else {
-			m.trc.ColdRestart(int(c.ID), failedRestore)
-		}
+		m.note(trace.EvColdRestart, nil, c.ID, 0, failedRestore, 0, "")
 	}
 	m.notifyHealth(c, old, Healthy)
 	return true

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"cubicleos/internal/trace"
 	"cubicleos/internal/vm"
 )
 
@@ -308,6 +309,7 @@ func TestWatchdogRaisesBudgetFault(t *testing.T) {
 	policy := DefaultRestartPolicy()
 	policy.CrossingBudget = 100_000
 	ts := bootFaulty(t, policy, nil)
+	trc := ts.m.EnableTracing(1 << 10)
 	svc := ts.cubs["SVC"]
 	ts.enter(t, "APP", func(e *Env) {
 		h := ts.m.MustResolve(e.Cubicle(), "SVC", "svc_spin")
@@ -326,14 +328,14 @@ func TestWatchdogRaisesBudgetFault(t *testing.T) {
 	if svc.Health() != Quarantined {
 		t.Errorf("runaway cubicle health = %v, want Quarantined", svc.Health())
 	}
-	found := false
-	for _, cc := range ts.m.Supervisor().ContainedByClass() {
-		if cc.Class == "budget" && cc.Count == 1 {
-			found = true
+	var classes []string
+	for _, ev := range trc.Events() {
+		if ev.Kind == trace.EvContained {
+			classes = append(classes, ev.Name)
 		}
 	}
-	if !found {
-		t.Errorf("ContainedByClass() = %v, want budget:1", ts.m.Supervisor().ContainedByClass())
+	if len(classes) != 1 || classes[0] != "budget" {
+		t.Errorf("contained-fault classes %q, want [budget]", classes)
 	}
 }
 

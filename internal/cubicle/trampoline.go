@@ -5,6 +5,7 @@ import (
 
 	"cubicleos/internal/isa"
 	"cubicleos/internal/mpk"
+	"cubicleos/internal/trace"
 	"cubicleos/internal/vm"
 )
 
@@ -166,10 +167,7 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 	// Shared cubicle: executes with the privileges, stack and heap of the
 	// calling cubicle; never involves the runtime TCB (§3 ❹).
 	if tr.cub.Kind == KindShared {
-		m.Stats.SharedCalls++
-		if m.trc != nil {
-			m.trc.SharedCall(t.id, int(t.cur), int(tr.callee), tr.Symbol())
-		}
+		m.note(trace.EvSharedCall, t, t.cur, tr.callee, 0, 0, tr.Symbol())
 		return h.callLocal(e, args)
 	}
 
@@ -186,8 +184,13 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 		// accounting; an expired quarantine restarts the callee in place.
 		m.sup.admit(t, tr)
 	}
-	m.Stats.CallsTotal++
-	m.Stats.Calls[Edge{From: t.cur, To: tr.callee}]++
+	// The crossing happens here, before either body: the metrics sampler at
+	// the top of crossFull counts it, and the trace opens its call span.
+	var copied uint64
+	if m.Mode.TrampolinesEnabled() {
+		copied = uint64(tr.stackBytes)
+	}
+	m.note(trace.EvCallEnter, t, t.cur, tr.callee, copied, 0, tr.Symbol())
 
 	if m.fastCross {
 		return h.crossFast(e, args)
@@ -218,7 +221,6 @@ func (h Handle) crossFast(e *Env, args []uint64) []uint64 {
 		m.Clock.Charge(m.Costs.TrampolineBase)
 		if tr.stackBytes > 0 {
 			m.Clock.Charge(uint64(tr.stackBytes) * m.Costs.StackArgByte)
-			m.Stats.StackBytesCopied += uint64(tr.stackBytes)
 		}
 	}
 	t.pushFrame(tr.callee, true)
@@ -254,19 +256,10 @@ func (h Handle) crossFull(e *Env, args []uint64) []uint64 {
 		// or past each interval threshold takes the snapshot.
 		m.maybeSampleMetrics(m.Clock.Cycles())
 	}
-
-	var copied uint64
-	if m.Mode.TrampolinesEnabled() && tr.stackBytes > 0 {
-		copied = uint64(tr.stackBytes)
-	}
-	if m.trc != nil {
-		m.trc.CallEnter(t.id, int(t.cur), int(tr.callee), tr.Symbol(), copied)
-	}
 	if m.Mode.TrampolinesEnabled() {
 		m.Clock.Charge(m.Costs.TrampolineBase)
 		if tr.stackBytes > 0 {
 			m.Clock.Charge(uint64(tr.stackBytes) * m.Costs.StackArgByte)
-			m.Stats.StackBytesCopied += uint64(tr.stackBytes)
 		}
 	}
 	t.pushFrame(tr.callee, true)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cubicleos/internal/mpk"
+	"cubicleos/internal/trace"
 	"cubicleos/internal/vm"
 )
 
@@ -70,14 +71,11 @@ func (w *Window) String() string {
 func (m *Monitor) chargeWindowOp(t *Thread, c ID, op string, wid WID) {
 	if m.Mode.ACLEnabled() {
 		m.Clock.Charge(m.Costs.WindowOp)
-		m.Stats.WindowOps++
-		if m.trc != nil {
-			m.trc.WindowOp(tidOf(t), int(c), op, int(wid))
-		}
+		m.note(trace.EvWindowOp, t, c, 0, uint64(wid), 0, op)
 	}
 	if m.inj != nil {
 		if k := m.inj.AtWindowOp(m.cubicle(c).Name, op); k != InjectNone {
-			m.noteInjected(c, "window_op")
+			m.note(trace.EvInjected, nil, c, 0, 0, 0, "window_op")
 			panic(&ProtectionFault{Cubicle: c, Owner: c,
 				Reason: "injected fault at window op"})
 		}
@@ -161,7 +159,7 @@ func (m *Monitor) windowAdd(t *Thread, c ID, wid WID, ptr vm.Addr, size uint64) 
 		first, last := vm.PagesIn(ptr, size)
 		for pn := first; pn <= last; pn++ {
 			m.AS.Page(vm.PageAddr(pn)).SetKey(uint8(w.pinned))
-			m.noteRetag(t, c, vm.PageAddr(pn), w.pinned)
+			m.chargeRetag(t, c, vm.PageAddr(pn), w.pinned)
 		}
 	}
 }

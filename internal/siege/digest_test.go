@@ -1,38 +1,11 @@
 package siege
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"io"
 	"testing"
 
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 )
-
-// streamDigest folds everything virtual about a traced run into one
-// FNV-1a: every surviving event (Seq, Cycle, Kind, Thread, Cubicle,
-// Other, Arg, Cost, Name), the final clock and every cubicle.Counters row.
-// ROADMAP item 1's digest matrix is this fold over more cells; it reads
-// the ring back, so a caller must first check Dropped() == 0.
-func streamDigest(m *cubicle.Monitor) uint64 {
-	h := fnv.New64a()
-	put := func(vs ...uint64) {
-		for _, v := range vs {
-			h.Write(binary.LittleEndian.AppendUint64(nil, v))
-		}
-	}
-	for _, ev := range m.Tracer().Events() {
-		put(ev.Seq, ev.Cycle, uint64(ev.Kind), uint64(ev.Thread), uint64(ev.Cubicle),
-			uint64(ev.Other), ev.Arg, ev.Cost, uint64(len(ev.Name)))
-		io.WriteString(h, ev.Name)
-	}
-	put(m.Clock.Cycles())
-	for _, c := range cubicle.Counters {
-		io.WriteString(h, c.Name)
-		put(*c.Field(&m.Stats))
-	}
-	return h.Sum64()
-}
 
 // TestSMPCoresSurchargeStreamPinned pins what SMPCores: 4 does to the
 // replay workload (chaos seed 7, checkpoints every 300 000 cycles,
@@ -43,7 +16,7 @@ func streamDigest(m *cubicle.Monitor) uint64 {
 func TestSMPCoresSurchargeStreamPinned(t *testing.T) {
 	const want = uint64(0xfa3e4ab61e45a98b)
 	m := replayRun(t, 4, 0).Sys.M
-	if got := streamDigest(m); got != want {
+	if got := cubicletest.StreamDigest(m); got != want {
 		t.Fatalf("stream digest at SMPCores 4 = %#x, want %#x (%d events, clock %d, %d shootdowns)",
 			got, want, m.Tracer().Recorded(), m.Clock.Cycles(), m.Stats.TLBShootdowns)
 	}

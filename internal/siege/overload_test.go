@@ -1,7 +1,6 @@
 package siege_test
 
 import (
-	"reflect"
 	"testing"
 
 	"cubicleos/internal/cubicle"
@@ -103,7 +102,7 @@ func TestOpenLoopGracefulDegradation(t *testing.T) {
 	}
 
 	// Every shed is accounted end to end: client-observed refusals match
-	// the server's 429 counter, the monitor's stats, and the trace.
+	// the server's 429 counter and the monitor's stats.
 	m := gt.Sys.M
 	if gt.Srv.Shed429 == 0 || uint64(gHi.Shed) != gt.Srv.Shed429+gt.Srv.Shed503 {
 		t.Errorf("shed accounting: client saw %d, server counted 429=%d 503=%d",
@@ -111,9 +110,6 @@ func TestOpenLoopGracefulDegradation(t *testing.T) {
 	}
 	if m.Stats.Sheds != gt.Srv.Shed429+gt.Srv.Shed503 {
 		t.Errorf("Stats.Sheds = %d, server counted %d", m.Stats.Sheds, gt.Srv.Shed429+gt.Srv.Shed503)
-	}
-	if derived := cubicle.StatsFromTrace(m.Tracer()); !reflect.DeepEqual(derived, m.Stats) {
-		t.Errorf("trace-derived stats diverge under shedding\n derived: %+v\n  legacy: %+v", derived, m.Stats)
 	}
 	prof := m.Tracer().Profile()
 	if cover := float64(prof.TotalCycles) / float64(m.Clock.Cycles()); cover < 0.99 || cover > 1.01 {
@@ -162,10 +158,6 @@ func TestOpenLoopDeadlineSheds(t *testing.T) {
 		if c.Health() != cubicle.Healthy {
 			t.Errorf("cubicle %s is %v after deadline shedding, want Healthy", name, c.Health())
 		}
-	}
-	if derived := cubicle.StatsFromTrace(m.Tracer()); !reflect.DeepEqual(derived, m.Stats) {
-		t.Errorf("trace-derived stats diverge under deadline shedding\n derived: %+v\n  legacy: %+v",
-			derived, m.Stats)
 	}
 }
 

@@ -134,9 +134,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 
 // --- Prometheus text exposition ----------------------------------------------
 
-// WritePrometheus writes the streaming counters, per-edge call-latency
-// histograms and the per-cubicle cycle profile in the Prometheus text
-// exposition format.
+// WritePrometheus writes the per-edge call-latency histograms, the event
+// class cost quantiles and the per-cubicle cycle profile in the Prometheus
+// text exposition format. Event counts are not the tracer's: they are the
+// monitor's Stats, which its caller renders from cubicle.Counters.
 func (t *Tracer) WritePrometheus(w io.Writer) error {
 	var err error
 	p := func(format string, a ...any) {
@@ -144,19 +145,6 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, format, a...)
 		}
 	}
-	p("# HELP cubicleos_events_total Architectural events observed on the simulated machine.\n")
-	p("# TYPE cubicleos_events_total counter\n")
-	for k := Kind(0); k < NumKinds; k++ {
-		p("cubicleos_events_total{kind=%q} %d\n", k.String(), t.counts[k])
-	}
-
-	p("# HELP cubicleos_event_bytes_total Byte weights carried by weighted events.\n")
-	p("# TYPE cubicleos_event_bytes_total counter\n")
-	p("cubicleos_event_bytes_total{kind=\"stack_args\"} %d\n", t.weights[EvCallEnter])
-	p("cubicleos_event_bytes_total{kind=\"bulk_copy\"} %d\n", t.weights[EvCopy])
-	p("cubicleos_event_bytes_total{kind=\"ipc_payload\"} %d\n", t.weights[EvIPC])
-	p("cubicleos_window_search_steps_total %d\n", t.weights[EvWindowSearch])
-
 	p("# HELP cubicleos_call_cycles Cross-cubicle call latency in virtual cycles, per directed edge.\n")
 	p("# TYPE cubicleos_call_cycles histogram\n")
 	type edgeRow struct {
@@ -233,13 +221,13 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 
 // --- JSON snapshot -----------------------------------------------------------
 
-// SnapshotEdge is one per-edge row of the machine-readable snapshot.
+// SnapshotEdge is one per-edge row of the machine-readable snapshot; its
+// call count is Cycles.Count.
 type SnapshotEdge struct {
 	From   string  `json:"from"`
 	To     string  `json:"to"`
 	FromID int     `json:"from_id"`
 	ToID   int     `json:"to_id"`
-	Calls  uint64  `json:"calls"`
 	Cycles Summary `json:"cycles"`
 }
 
@@ -248,8 +236,6 @@ type Snapshot struct {
 	VirtualCycles uint64             `json:"virtual_cycles"`
 	Recorded      uint64             `json:"events_recorded"`
 	Dropped       uint64             `json:"events_dropped"`
-	Counts        map[string]uint64  `json:"counts"`
-	Weights       map[string]uint64  `json:"weights"`
 	Edges         []SnapshotEdge     `json:"edges"`
 	EventCycles   map[string]Summary `json:"event_cycles"`
 	Profile       Profile            `json:"profile"`
@@ -262,42 +248,22 @@ func (t *Tracer) Snapshot() *Snapshot {
 		VirtualCycles: t.clock.Cycles(),
 		Recorded:      t.Recorded(),
 		Dropped:       t.Dropped(),
-		Counts:        make(map[string]uint64),
-		Weights:       make(map[string]uint64),
 		EventCycles:   make(map[string]Summary),
 		Profile:       t.Profile(),
 	}
 	for k := Kind(0); k < NumKinds; k++ {
-		if t.counts[k] != 0 {
-			s.Counts[k.String()] = t.counts[k]
-		}
-		if t.weights[k] != 0 {
-			s.Weights[k.String()] = t.weights[k]
-		}
 		if h := t.ClassHist(k); h != nil && h.Count() > 0 {
 			s.EventCycles[k.String()] = h.Summary()
 		}
 	}
-	edgeCalls := t.EdgeCalls()
 	for _, es := range t.EdgeSummaries() {
 		s.Edges = append(s.Edges, SnapshotEdge{
 			From:   t.Name(int(es.Edge.From)),
 			To:     t.Name(int(es.Edge.To)),
 			FromID: int(es.Edge.From),
 			ToID:   int(es.Edge.To),
-			Calls:  edgeCalls[es.Edge],
 			Cycles: es.Hist,
 		})
 	}
 	return s
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(t.Snapshot(), "", " ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }

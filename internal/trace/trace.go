@@ -20,6 +20,7 @@
 package trace
 
 import (
+	"math/bits"
 	"sort"
 
 	"cubicleos/internal/cycles"
@@ -195,10 +196,11 @@ type Edge struct {
 	From, To int32
 }
 
-// edgeDim bounds the flat per-edge arrays: cubicle IDs 0..edgeDim-1 index
-// directly (MaxCubicles is 64, so every real deployment fits); anything
-// outside falls back to an overflow map. Flat indexing keeps the hot-path
-// edge bump to one array store instead of a map operation.
+// edgeDim bounds the flat per-edge histogram array: cubicle IDs
+// 0..edgeDim-1 index directly (MaxCubicles is 64, so every real deployment
+// fits); anything outside falls back to an overflow map. Flat indexing
+// keeps the hot-path observation to one array load instead of a map
+// operation.
 const edgeDim = 65
 
 // flatSlot returns the flat-array slot of edge e, or -1 if either ID is
@@ -211,7 +213,9 @@ func flatSlot(e Edge) int {
 }
 
 // Tracer is the recording side of the observability layer: the event
-// ring plus its streaming counters, histograms and profiler.
+// ring plus what only it knows — per-edge and per-class cycle histograms
+// and the profiler. It counts nothing: the monitor's Stats is the one
+// store of event counts.
 type Tracer struct {
 	clock *cycles.Clock
 	namer func(int) string
@@ -220,12 +224,7 @@ type Tracer struct {
 	buf  []Event
 	next uint64
 
-	counts  [NumKinds]uint64
-	weights [NumKinds]uint64 // sum of Arg for weighted kinds
-
-	edgeCalls     []uint64 // flat [edgeDim*edgeDim]
-	edgeHists     []*Hist  // flat [edgeDim*edgeDim], lazily allocated
-	overflowCalls map[Edge]uint64
+	edgeHists     []*Hist // flat [edgeDim*edgeDim], lazily allocated
 	overflowHists map[Edge]*Hist
 	classHist     [NumKinds]*Hist // cycle cost distributions per event class
 
@@ -255,37 +254,43 @@ func (t *Tracer) stackOf(thread int) *[]openCall {
 	return &t.open[thread]
 }
 
-// New creates a tracer over the given virtual clock with a ring of ringCap
-// events (rounded up to a power of two, minimum 16).
+// MaxRing bounds the capacity of a ring — the trace ring here, the metrics
+// sample ring in the monitor: 1<<24 entries, a GiB of trace events.
+const MaxRing = 1 << 24
+
+// RingCap rounds a requested ring capacity up to the power of two the ring
+// is made with, at least 16. Boot wiring rejects a capacity past MaxRing
+// with an error before any ring is made, so one here is a bug: it panics.
+func RingCap(n int) int {
+	if n > MaxRing {
+		panic("trace: ring capacity " + itoa(n) + " exceeds MaxRing " + itoa(MaxRing))
+	}
+	if n <= 16 {
+		return 16
+	}
+	return 1 << bits.Len(uint(n-1))
+}
+
+// New creates a tracer over the given virtual clock with a ring of
+// RingCap(ringCap) events.
 func New(clock *cycles.Clock, ringCap int) *Tracer {
-	if ringCap < 16 {
-		ringCap = 16
-	}
-	capa := 16
-	for capa < ringCap {
-		capa <<= 1
-	}
 	t := &Tracer{
 		clock:     clock,
-		buf:       make([]Event, capa),
-		edgeCalls: make([]uint64, edgeDim*edgeDim),
+		buf:       make([]Event, RingCap(ringCap)),
 		edgeHists: make([]*Hist, edgeDim*edgeDim),
 	}
 	t.prof.init(clock)
 	return t
 }
 
-// weightedKind marks the kinds whose Arg accumulates into weights.
-var weightedKind = [NumKinds]bool{
-	EvCallEnter: true, EvWindowSearch: true, EvCopy: true, EvIPC: true,
-	EvCheckpoint: true,
-}
-
-// record stamps one event and writes it in place into its ring slot —
-// scalar parameters keep the hot path free of Event struct copies
-// (the fields travel in registers and land directly in the ring). It
-// returns the cycle stamp so call sites reuse it.
-func (t *Tracer) record(k Kind, thread, cubicle, other int32, arg, cost uint64, name string) uint64 {
+// Record stamps one event with the clock and the next sequence number and
+// writes it in place into its ring slot; a non-zero cost is also folded
+// into the kind's class histogram. Field meaning varies by kind (see the
+// Kind constants); name should be a constant so recording stays
+// allocation-free. It returns the cycle stamp. Scalar parameters keep the
+// hot path free of Event struct copies: the fields travel in registers and
+// land directly in the ring.
+func (t *Tracer) Record(k Kind, thread, cubicle, other int, arg, cost uint64, name string) uint64 {
 	now := t.clock.Cycles()
 	// Index with len-1 directly so the compiler elides the bounds check
 	// (ring capacity is always a power of two).
@@ -293,17 +298,13 @@ func (t *Tracer) record(k Kind, thread, cubicle, other int32, arg, cost uint64, 
 	ev.Seq = t.next
 	ev.Cycle = now
 	ev.Kind = k
-	ev.Thread = thread
-	ev.Cubicle = cubicle
-	ev.Other = other
+	ev.Thread = int32(thread)
+	ev.Cubicle = int32(cubicle)
+	ev.Other = int32(other)
 	ev.Arg = arg
 	ev.Cost = cost
 	ev.Name = name
 	t.next++
-	t.counts[k]++
-	if weightedKind[k] {
-		t.weights[k] += arg
-	}
 	if cost > 0 {
 		t.observeClass(k, cost)
 	}
@@ -318,18 +319,6 @@ func (t *Tracer) observeClass(k Kind, cost uint64) {
 		t.classHist[k] = h
 	}
 	h.Observe(cost)
-}
-
-// bumpEdge counts one call on edge e.
-func (t *Tracer) bumpEdge(e Edge) {
-	if i := flatSlot(e); i >= 0 {
-		t.edgeCalls[i]++
-		return
-	}
-	if t.overflowCalls == nil {
-		t.overflowCalls = make(map[Edge]uint64)
-	}
-	t.overflowCalls[e]++
 }
 
 // observeEdge folds one elapsed-cycle observation into edge e's histogram.
@@ -352,23 +341,6 @@ func (t *Tracer) observeEdge(e Edge, elapsed uint64) {
 		t.overflowHists[e] = h
 	}
 	h.Observe(elapsed)
-}
-
-// forEachEdge visits every edge with recorded calls or observations.
-func (t *Tracer) forEachEdge(fn func(e Edge, calls uint64, h *Hist)) {
-	for i, n := range t.edgeCalls {
-		h := t.edgeHists[i]
-		if n == 0 && h == nil {
-			continue
-		}
-		fn(Edge{From: int32(i / edgeDim), To: int32(i % edgeDim)}, n, h)
-	}
-	for e, n := range t.overflowCalls {
-		fn(e, n, nil)
-	}
-	for e, h := range t.overflowHists {
-		fn(e, 0, h)
-	}
 }
 
 // SetNamer installs the cubicle-ID → name resolver used by exporters.
@@ -405,10 +377,8 @@ func (t *Tracer) popOpen(thread int) (openCall, bool) {
 // CallEnter records a cross-cubicle call entering its trampoline and
 // opens the span used to compute its elapsed cycles.
 func (t *Tracer) CallEnter(thread, from, to int, sym string, stackBytes uint64) {
-	e := Edge{From: int32(from), To: int32(to)}
-	t.bumpEdge(e)
-	now := t.record(EvCallEnter, int32(thread), int32(from), int32(to), stackBytes, 0, sym)
-	t.pushOpen(thread, openCall{edge: e, start: now})
+	now := t.Record(EvCallEnter, thread, from, to, stackBytes, 0, sym)
+	t.pushOpen(thread, openCall{edge: Edge{From: int32(from), To: int32(to)}, start: now})
 }
 
 // CallExit records the return of the innermost open call on thread,
@@ -419,203 +389,25 @@ func (t *Tracer) CallExit(thread, from, to int, sym string) {
 		elapsed = t.clock.Cycles() - oc.start
 		t.observeEdge(oc.edge, elapsed)
 	}
-	t.record(EvCallExit, int32(thread), int32(from), int32(to), elapsed, elapsed, sym)
-}
-
-// SharedCall records a call into a shared cubicle.
-func (t *Tracer) SharedCall(thread, cur, callee int, sym string) {
-	t.record(EvSharedCall, int32(thread), int32(cur), int32(callee), 0, 0, sym)
-}
-
-// Fault records a protection trap served by trap-and-map; elapsed is the
-// cycles the handler charged.
-func (t *Tracer) Fault(thread, cur, owner int, addr, elapsed uint64) {
-	t.record(EvFault, int32(thread), int32(cur), int32(owner), addr, elapsed, "")
-}
-
-// DeniedFault records a protection trap that no window authorised.
-func (t *Tracer) DeniedFault(thread, cur, owner int, addr uint64) {
-	t.record(EvDeniedFault, int32(thread), int32(cur), int32(owner), addr, 0, "")
-}
-
-// Retag records one page retag to the given key on behalf of thread
-// (-1 for monitor-context retags such as key evictions and pin rollback).
-func (t *Tracer) Retag(thread, cur int, addr uint64, key uint8) {
-	t.record(EvRetag, int32(thread), int32(cur), int32(key), addr, 0, "")
-}
-
-// Shootdown records the cross-core synchronisation a retag pays on a
-// multi-core machine; cost is the cycles charged.
-func (t *Tracer) Shootdown(thread, cur int, cost uint64) {
-	t.record(EvShootdown, int32(thread), int32(cur), 0, 0, cost, "")
-}
-
-// WRPKRU records one wrpkru execution.
-func (t *Tracer) WRPKRU(thread, cur int, pkru uint64) {
-	t.record(EvWRPKRU, int32(thread), int32(cur), 0, pkru, 0, "")
-}
-
-// WindowOp records one window-management API call by cubicle cur on
-// behalf of thread (-1 for monitor-context window work).
-func (t *Tracer) WindowOp(thread, cur int, op string, wid int) {
-	t.record(EvWindowOp, int32(thread), int32(cur), 0, uint64(wid), 0, op)
-}
-
-// WindowSearch records one linear window-descriptor search of the trap
-// handler; steps is the number of descriptor entries visited.
-func (t *Tracer) WindowSearch(thread, cur int, steps uint64) {
-	t.record(EvWindowSearch, int32(thread), int32(cur), 0, steps, 0, "")
-}
-
-// KeyEviction records an MPK key recycled away from cubicle victim.
-func (t *Tracer) KeyEviction(victim int, key uint8) {
-	t.record(EvKeyEviction, -1, int32(victim), int32(key), uint64(key), 0, "")
-}
-
-// IPC records one message-passing call of a microkernel baseline.
-func (t *Tracer) IPC(thread, cur int, op string, bytes, cost uint64) {
-	t.record(EvIPC, int32(thread), int32(cur), 0, bytes, cost, op)
-}
-
-// Copy records a checked bulk copy of n bytes by thread.
-func (t *Tracer) Copy(thread, cur int, n uint64) {
-	t.record(EvCopy, int32(thread), int32(cur), 0, n, 0, "")
-}
-
-// Mark records an application-level marker. Label should be a constant
-// string so that recording stays allocation-free.
-func (t *Tracer) Mark(thread, cur int, label string) {
-	t.record(EvMark, int32(thread), int32(cur), 0, 0, 0, label)
-}
-
-// Contained records a fault contained at a crossing: callee is the cubicle
-// whose fault was converted into a typed error, caller the cubicle it was
-// delivered to, class the fault class label (a constant string).
-func (t *Tracer) Contained(thread, callee, caller int, class string) {
-	t.record(EvContained, int32(thread), int32(callee), int32(caller), 0, 0, class)
-}
-
-// Quarantine records cubicle id entering quarantine with the given backoff
-// in virtual cycles.
-func (t *Tracer) Quarantine(id int, backoff uint64) {
-	t.record(EvQuarantine, -1, int32(id), 0, backoff, 0, "")
-}
-
-// Restart records a supervisor restart of cubicle id; count is the
-// cubicle's lifetime restart count including this one.
-func (t *Tracer) Restart(id int, count uint64) {
-	t.record(EvRestart, -1, int32(id), 0, count, 0, "")
-}
-
-// Checkpoint records one cubicle checkpoint captured at a quiescent
-// point; size is the encoded image in bytes, cost the virtual cycles the
-// capture charged.
-func (t *Tracer) Checkpoint(id int, size, cost uint64) {
-	t.record(EvCheckpoint, -1, int32(id), 0, size, cost, "")
-}
-
-// WarmRestart records a supervisor restart that restored cubicle id from
-// its last good checkpoint; pages is the number of heap pages
-// re-established. Recorded in addition to the EvRestart for the restart.
-func (t *Tracer) WarmRestart(id int, pages uint64) {
-	t.record(EvWarmRestart, -1, int32(id), 0, pages, 0, "")
-}
-
-// ColdRestart records a supervisor restart that rebuilt cubicle id from
-// empty; failedRestore is 1 when a checkpoint restore was attempted and
-// fell back, 0 when no checkpoint existed.
-func (t *Tracer) ColdRestart(id int, failedRestore uint64) {
-	t.record(EvColdRestart, -1, int32(id), 0, failedRestore, 0, "")
-}
-
-// Route records one cluster balancer routing decision that selected
-// backend; policy is the balancer policy label (a constant string) and
-// attempt the request attempt number (0 = first try).
-func (t *Tracer) Route(policy string, backend int, attempt uint64) {
-	t.record(EvRoute, -1, int32(backend), 0, attempt, 0, policy)
-}
-
-// Drain records a cluster health-ladder transition for backend: phase is
-// "drain" when the balancer takes it out of rotation, "readmit" when it
-// returns; deadline is the drain deadline in virtual cycles (0 on
-// readmit).
-func (t *Tracer) Drain(phase string, backend int, deadline uint64) {
-	t.record(EvDrain, -1, int32(backend), 0, deadline, 0, phase)
-}
-
-// Failover records a request re-issued away from backend; reason is the
-// constant label (retry/hedge/drain) and attempt the attempt number of
-// the re-issue.
-func (t *Tracer) Failover(reason string, backend int, attempt uint64) {
-	t.record(EvFailover, -1, int32(backend), 0, attempt, 0, reason)
-}
-
-// Injected records one deterministic fault injection against cubicle cub
-// at the named site (a constant string).
-func (t *Tracer) Injected(cub int, site string) {
-	t.record(EvInjected, -1, int32(cub), 0, 0, 0, site)
-}
-
-// Shed records a request refused by admission control in cubicle cub on
-// behalf of thread; reason is a constant label and status the HTTP status
-// sent back.
-func (t *Tracer) Shed(thread, cub int, reason string, status uint64) {
-	t.record(EvShed, int32(thread), int32(cub), 0, status, 0, reason)
-}
-
-// DeadlineMiss records work abandoned in cubicle cub because the thread's
-// deadline had passed; now is the clock at detection time.
-func (t *Tracer) DeadlineMiss(thread, cub int, deadline, now uint64) {
-	var over uint64
-	if now > deadline {
-		over = now - deadline
-	}
-	t.record(EvDeadline, int32(thread), int32(cub), 0, deadline, over, "")
-}
-
-// QuotaHit records a memory-quota refusal for cubicle cub on the named
-// resource (a constant string); used is the attempted usage, limit the cap.
-func (t *Tracer) QuotaHit(thread, cub int, resource string, used, limit uint64) {
-	t.record(EvQuota, int32(thread), int32(cub), 0, used, limit, resource)
-}
-
-// Retry records one bounded-retry attempt by cubicle cub after a transient
-// contained fault; backoff is the virtual-cycle penalty charged before it.
-func (t *Tracer) Retry(thread, cub int, attempt, backoff uint64) {
-	t.record(EvRetry, int32(thread), int32(cub), 0, attempt, backoff, "")
+	t.Record(EvCallExit, thread, from, to, elapsed, elapsed, sym)
 }
 
 // --- Queries -----------------------------------------------------------------
-
-// Count returns the number of events of kind k recorded so far (streaming;
-// unaffected by ring overwrites).
-func (t *Tracer) Count(k Kind) uint64 { return t.counts[k] }
-
-// Weight returns the accumulated Arg sum for weighted kinds: stack-arg
-// bytes for EvCallEnter, search steps for EvWindowSearch, bytes for
-// EvCopy and EvIPC, image bytes for EvCheckpoint.
-func (t *Tracer) Weight(k Kind) uint64 { return t.weights[k] }
-
-// EdgeCalls returns a copy of the per-edge call counts.
-func (t *Tracer) EdgeCalls() map[Edge]uint64 {
-	out := make(map[Edge]uint64)
-	t.forEachEdge(func(e Edge, calls uint64, _ *Hist) {
-		if calls > 0 {
-			out[e] += calls
-		}
-	})
-	return out
-}
 
 // edgeHistsByEdge returns the live histogram of every edge with observations;
 // exporters only read them.
 func (t *Tracer) edgeHistsByEdge() map[Edge]*Hist {
 	out := make(map[Edge]*Hist)
-	t.forEachEdge(func(e Edge, _ uint64, h *Hist) {
+	for i, h := range t.edgeHists {
 		if h != nil && h.Count() > 0 {
+			out[Edge{From: int32(i / edgeDim), To: int32(i % edgeDim)}] = h
+		}
+	}
+	for e, h := range t.overflowHists {
+		if h.Count() > 0 {
 			out[e] = h
 		}
-	})
+	}
 	return out
 }
 

@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,10 +73,10 @@ func TestRingWrapKeepsCounts(t *testing.T) {
 	tr := New(clock, 16)
 	for i := 0; i < 100; i++ {
 		clock.Charge(10)
-		tr.Retag(-1, 1, uint64(i), 2)
+		tr.Record(EvRetag, -1, 1, 2, uint64(i), 0, "")
 	}
-	if got := tr.Count(EvRetag); got != 100 {
-		t.Fatalf("streaming count = %d, want 100 despite ring wrap", got)
+	if got := tr.Recorded(); got != 100 {
+		t.Fatalf("recorded = %d, want 100 despite ring wrap", got)
 	}
 	evs := tr.Events()
 	if len(evs) != 16 {
@@ -109,12 +112,31 @@ func TestCallPairingAndEdgeHist(t *testing.T) {
 	if h := hists[Edge{1, 2}]; h == nil || h.Count() != 1 || h.Sum() != 1000 {
 		t.Fatalf("outer edge hist = %+v", h)
 	}
-	if calls, bytes := tr.Count(EvCallEnter), tr.Weight(EvCallEnter); calls != 2 || bytes != 48 {
-		t.Fatalf("call enters = %d carrying %d stack bytes, want 2 and 48", calls, bytes)
+	// Enters carry their stack bytes, exits their inclusive elapsed cycles.
+	var args []uint64
+	for _, ev := range tr.Events() {
+		args = append(args, ev.Arg)
 	}
-	if calls := tr.EdgeCalls(); calls[Edge{1, 2}] != 1 || calls[Edge{2, 3}] != 1 {
-		t.Fatalf("edge calls = %v", calls)
+	if want := []uint64{32, 16, 100, 1000}; !slices.Equal(args, want) {
+		t.Fatalf("event args = %v, want %v", args, want)
 	}
+}
+
+// TestRingCapBounded: a capacity rounds up to a power of two without
+// overflowing, and one past MaxRing is refused at once instead of looping
+// or exhausting memory.
+func TestRingCapBounded(t *testing.T) {
+	for _, c := range []struct{ n, want int }{{-1, 16}, {0, 16}, {16, 16}, {17, 32}, {1 << 16, 1 << 16}, {1<<16 + 1, 1 << 17}, {MaxRing, MaxRing}} {
+		if got := RingCap(c.n); got != c.want {
+			t.Errorf("RingCap(%d) = %d, want %d", c.n, got, c.want)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "exceeds MaxRing") {
+			t.Fatalf("New(clock, math.MaxInt) recovered %v, want a MaxRing panic", r)
+		}
+	}()
+	New(&cycles.Clock{}, math.MaxInt)
 }
 
 func TestProfileAttribution(t *testing.T) {
@@ -173,10 +195,10 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	tr.SetNamer(func(id int) string { return "CUB" + itoa(id) })
 	tr.CallEnter(0, 1, 2, "b.read", 64)
 	clock.Charge(2200)
-	tr.Fault(0, 2, 1, 0x4000, 1500)
-	tr.Retag(-1, 2, 0x4000, 3)
+	tr.Record(EvFault, 0, 2, 1, 0x4000, 1500, "")
+	tr.Record(EvRetag, -1, 2, 3, 0x4000, 0, "")
 	tr.CallExit(0, 1, 2, "b.read")
-	tr.Mark(0, 2, "checkpoint")
+	tr.Record(EvMark, 0, 2, 0, 0, 0, "checkpoint")
 
 	raw, err := tr.ChromeTrace()
 	if err != nil {
@@ -226,7 +248,6 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		`cubicleos_events_total{kind="call_enter"} 1`,
 		`cubicleos_call_cycles_bucket{from="cubicle-1",to="cubicle-2",le="+Inf"} 1`,
 		`cubicleos_call_cycles_sum{from="cubicle-1",to="cubicle-2"} 4000`,
 		`cubicleos_call_cycles_count{from="cubicle-1",to="cubicle-2"} 1`,
@@ -261,18 +282,18 @@ func TestSnapshotJSON(t *testing.T) {
 	clock.Charge(4000)
 	tr.CallExit(0, 1, 2, "b.read")
 
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	raw, err := json.Marshal(tr.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("snapshot does not round-trip: %v", err)
 	}
 	if snap.VirtualCycles != 4000 || snap.Recorded != 2 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	if len(snap.Edges) != 1 || snap.Edges[0].Calls != 1 {
+	if len(snap.Edges) != 1 || snap.Edges[0].Cycles.Count != 1 {
 		t.Fatalf("edges = %+v", snap.Edges)
 	}
 }

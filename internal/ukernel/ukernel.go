@@ -17,6 +17,7 @@ import (
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/cycles"
 	"cubicleos/internal/ramfs"
+	"cubicleos/internal/trace"
 	"cubicleos/internal/vfscore"
 )
 
@@ -151,7 +152,7 @@ func (c ipcCall) Call(e *cubicle.Env, args ...uint64) []uint64 {
 		payload += 2 * n
 	}
 	if trc := c.mon.Tracer(); trc != nil {
-		trc.IPC(e.T.TID(), int(e.Cubicle()), c.name, payload, overhead)
+		trc.Record(trace.EvIPC, e.T.TID(), int(e.Cubicle()), 0, payload, overhead, c.name)
 	}
 	return rets
 }
