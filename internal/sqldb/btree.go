@@ -435,12 +435,6 @@ func (t *Btree) Row(rowid int64, fn func(record []byte)) bool {
 	return true
 }
 
-// GetRow returns a copy of the record stored at rowid, or nil.
-func (t *Btree) GetRow(rowid int64) (record []byte) {
-	t.Row(rowid, func(view []byte) { record = bytes.Clone(view) })
-	return record
-}
-
 // DeleteRow removes rowid; reports whether it existed.
 func (t *Btree) DeleteRow(rowid int64) bool { return t.DeleteKey(nil, rowid) }
 

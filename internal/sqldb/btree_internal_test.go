@@ -135,8 +135,8 @@ func TestTableTreeHeavy(t *testing.T) {
 		if count != n {
 			t.Fatalf("scan found %d rows, want %d", count, n)
 		}
-		if got := tr.GetRow(1234); got == nil {
-			t.Fatal("GetRow(1234) missed")
+		if !tr.Row(1234, func([]byte) {}) {
+			t.Fatal("Row(1234) missed")
 		}
 		if tr.MaxRowid() != n-1 {
 			t.Fatalf("MaxRowid = %d", tr.MaxRowid())
@@ -345,8 +345,8 @@ func runPageOps(t *testing.T, prog []byte) {
 		s.check(-1)
 		s.scanRows(-1, -1<<63, 1<<30)
 		s.scanKeys(-1, nil, nil, 1<<30)
-		if got, want := s.tbl.GetRow(7) != nil, s.rows[7] != nil; got != want {
-			t.Fatalf("GetRow(7) found %v, model %v", got, want)
+		if got, want := s.tbl.Row(7, func([]byte) {}), s.rows[7] != nil; got != want {
+			t.Fatalf("Row(7) found %v, model %v", got, want)
 		}
 		for _, tr := range []*Btree{s.tbl, s.idx} {
 			if problems := tr.Check(); len(problems) > 0 {
@@ -491,7 +491,6 @@ func TestPagePathAllocations(t *testing.T) {
 			max  float64
 			fn   func()
 		}{
-			{"GetRow (the returned copy)", 1, func() { tbl.GetRow(42) }},
 			{"executor row look-up", 0, func() { tbl.Row(42, func(record []byte) { viewed += len(record) }) }},
 			{"InsertKey+DeleteKey without a split", 1, func() { idx.InsertKey(key, 7); idx.DeleteKey(key, 7) }},
 			{"100-row ScanTable", 0, func() { tbl.ScanTable(func(int64, []byte) bool { rows++; return true }) }},
@@ -521,11 +520,11 @@ func benchTree(b *testing.B, fn func(tbl, idx *Btree)) {
 	})
 }
 
-// BenchmarkBtreePointLookup is GetRow on a three-level cached tree.
+// BenchmarkBtreePointLookup is Row on a three-level cached tree.
 func BenchmarkBtreePointLookup(b *testing.B) {
 	benchTree(b, func(tbl, _ *Btree) {
 		for i := 0; i < b.N; i++ {
-			if tbl.GetRow(int64(i*7919%10000)) == nil {
+			if !tbl.Row(int64(i*7919%10000), func([]byte) {}) {
 				b.Fatal("row missing")
 			}
 		}

@@ -52,11 +52,10 @@ func TestHotJournalRecovery(t *testing.T) {
 			t.Fatalf("recoveries = %d, want 1", p2.Stats.Recoveries)
 		}
 		tr2 := NewTableTree(p2, root)
-		rec := tr2.GetRow(1)
-		if rec == nil {
+		var vals []Value
+		if !tr2.Row(1, func(rec []byte) { vals, err = DecodeRecord(rec) }) {
 			t.Fatal("row lost after recovery")
 		}
-		vals, err := DecodeRecord(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,11 +133,10 @@ func TestRollbackAfterSpill(t *testing.T) {
 		if err := p.Rollback(); err != nil {
 			t.Fatal(err)
 		}
-		rec := tr.GetRow(1)
-		if rec == nil {
+		if !tr.Row(1, func([]byte) {}) {
 			t.Fatal("base row lost after rollback")
 		}
-		if tr.GetRow(250) != nil {
+		if tr.Row(250, func([]byte) {}) {
 			t.Fatal("rolled-back row still present")
 		}
 		if problems := tr.Check(); len(problems) > 0 {

@@ -1,6 +1,8 @@
 package sqldb_test
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,12 +92,30 @@ func TestIntegerCompareIsExact(t *testing.T) {
 	})
 }
 
+// snapshot is a deep copy of r: its rows and their texts and blobs share
+// no memory with the Result, which the next Exec reuses.
+func snapshot(r *sqldb.Result) *sqldb.Result {
+	out := &sqldb.Result{Cols: slices.Clone(r.Cols), RowsAffected: r.RowsAffected, LastRowid: r.LastRowid}
+	for _, row := range r.Rows {
+		cp := make([]sqldb.Value, len(row))
+		for i, v := range row {
+			cp[i] = v
+			cp[i].S, cp[i].B = strings.Clone(v.S), bytes.Clone(v.B)
+		}
+		out.Rows = append(out.Rows, cp)
+	}
+	return out
+}
+
 // TestReusedRowsDoNotLeak runs, under the row poison testDB switches on,
 // everything that keeps a row or a value of one beyond the row's callback:
 // a bind's value slice is reused from row to row and its text columns are
-// views of a page frame. Each Result is checked again at the end, after
-// every later statement has reused the parser's nodes, the binds' buffers
-// and the frames: only the Result outlives its statement.
+// views of a page frame. A Result is good until the next Exec, whose poison
+// then covers it: each is checked on receipt, and a snapshot taken then is
+// checked again at the end, after every later statement has reused the
+// parser's nodes, the binds' buffers, the Result's arenas and the frames.
+// Subquery and INSERT … SELECT results are poisoned as soon as the next
+// statement at their depth starts.
 func TestReusedRowsDoNotLeak(t *testing.T) {
 	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
 		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, grp TEXT, n INTEGER, s TEXT)")
@@ -116,13 +136,13 @@ func TestReusedRowsDoNotLeak(t *testing.T) {
 			} else if got := rows(r); got != want {
 				t.Errorf("%s\n got %q\nwant %q", sql, got, want)
 			} else {
-				results = append(results, result{sql, want, r})
+				results = append(results, result{sql, want, snapshot(r)})
 			}
 		}
 		defer func() {
 			for _, res := range results {
 				if got := rows(res.r); got != res.want {
-					t.Errorf("%s, read after the later statements\n got %q\nwant %q", res.sql, got, res.want)
+					t.Errorf("%s, its snapshot read after the later statements\n got %q\nwant %q", res.sql, got, res.want)
 				}
 			}
 		}()
@@ -144,6 +164,10 @@ func TestReusedRowsDoNotLeak(t *testing.T) {
 		check("SELECT s, (SELECT count(*) FROM t u WHERE u.grp = t.grp), grp FROM t WHERE id <= 2", "row1,2,a;row2,2,b")
 		check("SELECT s, grp FROM t WHERE n = (SELECT max(n) FROM t u WHERE u.grp = t.grp) AND s LIKE 'row%'", "row3,a;row4,b;row6,c")
 		check("SELECT s FROM t WHERE grp IN (SELECT grp FROM t u WHERE u.n > 45) ORDER BY s", "row5;row6")
+		// Scalar subqueries whose text is read after the next subquery at
+		// their depth has started, correlated and not.
+		check("SELECT (SELECT s FROM t WHERE id = 1) || (SELECT s FROM t WHERE id = 2)", "row1row2")
+		check("SELECT (SELECT s FROM t u WHERE u.id = t.id + 1) || (SELECT grp FROM t u WHERE u.id = t.id), id FROM t WHERE id < 3", "row2a,1;row3b,2")
 		// A self-join: two binds over one table.
 		check("SELECT a.s, b.s FROM t a, t b WHERE a.grp = b.grp AND a.id < b.id ORDER BY a.id", "row1,row3;row2,row4;row5,row6")
 		check("SELECT a.s, b.s, * FROM t a JOIN t b ON b.id = a.id + 1 WHERE a.id = 5", "row5,row6,5,c,50,row5,6,c,60,row6")
