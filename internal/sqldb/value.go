@@ -40,6 +40,9 @@ type Value struct {
 	B    []byte
 }
 
+// valueSize is the bytes a Value takes in a slice.
+const valueSize = int(unsafe.Sizeof(Value{}))
+
 // Convenience constructors.
 func Null() Value          { return Value{Kind: KNull} }
 func Int(i int64) Value    { return Value{Kind: KInt, I: i} }
@@ -275,9 +278,10 @@ func decodeRecord(dst []Value, b []byte) ([]Value, error) {
 }
 
 // view returns b as a string without copying it, so the string changes
-// when b does. It is the one place the package makes such a string: only
-// decodeRecord calls it, and whoever keeps what it decoded past the life of
-// the record's bytes keeps it through kept (DESIGN.md §16).
+// when b does. It is the one place the package makes such a string:
+// decodeRecord calls it on a record, frame.keep on a Result's text arena,
+// and whoever keeps such a text past the life of its bytes keeps it through
+// kept (DESIGN.md §16).
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // kept returns v sharing no memory with anything: a text or blob, which
