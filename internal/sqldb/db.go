@@ -104,10 +104,7 @@ func (db *DB) Exec(sql string) (res *Result, err error) {
 	db.Statements++
 	db.depth = 0
 	f := db.enter() // the last Result is dead from here on
-	stmt, perr := db.parser.parse(sql)
-	if perr != nil {
-		return nil, perr
-	}
+	stmt := db.parser.parse(sql)
 	if db.onParse != nil {
 		db.onParse(sql, stmt)
 	}
@@ -199,28 +196,29 @@ func (db *DB) blankRow(t *Table) []Value {
 	return db.rowBuf
 }
 
-// insertRowValues assembles a full column-ordered row from an insert
-// statement, in the row scratch.
-func (db *DB) insertRowValues(t *Table, cols []string, exprs []Expr, rc *rowCtx) []Value {
+// insertRowValues assembles, in the row scratch, the row of t that puts
+// value(i) of n values in the column cols[i] names, or in t's i-th column
+// when cols is empty. The values are read in order, each once.
+func (db *DB) insertRowValues(t *Table, cols []string, n int, value func(int) Value) []Value {
 	vals := db.blankRow(t)
 	if len(cols) == 0 {
-		if len(exprs) != len(t.Columns) {
-			fail("table %s has %d columns but %d values supplied", t.Name, len(t.Columns), len(exprs))
+		if n != len(t.Columns) {
+			fail("table %s has %d columns but %d values supplied", t.Name, len(t.Columns), n)
 		}
-		for i, e := range exprs {
-			vals[i] = db.eval(rc, e)
+		for i := range n {
+			vals[i] = value(i)
 		}
 		return vals
 	}
-	if len(cols) != len(exprs) {
-		fail("%d columns but %d values", len(cols), len(exprs))
+	if len(cols) != n {
+		fail("%d columns but %d values", len(cols), n)
 	}
 	for i, c := range cols {
 		ci := t.ColIndex(c)
 		if ci < 0 {
 			fail("no such column %s.%s", t.Name, c)
 		}
-		vals[ci] = db.eval(rc, exprs[i])
+		vals[ci] = value(i)
 	}
 	return vals
 }
@@ -349,29 +347,18 @@ func (db *DB) execInsert(f *frame, s *InsertStmt) error {
 	if t == nil {
 		return fmt.Errorf("sqldb: no such table %s", s.Table)
 	}
-	res := f.res
+	// Both forms assemble their rows through one column mapping.
+	insert := func(n int, value func(int) Value) {
+		f.res.LastRowid = db.insertRow(t, db.insertRowValues(t, s.Cols, n, value), s.Replace)
+		f.res.RowsAffected++
+	}
 	if s.FromSelect != nil {
 		for _, row := range db.subSelect(s.FromSelect, nil).Rows {
-			vals := db.blankRow(t)
-			if len(s.Cols) == 0 {
-				if len(row) != len(t.Columns) {
-					return fmt.Errorf("sqldb: SELECT yields %d columns, table has %d", len(row), len(t.Columns))
-				}
-				copy(vals, row)
-			} else {
-				for i, c := range s.Cols {
-					vals[t.ColIndex(c)] = row[i]
-				}
-			}
-			res.LastRowid = db.insertRow(t, vals, s.Replace)
-			res.RowsAffected++
+			insert(len(row), func(i int) Value { return row[i] })
 		}
-		return nil
 	}
 	for _, row := range s.Rows {
-		vals := db.insertRowValues(t, s.Cols, row, nil)
-		res.LastRowid = db.insertRow(t, vals, s.Replace)
-		res.RowsAffected++
+		insert(len(row), func(i int) Value { return db.eval(nil, row[i]) })
 	}
 	return nil
 }
@@ -572,53 +559,32 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 	}
 	f.cols = allCols
 
-	aggregate := len(s.GroupBy) > 0
+	// calls are the aggregate calls of the select list and its hidden
+	// columns: a query with one, or with GROUP BY, is an aggregate query.
+	var calls []*EFunc
 	for _, c := range allCols {
-		if !c.Star && hasAgg(c.Expr) {
-			aggregate = true
-		}
+		walkExpr(c.Expr, func(e Expr) bool {
+			if x, ok := e.(*EFunc); ok && isAggFn(x.Name) {
+				calls = append(calls, x)
+				return false
+			}
+			return true
+		})
 	}
-
-	type group struct {
-		first  *rowCtx
-		states []*aggState
-	}
+	aggregate := len(s.GroupBy) > 0 || len(calls) > 0
 	var groups map[string]*group
 	var groupOrder []string
 	if aggregate {
 		groups = make(map[string]*group)
 	}
-
-	// aggTargets lists the aggregate calls in the select list, in order.
-	var aggTargets []*EFunc
-	var collect func(e Expr)
-	collect = func(e Expr) {
-		switch x := e.(type) {
-		case *EFunc:
-			if isAggFn(x.Name) {
-				aggTargets = append(aggTargets, x)
-				return
-			}
-			for _, a := range x.Args {
-				collect(a)
-			}
-		case *EBin:
-			collect(x.L)
-			collect(x.R)
-		case *EUn:
-			collect(x.E)
-		case *EBetween:
-			collect(x.E)
-			collect(x.Lo)
-			collect(x.Hi)
+	// newGroup starts a group whose first row is first.
+	newGroup := func(first *rowCtx) *group {
+		g := &group{first: first, calls: calls}
+		first.group = g
+		for _, x := range calls {
+			g.states = append(g.states, &aggState{fn: x.Name, isInt: true})
 		}
-	}
-	if aggregate {
-		for _, c := range allCols {
-			if !c.Star {
-				collect(c.Expr)
-			}
-		}
+		return g
 	}
 
 	var key []byte // the group key of the row, NUL-separated texts of its values
@@ -640,28 +606,26 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 			if !ok {
 				// A new group keeps its key and a copy of its first row, which
 				// the columns that are not aggregates read.
-				g = &group{first: &rowCtx{parent: rc.parent}}
+				first := &rowCtx{parent: rc.parent}
 				for _, tc := range rc.tables {
-					g.first.tables = append(g.first.tables,
+					first.tables = append(first.tables,
 						&tblCtx{alias: tc.alias, tbl: tc.tbl, rowid: tc.rowid, vals: keptRow(tc.vals)})
 				}
-				for _, at := range aggTargets {
-					g.states = append(g.states, &aggState{fn: at.Name, isInt: true})
-				}
+				g = newGroup(first)
 				k := string(key)
 				groups[k] = g
 				groupOrder = append(groupOrder, k)
 			}
-			for i, at := range aggTargets {
-				if at.Star {
+			for i, x := range calls {
+				if x.Star {
 					g.states[i].add(Int(1))
-				} else if len(at.Args) > 0 {
-					g.states[i].add(db.eval(rc, at.Args[0]))
+				} else if len(x.Args) > 0 {
+					g.states[i].add(db.eval(rc, x.Args[0]))
 				}
 			}
 			return true
 		}
-		db.projectRow(f, rc, allCols, nil, nil)
+		db.projectRow(f, rc, allCols)
 		// Fast-path LIMIT without ORDER BY.
 		if s.Limit >= 0 && len(s.OrderBy) == 0 && int64(len(res.Rows)) >= s.Limit {
 			return false
@@ -674,16 +638,11 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 	if aggregate {
 		if len(s.GroupBy) == 0 && len(groupOrder) == 0 {
 			// Aggregates over an empty set still produce one row.
-			g := &group{first: &rowCtx{parent: parent}}
-			for _, at := range aggTargets {
-				g.states = append(g.states, &aggState{fn: at.Name, isInt: true})
-			}
-			groups[""] = g
+			groups[""] = newGroup(&rowCtx{parent: parent})
 			groupOrder = append(groupOrder, "")
 		}
 		for _, key := range groupOrder {
-			g := groups[key]
-			db.projectRow(f, g.first, allCols, aggTargets, g.states)
+			db.projectRow(f, groups[key].first, allCols)
 		}
 	}
 
@@ -741,32 +700,10 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 	}
 }
 
-// projectRow evaluates the select list for one row/group and adds the row
-// to f's Result. When aggStates is non-nil, aggregate calls are
-// substituted positionally.
-func (db *DB) projectRow(f *frame, rc *rowCtx, cols []SelectCol, aggTargets []*EFunc, aggStates []*aggState) {
+// projectRow evaluates the select list for one row, or one group when rc
+// is a group's, and adds the row to f's Result.
+func (db *DB) projectRow(f *frame, rc *rowCtx, cols []SelectCol) {
 	at := len(f.cells)
-	agg := 0
-	var evalWithAgg func(e Expr) Value
-	evalWithAgg = func(e Expr) Value {
-		if aggStates != nil {
-			if f, ok := e.(*EFunc); ok && isAggFn(f.Name) {
-				v := aggStates[agg].result()
-				agg++
-				return v
-			}
-			switch x := e.(type) {
-			case *EBin:
-				l := evalWithAgg(x.L)
-				r := evalWithAgg(x.R)
-				return db.evalBin(rc, &EBin{Op: x.Op, L: &ELit{V: l}, R: &ELit{V: r}})
-			case *EUn:
-				v := evalWithAgg(x.E)
-				return db.eval(rc, &EUn{Op: x.Op, E: &ELit{V: v}})
-			}
-		}
-		return db.eval(rc, e)
-	}
 	// The row goes into the Result, which outlives the bound rows: every
 	// value is copied out of them, into f's arenas.
 	for _, c := range cols {
@@ -778,8 +715,29 @@ func (db *DB) projectRow(f *frame, rc *rowCtx, cols []SelectCol, aggTargets []*E
 			}
 			continue
 		}
-		v := f.keep(evalWithAgg(c.Expr))
-		f.cells = append(f.cells, v)
+		f.cells = append(f.cells, f.keep(db.project(rc, c.Expr)))
 	}
 	f.res.Rows = append(f.res.Rows, f.cells[at:len(f.cells):len(f.cells)])
+}
+
+// project evaluates a select-list expression in rc. Over a group an
+// aggregate call is its result, and EBin and EUn apply their operator to
+// their operands' values as literals, which is what such a column has
+// always cost on the clock; eval finds any other aggregate call's value
+// in rc.group.
+func (db *DB) project(rc *rowCtx, e Expr) Value {
+	if rc.group != nil {
+		switch x := e.(type) {
+		case *EFunc:
+			if isAggFn(x.Name) {
+				return rc.group.result(x)
+			}
+		case *EBin:
+			l, r := db.project(rc, x.L), db.project(rc, x.R)
+			return db.evalBin(rc, &EBin{Op: x.Op, L: &ELit{V: l}, R: &ELit{V: r}})
+		case *EUn:
+			return db.eval(rc, &EUn{Op: x.Op, E: &ELit{V: db.project(rc, x.E)}})
+		}
+	}
+	return db.eval(rc, e)
 }

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -15,9 +16,11 @@ type Result struct {
 	LastRowid    int64
 }
 
-// execErr unwinds execution errors inside the evaluator.
+// execErr unwinds a statement that fails, in the lexer, the parser or the
+// executor, to the recover in Exec (or, for a parse, in Parse).
 type execErr struct{ err error }
 
+// fail fails the statement being executed.
 func fail(format string, args ...any) {
 	panic(execErr{fmt.Errorf("sqldb: "+format, args...)})
 }
@@ -45,6 +48,9 @@ type tblCtx struct {
 type rowCtx struct {
 	tables []*tblCtx
 	parent *rowCtx
+	// group is set on the row context of a group of an aggregate query:
+	// an aggregate call evaluated in it reads its value over the group.
+	group *group
 }
 
 // frame is what a statement works in at one level of nesting, kept for
@@ -211,35 +217,63 @@ func isAggFn(name string) bool {
 	return false
 }
 
-// hasAgg reports whether the expression contains an aggregate call.
-func hasAgg(e Expr) bool {
+// group is one group of an aggregate query: a copy of its first row, which
+// the columns that are not aggregates read, and the state of each of the
+// query's aggregate calls over it, in calls' order.
+type group struct {
+	first  *rowCtx
+	calls  []*EFunc
+	states []*aggState
+}
+
+// result returns the value over g of x, one of g's aggregate calls.
+func (g *group) result(x *EFunc) Value { return g.states[slices.Index(g.calls, x)].result() }
+
+// walkExpr calls fn on e and, while fn returns true, on each of its
+// subexpressions, depth first and left to right. It is the only code that
+// knows which nodes an Expr has below it; eval and projectRow, which
+// evaluate the tree, keep their own switches. A subquery is a statement,
+// not a subexpression: a callback that must look into one does so itself.
+func walkExpr(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
+		return
+	}
 	switch x := e.(type) {
-	case *EFunc:
-		if isAggFn(x.Name) {
-			return true
-		}
-		for _, a := range x.Args {
-			if hasAgg(a) {
-				return true
-			}
-		}
 	case *EBin:
-		return hasAgg(x.L) || hasAgg(x.R)
+		walkExpr(x.L, fn)
+		walkExpr(x.R, fn)
 	case *EUn:
-		return hasAgg(x.E)
+		walkExpr(x.E, fn)
 	case *EBetween:
-		return hasAgg(x.E) || hasAgg(x.Lo) || hasAgg(x.Hi)
-	case *EIn:
-		if hasAgg(x.E) {
-			return true
+		walkExpr(x.E, fn)
+		walkExpr(x.Lo, fn)
+		walkExpr(x.Hi, fn)
+	case *EFunc:
+		for _, a := range x.Args {
+			walkExpr(a, fn)
 		}
-		for _, le := range x.List {
-			if hasAgg(le) {
-				return true
-			}
+	case *EIn:
+		walkExpr(x.E, fn)
+		for _, a := range x.List {
+			walkExpr(a, fn)
 		}
 	}
-	return false
+}
+
+// walkSelect walks every expression of s's clauses: the select list,
+// WHERE, GROUP BY, HAVING and ORDER BY.
+func walkSelect(s *SelectStmt, fn func(Expr) bool) {
+	for _, c := range s.Cols {
+		walkExpr(c.Expr, fn)
+	}
+	walkExpr(s.Where, fn)
+	for _, g := range s.GroupBy {
+		walkExpr(g, fn)
+	}
+	walkExpr(s.Having, fn)
+	for _, o := range s.OrderBy {
+		walkExpr(o.Expr, fn)
+	}
 }
 
 // likeMatch implements SQL LIKE: % matches any run of bytes, _ any one
@@ -397,57 +431,19 @@ func (db *DB) isCorrelated(sel *SelectStmt) bool {
 		return false
 	}
 	correlated := false
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		if correlated || e == nil {
-			return
-		}
+	walkSelect(sel, func(e Expr) bool {
 		switch x := e.(type) {
 		case *ECol:
-			if !resolvable(x) {
-				correlated = true
-			}
-		case *EBin:
-			walk(x.L)
-			walk(x.R)
-		case *EUn:
-			walk(x.E)
-		case *EBetween:
-			walk(x.E)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *EFunc:
-			for _, a := range x.Args {
-				walk(a)
-			}
+			correlated = correlated || !resolvable(x)
 		case *EIn:
-			walk(x.E)
-			for _, le := range x.List {
-				walk(le)
-			}
-			if x.Sub != nil && db.isCorrelated(x.Sub) {
-				correlated = true
-			}
-		case *ESub:
 			// A nested subquery resolving against its own scope is fine;
 			// treat unresolved nesting conservatively as correlated.
-			if db.isCorrelated(x.Sel) {
-				correlated = true
-			}
+			correlated = correlated || x.Sub != nil && db.isCorrelated(x.Sub)
+		case *ESub:
+			correlated = correlated || db.isCorrelated(x.Sel)
 		}
-	}
-	for _, c := range sel.Cols {
-		if !c.Star {
-			walk(c.Expr)
-		}
-	}
-	walk(sel.Where)
-	for _, g := range sel.GroupBy {
-		walk(g)
-	}
-	for _, o := range sel.OrderBy {
-		walk(o.Expr)
-	}
+		return !correlated
+	})
 	return correlated
 }
 
@@ -581,7 +577,10 @@ var scalarArity = map[string][2]int{
 
 func (db *DB) evalFunc(rc *rowCtx, x *EFunc) Value {
 	if isAggFn(x.Name) {
-		fail("aggregate %s used outside an aggregate query", x.Name)
+		if rc == nil || rc.group == nil {
+			fail("aggregate %s used outside an aggregate query", x.Name)
+		}
+		return rc.group.result(x)
 	}
 	arity, known := scalarArity[x.Name]
 	switch n := len(x.Args); {

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"strings"
@@ -17,60 +18,42 @@ func appendConjuncts(dst []Expr, e Expr) []Expr {
 	return append(dst, e)
 }
 
-// maxBindIdx returns the highest bind index an expression references, or
-// -1 when it references none (literals, parent-correlated columns).
-func maxBindIdx(e Expr, binds []*tblCtx) int {
-	max := -1
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *ECol:
-			for i, b := range binds {
-				if x.Table != "" {
-					if strings.EqualFold(b.alias, x.Table) {
-						if i > max {
-							max = i
-						}
-						return
-					}
-					continue
-				}
-				if strings.EqualFold(x.Name, "rowid") || b.tbl.ColIndex(x.Name) >= 0 {
-					if i > max {
-						max = i
-					}
-					return
-				}
+// bindOf returns the index of the bind a column reference names: the
+// bind of its table or, unqualified, the first whose table has the column;
+// -1 when none does (a parent's column).
+func bindOf(c *ECol, binds []*tblCtx) int {
+	for i, b := range binds {
+		if c.Table != "" {
+			if strings.EqualFold(b.alias, c.Table) {
+				return i
 			}
-		case *EBin:
-			walk(x.L)
-			walk(x.R)
-		case *EUn:
-			walk(x.E)
-		case *EBetween:
-			walk(x.E)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *EFunc:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *EIn:
-			walk(x.E)
-			for _, le := range x.List {
-				walk(le)
-			}
-			if x.Sub != nil {
-				max = len(binds) - 1
-			}
-		case *ESub:
-			// Conservatively pin subqueries to the last bind so they are
-			// only evaluated on fully bound rows.
-			max = len(binds) - 1
+		} else if strings.EqualFold(c.Name, "rowid") || b.tbl.ColIndex(c.Name) >= 0 {
+			return i
 		}
 	}
-	walk(e)
-	return max
+	return -1
+}
+
+// maxBindIdx returns the highest bind index an expression references, or
+// -1 when it references none (literals, parent-correlated columns). A
+// subquery is pinned to the last bind, so that it is only evaluated on
+// fully bound rows.
+func maxBindIdx(e Expr, binds []*tblCtx) int {
+	m := -1
+	walkExpr(e, func(e Expr) bool {
+		switch x := e.(type) {
+		case *ECol:
+			m = max(m, bindOf(x, binds))
+		case *EIn:
+			if x.Sub != nil {
+				m = len(binds) - 1
+			}
+		case *ESub:
+			m = len(binds) - 1
+		}
+		return true
+	})
+	return m
 }
 
 // colOn returns the column index the expression names on bind i, with
@@ -86,7 +69,7 @@ func colOn(e Expr, binds []*tblCtx, i int) int {
 	}
 	if c.Table == "" {
 		// An unqualified name binds to the first table that has it.
-		if mi := maxBindIdx(e, binds); mi != i {
+		if bindOf(c, binds) != i {
 			return -1
 		}
 	}
@@ -103,74 +86,62 @@ func colOn(e Expr, binds []*tblCtx, i int) int {
 	return ci
 }
 
-// access describes how to enumerate rows of one bind.
+// access describes how to enumerate rows of one bind: a look-up of eq, or
+// a range from lo to hi, on idx — nil meaning the rowid — or, with none
+// of the three, a full scan. The expressions are evaluated against the
+// outer row context.
 type access struct {
-	kind string // "scan", "rowid-eq", "rowid-range", "index-eq", "index-range"
-	idx  *Index
-	// expressions evaluated against the outer row context:
-	eq     Expr
-	lo, hi Expr
-	loIncl bool
-	hiIncl bool
+	idx            *Index
+	eq, lo, hi     Expr
+	loIncl, hiIncl bool
 }
 
-var (
-	accessRank = map[string]int{"scan": 0, "index-range": 1, "rowid-range": 2, "index-eq": 3, "rowid-eq": 4}
-	flipOp     = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-)
+// rank orders access paths: a full scan below every range, a range below
+// every look-up, and of two paths otherwise alike the rowid's above an
+// index's.
+func (a access) rank() int {
+	if a.eq == nil && a.lo == nil && a.hi == nil {
+		return 0
+	}
+	r := 1
+	if a.eq != nil {
+		r += 2
+	}
+	if a.idx == nil {
+		r++
+	}
+	return r
+}
+
+var flipOp = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 // planAccess chooses the access path for bind i given the conjuncts that
-// become fully bound at this level.
+// become fully bound at this level: the best that a conjunct comparing a
+// column of the bind with what the binds before it compute gives.
 func (db *DB) planAccess(binds []*tblCtx, i int, conjuncts []Expr) access {
 	b := binds[i]
 	var best access
-	best.kind = "scan"
-	better := func(a access) bool { return accessRank[a.kind] > accessRank[best.kind] }
-	indexOn := func(ci int) *Index {
-		col := b.tbl.Columns[ci].Name
-		for _, idx := range db.cat.TableIndexes(b.tbl.Name) {
-			if strings.EqualFold(idx.Cols[0], col) {
-				return idx
-			}
-		}
-		return nil
-	}
-	consider := func(ci int, op string, rhs Expr) {
-		if maxBindIdx(rhs, binds) >= i {
-			return // rhs not computable before binding this table
-		}
-		var a access
-		switch {
-		case ci == -2 && op == "=":
-			a = access{kind: "rowid-eq", eq: rhs}
-		case ci == -2:
-			a = access{kind: "rowid-range"}
-			switch op {
-			case ">", ">=":
-				a.lo, a.loIncl = rhs, op == ">="
-			case "<", "<=":
-				a.hi, a.hiIncl = rhs, op == "<="
-			}
-		case ci >= 0:
-			idx := indexOn(ci)
-			if idx == nil {
+	// consider offers a, a path on column ci of b (-2: the rowid), when its
+	// bounds are computable before b is bound and ci is the rowid or leads
+	// an index.
+	consider := func(ci int, a access) {
+		for _, e := range [...]Expr{a.eq, a.lo, a.hi} {
+			if e != nil && maxBindIdx(e, binds) >= i {
 				return
 			}
-			if op == "=" {
-				a = access{kind: "index-eq", idx: idx, eq: rhs}
-			} else {
-				a = access{kind: "index-range", idx: idx}
-				switch op {
-				case ">", ">=":
-					a.lo, a.loIncl = rhs, op == ">="
-				case "<", "<=":
-					a.hi, a.hiIncl = rhs, op == "<="
+		}
+		if ci >= 0 {
+			for _, idx := range db.cat.TableIndexes(b.tbl.Name) {
+				if strings.EqualFold(idx.Cols[0], b.tbl.Columns[ci].Name) {
+					a.idx = idx
+					break
 				}
 			}
-		default:
-			return
+			if a.idx == nil {
+				return
+			}
 		}
-		if better(a) {
+		if a.rank() > best.rank() {
 			best = a
 		}
 	}
@@ -180,32 +151,22 @@ func (db *DB) planAccess(binds []*tblCtx, i int, conjuncts []Expr) access {
 		}
 		switch x := c.(type) {
 		case *EBin:
-			switch x.Op {
-			case "=", "<", "<=", ">", ">=":
-				if ci := colOn(x.L, binds, i); ci != -1 {
-					consider(ci, x.Op, x.R)
-				} else if ci := colOn(x.R, binds, i); ci != -1 {
-					consider(ci, flipOp[x.Op], x.L)
-				}
+			op, ci, rhs := x.Op, colOn(x.L, binds, i), x.R
+			if ci == -1 {
+				op, ci, rhs = flipOp[x.Op], colOn(x.R, binds, i), x.L
+			}
+			switch {
+			case ci == -1: // neither side is a column of b
+			case op == "=":
+				consider(ci, access{eq: rhs})
+			case op == ">" || op == ">=":
+				consider(ci, access{lo: rhs, loIncl: op == ">="})
+			case op == "<" || op == "<=":
+				consider(ci, access{hi: rhs, hiIncl: op == "<="})
 			}
 		case *EBetween:
-			if x.Not {
-				continue
-			}
-			if ci := colOn(x.E, binds, i); ci != -1 {
-				if maxBindIdx(x.Lo, binds) < i && maxBindIdx(x.Hi, binds) < i {
-					if ci == -2 {
-						a := access{kind: "rowid-range", lo: x.Lo, hi: x.Hi, loIncl: true, hiIncl: true}
-						if better(a) {
-							best = a
-						}
-					} else if idx := indexOn(ci); idx != nil {
-						a := access{kind: "index-range", idx: idx, lo: x.Lo, hi: x.Hi, loIncl: true, hiIncl: true}
-						if better(a) {
-							best = a
-						}
-					}
-				}
+			if ci := colOn(x.E, binds, i); ci != -1 && !x.Not {
+				consider(ci, access{lo: x.Lo, hi: x.Hi, loIncl: true, hiIncl: true})
 			}
 		}
 	}
@@ -337,8 +298,38 @@ func (db *DB) joinLoop(f *frame, i int, emit func(*rowCtx) bool) bool {
 	}
 
 	outer, a := &l.outer, l.a // the access path reads the binds before b only
-	switch a.kind {
-	case "rowid-eq":
+	switch {
+	case a.idx != nil:
+		itree := NewIndexTree(db.pager, a.idx.Root)
+		// Range bounds only need to be a superset of the matching keys:
+		// every applicable conjunct is re-checked per row, so exclusive
+		// bounds simply scan inclusively. A look-up scans the keys that
+		// start with its value's.
+		var lo, hi []byte
+		if from := cmp.Or(a.eq, a.lo); from != nil {
+			v := db.eval(outer, from)
+			if v.IsNull() {
+				return true
+			}
+			lo = appendKey(nil, v)
+		}
+		switch {
+		case a.eq != nil:
+			hi = append(append([]byte{}, lo...), 0xFF)
+		case a.hi != nil:
+			v := db.eval(outer, a.hi)
+			if v.IsNull() {
+				return true
+			}
+			hi = append(appendKey(nil, v), 0xFF)
+		}
+		ok := true
+		itree.ScanIndexRange(lo, hi, func(key []byte, rowid int64) bool {
+			tree.Row(rowid, func(record []byte) { ok = tryRow(rowid, record) })
+			return ok
+		})
+		return ok
+	case a.eq != nil: // the rowid's
 		v := db.eval(outer, a.eq)
 		if v.IsNull() || v.Kind != KInt && v.Kind != KReal {
 			return true
@@ -350,7 +341,7 @@ func (db *DB) joinLoop(f *frame, i int, emit func(*rowCtx) bool) bool {
 		ok := true
 		tree.Row(rowid, func(record []byte) { ok = tryRow(rowid, record) })
 		return ok
-	case "rowid-range":
+	case a.lo != nil || a.hi != nil: // the rowid's
 		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 		var feasible bool
 		if a.lo != nil {
@@ -369,41 +360,6 @@ func (db *DB) joinLoop(f *frame, i int, emit func(*rowCtx) bool) bool {
 				return false
 			}
 			ok = tryRow(rowid, record)
-			return ok
-		})
-		return ok
-	case "index-eq", "index-range":
-		itree := NewIndexTree(db.pager, a.idx.Root)
-		var lo, hi []byte
-		if a.kind == "index-eq" {
-			v := db.eval(outer, a.eq)
-			if v.IsNull() {
-				return true
-			}
-			lo = appendKey(nil, v)
-			hi = append(append([]byte{}, lo...), 0xFF)
-		} else {
-			// Range bounds only need to be a superset of the matching
-			// keys: every applicable conjunct is re-checked per row, so
-			// exclusive bounds simply scan inclusively.
-			if a.lo != nil {
-				v := db.eval(outer, a.lo)
-				if v.IsNull() {
-					return true
-				}
-				lo = appendKey(nil, v)
-			}
-			if a.hi != nil {
-				v := db.eval(outer, a.hi)
-				if v.IsNull() {
-					return true
-				}
-				hi = append(appendKey(nil, v), 0xFF)
-			}
-		}
-		ok := true
-		itree.ScanIndexRange(lo, hi, func(key []byte, rowid int64) bool {
-			tree.Row(rowid, func(record []byte) { ok = tryRow(rowid, record) })
 			return ok
 		})
 		return ok

@@ -38,7 +38,7 @@ var (
 )
 
 // lex appends the tokens of src to toks[:0].
-func lex(toks []token, src string) ([]token, error) {
+func lex(toks []token, src string) []token {
 	toks = slices.Grow(toks[:0], len(src)/4+2)
 	pos := 0
 scan:
@@ -64,7 +64,7 @@ scan:
 			start, escaped := pos+1, false
 			for pos = start; ; pos++ {
 				if pos >= len(src) {
-					return nil, fmt.Errorf("sql: unterminated string")
+					failSQL("unterminated string")
 				}
 				if src[pos] != '\'' {
 					continue
@@ -97,13 +97,13 @@ scan:
 				}
 			}
 			if oneCharOps[c] == "" {
-				return nil, fmt.Errorf("sql: unexpected character %q", c)
+				failSQL("unexpected character %q", c)
 			}
 			toks = append(toks, token{tkOp, oneCharOps[c]})
 			pos++
 		}
 	}
-	return append(toks, token{tkEOF, ""}), nil
+	return append(toks, token{tkEOF, ""})
 }
 
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
@@ -260,6 +260,10 @@ type PragmaStmt struct{ Name string }
 // statements is bounded: one chunk of each node type, lists as long as one
 // statement's, and after a statement of more than maxKeptToks tokens
 // nothing at all.
+//
+// A malformed statement unwinds the parse with an execErr, as a failing
+// one unwinds the executor (failSQL): the parsing functions return only
+// what they parsed, and the recover is Exec's, or Parse's.
 type parser struct {
 	toks []token
 	pos  int
@@ -308,28 +312,38 @@ func (p *parser) bin(op string, l, r Expr) *EBin {
 	return place(&p.bins, EBin{Op: op, L: l, R: r})
 }
 
-// Parse parses one SQL statement.
-func Parse(src string) (any, error) { return new(parser).parse(src) }
+// failSQL fails the statement being parsed.
+func failSQL(format string, args ...any) {
+	panic(execErr{fmt.Errorf("sql: "+format, args...)})
+}
 
-func (p *parser) parse(src string) (any, error) {
+// Parse parses one SQL statement.
+func Parse(src string) (stmt any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ee, ok := r.(execErr)
+			if !ok {
+				panic(r)
+			}
+			stmt, err = nil, ee.err
+		}
+	}()
+	return new(parser).parse(src), nil
+}
+
+func (p *parser) parse(src string) any {
 	if cap(p.toks) > maxKeptToks {
 		*p = parser{}
 	}
-	var err error
-	if p.toks, err = lex(p.toks, src); err != nil {
-		return nil, err
-	}
+	p.toks = lex(p.toks, src)
 	p.pos, p.list, p.exprs = 0, p.list[:0], p.exprs[:0]
 	p.lits, p.cols, p.bins, p.sels = p.lits[:0], p.cols[:0], p.bins[:0], p.sels[:0]
-	stmt, err := p.statement()
-	if err != nil {
-		return nil, err
-	}
+	stmt := p.statement()
 	p.accept(tkOp, ";")
 	if p.peek().kind != tkEOF {
-		return nil, fmt.Errorf("sql: trailing tokens at %q", p.peek().text)
+		failSQL("trailing tokens at %q", p.peek().text)
 	}
-	return stmt, nil
+	return stmt
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -344,11 +358,13 @@ func (p *parser) acceptKw(kw string) bool {
 	return false
 }
 
-func (p *parser) expectKw(kw string) error {
-	if !p.acceptKw(kw) {
-		return fmt.Errorf("sql: expected %s, got %q", kw, p.peek().text)
+// expectKw consumes the keywords kws, in order.
+func (p *parser) expectKw(kws ...string) {
+	for _, kw := range kws {
+		if !p.acceptKw(kw) {
+			failSQL("expected %s, got %q", kw, p.peek().text)
+		}
 	}
-	return nil
 }
 
 func (p *parser) accept(kind tokKind, text string) bool {
@@ -360,28 +376,43 @@ func (p *parser) accept(kind tokKind, text string) bool {
 	return false
 }
 
-func (p *parser) expectOp(op string) error {
+func (p *parser) expectOp(op string) {
 	if !p.accept(tkOp, op) {
-		return fmt.Errorf("sql: expected %q, got %q", op, p.peek().text)
+		failSQL("expected %q, got %q", op, p.peek().text)
 	}
-	return nil
 }
 
-func (p *parser) ident() (string, error) {
+func (p *parser) ident() string {
 	t := p.peek()
 	if t.kind != tkIdent {
-		return "", fmt.Errorf("sql: expected identifier, got %q", t.text)
+		failSQL("expected identifier, got %q", t.text)
 	}
 	p.pos++
-	return t.text, nil
+	return t.text
 }
 
-func (p *parser) statement() (any, error) {
+// idents appends to dst the comma-separated identifiers up to a closing
+// parenthesis, which it consumes.
+func (p *parser) idents(dst []string) []string {
+	for more := true; more; more = p.accept(tkOp, ",") {
+		dst = append(dst, p.ident())
+	}
+	p.expectOp(")")
+	return dst
+}
+
+// atSelect reports whether a SELECT starts at the next token.
+func (p *parser) atSelect() bool {
+	t := p.peek()
+	return t.kind == tkIdent && strings.EqualFold(t.text, "SELECT")
+}
+
+func (p *parser) statement() any {
 	t := p.peek()
 	if t.kind != tkIdent {
-		return nil, fmt.Errorf("sql: expected statement, got %q", t.text)
+		failSQL("expected statement, got %q", t.text)
 	}
-	switch strings.ToUpper(t.text) {
+	switch up := strings.ToUpper(t.text); up {
 	case "SELECT":
 		return p.selectStmt()
 	case "INSERT", "REPLACE":
@@ -396,32 +427,26 @@ func (p *parser) statement() (any, error) {
 		return p.dropStmt()
 	case "ALTER":
 		return p.alterStmt()
-	case "BEGIN":
+	case "BEGIN", "COMMIT", "END":
 		p.pos++
 		p.acceptKw("TRANSACTION")
-		return &TxnStmt{Kind: "begin"}, nil
-	case "COMMIT", "END":
-		p.pos++
-		p.acceptKw("TRANSACTION")
-		return &TxnStmt{Kind: "commit"}, nil
+		if up == "BEGIN" {
+			return &TxnStmt{Kind: "begin"}
+		}
+		return &TxnStmt{Kind: "commit"}
 	case "ROLLBACK":
 		p.pos++
-		return &TxnStmt{Kind: "rollback"}, nil
+		return &TxnStmt{Kind: "rollback"}
 	case "PRAGMA":
 		p.pos++
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return &PragmaStmt{Name: strings.ToLower(name)}, nil
+		return &PragmaStmt{Name: strings.ToLower(p.ident())}
 	}
-	return nil, fmt.Errorf("sql: unsupported statement %q", t.text)
+	failSQL("unsupported statement %q", t.text)
+	return nil
 }
 
-func (p *parser) selectStmt() (*SelectStmt, error) {
-	if err := p.expectKw("SELECT"); err != nil {
-		return nil, err
-	}
+func (p *parser) selectStmt() *SelectStmt {
+	p.expectKw("SELECT")
 	s := carve(&p.sels)
 	*s = SelectStmt{Cols: s.Cols[:0], From: s.From[:0], OrderBy: s.OrderBy[:0], Limit: -1}
 	if p.acceptKw("DISTINCT") {
@@ -429,139 +454,95 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 	} else {
 		p.acceptKw("ALL")
 	}
-	for {
+	for more := true; more; more = p.accept(tkOp, ",") {
 		if p.accept(tkOp, "*") {
 			s.Cols = append(s.Cols, SelectCol{Star: true})
-		} else {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			col := SelectCol{Expr: e}
-			if p.acceptKw("AS") {
-				a, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				col.Alias = a
-			}
-			s.Cols = append(s.Cols, col)
+			continue
 		}
-		if !p.accept(tkOp, ",") {
-			break
+		col := SelectCol{Expr: p.expr()}
+		if p.acceptKw("AS") {
+			col.Alias = p.ident()
 		}
+		s.Cols = append(s.Cols, col)
 	}
 	if p.acceptKw("FROM") {
-		fromItem := func() error {
-			name, err := p.ident()
-			if err != nil {
-				return err
-			}
-			fi := FromItem{Table: name, Alias: name}
+		fromItem := func() {
+			fi := FromItem{Table: p.ident()}
+			fi.Alias = fi.Table
 			if t := p.peek(); t.kind == tkIdent && !isKeyword(t.text) {
 				fi.Alias = t.text
 				p.pos++
 			}
 			s.From = append(s.From, fi)
-			return nil
 		}
-		if err := fromItem(); err != nil {
-			return nil, err
-		}
+		fromItem()
 	fromLoop:
 		for {
 			switch {
 			case p.accept(tkOp, ","):
-				if err := fromItem(); err != nil {
-					return nil, err
-				}
+				fromItem()
 			case p.acceptKw("JOIN"), p.acceptKw("INNER"):
 				// "INNER" must be followed by JOIN; plain "JOIN" already
 				// consumed it.
 				if strings.EqualFold(p.toks[p.pos-1].text, "INNER") {
-					if err := p.expectKw("JOIN"); err != nil {
-						return nil, err
-					}
+					p.expectKw("JOIN")
 				}
-				if err := fromItem(); err != nil {
-					return nil, err
-				}
+				fromItem()
 				if p.acceptKw("ON") {
-					on, err := p.expr()
-					if err != nil {
-						return nil, err
-					}
-					if s.Where == nil {
-						s.Where = on
-					} else {
-						s.Where = p.bin("AND", s.Where, on)
-					}
+					s.Where = p.and(s.Where, p.expr())
 				}
 			default:
 				break fromLoop
 			}
 		}
 	}
-	if p.acceptKw("WHERE") {
-		w, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if s.Where == nil {
-			s.Where = w
-		} else {
-			s.Where = p.bin("AND", s.Where, w)
-		}
-	}
+	s.Where = p.and(s.Where, p.where())
 	if p.acceptKw("GROUP") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
-		var err error
-		if s.GroupBy, err = p.exprList(); err != nil {
-			return nil, err
-		}
+		p.expectKw("BY")
+		s.GroupBy = p.exprList()
 	}
 	if p.acceptKw("HAVING") {
-		h, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		s.Having = h
+		s.Having = p.expr()
 	}
 	if p.acceptKw("ORDER") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			oi := OrderItem{Expr: e}
+		p.expectKw("BY")
+		for more := true; more; more = p.accept(tkOp, ",") {
+			oi := OrderItem{Expr: p.expr()}
 			if p.acceptKw("DESC") {
 				oi.Desc = true
 			} else {
 				p.acceptKw("ASC")
 			}
 			s.OrderBy = append(s.OrderBy, oi)
-			if !p.accept(tkOp, ",") {
-				break
-			}
 		}
 	}
 	if p.acceptKw("LIMIT") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		lit, ok := e.(*ELit)
+		lit, ok := p.expr().(*ELit)
 		if !ok || lit.V.Kind != KInt {
-			return nil, fmt.Errorf("sql: LIMIT must be an integer literal")
+			failSQL("LIMIT must be an integer literal")
 		}
 		s.Limit = lit.V.I
 	}
-	return s, nil
+	return s
+}
+
+// where parses an optional WHERE clause.
+func (p *parser) where() Expr {
+	if p.acceptKw("WHERE") {
+		return p.expr()
+	}
+	return nil
+}
+
+// and joins two conditions, either of which may be absent, with AND.
+func (p *parser) and(l, r Expr) Expr {
+	switch {
+	case l == nil:
+		return r
+	case r == nil:
+		return l
+	}
+	return p.bin("AND", l, r)
 }
 
 // keywords, upper case: an identifier that spells one is not read as a
@@ -602,205 +583,77 @@ func lookupKw[V any](m map[string]V, s string) (v V, ok bool) {
 	return v, ok
 }
 
-func (p *parser) insertStmt() (*InsertStmt, error) {
+func (p *parser) insertStmt() *InsertStmt {
 	s := &p.ins
 	*s = InsertStmt{Cols: s.Cols[:0], Rows: s.Rows[:0]}
-	if p.acceptKw("REPLACE") {
-		s.Replace = true
-	} else {
-		if err := p.expectKw("INSERT"); err != nil {
-			return nil, err
-		}
-		if p.acceptKw("OR") {
-			if err := p.expectKw("REPLACE"); err != nil {
-				return nil, err
-			}
-			s.Replace = true
+	if s.Replace = p.acceptKw("REPLACE"); !s.Replace {
+		p.expectKw("INSERT")
+		if s.Replace = p.acceptKw("OR"); s.Replace {
+			p.expectKw("REPLACE")
 		}
 	}
-	if err := p.expectKw("INTO"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	s.Table = name
+	p.expectKw("INTO")
+	s.Table = p.ident()
 	if p.accept(tkOp, "(") {
-		for {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			s.Cols = append(s.Cols, col)
-			if !p.accept(tkOp, ",") {
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
+		s.Cols = p.idents(s.Cols)
 	}
-	if p.peek().kind == tkIdent && strings.EqualFold(p.peek().text, "SELECT") {
-		sub, err := p.selectStmt()
-		if err != nil {
-			return nil, err
-		}
-		s.FromSelect = sub
-		return s, nil
+	if p.atSelect() {
+		s.FromSelect = p.selectStmt()
+		return s
 	}
-	if err := p.expectKw("VALUES"); err != nil {
-		return nil, err
+	p.expectKw("VALUES")
+	for more := true; more; more = p.accept(tkOp, ",") {
+		p.expectOp("(")
+		s.Rows = append(s.Rows, p.exprList())
+		p.expectOp(")")
 	}
-	for {
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		row, err := p.exprList()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		s.Rows = append(s.Rows, row)
-		if !p.accept(tkOp, ",") {
-			break
-		}
-	}
-	return s, nil
+	return s
 }
 
-func (p *parser) updateStmt() (*UpdateStmt, error) {
-	if err := p.expectKw("UPDATE"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) updateStmt() *UpdateStmt {
+	p.expectKw("UPDATE")
 	s := &p.upd
-	*s = UpdateStmt{Table: name, Sets: s.Sets[:0]}
-	if err := p.expectKw("SET"); err != nil {
-		return nil, err
-	}
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("="); err != nil {
-			return nil, err
-		}
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
+	*s = UpdateStmt{Table: p.ident(), Sets: s.Sets[:0]}
+	p.expectKw("SET")
+	for more := true; more; more = p.accept(tkOp, ",") {
+		col := p.ident()
+		p.expectOp("=")
 		s.Sets = append(s.Sets, struct {
 			Col string
 			E   Expr
-		}{col, e})
-		if !p.accept(tkOp, ",") {
-			break
-		}
+		}{col, p.expr()})
 	}
-	if p.acceptKw("WHERE") {
-		w, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		s.Where = w
-	}
-	return s, nil
+	s.Where = p.where()
+	return s
 }
 
-func (p *parser) deleteStmt() (*DeleteStmt, error) {
-	if err := p.expectKw("DELETE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	s := &p.del
-	*s = DeleteStmt{Table: name}
-	if p.acceptKw("WHERE") {
-		w, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		s.Where = w
-	}
-	return s, nil
+func (p *parser) deleteStmt() *DeleteStmt {
+	p.expectKw("DELETE", "FROM")
+	p.del = DeleteStmt{Table: p.ident(), Where: p.where()}
+	return &p.del
 }
 
-func (p *parser) createStmt() (any, error) {
-	if err := p.expectKw("CREATE"); err != nil {
-		return nil, err
-	}
+func (p *parser) createStmt() any {
+	p.expectKw("CREATE")
 	unique := p.acceptKw("UNIQUE")
 	if p.acceptKw("INDEX") {
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("ON"); err != nil {
-			return nil, err
-		}
-		table, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		var cols []string
-		for {
-			c, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			cols = append(cols, c)
-			if !p.accept(tkOp, ",") {
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		return &CreateIndexStmt{Name: name, Table: table, Cols: cols, Unique: unique}, nil
+		s := &CreateIndexStmt{Name: p.ident(), Unique: unique}
+		p.expectKw("ON")
+		s.Table = p.ident()
+		p.expectOp("(")
+		s.Cols = p.idents(nil)
+		return s
 	}
 	if unique {
-		return nil, fmt.Errorf("sql: UNIQUE only valid for indexes")
+		failSQL("UNIQUE only valid for indexes")
 	}
-	if err := p.expectKw("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	s := &CreateTableStmt{Name: name, RowidCol: -1}
-	for {
-		cname, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		col := Column{Name: cname, Type: "TEXT"}
-		if t := p.peek(); t.kind == tkIdent && !isKeyword(t.text) {
-			col.Type = strings.ToUpper(t.text)
-			p.pos++
-		}
+	p.expectKw("TABLE")
+	s := &CreateTableStmt{Name: p.ident(), RowidCol: -1}
+	p.expectOp("(")
+	for more := true; more; more = p.accept(tkOp, ",") {
+		col := p.column()
 		if p.acceptKw("PRIMARY") {
-			if err := p.expectKw("KEY"); err != nil {
-				return nil, err
-			}
+			p.expectKw("KEY")
 			if strings.EqualFold(col.Type, "INTEGER") {
 				s.RowidCol = len(s.Cols)
 			}
@@ -808,61 +661,37 @@ func (p *parser) createStmt() (any, error) {
 		p.acceptKw("NOT") // tolerate NOT NULL
 		p.acceptKw("NULL")
 		s.Cols = append(s.Cols, col)
-		if !p.accept(tkOp, ",") {
-			break
-		}
 	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return s, nil
+	p.expectOp(")")
+	return s
 }
 
-func (p *parser) dropStmt() (*DropStmt, error) {
-	if err := p.expectKw("DROP"); err != nil {
-		return nil, err
-	}
-	kind := ""
-	switch {
-	case p.acceptKw("TABLE"):
-		kind = "table"
-	case p.acceptKw("INDEX"):
-		kind = "index"
-	default:
-		return nil, fmt.Errorf("sql: DROP must name TABLE or INDEX")
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	return &DropStmt{Kind: kind, Name: name}, nil
-}
-
-func (p *parser) alterStmt() (*AlterAddColumnStmt, error) {
-	if err := p.expectKw("ALTER"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("TABLE"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("ADD"); err != nil {
-		return nil, err
-	}
-	p.acceptKw("COLUMN")
-	cname, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	col := Column{Name: cname, Type: "TEXT"}
+// column parses a column's name and its type, TEXT when none is given.
+func (p *parser) column() Column {
+	col := Column{Name: p.ident(), Type: "TEXT"}
 	if t := p.peek(); t.kind == tkIdent && !isKeyword(t.text) {
 		col.Type = strings.ToUpper(t.text)
 		p.pos++
 	}
-	return &AlterAddColumnStmt{Table: table, Col: col}, nil
+	return col
+}
+
+func (p *parser) dropStmt() *DropStmt {
+	p.expectKw("DROP")
+	kind := strings.ToLower(p.peek().text)
+	if !p.acceptKw("TABLE") && !p.acceptKw("INDEX") {
+		failSQL("DROP must name TABLE or INDEX")
+	}
+	return &DropStmt{Kind: kind, Name: p.ident()}
+}
+
+func (p *parser) alterStmt() *AlterAddColumnStmt {
+	p.expectKw("ALTER", "TABLE")
+	s := &AlterAddColumnStmt{Table: p.ident()}
+	p.expectKw("ADD")
+	p.acceptKw("COLUMN")
+	s.Col = p.column()
+	return s
 }
 
 // --- Expression parsing (precedence climbing) ---------------------------------
@@ -886,26 +715,25 @@ var binOps = map[string]binOp{
 	"*": {cmpLevel + 2, "*"}, "/": {cmpLevel + 2, "/"}, "%": {cmpLevel + 2, "%"},
 }
 
+// namedLits are the literals spelled as keywords.
+var namedLits = map[string]Value{"NULL": Null(), "TRUE": Int(1), "FALSE": Int(0)}
+
 const (
 	notLevel = 2 // where NOT is a prefix: looser than a comparison, tighter than AND
 	cmpLevel = 3
 )
 
-func (p *parser) expr() (Expr, error) { return p.binary(0) }
+func (p *parser) expr() Expr { return p.binary(0) }
 
 // binary parses an operand and every operator after it that binds at
 // least as tightly as level, left to right; an operator's right operand
 // binds one level tighter.
-func (p *parser) binary(level int) (Expr, error) {
+func (p *parser) binary(level int) Expr {
 	var l Expr
-	var err error
 	if level <= notLevel && p.acceptKw("NOT") {
-		if l, err = p.binary(notLevel); err != nil {
-			return nil, err
-		}
-		l = &EUn{Op: "NOT", E: l}
-	} else if l, err = p.exprUnary(); err != nil {
-		return nil, err
+		l = &EUn{Op: "NOT", E: p.binary(notLevel)}
+	} else {
+		l = p.exprUnary()
 	}
 	for {
 		t := p.peek()
@@ -919,130 +747,84 @@ func (p *parser) binary(level int) (Expr, error) {
 		}
 		switch {
 		case !ok || o.level < level:
-			return l, nil
+			return l
 		case o.op == "":
-			if l, err = p.cmpTail(l); err != nil {
-				return nil, err
-			}
+			l = p.cmpTail(l)
 		default:
 			p.pos++
-			r, err := p.binary(o.level + 1)
-			if err != nil {
-				return nil, err
-			}
-			l = p.bin(o.op, l, r)
+			l = p.bin(o.op, l, p.binary(o.level+1))
 		}
 	}
 }
 
 // cmpTail parses the comparison on l that IS, BETWEEN, IN or NOT starts:
 // IS [NOT] NULL, [NOT] BETWEEN, [NOT] IN or NOT LIKE.
-func (p *parser) cmpTail(l Expr) (Expr, error) {
-	switch {
-	case p.acceptKw("IS"):
+func (p *parser) cmpTail(l Expr) Expr {
+	if p.acceptKw("IS") {
 		not := p.acceptKw("NOT")
-		if err := p.expectKw("NULL"); err != nil {
-			return nil, err
-		}
-		return p.bin("IS NULL", l, p.lit(Bool(!not))), nil
-	case p.acceptKw("BETWEEN"):
-		return p.between(l, false)
-	case p.acceptKw("IN"):
-		return p.inTail(l, false)
+		p.expectKw("NULL")
+		return p.bin("IS NULL", l, p.lit(Bool(!not)))
 	}
-	p.pos++ // NOT
+	not := p.acceptKw("NOT") // else the token is BETWEEN or IN
 	switch {
 	case p.acceptKw("IN"):
-		return p.inTail(l, true)
+		return p.inTail(l, not)
 	case p.acceptKw("BETWEEN"):
-		return p.between(l, true)
-	case p.acceptKw("LIKE"):
-		r, err := p.binary(cmpLevel + 1)
-		if err != nil {
-			return nil, err
-		}
-		return &EUn{Op: "NOT", E: p.bin("LIKE", l, r)}, nil
+		return p.between(l, not)
+	case not && p.acceptKw("LIKE"):
+		return &EUn{Op: "NOT", E: p.bin("LIKE", l, p.binary(cmpLevel+1))}
 	}
-	return nil, fmt.Errorf("sql: expected IN, BETWEEN or LIKE after NOT, got %q", p.peek().text)
+	failSQL("expected IN, BETWEEN or LIKE after NOT, got %q", p.peek().text)
+	return nil
 }
 
 // between parses the bounds of e [NOT] BETWEEN lo AND hi.
-func (p *parser) between(e Expr, not bool) (Expr, error) {
-	lo, err := p.binary(cmpLevel + 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("AND"); err != nil {
-		return nil, err
-	}
-	hi, err := p.binary(cmpLevel + 1)
-	if err != nil {
-		return nil, err
-	}
-	return &EBetween{E: e, Lo: lo, Hi: hi, Not: not}, nil
+func (p *parser) between(e Expr, not bool) Expr {
+	lo := p.binary(cmpLevel + 1)
+	p.expectKw("AND")
+	return &EBetween{E: e, Lo: lo, Hi: p.binary(cmpLevel + 1), Not: not}
 }
 
 // exprList parses a comma-separated list of expressions. They collect on
 // p.list above those of the lists around this one, and the finished list
 // moves to p.exprs, cut to size.
-func (p *parser) exprList() ([]Expr, error) {
+func (p *parser) exprList() []Expr {
 	base := len(p.list)
-	for {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
+	for more := true; more; more = p.accept(tkOp, ",") {
+		e := p.expr()
 		p.list = append(p.list, e)
-		if !p.accept(tkOp, ",") {
-			break
-		}
 	}
 	start := len(p.exprs)
 	p.exprs = append(p.exprs, p.list[base:]...)
 	p.list = p.list[:base]
-	return p.exprs[start:len(p.exprs):len(p.exprs)], nil
+	return p.exprs[start:len(p.exprs):len(p.exprs)]
 }
 
 // inTail parses the parenthesised tail of an IN predicate.
-func (p *parser) inTail(l Expr, not bool) (Expr, error) {
-	if err := p.expectOp("("); err != nil {
-		return nil, err
+func (p *parser) inTail(l Expr, not bool) Expr {
+	p.expectOp("(")
+	in := &EIn{E: l, Not: not}
+	if p.atSelect() {
+		in.Sub = p.selectStmt()
+	} else {
+		in.List = p.exprList()
 	}
-	if p.peek().kind == tkIdent && strings.EqualFold(p.peek().text, "SELECT") {
-		sub, err := p.selectStmt()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		return &EIn{E: l, Sub: sub, Not: not}, nil
-	}
-	list, err := p.exprList()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return &EIn{E: l, List: list, Not: not}, nil
+	p.expectOp(")")
+	return in
 }
 
-func (p *parser) exprUnary() (Expr, error) {
+func (p *parser) exprUnary() Expr {
 	if p.accept(tkOp, "-") {
-		e, err := p.exprUnary()
-		if err != nil {
-			return nil, err
-		}
+		e := p.exprUnary()
 		if lit, ok := e.(*ELit); ok {
 			switch lit.V.Kind {
 			case KInt:
-				return p.lit(Int(-lit.V.I)), nil
+				return p.lit(Int(-lit.V.I))
 			case KReal:
-				return p.lit(Real(-lit.V.R)), nil
+				return p.lit(Real(-lit.V.R))
 			}
 		}
-		return &EUn{Op: "-", E: e}, nil
+		return &EUn{Op: "-", E: e}
 	}
 	if p.accept(tkOp, "+") {
 		return p.exprUnary()
@@ -1050,7 +832,7 @@ func (p *parser) exprUnary() (Expr, error) {
 	return p.exprPrimary()
 }
 
-func (p *parser) exprPrimary() (Expr, error) {
+func (p *parser) exprPrimary() Expr {
 	t := p.peek()
 	switch t.kind {
 	case tkNumber:
@@ -1058,80 +840,54 @@ func (p *parser) exprPrimary() (Expr, error) {
 		if strings.ContainsAny(t.text, ".eE") {
 			f, err := strconv.ParseFloat(t.text, 64)
 			if err != nil {
-				return nil, fmt.Errorf("sql: bad number %q", t.text)
+				failSQL("bad number %q", t.text)
 			}
-			return p.lit(Real(f)), nil
+			return p.lit(Real(f))
 		}
 		i, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("sql: bad integer %q", t.text)
+			failSQL("bad integer %q", t.text)
 		}
-		return p.lit(Int(i)), nil
+		return p.lit(Int(i))
 	case tkString:
 		p.pos++
-		return p.lit(Text(t.text)), nil
+		return p.lit(Text(t.text))
 	case tkOp:
-		if t.text == "(" {
-			p.pos++
-			// Scalar subquery?
-			if p.peek().kind == tkIdent && strings.EqualFold(p.peek().text, "SELECT") {
-				sub, err := p.selectStmt()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectOp(")"); err != nil {
-					return nil, err
-				}
-				return &ESub{Sel: sub}, nil
+		if p.accept(tkOp, "(") {
+			var e Expr
+			if p.atSelect() { // a scalar subquery
+				e = &ESub{Sel: p.selectStmt()}
+			} else {
+				e = p.expr()
 			}
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			p.expectOp(")")
+			return e
 		}
 	case tkIdent:
 		p.pos++
-		switch {
-		case strings.EqualFold(t.text, "NULL"):
-			return p.lit(Null()), nil
-		case strings.EqualFold(t.text, "TRUE"):
-			return p.lit(Int(1)), nil
-		case strings.EqualFold(t.text, "FALSE"):
-			return p.lit(Int(0)), nil
+		if v, ok := lookupKw(namedLits, t.text); ok {
+			return p.lit(v)
 		}
-		name := t.text
 		// Function call?
 		if p.accept(tkOp, "(") {
-			f := &EFunc{Name: strings.ToLower(name)}
+			f := &EFunc{Name: strings.ToLower(t.text)}
 			switch {
 			case p.accept(tkOp, ")"):
-				return f, nil
+				return f
 			case p.accept(tkOp, "*"):
 				f.Star = true
 			default:
-				var err error
-				if f.Args, err = p.exprList(); err != nil {
-					return nil, err
-				}
+				f.Args = p.exprList()
 			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return f, nil
+			p.expectOp(")")
+			return f
 		}
 		// Qualified column?
 		if p.accept(tkOp, ".") {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			return p.col(name, col), nil
+			return p.col(t.text, p.ident())
 		}
-		return p.col("", name), nil
+		return p.col("", t.text)
 	}
-	return nil, fmt.Errorf("sql: unexpected token %q", t.text)
+	failSQL("unexpected token %q", t.text)
+	return nil
 }

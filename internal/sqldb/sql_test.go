@@ -1,7 +1,9 @@
 package sqldb
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -47,24 +49,110 @@ var goodStatements = []string{
 	"SELECT 1;",
 }
 
+// badStatements are malformed statements and the error each fails with,
+// recorded when every parsing function returned an error of its own.
+var badStatements = []struct{ src, err string }{
+	{"", "sql: expected statement, got \"\""},
+	{"SELECT", "sql: unexpected token \"\""},
+	{"SELECT FROM t", "sql: trailing tokens at \"t\""},
+	{"SELECT 1 2", "sql: trailing tokens at \"2\""},
+	{"WHERE 1", "sql: unsupported statement \"WHERE\""},
+	{"INSERT t VALUES (1)", "sql: expected INTO, got \"t\""},
+	{"UPDATE SET a = 1", "sql: expected SET, got \"a\""},
+	{"CREATE t", "sql: expected TABLE, got \"t\""},
+	{"SELECT 'open", "sql: unterminated string"},
+	{"SELECT a FROM t ORDER", "sql: expected BY, got \"\""},
+	{"SELECT a FROM t LIMIT a", "sql: LIMIT must be an integer literal"},
+	{"DELETE t", "sql: expected FROM, got \"t\""},
+	{"DROP", "sql: DROP must name TABLE or INDEX"},
+	{"SELECT a IN", "sql: expected \"(\", got \"\""},
+	{"SELECT ((1)", "sql: expected \")\", got \"\""},
+	{"SELECT 1 UNION SELECT 2", "sql: trailing tokens at \"UNION\""},
+	{"SELECT a ! b", "sql: unexpected character '!'"},
+	{"SELECT 99999999999999999999", "sql: bad integer \"99999999999999999999\""},
+	{"SELECT 1e999", "sql: bad number \"1e999\""},
+	{"SELECT 1.2.3", "sql: bad number \"1.2.3\""},
+	{"CREATE UNIQUE TABLE t (a)", "sql: UNIQUE only valid for indexes"},
+	{"SELECT a NOT b", "sql: expected IN, BETWEEN or LIKE after NOT, got \"b\""},
+	{"SELECT a IS 1", "sql: expected NULL, got \"1\""},
+	{"SELECT a BETWEEN 1 OR 2", "sql: expected AND, got \"OR\""},
+	{"ALTER t ADD a", "sql: expected TABLE, got \"t\""},
+	{"ALTER TABLE t DROP a", "sql: expected ADD, got \"DROP\""},
+	{"ALTER TABLE t ADD COLUMN", "sql: expected identifier, got \"\""},
+	{"CREATE INDEX i t (a)", "sql: expected ON, got \"t\""},
+	{"CREATE INDEX i ON t a", "sql: expected \"(\", got \"a\""},
+	{"CREATE INDEX i ON t (a b)", "sql: expected \")\", got \"b\""},
+	{"CREATE TABLE t (a PRIMARY b)", "sql: expected KEY, got \"b\""},
+	{"CREATE TABLE t (a, b", "sql: expected \")\", got \"\""},
+	{"CREATE TABLE t a", "sql: expected \"(\", got \"a\""},
+	{"INSERT OR IGNORE INTO t VALUES (1)", "sql: expected REPLACE, got \"IGNORE\""},
+	{"INSERT INTO t (a, 1) VALUES (1)", "sql: expected identifier, got \"1\""},
+	{"INSERT INTO t VALUES 1", "sql: expected \"(\", got \"1\""},
+	{"INSERT INTO t VALUES (1", "sql: expected \")\", got \"\""},
+	{"INSERT INTO t (a VALUES (1)", "sql: expected \")\", got \"VALUES\""},
+	{"INSERT INTO t DEFAULT VALUES", "sql: expected VALUES, got \"DEFAULT\""},
+	{"UPDATE t SET a 1", "sql: expected \"=\", got \"1\""},
+	{"UPDATE t SET a = ", "sql: unexpected token \"\""},
+	{"UPDATE t a = 1", "sql: expected SET, got \"a\""},
+	{"DELETE FROM t WHERE", "sql: unexpected token \"\""},
+	{"SELECT a FROM t GROUP a", "sql: expected BY, got \"a\""},
+	{"SELECT a FROM t1 INNER t2", "sql: expected JOIN, got \"t2\""},
+	{"SELECT a FROM t1 JOIN t2 ON", "sql: unexpected token \"\""},
+	{"SELECT t. FROM t", "sql: trailing tokens at \"t\""},
+	{"SELECT a FROM", "sql: expected identifier, got \"\""},
+	{"SELECT a FROM t WHERE a IN (SELECT b FROM u", "sql: expected \")\", got \"\""},
+	{"SELECT a NOT LIKE", "sql: unexpected token \"\""},
+	{"SELECT a FROM t ORDER BY", "sql: unexpected token \"\""},
+	{"SELECT a FROM t HAVING", "sql: unexpected token \"\""},
+	{"SELECT a AS 1", "sql: expected identifier, got \"1\""},
+	{"SELECT a FROM t LIMIT 1.5", "sql: LIMIT must be an integer literal"},
+	{"PRAGMA 1", "sql: expected identifier, got \"1\""},
+	{"VACUUM", "sql: unsupported statement \"VACUUM\""},
+	{"SELECT f(1, 2", "sql: expected \")\", got \"\""},
+	{"SELECT * FROM t;;", "sql: trailing tokens at \";\""},
+	{"SELECT )", "sql: unexpected token \")\""},
+	{"SELECT (SELECT 1", "sql: expected \")\", got \"\""},
+	{"DROP VIEW v", "sql: DROP must name TABLE or INDEX"},
+	{"DROP TABLE", "sql: expected identifier, got \"\""},
+	{"BEGIN foo", "sql: trailing tokens at \"foo\""},
+	{"SELECT -", "sql: unexpected token \"\""},
+	{"SELECT 1 +", "sql: unexpected token \"\""},
+	{"SELECT count(*", "sql: expected \")\", got \"\""},
+	{"42", "sql: expected statement, got \"42\""},
+}
+
 func TestParseStatements(t *testing.T) {
 	for _, src := range goodStatements {
 		if _, err := Parse(src); err != nil {
 			t.Errorf("Parse(%q): %v", src, err)
 		}
 	}
-	bad := []string{
-		"", "SELECT", "SELECT FROM t", "SELECT 1 2", "WHERE 1",
-		"INSERT t VALUES (1)", "UPDATE SET a = 1", "CREATE t",
-		"SELECT 'open", "SELECT a FROM t ORDER", "SELECT a FROM t LIMIT a",
-		"DELETE t", "DROP", "SELECT a IN", "SELECT ((1)",
-		"SELECT 1 UNION SELECT 2", // unsupported, must error not panic
-	}
-	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse(%q) unexpectedly succeeded", src)
+	// Every malformed statement fails with its message through Parse and
+	// through Exec. After each failing Exec, the DB's parser, which the
+	// failure unwound, parses the next statement as a fresh parser does.
+	withDB(t, 64, func(db *DB) {
+		db.MustExec("CREATE TABLE t (a INTEGER, b TEXT)")
+		const next = "SELECT a, count(*) FROM t WHERE b IN ('x', 'y') AND a NOT BETWEEN 1 AND 2 GROUP BY a ORDER BY 2 DESC LIMIT 3"
+		want, err := Parse(next)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		var got any
+		db.onParse = func(_ string, stmt any) { got = stmt }
+		for _, c := range badStatements {
+			if _, err := Parse(c.src); fmt.Sprint(err) != c.err {
+				t.Errorf("Parse(%q): %v, want %s", c.src, err, c.err)
+			}
+			if _, err := db.Exec(c.src); fmt.Sprint(err) != c.err {
+				t.Errorf("Exec(%q): %v, want %s", c.src, err, c.err)
+			}
+			got = nil
+			db.MustExec(next)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("after Exec(%q) the DB's parser built %#v, want %#v", c.src, got, want)
+			}
+		}
+	})
 	// The lexer's own table: '' escapes, unterminated literals and every
 	// operator, one character and two.
 	op := func(texts ...string) (toks []token) {
@@ -95,7 +183,7 @@ func TestParseStatements(t *testing.T) {
 		{"a -- b\n c", []token{{tkIdent, "a"}, {tkIdent, "c"}}},
 		{"a ! b", nil}, {"a | b", nil}, {"a & b", nil}, {"\x80", nil},
 	} {
-		got, err := lex(nil, c.src)
+		got, err := lexed(c.src)
 		if c.want == nil {
 			if err == nil {
 				t.Errorf("lex(%q) = %v, want an error", c.src, got)
@@ -106,6 +194,54 @@ func TestParseStatements(t *testing.T) {
 			t.Errorf("lex(%q) = %v, %v; want %v", c.src, got, err, want)
 		}
 	}
+}
+
+// lexed is lex, returning the error it fails with.
+func lexed(src string) (toks []token, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = r.(execErr).err
+		}
+	}()
+	return lex(nil, src), nil
+}
+
+// FuzzParse: for any input Parse returns an AST or an error, never a
+// panic, and a parser that input left behind — unwound part way through a
+// statement, as Exec's is by a malformed one — parses the next statement
+// to the AST a fresh parser builds. Seeded with the good statements and
+// the bad ones.
+func FuzzParse(f *testing.F) {
+	for _, src := range goodStatements {
+		f.Add(src)
+	}
+	for _, c := range badStatements {
+		f.Add(c.src)
+	}
+	const next = "SELECT a, (SELECT max(b) FROM u) FROM t WHERE c IN (1, 2) AND d NOT BETWEEN 3 AND 4 ORDER BY a DESC LIMIT 5"
+	want, err := Parse(next)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var p parser // reused from input to input, as Exec's is
+	f.Fuzz(func(t *testing.T, src string) {
+		if stmt, err := Parse(src); (stmt == nil) == (err == nil) {
+			t.Fatalf("Parse(%q) = %v, %v: want an AST or an error", src, stmt, err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if _, ok := r.(execErr); !ok {
+						panic(r)
+					}
+				}
+			}()
+			p.parse(src)
+		}()
+		if got := p.parse(next); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %q the reused parser built %#v, want %#v", src, got, want)
+		}
+	})
 }
 
 // TestParseNeverPanics throws random token soup at the parser.

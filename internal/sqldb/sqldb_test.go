@@ -930,3 +930,83 @@ func TestJournalWriteFailureFailsTheStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInsertSelectUnknownColumn: INSERT INTO t (cols) SELECT … maps its
+// rows through the VALUES form's column mapping, so a column t does not
+// have fails the statement, which writes nothing. It used to index the
+// row at -1, a runtime panic out of Exec.
+func TestInsertSelectUnknownColumn(t *testing.T) {
+	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
+		db.MustExec("CREATE TABLE src (a INTEGER, b TEXT)")
+		db.MustExec("CREATE TABLE dst (a INTEGER, b TEXT)")
+		db.MustExec("INSERT INTO src VALUES (1, 'x'), (2, 'y')")
+		const sql = "INSERT INTO dst (a, nosuch) SELECT a, b FROM src"
+		if _, err := db.Exec(sql); err == nil || err.Error() != "sqldb: no such column dst.nosuch" {
+			t.Errorf("%s: err = %v, want no such column dst.nosuch", sql, err)
+		}
+		if got := rows(db.MustExec("SELECT count(*) FROM dst")); got != "0" {
+			t.Errorf("after %s: dst holds %s rows, want 0", sql, got)
+		}
+		db.MustExec("INSERT INTO dst (b, a) SELECT b, a FROM src")
+		if got, want := rows(db.MustExec("SELECT a, b FROM dst")), "1,x;2,y"; got != want {
+			t.Errorf("dst = %q, want %q", got, want)
+		}
+	})
+}
+
+// TestInsertSelectNarrowerThanColumns: a SELECT that yields fewer columns
+// than the INSERT's column list fails the statement, which writes nothing.
+// It used to index past the end of the row, a runtime panic out of Exec.
+func TestInsertSelectNarrowerThanColumns(t *testing.T) {
+	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
+		db.MustExec("CREATE TABLE src (a INTEGER, b TEXT)")
+		db.MustExec("CREATE TABLE dst (a INTEGER, b TEXT)")
+		db.MustExec("INSERT INTO src VALUES (1, 'x'), (2, 'y')")
+		const sql = "INSERT INTO dst (a, b) SELECT a FROM src"
+		if _, err := db.Exec(sql); err == nil || err.Error() != "sqldb: 2 columns but 1 values" {
+			t.Errorf("%s: err = %v, want 2 columns but 1 values", sql, err)
+		}
+		if got := rows(db.MustExec("SELECT count(*) FROM dst")); got != "0" {
+			t.Errorf("after %s: dst holds %s rows, want 0", sql, got)
+		}
+	})
+}
+
+// TestSubqueryCorrelatedThroughHaving: a scalar subquery that reads the
+// outer row only in its HAVING clause is correlated, so it runs again for
+// every outer row. It used to be cached after the first.
+func TestSubqueryCorrelatedThroughHaving(t *testing.T) {
+	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
+		db.MustExec("CREATE TABLE t (a INTEGER)")
+		db.MustExec("INSERT INTO t VALUES (1), (2), (3)")
+		db.MustExec("CREATE TABLE u (k INTEGER)")
+		db.MustExec("INSERT INTO u VALUES (1), (1), (2), (3), (3), (3)")
+		const sql = "SELECT a, (SELECT count(*) FROM u GROUP BY k HAVING k = t.a) FROM t ORDER BY a"
+		if got, want := rows(db.MustExec(sql)), "1,2;2,1;3,3"; got != want {
+			t.Errorf("%s = %q, want %q", sql, got, want)
+		}
+	})
+}
+
+// TestAggregateUnderExpressions: an aggregate call may sit under a scalar
+// function, BETWEEN or IN, not only under arithmetic, NOT or a comparison.
+// The first three used to fail with "aggregate … used outside an
+// aggregate query".
+func TestAggregateUnderExpressions(t *testing.T) {
+	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
+		db.MustExec("CREATE TABLE t (g INTEGER, a INTEGER)")
+		db.MustExec("INSERT INTO t VALUES (1, -3), (1, -4), (2, 5), (2, NULL)")
+		for _, c := range []struct{ sql, want string }{
+			{"SELECT abs(sum(a)) FROM t", "2"},
+			{"SELECT coalesce(max(a), 0) FROM t WHERE a > 100", "0"},
+			{"SELECT count(*) BETWEEN 1 AND 5, count(a) NOT BETWEEN 1 AND 5 FROM t", "1,0"},
+			{"SELECT g, abs(sum(a)), count(a) IN (1, 3) FROM t GROUP BY g ORDER BY g", "1,7,0;2,5,1"},
+			{"SELECT g FROM t GROUP BY g HAVING abs(min(a)) = 4", "1"},
+			{"SELECT -sum(a) + 1, NOT count(*) = 4 FROM t", "3,0"},
+		} {
+			if got := rows(db.MustExec(c.sql)); got != c.want {
+				t.Errorf("%s = %q, want %q", c.sql, got, c.want)
+			}
+		}
+	})
+}

@@ -34,8 +34,12 @@ go test -race ./internal/cubicle/...
 # its bound. And the statement's lifetime (DESIGN.md §16): a text view kept
 # past its row reads the poison (the positive control, the stored row under
 # eviction), ASTs are those of the parser before it reused its nodes, LIKE
-# against a regexp reference within its step bound, function arity.
-go test -race -run 'FuzzPageOps|TestSpeedtestImagePinned|TestFrameReuse|TestLRUVictimMatchesScan|TestWorkNEqualsRepeatedWork|TestReusedRowsDoNotLeak|TestRowPathAllocations|TestPoisonRowsCatchesAKeptRow|TestPoisonRowsCatchesAKeptResult|TestUpdateKeeps|TestFailedUpdate|TestAutomaticRowidDoesNotWrap|TestStoredRowOutlivesEviction|TestASTGolden|FuzzLike|TestLikeStepsBounded|TestFunctionArity' \
+# against a regexp reference within its step bound, function arity. And the
+# one error path and the one planner: every malformed statement's message
+# through Parse and Exec (and the reused parser after it), FuzzParse's
+# seeds, the planner against the old kind table, the INSERT … SELECT
+# column mapping, HAVING in the correlation test, aggregates under any node.
+go test -race -run 'FuzzPageOps|TestSpeedtestImagePinned|TestFrameReuse|TestLRUVictimMatchesScan|TestWorkNEqualsRepeatedWork|TestReusedRowsDoNotLeak|TestRowPathAllocations|TestPoisonRowsCatchesAKeptRow|TestPoisonRowsCatchesAKeptResult|TestUpdateKeeps|TestFailedUpdate|TestAutomaticRowidDoesNotWrap|TestStoredRowOutlivesEviction|TestASTGolden|FuzzLike|TestLikeStepsBounded|TestFunctionArity|TestParseStatements|FuzzParse|TestPlanAccessMatchesKindTable|TestInsertSelect|TestSubqueryCorrelatedThroughHaving|TestAggregateUnderExpressions' \
     ./internal/sqldb/ ./internal/experiments/ ./internal/cycles/ ./internal/cubicle/
 
 # One view maker: a text that aliases a record's bytes is made by view in
