@@ -2,6 +2,7 @@ package cubicleos_test
 
 import (
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"strconv"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"cubicleos/internal/cluster"
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/cubicle/cubicletest"
+	"cubicleos/internal/experiments"
 	"cubicleos/internal/faultinject"
 	"cubicleos/internal/httpd"
 	"cubicleos/internal/ramfs"
@@ -29,7 +31,8 @@ import (
 // refactor of the recording path changes no digit here. Between them the
 // cells reach every event kind the workloads produce — chaos, restarts and
 // checkpoints in three isolation modes; sheds, deadlines and quotas;
-// routes, drains and failovers; key evictions; IPC.
+// routes, drains and failovers; key evictions; IPC; the SQLite path's
+// commits, journal writes and fsyncs.
 func TestStreamDigestsPinned(t *testing.T) {
 	cells := []struct {
 		name string
@@ -43,6 +46,7 @@ func TestStreamDigestsPinned(t *testing.T) {
 		{"cluster-kill", []uint64{0x2fe79ba24ee4d1c4, 0xa20b9c7a01714edf, 0x2b37841dc4a20e95, 0xafdfbbe56bc6fb31}, clusterCell},
 		{"key-eviction", []uint64{0x82e7a2dc20b01a4e}, evictionCell},
 		{"ukernel-ipc", []uint64{0x669749ba417f0d26}, ukernelCell},
+		{"speedtest", []uint64{0x3b1865512d280d88}, speedtestCell},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
@@ -221,6 +225,32 @@ func evictionCell(t *testing.T) []uint64 {
 		t.Fatal("21 isolated cubicles evicted no key")
 	}
 	return []uint64{digest(t, sys.M)}
+}
+
+// speedtestCell is the Figure 8 SQLite deployment in full isolation running
+// speedtest1 at size 10 — set-up and every query — traced from its first
+// statement, with every pager counter and the CRC-32 of the database image
+// the run leaves folded in.
+func speedtestCell(t *testing.T) []uint64 {
+	tgt, err := experiments.NewSQLiteTarget(cubicle.ModeFull, nil, 10, experiments.UnikraftWorkScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := tgt.Sys.M
+	m.EnableTracing(1 << 16)
+	if _, err := tgt.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	p := tgt.DB.Pager()
+	image := crc32.NewIEEE()
+	if err := tgt.Sys.RunAs("SQLITE", func(*cubicle.Env) {
+		for pg := uint32(1); pg <= p.NPages(); pg++ {
+			image.Write(p.Get(pg))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return []uint64{digest(t, m, fmt.Appendf(nil, "%+v %08x", p.Stats, image.Sum32()))}
 }
 
 // ukernelCell is a Figure 9b deployment — SQLite, CORE and a separate
