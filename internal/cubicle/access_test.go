@@ -187,7 +187,7 @@ func TestTLBInvalidationOnRestartReclaim(t *testing.T) {
 }
 
 // TestViewChunking checks the zero-copy views: chunks tile the range in
-// order, stay page-bounded, and MutableView writes land in memory.
+// order and stay page-bounded.
 func TestViewChunking(t *testing.T) {
 	ts := bootPair(t, ModeFull)
 	const n = 3*vm.PageSize + 123
@@ -216,16 +216,6 @@ func TestViewChunking(t *testing.T) {
 		}
 		if chunks < 4 {
 			t.Fatalf("range crossing 3 page boundaries yielded %d chunks", chunks)
-		}
-		e.MutableView(buf, n, func(off uint64, chunk []byte) {
-			for i := range chunk {
-				chunk[i] = byte(off + uint64(i))
-			}
-		})
-		for _, off := range []uint64{0, 1, vm.PageSize - 1, vm.PageSize, n - 1} {
-			if got := e.LoadByte(buf.Add(off)); got != byte(off) {
-				t.Fatalf("byte at +%d = %#x, want %#x", off, got, byte(off))
-			}
 		}
 	})
 }

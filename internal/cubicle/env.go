@@ -148,19 +148,6 @@ func (e *Env) View(addr vm.Addr, n uint64, fn func(off uint64, chunk []byte)) {
 	}
 }
 
-// MutableView is View for writing: fn receives writable zero-copy chunks
-// of [addr, addr+n) after a write access check.
-func (e *Env) MutableView(addr vm.Addr, n uint64, fn func(off uint64, chunk []byte)) {
-	if n == 0 {
-		return
-	}
-	e.M.resolveSpan(e.T, mpk.AccessWrite, addr, n)
-	if err := e.M.AS.Span(addr, n, fn); err != nil {
-		panic(&ProtectionFault{Addr: addr, Access: mpk.AccessWrite, Cubicle: e.T.cur,
-			Owner: vm.NoOwner, Reason: err.Error()})
-	}
-}
-
 // ReadBytes returns a fresh copy of n bytes at addr.
 func (e *Env) ReadBytes(addr vm.Addr, n uint64) []byte {
 	b := make([]byte, n)

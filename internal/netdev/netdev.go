@@ -159,9 +159,6 @@ func (w *Wire) HostRecv() []byte {
 	return w.toHost.pop()
 }
 
-// HostPending returns the number of frames waiting for the host.
-func (w *Wire) HostPending() int { return w.toHost.len() }
-
 // Module is the NETDEV component state.
 type Module struct {
 	wire    *Wire

@@ -3,7 +3,8 @@ package speedtest
 import "fmt"
 
 // OnExec hands fn every statement the runner executes: its format, a copy
-// of its arguments and the text exec built from them.
+// of its arguments and the text exec built from them, which the next
+// statement rewrites: fn clones what it keeps.
 func (r *Runner) OnExec(fn func(format string, args []any, sql string)) { r.onExec = fn }
 
 // SprintfStatement renders a statement the way exec did before it had a

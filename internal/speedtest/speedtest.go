@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"cubicleos/internal/sqldb"
 )
@@ -96,7 +97,8 @@ type Runner struct {
 	// sql is where exec builds each statement's text.
 	sql []byte
 	// onExec, set only by tests, sees every statement exec runs: its
-	// format, a copy of its arguments and the text built from them.
+	// format, a copy of its arguments and the text built from them, a view
+	// of sql that the next statement rewrites.
 	onExec func(format string, args []any, sql string)
 }
 
@@ -435,12 +437,12 @@ func (r *Runner) Run(id int) error {
 }
 
 // exec runs the statement format describes: %d takes an int, %s a string
-// or a filler, %% is a percent sign. The text is built in r.sql and copied
-// once into the string Exec takes; the arguments do not escape, so boxing
-// them costs the caller nothing.
+// or a filler, %% is a percent sign. The text is built in r.sql, which
+// Exec runs in place: it keeps nothing of its text. The arguments do not
+// escape, so boxing them costs the caller nothing.
 func (r *Runner) exec(format string, args ...any) error {
 	r.sql = appendSQL(r.sql[:0], format, args)
-	sql := string(r.sql)
+	sql := view(r.sql)
 	if r.onExec != nil {
 		// The hook gets copies: handing it args would move every caller's
 		// arguments to the heap.
@@ -460,6 +462,10 @@ func (r *Runner) exec(format string, args ...any) error {
 	_, err := r.DB.Exec(sql)
 	return err
 }
+
+// view returns b as a string without copying it, so the string changes
+// when b does. It is the one place the package makes such a string.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // appendSQL appends format to dst with its verbs filled in from args.
 func appendSQL(dst []byte, format string, args []any) []byte {

@@ -266,8 +266,10 @@ func fuzzKey(a, b, c byte) ikey {
 	return ikey{key, int64(b & 3)}
 }
 
-// runPageOps interprets prog, four bytes an operation: opcode, a, b, c.
-func runPageOps(t *testing.T, prog []byte) {
+// runPageOps interprets prog, four bytes an operation: opcode, a, b, c. It
+// returns how many of its rollbacks came after the transaction had spilled
+// pages to the file, whose pre-images the journal alone then holds.
+func runPageOps(t *testing.T, prog []byte) (spilled int) {
 	withPager(t, 8, func(p *Pager) {
 		p.guardScans = true
 		s := &pageOps{t: t, p: p, pages: map[uint32][]byte{}, next: p.NPages(), rows: map[int64][]byte{}}
@@ -330,6 +332,9 @@ func runPageOps(t *testing.T, prog []byte) {
 				p.Begin()
 				s.snapshot()
 			case 7:
+				if p.jfd != 0 {
+					spilled++
+				}
 				if err := p.Rollback(); err != nil {
 					t.Fatal(err)
 				}
@@ -354,6 +359,7 @@ func runPageOps(t *testing.T, prog []byte) {
 			}
 		}
 	})
+	return spilled
 }
 
 // scanRows checks ScanTableFrom (ScanTable when start is the minimum)
@@ -420,9 +426,37 @@ func (s *pageOps) scanKeys(step int, lo, hi []byte, limit int) {
 // split that fails because one half would not fit a page.
 func FuzzPageOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 10, 3, 7, 7, 7, 5, 0, 0, 255, 2, 0, 1, 0, 4, 7, 7, 7})
+	f.Add(rollbackAfterSpill())
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		runPageOps(t, prog[:min(len(prog), 4*2048)])
 	})
+}
+
+// rollbackAfterSpill is a program that writes some three times the cache
+// in half-page rows and index keys, rolls back, and does it again across a
+// commit: each rollback follows spills.
+func rollbackAfterSpill() []byte {
+	var prog []byte
+	for round := range byte(2) {
+		for i := range byte(40) {
+			prog = append(prog, 0, round, i, 120, 3, i, i, 16)
+		}
+		prog = append(prog, 7, 0, 0, 0)
+		for i := range byte(12) {
+			prog = append(prog, 0, 0, i, 100)
+		}
+		prog = append(prog, 6, 0, 0, 0)
+	}
+	return prog
+}
+
+// TestPageOpsRollbackAfterSpill: FuzzPageOps' rollbacks reach the journal
+// replay — pages spilled to the file, their released pre-images poisoned
+// under the guard — and leave every page as the oracle has it.
+func TestPageOpsRollbackAfterSpill(t *testing.T) {
+	if got := runPageOps(t, rollbackAfterSpill()); got != 2 {
+		t.Errorf("%d rollbacks after a spill, want 2", got)
+	}
 }
 
 // TestGuardScansCatchesAWriteUnderAScan is the positive control of the

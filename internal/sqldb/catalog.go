@@ -85,6 +85,11 @@ func parseTableDef(def string) ([]Column, int) {
 	return cols, rowidCol
 }
 
+// cloneColumn returns col with names of its own.
+func cloneColumn(col Column) Column {
+	return Column{Name: strings.Clone(col.Name), Type: strings.Clone(col.Type)}
+}
+
 // LoadCatalog reads the schema from the catalog tree.
 func LoadCatalog(p *Pager) (*Catalog, error) {
 	c := &Catalog{
@@ -171,10 +176,16 @@ func (c *Catalog) Tables() []string {
 // nextCatRowid returns a fresh catalog rowid.
 func (c *Catalog) nextCatRowid() int64 { return c.tree.MaxRowid() + 1 }
 
-// CreateTable adds a table to the schema and allocates its tree.
+// CreateTable adds a table to the schema and allocates its tree. The
+// schema keeps copies of the names: a caller's strings may view a
+// statement's text, which dies with its Exec.
 func (c *Catalog) CreateTable(name string, cols []Column, rowidCol int) (*Table, error) {
 	if c.Table(name) != nil {
 		return nil, fmt.Errorf("sqldb: table %s already exists", name)
+	}
+	name, cols = strings.Clone(name), slices.Clone(cols)
+	for i := range cols {
+		cols[i] = cloneColumn(cols[i])
 	}
 	t := &Table{Name: name, Root: CreateTableTree(c.p), Columns: cols, RowidCol: rowidCol}
 	t.catRowid = c.nextCatRowid()
@@ -186,7 +197,8 @@ func (c *Catalog) CreateTable(name string, cols []Column, rowidCol int) (*Table,
 	return t, nil
 }
 
-// CreateIndex adds an index to the schema and allocates its tree.
+// CreateIndex adds an index to the schema and allocates its tree; the
+// schema keeps copies of the names, as CreateTable's does.
 func (c *Catalog) CreateIndex(name, table string, cols []string, unique bool) (*Index, error) {
 	if c.Index(name) != nil {
 		return nil, fmt.Errorf("sqldb: index %s already exists", name)
@@ -199,6 +211,10 @@ func (c *Catalog) CreateIndex(name, table string, cols []string, unique bool) (*
 		if t.ColIndex(col) < 0 {
 			return nil, fmt.Errorf("sqldb: no such column %s.%s", table, col)
 		}
+	}
+	name, table, cols = strings.Clone(name), strings.Clone(table), slices.Clone(cols)
+	for i := range cols {
+		cols[i] = strings.Clone(cols[i])
 	}
 	idx := &Index{Name: name, Table: strings.ToLower(table), Root: CreateIndexTree(c.p), Cols: cols, Unique: unique}
 	def := strings.Join(cols, ",")
@@ -252,7 +268,7 @@ func (c *Catalog) AddColumn(table string, col Column) error {
 	if t.ColIndex(col.Name) >= 0 {
 		return fmt.Errorf("sqldb: column %s already exists", col.Name)
 	}
-	t.Columns = append(t.Columns, col)
+	t.Columns = append(t.Columns, cloneColumn(col))
 	c.tree.DeleteRow(t.catRowid)
 	rec := EncodeRecord([]Value{Text("table"), Text(t.Name), Text(t.Name), Int(int64(t.Root)), Text(tableDef(t))})
 	return c.tree.InsertRow(t.catRowid, rec)

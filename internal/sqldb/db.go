@@ -35,7 +35,7 @@ type DB struct {
 	recBuf []byte
 	keyBuf []byte
 	// hits holds the rows an UPDATE or DELETE changes (scanFiltered).
-	hits []byte
+	hits arena[byte]
 	// stored binds the row insertRow's conflict checks find in the table
 	// to a copy of its record, storedRec (storedRow); both are dead once
 	// that row's index entries are deleted.
@@ -48,10 +48,13 @@ type DB struct {
 	depth  int
 	// afterRow, set only by tests, runs on a bind when the callback of the
 	// row bound to it has returned, onRewind on a frame about to be
-	// rewound; onParse sees every statement Exec parses, before it runs.
+	// rewound; onParse sees every statement Exec parses, before it runs,
+	// and ownText gives Exec the text to run in place of its argument and
+	// what to call once it returns.
 	afterRow func(*tblCtx)
 	onRewind func(*frame)
 	onParse  func(sql string, stmt any)
+	ownText  func(sql string) (string, func())
 }
 
 // Open opens (or creates) the database at path. ioBuf must be a
@@ -67,7 +70,9 @@ func Open(e *cubicle.Env, vfs *vfscore.Client, path string, ioBuf vm.Addr, cache
 	if err != nil {
 		return nil, err
 	}
-	return &DB{e: e, vfs: vfs, pager: pager, cat: cat, rand: 0x853C49E6748FEA9B}, nil
+	db := &DB{e: e, vfs: vfs, pager: pager, cat: cat, rand: 0x853C49E6748FEA9B}
+	db.hits = newArena[byte](1, db.arenaBytes())
+	return db, nil
 }
 
 // Close flushes and closes the database.
@@ -85,8 +90,15 @@ func (db *DB) nextRand() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Exec parses and executes one SQL statement.
+// Exec parses and executes one SQL statement. It keeps nothing of sql once
+// it returns — the catalog and the Result copy the names they take from it
+// — so the caller may reuse sql's bytes for the next statement.
 func (db *DB) Exec(sql string) (res *Result, err error) {
+	if db.ownText != nil {
+		var done func()
+		sql, done = db.ownText(sql)
+		defer done()
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if ee, ok := r.(execErr); ok {
@@ -154,11 +166,12 @@ func (db *DB) exec(f *frame, stmt any) error {
 	err := db.execMut(f, stmt)
 	if implicit {
 		db.autoTxn = false
-		if err != nil {
-			db.pager.Rollback()
-			return err
+		if err == nil {
+			err = db.pager.Commit()
 		}
-		return db.pager.Commit()
+		if err != nil {
+			db.pager.Rollback() // one that fails leaves the journal for the next open
+		}
 	}
 	return err
 }
@@ -371,10 +384,9 @@ func (db *DB) execUpdate(f *frame, s *UpdateStmt) error {
 		return fmt.Errorf("sqldb: no such table %s", s.Table)
 	}
 	tree := NewTableTree(db.pager, t.Root)
-	hits := db.scanFiltered(f, t, s.Table, s.Where)
+	db.scanFiltered(f, t, s.Table, s.Where)
 	old, rc := f.binds[0], &f.rc // the scan's bind, rebound to each hit
-	for len(hits) > 0 {
-		hits = db.nextHit(old, hits)
+	for at := (hitCursor{}); db.nextHit(old, &at); {
 		newVals := append(db.rowBuf[:0], old.vals...)
 		db.rowBuf = newVals
 		newRowid := old.rowid
@@ -413,9 +425,8 @@ func (db *DB) execDelete(f *frame, s *DeleteStmt) error {
 		return fmt.Errorf("sqldb: no such table %s", s.Table)
 	}
 	tree := NewTableTree(db.pager, t.Root)
-	hits := db.scanFiltered(f, t, s.Table, s.Where)
-	for row := f.binds[0]; len(hits) > 0; {
-		hits = db.nextHit(row, hits)
+	db.scanFiltered(f, t, s.Table, s.Where)
+	for row, at := f.binds[0], (hitCursor{}); db.nextHit(row, &at); {
 		db.deleteIndexEntries(t, row.rowid, row.vals)
 		tree.DeleteRow(row.rowid)
 		f.res.RowsAffected++
@@ -495,23 +506,23 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 		f.bind(i, fi.Alias, t)
 	}
 	binds := f.binds[:len(s.From)]
-	// Column headers.
+	// Column headers, copied: the statement's text dies with Exec.
 	for _, c := range s.Cols {
+		ec, named := c.Expr.(*ECol)
 		switch {
 		case c.Star:
 			for _, b := range binds {
 				for _, col := range b.tbl.Columns {
-					res.Cols = append(res.Cols, col.Name)
+					res.Cols = append(res.Cols, keepText(f, col.Name))
 				}
 			}
 		case c.Alias != "":
-			res.Cols = append(res.Cols, c.Alias)
+			res.Cols = append(res.Cols, keepText(f, c.Alias))
+		case named:
+			res.Cols = append(res.Cols, keepText(f, ec.Name))
 		default:
-			if ec, ok := c.Expr.(*ECol); ok {
-				res.Cols = append(res.Cols, ec.Name)
-			} else {
-				res.Cols = append(res.Cols, fmt.Sprintf("col%d", len(res.Cols)+1))
-			}
+			var name [24]byte
+			res.Cols = append(res.Cols, keepText(f, strconv.AppendInt(append(name[:0], "col"...), int64(len(res.Cols)+1), 10)))
 		}
 	}
 
@@ -703,21 +714,33 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 // projectRow evaluates the select list for one row, or one group when rc
 // is a group's, and adds the row to f's Result.
 func (db *DB) projectRow(f *frame, rc *rowCtx, cols []SelectCol) {
-	at := len(f.cells)
+	width := 0
+	for _, c := range cols {
+		if !c.Star {
+			width++
+			continue
+		}
+		for _, tc := range rc.tables {
+			width += len(tc.tbl.Columns)
+		}
+	}
 	// The row goes into the Result, which outlives the bound rows: every
 	// value is copied out of them, into f's arenas.
+	row, i := f.cells.alloc(width), 0
 	for _, c := range cols {
 		if c.Star {
 			for _, tc := range rc.tables {
 				for _, v := range tc.vals[:len(tc.tbl.Columns)] {
-					f.cells = append(f.cells, f.keep(v))
+					row[i] = f.keep(v)
+					i++
 				}
 			}
 			continue
 		}
-		f.cells = append(f.cells, f.keep(db.project(rc, c.Expr)))
+		row[i] = f.keep(db.project(rc, c.Expr))
+		i++
 	}
-	f.res.Rows = append(f.res.Rows, f.cells[at:len(f.cells):len(f.cells)])
+	f.res.Rows = append(f.res.Rows, row)
 }
 
 // project evaluates a select-list expression in rc. Over a group an

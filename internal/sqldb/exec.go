@@ -60,9 +60,11 @@ type rowCtx struct {
 // binds are dead once the next statement at that level starts — at level
 // 0, the next Exec.
 type frame struct {
-	res   *Result
-	cells []Value // the values of res.Rows, each row a sub-slice
-	text  []byte  // the bytes of the texts and blobs among cells
+	res *Result
+	// cells holds the values of res.Rows, each row a run of its own, and
+	// text the bytes of res.Cols and of the texts and blobs among cells.
+	cells arena[Value]
+	text  arena[byte]
 	binds []*tblCtx
 	// levels plans the join over binds, and cols is the select list with
 	// its hidden ORDER BY and HAVING columns.
@@ -75,7 +77,8 @@ type frame struct {
 // enter rewinds the frame of the next level down and returns it.
 func (db *DB) enter() *frame {
 	if db.depth == len(db.frames) {
-		db.frames = append(db.frames, &frame{res: new(Result)})
+		db.frames = append(db.frames, &frame{res: new(Result),
+			cells: newArena[Value](valueSize, db.arenaBytes()), text: newArena[byte](1, db.arenaBytes())})
 	}
 	f := db.frames[db.depth]
 	db.depth++
@@ -83,17 +86,14 @@ func (db *DB) enter() *frame {
 		db.onRewind(f)
 	}
 	*f.res = Result{Cols: f.res.Cols[:0], Rows: f.res.Rows[:0]}
-	f.cells, f.text = f.cells[:0], f.text[:0]
-	if db.tooBig(max(cap(f.text), valueSize*cap(f.cells))) {
-		f.cells, f.text = nil, nil
-	}
+	f.cells.rewind()
+	f.text.rewind()
 	return f
 }
 
-// tooBig reports whether a buffer of n bytes a statement grew has grown
-// past what the page cache holds: such a buffer is dropped, not kept for
-// the next statement.
-func (db *DB) tooBig(n int) bool { return n > db.pager.cap*PageSize }
+// arenaBytes is what each arena keeps across statements at most: what the
+// page cache holds.
+func (db *DB) arenaBytes() int { return db.pager.cap * PageSize }
 
 // subSelect runs s one level below the statement evaluating it. Its Result
 // is good until the next statement at that level starts: whoever keeps a
@@ -119,16 +119,22 @@ func (f *frame) bind(i int, alias string, tbl *Table) *tblCtx {
 // keep returns v sharing nothing but f's text arena: a text or blob is
 // copied there.
 func (f *frame) keep(v Value) Value {
-	at := len(f.text)
 	switch v.Kind {
 	case KText:
-		f.text = append(f.text, v.S...)
-		v.S = view(f.text[at:])
+		v.S = keepText(f, v.S)
 	case KBlob:
-		f.text = append(f.text, v.B...)
-		v.B = f.text[at:len(f.text):len(f.text)]
+		b := f.text.alloc(len(v.B))
+		copy(b, v.B)
+		v.B = b
 	}
 	return v
+}
+
+// keepText returns a copy of s in f's text arena.
+func keepText[S string | []byte](f *frame, s S) string {
+	b := f.text.alloc(len(s))
+	copy(b, s)
+	return view(b)
 }
 
 // resolve finds (table, column) for a column reference.

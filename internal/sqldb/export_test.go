@@ -3,7 +3,6 @@ package sqldb
 import (
 	"bytes"
 	"fmt"
-	"unsafe"
 )
 
 // GuardScans makes the pager panic when a page is handed out for writing
@@ -28,7 +27,12 @@ func (p *Pager) GuardScans() { p.guardScans = true }
 // starts — the next Exec for the one Exec returned, the next subquery at
 // its depth for a subquery's — and gives the level fresh arenas, so the
 // poison stays: a kept Result, row or value reads POISON, a kept text or
-// blob 0xDD bytes. The external tests run every statement under it.
+// blob 0xDD bytes.
+//
+// And Exec runs each statement from a copy of its text that it poisons
+// once it returns: a table, column or index name, or a Result column, that
+// views the text instead of copying it reads 0xDD bytes. The external
+// tests run every statement under it.
 func (db *DB) PoisonRows() {
 	db.afterRow = func(b *tblCtx) {
 		if !bytes.Equal(b.rec, b.own) {
@@ -40,23 +44,26 @@ func (db *DB) PoisonRows() {
 		poison(b.own)
 	}
 	db.onRewind = func(f *frame) {
-		// Every text and blob of the rows went into the text arena, but a
-		// row stored before the arena last grew still points into an
-		// older array of it: the cells reach them all.
-		for _, v := range f.cells {
-			switch v.Kind {
-			case KText:
-				poison(unsafe.Slice(unsafe.StringData(v.S), len(v.S)))
-			case KBlob:
-				poison(v.B)
+		for _, c := range f.text.inUse() {
+			poison(c)
+		}
+		for _, c := range f.cells.inUse() {
+			for i := range c {
+				c[i] = Text("POISON")
 			}
 		}
-		for _, row := range f.res.Rows {
+		for _, row := range f.res.Rows { // a PRAGMA's rows are not in the arena
 			for i := range row {
 				row[i] = Text("POISON")
 			}
 		}
-		f.res, f.cells, f.text = new(Result), nil, nil
+		f.res = new(Result)
+		f.cells = arena[Value]{per: f.cells.per, keep: f.cells.keep}
+		f.text = arena[byte]{per: f.text.per, keep: f.text.keep}
+	}
+	db.ownText = func(sql string) (string, func()) {
+		own := []byte(sql)
+		return view(own), func() { poison(own) }
 	}
 }
 
@@ -105,7 +112,8 @@ func (db *DB) checkIndexes() error {
 // CheckIndexes is checkIndexes.
 var CheckIndexes = (*DB).checkIndexes
 
-// OnParse hands fn every statement Exec parses, before it runs.
+// OnParse hands fn every statement Exec parses, before it runs. The text
+// dies with the Exec: fn clones what it keeps.
 func (db *DB) OnParse(fn func(sql string, stmt any)) { db.onParse = fn }
 
 // GoodStatements are statements the parser must accept.

@@ -33,9 +33,7 @@ const (
 var magic = [8]byte{'C', 'U', 'B', 'I', 'Q', 'L', 'D', 'B'}
 
 // maxSpare bounds Pager.spare. A miss takes a frame and the eviction it
-// causes gives one back, so the list is rarely longer than one; only the
-// first eviction after a rollback, which may install pages without
-// evicting, can give back several at once.
+// causes gives one back, so the list is rarely longer than one.
 const maxSpare = 4
 
 // cpage is a cached page: the frame (node.data) with, beside it, the
@@ -72,6 +70,7 @@ type Pager struct {
 	vfs *vfscore.Client
 
 	path    string
+	jpath   string // the journal file's: path with "-journal" appended
 	fd      uint64
 	jfd     uint64 // journal fd while a journal file exists
 	ioBuf   vm.Addr
@@ -86,16 +85,21 @@ type Pager struct {
 	freeHd  uint32
 
 	inTxn bool
-	origs map[uint32][]byte // pre-transaction page images
-	free  []*[PageSize]byte // images of finished transactions, for reuse
+	// origs holds, by page number, the pre-transaction image of every page
+	// the transaction has written: in memory until spillJournal has written
+	// it to the journal file, nil from then on — the journal is where
+	// Rollback finds it.
+	origs map[uint32][]byte
+	free  []*[PageSize]byte // released image buffers, for reuse
 	// unjournaled lists the pages of origs not yet in the journal file, in
 	// the order beforeWrite recorded them.
 	unjournaled []uint32
-	jOffset     uint64
+	jOffset     uint64 // the journal file's length
 
 	// guardScans, set only by tests, makes handing out for writing a page
 	// that a holder has pinned a panic rather than silently stale data, and
-	// fills an evicted frame with 0xDD before it is recycled.
+	// fills an evicted frame with 0xDD before it is recycled, and a released
+	// pre-image before it is reused.
 	guardScans bool
 
 	// Window discipline (the ported SQLite's CubicleOS-specific code,
@@ -149,7 +153,7 @@ func OpenPager(e *cubicle.Env, vfs *vfscore.Client, path string, ioBuf vm.Addr, 
 		cacheCap = 8
 	}
 	p := &Pager{
-		e: e, vfs: vfs, path: path, ioBuf: ioBuf,
+		e: e, vfs: vfs, path: path, jpath: path + "-journal", ioBuf: ioBuf,
 		cap: cacheCap, spare: make([]*cpage, 0, maxSpare),
 		origs: make(map[uint32][]byte),
 	}
@@ -200,39 +204,63 @@ func OpenPager(e *cubicle.Env, vfs *vfscore.Client, path string, ioBuf vm.Addr, 
 }
 
 // recoverHotJournal replays a leftover journal file into the database and
-// removes it. Each journal record is an 8-byte header (page number) plus
-// the page's pre-transaction image.
+// removes it.
 func (p *Pager) recoverHotJournal() error {
-	jpath := p.path + "-journal"
-	jsize, errno := p.vfs.Stat(p.e, jpath)
+	jsize, errno := p.vfs.Stat(p.e, p.jpath)
 	if errno != vfscore.EOK || jsize == 0 {
 		return nil // no hot journal
 	}
-	jfd, errno := p.vfs.Open(p.e, jpath, vfscore.ORdonly)
-	if errno != vfscore.EOK {
-		return fmt.Errorf("sqldb: hot journal open: errno %d", errno)
-	}
 	p.Stats.Recoveries++
+	if err := p.replayJournal(jsize); err != nil {
+		return err
+	}
+	if errno := p.vfs.Unlink(p.e, p.jpath); errno != vfscore.EOK {
+		return fmt.Errorf("sqldb: hot journal unlink: errno %d", errno)
+	}
+	return nil
+}
+
+// replayJournal copies the pre-images in the first jsize bytes of the
+// journal file back into the database file, and into the frame of each
+// page the cache holds, and syncs the database: hot-journal recovery at
+// open, and Rollback for the pages it spilled. Each journal record is an
+// 8-byte header (page number) plus the page's pre-transaction image. A
+// read or write that fails returns the error with the journal as it was,
+// for the next open to recover from.
+func (p *Pager) replayJournal(jsize uint64) error {
+	jfd, errno := p.vfs.Open(p.e, p.jpath, vfscore.ORdonly)
+	if errno != vfscore.EOK {
+		return fmt.Errorf("sqldb: journal open for replay: errno %d", errno)
+	}
+	defer p.vfs.Close(p.e, jfd)
 	const rec = 8 + PageSize
 	for off := uint64(0); off+rec <= jsize; off += rec {
+		p.openIOWindow()
 		n, errno := p.vfs.PRead(p.e, jfd, p.ioBuf, 8, off)
+		p.closeIOWindow()
 		if errno != vfscore.EOK || n != 8 {
-			return fmt.Errorf("sqldb: hot journal header read: errno %d", errno)
+			return fmt.Errorf("sqldb: journal header read: errno %d", errno)
 		}
-		hdr := p.e.ReadBytes(p.ioBuf, 8)
-		pgno := binary.LittleEndian.Uint32(hdr)
+		var hdr [8]byte
+		p.e.Read(p.ioBuf, hdr[:])
+		pgno := binary.LittleEndian.Uint32(hdr[:])
 		// Copy the image straight from the journal to the database page.
-		if n, errno := p.vfs.PRead(p.e, jfd, p.ioBuf, PageSize, off+8); errno != vfscore.EOK || n != PageSize {
-			return fmt.Errorf("sqldb: hot journal image read: errno %d", errno)
+		p.openIOWindow()
+		n, errno = p.vfs.PRead(p.e, jfd, p.ioBuf, PageSize, off+8)
+		if errno == vfscore.EOK && n == PageSize {
+			n, errno = p.vfs.PWrite(p.e, p.fd, p.ioBuf, PageSize, uint64(pgno-1)*PageSize)
 		}
-		if n, errno := p.vfs.PWrite(p.e, p.fd, p.ioBuf, PageSize, uint64(pgno-1)*PageSize); errno != vfscore.EOK || n != PageSize {
-			return fmt.Errorf("sqldb: hot journal replay write: errno %d", errno)
+		p.closeIOWindow()
+		if errno != vfscore.EOK || n != PageSize {
+			return fmt.Errorf("sqldb: journal replay of page %d: errno %d", pgno, errno)
+		}
+		if pg := p.lookup(pgno); pg != nil {
+			p.e.Read(p.ioBuf, pg.data) // the frame holds what the transaction wrote
+			pg.dirty, pg.dir = false, pg.dir[:0]
 		}
 	}
-	p.vfs.FSync(p.e, p.fd)
-	p.vfs.Close(p.e, jfd)
-	if errno := p.vfs.Unlink(p.e, jpath); errno != vfscore.EOK {
-		return fmt.Errorf("sqldb: hot journal unlink: errno %d", errno)
+	if errno := p.vfs.FSync(p.e, p.fd); errno != vfscore.EOK {
+		return fmt.Errorf("sqldb: database fsync after journal replay: errno %d", errno)
 	}
 	return nil
 }
@@ -523,26 +551,41 @@ func (p *Pager) Begin() error {
 func (p *Pager) endTxn() {
 	if p.jfd != 0 {
 		p.vfs.Close(p.e, p.jfd)
-		p.vfs.Unlink(p.e, p.path+"-journal")
+		p.vfs.Unlink(p.e, p.jpath)
 		p.jfd = 0
 	}
 	p.inTxn = false
 	for _, orig := range p.origs {
-		if len(p.free) < p.cap { // one bulk load must not pin its journal for good
-			p.free = append(p.free, (*[PageSize]byte)(orig))
+		if orig != nil {
+			p.release(orig)
 		}
 	}
 	clear(p.origs)
 	p.unjournaled = p.unjournaled[:0]
 }
 
+// release takes back the buffer of a pre-image nothing reads any more, for
+// the next one beforeWrite records, unless the free list holds as many as
+// the cache does: one bulk load must not pin its journal for good.
+func (p *Pager) release(orig []byte) {
+	if p.guardScans {
+		for i := range orig {
+			orig[i] = 0xDD // a reader that should have gone to the journal reads poison
+		}
+	}
+	if len(p.free) < p.cap {
+		p.free = append(p.free, (*[PageSize]byte)(orig))
+	}
+}
+
 // spillJournal makes sure every recorded original image is on disk in the
 // journal file before a dirty page may overwrite the database (the
-// rollback-journal write-ahead rule). After an error the caller must not
-// write any database page.
+// rollback-journal write-ahead rule), and releases each image's buffer
+// once the journal holds it. After an error the caller must not write any
+// database page.
 func (p *Pager) spillJournal() error {
 	if p.jfd == 0 {
-		fd, errno := p.vfs.Open(p.e, p.path+"-journal", vfscore.OCreat|vfscore.OWronly|vfscore.OTrunc)
+		fd, errno := p.vfs.Open(p.e, p.jpath, vfscore.OCreat|vfscore.OWronly|vfscore.OTrunc)
 		if errno != vfscore.EOK {
 			return fmt.Errorf("sqldb: journal open: errno %d", errno)
 		}
@@ -555,17 +598,23 @@ func (p *Pager) spillJournal() error {
 		p.Stats.JournalPages++
 		var hdr [8]byte
 		binary.LittleEndian.PutUint32(hdr[:], pgno)
+		start := p.jOffset
 		for _, part := range [2][]byte{hdr[:], orig} {
 			p.e.Write(p.ioBuf, part)
 			p.openIOWindow()
 			n, errno := p.vfs.PWrite(p.e, p.jfd, p.ioBuf, uint64(len(part)), p.jOffset)
 			p.closeIOWindow()
 			if errno != vfscore.EOK || n != uint64(len(part)) {
+				// The journal ends at the last whole record, which the next
+				// spill writes after.
+				p.jOffset = start
 				p.unjournaled = p.unjournaled[:copy(p.unjournaled, p.unjournaled[i:])]
 				return fmt.Errorf("sqldb: journal write of page %d: errno %d", pgno, errno)
 			}
 			p.jOffset += n
 		}
+		p.origs[pgno] = nil
+		p.release(orig)
 	}
 	p.unjournaled = p.unjournaled[:0]
 	p.Stats.Fsyncs++
@@ -606,18 +655,36 @@ func (p *Pager) Commit() error {
 	if err := p.flushAll(); err != nil {
 		return err
 	}
-	p.vfs.FSync(p.e, p.fd)
+	errno := p.vfs.FSync(p.e, p.fd)
 	p.Stats.Fsyncs++
+	if errno != vfscore.EOK {
+		// The pages may not be on disk: the journal stays, for Rollback or,
+		// after a crash, the next open to put the pre-images back.
+		return fmt.Errorf("sqldb: database fsync: errno %d", errno)
+	}
 	p.endTxn()
 	return nil
 }
 
-// Rollback restores every page touched by the transaction.
+// Rollback restores every page touched by the transaction: first the ones
+// whose image went to the journal, from there, then the rest from their
+// images in memory. When the replay fails, the error comes back with the
+// transaction still open and the journal in place: what is left is to
+// roll back again, or to reopen the database, which recovers from the
+// journal.
 func (p *Pager) Rollback() error {
 	if !p.inTxn {
 		return fmt.Errorf("sqldb: rollback outside transaction")
 	}
+	if p.jfd != 0 {
+		if err := p.replayJournal(p.jOffset); err != nil {
+			return err
+		}
+	}
 	for pgno, orig := range p.origs {
+		if orig == nil {
+			continue // replayed
+		}
 		pg := p.lookup(pgno)
 		if pg == nil {
 			pg = p.freshPage(pgno)

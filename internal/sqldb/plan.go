@@ -374,32 +374,41 @@ func (db *DB) joinLoop(f *frame, i int, emit func(*rowCtx) bool) bool {
 }
 
 // scanFiltered stages the rows of t that match where — the rows an UPDATE
-// or DELETE is about to change — and returns them for nextHit, each as its
-// rowid, record length and record copied into db.hits: the table is
+// or DELETE is about to change — for nextHit, each as a run of db.hits
+// holding its rowid, record length and a copy of its record: the table is
 // written only once the scan that found them is over. The scan binds f's
 // first bind, and f.rc is its row context.
-func (db *DB) scanFiltered(f *frame, t *Table, alias string, where Expr) []byte {
-	if db.tooBig(cap(db.hits)) {
-		db.hits = nil
-	}
-	db.hits = db.hits[:0]
+func (db *DB) scanFiltered(f *frame, t *Table, alias string, where Expr) {
+	db.hits.rewind()
 	b := f.bind(0, alias, t)
 	f.conj = appendConjuncts(f.conj[:0], where)
 	db.join(f, 1, nil, f.conj, func(*rowCtx) bool {
-		if need := 12 + len(b.rec); cap(db.hits)-len(db.hits) < need {
-			db.hits = slices.Grow(db.hits, len(db.hits)+need) // doubles: append grows by a quarter
-		}
-		db.hits = le.AppendUint32(le.AppendUint64(db.hits, uint64(b.rowid)), uint32(len(b.rec)))
-		db.hits = append(db.hits, b.rec...)
+		hit := db.hits.alloc(12 + len(b.rec))
+		le.PutUint64(hit, uint64(b.rowid))
+		le.PutUint32(hit[8:], uint32(len(b.rec)))
+		copy(hit[12:], b.rec)
 		return true
 	})
-	return db.hits
 }
 
-// nextHit binds the first row staged in hits to b and returns the rest.
-// The row's text and blobs are views of hits.
-func (db *DB) nextHit(b *tblCtx, hits []byte) []byte {
-	end := 12 + int(le.Uint32(hits[8:]))
-	db.bindRow(b, int64(le.Uint64(hits)), hits[12:end])
-	return hits[end:]
+// hitCursor is where nextHit finds the next staged hit: a chunk of db.hits
+// and an offset in it.
+type hitCursor struct{ chunk, off int }
+
+// nextHit binds the staged hit at at to b and moves at past it, or reports
+// false when every hit has been bound. The row's text and blobs are views
+// of db.hits.
+func (db *DB) nextHit(b *tblCtx, at *hitCursor) bool {
+	chunks := db.hits.inUse()
+	for at.chunk < len(chunks) && at.off == len(chunks[at.chunk]) {
+		at.chunk, at.off = at.chunk+1, 0
+	}
+	if at.chunk == len(chunks) {
+		return false
+	}
+	hit := chunks[at.chunk][at.off:]
+	end := 12 + int(le.Uint32(hit[8:]))
+	db.bindRow(b, int64(le.Uint64(hit)), hit[12:end])
+	at.off += end
+	return true
 }

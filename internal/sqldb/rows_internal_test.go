@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestLRUVictimMatchesScan drives random fetches, touches and allocations
@@ -118,20 +119,23 @@ func TestPoisonRowsCatchesAKeptRow(t *testing.T) {
 // TestPoisonRowsCatchesAKeptResult is the positive control of the Result
 // poison: a Result, a row of it or a text of it kept past the next Exec
 // reads POISON or 0xDD bytes, and so does a subquery's kept past the next
-// subquery at its depth. A copy reads the row. The result is large enough
-// that its text arena grows, so the first rows' texts lie in an array the
-// arena has left behind: they are poisoned too.
+// subquery at its depth. A copy reads the row. The result's texts take
+// several chunks of the text arena, and the first row's and the last row's
+// lie in different ones: every chunk in use is poisoned.
 func TestPoisonRowsCatchesAKeptResult(t *testing.T) {
 	withDB(t, 64, func(db *DB) {
 		db.PoisonRows()
 		db.MustExec("CREATE TABLE t (a INTEGER, s TEXT)")
 		db.MustExec("INSERT INTO t VALUES (1, 'one'), (2, 'two')")
 		for i := 3; i <= 40; i++ {
-			db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 'row %d of the filler')", i, i))
+			db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 'row %d of the filler %s')", i, i, strings.Repeat("f", 1000)))
 		}
 		stmt, err := Parse("SELECT a, s FROM t")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if r := db.MustExec("SELECT a, s FROM t"); len(db.frames[0].text.inUse()) < 2 {
+			t.Fatalf("premise broken: %d rows in one text chunk", len(r.Rows))
 		}
 		for _, run := range []struct {
 			name string
@@ -199,6 +203,70 @@ func TestStoredRowOutlivesEviction(t *testing.T) {
 		}
 		if db.pager.Stats.Misses < 1000 {
 			t.Errorf("premise broken: %d cache misses", db.pager.Stats.Misses)
+		}
+	})
+}
+
+// TestArenaRunsNeverSpanChunks: every run an arena hands out lies in one
+// chunk, with its own length as capacity, and keeps its values while the
+// runs after it are handed out — a run longer than a chunk included, in a
+// chunk of its own that a rewind drops. A Result whose rows and texts
+// take several chunks reads back whole.
+func TestArenaRunsNeverSpanChunks(t *testing.T) {
+	a := newArena[Value](valueSize, 4*arenaChunk)
+	for pass := range 3 {
+		var runs [][]Value
+		for i := range 3000 {
+			n := 1 + i%7
+			if i == 1500 {
+				n = a.per + 3
+			}
+			run := a.alloc(n)
+			if len(run) != n || cap(run) != n {
+				t.Fatalf("pass %d: run %d has length %d, capacity %d, want %d", pass, i, len(run), cap(run), n)
+			}
+			for j := range run {
+				run[j] = Int(int64(i))
+			}
+			runs = append(runs, run)
+		}
+		for i, run := range runs {
+			in := 0
+			for _, c := range a.inUse() {
+				lo, hi := uintptr(unsafe.Pointer(unsafe.SliceData(c))), uintptr(unsafe.Pointer(unsafe.SliceData(c)))+uintptr(len(c)*valueSize)
+				if p := uintptr(unsafe.Pointer(&run[0])); lo <= p && p+uintptr(len(run)*valueSize) <= hi {
+					in++
+				}
+			}
+			if in != 1 {
+				t.Fatalf("pass %d: run %d lies in %d chunks in use", pass, i, in)
+			}
+			for _, v := range run {
+				if v.I != int64(i) {
+					t.Fatalf("pass %d: run %d reads %d: a later run overwrote it", pass, i, v.I)
+				}
+			}
+		}
+		a.rewind()
+		if len(a.chunks) != a.keep {
+			t.Fatalf("pass %d: %d chunks kept, want %d", pass, len(a.chunks), a.keep)
+		}
+		for _, c := range a.chunks {
+			if cap(c) != a.per {
+				t.Fatalf("pass %d: a chunk of %d values kept, want %d", pass, cap(c), a.per)
+			}
+		}
+	}
+	withDB(t, 64, func(db *DB) {
+		fillScanTable(db, "t", 1000)
+		r := db.MustExec("SELECT a, b, c FROM t")
+		if f := db.frames[0]; len(f.cells.inUse()) < 2 || len(f.text.inUse()) < 2 {
+			t.Fatalf("premise broken: %d value chunks, %d text chunks", len(f.cells.inUse()), len(f.text.inUse()))
+		}
+		for i, row := range r.Rows {
+			if row[0].I != int64(i) || row[1].I != int64(i%97) || row[2].S != fmt.Sprintf("some text of row %d", i) {
+				t.Fatalf("row %d reads %v", i, row)
+			}
 		}
 	})
 }
@@ -300,6 +368,18 @@ func TestRowPathAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(300, func() { db.MustExec(speedtestInsert) }); got != 0 {
 			t.Errorf("INSERT of one row with one index: %v allocations, want 0", got)
 		}
+		// Statements run from a buffer their caller rewrites for the next, as
+		// speedtest's are: Exec keeps nothing of the text — the Result copies
+		// its column names into its arena — so the text costs nothing.
+		var buf []byte
+		for _, sql := range []string{speedtestInsert, "SELECT b AS bee, c, length(c) FROM z1 WHERE a = 4711"} {
+			if got := testing.AllocsPerRun(300, func() {
+				buf = append(buf[:0], sql...)
+				db.MustExec(view(buf))
+			}); got != 0 {
+				t.Errorf("%q from a reused buffer: %v allocations, want 0", sql, got)
+			}
+		}
 		db.MustExec("COMMIT")
 		// The same statement parsed as Exec parses it, by a parser that has
 		// parsed before: nothing, its nodes, statement and lists are the last
@@ -312,6 +392,41 @@ func TestRowPathAllocations(t *testing.T) {
 		}
 		if db.pager.Stats.Misses != 0 {
 			t.Errorf("premise broken: %d cache misses", db.pager.Stats.Misses)
+		}
+	})
+	// A warm transaction that journals more pages than an eight-page cache
+	// holds: nothing a page journaled. Each pre-image goes back to the free
+	// list once the journal holds it, so a transaction's are the buffers of
+	// the one before; what a transaction does allocate is the file
+	// system's, for the journal file it creates, grows and deletes. A
+	// per-page count is the difference between journaling 24 pages and 48.
+	withPager(t, 8, func(p *Pager) {
+		for range 48 {
+			initBtreePage(p.Write(p.Allocate()), pgTableLeaf)
+		}
+		if err := p.flushAll(); err != nil {
+			t.Fatal(err)
+		}
+		txn := func(pages uint32) int {
+			journaled := p.Stats.JournalPages
+			allocs := testing.AllocsPerRun(10, func() {
+				p.Begin()
+				for pgno := uint32(2); pgno < 2+pages; pgno++ {
+					p.Write(pgno)[PageSize-1]++
+				}
+				if err := p.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got := (p.Stats.JournalPages - journaled) / 11; got != uint64(pages) {
+				t.Errorf("premise broken: %d pages journaled a transaction, want %d", got, pages)
+			}
+			return int(allocs)
+		}
+		small, big := txn(24), txn(48)
+		if d := big - small; d/24 != 0 || d%24 > 2 {
+			t.Errorf("warm transaction: %d allocations journaling 24 pages, %d journaling 48: %.3f a page, want 0",
+				small, big, float64(d)/24)
 		}
 	})
 	// PRAGMA integrity_check validates every record in place, in a

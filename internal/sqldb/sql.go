@@ -267,12 +267,13 @@ type PragmaStmt struct{ Name string }
 type parser struct {
 	toks []token
 	pos  int
-	// lits, cols, bins and sels are the chunks literal, column, binary and
-	// SELECT nodes are carved from.
-	lits []ELit
-	cols []ECol
-	bins []EBin
-	sels []SelectStmt
+	// lits, cols, bins, funcs and sels are the chunks literal, column,
+	// binary, function-call and SELECT nodes are carved from.
+	lits  []ELit
+	cols  []ECol
+	bins  []EBin
+	funcs []EFunc
+	sels  []SelectStmt
 	// ins, upd and del are the INSERT, UPDATE or DELETE being parsed.
 	ins InsertStmt
 	upd UpdateStmt
@@ -337,7 +338,7 @@ func (p *parser) parse(src string) any {
 	}
 	p.toks = lex(p.toks, src)
 	p.pos, p.list, p.exprs = 0, p.list[:0], p.exprs[:0]
-	p.lits, p.cols, p.bins, p.sels = p.lits[:0], p.cols[:0], p.bins[:0], p.sels[:0]
+	p.lits, p.cols, p.bins, p.funcs, p.sels = p.lits[:0], p.cols[:0], p.bins[:0], p.funcs[:0], p.sels[:0]
 	stmt := p.statement()
 	p.accept(tkOp, ";")
 	if p.peek().kind != tkEOF {
@@ -870,7 +871,7 @@ func (p *parser) exprPrimary() Expr {
 		}
 		// Function call?
 		if p.accept(tkOp, "(") {
-			f := &EFunc{Name: strings.ToLower(t.text)}
+			f := place(&p.funcs, EFunc{Name: strings.ToLower(t.text)})
 			switch {
 			case p.accept(tkOp, ")"):
 				return f

@@ -3,6 +3,7 @@ package sqldb_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"cubicleos/internal/speedtest"
 	"cubicleos/internal/sqldb"
 	"cubicleos/internal/vfscore"
+	"cubicleos/internal/vm"
 )
 
 // testDB boots the FS stack with an SQLITE app cubicle and opens a
@@ -27,7 +29,7 @@ func testDB(t testing.TB, fn func(e *cubicle.Env, db *sqldb.DB)) {
 				t.Errorf("after %s: %v", last, err)
 			}
 		}
-		db.OnParse(func(sql string, _ any) { check(); last = sql })
+		db.OnParse(func(sql string, _ any) { check(); last = strings.Clone(sql) })
 		fn(e, db)
 		check()
 	})
@@ -90,6 +92,26 @@ func TestCreateInsertSelect(t *testing.T) {
 		if got := one(t, db.MustExec("SELECT count(*) FROM t1")); got.I != 3 {
 			t.Errorf("count = %v", got)
 		}
+	})
+}
+
+// TestResultColumnNames: a Result names its columns after their alias,
+// their column or their position, and a table's columns for *. Exec runs
+// from a copy of the text that is poisoned once it returns (PoisonRows), so
+// a name that viewed the text, in the Result or in the schema, reads 0xDD.
+func TestResultColumnNames(t *testing.T) {
+	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
+		db.MustExec("CREATE TABLE Named (a INTEGER, Bee TEXT)")
+		db.MustExec("ALTER TABLE Named ADD COLUMN cee REAL")
+		db.MustExec("CREATE INDEX NamedBee ON Named (Bee)")
+		db.MustExec("INSERT INTO Named VALUES (1, 'x', 2.5)")
+		r := db.MustExec("SELECT a AS alias, Bee, length(Bee), * FROM named WHERE bee = 'x'")
+		want := []string{"alias", "Bee", "col3", "a", "Bee", "cee"}
+		if !slices.Equal(r.Cols, want) || len(r.Rows) != 1 {
+			t.Errorf("columns %q and %d rows, want %q and 1", r.Cols, len(r.Rows), want)
+		}
+		db.MustExec("DROP INDEX namedbee")
+		db.MustExec("DROP TABLE NAMED")
 	})
 }
 
@@ -807,38 +829,157 @@ func TestFrameReuseRowViewOutlivesEviction(t *testing.T) {
 	})
 }
 
-// failingJournal makes every write to the rollback journal fail with
-// ENOSPC while armed. The journal is the one file the pager opens
-// write-only.
-type failingJournal struct {
-	armed bool
-	jfd   uint64
+// faultyFS fails, while its switches are on, the database's and its
+// journal's file-system calls a test picks: every write to the journal,
+// every read of it, the database's fsyncs, or the database write that
+// dbWriteFails counts down to. A file is the journal when its path ends
+// in "-journal", the database when it is opened read-write.
+type faultyFS struct {
+	journalWrites, journalReads, dbSyncs bool
+	dbWriteFails                         int
+	journal                              map[uint64]bool // open fds of the journal
+	db                                   uint64
 }
 
 type callerFunc func(e *cubicle.Env, args ...uint64) []uint64
 
 func (f callerFunc) Call(e *cubicle.Env, args ...uint64) []uint64 { return f(e, args...) }
 
-func (f *failingJournal) wrap(name string, inner vfscore.Caller) vfscore.Caller {
-	switch name {
-	case "vfs_open":
+func (f *faultyFS) wrap(name string, inner vfscore.Caller) vfscore.Caller {
+	fail := func(on func(args []uint64) bool) vfscore.Caller {
 		return callerFunc(func(e *cubicle.Env, args ...uint64) []uint64 {
-			r := inner.Call(e, args...)
-			if args[2]&vfscore.OWronly != 0 {
-				f.jfd = r[0]
-			}
-			return r
-		})
-	case "vfs_pwrite":
-		return callerFunc(func(e *cubicle.Env, args ...uint64) []uint64 {
-			if f.armed && args[0] == f.jfd {
+			if on(args) {
 				return []uint64{0, vfscore.ENOSPC}
 			}
 			return inner.Call(e, args...)
 		})
 	}
+	switch name {
+	case "vfs_open":
+		return callerFunc(func(e *cubicle.Env, args ...uint64) []uint64 {
+			path := string(e.ReadBytes(vm.Addr(args[0]), args[1]))
+			r := inner.Call(e, args...)
+			switch {
+			case strings.HasSuffix(path, "-journal"):
+				f.journal[r[0]] = true
+			case args[2]&vfscore.ORdwr != 0:
+				f.db = r[0]
+			}
+			return r
+		})
+	case "vfs_close":
+		return callerFunc(func(e *cubicle.Env, args ...uint64) []uint64 {
+			delete(f.journal, args[0])
+			return inner.Call(e, args...)
+		})
+	case "vfs_pwrite":
+		return fail(func(args []uint64) bool {
+			if args[0] == f.db && f.dbWriteFails > 0 {
+				f.dbWriteFails--
+				return f.dbWriteFails == 0
+			}
+			return f.journalWrites && f.journal[args[0]]
+		})
+	case "vfs_pread":
+		return fail(func(args []uint64) bool { return f.journalReads && f.journal[args[0]] })
+	case "vfs_fsync":
+		return fail(func(args []uint64) bool { return f.dbSyncs && args[0] == f.db })
+	}
 	return inner
 }
+
+// faultyDB is a database on a faultyFS with an eight-page cache, holding
+// table t of 600 rows (id, s) across some twenty leaves, s of 100 'a's.
+type faultyDB struct {
+	t      *testing.T
+	e      *cubicle.Env
+	vfs    *vfscore.Client
+	faults *faultyFS
+	bufs   vm.Addr // the pager's I/O buffer, then a page for image
+	db     *sqldb.DB
+}
+
+const faultyPath = "/faulty.db"
+
+func withFaultyDB(t *testing.T, fn func(f *faultyDB)) {
+	s := boot.MustNewFS(boot.Config{Mode: cubicle.ModeFull, Extra: []*cubicle.Component{{
+		Name: "SQLITE", Kind: cubicle.KindIsolated,
+		Exports: []cubicle.ExportDecl{{Name: "sqlite_main", Fn: func(e *cubicle.Env, a []uint64) []uint64 { return nil }}},
+	}}})
+	err := s.RunAs("SQLITE", func(e *cubicle.Env) {
+		f := &faultyDB{t: t, e: e, vfs: vfscore.NewClient(s.M, s.Cubs["SQLITE"].ID), faults: &faultyFS{journal: map[uint64]bool{}}}
+		f.vfs.InitBuffers(e, e.CubicleOf(ramfs.Name))
+		f.vfs.Wrap(f.faults.wrap)
+		f.bufs = e.HeapAlloc(2 * sqldb.PageSize)
+		wid := e.WindowInit()
+		e.WindowAdd(wid, f.bufs, 2*sqldb.PageSize)
+		e.WindowOpen(wid, e.CubicleOf(vfscore.Name))
+		e.WindowOpen(wid, e.CubicleOf(ramfs.Name))
+		f.db = f.open()
+		f.db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, s TEXT)")
+		f.db.MustExec("BEGIN")
+		for i := 1; i <= 600; i++ {
+			f.db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, '%s')", i, strings.Repeat("a", 100)))
+		}
+		f.db.MustExec("COMMIT")
+		fn(f)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// open opens the database afresh, recovering from a journal left behind.
+func (f *faultyDB) open() *sqldb.DB {
+	db, err := sqldb.Open(f.e, f.vfs, faultyPath, f.bufs, 8)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	db.Pager().GuardScans()
+	db.PoisonRows()
+	return db
+}
+
+// image reads the database file as it is on disk, past the pager.
+func (f *faultyDB) image() []byte {
+	fd, errno := f.vfs.Open(f.e, faultyPath, vfscore.ORdonly)
+	if errno != vfscore.EOK {
+		f.t.Fatalf("open: errno %d", errno)
+	}
+	defer f.vfs.Close(f.e, fd)
+	var out []byte
+	for off := uint64(0); ; off += sqldb.PageSize {
+		n, errno := f.vfs.PRead(f.e, fd, f.bufs+sqldb.PageSize, sqldb.PageSize, off)
+		if errno != vfscore.EOK {
+			f.t.Fatalf("pread: errno %d", errno)
+		}
+		if n == 0 {
+			return out
+		}
+		out = append(out, f.e.ReadBytes(f.bufs+sqldb.PageSize, n)...)
+	}
+}
+
+// journal reports whether a journal file is left on disk.
+func (f *faultyDB) journal() bool {
+	size, errno := f.vfs.Stat(f.e, faultyPath+"-journal")
+	return errno == vfscore.EOK && size > 0
+}
+
+// holds checks that db holds table t as withFaultyDB filled it.
+func (f *faultyDB) holds(db *sqldb.DB) {
+	f.t.Helper()
+	if r := db.MustExec("SELECT count(*) FROM t WHERE s LIKE 'a%'"); one(f.t, r).I != 600 {
+		f.t.Errorf("%d rows kept their value, want 600", one(f.t, r).I)
+	}
+	if r := db.MustExec("PRAGMA integrity_check"); one(f.t, r).S != "ok" {
+		f.t.Errorf("integrity_check: %v", r.Rows)
+	}
+}
+
+// update rewrites every row of t in place, the same length, so that the
+// file keeps its pages: some twenty journaled, for an eight-page cache.
+var update = "UPDATE t SET s = '" + strings.Repeat("b", 100) + "'"
 
 // TestJournalWriteFailureFailsTheStatement: when the journal cannot take
 // a page's pre-image, the statement that needed the spill must fail and
@@ -846,89 +987,134 @@ func (f *failingJournal) wrap(name string, inner vfscore.Caller) vfscore.Caller 
 // pager used to ignore the journal's errno and byte count and go on to
 // overwrite the page the journal was there to protect.)
 func TestJournalWriteFailureFailsTheStatement(t *testing.T) {
-	s := boot.MustNewFS(boot.Config{Mode: cubicle.ModeFull, Extra: []*cubicle.Component{{
-		Name: "SQLITE", Kind: cubicle.KindIsolated,
-		Exports: []cubicle.ExportDecl{{Name: "sqlite_main", Fn: func(e *cubicle.Env, a []uint64) []uint64 { return nil }}},
-	}}})
-	err := s.RunAs("SQLITE", func(e *cubicle.Env) {
-		vfs := vfscore.NewClient(s.M, s.Cubs["SQLITE"].ID)
-		vfs.InitBuffers(e, e.CubicleOf(ramfs.Name))
-		journal := &failingJournal{}
-		vfs.Wrap(journal.wrap)
-		bufs := e.HeapAlloc(2 * sqldb.PageSize)
-		wid := e.WindowInit()
-		e.WindowAdd(wid, bufs, 2*sqldb.PageSize)
-		e.WindowOpen(wid, e.CubicleOf(vfscore.Name))
-		e.WindowOpen(wid, e.CubicleOf(ramfs.Name))
-		const path = "/journal.db"
-		db, err := sqldb.Open(e, vfs, path, bufs, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, s TEXT)")
-		db.MustExec("BEGIN")
-		for i := 1; i <= 300; i++ {
-			db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, '%s')", i, strings.Repeat("a", 100)))
-		}
-		db.MustExec("COMMIT")
-
-		// image reads the database file as it is on disk, past the pager.
-		image := func() []byte {
-			fd, errno := vfs.Open(e, path, vfscore.ORdonly)
-			if errno != vfscore.EOK {
-				t.Fatalf("open: errno %d", errno)
-			}
-			defer vfs.Close(e, fd)
-			var out []byte
-			for off := uint64(0); ; off += sqldb.PageSize {
-				n, errno := vfs.PRead(e, fd, bufs+sqldb.PageSize, sqldb.PageSize, off)
-				if errno != vfscore.EOK {
-					t.Fatalf("pread: errno %d", errno)
-				}
-				if n == 0 {
-					return out
-				}
-				out = append(out, e.ReadBytes(bufs+sqldb.PageSize, n)...)
-			}
-		}
-		before := image()
-		update := "UPDATE t SET s = '" + strings.Repeat("b", 100) + "'"
-
-		// Nine leaves do not fit an eight-page cache: the update has to
-		// spill, and the spill has to journal first.
-		journal.armed = true
-		spills := db.Pager().Stats.Spills
-		if _, err := db.Exec(update); err == nil || !strings.Contains(err.Error(), "journal write") {
+	withFaultyDB(t, func(f *faultyDB) {
+		before := f.image()
+		f.faults.journalWrites = true
+		spills := f.db.Pager().Stats.Spills
+		if _, err := f.db.Exec(update); err == nil || !strings.Contains(err.Error(), "journal write") {
 			t.Fatalf("update with a failing journal: err = %v, want the journal write error", err)
 		}
-		if db.Pager().Stats.Spills == spills {
+		if f.db.Pager().Stats.Spills == spills {
 			t.Fatal("premise broken: the update never spilled")
 		}
-		journal.armed = false
-		if after := image(); !bytes.Equal(before, after) {
+		f.faults.journalWrites = false
+		if after := f.image(); !bytes.Equal(before, after) {
 			t.Error("the database file changed although the journal write failed")
 		}
-		if r := db.MustExec("SELECT count(*) FROM t WHERE s LIKE 'a%'"); one(t, r).I != 300 {
-			t.Errorf("%d rows kept their value, want 300", one(t, r).I)
-		}
-		if r := db.MustExec("PRAGMA integrity_check"); one(t, r).S != "ok" {
-			t.Errorf("integrity_check: %v", r.Rows)
-		}
+		f.holds(f.db)
 
 		// With the journal back, the same statement goes through.
-		if r := db.MustExec(update); r.RowsAffected != 300 {
-			t.Errorf("update affected %d rows, want 300", r.RowsAffected)
+		if r := f.db.MustExec(update); r.RowsAffected != 600 {
+			t.Errorf("update affected %d rows, want 600", r.RowsAffected)
 		}
-		if r := db.MustExec("SELECT count(*) FROM t WHERE s LIKE 'b%'"); one(t, r).I != 300 {
-			t.Errorf("%d rows updated, want 300", one(t, r).I)
+		if r := f.db.MustExec("SELECT count(*) FROM t WHERE s LIKE 'b%'"); one(t, r).I != 600 {
+			t.Errorf("%d rows updated, want 600", one(t, r).I)
 		}
-		if err := db.Close(); err != nil {
+		if err := f.db.Close(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// TestRollbackAfterSpillRestoresTheFile: a transaction that journals more
+// pages than the cache holds, and so has overwritten some in the file,
+// rolls back to the file as it was before BEGIN, byte for byte — through
+// an explicit ROLLBACK and through a failing autocommit statement. The
+// pre-images of the spilled pages come back from the journal: their
+// buffers were released, and under the guard poisoned, once it held them.
+func TestRollbackAfterSpillRestoresTheFile(t *testing.T) {
+	withFaultyDB(t, func(f *faultyDB) {
+		before := f.image()
+		for _, c := range []struct {
+			name string
+			run  func() error
+		}{
+			{"ROLLBACK", func() error {
+				f.db.MustExec("BEGIN")
+				f.db.MustExec(update)
+				_, err := f.db.Exec("ROLLBACK")
+				return err
+			}},
+			{"a failing autocommit statement", func() error {
+				f.faults.dbWriteFails = 20 // a page write of a spill late in the statement
+				if _, err := f.db.Exec(update); err == nil || !strings.Contains(err.Error(), "write page") {
+					t.Errorf("update with a failing page write: err = %v", err)
+				}
+				return nil
+			}},
+		} {
+			st := f.db.Pager().Stats
+			if err := c.run(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got := f.db.Pager().Stats; got.JournalPages-st.JournalPages <= 8 || got.Spills == st.Spills {
+				t.Errorf("%s: premise broken: %d pages journaled, %d spills", c.name, got.JournalPages-st.JournalPages, got.Spills-st.Spills)
+			}
+			if !bytes.Equal(before, f.image()) {
+				t.Errorf("%s: the file is not as it was before the transaction", c.name)
+			}
+			if f.journal() {
+				t.Errorf("%s: a journal is left behind", c.name)
+			}
+			f.holds(f.db)
+		}
+	})
+}
+
+// TestFailedRollbackLeavesTheJournal: a journal read that fails while
+// Rollback replays it returns the error and leaves the journal where it
+// is; the next open recovers from it, to the file as it was before BEGIN.
+func TestFailedRollbackLeavesTheJournal(t *testing.T) {
+	withFaultyDB(t, func(f *faultyDB) {
+		before := f.image()
+		f.db.MustExec("BEGIN")
+		f.db.MustExec(update)
+		f.faults.journalReads = true
+		if _, err := f.db.Exec("ROLLBACK"); err == nil || !strings.Contains(err.Error(), "journal") {
+			t.Fatalf("ROLLBACK with a failing journal read: err = %v", err)
+		}
+		f.faults.journalReads = false
+		if !f.journal() {
+			t.Fatal("the failed rollback removed the journal")
+		}
+		db := f.open()
+		if got := db.Pager().Stats.Recoveries; got != 1 {
+			t.Errorf("%d recoveries at the next open, want 1", got)
+		}
+		if !bytes.Equal(before, f.image()) || f.journal() {
+			t.Error("recovery did not restore the file, or left the journal")
+		}
+		f.holds(db)
+	})
+}
+
+// TestFailedFsyncFailsTheCommit: a database fsync that fails fails the
+// commit, whose pages may not be on disk, and leaves the journal; so does
+// one that fails the recovery at the next open. The open after that
+// recovers the file as it was before the statement.
+func TestFailedFsyncFailsTheCommit(t *testing.T) {
+	withFaultyDB(t, func(f *faultyDB) {
+		before := f.image()
+		f.faults.dbSyncs = true
+		if _, err := f.db.Exec(update); err == nil || !strings.Contains(err.Error(), "fsync") {
+			t.Fatalf("update with a failing fsync: err = %v", err)
+		}
+		if !f.journal() {
+			t.Fatal("the failed commit removed the journal")
+		}
+		if _, err := sqldb.Open(f.e, f.vfs, faultyPath, f.bufs, 8); err == nil || !f.journal() {
+			t.Fatalf("an open whose recovery cannot fsync: err = %v, journal left: %v", err, f.journal())
+		}
+		f.faults.dbSyncs = false
+		db := f.open()
+		if got := db.Pager().Stats.Recoveries; got != 1 {
+			t.Errorf("%d recoveries at the next open, want 1", got)
+		}
+		if !bytes.Equal(before, f.image()) || f.journal() {
+			t.Error("recovery did not restore the file, or left the journal")
+		}
+		f.holds(db)
+	})
 }
 
 // TestInsertSelectUnknownColumn: INSERT INTO t (cols) SELECT … maps its
