@@ -115,11 +115,10 @@ func BenchmarkFig7Nginx(b *testing.B) {
 // --- SMP: sharded open-loop siege across core counts ---------------------------
 
 // BenchmarkSMPSiege drives the parallel open-loop driver at 1, 2 and 4
-// simulated cores — one booted system per core, stepped by real worker
-// goroutines under GVT quantum barriers. wallrps is the wall-clock
-// throughput figure that scales with host parallelism; the virtual-time
-// metrics (gvtcycles, ok) are deterministic per configuration and must
-// not move between runs or machines.
+// simulated cores — one booted system per core, each stepped to completion
+// by its own goroutine. wallrps is the wall-clock throughput figure that
+// scales with host parallelism; ok is deterministic per configuration and
+// must not move between runs or machines.
 func BenchmarkSMPSiege(b *testing.B) {
 	mk := func(core int) (*siege.Target, error) {
 		tgt, err := siege.NewTarget(cubicleos.ModeFull)
@@ -142,7 +141,6 @@ func BenchmarkSMPSiege(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(last.WallRPS, "wallrps")
-			b.ReportMetric(float64(last.GVT), "gvtcycles")
 			b.ReportMetric(float64(last.OK), "ok")
 		})
 	}

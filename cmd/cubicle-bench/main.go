@@ -7,6 +7,7 @@
 //	cubicle-bench -fig 7          # NGINX latency vs transfer size
 //	cubicle-bench -fig 5          # NGINX cubicle call-count graph
 //	cubicle-bench -fig 8          # SQLite cubicle call-count graph
+//	cubicle-bench -fig 9          # SQLite partitioning configurations
 //	cubicle-bench -fig 10a        # slowdown vs Linux
 //	cubicle-bench -fig 10b        # 4-vs-3 compartment slowdown per kernel
 //	cubicle-bench -fig all        # everything
@@ -24,7 +25,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 5, 6, 7, 8, 10a, 10b, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 5, 6, 7, 8, 9, 10a, 10b, all")
 	size := flag.Int("size", 100, "speedtest1 scale (--stat equivalent)")
 	requests := flag.Int("requests", 8, "requests for the Figure 5 measurement window")
 	flag.Parse()

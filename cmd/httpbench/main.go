@@ -109,11 +109,12 @@ func openLoopSweep(rateList string, requests int, assert bool) {
 
 // parallelSweep runs the open-loop sweep through the SMP driver: each
 // offered rate is sharded across N cores, one booted system per core,
-// stepped by real worker goroutines under GVT quantum barriers. The
+// each stepped to completion by its own goroutine. The
 // virtual-time columns match the single-core driver's semantics; the
-// wall columns show host-parallel scaling. With assertScale > 0 a 1-core
-// reference sweep runs afterwards and the command exits non-zero unless
-// aggregate wall-clock throughput reached assertScale× the reference.
+// wall columns show host-parallel scaling. With assertScale > 0 two more
+// N-core sweeps and two 1-core reference sweeps run afterwards, and the
+// command exits non-zero unless the N-core sweeps' aggregate wall-clock
+// throughput reached assertScale× the reference's.
 func parallelSweep(rateList string, requests, cores int, assertScale float64) {
 	rates := parseRates(rateList)
 	mk := func(core int) (*siege.Target, error) {
@@ -137,25 +138,33 @@ func parallelSweep(rateList string, requests, cores int, assertScale float64) {
 	}
 	res := sweep(cores)
 	fmt.Printf("cores=%d  requests=%d per rate\n", cores, requests)
-	fmt.Printf("%9s %8s %5s %5s %8s %8s %7s %9s %9s\n",
-		"offered", "goodput", "ok", "shed", "p50", "p99", "quanta", "wall ms", "wall rps")
+	fmt.Printf("%9s %8s %5s %5s %8s %8s %9s %9s\n",
+		"offered", "goodput", "ok", "shed", "p50", "p99", "wall ms", "wall rps")
 	for _, ps := range res {
-		fmt.Printf("%9.0f %8.0f %5d %5d %8s %8s %7d %9.1f %9.0f\n",
+		fmt.Printf("%9.0f %8.0f %5d %5d %8s %8s %9.1f %9.0f\n",
 			ps.OfferedRPS, ps.GoodputRPS, ps.OK, ps.Shed,
 			ps.P50.Round(10_000).String(), ps.P99.Round(10_000).String(),
-			ps.Quanta, ps.WallSeconds*1000, ps.WallRPS)
+			ps.WallSeconds*1000, ps.WallRPS)
 	}
 	if assertScale <= 0 {
 		return
 	}
-	ref := sweep(1)
+	// The sweep above paid for growing the heap, which made a reference run
+	// after it look 1.5x faster than the same run before it. The measured
+	// sweeps alternate 1, N, N, 1, so neither side runs first and a drift
+	// in host load cancels.
 	var okN, ok1 int
 	var wallN, wall1 float64
-	for i := range rates {
-		okN += res[i].OK
-		ok1 += ref[i].OK
-		wallN += res[i].WallSeconds
-		wall1 += ref[i].WallSeconds
+	for i, n := range []int{1, cores, cores, 1} {
+		for _, ps := range sweep(n) {
+			if i == 0 || i == 3 {
+				ok1 += ps.OK
+				wall1 += ps.WallSeconds
+			} else {
+				okN += ps.OK
+				wallN += ps.WallSeconds
+			}
+		}
 	}
 	if okN == 0 || ok1 == 0 || wallN <= 0 || wall1 <= 0 {
 		log.Fatalf("assert-scale: degenerate sweep (ok=%d/%d wall=%.3f/%.3f)", okN, ok1, wallN, wall1)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -23,10 +22,10 @@ var groups = []struct {
 }{
 	{"Monitor/runtime", "cubicles, windows, trampolines, loader, builder", []string{"internal/cubicle"}},
 	{"Hardware model", "simulated memory, MPK, object code, cost model", []string{"internal/vm", "internal/mpk", "internal/isa", "internal/cycles"}},
-	{"Unikraft components", "VFS, RAMFS, LWIP, NETDEV, ALLOC, TIME, PLAT, libc, sched", []string{
+	{"Unikraft components", "VFS, RAMFS, LWIP, NETDEV, ALLOC, TIME, PLAT, libc", []string{
 		"internal/vfscore", "internal/ramfs", "internal/lwip", "internal/netdev",
 		"internal/ualloc", "internal/uktime", "internal/plat", "internal/ulibc",
-		"internal/urandom", "internal/uksched", "internal/boot"}},
+		"internal/urandom", "internal/boot"}},
 	{"SQLite", "pager, B+tree, SQL engine, speedtest1", []string{"internal/sqldb", "internal/speedtest"}},
 	{"NGINX", "HTTP server, siege client", []string{"internal/httpd", "internal/siege"}},
 	{"Baselines", "microkernel IPC models, Linux baseline", []string{"internal/ukernel"}},
@@ -121,6 +120,3 @@ func countFile(path string) (int, error) {
 	}
 	return n, sc.Err()
 }
-
-// sorted is kept for stable future extension of the table.
-var _ = sort.Strings

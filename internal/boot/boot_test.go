@@ -8,7 +8,6 @@ import (
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/ramfs"
-	"cubicleos/internal/uksched"
 	"cubicleos/internal/vfscore"
 	"cubicleos/internal/vm"
 )
@@ -345,10 +344,10 @@ func TestModeLadderFS(t *testing.T) {
 	}
 }
 
-// TestCooperativeTasksInterleaved runs two application tasks on the
-// uksched cooperative scheduler (the Unikraft threading model): a writer
+// TestCooperativeTasksInterleaved runs two application tasks the way the
+// Unikraft threading model does, cooperatively on one host thread: a writer
 // streaming records into a file and a reader polling for them, both
-// crossing the isolated FS stack, interleaved step by step.
+// crossing the isolated FS stack, alternating step by step.
 func TestCooperativeTasksInterleaved(t *testing.T) {
 	s := MustNewFS(Config{Mode: cubicle.ModeFull, Extra: []*cubicle.Component{appComponent()}})
 	var io *appIO
@@ -360,45 +359,36 @@ func TestCooperativeTasksInterleaved(t *testing.T) {
 
 	const rounds = 20
 	written, read := 0, 0
-	sched := uksched.New()
-	sched.AddFunc("writer", func() uksched.Status {
-		if written >= rounds {
-			return uksched.Done
-		}
-		err := s.RunAs("APP", func(e *cubicle.Env) {
-			fd, errno := io.vfs.Open(e, "/stream", vfscore.OCreat|vfscore.OWronly|vfscore.OAppend)
-			if errno != vfscore.EOK {
-				t.Fatalf("open for append: %d", errno)
+	for idle := 0; written < rounds || read < rounds; {
+		progress := written < rounds
+		if progress {
+			err := s.RunAs("APP", func(e *cubicle.Env) {
+				fd, errno := io.vfs.Open(e, "/stream", vfscore.OCreat|vfscore.OWronly|vfscore.OAppend)
+				if errno != vfscore.EOK {
+					t.Fatalf("open for append: %d", errno)
+				}
+				e.Write(io.buf, []byte{byte(written)})
+				io.vfs.Write(e, fd, io.buf, 1)
+				io.vfs.Close(e, fd)
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			e.Write(io.buf, []byte{byte(written)})
-			io.vfs.Write(e, fd, io.buf, 1)
-			io.vfs.Close(e, fd)
-		})
-		if err != nil {
-			t.Fatal(err)
+			written++
 		}
-		written++
-		return uksched.Yield
-	})
-	sched.AddFunc("reader", func() uksched.Status {
 		var size uint64
-		err := s.RunAs("APP", func(e *cubicle.Env) {
+		if err := s.RunAs("APP", func(e *cubicle.Env) {
 			size, _ = io.vfs.Stat(e, "/stream")
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		read = int(size)
-		if written >= rounds && read >= rounds {
-			return uksched.Done
+		// The reader blocks (makes no progress) until the first record lands.
+		if progress || read > 0 {
+			idle = 0
+		} else if idle++; idle >= 100 {
+			t.Fatalf("tasks stalled: written=%d read=%d", written, read)
 		}
-		if read == 0 {
-			return uksched.Block
-		}
-		return uksched.Yield
-	})
-	if !sched.Run(100) {
-		t.Fatalf("scheduler stalled: blocked=%v written=%d read=%d", sched.Blocked(), written, read)
 	}
 	// Verify the stream contents survived the interleaving.
 	if err := s.RunAs("APP", func(e *cubicle.Env) {

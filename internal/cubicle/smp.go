@@ -7,7 +7,7 @@ import "cubicleos/internal/trace"
 // What a multi-core deployment costs inside a monitor is libmpk's: a safe
 // pkey_mprotect must synchronise every other core's view of the key before
 // a retag takes effect. Host parallelism comes from shared-nothing shards,
-// one system and one monitor each (siege.ParallelOpenLoop, uksched.SMP).
+// one system, one monitor and one goroutine each (siege.ParallelOpenLoop).
 // See DESIGN.md §10.
 
 // EnableSMP gives the simulated machine n cores, n-1 of them remote to

@@ -20,9 +20,9 @@ const FrequencyHz = 2_200_000_000
 // Clock accumulates virtual cycles in a plain word. The rule it relies on:
 // a clock has one writer — the goroutine driving its monitor (DESIGN.md
 // §10) — and another goroutine may read it only after it has synchronised
-// with that writer. The one place that happens is uksched.SMP.RunQuantum,
-// the only go statement in non-test code: it joins the shard workers with
-// wg.Wait() before Machine.Barrier reads the core clocks. A store here is
+// with that writer. The one place that happens is siege.ParallelOpenLoop,
+// the only go statement in non-test code: it joins the shard goroutines
+// with wg.Wait() before it reads any shard's results. A store here is
 // an ordinary MOV, not the XCHG an atomic store costs on amd64; the clock
 // is written some 25 000 times per MiB served.
 type Clock struct {

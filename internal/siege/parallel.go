@@ -2,27 +2,20 @@
 // simulated cores, each shard a fully independent booted system (its own
 // monitor, clock, server and wire — nothing shared, so per-shard
 // behaviour is byte-identical to a single-core run at the shard's rate).
-// Real goroutine workers step the shards concurrently under the sharded
-// scheduler's quantum barriers, with a cycles.Machine computing global
-// virtual time over the shard clocks. Virtual-time figures are therefore
-// deterministic for a fixed configuration, while wall-clock throughput
-// scales with the worker count — the simulator's analogue of running one
-// NGINX deployment per core behind a load balancer.
+// Each shard steps to completion on its own goroutine and one WaitGroup
+// joins them before any result is read: since no shard reads another's
+// state, there is nothing to synchronise in between. Virtual-time figures
+// are therefore deterministic for a fixed configuration, while wall-clock
+// throughput scales with the host's cores — the simulator's analogue of
+// running one NGINX deployment per core behind a load balancer.
 
 package siege
 
 import (
 	"fmt"
+	"sync"
 	"time"
-
-	"cubicleos/internal/cycles"
-	"cubicleos/internal/uksched"
 )
-
-// ParallelQuantum is the virtual-cycle length of one scheduler quantum in
-// the parallel driver: each shard steps until its clock passes the
-// current GVT plus this, then yields to the barrier.
-const ParallelQuantum = 2_000_000
 
 // ParallelStats is the merged result of a sharded open-loop run.
 type ParallelStats struct {
@@ -32,14 +25,11 @@ type ParallelStats struct {
 	// Elapsed/GoodputRPS use the longest shard span (the shards run
 	// concurrently in virtual time).
 	OpenLoopStats
-	// Cores is the number of shards (= worker goroutines).
+	// Cores is the number of simulated cores the load was split over.
 	Cores int
-	// PerCore are the individual shard results.
+	// PerCore are the individual shard results, one per core that had an
+	// arrival to serve (min(Cores, Requests) of them).
 	PerCore []*OpenLoopStats
-	// GVT is global virtual time over the shard clocks at completion.
-	GVT uint64
-	// Quanta is how many barrier-delimited quanta the run took.
-	Quanta uint64
 	// WallSeconds is host wall-clock time spent driving the shards
 	// (provisioning/boot excluded); WallRPS is completed 200s per host
 	// second — the figure that shows wall-clock scaling.
@@ -49,20 +39,18 @@ type ParallelStats struct {
 
 // ParallelOpenLoop shards o across cores: shard c is booted by mk(c),
 // receives Rate/cores of the offered load and an equal share of the
-// arrivals (remainder spread over the lowest cores), and is stepped by
-// its own worker goroutine in GVT quanta until every shard finishes.
+// arrivals (remainder spread over the lowest cores), and is stepped to
+// completion by its own goroutine. A core without an arrival to serve
+// boots no shard.
 func ParallelOpenLoop(cores int, mk func(core int) (*Target, error), o OpenLoopOptions) (*ParallelStats, error) {
-	if cores < 1 {
-		cores = 1
-	}
+	cores = max(cores, 1)
 	if o.Rate <= 0 || o.Requests <= 0 {
 		return nil, fmt.Errorf("siege: open loop needs positive rate and request count")
 	}
 
-	runs := make([]*OpenLoopDriver, cores)
-	clks := make([]*cycles.Clock, cores)
+	runs := make([]*OpenLoopDriver, min(cores, o.Requests))
 	base, rem := o.Requests/cores, o.Requests%cores
-	for c := 0; c < cores; c++ {
+	for c := range runs {
 		t, err := mk(c)
 		if err != nil {
 			return nil, fmt.Errorf("siege: parallel boot of shard %d: %w", c, err)
@@ -73,54 +61,29 @@ func ParallelOpenLoop(cores int, mk func(core int) (*Target, error), o OpenLoopO
 		if c < rem {
 			so.Requests++
 		}
-		clks[c] = t.Sys.M.Clock
-		if so.Requests == 0 {
-			// More cores than requests: the shard idles. Its clock keeps
-			// the core count honest, but there is no run to step.
-			continue
-		}
 		if runs[c], err = t.StartOpenLoop(so); err != nil {
 			return nil, err
 		}
 	}
 
-	machine := cycles.MachineOver(clks...)
-	smp := uksched.NewSMP(cores)
-	smp.Machine = machine
-	for c := 0; c < cores; c++ {
-		if runs[c] == nil {
-			continue
-		}
-		r := runs[c]
-		clk := clks[c]
-		smp.AddFunc(c, fmt.Sprintf("siege-shard-%d", c), func() uksched.Status {
-			// One quantum: step until the shard's clock passes the bound
-			// set at the last barrier. GVT is stable between barriers, so
-			// every worker computes the same bound.
-			bound := machine.GVT() + ParallelQuantum
-			for clk.Cycles() < bound {
-				if !r.step() {
-					return uksched.Done
-				}
-			}
-			return uksched.Yield
-		})
-	}
-
 	wallStart := time.Now()
-	if !smp.Run(2) {
-		return nil, fmt.Errorf("siege: parallel shards stalled: %v", smp.Blocked())
+	var wg sync.WaitGroup
+	for _, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r.step() {
+			}
+		}()
 	}
+	wg.Wait()
 	wall := time.Since(wallStart)
 
-	ps := &ParallelStats{Cores: cores, GVT: machine.Barrier(), Quanta: smp.Quanta}
+	ps := &ParallelStats{Cores: cores}
 	ps.OfferedRPS = o.Rate
 	var lats []uint64
 	var maxElapsed uint64
 	for _, r := range runs {
-		if r == nil {
-			continue
-		}
 		st := r.Finish()
 		ps.PerCore = append(ps.PerCore, st)
 		ps.Arrivals += st.Arrivals

@@ -1,4 +1,4 @@
-package siege_test
+package siege
 
 import (
 	"reflect"
@@ -7,15 +7,14 @@ import (
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/faultinject"
 	"cubicleos/internal/ramfs"
-	"cubicleos/internal/siege"
 )
 
 // mkShard builds the shard boot function used by every parallel test:
 // identical deployments with one 4 KiB file.
-func mkShard(t *testing.T) func(core int) (*siege.Target, error) {
+func mkShard(t *testing.T) func(core int) (*Target, error) {
 	t.Helper()
-	return func(core int) (*siege.Target, error) {
-		tgt, err := siege.NewTarget(cubicle.ModeFull)
+	return func(core int) (*Target, error) {
+		tgt, err := NewTarget(cubicle.ModeFull)
 		if err != nil {
 			return nil, err
 		}
@@ -28,7 +27,7 @@ func mkShard(t *testing.T) func(core int) (*siege.Target, error) {
 
 // virtualView strips the wall-clock fields from a parallel result so runs
 // can be compared for virtual-time determinism.
-func virtualView(ps *siege.ParallelStats) siege.ParallelStats {
+func virtualView(ps *ParallelStats) ParallelStats {
 	v := *ps
 	v.WallSeconds, v.WallRPS = 0, 0
 	return v
@@ -36,13 +35,13 @@ func virtualView(ps *siege.ParallelStats) siege.ParallelStats {
 
 // TestParallelOpenLoopDeterministic is the siege-level determinism gate:
 // the same configuration driven five times produces identical virtual-time
-// results — counters, latency percentiles, per-shard stats, GVT and quantum
-// count — regardless of how the host schedules the worker goroutines.
-// Under -race it also gates the shard/barrier protocol.
+// results — counters, latency percentiles and per-shard stats — regardless
+// of how the host schedules the shard goroutines. Under -race it also
+// gates that the shards share nothing.
 func TestParallelOpenLoopDeterministic(t *testing.T) {
-	opts := siege.OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 48}
-	run := func() siege.ParallelStats {
-		ps, err := siege.ParallelOpenLoop(3, mkShard(t), opts)
+	opts := OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 48}
+	run := func() ParallelStats {
+		ps, err := ParallelOpenLoop(3, mkShard(t), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,28 +58,67 @@ func TestParallelOpenLoopDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelOpenLoopOneCoreMatchesSequential asserts the cores=1
-// parallel driver is a pass-through: the merged figures equal a plain
-// OpenLoop run of the same deployment, field for field. This is the
-// siege half of the "cores=1 is byte-identical to the seed" guarantee.
+// TestParallelOpenLoopOneCoreMatchesSequential is the invariant that lets
+// the shards run unsynchronised: at every core count, each shard's result
+// equals that shard driven alone — the same deployment at Rate/cores with
+// its share of the arrivals (the remainder on the lowest cores), started by
+// StartOpenLoop and stepped to the end — and the merged figures are the
+// shards' counters summed with Summarise over their pooled latencies. At
+// cores=1 that is a plain OpenLoop run, field for field: the siege half of
+// the "cores=1 is byte-identical to the seed" guarantee.
 func TestParallelOpenLoopOneCoreMatchesSequential(t *testing.T) {
-	opts := siege.OpenLoopOptions{Path: "/index.html", Rate: 1500, Requests: 24}
-
-	seq := bootOverloadTarget(t, siege.Options{Mode: cubicle.ModeFull})
-	want, err := seq.OpenLoop(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ps, err := siege.ParallelOpenLoop(1, mkShard(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ps.OpenLoopStats, *want) {
-		t.Fatalf("cores=1 merged stats differ from sequential:\n got  %+v\n want %+v", ps.OpenLoopStats, *want)
-	}
-	if len(ps.PerCore) != 1 || !reflect.DeepEqual(*ps.PerCore[0], *want) {
-		t.Fatalf("per-core stats differ from sequential")
+	opts := OpenLoopOptions{Path: "/index.html", Rate: 1500, Requests: 26}
+	for _, cores := range []int{1, 2, 3, 4} {
+		ps, err := ParallelOpenLoop(cores, mkShard(t), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps.Cores != cores || len(ps.PerCore) != cores {
+			t.Fatalf("cores=%d: got Cores=%d and %d shard results", cores, ps.Cores, len(ps.PerCore))
+		}
+		want := OpenLoopStats{OfferedRPS: opts.Rate}
+		var lats []uint64
+		var maxElapsed uint64
+		for c := 0; c < cores; c++ {
+			tgt, err := mkShard(t)(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			so := opts
+			so.Rate = opts.Rate / float64(cores)
+			so.Requests = opts.Requests / cores
+			if c < opts.Requests%cores {
+				so.Requests++
+			}
+			r, err := tgt.StartOpenLoop(so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r.step() {
+			}
+			alone := r.Finish()
+			if !reflect.DeepEqual(ps.PerCore[c], alone) {
+				t.Fatalf("cores=%d: shard %d differs from the shard driven alone:\n got  %+v\n want %+v",
+					cores, c, ps.PerCore[c], alone)
+			}
+			want.Arrivals += alone.Arrivals
+			want.OK += alone.OK
+			want.Shed += alone.Shed
+			want.Errors += alone.Errors
+			want.Dropped += alone.Dropped
+			want.MaxConns += alone.MaxConns
+			want.ArenaBytes += alone.ArenaBytes
+			lats = append(lats, r.lats...)
+			maxElapsed = max(maxElapsed, r.elapsed)
+		}
+		want.LatencySummary = Summarise(lats, want.OK, maxElapsed)
+		if want.OK != opts.Requests {
+			t.Fatalf("cores=%d: %d of %d arrivals completed", cores, want.OK, opts.Requests)
+		}
+		if !reflect.DeepEqual(ps.OpenLoopStats, want) {
+			t.Fatalf("cores=%d: merged stats differ from the shards driven alone:\n got  %+v\n want %+v",
+				cores, ps.OpenLoopStats, want)
+		}
 	}
 }
 
@@ -88,8 +126,8 @@ func TestParallelOpenLoopOneCoreMatchesSequential(t *testing.T) {
 // lands on some shard, the remainder goes to the low cores, and all
 // shards complete their share.
 func TestParallelOpenLoopShardsLoad(t *testing.T) {
-	opts := siege.OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 10}
-	ps, err := siege.ParallelOpenLoop(4, mkShard(t), opts)
+	opts := OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 10}
+	ps, err := ParallelOpenLoop(4, mkShard(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +143,6 @@ func TestParallelOpenLoopShardsLoad(t *testing.T) {
 			t.Fatalf("shard %d got %d arrivals, want %d", c, st.Arrivals, wantPerCore[c])
 		}
 	}
-	if ps.Quanta == 0 || ps.GVT == 0 {
-		t.Fatalf("expected barrier bookkeeping: quanta=%d gvt=%d", ps.Quanta, ps.GVT)
-	}
 }
 
 // TestParallelOpenLoopUnderChaos is the chaos+SMP smoke: every shard runs
@@ -118,13 +153,13 @@ func TestParallelOpenLoopShardsLoad(t *testing.T) {
 // a second run — chaos schedules are part of the determinism contract.
 func TestParallelOpenLoopUnderChaos(t *testing.T) {
 	const cores = 2
-	run := func() (siege.ParallelStats, []cubicle.Stats) {
-		targets := make([]*siege.Target, cores)
-		mk := func(core int) (*siege.Target, error) {
+	run := func() (ParallelStats, []cubicle.Stats) {
+		targets := make([]*Target, cores)
+		mk := func(core int) (*Target, error) {
 			policy := cubicle.DefaultRestartPolicy()
 			policy.MaxRestarts = 1000
 			policy.CrossingBudget = 200_000_000
-			tgt, err := siege.NewTargetOpts(siege.Options{
+			tgt, err := NewTargetOpts(Options{
 				Mode:        cubicle.ModeFull,
 				Supervision: &policy,
 				Chaos: &faultinject.Config{
@@ -145,8 +180,8 @@ func TestParallelOpenLoopUnderChaos(t *testing.T) {
 			targets[core] = tgt
 			return tgt, nil
 		}
-		opts := siege.OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 60}
-		ps, err := siege.ParallelOpenLoop(cores, mk, opts)
+		opts := OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 60}
+		ps, err := ParallelOpenLoop(cores, mk, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@
 #       (the step that carries it included); checkpoints/op and ckptbytes/op
 #       are deterministic. Readings, not gates
 #   SMPSiege/cores-{1,2,4} sharded open-loop siege per core count: wallrps
-#       shows wall-clock scaling, gvtcycles/ok are deterministic
+#       shows wall-clock scaling, ok is deterministic
 #   ClusterGoodput/backends-{1,2,4}  the virtual cluster behind the
 #       health-aware balancer: goodputrps/ok are deterministic and must
 #       scale near-linearly with fleet size
@@ -77,12 +77,8 @@
 #                parser's nodes, the DB's buffers, its binds and the arenas
 #                of its Result, a spilled pre-image's buffer goes back to
 #                the free list, and Exec runs speedtest's text in place
-#              - SMPSiege wallrps at cores=2 < MIN_SMP_SCALING (default
-#                1.4) × wallrps at cores=1 — shared-nothing shards,
-#                one system and one monitor each, must scale with real
-#                cores. Skipped when nproc < 4: on a box without spare
-#                cores the shards time-slice one CPU and wall-clock
-#                scaling is physically impossible.
+#            The shard siege's wall-clock scaling gate is
+#            `httpbench -cores 2 -assert-scale` in scripts/check.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -91,7 +87,6 @@ BENCHTIME="${BENCHTIME:-1s}"
 HTTPTIME="500x"
 OUT="BENCH_simulator.json"
 MAX_TRACING_RATIO="${MAX_TRACING_RATIO:-1.9}"
-MIN_SMP_SCALING="${MIN_SMP_SCALING:-1.4}"
 MODE=full
 for arg in "$@"; do
     case "$arg" in
@@ -218,30 +213,6 @@ if [ "$MODE" = assert ]; then
         if (bad) exit 1
         print "bench.sh: assert ok: SpeedtestPass <= 12577000 and SpeedtestQueries <= 3039000 B/op"
     }' "$TMP" || exit 1
-
-    # Shard-siege wall-clock scaling gate: two shared-nothing shards (one
-    # monitor each) on two real cores must serve meaningfully more requests
-    # per wall second than one. Only meaningful when the host has cores to
-    # spare for the shards.
-    if [ "$(nproc)" -ge 4 ]; then
-        SMPTMP="$(mktemp)"
-        go test -run '^$' -bench 'SMPSiege/cores-[12]$' -benchtime 1x -count 3 . | tee "$SMPTMP"
-        awk -v min="$MIN_SMP_SCALING" '
-        /^BenchmarkSMPSiege\/cores-1/ { for (i = 3; i + 1 <= NF; i += 2) if ($(i+1) == "wallrps") { c1 += $i; n1++ } }
-        /^BenchmarkSMPSiege\/cores-2/ { for (i = 3; i + 1 <= NF; i += 2) if ($(i+1) == "wallrps") { c2 += $i; n2++ } }
-        END {
-            if (n1 == 0 || n2 == 0) { print "bench.sh: assert: no SMPSiege measurements"; exit 1 }
-            s = (c2 / n2) / (c1 / n1)
-            if (s < min) {
-                printf "bench.sh: assert: SMPSiege cores-2/cores-1 wallrps scaling %.2fx below %.2fx\n", s, min
-                exit 1
-            }
-            printf "bench.sh: assert ok: SMPSiege scaling %.2fx >= %.2fx\n", s, min
-        }' "$SMPTMP" || { rm -f "$SMPTMP"; exit 1; }
-        rm -f "$SMPTMP"
-    else
-        echo "bench.sh: assert: skipping SMPSiege scaling gate (nproc=$(nproc) < 4)"
-    fi
     exit 0
 fi
 

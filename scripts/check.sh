@@ -63,11 +63,15 @@ done
 ./scripts/defercheck.sh
 
 # Concurrency contract (DESIGN.md §10): a monitor is driven by one goroutine
-# at a time, so the runtime holds no lock and starts no goroutine — and the
-# clock, the page words and the cubicle's health are plain memory, because
-# an atomic there orders nothing and costs a fence a store (§14).
-if grep -nE 'sync\.(RW)?Mutex|^[[:space:]]*go [a-zA-Z_(]' $(ls internal/cubicle/*.go | grep -v _test.go); then
-    echo "check.sh: internal/cubicle takes a lock or starts a goroutine" >&2; exit 1
+# at a time, so the runtime holds no lock — and the clock, the page words
+# and the cubicle's health are plain memory, because an atomic there orders
+# nothing and costs a fence a store (§14). The one go statement outside
+# benchmark/ starts ParallelOpenLoop's shards.
+if grep -nE 'sync\.(RW)?Mutex' $(ls internal/cubicle/*.go | grep -v _test.go); then
+    echo "check.sh: internal/cubicle takes a lock" >&2; exit 1
+fi
+if find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './internal/siege/parallel.go' | xargs grep -nE '^[[:space:]]*go [a-zA-Z_(]'; then
+    echo "check.sh: a go statement outside internal/siege/parallel.go" >&2; exit 1
 fi
 if grep -n '"sync/atomic"' $(ls internal/cycles/*.go internal/vm/*.go internal/cubicle/*.go | grep -v _test.go); then
     echo "check.sh: internal/cycles, internal/vm or internal/cubicle imports sync/atomic" >&2; exit 1
@@ -119,27 +123,26 @@ go run ./cmd/cubicle-trace -format json -requests 40 -chaos-seed 7 -check >/dev/
 go run ./cmd/httpbench -openloop -rates 1000,8000 -requests 120 -assert-degrade >/dev/null
 
 # SMP gates: interleaved threads on one monitor, the retag shootdown
-# surcharge, GVT barriers and the shard siege under the race detector —
-# host parallelism is shared-nothing shards with one monitor each, and
-# TestParallelOpenLoop* under -race is the guard that they share nothing
-# (TestParallelPeersShareNoBuffers the same for each shard's peer and its
-# free list of receive buffers) — and the 1-core byte-identity golden:
-# cores=1 must reproduce the pre-SMP Figure 7 exactly.
-go test -race -run 'SMP|Shootdown|Parallel' ./internal/cubicle/ ./internal/uksched/ ./internal/siege/ ./internal/cycles/ ./internal/lwip/
+# surcharge and the shard siege under the race detector — host
+# parallelism is shared-nothing shards with one monitor and one goroutine
+# each, and TestParallelOpenLoop* under -race is the guard that they share
+# nothing (TestParallelPeersShareNoBuffers the same for each shard's peer
+# and its free list of receive buffers) — and the 1-core byte-identity
+# golden: cores=1 must reproduce the pre-SMP Figure 7 exactly.
+go test -race -run 'SMP|Shootdown|Parallel' ./internal/cubicle/ ./internal/siege/ ./internal/lwip/
 go run ./cmd/cubicle-bench -fig 7 | diff - cmd/cubicle-bench/testdata/fig7_seed.golden
 
-# Shard siege smoke: the sharded open-loop driver (one system, one monitor
-# and one goroutine per core, nothing shared) at 2 and 4 cores must
-# complete. The wall-clock scaling assertion (>=2x on 4 cores) only means
-# anything on a host with >=4 CPUs; on smaller hosts the sweep still runs
-# but the ratio is not enforced.
-if [ "$(nproc)" -ge 4 ]; then
-    go run ./cmd/httpbench -cores 4 -rates 2000,4000 -requests 200 -assert-scale 2
+# Shard siege: the sharded open-loop driver must complete at 4 cores, and
+# wherever the host has two CPUs two shards must serve more requests per
+# wall second than one. 1.1x sits below the least of twenty runs on a
+# 2-vCPU host (1.16x; median 1.4x; EXPERIMENTS.md, "Multi-core sweep").
+if [ "$(nproc)" -ge 2 ]; then
+    go run ./cmd/httpbench -cores 2 -requests 200 -assert-scale 1.1
 else
-    echo "check.sh: $(nproc) CPU(s); shard siege smoke without the scaling assertion"
-    go run ./cmd/httpbench -cores 4 -rates 2000 -requests 100 >/dev/null
+    echo "check.sh: 1 CPU; shard siege smoke without the scaling assertion"
+    go run ./cmd/httpbench -cores 2 -rates 2000 -requests 100 >/dev/null
 fi
-go run ./cmd/httpbench -cores 2 -rates 2000 -requests 100 >/dev/null
+go run ./cmd/httpbench -cores 4 -rates 2000 -requests 100 >/dev/null
 
 # Recovery gates: the snapshot codec (round-trip, determinism, corruption
 # rejection, fuzz seeds run as unit tests), the checkpoint/warm-restart
