@@ -789,24 +789,10 @@ func BenchmarkWarmRestartMTTR(b *testing.B) {
 		stats  cubicle.Stats
 	}
 	drive := func(checkpointInterval uint64) outcome {
-		policy := cubicleos.DefaultRestartPolicy()
-		policy.MaxRestarts = 1000
-		policy.CrossingBudget = 200_000_000
 		tgt, err := siege.NewTargetOpts(siege.Options{
 			Mode:               cubicleos.ModeFull,
-			Supervision:        &policy,
 			CheckpointInterval: checkpointInterval,
-			Chaos: &cubicleos.ChaosConfig{
-				Seed:             7,
-				Target:           "RAMFS",
-				ProtAtCrossing:   0.010,
-				CFIAtCrossing:    0.003,
-				BudgetAtCrossing: 0.002,
-				LeakAtCrossing:   0.005,
-				ProtAtWindowOp:   0.003,
-				ProtAtRetag:      0.002,
-			},
-		})
+		}.Chaotic(7))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,13 +7,14 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"sort"
+	"slices"
 
 	"cubicleos"
 	"cubicleos/internal/cluster"
@@ -97,7 +98,7 @@ func buildReport(m *cubicleos.Monitor) *report {
 	for _, c := range m.Cubicles() {
 		names[int(c.ID)] = c.Name
 		exports := c.Exports()
-		sort.Strings(exports)
+		slices.Sort(exports)
 		ci := cubicleInfo{
 			ID: int(c.ID), Name: c.Name, Kind: c.Kind.String(), Key: int(c.Key),
 			Windows: m.WindowCount(c.ID), Health: c.Health().String(),
@@ -123,11 +124,8 @@ func buildReport(m *cubicleos.Monitor) *report {
 	for k := range counts {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].owner != keys[j].owner {
-			return keys[i].owner < keys[j].owner
-		}
-		return keys[i].typ < keys[j].typ
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.owner, b.owner), cmp.Compare(a.typ, b.typ))
 	})
 	for _, k := range keys {
 		owner := names[k.owner]
@@ -142,11 +140,8 @@ func buildReport(m *cubicleos.Monitor) *report {
 	for _, tr := range m.Trampolines() {
 		r.Tramps = append(r.Tramps, tr.Symbol())
 	}
-	sort.Strings(r.Tramps)
-	r.Counters = make(map[string]uint64, len(cubicle.Counters))
-	for _, c := range cubicle.Counters {
-		r.Counters[c.Name] = *c.Field(&m.Stats)
-	}
+	slices.Sort(r.Tramps)
+	r.Counters = cubicle.CounterValues(&m.Stats)
 	for _, e := range m.Stats.SortedEdges() {
 		r.Edges = append(r.Edges, edgeCount{From: int(e.From), To: int(e.To), Count: e.Count})
 	}
@@ -225,7 +220,7 @@ func writeText(w io.Writer, r *report) {
 	}
 }
 
-// clusterReport is the machine-readable fleet dump (-cluster -json).
+// clusterReport is the fleet dump (-cluster), in text and -json alike.
 type clusterReport struct {
 	Backends    int              `json:"backends"`
 	Policy      string           `json:"policy"`
@@ -256,10 +251,10 @@ type clusterBackend struct {
 	Quarantines  uint64 `json:"quarantines"`
 }
 
-// inspectCluster boots an N-backend virtual cluster, floods it while a
+// runCluster boots an N-backend virtual cluster, floods it while a
 // scripted kill takes one backend through the drain → warm restart →
-// re-admission ladder, and dumps the balancer's view of the fleet.
-func inspectCluster(n int, asJSON bool) {
+// re-admission ladder, and reports the balancer's view of the fleet.
+func runCluster(n int) *clusterReport {
 	c, err := cluster.New(cluster.Options{
 		Backends:           n,
 		Mode:               cubicleos.ModeFull,
@@ -278,7 +273,7 @@ func inspectCluster(n int, asJSON bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := clusterReport{
+	rep := &clusterReport{
 		Backends: n, Policy: c.O.Policy.String(),
 		Retries: st.Retries, Hedges: st.Hedges, HedgeWins: st.HedgeWins,
 		Failovers: st.Failovers, Drains: st.Drains, Readmits: st.Readmits,
@@ -294,28 +289,38 @@ func inspectCluster(n int, asJSON bool) {
 			Quarantines: pb.Sys.Quarantines,
 		})
 	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	fmt.Printf("CLUSTER (%d backends, %s policy)\n", n, rep.Policy)
-	fmt.Printf("%-4s %-9s %7s %6s %5s %5s %5s %7s %8s %5s %5s %6s\n",
+	return rep
+}
+
+// writeClusterText renders the fleet report as the human-readable table.
+func writeClusterText(w io.Writer, r *clusterReport) {
+	fmt.Fprintf(w, "CLUSTER (%d backends, %s policy)\n", r.Backends, r.Policy)
+	fmt.Fprintf(w, "%-4s %-9s %7s %6s %5s %5s %5s %7s %8s %5s %5s %6s\n",
 		"idx", "health", "routed", "ok", "shed", "err", "drop", "drains", "readmits", "warm", "cold", "quar")
-	for _, b := range rep.Fleet {
-		fmt.Printf("%-4d %-9s %7d %6d %5d %5d %5d %7d %8d %5d %5d %6d\n",
+	for _, b := range r.Fleet {
+		fmt.Fprintf(w, "%-4d %-9s %7d %6d %5d %5d %5d %7d %8d %5d %5d %6d\n",
 			b.Index, b.Health, b.Routed, b.OK, b.Shed, b.Errors, b.Dropped,
 			b.Drains, b.Readmits, b.WarmRestarts, b.ColdRestarts, b.Quarantines)
 	}
-	fmt.Println("\nBALANCER")
-	fmt.Printf("  retries     %6d\n", rep.Retries)
-	fmt.Printf("  hedges      %6d (%d won)\n", rep.Hedges, rep.HedgeWins)
-	fmt.Printf("  failovers   %6d\n", rep.Failovers)
-	fmt.Printf("  drains      %6d (%d re-admissions)\n", rep.Drains, rep.Readmits)
-	fmt.Printf("  route faults %5d\n", rep.RouteFaults)
+	fmt.Fprintln(w, "\nBALANCER")
+	fmt.Fprintf(w, "  retries     %6d\n", r.Retries)
+	fmt.Fprintf(w, "  hedges      %6d (%d won)\n", r.Hedges, r.HedgeWins)
+	fmt.Fprintf(w, "  failovers   %6d\n", r.Failovers)
+	fmt.Fprintf(w, "  drains      %6d (%d re-admissions)\n", r.Drains, r.Readmits)
+	fmt.Fprintf(w, "  route faults %5d\n", r.RouteFaults)
+}
+
+// emit writes r to stdout as indented JSON, or through writeText.
+func emit[R any](asJSON bool, r R, writeText func(io.Writer, R)) {
+	if !asJSON {
+		writeText(os.Stdout, r)
+		return
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(r); err != nil {
+		log.Fatal(err)
+	}
 }
 
 func main() {
@@ -328,7 +333,7 @@ func main() {
 	flag.Parse()
 
 	if *clusterN > 0 {
-		inspectCluster(*clusterN, *asJSON)
+		emit(*asJSON, runCluster(*clusterN), writeClusterText)
 		return
 	}
 
@@ -353,15 +358,5 @@ func main() {
 			}
 		}
 	}
-	r := buildReport(tgt.Sys.M)
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(r); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	writeText(os.Stdout, r)
+	emit(*asJSON, buildReport(tgt.Sys.M), writeText)
 }

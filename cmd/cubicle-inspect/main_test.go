@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,5 +69,84 @@ func TestReportCountersFollowTheTable(t *testing.T) {
 		if got, ok := lines[name]; !ok || got != v {
 			t.Errorf("text view shows %s = %d (present=%v), JSON carries %d", name, got, ok, v)
 		}
+	}
+}
+
+// TestFleetTextFollowsJSON runs the -cluster scenario and requires the
+// text table to show, row by row and column by column, what the JSON form
+// carries for every backend, and the balancer section its totals.
+func TestFleetTextFollowsJSON(t *testing.T) {
+	r := runCluster(4)
+	raw, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Decoded generically, numbers as their JSON text, so the test reads
+	// the keys the JSON form really has.
+	var dump map[string]any
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	if err := dec.Decode(&dump); err != nil {
+		t.Fatal(err)
+	}
+	fleet, _ := dump["fleet"].([]any)
+	if len(fleet) != 4 {
+		t.Fatalf("JSON fleet has %d backends, want 4", len(fleet))
+	}
+	var text bytes.Buffer
+	writeClusterText(&text, r)
+	lines := strings.Split(text.String(), "\n")
+
+	// The table's columns, by header, and the JSON key each one shows.
+	key := map[string]string{"idx": "index", "health": "health", "routed": "routed", "ok": "ok",
+		"shed": "shed", "err": "errors", "drop": "dropped", "drains": "drains", "readmits": "readmits",
+		"warm": "warm_restarts", "cold": "cold_restarts", "quar": "quarantines"}
+	head := strings.Fields(lines[1])
+	if len(head) != len(key) {
+		t.Fatalf("table header %q, want the %d columns %v", lines[1], len(key), key)
+	}
+	for i, b := range fleet {
+		row := strings.Fields(lines[2+i])
+		if len(row) != len(head) {
+			t.Fatalf("backend %d: row %q has %d fields, header %d", i, lines[2+i], len(row), len(head))
+		}
+		for c, h := range head {
+			k, ok := key[h]
+			if !ok {
+				t.Fatalf("column %q shows no JSON key", h)
+			}
+			if want := fmt.Sprint(b.(map[string]any)[k]); row[c] != want {
+				t.Errorf("backend %d: text shows %s = %s, JSON carries %s = %s", i, h, row[c], k, want)
+			}
+		}
+	}
+	if lines[2+len(fleet)] != "" {
+		t.Errorf("text table has more rows than the JSON fleet: %q", lines[2+len(fleet)])
+	}
+
+	// The balancer section, line by line: the numbers each line shows and
+	// the JSON keys they are.
+	bal := [][]string{{"retries"}, {"hedges", "hedge_wins"}, {"failovers"}, {"drains", "readmits"}, {"route_faults"}}
+	at := slices.Index(lines, "BALANCER")
+	if at < 0 || len(lines) < at+1+len(bal) {
+		t.Fatalf("no balancer section of %d lines in\n%s", len(bal), text.String())
+	}
+	for j, keys := range bal {
+		var nums []string
+		for _, f := range strings.Fields(lines[at+1+j]) {
+			if f = strings.Trim(f, "()"); f != "" && strings.Trim(f, "0123456789") == "" {
+				nums = append(nums, f)
+			}
+		}
+		var want []string
+		for _, k := range keys {
+			want = append(want, fmt.Sprint(dump[k]))
+		}
+		if !slices.Equal(nums, want) {
+			t.Errorf("balancer line %q shows %v, JSON carries %v = %v", lines[at+1+j], nums, keys, want)
+		}
+	}
+	if fmt.Sprint(dump["drains"]) == "0" {
+		t.Error("the scripted kill drained no backend")
 	}
 }

@@ -18,37 +18,9 @@ import (
 	"time"
 
 	"cubicleos"
-	"cubicleos/internal/cluster"
 	"cubicleos/internal/dash"
 	"cubicleos/internal/siege"
 )
-
-// clusterTop floods an N-backend virtual cluster while a scripted kill
-// takes one backend through drain → warm restart → re-admission, then
-// renders the fleet table: top(1) for the whole cluster.
-func clusterTop(n int, rate float64, requests, size int) {
-	c, err := cluster.New(cluster.Options{
-		Backends:           n,
-		Mode:               cubicleos.ModeFull,
-		Seed:               7,
-		CheckpointInterval: 5_000_000,
-		HedgeAfter:         20_000_000,
-		Script:             []cluster.Event{{AtCycle: 25_000_000, Backend: n / 2, Action: cluster.ActKill}},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := c.PutFile("/index.html", make([]byte, size)); err != nil {
-		log.Fatal(err)
-	}
-	st, err := c.RunOpenLoop(cluster.RunOptions{Path: "/index.html", Rate: rate, Requests: requests})
-	if err != nil {
-		log.Fatal(err)
-	}
-	dash.FleetFrame(st, os.Stdout)
-	fmt.Printf("\nrun: offered %.0f rps  ok %d  shed %d  errors %d  dropped %d  goodput %.0f rps\n",
-		st.OfferedRPS, st.OK, st.Shed, st.Errors, st.Dropped, st.GoodputRPS)
-}
 
 func main() {
 	rate := flag.Float64("rate", 6000, "offered load in requests per virtual second")
@@ -59,13 +31,7 @@ func main() {
 	refresh := flag.Duration("refresh", 80*time.Millisecond, "wall-clock pause per frame")
 	once := flag.Bool("once", false, "render one final frame without ANSI escapes and exit")
 	ungoverned := flag.Bool("ungoverned", false, "disable overload governance (watch the pile-up instead)")
-	clusterN := flag.Int("cluster", 0, "watch an N-backend virtual cluster through a scripted failover instead of one system")
 	flag.Parse()
-
-	if *clusterN > 0 {
-		clusterTop(*clusterN, *rate, *requests, *size)
-		return
-	}
 
 	o := siege.Options{
 		Mode:        cubicleos.ModeFull,

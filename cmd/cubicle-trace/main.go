@@ -37,11 +37,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 
 	"cubicleos"
 	"cubicleos/internal/cubicle"
-	"cubicleos/internal/ramfs"
 	"cubicleos/internal/siege"
 	"cubicleos/internal/trace"
 )
@@ -62,18 +62,14 @@ func main() {
 	until := flag.Uint64("until", 0, "with -replay: halt the replay run's virtual clock at this cycle and compare events with Cycle <= until (0 = full run)")
 	flag.Parse()
 
-	var m cubicleos.Mode
-	switch *mode {
-	case "unikraft":
-		m = cubicleos.ModeUnikraft
-	case "no-mpk":
-		m = cubicleos.ModeTrampoline
-	case "no-acl":
-		m = cubicleos.ModeNoACL
-	case "full":
-		m = cubicleos.ModeFull
-	default:
-		log.Fatalf("unknown mode %q", *mode)
+	if err := checkRing(*ring); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	m, err := cubicle.ParseMode(*mode)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// mkOpts builds a fresh option set per boot: the replay path boots the
@@ -82,30 +78,17 @@ func main() {
 		opts := siege.Options{Mode: m, TraceEvents: *ring, TraceSamplePeriod: *sample,
 			SMPCores: *cores, CheckpointInterval: *checkpoint}
 		if *chaosSeed != 0 {
-			policy := cubicleos.DefaultRestartPolicy()
-			policy.MaxRestarts = 1000 // the smoke asserts recovery, not death
-			policy.CrossingBudget = 200_000_000
-			opts.Supervision = &policy
-			opts.Chaos = &cubicleos.ChaosConfig{
-				Seed:             *chaosSeed,
-				Target:           ramfs.Name,
-				ProtAtCrossing:   0.010,
-				CFIAtCrossing:    0.003,
-				BudgetAtCrossing: 0.002,
-				LeakAtCrossing:   0.005,
-				ProtAtWindowOp:   0.003,
-				ProtAtRetag:      0.002,
-			}
+			opts = opts.Chaotic(*chaosSeed)
 		}
 		return opts
 	}
 
 	if *replay {
-		runReplay(mkOpts, *requests, *size, *chaosSeed, *until)
+		runReplay(mkOpts, *requests, *size, *until)
 		return
 	}
 
-	tgt, err := runWorkload(mkOpts(), *requests, *size, *chaosSeed, 0)
+	tgt, err := runWorkload(mkOpts(), *requests, *size, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -142,15 +125,11 @@ func main() {
 		}
 		err = trc.WritePrometheus(&buf)
 	case "json":
-		counters := make(map[string]uint64, len(cubicle.Counters))
-		for _, c := range cubicle.Counters {
-			counters[c.Name] = *c.Field(&mon.Stats)
-		}
 		var b []byte
 		b, err = json.MarshalIndent(struct {
 			Counters map[string]uint64 `json:"counters"`
 			*trace.Snapshot
-		}{counters, trc.Snapshot()}, "", " ")
+		}{cubicle.CounterValues(&mon.Stats), trc.Snapshot()}, "", " ")
 		buf.Write(b)
 	case "profile":
 		writeProfile(&buf, tgt)
@@ -165,25 +144,30 @@ func main() {
 		validate(tgt, *format, buf.Bytes())
 	}
 
-	var w io.Writer = os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		w = f
+		err = os.WriteFile(*out, buf.Bytes(), 0o666)
+	} else {
+		_, err = os.Stdout.Write(buf.Bytes())
 	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// checkRing refuses a -ring that would leave the run without a tracer
+// (n < 1) or that no ring can hold (n > trace.MaxRing).
+func checkRing(n int) error {
+	if n < 1 || n > trace.MaxRing {
+		return fmt.Errorf("-ring %d: want 1 to %d events", n, trace.MaxRing)
+	}
+	return nil
 }
 
 // runWorkload boots a target and drives the request loop. With stop != 0
 // the run halts as soon as the virtual clock reaches stop (the replay
 // side of a record/replay pair); halting only reads the clock, so a
 // halted run's step sequence is a bit-identical prefix of a full one.
-func runWorkload(opts siege.Options, requests, size int, chaosSeed, stop uint64) (*siege.Target, error) {
+func runWorkload(opts siege.Options, requests, size int, stop uint64) (*siege.Target, error) {
 	tgt, err := siege.NewTargetOpts(opts)
 	if err != nil {
 		return nil, err
@@ -191,38 +175,31 @@ func runWorkload(opts siege.Options, requests, size int, chaosSeed, stop uint64)
 	if err := tgt.PutFile("/trace.bin", make([]byte, size)); err != nil {
 		return nil, err
 	}
-	if chaos := tgt.Sys.Chaos; chaos != nil {
+	if stop == 0 {
+		stop = math.MaxUint64 // Fetch's bound: never halts
+	}
+	chaos := tgt.Sys.Chaos
+	if chaos != nil {
 		chaos.Arm()
+		defer chaos.Disarm()
 	}
 	for i := 0; i < requests; i++ {
-		var res *siege.Result
-		var err error
-		if stop != 0 {
-			res, err = tgt.FetchUntil("/trace.bin", stop)
-			if errors.Is(err, siege.ErrHalted) {
-				break
-			}
-		} else {
-			res, err = tgt.Fetch("/trace.bin")
-		}
-		if chaosSeed != 0 {
+		res, err := tgt.FetchUntil("/trace.bin", stop)
+		switch {
+		case errors.Is(err, siege.ErrHalted):
+			return tgt, nil
+		case chaos != nil:
 			// Under chaos, degraded responses (503, 404 after a RAMFS
 			// restart, truncated bodies) are the expected behaviour; the run
 			// only has to survive and recover, never crash.
 			if err == nil && res.Status == 404 {
 				_ = tgt.PutFile("/trace.bin", make([]byte, size))
 			}
-			continue
-		}
-		if err != nil {
+		case err != nil:
 			return nil, err
-		}
-		if res.Status != 200 {
+		case res.Status != 200:
 			return nil, fmt.Errorf("request %d: status %d", i, res.Status)
 		}
-	}
-	if chaos := tgt.Sys.Chaos; chaos != nil {
-		chaos.Disarm()
 	}
 	return tgt, nil
 }
@@ -230,8 +207,8 @@ func runWorkload(opts siege.Options, requests, size int, chaosSeed, stop uint64)
 // runReplay executes the workload twice — record, then replay halted at
 // `until` — and requires the event streams to agree
 // bit-identically on every event with Cycle <= until.
-func runReplay(mkOpts func() siege.Options, requests, size int, chaosSeed, until uint64) {
-	rec, err := runWorkload(mkOpts(), requests, size, chaosSeed, 0)
+func runReplay(mkOpts func() siege.Options, requests, size int, until uint64) {
+	rec, err := runWorkload(mkOpts(), requests, size, 0)
 	if err != nil {
 		log.Fatalf("record run: %v", err)
 	}
@@ -240,7 +217,7 @@ func runReplay(mkOpts func() siege.Options, requests, size int, chaosSeed, until
 	if cutoff == 0 || cutoff > end {
 		cutoff = end
 	}
-	rep, err := runWorkload(mkOpts(), requests, size, chaosSeed, until)
+	rep, err := runWorkload(mkOpts(), requests, size, until)
 	if err != nil {
 		log.Fatalf("replay run: %v", err)
 	}

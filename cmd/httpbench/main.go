@@ -1,20 +1,23 @@
-// Command httpbench runs the NGINX download-latency sweep of the paper's
-// §6.3 evaluation (Figure 7): it provisions files of each size into the
-// server's RAMFS, fetches them with the siege-style client, and prints
-// latency per transfer size for the chosen isolation mode.
+// Command httpbench drives the NGINX deployment past the paper's
+// closed-loop Figure 7 (which is cubicle-bench -fig 7). It runs one of:
 //
-// With -openloop it instead runs an open-loop offered-load sweep across
-// the saturation knee, governed (admission control + bounded buffers)
-// versus ungoverned, printing goodput, shed rate, tail latencies, peak
-// connections and the memory the overload left behind. -assert-degrade
-// exits non-zero unless the governed server degrades gracefully — the
-// overload smoke check scripts/check.sh runs in CI.
+//	-openloop    an open-loop offered-load sweep across the saturation
+//	             knee, governed (admission control + bounded buffers)
+//	             against ungoverned: goodput, sheds, tail latencies, peak
+//	             connections and the memory the overload left behind
+//	-cores N     the same sweep sharded across N simulated cores
+//	-cluster N   goodput scaling over 1..N backends, then failover
+//
+// -assert-degrade exits non-zero unless the governed server (or the
+// cluster) degrades gracefully; -assert-scale gates the shard speed-up.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -24,45 +27,60 @@ import (
 	"cubicleos/internal/siege"
 )
 
-// parseRates parses the -rates flag into offered loads.
-func parseRates(rateList string) []float64 {
+// parseRates parses the -rates flag into offered loads, each finite and
+// positive.
+func parseRates(rateList string) ([]float64, error) {
 	var rates []float64
 	for _, s := range strings.Split(rateList, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || r <= 0 {
-			log.Fatalf("bad rate %q in -rates", s)
+		if err != nil || !(r > 0) || math.IsInf(r, 0) {
+			return nil, fmt.Errorf("bad rate %q in -rates", s)
 		}
 		rates = append(rates, r)
 	}
-	return rates
+	return rates, nil
+}
+
+// mustRates is parseRates for main: a bad list ends the run.
+func mustRates(rateList string) []float64 {
+	r, err := parseRates(rateList)
+	must(err)
+	return r
+}
+
+// must ends the run on an error.
+func must(err error) {
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// target boots the deployment with o and provisions the 4 KiB
+// /index.html every sweep fetches.
+func target(o siege.Options) (*siege.Target, error) {
+	tgt, err := siege.NewTargetOpts(o)
+	if err != nil {
+		return nil, err
+	}
+	return tgt, tgt.PutFile("/index.html", make([]byte, 4096))
+}
+
+// require ends the run with an assert-degrade failure unless ok.
+func require(ok bool, f string, a ...any) {
+	if !ok {
+		log.Fatalf("assert-degrade: "+f, a...)
+	}
 }
 
 // openLoopSweep compares the ungoverned and governed servers at each
 // offered rate and optionally asserts the graceful-degradation shape.
-func openLoopSweep(rateList string, requests int, assert bool) {
-	rates := parseRates(rateList)
-	mk := func(governed bool) func() (*siege.Target, error) {
-		return func() (*siege.Target, error) {
-			o := siege.Options{Mode: cubicleos.ModeFull}
-			if governed {
-				o = o.Governed()
-			}
-			tgt, err := siege.NewTargetOpts(o)
-			if err != nil {
-				return nil, err
-			}
-			return tgt, tgt.PutFile("/index.html", make([]byte, 4096))
-		}
-	}
+func openLoopSweep(rates []float64, requests int, assert bool) {
+	full := siege.Options{Mode: cubicleos.ModeFull}
 	opts := siege.OpenLoopOptions{Path: "/index.html", Requests: requests}
-	ungov, err := siege.OpenLoopSweep(rates, mk(false), opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	gov, err := siege.OpenLoopSweep(rates, mk(true), opts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ungov, err := siege.OpenLoopSweep(rates, func() (*siege.Target, error) { return target(full) }, opts)
+	must(err)
+	gov, err := siege.OpenLoopSweep(rates, func() (*siege.Target, error) { return target(full.Governed()) }, opts)
+	must(err)
 	fmt.Printf("%-10s %9s %8s %5s %5s %8s %8s %9s %10s\n",
 		"config", "offered", "goodput", "ok", "shed", "p50", "p99", "maxconns", "arena KiB")
 	row := func(name string, st *siege.OpenLoopStats) {
@@ -83,27 +101,14 @@ func openLoopSweep(rateList string, requests int, assert bool) {
 	// cost less memory than the ungoverned pile-up; below the knee (lowest
 	// rate) governance must be invisible.
 	lo, hi := 0, len(rates)-1
-	fail := func(f string, a ...any) { log.Fatalf("assert-degrade: "+f, a...) }
-	if gov[lo].Shed != 0 || gov[lo].OK != ungov[lo].OK {
-		fail("governance not invisible below the knee: ok=%d/%d shed=%d",
-			gov[lo].OK, ungov[lo].OK, gov[lo].Shed)
-	}
-	if gov[hi].Shed == 0 {
-		fail("governed server shed nothing at %.0f rps", rates[hi])
-	}
-	if gov[hi].OK == 0 {
-		fail("governed server completed nothing at %.0f rps", rates[hi])
-	}
-	if gov[hi].Dropped != 0 {
-		fail("governed server silently dropped %d connections", gov[hi].Dropped)
-	}
-	if gov[hi].MaxConns > 16 {
-		fail("admission control leaked: %d concurrent connections", gov[hi].MaxConns)
-	}
-	if gov[hi].ArenaBytes >= ungov[hi].ArenaBytes {
-		fail("governed arena %d KiB not below ungoverned %d KiB",
-			gov[hi].ArenaBytes/1024, ungov[hi].ArenaBytes/1024)
-	}
+	require(gov[lo].Shed == 0 && gov[lo].OK == ungov[lo].OK, "governance not invisible below the knee: ok=%d/%d shed=%d",
+		gov[lo].OK, ungov[lo].OK, gov[lo].Shed)
+	require(gov[hi].Shed != 0, "governed server shed nothing at %.0f rps", rates[hi])
+	require(gov[hi].OK != 0, "governed server completed nothing at %.0f rps", rates[hi])
+	require(gov[hi].Dropped == 0, "governed server silently dropped %d connections", gov[hi].Dropped)
+	require(gov[hi].MaxConns <= 16, "admission control leaked: %d concurrent connections", gov[hi].MaxConns)
+	require(gov[hi].ArenaBytes < ungov[hi].ArenaBytes, "governed arena %d KiB not below ungoverned %d KiB",
+		gov[hi].ArenaBytes/1024, ungov[hi].ArenaBytes/1024)
 	fmt.Println("assert-degrade ok: explicit sheds, bounded connections and memory, no silent drops")
 }
 
@@ -115,23 +120,14 @@ func openLoopSweep(rateList string, requests int, assert bool) {
 // N-core sweeps and two 1-core reference sweeps run afterwards, and the
 // command exits non-zero unless the N-core sweeps' aggregate wall-clock
 // throughput reached assertScale× the reference's.
-func parallelSweep(rateList string, requests, cores int, assertScale float64) {
-	rates := parseRates(rateList)
-	mk := func(core int) (*siege.Target, error) {
-		tgt, err := siege.NewTarget(cubicleos.ModeFull)
-		if err != nil {
-			return nil, err
-		}
-		return tgt, tgt.PutFile("/index.html", make([]byte, 4096))
-	}
+func parallelSweep(rates []float64, requests, cores int, assertScale float64) {
+	mk := func(int) (*siege.Target, error) { return target(siege.Options{Mode: cubicleos.ModeFull}) }
 	sweep := func(n int) []*siege.ParallelStats {
 		out := make([]*siege.ParallelStats, 0, len(rates))
 		for _, r := range rates {
 			o := siege.OpenLoopOptions{Path: "/index.html", Rate: r, Requests: requests}
 			ps, err := siege.ParallelOpenLoop(n, mk, o)
-			if err != nil {
-				log.Fatal(err)
-			}
+			must(err)
 			out = append(out, ps)
 		}
 		return out
@@ -191,8 +187,9 @@ func clusterRun(n int, rate float64, requests int, seed uint64, assert bool) {
 	if n < 1 {
 		log.Fatal("-cluster needs at least 1 backend")
 	}
-	fail := func(f string, a ...any) { log.Fatalf("assert-degrade: "+f, a...) }
-	boot := func(size int, script []cluster.Event) *cluster.Cluster {
+	// flood boots a cluster of size backends, provisions /index.html and
+	// runs ro against it.
+	flood := func(size int, script []cluster.Event, ro cluster.RunOptions) *cluster.Stats {
 		c, err := cluster.New(cluster.Options{
 			Backends:           size,
 			Mode:               cubicleos.ModeFull,
@@ -200,13 +197,11 @@ func clusterRun(n int, rate float64, requests int, seed uint64, assert bool) {
 			CheckpointInterval: 5_000_000,
 			Script:             script,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := c.PutFile("/index.html", make([]byte, 4096)); err != nil {
-			log.Fatal(err)
-		}
-		return c
+		must(err)
+		must(c.PutFile("/index.html", make([]byte, 4096)))
+		st, err := c.RunOpenLoop(ro)
+		must(err)
+		return st
 	}
 	perBackendRate := rate / float64(n)
 
@@ -215,12 +210,8 @@ func clusterRun(n int, rate float64, requests int, seed uint64, assert bool) {
 		"backends", "offered", "goodput", "ok", "shed", "drop", "p50", "p99")
 	sweep := map[int]*cluster.Stats{}
 	for size := 1; size <= n; size *= 2 {
-		c := boot(size, nil)
-		st, err := c.RunOpenLoop(cluster.RunOptions{
+		st := flood(size, nil, cluster.RunOptions{
 			Path: "/index.html", Rate: perBackendRate * float64(size), Requests: requests * size})
-		if err != nil {
-			log.Fatal(err)
-		}
 		sweep[size] = st
 		fmt.Printf("%9d %9.0f %8.0f %5d %5d %5d %8s %8s\n",
 			size, st.OfferedRPS, st.GoodputRPS, st.OK, st.Shed, st.Dropped,
@@ -228,20 +219,10 @@ func clusterRun(n int, rate float64, requests int, seed uint64, assert bool) {
 	}
 
 	run := cluster.RunOptions{Path: "/index.html", Rate: rate, Requests: requests * n}
-	baseline, err := boot(n, nil).RunOpenLoop(run)
-	if err != nil {
-		log.Fatal(err)
-	}
+	baseline := flood(n, nil, run)
 	victim := n / 2
 	script := []cluster.Event{{AtCycle: 25_000_000, Backend: victim, Action: cluster.ActKill}}
-	chaos, err := boot(n, script).RunOpenLoop(run)
-	if err != nil {
-		log.Fatal(err)
-	}
-	replay, err := boot(n, script).RunOpenLoop(run)
-	if err != nil {
-		log.Fatal(err)
-	}
+	chaos, replay := flood(n, script, run), flood(n, script, run)
 	fmt.Printf("\nfailover: kill backend %d of %d mid-flood at %.0f rps\n", victim, n, rate)
 	fmt.Printf("%-10s %8s %5s %5s %5s %7s %7s %9s %8s\n",
 		"config", "goodput", "ok", "shed", "drop", "drains", "readmit", "failovers", "p99")
@@ -261,109 +242,46 @@ func clusterRun(n int, rate float64, requests int, seed uint64, assert bool) {
 	}
 	for size := 2; size <= n; size *= 2 {
 		want := 0.8 * float64(size) * sweep[1].GoodputRPS
-		if sweep[size].GoodputRPS < want {
-			fail("goodput does not scale: %d backends reach %.0f rps, want >= %.0f",
-				size, sweep[size].GoodputRPS, want)
-		}
+		require(sweep[size].GoodputRPS >= want, "goodput does not scale: %d backends reach %.0f rps, want >= %.0f",
+			size, sweep[size].GoodputRPS, want)
 	}
-	if chaos.GoodputRPS < 0.6*baseline.GoodputRPS {
-		fail("kill-one goodput %.0f rps below 60%% of steady-state %.0f rps",
-			chaos.GoodputRPS, baseline.GoodputRPS)
-	}
-	if chaos.Drains < 1 || chaos.Readmits < 1 {
-		fail("victim not drained+readmitted (drains %d, readmits %d)", chaos.Drains, chaos.Readmits)
-	}
-	if v.Health != "healthy" {
-		fail("victim ended %q, want healthy after re-admission", v.Health)
-	}
-	if v.Sys.WarmRestarts < 1 {
-		fail("victim restarted cold (%d warm restarts) — checkpoint restore did not run", v.Sys.WarmRestarts)
-	}
-	if !reflect.DeepEqual(chaos, replay) {
-		fail("two identically-seeded chaos runs diverged")
-	}
+	require(chaos.GoodputRPS >= 0.6*baseline.GoodputRPS, "kill-one goodput %.0f rps below 60%% of steady-state %.0f rps",
+		chaos.GoodputRPS, baseline.GoodputRPS)
+	require(chaos.Drains >= 1 && chaos.Readmits >= 1, "victim not drained+readmitted (drains %d, readmits %d)",
+		chaos.Drains, chaos.Readmits)
+	require(v.Health == "healthy", "victim ended %q, want healthy after re-admission", v.Health)
+	require(v.Sys.WarmRestarts >= 1, "victim restarted cold (%d warm restarts) — checkpoint restore did not run",
+		v.Sys.WarmRestarts)
+	require(reflect.DeepEqual(chaos, replay), "two identically-seeded chaos runs diverged")
 	fmt.Println("assert-degrade ok: goodput scales, failover holds >= 60%, warm re-admission, bit-identical replay")
 }
 
 func main() {
-	mode := flag.String("mode", "both", "isolation mode: unikraft, full, both")
-	repeats := flag.Int("repeats", 2, "measured requests per size (after one warm-up)")
-	openloop := flag.Bool("openloop", false, "run the open-loop overload sweep instead of the size sweep")
-	rateList := flag.String("rates", "1000,2000,4000,8000", "offered rates (rps) for -openloop")
-	requests := flag.Int("requests", 120, "arrivals per rate for -openloop")
-	assertDegrade := flag.Bool("assert-degrade", false, "with -openloop: exit non-zero unless degradation is graceful")
+	openloop := flag.Bool("openloop", false, "run the open-loop overload sweep, governed against ungoverned")
+	rateList := flag.String("rates", "1000,2000,4000,8000", "offered rates (rps) for -openloop and -cores")
+	requests := flag.Int("requests", 120, "arrivals per rate for -openloop and -cores")
+	assertDegrade := flag.Bool("assert-degrade", false, "with -openloop or -cluster: exit non-zero unless degradation is graceful")
 	cores := flag.Int("cores", 0, "shard the open-loop sweep across N simulated cores (SMP driver)")
 	assertScale := flag.Float64("assert-scale", 0, "with -cores: exit non-zero unless wall throughput >= X times a 1-core reference")
 	clusterN := flag.Int("cluster", 0, "run the virtual-cluster scaling + failover scenario with N backends")
 	clusterRate := flag.Float64("cluster-rate", 6000, "cluster-wide offered rate (rps) for -cluster")
 	clusterSeed := flag.Uint64("cluster-seed", 7, "seed for the -cluster chaos and hash streams")
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: httpbench -openloop | -cores N | -cluster N [flags]\n"+
+			"(the Figure 7 latency-vs-size sweep is cubicle-bench -fig 7)")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
-	if *clusterN > 0 {
+	switch {
+	case *clusterN > 0:
 		clusterRun(*clusterN, *clusterRate, 90, *clusterSeed, *assertDegrade)
-		return
-	}
-	if *cores > 0 {
-		parallelSweep(*rateList, *requests, *cores, *assertScale)
-		return
-	}
-	if *openloop {
-		openLoopSweep(*rateList, *requests, *assertDegrade)
-		return
-	}
-
-	sizes := []int{1 << 10, 2 << 10, 8 << 10, 32 << 10, 64 << 10, 128 << 10,
-		512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20}
-
-	measure := func(m cubicleos.Mode) map[int]float64 {
-		tgt, err := siege.NewTarget(m)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out := make(map[int]float64)
-		for _, size := range sizes {
-			name := fmt.Sprintf("/f%d.bin", size)
-			if err := tgt.PutFile(name, make([]byte, size)); err != nil {
-				log.Fatal(err)
-			}
-			if _, err := tgt.Fetch(name); err != nil { // warm-up
-				log.Fatal(err)
-			}
-			var sum float64
-			for i := 0; i < *repeats; i++ {
-				res, err := tgt.Fetch(name)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if res.Status != 200 || len(res.Body) != size {
-					log.Fatalf("size %d: bad response", size)
-				}
-				sum += float64(res.Latency.Microseconds()) / 1000
-			}
-			out[size] = sum / float64(*repeats)
-		}
-		return out
-	}
-
-	switch *mode {
-	case "both":
-		base := measure(cubicleos.ModeUnikraft)
-		full := measure(cubicleos.ModeFull)
-		fmt.Printf("%12s %14s %14s %8s\n", "size (B)", "baseline (ms)", "cubicleos (ms)", "ratio")
-		for _, size := range sizes {
-			fmt.Printf("%12d %14.2f %14.2f %8.2f\n", size, base[size], full[size], full[size]/base[size])
-		}
-	case "unikraft", "full":
-		m := cubicleos.ModeUnikraft
-		if *mode == "full" {
-			m = cubicleos.ModeFull
-		}
-		res := measure(m)
-		fmt.Printf("%12s %14s\n", "size (B)", "latency (ms)")
-		for _, size := range sizes {
-			fmt.Printf("%12d %14.2f\n", size, res[size])
-		}
+	case *cores > 0:
+		parallelSweep(mustRates(*rateList), *requests, *cores, *assertScale)
+	case *openloop:
+		openLoopSweep(mustRates(*rateList), *requests, *assertDegrade)
 	default:
-		log.Fatalf("unknown mode %q", *mode)
+		flag.Usage()
+		os.Exit(2)
 	}
 }

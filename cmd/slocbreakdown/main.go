@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,6 +29,9 @@ var groups = []struct {
 		"internal/urandom", "internal/boot"}},
 	{"SQLite", "pager, B+tree, SQL engine, speedtest1", []string{"internal/sqldb", "internal/speedtest"}},
 	{"NGINX", "HTTP server, siege client", []string{"internal/httpd", "internal/siege"}},
+	{"Observability", "event tracer, metrics export, dashboard", []string{"internal/trace", "internal/dash"}},
+	{"Recovery", "checkpoint codec, fault injection", []string{"internal/snapshot", "internal/faultinject"}},
+	{"Cluster", "balancer, failover, retries", []string{"internal/cluster"}},
 	{"Baselines", "microkernel IPC models, Linux baseline", []string{"internal/ukernel"}},
 	{"Experiments", "figure harness", []string{"internal/experiments"}},
 	{"Tools & examples", "cmd/, examples/, public facade", []string{"cmd", "examples", "."}},
@@ -43,9 +47,14 @@ func main() {
 	for _, g := range groups {
 		var code, test int
 		for _, dir := range g.dirs {
-			c, t := countDir(filepath.Join(*root, dir), dir == ".")
-			code += c
-			test += t
+			for _, f := range goFiles(*root, dir) {
+				n, _ := countFile(f)
+				if strings.HasSuffix(f, "_test.go") {
+					test += n
+				} else {
+					code += n
+				}
+			}
 		}
 		totalCode += code
 		totalTest += test
@@ -65,28 +74,23 @@ func main() {
 	}
 }
 
-// countDir counts code and test SLOC under dir (.go files only);
-// shallow=true restricts to the directory itself.
-func countDir(dir string, shallow bool) (code, test int) {
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			if info != nil && info.IsDir() && shallow && path != dir {
-				return filepath.SkipDir
-			}
+// goFiles lists the .go files a row's dir counts: every one under
+// root/dir, or for "." those of root itself.
+func goFiles(root, dir string) []string {
+	var out []string
+	top := filepath.Join(root, dir)
+	filepath.WalkDir(top, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
 			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		n, _ := countFile(path)
-		if strings.HasSuffix(path, "_test.go") {
-			test += n
-		} else {
-			code += n
+		case d.IsDir() && dir == "." && path != top:
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go"):
+			out = append(out, path)
 		}
 		return nil
 	})
-	return code, test
+	return out
 }
 
 // countFile counts non-blank, non-comment lines.

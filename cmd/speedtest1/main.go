@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"log"
 
-	"cubicleos"
+	"cubicleos/internal/cubicle"
 	"cubicleos/internal/cycles"
 	"cubicleos/internal/experiments"
 	"cubicleos/internal/speedtest"
@@ -22,28 +22,12 @@ func main() {
 	grouping := flag.String("compartments", "7", "compartment configuration: 3, 4 or 7 (Figure 9)")
 	flag.Parse()
 
-	var m cubicleos.Mode
-	switch *mode {
-	case "unikraft":
-		m = cubicleos.ModeUnikraft
-	case "no-mpk":
-		m = cubicleos.ModeTrampoline
-	case "no-acl":
-		m = cubicleos.ModeNoACL
-	case "full":
-		m = cubicleos.ModeFull
-	default:
-		log.Fatalf("unknown mode %q", *mode)
+	m, err := cubicle.ParseMode(*mode)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var groups map[string]string
-	switch *grouping {
-	case "3":
-		groups = map[string]string{"VFSCORE": "CORE", "RAMFS": "CORE", "PLAT": "CORE", "ALLOC": "CORE", "BOOT": "CORE"}
-	case "4":
-		groups = map[string]string{"VFSCORE": "CORE", "PLAT": "CORE", "ALLOC": "CORE", "BOOT": "CORE"}
-	case "7":
-		groups = nil
-	default:
+	groups, ok := map[string]map[string]string{"3": experiments.Groups3, "4": experiments.Groups4, "7": nil}[*grouping]
+	if !ok {
 		log.Fatalf("compartments must be 3, 4 or 7")
 	}
 

@@ -14,7 +14,6 @@ import (
 	"cubicleos/internal/experiments"
 	"cubicleos/internal/faultinject"
 	"cubicleos/internal/httpd"
-	"cubicleos/internal/ramfs"
 	"cubicleos/internal/siege"
 	"cubicleos/internal/sqldb"
 	"cubicleos/internal/ualloc"
@@ -72,25 +71,11 @@ func digest(t *testing.T, m *cubicle.Monitor, extra ...[]byte) uint64 {
 // supervision, checkpoints every 300 000 cycles, 15 fetches — in mode.
 // Unikraft mode has no crossing to inject at: its cell pins the rest.
 func replayCell(t *testing.T, mode cubicle.Mode) []uint64 {
-	policy := cubicle.DefaultRestartPolicy()
-	policy.MaxRestarts = 1000
-	policy.CrossingBudget = 200_000_000
 	tgt, err := siege.NewTargetOpts(siege.Options{
 		Mode:               mode,
 		TraceEvents:        1 << 16,
-		Supervision:        &policy,
 		CheckpointInterval: 300_000,
-		Chaos: &faultinject.Config{
-			Seed:             7,
-			Target:           ramfs.Name,
-			ProtAtCrossing:   0.010,
-			CFIAtCrossing:    0.003,
-			BudgetAtCrossing: 0.002,
-			LeakAtCrossing:   0.005,
-			ProtAtWindowOp:   0.003,
-			ProtAtRetag:      0.002,
-		},
-	})
+	}.Chaotic(7))
 	if err != nil {
 		t.Fatal(err)
 	}

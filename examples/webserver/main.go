@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"cubicleos"
+	"cubicleos/internal/cubicle"
 	"cubicleos/internal/siege"
 )
 
@@ -23,20 +24,10 @@ func main() {
 	requests := flag.Int("requests", 5, "requests per file")
 	flag.Parse()
 
-	var m cubicleos.Mode
-	switch *mode {
-	case "unikraft":
-		m = cubicleos.ModeUnikraft
-	case "no-mpk":
-		m = cubicleos.ModeTrampoline
-	case "no-acl":
-		m = cubicleos.ModeNoACL
-	case "full":
-		m = cubicleos.ModeFull
-	default:
-		log.Fatalf("unknown mode %q", *mode)
+	m, err := cubicle.ParseMode(*mode)
+	if err != nil {
+		log.Fatal(err)
 	}
-
 	tgt, err := siege.NewTarget(m)
 	if err != nil {
 		log.Fatal(err)
@@ -49,24 +40,27 @@ func main() {
 		fmt.Printf("  %-8s kind=%-8s key=%d\n", c.Name, c.Kind, c.Key)
 	}
 
-	files := map[string]int{"/index.html": 4 << 10, "/app.js": 64 << 10, "/logo.png": 256 << 10}
-	for name, size := range files {
-		data := []byte(strings.Repeat("x", size))
-		if err := tgt.PutFile(name, data); err != nil {
+	// A slice, not a map: the order is part of the output.
+	files := []struct {
+		name string
+		size int
+	}{{"/index.html", 4 << 10}, {"/app.js", 64 << 10}, {"/logo.png", 256 << 10}}
+	for _, f := range files {
+		if err := tgt.PutFile(f.name, []byte(strings.Repeat("x", f.size))); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	fmt.Println("\nserving:")
-	for name := range files {
+	for _, f := range files {
 		for i := 0; i < *requests; i++ {
-			res, err := tgt.Fetch(name)
+			res, err := tgt.Fetch(f.name)
 			if err != nil {
 				log.Fatal(err)
 			}
 			if i == *requests-1 {
 				fmt.Printf("  GET %-12s -> %d, %7d bytes, %6.2f ms (%d system cycles)\n",
-					name, res.Status, len(res.Body), float64(res.Latency.Microseconds())/1000, res.Cycles)
+					f.name, res.Status, len(res.Body), float64(res.Latency.Microseconds())/1000, res.Cycles)
 			}
 		}
 	}

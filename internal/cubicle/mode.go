@@ -41,6 +41,20 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
 
+// modeFlags are the command-line names of the modes, indexed by Mode.
+var modeFlags = [...]string{"unikraft", "no-mpk", "no-acl", "full"}
+
+// ParseMode maps a mode's command-line name — unikraft, no-mpk, no-acl or
+// full — to the mode.
+func ParseMode(name string) (Mode, error) {
+	for m, f := range modeFlags {
+		if f == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want unikraft, no-mpk, no-acl or full)", name)
+}
+
 // MPKEnabled reports whether the mode programs real key permissions into
 // thread PKRU registers (and therefore takes protection traps).
 func (m Mode) MPKEnabled() bool { return m >= ModeNoACL }

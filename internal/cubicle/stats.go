@@ -121,11 +121,11 @@ type Counter struct {
 
 // Counters is the one declaration of every scalar counter. note bumps
 // the rows through tables built from it, and Stats.Merge, the /metrics
-// exposition (cubicleos_<Name>_total), cubicle-inspect and cubicle-trace
-// iterate it, so a new counter is one row here and one note where its
-// event happens. Each kind defines at most one count and one Weighted row;
-// call_exit, ipc and mark define none. The three TLB* shims are not rows:
-// nothing increments them and no event defines them.
+// exposition (cubicleos_<Name>_total), CounterValues, cubicle-inspect
+// and cubicle-trace iterate it, so a new counter is one row here and one
+// note where its event happens. Each kind defines at most one count and
+// one Weighted row; call_exit, ipc and mark define none. The three TLB*
+// shims are not rows: nothing increments them and no event defines them.
 var Counters = [...]Counter{
 	{"calls", "Cross-cubicle calls", trace.EvCallEnter, false, func(s *Stats) *uint64 { return &s.CallsTotal }},
 	{"shared_calls", "Calls into shared cubicles", trace.EvSharedCall, false, func(s *Stats) *uint64 { return &s.SharedCalls }},
@@ -154,6 +154,16 @@ var Counters = [...]Counter{
 	{"routes", "Balancer decisions that routed a request here", trace.EvRoute, false, func(s *Stats) *uint64 { return &s.Routes }},
 	{"drains", "Balancer drain and readmit transitions", trace.EvDrain, false, func(s *Stats) *uint64 { return &s.Drains }},
 	{"failovers", "Requests the balancer re-issued elsewhere", trace.EvFailover, false, func(s *Stats) *uint64 { return &s.Failovers }},
+}
+
+// CounterValues maps each Counters row's name to its value in s — the
+// counters section of cubicle-inspect's report and cubicle-trace's JSON.
+func CounterValues(s *Stats) map[string]uint64 {
+	out := make(map[string]uint64, len(Counters))
+	for _, c := range Counters {
+		out[c.Name] = *c.Field(s)
+	}
+	return out
 }
 
 // bindCounters builds note's table from Counters, once per monitor.

@@ -240,11 +240,11 @@ func TestGroupedDeploymentCheaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests skipped in -short")
 	}
-	c3, err := cubicleRun(cubicle.ModeFull, groups3, 10)
+	c3, err := cubicleRun(cubicle.ModeFull, Groups3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c4, err := cubicleRun(cubicle.ModeFull, groups4, 10)
+	c4, err := cubicleRun(cubicle.ModeFull, Groups4, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

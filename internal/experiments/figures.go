@@ -16,11 +16,12 @@ import (
 // virtual-file-system module is "a module that combines the PLAT, VFSCORE,
 // ALLOC, and BOOT cubicles" (§6.5): CubicleOS-3 additionally builds the
 // RAMFS driver into it (Figure 9a); CubicleOS-4 separates RAMFS
-// (Figure 9b). TIMER and SQLITE stay separate in both.
+// (Figure 9b). TIMER and SQLITE stay separate in both. speedtest1
+// -compartments 3|4 boots these.
 var (
-	groups3 = map[string]string{vfscore.Name: "CORE", "RAMFS": "CORE",
+	Groups3 = map[string]string{vfscore.Name: "CORE", "RAMFS": "CORE",
 		"PLAT": "CORE", "ALLOC": "CORE", "BOOT": "CORE"}
-	groups4 = map[string]string{vfscore.Name: "CORE",
+	Groups4 = map[string]string{vfscore.Name: "CORE",
 		"PLAT": "CORE", "ALLOC": "CORE", "BOOT": "CORE"}
 )
 
@@ -386,7 +387,7 @@ func Fig10a(size int) ([]Fig10aRow, error) {
 		return nil, err
 	}
 	rows := []Fig10aRow{{System: "Linux", Slowdown: 1.0}}
-	uk, err := cubicleRun(cubicle.ModeUnikraft, groups3, size)
+	uk, err := cubicleRun(cubicle.ModeUnikraft, Groups3, size)
 	if err != nil {
 		return nil, err
 	}
@@ -398,12 +399,12 @@ func Fig10a(size int) ([]Fig10aRow, error) {
 		}
 		rows = append(rows, Fig10aRow{System: fmt.Sprintf("Genode-%d", comp), Slowdown: meanSlowdown(g, linux)})
 	}
-	c3, err := cubicleRun(cubicle.ModeFull, groups3, size)
+	c3, err := cubicleRun(cubicle.ModeFull, Groups3, size)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, Fig10aRow{System: "CubicleOS-3", Slowdown: meanSlowdown(c3, linux)})
-	c4, err := cubicleRun(cubicle.ModeFull, groups4, size)
+	c4, err := cubicleRun(cubicle.ModeFull, Groups4, size)
 	if err != nil {
 		return nil, err
 	}
@@ -433,11 +434,11 @@ func Fig10b(size int) ([]Fig10bRow, error) {
 		}
 		rows = append(rows, Fig10bRow{Kernel: model.Name, Slowdown: meanSlowdown(t4, t3)})
 	}
-	c3, err := cubicleRun(cubicle.ModeFull, groups3, size)
+	c3, err := cubicleRun(cubicle.ModeFull, Groups3, size)
 	if err != nil {
 		return nil, err
 	}
-	c4, err := cubicleRun(cubicle.ModeFull, groups4, size)
+	c4, err := cubicleRun(cubicle.ModeFull, Groups4, size)
 	if err != nil {
 		return nil, err
 	}

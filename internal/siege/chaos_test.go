@@ -19,25 +19,13 @@ import (
 // after the supervisor restarts it — and the cycle profile must still
 // cover the whole chaotic run.
 func TestSiegeUnderChaos(t *testing.T) {
-	policy := cubicle.DefaultRestartPolicy()
-	policy.MaxRestarts = 1000 // death is exercised in the supervisor tests
-	policy.CrossingBudget = 200_000_000
+	// Death is exercised in the supervisor tests: Chaotic allows 1000
+	// restarts.
 	tgt, err := NewTargetOpts(Options{
 		Mode:              cubicle.ModeFull,
 		TraceEvents:       1 << 14,
 		TraceSamplePeriod: 50_000,
-		Supervision:       &policy,
-		Chaos: &faultinject.Config{
-			Seed:             7,
-			Target:           ramfs.Name,
-			ProtAtCrossing:   0.010,
-			CFIAtCrossing:    0.003,
-			BudgetAtCrossing: 0.002,
-			LeakAtCrossing:   0.005,
-			ProtAtWindowOp:   0.003,
-			ProtAtRetag:      0.002,
-		},
-	})
+	}.Chaotic(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +90,7 @@ func TestSiegeUnderChaos(t *testing.T) {
 			provisioned = true
 			break
 		}
-		m.Clock.Charge(policy.BackoffMax)
+		m.Clock.Charge(cubicle.DefaultRestartPolicy().BackoffMax)
 	}
 	if !provisioned {
 		t.Fatalf("could not re-provision after chaos; RAMFS health = %v, last fault: %v",

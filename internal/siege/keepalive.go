@@ -17,8 +17,6 @@ import (
 type KAConn struct {
 	Conn *lwip.PeerConn
 	off  int // receive-buffer bytes consumed by already-parsed responses
-	// Served counts responses parsed off this connection.
-	Served int
 	// SawClose latches once a response announced Connection: close (or
 	// was HTTP/1.0 without keep-alive); no further requests should be
 	// sent on the connection.
@@ -97,7 +95,6 @@ func (k *KAConn) Next() (*KAResponse, error) {
 	}
 	total := h.bodyAt + clen
 	k.off += total
-	k.Served++
 	if closing {
 		k.SawClose = true
 	}

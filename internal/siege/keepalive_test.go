@@ -66,6 +66,7 @@ func TestKeepAliveReusesConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := tg.OpenKA()
+	served := 0
 	for i := 0; i < 5; i++ {
 		r := fetchKA(t, tg, k, "/ka.html")
 		if r.Status != 200 || !bytes.Equal(r.Body, body) {
@@ -74,9 +75,10 @@ func TestKeepAliveReusesConnection(t *testing.T) {
 		if r.Close {
 			t.Fatalf("request %d: server closed a keep-alive exchange early", i)
 		}
+		served++
 	}
-	if k.Served != 5 {
-		t.Fatalf("served %d responses on one connection, want 5", k.Served)
+	if served != 5 {
+		t.Fatalf("served %d responses on one connection, want 5", served)
 	}
 	if k.Conn.FinRcvd {
 		t.Fatal("server closed the connection despite keep-alive")

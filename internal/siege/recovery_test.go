@@ -12,21 +12,6 @@ import (
 	"cubicleos/internal/trace"
 )
 
-// chaosRamfs is the fault-injection schedule shared by the recovery
-// tests: deterministic faults aimed at the RAMFS cubicle.
-func chaosRamfs(seed uint64) *faultinject.Config {
-	return &faultinject.Config{
-		Seed:             seed,
-		Target:           ramfs.Name,
-		ProtAtCrossing:   0.010,
-		CFIAtCrossing:    0.003,
-		BudgetAtCrossing: 0.002,
-		LeakAtCrossing:   0.005,
-		ProtAtWindowOp:   0.003,
-		ProtAtRetag:      0.002,
-	}
-}
-
 // pattern returns n distinctive bytes so byte-identity after a warm
 // restart is a real check, not an all-zero coincidence.
 func pattern(n int) []byte {
@@ -43,16 +28,11 @@ func pattern(n int) []byte {
 // recovery with NO operator re-provisioning, where a cold restart would
 // 404 until PutFile ran again.
 func TestWarmRestartRestoresRamfs(t *testing.T) {
-	policy := cubicle.DefaultRestartPolicy()
-	policy.MaxRestarts = 1000
-	policy.CrossingBudget = 200_000_000
 	tgt, err := NewTargetOpts(Options{
 		Mode:               cubicle.ModeFull,
 		TraceEvents:        1 << 15,
-		Supervision:        &policy,
 		CheckpointInterval: 300_000,
-		Chaos:              chaosRamfs(7),
-	})
+	}.Chaotic(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +75,7 @@ func TestWarmRestartRestoresRamfs(t *testing.T) {
 		if err == nil && res.Status == 200 {
 			break
 		}
-		m.Clock.Charge(policy.BackoffMax)
+		m.Clock.Charge(cubicle.DefaultRestartPolicy().BackoffMax)
 	}
 	if err != nil {
 		t.Fatalf("post-recovery fetch: %v", err)
@@ -127,15 +107,7 @@ type recoveryRun struct {
 
 func driveRecovery(t *testing.T, checkpointInterval uint64) recoveryRun {
 	t.Helper()
-	policy := cubicle.DefaultRestartPolicy()
-	policy.MaxRestarts = 1000
-	policy.CrossingBudget = 200_000_000
-	tgt, err := NewTargetOpts(Options{
-		Mode:               cubicle.ModeFull,
-		Supervision:        &policy,
-		CheckpointInterval: checkpointInterval,
-		Chaos:              chaosRamfs(7),
-	})
+	tgt, err := NewTargetOpts(Options{Mode: cubicle.ModeFull, CheckpointInterval: checkpointInterval}.Chaotic(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,17 +257,12 @@ func TestRestartBudgetExhaustionUnderLoad(t *testing.T) {
 // the end (stop=0) or until the virtual clock passes stop.
 func replayRun(t *testing.T, cores int, stop uint64) *Target {
 	t.Helper()
-	policy := cubicle.DefaultRestartPolicy()
-	policy.MaxRestarts = 1000
-	policy.CrossingBudget = 200_000_000
 	tgt, err := NewTargetOpts(Options{
 		Mode:               cubicle.ModeFull,
 		TraceEvents:        1 << 16,
-		Supervision:        &policy,
 		CheckpointInterval: 300_000,
-		Chaos:              chaosRamfs(7),
 		SMPCores:           cores,
-	})
+	}.Chaotic(7))
 	if err != nil {
 		t.Fatal(err)
 	}

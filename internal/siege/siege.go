@@ -107,6 +107,29 @@ func (o Options) Governed() Options {
 	return o
 }
 
+// Chaotic returns o under supervision with deterministic faults aimed at
+// RAMFS from seed — the one declaration of the chaos run that
+// cubicle-trace -chaos-seed, the recovery tests and the pinned replay
+// digests drive. The policy allows 1000 restarts (these runs assert
+// recovery, not death) and a 200 M-cycle crossing watchdog.
+func (o Options) Chaotic(seed uint64) Options {
+	pol := cubicle.DefaultRestartPolicy()
+	pol.MaxRestarts = 1000
+	pol.CrossingBudget = 200_000_000
+	o.Supervision = &pol
+	o.Chaos = &faultinject.Config{
+		Seed:             seed,
+		Target:           ramfs.Name,
+		ProtAtCrossing:   0.010,
+		CFIAtCrossing:    0.003,
+		BudgetAtCrossing: 0.002,
+		LeakAtCrossing:   0.005,
+		ProtAtWindowOp:   0.003,
+		ProtAtRetag:      0.002,
+	}
+	return o
+}
+
 // NewTarget boots the Figure 5 deployment: eight isolated cubicles
 // (NGINX, LWIP, NETDEV, VFSCORE, RAMFS, PLAT, ALLOC, TIME) with LIBC and
 // RANDOM shared, every buffer allocated through ALLOC, in the given

@@ -167,7 +167,7 @@ go run ./cmd/cubicle-trace -replay -cores 4 -requests 10 -chaos-seed 7 -checkpoi
 # the race detector, and the end-to-end acceptance scenario: killing one
 # of four backends mid-flood keeps goodput >= 60% of steady state, the
 # victim is re-admitted after a warm restart, and two seeded runs are
-# bit-identical.
+# bit-identical. Then the one fleet view, in text and JSON.
 go test -race ./internal/cluster/
 go test -race -run 'KeepAlive|HTTP10|WireDrop' ./internal/siege/ ./internal/netdev/ ./internal/faultinject/
 # httpd steps its connections in fd order off a list it keeps sorted; the
@@ -175,13 +175,13 @@ go test -race -run 'KeepAlive|HTTP10|WireDrop' ./internal/siege/ ./internal/netd
 # closed earlier in the same step.
 go test -race -run 'StepOrder|StepSkips' ./internal/httpd/
 go run ./cmd/httpbench -cluster 4 -assert-degrade >/dev/null
-go run ./cmd/cubicle-top -cluster 2 -requests 180 >/dev/null
+go run ./cmd/cubicle-inspect -cluster 2 >/dev/null
 go run ./cmd/cubicle-inspect -cluster 2 -json >/dev/null
 
 # Observability gates: the trace invariants at -cores 4 (the retag
 # surcharge), then the /metrics exposition and dashboard smoke, the
 # single-system dump as valid JSON (the cluster gates above only run
-# -cluster 2 -json), and the tracing-overhead ratio (paired benchmark,
+# -cluster 2), and the tracing-overhead ratio (paired benchmark,
 # drift-immune; <= 1.9).
 go run ./cmd/cubicle-trace -check -format json -cores 4 -requests 10 >/dev/null
 go run ./cmd/cubicle-top -once -requests 120 >/dev/null
@@ -204,5 +204,5 @@ go vet -C benchmark ./...
 go test -C benchmark ./...
 
 # Baseline for the next simplicity PR.
-echo "check.sh: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l) non-test Go lines outside benchmark/, $(find internal/siege internal/cluster -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) of them in internal/siege + internal/cluster"
+echo "check.sh: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l) non-test Go lines outside benchmark/, $(find internal/siege internal/cluster -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) of them in internal/siege + internal/cluster, $(find cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) under cmd/"
 echo "check.sh: all green"
