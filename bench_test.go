@@ -347,7 +347,7 @@ func BenchmarkCrossCubicleCall(b *testing.B) {
 	run := func(name string, monitor func() *cubicleos.Monitor) {
 		b.Run(name, func(b *testing.B) {
 			mon, env, h, buf := pairSystemOn(b, monitor())
-			cubs := mon.CubicleByName("A")
+			cubs := cubicleNamed(mon, "A")
 			start := mon.Clock.Cycles()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -376,11 +376,13 @@ func BenchmarkCrossCubicleCall(b *testing.B) {
 // productionTarget boots the deployment a cluster backend runs — full
 // isolation, supervisor, 5 M-cycle checkpoint cadence, closed sockets
 // reaped — with 32 files of 4 KiB in its RAMFS.
+const productionCheckpointInterval = 5_000_000
+
 func productionTarget(b *testing.B) *siege.Target {
 	b.Helper()
 	policy := cubicleos.DefaultRestartPolicy()
 	tgt, err := siege.NewTargetOpts(siege.Options{Mode: cubicleos.ModeFull, Supervision: &policy,
-		CheckpointInterval: 5_000_000, ReapClosed: true})
+		CheckpointInterval: productionCheckpointInterval, ReapClosed: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -451,7 +453,7 @@ func BenchmarkCheckpointSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Clock.Charge(m.CheckpointInterval())
+		m.Clock.Charge(productionCheckpointInterval)
 		tgt.Step()
 	}
 	b.StopTimer()
@@ -478,7 +480,7 @@ func BenchmarkAblationSharedBuffer(b *testing.B) {
 	const payload = 4096
 	b.Run("trap-and-map", func(b *testing.B) {
 		mon, env, h, buf := pairSystem(b, cubicleos.ModeFull)
-		a := mon.CubicleByName("A")
+		a := cubicleNamed(mon, "A")
 		start := mon.Clock.Cycles()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -559,7 +561,7 @@ func BenchmarkAblationEagerRevoke(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			mon, env, h, buf := pairSystem(b, cubicleos.ModeFull)
-			a := mon.CubicleByName("A")
+			a := cubicleNamed(mon, "A")
 			start := mon.Clock.Cycles()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -592,7 +594,7 @@ func BenchmarkAblationPinnedWindow(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			mon, env, h, buf := pairSystem(b, cubicleos.ModeFull)
-			a := mon.CubicleByName("A")
+			a := cubicleNamed(mon, "A")
 			if pinned {
 				if err := mon.RunAs(env, a.ID, func(e *cubicleos.Env) {
 					// Re-window the buffer and pin it.
@@ -629,7 +631,7 @@ func BenchmarkAblationWindowSearch(b *testing.B) {
 	for _, nwin := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("windows-%d", nwin), func(b *testing.B) {
 			mon, env, h, _ := pairSystem(b, cubicleos.ModeFull)
-			a := mon.CubicleByName("A")
+			a := cubicleNamed(mon, "A")
 			var bufs []cubicleos.Addr
 			if err := mon.RunAs(env, a.ID, func(e *cubicleos.Env) {
 				for i := 0; i < nwin; i++ {
@@ -710,7 +712,7 @@ func BenchmarkAblationSharedLibc(b *testing.B) {
 	}{{"shared", cubicleos.KindShared}, {"isolated", cubicleos.KindIsolated}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			mon, env, h, src, dst := build(cfg.kind)
-			app := mon.CubicleByName("APP")
+			app := cubicleNamed(mon, "APP")
 			start := mon.Clock.Cycles()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -861,3 +863,13 @@ func BenchmarkTable2Boot(b *testing.B) {
 }
 
 var _ = speedtest.QueryIDs
+
+// cubicleNamed returns the monitor's cubicle called name, or nil.
+func cubicleNamed(m *cubicleos.Monitor, name string) *cubicle.Cubicle {
+	for _, c := range m.Cubicles() {
+		if c.Name == name {
+			return c
+		}
+	}
+	return nil
+}

@@ -274,7 +274,7 @@ func runCluster(n int) *clusterReport {
 		log.Fatal(err)
 	}
 	rep := &clusterReport{
-		Backends: n, Policy: c.O.Policy.String(),
+		Backends: n, Policy: cluster.RoutePolicy,
 		Retries: st.Retries, Hedges: st.Hedges, HedgeWins: st.HedgeWins,
 		Failovers: st.Failovers, Drains: st.Drains, Readmits: st.Readmits,
 		RouteFaults: st.RouteFaults,

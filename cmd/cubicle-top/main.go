@@ -32,6 +32,11 @@ func main() {
 	once := flag.Bool("once", false, "render one final frame without ANSI escapes and exit")
 	ungoverned := flag.Bool("ungoverned", false, "disable overload governance (watch the pile-up instead)")
 	flag.Parse()
+	if *size < 0 {
+		fmt.Fprintf(os.Stderr, "-size %d: want a body size of 0 bytes or more\n", *size)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	o := siege.Options{
 		Mode:        cubicleos.ModeFull,

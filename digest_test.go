@@ -253,14 +253,14 @@ func ukernelCell(t *testing.T) []uint64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-		db.MustExec("BEGIN")
+		mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+		mustExec(t, db, "BEGIN")
 		for i := 0; i < 40; i++ {
-			db.MustExec("INSERT INTO t VALUES (" + strconv.Itoa(i) + ", 'value')")
+			mustExec(t, db, "INSERT INTO t VALUES ("+strconv.Itoa(i)+", 'value')")
 		}
-		db.MustExec("COMMIT")
-		db.MustExec("UPDATE t SET v = 'x' WHERE id < 10")
-		db.MustExec("SELECT count(*) FROM t")
+		mustExec(t, db, "COMMIT")
+		mustExec(t, db, "UPDATE t SET v = 'x' WHERE id < 10")
+		mustExec(t, db, "SELECT count(*) FROM t")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,4 +269,14 @@ func ukernelCell(t *testing.T) []uint64 {
 		t.Fatal("the deployment made no IPC call")
 	}
 	return []uint64{digest(t, d.Sys.M)}
+}
+
+// mustExec runs one statement and fails the test on an error.
+func mustExec(t *testing.T, db *sqldb.DB, sql string) *sqldb.Result {
+	t.Helper()
+	r, err := db.Exec(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

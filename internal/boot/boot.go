@@ -36,8 +36,6 @@ const UnikraftWorkScale = 3.4
 type Config struct {
 	// Mode is the isolation mode (Figure 6 ablation ladder).
 	Mode cubicle.Mode
-	// Costs overrides the cost table; nil selects cycles.DefaultCosts.
-	Costs *cycles.Costs
 	// Groups fuses components into shared cubicles (component -> group
 	// name), e.g. {"VFSCORE": "CORE", "RAMFS": "CORE"} for CubicleOS-3.
 	Groups map[string]string
@@ -50,8 +48,6 @@ type Config struct {
 	// LwipViaAlloc makes LWIP obtain socket buffers from the ALLOC
 	// component (NGINX deployment).
 	LwipViaAlloc bool
-	// SendBuf overrides LWIP's send-buffer capacity (0 = default 1 MiB).
-	SendBuf uint64
 	// Extra components joined into the build (applications).
 	Extra []*cubicle.Component
 	// Seed for the shared random device.
@@ -83,9 +79,6 @@ type Config struct {
 	// a cubicle exceeding its cap gets a contained QuotaFault instead of
 	// more pages. Group names are valid keys when Groups fuses cubicles.
 	MemQuotas map[string]uint64
-	// AllocClientQuota caps each ALLOC client's arena footprint in bytes
-	// (0 = unbounded, the seed behaviour).
-	AllocClientQuota uint64
 	// WireCap bounds the NETDEV wire queues in frames per direction
 	// (0 = unbounded). A full queue drops or backpressures explicitly.
 	WireCap int
@@ -145,10 +138,6 @@ func NewFS(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("boot: a ring holds at most %d entries (trace %d, metrics %d)",
 			trace.MaxRing, cfg.TraceEvents, cfg.MetricsRing)
 	}
-	costs := cycles.DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
 	s := &System{
 		Plat:  plat.New(),
 		Alloc: ualloc.New(),
@@ -156,7 +145,7 @@ func NewFS(cfg Config) (*System, error) {
 		Ramfs: ramfs.New(),
 		Rand:  urandom.New(cfg.Seed),
 	}
-	m := cubicle.NewMonitor(cfg.Mode, costs)
+	m := cubicle.NewMonitor(cfg.Mode, cycles.DefaultCosts())
 	if cfg.SMPCores > 1 {
 		m.EnableSMP(cfg.SMPCores)
 	}
@@ -199,9 +188,6 @@ func NewFS(cfg Config) (*System, error) {
 	if cfg.Net {
 		s.Netdev = netdev.New()
 		s.Lwip = lwip.New()
-		if cfg.SendBuf != 0 {
-			s.Lwip.SendBufCap = cfg.SendBuf
-		}
 		if err := b.Add(s.Netdev.Component()); err != nil {
 			return nil, err
 		}
@@ -256,7 +242,6 @@ func NewFS(cfg Config) (*System, error) {
 		}
 		m.SetMemQuota(c.ID, q)
 	}
-	s.Alloc.ClientQuota = cfg.AllocClientQuota
 	if cfg.Net {
 		s.Netdev.Wire().Cap = cfg.WireCap
 		s.Lwip.ReapClosed = cfg.LwipReapClosed

@@ -1,55 +1,15 @@
-// The balancer: routing policies over the fleet's health view. Both
-// policies are pure functions of (key, inflight counts, health), so a
-// run's routing decisions are deterministic for a fixed seed.
+// The balancer: least-loaded routing over the fleet's health view. It is
+// a pure function of (inflight counts, health), so a run's routing
+// decisions are deterministic for a fixed seed.
 
 package cluster
 
-import (
-	"sort"
-
-	"cubicleos/internal/faultinject"
-)
-
-// vnodesPerBackend is the consistent-hash ring density. More virtual
-// nodes smooth the key distribution at the cost of a bigger ring walk.
-const vnodesPerBackend = 64
-
-type ringSlot struct {
-	hash    uint64
-	backend int
-}
-
-// mix64 is the splitmix64 output permutation — the same mixing the
-// fault injector uses, duplicated here so the balancer's hashing never
-// couples to injector stream state.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// buildRing lays out vnodesPerBackend virtual nodes per backend, hashed
-// from (seed, backend, vnode).
-func (c *Cluster) buildRing() {
-	c.ring = c.ring[:0]
-	for i := range c.Backends {
-		for v := 0; v < vnodesPerBackend; v++ {
-			h := mix64(c.O.Seed ^ mix64(uint64(i)<<20|uint64(v)+1))
-			c.ring = append(c.ring, ringSlot{hash: h, backend: i})
-		}
-	}
-	sort.Slice(c.ring, func(a, b int) bool {
-		if c.ring[a].hash != c.ring[b].hash {
-			return c.ring[a].hash < c.ring[b].hash
-		}
-		return c.ring[a].backend < c.ring[b].backend
-	})
-}
+import "cubicleos/internal/faultinject"
 
 // routeFault builds the typed no-eligible-backend error from the
 // fleet's current health census.
 func (c *Cluster) routeFault() *RouteFault {
-	f := &RouteFault{Policy: c.O.Policy.String()}
+	f := &RouteFault{}
 	for _, b := range c.Backends {
 		switch {
 		case b.dead():
@@ -63,54 +23,26 @@ func (c *Cluster) routeFault() *RouteFault {
 	return f
 }
 
-// route picks a backend for the request key among eligible backends,
+// route picks the eligible backend with the fewest in-flight requests,
 // excluding one index (a failed or already-hedged backend; -1 excludes
 // none). When only the excluded backend is eligible it is used anyway —
 // a degraded answer beats none.
-func (c *Cluster) route(key uint64, exclude int) (int, *RouteFault) {
-	pick := -1
-	switch c.O.Policy {
-	case PolicyHash:
-		if len(c.ring) == 0 {
-			c.buildRing()
+func (c *Cluster) route(exclude int) (int, *RouteFault) {
+	pick, fallback := -1, -1
+	for i, b := range c.Backends {
+		if !b.eligible() {
+			continue
 		}
-		h := mix64(key ^ c.O.Seed)
-		start := sort.Search(len(c.ring), func(i int) bool { return c.ring[i].hash >= h })
-		fallback := -1
-		for i := 0; i < len(c.ring); i++ {
-			s := c.ring[(start+i)%len(c.ring)]
-			if !c.Backends[s.backend].eligible() {
-				continue
-			}
-			if s.backend == exclude {
-				if fallback < 0 {
-					fallback = s.backend
-				}
-				continue
-			}
-			pick = s.backend
-			break
+		if i == exclude {
+			fallback = i
+			continue
 		}
-		if pick < 0 {
-			pick = fallback
+		if pick < 0 || b.inflight < c.Backends[pick].inflight {
+			pick = i
 		}
-	default: // PolicyLeastLoaded
-		fallback := -1
-		for i, b := range c.Backends {
-			if !b.eligible() {
-				continue
-			}
-			if i == exclude {
-				fallback = i
-				continue
-			}
-			if pick < 0 || b.inflight < c.Backends[pick].inflight {
-				pick = i
-			}
-		}
-		if pick < 0 {
-			pick = fallback
-		}
+	}
+	if pick < 0 {
+		pick = fallback
 	}
 	if pick < 0 {
 		c.RouteFaults++
@@ -119,24 +51,24 @@ func (c *Cluster) route(key uint64, exclude int) (int, *RouteFault) {
 	return pick, nil
 }
 
-// Route is the public routing decision: it picks a backend for the key,
-// records the decision on the chosen backend's monitor (EvRoute), fires
-// the route-chaos site against it, and bumps the balancer gauges. The
-// attempt number distinguishes first tries from retry/hedge legs.
-func (c *Cluster) Route(key uint64, attempt int, exclude int) (int, error) {
-	idx, rf := c.route(key, exclude)
+// Route is the public routing decision: it picks a backend, records the
+// decision on the chosen backend's monitor (EvRoute), fires the
+// route-chaos site against it, and bumps the balancer gauges. The attempt
+// number distinguishes first tries from retry/hedge legs.
+func (c *Cluster) Route(attempt int, exclude int) (int, error) {
+	idx, rf := c.route(exclude)
 	if rf != nil {
 		return -1, rf
 	}
 	b := c.Backends[idx]
 	b.Routed++
-	b.T.Sys.M.NoteRoute(c.O.Policy.String(), idx, uint64(attempt))
+	b.T.Sys.M.NoteRoute(RoutePolicy, idx, uint64(attempt))
 	if c.chaos != nil {
 		switch c.chaos.AtRoute(idx) {
 		case faultinject.RouteKill:
 			c.Kill(idx)
 		case faultinject.RouteSlow:
-			c.Slow(idx, 4, c.O.DrainDeadline)
+			c.Slow(idx, 4, drainDeadline)
 		}
 	}
 	return idx, nil

@@ -27,24 +27,10 @@ import (
 	"cubicleos/internal/siege"
 )
 
-// Policy selects the balancer's routing policy.
-type Policy int
-
-const (
-	// PolicyLeastLoaded routes to the eligible backend with the fewest
-	// in-flight requests, ties broken by lowest index.
-	PolicyLeastLoaded Policy = iota
-	// PolicyHash routes by consistent hashing over a ring of virtual
-	// nodes, walking the ring past ineligible backends.
-	PolicyHash
-)
-
-func (p Policy) String() string {
-	if p == PolicyHash {
-		return "hash"
-	}
-	return "least-loaded"
-}
+// RoutePolicy names the balancer's routing policy: the eligible backend
+// with the fewest in-flight requests, ties broken by lowest index. Route
+// events, route faults and the fleet view carry it.
+const RoutePolicy = "least-loaded"
 
 // Action is a scripted failover event kind.
 type Action int
@@ -72,43 +58,25 @@ type Event struct {
 // ErrKilled is the quarantine cause recorded by scripted backend kills.
 var ErrKilled = errors.New("cluster: scripted backend kill")
 
-// Options configures a cluster boot. The zero value of every tuning
-// field selects a sensible default (see the constants below).
+// Options configures a cluster boot.
 type Options struct {
 	// Backends is the fleet size (default 2).
 	Backends int
 	// Mode is each backend's isolation mode.
 	Mode cubicle.Mode
-	// Policy selects the routing policy.
-	Policy Policy
-	// Seed keys the balancer's hash ring and each backend's chaos
-	// streams.
+	// Seed is read by nothing: routing is least-loaded and the backends'
+	// chaos streams take Chaos.Seed. The benchmark module still sets it.
 	Seed uint64
 
-	// MaxAttempts bounds legs issued per request — first try plus
-	// retries plus hedges (default 3).
-	MaxAttempts int
-	// BackoffBase/BackoffFactor/BackoffMax shape the exponential
-	// virtual-clock backoff between retry legs.
-	BackoffBase   uint64
-	BackoffFactor uint64
-	BackoffMax    uint64
 	// RetryBudget caps retries+hedges as a fraction of arrivals so the
 	// balancer never amplifies an overloaded fleet (default 0.1).
 	RetryBudget float64
 	// HedgeAfter, when non-zero, issues a hedged duplicate to a second
 	// backend once a request has waited this many cycles unanswered.
 	HedgeAfter uint64
-	// RequestTimeout abandons a leg unanswered for this many cycles
-	// (default 80M ≈ 36 ms at 2.2 GHz).
-	RequestTimeout uint64
-	// DrainDeadline is how long a drained backend sits out before the
-	// balancer probes it for re-admission (default 30M cycles).
-	DrainDeadline uint64
 
 	// Per-backend boot knobs, passed through to siege.NewTargetOpts.
 	Governance         *httpd.Governance
-	Restart            *cubicle.RestartPolicy
 	CheckpointInterval uint64
 	Chaos              *faultinject.Config
 	ReapClosed         bool
@@ -118,43 +86,25 @@ type Options struct {
 	Script []Event
 }
 
-// Defaults for the zero-valued Options fields.
+// The balancer's tuning: every run takes these.
 const (
-	DefaultMaxAttempts    = 3
-	DefaultBackoffBase    = 2_000_000
-	DefaultBackoffFactor  = 2
-	DefaultBackoffMax     = 32_000_000
-	DefaultRetryBudget    = 0.1
-	DefaultRequestTimeout = 80_000_000
-	DefaultDrainDeadline  = 30_000_000
+	// maxAttempts bounds legs issued per request: first try plus
+	// retries plus hedges.
+	maxAttempts = 3
+	// backoffBase, backoffFactor and backoffMax shape the exponential
+	// virtual-clock backoff between retry legs.
+	backoffBase   = 2_000_000
+	backoffFactor = 2
+	backoffMax    = 32_000_000
+	// defaultRetryBudget is Options.RetryBudget's zero value.
+	defaultRetryBudget = 0.1
+	// requestTimeout abandons a leg unanswered for this many cycles
+	// (≈ 36 ms at 2.2 GHz).
+	requestTimeout = 80_000_000
+	// drainDeadline is how long a drained backend sits out before the
+	// balancer probes it for re-admission.
+	drainDeadline = 30_000_000
 )
-
-func (o *Options) fill() {
-	if o.Backends == 0 {
-		o.Backends = 2
-	}
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = DefaultMaxAttempts
-	}
-	if o.BackoffBase == 0 {
-		o.BackoffBase = DefaultBackoffBase
-	}
-	if o.BackoffFactor == 0 {
-		o.BackoffFactor = DefaultBackoffFactor
-	}
-	if o.BackoffMax == 0 {
-		o.BackoffMax = DefaultBackoffMax
-	}
-	if o.RetryBudget == 0 {
-		o.RetryBudget = DefaultRetryBudget
-	}
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = DefaultRequestTimeout
-	}
-	if o.DrainDeadline == 0 {
-		o.DrainDeadline = DefaultDrainDeadline
-	}
-}
 
 // Backend is one cluster member: a booted system plus the balancer's
 // view of it.
@@ -237,7 +187,6 @@ type Cluster struct {
 	O        Options
 	Backends []*Backend
 
-	ring  []ringSlot
 	chaos *faultinject.Injector // cluster-level route-chaos stream
 
 	now uint64 // cluster virtual time
@@ -253,7 +202,12 @@ type Cluster struct {
 // backend and the cluster-level route stream) boot disarmed; call Arm
 // once provisioning is done.
 func New(o Options) (*Cluster, error) {
-	o.fill()
+	if o.Backends == 0 {
+		o.Backends = 2
+	}
+	if o.RetryBudget == 0 {
+		o.RetryBudget = defaultRetryBudget
+	}
 	c := &Cluster{O: o}
 	restart := cubicle.DefaultRestartPolicy()
 	// The siege-tuned default quarantine backoff (~100k cycles) would let
@@ -262,9 +216,6 @@ func New(o Options) (*Cluster, error) {
 	// owned by the drain window: quarantine long enough that the
 	// re-admission probe — not ambient traffic — performs the restart.
 	restart.BackoffBase = 8_000_000
-	if o.Restart != nil {
-		restart = *o.Restart
-	}
 	for i := 0; i < o.Backends; i++ {
 		rp := restart
 		t, err := siege.NewTargetOpts(siege.Options{
@@ -294,9 +245,6 @@ func New(o Options) (*Cluster, error) {
 	}
 	if o.Chaos != nil {
 		c.chaos = faultinject.New(*o.Chaos)
-	}
-	if o.Policy == PolicyHash {
-		c.buildRing()
 	}
 	return c, nil
 }
@@ -374,7 +322,6 @@ func (c *Cluster) processScript(fired *int) {
 // RouteFault reports that the balancer found no backend eligible for a
 // request — the typed "whole fleet is down or draining" error.
 type RouteFault struct {
-	Policy   string
 	Healthy  int
 	Draining int
 	Dead     int
@@ -382,5 +329,5 @@ type RouteFault struct {
 
 func (f *RouteFault) Error() string {
 	return fmt.Sprintf("cluster: no eligible backend (policy %s: %d healthy, %d draining, %d dead)",
-		f.Policy, f.Healthy, f.Draining, f.Dead)
+		RoutePolicy, f.Healthy, f.Draining, f.Dead)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/faultinject"
 	"cubicleos/internal/httpd"
+	"cubicleos/internal/siege"
 )
 
 const testBody = "cluster-test-body cluster-test-body cluster-test-body\n"
@@ -262,7 +264,7 @@ func TestRouteFaultTyped(t *testing.T) {
 	if !c.Kill(0) || !c.Kill(1) {
 		t.Fatal("Kill did not reach the supervisors")
 	}
-	_, err := c.Route(42, 1, -1)
+	_, err := c.Route(1, -1)
 	var rf *RouteFault
 	if !errors.As(err, &rf) {
 		t.Fatalf("Route returned %v, want *RouteFault", err)
@@ -275,40 +277,44 @@ func TestRouteFaultTyped(t *testing.T) {
 	}
 }
 
-// TestHashPolicyDeterministicAndSticky: the consistent-hash policy maps
-// the same key to the same backend run to run, and spreads keys.
-func TestHashPolicyDeterministicAndSticky(t *testing.T) {
-	mk := func() *Cluster {
-		return bootCluster(t, Options{Backends: 4, Mode: cubicle.ModeFull, Policy: PolicyHash, Seed: 3})
+// TestOpenLoopRejectsBadRates: every open-loop entry point refuses a rate
+// that is not finite and positive, or no arrivals, before it schedules
+// anything (a NaN rate used to pass and hang the cadence loops).
+func TestOpenLoopRejectsBadRates(t *testing.T) {
+	tgt, err := siege.NewTarget(cubicle.ModeFull)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := mk(), mk()
-	seen := map[int]int{}
-	for key := uint64(0); key < 64; key++ {
-		ia, err := a.Route(key, 1, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ib, err := b.Route(key, 1, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ia != ib {
-			t.Fatalf("key %d routed to %d and %d on identical clusters", key, ia, ib)
-		}
-		seen[ia]++
+	c := bootCluster(t, Options{Backends: 1, Mode: cubicle.ModeFull})
+	mk := func(int) (*siege.Target, error) {
+		t.Error("ParallelOpenLoop booted a shard for a bad run")
+		return tgt, nil
 	}
-	if len(seen) < 3 {
-		t.Fatalf("hash ring concentrated 64 keys on %d backends: %v", len(seen), seen)
+	entries := map[string]func(rate float64, requests int) error{
+		"StartOpenLoop": func(rate float64, requests int) error {
+			_, err := tgt.StartOpenLoop(siege.OpenLoopOptions{Path: "/", Rate: rate, Requests: requests})
+			return err
+		},
+		"ParallelOpenLoop": func(rate float64, requests int) error {
+			_, err := siege.ParallelOpenLoop(2, mk, siege.OpenLoopOptions{Path: "/", Rate: rate, Requests: requests})
+			return err
+		},
+		"cluster RunOpenLoop": func(rate float64, requests int) error {
+			_, err := c.RunOpenLoop(RunOptions{Path: "/index.html", Rate: rate, Requests: requests})
+			return err
+		},
 	}
-	// Draining a backend moves only its keys.
-	a.Kill(0)
-	for key := uint64(0); key < 64; key++ {
-		idx, err := a.Route(key, 2, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx == 0 {
-			t.Fatalf("key %d routed to a draining backend", key)
+	bad := []struct {
+		rate     float64
+		requests int
+	}{
+		{math.NaN(), 5}, {math.Inf(1), 5}, {math.Inf(-1), 5}, {0, 5}, {-1000, 5}, {1000, 0}, {1000, -1},
+	}
+	for name, run := range entries {
+		for _, b := range bad {
+			if err := run(b.rate, b.requests); err == nil {
+				t.Errorf("%s accepted rate %v with %d requests", name, b.rate, b.requests)
+			}
 		}
 	}
 }

@@ -15,8 +15,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/cycles"
 	"cubicleos/internal/siege"
@@ -41,9 +39,6 @@ type RunOptions struct {
 	Rate float64
 	// Requests is the number of scheduled arrivals.
 	Requests int
-	// MaxQuanta bounds driver iterations as a safety net (0 = derived
-	// from the arrival schedule plus a generous drain margin).
-	MaxQuanta int
 }
 
 // BackendStats is one backend's row of the cluster report.
@@ -88,7 +83,6 @@ type leg struct {
 
 // flight is one open-loop arrival, across all its retry/hedge legs.
 type flight struct {
-	id      uint64
 	arrival uint64 // scheduled cluster cycle
 	// attempts counts legs issued so far (first try included).
 	attempts int
@@ -118,17 +112,16 @@ type run struct {
 // fleet and returns the merged report. It may be called repeatedly; the
 // cluster clock keeps advancing across calls.
 func (c *Cluster) RunOpenLoop(o RunOptions) (*Stats, error) {
-	if o.Rate <= 0 || o.Requests <= 0 {
-		return nil, fmt.Errorf("cluster: open loop needs Rate > 0 and Requests > 0")
+	if err := siege.CheckOpenLoop(o.Rate, o.Requests); err != nil {
+		return nil, err
 	}
 	interval := uint64(cycles.FrequencyHz / o.Rate)
 	if interval == 0 {
 		interval = 1
 	}
-	maxQ := o.MaxQuanta
-	if maxQ == 0 {
-		maxQ = int((uint64(o.Requests)*interval)/Quantum) + 400_000
-	}
+	// A safety net on driver iterations: the arrival schedule plus a
+	// generous drain margin.
+	maxQ := int((uint64(o.Requests)*interval)/Quantum) + 400_000
 	r := &run{c: c, o: o, st: &Stats{Backends: len(c.Backends), OfferedRPS: o.Rate, Arrivals: o.Requests}}
 	start := c.now
 	nextAt := c.now + interval
@@ -136,7 +129,7 @@ func (c *Cluster) RunOpenLoop(o RunOptions) (*Stats, error) {
 	for q := 0; r.completed < o.Requests && q < maxQ; q++ {
 		c.now += Quantum
 		for r.launched < o.Requests && nextAt <= c.now {
-			f := &flight{id: uint64(r.launched), arrival: nextAt, retryExclude: -1}
+			f := &flight{arrival: nextAt, retryExclude: -1}
 			r.launched++
 			r.flights = append(r.flights, f)
 			r.dispatch(f, -1)
@@ -199,7 +192,7 @@ func (c *Cluster) reconcileHealth(probePath string) {
 		sick := len(b.sick) > 0
 		if sick && !b.draining {
 			b.draining = true
-			b.drainUntil = c.now + c.O.DrainDeadline
+			b.drainUntil = c.now + drainDeadline
 			b.Drains++
 			c.Drains++
 			b.T.Sys.M.NoteDrain("drain", b.Index, b.drainUntil)
@@ -243,7 +236,7 @@ func (c *Cluster) probeStep(b *Backend, path string) {
 	}
 	resp, err := p.conn.Next()
 	switch {
-	case err == nil && resp == nil && !p.conn.Conn.FinRcvd && c.now < b.drainUntil+c.O.DrainDeadline:
+	case err == nil && resp == nil && !p.conn.Conn.FinRcvd && c.now < b.drainUntil+drainDeadline:
 		return // still waiting
 	case resp != nil && resp.Status == 200:
 		// Recovery confirmed; re-admission happens on the next pass.
@@ -251,7 +244,7 @@ func (c *Cluster) probeStep(b *Backend, path string) {
 	default:
 		// Refused, closed on, or timed out: try again a deadline later.
 		p.conn.Conn.Close()
-		b.drainUntil = c.now + c.O.DrainDeadline
+		b.drainUntil = c.now + drainDeadline
 	}
 	b.probe = nil
 }
@@ -260,7 +253,7 @@ func (c *Cluster) probeStep(b *Backend, path string) {
 // backend) finishes the flight as an error carrying the *RouteFault.
 func (r *run) dispatch(f *flight, exclude int) {
 	f.attempts++
-	idx, err := r.c.Route(f.id, f.attempts, exclude)
+	idx, err := r.c.Route(f.attempts, exclude)
 	if err != nil {
 		r.finish(f, "error", -1)
 		return
@@ -268,7 +261,7 @@ func (r *run) dispatch(f *flight, exclude int) {
 	b := r.c.Backends[idx]
 	b.inflight++
 	f.legs = append(f.legs, &leg{backend: idx, conn: b.acquire()})
-	f.deadline = r.c.now + r.c.O.RequestTimeout
+	f.deadline = r.c.now + requestTimeout
 	f.hedgeAt = 0
 	if r.c.O.HedgeAfter > 0 {
 		f.hedgeAt = r.c.now + r.c.O.HedgeAfter
@@ -293,21 +286,6 @@ func (r *run) budgetOK() bool {
 	return float64(r.c.Retries+r.c.Hedges) < r.c.O.RetryBudget*float64(r.launched)
 }
 
-// backoff is the exponential retry backoff before attempt n+1.
-func (r *run) backoff(attempts int) uint64 {
-	b := r.c.O.BackoffBase
-	for i := 1; i < attempts; i++ {
-		if b >= r.c.O.BackoffMax/r.c.O.BackoffFactor {
-			return r.c.O.BackoffMax
-		}
-		b *= r.c.O.BackoffFactor
-	}
-	if b > r.c.O.BackoffMax {
-		b = r.c.O.BackoffMax
-	}
-	return b
-}
-
 // scheduleRetry parks a flight for its backoff after a failed leg on
 // backend failed. The failover is recorded on the failed backend's
 // monitor with the reason the balancer acted for.
@@ -324,7 +302,7 @@ func (r *run) scheduleRetry(f *flight, failed int) {
 	r.c.Retries++
 	r.c.Failovers++
 	b.T.Sys.M.NoteFailover(reason, failed, uint64(f.attempts))
-	f.retryAt = r.c.now + r.backoff(f.attempts)
+	f.retryAt = r.c.now + cubicle.Backoff(backoffBase, backoffFactor, backoffMax, f.attempts)
 	f.retryExclude = failed
 	f.hedgeAt = 0
 }
@@ -386,7 +364,7 @@ func (r *run) settle(f *flight, win *leg, resp *siege.KAResponse) {
 	case resp.Status == 200:
 		r.finish(f, "ok", win.backend)
 	case resp.Status == 429 || resp.Status == 503:
-		if f.attempts < r.c.O.MaxAttempts && r.budgetOK() {
+		if f.attempts < maxAttempts && r.budgetOK() {
 			r.scheduleRetry(f, win.backend)
 			return
 		}
@@ -444,7 +422,7 @@ func (r *run) pollFlights() {
 		}
 		if live == 0 {
 			// Every leg died without a response.
-			if lastBackend >= 0 && f.attempts < r.c.O.MaxAttempts && r.budgetOK() {
+			if lastBackend >= 0 && f.attempts < maxAttempts && r.budgetOK() {
 				r.scheduleRetry(f, lastBackend)
 			} else {
 				r.finish(f, "dropped", lastBackend)
@@ -453,7 +431,7 @@ func (r *run) pollFlights() {
 		}
 		if r.c.now >= f.deadline {
 			// Unanswered past the request timeout.
-			if f.attempts < r.c.O.MaxAttempts && r.budgetOK() {
+			if f.attempts < maxAttempts && r.budgetOK() {
 				r.scheduleRetry(f, lastBackend)
 			} else {
 				r.finish(f, "dropped", lastBackend)
@@ -461,13 +439,13 @@ func (r *run) pollFlights() {
 			continue
 		}
 		if f.hedgeAt > 0 && r.c.now >= f.hedgeAt && live == 1 &&
-			f.attempts < r.c.O.MaxAttempts && r.budgetOK() {
+			f.attempts < maxAttempts && r.budgetOK() {
 			// Hedge: a duplicate leg on a different backend; first answer
 			// wins. Recorded as a failover (reason hedge) on the backend
 			// receiving the duplicate.
 			f.hedgeAt = 0
 			f.attempts++
-			idx, err := r.c.Route(f.id, f.attempts, lastBackend)
+			idx, err := r.c.Route(f.attempts, lastBackend)
 			if err == nil {
 				r.c.Hedges++
 				r.c.Failovers++
@@ -496,16 +474,16 @@ func (r *run) assemble(start uint64) {
 	for _, b := range r.c.Backends {
 		st.Sys.Merge(&b.T.Sys.M.Stats)
 		st.PerBackend = append(st.PerBackend, BackendStats{
-			Index:   b.Index,
-			Health:  b.Health(),
-			Routed:  b.Routed,
-			OK:      b.OK,
-			Shed:    b.Shed,
-			Errors:  b.Errors,
-			Dropped: b.Dropped,
-			Drains:  b.Drains,
+			Index:    b.Index,
+			Health:   b.Health(),
+			Routed:   b.Routed,
+			OK:       b.OK,
+			Shed:     b.Shed,
+			Errors:   b.Errors,
+			Dropped:  b.Dropped,
+			Drains:   b.Drains,
 			Readmits: b.Readmits,
-			Sys:     b.T.Sys.M.Stats,
+			Sys:      b.T.Sys.M.Stats,
 		})
 	}
 }

@@ -44,19 +44,6 @@ func BenchmarkFastpathStoreByte(b *testing.B) {
 	})
 }
 
-// BenchmarkFastpathReadU64 is the word-granular variant (lwip/httpd
-// header parsing).
-func BenchmarkFastpathReadU64(b *testing.B) {
-	ts, buf := benchWorld(b)
-	ts.enter(b, "FOO", func(e *Env) {
-		e.WriteU64(buf, 0xDEADBEEF)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.ReadU64(buf.Add(uint64(i) & (vm.PageSize - 8)))
-		}
-	})
-}
-
 // BenchmarkFastpathMemcpy4K copies one page between two resident buffers
 // — the span check plus the direct page-chunk copy, no staging buffer.
 func BenchmarkFastpathMemcpy4K(b *testing.B) {

@@ -125,9 +125,3 @@ func (a *subAllocator) free_(addr vm.Addr) {
 	a.liveBytes -= n
 	a.insertFree(block{addr: addr, size: n})
 }
-
-// LiveBytes returns the number of live heap bytes in cubicle id.
-func (m *Monitor) LiveBytes(id ID) uint64 { return m.cubicle(id).heap.liveBytes }
-
-// ArenaBytes returns the heap arena size of cubicle id.
-func (m *Monitor) ArenaBytes(id ID) uint64 { return m.cubicle(id).heap.arenaBytes }

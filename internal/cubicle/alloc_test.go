@@ -144,10 +144,10 @@ func TestHeapAllocProperty(t *testing.T) {
 			e.HeapFree(b.addr)
 		}
 	})
-	if got := ts.m.LiveBytes(ts.cubs["FOO"].ID); got != 0 {
+	if got := ts.m.cubicle(ts.cubs["FOO"].ID).heap.liveBytes; got != 0 {
 		t.Errorf("live bytes after freeing everything = %d", got)
 	}
-	if ts.m.ArenaBytes(ts.cubs["FOO"].ID) == 0 {
+	if ts.m.cubicle(ts.cubs["FOO"].ID).heap.arenaBytes == 0 {
 		t.Error("arena accounting empty")
 	}
 }

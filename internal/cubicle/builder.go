@@ -73,13 +73,6 @@ type SystemImage struct {
 	secret     [32]byte
 }
 
-// Signature returns the builder signature for comp.sym (tests use this to
-// verify tampering detection).
-func (si *SystemImage) Signature(comp, sym string) ([32]byte, bool) {
-	s, ok := si.sigs[comp+"."+sym]
-	return s, ok
-}
-
 // TamperSignature corrupts the stored signature for comp.sym; used by
 // tests to prove the loader rejects unsigned trampolines.
 func (si *SystemImage) TamperSignature(comp, sym string) {

@@ -1,6 +1,7 @@
 package cubicle
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestUnresolvedHandleFaults(t *testing.T) {
 	ts := bootPair(t, ModeFull)
 	ts.enter(t, "FOO", func(e *Env) {
 		var h Handle
-		if h.Valid() {
+		if h.tr != nil {
 			t.Error("zero handle claims validity")
 		}
 		err := mustFault(t, func() { h.Call(e) })
@@ -58,8 +59,8 @@ func TestGuardPagePlacement(t *testing.T) {
 	if p.Owner != int(fooID) {
 		t.Errorf("guard page owned by %d, want FOO (%d)", p.Owner, fooID)
 	}
-	if p.Perm() != vm.PermExec {
-		t.Errorf("guard page perm %v, want execute-only", p.Perm())
+	if perm, _ := p.Meta(); perm != vm.PermExec {
+		t.Errorf("guard page perm %v, want execute-only", perm)
 	}
 	// Guard page content: wrpkru, jmp, then nop slide.
 	if p.Data[0] != isa.OpWRPKRU[0] || p.Data[1] != isa.OpWRPKRU[1] || p.Data[2] != isa.OpWRPKRU[2] {
@@ -267,7 +268,7 @@ func TestLoaderGrouping(t *testing.T) {
 		t.Fatal("ungrouped component fused")
 	}
 	core := cubs["VFSCORE"]
-	if !core.HasComponent("VFSCORE") || !core.HasComponent("RAMFS") {
+	if !slices.Contains(core.Components(), "VFSCORE") || !slices.Contains(core.Components(), "RAMFS") {
 		t.Error("group cubicle component list wrong")
 	}
 	// Calls between fused components are same-cubicle: no cross edges.

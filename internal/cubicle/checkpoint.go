@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"cubicleos/internal/cycles"
 	"cubicleos/internal/snapshot"
 	"cubicleos/internal/trace"
 	"cubicleos/internal/vm"
@@ -85,9 +86,6 @@ func (m *Monitor) EnableCheckpoints(interval uint64) {
 	m.recomputeFastCross()
 }
 
-// CheckpointInterval returns the armed cadence (0 = disabled).
-func (m *Monitor) CheckpointInterval() uint64 { return m.ckptInterval }
-
 // CheckpointInfo describes a cubicle's last good checkpoint for the
 // inspector and tests.
 type CheckpointInfo struct {
@@ -113,9 +111,7 @@ func (m *Monitor) maybeCheckpoint() {
 	if now < m.ckptNext {
 		return
 	}
-	for m.ckptNext <= now {
-		m.ckptNext += m.ckptInterval
-	}
+	m.ckptNext = cycles.NextTick(m.ckptNext, m.ckptInterval, now)
 	m.checkpointSweep(now)
 }
 

@@ -105,7 +105,7 @@ func TestContentionAllocator(t *testing.T) {
 		workers[c] = newWorker(m)
 		enterOn(ts, workers[c], "FOO")
 	}
-	liveBase := m.LiveBytes(ts.cubs["FOO"].ID)
+	liveBase := m.cubicle(ts.cubs["FOO"].ID).heap.liveBytes
 
 	roundRobin(cores, iters, func(c, i int) {
 		e, tag := workers[c], byte(c+1)
@@ -134,7 +134,7 @@ func TestContentionAllocator(t *testing.T) {
 		}
 		leaveOn(ts, e)
 	}
-	if got := m.LiveBytes(ts.cubs["FOO"].ID); got != liveBase {
+	if got := m.cubicle(ts.cubs["FOO"].ID).heap.liveBytes; got != liveBase {
 		t.Errorf("allocator accounting off after interleaved churn: live %d, want %d", got, liveBase)
 	}
 }

@@ -141,17 +141,6 @@ func (c *Cubicle) ownPages(pn uint64, npages int) {
 	}
 }
 
-// HasComponent reports whether the named component was loaded into this
-// cubicle.
-func (c *Cubicle) HasComponent(name string) bool {
-	for _, n := range c.components {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Components returns the names of the components fused into the cubicle.
 func (c *Cubicle) Components() []string {
 	out := make([]string, len(c.components))

@@ -155,26 +155,6 @@ func (e *Env) ReadBytes(addr vm.Addr, n uint64) []byte {
 	return b
 }
 
-// ReadU64 reads a 64-bit little-endian word.
-func (e *Env) ReadU64(addr vm.Addr) uint64 {
-	e.M.resolveSpan(e.T, mpk.AccessRead, addr, 8)
-	v, err := e.M.AS.ReadU64(addr)
-	if err != nil {
-		panic(&ProtectionFault{Addr: addr, Access: mpk.AccessRead, Cubicle: e.T.cur,
-			Owner: vm.NoOwner, Reason: err.Error()})
-	}
-	return v
-}
-
-// WriteU64 writes a 64-bit little-endian word.
-func (e *Env) WriteU64(addr vm.Addr, v uint64) {
-	e.M.resolveSpan(e.T, mpk.AccessWrite, addr, 8)
-	if err := e.M.AS.WriteU64(addr, v); err != nil {
-		panic(&ProtectionFault{Addr: addr, Access: mpk.AccessWrite, Cubicle: e.T.cur,
-			Owner: vm.NoOwner, Reason: err.Error()})
-	}
-}
-
 // LoadByte reads one byte.
 func (e *Env) LoadByte(addr vm.Addr) byte {
 	var b [1]byte
@@ -277,28 +257,6 @@ func (e *Env) HeapAlloc(n uint64) vm.Addr {
 // HeapFree releases an allocation made by HeapAlloc in the same cubicle.
 func (e *Env) HeapFree(addr vm.Addr) {
 	e.M.cubicle(e.T.cur).heap.free_(addr)
-}
-
-// Alloca allocates n bytes on the current cubicle's stack; the space is
-// released when the current cross-cubicle call returns. Stack buffers are
-// what functions pass by pointer in the paper's running example (Figure 4:
-// "char BUF[10]; char pad[4086]" — padding to a page boundary to prevent
-// unintended sharing).
-func (e *Env) Alloca(n uint64) vm.Addr {
-	e.M.Clock.Charge(e.M.Costs.Alloca)
-	return e.T.alloca(n)
-}
-
-// AllocaPage allocates a page-aligned stack buffer of n bytes (padding the
-// allocation to whole pages), the alignment discipline §5.3 requires of
-// component developers for windowed stack data.
-func (e *Env) AllocaPage(n uint64) vm.Addr {
-	e.M.Clock.Charge(e.M.Costs.Alloca)
-	pages := vm.PagesFor(n)
-	// Carve enough to guarantee page alignment within the stack region.
-	raw := e.T.alloca(uint64(pages)*vm.PageSize + vm.PageSize - 16)
-	aligned := (uint64(raw) + vm.PageSize - 1) &^ (vm.PageSize - 1)
-	return vm.Addr(aligned)
 }
 
 // --- Window API (Table 1) ----------------------------------------------------

@@ -91,18 +91,6 @@ func AsFault(r any) (err error, ok bool) {
 	return nil, false
 }
 
-// Trap converts a recovered panic value back into the fault error it
-// carries, re-panicking for any foreign panic. It is used by the system
-// boundary (and tests) to observe faults. The re-panic passes the original
-// value through unwrapped so the runtime's chained-panic report preserves
-// the foreign panic's identity and stack.
-func Trap(r any) error {
-	if err, ok := AsFault(r); ok {
-		return err
-	}
-	panic(r)
-}
-
 // Catch runs fn and returns the isolation fault it raised, or nil if it
 // completed. Foreign panics propagate with their original value: the
 // re-panic happens directly inside the deferred recovery, so the runtime

@@ -65,20 +65,6 @@ func TestCatchForeignPanicIdentity(t *testing.T) {
 	t.Fatal("foreign panic did not propagate")
 }
 
-func TestTrapForeignPanicRepanics(t *testing.T) {
-	sentinel := errors.New("not a fault")
-	defer func() {
-		if r := recover(); r != any(sentinel) {
-			t.Fatalf("Trap re-panicked with %v, want original value", r)
-		}
-	}()
-	func() {
-		defer func() { _ = Trap(recover()) }()
-		panic(sentinel)
-	}()
-	t.Fatal("Trap swallowed a foreign panic")
-}
-
 // TestCatchNesting asserts a fault raised while handling another fault is
 // caught by its own Catch and does not disturb the outer one.
 func TestCatchNesting(t *testing.T) {

@@ -60,10 +60,6 @@ func (m *Monitor) SetMemQuota(id ID, bytes uint64) {
 	m.memQuota[id] = bytes
 }
 
-// MemUsed returns the bytes of pages currently granted to cubicle id
-// through MapOwned.
-func (m *Monitor) MemUsed(id ID) uint64 { return m.memUsed[id] }
-
 // --- Deadlines ---------------------------------------------------------------
 
 // SetDeadline arms a virtual-clock deadline for the current request on
@@ -80,9 +76,6 @@ func (e *Env) ClearDeadline() {
 	e.T.deadline = 0
 	e.T.deadlineFrame = 0
 }
-
-// Deadline returns the armed deadline, or 0.
-func (e *Env) Deadline() uint64 { return e.T.deadline }
 
 // Now returns the virtual clock.
 func (e *Env) Now() uint64 { return e.M.Clock.Cycles() }
@@ -110,15 +103,6 @@ func (m *Monitor) checkDeadline(t *Thread) {
 // cubicle; reason is a constant label, status the HTTP status sent back.
 func (e *Env) NoteShed(reason string, status uint64) {
 	e.M.note(trace.EvShed, e.T, e.T.cur, 0, status, 0, reason)
-}
-
-// RaiseQuota records a quota refusal attributed to cubicle victim and
-// raises the typed fault. Components enforcing their own resource caps
-// (e.g. the ALLOC per-client arena quota) use it so the fault carries the
-// client at fault, not the enforcing component.
-func (e *Env) RaiseQuota(victim ID, resource string, used, limit uint64) {
-	e.M.note(trace.EvQuota, e.T, victim, 0, used, limit, resource)
-	panic(&QuotaFault{Cubicle: victim, Resource: resource, Used: used, Limit: limit})
 }
 
 // --- Bounded retry -----------------------------------------------------------
@@ -173,7 +157,6 @@ func RetryContained(e *Env, p RetryPolicy, fn func()) *ContainedFault {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
 	}
-	backoff := p.BackoffBase
 	for attempt := 1; ; attempt++ {
 		cf := CatchContained(fn)
 		if cf == nil {
@@ -182,13 +165,8 @@ func RetryContained(e *Env, p RetryPolicy, fn func()) *ContainedFault {
 		if attempt >= p.MaxAttempts || !retryable(cf) {
 			return cf
 		}
-		if p.BackoffMax > 0 && backoff > p.BackoffMax {
-			backoff = p.BackoffMax
-		}
+		backoff := Backoff(p.BackoffBase, p.BackoffFactor, p.BackoffMax, attempt)
 		e.M.Clock.Charge(backoff)
 		e.M.note(trace.EvRetry, e.T, e.T.cur, 0, uint64(attempt), backoff, "")
-		if p.BackoffFactor > 1 {
-			backoff *= p.BackoffFactor
-		}
 	}
 }

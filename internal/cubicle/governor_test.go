@@ -101,7 +101,7 @@ func TestDeadlineFiresOnlyBelowArmingFrame(t *testing.T) {
 		if df.Now < df.Deadline {
 			t.Errorf("deadline fault with Now %d < Deadline %d", df.Now, df.Deadline)
 		}
-		if e.Deadline() != 0 {
+		if e.T.deadline != 0 {
 			t.Error("deadline still armed after firing; must be one-shot")
 		}
 		// With the deadline consumed, the same call goes straight through.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"cubicleos/internal/cycles"
@@ -99,9 +98,7 @@ func (m *Monitor) maybeSampleMetrics(now uint64) {
 		return
 	}
 	mc.sample(m, now)
-	for mc.next <= now {
-		mc.next += mc.interval
-	}
+	mc.next = cycles.NextTick(mc.next, mc.interval, now)
 }
 
 func (mc *metricsCollector) sample(m *Monitor, now uint64) {
@@ -264,54 +261,4 @@ func (m *Monitor) OpenMetricsBody() []byte {
 	var sb strings.Builder
 	m.WriteOpenMetrics(&sb)
 	return []byte(sb.String())
-}
-
-// ParseOpenMetrics is a minimal parser for the exposition WriteOpenMetrics
-// produces: it returns the sample values keyed by series name (labels,
-// if any, included verbatim) and verifies the mandatory trailing "# EOF".
-// It exists so tests and the dashboard can round-trip the endpoint without
-// external dependencies.
-func ParseOpenMetrics(r io.Reader) (map[string]float64, error) {
-	out := make(map[string]float64)
-	sc := bufio.NewScanner(r)
-	sawEOF := false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if sawEOF {
-			return nil, fmt.Errorf("openmetrics: content after # EOF")
-		}
-		if strings.HasPrefix(line, "#") {
-			if line == "# EOF" {
-				sawEOF = true
-				continue
-			}
-			if !strings.HasPrefix(line, "# HELP ") && !strings.HasPrefix(line, "# TYPE ") {
-				return nil, fmt.Errorf("openmetrics: bad comment line %q", line)
-			}
-			continue
-		}
-		idx := strings.LastIndexByte(line, ' ')
-		if idx <= 0 {
-			return nil, fmt.Errorf("openmetrics: bad sample line %q", line)
-		}
-		name := line[:idx]
-		v, err := strconv.ParseFloat(line[idx+1:], 64)
-		if err != nil {
-			return nil, fmt.Errorf("openmetrics: bad value in %q: %v", line, err)
-		}
-		if _, dup := out[name]; dup {
-			return nil, fmt.Errorf("openmetrics: duplicate series %q", name)
-		}
-		out[name] = v
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !sawEOF {
-		return nil, fmt.Errorf("openmetrics: missing # EOF terminator")
-	}
-	return out, nil
 }

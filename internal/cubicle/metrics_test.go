@@ -1,9 +1,6 @@
 package cubicle
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // metricsWorkload drives enough FOO→BAR crossings to advance the virtual
 // clock well past n sampling intervals.
@@ -95,54 +92,5 @@ func TestMetricsDisabledIsInert(t *testing.T) {
 	}
 	if _, ok := ts.m.LastMetricsSample(); ok {
 		t.Fatal("LastMetricsSample reports a sample while disabled")
-	}
-}
-
-func TestOpenMetricsRoundTrip(t *testing.T) {
-	ts := bootPair(t, ModeFull)
-	ts.m.EnableTracing(1 << 12)
-	ts.m.EnableMetrics(50_000, 64)
-	metricsWorkload(t, ts, 200)
-
-	body := ts.m.OpenMetricsBody()
-	series, err := ParseOpenMetrics(strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v\n%s", err, body)
-	}
-	for _, c := range Counters {
-		name := "cubicleos_" + c.Name + "_total"
-		if got, ok := series[name]; !ok || got != float64(*c.Field(&ts.m.Stats)) {
-			t.Errorf("%s = %v (present=%v), want %d", name, got, ok, *c.Field(&ts.m.Stats))
-		}
-	}
-	for _, want := range []string{
-		"cubicleos_faults_total", "cubicleos_retags_total", "cubicleos_wrpkrus_total",
-		"cubicleos_virtual_seconds", "cubicleos_metrics_samples_total",
-		"cubicleos_call_rate", "cubicleos_healthy_cubicles",
-		"cubicleos_call_p50_cycles",
-		`cubicleos_trace_events_recorded_total`,
-		`cubicleos_trace_events_dropped_total`,
-	} {
-		if _, ok := series[want]; !ok {
-			t.Errorf("exposition missing series %s", want)
-		}
-	}
-	if series["cubicleos_call_p50_cycles"] <= 0 {
-		t.Error("tracing is on but call_p50_cycles is zero")
-	}
-}
-
-func TestParseOpenMetricsRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"missing EOF":      "cubicleos_calls_total 1\n",
-		"content after":    "# EOF\ncubicleos_calls_total 1\n",
-		"bad comment":      "# NOPE cubicleos_calls\n# EOF\n",
-		"duplicate":        "a_total 1\na_total 2\n# EOF\n",
-		"unparsable value": "a_total xyz\n# EOF\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseOpenMetrics(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: parser accepted %q", name, in)
-		}
 	}
 }

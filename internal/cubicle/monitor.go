@@ -182,9 +182,6 @@ func (m *Monitor) Cubicles() []*Cubicle {
 	return out
 }
 
-// CubicleByName returns the named cubicle, or nil.
-func (m *Monitor) CubicleByName(name string) *Cubicle { return m.byName[name] }
-
 // addCubicle registers a new cubicle. Only the loader calls this.
 func (m *Monitor) addCubicle(name string, kind Kind) (*Cubicle, error) {
 	if _, dup := m.byName[name]; dup {

@@ -32,9 +32,6 @@ func TestBootAssignsDistinctKeys(t *testing.T) {
 func TestComponentBookkeeping(t *testing.T) {
 	ts := bootPair(t, ModeFull)
 	bar := ts.cubs["BAR"]
-	if !bar.HasComponent("BAR") || bar.HasComponent("FOO") {
-		t.Error("HasComponent wrong")
-	}
 	if got := bar.Components(); len(got) != 1 || got[0] != "BAR" {
 		t.Errorf("Components() = %v", got)
 	}

@@ -70,10 +70,6 @@ type undoEntry struct {
 type Supervisor struct {
 	m      *Monitor
 	policy RestartPolicy
-
-	// deaths counts cubicles permanently disabled after exhausting their
-	// restart budget.
-	deaths uint64
 }
 
 // EnableContainment attaches a supervisor with the given restart policy.
@@ -84,13 +80,6 @@ func (m *Monitor) EnableContainment(policy RestartPolicy) *Supervisor {
 	m.sup = s
 	return s
 }
-
-// Supervisor returns the attached supervisor, or nil when containment is
-// disabled.
-func (m *Monitor) Supervisor() *Supervisor { return m.sup }
-
-// Deaths returns how many cubicles were declared Dead.
-func (s *Supervisor) Deaths() uint64 { return s.deaths }
 
 // admit gates a cross-cubicle call on the callee's health before any call
 // accounting happens. Quarantined cubicles whose backoff expired are
@@ -267,7 +256,8 @@ func (s *Supervisor) quarantine(id ID, cause error) {
 	if c.health == Dead {
 		return
 	}
-	backoff := s.backoffFor(int(c.consecFaults))
+	p := s.policy
+	backoff := Backoff(p.BackoffBase, p.BackoffFactor, p.BackoffMax, int(c.consecFaults))
 	old := c.health
 	c.health = Quarantined
 	c.restartAt = s.m.Clock.Cycles() + backoff
@@ -275,21 +265,23 @@ func (s *Supervisor) quarantine(id ID, cause error) {
 	s.m.notifyHealth(c, old, Quarantined)
 }
 
-// backoffFor computes the quarantine backoff for the n-th consecutive
-// fault (n >= 1): BackoffBase * BackoffFactor^(n-1), capped at BackoffMax.
-func (s *Supervisor) backoffFor(n int) uint64 {
-	b := s.policy.BackoffBase
-	if s.policy.BackoffFactor > 1 {
+// Backoff is the capped exponential backoff before try n+1 (n >= 1):
+// base * factor^(n-1), capped at max (0 = no cap) without overflowing. A
+// factor below 2 keeps every backoff at base. The supervisor's quarantine
+// backoff, RetryContained's retry backoff and the cluster's retry-leg
+// backoff all take it.
+func Backoff(base, factor, max uint64, n int) uint64 {
+	b := base
+	if factor > 1 {
 		for i := 1; i < n; i++ {
-			if b >= s.policy.BackoffMax/s.policy.BackoffFactor {
-				b = s.policy.BackoffMax
-				break
+			if max > 0 && b >= max/factor {
+				return max
 			}
-			b *= s.policy.BackoffFactor
+			b *= factor
 		}
 	}
-	if s.policy.BackoffMax > 0 && b > s.policy.BackoffMax {
-		b = s.policy.BackoffMax
+	if max > 0 && b > max {
+		b = max
 	}
 	return b
 }
@@ -323,7 +315,6 @@ func (s *Supervisor) restart(c *Cubicle) bool {
 	if s.policy.MaxRestarts > 0 && len(c.restartLog) >= s.policy.MaxRestarts {
 		old := c.health
 		c.health = Dead
-		s.deaths++
 		s.m.notifyHealth(c, old, Dead)
 		return false
 	}

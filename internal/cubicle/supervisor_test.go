@@ -142,9 +142,8 @@ func TestSupervisorDeathAfterRestartExhaustion(t *testing.T) {
 	if svc.Health() != Dead {
 		t.Errorf("health = %v, want Dead", svc.Health())
 	}
-	sup := ts.m.Supervisor()
-	if sup.Deaths() != 1 {
-		t.Errorf("Deaths() = %d, want 1", sup.Deaths())
+	if n := deadCubicles(ts.m); n != 1 {
+		t.Errorf("%d dead cubicles, want 1", n)
 	}
 	// Dead is permanent: even after more virtual time, still refused.
 	ts.m.Clock.Charge(1 << 40)
@@ -178,9 +177,8 @@ func TestSupervisorDeathHappensExactlyOnce(t *testing.T) {
 	if _, cf := callSVCOk(t, ts); cf == nil || !errors.Is(cf, ErrDead) {
 		t.Fatalf("call after exhaustion: got %v, want ErrDead", cf)
 	}
-	sup := ts.m.Supervisor()
-	if svc.Health() != Dead || sup.Deaths() != 1 {
-		t.Fatalf("health=%v deaths=%d, want Dead/1", svc.Health(), sup.Deaths())
+	if n := deadCubicles(ts.m); svc.Health() != Dead || n != 1 {
+		t.Fatalf("health=%v deaths=%d, want Dead/1", svc.Health(), n)
 	}
 	// Hammer the corpse: every poke is refused with ErrDead, the death
 	// counter never moves again, and health never leaves Dead.
@@ -190,8 +188,8 @@ func TestSupervisorDeathHappensExactlyOnce(t *testing.T) {
 			t.Fatalf("poke %d: got %v, want ErrDead", i, cf)
 		}
 	}
-	if sup.Deaths() != 1 {
-		t.Errorf("Deaths() = %d after repeated pokes, want still 1", sup.Deaths())
+	if n := deadCubicles(ts.m); n != 1 {
+		t.Errorf("%d dead cubicles after repeated pokes, want still 1", n)
 	}
 	if svc.Health() != Dead {
 		t.Errorf("health = %v after repeated pokes, want still Dead", svc.Health())
@@ -227,8 +225,8 @@ func TestSupervisorRestartWindowSlides(t *testing.T) {
 	if svc.Restarts() != 5 {
 		t.Errorf("Restarts() = %d, want 5", svc.Restarts())
 	}
-	if ts.m.Supervisor().Deaths() != 0 {
-		t.Errorf("Deaths() = %d, want 0 — spaced faults must never kill", ts.m.Supervisor().Deaths())
+	if n := deadCubicles(ts.m); n != 0 {
+		t.Errorf("%d dead cubicles, want 0 — spaced faults must never kill", n)
 	}
 }
 
@@ -266,18 +264,14 @@ func TestSupervisorBackoffEscalatesOnVirtualClock(t *testing.T) {
 }
 
 func TestSupervisorBackoffCap(t *testing.T) {
-	s := &Supervisor{policy: RestartPolicy{
-		BackoffBase: 100, BackoffFactor: 2, BackoffMax: 1000,
-	}}
 	for n, want := range map[int]uint64{1: 100, 2: 200, 3: 400, 4: 800, 5: 1000, 50: 1000} {
-		if got := s.backoffFor(n); got != want {
-			t.Errorf("backoffFor(%d) = %d, want %d", n, got, want)
+		if got := Backoff(100, 2, 1000, n); got != want {
+			t.Errorf("Backoff(%d) = %d, want %d", n, got, want)
 		}
 	}
 	// Overflow-safe for absurd consecutive-fault counts.
-	s.policy.BackoffMax = 1 << 63
-	if got := s.backoffFor(500); got != 1<<63 {
-		t.Errorf("backoffFor(500) = %d, want the cap", got)
+	if got := Backoff(100, 2, 1<<63, 500); got != 1<<63 {
+		t.Errorf("Backoff(500) = %d, want the cap", got)
 	}
 }
 
@@ -392,4 +386,15 @@ func TestWorkNEqualsRepeatedWork(t *testing.T) {
 			t.Fatalf("WorkN past the deadline: %v, want a *DeadlineFault", cf)
 		}
 	})
+}
+
+// deadCubicles counts the cubicles declared Dead.
+func deadCubicles(m *Monitor) int {
+	n := 0
+	for _, c := range m.Cubicles() {
+		if c.Health() == Dead {
+			n++
+		}
+	}
+	return n
 }

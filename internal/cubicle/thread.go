@@ -124,9 +124,6 @@ func (t *Thread) Caller() ID {
 	return MonitorID
 }
 
-// Depth returns the current call depth (frames pushed).
-func (t *Thread) Depth() int { return len(t.frames) }
-
 // stackFor returns the thread's stack in cubicle id, allocating it on
 // first use (the loader "allocates the necessary per-cubicle stacks for
 // the current thread", §5.4).

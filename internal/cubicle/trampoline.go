@@ -61,17 +61,6 @@ type Handle struct {
 	caller *Cubicle
 }
 
-// Valid reports whether the handle is bound.
-func (h Handle) Valid() bool { return h.tr != nil }
-
-// Symbol returns the symbol the handle is bound to.
-func (h Handle) Symbol() string {
-	if h.tr == nil {
-		return "<nil>"
-	}
-	return h.tr.Symbol()
-}
-
 // guardInfo lets the monitor recognise control transfers into guard and
 // thunk pages for CFI checks.
 type guardInfo struct {

@@ -101,13 +101,18 @@ func (c *Clock) AdvanceTo(target uint64) {
 	c.Charge(target - c.cycles)
 }
 
-// Reset sets the clock back to zero.
-func (c *Clock) Reset() { c.cycles = 0 }
-
 // Duration converts the accumulated cycles to wall-clock time at
 // FrequencyHz.
 func (c *Clock) Duration() time.Duration {
 	return Duration(c.Cycles())
+}
+
+// NextTick returns the first tick of the cadence next, next+interval,
+// next+2·interval, … that lies past now, for a periodic action whose
+// threshold next has passed (next <= now, interval > 0). It takes one step
+// however long the clock jumped.
+func NextTick(next, interval, now uint64) uint64 {
+	return next + ((now-next)/interval+1)*interval
 }
 
 // Duration converts a cycle count to wall-clock time at FrequencyHz.
@@ -157,8 +162,6 @@ type Costs struct {
 	// SyscallLinux is the kernel entry/exit cost of one host-Linux
 	// system call (the paper's Linux baseline).
 	SyscallLinux uint64
-	// Alloca is the cost of a stack-buffer allocation in component code.
-	Alloca uint64
 	// ShootdownIPI is the per-remote-core cost of synchronising a page
 	// retag on a multi-core machine. libmpk (USENIX ATC'19) measures that
 	// a safe mpk_mprotect must synchronise the key state of every other
@@ -185,7 +188,6 @@ func DefaultCosts() Costs {
 		StackArgByte:      1,
 		CopyChunk16:       1,
 		SyscallLinux:      700,
-		Alloca:            4,
 		ShootdownIPI:      2500,
 	}
 }

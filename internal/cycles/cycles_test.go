@@ -1,6 +1,7 @@
 package cycles
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,10 +13,6 @@ func TestChargeAccumulates(t *testing.T) {
 	c.Charge(250)
 	if c.Cycles() != 350 {
 		t.Errorf("Cycles = %d", c.Cycles())
-	}
-	c.Reset()
-	if c.Cycles() != 0 {
-		t.Error("Reset did not zero the clock")
 	}
 }
 
@@ -40,7 +37,7 @@ func TestWorkScale(t *testing.T) {
 	if c.Cycles() != 1000 {
 		t.Errorf("unscaled ChargeWork = %d", c.Cycles())
 	}
-	c.Reset()
+	c = Clock{}
 	c.SetWorkScale(2.6)
 	c.ChargeWork(1000)
 	if c.Cycles() != 2600 {
@@ -52,7 +49,7 @@ func TestWorkScale(t *testing.T) {
 		t.Errorf("Charge scaled: %d", c.Cycles())
 	}
 	// A scale of zero is a scale, not "unset": modelled compute is free.
-	c.Reset()
+	c = Clock{}
 	c.SetWorkScale(0)
 	c.ChargeWork(1000)
 	c.ChargeWorkN(1000, 9)
@@ -169,6 +166,24 @@ func BenchmarkClockChargeAfterCopy(b *testing.B) {
 		benchClock.Charge(seg / 16)
 		if off += seg; off+seg > set {
 			off = 0
+		}
+	}
+}
+
+// TestNextTickMatchesTheLoop: one NextTick equals stepping the threshold
+// forward one interval at a time, the loop the periodic samplers ran.
+func TestNextTickMatchesTheLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10_000; i++ {
+		next := rng.Uint64() >> 4
+		interval := 1 + rng.Uint64()%(1<<uint(rng.Intn(24)))
+		now := next + uint64(rng.Intn(1<<12))*interval + rng.Uint64()%interval
+		want := next
+		for want <= now {
+			want += interval
+		}
+		if got := NextTick(next, interval, now); got != want {
+			t.Fatalf("NextTick(%d, %d, %d) = %d, the loop %d", next, interval, now, got, want)
 		}
 	}
 }

@@ -17,12 +17,15 @@ import (
 	"cubicleos/internal/cycles"
 )
 
+// Frame bounds: the per-edge latency table shows the topEdges busiest
+// edges, and the call-rate sparkline the last sparkWidth samples.
+const (
+	topEdges   = 8
+	sparkWidth = 32
+)
+
 // Options configures frame rendering.
 type Options struct {
-	// TopEdges bounds the per-edge latency table (0 = default 8).
-	TopEdges int
-	// SparkWidth bounds the call-rate sparkline (0 = default 32).
-	SparkWidth int
 	// ANSI prefixes each frame with a clear-screen + home sequence.
 	ANSI bool
 }
@@ -49,12 +52,6 @@ type Dash struct {
 // rates; subsequent frames show rates over the span since the previous
 // frame.
 func New(m *cubicle.Monitor, w io.Writer, o Options) *Dash {
-	if o.TopEdges == 0 {
-		o.TopEdges = 8
-	}
-	if o.SparkWidth == 0 {
-		o.SparkWidth = 32
-	}
 	d := &Dash{m: m, w: w, o: o, names: map[cubicle.ID]string{}}
 	for _, c := range m.Cubicles() {
 		d.names[c.ID] = c.Name
@@ -177,8 +174,8 @@ func (d *Dash) Frame() {
 	// Per-edge latency digests, when the tracer is attached.
 	if trc := d.m.Tracer(); trc != nil {
 		if sums := trc.EdgeSummaries(); len(sums) > 0 {
-			if len(sums) > d.o.TopEdges {
-				sums = sums[:d.o.TopEdges]
+			if len(sums) > topEdges {
+				sums = sums[:topEdges]
 			}
 			fmt.Fprintf(&sb, "\n%-24s %10s %10s %10s %10s\n", "edge", "calls", "p50", "p99", "max")
 			for _, es := range sums {
@@ -198,7 +195,7 @@ func (d *Dash) Frame() {
 		for i, s := range samples {
 			rates[i] = s.CallRate
 		}
-		strip, peak := sparkline(rates, d.o.SparkWidth)
+		strip, peak := sparkline(rates, sparkWidth)
 		fmt.Fprintf(&sb, "\ncall rate %s  peak %.0f/s over %d samples", strip, peak, len(samples))
 		if last, ok := d.m.LastMetricsSample(); ok && last.CallP99 > 0 {
 			fmt.Fprintf(&sb, "   xing p50 %s p99 %s",

@@ -4,6 +4,7 @@ import (
 	"io"
 	"time"
 
+	"cubicleos/internal/cycles"
 	"cubicleos/internal/siege"
 )
 
@@ -40,9 +41,7 @@ func Live(tgt *siege.Target, lo siege.OpenLoopOptions, w io.Writer, o LiveOption
 	for drv.Step(1) {
 		if now := clock.Cycles(); now >= next {
 			d.Frame()
-			for next <= now {
-				next += o.FrameCycles
-			}
+			next = cycles.NextTick(next, o.FrameCycles, now)
 			if o.Refresh > 0 {
 				time.Sleep(o.Refresh)
 			}

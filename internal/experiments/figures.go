@@ -222,16 +222,6 @@ func graphFrom(m *cubicle.Monitor) *CallGraph {
 	return g
 }
 
-// Count returns the count on edge from→to (0 if absent).
-func (g *CallGraph) Count(from, to string) uint64 {
-	for _, e := range g.Edges {
-		if e.From == from && e.To == to {
-			return e.Count
-		}
-	}
-	return 0
-}
-
 // String renders the graph as a table.
 func (g *CallGraph) String() string {
 	var sb strings.Builder

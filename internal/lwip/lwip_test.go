@@ -13,13 +13,17 @@ import (
 
 func bootNet(t *testing.T, mode cubicle.Mode, sendBuf uint64) *boot.System {
 	t.Helper()
-	return boot.MustNewFS(boot.Config{
-		Mode: mode, Net: true, SendBuf: sendBuf,
+	s := boot.MustNewFS(boot.Config{
+		Mode: mode, Net: true,
 		Extra: []*cubicle.Component{{
 			Name: "APP", Kind: cubicle.KindIsolated,
 			Exports: []cubicle.ExportDecl{{Name: "main", Fn: func(e *cubicle.Env, a []uint64) []uint64 { return nil }}},
 		}},
 	})
+	if sendBuf != 0 {
+		s.Lwip.SendBufCap = sendBuf // sockets size their rings when opened
+	}
+	return s
 }
 
 // appNet is the app-side networking state: an I/O buffer windowed to LWIP.

@@ -59,12 +59,6 @@ func (p PKRU) CanExec(k Key) bool { return p.CanRead(k) || p.CanWrite(k) }
 // Allow returns a copy of the register with read and write enabled on k.
 func (p PKRU) Allow(k Key) PKRU { return p &^ (adBit(k) | wdBit(k)) }
 
-// AllowRead returns a copy with read enabled but write disabled on k.
-func (p PKRU) AllowRead(k Key) PKRU { return (p &^ adBit(k)) | wdBit(k) }
-
-// Deny returns a copy of the register with all access to k disabled.
-func (p PKRU) Deny(k Key) PKRU { return p | adBit(k) | wdBit(k) }
-
 func (p PKRU) String() string {
 	s := ""
 	for k := Key(0); k < NumKeys; k++ {

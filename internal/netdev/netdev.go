@@ -279,5 +279,7 @@ func (c *Client) Rx(e *cubicle.Env, ptr vm.Addr, maxLen uint64) (uint64, uint64)
 	return r[0], r[1]
 }
 
-// RxReady returns the number of pending receive frames.
+// RxReady returns the number of pending receive frames. No run calls it; it
+// stays with the handle NewClient resolves at boot, part of the component
+// ABI (ROADMAP item 15).
 func (c *Client) RxReady(e *cubicle.Env) uint64 { return c.ready.Call(e)[0] }

@@ -35,7 +35,8 @@ func New() *Module { return &Module{} }
 // or its tail of consoleKeep to 2×consoleKeep bytes once more was written.
 func (p *Module) ConsoleOutput() string { return string(p.console) }
 
-// Halted reports whether plat_halt was called.
+// Halted reports whether plat_halt was called: the state Client.Halt
+// sets, kept with it as part of the component ABI (ROADMAP item 15).
 func (p *Module) Halted() bool { return p.halted }
 
 // Component returns the PLAT component for the builder.
@@ -87,7 +88,8 @@ func (c *Client) ConsoleWrite(e *cubicle.Env, addr vm.Addr, n uint64) {
 	c.write.Call(e, uint64(addr), n)
 }
 
-// Halt stops the platform.
+// Halt stops the platform. No run calls it; it stays with the handle
+// NewClient resolves at boot, part of the component ABI (ROADMAP item 15).
 func (c *Client) Halt(e *cubicle.Env) { c.halt.Call(e) }
 
 // BootProbe performs the boot-time platform probe.

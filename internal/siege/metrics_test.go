@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/siege"
 )
 
@@ -49,7 +50,7 @@ func TestMetricsEndpointServesOpenMetrics(t *testing.T) {
 	if res.Status != 200 {
 		t.Fatalf("GET /metrics: status %d", res.Status)
 	}
-	series, err := cubicle.ParseOpenMetrics(strings.NewReader(string(res.Body)))
+	series, err := cubicletest.ParseOpenMetrics(strings.NewReader(string(res.Body)))
 	if err != nil {
 		t.Fatalf("/metrics body does not parse as OpenMetrics: %v\n%s", err, res.Body)
 	}

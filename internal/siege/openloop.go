@@ -93,11 +93,21 @@ type OpenLoopDriver struct {
 	elapsed uint64        // cycles from start to the end of the run
 }
 
+// CheckOpenLoop rejects an open loop whose rate, in requests per virtual
+// second, is not finite and positive, or whose arrival count is not
+// positive. A NaN or infinite rate has no arrival interval.
+func CheckOpenLoop(rate float64, requests int) error {
+	if !(rate > 0) || math.IsInf(rate, 1) || requests <= 0 {
+		return fmt.Errorf("siege: open loop needs a finite positive rate and request count (rate %v, %d requests)", rate, requests)
+	}
+	return nil
+}
+
 // StartOpenLoop begins an open-loop run without driving it; call Step
 // until it returns false, then Finish.
 func (t *Target) StartOpenLoop(o OpenLoopOptions) (*OpenLoopDriver, error) {
-	if o.Rate <= 0 || o.Requests <= 0 {
-		return nil, fmt.Errorf("siege: open loop needs positive rate and request count")
+	if err := CheckOpenLoop(o.Rate, o.Requests); err != nil {
+		return nil, err
 	}
 	t.recycleKept()
 	r := &OpenLoopDriver{

@@ -7,6 +7,7 @@ import (
 	"cubicleos/internal/httpd"
 	"cubicleos/internal/siege"
 	"cubicleos/internal/ualloc"
+	"cubicleos/internal/vm"
 )
 
 // supervisionOnly returns a restart policy with the watchdog disabled —
@@ -190,7 +191,13 @@ func TestOpenLoopQuotaContainsWithoutQuarantine(t *testing.T) {
 		t.Fatalf("quota pressure quarantined ALLOC (health %v, %d quarantines); quota faults are transient",
 			alloc.Health(), m.Stats.Quarantines)
 	}
-	if used := m.MemUsed(alloc.ID); used > quota {
+	var used uint64 // every page ALLOC owns but its stacks
+	m.AS.ForEachPage(func(_ uint64, p *vm.Page) {
+		if p.Owner == int(alloc.ID) && p.Type != vm.PageStack {
+			used += vm.PageSize
+		}
+	})
+	if used > quota {
 		t.Errorf("ALLOC page footprint %d B exceeds its %d B quota", used, quota)
 	}
 	if st.OK == 0 {

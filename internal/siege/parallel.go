@@ -44,8 +44,8 @@ type ParallelStats struct {
 // boots no shard.
 func ParallelOpenLoop(cores int, mk func(core int) (*Target, error), o OpenLoopOptions) (*ParallelStats, error) {
 	cores = max(cores, 1)
-	if o.Rate <= 0 || o.Requests <= 0 {
-		return nil, fmt.Errorf("siege: open loop needs positive rate and request count")
+	if err := CheckOpenLoop(o.Rate, o.Requests); err != nil {
+		return nil, err
 	}
 
 	runs := make([]*OpenLoopDriver, min(cores, o.Requests))

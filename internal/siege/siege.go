@@ -71,12 +71,11 @@ type Options struct {
 	// Governance, when non-nil, arms the server's overload protection
 	// (admission control, request deadlines, shed responses).
 	Governance *httpd.Governance
-	// MemQuotas / AllocClientQuota / WireCap / ReapClosed pass through to
-	// boot.Config — the resource-governance side of overload protection.
-	MemQuotas        map[string]uint64
-	AllocClientQuota uint64
-	WireCap          int
-	ReapClosed       bool
+	// MemQuotas / WireCap / ReapClosed pass through to boot.Config — the
+	// resource-governance side of overload protection.
+	MemQuotas  map[string]uint64
+	WireCap    int
+	ReapClosed bool
 	// SMPCores passes through to boot.Config: > 1 adds the retag
 	// shootdown surcharge for the remote cores.
 	SMPCores int
@@ -155,7 +154,6 @@ func NewTargetOpts(o Options) (*Target, error) {
 		Supervision:        o.Supervision,
 		Chaos:              o.Chaos,
 		MemQuotas:          o.MemQuotas,
-		AllocClientQuota:   o.AllocClientQuota,
 		WireCap:            o.WireCap,
 		LwipReapClosed:     o.ReapClosed,
 		SMPCores:           o.SMPCores,

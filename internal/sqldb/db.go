@@ -75,7 +75,8 @@ func Open(e *cubicle.Env, vfs *vfscore.Client, path string, ioBuf vm.Addr, cache
 	return db, nil
 }
 
-// Close flushes and closes the database.
+// Close flushes and closes the database. No run closes one; it stays
+// because it is what makes a session's writes durable.
 func (db *DB) Close() error { return db.pager.Close() }
 
 // Pager exposes pager statistics to the benchmark harness.
@@ -124,15 +125,6 @@ func (db *DB) Exec(sql string) (res *Result, err error) {
 		return nil, err
 	}
 	return f.res, nil
-}
-
-// MustExec is Exec that fails hard; for tests and workloads.
-func (db *DB) MustExec(sql string) *Result {
-	r, err := db.Exec(sql)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // exec runs stmt in f, the top level's frame, whose Result it fills.

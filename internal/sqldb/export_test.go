@@ -118,3 +118,23 @@ func (db *DB) OnParse(fn func(sql string, stmt any)) { db.onParse = fn }
 
 // GoodStatements are statements the parser must accept.
 var GoodStatements = goodStatements
+
+// MustExec is Exec that fails hard; for tests.
+func (db *DB) MustExec(sql string) *Result {
+	r, err := db.Exec(sql)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// EncodeKey produces a byte string whose lexicographic order matches
+// Compare-order over the value tuple. Index B+tree keys are built with
+// appendKey.
+func EncodeKey(vals []Value) []byte {
+	out := make([]byte, 0, 16*len(vals))
+	for _, v := range vals {
+		out = appendKey(out, v)
+	}
+	return out
+}

@@ -29,7 +29,7 @@ const (
 //	[0:8)  magic "CUBIQLDB"
 //	[8:12) page count
 //	[12:16) catalog btree root page
-//	[16:20) freelist head page (0 = empty)
+//	[16:20) zero
 var magic = [8]byte{'C', 'U', 'B', 'I', 'Q', 'L', 'D', 'B'}
 
 // maxSpare bounds Pager.spare. A miss takes a frame and the eviction it
@@ -82,7 +82,6 @@ type Pager struct {
 	recent  cpage    // sentinel of the recency ring, see cpage.prev
 	nPages  uint32
 	catRoot uint32
-	freeHd  uint32
 
 	inTxn bool
 	// origs holds, by page number, the pre-transaction image of every page
@@ -198,7 +197,6 @@ func OpenPager(e *cubicle.Env, vfs *vfscore.Client, path string, ioBuf vm.Addr, 
 		}
 		p.nPages = binary.LittleEndian.Uint32(hdr.data[8:])
 		p.catRoot = binary.LittleEndian.Uint32(hdr.data[12:])
-		p.freeHd = binary.LittleEndian.Uint32(hdr.data[16:])
 	}
 	return p, nil
 }
@@ -271,7 +269,6 @@ func (p *Pager) writeHeader() {
 	p.beforeWrite(hdr)
 	binary.LittleEndian.PutUint32(hdr.data[8:], p.nPages)
 	binary.LittleEndian.PutUint32(hdr.data[12:], p.catRoot)
-	binary.LittleEndian.PutUint32(hdr.data[16:], p.freeHd)
 	hdr.dirty = true
 }
 
@@ -439,7 +436,10 @@ func (p *Pager) page(pgno uint32) *cpage {
 	return p.cache[pgno]
 }
 
-// Get returns a page's contents for reading.
+// Get returns a page's contents for reading. Only tests call it: the
+// pinned speedtest image (TestSpeedtestImagePinned, the speedtest cell of
+// TestStreamDigestsPinned) is the CRC of every page read through it, and
+// those reads are part of what the pins hold.
 func (p *Pager) Get(pgno uint32) []byte { return p.page(pgno).data }
 
 // node returns a page for the B+tree to read, its cell directory rebuilt
@@ -496,34 +496,14 @@ func (p *Pager) Write(pgno uint32) []byte {
 	return pg.data
 }
 
-// Allocate returns a fresh page number (from the freelist or by growing
-// the file).
+// Allocate returns a fresh page number by growing the file.
 func (p *Pager) Allocate() uint32 {
-	if p.freeHd != 0 {
-		pgno := p.freeHd
-		data := p.Get(pgno)
-		p.freeHd = binary.LittleEndian.Uint32(data[0:])
-		w := p.Write(pgno)
-		for i := range w {
-			w[i] = 0
-		}
-		p.writeHeader()
-		return pgno
-	}
 	p.nPages++
 	pgno := p.nPages
 	p.beforeWrite(p.freshPage(pgno))
 	p.writeHeader()
 	p.evictIfNeeded()
 	return pgno
-}
-
-// Free returns a page to the freelist.
-func (p *Pager) Free(pgno uint32) {
-	w := p.Write(pgno)
-	binary.LittleEndian.PutUint32(w[0:], p.freeHd)
-	p.freeHd = pgno
-	p.writeHeader()
 }
 
 // NPages returns the database size in pages.
@@ -696,7 +676,6 @@ func (p *Pager) Rollback() error {
 	hdr := p.page(1)
 	p.nPages = binary.LittleEndian.Uint32(hdr.data[8:])
 	p.catRoot = binary.LittleEndian.Uint32(hdr.data[12:])
-	p.freeHd = binary.LittleEndian.Uint32(hdr.data[16:])
 	if err := p.flushAll(); err != nil {
 		return err
 	}

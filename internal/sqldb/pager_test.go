@@ -145,22 +145,6 @@ func TestRollbackAfterSpill(t *testing.T) {
 	})
 }
 
-// TestFreelistReuse: freed pages are recycled before the file grows.
-func TestFreelistReuse(t *testing.T) {
-	withPager(t, 32, func(p *Pager) {
-		a := p.Allocate()
-		before := p.NPages()
-		p.Free(a)
-		b := p.Allocate()
-		if b != a {
-			t.Errorf("freed page %d not reused (got %d)", a, b)
-		}
-		if p.NPages() != before {
-			t.Errorf("file grew despite freelist: %d -> %d", before, p.NPages())
-		}
-	})
-}
-
 // TestHeaderResident: the header page never leaves the cache even under
 // eviction pressure.
 func TestHeaderResident(t *testing.T) {

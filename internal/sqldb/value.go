@@ -307,16 +307,6 @@ func keptRow(vals []Value) []Value {
 
 // --- Order-preserving index key encoding -------------------------------------
 
-// EncodeKey produces a byte string whose lexicographic order matches
-// Compare-order over the value tuple. Used for index B+tree keys.
-func EncodeKey(vals []Value) []byte {
-	out := make([]byte, 0, 16*len(vals))
-	for _, v := range vals {
-		out = appendKey(out, v)
-	}
-	return out
-}
-
 // appendKey appends one value of a key tuple to dst.
 func appendKey(dst []byte, v Value) []byte {
 	switch v.Kind {

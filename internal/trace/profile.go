@@ -61,18 +61,22 @@ func (p *profiler) flush() {
 	p.switchTo(cur)
 }
 
-// tick is the clock-advance observer driving the sampler.
+// tick is the clock-advance observer driving the sampler: every sample
+// point the clock passed counts one sample against the running cubicle.
 func (p *profiler) tick(now uint64) {
-	for now >= p.nextSample {
-		if i := uint32(p.cur + 1); i < profDim {
-			p.samples[i]++
-		} else {
-			if p.smpOvf == nil {
-				p.smpOvf = make(map[int32]uint64)
-			}
-			p.smpOvf[p.cur]++
+	if now < p.nextSample {
+		return
+	}
+	next := cycles.NextTick(p.nextSample, p.period, now)
+	n := (next - p.nextSample) / p.period
+	p.nextSample = next
+	if i := uint32(p.cur + 1); i < profDim {
+		p.samples[i] += n
+	} else {
+		if p.smpOvf == nil {
+			p.smpOvf = make(map[int32]uint64)
 		}
-		p.nextSample += p.period
+		p.smpOvf[p.cur] += n
 	}
 }
 

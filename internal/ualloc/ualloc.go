@@ -44,8 +44,7 @@ type clientState struct {
 	sizes  map[vm.Addr]uint64
 	shares map[vm.Addr]*shareState
 	// arena is the client's arena footprint in bytes. Arenas are never
-	// returned to the monitor, so this is also the client's high-water
-	// mark — the quantity ClientQuota caps.
+	// returned to the monitor, so this is also its high-water mark.
 	arena uint64
 }
 
@@ -58,10 +57,6 @@ type shareState struct {
 // Module is the ALLOC component state.
 type Module struct {
 	clients map[cubicle.ID]*clientState
-	// ClientQuota caps each client's arena footprint in bytes (0 =
-	// unlimited). Exceeding it raises a *cubicle.QuotaFault attributed to
-	// the client — a transient, contained overload signal, not a crash.
-	ClientQuota uint64
 }
 
 // New creates the ALLOC module.
@@ -137,9 +132,6 @@ func (a *Module) malloc(e *cubicle.Env, size uint64) vm.Addr {
 		grow := arenaBytes
 		if size+vm.PageSize > uint64(grow) {
 			grow = int((size + 2*vm.PageSize - 1) &^ (vm.PageSize - 1))
-		}
-		if q := a.ClientQuota; q != 0 && cs.arena+uint64(grow) > q {
-			e.RaiseQuota(caller, "arena", cs.arena+uint64(grow), q)
 		}
 		arena := e.HeapAlloc(uint64(grow))
 		e.WindowAdd(cs.window, arena, uint64(grow))
@@ -274,7 +266,9 @@ func (c *Client) Malloc(e *cubicle.Env, size uint64) vm.Addr {
 // Free releases an allocation.
 func (c *Client) Free(e *cubicle.Env, addr vm.Addr) { c.free.Call(e, uint64(addr)) }
 
-// Palloc allocates npages pages, page-aligned.
+// Palloc allocates npages pages, page-aligned. No run calls it; it stays
+// with the handle NewClient resolves at boot, part of the component ABI
+// (ROADMAP item 15).
 func (c *Client) Palloc(e *cubicle.Env, npages uint64) vm.Addr {
 	return vm.Addr(c.palloc.Call(e, npages)[0])
 }

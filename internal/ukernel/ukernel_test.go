@@ -31,16 +31,16 @@ func runWorkload(t *testing.T, sys interface {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-		db.MustExec("BEGIN")
+		mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+		mustExec(t, db, "BEGIN")
 		for i := 0; i < 200; i++ {
-			db.MustExec("INSERT INTO t VALUES (" + itoa(i) + ", 'value')")
+			mustExec(t, db, "INSERT INTO t VALUES ("+itoa(i)+", 'value')")
 		}
-		db.MustExec("COMMIT")
+		mustExec(t, db, "COMMIT")
 		for i := 0; i < 50; i++ {
-			db.MustExec("UPDATE t SET v = 'x' WHERE id = " + itoa(i*3))
+			mustExec(t, db, "UPDATE t SET v = 'x' WHERE id = "+itoa(i*3))
 		}
-		db.MustExec("SELECT count(*) FROM t")
+		mustExec(t, db, "SELECT count(*) FROM t")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,17 +140,27 @@ func TestWorkloadCorrectUnderIPC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.MustExec("CREATE TABLE t (a INTEGER)")
-		db.MustExec("INSERT INTO t VALUES (1), (2), (3)")
-		r := db.MustExec("SELECT sum(a) FROM t")
+		mustExec(t, db, "CREATE TABLE t (a INTEGER)")
+		mustExec(t, db, "INSERT INTO t VALUES (1), (2), (3)")
+		r := mustExec(t, db, "SELECT sum(a) FROM t")
 		if r.Rows[0][0].I != 6 {
 			t.Errorf("sum = %v", r.Rows[0][0])
 		}
-		if res := db.MustExec("PRAGMA integrity_check"); res.Rows[0][0].S != "ok" {
+		if res := mustExec(t, db, "PRAGMA integrity_check"); res.Rows[0][0].S != "ok" {
 			t.Errorf("integrity: %v", res.Rows)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mustExec runs one statement and fails the test on an error.
+func mustExec(t *testing.T, db *sqldb.DB, sql string) *sqldb.Result {
+	t.Helper()
+	r, err := db.Exec(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

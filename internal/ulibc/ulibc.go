@@ -171,7 +171,9 @@ func (c *Client) Memset(e *cubicle.Env, dst vm.Addr, v byte, n uint64) {
 	c.memset.Call(e, uint64(dst), uint64(v), n)
 }
 
-// Memcmp calls LIBC memcmp; returns -1, 0 or 1.
+// Memcmp calls LIBC memcmp; returns -1, 0 or 1. No run calls it; it stays
+// with the handle NewClient resolves at boot, part of the component ABI
+// (ROADMAP item 15).
 func (c *Client) Memcmp(e *cubicle.Env, a, b vm.Addr, n uint64) int {
 	r := c.memcmp.Call(e, uint64(a), uint64(b), n)[0]
 	switch r {

@@ -61,24 +61,3 @@ func (d *Device) Component() *cubicle.Component {
 		},
 	}
 }
-
-// Client is typed access to the random device.
-type Client struct {
-	u64, fill cubicle.Handle
-}
-
-// NewClient resolves the device for a caller cubicle.
-func NewClient(m *cubicle.Monitor, caller cubicle.ID) *Client {
-	return &Client{
-		u64:  m.MustResolve(caller, Name, "rand_u64"),
-		fill: m.MustResolve(caller, Name, "rand_fill"),
-	}
-}
-
-// U64 returns the next pseudo-random value.
-func (c *Client) U64(e *cubicle.Env) uint64 { return c.u64.Call(e)[0] }
-
-// Fill fills n bytes at addr with pseudo-random data.
-func (c *Client) Fill(e *cubicle.Env, addr vm.Addr, n uint64) {
-	c.fill.Call(e, uint64(addr), n)
-}

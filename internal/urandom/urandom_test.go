@@ -22,9 +22,9 @@ func TestDeterministicSequence(t *testing.T) {
 		s := bootApp(t, 42)
 		var out []uint64
 		err := s.RunAs("APP", func(e *cubicle.Env) {
-			c := urandom.NewClient(s.M, s.Cubs["APP"].ID)
+			u64 := s.M.MustResolve(s.Cubs["APP"].ID, urandom.Name, "rand_u64")
 			for i := 0; i < 8; i++ {
-				out = append(out, c.U64(e))
+				out = append(out, u64.Call(e)[0])
 			}
 		})
 		if err != nil {
@@ -52,9 +52,9 @@ func TestDeterministicSequence(t *testing.T) {
 func TestFill(t *testing.T) {
 	s := bootApp(t, 7)
 	err := s.RunAs("APP", func(e *cubicle.Env) {
-		c := urandom.NewClient(s.M, s.Cubs["APP"].ID)
+		fill := s.M.MustResolve(s.Cubs["APP"].ID, urandom.Name, "rand_fill")
 		buf := e.HeapAlloc(1000)
-		c.Fill(e, buf, 1000)
+		fill.Call(e, uint64(buf), 1000)
 		data := e.ReadBytes(buf, 1000)
 		zeros := 0
 		for _, b := range data {
@@ -76,10 +76,10 @@ func TestFill(t *testing.T) {
 func TestSharedDeviceRunsAsCaller(t *testing.T) {
 	s := bootApp(t, 7)
 	err := s.RunAs("APP", func(e *cubicle.Env) {
-		c := urandom.NewClient(s.M, s.Cubs["APP"].ID)
+		fill := s.M.MustResolve(s.Cubs["APP"].ID, urandom.Name, "rand_fill")
 		buf := e.HeapAlloc(64)
 		cross := s.M.Stats.CallsTotal
-		c.Fill(e, buf, 64)
+		fill.Call(e, uint64(buf), 64)
 		if s.M.Stats.CallsTotal != cross {
 			t.Error("random fill crossed the TCB")
 		}

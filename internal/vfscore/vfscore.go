@@ -509,7 +509,9 @@ func (c *Client) PWrite(e *cubicle.Env, fd uint64, buf vm.Addr, n, off uint64) (
 	return r[0], r[1]
 }
 
-// Lseek repositions fd; returns the new offset and errno.
+// Lseek repositions fd; returns the new offset and errno. No run calls it;
+// it stays with the handle NewClient resolves at boot, part of the
+// component ABI (ROADMAP item 15).
 func (c *Client) Lseek(e *cubicle.Env, fd, off, whence uint64) (uint64, uint64) {
 	r := call(e, c.lseek, fd, off, whence)
 	return r[0], r[1]
@@ -528,7 +530,8 @@ func (c *Client) FStat(e *cubicle.Env, fd uint64) (uint64, uint64) {
 	return r[0], r[1]
 }
 
-// FTruncate sets the file size.
+// FTruncate sets the file size. No run calls it; it stays with the handle
+// NewClient resolves at boot, part of the component ABI (ROADMAP item 15).
 func (c *Client) FTruncate(e *cubicle.Env, fd, size uint64) uint64 {
 	return call(e, c.ftruncate, fd, size)[1]
 }

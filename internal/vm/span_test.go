@@ -74,16 +74,3 @@ func TestSpanErrors(t *testing.T) {
 		t.Error("wrapping span succeeded")
 	}
 }
-
-// TestCheckMappedWrap checks the uint64 width fix at the vm layer: a
-// range whose end wraps must be rejected outright.
-func TestCheckMappedWrap(t *testing.T) {
-	as := NewAddrSpace()
-	base := mustMap(as, 1, 1, PageHeap, PermRead|PermWrite, 0)
-	if err := as.CheckMapped(base, ^uint64(0)); err == nil {
-		t.Error("CheckMapped accepted a wrapping range")
-	}
-	if err := as.CheckMapped(base, 8); err != nil {
-		t.Errorf("CheckMapped rejected a valid range: %v", err)
-	}
-}

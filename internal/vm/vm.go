@@ -124,9 +124,6 @@ func packMeta(perm Perm, key uint8) uint32 { return uint32(perm)<<8 | uint32(key
 // Key returns the MPK protection key currently tagged on the page.
 func (p *Page) Key() uint8 { return uint8(p.meta) }
 
-// Perm returns the page-table permissions.
-func (p *Page) Perm() Perm { return Perm(p.meta >> 8) }
-
 // Meta returns the page's permissions and key with one load.
 func (p *Page) Meta() (Perm, uint8) { return Perm(p.meta >> 8), uint8(p.meta) }
 
@@ -168,17 +165,6 @@ func (as *AddrSpace) ensure(pn uint64) {
 
 // setPage installs p at page number pn (table already grown).
 func (as *AddrSpace) setPage(pn uint64, p *Page) { as.pt[pn] = p }
-
-// MappedPages returns the number of currently mapped pages.
-func (as *AddrSpace) MappedPages() int {
-	n := 0
-	for _, p := range as.pt {
-		if p != nil {
-			n++
-		}
-	}
-	return n
-}
 
 // Map allocates npages contiguous pages with the given metadata and
 // returns the address of the first. The key is the MPK tag initially
@@ -326,26 +312,6 @@ func (as *AddrSpace) errRange(op string, addr Addr, n uint64) error {
 	return fmt.Errorf("vm: %s of %d bytes at %#x touches unmapped memory", op, n, uint64(addr))
 }
 
-// CheckMapped reports an error unless [addr, addr+n) is fully mapped. The
-// length is a full 64-bit byte count: ranges that would wrap the address
-// space are rejected rather than silently truncated.
-func (as *AddrSpace) CheckMapped(addr Addr, n uint64) error {
-	if addr == 0 || uint64(addr)+n < uint64(addr) {
-		return as.errRange("access", addr, n)
-	}
-	for off := uint64(0); off < n; {
-		p := as.Page(addr.Add(off))
-		if p == nil {
-			return as.errRange("access", addr, n)
-		}
-		off += PageSize - addr.Add(off).PageOff()
-	}
-	if n == 0 && as.Page(addr) == nil {
-		return as.errRange("access", addr, n)
-	}
-	return nil
-}
-
 // Span resolves the contiguous range [addr, addr+n) into direct views of
 // the backing pages, calling fn once per chunk in address order (one chunk
 // per page crossed; a chunk never spans pages). off is the chunk's byte
@@ -406,28 +372,6 @@ func (as *AddrSpace) WriteAt(addr Addr, b []byte) error {
 		done += n
 	}
 	return nil
-}
-
-// ReadU64 reads a little-endian 64-bit word at addr.
-func (as *AddrSpace) ReadU64(addr Addr) (uint64, error) {
-	var b [8]byte
-	if err := as.ReadAt(addr, b[:]); err != nil {
-		return 0, err
-	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v, nil
-}
-
-// WriteU64 writes a little-endian 64-bit word at addr.
-func (as *AddrSpace) WriteU64(addr Addr, v uint64) error {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	return as.WriteAt(addr, b[:])
 }
 
 // PagesIn returns the page numbers fully or partially covered by the range

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -67,8 +68,8 @@ func TestMapAssignsMetadata(t *testing.T) {
 		if p == nil {
 			t.Fatalf("page %d unmapped", i)
 		}
-		if p.Owner != 7 || p.Type != PageHeap || p.Key() != 5 || !p.Perm().Has(PermWrite) {
-			t.Errorf("page %d metadata = owner %d type %v key %d perm %v", i, p.Owner, p.Type, p.Key(), p.Perm())
+		if perm, key := p.Meta(); p.Owner != 7 || p.Type != PageHeap || key != 5 || !perm.Has(PermWrite) {
+			t.Errorf("page %d metadata = owner %d type %v key %d perm %v", i, p.Owner, p.Type, key, perm)
 		}
 	}
 }
@@ -161,28 +162,16 @@ func TestU64RoundTrip(t *testing.T) {
 	addr := mustMap(as, 2, 0, PageHeap, PermRead|PermWrite, 0)
 	f := func(off uint16, v uint64) bool {
 		a := addr.Add(uint64(off) % (2*PageSize - 8)) // keep the 8-byte word inside the mapping
-		if err := as.WriteU64(a, v); err != nil {
+		var w, r [8]byte
+		binary.LittleEndian.PutUint64(w[:], v)
+		if err := as.WriteAt(a, w[:]); err != nil {
 			return false
 		}
-		got, err := as.ReadU64(a)
-		return err == nil && got == v
+		err := as.ReadAt(a, r[:])
+		return err == nil && binary.LittleEndian.Uint64(r[:]) == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCheckMapped(t *testing.T) {
-	as := NewAddrSpace()
-	addr := mustMap(as, 2, 0, PageHeap, PermRead, 0)
-	if err := as.CheckMapped(addr, 2*PageSize); err != nil {
-		t.Errorf("fully mapped range reported error: %v", err)
-	}
-	if err := as.CheckMapped(addr, 2*PageSize+1); err == nil {
-		t.Error("range past the mapping reported mapped")
-	}
-	if err := as.CheckMapped(0, 1); err == nil {
-		t.Error("null range reported mapped")
 	}
 }
 
@@ -272,9 +261,9 @@ func TestMapAtRestoresSpecificPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Owner != 5 || p.Key() != 9 || p.Perm() != PermRead || p.Type != PageHeap {
+	if perm, key := p.Meta(); p.Owner != 5 || key != 9 || perm != PermRead || p.Type != PageHeap {
 		t.Errorf("restored page metadata = owner %d key %d perm %v type %v",
-			p.Owner, p.Key(), p.Perm(), p.Type)
+			p.Owner, key, perm, p.Type)
 	}
 	if as.Page(PageAddr(pn)) != p {
 		t.Error("MapAt did not install the page at the requested number")

@@ -3,7 +3,7 @@
 # BENCH_simulator.json so the trajectory is diffable across PRs.
 #
 # Covered series:
-#   Fastpath{LoadByte,StoreByte,ReadU64,Memcpy4K,Memset4K}  per-byte/word
+#   Fastpath{LoadByte,StoreByte,Memcpy4K,Memset4K}  per-byte
 #       checked access through the per-page walk (internal/cubicle)
 #   ClockCharge, ClockChargeAfterCopy  one advance of the virtual clock
 #       (internal/cycles): back to back, and right behind a 1 400-byte copy

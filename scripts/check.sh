@@ -42,70 +42,19 @@ go test -race ./internal/cubicle/...
 go test -race -run 'FuzzPageOps|TestSpeedtestImagePinned|TestFrameReuse|TestLRUVictimMatchesScan|TestWorkNEqualsRepeatedWork|TestReusedRowsDoNotLeak|TestRowPathAllocations|TestPoisonRowsCatchesAKeptRow|TestPoisonRowsCatchesAKeptResult|TestUpdateKeeps|TestFailedUpdate|TestAutomaticRowidDoesNotWrap|TestStoredRowOutlivesEviction|TestASTGolden|FuzzLike|TestLikeStepsBounded|TestFunctionArity|TestParseStatements|FuzzParse|TestPlanAccessMatchesKindTable|TestInsertSelect|TestSubqueryCorrelatedThroughHaving|TestAggregateUnderExpressions|TestArenaRunsNeverSpanChunks|TestResultColumnNames|TestJournalWriteFailure|TestRollbackAfterSpillRestoresTheFile|TestFailedRollbackLeavesTheJournal|TestFailedFsyncFailsTheCommit|TestPageOpsRollbackAfterSpill' \
     ./internal/sqldb/ ./internal/experiments/ ./internal/cycles/ ./internal/cubicle/
 
-# One view maker a package: a text that aliases a record's bytes is made by
-# view in internal/sqldb/value.go and nowhere else, so grepping for its
-# callers finds every string that changes when a page does; and the one
-# text speedtest runs in place, a view of the buffer it builds statements
-# in, is made by view in internal/speedtest/speedtest.go. (unsafe.Sizeof
-# makes no view.)
-for f in internal/sqldb/value.go internal/speedtest/speedtest.go; do
-    dir="$(dirname "$f")"
-    unsafes="$(awk '/^func /{fn=$0} FNR == 1 {fn=""} /unsafe\./ && !/unsafe\.Sizeof/ { if (fn !~ /^func view\(/) print FILENAME ":" FNR ": " $0 }' $(ls "$dir"/*.go | grep -v _test.go))"
-    if [ -n "$unsafes" ] || [ "$(grep -l '"unsafe"' $(ls "$dir"/*.go | grep -v _test.go))" != "$f" ]; then
-        echo "$unsafes"
-        echo "check.sh: $dir uses unsafe outside view in $f" >&2; exit 1
-    fi
-done
-
 # Crossing gate: every defer in the trampoline must stay open-coded (the
 # compiler falls back to deferprocStack past 8 defers or 15 defer×return
 # sites a function, which put ~8 % on every crossing).
 ./scripts/defercheck.sh
 
-# Concurrency contract (DESIGN.md §10): a monitor is driven by one goroutine
-# at a time, so the runtime holds no lock — and the clock, the page words
-# and the cubicle's health are plain memory, because an atomic there orders
-# nothing and costs a fence a store (§14). The one go statement outside
-# benchmark/ starts ParallelOpenLoop's shards.
-if grep -nE 'sync\.(RW)?Mutex' $(ls internal/cubicle/*.go | grep -v _test.go); then
-    echo "check.sh: internal/cubicle takes a lock" >&2; exit 1
-fi
-if find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './internal/siege/parallel.go' | xargs grep -nE '^[[:space:]]*go [a-zA-Z_(]'; then
-    echo "check.sh: a go statement outside internal/siege/parallel.go" >&2; exit 1
-fi
-if grep -n '"sync/atomic"' $(ls internal/cycles/*.go internal/vm/*.go internal/cubicle/*.go | grep -v _test.go); then
-    echo "check.sh: internal/cycles, internal/vm or internal/cubicle imports sync/atomic" >&2; exit 1
-fi
-
-# One page-table walk: the monitor knows which pages a cubicle owns
-# (Cubicle.owned; DESIGN.md §12), so nothing in the runtime finds them by
-# walking the table. The one walk left is by key, not by owner: the retag
-# of a recycled key's pages in acquireKey.
-walks="$(awk '/^func /{fn=$0} /\.ForEachPage\(/{ if (fn !~ /acquireKey/) print FILENAME ":" FNR ": " $0 }' $(ls internal/cubicle/*.go | grep -v _test.go))"
-if [ -n "$walks" ]; then
-    echo "$walks"
-    echo "check.sh: internal/cubicle walks the whole page table outside acquireKey" >&2; exit 1
-fi
-
-# One monitor, one clock (DESIGN.md §10): every thread charges, and the
-# tracer stamps with, the clock NewMonitor made.
-clocks="$(awk '/^func /{fn=$0} /cycles\.Clock\{|new\(cycles\.Clock\)/{ if (fn !~ /NewMonitor/) print FILENAME ":" FNR ": " $0 }' $(ls internal/cubicle/*.go internal/trace/*.go | grep -v _test.go))"
-if [ -n "$clocks" ]; then
-    echo "$clocks"
-    echo "check.sh: internal/cubicle or internal/trace constructs a cycles.Clock outside NewMonitor" >&2; exit 1
-fi
-
-# One recorder (DESIGN.md §6): an event happens in internal/cubicle only
-# through note, which bumps the event's Counters rows in Stats and, with
-# tracing on, appends it to the ring. No other code there bumps a Stats
-# counter or calls the tracer, save CallExit closing the span note opened.
-# Under the race detector: the stream digests pinned before note existed,
+# Source lints (scripts/lint.sh): no lock, one go statement and no
+# sync/atomic in the runtime (DESIGN.md §10), one page-table walk (§12), one
+# clock (§10), one recorder (§6), one unsafe view maker a package (§16), and
+# the reachability gate: every exported name under internal/ is reached
+# from non-test code or allowed with its reason (reach_test.go). Then,
+# under the race detector, the stream digests pinned before note existed
 # and note against the counter table for every event kind.
-notes="$(awk '/^func /{fn=$0} /Stats\.[A-Za-z]+(\[[^]]*\])?[[:space:]]*(\+\+|\+=)/ || (/\.trc\.[A-Za-z]+\(/ && !/\.trc\.CallExit\(/) { if (fn !~ /^func \(m \*Monitor\) note\(/) print FILENAME ":" FNR ": " $0 }' $(ls internal/cubicle/*.go | grep -v _test.go))"
-if [ -n "$notes" ]; then
-    echo "$notes"
-    echo "check.sh: internal/cubicle bumps a Stats counter or calls the tracer outside note" >&2; exit 1
-fi
+./scripts/lint.sh
 go test -race -run 'TestStreamDigestsPinned|TestNoteIsTheCounterTable' . ./internal/cubicle/
 
 go run ./cmd/cubicle-trace -format chrome -requests 5 -check >/dev/null
