@@ -150,14 +150,15 @@ func BenchmarkSMPSiege(b *testing.B) {
 
 // BenchmarkClusterGoodput floods a virtual cluster of 1, 2 and 4
 // backends at a per-backend rate of 1500 rps through the health-aware
-// balancer. wallms is the simulator cost; the virtual-time metrics
-// (goodputrps, ok) are deterministic per fleet size — goodput must scale
-// near-linearly with backends, which the cluster tests and
-// `httpbench -cluster N -assert-degrade` gate.
+// balancer. ns/op is the simulator cost; the virtual-time metrics
+// (goodputrps, ok, crossings/arrival) are deterministic per fleet size —
+// goodput must scale near-linearly with backends, which the cluster tests
+// and `httpbench -cluster N -assert-degrade` gate.
 func BenchmarkClusterGoodput(b *testing.B) {
 	for _, backends := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("backends-%d", backends), func(b *testing.B) {
 			var last *cluster.Stats
+			var crossings uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c, err := cluster.New(cluster.Options{Backends: backends, Mode: cubicleos.ModeFull})
@@ -167,16 +168,24 @@ func BenchmarkClusterGoodput(b *testing.B) {
 				if err := c.PutFile("/index.html", make([]byte, 4096)); err != nil {
 					b.Fatal(err)
 				}
+				fleet := func() (n uint64) {
+					for _, be := range c.Backends {
+						n += be.T.Sys.M.Stats.CallsTotal
+					}
+					return n
+				}
+				start := fleet()
 				st, err := c.RunOpenLoop(cluster.RunOptions{
 					Path: "/index.html", Rate: 1500 * float64(backends), Requests: 40 * backends})
 				if err != nil {
 					b.Fatal(err)
 				}
-				last = st
+				last, crossings = st, fleet()-start
 			}
 			b.StopTimer()
 			b.ReportMetric(last.GoodputRPS, "goodputrps")
 			b.ReportMetric(float64(last.OK), "ok")
+			b.ReportMetric(float64(crossings)/float64(last.Arrivals), "crossings/arrival")
 		})
 	}
 }
@@ -396,8 +405,9 @@ func productionTarget(b *testing.B) *siege.Target {
 
 // BenchmarkIdleStep measures one nginx_step that finds nothing to do on a
 // server holding N idle keep-alive connections — lwip_poll, an empty
-// accept, one lwip_recv crossing per connection. It is the operation
-// cluster_failover performs 127 times an arrival (ROADMAP item 8).
+// accept, one lwip_recv crossing per connection. It is the first step of a
+// cluster quantum on a backend with nothing to do: about 3 of the 7 steps
+// cluster_failover takes an arrival (ROADMAP item 8).
 func BenchmarkIdleStep(b *testing.B) {
 	for _, conns := range []int{1, 16, 64} {
 		b.Run(fmt.Sprintf("conns-%d", conns), func(b *testing.B) {

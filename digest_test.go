@@ -3,6 +3,7 @@ package cubicleos_test
 import (
 	"fmt"
 	"hash/crc32"
+	"reflect"
 	"slices"
 	"strconv"
 	"testing"
@@ -42,7 +43,7 @@ func TestStreamDigestsPinned(t *testing.T) {
 		{"replay/no-acl", []uint64{0x14151311b98fdbdb}, func(t *testing.T) []uint64 { return replayCell(t, cubicle.ModeNoACL) }},
 		{"replay/unikraft", []uint64{0x8e34b22839ad279b}, func(t *testing.T) []uint64 { return replayCell(t, cubicle.ModeUnikraft) }},
 		{"prod-openloop", []uint64{0xcff1cf2ff861f046}, prodCell},
-		{"cluster-kill", []uint64{0x2fe79ba24ee4d1c4, 0xa20b9c7a01714edf, 0x2b37841dc4a20e95, 0xafdfbbe56bc6fb31}, clusterCell},
+		{"cluster-kill", []uint64{0xdc4b7104272cf289, 0xcb1d3c91a99840b9, 0x562b10d520a1bc0, 0xd19cbfbb1e1074e4}, clusterCell},
 		{"key-eviction", []uint64{0x82e7a2dc20b01a4e}, evictionCell},
 		{"ukernel-ipc", []uint64{0x669749ba417f0d26}, ukernelCell},
 		{"speedtest", []uint64{0x3b1865512d280d88}, speedtestCell},
@@ -168,6 +169,31 @@ func clusterCell(t *testing.T) []uint64 {
 	}
 	if st.Drains == 0 || st.Failovers == 0 {
 		t.Fatalf("cluster run drained %d times and failed over %d times", st.Drains, st.Failovers)
+	}
+	// The balancer's outcome is pinned apart from the digests: how often
+	// and when the driver steps an idle backend moves the backends' event
+	// streams, never what the clients saw.
+	outcome := *st
+	outcome.Sys = cubicle.Stats{}
+	outcome.PerBackend = slices.Clone(st.PerBackend)
+	for i := range outcome.PerBackend {
+		outcome.PerBackend[i].Sys = cubicle.Stats{}
+	}
+	row := func(i int, routed, ok, drains, readmits uint64) cluster.BackendStats {
+		return cluster.BackendStats{Index: i, Health: "healthy", Routed: routed, OK: ok, Drains: drains, Readmits: readmits}
+	}
+	want := cluster.Stats{
+		Backends: 4, OfferedRPS: 5000, Arrivals: 120, OK: 120,
+		LatencySummary: siege.LatencySummary{GoodputRPS: 4157.48031496063,
+			P50: 5336363, P99: 14663636, P999: 14736363, Elapsed: 28863636},
+		Hedges: 4, HedgeWins: 4, Failovers: 4, Drains: 1, Readmits: 1,
+		PerBackend: []cluster.BackendStats{row(0, 44, 42, 0, 0), row(1, 61, 61, 0, 0), row(2, 2, 1, 1, 1), row(3, 17, 16, 0, 0)},
+	}
+	if !reflect.DeepEqual(outcome, want) {
+		t.Errorf("balancer outcome %+v,\nwant %+v", outcome, want)
+	}
+	if st.Sys.Checkpoints != 42 || st.Sys.WarmRestarts != 1 {
+		t.Errorf("fleet took %d checkpoints and %d warm restarts, want 42 and 1", st.Sys.Checkpoints, st.Sys.WarmRestarts)
 	}
 	var out []uint64
 	for _, b := range c.Backends {

@@ -11,8 +11,9 @@
 //
 // Everything runs on virtual clocks in one goroutine: the driver
 // advances cluster time in fixed quanta and steps every backend until
-// its local clock catches up, which is what makes a chaos-laden
-// failover run bit-identical for a fixed seed.
+// it waits for input, then moves its local clock up to the cluster's,
+// which is what makes a chaos-laden failover run bit-identical for a
+// fixed seed.
 package cluster
 
 import (

@@ -1,9 +1,10 @@
 // The cluster driver: a deterministic open-loop load generator over the
 // fleet. Cluster time advances in fixed quanta; each quantum the driver
-// fires scripted chaos, launches due arrivals, steps every backend
-// until its virtual clock catches up with the cluster clock, reconciles
-// the fleet's health view (drains, probes, re-admissions), and polls
-// every in-flight request for responses, timeouts, hedges and retries.
+// fires scripted chaos, launches due arrivals, steps every backend until
+// it waits for input and then moves its virtual clock up to the cluster
+// clock, reconciles the fleet's health view (drains, probes,
+// re-admissions), and polls every in-flight request for responses,
+// timeouts, hedges and retries.
 // One goroutine, no wall-clock reads: the same seed replays the same
 // run bit for bit.
 //
@@ -102,6 +103,8 @@ type run struct {
 	o  RunOptions
 	st *Stats
 
+	// flights holds the arrivals not yet settled, in launch order: a
+	// quantum's poll costs O(in flight), not O(launched).
 	flights   []*flight
 	lat       []uint64
 	launched  int
@@ -156,7 +159,12 @@ func (c *Cluster) RunOpenLoop(o RunOptions) (*Stats, error) {
 }
 
 // stepBackend advances one backend's virtual clock to the cluster
-// clock, driving its server loop and pumping its wire peer.
+// clock, driving its server loop and pumping its wire peer. Input reaches
+// a backend only from the driver, between quanta: once a step reports no
+// activity and puts no frame on the wire, the server is waiting for it,
+// and its clock jumps to the cluster clock. The first step of every
+// quantum always runs, so checkpoint cadence, quarantine backoffs and
+// governance deadlines are seen at least once a quantum.
 func (c *Cluster) stepBackend(b *Backend) {
 	clk := b.T.Sys.M.Clock
 	for i := 0; clk.Cycles() < c.now; i++ {
@@ -165,16 +173,17 @@ func (c *Cluster) stepBackend(b *Backend) {
 			break
 		}
 		before := clk.Cycles()
-		if cf := cubicle.CatchContained(func() { b.T.Step() }); cf != nil {
+		var activity uint64
+		if cf := cubicle.CatchContained(func() { activity = b.T.Step() }); cf != nil {
 			// NGINX itself is quarantined: nothing to drive until the
 			// supervisor lets it back in. Burn the rest of the quantum.
 			clk.AdvanceTo(c.now)
 			break
 		}
-		b.T.Peer.Pump()
-		if clk.Cycles() == before {
-			// The step charged nothing (fully idle server): virtual time
-			// would stall, so advance it explicitly.
+		frames := b.T.Peer.Pump()
+		if activity == 0 && frames == 0 || clk.Cycles() == before {
+			// Idle until the driver's next input, or a step that charged
+			// nothing and would stall virtual time.
 			clk.AdvanceTo(c.now)
 			break
 		}
@@ -374,86 +383,97 @@ func (r *run) settle(f *flight, win *leg, resp *siege.KAResponse) {
 	}
 }
 
-// pollFlights advances every live flight: sends on freshly-established
+// pollFlights advances every live flight — sends on freshly-established
 // connections, reaps responses, fires hedges, and enforces timeouts and
-// retry backoffs.
+// retry backoffs — and drops the settled ones from the list, keeping
+// launch order.
 func (r *run) pollFlights() {
+	live := r.flights[:0]
 	for _, f := range r.flights {
-		if f.done {
+		if !f.done {
+			r.pollFlight(f)
+		}
+		if !f.done {
+			live = append(live, f)
+		}
+	}
+	clear(r.flights[len(live):])
+	r.flights = live
+}
+
+// pollFlight advances one unsettled flight.
+func (r *run) pollFlight(f *flight) {
+	// Parked for backoff?
+	if f.retryAt > 0 {
+		if r.c.now >= f.retryAt {
+			f.retryAt = 0
+			r.dispatch(f, f.retryExclude)
+		}
+		return
+	}
+	live := 0
+	var lastBackend = -1
+	for _, l := range f.legs {
+		if l.abandoned {
 			continue
 		}
-		// Parked for backoff?
-		if f.retryAt > 0 {
-			if r.c.now >= f.retryAt {
-				f.retryAt = 0
-				r.dispatch(f, f.retryExclude)
-			}
+		lastBackend = l.backend
+		if !l.sent && l.conn.Conn.Established {
+			l.conn.Request(r.o.Path)
+			l.sent = true
+		}
+		resp, err := l.conn.Next()
+		if err != nil {
+			r.abandon(l)
 			continue
 		}
-		live := 0
-		var lastBackend = -1
-		for _, l := range f.legs {
-			if l.abandoned {
-				continue
-			}
-			lastBackend = l.backend
-			if !l.sent && l.conn.Conn.Established {
-				l.conn.Request(r.o.Path)
-				l.sent = true
-			}
-			resp, err := l.conn.Next()
-			if err != nil {
-				r.abandon(l)
-				continue
-			}
-			if resp != nil {
-				r.settle(f, l, resp)
-				break
-			}
-			if l.conn.Conn.FinRcvd {
-				// Closed on without an answer (truncated response).
-				r.abandon(l)
-				continue
-			}
-			live++
+		if resp != nil {
+			r.settle(f, l, resp)
+			break
 		}
-		if f.done || f.retryAt > 0 {
+		if l.conn.Conn.FinRcvd {
+			// Closed on without an answer (truncated response).
+			r.abandon(l)
 			continue
 		}
-		if live == 0 {
-			// Every leg died without a response.
-			if lastBackend >= 0 && f.attempts < maxAttempts && r.budgetOK() {
-				r.scheduleRetry(f, lastBackend)
-			} else {
-				r.finish(f, "dropped", lastBackend)
-			}
-			continue
+		live++
+	}
+	if f.done || f.retryAt > 0 {
+		return
+	}
+	if live == 0 {
+		// Every leg died without a response.
+		if lastBackend >= 0 && f.attempts < maxAttempts && r.budgetOK() {
+			r.scheduleRetry(f, lastBackend)
+		} else {
+			r.finish(f, "dropped", lastBackend)
 		}
-		if r.c.now >= f.deadline {
-			// Unanswered past the request timeout.
-			if f.attempts < maxAttempts && r.budgetOK() {
-				r.scheduleRetry(f, lastBackend)
-			} else {
-				r.finish(f, "dropped", lastBackend)
-			}
-			continue
+		return
+	}
+	if r.c.now >= f.deadline {
+		// Unanswered past the request timeout.
+		if f.attempts < maxAttempts && r.budgetOK() {
+			r.scheduleRetry(f, lastBackend)
+		} else {
+			r.finish(f, "dropped", lastBackend)
 		}
-		if f.hedgeAt > 0 && r.c.now >= f.hedgeAt && live == 1 &&
-			f.attempts < maxAttempts && r.budgetOK() {
-			// Hedge: a duplicate leg on a different backend; first answer
-			// wins. Recorded as a failover (reason hedge) on the backend
-			// receiving the duplicate.
-			f.hedgeAt = 0
-			f.attempts++
-			idx, err := r.c.Route(f.attempts, lastBackend)
-			if err == nil {
-				r.c.Hedges++
-				r.c.Failovers++
-				hb := r.c.Backends[idx]
-				hb.T.Sys.M.NoteFailover("hedge", idx, uint64(f.attempts))
-				hb.inflight++
-				f.legs = append(f.legs, &leg{backend: idx, conn: hb.acquire()})
-			}
+		return
+	}
+	if f.hedgeAt > 0 && r.c.now >= f.hedgeAt && live == 1 &&
+		f.attempts < maxAttempts && r.budgetOK() {
+		// Hedge: a duplicate leg on a different backend; first answer
+		// wins. Recorded as a failover (reason hedge) on the backend
+		// receiving the duplicate.
+		f.hedgeAt = 0
+		f.attempts++
+		idx, err := r.c.Route(f.attempts, lastBackend)
+		if err == nil {
+			r.c.Hedges++
+			r.c.Failovers++
+			hb := r.c.Backends[idx]
+			hb.T.Sys.M.NoteFailover("hedge", idx, uint64(f.attempts))
+			hb.inflight++
+			f.legs = append(f.legs, &leg{backend: idx, conn: hb.acquire()})
 		}
 	}
 }

@@ -450,12 +450,9 @@ func (s *Server) advance(e *cubicle.Env, c *conn) uint64 {
 			s.closeConn(e, c)
 			return 1
 		}
-		if n == 0 { // client closed before a full request
-			if len(c.req) == 0 {
-				s.closeConn(e, c)
-				return 1
-			}
-			return 0
+		if n == 0 { // client closed before a full request: none will come
+			s.closeConn(e, c)
+			return 1
 		}
 		// Append straight from the zero-copy view of the receive buffer —
 		// no intermediate []byte per read, no string copy for the scan.

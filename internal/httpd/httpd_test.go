@@ -280,3 +280,31 @@ func TestHeadRequest(t *testing.T) {
 		t.Fatalf("HEAD response carried a %d-byte body", len(rest))
 	}
 }
+
+// TestHalfCloseAfterPartialRequest: a client that sends part of a request
+// head and then closes its side will never finish the request. The server
+// closes the connection, as it does for a client that closes before
+// sending anything, instead of holding it open.
+func TestHalfCloseAfterPartialRequest(t *testing.T) {
+	tgt := mustTarget(t, cubicle.ModeFull)
+	conn := tgt.Peer.Connect(80)
+	for i := 0; i < 200 && !conn.Established; i++ {
+		tgt.Step()
+		tgt.Peer.Pump()
+	}
+	if !conn.Established {
+		t.Fatal("the connection never established")
+	}
+	conn.Send([]byte("GET /index.html HT"))
+	conn.Close()
+	for i := 0; i < 200 && !conn.FinRcvd; i++ {
+		tgt.Step()
+		tgt.Peer.Pump()
+	}
+	if !conn.FinRcvd {
+		t.Error("the server sent no FIN after the client half-closed mid-request")
+	}
+	if n := tgt.Srv.Conns(); n != 0 {
+		t.Errorf("server holds %d connections after the client half-closed mid-request, want 0", n)
+	}
+}

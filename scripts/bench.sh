@@ -22,7 +22,8 @@
 #       (crossFull) — the crossing prod_openloop and cluster_failover make
 #   IdleStep/conns-{1,16,64}  one nginx_step with nothing to do on a
 #       production-configured target holding N idle keep-alive connections:
-#       the operation cluster_failover performs 127 times an arrival
+#       the first step of a cluster quantum on a backend with nothing to
+#       do, about 3 of the 7 steps cluster_failover takes an arrival
 #   CheckpointSweep        one checkpoint sweep of a provisioned idle target
 #       (the step that carries it included); checkpoints/op and ckptbytes/op
 #       are deterministic. Readings, not gates
@@ -30,7 +31,9 @@
 #       shows wall-clock scaling, ok is deterministic
 #   ClusterGoodput/backends-{1,2,4}  the virtual cluster behind the
 #       health-aware balancer: goodputrps/ok are deterministic and must
-#       scale near-linearly with fleet size
+#       scale near-linearly with fleet size; crossings/arrival is
+#       deterministic too (≈ 52: the driver steps an idle backend once a
+#       quantum)
 #   sqldb: BtreePointLookup, BtreeInsertDelete (internal/sqldb),
 #       SpeedtestPass (internal/experiments: boot, fill and the 31 queries
 #       of the repo benchmark's sqlite_speedtest) and SpeedtestQueries (the

@@ -116,13 +116,18 @@ go run ./cmd/cubicle-trace -replay -cores 4 -requests 10 -chaos-seed 7 -checkpoi
 # the race detector, and the end-to-end acceptance scenario: killing one
 # of four backends mid-flood keeps goodput >= 60% of steady state, the
 # victim is re-admitted after a warm restart, and two seeded runs are
-# bit-identical. Then the one fleet view, in text and JSON.
+# bit-identical. Then the one fleet view, in text and JSON. The driver
+# wakes backends on events: the benchmark's fleet crosses at most twice a
+# fetch's count an arrival (ROADMAP item 11), named so a filter that drops
+# it shows.
 go test -race ./internal/cluster/
+go test -v -run TestClusterCrossingsPerArrival ./internal/cluster/
 go test -race -run 'KeepAlive|HTTP10|WireDrop' ./internal/siege/ ./internal/netdev/ ./internal/faultinject/
 # httpd steps its connections in fd order off a list it keeps sorted; the
-# list against its invariants under churn, and the skip of a connection
-# closed earlier in the same step.
-go test -race -run 'StepOrder|StepSkips' ./internal/httpd/
+# list against its invariants under churn, the skip of a connection
+# closed earlier in the same step, and the close of one whose client
+# half-closed mid-request.
+go test -race -run 'StepOrder|StepSkips|HalfClose' ./internal/httpd/
 go run ./cmd/httpbench -cluster 4 -assert-degrade >/dev/null
 go run ./cmd/cubicle-inspect -cluster 2 >/dev/null
 go run ./cmd/cubicle-inspect -cluster 2 -json >/dev/null
