@@ -2,13 +2,15 @@
 // §6.4 evaluation) on a CubicleOS deployment and prints per-query
 // virtual execution times, mirroring the real speedtest1 utility's
 // output style. As in the paper's artifact, the size of the database is
-// controlled by the --stat flag (default 100).
+// controlled by the --stat flag (default 100); a -stat below 1 is a usage
+// error (exit 2).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/cycles"
@@ -21,6 +23,11 @@ func main() {
 	mode := flag.String("mode", "full", "isolation mode: unikraft, no-mpk, no-acl, full")
 	grouping := flag.String("compartments", "7", "compartment configuration: 3, 4 or 7 (Figure 9)")
 	flag.Parse()
+	if *stat < 1 {
+		fmt.Fprintf(os.Stderr, "-stat %d: want a scale of 1 or more\n", *stat)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	m, err := cubicle.ParseMode(*mode)
 	if err != nil {

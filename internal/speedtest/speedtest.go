@@ -502,7 +502,7 @@ func (r *Runner) inTxn(fn func() error) error {
 		return err
 	}
 	if err := fn(); err != nil {
-		r.exec("ROLLBACK")
+		r.DB.Pager().Rollback() // the engine speaks no ROLLBACK
 		return err
 	}
 	return r.exec("COMMIT")

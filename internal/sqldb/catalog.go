@@ -40,7 +40,6 @@ type Index struct {
 	Table    string
 	Root     uint32
 	Cols     []string
-	Unique   bool
 	catRowid int64
 }
 
@@ -118,17 +117,10 @@ func LoadCatalog(p *Pager) (*Catalog, error) {
 				Columns: cols, RowidCol: rowidCol, catRowid: rowid,
 			}
 		case "index":
-			idx := &Index{
-				Name: vals[1].S, Table: strings.ToLower(vals[2].S),
-				Root: uint32(vals[3].I), catRowid: rowid,
-			}
-			def := vals[4].S
-			if strings.HasPrefix(def, "UNIQUE:") {
-				idx.Unique = true
-				def = strings.TrimPrefix(def, "UNIQUE:")
-			}
-			idx.Cols = strings.Split(def, ",")
-			c.addIndex(idx)
+			c.addIndex(&Index{
+				Name: vals[1].S, Table: strings.ToLower(vals[2].S), Root: uint32(vals[3].I),
+				Cols: strings.Split(vals[4].S, ","), catRowid: rowid,
+			})
 		default:
 			err = fmt.Errorf("sqldb: unknown catalog entry kind %q", vals[0].S)
 			return false
@@ -199,7 +191,7 @@ func (c *Catalog) CreateTable(name string, cols []Column, rowidCol int) (*Table,
 
 // CreateIndex adds an index to the schema and allocates its tree; the
 // schema keeps copies of the names, as CreateTable's does.
-func (c *Catalog) CreateIndex(name, table string, cols []string, unique bool) (*Index, error) {
+func (c *Catalog) CreateIndex(name, table string, cols []string) (*Index, error) {
 	if c.Index(name) != nil {
 		return nil, fmt.Errorf("sqldb: index %s already exists", name)
 	}
@@ -216,46 +208,14 @@ func (c *Catalog) CreateIndex(name, table string, cols []string, unique bool) (*
 	for i := range cols {
 		cols[i] = strings.Clone(cols[i])
 	}
-	idx := &Index{Name: name, Table: strings.ToLower(table), Root: CreateIndexTree(c.p), Cols: cols, Unique: unique}
-	def := strings.Join(cols, ",")
-	if unique {
-		def = "UNIQUE:" + def
-	}
+	idx := &Index{Name: name, Table: strings.ToLower(table), Root: CreateIndexTree(c.p), Cols: cols}
 	idx.catRowid = c.nextCatRowid()
-	rec := EncodeRecord([]Value{Text("index"), Text(name), Text(table), Int(int64(idx.Root)), Text(def)})
+	rec := EncodeRecord([]Value{Text("index"), Text(name), Text(table), Int(int64(idx.Root)), Text(strings.Join(cols, ","))})
 	if err := c.tree.InsertRow(idx.catRowid, rec); err != nil {
 		return nil, err
 	}
 	c.addIndex(idx)
 	return idx, nil
-}
-
-// DropTable removes a table and its indexes from the schema.
-func (c *Catalog) DropTable(name string) error {
-	t := c.Table(name)
-	if t == nil {
-		return fmt.Errorf("sqldb: no such table %s", name)
-	}
-	for _, idx := range c.TableIndexes(name) {
-		c.tree.DeleteRow(idx.catRowid)
-		delete(c.indexes, strings.ToLower(idx.Name))
-	}
-	delete(c.byTable, strings.ToLower(name))
-	c.tree.DeleteRow(t.catRowid)
-	delete(c.tables, strings.ToLower(name))
-	return nil
-}
-
-// DropIndex removes an index from the schema.
-func (c *Catalog) DropIndex(name string) error {
-	idx := c.Index(name)
-	if idx == nil {
-		return fmt.Errorf("sqldb: no such index %s", name)
-	}
-	c.tree.DeleteRow(idx.catRowid)
-	delete(c.indexes, strings.ToLower(name))
-	c.byTable[idx.Table] = slices.DeleteFunc(c.byTable[idx.Table], func(i *Index) bool { return i == idx })
-	return nil
 }
 
 // AddColumn implements ALTER TABLE ADD COLUMN: schema-only, existing rows

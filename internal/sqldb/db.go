@@ -36,9 +36,9 @@ type DB struct {
 	keyBuf []byte
 	// hits holds the rows an UPDATE or DELETE changes (scanFiltered).
 	hits arena[byte]
-	// stored binds the row insertRow's conflict checks find in the table
-	// to a copy of its record, storedRec (storedRow); both are dead once
-	// that row's index entries are deleted.
+	// stored binds the row checkRowid finds in the table to a copy of
+	// its record, storedRec (storedRow); both are dead once that row's
+	// index entries are deleted.
 	stored    tblCtx
 	storedRec []byte
 	// frames holds a frame for each level of statement nesting reached so
@@ -131,18 +131,13 @@ func (db *DB) Exec(sql string) (res *Result, err error) {
 func (db *DB) exec(f *frame, stmt any) error {
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		db.execSelect(f, s, nil)
+		db.execSelect(f, s)
 		return nil
 	case *TxnStmt:
-		switch s.Kind {
-		case "begin":
+		if s.Kind == "begin" {
 			return db.pager.Begin()
-		case "commit":
-			return db.pager.Commit()
-		case "rollback":
-			return db.pager.Rollback()
 		}
-		return nil
+		return db.pager.Commit()
 	case *PragmaStmt:
 		return db.execPragma(f, s)
 	}
@@ -175,11 +170,6 @@ func (db *DB) execMut(f *frame, stmt any) error {
 		return err
 	case *CreateIndexStmt:
 		return db.execCreateIndex(f, s)
-	case *DropStmt:
-		if s.Kind == "table" {
-			return db.cat.DropTable(s.Name)
-		}
-		return db.cat.DropIndex(s.Name)
 	case *AlterAddColumnStmt:
 		return db.cat.AddColumn(s.Table, s.Col)
 	case *InsertStmt:
@@ -202,28 +192,28 @@ func (db *DB) blankRow(t *Table) []Value {
 }
 
 // insertRowValues assembles, in the row scratch, the row of t that puts
-// value(i) of n values in the column cols[i] names, or in t's i-th column
-// when cols is empty. The values are read in order, each once.
-func (db *DB) insertRowValues(t *Table, cols []string, n int, value func(int) Value) []Value {
+// the value of row[i] in the column cols[i] names, or in t's i-th column
+// when cols is empty. The expressions are evaluated in order, each once.
+func (db *DB) insertRowValues(t *Table, cols []string, row []Expr) []Value {
 	vals := db.blankRow(t)
 	if len(cols) == 0 {
-		if n != len(t.Columns) {
-			fail("table %s has %d columns but %d values supplied", t.Name, len(t.Columns), n)
+		if len(row) != len(t.Columns) {
+			fail("table %s has %d columns but %d values supplied", t.Name, len(t.Columns), len(row))
 		}
-		for i := range n {
-			vals[i] = value(i)
+		for i, e := range row {
+			vals[i] = db.eval(nil, e)
 		}
 		return vals
 	}
-	if len(cols) != n {
-		fail("%d columns but %d values", len(cols), n)
+	if len(cols) != len(row) {
+		fail("%d columns but %d values", len(cols), len(row))
 	}
 	for i, c := range cols {
 		ci := t.ColIndex(c)
 		if ci < 0 {
 			fail("no such column %s.%s", t.Name, c)
 		}
-		vals[ci] = value(i)
+		vals[ci] = db.eval(nil, row[i])
 	}
 	return vals
 }
@@ -245,48 +235,22 @@ func (db *DB) insertRow(t *Table, vals []Value, replace bool) int64 {
 			vals[t.RowidCol] = Int(rowid)
 		}
 	}
-	db.checkRow(t, tree, rowid, rowid, vals, given, replace)
+	if given {
+		db.checkRowid(t, tree, rowid, replace)
+	}
 	db.writeRow(t, tree, rowid, vals)
 	return rowid
 }
 
-// checkRow runs the conflict checks for row vals of t going to rowid,
-// before anything of it is written: a row already at rowid (looked for
-// when checkRowid) or a row other than self under the same key of a
-// unique index fails the statement or, with replace, is deleted. self is
-// the rowid an UPDATE moves the row from, rowid itself for an INSERT.
-func (db *DB) checkRow(t *Table, tree *Btree, rowid, self int64, vals []Value, checkRowid, replace bool) {
-	if checkRowid {
-		if existing := db.storedRow(tree, t, rowid); existing != nil {
-			if !replace {
-				fail("UNIQUE constraint failed: %s rowid %d", t.Name, rowid)
-			}
-			db.deleteIndexEntries(t, rowid, existing)
+// checkRowid is the conflict check of a row of t going to rowid, before
+// anything of it is written: a row already there fails the statement or,
+// with replace, has its index entries deleted, to be overwritten.
+func (db *DB) checkRowid(t *Table, tree *Btree, rowid int64, replace bool) {
+	if existing := db.storedRow(tree, t, rowid); existing != nil {
+		if !replace {
+			fail("UNIQUE constraint failed: %s rowid %d", t.Name, rowid)
 		}
-	}
-	// Unique secondary index checks.
-	for _, idx := range db.cat.TableIndexes(t.Name) {
-		if !idx.Unique {
-			continue
-		}
-		key := db.indexKey(t, idx, vals)
-		itree := NewIndexTree(db.pager, idx.Root)
-		var conflict int64
-		found := false
-		itree.ScanIndexRange(key, key, func(k []byte, rid int64) bool {
-			found = rid != rowid && rid != self
-			conflict = rid
-			return !found
-		})
-		if found {
-			if !replace {
-				fail("UNIQUE constraint failed: index %s", idx.Name)
-			}
-			if old := db.storedRow(tree, t, conflict); old != nil {
-				db.deleteIndexEntries(t, conflict, old)
-				tree.DeleteRow(conflict)
-			}
-		}
+		db.deleteIndexEntries(t, rowid, existing)
 	}
 }
 
@@ -352,18 +316,9 @@ func (db *DB) execInsert(f *frame, s *InsertStmt) error {
 	if t == nil {
 		return fmt.Errorf("sqldb: no such table %s", s.Table)
 	}
-	// Both forms assemble their rows through one column mapping.
-	insert := func(n int, value func(int) Value) {
-		f.res.LastRowid = db.insertRow(t, db.insertRowValues(t, s.Cols, n, value), s.Replace)
-		f.res.RowsAffected++
-	}
-	if s.FromSelect != nil {
-		for _, row := range db.subSelect(s.FromSelect, nil).Rows {
-			insert(len(row), func(i int) Value { return row[i] })
-		}
-	}
 	for _, row := range s.Rows {
-		insert(len(row), func(i int) Value { return db.eval(nil, row[i]) })
+		f.res.LastRowid = db.insertRow(t, db.insertRowValues(t, s.Cols, row), s.Replace)
+		f.res.RowsAffected++
 	}
 	return nil
 }
@@ -376,7 +331,7 @@ func (db *DB) execUpdate(f *frame, s *UpdateStmt) error {
 		return fmt.Errorf("sqldb: no such table %s", s.Table)
 	}
 	tree := NewTableTree(db.pager, t.Root)
-	db.scanFiltered(f, t, s.Table, s.Where)
+	db.scanFiltered(f, t, s.Where)
 	old, rc := f.binds[0], &f.rc // the scan's bind, rebound to each hit
 	for at := (hitCursor{}); db.nextHit(old, &at); {
 		newVals := append(db.rowBuf[:0], old.vals...)
@@ -396,11 +351,12 @@ func (db *DB) execUpdate(f *frame, s *UpdateStmt) error {
 				newRowid = v.I
 			}
 		}
-		// The new row goes through INSERT's conflict checks before the old
-		// one is touched, so a failing row writes nothing: a rowid it moves
-		// to must be free, and a unique key may be its own.
+		// A rowid the row moves to goes through INSERT's conflict check
+		// before the old row is touched, so a failing row writes nothing.
 		moved := newRowid != old.rowid
-		db.checkRow(t, tree, newRowid, old.rowid, newVals, moved, false)
+		if moved {
+			db.checkRowid(t, tree, newRowid, false)
+		}
 		db.deleteIndexEntries(t, old.rowid, old.vals)
 		if moved {
 			tree.DeleteRow(old.rowid)
@@ -417,7 +373,7 @@ func (db *DB) execDelete(f *frame, s *DeleteStmt) error {
 		return fmt.Errorf("sqldb: no such table %s", s.Table)
 	}
 	tree := NewTableTree(db.pager, t.Root)
-	db.scanFiltered(f, t, s.Table, s.Where)
+	db.scanFiltered(f, t, s.Where)
 	for row, at := f.binds[0], (hitCursor{}); db.nextHit(row, &at); {
 		db.deleteIndexEntries(t, row.rowid, row.vals)
 		tree.DeleteRow(row.rowid)
@@ -429,7 +385,7 @@ func (db *DB) execDelete(f *frame, s *DeleteStmt) error {
 // --- CREATE INDEX ---------------------------------------------------------------
 
 func (db *DB) execCreateIndex(f *frame, s *CreateIndexStmt) error {
-	idx, err := db.cat.CreateIndex(s.Name, s.Table, s.Cols, s.Unique)
+	idx, err := db.cat.CreateIndex(s.Name, s.Table, s.Cols)
 	if err != nil {
 		return err
 	}
@@ -438,7 +394,7 @@ func (db *DB) execCreateIndex(f *frame, s *CreateIndexStmt) error {
 	tree := NewTableTree(db.pager, t.Root)
 	itree := NewIndexTree(db.pager, idx.Root)
 	var ierr error
-	row := f.bind(0, s.Table, t)
+	row := f.bind(0, t)
 	tree.ScanTable(func(rowid int64, record []byte) bool {
 		db.bindRow(row, rowid, record)
 		ierr = itree.InsertKey(db.indexKey(t, idx, row.vals), rowid)
@@ -474,20 +430,14 @@ func (db *DB) execPragma(f *frame, s *PragmaStmt) error {
 		*f.res = Result{Cols: []string{"page_count"},
 			Rows: [][]Value{{Int(int64(db.pager.NPages()))}}}
 		return nil
-	case "cache_stats":
-		st := db.pager.Stats
-		*f.res = Result{Cols: []string{"hits", "misses", "writes"},
-			Rows: [][]Value{{Int(int64(st.Hits)), Int(int64(st.Misses)), Int(int64(st.Writes))}}}
-		return nil
 	}
 	return fmt.Errorf("sqldb: unsupported pragma %s", s.Name)
 }
 
 // --- SELECT ---------------------------------------------------------------------
 
-// execSelect runs a SELECT into f's Result; parent provides correlation
-// context.
-func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
+// execSelect runs a SELECT into f's Result.
+func (db *DB) execSelect(f *frame, s *SelectStmt) {
 	res := f.res
 	// Bind tables.
 	for i, fi := range s.From {
@@ -495,24 +445,14 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 		if t == nil {
 			fail("no such table %s", fi.Table)
 		}
-		f.bind(i, fi.Alias, t)
+		f.bind(i, t)
 	}
 	binds := f.binds[:len(s.From)]
 	// Column headers, copied: the statement's text dies with Exec.
 	for _, c := range s.Cols {
-		ec, named := c.Expr.(*ECol)
-		switch {
-		case c.Star:
-			for _, b := range binds {
-				for _, col := range b.tbl.Columns {
-					res.Cols = append(res.Cols, keepText(f, col.Name))
-				}
-			}
-		case c.Alias != "":
-			res.Cols = append(res.Cols, keepText(f, c.Alias))
-		case named:
+		if ec, named := c.Expr.(*ECol); named {
 			res.Cols = append(res.Cols, keepText(f, ec.Name))
-		default:
+		} else {
 			var name [24]byte
 			res.Cols = append(res.Cols, keepText(f, strconv.AppendInt(append(name[:0], "col"...), int64(len(res.Cols)+1), 10)))
 		}
@@ -522,32 +462,22 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 
 	// ORDER BY terms that do not name an output column are appended as
 	// hidden result columns, computed per row and stripped after sorting.
-	visibleWidth := len(res.Cols)
+	width := len(s.Cols)
 	allCols := append(f.cols[:0], s.Cols...)
 	type okey struct {
 		idx  int
 		desc bool
-	}
-	havingIdx := -1
-	if s.Having != nil {
-		if len(s.GroupBy) == 0 {
-			fail("HAVING requires GROUP BY")
-		}
-		// HAVING rides along as a hidden column so the positional
-		// aggregate substitution applies to it like any projection.
-		havingIdx = len(res.Cols) + (len(allCols) - len(s.Cols))
-		allCols = append(allCols, SelectCol{Expr: s.Having})
 	}
 	okeys := make([]okey, len(s.OrderBy))
 	for i, oi := range s.OrderBy {
 		idx := -1
 		switch x := oi.Expr.(type) {
 		case *ELit:
-			if x.V.Kind == KInt && x.V.I >= 1 && int(x.V.I) <= visibleWidth {
+			if x.V.Kind == KInt && x.V.I >= 1 && int(x.V.I) <= width {
 				idx = int(x.V.I) - 1
 			}
 		case *ECol:
-			for ci := 0; ci < visibleWidth; ci++ {
+			for ci := 0; ci < width; ci++ {
 				if strings.EqualFold(res.Cols[ci], x.Name) {
 					idx = ci
 					break
@@ -555,7 +485,7 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 			}
 		}
 		if idx < 0 {
-			idx = visibleWidth + (len(allCols) - len(s.Cols))
+			idx = len(allCols)
 			allCols = append(allCols, SelectCol{Expr: oi.Expr})
 		}
 		okeys[i] = okey{idx: idx, desc: oi.Desc}
@@ -609,10 +539,9 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 			if !ok {
 				// A new group keeps its key and a copy of its first row, which
 				// the columns that are not aggregates read.
-				first := &rowCtx{parent: rc.parent}
+				first := &rowCtx{}
 				for _, tc := range rc.tables {
-					first.tables = append(first.tables,
-						&tblCtx{alias: tc.alias, tbl: tc.tbl, rowid: tc.rowid, vals: keptRow(tc.vals)})
+					first.tables = append(first.tables, &tblCtx{tbl: tc.tbl, rowid: tc.rowid, vals: keptRow(tc.vals)})
 				}
 				g = newGroup(first)
 				k := string(key)
@@ -636,12 +565,12 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 		return true
 	}
 
-	db.join(f, len(binds), parent, f.conj, emit)
+	db.join(f, len(binds), f.conj, emit)
 
 	if aggregate {
 		if len(s.GroupBy) == 0 && len(groupOrder) == 0 {
 			// Aggregates over an empty set still produce one row.
-			groups[""] = newGroup(&rowCtx{parent: parent})
+			groups[""] = newGroup(&rowCtx{})
 			groupOrder = append(groupOrder, "")
 		}
 		for _, key := range groupOrder {
@@ -649,34 +578,6 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 		}
 	}
 
-	if havingIdx >= 0 {
-		pass := res.Rows[:0]
-		for _, row := range res.Rows {
-			v := row[havingIdx]
-			if !v.IsNull() && v.Truthy() {
-				pass = append(pass, row)
-			}
-		}
-		res.Rows = pass
-	}
-	if s.Distinct {
-		seen := make(map[string]bool, len(res.Rows))
-		pass := res.Rows[:0]
-		for _, row := range res.Rows {
-			var sb strings.Builder
-			for _, v := range row[:visibleWidth] {
-				sb.WriteString(v.String())
-				sb.WriteByte(0)
-				sb.WriteByte(byte(v.Kind))
-			}
-			k := sb.String()
-			if !seen[k] {
-				seen[k] = true
-				pass = append(pass, row)
-			}
-		}
-		res.Rows = pass
-	}
 	if len(s.OrderBy) > 0 {
 		slices.SortStableFunc(res.Rows, func(a, b []Value) int {
 			db.e.Work(workPerCompare)
@@ -696,50 +597,29 @@ func (db *DB) execSelect(f *frame, s *SelectStmt, parent *rowCtx) {
 		res.Rows = res.Rows[:s.Limit]
 	}
 	// Strip hidden ORDER BY columns.
-	if len(allCols) > len(s.Cols) {
+	if len(allCols) > width {
 		for i := range res.Rows {
-			res.Rows[i] = res.Rows[i][:visibleWidth:visibleWidth]
+			res.Rows[i] = res.Rows[i][:width:width]
 		}
 	}
 }
 
 // projectRow evaluates the select list for one row, or one group when rc
-// is a group's, and adds the row to f's Result.
+// is a group's, and adds the row to f's Result, which outlives the bound
+// rows: every value is copied out of them, into f's arenas.
 func (db *DB) projectRow(f *frame, rc *rowCtx, cols []SelectCol) {
-	width := 0
-	for _, c := range cols {
-		if !c.Star {
-			width++
-			continue
-		}
-		for _, tc := range rc.tables {
-			width += len(tc.tbl.Columns)
-		}
-	}
-	// The row goes into the Result, which outlives the bound rows: every
-	// value is copied out of them, into f's arenas.
-	row, i := f.cells.alloc(width), 0
-	for _, c := range cols {
-		if c.Star {
-			for _, tc := range rc.tables {
-				for _, v := range tc.vals[:len(tc.tbl.Columns)] {
-					row[i] = f.keep(v)
-					i++
-				}
-			}
-			continue
-		}
+	row := f.cells.alloc(len(cols))
+	for i, c := range cols {
 		row[i] = f.keep(db.project(rc, c.Expr))
-		i++
 	}
 	f.res.Rows = append(f.res.Rows, row)
 }
 
 // project evaluates a select-list expression in rc. Over a group an
-// aggregate call is its result, and EBin and EUn apply their operator to
-// their operands' values as literals, which is what such a column has
-// always cost on the clock; eval finds any other aggregate call's value
-// in rc.group.
+// aggregate call is its result, and EBin applies its operator to its
+// operands' values as literals, which is what such a column has always
+// cost on the clock; eval finds any other aggregate call's value in
+// rc.group.
 func (db *DB) project(rc *rowCtx, e Expr) Value {
 	if rc.group != nil {
 		switch x := e.(type) {
@@ -750,8 +630,6 @@ func (db *DB) project(rc *rowCtx, e Expr) Value {
 		case *EBin:
 			l, r := db.project(rc, x.L), db.project(rc, x.R)
 			return db.evalBin(rc, &EBin{Op: x.Op, L: &ELit{V: l}, R: &ELit{V: r}})
-		case *EUn:
-			return db.eval(rc, &EUn{Op: x.Op, E: &ELit{V: db.project(rc, x.E)}})
 		}
 	}
 	return db.eval(rc, e)

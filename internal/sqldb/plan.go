@@ -20,11 +20,11 @@ func appendConjuncts(dst []Expr, e Expr) []Expr {
 
 // bindOf returns the index of the bind a column reference names: the
 // bind of its table or, unqualified, the first whose table has the column;
-// -1 when none does (a parent's column).
+// -1 when none does.
 func bindOf(c *ECol, binds []*tblCtx) int {
 	for i, b := range binds {
 		if c.Table != "" {
-			if strings.EqualFold(b.alias, c.Table) {
+			if strings.EqualFold(b.tbl.Name, c.Table) {
 				return i
 			}
 		} else if strings.EqualFold(c.Name, "rowid") || b.tbl.ColIndex(c.Name) >= 0 {
@@ -35,19 +35,15 @@ func bindOf(c *ECol, binds []*tblCtx) int {
 }
 
 // maxBindIdx returns the highest bind index an expression references, or
-// -1 when it references none (literals, parent-correlated columns). A
-// subquery is pinned to the last bind, so that it is only evaluated on
-// fully bound rows.
+// -1 when it references none (literals, columns no bind has). A subquery
+// is pinned to the last bind, so that it is only evaluated on fully bound
+// rows.
 func maxBindIdx(e Expr, binds []*tblCtx) int {
 	m := -1
 	walkExpr(e, func(e Expr) bool {
 		switch x := e.(type) {
 		case *ECol:
 			m = max(m, bindOf(x, binds))
-		case *EIn:
-			if x.Sub != nil {
-				m = len(binds) - 1
-			}
 		case *ESub:
 			m = len(binds) - 1
 		}
@@ -64,7 +60,7 @@ func colOn(e Expr, binds []*tblCtx, i int) int {
 		return -1
 	}
 	b := binds[i]
-	if c.Table != "" && !strings.EqualFold(c.Table, b.alias) {
+	if c.Table != "" && !strings.EqualFold(c.Table, b.tbl.Name) {
 		return -1
 	}
 	if c.Table == "" {
@@ -165,7 +161,7 @@ func (db *DB) planAccess(binds []*tblCtx, i int, conjuncts []Expr) access {
 				consider(ci, access{hi: rhs, hiIncl: op == "<="})
 			}
 		case *EBetween:
-			if ci := colOn(x.E, binds, i); ci != -1 && !x.Not {
+			if ci := colOn(x.E, binds, i); ci != -1 {
 				consider(ci, access{lo: x.Lo, hi: x.Hi, loIncl: true, hiIncl: true})
 			}
 		}
@@ -199,7 +195,7 @@ func (db *DB) bindRow(b *tblCtx, rowid int64, record []byte) {
 // range scan starts at or, for an upper bound, stops at: exactly for an
 // integer, since float64 merges integers past 2^53. For anything else the
 // bound only has to admit every match, because tryRow re-checks the
-// conjunct: a real is truncated, text and blobs sort above every number.
+// conjunct: a real is truncated, text sorts above every number.
 // ok is false when no rowid can match.
 func rowidBound(v Value, upper, incl bool) (bound int64, ok bool) {
 	switch v.Kind {
@@ -219,7 +215,7 @@ func rowidBound(v Value, upper, incl bool) (bound int64, ok bool) {
 			return math.MinInt64, true
 		}
 		return int64(v.R), true
-	case KText, KBlob:
+	case KText:
 		return math.MaxInt64, upper
 	}
 	return 0, false // NULL
@@ -235,27 +231,26 @@ type joinLevel struct {
 	outer, rc  rowCtx
 }
 
-// join calls emit with f.rc for every row of f's first n binds, under
-// parent, that passes conjuncts. Each level is planned once, before any
-// row is read.
-func (db *DB) join(f *frame, n int, parent *rowCtx, conjuncts []Expr, emit func(*rowCtx) bool) {
+// join calls emit with f.rc for every row of f's first n binds that
+// passes conjuncts. Each level is planned once, before any row is read.
+func (db *DB) join(f *frame, n int, conjuncts []Expr, emit func(*rowCtx) bool) {
 	binds := f.binds[:n]
-	f.rc = rowCtx{tables: binds, parent: parent}
+	f.rc = rowCtx{tables: binds}
 	// The levels are not grown again until the next statement enters f:
 	// the deeper levels and subqueries hold pointers into them.
 	f.levels = slices.Grow(f.levels[:0], n)[:n]
 	for i := range f.levels {
 		l := &f.levels[i]
 		l.b, l.applicable = binds[i], l.applicable[:0]
-		l.outer = rowCtx{tables: binds[:i], parent: parent}
-		l.rc = rowCtx{tables: binds[:i+1], parent: parent}
+		l.outer = rowCtx{tables: binds[:i]}
+		l.rc = rowCtx{tables: binds[:i+1]}
 		for _, c := range conjuncts {
 			if maxBindIdx(c, binds) == i {
 				l.applicable = append(l.applicable, c)
 			}
 		}
-		// At the last level, conjuncts that reference no binds (correlated
-		// or constant) are checked too.
+		// At the last level, conjuncts that reference no binds (constant,
+		// or naming a column no bind has) are checked too.
 		if i == n-1 {
 			for _, c := range conjuncts {
 				if maxBindIdx(c, binds) == -1 {
@@ -378,11 +373,11 @@ func (db *DB) joinLoop(f *frame, i int, emit func(*rowCtx) bool) bool {
 // holding its rowid, record length and a copy of its record: the table is
 // written only once the scan that found them is over. The scan binds f's
 // first bind, and f.rc is its row context.
-func (db *DB) scanFiltered(f *frame, t *Table, alias string, where Expr) {
+func (db *DB) scanFiltered(f *frame, t *Table, where Expr) {
 	db.hits.rewind()
-	b := f.bind(0, alias, t)
+	b := f.bind(0, t)
 	f.conj = appendConjuncts(f.conj[:0], where)
-	db.join(f, 1, nil, f.conj, func(*rowCtx) bool {
+	db.join(f, 1, f.conj, func(*rowCtx) bool {
 		hit := db.hits.alloc(12 + len(b.rec))
 		le.PutUint64(hit, uint64(b.rowid))
 		le.PutUint32(hit[8:], uint32(len(b.rec)))
@@ -396,8 +391,8 @@ func (db *DB) scanFiltered(f *frame, t *Table, alias string, where Expr) {
 type hitCursor struct{ chunk, off int }
 
 // nextHit binds the staged hit at at to b and moves at past it, or reports
-// false when every hit has been bound. The row's text and blobs are views
-// of db.hits.
+// false when every hit has been bound. The row's texts are views of
+// db.hits.
 func (db *DB) nextHit(b *tblCtx, at *hitCursor) bool {
 	chunks := db.hits.inUse()
 	for at.chunk < len(chunks) && at.off == len(chunks[at.chunk]) {

@@ -94,9 +94,9 @@ func TestPoisonRowsCatchesAKeptRow(t *testing.T) {
 		db.MustExec("CREATE TABLE t (a INTEGER, s TEXT)")
 		db.MustExec("INSERT INTO t VALUES (1, 'one'), (2, 'two')")
 		f := &frame{res: new(Result)}
-		b := f.bind(0, "t", db.cat.Table("t"))
+		b := f.bind(0, db.cat.Table("t"))
 		var slice, views, copies [][]Value
-		db.join(f, 1, nil, nil, func(*rowCtx) bool {
+		db.join(f, 1, nil, func(*rowCtx) bool {
 			slice = append(slice, b.vals)
 			views = append(views, slices.Clone(b.vals))
 			copies = append(copies, keptRow(b.vals))
@@ -142,7 +142,7 @@ func TestPoisonRowsCatchesAKeptResult(t *testing.T) {
 			fn   func() *Result
 		}{
 			{"Exec", func() *Result { return db.MustExec("SELECT a, s FROM t") }},
-			{"a subquery", func() *Result { return db.subSelect(stmt.(*SelectStmt), nil) }},
+			{"a subquery", func() *Result { return db.subSelect(stmt.(*SelectStmt)) }},
 		} {
 			r := run.fn()
 			row, text, copied := r.Rows[1], r.Rows[1][1], keptRow(r.Rows[1])
@@ -283,7 +283,7 @@ func TestCompareIsATotalOrder(t *testing.T) {
 		Null(), Real(-1e300), Int(-1 << 63), Real(-1 << 63), Int(-3), Real(-2.5), Int(-2), Real(-0.5),
 		Int(0), Real(0), Real(0.5), Int(2), Real(2), Real(2.5), Int(3),
 		Int(p53 - 1), Int(p53), Real(p53), Int(p53 + 1), Int(p53 + 2), Real(p53 + 2),
-		Int(1<<63 - 1), Real(1 << 63), Real(1e300), Text(""), Text("1"), Blob(nil), Blob([]byte{0}),
+		Int(1<<63 - 1), Real(1 << 63), Real(1e300), Text(""), Text("1"),
 	}
 	for _, a := range vals {
 		for _, b := range vals {
@@ -332,6 +332,10 @@ func TestRowPathAllocations(t *testing.T) {
 		allocs := func(sql string) int {
 			return int(testing.AllocsPerRun(10, func() {
 				for _, stmt := range strings.Split(sql, "; ") {
+					if stmt == "ROLLBACK" { // the pager's: the grammar has none
+						db.pager.Rollback()
+						continue
+					}
 					db.MustExec(stmt)
 				}
 			}))
@@ -372,7 +376,7 @@ func TestRowPathAllocations(t *testing.T) {
 		// speedtest's are: Exec keeps nothing of the text — the Result copies
 		// its column names into its arena — so the text costs nothing.
 		var buf []byte
-		for _, sql := range []string{speedtestInsert, "SELECT b AS bee, c, length(c) FROM z1 WHERE a = 4711"} {
+		for _, sql := range []string{speedtestInsert, "SELECT b, c, length(c) FROM z1 WHERE a = 4711"} {
 			if got := testing.AllocsPerRun(300, func() {
 				buf = append(buf[:0], sql...)
 				db.MustExec(view(buf))

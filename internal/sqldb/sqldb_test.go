@@ -95,23 +95,25 @@ func TestCreateInsertSelect(t *testing.T) {
 	})
 }
 
-// TestResultColumnNames: a Result names its columns after their alias,
-// their column or their position, and a table's columns for *. Exec runs
-// from a copy of the text that is poisoned once it returns (PoisonRows), so
-// a name that viewed the text, in the Result or in the schema, reads 0xDD.
+// TestResultColumnNames: a Result names its columns after their column or
+// their position. Exec runs from a copy of the text that is poisoned once it
+// returns (PoisonRows), so a name that viewed the text, in the Result or in
+// the schema, reads 0xDD.
 func TestResultColumnNames(t *testing.T) {
 	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
 		db.MustExec("CREATE TABLE Named (a INTEGER, Bee TEXT)")
 		db.MustExec("ALTER TABLE Named ADD COLUMN cee REAL")
 		db.MustExec("CREATE INDEX NamedBee ON Named (Bee)")
 		db.MustExec("INSERT INTO Named VALUES (1, 'x', 2.5)")
-		r := db.MustExec("SELECT a AS alias, Bee, length(Bee), * FROM named WHERE bee = 'x'")
-		want := []string{"alias", "Bee", "col3", "a", "Bee", "cee"}
+		r := db.MustExec("SELECT a, Bee, length(Bee), named.cee FROM named WHERE bee = 'x'")
+		want := []string{"a", "Bee", "col3", "cee"}
 		if !slices.Equal(r.Cols, want) || len(r.Rows) != 1 {
 			t.Errorf("columns %q and %d rows, want %q and 1", r.Cols, len(r.Rows), want)
 		}
-		db.MustExec("DROP INDEX namedbee")
-		db.MustExec("DROP TABLE NAMED")
+		// The schema's names, its index's column too, outlive their texts.
+		if got := rows(db.MustExec("SELECT NAMED.a, cee FROM NAMED WHERE BEE = 'x'")); got != "1,2.5" {
+			t.Errorf("the schema's names read after their statements: %q, want 1,2.5", got)
+		}
 	})
 }
 
@@ -215,7 +217,7 @@ func TestJoins(t *testing.T) {
 		db.MustExec("CREATE TABLE orders (id INTEGER PRIMARY KEY, uid INTEGER, total INTEGER)")
 		db.MustExec("INSERT INTO users VALUES (1,'ann'), (2,'bob'), (3,'cyd')")
 		db.MustExec("INSERT INTO orders VALUES (1,1,50), (2,1,70), (3,2,30), (4,9,10)")
-		r := db.MustExec("SELECT users.name, sum(orders.total) FROM users JOIN orders ON users.id = orders.uid GROUP BY users.name ORDER BY users.name")
+		r := db.MustExec("SELECT users.name, sum(orders.total) FROM users, orders WHERE users.id = orders.uid GROUP BY users.name ORDER BY users.name")
 		if len(r.Rows) != 2 {
 			t.Fatalf("join groups: %v", r.Rows)
 		}
@@ -225,10 +227,10 @@ func TestJoins(t *testing.T) {
 		if r.Rows[1][0].S != "bob" || r.Rows[1][1].I != 30 {
 			t.Errorf("bob: %v", r.Rows[1])
 		}
-		// Comma joins with aliases + 3-way.
+		// A 3-way join.
 		db.MustExec("CREATE TABLE items (oid INTEGER, sku TEXT)")
 		db.MustExec("INSERT INTO items VALUES (1,'x'), (1,'y'), (3,'z')")
-		r = db.MustExec("SELECT count(*) FROM users u, orders o, items i WHERE u.id = o.uid AND o.id = i.oid")
+		r = db.MustExec("SELECT count(*) FROM users, orders, items WHERE users.id = orders.uid AND orders.id = items.oid")
 		if one(t, r).I != 3 {
 			t.Errorf("3-way join: %v", r.Rows)
 		}
@@ -273,7 +275,9 @@ func TestTransactions(t *testing.T) {
 		db.MustExec("BEGIN")
 		db.MustExec("INSERT INTO t VALUES (1)")
 		db.MustExec("INSERT INTO t VALUES (2)")
-		db.MustExec("ROLLBACK")
+		if err := db.Pager().Rollback(); err != nil {
+			t.Fatal(err)
+		}
 		if got := one(t, db.MustExec("SELECT count(*) FROM t")); got.I != 0 {
 			t.Fatalf("rollback kept rows: %v", got)
 		}
@@ -298,29 +302,27 @@ func TestTransactions(t *testing.T) {
 func TestUniqueAndReplace(t *testing.T) {
 	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
 		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, email TEXT)")
-		db.MustExec("CREATE UNIQUE INDEX ie ON t (email)")
+		db.MustExec("CREATE INDEX ie ON t (email)")
 		db.MustExec("INSERT INTO t VALUES (1, 'a@x'), (2, 'b@x')")
-		if _, err := db.Exec("INSERT INTO t VALUES (3, 'a@x')"); err == nil {
-			t.Fatal("unique violation allowed")
+		// rowid conflict, in a statement whose first row went in.
+		if _, err := db.Exec("INSERT INTO t VALUES (3, 'c@x'), (1, 'c@x')"); err == nil {
+			t.Fatal("pk violation allowed")
 		}
 		// Autocommit rollback must leave no trace of the failed insert.
 		if got := one(t, db.MustExec("SELECT count(*) FROM t")); got.I != 2 {
 			t.Fatalf("failed insert left rows: %v", got)
 		}
-		// rowid conflict.
-		if _, err := db.Exec("INSERT INTO t VALUES (1, 'c@x')"); err == nil {
-			t.Fatal("pk violation allowed")
-		}
-		// OR REPLACE replaces by unique key.
-		db.MustExec("INSERT OR REPLACE INTO t VALUES (5, 'a@x')")
-		r := db.MustExec("SELECT id FROM t WHERE email = 'a@x'")
-		if len(r.Rows) != 1 || r.Rows[0][0].I != 5 {
-			t.Fatalf("replace by unique key: %v", r.Rows)
-		}
-		// REPLACE by rowid.
+		// REPLACE by rowid, and INSERT OR REPLACE.
 		db.MustExec("REPLACE INTO t VALUES (2, 'z@x')")
 		if got := one(t, db.MustExec("SELECT email FROM t WHERE id = 2")); got.S != "z@x" {
 			t.Fatalf("replace by rowid: %v", got)
+		}
+		db.MustExec("INSERT OR REPLACE INTO t VALUES (1, 'y@x')")
+		if got := rows(db.MustExec("SELECT id FROM t WHERE email = 'y@x'")); got != "1" {
+			t.Fatalf("insert or replace by rowid: %q", got)
+		}
+		if got := rows(db.MustExec("SELECT id FROM t WHERE email = 'a@x'")); got != "" {
+			t.Fatalf("the replaced row's index entry is left: %q", got)
 		}
 		if res := db.MustExec("PRAGMA integrity_check"); res.Rows[0][0].S != "ok" {
 			t.Errorf("integrity: %v", res.Rows)
@@ -341,7 +343,7 @@ func TestUpdateKeepsRowidsUnique(t *testing.T) {
 			if _, err := db.Exec(sql); err == nil || !strings.Contains(err.Error(), "UNIQUE constraint failed: t rowid") {
 				t.Errorf("%s: err = %v, want a UNIQUE constraint failure", sql, err)
 			}
-			if got, want := rows(db.MustExec("SELECT * FROM t")), "1,10,x;2,20,yy;3,30,zzz"; got != want {
+			if got, want := rows(db.MustExec("SELECT id, a, s FROM t")), "1,10,x;2,20,yy;3,30,zzz"; got != want {
 				t.Errorf("after %s: %q, want %q", sql, got, want)
 			}
 			if got := rows(db.MustExec("SELECT id FROM t WHERE s = 'yy'")); got != "2" {
@@ -356,76 +358,36 @@ func TestUpdateKeepsRowidsUnique(t *testing.T) {
 			t.Errorf("move to a free rowid affected %d rows", r.RowsAffected)
 		}
 		db.MustExec("UPDATE t SET id = 1, s = 'w' WHERE id = 1")
-		if got, want := rows(db.MustExec("SELECT * FROM t")), "1,10,w;2,20,yy;13,30,zzz"; got != want {
-			t.Errorf("%q, want %q", got, want)
-		}
-	})
-}
-
-// TestUpdateKeepsUniqueIndexesUnique: an UPDATE that gives a row the key
-// another row holds in a unique index fails, as an INSERT does. It used to
-// succeed and leave two rows under the key.
-func TestUpdateKeepsUniqueIndexesUnique(t *testing.T) {
-	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
-		db.MustExec("CREATE TABLE u (id INTEGER PRIMARY KEY, s TEXT)")
-		db.MustExec("CREATE UNIQUE INDEX us ON u (s)")
-		db.MustExec("INSERT INTO u VALUES (1, 'a'), (2, 'b'), (3, 'c')")
-		const sql = "UPDATE u SET s = 'a' WHERE id = 2"
-		if _, err := db.Exec(sql); err == nil || !strings.Contains(err.Error(), "UNIQUE constraint failed: index us") {
-			t.Errorf("%s: err = %v, want a UNIQUE constraint failure", sql, err)
-		}
-		if got, want := rows(db.MustExec("SELECT * FROM u")), "1,a;2,b;3,c"; got != want {
-			t.Errorf("after %s: %q, want %q", sql, got, want)
-		}
-		if err := sqldb.CheckIndexes(db); err != nil {
-			t.Errorf("after %s: %v", sql, err)
-		}
-		// A row at a negative rowid holds its key too.
-		db.MustExec("INSERT INTO u VALUES (-5, 'n')")
-		for _, sql := range []string{"UPDATE u SET s = 'n' WHERE id = 1", "INSERT INTO u VALUES (7, 'n')"} {
-			if _, err := db.Exec(sql); err == nil || !strings.Contains(err.Error(), "UNIQUE constraint failed: index us") {
-				t.Errorf("%s: err = %v, want a UNIQUE constraint failure", sql, err)
-			}
-		}
-		db.MustExec("DELETE FROM u WHERE id = -5")
-		// A row may keep its own key, or take one no other row holds.
-		db.MustExec("UPDATE u SET s = 'b' WHERE id = 2")
-		db.MustExec("UPDATE u SET s = 'd' WHERE id = 3")
-		db.MustExec("UPDATE u SET s = 'c', id = 4 WHERE id = 2")
-		if got, want := rows(db.MustExec("SELECT id, s FROM u ORDER BY s")), "1,a;4,c;3,d"; got != want {
+		if got, want := rows(db.MustExec("SELECT id, a, s FROM t")), "1,10,w;2,20,yy;13,30,zzz"; got != want {
 			t.Errorf("%q, want %q", got, want)
 		}
 	})
 }
 
 // TestFailedUpdateInTransactionWritesNothing: inside BEGIN there is no
-// rollback of a failing statement, so an UPDATE runs its conflict checks
+// rollback of a failing statement, so an UPDATE runs its conflict check
 // before it deletes the old row or its index entries. A failing UPDATE
 // there used to leave the row without its index entries, or delete it.
 func TestFailedUpdateInTransactionWritesNothing(t *testing.T) {
 	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
 		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, s TEXT)")
 		db.MustExec("CREATE INDEX ts ON t (s)")
-		db.MustExec("CREATE UNIQUE INDEX ta ON t (a)")
+		db.MustExec("CREATE INDEX ta ON t (a)")
 		db.MustExec("INSERT INTO t VALUES (1, 10, 'x'), (2, 20, 'yy'), (3, 30, 'zzz')")
 		db.MustExec("BEGIN")
-		for _, c := range []struct{ sql, err string }{
-			{"UPDATE t SET id = 2 WHERE id = 1", "UNIQUE constraint failed: t rowid"},
-			{"UPDATE t SET a = 10 WHERE id = 2", "UNIQUE constraint failed: index ta"},
-			{"UPDATE t SET a = 10, id = 4 WHERE id = 2", "UNIQUE constraint failed: index ta"},
-		} {
-			if _, err := db.Exec(c.sql); err == nil || !strings.Contains(err.Error(), c.err) {
-				t.Errorf("%s: err = %v, want %s", c.sql, err, c.err)
+		for _, sql := range []string{"UPDATE t SET id = 2 WHERE id = 1", "UPDATE t SET a = 11, id = 3 WHERE id = 2"} {
+			if _, err := db.Exec(sql); err == nil || !strings.Contains(err.Error(), "UNIQUE constraint failed: t rowid") {
+				t.Errorf("%s: err = %v, want a UNIQUE constraint failure", sql, err)
 			}
 			if err := sqldb.CheckIndexes(db); err != nil {
-				t.Errorf("after %s: %v", c.sql, err)
+				t.Errorf("after %s: %v", sql, err)
 			}
 		}
 		db.MustExec("COMMIT")
-		if got, want := rows(db.MustExec("SELECT * FROM t")), "1,10,x;2,20,yy;3,30,zzz"; got != want {
+		if got, want := rows(db.MustExec("SELECT id, a, s FROM t")), "1,10,x;2,20,yy;3,30,zzz"; got != want {
 			t.Errorf("%q, want %q", got, want)
 		}
-		if got := rows(db.MustExec("SELECT id FROM t WHERE s = 'x' OR a = 20")); got != "1;2" {
+		if got := rows(db.MustExec("SELECT id FROM t WHERE s = 'x'")) + ";" + rows(db.MustExec("SELECT id FROM t WHERE a = 20")); got != "1;2" {
 			t.Errorf("the indexes find %q, want 1;2", got)
 		}
 	})
@@ -442,7 +404,7 @@ func TestAutomaticRowidDoesNotWrap(t *testing.T) {
 		if _, err := db.Exec("INSERT INTO t (a) VALUES (42)"); err == nil || !strings.Contains(err.Error(), "database or disk is full") {
 			t.Errorf("err = %v, want database or disk is full", err)
 		}
-		if got, want := rows(db.MustExec("SELECT * FROM t")), "9223372036854775807,1"; got != want {
+		if got, want := rows(db.MustExec("SELECT id, a FROM t")), "9223372036854775807,1"; got != want {
 			t.Errorf("%q, want %q", got, want)
 		}
 		db.MustExec("INSERT INTO t VALUES (-5, 2)") // a rowid given is still taken
@@ -483,14 +445,11 @@ func TestSubqueryAndExprs(t *testing.T) {
 		if got := one(t, db.MustExec("SELECT count(*) FROM t WHERE b = (SELECT min(b) FROM t)")); got.I != 1 {
 			t.Errorf("subquery in where: %v", got)
 		}
-		if got := one(t, db.MustExec("SELECT a || '-' || b FROM t WHERE a = 2")); got.S != "2-20" {
-			t.Errorf("concat: %v", got)
-		}
-		if got := one(t, db.MustExec("SELECT abs(-5) * length('abc') % 4")); got.I != 3 {
+		if got := one(t, db.MustExec("SELECT -5 * length('abc') % 4")); got.I != -3 {
 			t.Errorf("funcs: %v", got)
 		}
-		if got := one(t, db.MustExec("SELECT count(*) FROM t WHERE a IS NOT NULL AND NOT a = 2")); got.I != 2 {
-			t.Errorf("not: %v", got)
+		if got := one(t, db.MustExec("SELECT count(*) FROM t WHERE a IS NOT NULL AND a != 2")); got.I != 2 {
+			t.Errorf("not equal: %v", got)
 		}
 		// % works on the operands truncated to integers: a divisor that
 		// truncates to 0 gives NULL, as SQLite does. (It was an integer
@@ -514,10 +473,7 @@ func TestFunctionArity(t *testing.T) {
 	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
 		many := strings.Repeat("1, ", 127) + "1" // SQLite's cap is 127
 		for _, call := range []string{
-			"length()", "length('a', 'b')", "abs()", "abs(1, 2)", "upper()", "upper('a', 'b')",
-			"lower()", "lower('a', 'b')", "typeof()", "typeof(1, 2)", "substr('x')", "substr('x', 1, 2, 3)",
-			"coalesce(1)", "coalesce(" + many + ")", "ifnull(1)", "ifnull(1, 2, 3)", "random(1)",
-			"length(*)", "random(*)",
+			"length()", "length('a', 'b')", "length(" + many + ")", "random(1)", "length(*)", "random(*)",
 		} {
 			name := call[:strings.IndexByte(call, '(')]
 			if _, err := db.Exec("SELECT " + call); err == nil ||
@@ -528,43 +484,13 @@ func TestFunctionArity(t *testing.T) {
 				t.Fatalf("after SELECT %.24s: SELECT 1 = %q", call, got)
 			}
 		}
-		const sql = "SELECT length('abc'), abs(-2), upper('a'), lower('B'), typeof(1.5), substr('hello', 2)," +
-			" substr('hello', 2, 3), substr('hello', 2, -1), coalesce(NULL, 2), coalesce(NULL, NULL, 3), ifnull(NULL, 'x')"
-		if got, want := rows(db.MustExec(sql)), "3,2,A,b,real,ello,ell,,2,3,x"; got != want {
+		const sql = "SELECT length('abc'), length(12.5), length(NULL), count(*), random() = random()"
+		if got, want := rows(db.MustExec(sql)), "3,4,NULL,1,0"; got != want {
 			t.Errorf("%s = %q, want %q", sql, got, want)
 		}
 		if _, err := db.Exec("SELECT nosuch(1)"); err == nil || !strings.Contains(err.Error(), "no such function nosuch") {
 			t.Errorf("SELECT nosuch(1): err = %v", err)
 		}
-	})
-}
-
-func TestInsertFromSelect(t *testing.T) {
-	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
-		db.MustExec("CREATE TABLE src (a INTEGER, b TEXT)")
-		db.MustExec("CREATE TABLE dst (a INTEGER, b TEXT)")
-		db.MustExec("INSERT INTO src VALUES (1,'x'), (2,'y')")
-		r := db.MustExec("INSERT INTO dst SELECT a, b FROM src")
-		if r.RowsAffected != 2 {
-			t.Errorf("insert-select affected %d", r.RowsAffected)
-		}
-		if got := one(t, db.MustExec("SELECT count(*) FROM dst")); got.I != 2 {
-			t.Errorf("dst count %v", got)
-		}
-	})
-}
-
-func TestDropTableAndIndex(t *testing.T) {
-	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
-		db.MustExec("CREATE TABLE t (a INTEGER)")
-		db.MustExec("CREATE INDEX ia ON t (a)")
-		db.MustExec("DROP INDEX ia")
-		db.MustExec("CREATE INDEX ia ON t (a)") // recreate works
-		db.MustExec("DROP TABLE t")
-		if _, err := db.Exec("SELECT * FROM t"); err == nil {
-			t.Fatal("dropped table still queryable")
-		}
-		db.MustExec("CREATE TABLE t (z TEXT)") // name reusable
 	})
 }
 
@@ -688,87 +614,6 @@ func TestStatementWorkIsCharged(t *testing.T) {
 	})
 }
 
-func TestHaving(t *testing.T) {
-	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
-		db.MustExec("CREATE TABLE s (region TEXT, amount INTEGER)")
-		db.MustExec("INSERT INTO s VALUES ('n',10), ('n',20), ('s',5), ('e',100), ('e',1)")
-		r := db.MustExec("SELECT region, sum(amount) FROM s GROUP BY region HAVING sum(amount) > 25 ORDER BY region")
-		if len(r.Rows) != 2 {
-			t.Fatalf("HAVING rows: %v", r.Rows)
-		}
-		if r.Rows[0][0].S != "e" || r.Rows[0][1].I != 101 {
-			t.Errorf("group e: %v", r.Rows[0])
-		}
-		if r.Rows[1][0].S != "n" || r.Rows[1][1].I != 30 {
-			t.Errorf("group n: %v", r.Rows[1])
-		}
-		// HAVING on count(*).
-		r = db.MustExec("SELECT region FROM s GROUP BY region HAVING count(*) = 1 ORDER BY region")
-		if len(r.Rows) != 1 || r.Rows[0][0].S != "s" {
-			t.Errorf("HAVING count: %v", r.Rows)
-		}
-		// HAVING without GROUP BY is an error.
-		if _, err := db.Exec("SELECT sum(amount) FROM s HAVING sum(amount) > 0"); err == nil {
-			t.Error("HAVING without GROUP BY accepted")
-		}
-	})
-}
-
-func TestDistinct(t *testing.T) {
-	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
-		db.MustExec("CREATE TABLE d (a INTEGER, b TEXT)")
-		db.MustExec("INSERT INTO d VALUES (1,'x'), (1,'x'), (2,'x'), (2,'y'), (1,'x')")
-		r := db.MustExec("SELECT DISTINCT a, b FROM d ORDER BY a, b")
-		if len(r.Rows) != 3 {
-			t.Fatalf("DISTINCT rows: %v", r.Rows)
-		}
-		r = db.MustExec("SELECT DISTINCT b FROM d")
-		if len(r.Rows) != 2 {
-			t.Fatalf("DISTINCT single col: %v", r.Rows)
-		}
-		if got := one(t, db.MustExec("SELECT count(*) FROM d WHERE a = 1")); got.I != 3 {
-			t.Errorf("underlying rows: %v", got)
-		}
-	})
-}
-
-func TestInPredicate(t *testing.T) {
-	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
-		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-		db.MustExec("INSERT INTO t VALUES (1,'a'), (2,'b'), (3,'c'), (4,'d')")
-		if got := one(t, db.MustExec("SELECT count(*) FROM t WHERE id IN (1, 3, 9)")); got.I != 2 {
-			t.Errorf("IN list: %v", got)
-		}
-		if got := one(t, db.MustExec("SELECT count(*) FROM t WHERE v NOT IN ('a', 'b')")); got.I != 2 {
-			t.Errorf("NOT IN: %v", got)
-		}
-		// IN (SELECT ...).
-		db.MustExec("CREATE TABLE pick (id INTEGER)")
-		db.MustExec("INSERT INTO pick VALUES (2), (4)")
-		if got := one(t, db.MustExec("SELECT count(*) FROM t WHERE id IN (SELECT id FROM pick)")); got.I != 2 {
-			t.Errorf("IN subquery: %v", got)
-		}
-		// NULL never matches IN.
-		db.MustExec("INSERT INTO t (v) VALUES (NULL)")
-		if got := one(t, db.MustExec("SELECT count(*) FROM t WHERE v IN ('zzz')")); got.I != 0 {
-			t.Errorf("IN with no match: %v", got)
-		}
-	})
-}
-
-func TestNotBetweenAndNotLike(t *testing.T) {
-	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
-		db.MustExec("CREATE TABLE t (a INTEGER, s TEXT)")
-		db.MustExec("INSERT INTO t VALUES (1,'apple'), (5,'banana'), (9,'cherry')")
-		if got := one(t, db.MustExec("SELECT count(*) FROM t WHERE a NOT BETWEEN 2 AND 8")); got.I != 2 {
-			t.Errorf("NOT BETWEEN: %v", got)
-		}
-		if got := one(t, db.MustExec("SELECT count(*) FROM t WHERE s NOT LIKE '%an%'")); got.I != 2 {
-			t.Errorf("NOT LIKE: %v", got)
-		}
-	})
-}
-
 // TestSpeedtestNeverWritesAPageUnderAScan runs the benchmark's workload —
 // speedtest1 at size 100 on a 128-page cache, set-up and every query —
 // under the scan guard.
@@ -788,7 +633,7 @@ func TestSpeedtestNeverWritesAPageUnderAScan(t *testing.T) {
 
 // TestFrameReuseRowViewOutlivesEviction: the row a look-up shows the join
 // stays readable while the levels under it evict its leaf. On an 8-page
-// cache, a correlated subquery scans a 17-page table between the look-up
+// cache, the join's last level scans a 17-page table between the look-up
 // that binds a row of a — by rowid, then through an index — and the
 // projection that reads the row's text. Were the leaf not pinned, its
 // frame would be the next miss's, and under the guard read 0xDD first.
@@ -809,8 +654,8 @@ func TestFrameReuseRowViewOutlivesEviction(t *testing.T) {
 		}
 		db.MustExec("COMMIT")
 		for _, q := range []string{
-			"SELECT a.s FROM x, a WHERE a.id = x.ref AND (SELECT count(*) FROM big WHERE big.v <> a.id) > 0",
-			"SELECT a.s FROM x, a WHERE a.k = x.ref + 1000 AND (SELECT count(*) FROM big WHERE big.v <> a.id) > 0",
+			"SELECT a.s FROM x, a, big WHERE a.id = x.ref AND big.v = 300",
+			"SELECT a.s FROM x, a, big WHERE a.k = x.ref + 1000 AND big.v = 300",
 		} {
 			misses := db.Pager().Stats.Misses
 			r := db.MustExec(q)
@@ -823,7 +668,7 @@ func TestFrameReuseRowViewOutlivesEviction(t *testing.T) {
 				}
 			}
 			if got := db.Pager().Stats.Misses - misses; got < 30*17 {
-				t.Errorf("premise broken: %d misses, want every subquery to scan big from the file", got)
+				t.Errorf("premise broken: %d misses, want every scan of big to read it from the file", got)
 			}
 		}
 	})
@@ -1019,7 +864,7 @@ func TestJournalWriteFailureFailsTheStatement(t *testing.T) {
 // TestRollbackAfterSpillRestoresTheFile: a transaction that journals more
 // pages than the cache holds, and so has overwritten some in the file,
 // rolls back to the file as it was before BEGIN, byte for byte — through
-// an explicit ROLLBACK and through a failing autocommit statement. The
+// an explicit rollback and through a failing autocommit statement. The
 // pre-images of the spilled pages come back from the journal: their
 // buffers were released, and under the guard poisoned, once it held them.
 func TestRollbackAfterSpillRestoresTheFile(t *testing.T) {
@@ -1029,11 +874,10 @@ func TestRollbackAfterSpillRestoresTheFile(t *testing.T) {
 			name string
 			run  func() error
 		}{
-			{"ROLLBACK", func() error {
+			{"Rollback", func() error {
 				f.db.MustExec("BEGIN")
 				f.db.MustExec(update)
-				_, err := f.db.Exec("ROLLBACK")
-				return err
+				return f.db.Pager().Rollback()
 			}},
 			{"a failing autocommit statement", func() error {
 				f.faults.dbWriteFails = 20 // a page write of a spill late in the statement
@@ -1070,8 +914,8 @@ func TestFailedRollbackLeavesTheJournal(t *testing.T) {
 		f.db.MustExec("BEGIN")
 		f.db.MustExec(update)
 		f.faults.journalReads = true
-		if _, err := f.db.Exec("ROLLBACK"); err == nil || !strings.Contains(err.Error(), "journal") {
-			t.Fatalf("ROLLBACK with a failing journal read: err = %v", err)
+		if err := f.db.Pager().Rollback(); err == nil || !strings.Contains(err.Error(), "journal") {
+			t.Fatalf("Rollback with a failing journal read: err = %v", err)
 		}
 		f.faults.journalReads = false
 		if !f.journal() {
@@ -1117,78 +961,19 @@ func TestFailedFsyncFailsTheCommit(t *testing.T) {
 	})
 }
 
-// TestInsertSelectUnknownColumn: INSERT INTO t (cols) SELECT … maps its
-// rows through the VALUES form's column mapping, so a column t does not
-// have fails the statement, which writes nothing. It used to index the
-// row at -1, a runtime panic out of Exec.
-func TestInsertSelectUnknownColumn(t *testing.T) {
-	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
-		db.MustExec("CREATE TABLE src (a INTEGER, b TEXT)")
-		db.MustExec("CREATE TABLE dst (a INTEGER, b TEXT)")
-		db.MustExec("INSERT INTO src VALUES (1, 'x'), (2, 'y')")
-		const sql = "INSERT INTO dst (a, nosuch) SELECT a, b FROM src"
-		if _, err := db.Exec(sql); err == nil || err.Error() != "sqldb: no such column dst.nosuch" {
-			t.Errorf("%s: err = %v, want no such column dst.nosuch", sql, err)
-		}
-		if got := rows(db.MustExec("SELECT count(*) FROM dst")); got != "0" {
-			t.Errorf("after %s: dst holds %s rows, want 0", sql, got)
-		}
-		db.MustExec("INSERT INTO dst (b, a) SELECT b, a FROM src")
-		if got, want := rows(db.MustExec("SELECT a, b FROM dst")), "1,x;2,y"; got != want {
-			t.Errorf("dst = %q, want %q", got, want)
-		}
-	})
-}
-
-// TestInsertSelectNarrowerThanColumns: a SELECT that yields fewer columns
-// than the INSERT's column list fails the statement, which writes nothing.
-// It used to index past the end of the row, a runtime panic out of Exec.
-func TestInsertSelectNarrowerThanColumns(t *testing.T) {
-	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
-		db.MustExec("CREATE TABLE src (a INTEGER, b TEXT)")
-		db.MustExec("CREATE TABLE dst (a INTEGER, b TEXT)")
-		db.MustExec("INSERT INTO src VALUES (1, 'x'), (2, 'y')")
-		const sql = "INSERT INTO dst (a, b) SELECT a FROM src"
-		if _, err := db.Exec(sql); err == nil || err.Error() != "sqldb: 2 columns but 1 values" {
-			t.Errorf("%s: err = %v, want 2 columns but 1 values", sql, err)
-		}
-		if got := rows(db.MustExec("SELECT count(*) FROM dst")); got != "0" {
-			t.Errorf("after %s: dst holds %s rows, want 0", sql, got)
-		}
-	})
-}
-
-// TestSubqueryCorrelatedThroughHaving: a scalar subquery that reads the
-// outer row only in its HAVING clause is correlated, so it runs again for
-// every outer row. It used to be cached after the first.
-func TestSubqueryCorrelatedThroughHaving(t *testing.T) {
-	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
-		db.MustExec("CREATE TABLE t (a INTEGER)")
-		db.MustExec("INSERT INTO t VALUES (1), (2), (3)")
-		db.MustExec("CREATE TABLE u (k INTEGER)")
-		db.MustExec("INSERT INTO u VALUES (1), (1), (2), (3), (3), (3)")
-		const sql = "SELECT a, (SELECT count(*) FROM u GROUP BY k HAVING k = t.a) FROM t ORDER BY a"
-		if got, want := rows(db.MustExec(sql)), "1,2;2,1;3,3"; got != want {
-			t.Errorf("%s = %q, want %q", sql, got, want)
-		}
-	})
-}
-
 // TestAggregateUnderExpressions: an aggregate call may sit under a scalar
-// function, BETWEEN or IN, not only under arithmetic, NOT or a comparison.
-// The first three used to fail with "aggregate … used outside an
-// aggregate query".
+// function or BETWEEN, not only under arithmetic or a comparison. The
+// first three used to fail with "aggregate … used outside an aggregate
+// query".
 func TestAggregateUnderExpressions(t *testing.T) {
 	testDB(t, func(e *cubicle.Env, db *sqldb.DB) {
 		db.MustExec("CREATE TABLE t (g INTEGER, a INTEGER)")
 		db.MustExec("INSERT INTO t VALUES (1, -3), (1, -4), (2, 5), (2, NULL)")
 		for _, c := range []struct{ sql, want string }{
-			{"SELECT abs(sum(a)) FROM t", "2"},
-			{"SELECT coalesce(max(a), 0) FROM t WHERE a > 100", "0"},
-			{"SELECT count(*) BETWEEN 1 AND 5, count(a) NOT BETWEEN 1 AND 5 FROM t", "1,0"},
-			{"SELECT g, abs(sum(a)), count(a) IN (1, 3) FROM t GROUP BY g ORDER BY g", "1,7,0;2,5,1"},
-			{"SELECT g FROM t GROUP BY g HAVING abs(min(a)) = 4", "1"},
-			{"SELECT -sum(a) + 1, NOT count(*) = 4 FROM t", "3,0"},
+			{"SELECT length(sum(a)) FROM t", "2"},
+			{"SELECT count(*) BETWEEN 1 AND 5, count(a) BETWEEN 4 AND 5 FROM t", "1,0"},
+			{"SELECT g, length(min(a)), count(a) BETWEEN 1 AND 1 FROM t GROUP BY g ORDER BY g", "1,2,0;2,1,1"},
+			{"SELECT 0 - sum(a) + 1, count(*) = 4 FROM t", "3,1"},
 		} {
 			if got := rows(db.MustExec(c.sql)); got != c.want {
 				t.Errorf("%s = %q, want %q", c.sql, got, c.want)

@@ -8,7 +8,6 @@
 package sqldb
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -28,7 +27,6 @@ const (
 	KInt
 	KReal
 	KText
-	KBlob
 )
 
 // Value is one SQL value.
@@ -37,7 +35,6 @@ type Value struct {
 	I    int64
 	R    float64
 	S    string
-	B    []byte
 }
 
 // valueSize is the bytes a Value takes in a slice.
@@ -48,7 +45,6 @@ func Null() Value          { return Value{Kind: KNull} }
 func Int(i int64) Value    { return Value{Kind: KInt, I: i} }
 func Real(r float64) Value { return Value{Kind: KReal, R: r} }
 func Text(s string) Value  { return Value{Kind: KText, S: s} }
-func Blob(b []byte) Value  { return Value{Kind: KBlob, B: b} }
 func Bool(b bool) Value {
 	if b {
 		return Int(1)
@@ -97,25 +93,20 @@ func (v Value) String() string {
 		return strconv.FormatFloat(v.R, 'g', -1, 64)
 	case KText:
 		return v.S
-	case KBlob:
-		return fmt.Sprintf("x'%x'", v.B)
 	}
 	return "?"
 }
 
 // typeRank orders storage classes for comparison, as SQLite does:
-// NULL < numbers < text < blob.
+// NULL < numbers < text.
 func typeRank(k Kind) int {
 	switch k {
 	case KNull:
 		return 0
 	case KInt, KReal:
 		return 1
-	case KText:
-		return 2
-	default:
-		return 3
 	}
+	return 2
 }
 
 // Compare orders two values with SQLite semantics. NULLs sort first.
@@ -130,43 +121,25 @@ func Compare(a, b Value) int {
 	switch ra {
 	case 0:
 		return 0
-	case 1:
-		// Exact: float64 merges integers past 2^53.
-		switch {
-		case a.Kind == KInt && b.Kind == KInt:
-			return cmp.Compare(a.I, b.I)
-		case a.Kind == KInt:
-			return cmpIntReal(a.I, b.R)
-		case b.Kind == KInt:
-			return -cmpIntReal(b.I, a.R)
-		}
-		switch {
-		case a.R < b.R:
-			return -1
-		case a.R > b.R:
-			return 1
-		}
-		return 0
 	case 2:
 		return strings.Compare(a.S, b.S)
-	default:
-		x, y := a.B, b.B
-		for i := 0; i < len(x) && i < len(y); i++ {
-			if x[i] != y[i] {
-				if x[i] < y[i] {
-					return -1
-				}
-				return 1
-			}
-		}
-		switch {
-		case len(x) < len(y):
-			return -1
-		case len(x) > len(y):
-			return 1
-		}
-		return 0
 	}
+	// Exact: float64 merges integers past 2^53.
+	switch {
+	case a.Kind == KInt && b.Kind == KInt:
+		return cmp.Compare(a.I, b.I)
+	case a.Kind == KInt:
+		return cmpIntReal(a.I, b.R)
+	case b.Kind == KInt:
+		return -cmpIntReal(b.I, a.R)
+	}
+	switch {
+	case a.R < b.R:
+		return -1
+	case a.R > b.R:
+		return 1
+	}
+	return 0
 }
 
 // cmpIntReal orders an integer against a real without rounding the
@@ -208,9 +181,6 @@ func appendRecord(dst []byte, vals []Value) []byte {
 		case KText:
 			dst = le.AppendUint32(dst, uint32(len(v.S)))
 			dst = append(dst, v.S...)
-		case KBlob:
-			dst = le.AppendUint32(dst, uint32(len(v.B)))
-			dst = append(dst, v.B...)
 		}
 	}
 	return dst
@@ -226,8 +196,8 @@ func DecodeRecord(b []byte) ([]Value, error) {
 }
 
 // decodeRecord parses a serialised row into dst[:0] without copying
-// anything out of it: a text or blob is a view of b, valid while b's bytes
-// stay as they are.
+// anything out of it: a text is a view of b, valid while b's bytes stay as
+// they are.
 func decodeRecord(dst []Value, b []byte) ([]Value, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("sqldb: record too short")
@@ -254,7 +224,7 @@ func decodeRecord(dst []Value, b []byte) ([]Value, error) {
 				dst = append(dst, Value{Kind: KReal, R: math.Float64frombits(bits)})
 			}
 			off += 8
-		case KText, KBlob:
+		case KText:
 			if len(b) < off+4 {
 				return nil, fmt.Errorf("sqldb: truncated length")
 			}
@@ -263,12 +233,7 @@ func decodeRecord(dst []Value, b []byte) ([]Value, error) {
 			if len(b)-off < l {
 				return nil, fmt.Errorf("sqldb: truncated payload")
 			}
-			payload := b[off : off+l : off+l]
-			if k == KText {
-				dst = append(dst, Text(view(payload)))
-			} else {
-				dst = append(dst, Blob(payload))
-			}
+			dst = append(dst, Text(view(b[off:off+l])))
 			off += l
 		default:
 			return nil, fmt.Errorf("sqldb: bad value kind %d", k)
@@ -284,14 +249,11 @@ func decodeRecord(dst []Value, b []byte) ([]Value, error) {
 // kept (DESIGN.md §16).
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// kept returns v sharing no memory with anything: a text or blob, which
-// may be a view of a record, is copied.
+// kept returns v sharing no memory with anything: a text, which may be a
+// view of a record, is copied.
 func kept(v Value) Value {
-	switch v.Kind {
-	case KText:
+	if v.Kind == KText {
 		v.S = strings.Clone(v.S)
-	case KBlob:
-		v.B = bytes.Clone(v.B)
 	}
 	return v
 }
@@ -327,15 +289,6 @@ func appendKey(dst []byte, v Value) []byte {
 		// 0x00 bytes are escaped as 0x00 0xFF; terminator 0x00 0x00.
 		for i := 0; i < len(v.S); i++ {
 			c := v.S[i]
-			dst = append(dst, c)
-			if c == 0x00 {
-				dst = append(dst, 0xFF)
-			}
-		}
-		return append(dst, 0x00, 0x00)
-	case KBlob:
-		dst = append(dst, 0x03)
-		for _, c := range v.B {
 			dst = append(dst, c)
 			if c == 0x00 {
 				dst = append(dst, 0xFF)
