@@ -323,6 +323,18 @@ func emit[R any](asJSON bool, r R, writeText func(io.Writer, R)) {
 	}
 }
 
+// checkFlags refuses a negative -ring (only 0 means tracing off) and a
+// negative -cluster (only 0 means one system), before anything boots.
+func checkFlags(ring, clusterN int) error {
+	switch {
+	case ring < 0:
+		return fmt.Errorf("-ring %d: want 0 (tracing off) or more events", ring)
+	case clusterN < 0:
+		return fmt.Errorf("-cluster %d: want 0 (one system) or more backends", clusterN)
+	}
+	return nil
+}
+
 func main() {
 	workload := flag.Bool("workload", true, "run a short HTTP workload before dumping")
 	asJSON := flag.Bool("json", false, "emit the report as machine-readable JSON")
@@ -331,6 +343,11 @@ func main() {
 	checkpoint := flag.Uint64("checkpoint", 500_000, "checkpoint interval in virtual cycles (0 = checkpoints off)")
 	clusterN := flag.Int("cluster", 0, "inspect an N-backend virtual cluster after a scripted failover instead of one system")
 	flag.Parse()
+	if err := checkFlags(*ring, *clusterN); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *clusterN > 0 {
 		emit(*asJSON, runCluster(*clusterN), writeClusterText)

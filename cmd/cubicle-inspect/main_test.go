@@ -150,3 +150,21 @@ func TestFleetTextFollowsJSON(t *testing.T) {
 		t.Error("the scripted kill drained no backend")
 	}
 }
+
+// TestCheckFlags: a negative -ring or -cluster is a usage error. -ring -1
+// used to turn tracing off and -cluster -2 to print the single-system
+// dump, both with exit status 0.
+func TestCheckFlags(t *testing.T) {
+	for _, c := range []struct {
+		ring, cluster int
+		ok            bool
+	}{
+		{1 << 14, 0, true}, {0, 0, true}, {1 << 14, 2, true},
+		{-1, 0, false},
+		{1 << 14, -2, false},
+	} {
+		if err := checkFlags(c.ring, c.cluster); (err == nil) != c.ok {
+			t.Errorf("checkFlags(%d, %d) = %v, want ok=%v", c.ring, c.cluster, err, c.ok)
+		}
+	}
+}

@@ -62,7 +62,7 @@ func main() {
 	until := flag.Uint64("until", 0, "with -replay: halt the replay run's virtual clock at this cycle and compare events with Cycle <= until (0 = full run)")
 	flag.Parse()
 
-	if err := checkRing(*ring); err != nil {
+	if err := errors.Join(checkRing(*ring), checkRun(*requests, *size, *cores)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
@@ -159,6 +159,21 @@ func main() {
 func checkRing(n int) error {
 	if n < 1 || n > trace.MaxRing {
 		return fmt.Errorf("-ring %d: want 1 to %d events", n, trace.MaxRing)
+	}
+	return nil
+}
+
+// checkRun refuses a run that would do nothing yet pass -check
+// (requests < 1), a file no slice can hold (size < 0) and a core count
+// the surcharge has no meaning for (cores < 1).
+func checkRun(requests, size, cores int) error {
+	switch {
+	case requests < 1:
+		return fmt.Errorf("-requests %d: want 1 or more", requests)
+	case size < 0:
+		return fmt.Errorf("-size %d: want a file size of 0 bytes or more", size)
+	case cores < 1:
+		return fmt.Errorf("-cores %d: want 1 or more", cores)
 	}
 	return nil
 }

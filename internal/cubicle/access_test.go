@@ -54,15 +54,14 @@ func TestAccessRangeWrapFaults(t *testing.T) {
 	})
 }
 
-// The four TestTLB* tests below pin that the page walk re-reads live
-// (PKRU, key, mapping) state on every access. They keep the names CI
-// history knows them by; no translation cache exists.
+// The four tests below pin that the page walk re-reads live (PKRU, key,
+// mapping) state on every access.
 
-// TestTLBInvalidationOnRetag checks that a retag under an open window is
+// TestRetagUnderWindowRetraps checks that a retag under an open window is
 // re-trapped: after BAR's lazy retag moves FOO's buffer to BAR's key, FOO's
 // next access must trap the page back, not be served from an earlier
 // decision.
-func TestTLBInvalidationOnRetag(t *testing.T) {
+func TestRetagUnderWindowRetraps(t *testing.T) {
 	ts := bootPair(t, ModeFull)
 	buf := ts.heapIn(t, "FOO", 64)
 	barID := ts.cubs["BAR"].ID
@@ -85,11 +84,11 @@ func TestTLBInvalidationOnRetag(t *testing.T) {
 	})
 }
 
-// TestTLBInvalidationOnPKRUSwitch checks that a PKRU switch revokes
+// TestPKRUSwitchRevokesAccess checks that a PKRU switch revokes
 // access: once FOO has reclaimed the page, BAR's next crossing runs under
 // BAR's PKRU and must trap again even though it read the same page a
 // moment ago.
-func TestTLBInvalidationOnPKRUSwitch(t *testing.T) {
+func TestPKRUSwitchRevokesAccess(t *testing.T) {
 	ts := bootPair(t, ModeFull)
 	buf := ts.heapIn(t, "FOO", 64)
 	barID := ts.cubs["BAR"].ID
@@ -113,12 +112,12 @@ func TestTLBInvalidationOnPKRUSwitch(t *testing.T) {
 	})
 }
 
-// TestTLBRollbackRevokesCachedAccess checks containment rollback
+// TestRollbackRevokesWindowAccess checks containment rollback
 // mid-crossing: the callee shares a buffer through a pinned window and
 // faults. The journal unpins and closes the window (retagging the buffer
 // back), and the caller — on the same thread — must be denied: the trap
 // finds no window.
-func TestTLBRollbackRevokesCachedAccess(t *testing.T) {
+func TestRollbackRevokesWindowAccess(t *testing.T) {
 	ts := bootFaulty(t, DefaultRestartPolicy(), nil)
 	appBuf := ts.heapIn(t, "APP", 8)
 	ts.enter(t, "APP", func(e *Env) {
@@ -140,11 +139,11 @@ func TestTLBRollbackRevokesCachedAccess(t *testing.T) {
 	})
 }
 
-// TestTLBInvalidationOnRestartReclaim checks the nastiest staleness case:
+// TestRestartReclaimUnmapsOldHeap checks the nastiest staleness case:
 // a cubicle restart unmaps (reclaims) its heap pages. An address into the
 // old heap must fault "unmapped page" for everyone afterwards and never
 // return the old frame's bytes.
-func TestTLBInvalidationOnRestartReclaim(t *testing.T) {
+func TestRestartReclaimUnmapsOldHeap(t *testing.T) {
 	policy := DefaultRestartPolicy()
 	ts := bootFaulty(t, policy, nil)
 	appBuf := ts.heapIn(t, "APP", 8)

@@ -509,16 +509,3 @@ func (m *Monitor) mapOwnedFor(t *Thread, id ID, npages int, typ vm.PageType, per
 	}
 	return addr
 }
-
-// SetPagePerm is deliberately absent from the untrusted API: CubicleOS
-// does not allow cubicles to change the execution permissions of any page
-// (§4). The monitor-internal variant exists for the loader only.
-func (m *Monitor) setPagePermInternal(addr vm.Addr, npages int, perm vm.Perm) {
-	for i := 0; i < npages; i++ {
-		p := m.AS.Page(addr.Add(uint64(i) * vm.PageSize))
-		if p == nil {
-			panic("cubicle: setPagePermInternal on unmapped page")
-		}
-		p.SetPerm(perm)
-	}
-}

@@ -38,12 +38,12 @@ func roundRobin(cores, iters int, step func(c, i int)) {
 	}
 }
 
-// TestShootdownInvalidatesRemoteTLBs is the unit contract of the
+// TestShootdownChargesRemoteCores is the unit contract of the
 // libmpk-style retag sync: on a 2-core monitor a shootdown charges
 // ShootdownIPI per remote core and counts one shootdown. It models the
 // cost only; the simulator has no per-thread translation state to
 // invalidate.
-func TestShootdownInvalidatesRemoteTLBs(t *testing.T) {
+func TestShootdownChargesRemoteCores(t *testing.T) {
 	ts := bootPair(t, ModeFull)
 	m := ts.m
 	m.EnableSMP(2)

@@ -130,9 +130,6 @@ func (p *Page) Meta() (Perm, uint8) { return Perm(p.meta >> 8), uint8(p.meta) }
 // SetKey retags the page.
 func (p *Page) SetKey(key uint8) { p.meta = p.meta&^0xFF | uint32(key) }
 
-// SetPerm replaces the page-table permissions.
-func (p *Page) SetPerm(perm Perm) { p.meta = p.meta&0xFF | uint32(perm)<<8 }
-
 // AddrSpace is the simulated address space: a growable array of pages
 // indexed by page number. Page number 0 is reserved so that Addr 0 is
 // always invalid.

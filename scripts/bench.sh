@@ -59,12 +59,8 @@
 #   -assert  run only the gate benches and exit non-zero when a gate
 #            fails:
 #              - tracing-overhead ratio > MAX_TRACING_RATIO (default 1.9)
-#                — the always-on observability gate. 1.6 until PR 22 took
-#                ≈ 20 ns of fenced clock stores out of *both* sides of the
-#                quotient: the tax in ns did not move (≈ 75 on the host of
-#                that day, either side), the ratio went 1.59 → 1.76 paired,
-#                and the gate moved with its base (EXPERIMENTS.md, "Tracing
-#                overhead")
+#                — the always-on observability gate (EXPERIMENTS.md,
+#                "Tracing overhead", has how it moved)
 #              - allocs/op != 0 on CrossCubicleCall/* (the supervised
 #                crossing included) or CrossingArgsRets — a crossing
 #                allocates nothing; exact, so immune to host noise
@@ -80,8 +76,8 @@
 #                parser's nodes, the DB's buffers, its binds and the arenas
 #                of its Result, a spilled pre-image's buffer goes back to
 #                the free list, and Exec runs speedtest's text in place
-#            The shard siege's wall-clock scaling gate is
-#            `httpbench -cores 2 -assert-scale` in scripts/check.sh.
+#            The shard siege's wall-clock scaling gate is a line of
+#            scripts/runs.txt.
 set -eu
 
 cd "$(dirname "$0")/.."

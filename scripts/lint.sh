@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Source lints: the design rules DESIGN.md states that the compiler does not
-# check. scripts/check.sh and every CI job that lints run this one script.
+# check. scripts/check.sh runs it.
 # Usage: scripts/lint.sh (from anywhere; exits non-zero on the first rule
 # broken, naming it).
 set -eu

@@ -1,0 +1,39 @@
+#!/usr/bin/env bash
+# Statement coverage under the runs alone: every cover line of
+# scripts/runs.txt, its package built with counters for every internal
+# package and run under GOCOVERDIR, no test. Code that no run reaches is
+# code only tests keep alive, so each internal package's coverage must
+# stay at its floor, the value measured when it was last raised, rounded
+# down: raise a floor when a change lifts it. Lists the internal functions
+# no run reaches. scripts/check.sh runs this script.
+set -euo pipefail
+
+floors="boot=74 cluster=70 cubicle=70 cycles=95 dash=91 experiments=84
+    faultinject=57 httpd=69 isa=84 lwip=78 mpk=55 netdev=77 plat=77 ramfs=71
+    siege=88 snapshot=65 speedtest=78 sqldb=80 trace=83 ualloc=75 ukernel=90
+    uktime=90 ulibc=14 urandom=21 vfscore=55 vm=70"
+
+cd "$(dirname "$0")/.."
+. scripts/runlib.sh
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/cov"
+GOCOVERDIR="$tmp/cov" runall cover "$tmp" cover
+
+go tool covdata textfmt -i "$tmp/cov" -o "$tmp/all.txt"
+grep -E '^(mode:|cubicleos/internal/)' "$tmp/all.txt" >"$tmp/internal.txt"
+echo "runcover: internal functions no run reaches:"
+go tool cover -func="$tmp/internal.txt" | awk '$NF == "0.0%" { print "    " $1 " " $2 }'
+
+go tool covdata percent -i "$tmp/cov" | awk -v floors="$floors" '
+BEGIN { n = split(floors, f); for (i = 1; i <= n; i++) { split(f[i], kv, "="); floor[kv[1]] = kv[2] } }
+{
+    pct = $3; sub(/%/, "", pct)
+    printf "runcover: %-40s %5.1f%%", $1, pct
+    if ($1 !~ /^cubicleos\/internal\//) { print ""; next }
+    name = substr($1, length("cubicleos/internal/") + 1)
+    if (!(name in floor)) { printf "  no floor: add one\n"; bad = 1; next }
+    if (pct + 0 < floor[name]) { printf "  below its floor of %d%%\n", floor[name]; bad = 1; next }
+    printf "  floor %d%%\n", floor[name]
+}
+END { exit bad }'
