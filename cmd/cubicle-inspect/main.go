@@ -1,6 +1,7 @@
 // Command cubicle-inspect boots a deployment and dumps its isolation
-// state: cubicles with their MPK keys and exports, the page map by owner
-// and type, installed trampolines, and (after a short workload) the
+// state: cubicles with their MPK keys, exports, mapped pages and the
+// frames backing them, the page map by owner and type, installed
+// trampolines, and (after a short workload) the
 // window tables and event counters — the view a CubicleOS operator gets
 // of a running system. With -json the same report is emitted as
 // machine-readable JSON for scripting.
@@ -27,6 +28,7 @@ import (
 type report struct {
 	Mode     string         `json:"mode"`
 	Cubicles []cubicleInfo  `json:"cubicles"`
+	Memory   memoryInfo     `json:"memory"`
 	PageMap  []pageMapEntry `json:"page_map"`
 	Tramps   []string       `json:"trampolines"`
 	// Counters holds every row of cubicle.Counters under the row's name.
@@ -56,13 +58,17 @@ type metricsInfo struct {
 }
 
 type cubicleInfo struct {
-	ID         int      `json:"id"`
-	Name       string   `json:"name"`
-	Kind       string   `json:"kind"`
-	Key        int      `json:"key"`
-	Windows    int      `json:"windows"`
-	Health     string   `json:"health"`
-	Restarts   uint64   `json:"restarts"`
+	ID       int    `json:"id"`
+	Name     string `json:"name"`
+	Kind     string `json:"kind"`
+	Key      int    `json:"key"`
+	Windows  int    `json:"windows"`
+	Health   string `json:"health"`
+	Restarts uint64 `json:"restarts"`
+	// Pages counts the cubicle's mapped pages, Frames those of them that
+	// have been written and so hold a host frame (vm.Usage).
+	Pages      int      `json:"pages"`
+	Frames     int      `json:"resident_frames"`
 	LastFault  string   `json:"last_fault,omitempty"`
 	Components []string `json:"components,omitempty"`
 	Exports    []string `json:"exports,omitempty"`
@@ -70,6 +76,13 @@ type cubicleInfo struct {
 	// when it was captured and how big it is — the warm-recovery state an
 	// operator has to reason about.
 	Checkpoint *checkpointInfo `json:"checkpoint,omitempty"`
+}
+
+// memoryInfo is the whole address space's vm.Usage: what the simulated
+// machine's memory costs the host.
+type memoryInfo struct {
+	Pages  int `json:"pages"`
+	Frames int `json:"resident_frames"`
 }
 
 type checkpointInfo struct {
@@ -99,10 +112,12 @@ func buildReport(m *cubicleos.Monitor) *report {
 		names[int(c.ID)] = c.Name
 		exports := c.Exports()
 		slices.Sort(exports)
+		u := m.AS.Usage(int(c.ID))
 		ci := cubicleInfo{
 			ID: int(c.ID), Name: c.Name, Kind: c.Kind.String(), Key: int(c.Key),
 			Windows: m.WindowCount(c.ID), Health: c.Health().String(),
-			Restarts: c.Restarts(), Components: c.Components(), Exports: exports,
+			Restarts: c.Restarts(), Pages: u.Mapped, Frames: u.Resident,
+			Components: c.Components(), Exports: exports,
 		}
 		if lf := c.LastFault(); lf != nil {
 			ci.LastFault = lf.Error()
@@ -112,6 +127,8 @@ func buildReport(m *cubicleos.Monitor) *report {
 		}
 		r.Cubicles = append(r.Cubicles, ci)
 	}
+	u := m.AS.Total()
+	r.Memory = memoryInfo{Pages: u.Mapped, Frames: u.Resident}
 	type key struct {
 		owner int
 		typ   vm.PageType
@@ -164,15 +181,15 @@ func buildReport(m *cubicleos.Monitor) *report {
 // writeText renders the report as the human-readable dump.
 func writeText(w io.Writer, r *report) {
 	fmt.Fprintln(w, "CUBICLES")
-	fmt.Fprintf(w, "%-4s %-10s %-9s %-4s %-8s %-11s %-8s %s\n",
-		"id", "name", "kind", "key", "windows", "health", "restarts", "exports")
+	fmt.Fprintf(w, "%-4s %-10s %-9s %-4s %-8s %-11s %-8s %6s %6s %s\n",
+		"id", "name", "kind", "key", "windows", "health", "restarts", "pages", "frames", "exports")
 	for _, c := range r.Cubicles {
 		show := c.Exports
 		if len(show) > 4 {
 			show = append(append([]string{}, show[:4]...), fmt.Sprintf("… (%d total)", len(c.Exports)))
 		}
-		fmt.Fprintf(w, "%-4d %-10s %-9s %-4d %-8d %-11s %-8d %v\n", c.ID, c.Name, c.Kind, c.Key,
-			c.Windows, c.Health, c.Restarts, show)
+		fmt.Fprintf(w, "%-4d %-10s %-9s %-4d %-8d %-11s %-8d %6d %6d %v\n", c.ID, c.Name, c.Kind, c.Key,
+			c.Windows, c.Health, c.Restarts, c.Pages, c.Frames, show)
 		if c.LastFault != "" {
 			fmt.Fprintf(w, "     last fault: %s\n", c.LastFault)
 		}
@@ -181,6 +198,9 @@ func writeText(w io.Writer, r *report) {
 				cp.Cycle, cp.Bytes, cp.Pages)
 		}
 	}
+
+	fmt.Fprintf(w, "\nMEMORY\n  %d pages mapped, %d of them backed by a host frame (%d KiB)\n",
+		r.Memory.Pages, r.Memory.Frames, r.Memory.Frames*vm.PageSize/1024)
 
 	fmt.Fprintln(w, "\nPAGE MAP (pages by owner and type)")
 	for _, e := range r.PageMap {
@@ -249,6 +269,10 @@ type clusterBackend struct {
 	WarmRestarts uint64 `json:"warm_restarts"`
 	ColdRestarts uint64 `json:"cold_restarts"`
 	Quarantines  uint64 `json:"quarantines"`
+	// Pages and Frames are the backend's mapped pages and the host frames
+	// backing them (vm.Usage over its whole address space).
+	Pages  int `json:"pages"`
+	Frames int `json:"resident_frames"`
 }
 
 // runCluster boots an N-backend virtual cluster, floods it while a
@@ -279,7 +303,8 @@ func runCluster(n int) *clusterReport {
 		Failovers: st.Failovers, Drains: st.Drains, Readmits: st.Readmits,
 		RouteFaults: st.RouteFaults,
 	}
-	for _, pb := range st.PerBackend {
+	for i, pb := range st.PerBackend {
+		u := c.Backends[i].T.Sys.M.AS.Total()
 		rep.Fleet = append(rep.Fleet, clusterBackend{
 			Index: pb.Index, Health: pb.Health,
 			Routed: pb.Routed, OK: pb.OK, Shed: pb.Shed, Errors: pb.Errors, Dropped: pb.Dropped,
@@ -287,6 +312,7 @@ func runCluster(n int) *clusterReport {
 			Routes: pb.Sys.Routes, Failovers: pb.Sys.Failovers,
 			WarmRestarts: pb.Sys.WarmRestarts, ColdRestarts: pb.Sys.ColdRestarts,
 			Quarantines: pb.Sys.Quarantines,
+			Pages:       u.Mapped, Frames: u.Resident,
 		})
 	}
 	return rep
@@ -295,12 +321,13 @@ func runCluster(n int) *clusterReport {
 // writeClusterText renders the fleet report as the human-readable table.
 func writeClusterText(w io.Writer, r *clusterReport) {
 	fmt.Fprintf(w, "CLUSTER (%d backends, %s policy)\n", r.Backends, r.Policy)
-	fmt.Fprintf(w, "%-4s %-9s %7s %6s %5s %5s %5s %7s %8s %5s %5s %6s\n",
-		"idx", "health", "routed", "ok", "shed", "err", "drop", "drains", "readmits", "warm", "cold", "quar")
+	fmt.Fprintf(w, "%-4s %-9s %7s %6s %5s %5s %5s %7s %8s %5s %5s %6s %6s %6s\n",
+		"idx", "health", "routed", "ok", "shed", "err", "drop", "drains", "readmits", "warm", "cold", "quar",
+		"pages", "frames")
 	for _, b := range r.Fleet {
-		fmt.Fprintf(w, "%-4d %-9s %7d %6d %5d %5d %5d %7d %8d %5d %5d %6d\n",
+		fmt.Fprintf(w, "%-4d %-9s %7d %6d %5d %5d %5d %7d %8d %5d %5d %6d %6d %6d\n",
 			b.Index, b.Health, b.Routed, b.OK, b.Shed, b.Errors, b.Dropped,
-			b.Drains, b.Readmits, b.WarmRestarts, b.ColdRestarts, b.Quarantines)
+			b.Drains, b.Readmits, b.WarmRestarts, b.ColdRestarts, b.Quarantines, b.Pages, b.Frames)
 	}
 	fmt.Fprintln(w, "\nBALANCER")
 	fmt.Fprintf(w, "  retries     %6d\n", r.Retries)

@@ -100,7 +100,8 @@ func TestFleetTextFollowsJSON(t *testing.T) {
 	// The table's columns, by header, and the JSON key each one shows.
 	key := map[string]string{"idx": "index", "health": "health", "routed": "routed", "ok": "ok",
 		"shed": "shed", "err": "errors", "drop": "dropped", "drains": "drains", "readmits": "readmits",
-		"warm": "warm_restarts", "cold": "cold_restarts", "quar": "quarantines"}
+		"warm": "warm_restarts", "cold": "cold_restarts", "quar": "quarantines",
+		"pages": "pages", "frames": "resident_frames"}
 	head := strings.Fields(lines[1])
 	if len(head) != len(key) {
 		t.Fatalf("table header %q, want the %d columns %v", lines[1], len(key), key)

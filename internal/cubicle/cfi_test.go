@@ -63,7 +63,7 @@ func TestGuardPagePlacement(t *testing.T) {
 		t.Errorf("guard page perm %v, want execute-only", perm)
 	}
 	// Guard page content: wrpkru, jmp, then nop slide.
-	if p.Data[0] != isa.OpWRPKRU[0] || p.Data[1] != isa.OpWRPKRU[1] || p.Data[2] != isa.OpWRPKRU[2] {
+	if code := p.Bytes(); code[0] != isa.OpWRPKRU[0] || code[1] != isa.OpWRPKRU[1] || code[2] != isa.OpWRPKRU[2] {
 		t.Error("guard page does not start with wrpkru")
 	}
 }

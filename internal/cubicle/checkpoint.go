@@ -2,6 +2,7 @@ package cubicle
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cubicleos/internal/cycles"
@@ -58,16 +59,18 @@ type SnapCtx struct {
 	Cubicle ID
 }
 
-// ReadMem copies n bytes of simulated memory at addr. It fails the hook
-// (by returning an error) rather than faulting: a snapshot hook reading a
-// stale address means the component's bookkeeping drifted from the page
-// state, which vetoes the checkpoint instead of killing the run.
-func (sc *SnapCtx) ReadMem(addr vm.Addr, n uint64) ([]byte, error) {
-	b := make([]byte, n)
-	if err := sc.m.AS.ReadAt(addr, b); err != nil {
+// AppendMem appends n bytes of simulated memory at addr to b and returns
+// the extended slice, so a hook builds its blob straight out of simulated
+// memory. It fails the hook (by returning an error) rather than faulting:
+// a snapshot hook reading a stale address means the component's
+// bookkeeping drifted from the page state, which vetoes the checkpoint
+// instead of killing the run.
+func (sc *SnapCtx) AppendMem(b []byte, addr vm.Addr, n uint64) ([]byte, error) {
+	b = slices.Grow(b, int(n))
+	if err := sc.m.AS.ReadAt(addr, b[len(b):len(b)+int(n)]); err != nil {
 		return nil, err
 	}
-	return b, nil
+	return b[:len(b)+int(n)], nil
 }
 
 // WriteMem writes b to simulated memory at addr with monitor privileges.
@@ -198,7 +201,7 @@ func (m *Monitor) checkpointOne(c *Cubicle, now uint64) {
 		}
 		perm, key := p.Meta()
 		pi := snapshot.PageImage{PN: pn, Key: key, Perm: uint8(perm), Type: uint8(p.Type)}
-		pi.Data = p.Data
+		pi.Data = *p.Bytes() // a never-written page encodes as the zero frame
 		img.Pages = append(img.Pages, pi)
 	}
 
@@ -282,7 +285,9 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 			undo()
 			return err
 		}
-		p.Data = pi.Data
+		if pi.Data != [vm.PageSize]byte{} { // an all-zero page stays frame-less
+			*m.AS.Writable(p) = pi.Data
+		}
 		c.ownPages(pi.PN, 1)
 	}
 	m.memUsed[c.ID] += bytes

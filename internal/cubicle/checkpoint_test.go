@@ -382,7 +382,7 @@ func walkHeapPages(m *Monitor, id ID) []snapshot.PageImage {
 			return
 		}
 		perm, key := p.Meta()
-		out = append(out, snapshot.PageImage{PN: pn, Key: key, Perm: uint8(perm), Type: uint8(p.Type), Data: p.Data})
+		out = append(out, snapshot.PageImage{PN: pn, Key: key, Perm: uint8(perm), Type: uint8(p.Type), Data: *p.Bytes()})
 	})
 	return out
 }

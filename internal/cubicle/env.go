@@ -135,7 +135,9 @@ func (e *Env) Write(addr vm.Addr, b []byte) {
 // of its bytes, one chunk per page crossed, in address order (off is the
 // chunk's offset from addr). The slices alias simulated memory: they are
 // valid only for the duration of the call and must not be written or
-// retained. This is the bulk read primitive for component hot loops — no
+// retained: a chunk of a page never written aliases the zero frame every
+// such page shares (vm.Span), so a write through it would change them
+// all. This is the bulk read primitive for component hot loops — no
 // intermediate buffer, no per-byte walk.
 func (e *Env) View(addr vm.Addr, n uint64, fn func(off uint64, chunk []byte)) {
 	if n == 0 {
@@ -217,7 +219,7 @@ func (e *Env) Memcpy(dst, src vm.Addr, n uint64) {
 		if r := vm.PageSize - do; k > r {
 			k = r
 		}
-		copy(dp.Data[do:do+k], sp.Data[so:so+k])
+		copy(e.M.AS.Writable(dp)[do:do+k], sp.Bytes()[so:so+k])
 		done += k
 	}
 }
@@ -237,9 +239,10 @@ func (e *Env) Memset(dst vm.Addr, c byte, n uint64) {
 		if r := vm.PageSize - off; k > r {
 			k = r
 		}
-		chunk := p.Data[off : off+k]
-		for i := range chunk {
-			chunk[i] = c
+		chunk := e.M.AS.Writable(p)[off : off+k]
+		chunk[0] = c
+		for i := 1; i < len(chunk); i *= 2 {
+			copy(chunk[i:], chunk[:i])
 		}
 		done += k
 	}

@@ -108,13 +108,13 @@ func (ld *Loader) Load(si *SystemImage, c *Component, group string) (*Cubicle, e
 		// The loader writes the section bytes with monitor privileges
 		// (before permissions take effect, as mmap+mprotect would).
 		for i, pn := 0, addr.PageNum(); i < pages; i++ {
-			p := m.AS.Page(vm.PageAddr(pn + uint64(i)))
+			p := m.AS.Writable(m.AS.Page(vm.PageAddr(pn + uint64(i))))
 			lo := i * vm.PageSize
 			hi := lo + vm.PageSize
 			if hi > len(sec.Data) {
 				hi = len(sec.Data)
 			}
-			copy(p.Data[:], sec.Data[lo:hi])
+			copy(p[:], sec.Data[lo:hi])
 		}
 		if sec.Kind == isa.SecCode {
 			codeBase = addr
@@ -148,8 +148,8 @@ func (ld *Loader) Load(si *SystemImage, c *Component, group string) (*Cubicle, e
 		// The trampoline code thunk lives in the monitor's cubicle
 		// (§5.5); cubicles reach it only through guard pages.
 		tr.thunkAddr = m.MapOwned(MonitorID, 1, vm.PageCode, vm.PermExec)
-		thunk := m.AS.Page(tr.thunkAddr)
-		copy(thunk.Data[:], isa.BuildGuardPage(tr.id)) // thunk body placeholder bytes
+		thunk := m.AS.Writable(m.AS.Page(tr.thunkAddr))
+		copy(thunk[:], isa.BuildGuardPage(tr.id)) // thunk body placeholder bytes
 		m.guardPages[tr.thunkAddr.PageNum()] = guardInfo{tramp: tr, caller: MonitorID, isThunk: true}
 		m.trampolines = append(m.trampolines, tr)
 		cub.exports[ex.Name] = tr

@@ -112,8 +112,7 @@ func (m *Monitor) installGuard(tr *Trampoline, caller ID) {
 	}
 	addr := m.MapOwned(caller, 1, vm.PageCode, vm.PermExec)
 	code := isa.BuildGuardPage(tr.id)
-	p := m.AS.Page(addr)
-	copy(p.Data[:], code)
+	copy(m.AS.Writable(m.AS.Page(addr))[:], code)
 	tr.guards[caller] = addr
 	m.guardPages[addr.PageNum()] = guardInfo{tramp: tr, caller: caller}
 }

@@ -399,15 +399,21 @@ func (fs *Module) rename(e *cubicle.Env, p1, l1, p2, l2 uint64) []uint64 {
 // deployment file pages are owned by ALLOC: they are not part of RAMFS's
 // own page image, and their bytes at restore time may postdate the
 // checkpoint. Inodes and directory entries are emitted in sorted order so
-// identical trees encode identically.
+// identical trees encode identically. The blob is sized once and file
+// content appended straight out of simulated memory.
 func (fs *Module) Snapshot(sc *cubicle.SnapCtx) ([]byte, error) {
-	var b []byte
+	size := 8 + 8 + 4
+	inos := make([]uint64, 0, len(fs.inodes))
+	for ino, n := range fs.inodes {
+		inos = append(inos, ino)
+		size += 8 + 1 + 8 + 4 + 8*len(n.pages) + 4 + int(n.size)
+		for name := range n.children {
+			size += 4 + len(name) + 8
+		}
+	}
+	b := make([]byte, 0, size)
 	b = binary.LittleEndian.AppendUint64(b, fs.next)
 	b = binary.LittleEndian.AppendUint64(b, fs.OpCount)
-	inos := make([]uint64, 0, len(fs.inodes))
-	for ino := range fs.inodes {
-		inos = append(inos, ino)
-	}
 	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(inos)))
 	for _, ino := range inos {
@@ -444,11 +450,10 @@ func (fs *Module) Snapshot(sc *cubicle.SnapCtx) ([]byte, error) {
 			if pi >= uint64(len(n.pages)) {
 				return nil, fmt.Errorf("ramfs: inode %d size %d exceeds its %d pages", n.ino, n.size, len(n.pages))
 			}
-			data, err := sc.ReadMem(n.pages[pi].Add(off%vm.PageSize), chunk)
-			if err != nil {
+			var err error
+			if b, err = sc.AppendMem(b, n.pages[pi].Add(off%vm.PageSize), chunk); err != nil {
 				return nil, err
 			}
-			b = append(b, data...)
 			off += chunk
 		}
 	}

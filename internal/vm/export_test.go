@@ -1,12 +1,13 @@
 package vm
 
-// MappedPages returns the number of currently mapped pages.
+// MappedPages returns the number of currently mapped pages, counted by a
+// page-table walk.
 func (as *AddrSpace) MappedPages() int {
 	n := 0
-	for _, p := range as.pt {
-		if p != nil {
-			n++
-		}
-	}
+	as.ForEachPage(func(uint64, *Page) { n++ })
 	return n
 }
+
+// ZeroFrameIsZero reports whether the shared zero frame still reads all
+// zeros.
+func ZeroFrameIsZero() bool { return zeroFrame == frame{} }

@@ -7,7 +7,10 @@
 // The page metadata map of §5.3 ("CubicleOS keeps a page metadata map that
 // identifies the window descriptor array corresponding to that page,
 // together with its owner and type") is realised directly by the page
-// array: lookups are O(1) by construction.
+// table: lookups are O(1) by construction. Page contents live apart from
+// the metadata, in frames a page gets on its first write; until then it
+// reads as the shared zero frame (demand-zero), so a mapped page that is
+// never written costs the host no memory beyond its table entry.
 //
 // Package vm performs no permission checking itself. Untrusted component
 // code never touches an AddrSpace directly; it goes through the checked
@@ -108,15 +111,27 @@ func (t PageType) String() string {
 // any cubicle.
 const NoOwner = -1
 
+// frame is the backing store of one page's contents.
+type frame = [PageSize]byte
+
+// zeroFrame is what every page that has never been written reads as. It
+// is shared by all pages of all address spaces and is never written:
+// writers go through AddrSpace.Writable, which gives the page a frame of
+// its own first.
+var zeroFrame frame
+
 // Page is one mapped page together with its metadata. Owner and Type are
 // fixed at map time; the MPK key and page-table permissions can change,
 // and live in one packed word (perm<<8 | key), so a checked access reads
-// both with one load.
+// both with one load. The page's contents live apart from its metadata,
+// as the monitor's page metadata map does (§5.3): a page has no frame
+// until its first write (demand-zero), and reads it as zeros until then.
 type Page struct {
-	Data  [PageSize]byte
-	meta  uint32   // Perm<<8 | Key
-	Owner int      // owning cubicle ID, or NoOwner
-	Type  PageType // code / global / stack / heap
+	frame  *frame   // nil until the page's first write
+	meta   uint32   // Perm<<8 | Key
+	Type   PageType // code / global / stack / heap
+	mapped bool
+	Owner  int // owning cubicle ID, or NoOwner
 }
 
 func packMeta(perm Perm, key uint8) uint32 { return uint32(perm)<<8 | uint32(key) }
@@ -130,38 +145,130 @@ func (p *Page) Meta() (Perm, uint8) { return Perm(p.meta >> 8), uint8(p.meta) }
 // SetKey retags the page.
 func (p *Page) SetKey(key uint8) { p.meta = p.meta&^0xFF | uint32(key) }
 
-// AddrSpace is the simulated address space: a growable array of pages
+// Bytes returns the page's contents for reading. A page that has never
+// been written returns the shared zero frame, so the result must never be
+// written: writers use AddrSpace.Writable.
+func (p *Page) Bytes() *[PageSize]byte {
+	if p.frame == nil {
+		return &zeroFrame
+	}
+	return p.frame
+}
+
+// Resident reports whether the page holds a frame of its own, that is,
+// whether it has been written since it was mapped.
+func (p *Page) Resident() bool { return p.frame != nil }
+
+// Usage is what one owner's pages cost the host: how many are mapped, and
+// how many of those hold a frame.
+type Usage struct {
+	Mapped, Resident int
+}
+
+// chunkShift is log2 of the pages a page-table chunk holds.
+const chunkShift = 6
+
+// chunk is one fixed block of page-table entries. Chunks never move once
+// allocated, so a *Page stays valid for the life of its address space,
+// and mapping a page allocates nothing per page.
+type chunk [1 << chunkShift]Page
+
+// AddrSpace is the simulated address space: a two-level page table
 // indexed by page number. Page number 0 is reserved so that Addr 0 is
 // always invalid.
 type AddrSpace struct {
-	// pt is the page table: slot pn holds page pn, or nil when unmapped.
-	pt []*Page
+	// dir is the page table's top level: entry c holds pages
+	// c<<chunkShift onwards, or nil when none of them was ever mapped.
+	dir []*chunk
 	// top is the next fresh page number handed out by Map when the free
 	// list cannot satisfy a request.
-	top  uint64
-	free []uint64 // freed page numbers available for reuse
-	pool []*Page  // retired Page objects, recycled to keep GC churn flat
+	top   uint64
+	free  []uint64 // freed page numbers available for reuse
+	spare []*frame // frames of unmapped pages, cleared when handed out
+	usage []Usage  // per owner, indexed by owner+1 (NoOwner is 0)
 }
 
 // NewAddrSpace returns an empty address space.
 func NewAddrSpace() *AddrSpace {
-	return &AddrSpace{top: 1, pt: make([]*Page, 1)} // page 0 reserved
+	return &AddrSpace{top: 1} // page 0 reserved
 }
 
-// ensure grows the page table so that page number pn is addressable.
-// Growth is geometric, so repeated single-page appends stay amortised
-// O(1).
-func (as *AddrSpace) ensure(pn uint64) {
-	if pn < uint64(len(as.pt)) {
-		return
+// slot returns the page-table entry of page number pn, allocating its
+// chunk (and growing the directory geometrically) on first use.
+func (as *AddrSpace) slot(pn uint64) *Page {
+	c := pn >> chunkShift
+	if c >= uint64(len(as.dir)) {
+		d := make([]*chunk, max(uint64(len(as.dir))*2, c+1))
+		copy(d, as.dir)
+		as.dir = d
 	}
-	t := make([]*Page, max(uint64(len(as.pt))*2, pn+1))
-	copy(t, as.pt)
-	as.pt = t
+	if as.dir[c] == nil {
+		as.dir[c] = new(chunk)
+	}
+	return &as.dir[c][pn&(1<<chunkShift-1)]
 }
 
-// setPage installs p at page number pn (table already grown).
-func (as *AddrSpace) setPage(pn uint64, p *Page) { as.pt[pn] = p }
+// install maps page number pn with the given metadata. The slot's frame
+// is already nil: Unmap retires it.
+func (as *AddrSpace) install(pn uint64, owner int, typ PageType, perm Perm, key uint8) *Page {
+	p := as.slot(pn)
+	*p = Page{meta: packMeta(perm, key), Type: typ, mapped: true, Owner: owner}
+	as.count(owner).Mapped++
+	return p
+}
+
+// count returns owner's usage counter.
+func (as *AddrSpace) count(owner int) *Usage {
+	i := owner + 1
+	for i >= len(as.usage) {
+		as.usage = append(as.usage, Usage{})
+	}
+	return &as.usage[i]
+}
+
+// Usage returns how many of owner's pages are mapped and how many of them
+// hold a frame.
+func (as *AddrSpace) Usage(owner int) Usage {
+	if i := owner + 1; i >= 0 && i < len(as.usage) {
+		return as.usage[i]
+	}
+	return Usage{}
+}
+
+// Total is Usage summed over every owner.
+func (as *AddrSpace) Total() Usage {
+	var t Usage
+	for _, u := range as.usage {
+		t.Mapped += u.Mapped
+		t.Resident += u.Resident
+	}
+	return t
+}
+
+// Writable returns p's contents for writing. A page's first write gives
+// it a frame: a cleared one retired by Unmap, or a new one. Every write
+// to simulated memory goes through here.
+func (as *AddrSpace) Writable(p *Page) *[PageSize]byte {
+	if p.frame == nil {
+		as.attach(p)
+	}
+	return p.frame
+}
+
+// attach gives p a frame: a retired one, cleared, or a new one. It stays
+// out of line so that Writable inlines into the copy loops.
+//
+//go:noinline
+func (as *AddrSpace) attach(p *Page) {
+	if n := len(as.spare); n > 0 {
+		p.frame = as.spare[n-1]
+		as.spare = as.spare[:n-1]
+		*p.frame = frame{}
+	} else {
+		p.frame = new(frame)
+	}
+	as.count(p.Owner).Resident++
+}
 
 // Map allocates npages contiguous pages with the given metadata and
 // returns the address of the first. The key is the MPK tag initially
@@ -172,41 +279,22 @@ func (as *AddrSpace) Map(npages int, owner int, typ PageType, perm Perm, key uin
 	if npages <= 0 {
 		return 0, fmt.Errorf("vm: Map with non-positive page count %d", npages)
 	}
-	if npages == 1 && len(as.free) > 0 {
-		pn := as.free[len(as.free)-1]
+	var pn uint64
+	ok := npages == 1 && len(as.free) > 0
+	if ok {
+		pn = as.free[len(as.free)-1]
 		as.free = as.free[:len(as.free)-1]
-		as.setPage(pn, as.newPage(owner, typ, perm, key))
-		return Addr(pn << PageShift), nil
+	} else {
+		pn, ok = as.takeRun(npages)
 	}
-	if pn, ok := as.takeRun(npages); ok {
-		for i := 0; i < npages; i++ {
-			as.setPage(pn+uint64(i), as.newPage(owner, typ, perm, key))
-		}
-		return Addr(pn << PageShift), nil
+	if !ok {
+		pn = as.top
+		as.top += uint64(npages)
 	}
-	pn := as.top
-	as.top += uint64(npages)
-	as.ensure(as.top - 1)
-	for i := 0; i < npages; i++ {
-		as.setPage(pn+uint64(i), as.newPage(owner, typ, perm, key))
+	for i := uint64(0); i < uint64(npages); i++ {
+		as.install(pn+i, owner, typ, perm, key)
 	}
 	return Addr(pn << PageShift), nil
-}
-
-// newPage returns a zeroed page with the given metadata, recycling a
-// retired Page object when one is available. Mapped pages are always
-// zero-filled, so reuse is invisible to the guest; recycling keeps the
-// allocator's wall-clock cost flat under stack/heap churn (every thread
-// maps fresh stacks, every restart reclaims a heap) instead of growing
-// the GC heap without bound.
-func (as *AddrSpace) newPage(owner int, typ PageType, perm Perm, key uint8) *Page {
-	if n := len(as.pool); n > 0 {
-		p := as.pool[n-1]
-		as.pool = as.pool[:n-1]
-		*p = Page{meta: packMeta(perm, key), Owner: owner, Type: typ}
-		return p
-	}
-	return &Page{meta: packMeta(perm, key), Owner: owner, Type: typ}
 }
 
 // takeRun removes a contiguous run of npages free page numbers from the
@@ -256,31 +344,33 @@ func (as *AddrSpace) MapAt(pn uint64, owner int, typ PageType, perm Perm, key ui
 			break
 		}
 	}
-	as.ensure(pn)
 	if pn >= as.top {
 		as.top = pn + 1
 	}
-	p := as.newPage(owner, typ, perm, key)
-	as.setPage(pn, p)
-	return p, nil
+	return as.install(pn, owner, typ, perm, key), nil
 }
 
 // Unmap releases npages pages starting at addr, which must be page-aligned
-// and mapped.
+// and mapped. Their frames are retired for reuse by later writes.
 func (as *AddrSpace) Unmap(addr Addr, npages int) error {
 	if addr.PageOff() != 0 {
 		return fmt.Errorf("vm: Unmap of unaligned address %#x", uint64(addr))
 	}
 	pn := addr.PageNum()
-	t := as.pt
 	for i := uint64(0); i < uint64(npages); i++ {
-		if pn+i >= uint64(len(t)) || t[pn+i] == nil {
+		if as.Page(PageAddr(pn+i)) == nil {
 			return fmt.Errorf("vm: Unmap of unmapped page %#x", (pn+i)<<PageShift)
 		}
 	}
 	for i := uint64(0); i < uint64(npages); i++ {
-		as.pool = append(as.pool, t[pn+i])
-		t[pn+i] = nil
+		p := as.Page(PageAddr(pn + i))
+		u := as.count(p.Owner)
+		u.Mapped--
+		if p.frame != nil {
+			as.spare = append(as.spare, p.frame)
+			u.Resident--
+		}
+		*p = Page{}
 		as.free = append(as.free, pn+i)
 	}
 	return nil
@@ -288,9 +378,14 @@ func (as *AddrSpace) Unmap(addr Addr, npages int) error {
 
 // ForEachPage calls fn for every mapped page, in page-number order.
 func (as *AddrSpace) ForEachPage(fn func(pn uint64, p *Page)) {
-	for pn, p := range as.pt {
-		if p != nil {
-			fn(uint64(pn), p)
+	for c, ch := range as.dir {
+		if ch == nil {
+			continue
+		}
+		for i := range ch {
+			if ch[i].mapped {
+				fn(uint64(c)<<chunkShift|uint64(i), &ch[i])
+			}
 		}
 	}
 }
@@ -298,10 +393,12 @@ func (as *AddrSpace) ForEachPage(fn func(pn uint64, p *Page)) {
 // Page returns the page containing addr, or nil if it is unmapped.
 func (as *AddrSpace) Page(addr Addr) *Page {
 	pn := addr.PageNum()
-	if pn >= uint64(len(as.pt)) {
-		return nil
+	if c := pn >> chunkShift; c < uint64(len(as.dir)) && as.dir[c] != nil {
+		if p := &as.dir[c][pn&(1<<chunkShift-1)]; p.mapped {
+			return p
+		}
 	}
-	return as.pt[pn]
+	return nil
 }
 
 // errRange describes an access that touches unmapped memory.
@@ -313,7 +410,11 @@ func (as *AddrSpace) errRange(op string, addr Addr, n uint64) error {
 // the backing pages, calling fn once per chunk in address order (one chunk
 // per page crossed; a chunk never spans pages). off is the chunk's byte
 // offset from addr. The slices alias page memory — they are zero-copy and
-// valid only until the page is unmapped. Span itself performs no
+// valid only until the page is unmapped or first written (a page that was
+// never written is viewed through the shared zero frame, which its first
+// write replaces). They are for reading only: a chunk may alias the zero
+// frame, so writing one would change every unwritten page at once. Writers
+// use WriteAt or Writable. Span itself performs no
 // permission checking (package doc): it is the raw backing-resolution
 // primitive underneath the checked View accessors of the cubicle runtime.
 //
@@ -335,7 +436,7 @@ func (as *AddrSpace) Span(addr Addr, n uint64, fn func(off uint64, chunk []byte)
 		if rem := n - off; k > rem {
 			k = rem
 		}
-		fn(off, p.Data[po:po+k])
+		fn(off, p.Bytes()[po:po+k])
 		off += k
 	}
 	return nil
@@ -350,14 +451,15 @@ func (as *AddrSpace) ReadAt(addr Addr, b []byte) error {
 			return as.errRange("read", addr, uint64(len(b)))
 		}
 		off := addr.Add(uint64(done)).PageOff()
-		n := copy(b[done:], p.Data[off:])
+		n := copy(b[done:], p.Bytes()[off:])
 		done += n
 	}
 	return nil
 }
 
-// WriteAt copies b into memory starting at addr. It is a raw (unchecked)
-// operation for trusted code.
+// WriteAt copies b into memory starting at addr, giving each page it
+// touches a frame (Writable). It is a raw (unchecked) operation for trusted
+// code.
 func (as *AddrSpace) WriteAt(addr Addr, b []byte) error {
 	for done := 0; done < len(b); {
 		p := as.Page(addr.Add(uint64(done)))
@@ -365,7 +467,7 @@ func (as *AddrSpace) WriteAt(addr Addr, b []byte) error {
 			return as.errRange("write", addr, uint64(len(b)))
 		}
 		off := addr.Add(uint64(done)).PageOff()
-		n := copy(p.Data[off:], b[done:])
+		n := copy(as.Writable(p)[off:], b[done:])
 		done += n
 	}
 	return nil
