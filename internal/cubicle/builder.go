@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 
 	"cubicleos/internal/isa"
 )
@@ -29,7 +30,8 @@ type Component struct {
 	Kind    Kind
 	Exports []ExportDecl
 	// Image is the component's object image. If nil, the builder
-	// synthesises one whose code section exports the declared symbols.
+	// gives it the default image exporting the declared symbols
+	// (isa.DefaultImage, built once per process).
 	Image *isa.Image
 	// OnRestart, when set, rebuilds the component's Go-side state after
 	// the supervisor restarts its cubicle (the simulator's analogue of the
@@ -51,43 +53,55 @@ type Component struct {
 	Restore func(*SnapCtx, []byte) error
 }
 
-// descriptor is the canonical byte encoding of a trampoline descriptor,
-// the data the builder signs (§5.2 task 3: the generated trampoline "must
-// be generated and signed by the trusted builder").
-func descriptor(comp, sym string, regArgs, stackBytes int) []byte {
-	b := make([]byte, 0, len(comp)+len(sym)+20)
-	b = append(b, comp...)
-	b = append(b, 0)
-	b = append(b, sym...)
-	b = append(b, 0)
+// signer signs trampoline descriptors with one keyed MAC, reset between
+// descriptors. A descriptor's canonical byte encoding is the data the
+// builder signs (§5.2 task 3: the generated trampoline "must be generated
+// and signed by the trusted builder").
+type signer struct {
+	mac hash.Hash
+	buf []byte // the descriptor, then its MAC
+}
+
+func newSigner(secret *[32]byte) signer {
+	return signer{mac: hmac.New(sha256.New, secret[:])}
+}
+
+// sign returns the signature of the descriptor of comp.sym.
+func (s *signer) sign(comp, sym string, regArgs, stackBytes int) (sig [32]byte) {
+	b := append(append(s.buf[:0], comp...), 0)
+	b = append(append(b, sym...), 0)
 	b = binary.LittleEndian.AppendUint32(b, uint32(regArgs))
 	b = binary.LittleEndian.AppendUint32(b, uint32(stackBytes))
-	return b
+	s.mac.Reset()
+	s.mac.Write(b)
+	s.buf = s.mac.Sum(b[:0])
+	copy(sig[:], s.buf)
+	return sig
 }
+
+// symbol names one export: comp.sym.
+type symbol struct{ comp, sym string }
 
 // SystemImage is the builder's output: the component set plus the signed
 // trampoline descriptors the loader verifies before installing them.
 type SystemImage struct {
 	Components []*Component
-	sigs       map[string][32]byte // "comp.sym" -> HMAC of descriptor
-	secret     [32]byte
+	sigs       map[symbol][32]byte // HMAC of each descriptor
+	signer     signer              // keyed with the builder's secret
 }
 
 // TamperSignature corrupts the stored signature for comp.sym; used by
 // tests to prove the loader rejects unsigned trampolines.
 func (si *SystemImage) TamperSignature(comp, sym string) {
-	s := si.sigs[comp+"."+sym]
+	s := si.sigs[symbol{comp, sym}]
 	s[0] ^= 0xFF
-	si.sigs[comp+"."+sym] = s
+	si.sigs[symbol{comp, sym}] = s
 }
 
 // verify recomputes and checks a descriptor signature.
 func (si *SystemImage) verify(comp, sym string, regArgs, stackBytes int) bool {
-	mac := hmac.New(sha256.New, si.secret[:])
-	mac.Write(descriptor(comp, sym, regArgs, stackBytes))
-	var want [32]byte
-	copy(want[:], mac.Sum(nil))
-	got, ok := si.sigs[comp+"."+sym]
+	want := si.signer.sign(comp, sym, regArgs, stackBytes)
+	got, ok := si.sigs[symbol{comp, sym}]
 	return ok && hmac.Equal(got[:], want[:])
 }
 
@@ -99,6 +113,7 @@ type Builder struct {
 	comps  []*Component
 	byName map[string]*Component
 	secret [32]byte
+	signer signer
 }
 
 // NewBuilder creates a builder with a fresh signing secret.
@@ -107,6 +122,7 @@ func NewBuilder() *Builder {
 	if _, err := rand.Read(b.secret[:]); err != nil {
 		panic(err)
 	}
+	b.signer = newSigner(&b.secret)
 	return b
 }
 
@@ -147,36 +163,37 @@ func (b *Builder) MustAdd(c *Component) {
 	}
 }
 
-// Build produces the system image: it synthesises object images for
-// components that lack one (exporting exactly the declared public
+// Build produces the system image: it gives components that lack an
+// object image the default one (exporting exactly the declared public
 // symbols, the equivalent of exportsyms.uk) and signs every trampoline
-// descriptor.
+// descriptor with the builder's secret.
 func (b *Builder) Build() (*SystemImage, error) {
 	if len(b.comps) == 0 {
 		return nil, fmt.Errorf("builder: no components")
 	}
+	n := 0
+	for _, c := range b.comps {
+		n += len(c.Exports)
+	}
 	si := &SystemImage{
 		Components: b.comps,
-		sigs:       make(map[string][32]byte),
-		secret:     b.secret,
+		sigs:       make(map[symbol][32]byte, n),
+		signer:     newSigner(&b.secret),
 	}
+	var names []string
 	for _, c := range b.comps {
 		if c.Image == nil {
-			names := make([]string, len(c.Exports))
-			for i, ex := range c.Exports {
-				names[i] = ex.Name
+			names = names[:0]
+			for _, ex := range c.Exports {
+				names = append(names, ex.Name)
 			}
-			c.Image = isa.Synthesize(c.Name, names, isa.SynthOptions{Seed: int64(len(c.Name)) * 1315423911})
+			c.Image = isa.DefaultImage(c.Name, names)
 		}
 		for _, ex := range c.Exports {
 			if c.Image.FindExport(ex.Name) == nil {
 				return nil, fmt.Errorf("builder: component %q image does not define exported symbol %q", c.Name, ex.Name)
 			}
-			mac := hmac.New(sha256.New, b.secret[:])
-			mac.Write(descriptor(c.Name, ex.Name, ex.RegArgs, ex.StackBytes))
-			var sig [32]byte
-			copy(sig[:], mac.Sum(nil))
-			si.sigs[c.Name+"."+ex.Name] = sig
+			si.sigs[symbol{c.Name, ex.Name}] = b.signer.sign(c.Name, ex.Name, ex.RegArgs, ex.StackBytes)
 		}
 	}
 	return si, nil

@@ -1,6 +1,7 @@
 package cubicle
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -213,6 +214,32 @@ func TestLoaderRejectsPageSpanningForbidden(t *testing.T) {
 	m := NewMonitor(ModeFull, testCosts())
 	if _, err := NewLoader(m).LoadSystem(si, nil); err == nil {
 		t.Fatal("loader accepted page-spanning wrpkru")
+	}
+}
+
+// TestLoaderScansEveryCodeSection: a wrpkru in an image's second code
+// section is refused like one in its first; no page of the image is
+// mapped.
+func TestLoaderScansEveryCodeSection(t *testing.T) {
+	im := isa.Synthesize("EVIL", []string{"f"}, isa.SynthOptions{})
+	evil := append(bytes.Repeat([]byte{isa.OpNOP}, 64), isa.OpWRPKRU...)
+	im.Sections = append(im.Sections, isa.Section{Kind: isa.SecCode, Data: append(evil, isa.OpRET)})
+	b := NewBuilder()
+	b.MustAdd(&Component{Name: "EVIL", Kind: KindIsolated,
+		Exports: []ExportDecl{{Name: "f", Fn: func(e *Env, a []uint64) []uint64 { return nil }}},
+		Image:   im})
+	si, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMonitor(ModeFull, testCosts())
+	before := m.AS.Total()
+	_, err = NewLoader(m).LoadSystem(si, nil)
+	if le, ok := err.(*LoadError); !ok || !strings.Contains(le.Reason, "forbidden instruction wrpkru") {
+		t.Fatalf("got %v, want a LoadError naming the wrpkru", err)
+	}
+	if m.AS.Total() != before {
+		t.Errorf("the refused image mapped pages: %+v, before %+v", m.AS.Total(), before)
 	}
 }
 

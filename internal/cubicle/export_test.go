@@ -6,7 +6,7 @@ import "cubicleos/internal/vm"
 
 // Signature returns the builder signature for comp.sym.
 func (si *SystemImage) Signature(comp, sym string) ([32]byte, bool) {
-	s, ok := si.sigs[comp+"."+sym]
+	s, ok := si.sigs[symbol{comp, sym}]
 	return s, ok
 }
 

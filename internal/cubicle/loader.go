@@ -63,9 +63,14 @@ func (ld *Loader) Load(si *SystemImage, c *Component, group string) (*Cubicle, e
 
 	// §5.4: scan code pages for binary sequences containing system call
 	// or wrpkru instructions before making the pages executable, and
-	// refuse to load the code if any such sequence is found.
-	if code := c.Image.CodeSection(); code != nil {
-		if hits := isa.Scan(code.Data); len(hits) > 0 {
+	// refuse to load the code if any such sequence is found. Every code
+	// section is scanned, on every load, before any page is mapped: no
+	// byte executes uninspected (ERIM's rule), shared image or not.
+	for _, sec := range c.Image.Sections {
+		if sec.Kind != isa.SecCode {
+			continue
+		}
+		if hits := isa.Scan(sec.Data); len(hits) > 0 {
 			return nil, &LoadError{Component: c.Name,
 				Reason: fmt.Sprintf("code section contains %s", hits[0])}
 		}
@@ -86,7 +91,6 @@ func (ld *Loader) Load(si *SystemImage, c *Component, group string) (*Cubicle, e
 	// Map the image sections. Rule 1 of §5.4: code pages get execute-only
 	// permissions, data pages read or read-write as specified by the
 	// binary; cubicles can never change execution permissions.
-	codeBase := vm.Addr(0)
 	for _, sec := range c.Image.Sections {
 		if len(sec.Data) == 0 {
 			continue
@@ -106,18 +110,19 @@ func (ld *Loader) Load(si *SystemImage, c *Component, group string) (*Cubicle, e
 		pages := vm.PagesFor(uint64(len(sec.Data)))
 		addr := m.MapOwned(cub.ID, pages, typ, perm)
 		// The loader writes the section bytes with monitor privileges
-		// (before permissions take effect, as mmap+mprotect would).
+		// (before permissions take effect, as mmap+mprotect would). The
+		// sections of a default image come as process-wide read-only
+		// frames: every boot's pages read the same ones, and a write
+		// copies the page first.
+		frames := sec.Frames()
 		for i, pn := 0, addr.PageNum(); i < pages; i++ {
-			p := m.AS.Writable(m.AS.Page(vm.PageAddr(pn + uint64(i))))
-			lo := i * vm.PageSize
-			hi := lo + vm.PageSize
-			if hi > len(sec.Data) {
-				hi = len(sec.Data)
+			pg := m.AS.Page(vm.PageAddr(pn + uint64(i)))
+			if frames != nil {
+				m.AS.Share(pg, frames[i])
+				continue
 			}
-			copy(p[:], sec.Data[lo:hi])
-		}
-		if sec.Kind == isa.SecCode {
-			codeBase = addr
+			lo := i * vm.PageSize
+			copy(m.AS.Writable(pg)[:], sec.Data[lo:min(lo+vm.PageSize, len(sec.Data))])
 		}
 	}
 
@@ -140,16 +145,14 @@ func (ld *Loader) Load(si *SystemImage, c *Component, group string) (*Cubicle, e
 			cub:        cub,
 			sym:        ex.Name,
 			symbol:     c.Name + "." + ex.Name,
-			fn:         ld.wrapEntry(cub, ex.Fn, c.Name+"."+ex.Name),
 			regArgs:    ex.RegArgs,
 			stackBytes: ex.StackBytes,
-			guards:     make(map[ID]vm.Addr),
 		}
+		tr.fn = ld.wrapEntry(cub, ex.Fn, tr.symbol)
 		// The trampoline code thunk lives in the monitor's cubicle
 		// (§5.5); cubicles reach it only through guard pages.
 		tr.thunkAddr = m.MapOwned(MonitorID, 1, vm.PageCode, vm.PermExec)
-		thunk := m.AS.Writable(m.AS.Page(tr.thunkAddr))
-		copy(thunk[:], isa.BuildGuardPage(tr.id)) // thunk body placeholder bytes
+		m.AS.Share(m.AS.Page(tr.thunkAddr), isa.GuardPage(tr.id)) // thunk body placeholder bytes
 		m.guardPages[tr.thunkAddr.PageNum()] = guardInfo{tramp: tr, caller: MonitorID, isThunk: true}
 		m.trampolines = append(m.trampolines, tr)
 		cub.exports[ex.Name] = tr
@@ -168,7 +171,6 @@ func (ld *Loader) Load(si *SystemImage, c *Component, group string) (*Cubicle, e
 	m.snapHooks[cub.ID] = append(m.snapHooks[cub.ID], snapHook{
 		name: c.Name, snap: c.Snapshot, restore: c.Restore,
 	})
-	_ = codeBase
 	return cub, nil
 }
 

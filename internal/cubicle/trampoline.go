@@ -42,7 +42,8 @@ type Trampoline struct {
 	sig        [32]byte // builder signature verified by the loader
 
 	// thunkAddr is the trampoline code thunk's page in the monitor's
-	// cubicle; guards maps caller cubicles to their guard pages (§5.5).
+	// cubicle; guards maps caller cubicles to their guard pages (§5.5),
+	// nil until the first is installed.
 	thunkAddr vm.Addr
 	guards    map[ID]vm.Addr
 }
@@ -99,7 +100,8 @@ func (m *Monitor) MustResolve(caller ID, comp, sym string) Handle {
 
 // installGuard materialises the guard page for (trampoline, caller) in the
 // caller's cubicle: execute-only, containing wrpkru + jmp + nop slide
-// (§5.5 hardware support).
+// (§5.5 hardware support). Every guard page of a trampoline, and its
+// thunk, reads the one process-wide frame isa.GuardPage built for its id.
 func (m *Monitor) installGuard(tr *Trampoline, caller ID) {
 	if tr.callee == caller {
 		return // same-cubicle call needs no guard
@@ -111,8 +113,10 @@ func (m *Monitor) installGuard(tr *Trampoline, caller ID) {
 		return
 	}
 	addr := m.MapOwned(caller, 1, vm.PageCode, vm.PermExec)
-	code := isa.BuildGuardPage(tr.id)
-	copy(m.AS.Writable(m.AS.Page(addr))[:], code)
+	m.AS.Share(m.AS.Page(addr), isa.GuardPage(tr.id))
+	if tr.guards == nil {
+		tr.guards = make(map[ID]vm.Addr)
+	}
 	tr.guards[caller] = addr
 	m.guardPages[addr.PageNum()] = guardInfo{tramp: tr, caller: caller}
 }

@@ -9,11 +9,19 @@
 // integrity scan, the execute-only page policy, and the guard-page layout
 // of §5.5 operate on real byte streams, including forbidden sequences that
 // span page boundaries.
+//
+// Those bytes are the same in every boot, so the builder's images and the
+// guard pages are built once per process and shared read-only by every
+// monitor (DefaultImage, GuardPage); Synthesize stays a pure generator,
+// for images a component brings itself.
 package isa
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 )
 
 // Forbidden x86-64 instruction encodings the loader scans for (§5.4).
@@ -67,6 +75,9 @@ func nameOf(seq []byte) string {
 func Scan(code []byte) []ScanResult {
 	var out []ScanResult
 	for i := 0; i < len(code); i++ {
+		if c := code[i]; c != 0x0F && c != 0xCD {
+			continue // no forbidden encoding starts with any other byte
+		}
 		for _, seq := range forbidden {
 			if i+len(seq) <= len(code) && match(code[i:], seq) {
 				out = append(out, ScanResult{Offset: i, Name: nameOf(seq)})
@@ -119,6 +130,27 @@ func (k SectionKind) String() string {
 type Section struct {
 	Kind SectionKind
 	Data []byte
+	// shared is set only on the sections of a DefaultImage.
+	shared *pages
+}
+
+// pages is a section's bytes laid out in page-sized frames, the last one
+// zero-padded: data views the frames.
+type pages struct {
+	data   []byte
+	frames []*[pageSize]byte
+}
+
+// Frames returns the section's pages as process-wide read-only frames a
+// loader may map in place of copies. It returns nil when Data is the
+// caller's own: an image the component brought, one from Synthesize, or a
+// DefaultImage section whose Data was replaced, so a loader maps exactly
+// the bytes it scanned. Nothing may write the frames.
+func (s *Section) Frames() []*[pageSize]byte {
+	if p := s.shared; p != nil && len(s.Data) == len(p.data) && (len(s.Data) == 0 || &s.Data[0] == &p.data[0]) {
+		return p.frames
+	}
+	return nil
 }
 
 // Image is a loadable component image: sections plus the export symbol
@@ -128,16 +160,6 @@ type Image struct {
 	Name     string
 	Sections []Section
 	Exports  []Symbol
-}
-
-// CodeSection returns the image's code section, or nil if it has none.
-func (im *Image) CodeSection() *Section {
-	for i := range im.Sections {
-		if im.Sections[i].Kind == SecCode {
-			return &im.Sections[i]
-		}
-	}
-	return nil
 }
 
 // FindExport returns the export with the given name, or nil.
@@ -222,27 +244,92 @@ func Synthesize(name string, exports []string, opt SynthOptions) *Image {
 	}
 }
 
-// GuardPageSize is the size of a cross-cubicle call guard page (§5.5).
-const GuardPageSize = 4096
+// pageSize is the size of a loaded page, and of a guard page.
+const pageSize = 4096
 
-// BuildGuardPage lays out a trampoline guard page: a wrpkru instruction
-// enabling execution of the trampoline in the monitor's cubicle, a jump to
-// the trampoline, then no-ops so that starting execution anywhere but the
-// first instruction faults (§5.5). The wrpkru here is legitimate: guard
-// pages are generated by the trusted loader, not scanned component code.
-func BuildGuardPage(trampolineID uint32) []byte {
-	page := make([]byte, GuardPageSize)
-	n := copy(page, OpWRPKRU)
-	page[n] = OpJMP
-	n++
-	for i := 0; i < 4; i++ {
-		page[n] = byte(trampolineID >> (8 * i))
-		n++
+// GuardPageSize is the size of a cross-cubicle call guard page (§5.5).
+const GuardPageSize = pageSize
+
+// nopPage is the template every guard page is written from.
+var nopPage = func() (p [GuardPageSize]byte) {
+	for i := range p {
+		p[i] = OpNOP
 	}
-	for ; n < GuardPageSize; n++ {
-		page[n] = OpNOP
+	return p
+}()
+
+// The process-wide images and guard pages, built once and never written:
+// every monitor of the process, on whichever goroutine boots it, shares
+// them, so one lock guards them (DESIGN.md §14, "The locks outside the
+// runtime").
+var (
+	cacheMu sync.Mutex
+	images  = map[string]*Image{} // by name, NUL, exports NUL-separated
+	guards  = map[uint32]*[GuardPageSize]byte{}
+	keyBuf  []byte // the look-up key, built under cacheMu
+)
+
+// DefaultImage returns the image the builder gives a component that
+// brings none of its own (§5.2): Synthesize's, with the builder's seed,
+// exporting exactly the given functions. It is built once per process
+// and name and export list. Each call returns an Image of the caller's
+// own over shared section bytes, which nothing may write; each section
+// also offers them as page frames (Section.Frames).
+func DefaultImage(name string, exports []string) *Image {
+	cacheMu.Lock()
+	keyBuf = append(append(keyBuf[:0], name...), 0)
+	for _, ex := range exports {
+		keyBuf = append(append(keyBuf, ex...), 0)
 	}
-	return page
+	im := images[string(keyBuf)]
+	if im == nil {
+		im = paged(Synthesize(name, exports, SynthOptions{Seed: int64(len(name)) * 1315423911}))
+		images[string(keyBuf)] = im
+	}
+	cacheMu.Unlock()
+	own := *im
+	own.Sections = slices.Clone(im.Sections)
+	own.Exports = im.Exports[:len(im.Exports):len(im.Exports)]
+	return &own
+}
+
+// paged moves each of im's sections into page-sized frames and returns
+// im.
+func paged(im *Image) *Image {
+	for i := range im.Sections {
+		s := &im.Sections[i]
+		n := (len(s.Data) + pageSize - 1) / pageSize
+		buf := make([]byte, n*pageSize)
+		copy(buf, s.Data)
+		p := &pages{data: buf[:len(s.Data):len(s.Data)], frames: make([]*[pageSize]byte, n)}
+		for j := range p.frames {
+			p.frames[j] = (*[pageSize]byte)(buf[j*pageSize:])
+		}
+		s.Data, s.shared = p.data, p
+	}
+	return im
+}
+
+// GuardPage returns the process-wide, read-only frame of the guard page
+// that enters trampoline trampolineID, built once per id: a wrpkru
+// instruction enabling execution of the trampoline in the monitor's
+// cubicle, a jump to the trampoline, then no-ops so that starting
+// execution anywhere but the first instruction faults (§5.5). The wrpkru
+// here is legitimate: guard pages are generated by the trusted loader, not
+// scanned component code. Nothing may write the frame.
+func GuardPage(trampolineID uint32) *[GuardPageSize]byte {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	p := guards[trampolineID]
+	if p == nil {
+		p = new([GuardPageSize]byte)
+		*p = nopPage
+		n := copy(p[:], OpWRPKRU)
+		p[n] = OpJMP
+		binary.LittleEndian.PutUint32(p[n+1:], trampolineID)
+		guards[trampolineID] = p
+	}
+	return p
 }
 
 // GuardEntryOK reports whether a control transfer into a guard page at the

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -132,10 +133,7 @@ func TestSynthesizeDeterministic(t *testing.T) {
 }
 
 func TestBuildGuardPage(t *testing.T) {
-	page := BuildGuardPage(0xDEADBEEF)
-	if len(page) != GuardPageSize {
-		t.Fatalf("guard page size %d", len(page))
-	}
+	page := GuardPage(0xDEADBEEF)[:]
 	if !bytes.HasPrefix(page, OpWRPKRU) {
 		t.Error("guard page does not start with wrpkru")
 	}
@@ -167,5 +165,56 @@ func TestGuardEntryOK(t *testing.T) {
 func TestSectionKindString(t *testing.T) {
 	if SecCode.String() != ".text" || SecRodata.String() != ".rodata" || SecData.String() != ".data" {
 		t.Error("SectionKind.String mismatch")
+	}
+}
+
+// TestDefaultImageIsSynthesize: the cached image is Synthesize's with the
+// builder's seed; every call gets a header of its own over the same
+// bytes, which its frames hold page by page, zero-padded.
+func TestDefaultImageIsSynthesize(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		exports []string
+	}{{"VFSCORE", []string{"vfs_open", "vfs_read"}}, {"VFSCORE", []string{"vfs_open"}}, {"LWIP", make([]string, 100)}, {"NONE", nil}} {
+		want := Synthesize(tc.name, tc.exports, SynthOptions{Seed: int64(len(tc.name)) * 1315423911})
+		a, b := DefaultImage(tc.name, tc.exports), DefaultImage(tc.name, tc.exports)
+		if a == b {
+			t.Fatal("two calls returned one header")
+		}
+		if a.Name != want.Name || !slices.Equal(a.Exports, want.Exports) || len(a.Sections) != len(want.Sections) {
+			t.Fatalf("%s %d: header differs from Synthesize's", tc.name, len(tc.exports))
+		}
+		for i, s := range a.Sections {
+			w := want.Sections[i]
+			if s.Kind != w.Kind || !bytes.Equal(s.Data, w.Data) {
+				t.Errorf("%s %d: section %d differs from Synthesize's", tc.name, len(tc.exports), i)
+			}
+			var framed []byte
+			for _, f := range s.Frames() {
+				framed = append(framed, f[:]...)
+			}
+			if len(framed) != (len(s.Data)+GuardPageSize-1)/GuardPageSize*GuardPageSize ||
+				!bytes.Equal(framed[:len(s.Data)], s.Data) || slices.ContainsFunc(framed[len(s.Data):], func(c byte) bool { return c != 0 }) {
+				t.Errorf("%s %d: section %d's frames are not its bytes, zero-padded", tc.name, len(tc.exports), i)
+			}
+			if w.Frames() != nil {
+				t.Error("a synthesized section offers frames")
+			}
+		}
+		if len(want.Sections[0].Data) > 1 {
+			b.Sections[0].Data = append([]byte(nil), b.Sections[0].Data...)
+			if b.Sections[0].Frames() != nil {
+				t.Error("a section whose Data was replaced still offers the shared frames")
+			}
+			b.Sections[1].Data = b.Sections[1].Data[:len(b.Sections[1].Data)-1]
+			if b.Sections[1].Frames() != nil {
+				t.Error("a section whose Data was cut still offers the shared frames")
+			}
+		}
+		a.Sections = append(a.Sections, Section{Kind: SecRodata})
+		a.Sections[0] = Section{}
+		if c := DefaultImage(tc.name, tc.exports); len(c.Sections) != len(want.Sections) || !bytes.Equal(c.Sections[0].Data, want.Sections[0].Data) {
+			t.Error("editing one call's section list reached the next call's")
+		}
 	}
 }

@@ -193,6 +193,11 @@ func TestPeerFreeListDeterministic(t *testing.T) {
 	// No collection inside a run: one restarts the allocator's tiny blocks,
 	// which moves the runtime's own object count by one or two.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// No new OS thread inside a run either: the runtime allocates five
+	// objects of its own when it starts one, which a goroutine woken while
+	// another P sits idle can make it do on a loaded host. One P leaves
+	// none idle.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if _, _, err := recycleRun(t); err != nil { // package-level lazy set-up
 		t.Fatal(err)
 	}

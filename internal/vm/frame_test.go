@@ -162,3 +162,90 @@ func TestPagePointersSurviveGrowth(t *testing.T) {
 		t.Fatal("growing the page table moved a page entry")
 	}
 }
+
+// TestSharedFrameLifecycle walks three pages given one shared frame
+// (Share) through their lifecycle: the first write through each writer
+// gives the written page a copy of its own and leaves its siblings and the
+// shared frame as they were; Unmap retires only the copy, so pages mapped
+// again read zeros and no later write can be handed the shared frame; and
+// Usage counts a shared page as resident throughout, as it would a copy.
+func TestSharedFrameLifecycle(t *testing.T) {
+	shared := new([PageSize]byte)
+	for i := range shared {
+		shared[i] = byte(i*7 + 1)
+	}
+	orig := *shared
+	for _, tc := range []struct {
+		name  string
+		write func(as *AddrSpace, a Addr) // stores 0xEE at a
+	}{
+		{"WriteAt", func(as *AddrSpace, a Addr) {
+			if err := as.WriteAt(a, []byte{0xEE}); err != nil {
+				panic(err)
+			}
+		}},
+		{"Writable", func(as *AddrSpace, a Addr) { as.Writable(as.Page(a))[a.PageOff()] = 0xEE }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			as := NewAddrSpace()
+			a := mustMap(as, 3, 1, PageCode, PermExec, 1)
+			for i := uint64(0); i < 3; i++ {
+				as.Share(as.Page(a.Add(i*PageSize)), shared)
+			}
+			if u := as.Usage(1); u != (Usage{Mapped: 3, Resident: 3}) {
+				t.Fatalf("usage %+v with three shared pages, want 3 mapped, 3 resident", u)
+			}
+			mid := a.Add(PageSize)
+			tc.write(as, mid.Add(9))
+			for i := uint64(0); i < 3; i++ {
+				p := as.Page(a.Add(i * PageSize))
+				if i == 1 {
+					want := orig
+					want[9] = 0xEE
+					if p.Bytes() == shared || *p.Bytes() != want {
+						t.Error("the written page is not a copy of the shared frame holding the write")
+					}
+				} else if p.Bytes() != shared {
+					t.Errorf("sibling page %d no longer reads the shared frame", i)
+				}
+			}
+			if *shared != orig {
+				t.Fatal("the write reached the shared frame")
+			}
+			if u := as.Usage(1); u != (Usage{Mapped: 3, Resident: 3}) {
+				t.Errorf("usage %+v after the write, want 3 mapped, 3 resident", u)
+			}
+
+			if err := as.Unmap(a, 3); err != nil {
+				t.Fatal(err)
+			}
+			if len(as.spare) != 1 || as.spare[0] == shared {
+				t.Fatalf("Unmap retired %d frames, want the one copy", len(as.spare))
+			}
+			if u := as.Usage(1); u != (Usage{}) {
+				t.Errorf("usage %+v after Unmap, want none", u)
+			}
+			b := mustMap(as, 3, 2, PageHeap, PermRead|PermWrite, 2)
+			zero := make([]byte, PageSize)
+			for i := uint64(0); i < 3; i++ {
+				pa := b.Add(i * PageSize)
+				if got := readPage(t, as, pa); !bytes.Equal(got, zero) {
+					t.Fatalf("remapped page %d does not read zeros", i)
+				}
+				dirty(t, as, pa)
+				if as.Page(pa).Bytes() == shared {
+					t.Fatalf("remapped page %d was handed the shared frame", i)
+				}
+			}
+			if *shared != orig {
+				t.Fatal("writes to remapped pages reached the shared frame")
+			}
+			if u := as.Usage(2); u != (Usage{Mapped: 3, Resident: 3}) {
+				t.Errorf("usage %+v of the remapped pages, want 3 mapped, 3 resident", u)
+			}
+			if !ZeroFrameIsZero() {
+				t.Fatal("the shared zero frame was written")
+			}
+		})
+	}
+}

@@ -10,7 +10,9 @@
 // table: lookups are O(1) by construction. Page contents live apart from
 // the metadata, in frames a page gets on its first write; until then it
 // reads as the shared zero frame (demand-zero), so a mapped page that is
-// never written costs the host no memory beyond its table entry.
+// never written costs the host no memory beyond its table entry. A page
+// may also read a process-wide read-only frame it was given (Share): the
+// loaded code and guard pages, identical in every boot, are held once.
 //
 // Package vm performs no permission checking itself. Untrusted component
 // code never touches an AddrSpace directly; it goes through the checked
@@ -115,23 +117,25 @@ const NoOwner = -1
 type frame = [PageSize]byte
 
 // zeroFrame is what every page that has never been written reads as. It
-// is shared by all pages of all address spaces and is never written:
-// writers go through AddrSpace.Writable, which gives the page a frame of
-// its own first.
+// is the first of the shared frames: read by all pages of all address
+// spaces and never written, since writers go through AddrSpace.Writable,
+// which gives the page a frame of its own first.
 var zeroFrame frame
 
 // Page is one mapped page together with its metadata. Owner and Type are
 // fixed at map time; the MPK key and page-table permissions can change,
 // and live in one packed word (perm<<8 | key), so a checked access reads
 // both with one load. The page's contents live apart from its metadata,
-// as the monitor's page metadata map does (§5.3): a page has no frame
-// until its first write (demand-zero), and reads it as zeros until then.
+// as the monitor's page metadata map does (§5.3): a page reads a shared
+// frame — the zero frame (demand-zero) or one it was given by Share —
+// until its first write gives it a frame of its own.
 type Page struct {
-	frame  *frame   // nil until the page's first write
+	frame  *frame   // what the page reads; &zeroFrame until written or shared
 	meta   uint32   // Perm<<8 | Key
 	Type   PageType // code / global / stack / heap
 	mapped bool
-	Owner  int // owning cubicle ID, or NoOwner
+	own    bool // frame is the page's own, not a shared one
+	Owner  int  // owning cubicle ID, or NoOwner
 }
 
 func packMeta(perm Perm, key uint8) uint32 { return uint32(perm)<<8 | uint32(key) }
@@ -146,21 +150,18 @@ func (p *Page) Meta() (Perm, uint8) { return Perm(p.meta >> 8), uint8(p.meta) }
 func (p *Page) SetKey(key uint8) { p.meta = p.meta&^0xFF | uint32(key) }
 
 // Bytes returns the page's contents for reading. A page that has never
-// been written returns the shared zero frame, so the result must never be
-// written: writers use AddrSpace.Writable.
-func (p *Page) Bytes() *[PageSize]byte {
-	if p.frame == nil {
-		return &zeroFrame
-	}
-	return p.frame
-}
+// been written returns a shared frame (the zero frame, or the one it was
+// given by Share), so the result must never be written: writers use
+// AddrSpace.Writable.
+func (p *Page) Bytes() *[PageSize]byte { return p.frame }
 
-// Resident reports whether the page holds a frame of its own, that is,
-// whether it has been written since it was mapped.
-func (p *Page) Resident() bool { return p.frame != nil }
+// Resident reports whether the page holds a frame other than the zero
+// frame: whether it has been written, or given a frame by Share, since it
+// was mapped.
+func (p *Page) Resident() bool { return p.frame != &zeroFrame }
 
 // Usage is what one owner's pages cost the host: how many are mapped, and
-// how many of those hold a frame.
+// how many of those hold a frame (a shared one counts as theirs).
 type Usage struct {
 	Mapped, Resident int
 }
@@ -184,7 +185,7 @@ type AddrSpace struct {
 	// list cannot satisfy a request.
 	top   uint64
 	free  []uint64 // freed page numbers available for reuse
-	spare []*frame // frames of unmapped pages, cleared when handed out
+	spare []*frame // own frames of unmapped pages, reused by first writes
 	usage []Usage  // per owner, indexed by owner+1 (NoOwner is 0)
 }
 
@@ -208,11 +209,11 @@ func (as *AddrSpace) slot(pn uint64) *Page {
 	return &as.dir[c][pn&(1<<chunkShift-1)]
 }
 
-// install maps page number pn with the given metadata. The slot's frame
-// is already nil: Unmap retires it.
+// install maps page number pn, reading the zero frame, with the given
+// metadata. Unmap has retired whatever frame the slot held.
 func (as *AddrSpace) install(pn uint64, owner int, typ PageType, perm Perm, key uint8) *Page {
 	p := as.slot(pn)
-	*p = Page{meta: packMeta(perm, key), Type: typ, mapped: true, Owner: owner}
+	*p = Page{frame: &zeroFrame, meta: packMeta(perm, key), Type: typ, mapped: true, Owner: owner}
 	as.count(owner).Mapped++
 	return p
 }
@@ -246,28 +247,46 @@ func (as *AddrSpace) Total() Usage {
 }
 
 // Writable returns p's contents for writing. A page's first write gives
-// it a frame: a cleared one retired by Unmap, or a new one. Every write
-// to simulated memory goes through here.
+// it a frame of its own — one retired by Unmap, or a new one — holding
+// what the page read until then. Every write to simulated memory goes
+// through here.
 func (as *AddrSpace) Writable(p *Page) *[PageSize]byte {
-	if p.frame == nil {
+	if !p.own {
 		as.attach(p)
 	}
 	return p.frame
 }
 
-// attach gives p a frame: a retired one, cleared, or a new one. It stays
-// out of line so that Writable inlines into the copy loops.
+// attach gives p a frame of its own, a retired one or a new one, copied
+// from the shared frame it reads. It stays out of line so that Writable
+// inlines into the copy loops.
 //
 //go:noinline
 func (as *AddrSpace) attach(p *Page) {
+	var f *frame
 	if n := len(as.spare); n > 0 {
-		p.frame = as.spare[n-1]
+		f = as.spare[n-1]
 		as.spare = as.spare[:n-1]
-		*p.frame = frame{}
+		*f = frame{}
 	} else {
-		p.frame = new(frame)
+		f = new(frame)
 	}
-	as.count(p.Owner).Resident++
+	if p.frame == &zeroFrame {
+		as.count(p.Owner).Resident++
+	} else {
+		*f = *p.frame
+	}
+	p.frame, p.own = f, true
+}
+
+// Share makes p read f, a process-wide frame that nothing writes, until
+// its next write gives it a copy of its own (Writable). A shared frame is
+// never retired for reuse; it counts as p's resident frame.
+func (as *AddrSpace) Share(p *Page, f *[PageSize]byte) {
+	if p.frame == &zeroFrame {
+		as.count(p.Owner).Resident++
+	}
+	p.frame, p.own = f, false
 }
 
 // Map allocates npages contiguous pages with the given metadata and
@@ -351,7 +370,7 @@ func (as *AddrSpace) MapAt(pn uint64, owner int, typ PageType, perm Perm, key ui
 }
 
 // Unmap releases npages pages starting at addr, which must be page-aligned
-// and mapped. Their frames are retired for reuse by later writes.
+// and mapped. Their own frames are retired for reuse by later writes.
 func (as *AddrSpace) Unmap(addr Addr, npages int) error {
 	if addr.PageOff() != 0 {
 		return fmt.Errorf("vm: Unmap of unaligned address %#x", uint64(addr))
@@ -366,8 +385,10 @@ func (as *AddrSpace) Unmap(addr Addr, npages int) error {
 		p := as.Page(PageAddr(pn + i))
 		u := as.count(p.Owner)
 		u.Mapped--
-		if p.frame != nil {
+		if p.own {
 			as.spare = append(as.spare, p.frame)
+		}
+		if p.Resident() {
 			u.Resident--
 		}
 		*p = Page{}
@@ -411,10 +432,10 @@ func (as *AddrSpace) errRange(op string, addr Addr, n uint64) error {
 // per page crossed; a chunk never spans pages). off is the chunk's byte
 // offset from addr. The slices alias page memory — they are zero-copy and
 // valid only until the page is unmapped or first written (a page that was
-// never written is viewed through the shared zero frame, which its first
-// write replaces). They are for reading only: a chunk may alias the zero
-// frame, so writing one would change every unwritten page at once. Writers
-// use WriteAt or Writable. Span itself performs no
+// never written is viewed through a shared frame, which its first write
+// replaces). They are for reading only: a chunk may alias the zero frame
+// or another shared one, so writing one would change every page that
+// reads it at once. Writers use WriteAt or Writable. Span itself performs no
 // permission checking (package doc): it is the raw backing-resolution
 // primitive underneath the checked View accessors of the cubicle runtime.
 //

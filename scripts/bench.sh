@@ -34,6 +34,11 @@
 #       scale near-linearly with fleet size; crossings/arrival is
 #       deterministic too (≈ 52: the driver steps an idle backend once a
 #       quantum)
+#   Table2Boot             one boot of the Figure 5 deployment (builder,
+#       loader, wiring), with -benchmem: default images, their frames and
+#       the guard pages are built once per process and shared, so a boot
+#       allocates only what differs between boots; its B/op and allocs/op
+#       are gated
 #   sqldb: BtreePointLookup, BtreeInsertDelete (internal/sqldb),
 #       SpeedtestPass (internal/experiments: boot, fill and the 31 queries
 #       of the repo benchmark's sqlite_speedtest) and SpeedtestQueries (the
@@ -68,6 +73,10 @@
 #                row visited allocates nothing (one object a row would read
 #                1011), a statement parsed reuses the nodes, statement and
 #                lists of the one before; exact as well
+#              - B/op > 66 255 or allocs/op > 565 on Table2Boot
+#                (60 232 and 514 measured, +10 %; 580 120 and 1 602
+#                when every boot synthesised its images and wrote its
+#                code, thunk and guard pages afresh)
 #              - B/op > 9 449 000 on SpeedtestPass (boot, fill, 31
 #                queries; 8.59 MB measured, 10 % below the bound: a
 #                mapped page costs no frame until it is written) or
@@ -120,6 +129,7 @@ if [ "$MODE" != assert ]; then
     # enough; TestWarmVsColdSiege asserts warm strictly beats cold.
     go test -run '^$' -bench 'WarmRestartMTTR' -benchtime 1x . | tee -a "$TMP"
 fi
+go test -run '^$' -bench 'Table2Boot' -benchtime "$BENCHTIME" -benchmem . | tee -a "$TMP"
 # The ratio gate reads BenchmarkCallTracingPaired's "ratio" metric:
 # traced and untraced batches interleave at ~100 µs granularity inside
 # one benchmark, so host-load drift hits both sides equally and cancels
@@ -193,6 +203,23 @@ if [ "$MODE" = assert ]; then
         if (n < 2) { print "bench.sh: assert: row-path allocation measurements missing"; exit 1 }
         if (bad) exit 1
         print "bench.sh: assert ok: FilteredScan <= 11 and ParseInsert <= 0 allocs/op"
+    }' "$TMP" || exit 1
+
+    # Boot garbage gate: what a boot allocates is what differs between
+    # boots (cubicles, trampolines, signatures, page-table entries); the
+    # images, their frames and the guard pages are the process's. Counts
+    # of a fixed boot, stable to the byte.
+    awk '
+    /^BenchmarkTable2Boot/ {
+        for (i = 3; i + 1 <= NF; i += 2) {
+            if ($(i + 1) == "B/op") { n++; if ($i > 66255) { printf "bench.sh: assert: %s allocates %s B/op, want at most 66255\n", $1, $i; bad = 1 } }
+            if ($(i + 1) == "allocs/op") { n++; if ($i > 565) { printf "bench.sh: assert: %s allocates %s objects/op, want at most 565\n", $1, $i; bad = 1 } }
+        }
+    }
+    END {
+        if (n < 2) { print "bench.sh: assert: Table2Boot measurement missing"; exit 1 }
+        if (bad) exit 1
+        print "bench.sh: assert ok: Table2Boot <= 66255 B/op and <= 565 allocs/op"
     }' "$TMP" || exit 1
 
     # Pass garbage gate: evicted frames are reused under the pin rule, rows

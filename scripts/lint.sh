@@ -20,6 +20,11 @@ fail() {
 if grep -nE 'sync\.(RW)?Mutex' $(ls internal/cubicle/*.go | grep -v _test.go); then
     fail "internal/cubicle takes a lock"
 fi
+# The locks outside it (§14): the fault injector several shards share, and
+# the image and guard-page cache of internal/isa.
+if find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './internal/isa/isa.go' -not -path './internal/faultinject/faultinject.go' | xargs grep -nE 'sync\.(RW)?Mutex'; then
+    fail "a lock outside internal/isa's cache and faultinject's Injector"
+fi
 if find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './internal/siege/parallel.go' | xargs grep -nE '^[[:space:]]*go [a-zA-Z_(]'; then
     fail "a go statement outside internal/siege/parallel.go"
 fi
