@@ -350,8 +350,8 @@ func pairSystemOn(b *testing.B, m *cubicleos.Monitor) (*cubicleos.Monitor, *cubi
 // argument page ping-ponging between the two cubicles) per mode, and once
 // more ("supervised") on the path production and the cluster take: full
 // isolation with a supervisor and a checkpoint cadence attached, so the
-// crossing is admitted, contained and consults every attachment
-// (crossFull; the bare modes run crossFast).
+// crossing is admitted, contained and consults every attachment. Every
+// mode runs the same crossing body.
 func BenchmarkCrossCubicleCall(b *testing.B) {
 	run := func(name string, monitor func() *cubicleos.Monitor) {
 		b.Run(name, func(b *testing.B) {

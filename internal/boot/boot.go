@@ -43,11 +43,9 @@ type Config struct {
 	Net bool
 	// RamfsViaAlloc makes RAMFS obtain file pages from the ALLOC
 	// component (NGINX deployment) instead of its own sub-allocator
-	// (SQLite deployment).
+	// (SQLite deployment). LWIP always takes its socket buffers from
+	// ALLOC.
 	RamfsViaAlloc bool
-	// LwipViaAlloc makes LWIP obtain socket buffers from the ALLOC
-	// component (NGINX deployment).
-	LwipViaAlloc bool
 	// Extra components joined into the build (applications).
 	Extra []*cubicle.Component
 	// Seed for the shared random device.
@@ -216,22 +214,14 @@ func NewFS(cfg Config) (*System, error) {
 	// receives its allocator strategy and LIBC client.
 	s.VFS.SetBackend(ramfs.BackendTable(m, cubs[vfscore.Name].ID))
 	ramfsID := cubs[ramfs.Name].ID
-	var alloc ualloc.Allocator
+	var alloc ualloc.Allocator = ualloc.Local{}
 	if cfg.RamfsViaAlloc {
-		alloc = &ualloc.Remote{C: ualloc.NewClient(m, ramfsID)}
-	} else {
-		alloc = ualloc.NewLocal()
+		alloc = ualloc.NewClient(m, ramfsID)
 	}
 	s.Ramfs.SetDeps(alloc, ulibc.NewClient(m, ramfsID))
 	if cfg.Net {
 		lwipID := cubs[lwip.Name].ID
-		var lalloc ualloc.Allocator
-		if cfg.LwipViaAlloc {
-			lalloc = &ualloc.Remote{C: ualloc.NewClient(m, lwipID)}
-		} else {
-			lalloc = ualloc.NewLocal()
-		}
-		s.Lwip.SetDeps(netdev.NewClient(m, lwipID), lalloc, cubs[netdev.Name].ID)
+		s.Lwip.SetDeps(netdev.NewClient(m, lwipID), ualloc.NewClient(m, lwipID), cubs[netdev.Name].ID)
 	}
 	// Resource governance: applied after load so quotas see the booted
 	// cubicle IDs but before any workload pages are mapped.

@@ -22,20 +22,6 @@ func TestHeapAllocOwnership(t *testing.T) {
 	}
 }
 
-func TestHeapAllocAlignment(t *testing.T) {
-	ts := bootPair(t, ModeFull)
-	ts.enter(t, "FOO", func(e *Env) {
-		small := e.HeapAlloc(24)
-		if uint64(small)%16 != 0 {
-			t.Errorf("small allocation not 16-aligned: %#x", uint64(small))
-		}
-		big := e.HeapAlloc(vm.PageSize)
-		if big.PageOff() != 0 {
-			t.Errorf("page-sized allocation not page-aligned: %#x", uint64(big))
-		}
-	})
-}
-
 func TestHeapFreeAndReuse(t *testing.T) {
 	ts := bootPair(t, ModeFull)
 	ts.enter(t, "FOO", func(e *Env) {
@@ -60,22 +46,6 @@ func TestHeapDoubleFreeFaults(t *testing.T) {
 		err = mustFault(t, func() { e.HeapFree(vm.Addr(0x123456)) })
 		if _, ok := err.(*APIError); !ok {
 			t.Errorf("wild free: got %T", err)
-		}
-	})
-}
-
-func TestHeapCoalescing(t *testing.T) {
-	ts := bootPair(t, ModeFull)
-	ts.enter(t, "FOO", func(e *Env) {
-		a := e.HeapAlloc(1024)
-		b := e.HeapAlloc(1024)
-		c := e.HeapAlloc(1024)
-		_ = c
-		e.HeapFree(a)
-		e.HeapFree(b) // must coalesce with a
-		d := e.HeapAlloc(2048)
-		if d != a {
-			t.Errorf("coalesced block not reused: got %#x, want %#x", uint64(d), uint64(a))
 		}
 	})
 }
@@ -144,10 +114,10 @@ func TestHeapAllocProperty(t *testing.T) {
 			e.HeapFree(b.addr)
 		}
 	})
-	if got := ts.m.cubicle(ts.cubs["FOO"].ID).heap.liveBytes; got != 0 {
+	if got := ts.m.cubicle(ts.cubs["FOO"].ID).heap.Live; got != 0 {
 		t.Errorf("live bytes after freeing everything = %d", got)
 	}
-	if ts.m.cubicle(ts.cubs["FOO"].ID).heap.arenaBytes == 0 {
+	if ts.m.cubicle(ts.cubs["FOO"].ID).heap.Arena == 0 {
 		t.Error("arena accounting empty")
 	}
 }

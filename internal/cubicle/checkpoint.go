@@ -86,7 +86,6 @@ func (sc *SnapCtx) WriteMem(addr vm.Addr, b []byte) error {
 func (m *Monitor) EnableCheckpoints(interval uint64) {
 	m.ckptInterval = interval
 	m.ckptNext = interval
-	m.recomputeFastCross()
 }
 
 // CheckpointInfo describes a cubicle's last good checkpoint for the
@@ -206,14 +205,14 @@ func (m *Monitor) checkpointOne(c *Cubicle, now uint64) {
 	}
 
 	// Sub-allocator state: the free list is kept sorted by address; the
-	// live-block table is a map and must be sorted for determinism.
-	img.Heap.ArenaBytes = c.heap.arenaBytes
-	img.Heap.LiveBytes = c.heap.liveBytes
-	for _, b := range c.heap.free {
-		img.Heap.Free = append(img.Heap.Free, snapshot.Extent{Addr: uint64(b.addr), Size: b.size})
-	}
-	for a, n := range c.heap.sizes {
-		img.Heap.Sizes = append(img.Heap.Sizes, snapshot.Extent{Addr: uint64(a), Size: n})
+	// live-block table is a map and must be sorted for determinism. The
+	// image shares the free list and window ranges: it is encoded before
+	// anything runs that could change them.
+	img.Heap.ArenaBytes = c.heap.Arena
+	img.Heap.LiveBytes = c.heap.Live
+	img.Heap.Free = c.heap.Free
+	for a, n := range c.heap.Sizes {
+		img.Heap.Sizes = append(img.Heap.Sizes, vm.Extent{Addr: a, Size: n})
 	}
 	sort.Slice(img.Heap.Sizes, func(i, j int) bool { return img.Heap.Sizes[i].Addr < img.Heap.Sizes[j].Addr })
 
@@ -224,11 +223,7 @@ func (m *Monitor) checkpointOne(c *Cubicle, now uint64) {
 		if w == nil {
 			continue
 		}
-		wi := snapshot.WindowImage{WID: uint32(w.ID)}
-		for _, r := range w.Ranges {
-			wi.Ranges = append(wi.Ranges, snapshot.Extent{Addr: uint64(r.Addr), Size: r.Size})
-		}
-		img.Windows = append(img.Windows, wi)
+		img.Windows = append(img.Windows, snapshot.WindowImage{WID: uint32(w.ID), Ranges: w.Ranges})
 	}
 
 	enc := snapshot.Encode(img)
@@ -258,20 +253,6 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 		return &QuotaFault{Cubicle: c.ID, Resource: "pages", Used: m.memUsed[c.ID] + bytes, Limit: q}
 	}
 
-	undo := func() {
-		m.sup.reclaimPages(c)
-		c.heap = newSubAllocator(m, c.ID)
-		for _, w := range c.windows {
-			if w != nil {
-				m.sup.destroyWindow(c, w)
-			}
-		}
-		c.windows = c.windows[:0]
-		for cls := range c.search {
-			c.search[cls] = nil
-		}
-	}
-
 	// Re-map every captured heap page at its original page number and
 	// restore its contents. Pages take the cubicle's CURRENT key, not the
 	// snapshot's — the key may have been recycled by tag virtualisation
@@ -282,7 +263,7 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 		pi := &img.Pages[i]
 		p, err := m.AS.MapAt(pi.PN, int(c.ID), vm.PageType(pi.Type), vm.Perm(pi.Perm), uint8(key))
 		if err != nil {
-			undo()
+			m.sup.teardown(c)
 			return err
 		}
 		if pi.Data != [vm.PageSize]byte{} { // an all-zero page stays frame-less
@@ -294,13 +275,12 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 
 	// Rebuild the sub-allocator around the restored arenas.
 	h := newSubAllocator(m, c.ID)
-	h.arenaBytes = img.Heap.ArenaBytes
-	h.liveBytes = img.Heap.LiveBytes
-	for _, e := range img.Heap.Free {
-		h.free = append(h.free, block{addr: vm.Addr(e.Addr), size: e.Size})
-	}
+	h.Arena = img.Heap.ArenaBytes
+	h.Live = img.Heap.LiveBytes
+	h.Free = img.Heap.Free
+	h.Sizes = make(map[vm.Addr]uint64, len(img.Heap.Sizes))
 	for _, e := range img.Heap.Sizes {
-		h.sizes[vm.Addr(e.Addr)] = e.Size
+		h.Sizes[e.Addr] = e.Size
 	}
 	c.heap = h
 
@@ -311,13 +291,10 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 		for int(wi.WID) >= len(c.windows) {
 			c.windows = append(c.windows, nil)
 		}
-		w := &Window{ID: WID(wi.WID), Owner: c.ID, Class: classNone, pinned: noPin}
+		w := &Window{ID: WID(wi.WID), Owner: c.ID, Class: classNone, Ranges: wi.Ranges, pinned: noPin}
 		for _, e := range wi.Ranges {
-			w.Ranges = append(w.Ranges, Range{Addr: vm.Addr(e.Addr), Size: e.Size})
-			if w.Class == classNone {
-				if p := m.AS.Page(vm.Addr(e.Addr)); p != nil {
-					w.Class = classOf(p.Type)
-				}
+			if p := m.AS.Page(e.Addr); p != nil && w.Class == classNone {
+				w.Class = classOf(p.Type)
 			}
 		}
 		if w.Class != classNone {
@@ -336,11 +313,11 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 	for _, h := range m.snapHooks[c.ID] {
 		data, ok := blobs[h.name]
 		if !ok {
-			undo()
+			m.sup.teardown(c)
 			return fmt.Errorf("checkpoint missing component %q", h.name)
 		}
 		if err := h.restore(sc, data); err != nil {
-			undo()
+			m.sup.teardown(c)
 			return err
 		}
 	}

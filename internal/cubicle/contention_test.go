@@ -105,7 +105,7 @@ func TestContentionAllocator(t *testing.T) {
 		workers[c] = newWorker(m)
 		enterOn(ts, workers[c], "FOO")
 	}
-	liveBase := m.cubicle(ts.cubs["FOO"].ID).heap.liveBytes
+	liveBase := m.cubicle(ts.cubs["FOO"].ID).heap.Live
 
 	roundRobin(cores, iters, func(c, i int) {
 		e, tag := workers[c], byte(c+1)
@@ -134,7 +134,7 @@ func TestContentionAllocator(t *testing.T) {
 		}
 		leaveOn(ts, e)
 	}
-	if got := m.cubicle(ts.cubs["FOO"].ID).heap.liveBytes; got != liveBase {
+	if got := m.cubicle(ts.cubs["FOO"].ID).heap.Live; got != liveBase {
 		t.Errorf("allocator accounting off after interleaved churn: live %d, want %d", got, liveBase)
 	}
 }

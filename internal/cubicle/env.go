@@ -259,7 +259,7 @@ func (e *Env) HeapAlloc(n uint64) vm.Addr {
 
 // HeapFree releases an allocation made by HeapAlloc in the same cubicle.
 func (e *Env) HeapFree(addr vm.Addr) {
-	e.M.cubicle(e.T.cur).heap.free_(addr)
+	e.M.cubicle(e.T.cur).heap.free(addr)
 }
 
 // --- Window API (Table 1) ----------------------------------------------------

@@ -41,11 +41,9 @@ type Injector interface {
 // SetInjector attaches (or, with nil, detaches) a deterministic fault
 // injector. Injection only makes sense under containment, but the monitor
 // does not enforce that: an unsupervised injected fault simply unwinds to
-// the outermost Catch like any real fault. Boot wiring: an attached
-// injector disables the trusted-crossing fast path.
+// the outermost Catch like any real fault.
 func (m *Monitor) SetInjector(inj Injector) {
 	m.inj = inj
-	m.recomputeFastCross()
 }
 
 // injectAtCrossing fires an injected fault inside a freshly entered

@@ -86,7 +86,6 @@ func (m *Monitor) EnableMetrics(interval uint64, ringCap int) {
 		prev:     m.Stats,
 		prevCyc:  now,
 	}
-	m.recomputeFastCross()
 }
 
 // maybeSampleMetrics takes a snapshot when the crossing clock has passed

@@ -75,11 +75,6 @@ type Monitor struct {
 	// smpN is the simulated core count (0/1 = single-core): a retag pays
 	// the shootdown surcharge for smpN-1 remote cores (smp.go).
 	smpN int
-	// fastCross caches "no optional subsystem wants a hook at crossings":
-	// tracing, fault injection, metrics sampling and checkpoint cadence
-	// all disabled. The trampoline's trusted fast path tests this one flag
-	// instead of walking the individual slow-path setup checks.
-	fastCross bool
 
 	// healthHook, when set, observes supervisor health-ladder transitions
 	// (see SetHealthHook) — the cluster balancer's drain/re-admit signal.
@@ -122,7 +117,6 @@ func NewMonitor(mode Mode, costs cycles.Costs) *Monitor {
 		memUsed:      make(map[ID]uint64),
 	}
 	m.bindCounters()
-	m.recomputeFastCross()
 	for i := range m.keyHolder {
 		m.keyHolder[i] = -1
 	}
@@ -149,18 +143,11 @@ func (m *Monitor) EnableTracing(ringCap int) *trace.Tracer {
 		return ""
 	})
 	m.trc = trc
-	m.recomputeFastCross()
 	return trc
 }
 
 // SetTLBEnabled does nothing: compile shim whose sole caller is benchmark/probes.go.
 func (m *Monitor) SetTLBEnabled(bool) {}
-
-// recomputeFastCross refreshes the trusted-crossing fast-path flag after
-// an optional subsystem was attached or detached (boot-time wiring).
-func (m *Monitor) recomputeFastCross() {
-	m.fastCross = m.trc == nil && m.inj == nil && m.met == nil && m.ckptInterval == 0
-}
 
 // Tracer returns the attached tracer, or nil when tracing is disabled.
 func (m *Monitor) Tracer() *trace.Tracer { return m.trc }

@@ -51,9 +51,15 @@ func (m *Monitor) pinWindow(t *Thread, c ID, wid WID) bool {
 func (m *Monitor) unpinWindow(t *Thread, c ID, wid WID) {
 	m.chargeWindowOp(t, c, "unpin", wid)
 	w := m.window(c, wid, "window_unpin")
-	if w.pinned == noPin {
-		return
+	if w.pinned != noPin {
+		m.stripPin(t, w)
 	}
+}
+
+// stripPin releases pinned window w's dedicated key: its pages revert to
+// the owner's key and the PKRU of every live thread is refreshed. The
+// supervisor's rollback calls it with no thread, acting as the monitor.
+func (m *Monitor) stripPin(t *Thread, w *Window) {
 	m.retagWindow(t, w, m.keyFor(w.Owner))
 	m.releasePinKey(w.pinned)
 	w.pinned = noPin

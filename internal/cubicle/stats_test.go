@@ -186,8 +186,9 @@ func TestTracingDisabledAddsNoAllocations(t *testing.T) {
 // ABI: a call that carries three argument words and returns two allocates
 // nothing — the words ride the thread's word stack, the results its
 // scratch — in the three monitor shapes the benchmark's HTTP workloads
-// run: bare (crossFast), supervised (crossFast with the contain defer) and
-// checkpointing (crossFull, entered at depth 0 so the cadence gate runs).
+// run, all through the one crossing body: bare, supervised (the contain
+// defer registered) and checkpointing (entered at depth 0 so the cadence
+// gate runs).
 func TestCrossingWithWordsAddsNoAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -198,7 +198,7 @@ func (s *Supervisor) rollback(t *Thread, jmark int, victim ID) {
 			}
 		case undoUnpinWindow:
 			if w.pinned != noPin {
-				s.releasePin(w)
+				s.m.stripPin(nil, w)
 			}
 		case undoDestroyWindow:
 			s.destroyWindow(cub, w)
@@ -212,7 +212,7 @@ func (s *Supervisor) rollback(t *Thread, jmark int, victim ID) {
 // cost or event is recorded (retags of pinned pages still are).
 func (s *Supervisor) destroyWindow(cub *Cubicle, w *Window) {
 	if w.pinned != noPin {
-		s.releasePin(w)
+		s.m.stripPin(nil, w)
 	}
 	if w.Class != classNone {
 		lst := cub.search[w.Class]
@@ -224,22 +224,6 @@ func (s *Supervisor) destroyWindow(cub *Cubicle, w *Window) {
 		}
 	}
 	cub.windows[w.ID] = nil
-}
-
-// releasePin strips a window's dedicated key, returning its pages to the
-// owner's key.
-func (s *Supervisor) releasePin(w *Window) {
-	m := s.m
-	m.retagWindow(nil, w, m.keyFor(w.Owner))
-	m.releasePinKey(w.pinned)
-	w.pinned = noPin
-	for i, pw := range m.pinned {
-		if pw == w {
-			m.pinned = append(m.pinned[:i], m.pinned[i+1:]...)
-			break
-		}
-	}
-	m.refreshThreadPKRUs()
 }
 
 // quarantine moves an isolated cubicle into the Quarantined state with an
@@ -320,24 +304,7 @@ func (s *Supervisor) restart(c *Cubicle) bool {
 	}
 
 	m.Clock.Charge(s.policy.RestartCost)
-	// Tear down every window the cubicle owns (releasing pinned keys) and
-	// reset the descriptor arrays.
-	for _, w := range c.windows {
-		if w != nil {
-			s.destroyWindow(c, w)
-		}
-	}
-	c.windows = c.windows[:0]
-	for cls := range c.search {
-		c.search[cls] = nil
-	}
-	// Release the cubicle's heap and stack pages and give it a fresh
-	// sub-allocator; threads re-create their per-cubicle stacks lazily.
-	s.reclaimPages(c)
-	c.heap = newSubAllocator(m, c.ID)
-	for _, th := range m.threads {
-		th.stacks[c.ID] = nil
-	}
+	s.teardown(c)
 	// Warm path: restore the last good checkpoint instead of rebuilding
 	// from empty. A decode/restore failure tears the partial restore back
 	// down, drops the poisoned checkpoint, and falls through to the cold
@@ -372,6 +339,29 @@ func (s *Supervisor) restart(c *Cubicle) bool {
 	}
 	m.notifyHealth(c, old, Healthy)
 	return true
+}
+
+// teardown returns cubicle c to the cold-rebuild state: every window it
+// owns destroyed (releasing pinned keys) and the descriptor arrays reset,
+// its heap and stack pages unmapped, a fresh sub-allocator, and no thread
+// holding a stack in it (threads re-create their per-cubicle stacks
+// lazily). A restart starts with it, and a failed warm restore ends with
+// it.
+func (s *Supervisor) teardown(c *Cubicle) {
+	for _, w := range c.windows {
+		if w != nil {
+			s.destroyWindow(c, w)
+		}
+	}
+	c.windows = c.windows[:0]
+	for cls := range c.search {
+		c.search[cls] = nil
+	}
+	s.reclaimPages(c)
+	c.heap = newSubAllocator(s.m, c.ID)
+	for _, th := range s.m.threads {
+		th.stacks[c.ID] = nil
+	}
 }
 
 // reclaimPages unmaps every heap and stack page owned by the cubicle.

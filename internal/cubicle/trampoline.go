@@ -134,9 +134,9 @@ func (tr *Trampoline) GuardAddr(caller ID) vm.Addr { return tr.guards[caller] }
 //
 // Call itself is the prelude every call pays — handle and CFI checks,
 // checkpoint cadence, admission, call accounting — and holds no defer; the
-// three bodies it ends in (callLocal, crossFast, crossFull) have one return
-// and at most two defers each, which keeps every defer in this file
-// open-coded (scripts/defercheck.sh fails on one that is not).
+// two bodies it ends in (callLocal, cross) have one return and at most two
+// defers each, which keeps every defer in this file open-coded
+// (scripts/defercheck.sh fails on one that is not).
 func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 	if h.tr == nil {
 		panic(&CFIFault{Cubicle: e.T.cur, Target: "<nil>", Reason: "call through unresolved handle"})
@@ -176,18 +176,15 @@ func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 		// accounting; an expired quarantine restarts the callee in place.
 		m.sup.admit(t, tr)
 	}
-	// The crossing happens here, before either body: the metrics sampler at
-	// the top of crossFull counts it, and the trace opens its call span.
+	// The crossing is noted here, before its body: the metrics sampler at
+	// the top of cross counts it, and the trace opens its call span.
 	var copied uint64
 	if m.Mode.TrampolinesEnabled() {
 		copied = uint64(tr.stackBytes)
 	}
 	m.note(trace.EvCallEnter, t, t.cur, tr.callee, copied, 0, tr.Symbol())
 
-	if m.fastCross {
-		return h.crossFast(e, args)
-	}
-	return h.crossFull(e, args)
+	return h.cross(e, args)
 }
 
 // callLocal runs a call that stays in the caller's cubicle — a
@@ -200,48 +197,10 @@ func (h Handle) callLocal(e *Env, args []uint64) []uint64 {
 	return h.tr.fn(e, t.stageArgs(args))
 }
 
-// crossFast is the trusted-crossing fast path: no tracer, injector, metrics
-// sampling or checkpoint cadence is attached (one precomputed flag), and
-// admission already proved the callee healthy. What remains is exactly the
-// architectural call sequence — the charges, the frame switch, the two
-// wrpkru executions — with the slow-path setup (trace event assembly,
-// sampling cadence checks, injection draws) skipped entirely. Charge order
-// is identical to crossFull, so virtual time is unaffected.
-func (h Handle) crossFast(e *Env, args []uint64) []uint64 {
-	m, t, tr := h.m, e.T, h.tr
-	if m.Mode.TrampolinesEnabled() {
-		m.Clock.Charge(m.Costs.TrampolineBase)
-		if tr.stackBytes > 0 {
-			m.Clock.Charge(uint64(tr.stackBytes) * m.Costs.StackArgByte)
-		}
-	}
-	t.pushFrame(tr.callee, true)
-	defer t.popFrame()
-	if m.sup != nil {
-		defer m.sup.contain(t, tr)
-	}
-	if t.deadline != 0 {
-		m.checkDeadline(t)
-	}
-	if tr.stackBytes > 0 {
-		t.alloca(uint64(tr.stackBytes))
-	}
-	if m.Mode.MPKEnabled() {
-		m.wrpkru(t, m.pkruOf(tr.cub))
-	}
-	rets := tr.fn(e, t.stageArgs(args))
-	if m.Mode.TrampolinesEnabled() {
-		m.Clock.Charge(m.Costs.TrampolineBase)
-	}
-	if m.Mode.MPKEnabled() {
-		m.wrpkru(t, m.pkruOf(h.caller))
-	}
-	return rets
-}
-
-// crossFull is the crossing with every attachment consulted: metrics
-// sampling, trace events, fault injection.
-func (h Handle) crossFull(e *Env, args []uint64) []uint64 {
+// cross is the cross-cubicle call sequence: the charges, the frame switch
+// and the two wrpkru executions, with each optional attachment (metrics
+// sampling, fault injection, the trace's call exit) behind its nil check.
+func (h Handle) cross(e *Env, args []uint64) []uint64 {
 	m, t, tr := h.m, e.T, h.tr
 	if m.met != nil {
 		// Metrics sampling rides the crossing rate: the first crossing at

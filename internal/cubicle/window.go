@@ -12,22 +12,6 @@ import (
 // to the calling cubicle and can only be managed by it (§4).
 type WID int
 
-// Range is one memory range associated with a window.
-type Range struct {
-	Addr vm.Addr
-	Size uint64
-}
-
-// Contains reports whether the range covers addr. Windows work at page
-// granularity (§5.3): a range covers every page it touches, so the check
-// is against the page span, not the byte span — the paper notes that a
-// component developer must align structures to prevent unintended sharing.
-func (r Range) Contains(addr vm.Addr) bool {
-	first, last := vm.PagesIn(r.Addr, r.Size)
-	pn := addr.PageNum()
-	return pn >= first && pn <= last
-}
-
 // Window is a user-managed, discretionary access-control list for memory
 // (§5.3): a set of memory ranges in the owning cubicle plus a bitmask of
 // the cubicles for which the window is currently open. The bitmask size is
@@ -36,7 +20,7 @@ type Window struct {
 	ID     WID
 	Owner  ID
 	Class  windowClass // set by the first Add; ranges share a class
-	Ranges []Range
+	Ranges []vm.Extent
 	Open   uint64 // bitmask: bit i set = open for cubicle i
 	// pinned is the window-specific MPK key of the §8 extension, or
 	// noPin for the default trap-and-map behaviour.
@@ -153,7 +137,7 @@ func (m *Monitor) windowAdd(t *Thread, c ID, wid WID, ptr vm.Addr, size uint64) 
 		panic(&APIError{Cubicle: c, Op: "window_add",
 			Reason: fmt.Sprintf("window holds %v ranges; cannot mix with %v", w.Class, cls)})
 	}
-	w.Ranges = append(w.Ranges, Range{Addr: ptr, Size: size})
+	w.Ranges = append(w.Ranges, vm.Extent{Addr: ptr, Size: size})
 	if w.pinned != noPin {
 		// Ranges added to a pinned window take its dedicated key at once.
 		first, last := vm.PagesIn(ptr, size)

@@ -211,7 +211,7 @@ func TestWindowACLBitmaskProperty(t *testing.T) {
 }
 
 func TestRangeContainsPageGranularity(t *testing.T) {
-	r := Range{Addr: vm.Addr(vm.PageSize + 100), Size: 10}
+	r := vm.Extent{Addr: vm.Addr(vm.PageSize + 100), Size: 10}
 	if !r.Contains(vm.Addr(vm.PageSize)) {
 		t.Error("range does not cover the start of its own page")
 	}

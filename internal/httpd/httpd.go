@@ -144,7 +144,7 @@ type Server struct {
 	vfs   *vfscore.Client
 	time  *uktime.Client
 	plat  *plat.Client
-	alloc ualloc.Allocator
+	alloc *ualloc.Client
 
 	lwipID, vfsID, ramfsID, platID cubicle.ID
 
@@ -198,10 +198,10 @@ func (s *Server) Conns() int { return len(s.conns) }
 // request, truncated to the connection's I/O buffer if oversized.
 func (s *Server) SetMetricsSource(fn func() []byte) { s.metricsSource = fn }
 
-// SetDeps wires the server's clients and allocator strategy, plus the
+// SetDeps wires the server's clients, ALLOC's included, plus the
 // cubicle IDs it opens windows for.
 func (s *Server) SetDeps(lw *lwip.Client, vfs *vfscore.Client, tm *uktime.Client,
-	pl *plat.Client, alloc ualloc.Allocator, lwipID, vfsID, ramfsID, platID cubicle.ID) {
+	pl *plat.Client, alloc *ualloc.Client, lwipID, vfsID, ramfsID, platID cubicle.ID) {
 	s.lwip, s.vfs, s.time, s.plat, s.alloc = lw, vfs, tm, pl, alloc
 	s.lwipID, s.vfsID, s.ramfsID, s.platID = lwipID, vfsID, ramfsID, platID
 }
@@ -213,7 +213,7 @@ func (s *Server) initServer(e *cubicle.Env) uint64 {
 	}
 	s.vfs.InitBuffers(e, s.ramfsID)
 	s.logBuf = s.alloc.Malloc(e, logBufSize)
-	s.alloc.Share(e, s.logBuf, logBufSize, s.platID)
+	s.alloc.Share(e, s.logBuf, s.platID)
 	s.lfd = s.lwip.Socket(e)
 	if errno := s.lwip.Bind(e, s.lfd, s.port); errno != lwip.EOK {
 		return errno
@@ -232,11 +232,11 @@ func (s *Server) newConn(e *cubicle.Env, fd uint64) *conn {
 	c := &conn{fd: fd, status: 200}
 	c.reqBuf = s.alloc.Malloc(e, reqBufSize)
 	if cf := cubicle.CatchContained(func() {
-		s.alloc.Share(e, c.reqBuf, reqBufSize, s.lwipID)
+		s.alloc.Share(e, c.reqBuf, s.lwipID)
 		c.ioBuf = s.alloc.Malloc(e, ioBufSize)
-		s.alloc.Share(e, c.ioBuf, ioBufSize, s.lwipID)
-		s.alloc.Share(e, c.ioBuf, ioBufSize, s.vfsID)
-		s.alloc.Share(e, c.ioBuf, ioBufSize, s.ramfsID)
+		s.alloc.Share(e, c.ioBuf, s.lwipID)
+		s.alloc.Share(e, c.ioBuf, s.vfsID)
+		s.alloc.Share(e, c.ioBuf, s.ramfsID)
 	}); cf != nil {
 		cubicle.CatchContained(func() {
 			s.alloc.Free(e, c.reqBuf)
@@ -368,7 +368,7 @@ func (s *Server) step(e *cubicle.Env) uint64 {
 func (s *Server) shed(e *cubicle.Env, fd uint64, status uint64, reason string) {
 	if s.shedBuf == 0 {
 		s.shedBuf = s.alloc.Malloc(e, shedBufSize)
-		s.alloc.Share(e, s.shedBuf, shedBufSize, s.lwipID)
+		s.alloc.Share(e, s.shedBuf, s.lwipID)
 	}
 	text := "429 Too Many Requests"
 	if status == 503 {
@@ -750,8 +750,8 @@ func (s *Server) Provision(e *cubicle.Env, path string, data []byte) uint64 {
 	}
 	defer s.vfs.Close(e, fd)
 	buf := s.alloc.Malloc(e, ioBufSize)
-	s.alloc.Share(e, buf, ioBufSize, s.vfsID)
-	s.alloc.Share(e, buf, ioBufSize, s.ramfsID)
+	s.alloc.Share(e, buf, s.vfsID)
+	s.alloc.Share(e, buf, s.ramfsID)
 	defer s.alloc.Free(e, buf)
 	for off := 0; off < len(data); off += ioBufSize {
 		end := off + ioBufSize
@@ -793,10 +793,9 @@ func (s *Server) Snapshot(sc *cubicle.SnapCtx) ([]byte, error) {
 }
 
 // Restore rebuilds the server from a Snapshot blob. The buffer addresses
-// stay valid because either they live in the server's own restored heap
-// (Local allocator) or in ALLOC's arena, which survives this cubicle's
-// restart (Remote allocator); the listening socket likewise persists in
-// LWIP's table across an NGINX-only restart.
+// stay valid because they live in ALLOC's arena, which survives this
+// cubicle's restart; the listening socket likewise persists in LWIP's
+// table across an NGINX-only restart.
 func (s *Server) Restore(sc *cubicle.SnapCtx, blob []byte) error {
 	if len(blob) != 1+7*8 {
 		return fmt.Errorf("httpd: snapshot blob is %d bytes, want %d", len(blob), 1+7*8)

@@ -14,6 +14,7 @@ import (
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/netdev"
+	"cubicleos/internal/snapshot"
 	"cubicleos/internal/ualloc"
 	"cubicleos/internal/vm"
 )
@@ -133,24 +134,11 @@ func (r *ring) write(e *cubicle.Env, src vm.Addr, n uint64) uint64 {
 	return n
 }
 
-// read copies up to n bytes from the ring into dst; returns bytes moved.
+// read copies up to n bytes from the ring into dst and consumes them;
+// returns bytes moved.
 func (r *ring) read(e *cubicle.Env, dst vm.Addr, n uint64) uint64 {
-	if n > r.len {
-		n = r.len
-	}
-	if n == 0 {
-		return 0
-	}
-	first := r.cap - r.start
-	if first > n {
-		first = n
-	}
-	e.Memcpy(dst, r.buf.Add(r.start), first)
-	if n > first {
-		e.Memcpy(dst.Add(first), r.buf, n-first)
-	}
-	r.start = (r.start + n) % r.cap
-	r.len -= n
+	n = r.peek(e, dst, n)
+	r.consume(n)
 	return n
 }
 
@@ -227,7 +215,7 @@ type Module struct {
 	order []*sock
 
 	nd    *netdev.Client
-	alloc ualloc.Allocator
+	alloc *ualloc.Client
 
 	netdevID cubicle.ID
 	stage    vm.Addr // frame staging buffer, shared with NETDEV
@@ -262,9 +250,9 @@ func New() *Module {
 	}
 }
 
-// SetDeps wires the NETDEV client and allocator strategy, plus the NETDEV
+// SetDeps wires the NETDEV and ALLOC clients, plus the NETDEV
 // cubicle ID for frame-buffer window sharing.
-func (l *Module) SetDeps(nd *netdev.Client, alloc ualloc.Allocator, netdevID cubicle.ID) {
+func (l *Module) SetDeps(nd *netdev.Client, alloc *ualloc.Client, netdevID cubicle.ID) {
 	l.nd = nd
 	l.alloc = alloc
 	l.netdevID = netdevID
@@ -278,7 +266,7 @@ func (l *Module) ensureInit(e *cubicle.Env) {
 		return
 	}
 	l.stage = l.alloc.Malloc(e, 2*vm.PageSize)
-	l.alloc.Share(e, l.stage, 2*vm.PageSize, l.netdevID)
+	l.alloc.Share(e, l.stage, l.netdevID)
 }
 
 func (l *Module) newSock(e *cubicle.Env) *sock {
@@ -568,50 +556,26 @@ func (l *Module) Snapshot(sc *cubicle.SnapCtx) ([]byte, error) {
 
 // Restore rebuilds the stack's socket table from a Snapshot blob. The
 // listener and connection maps are reconstructed from the per-socket
-// port state, so only the socket list travels in the image.
+// port state, so only the socket list travels in the image. A malformed
+// blob fails with a *snapshot.DecodeError and changes nothing.
 func (l *Module) Restore(sc *cubicle.SnapCtx, blob []byte) error {
-	off := 0
-	bad := false
-	u64 := func() uint64 {
-		if bad || len(blob)-off < 8 {
-			bad = true
-			return 0
-		}
-		v := binary.LittleEndian.Uint64(blob[off:])
-		off += 8
-		return v
-	}
-	u32 := func() uint32 {
-		if bad || len(blob)-off < 4 {
-			bad = true
-			return 0
-		}
-		v := binary.LittleEndian.Uint32(blob[off:])
-		off += 4
-		return v
-	}
-	nextFD := u64()
-	stage := vm.Addr(u64())
-	segTx, segRx, backp, reaped := u64(), u64(), u64(), u64()
-	count := u32()
-	if bad || count > 1<<20 {
-		return fmt.Errorf("lwip: corrupt snapshot blob")
-	}
-	socks := make(map[uint64]*sock, count)
+	r := snapshot.NewReader(blob)
+	nextFD := r.U64()
+	stage := vm.Addr(r.U64())
+	segTx, segRx, backp, reaped := r.U64(), r.U64(), r.U64(), r.U64()
+	count := r.Count(1<<20, "socket")
+	socks := make(map[uint64]*sock, min(count, 1024))
 	listeners := make(map[uint16]*sock)
 	conns := make(map[connKey]*sock)
 	var order []*sock
-	for i := uint32(0); i < count; i++ {
-		s := &sock{fd: u64(), state: int(u32()),
-			localPort: uint16(u32()), remotePort: uint16(u32())}
-		s.rx = ring{buf: vm.Addr(u64()), cap: u64()}
-		s.tx = ring{buf: vm.Addr(u64()), cap: u64()}
-		s.sndNxt, s.sndUna, s.rcvNxt, s.peerWnd = u32(), u32(), u32(), u32()
-		s.backlog = int(u32())
-		s.finRcvd = u32()&1 != 0
-		if bad {
-			return fmt.Errorf("lwip: truncated snapshot blob")
-		}
+	for i := uint32(0); i < count && r.Err() == nil; i++ {
+		s := &sock{fd: r.U64(), state: int(r.U32()),
+			localPort: uint16(r.U32()), remotePort: uint16(r.U32())}
+		s.rx = ring{buf: vm.Addr(r.U64()), cap: r.U64()}
+		s.tx = ring{buf: vm.Addr(r.U64()), cap: r.U64()}
+		s.sndNxt, s.sndUna, s.rcvNxt, s.peerWnd = r.U32(), r.U32(), r.U32(), r.U32()
+		s.backlog = int(r.U32())
+		s.finRcvd = r.U32()&1 != 0
 		socks[s.fd] = s
 		order = append(order, s)
 		if s.state == stListen {
@@ -621,8 +585,8 @@ func (l *Module) Restore(sc *cubicle.SnapCtx, blob []byte) error {
 			conns[connKey{local: s.localPort, remote: s.remotePort}] = s
 		}
 	}
-	if off != len(blob) {
-		return fmt.Errorf("lwip: trailing bytes in snapshot blob")
+	if err := r.Done(); err != nil {
+		return err
 	}
 	l.socks, l.listeners, l.conns, l.order = socks, listeners, conns, order
 	l.nextFD = nextFD

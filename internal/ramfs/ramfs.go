@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/snapshot"
 	"cubicleos/internal/ualloc"
 	"cubicleos/internal/ulibc"
 	"cubicleos/internal/vfscore"
@@ -22,6 +23,10 @@ import (
 
 // Name of the component in deployments.
 const Name = "RAMFS"
+
+// maxCount bounds each count a Snapshot blob carries (inodes, an inode's
+// pages or children): a blob claiming more is corrupt.
+const maxCount = 1 << 20
 
 // DefaultOpWork models the ramfs path length per operation.
 const DefaultOpWork = 100
@@ -460,104 +465,58 @@ func (fs *Module) Snapshot(sc *cubicle.SnapCtx) ([]byte, error) {
 	return b, nil
 }
 
-// snapReader is a bounds-checked little-endian cursor over a Restore blob.
-type snapReader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.bad || n < 0 || len(r.b)-r.off < n {
-		r.bad = true
-		return nil
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v
-}
-func (r *snapReader) u8() uint8 {
-	v := r.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-func (r *snapReader) u32() uint32 {
-	v := r.take(4)
-	if v == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(v)
-}
-func (r *snapReader) u64() uint64 {
-	v := r.take(8)
-	if v == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(v)
-}
-
 // Restore rebuilds the file-system tree from a Snapshot blob and writes
-// every file's content back to its recorded page addresses. An unmapped
+// every file's content back to its recorded page addresses. A malformed
+// blob fails with a *snapshot.DecodeError and changes nothing. An unmapped
 // page address (the owning allocator was itself restarted, or the page
 // was reclaimed) fails the restore, and the supervisor falls back to the
 // cold rebuild.
 func (fs *Module) Restore(sc *cubicle.SnapCtx, blob []byte) error {
-	r := &snapReader{b: blob}
-	next := r.u64()
-	opCount := r.u64()
-	count := r.u32()
-	if count > 1<<20 {
-		return fmt.Errorf("ramfs: implausible inode count %d", count)
-	}
-	inodes := make(map[uint64]*inode, count)
+	r := snapshot.NewReader(blob)
+	next := r.U64()
+	opCount := r.U64()
+	count := r.Count(maxCount, "inode")
+	inodes := make(map[uint64]*inode, min(count, 1024))
 	type writeback struct {
 		addr vm.Addr
 		data []byte
 	}
 	var wbs []writeback
-	for i := uint32(0); i < count && !r.bad; i++ {
-		n := &inode{ino: r.u64(), dir: r.u8() == 1, size: r.u64()}
-		npages := r.u32()
-		if npages > 1<<20 {
-			return fmt.Errorf("ramfs: implausible page count %d", npages)
+	for i := uint32(0); i < count && r.Err() == nil; i++ {
+		n := &inode{ino: r.U64(), dir: r.U8() == 1, size: r.U64()}
+		npages := r.Count(maxCount, "page")
+		for j := uint32(0); j < npages && r.Err() == nil; j++ {
+			n.pages = append(n.pages, vm.Addr(r.U64()))
 		}
-		for j := uint32(0); j < npages; j++ {
-			n.pages = append(n.pages, vm.Addr(r.u64()))
-		}
-		nchildren := r.u32()
-		if nchildren > 1<<20 {
-			return fmt.Errorf("ramfs: implausible child count %d", nchildren)
-		}
+		nchildren := r.Count(maxCount, "child")
 		if n.dir || nchildren > 0 {
-			n.children = make(map[string]uint64, nchildren)
+			n.children = make(map[string]uint64, min(nchildren, 1024))
 		}
-		for j := uint32(0); j < nchildren; j++ {
-			nameLen := r.u32()
-			name := string(r.take(int(nameLen)))
-			n.children[name] = r.u64()
+		for j := uint32(0); j < nchildren && r.Err() == nil; j++ {
+			name := string(r.Take(int(r.Count(snapshot.MaxName, "name"))))
+			n.children[name] = r.U64()
 		}
-		for off := uint64(0); off < n.size && !r.bad; {
+		for off := uint64(0); off < n.size && r.Err() == nil; {
 			pi := off / vm.PageSize
 			chunk := vm.PageSize - off%vm.PageSize
 			if chunk > n.size-off {
 				chunk = n.size - off
 			}
 			if pi >= uint64(len(n.pages)) {
-				return fmt.Errorf("ramfs: inode %d content exceeds its pages", n.ino)
+				r.Fail(fmt.Sprintf("inode %d content exceeds its pages", n.ino))
+				break
 			}
-			data := r.take(int(chunk))
+			data := r.Take(int(chunk))
 			wbs = append(wbs, writeback{addr: n.pages[pi].Add(off % vm.PageSize), data: data})
 			off += chunk
 		}
 		inodes[n.ino] = n
 	}
-	if r.bad || r.off != len(blob) {
-		return fmt.Errorf("ramfs: corrupt snapshot blob (off %d of %d)", r.off, len(blob))
+	if err := r.Done(); err != nil {
+		return err
 	}
 	if inodes[1] == nil || !inodes[1].dir {
-		return fmt.Errorf("ramfs: snapshot has no root directory")
+		return r.Fail("no root directory")
 	}
 	// Parse-then-commit: simulated memory is only touched once the whole
 	// blob validated, so a corrupt snapshot cannot half-apply.

@@ -2,13 +2,16 @@ package siege
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/faultinject"
+	"cubicleos/internal/lwip"
 	"cubicleos/internal/ramfs"
+	"cubicleos/internal/snapshot"
 	"cubicleos/internal/trace"
 )
 
@@ -344,4 +347,107 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Logf("cores=%d: %d events bit-identical up to cycle %d (full run: %d events)",
 			cores, len(replayed), until, len(full))
 	}
+}
+
+// idleLwipTarget boots a supervised, checkpointing target serving /f.bin
+// and runs one fetch whose first crossing sweeps while LWIP holds only its
+// listener, so LWIP has a checkpoint.
+func idleLwipTarget(t *testing.T, want []byte) *Target {
+	t.Helper()
+	pol := cubicle.DefaultRestartPolicy()
+	tgt, err := NewTargetOpts(Options{Mode: cubicle.ModeFull, Supervision: &pol, CheckpointInterval: 300_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tgt.PutFile("/f.bin", want); err != nil {
+		t.Fatal(err)
+	}
+	tgt.Sys.M.Clock.Charge(300_000)
+	if _, err := tgt.Fetch("/f.bin"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tgt.Sys.M.LastCheckpoint(tgt.Sys.Cubs[lwip.Name].ID); !ok {
+		t.Fatal("no LWIP checkpoint at an idle point")
+	}
+	return tgt
+}
+
+// TestWarmRestartRestoresLwip kills LWIP after it took a checkpoint: the
+// supervisor restarts it warm from that checkpoint, and the restored
+// listener serves the file again.
+func TestWarmRestartRestoresLwip(t *testing.T) {
+	want := pattern(16 << 10)
+	tgt := idleLwipTarget(t, want)
+	m := tgt.Sys.M
+	if !tgt.Sys.Sup.Kill(lwip.Name, nil) {
+		t.Fatal("Kill(LWIP) refused")
+	}
+	m.Clock.Charge(cubicle.DefaultRestartPolicy().BackoffMax)
+	res, err := tgt.Fetch("/f.bin")
+	if err != nil {
+		t.Fatalf("fetch after the restart: %v", err)
+	}
+	if res.Status != 200 || !bytes.Equal(res.Body, want) {
+		t.Fatalf("fetch after the restart: status %d, %d bytes; want 200 and the file's %d", res.Status, len(res.Body), len(want))
+	}
+	if m.Stats.WarmRestarts < 1 || m.Stats.ColdRestarts != 0 {
+		t.Errorf("Warm=%d Cold=%d, want LWIP restarted warm", m.Stats.WarmRestarts, m.Stats.ColdRestarts)
+	}
+}
+
+// TestCorruptBlobsFailRestore: a truncated blob, or one whose count is
+// past its limit, fails RAMFS's and LWIP's Restore with a
+// *snapshot.DecodeError and leaves the module as it was.
+func TestCorruptBlobsFailRestore(t *testing.T) {
+	tgt, err := NewTargetOpts(Options{Mode: cubicle.ModeFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Empty files: Snapshot then reads no simulated memory, and needs no
+	// SnapCtx.
+	for _, path := range []string{"/a", "/b"} {
+		if err := tgt.PutFile(path, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := tgt.Sys.Ramfs
+	mods := []struct {
+		name    string
+		snap    func(*cubicle.SnapCtx) ([]byte, error)
+		restore func(*cubicle.SnapCtx, []byte) error
+		counts  map[int]uint32 // offset of a u32 count -> its limit (the root inode's pages, children, first name)
+	}{
+		{"RAMFS", fs.Snapshot, fs.Restore, map[int]uint32{16: 1 << 20, 37: 1 << 20, 41: 1 << 20, 45: snapshot.MaxName}},
+		{"LWIP", tgt.Sys.Lwip.Snapshot, tgt.Sys.Lwip.Restore, map[int]uint32{48: 1 << 20}},
+	}
+	for _, mod := range mods {
+		blob := mustSnap(t, mod.snap)
+		var bad [][]byte
+		for n := 0; n < len(blob); n++ {
+			bad = append(bad, blob[:n])
+		}
+		for off, limit := range mod.counts {
+			b := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint32(b[off:], limit+1)
+			bad = append(bad, b)
+		}
+		for _, b := range bad {
+			var de *snapshot.DecodeError
+			if err := mod.restore(nil, b); !errors.As(err, &de) {
+				t.Fatalf("%s: Restore of a %d-byte corrupt blob = %v, want a *snapshot.DecodeError", mod.name, len(b), err)
+			}
+			if after := mustSnap(t, mod.snap); !bytes.Equal(after, blob) {
+				t.Fatalf("%s: a failed Restore of %d bytes changed the module", mod.name, len(b))
+			}
+		}
+	}
+}
+
+func mustSnap(t *testing.T, snap func(*cubicle.SnapCtx) ([]byte, error)) []byte {
+	t.Helper()
+	b, err := snap(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

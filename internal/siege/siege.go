@@ -145,7 +145,6 @@ func NewTargetOpts(o Options) (*Target, error) {
 		Mode:               o.Mode,
 		Net:                true,
 		RamfsViaAlloc:      true,
-		LwipViaAlloc:       true,
 		Extra:              []*cubicle.Component{srv.Component()},
 		TraceEvents:        o.TraceEvents,
 		TraceSamplePeriod:  o.TraceSamplePeriod,
@@ -174,7 +173,7 @@ func NewTargetOpts(o Options) (*Target, error) {
 		vfscore.NewClient(m, ngx),
 		uktime.NewClient(m, ngx),
 		plat.NewClient(m, ngx),
-		&ualloc.Remote{C: ualloc.NewClient(m, ngx)},
+		ualloc.NewClient(m, ngx),
 		sys.Cubs[lwip.Name].ID,
 		sys.Cubs[vfscore.Name].ID,
 		sys.Cubs[ramfs.Name].ID,

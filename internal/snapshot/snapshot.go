@@ -52,18 +52,12 @@ type PageImage struct {
 	Data [vm.PageSize]byte
 }
 
-// Extent is an (address, size) pair: a free-list block or an allocation.
-type Extent struct {
-	Addr uint64
-	Size uint64
-}
-
 // HeapImage is the sub-allocator's bookkeeping: the sorted free list, the
 // live allocation sizes (sorted by address), and the arena/live byte
 // counters the quota accounting derives from.
 type HeapImage struct {
-	Free       []Extent
-	Sizes      []Extent
+	Free       []vm.Extent
+	Sizes      []vm.Extent
 	ArenaBytes uint64
 	LiveBytes  uint64
 }
@@ -73,7 +67,7 @@ type HeapImage struct {
 // set) and unpinned, so only the identity and ranges need recording.
 type WindowImage struct {
 	WID    uint32
-	Ranges []Extent
+	Ranges []vm.Extent
 }
 
 // ComponentImage is one component's opaque state blob, produced by its
@@ -166,34 +160,34 @@ func encodedSize(img *Image) int {
 // Decode parses and validates an image. It never panics on malformed
 // input; any structural violation returns a *DecodeError.
 func Decode(b []byte) (*Image, error) {
-	d := &decoder{b: b}
-	if string(d.take(len(Magic))) != Magic {
-		return nil, d.fail("bad magic")
+	d := NewReader(b)
+	if string(d.Take(len(Magic))) != Magic {
+		return nil, d.Fail("bad magic")
 	}
-	if v := d.u16(); v != Version {
+	if v := d.U16(); v != Version {
 		return nil, d.failf("unsupported version %d", v)
 	}
 	img := &Image{}
-	img.Cubicle = d.u32()
-	img.Cycle = d.u64()
-	img.Journal = d.u64()
+	img.Cubicle = d.U32()
+	img.Cycle = d.U64()
+	img.Journal = d.U64()
 
-	np := d.count(MaxPages, "pages")
+	np := d.Count(MaxPages, "pages")
 	img.Pages = make([]PageImage, 0, min(int(np), 4096))
 	var lastPN uint64
 	for i := uint32(0); i < np && d.err == nil; i++ {
 		var p PageImage
-		p.PN = d.u64()
-		meta := d.take(3)
+		p.PN = d.U64()
+		meta := d.Take(3)
 		if d.err == nil {
 			p.Key, p.Perm, p.Type = meta[0], meta[1], meta[2]
 		}
-		data := d.take(vm.PageSize)
+		data := d.Take(vm.PageSize)
 		if d.err == nil {
 			copy(p.Data[:], data)
 		}
 		if i > 0 && d.err == nil && p.PN <= lastPN {
-			return nil, d.fail("pages out of order")
+			return nil, d.Fail("pages out of order")
 		}
 		lastPN = p.PN
 		img.Pages = append(img.Pages, p)
@@ -201,114 +195,142 @@ func Decode(b []byte) (*Image, error) {
 
 	img.Heap.Free = d.extents("heap free list")
 	img.Heap.Sizes = d.extents("heap size table")
-	img.Heap.ArenaBytes = d.u64()
-	img.Heap.LiveBytes = d.u64()
+	img.Heap.ArenaBytes = d.U64()
+	img.Heap.LiveBytes = d.U64()
 
-	nw := d.count(MaxWindows, "windows")
+	nw := d.Count(MaxWindows, "windows")
 	img.Windows = make([]WindowImage, 0, min(int(nw), 64))
 	for i := uint32(0); i < nw && d.err == nil; i++ {
 		var w WindowImage
-		w.WID = d.u32()
+		w.WID = d.U32()
 		w.Ranges = d.extents("window ranges")
 		img.Windows = append(img.Windows, w)
 	}
 
-	nc := d.count(MaxComponents, "components")
+	nc := d.Count(MaxComponents, "components")
 	img.Comps = make([]ComponentImage, 0, min(int(nc), 16))
 	for i := uint32(0); i < nc && d.err == nil; i++ {
 		var c ComponentImage
-		nn := d.count(MaxName, "component name")
-		c.Name = string(d.take(int(nn)))
-		nd := d.count(MaxBlob, "component blob")
-		c.Data = append([]byte(nil), d.take(int(nd))...)
+		nn := d.Count(MaxName, "component name")
+		c.Name = string(d.Take(int(nn)))
+		nd := d.Count(MaxBlob, "component blob")
+		c.Data = append([]byte(nil), d.Take(int(nd))...)
 		img.Comps = append(img.Comps, c)
 	}
 
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, d.fail("trailing bytes")
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return img, nil
 }
 
-// decoder is a cursor over the image bytes; the first structural violation
-// latches err and turns every further read into a no-op.
-type decoder struct {
+// Reader is a bounds-checked little-endian cursor over an image or a
+// component's blob. The first structural violation latches a *DecodeError
+// and turns every further read into a no-op returning zero, so a decoder
+// reads a whole record and checks Err once.
+type Reader struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (d *decoder) fail(reason string) error {
-	if d.err == nil {
-		d.err = &DecodeError{Off: d.off, Reason: reason}
+// NewReader returns a Reader at the start of b.
+func NewReader(b []byte) *Reader { return &Reader{b: b} }
+
+// Err returns the latched error, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Fail latches a *DecodeError at the current offset, unless one is
+// latched already, and returns the latched error.
+func (r *Reader) Fail(reason string) error {
+	if r.err == nil {
+		r.err = &DecodeError{Off: r.off, Reason: reason}
 	}
-	return d.err
+	return r.err
 }
 
-func (d *decoder) failf(format string, args ...any) error {
-	return d.fail(fmt.Sprintf(format, args...))
+func (r *Reader) failf(format string, args ...any) error {
+	return r.Fail(fmt.Sprintf(format, args...))
 }
 
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
+// Done returns the latched error, or one for bytes left unread.
+func (r *Reader) Done() error {
+	if r.err == nil && r.off != len(r.b) {
+		r.Fail("trailing bytes")
+	}
+	return r.err
+}
+
+// Take returns the next n bytes, a view of the input.
+func (r *Reader) Take(n int) []byte {
+	if r.err != nil {
 		return nil
 	}
-	if n < 0 || d.off+n > len(d.b) || d.off+n < d.off {
-		d.fail("truncated")
+	if n < 0 || r.off+n > len(r.b) || r.off+n < r.off {
+		r.Fail("truncated")
 		return nil
 	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
+	v := r.b[r.off : r.off+n]
+	r.off += n
 	return v
 }
 
-func (d *decoder) u16() uint16 {
-	v := d.take(2)
+// U8 reads a byte.
+func (r *Reader) U8() uint8 {
+	v := r.Take(1)
+	if v == nil {
+		return 0
+	}
+	return v[0]
+}
+
+// U16 reads a little-endian uint16.
+func (r *Reader) U16() uint16 {
+	v := r.Take(2)
 	if v == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint16(v)
 }
 
-func (d *decoder) u32() uint32 {
-	v := d.take(4)
+// U32 reads a little-endian uint32.
+func (r *Reader) U32() uint32 {
+	v := r.Take(4)
 	if v == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(v)
 }
 
-func (d *decoder) u64() uint64 {
-	v := d.take(8)
+// U64 reads a little-endian uint64.
+func (r *Reader) U64() uint64 {
+	v := r.Take(8)
 	if v == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(v)
 }
 
-// count reads a u32 element count and rejects values past the hard limit
-// before any slice is sized from it.
-func (d *decoder) count(limit uint32, what string) uint32 {
-	n := d.u32()
-	if d.err == nil && n > limit {
-		d.failf("%s count %d exceeds limit %d", what, n, limit)
+// Count reads a u32 element count and rejects values past limit before
+// any slice is sized from it.
+func (r *Reader) Count(limit uint32, what string) uint32 {
+	n := r.U32()
+	if r.err == nil && n > limit {
+		r.failf("%s count %d exceeds limit %d", what, n, limit)
 		return 0
 	}
 	return n
 }
 
 // extents reads a length-prefixed extent list, validating address order.
-func (d *decoder) extents(what string) []Extent {
-	n := d.count(MaxExtents, what)
-	out := make([]Extent, 0, min(int(n), 64))
-	var last uint64
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		e := Extent{Addr: d.u64(), Size: d.u64()}
-		if i > 0 && d.err == nil && e.Addr <= last {
-			d.failf("%s out of order", what)
+func (r *Reader) extents(what string) []vm.Extent {
+	n := r.Count(MaxExtents, what)
+	out := make([]vm.Extent, 0, min(int(n), 64))
+	var last vm.Addr
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		e := vm.Extent{Addr: vm.Addr(r.U64()), Size: r.U64()}
+		if i > 0 && r.err == nil && e.Addr <= last {
+			r.failf("%s out of order", what)
 			return nil
 		}
 		last = e.Addr
@@ -321,18 +343,11 @@ func le16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b
 func le32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func le64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
-func extents(b []byte, es []Extent) []byte {
+func extents(b []byte, es []vm.Extent) []byte {
 	b = le32(b, uint32(len(es)))
 	for _, e := range es {
-		b = le64(b, e.Addr)
+		b = le64(b, uint64(e.Addr))
 		b = le64(b, e.Size)
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
 	}
 	return b
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"cubicleos/internal/vm"
 )
 
 // sample builds a representative image exercising every record type.
@@ -13,13 +15,13 @@ func sample() *Image {
 		Cycle:   123_456_789,
 		Journal: 0,
 		Heap: HeapImage{
-			Free:       []Extent{{Addr: 0x1000, Size: 0x2000}, {Addr: 0x8000, Size: 0x1000}},
-			Sizes:      []Extent{{Addr: 0x3000, Size: 64}, {Addr: 0x3040, Size: 4096}},
+			Free:       []vm.Extent{{Addr: 0x1000, Size: 0x2000}, {Addr: 0x8000, Size: 0x1000}},
+			Sizes:      []vm.Extent{{Addr: 0x3000, Size: 64}, {Addr: 0x3040, Size: 4096}},
 			ArenaBytes: 64 * 4096,
 			LiveBytes:  4160,
 		},
 		Windows: []WindowImage{
-			{WID: 1, Ranges: []Extent{{Addr: 0x3000, Size: 4096}}},
+			{WID: 1, Ranges: []vm.Extent{{Addr: 0x3000, Size: 4096}}},
 			{WID: 3, Ranges: nil},
 		},
 		Comps: []ComponentImage{
@@ -98,17 +100,17 @@ func norm(img *Image) *Image {
 		c.Pages = []PageImage{}
 	}
 	if c.Heap.Free == nil {
-		c.Heap.Free = []Extent{}
+		c.Heap.Free = []vm.Extent{}
 	}
 	if c.Heap.Sizes == nil {
-		c.Heap.Sizes = []Extent{}
+		c.Heap.Sizes = []vm.Extent{}
 	}
 	if c.Windows == nil {
 		c.Windows = []WindowImage{}
 	}
 	for i := range c.Windows {
 		if c.Windows[i].Ranges == nil {
-			c.Windows[i].Ranges = []Extent{}
+			c.Windows[i].Ranges = []vm.Extent{}
 		}
 	}
 	if c.Comps == nil {

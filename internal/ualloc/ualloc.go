@@ -23,29 +23,18 @@ import (
 // Name of the component in deployments.
 const Name = "ALLOC"
 
-// arenaBytes is the granularity at which ALLOC grows a client's arena.
-const arenaBytes = 64 * vm.PageSize
-
 // mallocWork models the allocator's own bookkeeping cost per operation.
 const mallocWork = 60
 
-type block struct {
-	addr vm.Addr
-	size uint64
-}
-
 // clientState is ALLOC's per-client bookkeeping: the client's arenas are
 // covered by one window opened for that client only, so distinct clients
-// never share pages.
+// never share pages. Arenas are never returned to the monitor, so the free
+// list's Arena is also the client's high-water mark.
 type clientState struct {
 	window cubicle.WID
 	opened bool
-	free   []block
-	sizes  map[vm.Addr]uint64
 	shares map[vm.Addr]*shareState
-	// arena is the client's arena footprint in bytes. Arenas are never
-	// returned to the monitor, so this is also its high-water mark.
-	arena uint64
+	vm.FreeList
 }
 
 type shareState struct {
@@ -69,7 +58,6 @@ func (a *Module) client(e *cubicle.Env, id cubicle.ID) *clientState {
 	if !ok {
 		cs = &clientState{
 			window: e.WindowInit(),
-			sizes:  make(map[vm.Addr]uint64),
 			shares: make(map[vm.Addr]*shareState),
 		}
 		a.clients[id] = cs
@@ -77,80 +65,37 @@ func (a *Module) client(e *cubicle.Env, id cubicle.ID) *clientState {
 	return cs
 }
 
-// insertFree adds a block to the client free list with coalescing.
-func (cs *clientState) insertFree(b block) {
-	i := 0
-	for i < len(cs.free) && cs.free[i].addr < b.addr {
-		i++
-	}
-	cs.free = append(cs.free, block{})
-	copy(cs.free[i+1:], cs.free[i:])
-	cs.free[i] = b
-	if i+1 < len(cs.free) && cs.free[i].addr.Add(cs.free[i].size) == cs.free[i+1].addr {
-		cs.free[i].size += cs.free[i+1].size
-		cs.free = append(cs.free[:i+1], cs.free[i+2:]...)
-	}
-	if i > 0 && cs.free[i-1].addr.Add(cs.free[i-1].size) == cs.free[i].addr {
-		cs.free[i-1].size += cs.free[i].size
-		cs.free = append(cs.free[:i], cs.free[i+1:]...)
-	}
-}
-
 // malloc allocates size bytes for the calling cubicle.
 func (a *Module) malloc(e *cubicle.Env, size uint64) vm.Addr {
 	e.Work(mallocWork)
-	if size == 0 {
-		size = 1
-	}
 	caller := e.Caller()
 	cs := a.client(e, caller)
-	align := uint64(16)
-	if size >= vm.PageSize {
-		align = vm.PageSize
-	}
-	size = (size + 15) &^ 15
-	for pass := 0; pass < 2; pass++ {
-		for i := range cs.free {
-			b := cs.free[i]
-			start := (uint64(b.addr) + align - 1) &^ (align - 1)
-			pad := start - uint64(b.addr)
-			if b.size < pad+size {
-				continue
-			}
-			cs.free = append(cs.free[:i], cs.free[i+1:]...)
-			if pad > 0 {
-				cs.insertFree(block{addr: b.addr, size: pad})
-			}
-			if rem := b.size - pad - size; rem > 0 {
-				cs.insertFree(block{addr: vm.Addr(start + size), size: rem})
-			}
-			cs.sizes[vm.Addr(start)] = size
-			return vm.Addr(start)
-		}
+	addr, ok := cs.Take(size)
+	if !ok {
 		// Grow: a fresh page-aligned arena owned by ALLOC, added to the
 		// client's window and opened for it.
-		grow := arenaBytes
-		if size+vm.PageSize > uint64(grow) {
-			grow = int((size + 2*vm.PageSize - 1) &^ (vm.PageSize - 1))
-		}
-		arena := e.HeapAlloc(uint64(grow))
-		e.WindowAdd(cs.window, arena, uint64(grow))
+		grow := uint64(vm.GrowPages(size)) * vm.PageSize
+		arena := e.HeapAlloc(grow)
+		e.WindowAdd(cs.window, arena, grow)
 		if !cs.opened {
 			e.WindowOpen(cs.window, caller)
 			cs.opened = true
 		}
-		cs.arena += uint64(grow)
-		cs.insertFree(block{addr: arena, size: uint64(grow)})
+		cs.Insert(arena, grow)
+		addr, ok = cs.Take(size)
 	}
-	panic(&cubicle.APIError{Cubicle: caller, Op: "alloc_malloc",
-		Reason: fmt.Sprintf("arena growth failed to satisfy %d bytes", size)})
+	if !ok {
+		panic(&cubicle.APIError{Cubicle: caller, Op: "alloc_malloc",
+			Reason: fmt.Sprintf("arena growth failed to satisfy %d bytes", size)})
+	}
+	return addr
 }
 
 // TotalArenaBytes returns the arena footprint across all clients.
 func (a *Module) TotalArenaBytes() uint64 {
 	var n uint64
 	for _, cs := range a.clients {
-		n += cs.arena
+		n += cs.Arena
 	}
 	return n
 }
@@ -160,8 +105,7 @@ func (a *Module) freeAlloc(e *cubicle.Env, addr vm.Addr) {
 	e.Work(mallocWork)
 	caller := e.Caller()
 	cs := a.client(e, caller)
-	size, ok := cs.sizes[addr]
-	if !ok {
+	if !cs.Release(addr) {
 		panic(&cubicle.APIError{Cubicle: caller, Op: "alloc_free",
 			Reason: fmt.Sprintf("free of unallocated address %#x", uint64(addr))})
 	}
@@ -170,8 +114,6 @@ func (a *Module) freeAlloc(e *cubicle.Env, addr vm.Addr) {
 		e.WindowDestroy(sh.wid)
 		delete(cs.shares, addr)
 	}
-	delete(cs.sizes, addr)
-	cs.insertFree(block{addr: addr, size: size})
 }
 
 // share opens the allocation at addr for an additional cubicle cid via a
@@ -180,7 +122,7 @@ func (a *Module) freeAlloc(e *cubicle.Env, addr vm.Addr) {
 func (a *Module) share(e *cubicle.Env, addr vm.Addr, cid cubicle.ID) {
 	caller := e.Caller()
 	cs := a.client(e, caller)
-	size, ok := cs.sizes[addr]
+	size, ok := cs.Sizes[addr]
 	if !ok {
 		panic(&cubicle.APIError{Cubicle: caller, Op: "alloc_share",
 			Reason: fmt.Sprintf("share of unallocated address %#x", uint64(addr))})
@@ -278,90 +220,26 @@ func (c *Client) Share(e *cubicle.Env, addr vm.Addr, cid cubicle.ID) {
 	c.share.Call(e, uint64(addr), uint64(cid))
 }
 
-// Unshare revokes a Share.
+// Unshare revokes a Share. Like Palloc, no run calls it; it stays with
+// its handle, part of the component ABI.
 func (c *Client) Unshare(e *cubicle.Env, addr vm.Addr, cid cubicle.ID) {
 	c.unshare.Call(e, uint64(addr), uint64(cid))
 }
 
-// Allocator abstracts where a component gets its memory: its own cubicle
-// sub-allocator (the SQLite deployment) or the ALLOC component (the NGINX
-// deployment). Share/Unshare are no-ops for local memory because the
-// component owns it and manages windows itself.
+// Allocator abstracts where RAMFS gets its file pages: its own cubicle
+// sub-allocator (Local, the SQLite deployment) or the ALLOC component (a
+// *Client, the NGINX deployment).
 type Allocator interface {
 	Malloc(e *cubicle.Env, size uint64) vm.Addr
 	Free(e *cubicle.Env, addr vm.Addr)
-	// Owned reports whether the component itself owns the memory (and
-	// can therefore window it directly).
-	Owned() bool
-	// Share makes [addr,addr+size) accessible to cid, however the
-	// underlying ownership requires.
-	Share(e *cubicle.Env, addr vm.Addr, size uint64, cid cubicle.ID)
-	// Unshare revokes a Share.
-	Unshare(e *cubicle.Env, addr vm.Addr, cid cubicle.ID)
 }
 
-// Local allocates from the calling cubicle's own sub-allocator and
-// windows memory directly. Windows created by Share are tracked so
-// Unshare can close them.
-type Local struct {
-	wids map[vm.Addr]cubicle.WID
-}
-
-// NewLocal returns a Local allocator.
-func NewLocal() *Local { return &Local{wids: make(map[vm.Addr]cubicle.WID)} }
+// Local allocates from the calling cubicle's own sub-allocator: the
+// cubicle owns the memory and windows it itself.
+type Local struct{}
 
 // Malloc allocates from the cubicle's own heap.
-func (l *Local) Malloc(e *cubicle.Env, size uint64) vm.Addr { return e.HeapAlloc(size) }
+func (Local) Malloc(e *cubicle.Env, size uint64) vm.Addr { return e.HeapAlloc(size) }
 
 // Free releases a local allocation.
-func (l *Local) Free(e *cubicle.Env, addr vm.Addr) {
-	if wid, ok := l.wids[addr]; ok {
-		e.WindowCloseAll(wid)
-		e.WindowDestroy(wid)
-		delete(l.wids, addr)
-	}
-	e.HeapFree(addr)
-}
-
-// Owned reports true: the cubicle owns its local heap.
-func (l *Local) Owned() bool { return true }
-
-// Share opens a window onto the local allocation for cid.
-func (l *Local) Share(e *cubicle.Env, addr vm.Addr, size uint64, cid cubicle.ID) {
-	wid, ok := l.wids[addr]
-	if !ok {
-		wid = e.WindowInit()
-		e.WindowAdd(wid, addr, size)
-		l.wids[addr] = wid
-	}
-	e.WindowOpen(wid, cid)
-}
-
-// Unshare closes the window for cid.
-func (l *Local) Unshare(e *cubicle.Env, addr vm.Addr, cid cubicle.ID) {
-	if wid, ok := l.wids[addr]; ok {
-		e.WindowClose(wid, cid)
-	}
-}
-
-// Remote allocates through the ALLOC component.
-type Remote struct{ C *Client }
-
-// Malloc allocates via ALLOC.
-func (r *Remote) Malloc(e *cubicle.Env, size uint64) vm.Addr { return r.C.Malloc(e, size) }
-
-// Free releases via ALLOC.
-func (r *Remote) Free(e *cubicle.Env, addr vm.Addr) { r.C.Free(e, addr) }
-
-// Owned reports false: ALLOC owns the memory.
-func (r *Remote) Owned() bool { return false }
-
-// Share asks ALLOC to open the allocation for cid.
-func (r *Remote) Share(e *cubicle.Env, addr vm.Addr, size uint64, cid cubicle.ID) {
-	r.C.Share(e, addr, cid)
-}
-
-// Unshare asks ALLOC to revoke the share.
-func (r *Remote) Unshare(e *cubicle.Env, addr vm.Addr, cid cubicle.ID) {
-	r.C.Unshare(e, addr, cid)
-}
+func (Local) Free(e *cubicle.Env, addr vm.Addr) { e.HeapFree(addr) }

@@ -158,17 +158,22 @@ func TestPalloc(t *testing.T) {
 	}
 }
 
+// TestLocalAllocatorShare: a Local allocation is the caller's own heap
+// memory, so the caller shares it through a window of its own.
 func TestLocalAllocatorShare(t *testing.T) {
 	s := bootWithApps(t, "A", "B")
-	local := ualloc.NewLocal()
+	var local ualloc.Local
 	var buf vm.Addr
+	var wid cubicle.WID
 	if err := s.RunAs("A", func(e *cubicle.Env) {
 		buf = local.Malloc(e, vm.PageSize)
 		e.Memset(buf, 0x42, vm.PageSize)
-		if !local.Owned() {
-			t.Error("local allocator not owned")
+		if owner := s.M.AS.Page(buf).Owner; owner != int(s.Cubs["A"].ID) {
+			t.Errorf("local page owned by %d, want A", owner)
 		}
-		local.Share(e, buf, vm.PageSize, s.Cubs["B"].ID)
+		wid = e.WindowInit()
+		e.WindowAdd(wid, buf, vm.PageSize)
+		e.WindowOpen(wid, s.Cubs["B"].ID)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -180,21 +185,16 @@ func TestLocalAllocatorShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := s.RunAs("A", func(e *cubicle.Env) {
-		local.Unshare(e, buf, s.Cubs["B"].ID)
+		e.WindowDestroy(wid)
+		local.Free(e, buf)
 		_ = e.LoadByte(buf)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RunAs("B", func(e *cubicle.Env) {
 		if fault := cubicle.Catch(func() { e.LoadByte(buf) }); fault == nil {
-			t.Error("B reads local buffer after unshare")
+			t.Error("B reads local buffer after its window was destroyed")
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Free closes and destroys the window.
-	if err := s.RunAs("A", func(e *cubicle.Env) {
-		local.Free(e, buf)
 	}); err != nil {
 		t.Fatal(err)
 	}

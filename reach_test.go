@@ -32,6 +32,7 @@ var reachAllowed = map[string]string{
 	"internal/plat.Client.Halt":         "component ABI",
 	"internal/plat.Module.Halted":       "component ABI: what PLAT's halt export records",
 	"internal/ualloc.Client.Palloc":     "component ABI",
+	"internal/ualloc.Client.Unshare":    "component ABI",
 	"internal/ulibc.Client.Memcmp":      "component ABI",
 	"internal/vfscore.Client.Lseek":     "component ABI",
 	"internal/vfscore.Client.FTruncate": "component ABI",

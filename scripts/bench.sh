@@ -16,10 +16,10 @@
 #       "ratio" metric is the drift-immune tracing-overhead measurement
 #   CrossCubicleCall/*, CrossingArgsRets  one crossing per isolation mode,
 #       and the crossing real callers make (3 words in, 2 out); their
-#       allocs/op is the exact gate of the crossing ABI. The bare modes run
-#       the trusted fast path (crossFast); CrossCubicleCall/supervised is
-#       the same body with a supervisor and a checkpoint cadence attached
-#       (crossFull) — the crossing prod_openloop and cluster_failover make
+#       allocs/op is the exact gate of the crossing ABI. Every mode runs
+#       the one crossing body; CrossCubicleCall/supervised attaches a
+#       supervisor and a checkpoint cadence to it — the crossing
+#       prod_openloop and cluster_failover make
 #   IdleStep/conns-{1,16,64}  one nginx_step with nothing to do on a
 #       production-configured target holding N idle keep-alive connections:
 #       the first step of a cluster quantum on a backend with nothing to
@@ -171,75 +171,67 @@ if [ "$MODE" = assert ]; then
         printf "bench.sh: assert ok: tracing %.3fx <= %.2fx\n", r, max
     }' || exit 1
 
-    # Crossing allocation gate: argument words ride the thread's word
-    # stack and result words its scratch, so a crossing allocates nothing
-    # in any isolation mode. A count, not a time: gated exactly.
-    awk '
-    /^Benchmark(CrossCubicleCall|CrossingArgsRets)/ {
-        for (i = 3; i + 1 <= NF; i += 2) if ($(i + 1) == "allocs/op") {
-            n++
-            if ($i != 0) { printf "bench.sh: assert: %s allocates %s objects/op, want 0\n", $1, $i; bad = 1 }
+    # The exact gates: counts of fixed work, immune to host noise. A gate
+    # line names a group, the measurements it needs and what it prints when
+    # they are missing and when every bound holds (%d: how many held); a
+    # bound line gives a group's benchmarks, the metric and its bound
+    # ("=N": exactly N).
+    #   crossing: argument words ride the thread's word stack and result
+    #     words its scratch, so a crossing allocates nothing in any mode.
+    #   rowpath: a scan decodes each row into its bind's reused slice and
+    #     Exec's parser reuses its token buffer and node chunks, so neither
+    #     count grows with the rows visited or the statements parsed before.
+    #   boot: a boot allocates what differs between boots (cubicles,
+    #     trampolines, signatures, page-table entries); the images, their
+    #     frames and the guard pages are the process's.
+    #   pass: evicted frames are reused under the pin rule, rows are read in
+    #     place, what a statement allocates for itself lives in arenas the DB
+    #     reuses, pre-images live in the journal once it holds them
+    #     (DESIGN.md §16); it moves by kilobytes between runs, not megabytes.
+    awk -F';' '
+    FNR == NR {
+        if ($1 == "gate") { order[++ng] = $2; need[$2] = $3; missing[$2] = $4; green[$2] = $5 }
+        else { nb++; grp[nb] = $1; re[nb] = $2; metric[nb] = $3; bound[nb] = $4 }
+        next
+    }
+    /^Benchmark/ {
+        nf = split($0, f, /[ \t]+/)
+        for (b = 1; b <= nb; b++) {
+            if (f[1] !~ re[b]) continue
+            exact = bound[b] ~ /^=/
+            max = exact ? substr(bound[b], 2) + 0 : bound[b] + 0
+            for (i = 3; i + 1 <= nf; i += 2) {
+                if (f[i + 1] != metric[b]) continue
+                n[grp[b]]++
+                if (exact ? f[i] + 0 != max : f[i] + 0 > max) {
+                    unit = metric[b] == "allocs/op" ? "objects/op" : metric[b]
+                    printf "bench.sh: assert: %s allocates %s %s, want %s%s\n", f[1], f[i], unit, exact ? "" : "at most ", max
+                    failed[grp[b]] = 1
+                }
+            }
         }
     }
     END {
-        if (n < 6) { print "bench.sh: assert: crossing allocation measurements missing"; exit 1 }
-        if (bad) exit 1
-        printf "bench.sh: assert ok: %d crossing benches at 0 allocs/op\n", n
-    }' "$TMP" || exit 1
-
-    # Row-path allocation gate: a scan decodes each row into its bind's
-    # reused slice and Exec's parser reuses its token buffer and node
-    # chunks, so neither count grows with the rows visited or the statements
-    # parsed before. Counts, gated exactly.
-    awk '
-    /^Benchmark(FilteredScan|ParseInsert)/ {
-        max = ($1 ~ /FilteredScan/) ? 11 : 0
-        for (i = 3; i + 1 <= NF; i += 2) if ($(i + 1) == "allocs/op") {
-            n++
-            if ($i > max) { printf "bench.sh: assert: %s allocates %s objects/op, want at most %s\n", $1, $i, max; bad = 1 }
+        for (k = 1; k <= ng; k++) {
+            g = order[k]
+            if (n[g] < need[g]) { printf "bench.sh: assert: %s\n", missing[g]; bad = 1 }
+            else if (failed[g]) bad = 1
+            else printf "bench.sh: assert ok: " green[g] "\n", n[g]
         }
-    }
-    END {
-        if (n < 2) { print "bench.sh: assert: row-path allocation measurements missing"; exit 1 }
-        if (bad) exit 1
-        print "bench.sh: assert ok: FilteredScan <= 11 and ParseInsert <= 0 allocs/op"
-    }' "$TMP" || exit 1
-
-    # Boot garbage gate: what a boot allocates is what differs between
-    # boots (cubicles, trampolines, signatures, page-table entries); the
-    # images, their frames and the guard pages are the process's. Counts
-    # of a fixed boot, stable to the byte.
-    awk '
-    /^BenchmarkTable2Boot/ {
-        for (i = 3; i + 1 <= NF; i += 2) {
-            if ($(i + 1) == "B/op") { n++; if ($i > 66255) { printf "bench.sh: assert: %s allocates %s B/op, want at most 66255\n", $1, $i; bad = 1 } }
-            if ($(i + 1) == "allocs/op") { n++; if ($i > 565) { printf "bench.sh: assert: %s allocates %s objects/op, want at most 565\n", $1, $i; bad = 1 } }
-        }
-    }
-    END {
-        if (n < 2) { print "bench.sh: assert: Table2Boot measurement missing"; exit 1 }
-        if (bad) exit 1
-        print "bench.sh: assert ok: Table2Boot <= 66255 B/op and <= 565 allocs/op"
-    }' "$TMP" || exit 1
-
-    # Pass garbage gate: evicted frames are reused under the pin rule, rows
-    # are read in place and what a statement allocates for itself, its
-    # Result included, lives in arenas the DB reuses, pre-images live in
-    # the journal once it holds them (DESIGN.md §16). A byte count of a
-    # fixed workload: it moves by kilobytes between runs, not megabytes.
-    awk '
-    /^Benchmark(SpeedtestPass|SpeedtestQueries)/ {
-        max = ($1 ~ /SpeedtestPass/) ? 9449000 : 3039000
-        for (i = 3; i + 1 <= NF; i += 2) if ($(i + 1) == "B/op") {
-            n++
-            if ($i > max) { printf "bench.sh: assert: %s allocates %s B/op, want at most %s\n", $1, $i, max; bad = 1 }
-        }
-    }
-    END {
-        if (n < 2) { print "bench.sh: assert: SpeedtestPass or SpeedtestQueries measurement missing"; exit 1 }
-        if (bad) exit 1
-        print "bench.sh: assert ok: SpeedtestPass <= 9449000 and SpeedtestQueries <= 3039000 B/op"
-    }' "$TMP" || exit 1
+        exit bad
+    }' - "$TMP" <<'EOF' || exit 1
+gate;crossing;6;crossing allocation measurements missing;%d crossing benches at 0 allocs/op
+crossing;^Benchmark(CrossCubicleCall|CrossingArgsRets);allocs/op;=0
+gate;rowpath;2;row-path allocation measurements missing;FilteredScan <= 11 and ParseInsert <= 0 allocs/op
+rowpath;^BenchmarkFilteredScan;allocs/op;11
+rowpath;^BenchmarkParseInsert;allocs/op;0
+gate;boot;2;Table2Boot measurement missing;Table2Boot <= 66255 B/op and <= 565 allocs/op
+boot;^BenchmarkTable2Boot;B/op;66255
+boot;^BenchmarkTable2Boot;allocs/op;565
+gate;pass;2;SpeedtestPass or SpeedtestQueries measurement missing;SpeedtestPass <= 9449000 and SpeedtestQueries <= 3039000 B/op
+pass;^BenchmarkSpeedtestPass;B/op;9449000
+pass;^BenchmarkSpeedtestQueries;B/op;3039000
+EOF
     exit 0
 fi
 

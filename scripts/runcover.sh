@@ -9,9 +9,9 @@
 set -euo pipefail
 
 floors="boot=74 cluster=70 cubicle=70 cycles=95 dash=91 experiments=84
-    faultinject=57 httpd=69 isa=88 lwip=78 mpk=55 netdev=77 plat=77 ramfs=71
-    siege=88 snapshot=65 speedtest=78 sqldb=80 trace=83 ualloc=75 ukernel=90
-    uktime=90 ulibc=14 urandom=21 vfscore=55 vm=74"
+    faultinject=57 httpd=69 isa=88 lwip=81 mpk=55 netdev=77 plat=77 ramfs=71
+    siege=88 snapshot=66 speedtest=78 sqldb=80 trace=83 ualloc=77 ukernel=90
+    uktime=90 ulibc=14 urandom=21 vfscore=55 vm=79"
 
 cd "$(dirname "$0")/.."
 . scripts/runlib.sh
