@@ -387,7 +387,7 @@ func BenchmarkCrossCubicleCall(b *testing.B) {
 // reaped — with 32 files of 4 KiB in its RAMFS.
 const productionCheckpointInterval = 5_000_000
 
-func productionTarget(b *testing.B) *siege.Target {
+func productionTarget(b testing.TB) *siege.Target {
 	b.Helper()
 	policy := cubicleos.DefaultRestartPolicy()
 	tgt, err := siege.NewTargetOpts(siege.Options{Mode: cubicleos.ModeFull, Supervision: &policy,
@@ -452,13 +452,19 @@ func BenchmarkIdleStep(b *testing.B) {
 }
 
 // BenchmarkCheckpointSweep measures one checkpoint sweep of a provisioned,
-// idle target: the clock is pushed past the cadence threshold, and the
-// nginx_step that follows (connectionless: see BenchmarkIdleStep for what
-// a step costs by itself) captures every checkpointable cubicle.
+// idle target in steady state: the clock is pushed past the cadence
+// threshold, and the nginx_step that follows (connectionless: see
+// BenchmarkIdleStep for what a step costs by itself) captures every
+// checkpointable cubicle. Two sweeps before the timer grow the image, the
+// hooks' blobs and both encode buffers of each record to their size, so a
+// timed sweep allocates nothing (TestCheckpointSweepAllocatesNothing).
 func BenchmarkCheckpointSweep(b *testing.B) {
 	tgt := productionTarget(b)
 	m := tgt.Sys.M
-	tgt.Step()
+	for i := 0; i < 2; i++ {
+		m.Clock.Charge(productionCheckpointInterval)
+		tgt.Step()
+	}
 	sweeps, bytes := m.Stats.Checkpoints, m.Stats.CheckpointBytes
 	b.ReportAllocs()
 	b.ResetTimer()

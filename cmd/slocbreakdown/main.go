@@ -21,7 +21,7 @@ var groups = []struct {
 	desc string
 	dirs []string
 }{
-	{"Monitor/runtime", "cubicles, windows, trampolines, loader, builder", []string{"internal/cubicle"}},
+	{"Monitor/runtime", "cubicles, windows, trampolines, loader, builder, free lists", []string{"internal/cubicle", "internal/spare"}},
 	{"Hardware model", "simulated memory, MPK, object code, cost model", []string{"internal/vm", "internal/mpk", "internal/isa", "internal/cycles"}},
 	{"Unikraft components", "VFS, RAMFS, LWIP, NETDEV, ALLOC, TIME, PLAT, libc", []string{
 		"internal/vfscore", "internal/ramfs", "internal/lwip", "internal/netdev",

@@ -40,9 +40,11 @@ func checkConservation(t *testing.T, st *Stats) {
 var raceBuild bool
 
 // TestClusterAllocationCounts pins the objects one cluster arrival
-// allocates on the keep-alive path (flight, leg, request, response, and
-// the backend's share of checkpoints), the run's own state amortised over
-// 256 arrivals: 12.3 measured, 13 allowed. It was 19.3 while each VFS call
+// allocates on the keep-alive path (flight, leg, request and response),
+// the run's own state amortised over 256 arrivals: 5.12 measured, 6
+// allowed. It was 12.3 while the backends' connections, sockets, windows,
+// shares, open files and checkpoint images were allocated afresh (the
+// checkpoint share of it included), 19.3 while each VFS call
 // boxed its argument words on the heap, 27.4 while httpd split
 // the request head into strings and built the response head and the log
 // line with Sprintf, and 32.3 while KAConn.Request and KAConn.Next did the
@@ -64,8 +66,8 @@ func TestClusterAllocationCounts(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
-	if got := float64(after.Mallocs-before.Mallocs) / arrivals; got > 13 {
-		t.Errorf("a cluster arrival allocates %.2f objects, more than 13", got)
+	if got := float64(after.Mallocs-before.Mallocs) / arrivals; got > 6 {
+		t.Errorf("a cluster arrival allocates %.2f objects, more than 6", got)
 	} else {
 		t.Logf("cluster arrival: %.2f allocations", got)
 	}

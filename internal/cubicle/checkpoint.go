@@ -1,9 +1,9 @@
 package cubicle
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"cubicleos/internal/cycles"
 	"cubicleos/internal/snapshot"
@@ -38,6 +38,9 @@ type snapHook struct {
 	name    string
 	snap    func(*SnapCtx) ([]byte, error)
 	restore func(*SnapCtx, []byte) error
+	// buf is the blob snap returned at the last capture: dead once that
+	// capture encoded it, and lent to the next one (SnapCtx.Buf).
+	buf []byte
 }
 
 // checkpointRecord is the monitor's last good checkpoint of one cubicle.
@@ -45,6 +48,11 @@ type checkpointRecord struct {
 	img   []byte // encoded snapshot.Image
 	cycle uint64 // virtual time of capture
 	pages uint64 // heap pages captured
+	// spare is the buffer the next capture encodes into: the image img
+	// replaced. A capture that succeeds swaps the two, so a vetoed one
+	// never touches img, and nothing a restore rebuilt points into either
+	// (snapshot.Decode copies what it returns).
+	spare []byte
 }
 
 // SnapCtx is the capability handed to component Snapshot/Restore hooks:
@@ -57,6 +65,20 @@ type SnapCtx struct {
 	m *Monitor
 	// Cubicle is the cubicle being checkpointed or restored.
 	Cubicle ID
+	buf     []byte
+}
+
+// Buf returns an empty buffer for a Snapshot hook to build its blob in:
+// the one the hook's blob came back in at the cubicle's last capture,
+// which that capture encoded and so no longer needs. The blob a hook
+// returns belongs to the monitor: the hook keeps no reference to it. A nil
+// context, which a hook called outside a capture may be given, lends
+// nothing.
+func (sc *SnapCtx) Buf() []byte {
+	if sc == nil {
+		return nil
+	}
+	return sc.buf[:0]
 }
 
 // AppendMem appends n bytes of simulated memory at addr to b and returns
@@ -174,21 +196,30 @@ func (m *Monitor) quiescent(c *Cubicle) bool {
 // as the last good checkpoint. The capture cost — a bulk copy of the image
 // through the monitor — is charged to the calling thread's clock at the
 // checked-memcpy rate, so checkpoint cadence shows up honestly in the
-// virtual-time figures.
+// virtual-time figures. A capture builds the monitor's one image, hands
+// each hook the buffer of its last blob and encodes into the record's
+// spare buffer, so once those have grown to the cubicle's size a capture
+// allocates nothing.
 func (m *Monitor) checkpointOne(c *Cubicle, now uint64) {
 	if !m.quiescent(c) {
 		return
 	}
-	img := &snapshot.Image{Cubicle: uint32(c.ID), Cycle: now}
+	img := &m.ckptImg
+	img.Reset(uint32(c.ID), now)
 
 	// Component blobs first: a Snapshot error vetoes the round before any
 	// page copying is paid for.
-	sc := &SnapCtx{m: m, Cubicle: c.ID}
-	for _, h := range m.snapHooks[c.ID] {
+	sc := &m.snapCtx
+	sc.Cubicle = c.ID
+	hooks := m.snapHooks[c.ID]
+	for i := range hooks {
+		h := &hooks[i]
+		sc.buf = h.buf
 		data, err := h.snap(sc)
 		if err != nil {
 			return // veto: keep the previous checkpoint
 		}
+		h.buf = data
 		img.Comps = append(img.Comps, snapshot.ComponentImage{Name: h.name, Data: data})
 	}
 
@@ -205,16 +236,17 @@ func (m *Monitor) checkpointOne(c *Cubicle, now uint64) {
 	}
 
 	// Sub-allocator state: the free list is kept sorted by address; the
-	// live-block table is a map and must be sorted for determinism. The
-	// image shares the free list and window ranges: it is encoded before
-	// anything runs that could change them.
+	// live-block table is a map and must be sorted for determinism
+	// (addresses are unique, so the order is total). The image shares the
+	// free list and window ranges: it is encoded before anything runs that
+	// could change them, and lets go of them once encoded.
 	img.Heap.ArenaBytes = c.heap.Arena
 	img.Heap.LiveBytes = c.heap.Live
 	img.Heap.Free = c.heap.Free
 	for a, n := range c.heap.Sizes {
 		img.Heap.Sizes = append(img.Heap.Sizes, vm.Extent{Addr: a, Size: n})
 	}
-	sort.Slice(img.Heap.Sizes, func(i, j int) bool { return img.Heap.Sizes[i].Addr < img.Heap.Sizes[j].Addr })
+	slices.SortFunc(img.Heap.Sizes, func(a, b vm.Extent) int { return cmp.Compare(a.Addr, b.Addr) })
 
 	// Window descriptors, rebuilt closed on restore (quiescence guarantees
 	// they are closed now). Destroyed slots are skipped; their IDs stay
@@ -226,11 +258,19 @@ func (m *Monitor) checkpointOne(c *Cubicle, now uint64) {
 		img.Windows = append(img.Windows, snapshot.WindowImage{WID: uint32(w.ID), Ranges: w.Ranges})
 	}
 
-	enc := snapshot.Encode(img)
+	ck := m.ckpts[c.ID]
+	if ck == nil {
+		ck = new(checkpointRecord)
+		m.ckpts[c.ID] = ck
+	}
+	enc := snapshot.AppendEncode(ck.spare[:0], img)
+	img.Heap.Free = nil
+	clear(img.Windows)
 	size := uint64(len(enc))
 	cost := (size + 15) / 16 * m.Costs.CopyChunk16
 	m.Clock.Charge(cost)
-	m.ckpts[c.ID] = &checkpointRecord{img: enc, cycle: now, pages: uint64(len(img.Pages))}
+	ck.img, ck.spare = enc, ck.img
+	ck.cycle, ck.pages = now, uint64(len(img.Pages))
 	m.note(trace.EvCheckpoint, nil, c.ID, 0, size, cost, "")
 }
 
@@ -291,7 +331,8 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 		for int(wi.WID) >= len(c.windows) {
 			c.windows = append(c.windows, nil)
 		}
-		w := &Window{ID: WID(wi.WID), Owner: c.ID, Class: classNone, Ranges: wi.Ranges, pinned: noPin}
+		w := m.newWindow(WID(wi.WID), c.ID)
+		w.Ranges = append(w.Ranges, wi.Ranges...)
 		for _, e := range wi.Ranges {
 			if p := m.AS.Page(e.Addr); p != nil && w.Class == classNone {
 				w.Class = classOf(p.Type)
@@ -305,7 +346,8 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 
 	// Component Go-side state last, when pages and allocator are live so
 	// Restore hooks can touch simulated memory through the SnapCtx.
-	sc := &SnapCtx{m: m, Cubicle: c.ID}
+	sc := &m.snapCtx
+	sc.Cubicle = c.ID
 	blobs := make(map[string][]byte, len(img.Comps))
 	for _, ci := range img.Comps {
 		blobs[ci.Name] = ci.Data

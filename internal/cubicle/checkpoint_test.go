@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"strings"
 	"testing"
@@ -413,7 +414,7 @@ func TestCheckpointImageUnchanged(t *testing.T) {
 			t.Fatalf("%s: image holds %d pages, want at least %d", when, len(img.Pages), wantPages)
 		}
 		img.Pages = walkHeapPages(w.m, svc.ID)
-		if !bytes.Equal(snapshot.Encode(img), rec.img) {
+		if !bytes.Equal(snapshot.AppendEncode(nil, img), rec.img) {
 			t.Errorf("%s: the image differs from the one built by the walk", when)
 		}
 	}
@@ -508,5 +509,48 @@ func TestTrampolineCubiclePointersSurviveRestart(t *testing.T) {
 	w.enter(t, "APP", func(e *Env) { ret = fromApp.Call(e) })
 	if ret[0] != 9 {
 		t.Errorf("svc_get through the old handle = %d, want the checkpointed 9", ret[0])
+	}
+}
+
+// TestVetoedCaptureKeepsLastGoodImage: a capture encodes into the record's
+// spare buffer and swaps it in, so the two buffers alternate; a capture a
+// Snapshot hook vetoes touches neither. The last good image keeps its
+// bytes (its CRC-32) through vetoed sweeps whichever buffer holds it, and
+// the warm restart that follows rebuilds the state it captured.
+func TestVetoedCaptureKeepsLastGoodImage(t *testing.T) {
+	w := bootCkpt(t, ckptTestInterval)
+	svc := w.cubs["SVC"]
+	sweep := func() {
+		t.Helper()
+		w.m.Clock.Charge(ckptTestInterval)
+		if _, cf := w.call(t, "svc_get"); cf != nil {
+			t.Fatal(cf)
+		}
+	}
+	for _, v := range []uint64{41, 42, 43} { // each buffer holds the image once, one of them twice
+		if _, cf := w.call(t, "svc_set", v); cf != nil {
+			t.Fatal(cf)
+		}
+		sweep()
+	}
+	rec := w.m.ckpts[svc.ID]
+	good, cycle := crc32.ChecksumIEEE(rec.img), rec.cycle
+	w.vetoSnap = true
+	for _, v := range []uint64{44, 45, 46} {
+		if _, cf := w.call(t, "svc_set", v); cf != nil {
+			t.Fatal(cf)
+		}
+		sweep()
+		if got := crc32.ChecksumIEEE(rec.img); got != good || rec.cycle != cycle {
+			t.Fatalf("a vetoed capture changed the last good image: CRC %08x at cycle %d, want %08x at %d", got, rec.cycle, good, cycle)
+		}
+	}
+	w.faultAndExpire(t)
+	ret, cf := w.call(t, "svc_get")
+	if cf != nil {
+		t.Fatal(cf)
+	}
+	if ret[0] != 43 || ret[1] != 43 {
+		t.Errorf("restored state = counter %d, heap byte %d; want 43/43 (the last good image)", ret[0], ret[1])
 	}
 }

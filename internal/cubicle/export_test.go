@@ -30,3 +30,10 @@ func (e *Env) AllocaPage(n uint64) vm.Addr {
 	raw := e.T.alloca(uint64(vm.PagesFor(n))*vm.PageSize + vm.PageSize - 16)
 	return vm.Addr((uint64(raw) + vm.PageSize - 1) &^ (vm.PageSize - 1))
 }
+
+// WindowOf returns window wid of cubicle c, nil for a destroyed one.
+func (m *Monitor) WindowOf(c ID, wid WID) *Window { return m.cubicle(c).windows[wid] }
+
+// FreshWindow is the descriptor newWindow gives when no destroyed one
+// waits on the free list.
+func FreshWindow(wid WID, owner ID) *Window { return new(Monitor).newWindow(wid, owner) }

@@ -130,7 +130,7 @@ func TestCheckpointOfUnwrittenPages(t *testing.T) {
 	if unwritten == 0 {
 		t.Fatal("the checkpoint holds no unwritten heap page")
 	}
-	if !bytes.Equal(snapshot.Encode(img), rec.img) {
+	if !bytes.Equal(snapshot.AppendEncode(nil, img), rec.img) {
 		t.Error("unwritten pages did not encode as all-zero pages")
 	}
 

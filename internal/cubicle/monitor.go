@@ -5,6 +5,8 @@ import (
 
 	"cubicleos/internal/cycles"
 	"cubicleos/internal/mpk"
+	"cubicleos/internal/snapshot"
+	"cubicleos/internal/spare"
 	"cubicleos/internal/trace"
 	"cubicleos/internal/vm"
 )
@@ -63,10 +65,14 @@ type Monitor struct {
 	snapHooks map[ID][]snapHook
 	// ckptInterval, when non-zero, is the virtual-clock checkpoint cadence
 	// (EnableCheckpoints); ckptNext is the next threshold; ckpts holds the
-	// last good encoded checkpoint per cubicle.
+	// last good encoded checkpoint per cubicle. ckptImg is the image every
+	// capture builds before encoding it and snapCtx the context every hook
+	// is handed: one of each, reused (checkpoint.go).
 	ckptInterval uint64
 	ckptNext     uint64
 	ckpts        map[ID]*checkpointRecord
+	ckptImg      snapshot.Image
+	snapCtx      SnapCtx
 	// memQuota caps the page bytes MapOwned will grant per cubicle
 	// (absent = unlimited); memUsed tracks the bytes currently granted.
 	memQuota map[ID]uint64
@@ -88,6 +94,9 @@ type Monitor struct {
 	threads     []*Thread
 	// pinned lists windows carrying a window-specific tag (§8 extension).
 	pinned []*Window
+	// spareWindows holds destroyed window descriptors for windowInit to
+	// reuse (newWindow).
+	spareWindows spare.List[Window]
 
 	// Physical-key allocation. With at most 14 isolated cubicles the
 	// assignment is static; beyond that the monitor virtualises keys in
@@ -116,6 +125,7 @@ func NewMonitor(mode Mode, costs cycles.Costs) *Monitor {
 		memQuota:     make(map[ID]uint64),
 		memUsed:      make(map[ID]uint64),
 	}
+	m.snapCtx.m = m
 	m.bindCounters()
 	for i := range m.keyHolder {
 		m.keyHolder[i] = -1

@@ -214,16 +214,7 @@ func (s *Supervisor) destroyWindow(cub *Cubicle, w *Window) {
 	if w.pinned != noPin {
 		s.m.stripPin(nil, w)
 	}
-	if w.Class != classNone {
-		lst := cub.search[w.Class]
-		for i, idx := range lst {
-			if idx == int(w.ID) {
-				cub.search[w.Class] = append(lst[:i], lst[i+1:]...)
-				break
-			}
-		}
-	}
-	cub.windows[w.ID] = nil
+	s.m.dropWindow(cub, w)
 }
 
 // quarantine moves an isolated cubicle into the Quarantined state with an

@@ -2,6 +2,7 @@ package cubicle
 
 import (
 	"fmt"
+	"slices"
 
 	"cubicleos/internal/mpk"
 	"cubicleos/internal/trace"
@@ -71,17 +72,37 @@ func (m *Monitor) windowInit(t *Thread, c ID) WID {
 	cub := m.cubicle(c)
 	// Reuse a destroyed slot if one exists; otherwise the cubicle asks
 	// the monitor to extend the descriptor array (§5.3).
-	for i, w := range cub.windows {
-		if w == nil {
-			cub.windows[i] = &Window{ID: WID(i), Owner: c, Class: classNone, pinned: noPin}
-			m.chargeWindowOp(t, c, "init", WID(i))
-			return WID(i)
-		}
+	wid := WID(slices.Index(cub.windows, nil))
+	if wid < 0 {
+		wid = WID(len(cub.windows))
+		cub.windows = append(cub.windows, nil)
 	}
-	wid := WID(len(cub.windows))
-	cub.windows = append(cub.windows, &Window{ID: wid, Owner: c, Class: classNone, pinned: noPin})
+	cub.windows[wid] = m.newWindow(wid, c)
 	m.chargeWindowOp(t, c, "init", wid)
 	return wid
+}
+
+// newWindow returns an empty, closed, unpinned descriptor for window wid
+// of cubicle owner: the most recently destroyed one (dropWindow), reset
+// to what a new one holds but for the capacity of its Ranges.
+func (m *Monitor) newWindow(wid WID, owner ID) *Window {
+	w := m.spareWindows.Take()
+	*w = Window{ID: wid, Owner: owner, Class: classNone, Ranges: w.Ranges[:0], pinned: noPin}
+	return w
+}
+
+// dropWindow takes the unpinned window w off its cubicle's descriptor
+// array and search list, leaving its slot nil for windowInit, and retires
+// the descriptor for newWindow.
+func (m *Monitor) dropWindow(cub *Cubicle, w *Window) {
+	if w.Class != classNone {
+		lst := cub.search[w.Class]
+		if i := slices.Index(lst, int(w.ID)); i >= 0 {
+			cub.search[w.Class] = slices.Delete(lst, i, i+1)
+		}
+	}
+	cub.windows[w.ID] = nil
+	m.spareWindows.Put(w)
 }
 
 // window fetches window wid of cubicle c, failing the calling component if
@@ -212,17 +233,7 @@ func (m *Monitor) windowDestroy(t *Thread, c ID, wid WID) {
 	if w.pinned != noPin {
 		m.unpinWindow(t, c, wid)
 	}
-	cub := m.cubicle(c)
-	if w.Class != classNone {
-		lst := cub.search[w.Class]
-		for i, idx := range lst {
-			if idx == int(w.ID) {
-				cub.search[w.Class] = append(lst[:i], lst[i+1:]...)
-				break
-			}
-		}
-	}
-	cub.windows[wid] = nil
+	m.dropWindow(m.cubicle(c), w)
 }
 
 // WindowCount returns the number of live windows owned by cubicle c;

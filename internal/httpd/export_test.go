@@ -37,5 +37,5 @@ func ScanHead(head []byte) (method, path []byte, http11, keepAlive bool) { retur
 
 // LogLine is appendLogLine for a request of the given outcome.
 func LogLine(sec uint64, path string, status int, size uint64) []byte {
-	return appendLogLine(nil, sec, &conn{path: path, status: status, size: size})
+	return appendLogLine(nil, sec, &conn{path: []byte(path), status: status, size: size})
 }

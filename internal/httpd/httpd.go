@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -23,6 +24,7 @@ import (
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/lwip"
 	"cubicleos/internal/plat"
+	"cubicleos/internal/spare"
 	"cubicleos/internal/ualloc"
 	"cubicleos/internal/uktime"
 	"cubicleos/internal/vfscore"
@@ -71,8 +73,8 @@ type conn struct {
 	pending  uint64 // bytes in ioBuf not yet accepted by LWIP
 	pendOff  uint64
 	hdrDone  bool
-	headOnly bool // HEAD request: headers only
-	path     string
+	headOnly bool   // HEAD request: headers only
+	path     []byte // the request's path, copied out of req
 	status   int
 	wrote    uint64 // response bytes accepted by LWIP (headers included)
 	// deadline is the absolute virtual-cycle instant this connection's
@@ -155,11 +157,13 @@ type Server struct {
 	// crossing pays a trap or finds a buffer free, so it has to be the same
 	// on every run. addConn and dropConn are its only writers. order is
 	// step's scratch copy of it.
-	conns   []*conn
-	order   []*conn
-	logBuf  vm.Addr
-	shedBuf vm.Addr
-	gov     Governance
+	conns []*conn
+	order []*conn
+	// spareConns holds dropped connections for newConn to reuse.
+	spareConns spare.List[conn]
+	logBuf     vm.Addr
+	shedBuf    vm.Addr
+	gov        Governance
 	// scratch is where response heads and access-log lines are formatted
 	// before e.Write copies them into simulated memory.
 	scratch []byte
@@ -227,9 +231,10 @@ func (s *Server) initServer(e *cubicle.Env) uint64 {
 
 // newConn sets up per-connection buffers and their windows. If a later
 // allocation faults, the earlier ones are released before the fault
-// re-raises, so a shed connection leaves no arena residue behind.
+// re-raises, so a shed connection leaves no arena residue behind (the
+// connection itself is never listed, and is left to the collector).
 func (s *Server) newConn(e *cubicle.Env, fd uint64) *conn {
-	c := &conn{fd: fd, status: 200}
+	c := s.takeConn(fd)
 	c.reqBuf = s.alloc.Malloc(e, reqBufSize)
 	if cf := cubicle.CatchContained(func() {
 		s.alloc.Share(e, c.reqBuf, s.lwipID)
@@ -246,6 +251,15 @@ func (s *Server) newConn(e *cubicle.Env, fd uint64) *conn {
 		})
 		panic(cf)
 	}
+	return c
+}
+
+// takeConn returns connection fd without buffers: the most recently
+// dropped one, reset to what a new one holds but for the capacity of its
+// request and path buffers, or a new one.
+func (s *Server) takeConn(fd uint64) *conn {
+	c := s.spareConns.Take()
+	*c = conn{fd: fd, status: 200, req: c.req[:0], path: c.path[:0]}
 	return c
 }
 
@@ -276,8 +290,11 @@ func (s *Server) addConn(c *conn) {
 }
 
 // dropConn takes a connection off the list; it is the only place one
-// leaves. Dropping twice is harmless: a close that faulted half way is
-// followed by a bare drop.
+// leaves, and it retires the connection for newConn, which only the
+// accept loop calls, before any connection is advanced: a step that
+// drops a connection walks on past it (closed stays set until newConn
+// resets it). Dropping twice is harmless: a close that faulted half way
+// is followed by a bare drop.
 func (s *Server) dropConn(c *conn) {
 	if c.closed {
 		return
@@ -286,6 +303,7 @@ func (s *Server) dropConn(c *conn) {
 	if i, ok := s.connIndex(c.fd); ok {
 		s.conns = slices.Delete(s.conns, i, i+1)
 	}
+	s.spareConns.Put(c)
 }
 
 // step drives the server: polls the stack, accepts connections, advances
@@ -562,10 +580,16 @@ func (s *Server) parseRequest(e *cubicle.Env, c *conn) {
 	e.TraceMark("http.request.parsed")
 	e.Work(parseWork)
 	// The head is scanned where it lies; only the path outlives the call.
+	// Pipelined bytes past it then move to the front of the buffer.
 	idx := bytes.Index(c.req, headEnd)
-	var method, path []byte
-	method, path, c.http11, c.keepAlive = scanHead(c.req[:idx])
-	c.req = c.req[idx+4:]
+	method, path, http11, keepAlive := scanHead(c.req[:idx])
+	c.http11, c.keepAlive = http11, keepAlive
+	badRequest := len(path) == 0 || (string(method) != "GET" && string(method) != "HEAD")
+	if !badRequest {
+		c.headOnly = string(method) == "HEAD"
+		c.path = append(c.path[:0], path...)
+	}
+	c.req = c.req[:copy(c.req, c.req[idx+4:])]
 	maxReq := s.gov.MaxConnRequests
 	if maxReq == 0 {
 		maxReq = defaultConnRequests
@@ -578,20 +602,18 @@ func (s *Server) parseRequest(e *cubicle.Env, c *conn) {
 		// the first request keeps the one armed at accept.
 		c.deadline = e.Now() + s.gov.RequestDeadline
 	}
-	if len(path) == 0 || (string(method) != "GET" && string(method) != "HEAD") {
+	if badRequest {
 		// Framing past a malformed request is unknowable: answer and close.
 		c.status = 400
 		c.keepAlive = false
 		s.startResponse(e, c, "400 Bad Request", []byte("bad request\n"))
 		return
 	}
-	c.headOnly = string(method) == "HEAD"
-	c.path = string(path)
-	if c.path == "/metrics" && s.metricsSource != nil {
+	if string(c.path) == "/metrics" && s.metricsSource != nil {
 		s.serveMetrics(e, c)
 		return
 	}
-	fd, errno := s.vfs.Open(e, c.path, vfscore.ORdonly)
+	fd, errno := s.vfs.Open(e, string(c.path), vfscore.ORdonly)
 	if errno != vfscore.EOK {
 		c.status = 404
 		s.startResponse(e, c, "404 Not Found", []byte("not found\n"))
@@ -728,7 +750,7 @@ func (s *Server) resetConn(e *cubicle.Env, c *conn) {
 	c.size, c.sent, c.pending, c.pendOff = 0, 0, 0, 0
 	c.hdrDone = false
 	c.headOnly = false
-	c.path = ""
+	c.path = c.path[:0]
 	c.status = 200
 	c.wrote = 0
 	c.deadline = 0
@@ -766,6 +788,10 @@ func (s *Server) Provision(e *cubicle.Env, path string, data []byte) uint64 {
 	return 0
 }
 
+// errConnsInFlight is Snapshot's veto, a sentinel like LWIP's: a busy
+// server meets it at most sweeps.
+var errConnsInFlight = errors.New("httpd: connections in flight")
+
 // Snapshot serializes the server's idle-point state: the listening
 // socket, persistent buffer addresses and the request counters. A server
 // with connections in flight vetoes the round — per-connection buffers,
@@ -773,9 +799,9 @@ func (s *Server) Provision(e *cubicle.Env, path string, data []byte) uint64 {
 // byte image, and HTTP/1.0 connections drain quickly anyway.
 func (s *Server) Snapshot(sc *cubicle.SnapCtx) ([]byte, error) {
 	if len(s.conns) > 0 {
-		return nil, fmt.Errorf("httpd: %d connections in flight", len(s.conns))
+		return nil, errConnsInFlight
 	}
-	b := make([]byte, 0, 1+7*8)
+	b := sc.Buf()
 	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	if s.inited {
 		b = append(b, 1)

@@ -10,11 +10,13 @@ package lwip
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
+	"slices"
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/netdev"
 	"cubicleos/internal/snapshot"
+	"cubicleos/internal/spare"
 	"cubicleos/internal/ualloc"
 	"cubicleos/internal/vm"
 )
@@ -213,6 +215,8 @@ type Module struct {
 	// deterministically (map iteration order would make frame ordering —
 	// and therefore the virtual clock — vary run to run).
 	order []*sock
+	// spareSocks holds reaped sockets for newSock to reuse.
+	spareSocks spare.List[sock]
 
 	nd    *netdev.Client
 	alloc *ualloc.Client
@@ -270,12 +274,21 @@ func (l *Module) ensureInit(e *cubicle.Env) {
 }
 
 func (l *Module) newSock(e *cubicle.Env) *sock {
-	s := &sock{fd: l.nextFD, state: stClosed, peerWnd: 64 << 10}
+	s := l.takeSock(l.nextFD)
 	l.nextFD++
 	s.rx = ring{buf: l.alloc.Malloc(e, l.RecvBufCap), cap: l.RecvBufCap}
 	s.tx = ring{buf: l.alloc.Malloc(e, l.SendBufCap), cap: l.SendBufCap}
 	l.socks[s.fd] = s
 	l.order = append(l.order, s)
+	return s
+}
+
+// takeSock returns a closed socket fd without rings: the most recently
+// reaped one, reset to what a new one holds but for its accept queue's
+// capacity, or a new one.
+func (l *Module) takeSock(fd uint64) *sock {
+	s := l.spareSocks.Take()
+	*s = sock{fd: fd, state: stClosed, peerWnd: 64 << 10, acceptQ: s.acceptQ[:0]}
 	return s
 }
 
@@ -286,13 +299,11 @@ func (l *Module) reap(e *cubicle.Env, s *sock) {
 	l.alloc.Free(e, s.tx.buf)
 	delete(l.socks, s.fd)
 	delete(l.conns, connKey{local: s.localPort, remote: s.remotePort})
-	for i, o := range l.order {
-		if o == s {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
+	if i := slices.Index(l.order, s); i >= 0 {
+		l.order = slices.Delete(l.order, i, i+1)
 	}
 	l.Reaped++
+	l.spareSocks.Put(s)
 }
 
 // sendFrame builds a frame in the staging buffer and hands it to NETDEV.
@@ -509,7 +520,11 @@ func snapIdle(s *sock) bool {
 	return false
 }
 
-// Snapshot serialises the stack for warm recovery, or returns an error
+// errNotIdle is Snapshot's veto. It names no socket: a veto is what
+// most sweeps of a busy stack meet, and the capture only tests it for nil.
+var errNotIdle = errors.New("lwip: a socket is mid-connection")
+
+// Snapshot serialises the stack for warm recovery, or returns errNotIdle
 // when any socket is mid-connection — an in-flight TCP exchange cannot be
 // resumed from a checkpoint, so the round is vetoed and the previous
 // checkpoint stays good. Ring buffer ADDRESSES are recorded (their pages
@@ -518,10 +533,10 @@ func snapIdle(s *sock) bool {
 func (l *Module) Snapshot(sc *cubicle.SnapCtx) ([]byte, error) {
 	for _, s := range l.order {
 		if !snapIdle(s) {
-			return nil, fmt.Errorf("lwip: socket %d not idle (state %d)", s.fd, s.state)
+			return nil, errNotIdle
 		}
 	}
-	var b []byte
+	b := sc.Buf()
 	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
 	u64(l.nextFD)
@@ -654,7 +669,7 @@ func (l *Module) Component() *cubicle.Component {
 					return e.Ret(0, EAGAIN)
 				}
 				fd := s.acceptQ[0]
-				s.acceptQ = s.acceptQ[1:]
+				s.acceptQ = slices.Delete(s.acceptQ, 0, 1) // keeps the backing array
 				return e.Ret(fd, EOK)
 			}},
 			{Name: "lwip_recv", RegArgs: 3, Fn: func(e *cubicle.Env, a []uint64) []uint64 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"cubicleos/internal/netdev"
+	"cubicleos/internal/spare"
 )
 
 // maxPresize caps the receive buffer a response header can make the peer
@@ -35,6 +36,8 @@ type Peer struct {
 	// list it is not a sync.Pool: what a pool keeps depends on when the
 	// collector runs, and allocation counts must repeat.)
 	free [][]byte
+	// spareConns holds recycled connections for Connect to reuse.
+	spareConns spare.List[PeerConn]
 	// BadFrames counts server frames dropped because their header claims
 	// more payload than the frame carries.
 	BadFrames uint64
@@ -56,9 +59,11 @@ type PeerConn struct {
 	srvWnd               uint32
 	recv                 []byte
 	Established, FinRcvd bool
-	// pending holds outbound application data not yet sent to the wire
-	// (respecting the server's advertised receive window).
+	// pending holds outbound application data, pending[sentTo:] of it not
+	// yet sent to the wire (respecting the server's advertised receive
+	// window); it empties once all of it is out, keeping its capacity.
 	pending []byte
+	sentTo  int
 	unacked uint32
 	// ackQueued marks the connection as already on the peer's deferred-ACK
 	// queue; released marks it detached by Release.
@@ -68,11 +73,20 @@ type PeerConn struct {
 // Connect sends a SYN to the given server port and returns the connection
 // (not yet established until Pump processes the SYN-ACK).
 func (p *Peer) Connect(serverPort uint16) *PeerConn {
-	c := &PeerConn{p: p, localPort: p.nextPort, remotePort: serverPort, srvWnd: 64 << 10}
+	c := p.takeConn(p.nextPort, serverPort)
 	p.nextPort++
 	p.conns[c.localPort] = c
 	p.send(c, FlagSYN, nil)
 	c.sndNxt++
+	return c
+}
+
+// takeConn returns an unopened connection from local to remote: the most
+// recently recycled one, reset to what a new one holds but for the
+// capacity of its outbound buffer, or a new one.
+func (p *Peer) takeConn(local, remote uint16) *PeerConn {
+	c := p.spareConns.Take()
+	*c = PeerConn{p: p, localPort: local, remotePort: remote, srvWnd: 64 << 10, pending: c.pending[:0]}
 	return c
 }
 
@@ -257,23 +271,18 @@ func (c *PeerConn) Send(data []byte) {
 }
 
 func (c *PeerConn) flush() {
-	for len(c.pending) > 0 {
+	for c.sentTo < len(c.pending) {
 		wnd := int(c.srvWnd) - int(c.unacked)
 		if wnd <= 0 {
 			return
 		}
-		n := len(c.pending)
-		if n > MSS {
-			n = MSS
-		}
-		if n > wnd {
-			n = wnd
-		}
-		c.p.send(c, FlagACK, c.pending[:n])
+		n := min(len(c.pending)-c.sentTo, MSS, wnd)
+		c.p.send(c, FlagACK, c.pending[c.sentTo:c.sentTo+n])
 		c.sndNxt += uint32(n)
 		c.unacked += uint32(n)
-		c.pending = c.pending[n:]
+		c.sentTo += n
 	}
+	c.pending, c.sentTo = c.pending[:0], 0
 }
 
 // Close sends a FIN.
@@ -296,18 +305,20 @@ func (c *PeerConn) Release() {
 	delete(c.p.conns, c.localPort)
 }
 
-// Recycle is Release plus handing the receive buffer back to the peer for
-// a later connection to fill: Received, and every slice of it, is invalid
-// from here on. Only the code that knows nobody else holds those bytes may
-// call it — the load generator for a response it has already classified
-// and dropped, or for a body whose validity it documented as ended. A
-// connection nobody recycles keeps its buffer.
+// Recycle is Release plus handing the connection and its receive buffer
+// back to the peer for a later Connect to reuse: the connection,
+// Received, and every slice of it, are invalid from here on. Only the
+// code that knows nobody else holds them may call it — the load generator
+// for a response it has already classified and dropped, or for a body
+// whose validity it documented as ended. A connection nobody recycles
+// keeps its buffer, and is never reused.
 func (c *PeerConn) Recycle() {
 	c.Release()
 	if cap(c.recv) > 0 {
 		c.p.free = append(c.p.free, c.recv[:0])
 	}
 	c.recv = nil
+	c.p.spareConns.Put(c)
 }
 
 // Received returns everything received so far.

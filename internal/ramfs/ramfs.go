@@ -8,10 +8,11 @@
 package ramfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/snapshot"
@@ -47,6 +48,10 @@ type Module struct {
 	alloc  ualloc.Allocator
 	libc   *ulibc.Client
 	opWork uint64
+	// path is readPath's scratch; snapInos and snapNames are Snapshot's.
+	path      []byte
+	snapInos  []uint64
+	snapNames []string
 	// OpCount counts backend operations.
 	OpCount uint64
 }
@@ -79,49 +84,52 @@ func (fs *Module) Reset() {
 // SetOpWork overrides the per-operation path cost.
 func (fs *Module) SetOpWork(c uint64) { fs.opWork = c }
 
-// split normalises a path into components.
-func split(path string) []string {
-	parts := strings.Split(path, "/")
-	out := parts[:0]
-	for _, p := range parts {
-		if p != "" && p != "." {
-			out = append(out, p)
+// nextPart splits off path's first component: what precedes its next
+// '/', skipping empty and "." components. ok is false when none is left.
+func nextPart(path []byte) (part, rest []byte, ok bool) {
+	for len(path) > 0 {
+		part, path, _ = bytes.Cut(path, []byte("/"))
+		if len(part) > 0 && string(part) != "." {
+			return part, path, true
 		}
 	}
-	return out
+	return nil, nil, false
 }
 
-// walk resolves path to (parent inode, leaf name, leaf inode or nil).
-func (fs *Module) walk(path string) (*inode, string, *inode, uint64) {
+// walk resolves path to (parent inode, leaf name, leaf inode or nil). The
+// leaf name is a view of path.
+func (fs *Module) walk(path []byte) (*inode, []byte, *inode, uint64) {
 	cur := fs.inodes[1]
-	parts := split(path)
-	if len(parts) == 0 {
-		return nil, "", cur, vfscore.EOK
+	name, rest, ok := nextPart(path)
+	if !ok {
+		return nil, nil, cur, vfscore.EOK
 	}
-	for i, name := range parts {
+	for {
 		if !cur.dir {
-			return nil, "", nil, vfscore.ENOTDIR
+			return nil, nil, nil, vfscore.ENOTDIR
 		}
-		child, ok := cur.children[name]
-		if i == len(parts)-1 {
-			if !ok {
+		child, found := cur.children[string(name)]
+		next, after, more := nextPart(rest)
+		if !more {
+			if !found {
 				return cur, name, nil, vfscore.ENOENT
 			}
 			return cur, name, fs.inodes[child], vfscore.EOK
 		}
-		if !ok {
-			return nil, "", nil, vfscore.ENOENT
+		if !found {
+			return nil, nil, nil, vfscore.ENOENT
 		}
 		cur = fs.inodes[child]
+		name, rest = next, after
 	}
-	return nil, "", nil, vfscore.ENOENT
 }
 
-func (fs *Module) readPath(e *cubicle.Env, ptr, n uint64) string {
-	var sb strings.Builder
-	sb.Grow(int(n))
-	e.View(vm.Addr(ptr), n, func(_ uint64, chunk []byte) { sb.Write(chunk) })
-	return sb.String()
+// readPath reads the caller's path into the module's scratch buffer and
+// returns it: valid until the next readPath.
+func (fs *Module) readPath(e *cubicle.Env, ptr, n uint64) []byte {
+	fs.path = fs.path[:0]
+	e.View(vm.Addr(ptr), n, func(_ uint64, chunk []byte) { fs.path = append(fs.path, chunk...) })
+	return fs.path
 }
 
 func errRet(e *cubicle.Env, errno uint64) []uint64 { return e.Ret(0, errno) }
@@ -150,7 +158,7 @@ func (fs *Module) create(e *cubicle.Env, ptr, n uint64) []uint64 {
 	ino := fs.next
 	fs.next++
 	fs.inodes[ino] = &inode{ino: ino}
-	parent.children[name] = ino
+	parent.children[string(name)] = ino
 	return okRet(e, ino)
 }
 
@@ -167,7 +175,7 @@ func (fs *Module) mkdir(e *cubicle.Env, ptr, n uint64) []uint64 {
 	ino := fs.next
 	fs.next++
 	fs.inodes[ino] = &inode{ino: ino, dir: true, children: make(map[string]uint64)}
-	parent.children[name] = ino
+	parent.children[string(name)] = ino
 	return okRet(e, ino)
 }
 
@@ -182,7 +190,7 @@ func (fs *Module) unlink(e *cubicle.Env, ptr, n uint64) []uint64 {
 		return errRet(e, vfscore.EINVAL)
 	}
 	fs.releasePages(e, node)
-	delete(parent.children, name)
+	delete(parent.children, string(name))
 	delete(fs.inodes, node.ino)
 	return okRet(e, 0)
 }
@@ -381,10 +389,11 @@ func (fs *Module) readdir(e *cubicle.Env, ino, idx, buf, bufLen uint64) []uint64
 func (fs *Module) rename(e *cubicle.Env, p1, l1, p2, l2 uint64) []uint64 {
 	e.Work(fs.opWork)
 	fs.OpCount++
-	fromParent, fromName, node, errno := fs.walk(fs.readPath(e, p1, l1))
+	fromParent, from, node, errno := fs.walk(fs.readPath(e, p1, l1))
 	if errno != vfscore.EOK || node == nil {
 		return errRet(e, uint64(errno))
 	}
+	fromName := string(from) // the next readPath reuses the buffer
 	toParent, toName, existing, errno2 := fs.walk(fs.readPath(e, p2, l2))
 	if errno2 == vfscore.EOK && existing != nil {
 		// POSIX rename replaces the target.
@@ -394,7 +403,7 @@ func (fs *Module) rename(e *cubicle.Env, p1, l1, p2, l2 uint64) []uint64 {
 		return errRet(e, uint64(errno2))
 	}
 	delete(fromParent.children, fromName)
-	toParent.children[toName] = node.ino
+	toParent.children[string(toName)] = node.ino
 	return okRet(e, 0)
 }
 
@@ -408,7 +417,7 @@ func (fs *Module) rename(e *cubicle.Env, p1, l1, p2, l2 uint64) []uint64 {
 // content appended straight out of simulated memory.
 func (fs *Module) Snapshot(sc *cubicle.SnapCtx) ([]byte, error) {
 	size := 8 + 8 + 4
-	inos := make([]uint64, 0, len(fs.inodes))
+	inos := fs.snapInos[:0]
 	for ino, n := range fs.inodes {
 		inos = append(inos, ino)
 		size += 8 + 1 + 8 + 4 + 8*len(n.pages) + 4 + int(n.size)
@@ -416,10 +425,11 @@ func (fs *Module) Snapshot(sc *cubicle.SnapCtx) ([]byte, error) {
 			size += 4 + len(name) + 8
 		}
 	}
-	b := make([]byte, 0, size)
+	fs.snapInos = inos
+	b := slices.Grow(sc.Buf(), size)
 	b = binary.LittleEndian.AppendUint64(b, fs.next)
 	b = binary.LittleEndian.AppendUint64(b, fs.OpCount)
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	slices.Sort(inos)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(inos)))
 	for _, ino := range inos {
 		n := fs.inodes[ino]
@@ -434,11 +444,12 @@ func (fs *Module) Snapshot(sc *cubicle.SnapCtx) ([]byte, error) {
 		for _, p := range n.pages {
 			b = binary.LittleEndian.AppendUint64(b, uint64(p))
 		}
-		names := make([]string, 0, len(n.children))
+		names := fs.snapNames[:0]
 		for name := range n.children {
 			names = append(names, name)
 		}
-		sort.Strings(names)
+		fs.snapNames = names
+		slices.Sort(names)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(names)))
 		for _, name := range names {
 			b = binary.LittleEndian.AppendUint32(b, uint32(len(name)))

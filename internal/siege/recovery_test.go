@@ -13,6 +13,7 @@ import (
 	"cubicleos/internal/ramfs"
 	"cubicleos/internal/snapshot"
 	"cubicleos/internal/trace"
+	"cubicleos/internal/vm"
 )
 
 // pattern returns n distinctive bytes so byte-identity after a warm
@@ -97,6 +98,41 @@ func TestWarmRestartRestoresRamfs(t *testing.T) {
 		t.Errorf("Restarts=%d != Warm %d + Cold %d",
 			m.Stats.Restarts, m.Stats.WarmRestarts, m.Stats.ColdRestarts)
 	}
+
+	// Nothing the restart rebuilt points into the checkpoint it came from:
+	// a record's two buffers alternate, so two more captures of RAMFS on
+	// the idle target overwrite the one the restore decoded, and RAMFS's
+	// pages and the file it serves read the same after them.
+	pages := heapBytes(m, ramfsCub)
+	for i := 0; i < 2; i++ {
+		before, _ := m.LastCheckpoint(ramfsCub.ID)
+		m.Clock.Charge(300_000)
+		tgt.Step()
+		if after, _ := m.LastCheckpoint(ramfsCub.ID); after.Cycle == before.Cycle {
+			t.Fatalf("sweep %d took no RAMFS checkpoint", i+1)
+		}
+	}
+	if !bytes.Equal(heapBytes(m, ramfsCub), pages) {
+		t.Error("two captures after the warm restart changed RAMFS's heap pages")
+	}
+	if res, err = tgt.Fetch("/f.bin"); err != nil {
+		t.Fatalf("fetch after two more captures: %v", err)
+	}
+	if res.Status != 200 || !bytes.Equal(res.Body, want) {
+		t.Errorf("the file after two more captures: status %d, %d bytes; want the original %d", res.Status, len(res.Body), len(want))
+	}
+}
+
+// heapBytes returns the contents of the cubicle's heap pages, in page
+// order.
+func heapBytes(m *cubicle.Monitor, c *cubicle.Cubicle) []byte {
+	var b []byte
+	for _, pn := range c.OwnedPages() {
+		if p := m.AS.Page(vm.PageAddr(pn)); p.Type == vm.PageHeap {
+			b = append(b, p.Bytes()[:]...)
+		}
+	}
+	return b
 }
 
 // recoveryRun drives one chaos siege and reports the availability

@@ -18,6 +18,7 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"cubicleos/internal/vm"
 )
@@ -88,6 +89,16 @@ type Image struct {
 	Comps   []ComponentImage
 }
 
+// Reset makes img an empty image of cubicle at cycle, as a new one would
+// be, but for the capacity of its pages, live-block table, windows and
+// components: a capture that builds its image in the one it built last
+// allocates nothing once those have grown. The heap free list is dropped,
+// not kept: a capture shares the allocator's own.
+func (img *Image) Reset(cubicle uint32, cycle uint64) {
+	*img = Image{Cubicle: cubicle, Cycle: cycle, Pages: img.Pages[:0],
+		Heap: HeapImage{Sizes: img.Heap.Sizes[:0]}, Windows: img.Windows[:0], Comps: img.Comps[:0]}
+}
+
 // DecodeError reports why an image failed to decode, with the byte offset
 // at which decoding stopped.
 type DecodeError struct {
@@ -99,10 +110,13 @@ func (e *DecodeError) Error() string {
 	return fmt.Sprintf("snapshot: corrupt image at byte %d: %s", e.Off, e.Reason)
 }
 
-// Encode serializes the image. The output is a pure function of the
-// image's contents: no maps are iterated, no timestamps are stamped.
-func Encode(img *Image) []byte {
-	b := make([]byte, 0, encodedSize(img))
+// AppendEncode serializes the image, appending it to b, and returns the
+// extended slice. The output is a pure function of the image's contents:
+// no maps are iterated, no timestamps are stamped. b grows at most once,
+// so a caller that encodes into the buffer of an image it no longer needs
+// allocates nothing once that buffer has reached the image's size.
+func AppendEncode(b []byte, img *Image) []byte {
+	b = slices.Grow(b, encodedSize(img))
 	b = append(b, Magic...)
 	b = le16(b, Version)
 	b = le32(b, img.Cubicle)

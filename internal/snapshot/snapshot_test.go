@@ -41,7 +41,7 @@ func sample() *Image {
 
 func TestRoundTrip(t *testing.T) {
 	img := sample()
-	enc := Encode(img)
+	enc := AppendEncode(nil, img)
 	got, err := Decode(enc)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
@@ -51,20 +51,20 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n  in:  %+v\n  out: %+v", img, got)
 	}
 	// Deterministic: encoding the decoded image reproduces the bytes.
-	if !bytes.Equal(enc, Encode(got)) {
+	if !bytes.Equal(enc, AppendEncode(nil, got)) {
 		t.Fatal("re-encode is not bit-identical")
 	}
 }
 
 func TestEncodeDeterministic(t *testing.T) {
-	a, b := Encode(sample()), Encode(sample())
+	a, b := AppendEncode(nil, sample()), AppendEncode(nil, sample())
 	if !bytes.Equal(a, b) {
 		t.Fatal("two encodings of the same image differ")
 	}
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	enc := Encode(sample())
+	enc := AppendEncode(nil, sample())
 	cases := map[string][]byte{
 		"empty":     {},
 		"bad magic": append([]byte("XXXXXXXX"), enc[8:]...),
@@ -84,7 +84,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 func TestDecodeRejectsUnorderedPages(t *testing.T) {
 	img := sample()
 	img.Pages[0].PN, img.Pages[1].PN = img.Pages[1].PN, img.Pages[0].PN
-	if _, err := Decode(Encode(img)); err == nil {
+	if _, err := Decode(AppendEncode(nil, img)); err == nil {
 		t.Fatal("decode accepted pages out of order")
 	}
 }

@@ -33,14 +33,16 @@ const mallocWork = 60
 type clientState struct {
 	window cubicle.WID
 	opened bool
-	shares map[vm.Addr]*shareState
+	shares map[vm.Addr]shareState
 	vm.FreeList
 }
 
+// shareState is the window ALLOC made to share one allocation, held by
+// value: a share costs the map entry and nothing else.
 type shareState struct {
 	wid    cubicle.WID
 	size   uint64
-	openTo map[cubicle.ID]bool
+	openTo uint64 // bitmask of the cubicles it is open for, like Window.Open
 }
 
 // Module is the ALLOC component state.
@@ -58,7 +60,7 @@ func (a *Module) client(e *cubicle.Env, id cubicle.ID) *clientState {
 	if !ok {
 		cs = &clientState{
 			window: e.WindowInit(),
-			shares: make(map[vm.Addr]*shareState),
+			shares: make(map[vm.Addr]shareState),
 		}
 		a.clients[id] = cs
 	}
@@ -129,13 +131,15 @@ func (a *Module) share(e *cubicle.Env, addr vm.Addr, cid cubicle.ID) {
 	}
 	sh, ok := cs.shares[addr]
 	if !ok {
-		sh = &shareState{wid: e.WindowInit(), size: size, openTo: make(map[cubicle.ID]bool)}
+		sh = shareState{wid: e.WindowInit(), size: size}
 		e.WindowAdd(sh.wid, addr, size)
 		cs.shares[addr] = sh
 	}
-	if !sh.openTo[cid] {
+	// An ID past the mask shifts out to no bit, and WindowOpen refuses it.
+	if bit := uint64(1) << uint(cid); sh.openTo&bit == 0 {
 		e.WindowOpen(sh.wid, cid)
-		sh.openTo[cid] = true
+		sh.openTo |= bit
+		cs.shares[addr] = sh
 	}
 }
 
@@ -148,7 +152,8 @@ func (a *Module) unshare(e *cubicle.Env, addr vm.Addr, cid cubicle.ID) {
 		return
 	}
 	e.WindowClose(sh.wid, cid)
-	delete(sh.openTo, cid)
+	sh.openTo &^= 1 << uint(cid)
+	cs.shares[addr] = sh
 }
 
 // Component returns the ALLOC component for the builder.

@@ -107,6 +107,19 @@ func TestAllocShareUnshare(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// The unshare cleared B's bit, so sharing again opens the window again.
+	if err := s.RunAs("A", func(e *cubicle.Env) {
+		ualloc.NewClient(s.M, s.Cubs["A"].ID).Share(e, buf, s.Cubs["B"].ID)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunAs("B", func(e *cubicle.Env) {
+		if got := e.LoadByte(buf.Add(10)); got != 0x77 {
+			t.Errorf("read after sharing again = %#x", got)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestAllocFreeErrors(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/spare"
 	"cubicleos/internal/vm"
 )
 
@@ -125,8 +126,12 @@ type file struct {
 type Module struct {
 	backend Backend
 	fds     map[uint64]*file
-	nextFD  uint64
-	opWork  uint64
+	// spareFiles holds closed file descriptions for open to reuse.
+	spareFiles spare.List[file]
+	// path is touchPath's scratch: the caller's path is read into it.
+	path   []byte
+	nextFD uint64
+	opWork uint64
 	// OpCount counts VFS operations (observability for experiments).
 	OpCount uint64
 }
@@ -147,9 +152,8 @@ func (v *Module) SetBackend(b Backend) { v.backend = b }
 // real VFS. Under MPK this is VFSCORE's first access to a caller-owned
 // page and trap-and-maps against the caller's window.
 func (v *Module) touchPath(e *cubicle.Env, ptr, n uint64) {
-	if n > 0 {
-		_ = e.ReadBytes(vm.Addr(ptr), n)
-	}
+	v.path = slices.Grow(v.path[:0], int(n))[:n]
+	e.Read(vm.Addr(ptr), v.path)
 }
 
 // touchBuf sets up the uio for a data buffer (address validation, first
@@ -190,7 +194,7 @@ func (v *Module) open(e *cubicle.Env, pathPtr, pathLen, flags uint64) []uint64 {
 	}
 	fd := v.nextFD
 	v.nextFD++
-	f := &file{ino: ino, flags: flags, append: flags&OAppend != 0}
+	f := v.takeFile(ino, flags)
 	if f.append {
 		if r := call(e, v.backend.GetSize, ino); r[1] == EOK {
 			f.off = r[0]
@@ -198,6 +202,14 @@ func (v *Module) open(e *cubicle.Env, pathPtr, pathLen, flags uint64) []uint64 {
 	}
 	v.fds[fd] = f
 	return okRet(e, fd)
+}
+
+// takeFile returns a description of ino opened with flags, at offset 0:
+// the most recently closed one, reset, or a new one.
+func (v *Module) takeFile(ino, flags uint64) *file {
+	f := v.spareFiles.Take()
+	*f = file{ino: ino, flags: flags, append: flags&OAppend != 0}
+	return f
 }
 
 func (v *Module) file(fd uint64) (*file, uint64) {
@@ -301,10 +313,12 @@ func (v *Module) Component() *cubicle.Component {
 			{Name: "vfs_close", RegArgs: 1, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
 				v.OpCount++
-				if _, errno := v.file(a[0]); errno != EOK {
+				f, errno := v.file(a[0])
+				if errno != EOK {
 					return errRet(e, errno)
 				}
 				delete(v.fds, a[0])
+				v.spareFiles.Put(f)
 				return okRet(e, 0)
 			}},
 			{Name: "vfs_read", RegArgs: 3, Fn: func(e *cubicle.Env, a []uint64) []uint64 {

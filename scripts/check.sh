@@ -11,10 +11,11 @@ go vet ./...
 go build ./...
 go test -race ./...
 
-# The exact allocation counts of a fetch, an open-loop arrival and a
-# cluster arrival (the benchmark bounds allocs_per_op at 2 %, less than an
-# object a request) skip under the race detector, so they run plain.
-go test -run 'TestFetchAllocationCounts|TestOpenLoopAllocationCounts|TestClusterAllocationCounts' ./internal/siege/ ./internal/cluster/
+# The exact allocation counts of a fetch, an open-loop arrival, a cluster
+# arrival (the benchmark bounds allocs_per_op at 2 %, less than an object a
+# request) and a steady-state checkpoint sweep skip under the race
+# detector, so they run plain.
+go test -run 'TestFetchAllocationCounts|TestOpenLoopAllocationCounts|TestClusterAllocationCounts|TestCheckpointSweepAllocatesNothing' ./internal/siege/ ./internal/cluster/
 
 # benchmark/ is a Go module of its own that `./...` never reaches: it
 # keeps traced copies of siege's request loop that must cost the same

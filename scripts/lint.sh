@@ -32,6 +32,14 @@ if grep -n '"sync/atomic"' $(ls internal/cycles/*.go internal/vm/*.go internal/c
     fail "internal/cycles, internal/vm or internal/cubicle imports sync/atomic"
 fi
 
+# Free lists (DESIGN.md, "Host object lifetimes"): each is a capped LIFO
+# slice, internal/spare's List or one of its own, and never a sync.Pool,
+# whose contents depend on when the collector runs — the allocation counts
+# the benchmark and the tier-1 gates read must repeat.
+if find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs grep -nE '^[^/]*sync\.Pool'; then
+    fail "a sync.Pool"
+fi
+
 # One page-table walk: the monitor knows which pages a cubicle owns
 # (Cubicle.owned; DESIGN.md §12), so nothing in the runtime finds them by
 # walking the table. The one walk left is by key, not by owner: the retag
