@@ -115,12 +115,6 @@ type (
 	// ContainedFault is the typed error a caller receives when a callee
 	// cubicle faults (or is refused) under containment.
 	ContainedFault = cubicle.ContainedFault
-	// QuotaFault is a page grant denied by a cubicle's memory quota.
-	// Transient: contained and rolled back without quarantining anyone.
-	QuotaFault = cubicle.QuotaFault
-	// DeadlineFault is a crossing abandoned because the thread's virtual
-	// deadline expired. Transient, like QuotaFault.
-	DeadlineFault = cubicle.DeadlineFault
 )
 
 // Fault containment and supervision (enable with Config.Supervision or
@@ -162,18 +156,13 @@ func DefaultRestartPolicy() RestartPolicy { return cubicle.DefaultRestartPolicy(
 // Components use it to degrade gracefully when a dependency cubicle is down.
 func CatchContained(fn func()) *ContainedFault { return cubicle.CatchContained(fn) }
 
-// IsTransient reports whether a contained fault is load-induced (quota or
-// deadline) rather than a defect: transient faults never quarantine and
-// are safe to retry or answer with backpressure (429/503 + Retry-After).
-func IsTransient(cf *ContainedFault) bool { return cubicle.IsTransient(cf) }
-
 // DefaultRetryPolicy returns the bounded retry-with-virtual-backoff policy
 // used by the overload experiments.
 func DefaultRetryPolicy() RetryPolicy { return cubicle.DefaultRetryPolicy() }
 
-// RetryContained runs fn under containment, retrying transient and
-// quarantine refusals with exponential backoff on the virtual clock. It
-// returns the last fault, or nil once an attempt succeeds.
+// RetryContained runs fn under containment, retrying quarantine refusals
+// with exponential backoff on the virtual clock. It returns the last
+// fault, or nil once an attempt succeeds.
 func RetryContained(e *Env, p RetryPolicy, fn func()) *ContainedFault {
 	return cubicle.RetryContained(e, p, fn)
 }

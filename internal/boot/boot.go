@@ -73,10 +73,6 @@ type Config struct {
 	// boot wiring completes. The injector starts disarmed; arm it via
 	// System.Chaos once provisioning is done.
 	Chaos *faultinject.Config
-	// MemQuotas caps named cubicles' monitor page footprints in bytes;
-	// a cubicle exceeding its cap gets a contained QuotaFault instead of
-	// more pages. Group names are valid keys when Groups fuses cubicles.
-	MemQuotas map[string]uint64
 	// WireCap bounds the NETDEV wire queues in frames per direction
 	// (0 = unbounded). A full queue drops or backpressures explicitly.
 	WireCap int
@@ -222,15 +218,6 @@ func NewFS(cfg Config) (*System, error) {
 	if cfg.Net {
 		lwipID := cubs[lwip.Name].ID
 		s.Lwip.SetDeps(netdev.NewClient(m, lwipID), ualloc.NewClient(m, lwipID), cubs[netdev.Name].ID)
-	}
-	// Resource governance: applied after load so quotas see the booted
-	// cubicle IDs but before any workload pages are mapped.
-	for name, q := range cfg.MemQuotas {
-		c, ok := cubs[name]
-		if !ok {
-			return nil, fmt.Errorf("boot: MemQuotas names unknown cubicle %q", name)
-		}
-		m.SetMemQuota(c.ID, q)
 	}
 	if cfg.Net {
 		s.Netdev.Wire().Cap = cfg.WireCap

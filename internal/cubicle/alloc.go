@@ -22,11 +22,11 @@ func newSubAllocator(m *Monitor, owner ID) *subAllocator {
 
 // alloc returns a block of n bytes, growing the heap by a fresh arena
 // when no free extent fits it.
-func (a *subAllocator) alloc(t *Thread, n uint64) vm.Addr {
+func (a *subAllocator) alloc(n uint64) vm.Addr {
 	addr, ok := a.Take(n)
 	if !ok {
 		pages := vm.GrowPages(n)
-		a.Insert(a.m.mapOwnedFor(t, a.owner, pages, vm.PageHeap, vm.PermRead|vm.PermWrite), uint64(pages)*vm.PageSize)
+		a.Insert(a.m.MapOwned(a.owner, pages, vm.PageHeap, vm.PermRead|vm.PermWrite), uint64(pages)*vm.PageSize)
 		addr, ok = a.Take(n)
 	}
 	if !ok {

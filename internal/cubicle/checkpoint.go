@@ -288,11 +288,6 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 	if ID(img.Cubicle) != c.ID {
 		return fmt.Errorf("checkpoint belongs to cubicle %d", img.Cubicle)
 	}
-	bytes := uint64(len(img.Pages)) * vm.PageSize
-	if q := m.memQuota[c.ID]; q != 0 && m.memUsed[c.ID]+bytes > q {
-		return &QuotaFault{Cubicle: c.ID, Resource: "pages", Used: m.memUsed[c.ID] + bytes, Limit: q}
-	}
-
 	// Re-map every captured heap page at its original page number and
 	// restore its contents. Pages take the cubicle's CURRENT key, not the
 	// snapshot's — the key may have been recycled by tag virtualisation
@@ -311,7 +306,6 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 		}
 		c.ownPages(pi.PN, 1)
 	}
-	m.memUsed[c.ID] += bytes
 
 	// Rebuild the sub-allocator around the restored arenas.
 	h := newSubAllocator(m, c.ID)

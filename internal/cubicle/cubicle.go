@@ -106,7 +106,7 @@ type Cubicle struct {
 
 	// owned lists the page numbers of the cubicle's heap and stack pages,
 	// ascending: the pages a restart reclaims and (heap only) a checkpoint
-	// captures. It has three writers — mapOwnedFor, restoreCheckpoint and
+	// captures. It has three writers — MapOwned, restoreCheckpoint and
 	// reclaimPages, the only callers of AS.Map, AS.MapAt and AS.Unmap — so
 	// neither the sweep nor the restart walks the page table.
 	owned []uint64

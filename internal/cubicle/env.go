@@ -74,17 +74,12 @@ func (e *Env) Work(n uint64) {
 		// callee burns cycles without otherwise entering the monitor.
 		e.M.sup.watchdog(e.T)
 	}
-	if e.T.deadline != 0 {
-		// Deadline checkpoint: delegated work past the request deadline is
-		// abandoned here rather than computed for nobody.
-		e.M.checkDeadline(e.T)
-	}
 }
 
 // WorkN charges k units of n cycles of modelled CPU work: the clock ends
-// where k calls of Work(n) leave it, but the watchdog and deadline
-// checkpoints run once, after the whole advance, so a budget or deadline
-// that trips part-way is noticed up to (k-1) units late. For a loop whose
+// where k calls of Work(n) leave it, but the watchdog checkpoint runs
+// once, after the whole advance, so a budget that trips part-way is
+// noticed up to (k-1) units late. For a loop whose
 // units are a few cycles each; with k = 0 nothing happens.
 func (e *Env) WorkN(n, k uint64) {
 	if k == 0 {
@@ -93,9 +88,6 @@ func (e *Env) WorkN(n, k uint64) {
 	e.M.Clock.ChargeWorkN(n, k)
 	if e.M.sup != nil {
 		e.M.sup.watchdog(e.T)
-	}
-	if e.T.deadline != 0 {
-		e.M.checkDeadline(e.T)
 	}
 }
 
@@ -254,7 +246,7 @@ func (e *Env) Memset(dst vm.Addr, c byte, n uint64) {
 // sub-allocator; the pages backing it are owned by and tagged for the
 // current cubicle.
 func (e *Env) HeapAlloc(n uint64) vm.Addr {
-	return e.M.cubicle(e.T.cur).heap.alloc(e.T, n)
+	return e.M.cubicle(e.T.cur).heap.alloc(n)
 }
 
 // HeapFree releases an allocation made by HeapAlloc in the same cubicle.

@@ -10,10 +10,6 @@ func (si *SystemImage) Signature(comp, sym string) ([32]byte, bool) {
 	return s, ok
 }
 
-// MemUsed returns the bytes of pages currently granted to cubicle id
-// through MapOwned.
-func (m *Monitor) MemUsed(id ID) uint64 { return m.memUsed[id] }
-
 // CubicleByName returns the named cubicle, or nil.
 func (m *Monitor) CubicleByName(name string) *Cubicle { return m.byName[name] }
 

@@ -81,10 +81,6 @@ func AsFault(r any) (err error, ok bool) {
 		return f, true
 	case *BudgetFault:
 		return f, true
-	case *QuotaFault:
-		return f, true
-	case *DeadlineFault:
-		return f, true
 	case *ContainedFault:
 		return f, true
 	}

@@ -106,10 +106,6 @@ func faultClass(err error) string {
 		return "api"
 	case *BudgetFault:
 		return "budget"
-	case *QuotaFault:
-		return "quota"
-	case *DeadlineFault:
-		return "deadline"
 	}
 	switch err {
 	case ErrQuarantined:

@@ -36,8 +36,6 @@ type MetricsSample struct {
 	Retags          uint64 `json:"retags"`
 	WRPKRUs         uint64 `json:"wrpkrus"`
 	Sheds           uint64 `json:"sheds"`
-	QuotaFaults     uint64 `json:"quota_faults"`
-	DeadlineFaults  uint64 `json:"deadline_faults"`
 	Retries         uint64 `json:"retries"`
 	ContainedFaults uint64 `json:"contained_faults"`
 	Restarts        uint64 `json:"restarts"`
@@ -117,8 +115,6 @@ func (mc *metricsCollector) sample(m *Monitor, now uint64) {
 		Retags:          cur.Retags - prev.Retags,
 		WRPKRUs:         cur.WRPKRUs - prev.WRPKRUs,
 		Sheds:           cur.Sheds - prev.Sheds,
-		QuotaFaults:     cur.QuotaFaults - prev.QuotaFaults,
-		DeadlineFaults:  cur.DeadlineFaults - prev.DeadlineFaults,
 		Retries:         cur.Retries - prev.Retries,
 		ContainedFaults: cur.ContainedFaults - prev.ContainedFaults,
 		Restarts:        cur.Restarts - prev.Restarts,

@@ -73,10 +73,6 @@ type Monitor struct {
 	ckpts        map[ID]*checkpointRecord
 	ckptImg      snapshot.Image
 	snapCtx      SnapCtx
-	// memQuota caps the page bytes MapOwned will grant per cubicle
-	// (absent = unlimited); memUsed tracks the bytes currently granted.
-	memQuota map[ID]uint64
-	memUsed  map[ID]uint64
 
 	// smpN is the simulated core count (0/1 = single-core): a retag pays
 	// the shootdown surcharge for smpN-1 remote cores (smp.go).
@@ -122,8 +118,6 @@ func NewMonitor(mode Mode, costs cycles.Costs) *Monitor {
 		restartHooks: make(map[ID][]func()),
 		snapHooks:    make(map[ID][]snapHook),
 		ckpts:        make(map[ID]*checkpointRecord),
-		memQuota:     make(map[ID]uint64),
-		memUsed:      make(map[ID]uint64),
 	}
 	m.snapCtx.m = m
 	m.bindCounters()
@@ -475,31 +469,10 @@ func (m *Monitor) wrpkru(t *Thread, v mpk.PKRU) {
 // page-granting primitive used by the loader and the sub-allocators;
 // pages are strictly assigned an owner and type at allocation time (§5.3).
 func (m *Monitor) MapOwned(id ID, npages int, typ vm.PageType, perm vm.Perm) vm.Addr {
-	return m.mapOwnedFor(nil, id, npages, typ, perm)
-}
-
-// mapOwnedFor is MapOwned on behalf of thread t (nil for monitor context),
-// to which a quota refusal is attributed.
-func (m *Monitor) mapOwnedFor(t *Thread, id ID, npages int, typ vm.PageType, perm vm.Perm) vm.Addr {
-	bytes := uint64(npages) * vm.PageSize
-	// Stack pages are exempt from the quota: they are crossing
-	// infrastructure allocated lazily in pushFrame, BEFORE the crossing's
-	// containment is armed — a fault there could not be attributed or
-	// rolled back. The overload vector the quota exists for is heap and
-	// buffer growth; per-thread stacks are small and bounded.
-	if typ != vm.PageStack {
-		if q := m.memQuota[id]; q != 0 && m.memUsed[id]+bytes > q {
-			m.note(trace.EvQuota, t, id, 0, m.memUsed[id]+bytes, q, "pages")
-			panic(&QuotaFault{Cubicle: id, Resource: "pages", Used: m.memUsed[id] + bytes, Limit: q})
-		}
-	}
 	c := m.cubicle(id)
 	addr, err := m.AS.Map(npages, int(id), typ, perm, uint8(m.keyOf(c)))
 	if err != nil {
 		panic(&APIError{Cubicle: id, Op: "map", Reason: err.Error()})
-	}
-	if typ != vm.PageStack {
-		m.memUsed[id] += bytes
 	}
 	if typ == vm.PageHeap || typ == vm.PageStack {
 		c.ownPages(addr.PageNum(), npages)

@@ -56,13 +56,8 @@ type Stats struct {
 	InjectedFaults uint64
 	// Sheds counts requests refused by admission control (429/503).
 	Sheds uint64
-	// DeadlineFaults counts crossings or work quanta abandoned because the
-	// request deadline had passed.
-	DeadlineFaults uint64
-	// QuotaFaults counts memory-quota refusals.
-	QuotaFaults uint64
-	// Retries counts bounded-retry attempts after transient contained
-	// faults.
+	// Retries counts bounded-retry attempts after calls refused by a
+	// quarantined dependency.
 	Retries uint64
 	// TLBShootdowns counts cross-core retag synchronisation rounds: on an
 	// SMP machine every trap-and-map or pin retag pays one IPI round trip
@@ -143,8 +138,6 @@ var Counters = [...]Counter{
 	{"restarts", "Supervisor restarts", trace.EvRestart, false, func(s *Stats) *uint64 { return &s.Restarts }},
 	{"injected_faults", "Deterministic fault injections fired", trace.EvInjected, false, func(s *Stats) *uint64 { return &s.InjectedFaults }},
 	{"sheds", "Requests refused by admission control", trace.EvShed, false, func(s *Stats) *uint64 { return &s.Sheds }},
-	{"deadline_faults", "Crossings abandoned past deadline", trace.EvDeadline, false, func(s *Stats) *uint64 { return &s.DeadlineFaults }},
-	{"quota_faults", "Memory-quota refusals", trace.EvQuota, false, func(s *Stats) *uint64 { return &s.QuotaFaults }},
 	{"retries", "Bounded-retry attempts", trace.EvRetry, false, func(s *Stats) *uint64 { return &s.Retries }},
 	{"tlb_shootdowns", "Cross-core retag synchronisation rounds", trace.EvShootdown, false, func(s *Stats) *uint64 { return &s.TLBShootdowns }},
 	{"checkpoints", "Cubicle checkpoints captured", trace.EvCheckpoint, false, func(s *Stats) *uint64 { return &s.Checkpoints }},

@@ -149,23 +149,9 @@ func (s *Supervisor) contain(t *Thread, tr *Trampoline) {
 	if !ok {
 		panic(r) // not an isolation fault; do not contain Go bugs
 	}
-	// Quota and deadline faults are transient overload conditions, not
-	// component bugs: the crossing is rolled back and the typed error
-	// delivered, but the callee stays Healthy — quarantining ALLOC because
-	// a client hit its arena cap would turn load shedding into an outage.
 	victim := tr.callee
-	transient := false
-	switch q := cause.(type) {
-	case *QuotaFault:
-		victim = q.Cubicle // attribute to the cubicle whose quota ran out
-		transient = true
-	case *DeadlineFault:
-		transient = true
-	}
-	s.rollback(t, jmark, tr.callee)
-	if !transient {
-		s.quarantine(victim, cause)
-	}
+	s.rollback(t, jmark, victim)
+	s.quarantine(victim, cause)
 	m.note(trace.EvContained, t, victim, f.caller, 0, 0, faultClass(cause))
 	if m.trc != nil {
 		// Close the call span the aborted crossing left open so B/E events
@@ -360,23 +346,13 @@ func (s *Supervisor) teardown(c *Cubicle) {
 // re-verified state, exactly as after the original load.
 func (s *Supervisor) reclaimPages(c *Cubicle) {
 	m := s.m
-	charged := uint64(0) // stack pages are never charged to the quota
 	for _, pn := range c.owned {
 		a := vm.PageAddr(pn)
-		if p := m.AS.Page(a); p != nil && p.Type != vm.PageStack {
-			charged += vm.PageSize
-		}
 		if err := m.AS.Unmap(a, 1); err != nil {
 			panic("cubicle: restart unmap failed: " + err.Error())
 		}
 	}
 	c.owned = c.owned[:0]
-	// Credit the reclaimed pages back to the cubicle's memory quota.
-	if m.memUsed[c.ID] >= charged {
-		m.memUsed[c.ID] -= charged
-	} else {
-		m.memUsed[c.ID] = 0
-	}
 }
 
 // watchdog raises a BudgetFault when the innermost crossing on thread t

@@ -59,11 +59,6 @@ type Thread struct {
 	// only appended to while a supervisor is attached and is truncated when
 	// the thread unwinds to depth zero (everything below is committed).
 	journal []undoEntry
-	// deadline is the armed request deadline in virtual cycles (0 = none);
-	// deadlineFrame is the frame depth at arming time — only crossings
-	// below it fault, so the arming cubicle always regains control.
-	deadline      uint64
-	deadlineFrame int
 	// words is the argument word stack: every call stages its argument
 	// words above the frame's wmark (stageArgs) and the callee reads them in
 	// place, the way §5.5's trampoline copies in-stack arguments onto the
@@ -131,7 +126,7 @@ func (t *Thread) stackFor(id ID) *stack {
 	if s := t.stacks[id]; s != nil {
 		return s
 	}
-	base := t.m.mapOwnedFor(t, id, StackPages, vm.PageStack, vm.PermRead|vm.PermWrite)
+	base := t.m.MapOwned(id, StackPages, vm.PageStack, vm.PermRead|vm.PermWrite)
 	s := &stack{base: base, size: StackPages * vm.PageSize}
 	s.sp = base.Add(s.size)
 	t.stacks[id] = s

@@ -220,12 +220,6 @@ func (h Handle) cross(e *Env, args []uint64) []uint64 {
 		// crossing frame is still live for rollback and attribution.
 		defer m.sup.contain(t, tr)
 	}
-	if t.deadline != 0 {
-		// Deadline gate: an expired request is abandoned at the crossing it
-		// would next cross, inside the contain defer so the fault rolls back
-		// and is delivered to the caller as a typed ContainedFault.
-		m.checkDeadline(t)
-	}
 	if tr.stackBytes > 0 {
 		// The trampoline reserves space for in-stack arguments on the
 		// callee stack (the copy itself is charged above).

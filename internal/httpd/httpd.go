@@ -45,11 +45,12 @@ const (
 // parseWork models request-line parsing and header handling.
 const parseWork = 900
 
-// defaultConnRequests caps responses served on one keep-alive connection
-// when Governance leaves MaxConnRequests unset (nginx's
+// maxConnRequests caps responses served over one keep-alive connection
+// before the server answers Connection: close and recycles it (nginx's
 // keepalive_requests default): long-lived connections must still cycle so
-// per-connection state cannot accrete forever.
-const defaultConnRequests = 100
+// per-connection state cannot accrete forever. HTTP/1.0 connections
+// without keep-alive close after one response anyway.
+const maxConnRequests = 100
 
 // connState is the per-connection state machine.
 type connState int
@@ -77,12 +78,6 @@ type conn struct {
 	path     []byte // the request's path, copied out of req
 	status   int
 	wrote    uint64 // response bytes accepted by LWIP (headers included)
-	// deadline is the absolute virtual-cycle instant this connection's
-	// downstream work expires (0 = none); expired marks a connection that
-	// already missed it, so the 503 answering the miss is not itself
-	// aborted by the stale deadline.
-	deadline uint64
-	expired  bool
 	// http11 records the request's protocol version; keepAlive whether
 	// the connection persists after the current response (HTTP/1.1
 	// default, overridable per request via the Connection header);
@@ -123,21 +118,12 @@ type Governance struct {
 	// MaxConns is the admission limit on concurrent connections; beyond
 	// it new connections are shed with 429 (0 = unbounded).
 	MaxConns int
-	// RequestDeadline is the virtual-cycle budget attached to each
-	// connection's downstream crossings per step; expired work is
-	// abandoned via DeadlineFault and answered with 503 (0 = none).
-	RequestDeadline uint64
 	// RetryAfter is the whole-second hint advertised in the Retry-After
 	// header of shed responses.
 	RetryAfter uint64
-	// Retry bounds re-attempts of transient allocation faults before a
-	// connection is shed (zero value = single attempt, no backoff).
+	// Retry bounds re-attempts of a connection's set-up while ALLOC is
+	// quarantined (zero value = single attempt, no backoff).
 	Retry cubicle.RetryPolicy
-	// MaxConnRequests caps responses served over one keep-alive
-	// connection before the server answers Connection: close and recycles
-	// it (0 = the defaultConnRequests default). HTTP/1.0 connections
-	// without keep-alive are unaffected — they close after one response.
-	MaxConnRequests int
 }
 
 // Server is the NGINX component state.
@@ -179,9 +165,6 @@ type Server struct {
 	Errors503 uint64
 	// Shed429 counts connections refused at admission (MaxConns).
 	Shed429 uint64
-	// Shed503 counts connections shed for transient resource exhaustion
-	// (quota or deadline) rather than a component fault.
-	Shed503 uint64
 	inited  bool
 }
 
@@ -325,7 +308,7 @@ func (s *Server) step(e *cubicle.Env) uint64 {
 			if s.gov.MaxConns > 0 && len(s.conns) >= s.gov.MaxConns {
 				// Admission control: refuse at the door while the
 				// house is full instead of queueing unbounded work.
-				s.shed(e, fd, 429, "conns")
+				s.shed(e, fd)
 				activity++
 				continue
 			}
@@ -333,17 +316,7 @@ func (s *Server) step(e *cubicle.Env) uint64 {
 			if cf := cubicle.RetryContained(e, s.gov.Retry, func() {
 				c = s.newConn(e, fd)
 			}); cf != nil {
-				if !cubicle.IsTransient(cf) {
-					panic(cf) // real component fault: outer catch backs off
-				}
-				// Allocation quota exhausted even after backoff: shed
-				// this connection rather than the whole server.
-				s.shed(e, fd, 503, "quota")
-				activity++
-				continue
-			}
-			if s.gov.RequestDeadline != 0 {
-				c.deadline = e.Now() + s.gov.RequestDeadline
+				panic(cf) // the outer catch backs off
 			}
 			s.addConn(c)
 			activity++
@@ -360,18 +333,10 @@ func (s *Server) step(e *cubicle.Env) uint64 {
 		if c.closed {
 			continue
 		}
-		armed := c.deadline != 0 && !c.expired
-		if armed {
-			e.SetDeadline(c.deadline)
-		}
-		cf := cubicle.CatchContained(func() {
+		if cf := cubicle.CatchContained(func() {
 			activity += s.advance(e, c)
-		})
-		if armed {
-			e.ClearDeadline()
-		}
-		if cf != nil {
-			s.fail503(e, c, cf)
+		}); cf != nil {
+			s.fail503(e, c)
 			activity++
 		}
 	}
@@ -379,27 +344,21 @@ func (s *Server) step(e *cubicle.Env) uint64 {
 	return activity
 }
 
-// shed answers a connection the server refuses to serve — 429 at the
-// admission limit, 503 on resource exhaustion — with a Retry-After hint,
-// then closes it. The response goes through a persistent single shed
-// buffer so refusing load never allocates per-connection memory.
-func (s *Server) shed(e *cubicle.Env, fd uint64, status uint64, reason string) {
+// shed answers a connection the server refuses at the admission limit
+// with 429 and a Retry-After hint, then closes it. The response goes
+// through a persistent single shed buffer so refusing load never
+// allocates per-connection memory.
+func (s *Server) shed(e *cubicle.Env, fd uint64) {
 	if s.shedBuf == 0 {
 		s.shedBuf = s.alloc.Malloc(e, shedBufSize)
 		s.alloc.Share(e, s.shedBuf, s.lwipID)
 	}
-	text := "429 Too Many Requests"
-	if status == 503 {
-		text = "503 Service Unavailable"
-		s.Shed503++
-	} else {
-		s.Shed429++
-	}
+	s.Shed429++
 	body := "overloaded\n"
-	resp := fmt.Sprintf("HTTP/1.0 %s\r\nServer: cubicle-nginx\r\nRetry-After: %d\r\nContent-Length: %d\r\n\r\n%s",
-		text, s.gov.RetryAfter, len(body), body)
+	resp := fmt.Sprintf("HTTP/1.0 429 Too Many Requests\r\nServer: cubicle-nginx\r\nRetry-After: %d\r\nContent-Length: %d\r\n\r\n%s",
+		s.gov.RetryAfter, len(body), body)
 	e.Write(s.shedBuf, []byte(resp))
-	e.NoteShed(reason, status)
+	e.NoteShed("conns", 429)
 	// Best effort: under wire backpressure the refusal itself may drop,
 	// and the close still frees the socket.
 	s.lwip.Send(e, fd, s.shedBuf, uint64(len(resp)))
@@ -410,23 +369,11 @@ func (s *Server) shed(e *cubicle.Env, fd uint64, status uint64, reason string) {
 // cubicle. If no response bytes reached the wire yet, a 503 is staged so
 // the client gets an answer; once part of a 200 is out, all the server
 // can do is close early (HTTP/1.0 signals truncation by the close).
-// Transient causes (quota, deadline) count as sheds, not component errors.
-func (s *Server) fail503(e *cubicle.Env, c *conn, cf *cubicle.ContainedFault) {
+func (s *Server) fail503(e *cubicle.Env, c *conn) {
 	s.Errors503++
 	// A degraded connection never persists: whatever request framing the
 	// fault interrupted is lost.
 	c.keepAlive = false
-	if cf != nil && cubicle.IsTransient(cf) {
-		s.Shed503++
-		reason := "quota"
-		if _, ok := cf.Cause.(*cubicle.DeadlineFault); ok {
-			reason = "deadline"
-			// The deadline already did its job; answering the miss with
-			// a 503 must not be aborted by the same stale deadline.
-			c.expired = true
-		}
-		e.NoteShed(reason, 503)
-	}
 	if c.fileFD != 0 {
 		fd := c.fileFD
 		c.fileFD = 0
@@ -590,17 +537,8 @@ func (s *Server) parseRequest(e *cubicle.Env, c *conn) {
 		c.path = append(c.path[:0], path...)
 	}
 	c.req = c.req[:copy(c.req, c.req[idx+4:])]
-	maxReq := s.gov.MaxConnRequests
-	if maxReq == 0 {
-		maxReq = defaultConnRequests
-	}
-	if c.served+1 >= maxReq {
+	if c.served+1 >= maxConnRequests {
 		c.keepAlive = false
-	}
-	if s.gov.RequestDeadline != 0 && c.deadline == 0 {
-		// Recycled keep-alive connections get a fresh per-request budget;
-		// the first request keeps the one armed at accept.
-		c.deadline = e.Now() + s.gov.RequestDeadline
 	}
 	if badRequest {
 		// Framing past a malformed request is unknowable: answer and close.
@@ -753,8 +691,6 @@ func (s *Server) resetConn(e *cubicle.Env, c *conn) {
 	c.path = c.path[:0]
 	c.status = 200
 	c.wrote = 0
-	c.deadline = 0
-	c.expired = false
 }
 
 // Provision writes a static file into the file system through the normal
@@ -814,7 +750,6 @@ func (s *Server) Snapshot(sc *cubicle.SnapCtx) ([]byte, error) {
 	u64(s.Requests)
 	u64(s.Errors503)
 	u64(s.Shed429)
-	u64(s.Shed503)
 	return b, nil
 }
 
@@ -823,8 +758,8 @@ func (s *Server) Snapshot(sc *cubicle.SnapCtx) ([]byte, error) {
 // cubicle's restart; the listening socket likewise persists in LWIP's
 // table across an NGINX-only restart.
 func (s *Server) Restore(sc *cubicle.SnapCtx, blob []byte) error {
-	if len(blob) != 1+7*8 {
-		return fmt.Errorf("httpd: snapshot blob is %d bytes, want %d", len(blob), 1+7*8)
+	if len(blob) != 1+6*8 {
+		return fmt.Errorf("httpd: snapshot blob is %d bytes, want %d", len(blob), 1+6*8)
 	}
 	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(blob[off:]) }
 	s.inited = blob[0] == 1
@@ -834,7 +769,6 @@ func (s *Server) Restore(sc *cubicle.SnapCtx, blob []byte) error {
 	s.Requests = u64(25)
 	s.Errors503 = u64(33)
 	s.Shed429 = u64(41)
-	s.Shed503 = u64(49)
 	s.conns = nil
 	return nil
 }

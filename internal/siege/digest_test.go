@@ -9,12 +9,14 @@ import (
 
 // TestSMPCoresSurchargeStreamPinned pins what SMPCores: 4 does to the
 // replay workload (chaos seed 7, checkpoints every 300 000 cycles,
-// supervision): the digest was computed at the commit before in-monitor
+// supervision): the stream was first pinned at the commit before in-monitor
 // thread placement was deleted, where the same fold also asserted
 // Core == 0 on every event and ShardRecorded(c) == 0 for c >= 1
-// (EXPERIMENTS.md, "In-monitor cores: who entered them").
+// (EXPERIMENTS.md, "In-monitor cores: who entered them"), and re-pinned
+// unchanged but for the kinds' numbering and two counter rows
+// (EXPERIMENTS.md, "Overload knobs removed").
 func TestSMPCoresSurchargeStreamPinned(t *testing.T) {
-	const want = uint64(0xfa3e4ab61e45a98b)
+	const want = uint64(0x749a4afcd5706bcb)
 	m := replayRun(t, 4, 0).Sys.M
 	if got := cubicletest.StreamDigest(m); got != want {
 		t.Fatalf("stream digest at SMPCores 4 = %#x, want %#x (%d events, clock %d, %d shootdowns)",

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cubicleos/internal/cubicle"
-	"cubicleos/internal/httpd"
 )
 
 // mustTarget boots a default deployment in the given mode.
@@ -188,22 +187,17 @@ func TestKeepAliveBufferStaysOneResponse(t *testing.T) {
 }
 
 // TestKeepAliveRequestCap: the server forces Connection: close once a
-// connection has served Governance.MaxConnRequests responses.
+// connection has served its cap of 100 responses (nginx's
+// keepalive_requests default).
 func TestKeepAliveRequestCap(t *testing.T) {
-	tg, err := NewTargetOpts(Options{
-		Mode:       cubicle.ModeFull,
-		Governance: &httpd.Governance{MaxConnRequests: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tg := mustTarget(t, cubicle.ModeFull)
 	if err := tg.PutFile("/c.html", []byte("cap")); err != nil {
 		t.Fatal(err)
 	}
 	k := tg.OpenKA()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 100; i++ {
 		r := fetchKA(t, tg, k, "/c.html")
-		wantClose := i == 2
+		wantClose := i == 99
 		if r.Status != 200 || r.Close != wantClose {
 			t.Fatalf("request %d: status %d close %v, want 200 close=%v", i, r.Status, r.Close, wantClose)
 		}

@@ -70,10 +70,9 @@ func TestMetricsEndpointServesOpenMetrics(t *testing.T) {
 		t.Error("serving /metrics should move calls and leave denied_faults alone")
 	}
 	for _, want := range []string{
-		// The twelve series the endpoint had before the table.
+		// The series the endpoint had before the table.
 		"cubicleos_calls_total", "cubicleos_shared_calls_total", "cubicleos_faults_total",
 		"cubicleos_retags_total", "cubicleos_wrpkrus_total", "cubicleos_sheds_total",
-		"cubicleos_quota_faults_total", "cubicleos_deadline_faults_total",
 		"cubicleos_retries_total", "cubicleos_contained_faults_total",
 		"cubicleos_restarts_total", "cubicleos_tlb_shootdowns_total",
 		"cubicleos_virtual_seconds",

@@ -69,11 +69,10 @@ type Options struct {
 	// Target.Sys.Chaos once provisioning is done).
 	Chaos *faultinject.Config
 	// Governance, when non-nil, arms the server's overload protection
-	// (admission control, request deadlines, shed responses).
+	// (admission control and shed responses).
 	Governance *httpd.Governance
-	// MemQuotas / WireCap / ReapClosed pass through to boot.Config — the
-	// resource-governance side of overload protection.
-	MemQuotas  map[string]uint64
+	// WireCap / ReapClosed pass through to boot.Config — the
+	// resource side of overload protection.
 	WireCap    int
 	ReapClosed bool
 	// SMPCores passes through to boot.Config: > 1 adds the retag
@@ -92,8 +91,8 @@ type Options struct {
 
 // Governed returns o with overload protection on — the one declaration of
 // the governed deployment that httpbench -openloop sweeps and cubicle-top
-// watches: supervision with the crossing watchdog off (overload exercises
-// deadlines and quotas, not runaway crossings), admission control at 16
+// watches: supervision with the crossing watchdog off (overload makes
+// crossings slow, not runaway), admission control at 16
 // connections answering Retry-After: 1, a 256-frame wire and closed
 // sockets reaped.
 func (o Options) Governed() Options {
@@ -152,7 +151,6 @@ func NewTargetOpts(o Options) (*Target, error) {
 		MetricsRing:        o.MetricsRing,
 		Supervision:        o.Supervision,
 		Chaos:              o.Chaos,
-		MemQuotas:          o.MemQuotas,
 		WireCap:            o.WireCap,
 		LwipReapClosed:     o.ReapClosed,
 		SMPCores:           o.SMPCores,

@@ -55,7 +55,7 @@ type PageImage struct {
 
 // HeapImage is the sub-allocator's bookkeeping: the sorted free list, the
 // live allocation sizes (sorted by address), and the arena/live byte
-// counters the quota accounting derives from.
+// counters.
 type HeapImage struct {
 	Free       []vm.Extent
 	Sizes      []vm.Extent

@@ -80,21 +80,12 @@ const (
 	// injection site/kind label.
 	EvInjected
 	// EvShed is a request refused by admission control: Cubicle is the
-	// shedding cubicle, Name the reason label (e.g. conn_limit, quota),
-	// Arg the HTTP status sent back (429/503).
+	// shedding cubicle, Name the reason label (e.g. conns), Arg the HTTP
+	// status sent back (429).
 	EvShed
-	// EvDeadline is a crossing or work quantum abandoned because the
-	// thread's virtual-clock deadline had passed; Cubicle is where the
-	// expiry was detected, Arg the deadline, Cost how far past it the
-	// clock was.
-	EvDeadline
-	// EvQuota is a memory-quota refusal: Cubicle is the cubicle whose
-	// quota was exhausted, Name the resource label, Arg the attempted
-	// usage, Cost the limit.
-	EvQuota
-	// EvRetry is one bounded-retry attempt after a transient contained
-	// fault; Cubicle is the retrying caller, Arg the attempt number,
-	// Cost the virtual-cycle backoff charged before it.
+	// EvRetry is one bounded-retry attempt after a call refused by a
+	// quarantined dependency; Cubicle is the retrying caller, Arg the
+	// attempt number, Cost the virtual-cycle backoff charged before it.
 	EvRetry
 	// EvShootdown is the per-core key synchronisation a page retag pays
 	// on a multi-core machine (libmpk-style): Cubicle is the retagged
@@ -151,8 +142,6 @@ var kindNames = [NumKinds]string{
 	EvRestart:      "restart",
 	EvInjected:     "injected",
 	EvShed:         "shed",
-	EvDeadline:     "deadline",
-	EvQuota:        "quota",
 	EvRetry:        "retry",
 	EvShootdown:    "shootdown",
 	EvCheckpoint:   "checkpoint",
