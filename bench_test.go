@@ -489,9 +489,7 @@ func BenchmarkCheckpointSweep(b *testing.B) {
 // transfer than the page ping-pong (two SIGSEGV round trips), which is
 // exactly why CubicleOS's NGINX pays 2× on bulk I/O. What trap-and-map
 // buys instead is what the paper argues for — unchanged pointer-based
-// interfaces, no per-channel tag exhaustion, and zero copies — and the
-// §8 pinned-tag extension (see BenchmarkAblationPinnedWindow) recovers
-// the fault cost too, by spending a tag on the hot window.
+// interfaces, no per-channel tag exhaustion, and zero copies.
 func BenchmarkAblationSharedBuffer(b *testing.B) {
 	const payload = 4096
 	b.Run("trap-and-map", func(b *testing.B) {
@@ -595,47 +593,6 @@ func BenchmarkAblationEagerRevoke(b *testing.B) {
 			}
 			b.StopTimer()
 			reportVirtual(b, mon.Clock, start)
-		})
-	}
-}
-
-// BenchmarkAblationPinnedWindow measures the §8 extension: a hot shared
-// buffer under lazy trap-and-map versus a window-specific tag (pinned),
-// which trades one MPK key for fault-free producer/consumer exchange.
-func BenchmarkAblationPinnedWindow(b *testing.B) {
-	for _, pinned := range []bool{false, true} {
-		name := "trap-and-map"
-		if pinned {
-			name = "pinned-tag"
-		}
-		b.Run(name, func(b *testing.B) {
-			mon, env, h, buf := pairSystem(b, cubicleos.ModeFull)
-			a := cubicleNamed(mon, "A")
-			if pinned {
-				if err := mon.RunAs(env, a.ID, func(e *cubicleos.Env) {
-					// Re-window the buffer and pin it.
-					wid := e.WindowInit()
-					e.WindowAdd(wid, buf, cubicleos.PageSize)
-					e.WindowOpen(wid, e.CubicleOf("B"))
-					e.WindowPin(wid)
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			start := mon.Clock.Cycles()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := mon.RunAs(env, a.ID, func(e *cubicleos.Env) {
-					e.StoreByte(buf, byte(i)) // producer write
-					h.Call(e, uint64(buf))    // consumer write
-					e.StoreByte(buf, byte(i)) // producer again: the ping-pong
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			reportVirtual(b, mon.Clock, start)
-			b.ReportMetric(float64(mon.Stats.Faults)/float64(b.N), "traps/op")
 		})
 	}
 }

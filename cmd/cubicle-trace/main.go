@@ -17,9 +17,10 @@
 // rest is what only the tracer knows.
 //
 // With -check the emitted chrome/json output is additionally validated to
-// round-trip through encoding/json, and the per-cubicle profile total is
-// checked against the virtual clock — the invariants scripts/check.sh
-// smoke-tests in CI.
+// round-trip through encoding/json, the prom output to hold `series value`
+// samples with no series and no # TYPE family twice, and the per-cubicle
+// profile total is checked against the virtual clock — the invariants
+// scripts/check.sh smoke-tests in CI.
 //
 // With -replay the command becomes a record/replay determinism check: the
 // same workload (same seed, same chaos schedule) is executed twice, the
@@ -39,6 +40,8 @@ import (
 	"log"
 	"math"
 	"os"
+	"strconv"
+	"strings"
 
 	"cubicleos"
 	"cubicleos/internal/cubicle"
@@ -296,6 +299,25 @@ func validate(tgt *siege.Target, format string, output []byte) {
 		var v any
 		if err := json.Unmarshal(output, &v); err != nil {
 			fail("%s output does not round-trip through encoding/json: %v", format, err)
+		}
+	case "prom":
+		seen := map[string]bool{}
+		for _, line := range strings.Split(strings.TrimSuffix(string(output), "\n"), "\n") {
+			key := line
+			if family, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				key, _, _ = strings.Cut(family, " ")
+				key = "# TYPE " + key
+			} else if !strings.HasPrefix(line, "# HELP ") {
+				i := strings.LastIndexByte(line, ' ')
+				if _, err := strconv.ParseFloat(line[i+1:], 64); i <= 0 || err != nil {
+					fail("prom line %q is not `series value`", line)
+				}
+				key = line[:i]
+			}
+			if seen[key] {
+				fail("prom output repeats %s", key)
+			}
+			seen[key] = true
 		}
 	}
 

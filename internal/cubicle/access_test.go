@@ -113,28 +113,24 @@ func TestPKRUSwitchRevokesAccess(t *testing.T) {
 }
 
 // TestRollbackRevokesWindowAccess checks containment rollback
-// mid-crossing: the callee shares a buffer through a pinned window and
-// faults. The journal unpins and closes the window (retagging the buffer
-// back), and the caller — on the same thread — must be denied: the trap
-// finds no window.
+// mid-crossing: the callee shares a buffer through a window and faults.
+// The journal destroys the window, and the caller — on the same thread —
+// must be denied the buffer the window covered: the trap finds no window.
 func TestRollbackRevokesWindowAccess(t *testing.T) {
 	ts := bootFaulty(t, DefaultRestartPolicy(), nil)
 	appBuf := ts.heapIn(t, "APP", 8)
 	ts.enter(t, "APP", func(e *Env) {
+		// svc_leak allocates a buffer, opens a window on it for APP, then
+		// faults.
 		h := ts.m.MustResolve(e.Cubicle(), "SVC", "svc_leak")
-		// svc_leak allocates a buffer, opens and pins a window on it for
-		// APP, then faults; capture the buffer address via svc_alloc run
-		// first so the allocator state is observable.
-		alloc := ts.m.MustResolve(e.Cubicle(), "SVC", "svc_alloc")
-		svcBuf := vm.Addr(alloc.Call(e, 64)[0])
 		cf := CatchContained(func() { h.Call(e, uint64(appBuf)) })
 		if cf == nil {
 			t.Fatal("svc_leak fault was not contained")
 		}
-		err := Catch(func() { e.LoadByte(svcBuf) })
+		err := Catch(func() { e.LoadByte(ts.leakBuf) })
 		var pf *ProtectionFault
-		if !errors.As(err, &pf) {
-			t.Fatalf("APP read of SVC heap after rollback: got %v, want *ProtectionFault", err)
+		if !errors.As(err, &pf) || pf.Reason != "no open window authorises the access" {
+			t.Fatalf("APP read of SVC's shared buffer after rollback: got %v, want a no-window *ProtectionFault", err)
 		}
 	})
 }

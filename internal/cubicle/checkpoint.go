@@ -27,9 +27,9 @@ import (
 //
 // Quiescence rule: a cubicle may only be checkpointed when no thread has a
 // frame executing inside it (so no crossing is in flight) and every window
-// it owns is closed and unpinned (so no temporal grant is half-made). The
-// cadence hook sits at trampoline Call entry at frame depth zero; threads
-// are cooperative, so another thread may be parked mid-crossing there, and
+// it owns is closed (so no temporal grant is half-made). The cadence hook
+// sits at trampoline Call entry at frame depth zero; threads are
+// cooperative, so another thread may be parked mid-crossing there, and
 // quiescent() scans every thread's frames.
 
 // snapHook is one component's snapshot/restore callback pair, registered
@@ -172,7 +172,7 @@ func (m *Monitor) checkpointable(c *Cubicle) bool {
 }
 
 // quiescent applies the quiescence rule: no thread frame executing inside
-// the cubicle, and all owned windows closed and unpinned.
+// the cubicle, and all owned windows closed.
 func (m *Monitor) quiescent(c *Cubicle) bool {
 	for _, th := range m.threads {
 		for i := range th.frames {
@@ -182,10 +182,7 @@ func (m *Monitor) quiescent(c *Cubicle) bool {
 		}
 	}
 	for _, w := range c.windows {
-		if w == nil {
-			continue
-		}
-		if w.Open != 0 || w.pinned != noPin {
+		if w != nil && w.Open != 0 {
 			return false
 		}
 	}
@@ -318,9 +315,9 @@ func (m *Monitor) restoreCheckpoint(c *Cubicle, ck *checkpointRecord) error {
 	}
 	c.heap = h
 
-	// Rebuild window descriptors, closed and unpinned; the class and the
-	// search lists are recomputed from the restored pages exactly as
-	// windowAdd assigned them.
+	// Rebuild window descriptors, closed; the class and the search lists
+	// are recomputed from the restored pages exactly as windowAdd assigned
+	// them.
 	for _, wi := range img.Windows {
 		for int(wi.WID) >= len(c.windows) {
 			c.windows = append(c.windows, nil)

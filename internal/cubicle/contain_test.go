@@ -30,14 +30,14 @@ func bootFaulty(t testing.TB, policy RestartPolicy, restarts *int) *testSystem {
 			e.StoreByte(vm.Addr(args[0]), 1)
 			return nil
 		}},
-		// svc_leak creates, opens and pins a window on its own heap, then
+		// svc_leak creates and opens a window on its own heap, then
 		// faults — the containment journal must clean all of it up.
 		{Name: "svc_leak", RegArgs: 1, Fn: func(e *Env, args []uint64) []uint64 {
 			buf := e.HeapAlloc(64)
+			ts.leakBuf = buf
 			wid := e.WindowInit()
 			e.WindowAdd(wid, buf, 64)
 			e.WindowOpen(wid, e.Caller())
-			e.WindowPin(wid)
 			e.StoreByte(vm.Addr(args[0]), 1)
 			return nil
 		}},
@@ -86,17 +86,6 @@ func bootFaulty(t testing.TB, policy RestartPolicy, restarts *int) *testSystem {
 	ts.m, ts.si, ts.cubs = m, si, cubs
 	ts.env = m.NewEnv(m.NewThread())
 	return ts
-}
-
-// pinnedKeyCount counts MPK keys currently reserved for pinned windows.
-func pinnedKeyCount(m *Monitor) int {
-	n := 0
-	for _, h := range m.keyHolder {
-		if h == -3 {
-			n++
-		}
-	}
-	return n
 }
 
 func TestContainedFaultUnwindsToCrossing(t *testing.T) {
@@ -148,15 +137,13 @@ func TestContainedFaultUnwindsToCrossing(t *testing.T) {
 }
 
 // TestContainmentRollsBackWindowLeaks is the fault-path leak satellite: a
-// callee that created, opened and pinned windows before faulting must leave
-// no window descriptors and no reserved pin keys behind.
+// callee that created and opened windows before faulting must leave no
+// window descriptors and no journal entries behind.
 func TestContainmentRollsBackWindowLeaks(t *testing.T) {
 	ts := bootFaulty(t, DefaultRestartPolicy(), nil)
 	appBuf := ts.heapIn(t, "APP", 8)
 	svcID := ts.cubs["SVC"].ID
 	winBefore := ts.m.WindowCount(svcID)
-	keysBefore := pinnedKeyCount(ts.m)
-	pinsBefore := len(ts.m.pinned)
 	ts.enter(t, "APP", func(e *Env) {
 		h := ts.m.MustResolve(e.Cubicle(), "SVC", "svc_leak")
 		if cf := CatchContained(func() { h.Call(e, uint64(appBuf)) }); cf == nil {
@@ -165,12 +152,6 @@ func TestContainmentRollsBackWindowLeaks(t *testing.T) {
 	})
 	if got := ts.m.WindowCount(svcID); got != winBefore {
 		t.Errorf("window count after contained fault = %d, want %d (leak)", got, winBefore)
-	}
-	if got := pinnedKeyCount(ts.m); got != keysBefore {
-		t.Errorf("reserved pin keys after contained fault = %d, want %d (leak)", got, keysBefore)
-	}
-	if got := len(ts.m.pinned); got != pinsBefore {
-		t.Errorf("pinned window list length = %d, want %d (leak)", got, pinsBefore)
 	}
 	if got := len(ts.env.T.journal); got != 0 {
 		t.Errorf("containment journal holds %d entries after full unwind", got)

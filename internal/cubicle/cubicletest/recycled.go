@@ -15,7 +15,7 @@ import (
 // the taker gives from an empty list.
 
 // poison is the value Poison writes into every number and byte: one no
-// new object holds (0xFF would read as an unpinned window's key).
+// new object holds (0xFF would read as a new window's classNone).
 const poison = 0x5A
 
 // Poison sets every field of the struct x points to, unexported ones and

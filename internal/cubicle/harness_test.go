@@ -14,6 +14,8 @@ type testSystem struct {
 	si   *SystemImage
 	cubs map[string]*Cubicle
 	env  *Env
+
+	leakBuf vm.Addr // the buffer bootFaulty's svc_leak last shared
 }
 
 // bootPair boots a system with two isolated components FOO and BAR and a

@@ -1,11 +1,6 @@
 package cubicle
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"strings"
-
 	"cubicleos/internal/cycles"
 	"cubicleos/internal/trace"
 )
@@ -14,10 +9,9 @@ import (
 // virtual cycles the monitor snapshots its architectural counters, the
 // health ladder and the tracer's latency digests into a bounded
 // time-series ring. The samples drive the live cubicle-top dashboard and
-// the OpenMetrics exposition the simulated httpd serves from /metrics —
-// the observability layer dogfooding the isolation boundaries it
-// measures. Like the trace rings, the sample ring is bounded and counts
-// every overwrite: overload can age out history but never lies about it.
+// cubicle-inspect's metrics section. Like the trace rings, the sample ring
+// is bounded and counts every overwrite: overload can age out history but
+// never lies about it.
 
 // MetricsSample is one interval's snapshot of the running system.
 type MetricsSample struct {
@@ -204,56 +198,4 @@ func (m *Monitor) MetricsDropped() uint64 {
 		return mc.n - capa
 	}
 	return 0
-}
-
-// --- OpenMetrics exposition ---------------------------------------------------
-
-// WriteOpenMetrics writes the monitor's counters, the latest metrics
-// sample's rate gauges, and the trace ring's accounting in OpenMetrics
-// text exposition format, terminated by the mandatory "# EOF" marker. This
-// is the body the simulated httpd serves from /metrics.
-func (m *Monitor) WriteOpenMetrics(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(bw, "# HELP cubicleos_%s %s\n", name, help)
-		fmt.Fprintf(bw, "# TYPE cubicleos_%s counter\n", name)
-		fmt.Fprintf(bw, "cubicleos_%s_total %d\n", name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(bw, "# HELP cubicleos_%s %s\n", name, help)
-		fmt.Fprintf(bw, "# TYPE cubicleos_%s gauge\n", name)
-		fmt.Fprintf(bw, "cubicleos_%s %g\n", name, v)
-	}
-	for _, c := range Counters {
-		counter(c.Name, c.Help, *c.Field(&m.Stats))
-	}
-	gauge("virtual_seconds", "Virtual time elapsed", float64(m.Clock.Cycles())/float64(cycles.FrequencyHz))
-	if mc := m.met; mc != nil {
-		counter("metrics_samples", "Metrics snapshots taken", m.MetricsRecorded())
-		counter("metrics_samples_dropped", "Metrics snapshots aged out of the ring", m.MetricsDropped())
-		if last, ok := m.LastMetricsSample(); ok {
-			gauge("call_rate", "Crossings per virtual second over the last interval", last.CallRate)
-			gauge("fault_rate", "Faults per virtual second over the last interval", last.FaultRate)
-			gauge("shed_rate", "Sheds per virtual second over the last interval", last.ShedRate)
-			gauge("healthy_cubicles", "Cubicles in the Healthy state", float64(last.Healthy))
-			gauge("quarantined_cubicles", "Cubicles in the Quarantined state", float64(last.Quarantined))
-			gauge("dead_cubicles", "Cubicles in the Dead state", float64(last.Dead))
-			gauge("call_p50_cycles", "Median crossing latency in cycles", float64(last.CallP50))
-			gauge("call_p99_cycles", "P99 crossing latency in cycles", float64(last.CallP99))
-		}
-	}
-	if trc := m.trc; trc != nil {
-		counter("trace_events_recorded", "Events recorded by the trace ring", trc.Recorded())
-		counter("trace_events_dropped", "Events overwritten by trace ring wrap", trc.Dropped())
-	}
-	fmt.Fprint(bw, "# EOF\n")
-	return bw.Flush()
-}
-
-// OpenMetricsBody renders WriteOpenMetrics into a byte slice, the form the
-// httpd metrics endpoint consumes.
-func (m *Monitor) OpenMetricsBody() []byte {
-	var sb strings.Builder
-	m.WriteOpenMetrics(&sb)
-	return []byte(sb.String())
 }

@@ -88,8 +88,6 @@ type Monitor struct {
 	trampolines []*Trampoline
 	guardPages  map[uint64]guardInfo // page number -> guard/thunk metadata
 	threads     []*Thread
-	// pinned lists windows carrying a window-specific tag (§8 extension).
-	pinned []*Window
 	// spareWindows holds destroyed window descriptors for windowInit to
 	// reuse (newWindow).
 	spareWindows spare.List[Window]
@@ -287,15 +285,7 @@ func (m *Monitor) pkruOf(c *Cubicle) mpk.PKRU {
 	if !m.Mode.MPKEnabled() || c.Kind == KindTrusted {
 		return mpk.AllAllowed
 	}
-	p := mpk.AllDenied.Allow(m.keyOf(c)).Allow(sharedKey)
-	// Window-specific tags (§8 extension): keys of pinned windows the
-	// cubicle owns or is granted.
-	for _, w := range m.pinned {
-		if w.Owner == c.ID || w.IsOpenFor(c.ID) {
-			p = p.Allow(w.pinned)
-		}
-	}
-	return p
+	return mpk.AllDenied.Allow(m.keyOf(c)).Allow(sharedKey)
 }
 
 // pkruFor is pkruOf for callers that hold an ID.

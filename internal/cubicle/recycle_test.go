@@ -11,8 +11,8 @@ import (
 
 // TestRecycledWindowStartsClean: the descriptor of a window destroyed
 // after a full lifecycle — two ranges added, opened for another cubicle,
-// pinned to a key of its own, closed — and then poisoned is the one the
-// cubicle's next WindowInit gets, and it reads as a new one.
+// closed — and then poisoned is the one the cubicle's next WindowInit
+// gets, and it reads as a new one.
 func TestRecycledWindowStartsClean(t *testing.T) {
 	noop := func(e *cubicle.Env, _ []uint64) []uint64 { return nil }
 	b := cubicle.NewBuilder()
@@ -39,7 +39,6 @@ func TestRecycledWindowStartsClean(t *testing.T) {
 		e.WindowAdd(w, buf, vm.PageSize)
 		e.WindowAdd(w, buf.Add(vm.PageSize), vm.PageSize)
 		e.WindowOpen(w, other)
-		e.WindowPin(w)
 		e.WindowClose(w, other)
 		old = m.WindowOf(a, w)
 		e.WindowDestroy(w)

@@ -60,9 +60,9 @@ type Stats struct {
 	// quarantined dependency.
 	Retries uint64
 	// TLBShootdowns counts cross-core retag synchronisation rounds: on an
-	// SMP machine every trap-and-map or pin retag pays one IPI round trip
-	// per remote core (libmpk's per-thread sync). Always 0 on single-core
-	// deployments.
+	// SMP machine every trap-and-map or key-eviction retag pays one IPI
+	// round trip per remote core (libmpk's per-thread sync). Always 0 on
+	// single-core deployments.
 	TLBShootdowns uint64
 	// Always zero: compile shim whose sole reader is benchmark/layers.go.
 	TLBHits uint64
@@ -115,10 +115,10 @@ type Counter struct {
 }
 
 // Counters is the one declaration of every scalar counter. note bumps
-// the rows through tables built from it, and Stats.Merge, the /metrics
-// exposition (cubicleos_<Name>_total), CounterValues, cubicle-inspect
-// and cubicle-trace iterate it, so a new counter is one row here and one
-// note where its event happens. Each kind defines at most one count and
+// the rows through tables built from it, and Stats.Merge, CounterValues,
+// cubicle-inspect and cubicle-trace (cubicleos_<Name>_total in its prom
+// output) iterate it, so a new counter is one row here and one note
+// where its event happens. Each kind defines at most one count and
 // one Weighted row; call_exit, ipc and mark define none. The three TLB*
 // shims are not rows: nothing increments them and no event defines them.
 var Counters = [...]Counter{

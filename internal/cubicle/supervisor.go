@@ -50,7 +50,6 @@ type undoKind uint8
 const (
 	undoDestroyWindow undoKind = iota // window was created: destroy it
 	undoCloseWindow                   // window was opened for grantee: close it
-	undoUnpinWindow                   // window was pinned: release its key
 )
 
 // undoEntry is one entry of a thread's containment journal: a window-state
@@ -179,28 +178,13 @@ func (s *Supervisor) rollback(t *Thread, jmark int, victim ID) {
 		switch u.kind {
 		case undoCloseWindow:
 			w.Open &^= 1 << uint(u.grantee)
-			if w.pinned != noPin {
-				m.refreshThreadPKRUs()
-			}
-		case undoUnpinWindow:
-			if w.pinned != noPin {
-				s.m.stripPin(nil, w)
-			}
 		case undoDestroyWindow:
-			s.destroyWindow(cub, w)
+			// The supervisor acts as the monitor here, so no window-op
+			// cost or event is recorded.
+			m.dropWindow(cub, w)
 		}
 	}
 	t.journal = t.journal[:jmark]
-}
-
-// destroyWindow removes a window without going through the chargeable
-// untrusted API: the supervisor acts as the monitor here, so no window-op
-// cost or event is recorded (retags of pinned pages still are).
-func (s *Supervisor) destroyWindow(cub *Cubicle, w *Window) {
-	if w.pinned != noPin {
-		s.m.stripPin(nil, w)
-	}
-	s.m.dropWindow(cub, w)
 }
 
 // quarantine moves an isolated cubicle into the Quarantined state with an
@@ -319,15 +303,14 @@ func (s *Supervisor) restart(c *Cubicle) bool {
 }
 
 // teardown returns cubicle c to the cold-rebuild state: every window it
-// owns destroyed (releasing pinned keys) and the descriptor arrays reset,
-// its heap and stack pages unmapped, a fresh sub-allocator, and no thread
-// holding a stack in it (threads re-create their per-cubicle stacks
-// lazily). A restart starts with it, and a failed warm restore ends with
-// it.
+// owns destroyed and the descriptor arrays reset, its heap and stack pages
+// unmapped, a fresh sub-allocator, and no thread holding a stack in it
+// (threads re-create their per-cubicle stacks lazily). A restart starts
+// with it, and a failed warm restore ends with it.
 func (s *Supervisor) teardown(c *Cubicle) {
 	for _, w := range c.windows {
 		if w != nil {
-			s.destroyWindow(c, w)
+			s.m.dropWindow(c, w)
 		}
 	}
 	c.windows = c.windows[:0]

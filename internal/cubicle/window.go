@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"cubicleos/internal/mpk"
 	"cubicleos/internal/trace"
 	"cubicleos/internal/vm"
 )
@@ -23,9 +22,6 @@ type Window struct {
 	Class  windowClass // set by the first Add; ranges share a class
 	Ranges []vm.Extent
 	Open   uint64 // bitmask: bit i set = open for cubicle i
-	// pinned is the window-specific MPK key of the §8 extension, or
-	// noPin for the default trap-and-map behaviour.
-	pinned mpk.Key
 }
 
 // IsOpenFor reports whether the window is open for cubicle cid.
@@ -82,18 +78,18 @@ func (m *Monitor) windowInit(t *Thread, c ID) WID {
 	return wid
 }
 
-// newWindow returns an empty, closed, unpinned descriptor for window wid
-// of cubicle owner: the most recently destroyed one (dropWindow), reset
-// to what a new one holds but for the capacity of its Ranges.
+// newWindow returns an empty, closed descriptor for window wid of cubicle
+// owner: the most recently destroyed one (dropWindow), reset to what a new
+// one holds but for the capacity of its Ranges.
 func (m *Monitor) newWindow(wid WID, owner ID) *Window {
 	w := m.spareWindows.Take()
-	*w = Window{ID: wid, Owner: owner, Class: classNone, Ranges: w.Ranges[:0], pinned: noPin}
+	*w = Window{ID: wid, Owner: owner, Class: classNone, Ranges: w.Ranges[:0]}
 	return w
 }
 
-// dropWindow takes the unpinned window w off its cubicle's descriptor
-// array and search list, leaving its slot nil for windowInit, and retires
-// the descriptor for newWindow.
+// dropWindow takes window w off its cubicle's descriptor array and search
+// list, leaving its slot nil for windowInit, and retires the descriptor
+// for newWindow.
 func (m *Monitor) dropWindow(cub *Cubicle, w *Window) {
 	if w.Class != classNone {
 		lst := cub.search[w.Class]
@@ -159,14 +155,6 @@ func (m *Monitor) windowAdd(t *Thread, c ID, wid WID, ptr vm.Addr, size uint64) 
 			Reason: fmt.Sprintf("window holds %v ranges; cannot mix with %v", w.Class, cls)})
 	}
 	w.Ranges = append(w.Ranges, vm.Extent{Addr: ptr, Size: size})
-	if w.pinned != noPin {
-		// Ranges added to a pinned window take its dedicated key at once.
-		first, last := vm.PagesIn(ptr, size)
-		for pn := first; pn <= last; pn++ {
-			m.AS.Page(vm.PageAddr(pn)).SetKey(uint8(w.pinned))
-			m.chargeRetag(t, c, vm.PageAddr(pn), w.pinned)
-		}
-	}
 }
 
 // windowRemove implements cubicle_window_remove: drop the range previously
@@ -194,9 +182,6 @@ func (m *Monitor) windowOpen(t *Thread, c ID, wid WID, cid ID) bool {
 	}
 	newGrant := w.Open&(1<<uint(cid)) == 0
 	w.Open |= 1 << uint(cid)
-	if w.pinned != noPin {
-		m.refreshThreadPKRUs()
-	}
 	return newGrant
 }
 
@@ -209,11 +194,6 @@ func (m *Monitor) windowClose(t *Thread, c ID, wid WID, cid ID) {
 	if cid >= 0 && cid < MaxCubicles {
 		w.Open &^= 1 << uint(cid)
 	}
-	if w.pinned != noPin {
-		// Pinned windows revoke eagerly: the grantee's PKRU loses the
-		// window key immediately (no causal laziness to fall back on).
-		m.refreshThreadPKRUs()
-	}
 }
 
 // windowCloseAll implements cubicle_window_close_all.
@@ -221,19 +201,12 @@ func (m *Monitor) windowCloseAll(t *Thread, c ID, wid WID) {
 	m.chargeWindowOp(t, c, "close_all", wid)
 	w := m.window(c, wid, "window_close_all")
 	w.Open = 0
-	if w.pinned != noPin {
-		m.refreshThreadPKRUs()
-	}
 }
 
 // windowDestroy implements cubicle_window_destroy.
 func (m *Monitor) windowDestroy(t *Thread, c ID, wid WID) {
 	m.chargeWindowOp(t, c, "destroy", wid)
-	w := m.window(c, wid, "window_destroy")
-	if w.pinned != noPin {
-		m.unpinWindow(t, c, wid)
-	}
-	m.dropWindow(m.cubicle(c), w)
+	m.dropWindow(m.cubicle(c), m.window(c, wid, "window_destroy"))
 }
 
 // WindowCount returns the number of live windows owned by cubicle c;

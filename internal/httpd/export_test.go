@@ -1,6 +1,9 @@
 package httpd
 
-import "cubicleos/internal/cubicle"
+import (
+	"cubicleos/internal/cubicle"
+	"cubicleos/internal/vfscore"
+)
 
 // ConnFDs returns the descriptors of the listed connections in the order
 // step walks them, and whether a connection marked closed is still listed.
@@ -31,6 +34,9 @@ func (s *Server) CloseConnFD(e *cubicle.Env, fd uint64) {
 		s.closeConn(e, s.conns[i])
 	}
 }
+
+// VFS returns the server's VFSCORE client.
+func (s *Server) VFS() *vfscore.Client { return s.vfs }
 
 // ScanHead is scanHead.
 func ScanHead(head []byte) (method, path []byte, http11, keepAlive bool) { return scanHead(head) }

@@ -103,19 +103,17 @@ func TestLogLineMatchesFmtReference(t *testing.T) {
 // what the fmt-built formats give: the head's length feeds lwip.Send and so
 // the virtual clock, so it may not move by a byte.
 func TestResponseHeadsMatchFmtReference(t *testing.T) {
-	tgt, err := siege.NewTargetOpts(siege.Options{Mode: cubicle.ModeFull, MetricsInterval: 1 << 40, MetricsRing: 4})
+	tgt, err := siege.NewTargetOpts(siege.Options{Mode: cubicle.ModeFull})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tgt.PutFile("/f", body(4321)); err != nil {
 		t.Fatal(err)
 	}
-	tgt.Srv.SetMetricsSource(func() []byte { return []byte("# EOF\n") })
-	const metricsType = "Content-Type: application/openmetrics-text; version=1.0.0\r\n"
 	for _, c := range []struct {
 		name, request string
 		proto, status string
-		extra         string // Content-Type and Connection lines
+		extra         string // the Connection line
 		length        int
 		logPath       string
 		logSize       int
@@ -127,8 +125,6 @@ func TestResponseHeadsMatchFmtReference(t *testing.T) {
 		{"HEAD", "HEAD /f HTTP/1.1\r\nConnection: close\r\n\r\n", "HTTP/1.1", "200 OK", "Connection: close\r\n", 4321, "/f", 0},
 		{"404", "GET /none HTTP/1.1\r\nConnection: close\r\n\r\n", "HTTP/1.1", "404 Not Found", "Connection: close\r\n", len("not found\n"), "/none", 0},
 		{"400", "PUT /f HTTP/1.1\r\n\r\n", "HTTP/1.1", "400 Bad Request", "Connection: close\r\n", len("bad request\n"), "", 0},
-		{"metrics", "GET /metrics HTTP/1.0\r\n\r\n", "HTTP/1.0", "200 OK", metricsType, len("# EOF\n"), "/metrics", 0},
-		{"metrics 1.1", "GET /metrics HTTP/1.1\r\n\r\n", "HTTP/1.1", "200 OK", metricsType + "Connection: keep-alive\r\n", len("# EOF\n"), "/metrics", 0},
 	} {
 		logged := len(tgt.Sys.Plat.ConsoleOutput())
 		conn := tgt.Peer.Connect(80)

@@ -153,10 +153,6 @@ type Server struct {
 	// scratch is where response heads and access-log lines are formatted
 	// before e.Write copies them into simulated memory.
 	scratch []byte
-	// metricsSource, when set, serves GET /metrics with its OpenMetrics
-	// body — the monitor's own counters flowing out through the server's
-	// isolation boundaries like any other response.
-	metricsSource func() []byte
 
 	// Requests counts completed requests.
 	Requests uint64
@@ -179,11 +175,6 @@ func (s *Server) SetGovernance(g Governance) { s.gov = g }
 
 // Conns returns the number of live connections (admission-control gauge).
 func (s *Server) Conns() int { return len(s.conns) }
-
-// SetMetricsSource installs the body generator behind GET /metrics
-// (typically Monitor.OpenMetricsBody). The body is regenerated per
-// request, truncated to the connection's I/O buffer if oversized.
-func (s *Server) SetMetricsSource(fn func() []byte) { s.metricsSource = fn }
 
 // SetDeps wires the server's clients, ALLOC's included, plus the
 // cubicle IDs it opens windows for.
@@ -493,15 +484,14 @@ func scanHead(head []byte) (method, path []byte, http11, keepAlive bool) {
 	return method, path, http11, keepAlive
 }
 
-// appendHead appends a response head: status line, Server, the optional
-// Content-Type line, the connection header and Content-Length. Its length
-// feeds lwip.Send and so the virtual clock.
-func appendHead(b []byte, c *conn, status, contentType string, length uint64) []byte {
+// appendHead appends a response head: status line, Server, the connection
+// header and Content-Length. Its length feeds lwip.Send and so the virtual
+// clock.
+func appendHead(b []byte, c *conn, status string, length uint64) []byte {
 	b = append(b, c.proto()...)
 	b = append(b, ' ')
 	b = append(b, status...)
 	b = append(b, "\r\nServer: cubicle-nginx\r\n"...)
-	b = append(b, contentType...)
 	b = append(b, c.connHeader()...)
 	b = append(b, "Content-Length: "...)
 	b = strconv.AppendUint(b, length, 10)
@@ -547,10 +537,6 @@ func (s *Server) parseRequest(e *cubicle.Env, c *conn) {
 		s.startResponse(e, c, "400 Bad Request", []byte("bad request\n"))
 		return
 	}
-	if string(c.path) == "/metrics" && s.metricsSource != nil {
-		s.serveMetrics(e, c)
-		return
-	}
 	fd, errno := s.vfs.Open(e, string(c.path), vfscore.ORdonly)
 	if errno != vfscore.EOK {
 		c.status = 404
@@ -566,7 +552,7 @@ func (s *Server) parseRequest(e *cubicle.Env, c *conn) {
 	}
 	c.fileFD = fd
 	c.size = size
-	s.scratch = appendHead(s.scratch[:0], c, "200 OK", "", size)
+	s.scratch = appendHead(s.scratch[:0], c, "200 OK", size)
 	e.Write(c.ioBuf, s.scratch)
 	c.pending = uint64(len(s.scratch))
 	c.pendOff = 0
@@ -580,32 +566,9 @@ func (s *Server) parseRequest(e *cubicle.Env, c *conn) {
 	c.state = stServe
 }
 
-// serveMetrics stages the OpenMetrics exposition as an inline response
-// body: no file is opened, but the bytes still travel the normal path —
-// checked copy into the connection's I/O buffer, LWIP send, access log.
-func (s *Server) serveMetrics(e *cubicle.Env, c *conn) {
-	body := s.metricsSource()
-	s.scratch = appendHead(s.scratch[:0], c, "200 OK",
-		"Content-Type: application/openmetrics-text; version=1.0.0\r\n", uint64(len(body)))
-	hdrLen := len(s.scratch)
-	if hdrLen+len(body) > ioBufSize {
-		body = body[:ioBufSize-hdrLen]
-	}
-	s.scratch = append(s.scratch, body...)
-	e.Write(c.ioBuf, s.scratch)
-	c.pending = uint64(len(s.scratch))
-	c.pendOff = 0
-	c.size = 0
-	c.sent = 0
-	if c.headOnly {
-		c.pending = uint64(hdrLen)
-	}
-	c.state = stServe
-}
-
 // startResponse stages a small error response.
 func (s *Server) startResponse(e *cubicle.Env, c *conn, status string, body []byte) {
-	s.scratch = append(appendHead(s.scratch[:0], c, status, "", uint64(len(body))), body...)
+	s.scratch = append(appendHead(s.scratch[:0], c, status, uint64(len(body))), body...)
 	e.Write(c.ioBuf, s.scratch)
 	c.pending = uint64(len(s.scratch))
 	c.pendOff = 0

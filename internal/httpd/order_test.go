@@ -14,6 +14,7 @@ import (
 	"cubicleos/internal/lwip"
 	"cubicleos/internal/ramfs"
 	"cubicleos/internal/siege"
+	"cubicleos/internal/vfscore"
 )
 
 // checkOrder fails unless the server's connection list is what step relies
@@ -192,7 +193,7 @@ func TestStepOrderIsSortedFDs(t *testing.T) {
 // closes connection k+1, which has a complete request waiting; the same
 // step must pass k+1 by, not advance a connection whose buffers are freed.
 func TestStepSkipsConnectionClosedEarlierInTheStep(t *testing.T) {
-	tgt, err := siege.NewTargetOpts(siege.Options{Mode: cubicle.ModeFull, MetricsInterval: 1 << 40, MetricsRing: 4})
+	tgt, err := siege.NewTargetOpts(siege.Options{Mode: cubicle.ModeFull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +210,21 @@ func TestStepSkipsConnectionClosedEarlierInTheStep(t *testing.T) {
 	if len(fds) != 2 {
 		t.Fatalf("accepted %v, want two connections", fds)
 	}
-	// k serves /metrics, whose body generator runs inside k's advance.
+	// k's vfs_open, the first of the step, runs inside k's advance.
 	closed := false
-	srv.SetMetricsSource(func() []byte {
-		srv.CloseConnFD(tgt.Sys.Env, fds[1])
-		closed = true
-		return []byte("# EOF\n")
+	srv.VFS().Wrap(func(name string, inner vfscore.Caller) vfscore.Caller {
+		if name != "vfs_open" {
+			return inner
+		}
+		return callerFunc(func(e *cubicle.Env, args ...uint64) []uint64 {
+			if !closed {
+				srv.CloseConnFD(e, fds[1])
+				closed = true
+			}
+			return inner.Call(e, args...)
+		})
 	})
-	a.Send([]byte("GET /metrics HTTP/1.0\r\n\r\n"))
+	a.Send([]byte("GET /f HTTP/1.0\r\n\r\n"))
 	b.Send([]byte("GET /f HTTP/1.0\r\n\r\n"))
 	served := srv.Requests
 	for i := 0; i < 1000 && !(a.FinRcvd && b.FinRcvd); i++ {
@@ -227,7 +235,7 @@ func TestStepSkipsConnectionClosedEarlierInTheStep(t *testing.T) {
 	if !closed || !a.FinRcvd || !b.FinRcvd {
 		t.Fatalf("closed=%v, FIN received: k %v, k+1 %v", closed, a.FinRcvd, b.FinRcvd)
 	}
-	if !bytes.Contains(a.Received(), []byte("# EOF\n")) {
+	if !bytes.HasSuffix(a.Received(), body(100)) {
 		t.Errorf("k's response: %q", a.Received())
 	}
 	if len(b.Received()) != 0 || srv.Requests != served+1 || srv.Errors503 != 0 {
@@ -235,3 +243,8 @@ func TestStepSkipsConnectionClosedEarlierInTheStep(t *testing.T) {
 			len(b.Received()), srv.Requests-served, srv.Errors503)
 	}
 }
+
+// callerFunc is a vfscore.Caller made of a function.
+type callerFunc func(e *cubicle.Env, args ...uint64) []uint64
+
+func (f callerFunc) Call(e *cubicle.Env, args ...uint64) []uint64 { return f(e, args...) }

@@ -2,11 +2,9 @@ package siege_test
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"cubicleos/internal/cubicle"
-	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/siege"
 )
 
@@ -24,65 +22,6 @@ func bootMetricsTarget(t *testing.T) *siege.Target {
 		t.Fatal(err)
 	}
 	return tgt
-}
-
-// TestMetricsEndpointServesOpenMetrics is the dogfooding acceptance test:
-// the monitor's exposition travels through the system's own isolation
-// boundaries — staged into the server cubicle, copied across windows,
-// framed by LWIP — and still parses as OpenMetrics on the wire.
-func TestMetricsEndpointServesOpenMetrics(t *testing.T) {
-	tgt := bootMetricsTarget(t)
-	for i := 0; i < 5; i++ {
-		res, err := tgt.Fetch("/index.html")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Status != 200 {
-			t.Fatalf("request %d: status %d", i, res.Status)
-		}
-	}
-	before := tgt.Sys.M.Stats
-
-	res, err := tgt.Fetch("/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != 200 {
-		t.Fatalf("GET /metrics: status %d", res.Status)
-	}
-	series, err := cubicletest.ParseOpenMetrics(strings.NewReader(string(res.Body)))
-	if err != nil {
-		t.Fatalf("/metrics body does not parse as OpenMetrics: %v\n%s", err, res.Body)
-	}
-	// Every row of the counter table is one series. The body was rendered
-	// while serving, so a counter sits between its pre-request total and
-	// the current one — equal to both for the counters this request does
-	// not move, denied_faults among them.
-	for _, c := range cubicle.Counters {
-		name := "cubicleos_" + c.Name + "_total"
-		v, ok := series[name]
-		lo, hi := *c.Field(&before), *c.Field(&tgt.Sys.M.Stats)
-		if !ok || v < float64(lo) || v > float64(hi) {
-			t.Errorf("%s = %v (present=%v), want within [%d, %d]", name, v, ok, lo, hi)
-		}
-	}
-	if before.CallsTotal == tgt.Sys.M.Stats.CallsTotal || before.DeniedFaults != tgt.Sys.M.Stats.DeniedFaults {
-		t.Error("serving /metrics should move calls and leave denied_faults alone")
-	}
-	for _, want := range []string{
-		// The series the endpoint had before the table.
-		"cubicleos_calls_total", "cubicleos_shared_calls_total", "cubicleos_faults_total",
-		"cubicleos_retags_total", "cubicleos_wrpkrus_total", "cubicleos_sheds_total",
-		"cubicleos_retries_total", "cubicleos_contained_faults_total",
-		"cubicleos_restarts_total", "cubicleos_tlb_shootdowns_total",
-		"cubicleos_virtual_seconds",
-		"cubicleos_metrics_samples_total", "cubicleos_healthy_cubicles",
-		"cubicleos_trace_events_recorded_total", "cubicleos_trace_events_dropped_total",
-	} {
-		if _, ok := series[want]; !ok {
-			t.Errorf("/metrics missing series %s", want)
-		}
-	}
 }
 
 // TestMetricsSamplesDuringSiege checks the virtual-time pipeline fills its

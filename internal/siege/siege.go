@@ -59,8 +59,7 @@ type Options struct {
 	TraceEvents       int
 	TraceSamplePeriod uint64
 	// MetricsInterval/MetricsRing enable the virtual-time metrics pipeline
-	// (see boot.Config). When enabled, the server also answers
-	// GET /metrics with the monitor's OpenMetrics exposition.
+	// (see boot.Config).
 	MetricsInterval uint64
 	MetricsRing     int
 	// Supervision enables fault containment with the given restart policy.
@@ -186,9 +185,6 @@ func NewTargetOpts(o Options) (*Target, error) {
 	}
 	if o.Governance != nil {
 		srv.SetGovernance(*o.Governance)
-	}
-	if o.MetricsInterval > 0 {
-		srv.SetMetricsSource(sys.M.OpenMetricsBody)
 	}
 	if errno := m.MustResolve(cubicle.MonitorID, httpd.Name, "nginx_init").Call(sys.Env)[0]; errno != 0 {
 		return nil, fmt.Errorf("siege: nginx_init failed with errno %d", errno)

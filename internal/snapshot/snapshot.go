@@ -65,7 +65,7 @@ type HeapImage struct {
 
 // WindowImage is one window owned by the cubicle at capture time. The
 // quiescence rule guarantees captured windows are closed (no grantee bit
-// set) and unpinned, so only the identity and ranges need recording.
+// set), so only the identity and ranges need recording.
 type WindowImage struct {
 	WID    uint32
 	Ranges []vm.Extent

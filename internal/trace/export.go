@@ -185,13 +185,14 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 		p("cubicleos_call_cycles_quantile{from=%q,to=%q,q=\"1\"} %d\n", from, to, s.Max)
 	}
 
+	p("# HELP cubicleos_event_cycles_quantile Event cost quantiles in virtual cycles, per event kind.\n")
+	p("# TYPE cubicleos_event_cycles_quantile gauge\n")
 	for k := Kind(0); k < NumKinds; k++ {
 		h := t.ClassHist(k)
 		if h == nil || h.Count() == 0 {
 			continue
 		}
 		s := h.Summary()
-		p("# TYPE cubicleos_event_cycles_quantile gauge\n")
 		p("cubicleos_event_cycles_quantile{kind=%q,q=\"0.5\"} %d\n", k.String(), s.P50)
 		p("cubicleos_event_cycles_quantile{kind=%q,q=\"0.95\"} %d\n", k.String(), s.P95)
 		p("cubicleos_event_cycles_quantile{kind=%q,q=\"0.99\"} %d\n", k.String(), s.P99)

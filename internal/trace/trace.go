@@ -50,7 +50,7 @@ const (
 	// EvWRPKRU is one wrpkru execution; Arg is the new PKRU value.
 	EvWRPKRU
 	// EvWindowOp is a window-management API call; Name is the operation
-	// (init/add/remove/open/close/close_all/destroy/pin/unpin), Arg the
+	// (init/add/remove/open/close/close_all/destroy), Arg the
 	// window ID.
 	EvWindowOp
 	// EvWindowSearch is one linear window-descriptor search; Arg is the

@@ -239,6 +239,7 @@ func TestPrometheusExposition(t *testing.T) {
 	tr.CallEnter(0, 1, 2, "b.read", 64)
 	clock.Charge(4000)
 	tr.CallExit(0, 1, 2, "b.read")
+	tr.Record(EvFault, 0, 2, 1, 0x4000, 1500, "") // a second event kind with a cost
 	tr.SwitchCubicle(1)
 	clock.Charge(100)
 
@@ -253,9 +254,22 @@ func TestPrometheusExposition(t *testing.T) {
 		`cubicleos_call_cycles_count{from="cubicle-1",to="cubicle-2"} 1`,
 		"# TYPE cubicleos_call_cycles histogram",
 		"cubicleos_virtual_cycles 4100",
+		`cubicleos_event_cycles_quantile{kind="call_exit",q="1"}`,
+		`cubicleos_event_cycles_quantile{kind="fault",q="1"} 1500`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
+		}
+	}
+	// The text format allows one TYPE line per metric family.
+	typed := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		if family, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, _, _ = strings.Cut(family, " ")
+			if typed[family] {
+				t.Errorf("family %s has two TYPE lines\n%s", family, out)
+			}
+			typed[family] = true
 		}
 	}
 	// Cumulative histogram: every bucket count must be non-decreasing.

@@ -16,8 +16,6 @@ import (
 // A key is "dir.Name" for a function, type, variable or constant and
 // "dir.Recv.Name" for a method.
 var reachAllowed = map[string]string{
-	"internal/cubicle.Env.WindowPin":    "Table 1 window operation",
-	"internal/cubicle.Env.WindowUnpin":  "Table 1 window operation",
 	"internal/cubicle.Env.WindowRemove": "Table 1 window operation",
 
 	"internal/cubicle.Monitor.ExecuteAt":    "red-team hook (ROADMAP item 3): a crossing that skips the trampoline",

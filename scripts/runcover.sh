@@ -8,8 +8,8 @@
 # no run reaches. scripts/check.sh runs this script.
 set -euo pipefail
 
-floors="boot=77 cluster=70 cubicle=72 cycles=95 dash=91 experiments=84
-    faultinject=57 httpd=72 isa=88 lwip=81 mpk=55 netdev=77 plat=77 ramfs=71
+floors="boot=77 cluster=70 cubicle=78 cycles=95 dash=91 experiments=84
+    faultinject=57 httpd=75 isa=88 lwip=81 mpk=55 netdev=77 plat=77 ramfs=71
     siege=88 snapshot=66 spare=100 speedtest=78 sqldb=80 trace=83 ualloc=77
     ukernel=90 uktime=90 ulibc=14 urandom=21 vfscore=55 vm=79"
 
