@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/ramfs"
 	"cubicleos/internal/vfscore"
 	"cubicleos/internal/vm"
@@ -61,114 +62,69 @@ func TestFSStackAllModes(t *testing.T) {
 				io := newAppIO(t, s, e, 64*1024)
 				vfs := io.vfs
 
-				if errno := vfs.Mkdir(e, "/data"); errno != vfscore.EOK {
-					t.Fatalf("mkdir: errno %d", errno)
-				}
-				fd, errno := vfs.Open(e, "/data/file.bin", vfscore.OCreat|vfscore.ORdwr)
+				fd, errno := vfs.Open(e, "/file.bin", vfscore.OCreat|vfscore.ORdwr)
 				if errno != vfscore.EOK {
 					t.Fatalf("open: errno %d", errno)
 				}
 				want := pattern(10000, 3)
 				e.Write(io.buf, want)
-				n, errno := vfs.Write(e, fd, io.buf, uint64(len(want)))
+				n, errno := vfs.PWrite(e, fd, io.buf, uint64(len(want)), 0)
 				if errno != vfscore.EOK || n != uint64(len(want)) {
-					t.Fatalf("write: n=%d errno=%d", n, errno)
+					t.Fatalf("pwrite: n=%d errno=%d", n, errno)
 				}
 				vfs.Close(e, fd)
 
-				size, errno := vfs.Stat(e, "/data/file.bin")
+				size, errno := vfs.Stat(e, "/file.bin")
 				if errno != vfscore.EOK || size != uint64(len(want)) {
 					t.Fatalf("stat: size=%d errno=%d", size, errno)
 				}
 
-				fd, errno = vfs.Open(e, "/data/file.bin", vfscore.ORdonly)
+				fd, errno = vfs.Open(e, "/file.bin", vfscore.ORdwr)
 				if errno != vfscore.EOK {
 					t.Fatalf("reopen: errno %d", errno)
 				}
 				e.Memset(io.buf, 0, uint64(len(want)))
-				n, errno = vfs.Read(e, fd, io.buf, uint64(len(want)))
+				n, errno = vfs.PRead(e, fd, io.buf, uint64(len(want)), 0)
 				if errno != vfscore.EOK || n != uint64(len(want)) {
-					t.Fatalf("read: n=%d errno=%d", n, errno)
+					t.Fatalf("pread: n=%d errno=%d", n, errno)
 				}
-				if got := e.ReadBytes(io.buf, n); !bytes.Equal(got, want) {
+				if got := cubicletest.ReadBytes(e, io.buf, n); !bytes.Equal(got, want) {
 					t.Fatal("read-back mismatch")
 				}
-				// Reads past EOF return 0.
-				n, errno = vfs.Read(e, fd, io.buf, 100)
+				// Reads at or past EOF return 0.
+				n, errno = vfs.PRead(e, fd, io.buf, 100, uint64(len(want)))
 				if errno != vfscore.EOK || n != 0 {
-					t.Fatalf("read at EOF: n=%d errno=%d", n, errno)
+					t.Fatalf("pread at EOF: n=%d errno=%d", n, errno)
 				}
-				// Seek + partial read.
-				off, errno := vfs.Lseek(e, fd, 5000, vfscore.SeekSet)
-				if errno != vfscore.EOK || off != 5000 {
-					t.Fatalf("lseek: off=%d errno=%d", off, errno)
+				// A partial read mid-file.
+				n, _ = vfs.PRead(e, fd, io.buf, 16, 5000)
+				if n != 16 || !bytes.Equal(cubicletest.ReadBytes(e, io.buf, 16), want[5000:5016]) {
+					t.Fatal("pread at 5000 mismatch")
 				}
-				n, _ = vfs.Read(e, fd, io.buf, 16)
-				if n != 16 || !bytes.Equal(e.ReadBytes(io.buf, 16), want[5000:5016]) {
-					t.Fatal("seek read mismatch")
-				}
-				vfs.Close(e, fd)
 
-				// pwrite/pread at offsets.
-				fd, _ = vfs.Open(e, "/data/file.bin", vfscore.ORdwr)
+				// Overwrite in place and read the bytes back.
 				e.Write(io.buf, []byte("OVERLAY"))
 				if n, errno := vfs.PWrite(e, fd, io.buf, 7, 100); errno != vfscore.EOK || n != 7 {
 					t.Fatalf("pwrite: n=%d errno=%d", n, errno)
 				}
 				if n, errno := vfs.PRead(e, fd, io.buf.Add(100), 7, 100); errno != vfscore.EOK || n != 7 {
 					t.Fatalf("pread: n=%d errno=%d", n, errno)
-				} else if string(e.ReadBytes(io.buf.Add(100), 7)) != "OVERLAY" {
+				} else if string(cubicletest.ReadBytes(e, io.buf.Add(100), 7)) != "OVERLAY" {
 					t.Fatal("pread mismatch")
 				}
-				// Truncate.
-				if errno := vfs.FTruncate(e, fd, 123); errno != vfscore.EOK {
-					t.Fatalf("ftruncate: errno %d", errno)
-				}
-				if size, _ := vfs.FStat(e, fd); size != 123 {
-					t.Fatalf("size after truncate = %d", size)
+				if size, _ := vfs.FStat(e, fd); size != uint64(len(want)) {
+					t.Fatalf("size after overwrite = %d", size)
 				}
 				if errno := vfs.FSync(e, fd); errno != vfscore.EOK {
 					t.Fatalf("fsync: errno %d", errno)
 				}
 				vfs.Close(e, fd)
 
-				// Append mode.
-				fd, _ = vfs.Open(e, "/data/file.bin", vfscore.OWronly|vfscore.OAppend)
-				e.Write(io.buf, []byte("TAIL"))
-				vfs.Write(e, fd, io.buf, 4)
-				if size, _ := vfs.FStat(e, fd); size != 127 {
-					t.Fatalf("size after append = %d", size)
-				}
-				vfs.Close(e, fd)
-
-				// Readdir.
-				fd2, _ := vfs.Open(e, "/data/two.bin", vfscore.OCreat|vfscore.ORdwr)
-				vfs.Close(e, fd2)
-				name0, errno := vfs.Readdir(e, "/data", 0)
-				if errno != vfscore.EOK || name0 != "file.bin" {
-					t.Fatalf("readdir[0] = %q errno=%d", name0, errno)
-				}
-				name1, _ := vfs.Readdir(e, "/data", 1)
-				if name1 != "two.bin" {
-					t.Fatalf("readdir[1] = %q", name1)
-				}
-				if _, errno := vfs.Readdir(e, "/data", 2); errno != vfscore.ENOENT {
-					t.Fatalf("readdir past end: errno %d", errno)
-				}
-
-				// Rename.
-				if errno := vfs.Rename(e, "/data/two.bin", "/data/three.bin"); errno != vfscore.EOK {
-					t.Fatalf("rename: errno %d", errno)
-				}
-				if _, errno := vfs.Stat(e, "/data/two.bin"); errno != vfscore.ENOENT {
-					t.Fatal("renamed file still present")
-				}
-
 				// Unlink.
-				if errno := vfs.Unlink(e, "/data/three.bin"); errno != vfscore.EOK {
+				if errno := vfs.Unlink(e, "/file.bin"); errno != vfscore.EOK {
 					t.Fatalf("unlink: errno %d", errno)
 				}
-				if _, errno := vfs.Stat(e, "/data/three.bin"); errno != vfscore.ENOENT {
+				if _, errno := vfs.Stat(e, "/file.bin"); errno != vfscore.ENOENT {
 					t.Fatal("unlinked file still present")
 				}
 
@@ -176,11 +132,8 @@ func TestFSStackAllModes(t *testing.T) {
 				if _, errno := vfs.Open(e, "/nope", vfscore.ORdonly); errno != vfscore.ENOENT {
 					t.Errorf("open missing: errno %d", errno)
 				}
-				if _, errno := vfs.Read(e, 999, io.buf, 1); errno != vfscore.EBADF {
-					t.Errorf("read bad fd: errno %d", errno)
-				}
-				if errno := vfs.Mkdir(e, "/data"); errno != vfscore.EEXIST {
-					t.Errorf("mkdir existing: errno %d", errno)
+				if _, errno := vfs.PRead(e, 999, io.buf, 1, 0); errno != vfscore.EBADF {
+					t.Errorf("pread bad fd: errno %d", errno)
 				}
 				if _, errno := vfs.Open(e, "/nodir/x", vfscore.OCreat); errno != vfscore.ENOENT {
 					t.Errorf("create in missing dir: errno %d", errno)
@@ -223,7 +176,7 @@ func TestFSStackIsolationHolds(t *testing.T) {
 			t.Fatalf("open: %d", errno)
 		}
 		e.Write(buf, []byte("secret"))
-		fault := cubicle.Catch(func() { vfs.Write(e, fd, buf, 6) })
+		fault := cubicle.Catch(func() { vfs.PWrite(e, fd, buf, 6, 0) })
 		if fault == nil {
 			t.Fatal("RAMFS read the app buffer without a window")
 		}
@@ -254,8 +207,8 @@ func TestFSStackGrouped(t *testing.T) {
 			t.Fatalf("open: %d", errno)
 		}
 		e.Write(io.buf, []byte("grouped"))
-		if n, errno := io.vfs.Write(e, fd, io.buf, 7); errno != vfscore.EOK || n != 7 {
-			t.Fatalf("write: n=%d errno=%d", n, errno)
+		if n, errno := io.vfs.PWrite(e, fd, io.buf, 7, 0); errno != vfscore.EOK || n != 7 {
+			t.Fatalf("pwrite: n=%d errno=%d", n, errno)
 		}
 	})
 	if err != nil {
@@ -293,15 +246,14 @@ func TestFSStackViaAlloc(t *testing.T) {
 		}
 		want := pattern(9000, 9)
 		e.Write(io.buf, want)
-		if n, errno := io.vfs.Write(e, fd, io.buf, uint64(len(want))); errno != vfscore.EOK || n != uint64(len(want)) {
-			t.Fatalf("write: n=%d errno=%d", n, errno)
+		if n, errno := io.vfs.PWrite(e, fd, io.buf, uint64(len(want)), 0); errno != vfscore.EOK || n != uint64(len(want)) {
+			t.Fatalf("pwrite: n=%d errno=%d", n, errno)
 		}
 		e.Memset(io.buf, 0, uint64(len(want)))
-		io.vfs.Lseek(e, fd, 0, vfscore.SeekSet)
-		if n, errno := io.vfs.Read(e, fd, io.buf, uint64(len(want))); errno != vfscore.EOK || n != uint64(len(want)) {
-			t.Fatalf("read: n=%d errno=%d", n, errno)
+		if n, errno := io.vfs.PRead(e, fd, io.buf, uint64(len(want)), 0); errno != vfscore.EOK || n != uint64(len(want)) {
+			t.Fatalf("pread: n=%d errno=%d", n, errno)
 		}
-		if !bytes.Equal(e.ReadBytes(io.buf, uint64(len(want))), want) {
+		if !bytes.Equal(cubicletest.ReadBytes(e, io.buf, uint64(len(want))), want) {
 			t.Fatal("alloc-backed read-back mismatch")
 		}
 	})
@@ -363,12 +315,14 @@ func TestCooperativeTasksInterleaved(t *testing.T) {
 		progress := written < rounds
 		if progress {
 			err := s.RunAs("APP", func(e *cubicle.Env) {
-				fd, errno := io.vfs.Open(e, "/stream", vfscore.OCreat|vfscore.OWronly|vfscore.OAppend)
+				fd, errno := io.vfs.Open(e, "/stream", vfscore.OCreat|vfscore.OWronly)
 				if errno != vfscore.EOK {
-					t.Fatalf("open for append: %d", errno)
+					t.Fatalf("open: %d", errno)
 				}
+				// Append: write at the end the file has now.
+				end, _ := io.vfs.FStat(e, fd)
 				e.Write(io.buf, []byte{byte(written)})
-				io.vfs.Write(e, fd, io.buf, 1)
+				io.vfs.PWrite(e, fd, io.buf, 1, end)
 				io.vfs.Close(e, fd)
 			})
 			if err != nil {
@@ -393,11 +347,11 @@ func TestCooperativeTasksInterleaved(t *testing.T) {
 	// Verify the stream contents survived the interleaving.
 	if err := s.RunAs("APP", func(e *cubicle.Env) {
 		fd, _ := io.vfs.Open(e, "/stream", vfscore.ORdonly)
-		n, _ := io.vfs.Read(e, fd, io.buf, 8192)
+		n, _ := io.vfs.PRead(e, fd, io.buf, 8192, 0)
 		if n != rounds {
 			t.Fatalf("stream has %d bytes, want %d", n, rounds)
 		}
-		data := e.ReadBytes(io.buf, n)
+		data := cubicletest.ReadBytes(e, io.buf, n)
 		for i := range data {
 			if data[i] != byte(i) {
 				t.Fatalf("stream[%d] = %d", i, data[i])

@@ -89,7 +89,8 @@ func TestHeapAllocProperty(t *testing.T) {
 			if len(live) > 0 && rng.Intn(3) == 0 {
 				j := rng.Intn(len(live))
 				b := live[j]
-				got := e.ReadBytes(b.addr, b.size)
+				got := make([]byte, b.size)
+				e.Read(b.addr, got)
 				for k, c := range got {
 					if c != b.tag {
 						t.Fatalf("block %#x corrupted at %d", uint64(b.addr), k)

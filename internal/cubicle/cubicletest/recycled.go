@@ -8,8 +8,8 @@ import (
 
 // The check that a recycled object starts clean. A free list's taker
 // (cubicle's newWindow, lwip's takeSock and takeConn, httpd's takeConn,
-// vfscore's takeFile, snapshot's Image.Reset) resets what it takes field
-// by field; a field it forgets leaks one request's state into the next.
+// snapshot's Image.Reset) resets what it takes field by field; a field it
+// forgets leaks one request's state into the next.
 // A test poisons a retired object — every field set, the most any
 // lifecycle could leave behind — takes it back and compares it with what
 // the taker gives from an empty list.

@@ -142,13 +142,6 @@ func (e *Env) View(addr vm.Addr, n uint64, fn func(off uint64, chunk []byte)) {
 	}
 }
 
-// ReadBytes returns a fresh copy of n bytes at addr.
-func (e *Env) ReadBytes(addr vm.Addr, n uint64) []byte {
-	b := make([]byte, n)
-	e.Read(addr, b)
-	return b
-}
-
 // LoadByte reads one byte.
 func (e *Env) LoadByte(addr vm.Addr) byte {
 	var b [1]byte

@@ -205,7 +205,8 @@ func TestSharedCubicleRunsWithCallerPrivileges(t *testing.T) {
 	ts.enter(t, "BAR", func(e *Env) {
 		memcpy := ts.m.MustResolve(e.Cubicle(), "LIBC", "memcpy")
 		memcpy.Call(e, uint64(dst), uint64(src), 28)
-		got := e.ReadBytes(dst, 28)
+		got := make([]byte, 28)
+		e.Read(dst, got)
 		if string(got) != "hello, cubicles and windows!" {
 			t.Errorf("memcpy result %q", got)
 		}

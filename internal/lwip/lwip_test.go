@@ -6,6 +6,7 @@ import (
 
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/lwip"
 	"cubicleos/internal/netdev"
 	"cubicleos/internal/vm"
@@ -84,11 +85,11 @@ func TestAcceptEcho(t *testing.T) {
 				if errno != lwip.EOK || n != 20 {
 					t.Fatalf("recv: n=%d errno=%d", n, errno)
 				}
-				if string(e.ReadBytes(an.buf, n)) != "ping-around-the-ring" {
+				if string(cubicletest.ReadBytes(e, an.buf, n)) != "ping-around-the-ring" {
 					t.Fatal("payload mismatch")
 				}
 				// Echo back twice the data.
-				e.Write(an.buf.Add(n), e.ReadBytes(an.buf, n))
+				e.Write(an.buf.Add(n), cubicletest.ReadBytes(e, an.buf, n))
 				sent, errno := an.c.Send(e, cfd, an.buf, 2*n)
 				if errno != lwip.EOK || sent != 2*n {
 					t.Fatalf("send: sent=%d errno=%d", sent, errno)

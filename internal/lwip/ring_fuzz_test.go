@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/cycles"
 	"cubicleos/internal/vm"
 )
@@ -111,7 +112,7 @@ func FuzzRing(f *testing.F) {
 						t.Fatalf("op %d: read(%d) = %d, want %d", i, n, got, want)
 					}
 					if got > 0 {
-						if data := e.ReadBytes(h.side, got); !bytes.Equal(data, model[:got]) {
+						if data := cubicletest.ReadBytes(e, h.side, got); !bytes.Equal(data, model[:got]) {
 							t.Fatalf("op %d: read returned %v, want %v", i, data, model[:got])
 						}
 						model = model[got:]
@@ -126,7 +127,7 @@ func FuzzRing(f *testing.F) {
 						t.Fatalf("op %d: peek(%d) = %d, want %d", i, n, got, want)
 					}
 					if got > 0 {
-						if data := e.ReadBytes(h.side, got); !bytes.Equal(data, model[:got]) {
+						if data := cubicletest.ReadBytes(e, h.side, got); !bytes.Equal(data, model[:got]) {
 							t.Fatalf("op %d: peek returned %v, want %v", i, data, model[:got])
 						}
 					}

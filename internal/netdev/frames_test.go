@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/lwip"
 	"cubicleos/internal/netdev"
 	"cubicleos/internal/vm"
@@ -97,7 +98,7 @@ func TestWireQueueKeepsOrderUnderChurn(t *testing.T) {
 		e.WindowOpen(wid, e.CubicleOf(netdev.Name))
 		recv := func(n int) {
 			for i := 0; i < n; i++ {
-				if n, _ := c.Rx(e, buf, vm.PageSize); n != 1 || e.ReadBytes(buf, 1)[0] != want {
+				if n, _ := c.Rx(e, buf, vm.PageSize); n != 1 || cubicletest.ReadBytes(e, buf, 1)[0] != want {
 					t.Fatalf("frame %d out of order", want)
 				}
 				want++
@@ -110,7 +111,7 @@ func TestWireQueueKeepsOrderUnderChurn(t *testing.T) {
 		recv(80)
 		send(2)
 		recv(2) // drains: the queue resets
-		if c.RxReady(e) != 0 {
+		if n, _ := c.Rx(e, buf, vm.PageSize); n != 0 {
 			t.Fatal("frames left over")
 		}
 	})

@@ -245,25 +245,20 @@ func (d *Module) Component() *cubicle.Component {
 			{Name: "netdev_rx", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				return d.rx(e, a[0], a[1])
 			}},
-			{Name: "netdev_rx_ready", Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				e.Work(60)
-				return e.Ret(uint64(d.wire.toDevice.len()), 0)
-			}},
 		},
 	}
 }
 
 // Client is typed access to NETDEV from another cubicle.
 type Client struct {
-	tx, rx, ready cubicle.Handle
+	tx, rx cubicle.Handle
 }
 
 // NewClient resolves NETDEV for a caller cubicle.
 func NewClient(m *cubicle.Monitor, caller cubicle.ID) *Client {
 	return &Client{
-		tx:    m.MustResolve(caller, Name, "netdev_tx"),
-		rx:    m.MustResolve(caller, Name, "netdev_rx"),
-		ready: m.MustResolve(caller, Name, "netdev_rx_ready"),
+		tx: m.MustResolve(caller, Name, "netdev_tx"),
+		rx: m.MustResolve(caller, Name, "netdev_rx"),
 	}
 }
 
@@ -278,8 +273,3 @@ func (c *Client) Rx(e *cubicle.Env, ptr vm.Addr, maxLen uint64) (uint64, uint64)
 	r := c.rx.Call(e, uint64(ptr), maxLen)
 	return r[0], r[1]
 }
-
-// RxReady returns the number of pending receive frames. No run calls it; it
-// stays with the handle NewClient resolves at boot, part of the component
-// ABI (ROADMAP item 15).
-func (c *Client) RxReady(e *cubicle.Env) uint64 { return c.ready.Call(e)[0] }

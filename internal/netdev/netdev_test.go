@@ -6,6 +6,7 @@ import (
 
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/netdev"
 	"cubicleos/internal/vm"
 )
@@ -41,14 +42,11 @@ func TestTxRxRoundTrip(t *testing.T) {
 
 		// Host side injects a frame; the device delivers it.
 		s.Netdev.Wire().HostSend([]byte("reply-frame"))
-		if c.RxReady(e) != 1 {
-			t.Fatal("rx_ready != 1")
-		}
 		n, errno = c.Rx(e, buf, 2*vm.PageSize)
 		if errno != 0 || n != 11 {
 			t.Fatalf("rx: n=%d errno=%d", n, errno)
 		}
-		if string(e.ReadBytes(buf, n)) != "reply-frame" {
+		if string(cubicletest.ReadBytes(e, buf, n)) != "reply-frame" {
 			t.Fatal("rx payload mismatch")
 		}
 		// Empty queue: Rx returns zero length.

@@ -1,6 +1,5 @@
 // Package plat is the PLAT component: the platform glue of the Unikraft
-// deployments (Figures 5 and 8) — console output, boot bookkeeping, and
-// the halt hook. On real Unikraft this is the KVM/linuxu platform layer;
+// deployments (Figures 5 and 8) — console output and the boot probe. On real Unikraft this is the KVM/linuxu platform layer;
 // here it fronts the simulator's host.
 package plat
 
@@ -24,8 +23,6 @@ const consoleKeep = 64 << 10
 // Module is the PLAT component state.
 type Module struct {
 	console []byte
-	halted  bool
-	bootMsg string
 }
 
 // New creates the platform module.
@@ -34,10 +31,6 @@ func New() *Module { return &Module{} }
 // ConsoleOutput returns the console scrollback: everything written so far,
 // or its tail of consoleKeep to 2×consoleKeep bytes once more was written.
 func (p *Module) ConsoleOutput() string { return string(p.console) }
-
-// Halted reports whether plat_halt was called: the state Client.Halt
-// sets, kept with it as part of the component ABI (ROADMAP item 15).
-func (p *Module) Halted() bool { return p.halted }
 
 // Component returns the PLAT component for the builder.
 func (p *Module) Component() *cubicle.Component {
@@ -55,10 +48,6 @@ func (p *Module) Component() *cubicle.Component {
 				}
 				return e.Ret(args[1])
 			}},
-			{Name: "plat_halt", Fn: func(e *cubicle.Env, args []uint64) []uint64 {
-				p.halted = true
-				return nil
-			}},
 			{Name: "plat_boot_probe", Fn: func(e *cubicle.Env, args []uint64) []uint64 {
 				// Boot-time platform probe (one call per boot, visible in
 				// the Figure 8 call counts as the BOOT edge).
@@ -71,14 +60,13 @@ func (p *Module) Component() *cubicle.Component {
 
 // Client is typed access to PLAT from another cubicle.
 type Client struct {
-	write, halt, probe cubicle.Handle
+	write, probe cubicle.Handle
 }
 
 // NewClient resolves PLAT's entry points for a caller cubicle.
 func NewClient(m *cubicle.Monitor, caller cubicle.ID) *Client {
 	return &Client{
 		write: m.MustResolve(caller, Name, "console_write"),
-		halt:  m.MustResolve(caller, Name, "plat_halt"),
 		probe: m.MustResolve(caller, Name, "plat_boot_probe"),
 	}
 }
@@ -87,10 +75,6 @@ func NewClient(m *cubicle.Monitor, caller cubicle.ID) *Client {
 func (c *Client) ConsoleWrite(e *cubicle.Env, addr vm.Addr, n uint64) {
 	c.write.Call(e, uint64(addr), n)
 }
-
-// Halt stops the platform. No run calls it; it stays with the handle
-// NewClient resolves at boot, part of the component ABI (ROADMAP item 15).
-func (c *Client) Halt(e *cubicle.Env) { c.halt.Call(e) }
 
 // BootProbe performs the boot-time platform probe.
 func (c *Client) BootProbe(e *cubicle.Env) { c.probe.Call(e) }

@@ -81,21 +81,3 @@ func TestConsoleWithoutWindowFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHaltAndProbe(t *testing.T) {
-	s := bootApp(t)
-	err := s.RunAs("APP", func(e *cubicle.Env) {
-		c := plat.NewClient(s.M, s.Cubs["APP"].ID)
-		c.BootProbe(e)
-		if s.Plat.Halted() {
-			t.Error("halted before halt")
-		}
-		c.Halt(e)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Plat.Halted() {
-		t.Error("halt did not latch")
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/snapshot"
@@ -162,23 +161,6 @@ func (fs *Module) create(e *cubicle.Env, ptr, n uint64) []uint64 {
 	return okRet(e, ino)
 }
 
-func (fs *Module) mkdir(e *cubicle.Env, ptr, n uint64) []uint64 {
-	e.Work(fs.opWork)
-	fs.OpCount++
-	parent, name, node, errno := fs.walk(fs.readPath(e, ptr, n))
-	if node != nil {
-		return errRet(e, vfscore.EEXIST)
-	}
-	if errno != vfscore.ENOENT || parent == nil {
-		return errRet(e, uint64(errno))
-	}
-	ino := fs.next
-	fs.next++
-	fs.inodes[ino] = &inode{ino: ino, dir: true, children: make(map[string]uint64)}
-	parent.children[string(name)] = ino
-	return okRet(e, ino)
-}
-
 func (fs *Module) unlink(e *cubicle.Env, ptr, n uint64) []uint64 {
 	e.Work(fs.opWork)
 	fs.OpCount++
@@ -186,7 +168,8 @@ func (fs *Module) unlink(e *cubicle.Env, ptr, n uint64) []uint64 {
 	if errno != vfscore.EOK || node == nil {
 		return errRet(e, uint64(errno))
 	}
-	if node.dir && len(node.children) > 0 {
+	// The root has no parent to unlink it from.
+	if parent == nil || node.dir && len(node.children) > 0 {
 		return errRet(e, vfscore.EINVAL)
 	}
 	fs.releasePages(e, node)
@@ -360,53 +343,6 @@ func (fs *Module) setSize(e *cubicle.Env, ino, size uint64) []uint64 {
 	return okRet(e, 0)
 }
 
-func (fs *Module) readdir(e *cubicle.Env, ino, idx, buf, bufLen uint64) []uint64 {
-	e.Work(fs.opWork)
-	fs.OpCount++
-	node, errno := fs.node(ino)
-	if errno != vfscore.EOK {
-		return errRet(e, errno)
-	}
-	if !node.dir {
-		return errRet(e, vfscore.ENOTDIR)
-	}
-	names := make([]string, 0, len(node.children))
-	for name := range node.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if idx >= uint64(len(names)) {
-		return errRet(e, vfscore.ENOENT)
-	}
-	name := names[idx]
-	if uint64(len(name)) > bufLen {
-		return errRet(e, vfscore.EINVAL)
-	}
-	e.Write(vm.Addr(buf), []byte(name))
-	return okRet(e, uint64(len(name)))
-}
-
-func (fs *Module) rename(e *cubicle.Env, p1, l1, p2, l2 uint64) []uint64 {
-	e.Work(fs.opWork)
-	fs.OpCount++
-	fromParent, from, node, errno := fs.walk(fs.readPath(e, p1, l1))
-	if errno != vfscore.EOK || node == nil {
-		return errRet(e, uint64(errno))
-	}
-	fromName := string(from) // the next readPath reuses the buffer
-	toParent, toName, existing, errno2 := fs.walk(fs.readPath(e, p2, l2))
-	if errno2 == vfscore.EOK && existing != nil {
-		// POSIX rename replaces the target.
-		fs.releasePages(e, existing)
-		delete(fs.inodes, existing.ino)
-	} else if errno2 != vfscore.ENOENT || toParent == nil {
-		return errRet(e, uint64(errno2))
-	}
-	delete(fromParent.children, fromName)
-	toParent.children[string(toName)] = node.ino
-	return okRet(e, 0)
-}
-
 // Snapshot serialises the file-system tree — inode metadata, page
 // addresses and file CONTENT — into a deterministic blob for warm
 // recovery. Content must travel in the blob because in the NGINX
@@ -565,14 +501,11 @@ func (fs *Module) Component() *cubicle.Component {
 			{Name: "ramfs_getsize", RegArgs: 1, Fn: guard("ramfs_getsize", 1, func(e *cubicle.Env, a []uint64) []uint64 { return fs.getSize(e, a[0]) })},
 			{Name: "ramfs_setsize", RegArgs: 2, Fn: guard("ramfs_setsize", 2, func(e *cubicle.Env, a []uint64) []uint64 { return fs.setSize(e, a[0], a[1]) })},
 			{Name: "ramfs_unlink", RegArgs: 2, Fn: guard("ramfs_unlink", 2, func(e *cubicle.Env, a []uint64) []uint64 { return fs.unlink(e, a[0], a[1]) })},
-			{Name: "ramfs_mkdir", RegArgs: 2, Fn: guard("ramfs_mkdir", 2, func(e *cubicle.Env, a []uint64) []uint64 { return fs.mkdir(e, a[0], a[1]) })},
-			{Name: "ramfs_readdir", RegArgs: 4, Fn: guard("ramfs_readdir", 4, func(e *cubicle.Env, a []uint64) []uint64 { return fs.readdir(e, a[0], a[1], a[2], a[3]) })},
 			{Name: "ramfs_fsync", RegArgs: 1, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(fs.opWork)
 				fs.OpCount++
 				return okRet(e, 0)
 			}},
-			{Name: "ramfs_rename", RegArgs: 4, Fn: guard("ramfs_rename", 4, func(e *cubicle.Env, a []uint64) []uint64 { return fs.rename(e, a[0], a[1], a[2], a[3]) })},
 		},
 	}
 }
@@ -589,9 +522,6 @@ func BackendTable(m *cubicle.Monitor, vfsCubicle cubicle.ID) vfscore.Backend {
 		GetSize: m.MustResolve(vfsCubicle, Name, "ramfs_getsize"),
 		SetSize: m.MustResolve(vfsCubicle, Name, "ramfs_setsize"),
 		Unlink:  m.MustResolve(vfsCubicle, Name, "ramfs_unlink"),
-		Mkdir:   m.MustResolve(vfsCubicle, Name, "ramfs_mkdir"),
-		Readdir: m.MustResolve(vfsCubicle, Name, "ramfs_readdir"),
 		Fsync:   m.MustResolve(vfsCubicle, Name, "ramfs_fsync"),
-		Rename:  m.MustResolve(vfsCubicle, Name, "ramfs_rename"),
 	}
 }

@@ -2,10 +2,12 @@ package ramfs_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/ramfs"
 	"cubicleos/internal/vfscore"
 	"cubicleos/internal/vm"
@@ -32,48 +34,62 @@ func harness(t *testing.T, fn func(e *cubicle.Env, vfs *vfscore.Client, buf vm.A
 	}
 }
 
-func TestNestedDirectories(t *testing.T) {
-	harness(t, func(e *cubicle.Env, vfs *vfscore.Client, buf vm.Addr) {
-		for _, d := range []string{"/a", "/a/b", "/a/b/c"} {
-			if errno := vfs.Mkdir(e, d); errno != vfscore.EOK {
-				t.Fatalf("mkdir %s: %d", d, errno)
-			}
-		}
-		fd, errno := vfs.Open(e, "/a/b/c/deep.txt", vfscore.OCreat|vfscore.ORdwr)
-		if errno != vfscore.EOK {
-			t.Fatalf("open deep: %d", errno)
-		}
-		e.Write(buf, []byte("deep"))
-		vfs.Write(e, fd, buf, 4)
-		vfs.Close(e, fd)
-		if size, errno := vfs.Stat(e, "/a/b/c/deep.txt"); errno != vfscore.EOK || size != 4 {
-			t.Fatalf("stat deep: size=%d errno=%d", size, errno)
-		}
-		// A file is not a directory.
-		if _, errno := vfs.Open(e, "/a/b/c/deep.txt/x", vfscore.OCreat); errno != vfscore.ENOTDIR {
-			t.Fatalf("create under file: %d", errno)
-		}
-		// Unlinking a non-empty directory fails.
-		if errno := vfs.Unlink(e, "/a/b"); errno != vfscore.EINVAL {
-			t.Fatalf("unlink non-empty dir: %d", errno)
-		}
-	})
+// TestUnlinkRootIsEINVAL: every spelling of the root names the one inode
+// no directory holds, so unlinking it fails with EINVAL, as for a
+// non-empty directory, and leaves the tree whole: a create still works, and
+// a path through a file is still ENOTDIR.
+func TestUnlinkRootIsEINVAL(t *testing.T) {
+	for _, path := range []string{"/", "", ".", "//"} {
+		t.Run(fmt.Sprintf("%q", path), func(t *testing.T) {
+			harness(t, func(e *cubicle.Env, vfs *vfscore.Client, buf vm.Addr) {
+				if errno := vfs.Unlink(e, path); errno != vfscore.EINVAL {
+					t.Fatalf("unlink %q: errno %d, want EINVAL", path, errno)
+				}
+				fd, errno := vfs.Open(e, "/x", vfscore.OCreat|vfscore.ORdwr)
+				if errno != vfscore.EOK {
+					t.Fatalf("create /x after unlinking the root: errno %d", errno)
+				}
+				vfs.Close(e, fd)
+				if _, errno := vfs.Open(e, "/x/y", vfscore.OCreat); errno != vfscore.ENOTDIR {
+					t.Fatalf("create under a file: errno %d, want ENOTDIR", errno)
+				}
+			})
+		})
+	}
+}
+
+// setSize sets the size of the file at path through RAMFS's own exports,
+// as VFSCORE's O_TRUNC does, with handles resolved for the calling
+// cubicle. The path is staged at scratch, which RAMFS must be able to read.
+func setSize(t *testing.T, e *cubicle.Env, scratch vm.Addr, path string, size uint64) {
+	t.Helper()
+	lookup := e.M.MustResolve(e.Cubicle(), ramfs.Name, "ramfs_lookup")
+	setsize := e.M.MustResolve(e.Cubicle(), ramfs.Name, "ramfs_setsize")
+	e.Write(scratch, []byte(path))
+	r := lookup.Call(e, uint64(scratch), uint64(len(path)))
+	if r[1] != vfscore.EOK {
+		t.Fatalf("lookup %s: errno %d", path, r[1])
+	}
+	if r = setsize.Call(e, r[0], size); r[1] != vfscore.EOK {
+		t.Fatalf("setsize %s to %d: errno %d", path, size, r[1])
+	}
 }
 
 func TestTruncateZeroFillsOnExtend(t *testing.T) {
 	harness(t, func(e *cubicle.Env, vfs *vfscore.Client, buf vm.Addr) {
 		fd, _ := vfs.Open(e, "/t", vfscore.OCreat|vfscore.ORdwr)
 		e.Write(buf, bytes.Repeat([]byte{0xAB}, 100))
-		vfs.Write(e, fd, buf, 100)
+		vfs.PWrite(e, fd, buf, 100, 0)
 		// Shrink, then extend past the old size.
-		vfs.FTruncate(e, fd, 10)
-		vfs.FTruncate(e, fd, 50)
+		scratch := buf.Add(3 * vm.PageSize)
+		setSize(t, e, scratch, "/t", 10)
+		setSize(t, e, scratch, "/t", 50)
 		e.Memset(buf, 0xFF, 50)
 		n, _ := vfs.PRead(e, fd, buf, 50, 0)
 		if n != 50 {
 			t.Fatalf("read %d", n)
 		}
-		data := e.ReadBytes(buf, 50)
+		data := cubicletest.ReadBytes(e, buf, 50)
 		for i := 0; i < 10; i++ {
 			if data[i] != 0xAB {
 				t.Fatalf("kept prefix corrupted at %d: %#x", i, data[i])
@@ -100,36 +116,10 @@ func TestSparseWriteReadsZeroGap(t *testing.T) {
 		if n != 100 {
 			t.Fatalf("gap read %d", n)
 		}
-		for _, b := range e.ReadBytes(buf, 100) {
+		for _, b := range cubicletest.ReadBytes(e, buf, 100) {
 			if b != 0 {
 				t.Fatal("gap not zero-filled")
 			}
-		}
-	})
-}
-
-func TestRenameReplacesTarget(t *testing.T) {
-	harness(t, func(e *cubicle.Env, vfs *vfscore.Client, buf vm.Addr) {
-		for i, name := range []string{"/old", "/new"} {
-			fd, _ := vfs.Open(e, name, vfscore.OCreat|vfscore.ORdwr)
-			e.Write(buf, []byte{byte('A' + i)})
-			vfs.Write(e, fd, buf, 1)
-			vfs.Close(e, fd)
-		}
-		if errno := vfs.Rename(e, "/old", "/new"); errno != vfscore.EOK {
-			t.Fatalf("rename over target: %d", errno)
-		}
-		fd, _ := vfs.Open(e, "/new", vfscore.ORdonly)
-		n, _ := vfs.Read(e, fd, buf, 8)
-		if n != 1 || e.LoadByte(buf) != 'A' {
-			t.Fatalf("target content: n=%d b=%c", n, e.LoadByte(buf))
-		}
-		if _, errno := vfs.Stat(e, "/old"); errno != vfscore.ENOENT {
-			t.Fatal("source still exists")
-		}
-		// Renaming a missing source fails.
-		if errno := vfs.Rename(e, "/ghost", "/x"); errno != vfscore.ENOENT {
-			t.Fatalf("rename missing: %d", errno)
 		}
 	})
 }
@@ -142,14 +132,14 @@ func TestLargeFileMultiPage(t *testing.T) {
 			want[i] = byte(i * 13)
 		}
 		e.Write(buf, want)
-		if n, errno := vfs.Write(e, fd, buf, uint64(len(want))); errno != vfscore.EOK || n != uint64(len(want)) {
-			t.Fatalf("write: n=%d errno=%d", n, errno)
+		if n, errno := vfs.PWrite(e, fd, buf, uint64(len(want)), 0); errno != vfscore.EOK || n != uint64(len(want)) {
+			t.Fatalf("pwrite: n=%d errno=%d", n, errno)
 		}
 		e.Memset(buf, 0, uint64(len(want)))
 		if n, _ := vfs.PRead(e, fd, buf, uint64(len(want)), 0); n != uint64(len(want)) {
 			t.Fatalf("read back %d", n)
 		}
-		if !bytes.Equal(e.ReadBytes(buf, uint64(len(want))), want) {
+		if !bytes.Equal(cubicletest.ReadBytes(e, buf, uint64(len(want))), want) {
 			t.Fatal("multi-page content mismatch")
 		}
 	})

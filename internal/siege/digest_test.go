@@ -14,9 +14,10 @@ import (
 // Core == 0 on every event and ShardRecorded(c) == 0 for c >= 1
 // (EXPERIMENTS.md, "In-monitor cores: who entered them"), and re-pinned
 // unchanged but for the kinds' numbering and two counter rows
-// (EXPERIMENTS.md, "Overload knobs removed").
+// (EXPERIMENTS.md, "Overload knobs removed"), then for the page addresses
+// in fault and retag events (EXPERIMENTS.md, "Component ABI trimmed").
 func TestSMPCoresSurchargeStreamPinned(t *testing.T) {
-	const want = uint64(0x749a4afcd5706bcb)
+	const want = uint64(0x873f92803bb37f9f)
 	m := replayRun(t, 4, 0).Sys.M
 	if got := cubicletest.StreamDigest(m); got != want {
 		t.Fatalf("stream digest at SMPCores 4 = %#x, want %#x (%d events, clock %d, %d shootdowns)",

@@ -9,6 +9,7 @@ import (
 
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/ramfs"
 	"cubicleos/internal/speedtest"
 	"cubicleos/internal/sqldb"
@@ -702,7 +703,7 @@ func (f *faultyFS) wrap(name string, inner vfscore.Caller) vfscore.Caller {
 	switch name {
 	case "vfs_open":
 		return callerFunc(func(e *cubicle.Env, args ...uint64) []uint64 {
-			path := string(e.ReadBytes(vm.Addr(args[0]), args[1]))
+			path := string(cubicletest.ReadBytes(e, vm.Addr(args[0]), args[1]))
 			r := inner.Call(e, args...)
 			switch {
 			case strings.HasSuffix(path, "-journal"):
@@ -801,7 +802,7 @@ func (f *faultyDB) image() []byte {
 		if n == 0 {
 			return out
 		}
-		out = append(out, f.e.ReadBytes(f.bufs+sqldb.PageSize, n)...)
+		out = append(out, cubicletest.ReadBytes(f.e, f.bufs+sqldb.PageSize, n)...)
 	}
 }
 

@@ -41,7 +41,6 @@ type clientState struct {
 // value: a share costs the map entry and nothing else.
 type shareState struct {
 	wid    cubicle.WID
-	size   uint64
 	openTo uint64 // bitmask of the cubicles it is open for, like Window.Open
 }
 
@@ -131,7 +130,7 @@ func (a *Module) share(e *cubicle.Env, addr vm.Addr, cid cubicle.ID) {
 	}
 	sh, ok := cs.shares[addr]
 	if !ok {
-		sh = shareState{wid: e.WindowInit(), size: size}
+		sh = shareState{wid: e.WindowInit()}
 		e.WindowAdd(sh.wid, addr, size)
 		cs.shares[addr] = sh
 	}
@@ -141,19 +140,6 @@ func (a *Module) share(e *cubicle.Env, addr vm.Addr, cid cubicle.ID) {
 		sh.openTo |= bit
 		cs.shares[addr] = sh
 	}
-}
-
-// unshare revokes a prior share of addr for cid.
-func (a *Module) unshare(e *cubicle.Env, addr vm.Addr, cid cubicle.ID) {
-	caller := e.Caller()
-	cs := a.client(e, caller)
-	sh, ok := cs.shares[addr]
-	if !ok {
-		return
-	}
-	e.WindowClose(sh.wid, cid)
-	sh.openTo &^= 1 << uint(cid)
-	cs.shares[addr] = sh
 }
 
 // Component returns the ALLOC component for the builder.
@@ -171,18 +157,9 @@ func (a *Module) Component() *cubicle.Component {
 				a.freeAlloc(e, vm.Addr(args[0]))
 				return nil
 			}},
-			{Name: "alloc_palloc", RegArgs: 1, Fn: func(e *cubicle.Env, args []uint64) []uint64 {
-				cubicle.GuardArgs(e, "alloc_palloc", args, 1)
-				return e.Ret(uint64(a.malloc(e, args[0]*vm.PageSize)))
-			}},
 			{Name: "alloc_share", RegArgs: 2, Fn: func(e *cubicle.Env, args []uint64) []uint64 {
 				cubicle.GuardArgs(e, "alloc_share", args, 2)
 				a.share(e, vm.Addr(args[0]), cubicle.ID(args[1]))
-				return nil
-			}},
-			{Name: "alloc_unshare", RegArgs: 2, Fn: func(e *cubicle.Env, args []uint64) []uint64 {
-				cubicle.GuardArgs(e, "alloc_unshare", args, 2)
-				a.unshare(e, vm.Addr(args[0]), cubicle.ID(args[1]))
 				return nil
 			}},
 		},
@@ -191,17 +168,15 @@ func (a *Module) Component() *cubicle.Component {
 
 // Client is typed access to ALLOC from another cubicle.
 type Client struct {
-	malloc, free, palloc, share, unshare cubicle.Handle
+	malloc, free, share cubicle.Handle
 }
 
 // NewClient resolves ALLOC's entry points for a caller cubicle.
 func NewClient(m *cubicle.Monitor, caller cubicle.ID) *Client {
 	return &Client{
-		malloc:  m.MustResolve(caller, Name, "alloc_malloc"),
-		free:    m.MustResolve(caller, Name, "alloc_free"),
-		palloc:  m.MustResolve(caller, Name, "alloc_palloc"),
-		share:   m.MustResolve(caller, Name, "alloc_share"),
-		unshare: m.MustResolve(caller, Name, "alloc_unshare"),
+		malloc: m.MustResolve(caller, Name, "alloc_malloc"),
+		free:   m.MustResolve(caller, Name, "alloc_free"),
+		share:  m.MustResolve(caller, Name, "alloc_share"),
 	}
 }
 
@@ -213,22 +188,9 @@ func (c *Client) Malloc(e *cubicle.Env, size uint64) vm.Addr {
 // Free releases an allocation.
 func (c *Client) Free(e *cubicle.Env, addr vm.Addr) { c.free.Call(e, uint64(addr)) }
 
-// Palloc allocates npages pages, page-aligned. No run calls it; it stays
-// with the handle NewClient resolves at boot, part of the component ABI
-// (ROADMAP item 15).
-func (c *Client) Palloc(e *cubicle.Env, npages uint64) vm.Addr {
-	return vm.Addr(c.palloc.Call(e, npages)[0])
-}
-
 // Share opens the caller's allocation at addr for cubicle cid.
 func (c *Client) Share(e *cubicle.Env, addr vm.Addr, cid cubicle.ID) {
 	c.share.Call(e, uint64(addr), uint64(cid))
-}
-
-// Unshare revokes a Share. Like Palloc, no run calls it; it stays with
-// its handle, part of the component ABI.
-func (c *Client) Unshare(e *cubicle.Env, addr vm.Addr, cid cubicle.ID) {
-	c.unshare.Call(e, uint64(addr), uint64(cid))
 }
 
 // Allocator abstracts where RAMFS gets its file pages: its own cubicle

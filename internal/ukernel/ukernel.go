@@ -72,21 +72,14 @@ type payloadSpec struct {
 
 // vfsSpecs describes the application→VFS RPC interface.
 var vfsSpecs = map[string]payloadSpec{
-	"vfs_open":      {lenArg: 1, in: true},
-	"vfs_close":     {lenArg: -1},
-	"vfs_read":      {lenArg: 2, out: true, outLenFromRet: true},
-	"vfs_write":     {lenArg: 2, in: true},
-	"vfs_pread":     {lenArg: 2, out: true, outLenFromRet: true},
-	"vfs_pwrite":    {lenArg: 2, in: true},
-	"vfs_lseek":     {lenArg: -1},
-	"vfs_stat":      {lenArg: 1, in: true},
-	"vfs_fstat":     {lenArg: -1},
-	"vfs_ftruncate": {lenArg: -1},
-	"vfs_fsync":     {lenArg: -1},
-	"vfs_unlink":    {lenArg: 1, in: true},
-	"vfs_mkdir":     {lenArg: 1, in: true},
-	"vfs_readdir":   {lenArg: 1, in: true, out: true, outLenFromRet: true},
-	"vfs_rename":    {lenArg: 1, in: true},
+	"vfs_open":   {lenArg: 1, in: true},
+	"vfs_close":  {lenArg: -1},
+	"vfs_pread":  {lenArg: 2, out: true, outLenFromRet: true},
+	"vfs_pwrite": {lenArg: 2, in: true},
+	"vfs_stat":   {lenArg: 1, in: true},
+	"vfs_fstat":  {lenArg: -1},
+	"vfs_fsync":  {lenArg: -1},
+	"vfs_unlink": {lenArg: 1, in: true},
 }
 
 // backendSpecs describes the VFS→backend RPC interface.
@@ -98,10 +91,7 @@ var backendSpecs = map[string]payloadSpec{
 	"getsize": {lenArg: -1},
 	"setsize": {lenArg: -1},
 	"unlink":  {lenArg: 1, in: true},
-	"mkdir":   {lenArg: 1, in: true},
-	"readdir": {lenArg: 3, out: true, outLenFromRet: true},
 	"fsync":   {lenArg: -1},
-	"rename":  {lenArg: 1, in: true},
 }
 
 // Stats counts IPC activity.

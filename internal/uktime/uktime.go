@@ -43,9 +43,6 @@ func (t *Module) Component() *cubicle.Component {
 				e.Work(40)
 				return e.Ret(wallEpochNs + t.MonotonicNs())
 			}},
-			{Name: "time_cycles", Fn: func(e *cubicle.Env, args []uint64) []uint64 {
-				return e.Ret(t.clock.Cycles())
-			}},
 		},
 	}
 }

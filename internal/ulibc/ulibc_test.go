@@ -1,10 +1,12 @@
 package ulibc_test
 
 import (
+	"bytes"
 	"testing"
 
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/ulibc"
 	"cubicleos/internal/vm"
 )
@@ -17,7 +19,7 @@ func bootApp(t *testing.T) *boot.System {
 	}}})
 }
 
-func TestMemcpyMemsetMemcmp(t *testing.T) {
+func TestMemcpyMemset(t *testing.T) {
 	s := bootApp(t)
 	err := s.RunAs("APP", func(e *cubicle.Env) {
 		c := ulibc.NewClient(s.M, s.Cubs["APP"].ID)
@@ -25,44 +27,8 @@ func TestMemcpyMemsetMemcmp(t *testing.T) {
 		b := e.HeapAlloc(64)
 		c.Memset(e, a, 0xAB, 64)
 		c.Memcpy(e, b, a, 64)
-		if got := c.Memcmp(e, a, b, 64); got != 0 {
-			t.Errorf("memcmp equal = %d", got)
-		}
-		e.StoreByte(b.Add(10), 0xAC)
-		if got := c.Memcmp(e, a, b, 64); got != -1 {
-			t.Errorf("memcmp a<b = %d", got)
-		}
-		if got := c.Memcmp(e, b, a, 64); got != 1 {
-			t.Errorf("memcmp b>a = %d", got)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStrlenStrncmp(t *testing.T) {
-	s := bootApp(t)
-	err := s.RunAs("APP", func(e *cubicle.Env) {
-		strlen := s.M.MustResolve(e.Cubicle(), ulibc.Name, "strlen")
-		strncmp := s.M.MustResolve(e.Cubicle(), ulibc.Name, "strncmp")
-		p := e.HeapAlloc(32)
-		e.Write(p, []byte("cubicle\x00"))
-		if n := strlen.Call(e, uint64(p))[0]; n != 7 {
-			t.Errorf("strlen = %d", n)
-		}
-		q := e.HeapAlloc(32)
-		e.Write(q, []byte("cubicle\x00"))
-		if r := strncmp.Call(e, uint64(p), uint64(q), 16)[0]; r != 0 {
-			t.Errorf("strncmp equal = %d", r)
-		}
-		e.Write(q, []byte("cubiclf\x00"))
-		if r := strncmp.Call(e, uint64(p), uint64(q), 16)[0]; r != ^uint64(0) {
-			t.Errorf("strncmp less = %d", r)
-		}
-		// Bounded comparison stops at n.
-		if r := strncmp.Call(e, uint64(p), uint64(q), 6)[0]; r != 0 {
-			t.Errorf("strncmp bounded = %d", r)
+		if got := cubicletest.ReadBytes(e, b, 64); !bytes.Equal(got, bytes.Repeat([]byte{0xAB}, 64)) {
+			t.Errorf("memcpy of a memset buffer = % x", got)
 		}
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/urandom"
 )
 
@@ -55,7 +56,7 @@ func TestFill(t *testing.T) {
 		fill := s.M.MustResolve(s.Cubs["APP"].ID, urandom.Name, "rand_fill")
 		buf := e.HeapAlloc(1000)
 		fill.Call(e, uint64(buf), 1000)
-		data := e.ReadBytes(buf, 1000)
+		data := cubicletest.ReadBytes(e, buf, 1000)
 		zeros := 0
 		for _, b := range data {
 			if b == 0 {

@@ -16,7 +16,6 @@ import (
 	"slices"
 
 	"cubicleos/internal/cubicle"
-	"cubicleos/internal/spare"
 	"cubicleos/internal/vm"
 )
 
@@ -43,14 +42,6 @@ const (
 	ORdwr   = 0x2
 	OCreat  = 0x40
 	OTrunc  = 0x200
-	OAppend = 0x400
-)
-
-// Whence values for lseek.
-const (
-	SeekSet = 0
-	SeekCur = 1
-	SeekEnd = 2
 )
 
 // DefaultOpWork models the vfscore path length per operation (vnode
@@ -89,10 +80,7 @@ type Backend struct {
 	GetSize Caller // (ino) -> (size, errno)
 	SetSize Caller // (ino, size) -> (_, errno)
 	Unlink  Caller // (pathPtr, pathLen) -> (_, errno)
-	Mkdir   Caller // (pathPtr, pathLen) -> (_, errno)
-	Readdir Caller // (ino, idx, buf, bufLen) -> (nameLen, errno)
 	Fsync   Caller // (ino) -> (_, errno)
-	Rename  Caller // (p1, l1, p2, l2) -> (_, errno)
 }
 
 // WrapBackend returns a copy of b with every callback replaced by
@@ -107,27 +95,16 @@ func WrapBackend(b Backend, w func(name string, inner Caller) Caller) Backend {
 		GetSize: w("getsize", b.GetSize),
 		SetSize: w("setsize", b.SetSize),
 		Unlink:  w("unlink", b.Unlink),
-		Mkdir:   w("mkdir", b.Mkdir),
-		Readdir: w("readdir", b.Readdir),
 		Fsync:   w("fsync", b.Fsync),
-		Rename:  w("rename", b.Rename),
 	}
-}
-
-// file is one open file description.
-type file struct {
-	ino    uint64
-	off    uint64
-	flags  uint64
-	append bool
 }
 
 // Module is the VFSCORE component state.
 type Module struct {
 	backend Backend
-	fds     map[uint64]*file
-	// spareFiles holds closed file descriptions for open to reuse.
-	spareFiles spare.List[file]
+	// fds maps an open descriptor to its inode: every data call passes
+	// its offset, so a descriptor holds no position.
+	fds map[uint64]uint64
 	// path is touchPath's scratch: the caller's path is read into it.
 	path   []byte
 	nextFD uint64
@@ -139,7 +116,7 @@ type Module struct {
 // New creates the VFS with an empty backend table; call SetBackend before
 // use (the loader-time callback interposition).
 func New() *Module {
-	return &Module{fds: make(map[uint64]*file), nextFD: 3, opWork: DefaultOpWork} // fds 0-2 reserved
+	return &Module{fds: make(map[uint64]uint64), nextFD: 3, opWork: DefaultOpWork} // fds 0-2 reserved
 }
 
 // SetOpWork overrides the per-operation path cost.
@@ -163,8 +140,8 @@ func (v *Module) touchPath(e *cubicle.Env, ptr, n uint64) {
 // is precisely the extra cost Figure 10 attributes to separating the
 // backend from the VFS.
 func (v *Module) touchBuf(e *cubicle.Env, ptr, n uint64) {
-	for off := uint64(0); off < n; off += vm.PageSize {
-		_ = e.LoadByte(vm.Addr(ptr + off))
+	for a, end := ptr, ptr+n; a < end; a = a&^(vm.PageSize-1) + vm.PageSize {
+		_ = e.LoadByte(vm.Addr(a))
 	}
 }
 
@@ -194,111 +171,39 @@ func (v *Module) open(e *cubicle.Env, pathPtr, pathLen, flags uint64) []uint64 {
 	}
 	fd := v.nextFD
 	v.nextFD++
-	f := v.takeFile(ino, flags)
-	if f.append {
-		if r := call(e, v.backend.GetSize, ino); r[1] == EOK {
-			f.off = r[0]
-		}
-	}
-	v.fds[fd] = f
+	v.fds[fd] = ino
 	return okRet(e, fd)
 }
 
-// takeFile returns a description of ino opened with flags, at offset 0:
-// the most recently closed one, reset, or a new one.
-func (v *Module) takeFile(ino, flags uint64) *file {
-	f := v.spareFiles.Take()
-	*f = file{ino: ino, flags: flags, append: flags&OAppend != 0}
-	return f
-}
-
-func (v *Module) file(fd uint64) (*file, uint64) {
-	f, ok := v.fds[fd]
+// inode returns the inode open as fd.
+func (v *Module) inode(fd uint64) (uint64, uint64) {
+	ino, ok := v.fds[fd]
 	if !ok {
-		return nil, EBADF
+		return 0, EBADF
 	}
-	return f, EOK
-}
-
-func (v *Module) read(e *cubicle.Env, fd, buf, n uint64) []uint64 {
-	e.Work(v.opWork)
-	v.OpCount++
-	f, errno := v.file(fd)
-	if errno != EOK {
-		return errRet(e, errno)
-	}
-	v.touchBuf(e, buf, n)
-	r := call(e, v.backend.Read, f.ino, f.off, buf, n)
-	if r[1] == EOK {
-		f.off += r[0]
-	}
-	return r
-}
-
-func (v *Module) write(e *cubicle.Env, fd, buf, n uint64) []uint64 {
-	e.Work(v.opWork)
-	v.OpCount++
-	f, errno := v.file(fd)
-	if errno != EOK {
-		return errRet(e, errno)
-	}
-	v.touchBuf(e, buf, n)
-	if f.append {
-		if r := call(e, v.backend.GetSize, f.ino); r[1] == EOK {
-			f.off = r[0]
-		}
-	}
-	r := call(e, v.backend.Write, f.ino, f.off, buf, n)
-	if r[1] == EOK {
-		f.off += r[0]
-	}
-	return r
+	return ino, EOK
 }
 
 func (v *Module) pread(e *cubicle.Env, fd, buf, n, off uint64) []uint64 {
 	e.Work(v.opWork)
 	v.OpCount++
-	f, errno := v.file(fd)
+	ino, errno := v.inode(fd)
 	if errno != EOK {
 		return errRet(e, errno)
 	}
 	v.touchBuf(e, buf, n)
-	return call(e, v.backend.Read, f.ino, off, buf, n)
+	return call(e, v.backend.Read, ino, off, buf, n)
 }
 
 func (v *Module) pwrite(e *cubicle.Env, fd, buf, n, off uint64) []uint64 {
 	e.Work(v.opWork)
 	v.OpCount++
-	f, errno := v.file(fd)
+	ino, errno := v.inode(fd)
 	if errno != EOK {
 		return errRet(e, errno)
 	}
 	v.touchBuf(e, buf, n)
-	return call(e, v.backend.Write, f.ino, off, buf, n)
-}
-
-func (v *Module) lseek(e *cubicle.Env, fd, off, whence uint64) []uint64 {
-	e.Work(v.opWork)
-	v.OpCount++
-	f, errno := v.file(fd)
-	if errno != EOK {
-		return errRet(e, errno)
-	}
-	switch whence {
-	case SeekSet:
-		f.off = off
-	case SeekCur:
-		f.off += off // off is two's-complement; wraparound implements negative seeks
-	case SeekEnd:
-		r := call(e, v.backend.GetSize, f.ino)
-		if r[1] != EOK {
-			return errRet(e, r[1])
-		}
-		f.off = r[0] + off
-	default:
-		return errRet(e, EINVAL)
-	}
-	return okRet(e, f.off)
+	return call(e, v.backend.Write, ino, off, buf, n)
 }
 
 // Component returns the VFSCORE component for the builder.
@@ -313,28 +218,17 @@ func (v *Module) Component() *cubicle.Component {
 			{Name: "vfs_close", RegArgs: 1, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
 				v.OpCount++
-				f, errno := v.file(a[0])
-				if errno != EOK {
+				if _, errno := v.inode(a[0]); errno != EOK {
 					return errRet(e, errno)
 				}
 				delete(v.fds, a[0])
-				v.spareFiles.Put(f)
 				return okRet(e, 0)
-			}},
-			{Name: "vfs_read", RegArgs: 3, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				return v.read(e, a[0], a[1], a[2])
-			}},
-			{Name: "vfs_write", RegArgs: 3, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				return v.write(e, a[0], a[1], a[2])
 			}},
 			{Name: "vfs_pread", RegArgs: 4, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				return v.pread(e, a[0], a[1], a[2], a[3])
 			}},
 			{Name: "vfs_pwrite", RegArgs: 4, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				return v.pwrite(e, a[0], a[1], a[2], a[3])
-			}},
-			{Name: "vfs_lseek", RegArgs: 3, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				return v.lseek(e, a[0], a[1], a[2])
 			}},
 			{Name: "vfs_stat", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
@@ -348,54 +242,25 @@ func (v *Module) Component() *cubicle.Component {
 			{Name: "vfs_fstat", RegArgs: 1, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
 				v.OpCount++
-				f, errno := v.file(a[0])
+				ino, errno := v.inode(a[0])
 				if errno != EOK {
 					return errRet(e, errno)
 				}
-				return call(e, v.backend.GetSize, f.ino)
-			}},
-			{Name: "vfs_ftruncate", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				e.Work(v.opWork)
-				v.OpCount++
-				f, errno := v.file(a[0])
-				if errno != EOK {
-					return errRet(e, errno)
-				}
-				return call(e, v.backend.SetSize, f.ino, a[1])
+				return call(e, v.backend.GetSize, ino)
 			}},
 			{Name: "vfs_fsync", RegArgs: 1, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
 				v.OpCount++
-				f, errno := v.file(a[0])
+				ino, errno := v.inode(a[0])
 				if errno != EOK {
 					return errRet(e, errno)
 				}
-				return call(e, v.backend.Fsync, f.ino)
+				return call(e, v.backend.Fsync, ino)
 			}},
 			{Name: "vfs_unlink", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
 				e.Work(v.opWork)
 				v.OpCount++
 				return call(e, v.backend.Unlink, a[0], a[1])
-			}},
-			{Name: "vfs_mkdir", RegArgs: 2, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				e.Work(v.opWork)
-				v.OpCount++
-				return call(e, v.backend.Mkdir, a[0], a[1])
-			}},
-			{Name: "vfs_readdir", RegArgs: 5, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				// (pathPtr, pathLen, idx, nameBuf, nameBufLen)
-				e.Work(v.opWork)
-				v.OpCount++
-				r := call(e, v.backend.Lookup, a[0], a[1])
-				if r[1] != EOK {
-					return errRet(e, r[1])
-				}
-				return call(e, v.backend.Readdir, r[0], a[2], a[3], a[4])
-			}},
-			{Name: "vfs_rename", RegArgs: 4, Fn: func(e *cubicle.Env, a []uint64) []uint64 {
-				e.Work(v.opWork)
-				v.OpCount++
-				return call(e, v.backend.Rename, a[0], a[1], a[2], a[3])
 			}},
 		},
 	}
@@ -407,11 +272,9 @@ func (v *Module) Component() *cubicle.Component {
 // the bulk of the "porting effort" the paper quantifies for NGINX and
 // SQLite (§6.2).
 type Client struct {
-	open, close_, read, write, pread, pwrite Caller
-	lseek, stat, fstat, ftruncate, fsync     Caller
-	unlink, mkdir, readdir, rename           Caller
-	pathBuf                                  vm.Addr
-	pathBufSize                              uint64
+	open, close_, pread, pwrite, stat, fstat, fsync, unlink Caller
+	pathBuf                                                 vm.Addr
+	pathBufSize                                             uint64
 }
 
 // Wrap replaces every entry point with w(name, original); the
@@ -420,19 +283,12 @@ type Client struct {
 func (c *Client) Wrap(w func(name string, inner Caller) Caller) {
 	c.open = w("vfs_open", c.open)
 	c.close_ = w("vfs_close", c.close_)
-	c.read = w("vfs_read", c.read)
-	c.write = w("vfs_write", c.write)
 	c.pread = w("vfs_pread", c.pread)
 	c.pwrite = w("vfs_pwrite", c.pwrite)
-	c.lseek = w("vfs_lseek", c.lseek)
 	c.stat = w("vfs_stat", c.stat)
 	c.fstat = w("vfs_fstat", c.fstat)
-	c.ftruncate = w("vfs_ftruncate", c.ftruncate)
 	c.fsync = w("vfs_fsync", c.fsync)
 	c.unlink = w("vfs_unlink", c.unlink)
-	c.mkdir = w("vfs_mkdir", c.mkdir)
-	c.readdir = w("vfs_readdir", c.readdir)
-	c.rename = w("vfs_rename", c.rename)
 }
 
 // PathBufSize is the size of the client's path transfer buffer.
@@ -443,21 +299,14 @@ const PathBufSize = vm.PageSize
 // helpers.
 func NewClient(m *cubicle.Monitor, caller cubicle.ID) *Client {
 	return &Client{
-		open:      m.MustResolve(caller, Name, "vfs_open"),
-		close_:    m.MustResolve(caller, Name, "vfs_close"),
-		read:      m.MustResolve(caller, Name, "vfs_read"),
-		write:     m.MustResolve(caller, Name, "vfs_write"),
-		pread:     m.MustResolve(caller, Name, "vfs_pread"),
-		pwrite:    m.MustResolve(caller, Name, "vfs_pwrite"),
-		lseek:     m.MustResolve(caller, Name, "vfs_lseek"),
-		stat:      m.MustResolve(caller, Name, "vfs_stat"),
-		fstat:     m.MustResolve(caller, Name, "vfs_fstat"),
-		ftruncate: m.MustResolve(caller, Name, "vfs_ftruncate"),
-		fsync:     m.MustResolve(caller, Name, "vfs_fsync"),
-		unlink:    m.MustResolve(caller, Name, "vfs_unlink"),
-		mkdir:     m.MustResolve(caller, Name, "vfs_mkdir"),
-		readdir:   m.MustResolve(caller, Name, "vfs_readdir"),
-		rename:    m.MustResolve(caller, Name, "vfs_rename"),
+		open:   m.MustResolve(caller, Name, "vfs_open"),
+		close_: m.MustResolve(caller, Name, "vfs_close"),
+		pread:  m.MustResolve(caller, Name, "vfs_pread"),
+		pwrite: m.MustResolve(caller, Name, "vfs_pwrite"),
+		stat:   m.MustResolve(caller, Name, "vfs_stat"),
+		fstat:  m.MustResolve(caller, Name, "vfs_fstat"),
+		fsync:  m.MustResolve(caller, Name, "vfs_fsync"),
+		unlink: m.MustResolve(caller, Name, "vfs_unlink"),
 	}
 }
 
@@ -499,35 +348,17 @@ func (c *Client) Close(e *cubicle.Env, fd uint64) uint64 {
 	return call(e, c.close_, fd)[1]
 }
 
-// Read reads up to n bytes into buf; returns bytes read and errno.
-func (c *Client) Read(e *cubicle.Env, fd uint64, buf vm.Addr, n uint64) (uint64, uint64) {
-	r := call(e, c.read, fd, uint64(buf), n)
-	return r[0], r[1]
-}
-
-// Write writes n bytes from buf; returns bytes written and errno.
-func (c *Client) Write(e *cubicle.Env, fd uint64, buf vm.Addr, n uint64) (uint64, uint64) {
-	r := call(e, c.write, fd, uint64(buf), n)
-	return r[0], r[1]
-}
-
-// PRead reads at an explicit offset without moving the file position.
+// PRead reads up to n bytes at offset off into buf; returns bytes read
+// and errno.
 func (c *Client) PRead(e *cubicle.Env, fd uint64, buf vm.Addr, n, off uint64) (uint64, uint64) {
 	r := call(e, c.pread, fd, uint64(buf), n, off)
 	return r[0], r[1]
 }
 
-// PWrite writes at an explicit offset without moving the file position.
+// PWrite writes n bytes from buf at offset off; returns bytes written and
+// errno.
 func (c *Client) PWrite(e *cubicle.Env, fd uint64, buf vm.Addr, n, off uint64) (uint64, uint64) {
 	r := call(e, c.pwrite, fd, uint64(buf), n, off)
-	return r[0], r[1]
-}
-
-// Lseek repositions fd; returns the new offset and errno. No run calls it;
-// it stays with the handle NewClient resolves at boot, part of the
-// component ABI (ROADMAP item 15).
-func (c *Client) Lseek(e *cubicle.Env, fd, off, whence uint64) (uint64, uint64) {
-	r := call(e, c.lseek, fd, off, whence)
 	return r[0], r[1]
 }
 
@@ -544,12 +375,6 @@ func (c *Client) FStat(e *cubicle.Env, fd uint64) (uint64, uint64) {
 	return r[0], r[1]
 }
 
-// FTruncate sets the file size. No run calls it; it stays with the handle
-// NewClient resolves at boot, part of the component ABI (ROADMAP item 15).
-func (c *Client) FTruncate(e *cubicle.Env, fd, size uint64) uint64 {
-	return call(e, c.ftruncate, fd, size)[1]
-}
-
 // FSync flushes the file.
 func (c *Client) FSync(e *cubicle.Env, fd uint64) uint64 {
 	return call(e, c.fsync, fd)[1]
@@ -559,37 +384,4 @@ func (c *Client) FSync(e *cubicle.Env, fd uint64) uint64 {
 func (c *Client) Unlink(e *cubicle.Env, path string) uint64 {
 	p, n := c.stagePath(e, path)
 	return call(e, c.unlink, uint64(p), n)[1]
-}
-
-// Mkdir creates a directory at path.
-func (c *Client) Mkdir(e *cubicle.Env, path string) uint64 {
-	p, n := c.stagePath(e, path)
-	return call(e, c.mkdir, uint64(p), n)[1]
-}
-
-// Readdir returns the idx-th entry name of the directory at path, or
-// errno ENOENT past the end. The name is staged through the path buffer.
-func (c *Client) Readdir(e *cubicle.Env, path string, idx uint64) (string, uint64) {
-	p, n := c.stagePath(e, path)
-	// The name is written into the second half of the transfer buffer.
-	nameBuf := p.Add(c.pathBufSize / 2)
-	r := call(e, c.readdir, uint64(p), n, idx, uint64(nameBuf), c.pathBufSize/2)
-	if r[1] != EOK {
-		return "", r[1]
-	}
-	return string(e.ReadBytes(nameBuf, r[0])), EOK
-}
-
-// Rename moves a file from to to.
-func (c *Client) Rename(e *cubicle.Env, from, to string) uint64 {
-	if c.pathBuf == 0 {
-		panic("vfscore.Client: InitBuffers not called")
-	}
-	half := c.pathBufSize / 2
-	if uint64(len(from)) > half || uint64(len(to)) > half {
-		panic("vfscore.Client: path too long")
-	}
-	e.Write(c.pathBuf, []byte(from))
-	e.Write(c.pathBuf.Add(half), []byte(to))
-	return call(e, c.rename, uint64(c.pathBuf), uint64(len(from)), uint64(c.pathBuf.Add(half)), uint64(len(to)))[1]
 }

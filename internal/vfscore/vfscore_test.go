@@ -6,6 +6,7 @@ import (
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/ramfs"
+	"cubicleos/internal/trace"
 	"cubicleos/internal/vfscore"
 	"cubicleos/internal/vm"
 )
@@ -14,7 +15,7 @@ import (
 // windowed I/O buffer.
 func harness(t *testing.T, fn func(e *cubicle.Env, vfs *vfscore.Client, buf vm.Addr)) {
 	t.Helper()
-	s := boot.MustNewFS(boot.Config{Mode: cubicle.ModeFull, Extra: []*cubicle.Component{{
+	s := boot.MustNewFS(boot.Config{Mode: cubicle.ModeFull, TraceEvents: 1 << 12, Extra: []*cubicle.Component{{
 		Name: "APP", Kind: cubicle.KindIsolated,
 		Exports: []cubicle.ExportDecl{{Name: "main", Fn: func(e *cubicle.Env, a []uint64) []uint64 { return nil }}},
 	}}})
@@ -33,30 +34,6 @@ func harness(t *testing.T, fn func(e *cubicle.Env, vfs *vfscore.Client, buf vm.A
 	}
 }
 
-func TestLseekWhence(t *testing.T) {
-	harness(t, func(e *cubicle.Env, vfs *vfscore.Client, buf vm.Addr) {
-		fd, _ := vfs.Open(e, "/f", vfscore.OCreat|vfscore.ORdwr)
-		e.Write(buf, []byte("0123456789"))
-		vfs.Write(e, fd, buf, 10)
-		if off, errno := vfs.Lseek(e, fd, 2, vfscore.SeekSet); errno != vfscore.EOK || off != 2 {
-			t.Fatalf("SeekSet: off=%d errno=%d", off, errno)
-		}
-		if off, _ := vfs.Lseek(e, fd, 3, vfscore.SeekCur); off != 5 {
-			t.Fatalf("SeekCur: off=%d", off)
-		}
-		// Negative relative seek via two's complement.
-		if off, _ := vfs.Lseek(e, fd, ^uint64(0), vfscore.SeekCur); off != 4 {
-			t.Fatalf("SeekCur -1: off=%d", off)
-		}
-		if off, _ := vfs.Lseek(e, fd, 0, vfscore.SeekEnd); off != 10 {
-			t.Fatalf("SeekEnd: off=%d", off)
-		}
-		if _, errno := vfs.Lseek(e, fd, 0, 9); errno != vfscore.EINVAL {
-			t.Fatalf("bad whence: errno=%d", errno)
-		}
-	})
-}
-
 func TestCloseInvalidatesFD(t *testing.T) {
 	harness(t, func(e *cubicle.Env, vfs *vfscore.Client, buf vm.Addr) {
 		fd, _ := vfs.Open(e, "/f", vfscore.OCreat|vfscore.ORdwr)
@@ -66,8 +43,8 @@ func TestCloseInvalidatesFD(t *testing.T) {
 		if errno := vfs.Close(e, fd); errno != vfscore.EBADF {
 			t.Fatalf("double close: %d", errno)
 		}
-		if _, errno := vfs.Read(e, fd, buf, 1); errno != vfscore.EBADF {
-			t.Fatalf("read closed fd: %d", errno)
+		if _, errno := vfs.PRead(e, fd, buf, 1, 0); errno != vfscore.EBADF {
+			t.Fatalf("pread closed fd: %d", errno)
 		}
 	})
 }
@@ -76,7 +53,7 @@ func TestOpenTruncResets(t *testing.T) {
 	harness(t, func(e *cubicle.Env, vfs *vfscore.Client, buf vm.Addr) {
 		fd, _ := vfs.Open(e, "/f", vfscore.OCreat|vfscore.OWronly)
 		e.Write(buf, []byte("longcontent"))
-		vfs.Write(e, fd, buf, 11)
+		vfs.PWrite(e, fd, buf, 11, 0)
 		vfs.Close(e, fd)
 		fd, _ = vfs.Open(e, "/f", vfscore.OWronly|vfscore.OTrunc)
 		if size, _ := vfs.FStat(e, fd); size != 0 {
@@ -96,6 +73,36 @@ func TestStatMissingAndFstatBad(t *testing.T) {
 	})
 }
 
+// TestUnalignedBufferProbesEveryPage: a page-sized read into a buffer
+// that starts 16 bytes into a page covers two pages, and VFSCORE's uio
+// set-up probes both: in full isolation it trap-and-maps two distinct
+// pages of the caller's buffer.
+func TestUnalignedBufferProbesEveryPage(t *testing.T) {
+	harness(t, func(e *cubicle.Env, vfs *vfscore.Client, _ vm.Addr) {
+		raw := e.HeapAlloc(3 * vm.PageSize)
+		wid := e.WindowInit()
+		e.WindowAdd(wid, raw, 3*vm.PageSize)
+		e.WindowOpen(wid, e.CubicleOf(vfscore.Name))
+		e.WindowOpen(wid, e.CubicleOf(ramfs.Name))
+		buf := vm.Addr((uint64(raw)+vm.PageSize-1)&^(vm.PageSize-1) + 16)
+		fd, _ := vfs.Open(e, "/u", vfscore.OCreat|vfscore.ORdwr)
+		start := e.M.Tracer().Recorded()
+		if _, errno := vfs.PRead(e, fd, buf, vm.PageSize, 0); errno != vfscore.EOK {
+			t.Fatalf("pread: %d", errno)
+		}
+		vfsID := int32(e.CubicleOf(vfscore.Name))
+		pages := map[uint64]bool{}
+		for _, ev := range e.M.Tracer().Events() {
+			if ev.Seq >= start && ev.Kind == trace.EvFault && ev.Cubicle == vfsID {
+				pages[ev.Arg/vm.PageSize] = true
+			}
+		}
+		if len(pages) != 2 {
+			t.Errorf("VFSCORE trap-and-mapped %d distinct pages of a buffer that spans 2", len(pages))
+		}
+	})
+}
+
 // TestWrapInterposition verifies the microkernel-baseline seam: a wrapped
 // client routes every call through the wrapper.
 func TestWrapInterposition(t *testing.T) {
@@ -106,7 +113,7 @@ func TestWrapInterposition(t *testing.T) {
 		})
 		fd, _ := vfs.Open(e, "/w", vfscore.OCreat|vfscore.ORdwr)
 		e.Write(buf, []byte("x"))
-		vfs.Write(e, fd, buf, 1)
+		vfs.PWrite(e, fd, buf, 1, 0)
 		vfs.Close(e, fd)
 		if count != 3 {
 			t.Fatalf("wrapper saw %d calls, want 3", count)

@@ -23,18 +23,7 @@ var reachAllowed = map[string]string{
 
 	"internal/cubicle.ContainedFault.Unwrap": "errors.Is and errors.As call it",
 
-	// The component ABI: a component's export table, every handle a
-	// NewClient resolves and the typed wrapper over each handle stay.
-	// Dropping a resolve moves the pinned stream digests.
-	"internal/netdev.Client.RxReady":    "component ABI",
-	"internal/plat.Client.Halt":         "component ABI",
-	"internal/plat.Module.Halted":       "component ABI: what PLAT's halt export records",
-	"internal/ualloc.Client.Palloc":     "component ABI",
-	"internal/ualloc.Client.Unshare":    "component ABI",
-	"internal/ulibc.Client.Memcmp":      "component ABI",
-	"internal/vfscore.Client.Lseek":     "component ABI",
-	"internal/vfscore.Client.FTruncate": "component ABI",
-	"internal/vfscore.ENOSPC":           "component ABI: an errno of the VFS interface (the sqldb fault-injection tests return it)",
+	"internal/vfscore.ENOSPC": "an errno of the VFS interface (the sqldb fault-injection tests return it)",
 
 	// The pinned image tests (TestSpeedtestImagePinned and the speedtest
 	// stream-digest cell) read every page through it from other packages;
