@@ -40,6 +40,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -50,12 +51,11 @@ import (
 )
 
 func main() {
-	format := flag.String("format", "chrome", "output: chrome, prom, json, profile")
+	format := flag.String("format", "chrome", "output: "+strings.Join(formats, ", "))
 	mode := flag.String("mode", "full", "isolation mode: unikraft, no-mpk, no-acl, full")
 	requests := flag.Int("requests", 20, "number of GET requests to issue")
 	size := flag.Int("size", 16<<10, "static file size in bytes")
 	ring := flag.Int("ring", 1<<16, "trace ring capacity in events")
-	sample := flag.Uint64("sample", 100_000, "profiler sample period in virtual cycles (0 = spans only)")
 	out := flag.String("o", "", "output file (default stdout)")
 	check := flag.Bool("check", false, "validate output invariants and report them on stderr")
 	cores := flag.Int("cores", 1, "simulated cores: > 1 adds the retag shootdown surcharge for the remote ones")
@@ -65,21 +65,19 @@ func main() {
 	until := flag.Uint64("until", 0, "with -replay: halt the replay run's virtual clock at this cycle and compare events with Cycle <= until (0 = full run)")
 	flag.Parse()
 
-	if err := errors.Join(checkRing(*ring), checkRun(*requests, *size, *cores)); err != nil {
+	if err := errors.Join(checkRing(*ring), checkRun(*requests, *size, *cores),
+		checkChoices(*format, *mode, *replay, *until)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	m, err := cubicle.ParseMode(*mode)
-	if err != nil {
-		log.Fatal(err)
-	}
+	m, _ := cubicle.ParseMode(*mode) // checkChoices parsed it
 
 	// mkOpts builds a fresh option set per boot: the replay path boots the
 	// deployment twice and must not share mutable config across runs.
 	mkOpts := func() siege.Options {
-		opts := siege.Options{Mode: m, TraceEvents: *ring, TraceSamplePeriod: *sample,
-			SMPCores: *cores, CheckpointInterval: *checkpoint}
+		opts := siege.Options{Mode: m, TraceEvents: *ring, SMPCores: *cores,
+			CheckpointInterval: *checkpoint}
 		if *chaosSeed != 0 {
 			opts = opts.Chaotic(*chaosSeed)
 		}
@@ -136,8 +134,6 @@ func main() {
 		buf.Write(b)
 	case "profile":
 		writeProfile(&buf, tgt)
-	default:
-		log.Fatalf("unknown format %q", *format)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -179,6 +175,25 @@ func checkRun(requests, size, cores int) error {
 		return fmt.Errorf("-cores %d: want 1 or more", cores)
 	}
 	return nil
+}
+
+// formats are the -format values main's output switch writes.
+var formats = []string{"chrome", "prom", "json", "profile"}
+
+// checkChoices refuses a -format or -mode the run has no meaning for, and
+// an -until without -replay, which nothing would read.
+func checkChoices(format, mode string, replay bool, until uint64) error {
+	var errs []error
+	if !slices.Contains(formats, format) {
+		errs = append(errs, fmt.Errorf("-format %q: want one of %s", format, strings.Join(formats, ", ")))
+	}
+	if _, err := cubicle.ParseMode(mode); err != nil {
+		errs = append(errs, fmt.Errorf("-mode: %w", err))
+	}
+	if until != 0 && !replay {
+		errs = append(errs, fmt.Errorf("-until %d: only -replay halts a run", until))
+	}
+	return errors.Join(errs...)
 }
 
 // runWorkload boots a target and drives the request loop. With stop != 0
@@ -278,12 +293,12 @@ func writeProfile(w io.Writer, tgt *siege.Target) {
 	clock := tgt.Sys.M.Clock.Cycles()
 	fmt.Fprintf(w, "PER-CUBICLE CYCLE PROFILE (%s, %d requests logged by NGINX)\n",
 		tgt.Sys.M.Mode, tgt.Srv.Requests)
-	fmt.Fprintf(w, "%-12s %14s %7s %10s\n", "cubicle", "cycles", "%", "samples")
+	fmt.Fprintf(w, "%-12s %14s %7s\n", "cubicle", "cycles", "%")
 	for _, e := range prof.Entries {
-		fmt.Fprintf(w, "%-12s %14d %6.2f%% %10d\n", e.Name, e.Cycles, e.Percent, e.Samples)
+		fmt.Fprintf(w, "%-12s %14d %6.2f%%\n", e.Name, e.Cycles, e.Percent)
 	}
-	fmt.Fprintf(w, "%-12s %14d %6.2f%% %10d\n", "TOTAL", prof.TotalCycles,
-		100*float64(prof.TotalCycles)/float64(clock), prof.Samples)
+	fmt.Fprintf(w, "%-12s %14d %6.2f%%\n", "TOTAL", prof.TotalCycles,
+		100*float64(prof.TotalCycles)/float64(clock))
 	fmt.Fprintf(w, "virtual clock %d cycles; profile covers %.3f%% of it\n",
 		clock, 100*float64(prof.TotalCycles)/float64(clock))
 }

@@ -41,3 +41,26 @@ func TestCheckRun(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckChoices: an unknown -format or -mode, and an -until without
+// -replay, are usage errors refused before anything boots. -format bogus
+// used to run the whole workload and then exit 1, -mode bogus exited 1,
+// and -until without -replay was ignored with exit status 0.
+func TestCheckChoices(t *testing.T) {
+	for _, c := range []struct {
+		format, mode string
+		replay       bool
+		until        uint64
+		ok           bool
+	}{
+		{"chrome", "full", false, 0, true}, {"prom", "unikraft", false, 0, true},
+		{"json", "no-mpk", true, 0, true}, {"profile", "no-acl", true, 3_000_000, true},
+		{"bogus", "full", false, 0, false}, {"", "full", false, 0, false},
+		{"chrome", "bogus", false, 0, false},
+		{"chrome", "full", false, 1000, false},
+	} {
+		if err := checkChoices(c.format, c.mode, c.replay, c.until); (err == nil) != c.ok {
+			t.Errorf("checkChoices(%q, %q, %v, %d) = %v, want ok=%v", c.format, c.mode, c.replay, c.until, err, c.ok)
+		}
+	}
+}

@@ -29,7 +29,7 @@ var groups = []struct {
 		"internal/urandom", "internal/boot"}},
 	{"SQLite", "pager, B+tree, SQL engine, speedtest1", []string{"internal/sqldb", "internal/speedtest"}},
 	{"NGINX", "HTTP server, siege client", []string{"internal/httpd", "internal/siege"}},
-	{"Observability", "event tracer, metrics export, dashboard", []string{"internal/trace", "internal/dash"}},
+	{"Observability", "event tracer, metrics export", []string{"internal/trace"}},
 	{"Recovery", "checkpoint codec, fault injection", []string{"internal/snapshot", "internal/faultinject"}},
 	{"Cluster", "balancer, failover, retries", []string{"internal/cluster"}},
 	{"Baselines", "microkernel IPC models, Linux baseline", []string{"internal/ukernel"}},

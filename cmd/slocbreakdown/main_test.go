@@ -9,14 +9,19 @@ import (
 
 // TestEveryDirectoryInOneRow: each directory under internal/, cmd/ and
 // examples/ that holds Go source is counted by exactly one Table 2 row,
-// and no file is counted twice.
+// no file is counted twice, and no row lists a directory that holds no Go
+// source (a deleted package would otherwise stay listed at 0 lines).
 func TestEveryDirectoryInOneRow(t *testing.T) {
 	const root = "../.."
 	rows := map[string][]string{} // directory → the rows counting its files
 	files := map[string]string{}  // file → the row counting it
 	for _, g := range groups {
 		for _, dir := range g.dirs {
-			for _, f := range goFiles(root, dir) {
+			srcs := goFiles(root, dir)
+			if len(srcs) == 0 {
+				t.Errorf("row %q lists %s, which holds no Go files", g.name, dir)
+			}
+			for _, f := range srcs {
 				if prev, ok := files[f]; ok {
 					t.Errorf("%s counted by %q and %q", f, prev, g.name)
 				}

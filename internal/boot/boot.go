@@ -54,9 +54,6 @@ type Config struct {
 	// ring of that many events, attached before any component loads so
 	// the per-cubicle cycle profile covers the whole virtual clock.
 	TraceEvents int
-	// TraceSamplePeriod, when non-zero with TraceEvents, starts the
-	// virtual-clock sampling profiler with that period in cycles.
-	TraceSamplePeriod uint64
 	// MetricsInterval, when non-zero, enables the virtual-time metrics
 	// pipeline: every that many virtual cycles the monitor snapshots its
 	// counters, rates and health ladder into a bounded time-series ring
@@ -144,10 +141,7 @@ func NewFS(cfg Config) (*System, error) {
 		m.EnableSMP(cfg.SMPCores)
 	}
 	if cfg.TraceEvents > 0 {
-		trc := m.EnableTracing(cfg.TraceEvents)
-		if cfg.TraceSamplePeriod > 0 {
-			trc.EnableSampling(cfg.TraceSamplePeriod)
-		}
+		m.EnableTracing(cfg.TraceEvents)
 	}
 	if cfg.MetricsInterval > 0 {
 		ring := cfg.MetricsRing

@@ -8,8 +8,8 @@ import (
 // This file is the virtual-time metrics pipeline: every MetricsInterval
 // virtual cycles the monitor snapshots its architectural counters, the
 // health ladder and the tracer's latency digests into a bounded
-// time-series ring. The samples drive the live cubicle-top dashboard and
-// cubicle-inspect's metrics section. Like the trace rings, the sample ring
+// time-series ring. The samples feed cubicle-inspect's metrics section
+// and the prod-openloop stream digest. Like the trace rings, the sample ring
 // is bounded and counts every overwrite: overload can age out history but
 // never lies about it.
 
@@ -168,15 +168,6 @@ func (m *Monitor) MetricsSamples() []MetricsSample {
 	copy(out, mc.ring[start:])
 	copy(out[capa-start:], mc.ring[:start])
 	return out
-}
-
-// LastMetricsSample returns the most recent sample (zero, false if none).
-func (m *Monitor) LastMetricsSample() (MetricsSample, bool) {
-	mc := m.met
-	if mc == nil || mc.n == 0 {
-		return MetricsSample{}, false
-	}
-	return mc.ring[(mc.n-1)&uint64(len(mc.ring)-1)], true
 }
 
 // MetricsRecorded returns how many samples have been taken in total.

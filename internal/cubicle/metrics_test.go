@@ -48,9 +48,9 @@ func TestMetricsSamplesStrictlyOrdered(t *testing.T) {
 	if sumCalls == 0 || sumCalls > ts.m.Stats.CallsTotal {
 		t.Fatalf("delta sum %d inconsistent with CallsTotal %d", sumCalls, ts.m.Stats.CallsTotal)
 	}
-	last, ok := ts.m.LastMetricsSample()
-	if !ok || last.Seq != samples[len(samples)-1].Seq {
-		t.Fatalf("LastMetricsSample disagrees with MetricsSamples tail")
+	last := samples[len(samples)-1]
+	if last.Seq != ts.m.MetricsRecorded()-1 {
+		t.Fatalf("newest sample has seq %d, want %d", last.Seq, ts.m.MetricsRecorded()-1)
 	}
 	if last.Healthy == 0 {
 		t.Fatal("health ladder shows no healthy cubicles")
@@ -89,8 +89,5 @@ func TestMetricsDisabledIsInert(t *testing.T) {
 	metricsWorkload(t, ts, 10)
 	if ts.m.MetricsEnabled() || ts.m.MetricsRecorded() != 0 || ts.m.MetricsSamples() != nil {
 		t.Fatal("metrics pipeline active without EnableMetrics")
-	}
-	if _, ok := ts.m.LastMetricsSample(); ok {
-		t.Fatal("LastMetricsSample reports a sample while disabled")
 	}
 }

@@ -20,14 +20,6 @@ func (m *Monitor) EnableSMP(n int) {
 	m.smpN = n
 }
 
-// Cores returns the number of simulated cores (1 unless EnableSMP ran).
-func (m *Monitor) Cores() int {
-	if m.smpN < 1 {
-		return 1
-	}
-	return m.smpN
-}
-
 // shootdown synchronises a page retag across cores, libmpk-style: a safe
 // multi-threaded pkey_mprotect must update every other thread's view of
 // the key state before the retag takes effect, an IPI-like round trip per

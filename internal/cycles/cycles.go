@@ -34,10 +34,6 @@ type Clock struct {
 	// wrpkru cost what the hardware costs regardless of who runs on top.
 	workNum uint64
 	scaled  bool
-	// onAdvance, when set, observes every clock advance with the new
-	// cycle count. The tracing layer uses it to drive the virtual-clock
-	// sampling profiler; when unset the cost is one nil check per charge.
-	onAdvance func(now uint64)
 }
 
 // workDen is the work scale's fixed denominator: the factor is kept in
@@ -47,13 +43,7 @@ type Clock struct {
 const workDen = 1000
 
 // Charge adds n cycles to the clock (architectural events; unscaled).
-func (c *Clock) Charge(n uint64) {
-	now := c.cycles + n
-	c.cycles = now
-	if c.onAdvance != nil {
-		c.onAdvance(now)
-	}
-}
+func (c *Clock) Charge(n uint64) { c.cycles += n }
 
 // ChargeWork adds n cycles of modelled compute, scaled by the work-scale
 // factor.
@@ -67,19 +57,13 @@ func (c *Clock) ChargeWork(n uint64) {
 // ChargeWorkN adds k charges of n cycles of modelled compute as one
 // advance: the clock ends exactly where k calls of ChargeWork(n) leave it
 // (n is scaled and truncated once, as each of those calls would), stored
-// and shown to the observer once. With k = 0 nothing happens.
+// once. With k = 0 nothing happens.
 func (c *Clock) ChargeWorkN(n, k uint64) {
-	if k == 0 {
-		return
-	}
 	if c.scaled {
 		n = n * c.workNum / workDen
 	}
 	c.Charge(n * k)
 }
-
-// SetOnAdvance installs (or with nil removes) the clock-advance observer.
-func (c *Clock) SetOnAdvance(fn func(now uint64)) { c.onAdvance = fn }
 
 // SetWorkScale sets the modelled-compute scale factor (1.0 = native).
 func (c *Clock) SetWorkScale(f float64) {

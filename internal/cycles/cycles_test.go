@@ -103,8 +103,7 @@ func TestDefaultCostsSane(t *testing.T) {
 var workNScales = []float64{0, 1, 3.4, 3.4 * 1.37}
 
 // TestWorkNEqualsRepeatedWork: ChargeWorkN(n, k) leaves the clock where k
-// calls of ChargeWork(n) do — each n scaled and truncated on its own — but
-// advances it once.
+// calls of ChargeWork(n) do — each n scaled and truncated on its own.
 func TestWorkNEqualsRepeatedWork(t *testing.T) {
 	for _, scale := range workNScales {
 		for _, k := range []uint64{0, 1, 9} {
@@ -116,8 +115,6 @@ func TestWorkNEqualsRepeatedWork(t *testing.T) {
 				}
 				once.Charge(777)
 				many.Charge(777)
-				var seen []uint64
-				once.SetOnAdvance(func(now uint64) { seen = append(seen, now) })
 				once.ChargeWorkN(n, k)
 				for i := uint64(0); i < k; i++ {
 					many.ChargeWork(n)
@@ -125,13 +122,6 @@ func TestWorkNEqualsRepeatedWork(t *testing.T) {
 				if once.Cycles() != many.Cycles() {
 					t.Errorf("scale %v: ChargeWorkN(%d, %d) = %d cycles, %d calls of ChargeWork = %d",
 						scale, n, k, once.Cycles(), k, many.Cycles())
-				}
-				if k == 0 && len(seen) != 0 {
-					t.Errorf("scale %v: ChargeWorkN(%d, 0) advanced the clock: observer saw %v", scale, n, seen)
-				}
-				if k > 0 && (len(seen) != 1 || seen[0] != many.Cycles()) {
-					t.Errorf("scale %v: ChargeWorkN(%d, %d): observer saw %v, want the final value %d once",
-						scale, n, k, seen, many.Cycles())
 				}
 			}
 		}

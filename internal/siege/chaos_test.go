@@ -22,9 +22,8 @@ func TestSiegeUnderChaos(t *testing.T) {
 	// Death is exercised in the supervisor tests: Chaotic allows 1000
 	// restarts.
 	tgt, err := NewTargetOpts(Options{
-		Mode:              cubicle.ModeFull,
-		TraceEvents:       1 << 14,
-		TraceSamplePeriod: 50_000,
+		Mode:        cubicle.ModeFull,
+		TraceEvents: 1 << 14,
 	}.Chaotic(7))
 	if err != nil {
 		t.Fatal(err)

@@ -11,8 +11,8 @@ import (
 func bootMetricsTarget(t *testing.T) *siege.Target {
 	t.Helper()
 	tgt, err := siege.NewTargetOpts(siege.Options{
-		Mode:        cubicle.ModeFull,
-		TraceEvents: 1 << 14, TraceSamplePeriod: 50_000,
+		Mode:            cubicle.ModeFull,
+		TraceEvents:     1 << 14,
 		MetricsInterval: 2_000_000, MetricsRing: 256,
 	})
 	if err != nil {
@@ -59,8 +59,8 @@ func TestMetricsSamplesDuringSiege(t *testing.T) {
 }
 
 // TestOpenLoopDriverMatchesOpenLoop pins the stepping driver to the
-// monolithic loop: the same run stepped quantum-by-quantum (as cubicle-top
-// drives it) must land on identical virtual-time statistics.
+// monolithic loop: the same run stepped quantum by quantum must land on
+// identical virtual-time statistics.
 func TestOpenLoopDriverMatchesOpenLoop(t *testing.T) {
 	opts := siege.OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 60}
 	boot := func() *siege.Target {

@@ -53,10 +53,9 @@ type olFlight struct {
 // OpenLoopDriver is the load generator's one request loop, as a resumable
 // state machine. Every driver of a single target is this run stepped to
 // completion — OpenLoop, Fetch (one arrival due now, with a stop cycle and
-// the response kept), a shard of ParallelOpenLoop, and the cubicle-top
-// dashboard, which steps it one quantum at a time and renders between
-// quanta — so they cost the same virtual cycles by construction. Nothing
-// else in the package steps the server and pumps the peer.
+// the response kept) and a shard of ParallelOpenLoop — so they cost the
+// same virtual cycles by construction. Nothing else in the package steps
+// the server and pumps the peer.
 type OpenLoopDriver struct {
 	t        *Target
 	clock    *cycles.Clock

@@ -39,7 +39,7 @@ func TestOpenLoopGracefulDegradation(t *testing.T) {
 	governed := func() siege.Options {
 		return siege.Options{
 			Mode:        cubicle.ModeFull,
-			TraceEvents: 1 << 14, TraceSamplePeriod: 50_000,
+			TraceEvents: 1 << 14,
 		}.Governed()
 	}
 	run := func(o siege.Options, rate float64) (*siege.Target, *siege.OpenLoopStats) {

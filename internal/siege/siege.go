@@ -52,12 +52,10 @@ type Target struct {
 // Options configures a target boot beyond the isolation mode.
 type Options struct {
 	Mode cubicle.Mode
-	// TraceEvents/TraceSamplePeriod enable the observability layer from
-	// cycle 0: a trace ring of that many events plus, when the period is
-	// non-zero, the virtual-clock sampling profiler. Inspect the run
-	// through Target.Sys.M.Tracer().
-	TraceEvents       int
-	TraceSamplePeriod uint64
+	// TraceEvents enables the observability layer from cycle 0 with a
+	// trace ring of that many events. Inspect the run through
+	// Target.Sys.M.Tracer().
+	TraceEvents int
 	// MetricsInterval/MetricsRing enable the virtual-time metrics pipeline
 	// (see boot.Config).
 	MetricsInterval uint64
@@ -89,11 +87,10 @@ type Options struct {
 }
 
 // Governed returns o with overload protection on — the one declaration of
-// the governed deployment that httpbench -openloop sweeps and cubicle-top
-// watches: supervision with the crossing watchdog off (overload makes
-// crossings slow, not runaway), admission control at 16
-// connections answering Retry-After: 1, a 256-frame wire and closed
-// sockets reaped.
+// the governed deployment that httpbench -openloop sweeps: supervision
+// with the crossing watchdog off (overload makes crossings slow, not
+// runaway), admission control at 16 connections answering Retry-After: 1,
+// a 256-frame wire and closed sockets reaped.
 func (o Options) Governed() Options {
 	pol := cubicle.DefaultRestartPolicy()
 	pol.CrossingBudget = 0
@@ -145,7 +142,6 @@ func NewTargetOpts(o Options) (*Target, error) {
 		RamfsViaAlloc:      true,
 		Extra:              []*cubicle.Component{srv.Component()},
 		TraceEvents:        o.TraceEvents,
-		TraceSamplePeriod:  o.TraceSamplePeriod,
 		MetricsInterval:    o.MetricsInterval,
 		MetricsRing:        o.MetricsRing,
 		Supervision:        o.Supervision,

@@ -10,7 +10,7 @@ import (
 // observability layer on and asserts that the per-cubicle cycle profile
 // accounts for the whole virtual clock.
 func TestTracedRunProfileCoversClock(t *testing.T) {
-	tgt, err := NewTargetOpts(Options{Mode: cubicle.ModeFull, TraceEvents: 1 << 14, TraceSamplePeriod: 50_000})
+	tgt, err := NewTargetOpts(Options{Mode: cubicle.ModeFull, TraceEvents: 1 << 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +47,6 @@ func TestTracedRunProfileCoversClock(t *testing.T) {
 	cover := float64(prof.TotalCycles) / float64(clock)
 	if cover < 0.99 || cover > 1.01 {
 		t.Errorf("profile covers %.4f of the virtual clock, want within 1%%", cover)
-	}
-	if prof.Samples == 0 {
-		t.Error("sampling profiler recorded no samples")
 	}
 
 	if trc.Recorded() == 0 {

@@ -205,13 +205,6 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 	for _, e := range prof.Entries {
 		p("cubicleos_cubicle_cycles_total{cubicle=%q} %d\n", e.Name, e.Cycles)
 	}
-	if prof.Samples > 0 {
-		p("# HELP cubicleos_cubicle_samples_total Virtual-clock profiler samples per cubicle.\n")
-		p("# TYPE cubicleos_cubicle_samples_total counter\n")
-		for _, e := range prof.Entries {
-			p("cubicleos_cubicle_samples_total{cubicle=%q} %d\n", e.Name, e.Samples)
-		}
-	}
 	p("# HELP cubicleos_virtual_cycles Total virtual cycles on the machine clock.\n")
 	p("# TYPE cubicleos_virtual_cycles counter\n")
 	p("cubicleos_virtual_cycles %d\n", t.clock.Cycles())

@@ -166,29 +166,6 @@ func TestProfileAttribution(t *testing.T) {
 	}
 }
 
-func TestSamplingProfiler(t *testing.T) {
-	clock := &cycles.Clock{}
-	tr := New(clock, 64)
-	tr.EnableSampling(100)
-	tr.SwitchCubicle(7)
-	for i := 0; i < 10; i++ {
-		clock.Charge(100)
-	}
-	p := tr.Profile()
-	if p.Samples != 10 {
-		t.Fatalf("samples = %d, want 10", p.Samples)
-	}
-	if len(p.Entries) == 0 || p.Entries[0].Cubicle != 7 || p.Entries[0].Samples != 10 {
-		t.Fatalf("entries = %+v", p.Entries)
-	}
-	// Disabling must unhook the clock observer.
-	tr.EnableSampling(0)
-	clock.Charge(1000)
-	if got := tr.Profile().Samples; got != 10 {
-		t.Fatalf("samples advanced to %d after disable", got)
-	}
-}
-
 func TestChromeTraceRoundTrip(t *testing.T) {
 	clock := &cycles.Clock{}
 	tr := New(clock, 64)
