@@ -12,6 +12,9 @@
 //	cubicle-bench -fig 10b        # 4-vs-3 compartment slowdown per kernel
 //	cubicle-bench -fig all        # everything
 //
+// Figures 6, 7, 10a and 10b end with their rows of experiments.Claims: the
+// paper's value, the measured one, the gate and whether it holds.
+//
 // The -size flag scales the speedtest1 workload (the paper's --stat; 100
 // is the default scale). A -fig no run draws, a -size below 1 or a
 // -requests below 1 is a usage error (exit 2).
@@ -20,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -28,10 +32,11 @@ import (
 )
 
 // figure is one -fig value: the title its section prints and the function
-// that prints its rows at a speedtest1 scale and a Figure 5 window.
+// that writes its rows, and the claim lines Figures 6, 7 and 10 add, at a
+// speedtest1 scale and a Figure 5 window.
 type figure struct {
 	name, title string
-	draw        func(size, requests int) error
+	draw        func(w io.Writer, size, requests int) error
 }
 
 // figures are the -fig values that draw one figure, in the order -fig all
@@ -85,7 +90,7 @@ func main() {
 			continue
 		}
 		fmt.Printf("==== %s ====\n", f.title)
-		if err := f.draw(*size, *requests); err != nil {
+		if err := f.draw(os.Stdout, *size, *requests); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", f.title, err)
 			os.Exit(1)
 		}
@@ -93,61 +98,85 @@ func main() {
 	}
 }
 
-func fig6(size, _ int) error {
+// column pads a claim's quantity to the first column of a claim line;
+// paper, measured, gate and status follow it.
+func column(quantity string) string { return fmt.Sprintf("%-46s ", quantity) }
+
+const claimRest = "%-7s %-9s %-11s %s"
+
+// writeClaims writes a header and a line for each claim of figure fig,
+// measured on r; a claim that deviates from the paper ends with the reason.
+func writeClaims(w io.Writer, fig string, r experiments.Results) {
+	fmt.Fprintln(w, column("Figure "+fig)+fmt.Sprintf(claimRest, "paper", "measured", "gate", "status"))
+	for _, c := range experiments.Claims {
+		if c.Fig != fig {
+			continue
+		}
+		v, gate, status := c.Measure(r), "—", "reported"
+		if c.Gate != nil {
+			gate, status = c.Gate.Text, "fails"
+			if c.Gate.Holds(v) {
+				status = "holds"
+			}
+		}
+		line := column(c.Quantity) + fmt.Sprintf(claimRest, c.Paper, fmt.Sprintf("%.2f", v), gate, status)
+		if c.Reason != "" {
+			line += "  deviates: " + c.Reason
+		}
+		fmt.Fprintln(w, line)
+	}
+}
+
+func fig6(w io.Writer, size, _ int) error {
 	rows, err := experiments.Fig6(size)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-6s %-5s %14s %14s %14s %14s %8s\n",
+	fmt.Fprintf(w, "%-6s %-5s %14s %14s %14s %14s %8s\n",
 		"query", "group", "unikraft", "no-mpk", "no-acl", "cubicleos", "ratio")
 	for _, r := range rows {
 		grp := "B"
 		if r.GroupA {
 			grp = "A"
 		}
-		fmt.Printf("%-6d %-5s %14d %14d %14d %14d %8.2f\n",
-			r.ID, grp, r.Unikraft, r.NoMPK, r.NoACL, r.Full, r.Ratio())
+		fmt.Fprintf(w, "%-6d %-5s %14d %14d %14d %14d %8.2f\n",
+			r.ID, grp, r.Cycles[0], r.Cycles[1], r.Cycles[2], r.Cycles[3], r.Ratio())
 	}
-	s := experiments.Summarise(rows)
-	fmt.Printf("\ngroup A mean slowdown %.2fx (paper: ~1.8x); steps: trampolines %+.0f%%, MPK %+.0f%%, windows %+.0f%%\n",
-		s.GroupASlowdown, (s.ATramp-1)*100, (s.AMPK-1)*100, (s.AACL-1)*100)
-	fmt.Printf("group B mean slowdown %.2fx (paper: ~8x); steps: trampolines %+.0f%%, MPK %+.0f%%, windows %+.0f%%\n",
-		s.GroupBSlowdown, (s.BTramp-1)*100, (s.BMPK-1)*100, (s.BACL-1)*100)
+	writeClaims(w, "6", experiments.Results{Fig6: rows})
 	return nil
 }
 
-func fig7(_, _ int) error {
+func fig7(w io.Writer, _, _ int) error {
 	rows, err := experiments.Fig7()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%12s %14s %14s %8s\n", "size (B)", "baseline (ms)", "cubicleos (ms)", "ratio")
+	fmt.Fprintf(w, "%12s %14s %14s %8s\n", "size (B)", "baseline (ms)", "cubicleos (ms)", "ratio")
 	for _, r := range rows {
-		fmt.Printf("%12d %14.2f %14.2f %8.2f\n", r.Size, r.BaselineMs, r.CubicleOSMs, r.Ratio())
+		fmt.Fprintf(w, "%12d %14.2f %14.2f %8.2f\n", r.Size, r.BaselineMs, r.CubicleOSMs, r.Ratio())
 	}
+	writeClaims(w, "7", experiments.Results{Fig7: rows})
 	return nil
 }
 
-func fig5(_, requests int) error {
+func fig5(w io.Writer, _, requests int) error {
 	g, err := experiments.Fig5(requests)
-	if err != nil {
-		return err
+	if err == nil {
+		fmt.Fprint(w, g.String())
 	}
-	fmt.Print(g.String())
-	return nil
+	return err
 }
 
-func fig8(size, _ int) error {
+func fig8(w io.Writer, size, _ int) error {
 	g, err := experiments.Fig8(size)
-	if err != nil {
-		return err
+	if err == nil {
+		fmt.Fprint(w, g.String())
 	}
-	fmt.Print(g.String())
-	return nil
+	return err
 }
 
-func fig9(_, _ int) error {
-	fmt.Print(`(a) 3 components                 (b) 4 components
+func fig9(w io.Writer, _, _ int) error {
+	fmt.Fprint(w, `(a) 3 components                 (b) 4 components
 
   [ SQLITE ]   [ TIMER ]          [ SQLITE ]   [ TIMER ]
        \          /                    \          /
@@ -162,24 +191,27 @@ baselines it is the respective kernel with message-based IPC.
 	return nil
 }
 
-func fig10a(size, _ int) error {
+func fig10a(w io.Writer, size, _ int) error {
 	rows, err := experiments.Fig10a(size)
-	if err != nil {
-		return err
+	if err == nil {
+		writeSlowdowns(w, rows)
+		writeClaims(w, "10a", experiments.Results{Fig10a: rows})
 	}
-	for _, r := range rows {
-		fmt.Printf("%-14s %6.2fx\n", r.System, r.Slowdown)
-	}
-	return nil
+	return err
 }
 
-func fig10b(size, _ int) error {
+func fig10b(w io.Writer, size, _ int) error {
 	rows, err := experiments.Fig10b(size)
-	if err != nil {
-		return err
+	if err == nil {
+		writeSlowdowns(w, rows)
+		writeClaims(w, "10b", experiments.Results{Fig10b: rows})
 	}
+	return err
+}
+
+// writeSlowdowns writes a Figure 10 plot's rows.
+func writeSlowdowns(w io.Writer, rows []experiments.Fig10Row) {
 	for _, r := range rows {
-		fmt.Printf("%-14s %6.2fx\n", r.Kernel, r.Slowdown)
+		fmt.Fprintf(w, "%-14s %6.2fx\n", r.Name, r.Slowdown)
 	}
-	return nil
 }

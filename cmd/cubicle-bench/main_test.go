@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"strings"
+	"testing"
+
+	"cubicleos/internal/experiments"
+)
 
 // TestCheckFlags: a -fig that names no figure, a -size below 1 and a
 // -requests below 1 are usage errors. Each of them used to run: -fig 42
@@ -29,4 +35,49 @@ func TestCheckFlags(t *testing.T) {
 		}
 		seen[f.name] = true
 	}
+}
+
+// TestDocsQuoteTheClaims: EXPERIMENTS.md quotes every claim line
+// cubicle-bench -fig all -size 100 prints, and every claim line it or
+// README.md quotes is one of them.
+func TestDocsQuoteTheClaims(t *testing.T) {
+	if testing.Short() {
+		t.Skip("draws every figure at size 100")
+	}
+	var out strings.Builder
+	for _, f := range figures {
+		if err := f.draw(&out, 100, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	printed := claimLines(out.String())
+	for _, doc := range []string{"EXPERIMENTS.md", "README.md"} {
+		b, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted := claimLines(string(b))
+		for line := range quoted {
+			if !printed[line] {
+				t.Errorf("%s quotes a claim line cubicle-bench does not print:\n%s", doc, line)
+			}
+		}
+		if doc == "EXPERIMENTS.md" && len(quoted) != len(printed) {
+			t.Errorf("EXPERIMENTS.md quotes %d of the %d claim lines", len(quoted), len(printed))
+		}
+	}
+}
+
+// claimLines returns the lines of text that start as a claim line or its
+// header does.
+func claimLines(text string) map[string]bool {
+	lines := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		for _, c := range experiments.Claims {
+			if strings.HasPrefix(line, column(c.Quantity)) || strings.HasPrefix(line, column("Figure "+c.Fig)) {
+				lines[line] = true
+			}
+		}
+	}
+	return lines
 }

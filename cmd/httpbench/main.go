@@ -9,16 +9,19 @@
 //	-cluster N   goodput scaling over 1..N backends, then failover
 //
 // -assert-degrade exits non-zero unless the governed server (or the
-// cluster) degrades gracefully; -assert-scale gates the shard speed-up.
+// cluster) degrades gracefully; -assert-scale gates the shard speed-up. A
+// flag the selected run does not read is a usage error (exit 2).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -256,32 +259,76 @@ func clusterRun(n int, rate float64, requests int, seed uint64, assert bool) {
 	fmt.Println("assert-degrade ok: goodput scales, failover holds >= 60%, warm re-admission, bit-identical replay")
 }
 
+// options are httpbench's flags.
+type options struct {
+	openloop, assertDegrade   bool
+	rates                     string
+	requests, cores, clusterN int
+	assertScale, clusterRate  float64
+	clusterSeed               uint64
+}
+
+// reads lists, for each run, the flags it reads.
+var reads = map[string][]string{
+	"openloop": {"openloop", "rates", "requests", "assert-degrade"},
+	"cores":    {"cores", "rates", "requests", "assert-scale"},
+	"cluster":  {"cluster", "cluster-rate", "cluster-seed", "assert-degrade"},
+}
+
+// parseFlags parses args into o and names the run they select: -cluster N,
+// else -cores N, else -openloop. It refuses a command line that selects no
+// run, and every flag set on it that the run does not read: that flag
+// would be ignored, and a gate among them silently skipped.
+func parseFlags(fs *flag.FlagSet, args []string) (o options, run string, err error) {
+	fs.BoolVar(&o.openloop, "openloop", false, "run the open-loop overload sweep, governed against ungoverned")
+	fs.StringVar(&o.rates, "rates", "1000,2000,4000,8000", "offered rates (rps) for -openloop and -cores")
+	fs.IntVar(&o.requests, "requests", 120, "arrivals per rate for -openloop and -cores")
+	fs.BoolVar(&o.assertDegrade, "assert-degrade", false, "with -openloop or -cluster: exit non-zero unless degradation is graceful")
+	fs.IntVar(&o.cores, "cores", 0, "shard the open-loop sweep across N simulated cores (SMP driver)")
+	fs.Float64Var(&o.assertScale, "assert-scale", 0, "with -cores: exit non-zero unless wall throughput >= X times a 1-core reference")
+	fs.IntVar(&o.clusterN, "cluster", 0, "run the virtual-cluster scaling + failover scenario with N backends")
+	fs.Float64Var(&o.clusterRate, "cluster-rate", 6000, "cluster-wide offered rate (rps) for -cluster")
+	fs.Uint64Var(&o.clusterSeed, "cluster-seed", 7, "seed for the -cluster chaos and hash streams")
+	if err := fs.Parse(args); err != nil {
+		return o, "", err
+	}
+	switch {
+	case o.clusterN > 0:
+		run = "cluster"
+	case o.cores > 0:
+		run = "cores"
+	case o.openloop:
+		run = "openloop"
+	default:
+		return o, "", errors.New("no run: want -openloop, -cores N or -cluster N")
+	}
+	var errs []error
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(reads[run], f.Name) {
+			errs = append(errs, fmt.Errorf("-%s: a -%s run does not read it", f.Name, run))
+		}
+	})
+	return o, run, errors.Join(errs...)
+}
+
 func main() {
-	openloop := flag.Bool("openloop", false, "run the open-loop overload sweep, governed against ungoverned")
-	rateList := flag.String("rates", "1000,2000,4000,8000", "offered rates (rps) for -openloop and -cores")
-	requests := flag.Int("requests", 120, "arrivals per rate for -openloop and -cores")
-	assertDegrade := flag.Bool("assert-degrade", false, "with -openloop or -cluster: exit non-zero unless degradation is graceful")
-	cores := flag.Int("cores", 0, "shard the open-loop sweep across N simulated cores (SMP driver)")
-	assertScale := flag.Float64("assert-scale", 0, "with -cores: exit non-zero unless wall throughput >= X times a 1-core reference")
-	clusterN := flag.Int("cluster", 0, "run the virtual-cluster scaling + failover scenario with N backends")
-	clusterRate := flag.Float64("cluster-rate", 6000, "cluster-wide offered rate (rps) for -cluster")
-	clusterSeed := flag.Uint64("cluster-seed", 7, "seed for the -cluster chaos and hash streams")
 	flag.Usage = func() {
 		fmt.Fprintln(flag.CommandLine.Output(), "usage: httpbench -openloop | -cores N | -cluster N [flags]\n"+
 			"(the Figure 7 latency-vs-size sweep is cubicle-bench -fig 7)")
 		flag.PrintDefaults()
 	}
-	flag.Parse()
-
-	switch {
-	case *clusterN > 0:
-		clusterRun(*clusterN, *clusterRate, 90, *clusterSeed, *assertDegrade)
-	case *cores > 0:
-		parallelSweep(mustRates(*rateList), *requests, *cores, *assertScale)
-	case *openloop:
-		openLoopSweep(mustRates(*rateList), *requests, *assertDegrade)
-	default:
+	o, run, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
+	}
+	switch run {
+	case "cluster":
+		clusterRun(o.clusterN, o.clusterRate, 90, o.clusterSeed, o.assertDegrade)
+	case "cores":
+		parallelSweep(mustRates(o.rates), o.requests, o.cores, o.assertScale)
+	case "openloop":
+		openLoopSweep(mustRates(o.rates), o.requests, o.assertDegrade)
 	}
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -28,6 +31,45 @@ func TestParseRates(t *testing.T) {
 		got, err := parseRates(c.in)
 		if (err == nil) != (c.want != nil) || !reflect.DeepEqual(got, c.want) {
 			t.Errorf("parseRates(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+}
+
+// TestParseFlags: every httpbench command line the repository runs or
+// documents selects its run, and a flag the selected run does not read is
+// refused. The parent ran each refused line, ignoring that flag: the first
+// two skipped their gate and exited 0.
+func TestParseFlags(t *testing.T) {
+	for _, c := range []struct{ args, run string }{
+		{"-openloop", "openloop"},
+		{"-openloop -assert-degrade", "openloop"},
+		{"-openloop -rates 1000,8000 -requests 120 -assert-degrade", "openloop"},
+		{"-openloop -rates 1000,4000,8000 -assert-degrade", "openloop"},
+		{"-cores 2", "cores"},
+		{"-cores 2 -requests 200 -assert-scale 1.1", "cores"},
+		{"-cores 2 -requests 200 -assert-scale 0.1", "cores"},
+		{"-cores 2 -rates 2000 -requests 100", "cores"},
+		{"-cores 4 -rates 2000 -requests 100", "cores"},
+		{"-cluster 4", "cluster"},
+		{"-cluster 4 -assert-degrade", "cluster"},
+		{"-cluster 4 -cluster-rate 8000 -cluster-seed 3", "cluster"},
+
+		{"-openloop -rates 1000 -requests 5 -assert-scale 99", ""},
+		{"-cores 1 -rates 1000 -requests 5 -assert-degrade", ""},
+		{"-cores 2 -openloop", ""},
+		{"-cluster 4 -rates 1000", ""},
+		{"-cluster 4 -requests 5", ""},
+		{"-cluster 4 -cores 2", ""},
+		{"-cluster 4 -openloop", ""},
+		{"-openloop -cluster-rate 100", ""},
+		{"-cores 2 -cluster-seed 3", ""},
+		{"-openloop -cluster 0", ""},
+	} {
+		fs := flag.NewFlagSet("httpbench", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, run, err := parseFlags(fs, strings.Fields(c.args))
+		if c.run != "" && (err != nil || run != c.run) || c.run == "" && err == nil {
+			t.Errorf("httpbench %s: run %q, %v; want run %q", c.args, run, err, c.run)
 		}
 	}
 }

@@ -1,23 +1,29 @@
 package experiments
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"cubicleos/internal/cubicle"
 )
 
-// The shape tests assert the *qualitative* reproduction targets: who wins,
-// by roughly what factor, and where crossovers fall. Absolute tolerances
-// are wide — the cost model is calibrated, not measured — but orderings
-// and factor ranges must hold. EXPERIMENTS.md records paper-vs-measured
-// for the full-scale runs.
-
 const shapeSize = 30 // reduced speedtest scale keeps the suite fast
 
-func within(t *testing.T, name string, got, lo, hi float64) {
+// checkClaims fails every claim of figs whose measured value leaves its
+// gate. The gates hold the qualitative targets: who wins, by roughly what
+// factor, and where crossovers fall. Absolute tolerances are wide (the cost
+// model is calibrated, not measured), but orderings and factor ranges must
+// hold.
+func checkClaims(t *testing.T, r Results, figs ...string) {
 	t.Helper()
-	if got < lo || got > hi {
-		t.Errorf("%s = %.2f, want within [%.1f, %.1f]", name, got, lo, hi)
+	for _, c := range Claims {
+		if !slices.Contains(figs, c.Fig) {
+			continue
+		}
+		if v := c.Measure(r); c.Gate != nil && !c.Gate.Holds(v) {
+			t.Errorf("Figure %s, %s = %.3f, want %s (paper %s)", c.Fig, c.Quantity, v, c.Gate.Text, c.Paper)
+		}
 	}
 }
 
@@ -32,28 +38,7 @@ func TestFig6Shape(t *testing.T) {
 	if len(rows) != 31 {
 		t.Fatalf("expected 31 queries, got %d", len(rows))
 	}
-	s := Summarise(rows)
-	// Paper: group A ≈1.8×, group B ≈8×; every config ladder must be
-	// monotone and group B must clearly exceed group A.
-	within(t, "groupA slowdown", s.GroupASlowdown, 1.3, 2.8)
-	within(t, "groupB slowdown", s.GroupBSlowdown, 4.5, 11)
-	if s.GroupBSlowdown <= s.GroupASlowdown*1.8 {
-		t.Errorf("group B (%.2f) not clearly above group A (%.2f)", s.GroupBSlowdown, s.GroupASlowdown)
-	}
-	// Trampolines are the cheap rung, MPK the expensive one (paper: +2%
-	// vs +50% for A; +17% vs 4x for B).
-	if s.AMPK <= s.ATramp {
-		t.Errorf("MPK step (%.2f) not above trampoline step (%.2f) for group A", s.AMPK, s.ATramp)
-	}
-	if s.BMPK <= s.BTramp {
-		t.Errorf("MPK step (%.2f) not above trampoline step (%.2f) for group B", s.BMPK, s.BTramp)
-	}
-	for _, r := range rows {
-		if !(r.Unikraft <= r.NoMPK && r.NoMPK <= r.NoACL) {
-			t.Errorf("q%d: ablation ladder not monotone: %d / %d / %d / %d",
-				r.ID, r.Unikraft, r.NoMPK, r.NoACL, r.Full)
-		}
-	}
+	checkClaims(t, Results{Fig6: rows}, "6")
 }
 
 func TestFig7Shape(t *testing.T) {
@@ -64,96 +49,19 @@ func TestFig7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bySize := map[int]Fig7Row{}
-	for _, r := range rows {
-		bySize[r.Size] = r
-	}
-	// Paper: ~5-6 ms baseline flat for small files; overhead ~15% below
-	// 64 KiB growing to ~2x for large transfers.
-	small := bySize[1<<10]
-	within(t, "1KiB baseline ms", small.BaselineMs, 4.0, 7.0)
-	within(t, "1KiB ratio", small.Ratio(), 1.0, 1.25)
-	mid := bySize[64<<10]
-	within(t, "64KiB ratio", mid.Ratio(), 1.05, 1.5)
-	big := bySize[8<<20]
-	within(t, "8MiB ratio", big.Ratio(), 1.7, 3.0)
-	// Latency grows with size; ratio grows monotonically past 64 KiB.
-	prev := 0.0
-	for _, size := range Fig7Sizes {
-		r := bySize[size]
-		if r.BaselineMs < prev {
-			t.Errorf("baseline latency decreased at %d B", size)
-		}
-		prev = r.BaselineMs
-	}
-	if !(small.Ratio() < mid.Ratio() && mid.Ratio() < big.Ratio()) {
-		t.Error("overhead ratio not increasing with transfer size")
-	}
+	checkClaims(t, Results{Fig7: rows}, "7")
 }
 
 func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests skipped in -short")
 	}
-	a, err := Fig10a(shapeSize)
-	if err != nil {
+	a, errA := Fig10a(shapeSize)
+	b, errB := Fig10b(shapeSize)
+	if err := errors.Join(errA, errB); err != nil {
 		t.Fatal(err)
 	}
-	get := func(name string) float64 {
-		for _, r := range a {
-			if r.System == name {
-				return r.Slowdown
-			}
-		}
-		t.Fatalf("missing system %q", name)
-		return 0
-	}
-	// Paper: Linux 1, Unikraft 2.8, Genode-3 1.4, Genode-4 29,
-	// CubicleOS-3 4.1, CubicleOS-4 5.4.
-	within(t, "Unikraft", get("Unikraft"), 2.0, 3.6)
-	within(t, "Genode-3", get("Genode-3"), 1.1, 2.0)
-	within(t, "Genode-4", get("Genode-4"), 18, 45)
-	within(t, "CubicleOS-3", get("CubicleOS-3"), 3.0, 8.5)
-	within(t, "CubicleOS-4", get("CubicleOS-4"), 4.0, 11)
-	// Orderings the paper highlights.
-	if !(get("Genode-3") < get("Unikraft")) {
-		t.Error("Genode-3 should beat Unikraft (paper §6.5)")
-	}
-	if !(get("CubicleOS-4") < get("Genode-4")) {
-		t.Error("CubicleOS-4 must be far cheaper than Genode-4 (headline result)")
-	}
-	ratio43 := get("CubicleOS-4") / get("CubicleOS-3")
-	within(t, "CubicleOS 4/3", ratio43, 1.0, 1.6)
-
-	b, err := Fig10b(shapeSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	getB := func(name string) float64 {
-		for _, r := range b {
-			if r.Kernel == name {
-				return r.Slowdown
-			}
-		}
-		t.Fatalf("missing kernel %q", name)
-		return 0
-	}
-	// Paper: seL4 7.5, Fiasco.OC 4.5, NOVA 4.7, CubicleOS 1.4; the
-	// artifact notes the microkernels are "always more than 4x" while
-	// CubicleOS is "significantly smaller" (~1.3).
-	within(t, "SeL4 4v3", getB("SeL4"), 5.5, 10)
-	within(t, "Fiasco 4v3", getB("Fiasco.OC"), 3.5, 6)
-	within(t, "NOVA 4v3", getB("NOVA"), 3.5, 6.5)
-	within(t, "Genode/Linux 4v3", getB("Genode/Linux"), 10, 28)
-	within(t, "CubicleOS 4v3", getB("CubicleOS"), 1.0, 1.6)
-	for _, r := range b {
-		if r.Kernel != "CubicleOS" && r.Slowdown < 4.0 {
-			t.Errorf("%s separation slowdown %.2f below the paper's 'always more than 4x'", r.Kernel, r.Slowdown)
-		}
-	}
-	if getB("CubicleOS")*2.5 > getB("Fiasco.OC") {
-		t.Error("CubicleOS separation must be far cheaper than the cheapest microkernel")
-	}
+	checkClaims(t, Results{Fig10a: a, Fig10b: b}, "10a", "10b")
 }
 
 func TestFig5Graph(t *testing.T) {

@@ -32,90 +32,35 @@ var (
 type Fig6Row struct {
 	ID     int
 	GroupA bool
-	// Cycles per configuration.
-	Unikraft, NoMPK, NoACL, Full uint64
+	// Cycles per configuration, up the ablation ladder: Unikraft,
+	// CubicleOS without MPK, without ACLs, and full CubicleOS.
+	Cycles [4]uint64
 }
 
-// Ratio returns Full/Unikraft.
-func (r Fig6Row) Ratio() float64 { return float64(r.Full) / float64(r.Unikraft) }
+// Ratio returns full CubicleOS's cycles over Unikraft's.
+func (r Fig6Row) Ratio() float64 { return float64(r.Cycles[3]) / float64(r.Cycles[0]) }
 
-// Fig6 runs speedtest1 under baseline Unikraft, CubicleOS without MPK,
-// CubicleOS without ACLs, and full CubicleOS (all on the 7-cubicle
-// Figure 8 deployment), reporting per-query cycles.
+// Fig6 runs speedtest1 under each configuration of the ladder (all on the
+// 7-cubicle Figure 8 deployment), reporting per-query cycles.
 func Fig6(size int) ([]Fig6Row, error) {
-	rows := make(map[int]*Fig6Row)
-	for _, id := range speedtest.QueryIDs {
-		rows[id] = &Fig6Row{ID: id, GroupA: speedtest.InGroupA(id)}
+	rows := make([]Fig6Row, len(speedtest.QueryIDs))
+	for i, id := range speedtest.QueryIDs {
+		rows[i] = Fig6Row{ID: id, GroupA: speedtest.InGroupA(id)}
 	}
-	for _, cfg := range []struct {
-		mode cubicle.Mode
-		set  func(r *Fig6Row, c uint64)
-	}{
-		{cubicle.ModeUnikraft, func(r *Fig6Row, c uint64) { r.Unikraft = c }},
-		{cubicle.ModeTrampoline, func(r *Fig6Row, c uint64) { r.NoMPK = c }},
-		{cubicle.ModeNoACL, func(r *Fig6Row, c uint64) { r.NoACL = c }},
-		{cubicle.ModeFull, func(r *Fig6Row, c uint64) { r.Full = c }},
-	} {
-		t, err := NewSQLiteTarget(cfg.mode, nil, size, UnikraftWorkScale)
+	for rung, mode := range []cubicle.Mode{cubicle.ModeUnikraft, cubicle.ModeTrampoline, cubicle.ModeNoACL, cubicle.ModeFull} {
+		t, err := NewSQLiteTarget(mode, nil, size, UnikraftWorkScale)
 		if err != nil {
 			return nil, err
 		}
-		ms, err := t.RunAll()
+		ms, err := t.RunAll() // in QueryIDs order
 		if err != nil {
-			return nil, fmt.Errorf("%v: %w", cfg.mode, err)
+			return nil, fmt.Errorf("%v: %w", mode, err)
 		}
-		for _, m := range ms {
-			cfg.set(rows[m.ID], m.Cycles)
-		}
-	}
-	out := make([]Fig6Row, 0, len(rows))
-	for _, id := range speedtest.QueryIDs {
-		out = append(out, *rows[id])
-	}
-	return out, nil
-}
-
-// Fig6Summary aggregates Figure 6 into the paper's two query groups.
-type Fig6Summary struct {
-	// Mean Full/Unikraft slowdown per group.
-	GroupASlowdown, GroupBSlowdown float64
-	// Mean incremental overheads for group A (trampolines, +MPK, +ACLs),
-	// as fractions of the previous rung.
-	ATramp, AMPK, AACL float64
-	BTramp, BMPK, BACL float64
-}
-
-// Summarise computes the group means the paper quotes in §6.4.
-func Summarise(rows []Fig6Row) Fig6Summary {
-	var s Fig6Summary
-	var na, nb int
-	for _, r := range rows {
-		tramp := float64(r.NoMPK) / float64(r.Unikraft)
-		mpk := float64(r.NoACL) / float64(r.NoMPK)
-		acl := float64(r.Full) / float64(r.NoACL)
-		if r.GroupA {
-			s.GroupASlowdown += r.Ratio()
-			s.ATramp += tramp
-			s.AMPK += mpk
-			s.AACL += acl
-			na++
-		} else {
-			s.GroupBSlowdown += r.Ratio()
-			s.BTramp += tramp
-			s.BMPK += mpk
-			s.BACL += acl
-			nb++
+		for i, m := range ms {
+			rows[i].Cycles[rung] = m.Cycles
 		}
 	}
-	s.GroupASlowdown /= float64(na)
-	s.ATramp /= float64(na)
-	s.AMPK /= float64(na)
-	s.AACL /= float64(na)
-	s.GroupBSlowdown /= float64(nb)
-	s.BTramp /= float64(nb)
-	s.BMPK /= float64(nb)
-	s.BACL /= float64(nb)
-	return s
+	return rows, nil
 }
 
 // --- Figure 7: NGINX download latency vs transfer size ------------------------
@@ -127,30 +72,29 @@ var Fig7Sizes = []int{1 << 10, 2 << 10, 8 << 10, 32 << 10, 64 << 10, 128 << 10,
 // Fig7Row is one transfer size's latency under baseline Unikraft and
 // full CubicleOS.
 type Fig7Row struct {
-	Size            int
-	BaselineMs      float64
-	CubicleOSMs     float64
-	BaselineCycles  uint64
-	CubicleOSCycles uint64
+	Size        int
+	BaselineMs  float64
+	CubicleOSMs float64
 }
 
 // Ratio returns the CubicleOS/baseline latency ratio.
 func (r Fig7Row) Ratio() float64 { return r.CubicleOSMs / r.BaselineMs }
 
 // Fig7 measures download latency for each file size on the 8-cubicle
-// NGINX deployment (Figure 5), baseline vs CubicleOS.
+// NGINX deployment (Figure 5), baseline vs CubicleOS: one row per size of
+// Fig7Sizes, in its order.
 func Fig7() ([]Fig7Row, error) {
-	run := func(mode cubicle.Mode) (map[int]*siege.Result, error) {
+	rows := make([]Fig7Row, len(Fig7Sizes))
+	for _, mode := range []cubicle.Mode{cubicle.ModeUnikraft, cubicle.ModeFull} {
 		tgt, err := siege.NewTarget(mode)
 		if err != nil {
 			return nil, err
 		}
-		out := make(map[int]*siege.Result)
-		for _, size := range Fig7Sizes {
+		for i, size := range Fig7Sizes {
 			name := fmt.Sprintf("/file-%d.bin", size)
 			data := make([]byte, size)
-			for i := range data {
-				data[i] = byte(i * 31)
+			for j := range data {
+				data[j] = byte(j * 31)
 			}
 			if err := tgt.PutFile(name, data); err != nil {
 				return nil, err
@@ -167,27 +111,14 @@ func Fig7() ([]Fig7Row, error) {
 			if res.Status != 200 || len(res.Body) != size {
 				return nil, fmt.Errorf("size %d: bad response (status %d, %d bytes)", size, res.Status, len(res.Body))
 			}
-			out[size] = res
+			ms := float64(res.Latency.Microseconds()) / 1000
+			rows[i].Size = size
+			if mode == cubicle.ModeUnikraft {
+				rows[i].BaselineMs = ms
+			} else {
+				rows[i].CubicleOSMs = ms
+			}
 		}
-		return out, nil
-	}
-	base, err := run(cubicle.ModeUnikraft)
-	if err != nil {
-		return nil, err
-	}
-	full, err := run(cubicle.ModeFull)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig7Row, 0, len(Fig7Sizes))
-	for _, size := range Fig7Sizes {
-		rows = append(rows, Fig7Row{
-			Size:            size,
-			BaselineMs:      float64(base[size].Latency.Microseconds()) / 1000,
-			CubicleOSMs:     float64(full[size].Latency.Microseconds()) / 1000,
-			BaselineCycles:  base[size].Cycles,
-			CubicleOSCycles: full[size].Cycles,
-		})
 	}
 	return rows, nil
 }
@@ -273,33 +204,20 @@ func Fig8(size int) (*CallGraph, error) {
 
 // --- Figures 9 and 10: partitioning comparison ---------------------------------
 
-// perQuery maps measurements by query ID.
-func perQuery(ms []speedtest.Measurement) map[int]uint64 {
-	out := make(map[int]uint64, len(ms))
-	for _, m := range ms {
-		out[m.ID] = m.Cycles
-	}
-	return out
-}
-
-// meanSlowdown is the average per-query slowdown of cfg against base —
-// the paper's "average slowdown factor across all speedtest1 queries".
-func meanSlowdown(cfg, base map[int]uint64) float64 {
+// meanSlowdown is the mean per-query slowdown of cfg against base, two
+// runs of one schedule — the paper's "average slowdown factor across all
+// speedtest1 queries".
+func meanSlowdown(cfg, base []speedtest.Measurement) float64 {
 	var sum float64
-	var n int
-	for id, b := range base {
-		if c, ok := cfg[id]; ok && b > 0 {
-			sum += float64(c) / float64(b)
-			n++
-		}
+	for i, b := range base {
+		sum += float64(cfg[i].Cycles) / float64(b.Cycles)
 	}
-	return sum / float64(n)
+	return sum / float64(len(base))
 }
 
 // ukernelRun boots a message-passing deployment and runs speedtest1.
-func ukernelRun(model ukernel.KernelModel, components, size int) (map[int]uint64, error) {
-	app := sqliteComponent()
-	d, err := ukernel.NewSQLite(model, components, app)
+func ukernelRun(model ukernel.KernelModel, components, size int) ([]speedtest.Measurement, error) {
+	d, err := ukernel.NewSQLite(model, components, sqliteComponent())
 	if err != nil {
 		return nil, err
 	}
@@ -307,9 +225,8 @@ func ukernelRun(model ukernel.KernelModel, components, size int) (map[int]uint64
 }
 
 // linuxRun runs speedtest1 on the Linux baseline.
-func linuxRun(size int) (map[int]uint64, error) {
-	app := sqliteComponent()
-	d, err := ukernel.NewLinuxSQLite(app)
+func linuxRun(size int) ([]speedtest.Measurement, error) {
+	d, err := ukernel.NewLinuxSQLite(sqliteComponent())
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +238,7 @@ func linuxRun(size int) (map[int]uint64, error) {
 // schedule, returning per-query cycles.
 func hostedSpeedtest(sys interface {
 	RunAs(string, func(e *cubicle.Env)) error
-}, vfs *vfscore.Client, size int) (map[int]uint64, error) {
+}, vfs *vfscore.Client, size int) ([]speedtest.Measurement, error) {
 	var ms []speedtest.Measurement
 	var runErr error
 	err := sys.RunAs("SQLITE", func(e *cubicle.Env) {
@@ -337,82 +254,63 @@ func hostedSpeedtest(sys interface {
 			return
 		}
 		r := speedtest.New(db, speedtest.Config{Size: size})
-		clock := e.M.Clock
-		ms, runErr = r.RunAll(clock.Cycles)
+		ms, runErr = r.RunAll(e.M.Clock.Cycles)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return perQuery(ms), nil
+	return ms, runErr
 }
 
 // cubicleRun runs speedtest1 on a CubicleOS deployment with the given
 // grouping and mode.
-func cubicleRun(mode cubicle.Mode, groups map[string]string, size int) (map[int]uint64, error) {
+func cubicleRun(mode cubicle.Mode, groups map[string]string, size int) ([]speedtest.Measurement, error) {
 	t, err := NewSQLiteTarget(mode, groups, size, UnikraftWorkScale)
 	if err != nil {
 		return nil, err
 	}
-	ms, err := t.RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return perQuery(ms), nil
+	return t.RunAll()
 }
 
-// Fig10aRow is one system's average speedtest1 slowdown against Linux.
-type Fig10aRow struct {
-	System   string
+// Fig10Row is one row of Figure 10: a system's mean speedtest1 slowdown
+// against Linux (10a), or a kernel's of 4 compartments against 3 (10b).
+type Fig10Row struct {
+	Name     string
 	Slowdown float64
 }
 
 // Fig10a compares Linux, Unikraft, Genode-3/4 (on Linux) and
 // CubicleOS-3/4 — the left plot of Figure 10.
-func Fig10a(size int) ([]Fig10aRow, error) {
+func Fig10a(size int) ([]Fig10Row, error) {
 	linux, err := linuxRun(size)
 	if err != nil {
 		return nil, err
 	}
-	rows := []Fig10aRow{{System: "Linux", Slowdown: 1.0}}
-	uk, err := cubicleRun(cubicle.ModeUnikraft, Groups3, size)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, Fig10aRow{System: "Unikraft", Slowdown: meanSlowdown(uk, linux)})
-	for _, comp := range []int{3, 4} {
-		g, err := ukernelRun(ukernel.GenodeLinux, comp, size)
+	rows := []Fig10Row{{Name: "Linux", Slowdown: 1.0}}
+	for _, sys := range []struct {
+		name string
+		run  func() ([]speedtest.Measurement, error)
+	}{
+		{"Unikraft", func() ([]speedtest.Measurement, error) { return cubicleRun(cubicle.ModeUnikraft, Groups3, size) }},
+		{"Genode-3", func() ([]speedtest.Measurement, error) { return ukernelRun(ukernel.GenodeLinux, 3, size) }},
+		{"Genode-4", func() ([]speedtest.Measurement, error) { return ukernelRun(ukernel.GenodeLinux, 4, size) }},
+		{"CubicleOS-3", func() ([]speedtest.Measurement, error) { return cubicleRun(cubicle.ModeFull, Groups3, size) }},
+		{"CubicleOS-4", func() ([]speedtest.Measurement, error) { return cubicleRun(cubicle.ModeFull, Groups4, size) }},
+	} {
+		ms, err := sys.run()
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Fig10aRow{System: fmt.Sprintf("Genode-%d", comp), Slowdown: meanSlowdown(g, linux)})
+		rows = append(rows, Fig10Row{Name: sys.name, Slowdown: meanSlowdown(ms, linux)})
 	}
-	c3, err := cubicleRun(cubicle.ModeFull, Groups3, size)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, Fig10aRow{System: "CubicleOS-3", Slowdown: meanSlowdown(c3, linux)})
-	c4, err := cubicleRun(cubicle.ModeFull, Groups4, size)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, Fig10aRow{System: "CubicleOS-4", Slowdown: meanSlowdown(c4, linux)})
 	return rows, nil
-}
-
-// Fig10bRow is one kernel's 4-vs-3-compartment slowdown.
-type Fig10bRow struct {
-	Kernel   string
-	Slowdown float64
 }
 
 // Fig10b measures the cost of separating RAMFS into its own compartment
 // on each kernel (right plot of Figure 10); the baseline is the same
 // kernel with 3 compartments.
-func Fig10b(size int) ([]Fig10bRow, error) {
-	var rows []Fig10bRow
+func Fig10b(size int) ([]Fig10Row, error) {
+	var rows []Fig10Row
 	for _, model := range ukernel.Models {
 		t3, err := ukernelRun(model, 3, size)
 		if err != nil {
@@ -422,7 +320,7 @@ func Fig10b(size int) ([]Fig10bRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Fig10bRow{Kernel: model.Name, Slowdown: meanSlowdown(t4, t3)})
+		rows = append(rows, Fig10Row{Name: model.Name, Slowdown: meanSlowdown(t4, t3)})
 	}
 	c3, err := cubicleRun(cubicle.ModeFull, Groups3, size)
 	if err != nil {
@@ -432,6 +330,6 @@ func Fig10b(size int) ([]Fig10bRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, Fig10bRow{Kernel: "CubicleOS", Slowdown: meanSlowdown(c4, c3)})
+	rows = append(rows, Fig10Row{Name: "CubicleOS", Slowdown: meanSlowdown(c4, c3)})
 	return rows, nil
 }

@@ -107,8 +107,7 @@ func NewSQLiteTarget(mode cubicle.Mode, groups map[string]string, size int, work
 		// Coarse-grained arena from ALLOC (Figure 8: "ALLOC is used only
 		// for coarse-grained allocations").
 		ac := ualloc.NewClient(sys.M, sqliteID)
-		arena := ac.Malloc(e, 8*vm.PageSize)
-		_ = arena
+		ac.Malloc(e, 8*vm.PageSize)
 		db, err := sqldb.Open(e, vfs, "/speedtest.db", ioBuf, DBCacheCap)
 		if err != nil {
 			panic(&cubicle.APIError{Cubicle: sqliteID, Op: "open", Reason: err.Error()})
