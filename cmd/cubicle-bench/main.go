@@ -32,11 +32,22 @@ import (
 )
 
 // figure is one -fig value: the title its section prints and the function
-// that writes its rows, and the claim lines Figures 6, 7 and 10 add, at a
-// speedtest1 scale and a Figure 5 window.
+// that writes its rows, and the claim lines Figures 6, 7 and 10 add.
 type figure struct {
 	name, title string
-	draw        func(w io.Writer, size, requests int) error
+	draw        func(w io.Writer, d *drawing) error
+}
+
+// drawing is what the figures of one run are drawn at — a speedtest1 scale
+// and a Figure 5 window — and the runs of Figure 10 made so far, which
+// its two plots share.
+type drawing struct {
+	size, requests int
+	fig10          *experiments.Fig10Runs
+}
+
+func newDrawing(size, requests int) *drawing {
+	return &drawing{size: size, requests: requests, fig10: experiments.NewFig10Runs(size)}
 }
 
 // figures are the -fig values that draw one figure, in the order -fig all
@@ -85,12 +96,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	d := newDrawing(*size, *requests)
 	for _, f := range figures {
 		if *fig != "all" && *fig != f.name {
 			continue
 		}
 		fmt.Printf("==== %s ====\n", f.title)
-		if err := f.draw(os.Stdout, *size, *requests); err != nil {
+		if err := f.draw(os.Stdout, d); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", f.title, err)
 			os.Exit(1)
 		}
@@ -127,8 +139,8 @@ func writeClaims(w io.Writer, fig string, r experiments.Results) {
 	}
 }
 
-func fig6(w io.Writer, size, _ int) error {
-	rows, err := experiments.Fig6(size)
+func fig6(w io.Writer, d *drawing) error {
+	rows, err := experiments.Fig6(d.size)
 	if err != nil {
 		return err
 	}
@@ -146,7 +158,7 @@ func fig6(w io.Writer, size, _ int) error {
 	return nil
 }
 
-func fig7(w io.Writer, _, _ int) error {
+func fig7(w io.Writer, _ *drawing) error {
 	rows, err := experiments.Fig7()
 	if err != nil {
 		return err
@@ -159,23 +171,23 @@ func fig7(w io.Writer, _, _ int) error {
 	return nil
 }
 
-func fig5(w io.Writer, _, requests int) error {
-	g, err := experiments.Fig5(requests)
+func fig5(w io.Writer, d *drawing) error {
+	g, err := experiments.Fig5(d.requests)
 	if err == nil {
 		fmt.Fprint(w, g.String())
 	}
 	return err
 }
 
-func fig8(w io.Writer, size, _ int) error {
-	g, err := experiments.Fig8(size)
+func fig8(w io.Writer, d *drawing) error {
+	g, err := experiments.Fig8(d.size)
 	if err == nil {
 		fmt.Fprint(w, g.String())
 	}
 	return err
 }
 
-func fig9(w io.Writer, _, _ int) error {
+func fig9(w io.Writer, _ *drawing) error {
 	fmt.Fprint(w, `(a) 3 components                 (b) 4 components
 
   [ SQLITE ]   [ TIMER ]          [ SQLITE ]   [ TIMER ]
@@ -191,8 +203,8 @@ baselines it is the respective kernel with message-based IPC.
 	return nil
 }
 
-func fig10a(w io.Writer, size, _ int) error {
-	rows, err := experiments.Fig10a(size)
+func fig10a(w io.Writer, d *drawing) error {
+	rows, err := d.fig10.Fig10a()
 	if err == nil {
 		writeSlowdowns(w, rows)
 		writeClaims(w, "10a", experiments.Results{Fig10a: rows})
@@ -200,8 +212,8 @@ func fig10a(w io.Writer, size, _ int) error {
 	return err
 }
 
-func fig10b(w io.Writer, size, _ int) error {
-	rows, err := experiments.Fig10b(size)
+func fig10b(w io.Writer, d *drawing) error {
+	rows, err := d.fig10.Fig10b()
 	if err == nil {
 		writeSlowdowns(w, rows)
 		writeClaims(w, "10b", experiments.Results{Fig10b: rows})

@@ -45,8 +45,9 @@ func TestDocsQuoteTheClaims(t *testing.T) {
 		t.Skip("draws every figure at size 100")
 	}
 	var out strings.Builder
+	d := newDrawing(100, 8)
 	for _, f := range figures {
-		if err := f.draw(&out, 100, 8); err != nil {
+		if err := f.draw(&out, d); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -56,8 +56,9 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape tests skipped in -short")
 	}
-	a, errA := Fig10a(shapeSize)
-	b, errB := Fig10b(shapeSize)
+	runs := NewFig10Runs(shapeSize)
+	a, errA := runs.Fig10a()
+	b, errB := runs.Fig10b()
 	if err := errors.Join(errA, errB); err != nil {
 		t.Fatal(err)
 	}

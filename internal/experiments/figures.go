@@ -279,10 +279,51 @@ type Fig10Row struct {
 	Slowdown float64
 }
 
+// Fig10Runs draws Figure 10 at one scale. Both plots read the speedtest1
+// runs of the Genode/Linux and CubicleOS deployments of 3 and 4
+// compartments, which it makes the first time a plot reads one and keeps:
+// drawing the two takes 12 runs where drawing them apart takes 16.
+type Fig10Runs struct {
+	size int
+	runs map[string][]speedtest.Measurement
+}
+
+// NewFig10Runs returns Figure 10 at speedtest1 scale size, nothing run yet.
+func NewFig10Runs(size int) *Fig10Runs {
+	return &Fig10Runs{size: size, runs: make(map[string][]speedtest.Measurement)}
+}
+
+// run returns the measurements of the deployment key names, running it
+// with fn the first time.
+func (f *Fig10Runs) run(key string, fn func() ([]speedtest.Measurement, error)) ([]speedtest.Measurement, error) {
+	if ms, ok := f.runs[key]; ok {
+		return ms, nil
+	}
+	ms, err := fn()
+	if err == nil {
+		f.runs[key] = ms
+	}
+	return ms, err
+}
+
+// kernel returns the run of a microkernel model with n compartments.
+func (f *Fig10Runs) kernel(model ukernel.KernelModel, n int) ([]speedtest.Measurement, error) {
+	return f.run(fmt.Sprintf("%s-%d", model.Name, n), func() ([]speedtest.Measurement, error) { return ukernelRun(model, n, f.size) })
+}
+
+// cubicleOS returns the run of CubicleOS with 3 or 4 compartments.
+func (f *Fig10Runs) cubicleOS(n int) ([]speedtest.Measurement, error) {
+	groups := Groups3
+	if n == 4 {
+		groups = Groups4
+	}
+	return f.run(fmt.Sprintf("CubicleOS-%d", n), func() ([]speedtest.Measurement, error) { return cubicleRun(cubicle.ModeFull, groups, f.size) })
+}
+
 // Fig10a compares Linux, Unikraft, Genode-3/4 (on Linux) and
 // CubicleOS-3/4 — the left plot of Figure 10.
-func Fig10a(size int) ([]Fig10Row, error) {
-	linux, err := linuxRun(size)
+func (f *Fig10Runs) Fig10a() ([]Fig10Row, error) {
+	linux, err := linuxRun(f.size)
 	if err != nil {
 		return nil, err
 	}
@@ -291,11 +332,11 @@ func Fig10a(size int) ([]Fig10Row, error) {
 		name string
 		run  func() ([]speedtest.Measurement, error)
 	}{
-		{"Unikraft", func() ([]speedtest.Measurement, error) { return cubicleRun(cubicle.ModeUnikraft, Groups3, size) }},
-		{"Genode-3", func() ([]speedtest.Measurement, error) { return ukernelRun(ukernel.GenodeLinux, 3, size) }},
-		{"Genode-4", func() ([]speedtest.Measurement, error) { return ukernelRun(ukernel.GenodeLinux, 4, size) }},
-		{"CubicleOS-3", func() ([]speedtest.Measurement, error) { return cubicleRun(cubicle.ModeFull, Groups3, size) }},
-		{"CubicleOS-4", func() ([]speedtest.Measurement, error) { return cubicleRun(cubicle.ModeFull, Groups4, size) }},
+		{"Unikraft", func() ([]speedtest.Measurement, error) { return cubicleRun(cubicle.ModeUnikraft, Groups3, f.size) }},
+		{"Genode-3", func() ([]speedtest.Measurement, error) { return f.kernel(ukernel.GenodeLinux, 3) }},
+		{"Genode-4", func() ([]speedtest.Measurement, error) { return f.kernel(ukernel.GenodeLinux, 4) }},
+		{"CubicleOS-3", func() ([]speedtest.Measurement, error) { return f.cubicleOS(3) }},
+		{"CubicleOS-4", func() ([]speedtest.Measurement, error) { return f.cubicleOS(4) }},
 	} {
 		ms, err := sys.run()
 		if err != nil {
@@ -309,24 +350,24 @@ func Fig10a(size int) ([]Fig10Row, error) {
 // Fig10b measures the cost of separating RAMFS into its own compartment
 // on each kernel (right plot of Figure 10); the baseline is the same
 // kernel with 3 compartments.
-func Fig10b(size int) ([]Fig10Row, error) {
+func (f *Fig10Runs) Fig10b() ([]Fig10Row, error) {
 	var rows []Fig10Row
 	for _, model := range ukernel.Models {
-		t3, err := ukernelRun(model, 3, size)
+		t3, err := f.kernel(model, 3)
 		if err != nil {
 			return nil, err
 		}
-		t4, err := ukernelRun(model, 4, size)
+		t4, err := f.kernel(model, 4)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Fig10Row{Name: model.Name, Slowdown: meanSlowdown(t4, t3)})
 	}
-	c3, err := cubicleRun(cubicle.ModeFull, Groups3, size)
+	c3, err := f.cubicleOS(3)
 	if err != nil {
 		return nil, err
 	}
-	c4, err := cubicleRun(cubicle.ModeFull, Groups4, size)
+	c4, err := f.cubicleOS(4)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/snapshot"
+	"cubicleos/internal/spare"
 	"cubicleos/internal/ualloc"
 	"cubicleos/internal/ulibc"
 	"cubicleos/internal/vfscore"
@@ -38,12 +39,19 @@ type inode struct {
 	size     uint64
 	pages    []vm.Addr // one entry per PageSize chunk
 	children map[string]uint64
+	// name is the name create last linked the file under: a file created
+	// again under it, from the spare list, links the same string.
+	name string
 }
 
 // Module is the RAMFS component state.
 type Module struct {
 	inodes map[uint64]*inode
 	next   uint64
+	// spare holds unlinked files, each keeping its name and the capacity
+	// of its page list for the next create: SQLite's journal is created
+	// and unlinked by every transaction.
+	spare  spare.List[inode]
 	alloc  ualloc.Allocator
 	libc   *ulibc.Client
 	opWork uint64
@@ -154,11 +162,24 @@ func (fs *Module) create(e *cubicle.Env, ptr, n uint64) []uint64 {
 	if errno != vfscore.ENOENT || parent == nil {
 		return errRet(e, uint64(errno))
 	}
-	ino := fs.next
+	node = fs.takeInode(fs.next, name)
 	fs.next++
-	fs.inodes[ino] = &inode{ino: ino}
-	parent.children[string(name)] = ino
-	return okRet(e, ino)
+	fs.inodes[node.ino] = node
+	parent.children[node.name] = node.ino
+	return okRet(e, node.ino)
+}
+
+// takeInode returns a new file numbered ino and named name: the file
+// unlink retired last when there is one, keeping the capacity of its page
+// list and, when it was named name, its name string.
+func (fs *Module) takeInode(ino uint64, name []byte) *inode {
+	n := fs.spare.Take()
+	key := n.name
+	if key != string(name) {
+		key = string(name)
+	}
+	*n = inode{ino: ino, pages: n.pages[:0], name: key}
+	return n
 }
 
 func (fs *Module) unlink(e *cubicle.Env, ptr, n uint64) []uint64 {
@@ -175,6 +196,9 @@ func (fs *Module) unlink(e *cubicle.Env, ptr, n uint64) []uint64 {
 	fs.releasePages(e, node)
 	delete(parent.children, string(name))
 	delete(fs.inodes, node.ino)
+	if !node.dir {
+		fs.spare.Put(node)
+	}
 	return okRet(e, 0)
 }
 
@@ -182,7 +206,7 @@ func (fs *Module) releasePages(e *cubicle.Env, node *inode) {
 	for _, p := range node.pages {
 		fs.alloc.Free(e, p)
 	}
-	node.pages = nil
+	node.pages = node.pages[:0]
 	node.size = 0
 }
 

@@ -144,3 +144,37 @@ func TestLargeFileMultiPage(t *testing.T) {
 		}
 	})
 }
+
+// TestRecreatedFileIsNew: a file unlinked and created again — under its
+// name and under another, from the inode the unlink kept — is empty and
+// reads as what is written to it, and a descriptor of the unlinked file
+// no longer reaches it.
+func TestRecreatedFileIsNew(t *testing.T) {
+	harness(t, func(e *cubicle.Env, vfs *vfscore.Client, buf vm.Addr) {
+		old, _ := vfs.Open(e, "/j", vfscore.OCreat|vfscore.ORdwr)
+		e.Memset(buf, 0xAB, 2*vm.PageSize)
+		vfs.PWrite(e, old, buf, 2*vm.PageSize, 0)
+		for _, path := range []string{"/j", "/k"} {
+			if errno := vfs.Unlink(e, "/j"); errno != vfscore.EOK {
+				t.Fatalf("unlink /j: errno %d", errno)
+			}
+			if _, errno := vfs.Stat(e, "/j"); errno != vfscore.ENOENT {
+				t.Fatalf("stat of the unlinked /j: errno %d, want ENOENT", errno)
+			}
+			fd, errno := vfs.Open(e, path, vfscore.OCreat|vfscore.ORdwr)
+			if size, _ := vfs.FStat(e, fd); errno != vfscore.EOK || size != 0 {
+				t.Fatalf("create %s after unlinking /j: errno %d, size %d", path, errno, size)
+			}
+			if _, errno := vfs.FStat(e, old); errno != vfscore.ENOENT {
+				t.Fatalf("the unlinked file's descriptor after creating %s: errno %d, want ENOENT", path, errno)
+			}
+			e.Write(buf, []byte("new"))
+			vfs.PWrite(e, fd, buf, 3, 0)
+			e.Memset(buf, 0, 8)
+			if n, _ := vfs.PRead(e, fd, buf, 8, 0); n != 3 || string(cubicletest.ReadBytes(e, buf, 3)) != "new" {
+				t.Fatalf("%s reads %d bytes %q", path, n, cubicletest.ReadBytes(e, buf, n))
+			}
+			old = fd
+		}
+	})
+}

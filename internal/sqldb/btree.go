@@ -273,10 +273,10 @@ type split struct {
 	newPg uint32
 }
 
-// insert walks down from page pgno and stores the leaf cell c, over the
-// row already at c.rowid in a table tree; returns a split if the page
-// overflowed.
-func (t *Btree) insert(pgno uint32, c cell) *split {
+// insert walks down from page pgno, at level (the root's 0) of the tree,
+// and stores the leaf cell c, over the row already at c.rowid in a table
+// tree; returns a split if the page overflowed.
+func (t *Btree) insert(pgno uint32, level int, c cell) *split {
 	n := t.p.node(pgno)
 	pos := t.search(n, c.kp, c.rowid)
 	if n.typ() == t.leaf {
@@ -285,10 +285,10 @@ func (t *Btree) insert(pgno uint32, c cell) *split {
 			_, have := t.cellKey(n.cell(pos))
 			replace = have == c.rowid
 		}
-		return t.put(t.p.edit(pgno), pos, replace, c)
+		return t.put(t.p.edit(pgno), level, pos, replace, c)
 	}
 	child := n.child(pos)
-	sp := t.insert(child, c)
+	sp := t.insert(child, level+1, c)
 	if sp == nil {
 		return nil
 	}
@@ -299,17 +299,17 @@ func (t *Btree) insert(pgno uint32, c cell) *split {
 	n = t.p.edit(pgno)
 	n.setChild(pos, sp.newPg)
 	sp.sep.child = child
-	return t.put(n, pos, false, sp.sep)
+	return t.put(n, level, pos, false, sp.sep)
 }
 
-// put stores c at pos of n, which the caller got from Pager.edit — over
-// the cell there when replace is set — and splits the page when the cell
-// no longer fits.
-func (t *Btree) put(n *cpage, pos int, replace bool, c cell) *split {
+// put stores c at pos of n, a page at level of the tree that the caller
+// got from Pager.edit — over the cell there when replace is set — and
+// splits the page when the cell no longer fits.
+func (t *Btree) put(n *cpage, level, pos int, replace bool, c cell) *split {
 	leaf := n.typ() == t.leaf
 	body, ok := n.splice(pos, replace, t.cellSize(leaf, c))
 	if !ok {
-		return t.splitPut(n, pos, replace, c)
+		return t.splitPut(n, level, pos, replace, c)
 	}
 	t.putCell(body, leaf, c)
 	return nil
@@ -318,8 +318,10 @@ func (t *Btree) put(n *cpage, pos int, replace bool, c cell) *split {
 // splitPut is put on a page without room: it makes the same edit on a
 // copy that has room (the pager's scratch: a stack array would escape),
 // cuts the run of cells in two at the middle cell and writes the halves
-// out to n's page and a new one.
-func (t *Btree) splitPut(n *cpage, pos int, replace bool, c cell) *split {
+// out to n's page and a new one. The split it returns is the pager's for
+// level, good until the next split at that level: the level above has
+// put its separator in a page by then.
+func (t *Btree) splitPut(n *cpage, level, pos int, replace bool, c cell) *split {
 	big := &t.p.big
 	if big.data == nil {
 		big.data = make([]byte, 2*PageSize)
@@ -344,9 +346,12 @@ func (t *Btree) splitPut(n *cpage, pos int, replace bool, c cell) *split {
 	if int(big.dir[mid]) > PageSize || big.end()-int(big.dir[upFrom]) > PageSize-pgHdrSize {
 		fail("page %d cannot be split in the middle around a %d-byte cell", pgno, len(body))
 	}
-	sp := &split{}
-	sp.sep.kp, sp.sep.rowid = t.cellKey(big.cell(sepAt))
-	sp.sep.kp = append([]byte(nil), sp.sep.kp...)
+	for len(t.p.splits) <= level {
+		t.p.splits = append(t.p.splits, new(split))
+	}
+	sp := t.p.splits[level]
+	sep, rowid := t.cellKey(big.cell(sepAt))
+	sp.sep = cell{kp: append(sp.sep.kp[:0], sep...), rowid: rowid}
 	sp.newPg = t.p.Allocate()
 	lowRight := sp.newPg
 	if !leaf {
@@ -371,7 +376,7 @@ func (t *Btree) splitPut(n *cpage, pos int, replace bool, c cell) *split {
 	dst.dir = append(dst.dir[:0], src.dir...)
 	root := t.p.edit(t.root)
 	root.reset(t.interior, sp.newPg)
-	return t.put(root, 0, false, sp.sep)
+	return t.put(root, level, 0, false, sp.sep)
 }
 
 // --- Table-tree API ----------------------------------------------------------
@@ -385,7 +390,7 @@ func (t *Btree) InsertRow(rowid int64, record []byte) error {
 		return fmt.Errorf("sqldb: record of %d bytes exceeds page capacity", len(record))
 	}
 	t.p.e.Work(workRecEncode)
-	t.insert(t.root, cell{kp: record, rowid: rowid})
+	t.insert(t.root, 0, cell{kp: record, rowid: rowid})
 	return nil
 }
 
@@ -519,7 +524,7 @@ func (t *Btree) InsertKey(key []byte, rowid int64) error {
 		return fmt.Errorf("sqldb: index key too large")
 	}
 	t.p.e.Work(workRecEncode)
-	t.insert(t.root, cell{kp: key, rowid: rowid})
+	t.insert(t.root, 0, cell{kp: key, rowid: rowid})
 	return nil
 }
 

@@ -464,12 +464,8 @@ func (db *DB) execSelect(f *frame, s *SelectStmt) {
 	// hidden result columns, computed per row and stripped after sorting.
 	width := len(s.Cols)
 	allCols := append(f.cols[:0], s.Cols...)
-	type okey struct {
-		idx  int
-		desc bool
-	}
-	okeys := make([]okey, len(s.OrderBy))
-	for i, oi := range s.OrderBy {
+	f.okeys = f.okeys[:0]
+	for _, oi := range s.OrderBy {
 		idx := -1
 		switch x := oi.Expr.(type) {
 		case *ELit:
@@ -488,67 +484,50 @@ func (db *DB) execSelect(f *frame, s *SelectStmt) {
 			idx = len(allCols)
 			allCols = append(allCols, SelectCol{Expr: oi.Expr})
 		}
-		okeys[i] = okey{idx: idx, desc: oi.Desc}
+		f.okeys = append(f.okeys, okey{idx: idx, desc: oi.Desc})
 	}
 	f.cols = allCols
 
 	// calls are the aggregate calls of the select list and its hidden
 	// columns: a query with one, or with GROUP BY, is an aggregate query.
-	var calls []*EFunc
+	f.calls = f.calls[:0]
 	for _, c := range allCols {
 		walkExpr(c.Expr, func(e Expr) bool {
 			if x, ok := e.(*EFunc); ok && isAggFn(x.Name) {
-				calls = append(calls, x)
+				f.calls = append(f.calls, x)
 				return false
 			}
 			return true
 		})
 	}
-	aggregate := len(s.GroupBy) > 0 || len(calls) > 0
-	var groups map[string]*group
-	var groupOrder []string
+	aggregate := len(s.GroupBy) > 0 || len(f.calls) > 0
 	if aggregate {
-		groups = make(map[string]*group)
-	}
-	// newGroup starts a group whose first row is first.
-	newGroup := func(first *rowCtx) *group {
-		g := &group{first: first, calls: calls}
-		first.group = g
-		for _, x := range calls {
-			g.states = append(g.states, &aggState{fn: x.Name, isInt: true})
+		if len(f.groups) > f.groupSlab.keep*f.groupSlab.per {
+			f.groups = nil
 		}
-		return g
+		if f.groups == nil {
+			f.groups = make(map[string]*group)
+		}
+		clear(f.groups) // its keys were texts of the rewound arena
+		f.order = f.order[:0]
 	}
 
-	var key []byte // the group key of the row, NUL-separated texts of its values
 	emit := func(rc *rowCtx) bool {
 		db.e.Work(workRowFilter)
 		if aggregate {
-			key = key[:0]
-			for i, ge := range s.GroupBy {
-				if i > 0 {
-					key = append(key, 0)
-				}
-				if v := db.eval(rc, ge); v.Kind == KInt {
-					key = strconv.AppendInt(key, v.I, 10)
-				} else {
-					key = append(key, v.String()...)
-				}
+			f.key = f.key[:0]
+			for _, ge := range s.GroupBy {
+				f.key = appendGroupKey(f.key, db.eval(rc, ge))
 			}
-			g, ok := groups[string(key)]
+			g, ok := f.groups[string(f.key)]
 			if !ok {
 				// A new group keeps its key and a copy of its first row, which
 				// the columns that are not aggregates read.
-				first := &rowCtx{}
-				for _, tc := range rc.tables {
-					first.tables = append(first.tables, &tblCtx{tbl: tc.tbl, rowid: tc.rowid, vals: keptRow(tc.vals)})
-				}
-				g = newGroup(first)
-				k := string(key)
-				groups[k] = g
-				groupOrder = append(groupOrder, k)
+				g = f.newGroup(rc.tables)
+				f.groups[keepText(f, f.key)] = g
+				f.order = append(f.order, g)
 			}
-			for i, x := range calls {
+			for i, x := range f.calls {
 				if x.Star {
 					g.states[i].add(Int(1))
 				} else if len(x.Args) > 0 {
@@ -568,20 +547,19 @@ func (db *DB) execSelect(f *frame, s *SelectStmt) {
 	db.join(f, len(binds), f.conj, emit)
 
 	if aggregate {
-		if len(s.GroupBy) == 0 && len(groupOrder) == 0 {
+		if len(s.GroupBy) == 0 && len(f.order) == 0 {
 			// Aggregates over an empty set still produce one row.
-			groups[""] = newGroup(&rowCtx{})
-			groupOrder = append(groupOrder, "")
+			f.order = append(f.order, f.newGroup(nil))
 		}
-		for _, key := range groupOrder {
-			db.projectRow(f, groups[key].first, allCols)
+		for _, g := range f.order {
+			db.projectRow(f, f.groupRow(binds, g), allCols)
 		}
 	}
 
 	if len(s.OrderBy) > 0 {
 		slices.SortStableFunc(res.Rows, func(a, b []Value) int {
 			db.e.Work(workPerCompare)
-			for _, k := range okeys {
+			for _, k := range f.okeys {
 				cmp := Compare(a[k.idx], b[k.idx])
 				if k.desc {
 					cmp = -cmp

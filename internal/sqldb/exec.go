@@ -2,7 +2,9 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -45,8 +47,9 @@ type tblCtx struct {
 // rowCtx is the evaluation context: the bound tables of one statement.
 type rowCtx struct {
 	tables []*tblCtx
-	// group is set on the row context of a group of an aggregate query:
-	// an aggregate call evaluated in it reads its value over the group.
+	// group is set on the row context of a group of an aggregate query,
+	// its binds rebound to the group's first row: an aggregate call
+	// evaluated in it reads its value over the group.
 	group *group
 }
 
@@ -66,15 +69,37 @@ type frame struct {
 	// its hidden ORDER BY columns.
 	levels []joinLevel
 	cols   []SelectCol
+	okeys  []okey // the ORDER BY terms, as columns of cols
 	conj   []Expr // the WHERE clause's conjuncts
 	rc     rowCtx // the row context of a row of the join
+	// An aggregate query's state: its aggregate calls, its groups by key
+	// and in order of their first row, and the key of the row being
+	// grouped. A group and its states are runs of groupSlab and
+	// stateSlab; its key and first row are in text and cells. groups is
+	// cleared, not remade, by the next aggregate query at this level, and
+	// dropped when it held more groups than groupSlab keeps.
+	calls     []*EFunc
+	groups    map[string]*group
+	order     []*group
+	key       []byte
+	groupSlab arena[group]
+	stateSlab arena[aggState]
+}
+
+// okey is an ORDER BY term: the column of the select list, hidden ones
+// included, that it sorts by, and its direction.
+type okey struct {
+	idx  int
+	desc bool
 }
 
 // enter rewinds the frame of the next level down and returns it.
 func (db *DB) enter() *frame {
 	if db.depth == len(db.frames) {
+		limit := db.arenaBytes()
 		db.frames = append(db.frames, &frame{res: new(Result),
-			cells: newArena[Value](valueSize, db.arenaBytes()), text: newArena[byte](1, db.arenaBytes())})
+			cells: newArena[Value](valueSize, limit), text: newArena[byte](1, limit),
+			groupSlab: newArena[group](groupSize, limit), stateSlab: newArena[aggState](aggStateSize, limit)})
 	}
 	f := db.frames[db.depth]
 	db.depth++
@@ -84,6 +109,8 @@ func (db *DB) enter() *frame {
 	*f.res = Result{Cols: f.res.Cols[:0], Rows: f.res.Rows[:0]}
 	f.cells.rewind()
 	f.text.rewind()
+	f.groupSlab.rewind()
+	f.stateSlab.rewind()
 	return f
 }
 
@@ -156,26 +183,39 @@ type aggState struct {
 	sumI  int64
 	isInt bool
 	// ext is the least value added so far for min, the greatest for max:
-	// a copy, since the group's later rows are bound after it.
+	// a copy, since the group's later rows are bound after it. A text's
+	// bytes are in buf, which the state's slot keeps for the next
+	// statement's state.
 	ext Value
+	buf []byte
 }
+
+// reset makes a, a slot of a state slab, a new state of fn, keeping the
+// capacity of its bytes unless it has grown past a page.
+func (a *aggState) reset(fn string) { *a = aggState{fn: fn, isInt: true, buf: scratch(a.buf)} }
 
 func (a *aggState) add(v Value) {
 	if v.IsNull() {
 		return
 	}
 	a.count++
-	switch v.Kind {
-	case KInt:
-		a.sumI += v.I
-		a.sum += float64(v.I)
-	default:
-		a.isInt = false
-		a.sum += v.Num()
-	}
-	if a.fn == "min" && (a.count == 1 || Compare(v, a.ext) < 0) ||
-		a.fn == "max" && (a.count == 1 || Compare(v, a.ext) > 0) {
-		a.ext = kept(v)
+	switch a.fn {
+	case "sum", "avg":
+		if v.Kind == KInt {
+			a.sumI += v.I
+			a.sum += float64(v.I)
+		} else {
+			a.isInt = false
+			a.sum += v.Num()
+		}
+	case "min", "max":
+		if c := Compare(v, a.ext); a.count == 1 || a.fn == "min" && c < 0 || a.fn == "max" && c > 0 {
+			a.ext = v
+			if v.Kind == KText {
+				a.buf = append(a.buf[:0], v.S...)
+				a.ext.S = view(a.buf)
+			}
+		}
 	}
 }
 
@@ -217,13 +257,78 @@ func isAggFn(name string) bool {
 // the columns that are not aggregates read, and the state of each of the
 // query's aggregate calls over it, in calls' order.
 type group struct {
-	first  *rowCtx
+	// first holds, for each bind, its rowid and then its columns; nil for
+	// the group of an empty set.
+	first  []Value
 	calls  []*EFunc
-	states []*aggState
+	states []aggState
 }
 
 // result returns the value over g of x, one of g's aggregate calls.
 func (g *group) result(x *EFunc) Value { return g.states[slices.Index(g.calls, x)].result() }
+
+// newGroup starts a group of f's aggregate query, with the first row of
+// f's binds when it has one, in f's slabs and arenas.
+func (f *frame) newGroup(binds []*tblCtx) *group {
+	g := &f.groupSlab.alloc(1)[0]
+	*g = group{calls: f.calls, states: f.stateSlab.alloc(len(f.calls))}
+	for i, x := range f.calls {
+		g.states[i].reset(x.Name)
+	}
+	if binds == nil {
+		return g
+	}
+	n := 0
+	for _, b := range binds {
+		n += 1 + len(b.tbl.Columns)
+	}
+	g.first = f.cells.alloc(n)
+	at := 0
+	for _, b := range binds {
+		g.first[at] = Int(b.rowid)
+		for i, v := range b.vals[:len(b.tbl.Columns)] {
+			g.first[at+1+i] = f.keep(v)
+		}
+		at += 1 + len(b.tbl.Columns)
+	}
+	return g
+}
+
+// groupRow returns the row context of g: f's binds rebound to g's first
+// row, or no binds for the group of an empty set.
+func (f *frame) groupRow(binds []*tblCtx, g *group) *rowCtx {
+	if g.first == nil {
+		binds = nil
+	}
+	at := 0
+	for _, b := range binds {
+		b.rowid = g.first[at].I
+		b.vals = append(b.vals[:0], g.first[at+1:at+1+len(b.tbl.Columns)]...)
+		at += 1 + len(b.tbl.Columns)
+	}
+	f.rc = rowCtx{tables: binds, group: g}
+	return &f.rc
+}
+
+// appendGroupKey appends v to the group key being built in dst: a kind
+// byte, then a number's decimal text — an integral real's as the integer's,
+// so that 1 and 1.0 group together — or a text's bytes with each NUL
+// escaped and a NUL pair after them, as appendKey writes them. A value's
+// key never runs into the next value's, nor equals another kind's.
+func appendGroupKey(dst []byte, v Value) []byte {
+	switch v.Kind {
+	case KInt:
+		return strconv.AppendInt(append(dst, 0x01), v.I, 10)
+	case KReal:
+		if t := math.Trunc(v.R); t == v.R && t >= -(1<<63) && t < 1<<63 {
+			return strconv.AppendInt(append(dst, 0x01), int64(t), 10)
+		}
+		return strconv.AppendFloat(append(dst, 0x01), v.R, 'g', -1, 64)
+	case KText:
+		return appendKey(dst, v)
+	}
+	return append(dst, 0x00)
+}
 
 // walkExpr calls fn on e and, while fn returns true, on each of its
 // subexpressions, depth first and left to right. It is the only code that
@@ -309,16 +414,18 @@ func (db *DB) eval(rc *rowCtx, e Expr) Value {
 	case *EFunc:
 		return db.evalFunc(rc, x)
 	case *ESub:
-		if x.cached != nil {
-			return *x.cached
+		if x.done {
+			return x.cached
 		}
 		res := db.subSelect(x.Sel)
-		v := Null()
+		x.cached, x.done = Null(), true
 		if len(res.Rows) > 0 && len(res.Rows[0]) > 0 {
-			v = kept(res.Rows[0][0]) // the next subquery at its level reuses res
+			// The next subquery at its level reuses res: the value is copied
+			// to the frame of the statement evaluating it, which outlives
+			// every evaluation.
+			x.cached = db.frames[db.depth-1].keep(res.Rows[0][0])
 		}
-		x.cached = &v
-		return v
+		return x.cached
 	}
 	fail("unsupported expression %T", e)
 	return Null()

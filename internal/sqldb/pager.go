@@ -79,6 +79,7 @@ type Pager struct {
 	cap     int
 	spare   []*cpage // evicted unpinned frames for the next miss, at most maxSpare
 	big     node     // Btree.splitPut's copy of an over-full page
+	splits  []*split // Btree.splitPut's results, one per tree level
 	recent  cpage    // sentinel of the recency ring, see cpage.prev
 	nPages  uint32
 	catRoot uint32
@@ -276,6 +277,7 @@ func (p *Pager) writeHeader() {
 func (p *Pager) freshPage(pgno uint32) *cpage {
 	if old := p.lookup(pgno); old != nil {
 		p.drop(old) // a page number a rolled-back transaction had allocated
+		p.recycle(old)
 	}
 	pg := p.frame(pgno)
 	clear(pg.data)

@@ -223,12 +223,15 @@ func rowidBound(v Value, upper, incl bool) (bound int64, ok bool) {
 
 // joinLevel is one table of a join: its bind, the conjuncts checked once
 // it is bound, its access path, and the row contexts of the binds before
-// it (what the access path's expressions read) and up to it.
+// it (what the access path's expressions read) and up to it. lo and hi
+// hold the keys an index path scans between, the level's own: the levels
+// of a join scan at the same time.
 type joinLevel struct {
 	b          *tblCtx
 	applicable []Expr
 	a          access
 	outer, rc  rowCtx
+	lo, hi     []byte
 }
 
 // join calls emit with f.rc for every row of f's first n binds that
@@ -306,17 +309,20 @@ func (db *DB) joinLoop(f *frame, i int, emit func(*rowCtx) bool) bool {
 			if v.IsNull() {
 				return true
 			}
-			lo = appendKey(nil, v)
+			l.lo = appendKey(scratch(l.lo), v)
+			lo = l.lo
 		}
 		switch {
 		case a.eq != nil:
-			hi = append(append([]byte{}, lo...), 0xFF)
+			l.hi = append(append(scratch(l.hi), lo...), 0xFF)
+			hi = l.hi
 		case a.hi != nil:
 			v := db.eval(outer, a.hi)
 			if v.IsNull() {
 				return true
 			}
-			hi = append(appendKey(nil, v), 0xFF)
+			l.hi = append(appendKey(scratch(l.hi), v), 0xFF)
+			hi = l.hi
 		}
 		ok := true
 		itree.ScanIndexRange(lo, hi, func(key []byte, rowid int64) bool {

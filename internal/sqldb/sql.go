@@ -135,11 +135,12 @@ type EFunc struct {
 }
 
 // ESub is a scalar subquery. It reads only its own tables, so it is
-// evaluated once a statement and cached: every parse allocates its ESub
-// nodes, which the parser never hands out again.
+// evaluated once a statement and cached: done is set once cached holds
+// its value, and the parser clears both when it hands the node out again.
 type ESub struct {
 	Sel    *SelectStmt
-	cached *Value
+	cached Value
+	done   bool
 }
 
 // EBetween is x BETWEEN lo AND hi.
@@ -232,17 +233,22 @@ type PragmaStmt struct{ Name string }
 type parser struct {
 	toks []token
 	pos  int
-	// lits, cols, bins, funcs and sels are the chunks literal, column,
-	// binary, function-call and SELECT nodes are carved from.
-	lits  []ELit
-	cols  []ECol
-	bins  []EBin
-	funcs []EFunc
-	sels  []SelectStmt
-	// ins, upd and del are the INSERT, UPDATE or DELETE being parsed.
+	// lits, cols, bins, betweens, funcs, subs and sels are the chunks
+	// literal, column, binary, BETWEEN, function-call, subquery and SELECT
+	// nodes are carved from.
+	lits     []ELit
+	cols     []ECol
+	bins     []EBin
+	betweens []EBetween
+	funcs    []EFunc
+	subs     []ESub
+	sels     []SelectStmt
+	// ins, upd, del and txn are the INSERT, UPDATE, DELETE, BEGIN or
+	// COMMIT being parsed.
 	ins InsertStmt
 	upd UpdateStmt
 	del DeleteStmt
+	txn TxnStmt
 	// list holds the expressions of the lists being parsed, innermost last;
 	// exprs holds the lists parsed, each cut to size.
 	list, exprs []Expr
@@ -303,7 +309,8 @@ func (p *parser) parse(src string) any {
 	}
 	p.toks = lex(p.toks, src)
 	p.pos, p.list, p.exprs = 0, p.list[:0], p.exprs[:0]
-	p.lits, p.cols, p.bins, p.funcs, p.sels = p.lits[:0], p.cols[:0], p.bins[:0], p.funcs[:0], p.sels[:0]
+	p.lits, p.cols, p.bins, p.betweens = p.lits[:0], p.cols[:0], p.bins[:0], p.betweens[:0]
+	p.funcs, p.subs, p.sels = p.funcs[:0], p.subs[:0], p.sels[:0]
 	stmt := p.statement()
 	p.accept(tkOp, ";")
 	if p.peek().kind != tkEOF {
@@ -394,10 +401,11 @@ func (p *parser) statement() any {
 	case "BEGIN", "COMMIT", "END":
 		p.pos++
 		p.acceptKw("TRANSACTION")
+		p.txn = TxnStmt{Kind: "commit"}
 		if up == "BEGIN" {
-			return &TxnStmt{Kind: "begin"}
+			p.txn.Kind = "begin"
 		}
-		return &TxnStmt{Kind: "commit"}
+		return &p.txn
 	case "PRAGMA":
 		p.pos++
 		return &PragmaStmt{Name: strings.ToLower(p.ident())}
@@ -644,7 +652,7 @@ func (p *parser) cmpTail(l Expr) Expr {
 	p.pos++ // BETWEEN
 	lo := p.binary(cmpLevel + 1)
 	p.expectKw("AND")
-	return &EBetween{E: l, Lo: lo, Hi: p.binary(cmpLevel + 1)}
+	return place(&p.betweens, EBetween{E: l, Lo: lo, Hi: p.binary(cmpLevel + 1)})
 }
 
 // exprList parses a comma-separated list of expressions. They collect on
@@ -705,7 +713,7 @@ func (p *parser) exprPrimary() Expr {
 		if p.accept(tkOp, "(") {
 			var e Expr
 			if p.atSelect() { // a scalar subquery
-				e = &ESub{Sel: p.selectStmt()}
+				e = place(&p.subs, ESub{Sel: p.selectStmt()})
 			} else {
 				e = p.expr()
 			}

@@ -401,3 +401,35 @@ func TestColumnKeywords(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupByKeepsTypesApart: GROUP BY puts two values in one group
+// exactly when WHERE's = finds them equal — 7 and '7' apart, 1 and 1.0
+// together, NULL apart from 'NULL' — and a text with a NUL byte does not
+// run into the next column's value.
+func TestGroupByKeepsTypesApart(t *testing.T) {
+	withDB(t, 64, func(db *DB) {
+		rows := func(sql string) string {
+			var out []string
+			for _, r := range db.MustExec(sql).Rows {
+				var cols []string
+				for _, v := range r {
+					cols = append(cols, fmt.Sprintf("%q", v.String()))
+				}
+				out = append(out, strings.Join(cols, ","))
+			}
+			return strings.Join(out, ";")
+		}
+		db.MustExec("CREATE TABLE w (a, b)")
+		db.MustExec("INSERT INTO w VALUES (7, 1), ('7', 2), (1, 4), (1.0, 8), (NULL, 16), ('NULL', 32), ('x\x00', 'y'), ('x', '\x00y')")
+		for _, c := range []struct{ sql, want string }{
+			{"SELECT count(*) FROM w WHERE a = 7", `"1"`},
+			{"SELECT count(*) FROM w WHERE a = 1", `"2"`},
+			{"SELECT a, count(*), sum(b) FROM w GROUP BY a", `"7","1","1";"7","1","2";"1","2","12";"NULL","1","16";"NULL","1","32";"x\x00","1","0";"x","1","0"`},
+			{"SELECT count(*) FROM w GROUP BY a, b", `"1";"1";"1";"1";"1";"1";"1";"1"`},
+		} {
+			if got := rows(c.sql); got != c.want {
+				t.Errorf("%s:\n got %s\nwant %s", c.sql, got, c.want)
+			}
+		}
+	})
+}

@@ -37,8 +37,14 @@ type Value struct {
 	S    string
 }
 
-// valueSize is the bytes a Value takes in a slice.
-const valueSize = int(unsafe.Sizeof(Value{}))
+// valueSize, groupSize and aggStateSize are the bytes a Value, a group
+// and an aggState take in a slice: what an arena of each holds is sized by
+// them.
+const (
+	valueSize    = int(unsafe.Sizeof(Value{}))
+	groupSize    = int(unsafe.Sizeof(group{}))
+	aggStateSize = int(unsafe.Sizeof(aggState{}))
+)
 
 // Convenience constructors.
 func Null() Value          { return Value{Kind: KNull} }
@@ -244,9 +250,9 @@ func decodeRecord(dst []Value, b []byte) ([]Value, error) {
 
 // view returns b as a string without copying it, so the string changes
 // when b does. It is the one place the package makes such a string:
-// decodeRecord calls it on a record, frame.keep on a Result's text arena,
-// and whoever keeps such a text past the life of its bytes keeps it through
-// kept (DESIGN.md §16).
+// decodeRecord calls it on a record, keepText on a frame's text arena and
+// aggState.add on a min or max state's bytes, and whoever keeps such a
+// text past the life of its bytes copies it (DESIGN.md §16).
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // kept returns v sharing no memory with anything: a text, which may be a
@@ -256,15 +262,6 @@ func kept(v Value) Value {
 		v.S = strings.Clone(v.S)
 	}
 	return v
-}
-
-// keptRow returns a copy of vals that shares no memory with anything.
-func keptRow(vals []Value) []Value {
-	out := make([]Value, len(vals))
-	for i, v := range vals {
-		out[i] = kept(v)
-	}
-	return out
 }
 
 // --- Order-preserving index key encoding -------------------------------------
