@@ -249,9 +249,7 @@ func BenchmarkFig10aKernels(b *testing.B) {
 		reportVirtual(b, clock, start)
 	}
 	b.Run("CubicleOS-4", func(b *testing.B) {
-		t, err := experiments.NewSQLiteTarget(cubicleos.ModeFull,
-			map[string]string{"VFSCORE": "CORE", "PLAT": "CORE", "ALLOC": "CORE", "BOOT": "CORE"},
-			50, experiments.UnikraftWorkScale)
+		t, err := experiments.NewSQLiteTarget(cubicleos.ModeFull, experiments.Groups4, 50, experiments.UnikraftWorkScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -279,8 +277,8 @@ func BenchmarkFig10bSeparation(b *testing.B) {
 		name   string
 		groups map[string]string
 	}{
-		{"3-compartments", map[string]string{"VFSCORE": "CORE", "RAMFS": "CORE", "PLAT": "CORE", "ALLOC": "CORE", "BOOT": "CORE"}},
-		{"4-compartments", map[string]string{"VFSCORE": "CORE", "PLAT": "CORE", "ALLOC": "CORE", "BOOT": "CORE"}},
+		{"3-compartments", experiments.Groups3},
+		{"4-compartments", experiments.Groups4},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			t, err := experiments.NewSQLiteTarget(cubicleos.ModeFull, cfg.groups, 50, experiments.UnikraftWorkScale)

@@ -3,17 +3,11 @@
 //
 // Usage:
 //
-//	cubicle-bench -fig 6          # SQLite query times × 4 configurations
-//	cubicle-bench -fig 7          # NGINX latency vs transfer size
-//	cubicle-bench -fig 5          # NGINX cubicle call-count graph
-//	cubicle-bench -fig 8          # SQLite cubicle call-count graph
-//	cubicle-bench -fig 9          # SQLite partitioning configurations
-//	cubicle-bench -fig 10a        # slowdown vs Linux
-//	cubicle-bench -fig 10b        # 4-vs-3 compartment slowdown per kernel
-//	cubicle-bench -fig all        # everything
+//	cubicle-bench -fig 6|7|5|8|9|10a|10b|all   # one figure, or each in this order
 //
-// Figures 6, 7, 10a and 10b end with their rows of experiments.Claims: the
-// paper's value, the measured one, the gate and whether it holds.
+// Each figure prints under its title. Figures 5 to 8, 10a and 10b end
+// with their rows of experiments.Claims: the paper's value, the measured
+// one, the gate and whether it holds.
 //
 // The -size flag scales the speedtest1 workload (the paper's --stat; 100
 // is the default scale). A -fig no run draws, a -size below 1 or a
@@ -32,22 +26,18 @@ import (
 )
 
 // figure is one -fig value: the title its section prints and the function
-// that writes its rows, and the claim lines Figures 6, 7 and 10 add.
+// that writes its rows and its claim lines.
 type figure struct {
 	name, title string
 	draw        func(w io.Writer, d *drawing) error
 }
 
 // drawing is what the figures of one run are drawn at — a speedtest1 scale
-// and a Figure 5 window — and the runs of Figure 10 made so far, which
-// its two plots share.
+// and a Figure 5 window — and the speedtest1 runs made so far, which the
+// figures reading one deployment share.
 type drawing struct {
 	size, requests int
-	fig10          *experiments.Fig10Runs
-}
-
-func newDrawing(size, requests int) *drawing {
-	return &drawing{size: size, requests: requests, fig10: experiments.NewFig10Runs(size)}
+	runs           experiments.Runs
 }
 
 // figures are the -fig values that draw one figure, in the order -fig all
@@ -96,7 +86,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	d := newDrawing(*size, *requests)
+	d := &drawing{*size, *requests, experiments.Runs{}}
 	for _, f := range figures {
 		if *fig != "all" && *fig != f.name {
 			continue
@@ -140,7 +130,7 @@ func writeClaims(w io.Writer, fig string, r experiments.Results) {
 }
 
 func fig6(w io.Writer, d *drawing) error {
-	rows, err := experiments.Fig6(d.size)
+	rows, err := d.runs.Fig6(d.size)
 	if err != nil {
 		return err
 	}
@@ -175,14 +165,16 @@ func fig5(w io.Writer, d *drawing) error {
 	g, err := experiments.Fig5(d.requests)
 	if err == nil {
 		fmt.Fprint(w, g.String())
+		writeClaims(w, "5", experiments.Results{Fig5: g})
 	}
 	return err
 }
 
 func fig8(w io.Writer, d *drawing) error {
-	g, err := experiments.Fig8(d.size)
+	g, err := d.runs.Fig8(d.size)
 	if err == nil {
 		fmt.Fprint(w, g.String())
+		writeClaims(w, "8", experiments.Results{Fig8: g})
 	}
 	return err
 }
@@ -204,26 +196,23 @@ baselines it is the respective kernel with message-based IPC.
 }
 
 func fig10a(w io.Writer, d *drawing) error {
-	rows, err := d.fig10.Fig10a()
-	if err == nil {
-		writeSlowdowns(w, rows)
-		writeClaims(w, "10a", experiments.Results{Fig10a: rows})
-	}
-	return err
+	rows, err := d.runs.Fig10a(d.size)
+	return writeSlowdowns(w, "10a", rows, experiments.Results{Fig10a: rows}, err)
 }
 
 func fig10b(w io.Writer, d *drawing) error {
-	rows, err := d.fig10.Fig10b()
-	if err == nil {
-		writeSlowdowns(w, rows)
-		writeClaims(w, "10b", experiments.Results{Fig10b: rows})
-	}
-	return err
+	rows, err := d.runs.Fig10b(d.size)
+	return writeSlowdowns(w, "10b", rows, experiments.Results{Fig10b: rows}, err)
 }
 
-// writeSlowdowns writes a Figure 10 plot's rows.
-func writeSlowdowns(w io.Writer, rows []experiments.Fig10Row) {
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %6.2fx\n", r.Name, r.Slowdown)
+// writeSlowdowns writes a Figure 10 plot's rows and, measured on r, its
+// claim lines, unless err.
+func writeSlowdowns(w io.Writer, fig string, rows []experiments.Fig10Row, r experiments.Results, err error) error {
+	if err == nil {
+		for _, row := range rows {
+			fmt.Fprintf(w, "%-14s %6.2fx\n", row.Name, row.Slowdown)
+		}
+		writeClaims(w, fig, r)
 	}
+	return err
 }

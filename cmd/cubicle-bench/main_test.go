@@ -45,7 +45,7 @@ func TestDocsQuoteTheClaims(t *testing.T) {
 		t.Skip("draws every figure at size 100")
 	}
 	var out strings.Builder
-	d := newDrawing(100, 8)
+	d := &drawing{100, 8, experiments.Runs{}}
 	for _, f := range figures {
 		if err := f.draw(&out, d); err != nil {
 			t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/cycles"
@@ -33,8 +34,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	groups, ok := map[string]map[string]string{"3": experiments.Groups3, "4": experiments.Groups4, "7": nil}[*grouping]
-	if !ok {
+	n, err := strconv.Atoi(*grouping)
+	groups, ok := experiments.Layouts[n]
+	if err != nil || !ok {
 		log.Fatalf("compartments must be 3, 4 or 7")
 	}
 

@@ -9,6 +9,7 @@ import (
 // Results holds the rows of the figures the claims read; a figure that was
 // not drawn is nil.
 type Results struct {
+	Fig5, Fig8     *CallGraph
 	Fig6           []Fig6Row
 	Fig7           []Fig7Row
 	Fig10a, Fig10b []Fig10Row
@@ -43,9 +44,10 @@ func above(lo float64) *Gate {
 	return &Gate{fmt.Sprintf("> %g", lo), func(v float64) bool { return lo < v }}
 }
 
-// Claims are the paper's numbers for Figures 6, 7 and 10, in the order
+// Claims are the paper's numbers for Figures 5 to 8 and 10, in the order
 // cubicle-bench prints them. Each ordering the paper shows is a least step
-// or a ratio; an ordering of two rows puts the larger over the smaller.
+// or a ratio; an ordering of two rows puts the larger over the smaller. An
+// edge the paper draws in a call graph is a count of at least one call.
 var Claims = []Claim{
 	{Fig: "6", Quantity: "group A mean slowdown", Paper: "≈1.8", Measure: groupStep(true, 0, 3), Gate: band(1.3, 2.8)},
 	{Fig: "6", Quantity: "group B mean slowdown", Paper: "≈8", Measure: groupStep(false, 0, 3), Gate: band(4.5, 11)},
@@ -68,6 +70,25 @@ var Claims = []Claim{
 	{Fig: "7", Quantity: "8 MiB ratio", Paper: "≈2", Measure: fig7At(8<<20, Fig7Row.Ratio), Gate: band(1.7, 3.0)},
 	{Fig: "7", Quantity: "least baseline latency step, any size", Paper: "≥ 1", Measure: fig7Step(baselineMs, Fig7Sizes...), Gate: atLeast(1)},
 	{Fig: "7", Quantity: "least ratio step, 1 KiB → 64 KiB → 8 MiB", Paper: "≈1", Measure: fig7Step(Fig7Row.Ratio, 1<<10, 64<<10, 8<<20), Gate: above(1)},
+
+	{Fig: "5", Quantity: "NGINX → LWIP", Paper: "drawn", Measure: edge("5", "NGINX", "LWIP"), Gate: atLeast(1)},
+	{Fig: "5", Quantity: "NGINX → VFSCORE", Paper: "drawn", Measure: edge("5", "NGINX", "VFSCORE"), Gate: atLeast(1)},
+	{Fig: "5", Quantity: "NGINX → TIME", Paper: "drawn", Measure: edge("5", "NGINX", "TIME"), Gate: atLeast(1)},
+	{Fig: "5", Quantity: "NGINX → PLAT", Paper: "drawn", Measure: edge("5", "NGINX", "PLAT"), Gate: atLeast(1)},
+	{Fig: "5", Quantity: "LWIP → NETDEV", Paper: "drawn", Measure: edge("5", "LWIP", "NETDEV"), Gate: atLeast(1)},
+	{Fig: "5", Quantity: "VFSCORE → RAMFS", Paper: "drawn", Measure: edge("5", "VFSCORE", "RAMFS"), Gate: atLeast(1)},
+	{Fig: "5", Quantity: "NGINX → ALLOC", Paper: "drawn", Measure: edge("5", "NGINX", "ALLOC"), Gate: atLeast(1)},
+	{Fig: "5", Quantity: "LWIP → ALLOC", Paper: "drawn", Measure: edge("5", "LWIP", "ALLOC"), Gate: atLeast(1)},
+	{Fig: "5", Quantity: "ALLOC's share of the calls", Paper: "hot", Measure: allocShare, Gate: atLeast(0.1)},
+
+	{Fig: "8", Quantity: "SQLITE → VFSCORE", Paper: "drawn", Measure: edge("8", "SQLITE", "VFSCORE"), Gate: atLeast(1)},
+	{Fig: "8", Quantity: "VFSCORE → RAMFS", Paper: "drawn", Measure: edge("8", "VFSCORE", "RAMFS"), Gate: atLeast(1)},
+	{Fig: "8", Quantity: "SQLITE → TIME", Paper: "drawn", Measure: edge("8", "SQLITE", "TIME"), Gate: atLeast(1)},
+	{Fig: "8", Quantity: "SQLITE → PLAT", Paper: "drawn", Measure: edge("8", "SQLITE", "PLAT"), Gate: atLeast(1)},
+	{Fig: "8", Quantity: "SQLITE → ALLOC", Paper: "drawn", Measure: edge("8", "SQLITE", "ALLOC"), Gate: atLeast(1)},
+	{Fig: "8", Quantity: "BOOT → PLAT", Paper: "drawn", Measure: edge("8", "BOOT", "PLAT"), Gate: atLeast(1)},
+	{Fig: "8", Quantity: "SQLITE → VFSCORE over SQLITE → ALLOC", Paper: "≫ 1",
+		Measure: ratio(edge("8", "SQLITE", "VFSCORE"), edge("8", "SQLITE", "ALLOC")), Gate: above(1)},
 
 	{Fig: "10a", Quantity: "Linux", Paper: "1.0", Measure: slowdown("Linux")},
 	{Fig: "10a", Quantity: "Unikraft", Paper: "2.8", Measure: slowdown("Unikraft"), Gate: band(2.0, 3.6)},
@@ -115,6 +136,26 @@ func ladderStep(r Results) float64 {
 		}
 	}
 	return least
+}
+
+// edge measures the calls from → to in Figure 5's graph or Figure 8's.
+func edge(fig, from, to string) func(Results) float64 {
+	return func(r Results) float64 {
+		return float64(map[string]*CallGraph{"5": r.Fig5, "8": r.Fig8}[fig].Count(from, to))
+	}
+}
+
+// allocShare is ALLOC's share of the calls in Figure 5's window: it
+// serves every component's allocations there.
+func allocShare(r Results) float64 {
+	var in, all uint64
+	for _, e := range r.Fig5.Edges {
+		all += e.Count
+		if e.To == "ALLOC" {
+			in += e.Count
+		}
+	}
+	return float64(in) / float64(all)
 }
 
 func baselineMs(r Fig7Row) float64 { return r.BaselineMs }

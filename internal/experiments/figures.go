@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
+	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/siege"
 	"cubicleos/internal/speedtest"
@@ -23,7 +26,88 @@ var (
 		"PLAT": "CORE", "ALLOC": "CORE", "BOOT": "CORE"}
 	Groups4 = map[string]string{vfscore.Name: "CORE",
 		"PLAT": "CORE", "ALLOC": "CORE", "BOOT": "CORE"}
+	// Layouts are CubicleOS's layouts by compartment count: Figure 8's
+	// seven isolated cubicles, and Figure 9's 3 and 4.
+	Layouts = map[int]map[string]string{7: nil, 3: Groups3, 4: Groups4}
 )
+
+// --- Deployments and their runs ---------------------------------------------
+
+// Deployment is one speedtest1 run of §6.4–6.5: a system, its layout and
+// the workload's scale.
+type Deployment struct {
+	System       string       // "CubicleOS", the Name of one of ukernel.Models, or "Linux"
+	Mode         cubicle.Mode // CubicleOS's isolation; the others run unisolated (ModeUnikraft)
+	Compartments int          // a key of Layouts on CubicleOS, 3 or 4 on a ukernel model
+	Size         int
+}
+
+// Record is what a deployment's run leaves: the per-query measurements
+// in QueryIDs order and, on CubicleOS, the call graph at the end of the
+// run, boot included.
+type Record struct {
+	Queries []speedtest.Measurement
+	Graph   *CallGraph
+}
+
+// Runs holds the record of each deployment run so far, for every figure
+// that reads it.
+type Runs map[Deployment]*Record
+
+// Run returns the record of d, running d the first time it is asked for;
+// the record is incomplete when the error is not nil.
+func (r Runs) Run(d Deployment) (*Record, error) {
+	if rec, ok := r[d]; ok {
+		return rec, nil
+	}
+	rec, err := run(d)
+	if err == nil {
+		r[d] = rec
+	}
+	return rec, err
+}
+
+// run boots d and runs speedtest1 on it. A message-passing kernel or Linux
+// runs the schedule through its IPC- or syscall-wrapped VFS client inside
+// the application compartment.
+func run(d Deployment) (*Record, error) {
+	if d.System == "CubicleOS" {
+		t, err := NewSQLiteTarget(d.Mode, Layouts[d.Compartments], d.Size, UnikraftWorkScale)
+		if err != nil {
+			return nil, err
+		}
+		ms, err := t.RunAll()
+		return &Record{Queries: ms, Graph: graphFrom(t.Sys.M)}, err
+	}
+	var sys *boot.System
+	var vfs *vfscore.Client
+	app := component("SQLITE", "sqlite_main")
+	if i := slices.IndexFunc(ukernel.Models, func(m ukernel.KernelModel) bool { return m.Name == d.System }); i >= 0 {
+		k, err := ukernel.NewSQLite(ukernel.Models[i], d.Compartments, app)
+		if err != nil {
+			return nil, err
+		}
+		sys, vfs = k.Sys, k.VFS
+	} else {
+		l, err := ukernel.NewLinuxSQLite(app)
+		if err != nil {
+			return nil, err
+		}
+		sys, vfs = l.Sys, l.VFS
+	}
+	rec := &Record{}
+	var runErr error
+	err := sys.RunAs("SQLITE", func(e *cubicle.Env) {
+		ioBuf, _ := openIO(e, vfs)
+		db, err := sqldb.Open(e, vfs, "/speedtest.db", ioBuf, DBCacheCap)
+		if err != nil {
+			runErr = err
+			return
+		}
+		rec.Queries, runErr = speedtest.New(db, speedtest.Config{Size: d.Size}).RunAll(e.M.Clock.Cycles)
+	})
+	return rec, cmp.Or(err, runErr)
+}
 
 // --- Figure 6: SQLite query times under the ablation ladder ------------------
 
@@ -40,24 +124,17 @@ type Fig6Row struct {
 // Ratio returns full CubicleOS's cycles over Unikraft's.
 func (r Fig6Row) Ratio() float64 { return float64(r.Cycles[3]) / float64(r.Cycles[0]) }
 
-// Fig6 runs speedtest1 under each configuration of the ladder (all on the
+// Fig6 reads speedtest1 under each configuration of the ladder (all on the
 // 7-cubicle Figure 8 deployment), reporting per-query cycles.
-func Fig6(size int) ([]Fig6Row, error) {
+func (r Runs) Fig6(size int) ([]Fig6Row, error) {
 	rows := make([]Fig6Row, len(speedtest.QueryIDs))
-	for i, id := range speedtest.QueryIDs {
-		rows[i] = Fig6Row{ID: id, GroupA: speedtest.InGroupA(id)}
-	}
 	for rung, mode := range []cubicle.Mode{cubicle.ModeUnikraft, cubicle.ModeTrampoline, cubicle.ModeNoACL, cubicle.ModeFull} {
-		t, err := NewSQLiteTarget(mode, nil, size, UnikraftWorkScale)
-		if err != nil {
-			return nil, err
-		}
-		ms, err := t.RunAll() // in QueryIDs order
+		rec, err := r.Run(Deployment{"CubicleOS", mode, 7, size})
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", mode, err)
 		}
-		for i, m := range ms {
-			rows[i].Cycles[rung] = m.Cycles
+		for i, m := range rec.Queries {
+			rows[i].ID, rows[i].GroupA, rows[i].Cycles[rung] = m.ID, m.GroupA, m.Cycles
 		}
 	}
 	return rows, nil
@@ -153,6 +230,16 @@ func graphFrom(m *cubicle.Monitor) *CallGraph {
 	return g
 }
 
+// Count returns the count on edge from→to (0 if absent).
+func (g *CallGraph) Count(from, to string) uint64 {
+	for _, e := range g.Edges {
+		if e.From == from && e.To == to {
+			return e.Count
+		}
+	}
+	return 0
+}
+
 // String renders the graph as a table.
 func (g *CallGraph) String() string {
 	var sb strings.Builder
@@ -189,88 +276,17 @@ func Fig5(requests int) (*CallGraph, error) {
 	return graphFrom(tgt.Sys.M), nil
 }
 
-// Fig8 reproduces the SQLite cubicle graph including boot-time calls
-// ("call counts include boot time").
-func Fig8(size int) (*CallGraph, error) {
-	t, err := NewSQLiteTarget(cubicle.ModeFull, nil, size, UnikraftWorkScale)
+// Fig8 is the SQLite cubicle graph including boot-time calls ("call
+// counts include boot time"): the graph of Figure 6's full-isolation run.
+func (r Runs) Fig8(size int) (*CallGraph, error) {
+	rec, err := r.Run(Deployment{"CubicleOS", cubicle.ModeFull, 7, size})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := t.RunAll(); err != nil {
-		return nil, err
-	}
-	return graphFrom(t.Sys.M), nil
+	return rec.Graph, nil
 }
 
 // --- Figures 9 and 10: partitioning comparison ---------------------------------
-
-// meanSlowdown is the mean per-query slowdown of cfg against base, two
-// runs of one schedule — the paper's "average slowdown factor across all
-// speedtest1 queries".
-func meanSlowdown(cfg, base []speedtest.Measurement) float64 {
-	var sum float64
-	for i, b := range base {
-		sum += float64(cfg[i].Cycles) / float64(b.Cycles)
-	}
-	return sum / float64(len(base))
-}
-
-// ukernelRun boots a message-passing deployment and runs speedtest1.
-func ukernelRun(model ukernel.KernelModel, components, size int) ([]speedtest.Measurement, error) {
-	d, err := ukernel.NewSQLite(model, components, sqliteComponent())
-	if err != nil {
-		return nil, err
-	}
-	return hostedSpeedtest(d.Sys, d.VFS, size)
-}
-
-// linuxRun runs speedtest1 on the Linux baseline.
-func linuxRun(size int) ([]speedtest.Measurement, error) {
-	d, err := ukernel.NewLinuxSQLite(sqliteComponent())
-	if err != nil {
-		return nil, err
-	}
-	return hostedSpeedtest(d.Sys, d.VFS, size)
-}
-
-// hostedSpeedtest opens the database through the provided (possibly
-// IPC-wrapped) VFS client inside the app compartment and runs the whole
-// schedule, returning per-query cycles.
-func hostedSpeedtest(sys interface {
-	RunAs(string, func(e *cubicle.Env)) error
-}, vfs *vfscore.Client, size int) ([]speedtest.Measurement, error) {
-	var ms []speedtest.Measurement
-	var runErr error
-	err := sys.RunAs("SQLITE", func(e *cubicle.Env) {
-		vfs.InitBuffers(e, e.CubicleOf("RAMFS"))
-		ioBuf := e.HeapAlloc(sqldb.PageSize)
-		wid := e.WindowInit()
-		e.WindowAdd(wid, ioBuf, sqldb.PageSize)
-		e.WindowOpen(wid, e.CubicleOf(vfscore.Name))
-		e.WindowOpen(wid, e.CubicleOf("RAMFS"))
-		db, err := sqldb.Open(e, vfs, "/speedtest.db", ioBuf, DBCacheCap)
-		if err != nil {
-			runErr = err
-			return
-		}
-		r := speedtest.New(db, speedtest.Config{Size: size})
-		ms, runErr = r.RunAll(e.M.Clock.Cycles)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ms, runErr
-}
-
-// cubicleRun runs speedtest1 on a CubicleOS deployment with the given
-// grouping and mode.
-func cubicleRun(mode cubicle.Mode, groups map[string]string, size int) ([]speedtest.Measurement, error) {
-	t, err := NewSQLiteTarget(mode, groups, size, UnikraftWorkScale)
-	if err != nil {
-		return nil, err
-	}
-	return t.RunAll()
-}
 
 // Fig10Row is one row of Figure 10: a system's mean speedtest1 slowdown
 // against Linux (10a), or a kernel's of 4 compartments against 3 (10b).
@@ -279,98 +295,57 @@ type Fig10Row struct {
 	Slowdown float64
 }
 
-// Fig10Runs draws Figure 10 at one scale. Both plots read the speedtest1
-// runs of the Genode/Linux and CubicleOS deployments of 3 and 4
-// compartments, which it makes the first time a plot reads one and keeps:
-// drawing the two takes 12 runs where drawing them apart takes 16.
-type Fig10Runs struct {
-	size int
-	runs map[string][]speedtest.Measurement
+// comparison is a Figure 10 row to measure: the run of d against that of base.
+type comparison struct {
+	name    string
+	d, base Deployment
 }
 
-// NewFig10Runs returns Figure 10 at speedtest1 scale size, nothing run yet.
-func NewFig10Runs(size int) *Fig10Runs {
-	return &Fig10Runs{size: size, runs: make(map[string][]speedtest.Measurement)}
-}
-
-// run returns the measurements of the deployment key names, running it
-// with fn the first time.
-func (f *Fig10Runs) run(key string, fn func() ([]speedtest.Measurement, error)) ([]speedtest.Measurement, error) {
-	if ms, ok := f.runs[key]; ok {
-		return ms, nil
+// slowdowns measures each row as the mean per-query slowdown of its two
+// runs — the paper's "average slowdown factor across all speedtest1
+// queries".
+func (r Runs) slowdowns(rows []comparison) ([]Fig10Row, error) {
+	out := make([]Fig10Row, len(rows))
+	for i, row := range rows {
+		base, err := r.Run(row.base)
+		if err != nil {
+			return nil, err
+		}
+		rec, err := r.Run(row.d)
+		if err != nil {
+			return nil, err
+		}
+		var sum float64
+		for q, b := range base.Queries {
+			sum += float64(rec.Queries[q].Cycles) / float64(b.Cycles)
+		}
+		out[i] = Fig10Row{Name: row.name, Slowdown: sum / float64(len(base.Queries))}
 	}
-	ms, err := fn()
-	if err == nil {
-		f.runs[key] = ms
-	}
-	return ms, err
-}
-
-// kernel returns the run of a microkernel model with n compartments.
-func (f *Fig10Runs) kernel(model ukernel.KernelModel, n int) ([]speedtest.Measurement, error) {
-	return f.run(fmt.Sprintf("%s-%d", model.Name, n), func() ([]speedtest.Measurement, error) { return ukernelRun(model, n, f.size) })
-}
-
-// cubicleOS returns the run of CubicleOS with 3 or 4 compartments.
-func (f *Fig10Runs) cubicleOS(n int) ([]speedtest.Measurement, error) {
-	groups := Groups3
-	if n == 4 {
-		groups = Groups4
-	}
-	return f.run(fmt.Sprintf("CubicleOS-%d", n), func() ([]speedtest.Measurement, error) { return cubicleRun(cubicle.ModeFull, groups, f.size) })
+	return out, nil
 }
 
 // Fig10a compares Linux, Unikraft, Genode-3/4 (on Linux) and
 // CubicleOS-3/4 — the left plot of Figure 10.
-func (f *Fig10Runs) Fig10a() ([]Fig10Row, error) {
-	linux, err := linuxRun(f.size)
-	if err != nil {
-		return nil, err
-	}
-	rows := []Fig10Row{{Name: "Linux", Slowdown: 1.0}}
-	for _, sys := range []struct {
-		name string
-		run  func() ([]speedtest.Measurement, error)
-	}{
-		{"Unikraft", func() ([]speedtest.Measurement, error) { return cubicleRun(cubicle.ModeUnikraft, Groups3, f.size) }},
-		{"Genode-3", func() ([]speedtest.Measurement, error) { return f.kernel(ukernel.GenodeLinux, 3) }},
-		{"Genode-4", func() ([]speedtest.Measurement, error) { return f.kernel(ukernel.GenodeLinux, 4) }},
-		{"CubicleOS-3", func() ([]speedtest.Measurement, error) { return f.cubicleOS(3) }},
-		{"CubicleOS-4", func() ([]speedtest.Measurement, error) { return f.cubicleOS(4) }},
-	} {
-		ms, err := sys.run()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig10Row{Name: sys.name, Slowdown: meanSlowdown(ms, linux)})
-	}
-	return rows, nil
+func (r Runs) Fig10a(size int) ([]Fig10Row, error) {
+	linux, genode := Deployment{"Linux", cubicle.ModeUnikraft, 0, size}, ukernel.GenodeLinux.Name
+	return r.slowdowns([]comparison{
+		{"Linux", linux, linux},
+		{"Unikraft", Deployment{"CubicleOS", cubicle.ModeUnikraft, 3, size}, linux},
+		{"Genode-3", Deployment{genode, cubicle.ModeUnikraft, 3, size}, linux},
+		{"Genode-4", Deployment{genode, cubicle.ModeUnikraft, 4, size}, linux},
+		{"CubicleOS-3", Deployment{"CubicleOS", cubicle.ModeFull, 3, size}, linux},
+		{"CubicleOS-4", Deployment{"CubicleOS", cubicle.ModeFull, 4, size}, linux},
+	})
 }
 
 // Fig10b measures the cost of separating RAMFS into its own compartment
 // on each kernel (right plot of Figure 10); the baseline is the same
 // kernel with 3 compartments.
-func (f *Fig10Runs) Fig10b() ([]Fig10Row, error) {
-	var rows []Fig10Row
-	for _, model := range ukernel.Models {
-		t3, err := f.kernel(model, 3)
-		if err != nil {
-			return nil, err
-		}
-		t4, err := f.kernel(model, 4)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig10Row{Name: model.Name, Slowdown: meanSlowdown(t4, t3)})
+func (r Runs) Fig10b(size int) ([]Fig10Row, error) {
+	var rows []comparison
+	for _, m := range ukernel.Models {
+		rows = append(rows, comparison{m.Name, Deployment{m.Name, cubicle.ModeUnikraft, 4, size}, Deployment{m.Name, cubicle.ModeUnikraft, 3, size}})
 	}
-	c3, err := f.cubicleOS(3)
-	if err != nil {
-		return nil, err
-	}
-	c4, err := f.cubicleOS(4)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, Fig10Row{Name: "CubicleOS", Slowdown: meanSlowdown(c4, c3)})
-	return rows, nil
+	return r.slowdowns(append(rows, comparison{"CubicleOS",
+		Deployment{"CubicleOS", cubicle.ModeFull, 4, size}, Deployment{"CubicleOS", cubicle.ModeFull, 3, size}}))
 }

@@ -39,26 +39,13 @@ type SQLiteTarget struct {
 	log  vm.Addr
 }
 
-// sqliteComponent returns the application component (SQLite + the
-// speedtest1 driver, as in the paper).
-func sqliteComponent() *cubicle.Component {
-	return &cubicle.Component{
-		Name: "SQLITE", Kind: cubicle.KindIsolated,
-		Exports: []cubicle.ExportDecl{
-			{Name: "sqlite_main", Fn: func(e *cubicle.Env, a []uint64) []uint64 { return nil }},
-		},
-	}
-}
-
-// bootComponent returns the BOOT cubicle of Figure 8: boot-time glue that
-// probes the platform and primes the allocator.
-func bootComponent() *cubicle.Component {
-	return &cubicle.Component{
-		Name: "BOOT", Kind: cubicle.KindIsolated,
-		Exports: []cubicle.ExportDecl{
-			{Name: "boot_main", Fn: func(e *cubicle.Env, a []uint64) []uint64 { return nil }},
-		},
-	}
+// component returns an isolated component exporting one entry point that
+// does nothing: SQLITE (SQLite and the speedtest1 driver, as in the paper)
+// or Figure 8's BOOT, boot-time glue that probes the platform and primes
+// the allocator.
+func component(name, entry string) *cubicle.Component {
+	return &cubicle.Component{Name: name, Kind: cubicle.KindIsolated, Exports: []cubicle.ExportDecl{
+		{Name: entry, Fn: func(e *cubicle.Env, a []uint64) []uint64 { return nil }}}}
 }
 
 // NewSQLiteTarget boots a CubicleOS SQLite deployment in the given mode.
@@ -70,7 +57,7 @@ func NewSQLiteTarget(mode cubicle.Mode, groups map[string]string, size int, work
 	sys, err := boot.NewFS(boot.Config{
 		Mode:   mode,
 		Groups: groups,
-		Extra:  []*cubicle.Component{sqliteComponent(), bootComponent()},
+		Extra:  []*cubicle.Component{component("SQLITE", "sqlite_main"), component("BOOT", "boot_main")},
 	})
 	if err != nil {
 		return nil, err
@@ -97,13 +84,7 @@ func NewSQLiteTarget(mode cubicle.Mode, groups map[string]string, size int, work
 	err = sys.RunAs("SQLITE", func(e *cubicle.Env) {
 		sqliteID := sys.Cubs["SQLITE"].ID
 		vfs := vfscore.NewClient(sys.M, sqliteID)
-		vfs.InitBuffers(e, e.CubicleOf(ramfs.Name))
-		// The database I/O buffer: page-aligned, windowed to the FS stack.
-		ioBuf := e.HeapAlloc(sqldb.PageSize)
-		wid := e.WindowInit()
-		e.WindowAdd(wid, ioBuf, sqldb.PageSize)
-		e.WindowOpen(wid, e.CubicleOf(vfscore.Name))
-		e.WindowOpen(wid, e.CubicleOf(ramfs.Name))
+		ioBuf, wid := openIO(e, vfs)
 		// Coarse-grained arena from ALLOC (Figure 8: "ALLOC is used only
 		// for coarse-grained allocations").
 		ac := ualloc.NewClient(sys.M, sqliteID)
@@ -128,6 +109,19 @@ func NewSQLiteTarget(mode cubicle.Mode, groups map[string]string, size int, work
 		return nil, err
 	}
 	return t, nil
+}
+
+// openIO sets up the SQLITE side of the database's file I/O: vfs's
+// buffers, and the I/O buffer — page-aligned, windowed to the FS stack —
+// with the window it is in.
+func openIO(e *cubicle.Env, vfs *vfscore.Client) (vm.Addr, cubicle.WID) {
+	vfs.InitBuffers(e, e.CubicleOf(ramfs.Name))
+	ioBuf := e.HeapAlloc(sqldb.PageSize)
+	wid := e.WindowInit()
+	e.WindowAdd(wid, ioBuf, sqldb.PageSize)
+	e.WindowOpen(wid, e.CubicleOf(vfscore.Name))
+	e.WindowOpen(wid, e.CubicleOf(ramfs.Name))
+	return ioBuf, wid
 }
 
 // Setup prepares the speedtest schema and data.

@@ -210,8 +210,8 @@ func (s *pageOps) check(step int) {
 			}
 		}
 	}
-	if len(s.p.spare) > maxSpare {
-		s.t.Fatalf("step %d: %d frames on the spare list, at most %d", step, len(s.p.spare), maxSpare)
+	if held := s.p.cached + len(s.p.spare); held > s.p.cap+maxSpare {
+		s.t.Fatalf("step %d: %d frames cached or spare, at most %d", step, held, s.p.cap+maxSpare)
 	}
 	for pgno, pg := range s.p.cache {
 		if pg == nil || s.pages[uint32(pgno)] == nil {

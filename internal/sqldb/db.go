@@ -606,8 +606,11 @@ func (db *DB) project(rc *rowCtx, e Expr) Value {
 				return rc.group.result(x)
 			}
 		case *EBin:
+			// The operator on the operands' values, charged as evalBin
+			// evaluating them as literals is.
 			l, r := db.project(rc, x.L), db.project(rc, x.R)
-			return db.evalBin(rc, &EBin{Op: x.Op, L: &ELit{V: l}, R: &ELit{V: r}})
+			db.e.WorkN(workRowFilter/4, operands(x.Op, l))
+			return applyBin(x.Op, l, r)
 		}
 	}
 	return db.eval(rc, e)

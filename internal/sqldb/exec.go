@@ -439,14 +439,27 @@ func colName(c *ECol) string {
 }
 
 func (db *DB) evalBin(rc *rowCtx, x *EBin) Value {
-	switch x.Op {
+	l := db.eval(rc, x.L)
+	if operands(x.Op, l) == 1 {
+		return Bool(false)
+	}
+	return applyBin(x.Op, l, db.eval(rc, x.R))
+}
+
+// operands is how many operands evaluating op evaluates, l its left one:
+// a false AND is decided without its right one.
+func operands(op string, l Value) uint64 {
+	if op == "AND" && !l.IsNull() && !l.Truthy() {
+		return 1
+	}
+	return 2
+}
+
+// applyBin applies a binary operator to its operands' values.
+func applyBin(op string, l, r Value) Value {
+	switch op {
 	case "AND":
-		l := db.eval(rc, x.L)
-		if !l.IsNull() && !l.Truthy() {
-			return Bool(false)
-		}
-		r := db.eval(rc, x.R)
-		if !r.IsNull() && !r.Truthy() {
+		if !l.IsNull() && !l.Truthy() || !r.IsNull() && !r.Truthy() {
 			return Bool(false)
 		}
 		if l.IsNull() || r.IsNull() {
@@ -454,19 +467,13 @@ func (db *DB) evalBin(rc *rowCtx, x *EBin) Value {
 		}
 		return Bool(true)
 	case "IS NULL":
-		l := db.eval(rc, x.L)
-		want := db.eval(rc, x.R).Truthy() // true = IS NULL, false = IS NOT NULL
-		return Bool(l.IsNull() == want)
-	}
-	l := db.eval(rc, x.L)
-	r := db.eval(rc, x.R)
-	switch x.Op {
+		return Bool(l.IsNull() == r.Truthy()) // r true = IS NULL, false = IS NOT NULL
 	case "=", "!=", "<", "<=", ">", ">=":
 		if l.IsNull() || r.IsNull() {
 			return Null()
 		}
 		cmp := Compare(l, r)
-		switch x.Op {
+		switch op {
 		case "=":
 			return Bool(cmp == 0)
 		case "!=":
@@ -490,8 +497,13 @@ func (db *DB) evalBin(rc *rowCtx, x *EBin) Value {
 		if l.IsNull() || r.IsNull() {
 			return Null()
 		}
+		// A division by zero is NULL, as in SQLite; % divides the operands
+		// truncated to integers.
+		if op == "/" && r.Num() == 0 || op == "%" && int64(r.Num()) == 0 {
+			return Null()
+		}
 		if l.Kind == KInt && r.Kind == KInt {
-			switch x.Op {
+			switch op {
 			case "+":
 				return Int(l.I + r.I)
 			case "-":
@@ -499,19 +511,13 @@ func (db *DB) evalBin(rc *rowCtx, x *EBin) Value {
 			case "*":
 				return Int(l.I * r.I)
 			case "/":
-				if r.I == 0 {
-					return Null()
-				}
 				return Int(l.I / r.I)
 			case "%":
-				if r.I == 0 {
-					return Null()
-				}
 				return Int(l.I % r.I)
 			}
 		}
 		a, b := l.Num(), r.Num()
-		switch x.Op {
+		switch op {
 		case "+":
 			return Real(a + b)
 		case "-":
@@ -519,18 +525,12 @@ func (db *DB) evalBin(rc *rowCtx, x *EBin) Value {
 		case "*":
 			return Real(a * b)
 		case "/":
-			if b == 0 {
-				return Null()
-			}
 			return Real(a / b)
-		case "%": // on the operands truncated to integers, as SQLite does
-			if int64(b) == 0 {
-				return Null()
-			}
+		case "%":
 			return Int(int64(a) % int64(b))
 		}
 	}
-	fail("unsupported operator %q", x.Op)
+	fail("unsupported operator %q", op)
 	return Null()
 }
 

@@ -32,8 +32,11 @@ const (
 //	[16:20) zero
 var magic = [8]byte{'C', 'U', 'B', 'I', 'Q', 'L', 'D', 'B'}
 
-// maxSpare bounds Pager.spare. A miss takes a frame and the eviction it
-// causes gives one back, so the list is rarely longer than one.
+// maxSpare bounds Pager.spare beyond a full cache: the pager holds at most
+// cap+maxSpare frames, cached or spare. A miss takes a frame and the
+// eviction it causes gives one back, so with the cache full the list is
+// rarely longer than one; a rollback gives back the frames of the pages its
+// transaction allocated, for the next transaction's.
 const maxSpare = 4
 
 // cpage is a cached page: the frame (node.data) with, beside it, the
@@ -77,7 +80,7 @@ type Pager struct {
 	cache   []*cpage // by page number, nil where not cached
 	cached  int      // the non-nil entries of cache
 	cap     int
-	spare   []*cpage // evicted unpinned frames for the next miss, at most maxSpare
+	spare   []*cpage // dropped unpinned frames for the next miss, see maxSpare
 	big     node     // Btree.splitPut's copy of an over-full page
 	splits  []*split // Btree.splitPut's results, one per tree level
 	recent  cpage    // sentinel of the recency ring, see cpage.prev
@@ -276,8 +279,7 @@ func (p *Pager) writeHeader() {
 // freshPage installs an all-zero cached page without touching the file.
 func (p *Pager) freshPage(pgno uint32) *cpage {
 	if old := p.lookup(pgno); old != nil {
-		p.drop(old) // a page number a rolled-back transaction had allocated
-		p.recycle(old)
+		p.discard(old) // a page number still cached past the end of the file
 	}
 	pg := p.frame(pgno)
 	clear(pg.data)
@@ -300,11 +302,12 @@ func (p *Pager) frame(pgno uint32) *cpage {
 	return pg
 }
 
-// recycle puts a frame evictIfNeeded dropped on the spare list, unless the
-// list is full or a holder has it pinned: that holder goes on reading the
-// dropped frame, which nobody touches again.
-func (p *Pager) recycle(pg *cpage) {
-	if pg.pins > 0 || len(p.spare) == maxSpare {
+// discard takes pg out of the cache and puts its frame on the spare list,
+// unless the list is full or a holder has it pinned: that holder goes on
+// reading the dropped frame, which nobody touches again.
+func (p *Pager) discard(pg *cpage) {
+	p.drop(pg)
+	if pg.pins > 0 || p.cached+len(p.spare) >= p.cap+maxSpare {
 		return
 	}
 	if p.guardScans {
@@ -416,8 +419,7 @@ func (p *Pager) evictIfNeeded() {
 		// A pinned frame stays with its holders (speedtest's q310 holds its
 		// outer page while the inner look-ups evict it); any other is the
 		// next miss's.
-		p.drop(victim)
-		p.recycle(victim)
+		p.discard(victim)
 	}
 }
 
@@ -650,7 +652,10 @@ func (p *Pager) Commit() error {
 
 // Rollback restores every page touched by the transaction: first the ones
 // whose image went to the journal, from there, then the rest from their
-// images in memory. When the replay fails, the error comes back with the
+// images in memory. The pages the transaction allocated leave the cache
+// unwritten, so the file keeps its length; one that a spill wrote past
+// the old end stays in the file, zeroed by the replay, as the VFS has no
+// truncate. When the replay fails, the error comes back with the
 // transaction still open and the journal in place: what is left is to
 // roll back again, or to reopen the database, which recovers from the
 // journal.
@@ -667,10 +672,9 @@ func (p *Pager) Rollback() error {
 		if orig == nil {
 			continue // replayed
 		}
-		pg := p.lookup(pgno)
-		if pg == nil {
-			pg = p.freshPage(pgno)
-		}
+		// A page whose image is in memory is cached: evicting a written
+		// page first journals every image.
+		pg := p.cache[pgno]
 		copy(pg.data, orig)
 		pg.dirty, pg.dir = true, pg.dir[:0]
 	}
@@ -678,6 +682,13 @@ func (p *Pager) Rollback() error {
 	hdr := p.page(1)
 	p.nPages = binary.LittleEndian.Uint32(hdr.data[8:])
 	p.catRoot = binary.LittleEndian.Uint32(hdr.data[12:])
+	// Last page first: the next allocation takes the frame of the page
+	// number it allocates, with the cell directory's capacity that page had.
+	for pgno := len(p.cache) - 1; pgno > int(p.nPages); pgno-- {
+		if pg := p.cache[pgno]; pg != nil {
+			p.discard(pg)
+		}
+	}
 	if err := p.flushAll(); err != nil {
 		return err
 	}

@@ -2,10 +2,14 @@ package sqldb
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/vfscore"
+	"cubicleos/internal/vm"
 )
 
 // TestHotJournalRecovery simulates a crash mid-transaction: the journal
@@ -263,6 +267,56 @@ func TestFrameReuseSpareListBounded(t *testing.T) {
 		if len(p.spare) != 1 || p.cached != p.cap {
 			t.Errorf("%d frames on the spare list and %d pages cached after an allocation, want 1 and %d",
 				len(p.spare), p.cached, p.cap)
+		}
+	})
+}
+
+// TestRollbackKeepsTheFileLength: a transaction that allocates twenty
+// pages, every one of them in the cache, and rolls back leaves a 3-page
+// database at 3 pages — Rollback used to write the allocated pages' zero
+// images, 94 208 bytes — and the row committed before it reads back after
+// reopening.
+func TestRollbackKeepsTheFileLength(t *testing.T) {
+	withStack(t, func(e *cubicle.Env, vfs *vfscore.Client, ioBuf vm.Addr) {
+		db, err := Open(e, vfs, "/len.db", ioBuf, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := func() uint64 {
+			n, errno := vfs.FStat(e, db.pager.fd)
+			if errno != vfscore.EOK {
+				t.Fatalf("fstat: errno %d", errno)
+			}
+			return n
+		}
+		db.MustExec("CREATE TABLE t (a INTEGER, s TEXT)")
+		db.MustExec("INSERT INTO t VALUES (1, 'kept')")
+		if got := size(); got != 3*PageSize {
+			t.Fatalf("premise broken: the database is %d bytes, want %d", got, 3*PageSize)
+		}
+		db.MustExec("BEGIN")
+		for i := range 40 {
+			db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, '%s')", i+2, strings.Repeat("x", 1000)))
+		}
+		if n := db.pager.NPages(); n < 23 || db.pager.Stats.Spills != 0 {
+			t.Fatalf("premise broken: %d pages, %d spills", n, db.pager.Stats.Spills)
+		}
+		if err := db.pager.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		if got := size(); got != 12288 {
+			t.Errorf("the rolled-back database is %d bytes, want 12288", got)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db, err = Open(e, vfs, "/len.db", ioBuf, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := db.MustExec("SELECT a, s FROM t")
+		if len(r.Rows) != 1 || r.Rows[0][0].I != 1 || r.Rows[0][1].S != "kept" {
+			t.Errorf("after reopening, t holds %v, want [[1 kept]]", r.Rows)
 		}
 	})
 }

@@ -456,8 +456,9 @@ func TestSubqueryAndExprs(t *testing.T) {
 		// truncates to 0 gives NULL, as SQLite does. (It was an integer
 		// divide by zero that escaped Exec as a runtime panic.)
 		for sql, want := range map[string]string{
-			"SELECT 5 % 0.5, 5 % 0, 5.0 % 0.9, 5 % -0.5": "NULL,NULL,NULL,NULL",
-			"SELECT 5.5 % 2, -7 % 3, 7 % -3, 7.9 % 2.9":  "1,-1,1,1",
+			"SELECT 5 % 0.5, 5 % 0, 5.0 % 0.9, 5 % -0.5":     "NULL,NULL,NULL,NULL",
+			"SELECT 5.5 % 2, -7 % 3, 7 % -3, 7.9 % 2.9":      "1,-1,1,1",
+			"SELECT 5 / 0, 5.0 / 0, 5 / 0.0, 7 / 2, 7.5 / 2": "NULL,NULL,NULL,3,3.75",
 		} {
 			if got := rows(db.MustExec(sql)); got != want {
 				t.Errorf("%s = %q, want %q", sql, got, want)

@@ -69,7 +69,7 @@ func (v Value) Truthy() bool {
 	case KReal:
 		return v.R != 0
 	case KText:
-		f, err := strconv.ParseFloat(v.S, 64)
+		f, err := parseNum(v.S)
 		return err == nil && f != 0
 	}
 	return false
@@ -83,10 +83,26 @@ func (v Value) Num() float64 {
 	case KReal:
 		return v.R
 	case KText:
-		f, _ := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
+		f, _ := parseNum(strings.TrimSpace(v.S))
 		return f
 	}
 	return 0
+}
+
+// parseNum is strconv.ParseFloat(s, 64) on text that may be a number: one
+// made only of the characters of a decimal or hexadecimal number, or a
+// name for an infinity or NaN. On other text, such as speedtest's, it
+// fails without calling ParseFloat, which would build an error and a copy
+// of s.
+func parseNum(s string) (float64, error) {
+	t, chars := strings.TrimLeft(s, "+-"), "0123456789._eE+-"
+	if len(t) > 2 && t[0] == '0' && t[1]|0x20 == 'x' {
+		t, chars = t[2:], "0123456789abcdefABCDEF._pP+-"
+	}
+	if t == "" || strings.Trim(t, chars) != "" && !strings.EqualFold(t, "inf") && !strings.EqualFold(t, "infinity") && !strings.EqualFold(t, "nan") {
+		return 0, strconv.ErrSyntax
+	}
+	return strconv.ParseFloat(s, 64)
 }
 
 func (v Value) String() string {

@@ -6,9 +6,12 @@
 # stay at its floor, the value measured when it was last raised, rounded
 # down: raise a floor when a change lifts it. A floor whose package the
 # runs do not report fails too, so a deleted package cannot leave a stale
-# one behind. Lists the internal functions no run reaches.
+# one behind. The internal functions no run reaches are a ratchet: each is
+# listed in scripts/unreached.txt, which fails the script as soon as it
+# names one a run reaches, so the list can only shrink.
 # scripts/check.sh runs this script.
 set -euo pipefail
+export LC_ALL=C # sort and comm must collate alike
 
 # A floor under 70 %, or one lowered, names its reason beside it.
 floors=$(sed 's/#.*//' <<'FLOORS' | tr '\n' ' '
@@ -32,8 +35,15 @@ GOCOVERDIR="$tmp/cov" runall cover "$tmp" cover
 
 go tool covdata textfmt -i "$tmp/cov" -o "$tmp/all.txt"
 grep -E '^(mode:|cubicleos/internal/)' "$tmp/all.txt" >"$tmp/internal.txt"
-echo "runcover: internal functions no run reaches:"
-go tool cover -func="$tmp/internal.txt" | awk '$NF == "0.0%" { print "    " $1 " " $2 }'
+go tool cover -func="$tmp/internal.txt" |
+	awk '$NF == "0.0%" { f = $1; sub(/^cubicleos\//, "", f); sub(/:[0-9]+:$/, "", f); print f, $2 }' |
+	sort >"$tmp/unreached"
+sed 's/#.*//; s/[[:space:]]*$//; /^$/d' scripts/unreached.txt | tr -s ' \t' ' ' | sort >"$tmp/listed"
+comm -23 "$tmp/unreached" "$tmp/listed" | sed 's/^/runcover: no run reaches /; s/$/, and scripts\/unreached.txt does not list it/' >"$tmp/bad"
+comm -13 "$tmp/unreached" "$tmp/listed" | sed 's/^/runcover: a run reaches /; s/$/: delete its line in scripts\/unreached.txt/' >>"$tmp/bad"
+echo "runcover: $(wc -l <"$tmp/unreached") internal functions no run reaches, $(wc -l <"$tmp/listed") listed"
+bad=0
+if [ -s "$tmp/bad" ]; then cat "$tmp/bad"; bad=1; fi
 
 go tool covdata percent -i "$tmp/cov" | awk -v floors="$floors" '
 BEGIN { n = split(floors, f); for (i = 1; i <= n; i++) { split(f[i], kv, "="); floor[kv[1]] = kv[2] } }
@@ -50,4 +60,5 @@ BEGIN { n = split(floors, f); for (i = 1; i <= n; i++) { split(f[i], kv, "="); f
 END {
     for (name in floor) if (!(name in seen)) { printf "runcover: floor %s=%d names no package the runs reported\n", name, floor[name]; bad = 1 }
     exit bad
-}'
+}' || bad=1
+exit "$bad"
