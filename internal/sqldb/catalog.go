@@ -55,7 +55,8 @@ type Catalog struct {
 }
 
 // catalog record layout: (kind TEXT, name TEXT, table TEXT, root INT,
-// definition TEXT). The definition serialises columns or index columns.
+// definition TEXT). A table's definition is its CREATE TABLE column list,
+// an index's its column names.
 func tableDef(t *Table) string {
 	parts := make([]string, len(t.Columns))
 	for i, c := range t.Columns {
@@ -65,23 +66,6 @@ func tableDef(t *Table) string {
 		}
 	}
 	return strings.Join(parts, ", ")
-}
-
-func parseTableDef(def string) ([]Column, int) {
-	var cols []Column
-	rowidCol := -1
-	for i, part := range strings.Split(def, ", ") {
-		fields := strings.Fields(part)
-		c := Column{Name: fields[0], Type: "TEXT"}
-		if len(fields) > 1 {
-			c.Type = fields[1]
-		}
-		if strings.Contains(strings.ToUpper(part), "PRIMARY KEY") && strings.EqualFold(c.Type, "INTEGER") {
-			rowidCol = i
-		}
-		cols = append(cols, c)
-	}
-	return cols, rowidCol
 }
 
 // cloneColumn returns col with names of its own.
@@ -111,10 +95,17 @@ func LoadCatalog(p *Pager) (*Catalog, error) {
 		}
 		switch vals[0].S {
 		case "table":
-			cols, rowidCol := parseTableDef(vals[4].S)
+			// tableDef wrote the column list CREATE TABLE parses.
+			var stmt any
+			stmt, err = Parse("CREATE TABLE t (" + vals[4].S + ")")
+			def, ok := stmt.(*CreateTableStmt)
+			if !ok {
+				err = fmt.Errorf("sqldb: malformed definition of table %s: %v", vals[1].S, err)
+				return false
+			}
 			c.tables[strings.ToLower(vals[1].S)] = &Table{
 				Name: vals[1].S, Root: uint32(vals[3].I),
-				Columns: cols, RowidCol: rowidCol, catRowid: rowid,
+				Columns: def.Cols, RowidCol: def.RowidCol, catRowid: rowid,
 			}
 		case "index":
 			c.addIndex(&Index{

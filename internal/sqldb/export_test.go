@@ -112,6 +112,9 @@ func (db *DB) checkIndexes() error {
 // CheckIndexes is checkIndexes.
 var CheckIndexes = (*DB).checkIndexes
 
+// Table returns the schema entry of the named table, or nil.
+func (db *DB) Table(name string) *Table { return db.cat.Table(name) }
+
 // OnParse hands fn every statement Exec parses, before it runs. The text
 // dies with the Exec: fn clones what it keeps.
 func (db *DB) OnParse(fn func(sql string, stmt any)) { db.onParse = fn }

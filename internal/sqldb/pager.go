@@ -277,10 +277,9 @@ func (p *Pager) writeHeader() {
 }
 
 // freshPage installs an all-zero cached page without touching the file.
+// pgno is not cached: it is page 1 of a new file or the page past the end,
+// and Rollback discards the pages past the end it restores.
 func (p *Pager) freshPage(pgno uint32) *cpage {
-	if old := p.lookup(pgno); old != nil {
-		p.discard(old) // a page number still cached past the end of the file
-	}
 	pg := p.frame(pgno)
 	clear(pg.data)
 	pg.dirty = true

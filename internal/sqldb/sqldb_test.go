@@ -524,11 +524,28 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 			db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 'value-%04d')", i+1, i))
 		}
 		db.MustExec("COMMIT")
+		// Every shape of column the parser keeps: a rowid alias first and
+		// past the first column, a primary key that is not one, a column
+		// with no type, and one ALTER TABLE added.
+		db.MustExec("CREATE TABLE u (a, b BLOB, c TEXT PRIMARY KEY)")
+		db.MustExec("CREATE TABLE w (x REAL, k INTEGER PRIMARY KEY NOT NULL)")
+		db.MustExec("ALTER TABLE t ADD COLUMN n REAL")
+		created := map[string]sqldb.Table{}
+		for _, name := range []string{"t", "u", "w"} {
+			created[name] = *db.Table(name)
+		}
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
 		db2 := open(e)
 		defer db2.Close()
+		for name, want := range created {
+			got := db2.Table(name)
+			if !slices.Equal(got.Columns, want.Columns) || got.RowidCol != want.RowidCol {
+				t.Errorf("reopened table %s: columns %v, rowid column %d; created %v, %d",
+					name, got.Columns, got.RowidCol, want.Columns, want.RowidCol)
+			}
+		}
 		if got := one(t, db2.MustExec("SELECT count(*) FROM t")); got.I != 200 {
 			t.Fatalf("reopened count = %v", got)
 		}

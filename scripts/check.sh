@@ -26,7 +26,7 @@ go test -C benchmark ./...
 
 # The design rules the compiler does not check and the reachability gate
 # (DESIGN.md §6, §10, §12, §16); every defer of the trampoline open-coded
-# (§15); every hot-path bench body once; then the tracing-overhead ratio
+# (§15); every benchmark of the module once; then the tracing-overhead ratio
 # (paired, ≤ 1.9) and the exact allocation gates of crossings, rows and a
 # speedtest pass.
 ./scripts/lint.sh
