@@ -205,6 +205,7 @@ func runWorkload(opts siege.Options, requests, size int, stop uint64) (*siege.Ta
 	if err != nil {
 		return nil, err
 	}
+	tgt.Sys.M.Tracer().StartDigest() // validate checks it against the ring
 	if err := tgt.PutFile("/trace.bin", make([]byte, size)); err != nil {
 		return nil, err
 	}
@@ -341,8 +342,12 @@ func validate(tgt *siege.Target, format string, output []byte) {
 	}
 
 	// Ring invariants: the surviving stream is nondecreasing in cycle and
-	// consecutive in sequence number, and it is exactly what was recorded
-	// minus what ring wrap overwrote.
+	// consecutive in sequence number, it is exactly what was recorded minus
+	// what ring wrap overwrote, and a ring that overwrote nothing folds to
+	// the digest Record folded as it wrote.
+	if d := trc.Digest(); trc.Dropped() == 0 && (!trc.StartDigest() || trc.Digest() != d) {
+		fail("digest %#x folded as recorded, %#x read back from the ring", d, trc.Digest())
+	}
 	events := trc.Events()
 	for i := 1; i < len(events); i++ {
 		if p, ev := events[i-1], events[i]; ev.Cycle < p.Cycle || ev.Seq != p.Seq+1 {

@@ -43,7 +43,8 @@ func TestStreamDigestsPinned(t *testing.T) {
 		{"replay/full", []uint64{0x87b7799835e157cb}, func(t *testing.T) []uint64 { return replayCell(t, cubicle.ModeFull) }},
 		{"replay/no-acl", []uint64{0xee506263084fc775}, func(t *testing.T) []uint64 { return replayCell(t, cubicle.ModeNoACL) }},
 		{"replay/unikraft", []uint64{0xc82d54b467b71863}, func(t *testing.T) []uint64 { return replayCell(t, cubicle.ModeUnikraft) }},
-		{"prod-openloop", []uint64{0x8e8162fd12b7fd22}, prodCell},
+		{"prod-openloop", []uint64{0x8e8162fd12b7fd22}, func(t *testing.T) []uint64 { return prodCell(t, 64) }},
+		{"prod-openloop-unwrapped", []uint64{0x8e8162fd12b7fd22}, func(t *testing.T) []uint64 { return prodCell(t, 1<<19) }},
 		{"cluster-kill", []uint64{0x0edbb35b834c2343, 0xdfba6290fac3dfb7, 0xd2ab00fc79706142, 0x9f3095c48ad81964}, clusterCell},
 		{"key-eviction", []uint64{0x1a9f57e52faecdcc}, evictionCell},
 		{"ukernel-ipc", []uint64{0xd2805fe7a7f4b7a2}, ukernelCell},
@@ -58,13 +59,10 @@ func TestStreamDigestsPinned(t *testing.T) {
 	}
 }
 
-// digest is cubicletest.StreamDigest over a run whose ring lost nothing,
-// with the per-edge call counts and extra folded in.
-func digest(t *testing.T, m *cubicle.Monitor, extra ...[]byte) uint64 {
-	t.Helper()
-	if d := m.Tracer().Dropped(); d != 0 {
-		t.Fatalf("trace ring dropped %d events; the digest would not cover the run", d)
-	}
+// digest is cubicletest.StreamDigest with the per-edge call counts and
+// extra folded in. Every cell starts the fold right after boot, so a
+// 64-event ring serves however far it wraps.
+func digest(m *cubicle.Monitor, extra ...[]byte) uint64 {
 	edges := fmt.Appendf(nil, "%v", m.Stats.SortedEdges())
 	return cubicletest.StreamDigest(m, append([][]byte{edges}, extra...)...)
 }
@@ -75,12 +73,13 @@ func digest(t *testing.T, m *cubicle.Monitor, extra ...[]byte) uint64 {
 func replayCell(t *testing.T, mode cubicle.Mode) []uint64 {
 	tgt, err := siege.NewTargetOpts(siege.Options{
 		Mode:               mode,
-		TraceEvents:        1 << 16,
+		TraceEvents:        64,
 		CheckpointInterval: 300_000,
 	}.Chaotic(7))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tgt.Sys.M.Tracer().StartDigest()
 	body := make([]byte, 8<<10)
 	for i := range body {
 		body[i] = byte(i*31 + 7)
@@ -99,13 +98,14 @@ func replayCell(t *testing.T, mode cubicle.Mode) []uint64 {
 	if mode != cubicle.ModeUnikraft && m.Stats.Restarts == 0 {
 		t.Fatalf("chaos run injected %d faults and restarted nothing", m.Stats.InjectedFaults)
 	}
-	return []uint64{digest(t, m)}
+	return []uint64{digest(m)}
 }
 
 // prodCell is the production open-loop configuration — supervisor,
 // governor, tracer, metrics and checkpoints on — offered more than it can
-// serve, so admission control sheds.
-func prodCell(t *testing.T) []uint64 {
+// serve, so admission control sheds. Its stream wraps a ring of ring
+// events many times and its digest does not move.
+func prodCell(t *testing.T, ring int) []uint64 {
 	restart := cubicle.DefaultRestartPolicy()
 	restart.CrossingBudget = 0
 	tgt, err := siege.NewTargetOpts(siege.Options{
@@ -114,7 +114,7 @@ func prodCell(t *testing.T) []uint64 {
 		Governance:         &httpd.Governance{MaxConns: 16, RetryAfter: 1, Retry: cubicle.DefaultRetryPolicy()},
 		WireCap:            256,
 		ReapClosed:         true,
-		TraceEvents:        1 << 19,
+		TraceEvents:        ring,
 		MetricsInterval:    2_200_000,
 		MetricsRing:        256,
 		CheckpointInterval: 5_000_000,
@@ -122,6 +122,7 @@ func prodCell(t *testing.T) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tgt.Sys.M.Tracer().StartDigest()
 	if err := tgt.PutFile("/index.html", make([]byte, 4<<10)); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func prodCell(t *testing.T) []uint64 {
 	if m.Stats.Sheds == 0 {
 		t.Fatal("governor idle: no request shed")
 	}
-	return []uint64{digest(t, m, fmt.Appendf(nil, "%v", m.MetricsSamples()))}
+	return []uint64{digest(m, fmt.Appendf(nil, "%v", m.MetricsSamples()))}
 }
 
 // clusterCell is the cluster chaos run: four keep-alive backends behind
@@ -146,7 +147,7 @@ func clusterCell(t *testing.T) []uint64 {
 		CheckpointInterval: 5_000_000,
 		HedgeAfter:         20_000_000,
 		RetryBudget:        0.25,
-		TraceEvents:        1 << 18,
+		TraceEvents:        64,
 		Chaos:              &faultinject.Config{Seed: 11, DropAtWire: 0.015},
 		Script: []cluster.Event{
 			{AtCycle: 20_000_000, Backend: 2, Action: cluster.ActKill},
@@ -155,6 +156,9 @@ func clusterCell(t *testing.T) []uint64 {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, b := range c.Backends {
+		b.T.Sys.M.Tracer().StartDigest()
 	}
 	if err := c.PutFile("/index.html", []byte("cluster digest body\n")); err != nil {
 		t.Fatal(err)
@@ -193,8 +197,13 @@ func clusterCell(t *testing.T) []uint64 {
 		t.Errorf("fleet took %d checkpoints and %d warm restarts, want 42 and 1", st.Sys.Checkpoints, st.Sys.WarmRestarts)
 	}
 	var out []uint64
+	var drops uint64
 	for _, b := range c.Backends {
-		out = append(out, digest(t, b.T.Sys.M))
+		out = append(out, digest(b.T.Sys.M))
+		drops += b.T.Sys.Chaos.Fired
+	}
+	if drops == 0 {
+		t.Error("the chaos run dropped no frame at the wire")
 	}
 	return out
 }
@@ -212,10 +221,11 @@ func evictionCell(t *testing.T) []uint64 {
 				return e.Ret(uint64(e.LoadByte(p)))
 			}}}})
 	}
-	sys, err := boot.NewFS(boot.Config{Mode: cubicle.ModeFull, TraceEvents: 1 << 16, Extra: extra})
+	sys, err := boot.NewFS(boot.Config{Mode: cubicle.ModeFull, TraceEvents: 64, Extra: extra})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.M.Tracer().StartDigest()
 	err = sys.RunAs("K0", func(e *cubicle.Env) {
 		for round := 0; round < 3; round++ {
 			for i := 1; i < 16; i++ {
@@ -232,7 +242,7 @@ func evictionCell(t *testing.T) []uint64 {
 	if sys.M.Stats.KeyEvictions == 0 {
 		t.Fatal("21 isolated cubicles evicted no key")
 	}
-	return []uint64{digest(t, sys.M)}
+	return []uint64{digest(sys.M)}
 }
 
 // speedtestCell is the Figure 8 SQLite deployment in full isolation running
@@ -245,7 +255,7 @@ func speedtestCell(t *testing.T) []uint64 {
 		t.Fatal(err)
 	}
 	m := tgt.Sys.M
-	m.EnableTracing(1 << 16)
+	m.EnableTracing(64).StartDigest()
 	if _, err := tgt.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +268,7 @@ func speedtestCell(t *testing.T) []uint64 {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return []uint64{digest(t, m, fmt.Appendf(nil, "%+v %08x", p.Stats, image.Sum32()))}
+	return []uint64{digest(m, fmt.Appendf(nil, "%+v %08x", p.Stats, image.Sum32()))}
 }
 
 // ukernelCell is a Figure 9b deployment — SQLite, CORE and a separate
@@ -269,7 +279,7 @@ func ukernelCell(t *testing.T) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Sys.M.EnableTracing(1 << 16)
+	d.Sys.M.EnableTracing(64).StartDigest()
 	err = d.Sys.RunAs("SQLITE", func(e *cubicle.Env) {
 		d.VFS.InitBuffers(e, e.CubicleOf("RAMFS"))
 		db, err := sqldb.Open(e, d.VFS, "/uk.db", e.HeapAlloc(sqldb.PageSize), 32)
@@ -291,7 +301,7 @@ func ukernelCell(t *testing.T) []uint64 {
 	if d.Stats.Calls == 0 {
 		t.Fatal("the deployment made no IPC call")
 	}
-	return []uint64{digest(t, d.Sys.M)}
+	return []uint64{digest(d.Sys.M)}
 }
 
 // mustExec runs one statement and fails the test on an error.

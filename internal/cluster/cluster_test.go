@@ -145,66 +145,31 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
-// chaosOptions is the shared chaos configuration of the determinism and
-// merge tests: wire drops, route chaos, a scripted kill, and hedging all
-// active at once.
-func chaosOptions() Options {
-	return Options{
+// TestClusterStatsMergeAssociative: merging the per-backend monitor
+// stats is order- and grouping-independent, so fleet roll-ups never
+// depend on which backend reports first. The fleet runs with wire drops,
+// a scripted kill and slowdown, and hedging all active at once; the
+// cluster-kill cell of TestStreamDigestsPinned pins a run of it.
+func TestClusterStatsMergeAssociative(t *testing.T) {
+	c := bootCluster(t, Options{
 		Backends:           4,
 		Mode:               cubicle.ModeFull,
 		Seed:               11,
 		CheckpointInterval: 5_000_000,
 		HedgeAfter:         20_000_000,
 		RetryBudget:        0.25,
-		Chaos: &faultinject.Config{
-			Seed:       11,
-			DropAtWire: 0.015,
-		},
+		Chaos:              &faultinject.Config{Seed: 11, DropAtWire: 0.015},
 		Script: []Event{
 			{AtCycle: 20_000_000, Backend: 2, Action: ActKill},
 			{AtCycle: 30_000_000, Backend: 0, Action: ActSlow, Factor: 3, Window: 20_000_000},
 		},
-	}
-}
-
-func runChaos(t *testing.T) (*Cluster, *Stats) {
-	t.Helper()
-	c := bootCluster(t, chaosOptions())
+	})
 	c.Arm()
 	st, err := c.RunOpenLoop(RunOptions{Path: "/index.html", Rate: 5000, Requests: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkConservation(t, st)
-	return c, st
-}
-
-// TestClusterDeterministicUnderChaos: five fresh clusters with the same
-// seed, chaos schedule and kill script produce byte-identical reports —
-// the whole failover run is a pure function of the seed.
-func TestClusterDeterministicUnderChaos(t *testing.T) {
-	c, first := runChaos(t)
-	var drops uint64
-	for _, b := range c.Backends {
-		drops += b.T.Sys.Chaos.Fired
-	}
-	if first.Failovers == 0 || first.Hedges == 0 || drops == 0 {
-		t.Fatalf("chaos run too tame to gate determinism on: failovers %d hedges %d wire drops %d",
-			first.Failovers, first.Hedges, drops)
-	}
-	for i := 1; i < 5; i++ {
-		_, st := runChaos(t)
-		if !reflect.DeepEqual(st, first) {
-			t.Fatalf("run %d diverged:\n got  %+v\n want %+v", i, st, first)
-		}
-	}
-}
-
-// TestClusterStatsMergeAssociative: merging the per-backend monitor
-// stats is order- and grouping-independent, so fleet roll-ups never
-// depend on which backend reports first.
-func TestClusterStatsMergeAssociative(t *testing.T) {
-	c, _ := runChaos(t)
 	s := make([]*cubicle.Stats, len(c.Backends))
 	for i, b := range c.Backends {
 		s[i] = &b.T.Sys.M.Stats

@@ -2,37 +2,29 @@ package cubicletest
 
 import (
 	"encoding/binary"
-	"hash/fnv"
-	"io"
 
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/trace"
 )
 
-// StreamDigest folds everything virtual about a traced run into one
-// FNV-1a: every surviving event (Seq, Cycle, Kind, Thread, Cubicle, Other,
-// Arg, Cost, Name), the final clock, every cubicle.Counters row and then
-// each extra byte string, length-prefixed. It reads the ring back, so a
-// caller must first check Dropped() == 0.
+// StreamDigest continues the FNV-1a m's tracer folded from StartDigest on
+// (every event's Seq, Cycle, Kind, Thread, Cubicle, Other, Arg, Cost and
+// Name) with the final clock, every cubicle.Counters row and then each
+// extra byte string, length-prefixed. It panics if the fold never started.
 func StreamDigest(m *cubicle.Monitor, extra ...[]byte) uint64 {
-	h := fnv.New64a()
-	put := func(vs ...uint64) {
-		for _, v := range vs {
-			h.Write(binary.LittleEndian.AppendUint64(nil, v))
-		}
+	h := m.Tracer().Digest()
+	if h == 0 {
+		panic("cubicletest: no digest: StartDigest was not called, or the ring had dropped events")
 	}
-	for _, ev := range m.Tracer().Events() {
-		put(ev.Seq, ev.Cycle, uint64(ev.Kind), uint64(ev.Thread), uint64(ev.Cubicle),
-			uint64(ev.Other), ev.Arg, ev.Cost, uint64(len(ev.Name)))
-		io.WriteString(h, ev.Name)
-	}
+	put := func(v uint64) { h = trace.FNV(h, binary.LittleEndian.AppendUint64(nil, v)) }
 	put(m.Clock.Cycles())
 	for _, c := range cubicle.Counters {
-		io.WriteString(h, c.Name)
+		h = trace.FNV(h, c.Name)
 		put(*c.Field(&m.Stats))
 	}
 	for _, b := range extra {
 		put(uint64(len(b)))
-		h.Write(b)
+		h = trace.FNV(h, b)
 	}
-	return h.Sum64()
+	return h
 }

@@ -14,6 +14,12 @@ func (e *Env) NoteShed(reason string, status uint64) {
 	e.M.note(trace.EvShed, e.T, e.T.cur, 0, status, 0, reason)
 }
 
+// NoteIPC records one microkernel-baseline IPC from the current cubicle:
+// name is the operation, payload the bytes marshalled, cost its charge.
+func (e *Env) NoteIPC(name string, payload, cost uint64) {
+	e.M.note(trace.EvIPC, e.T, e.T.cur, 0, payload, cost, name)
+}
+
 // --- Bounded retry -----------------------------------------------------------
 
 // RetryPolicy bounds RetryContained. All durations are virtual cycles.

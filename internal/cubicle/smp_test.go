@@ -1,7 +1,7 @@
 package cubicle
 
 import (
-	"reflect"
+	"encoding/binary"
 	"testing"
 
 	"cubicleos/internal/trace"
@@ -114,13 +114,13 @@ func TestSMPRetagShootsDownEndToEnd(t *testing.T) {
 	t.Fatal("the trace holds no shootdown event")
 }
 
-// smpRun is everything one run of smpPingPong leaves behind that must
-// repeat exactly: the clock after each worker's last step, live counters
-// and the trace stream.
+// smpRun is what one run of smpPingPong leaves behind: its digest — the
+// trace stream folded as it was recorded (which fixes every counter row,
+// note's table derives them), then the clock after each worker's last
+// step — and its live counters.
 type smpRun struct {
-	clocks []uint64
+	digest uint64
 	stats  Stats
-	events []trace.Event
 
 	// The system itself and the per-worker buffers, for callers that inspect
 	// memory afterwards.
@@ -139,7 +139,8 @@ func smpPingPong(t *testing.T, cores, iters int, size uint64) smpRun {
 	t.Helper()
 	ts := bootPair(t, ModeFull)
 	m := ts.m
-	trc := m.EnableTracing(1 << 14)
+	trc := m.EnableTracing(64)
+	trc.StartDigest()
 	m.EnableSMP(cores)
 	barID := ts.cubs["BAR"].ID
 	barH := m.MustResolve(ts.cubs["FOO"].ID, "BAR", "bar")
@@ -178,43 +179,22 @@ func smpPingPong(t *testing.T, cores, iters int, size uint64) smpRun {
 	for c := range workers {
 		leaveOn(ts, workers[c])
 	}
-	return smpRun{clocks: last, stats: m.Stats, events: trc.Events(), ts: ts, addrs: addrs}
-}
-
-// fiveRunsIdentical is the determinism gate: four more runs reproduce
-// run 0's clock readings, its Stats (WindowSearchSteps included) and its
-// event stream — symbols, payloads and cycle stamps — exactly. It returns
-// run 0.
-func fiveRunsIdentical(t *testing.T, cores, iters int, size uint64) smpRun {
-	t.Helper()
-	r0 := smpPingPong(t, cores, iters, size)
-	for run := 1; run < 5; run++ {
-		r := smpPingPong(t, cores, iters, size)
-		if !reflect.DeepEqual(r.clocks, r0.clocks) {
-			t.Fatalf("run %d clocks diverged: %v vs %v", run, r.clocks, r0.clocks)
-		}
-		if !reflect.DeepEqual(r.stats, r0.stats) {
-			t.Fatalf("run %d stats diverged:\n got  %+v\n want %+v", run, r.stats, r0.stats)
-		}
-		if len(r.events) != len(r0.events) {
-			t.Fatalf("run %d recorded %d events, run 0 recorded %d", run, len(r.events), len(r0.events))
-		}
-		for i := range r.events {
-			if r.events[i] != r0.events[i] {
-				t.Fatalf("run %d stream diverged at event %d:\n got  %+v\n want %+v",
-					run, i, r.events[i], r0.events[i])
-			}
-		}
+	h := trc.Digest()
+	for _, c := range last {
+		h = trace.FNV(h, binary.LittleEndian.AppendUint64(nil, c))
 	}
-	return r0
+	return smpRun{digest: h, stats: m.Stats, ts: ts, addrs: addrs}
 }
 
 // TestSMPParallelRetagsDeterministic is the monitor-level determinism gate:
 // two interleaved threads hammer cross-cubicle calls and trap-and-map retags
-// of their own pages, and five runs must produce identical clocks, stats
-// and events.
+// of their own pages, and the run's clocks, stats and events match their
+// pinned digest.
 func TestSMPParallelRetagsDeterministic(t *testing.T) {
-	r := fiveRunsIdentical(t, 2, 40, 4096)
+	r := smpPingPong(t, 2, 40, 4096)
+	if want := uint64(0x6470e0531749ae23); r.digest != want {
+		t.Errorf("digest %#x, want %#x", r.digest, want)
+	}
 	if r.stats.TLBShootdowns == 0 {
 		t.Fatalf("workload produced no shootdowns")
 	}
@@ -226,13 +206,16 @@ func TestSMPParallelRetagsDeterministic(t *testing.T) {
 // TestSMPSharedPageRetagsConserve is the contended shape: both threads'
 // 64-byte buffers sit on ONE heap page, so each thread's trap retags the page
 // the other thread last held. One goroutine drives both threads, so their
-// retags are ordered by program order and the run is held to the
-// same five-run identity as the disjoint-page shape — on top of the
-// conservation laws: no call, window op or store is lost, every trap is
-// answered by exactly one retag and one shootdown, and nothing is denied.
+// retags are ordered by program order and the run is held to a pinned
+// digest like the disjoint-page shape — on top of the conservation laws:
+// no call, window op or store is lost, every trap is answered by exactly
+// one retag and one shootdown, and nothing is denied.
 func TestSMPSharedPageRetagsConserve(t *testing.T) {
 	const iters = 40
-	r := fiveRunsIdentical(t, 2, iters, 64)
+	r := smpPingPong(t, 2, iters, 64)
+	if want := uint64(0xf18f1f1a308fa034); r.digest != want {
+		t.Errorf("digest %#x, want %#x", r.digest, want)
+	}
 	if r.addrs[0].PageNum() != r.addrs[1].PageNum() {
 		t.Fatalf("buffers %#x and %#x do not share a page", r.addrs[0], r.addrs[1])
 	}

@@ -101,12 +101,6 @@ func (m *Monitor) NewThread() *Thread {
 	return t
 }
 
-// TID returns the thread's dense index (the "tid" of its trace track).
-func (t *Thread) TID() int { return t.id }
-
-// Current returns the cubicle whose privileges the thread is running with.
-func (t *Thread) Current() ID { return t.cur }
-
 // Caller returns the cubicle that performed the innermost cross-cubicle
 // call, or MonitorID at the outermost level. Shared-cubicle and
 // same-cubicle calls are transparent: they do not change the caller.

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
@@ -37,6 +38,7 @@ type SQLiteTarget struct {
 	time *uktime.Client
 	plat *plat.Client
 	log  vm.Addr
+	line []byte // RunQuery's log line, built in place
 }
 
 // component returns an isolated component exporting one entry point that
@@ -143,9 +145,9 @@ func (t *SQLiteTarget) RunQuery(id int) (uint64, error) {
 		if err := t.Runner.Run(id); err != nil {
 			panic(&cubicle.APIError{Cubicle: e.Cubicle(), Op: "query", Reason: err.Error()})
 		}
-		line := fmt.Sprintf("speedtest1 %d ok\n", id)
-		e.Write(t.log, []byte(line))
-		t.plat.ConsoleWrite(e, t.log, uint64(len(line)))
+		t.line = append(strconv.AppendInt(append(t.line[:0], "speedtest1 "...), int64(id), 10), " ok\n"...)
+		e.Write(t.log, t.line)
+		t.plat.ConsoleWrite(e, t.log, uint64(len(t.line)))
 	})
 	if err != nil {
 		return 0, err

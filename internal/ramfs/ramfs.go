@@ -243,7 +243,7 @@ func (fs *Module) zeroRange(e *cubicle.Env, node *inode, from, to uint64) {
 // would kill the simulator.
 func (fs *Module) pageAt(e *cubicle.Env, node *inode, pi uint64) vm.Addr {
 	if pi >= uint64(len(node.pages)) {
-		panic(&cubicle.APIError{Cubicle: e.T.Current(), Op: "ramfs_page",
+		panic(&cubicle.APIError{Cubicle: e.Cubicle(), Op: "ramfs_page",
 			Reason: fmt.Sprintf("inode %d: size %d implies page %d but only %d allocated",
 				node.ino, node.size, pi, len(node.pages))})
 	}

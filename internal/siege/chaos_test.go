@@ -1,7 +1,6 @@
 package siege
 
 import (
-	"reflect"
 	"testing"
 
 	"cubicleos/internal/cubicle"
@@ -119,45 +118,46 @@ func TestSiegeUnderChaos(t *testing.T) {
 	}
 }
 
-// TestChaosScheduleIsDeterministic pins reproducibility end to end: two
-// targets booted with the same seed and driven through the same workload
-// produce identical fault schedules and identical containment counters.
+// TestChaosScheduleIsDeterministic pins reproducibility end to end: a
+// target booted with seed 21 and driven through the same workload matches
+// its pinned stream digest: the fault schedule, every crossing and the
+// containment counters.
 func TestChaosScheduleIsDeterministic(t *testing.T) {
-	run := func() cubicle.Stats {
-		policy := cubicle.DefaultRestartPolicy()
-		policy.MaxRestarts = 1000
-		tgt, err := NewTargetOpts(Options{
-			Mode:        cubicle.ModeFull,
-			Supervision: &policy,
-			// The VFSCORE→RAMFS edge is only a few crossings per request, so
-			// the rates here are much higher than the siege run's to get a
-			// non-trivial schedule out of 12 requests.
-			Chaos: &faultinject.Config{
-				Seed:           21,
-				Target:         ramfs.Name,
-				ProtAtCrossing: 0.15,
-				LeakAtCrossing: 0.05,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tgt.PutFile("/f.bin", make([]byte, 4<<10)); err != nil {
-			t.Fatal(err)
-		}
-		tgt.Sys.Chaos.Arm()
-		for i := 0; i < 12; i++ {
-			if res, err := tgt.Fetch("/f.bin"); err == nil && res.Status == 404 {
-				_ = tgt.PutFile("/f.bin", make([]byte, 4<<10))
-			}
-		}
-		return tgt.Sys.M.Stats
+	policy := cubicle.DefaultRestartPolicy()
+	policy.MaxRestarts = 1000
+	tgt, err := NewTargetOpts(Options{
+		Mode:        cubicle.ModeFull,
+		Supervision: &policy,
+		TraceEvents: 64,
+		// The VFSCORE→RAMFS edge is only a few crossings per request, so
+		// the rates here are much higher than the siege run's to get a
+		// non-trivial schedule out of 12 requests.
+		Chaos: &faultinject.Config{
+			Seed:           21,
+			Target:         ramfs.Name,
+			ProtAtCrossing: 0.15,
+			LeakAtCrossing: 0.05,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("identical seeds diverged:\n a: %+v\n b: %+v", a, b)
+	m := tgt.Sys.M
+	m.Tracer().StartDigest()
+	if err := tgt.PutFile("/f.bin", make([]byte, 4<<10)); err != nil {
+		t.Fatal(err)
 	}
-	if a.InjectedFaults == 0 || a.ContainedFaults == 0 {
-		t.Errorf("deterministic run injected/contained nothing: %+v", a)
+	tgt.Sys.Chaos.Arm()
+	for i := 0; i < 12; i++ {
+		if res, err := tgt.Fetch("/f.bin"); err == nil && res.Status == 404 {
+			_ = tgt.PutFile("/f.bin", make([]byte, 4<<10))
+		}
+	}
+	if m.Stats.InjectedFaults == 0 || m.Stats.ContainedFaults == 0 {
+		t.Errorf("deterministic run injected %d faults and contained %d", m.Stats.InjectedFaults, m.Stats.ContainedFaults)
+	}
+	const want = uint64(0x77a5ee914898400d)
+	if got := cubicletest.StreamDigest(m); got != want {
+		t.Errorf("stream digest %#x, want %#x", got, want)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // in fault and retag events (EXPERIMENTS.md, "Component ABI trimmed").
 func TestSMPCoresSurchargeStreamPinned(t *testing.T) {
 	const want = uint64(0x873f92803bb37f9f)
-	m := replayRun(t, 4, 0).Sys.M
+	m := replayRun(t, 64, 4, 0).Sys.M
 	if got := cubicletest.StreamDigest(m); got != want {
 		t.Fatalf("stream digest at SMPCores 4 = %#x, want %#x (%d events, clock %d, %d shootdowns)",
 			got, want, m.Tracer().Recorded(), m.Clock.Cycles(), m.Stats.TLBShootdowns)

@@ -294,19 +294,21 @@ func TestRestartBudgetExhaustionUnderLoad(t *testing.T) {
 	}
 }
 
-// replayRun drives the chaos+checkpoint workload on a fresh target, to
-// the end (stop=0) or until the virtual clock passes stop.
-func replayRun(t *testing.T, cores int, stop uint64) *Target {
+// replayRun drives the chaos+checkpoint workload on a fresh target traced
+// into a ring of ring events, its digest started at boot, to the end
+// (stop=0) or until the virtual clock passes stop.
+func replayRun(t *testing.T, ring, cores int, stop uint64) *Target {
 	t.Helper()
 	tgt, err := NewTargetOpts(Options{
 		Mode:               cubicle.ModeFull,
-		TraceEvents:        1 << 16,
+		TraceEvents:        ring,
 		CheckpointInterval: 300_000,
 		SMPCores:           cores,
 	}.Chaotic(7))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tgt.Sys.M.Tracer().StartDigest()
 	if err := tgt.PutFile("/f.bin", pattern(8<<10)); err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +329,6 @@ func replayRun(t *testing.T, cores int, stop uint64) *Target {
 		}
 	}
 	tgt.Sys.Chaos.Disarm()
-	if d := tgt.Sys.M.Tracer().Dropped(); d != 0 {
-		t.Fatalf("trace ring dropped %d events; prefix comparison unsound", d)
-	}
 	return tgt
 }
 
@@ -337,7 +336,10 @@ func replayRun(t *testing.T, cores int, stop uint64) *Target {
 // Cycle <= stop (stop=0: the full run).
 func replayEvents(t *testing.T, cores int, stop uint64) []trace.Event {
 	t.Helper()
-	tgt := replayRun(t, cores, stop)
+	tgt := replayRun(t, 1<<16, cores, stop)
+	if d := tgt.Sys.M.Tracer().Dropped(); d != 0 {
+		t.Fatalf("trace ring dropped %d events; prefix comparison unsound", d)
+	}
 	events := tgt.Sys.M.Tracer().Events()
 	cutoff := stop
 	if cutoff == 0 {

@@ -1,60 +1,62 @@
 package siege
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/faultinject"
 	"cubicleos/internal/ramfs"
 )
 
 // mkShard builds the shard boot function used by every parallel test:
-// identical deployments with one 4 KiB file.
-func mkShard(t *testing.T) func(core int) (*Target, error) {
-	t.Helper()
+// identical traced deployments with one 4 KiB file, each digest started
+// at boot and each target kept in shards[core] where shards has room.
+func mkShard(shards []*Target) func(core int) (*Target, error) {
 	return func(core int) (*Target, error) {
-		tgt, err := NewTarget(cubicle.ModeFull)
+		tgt, err := NewTargetOpts(Options{Mode: cubicle.ModeFull, TraceEvents: 64})
 		if err != nil {
 			return nil, err
 		}
-		if err := tgt.PutFile("/index.html", make([]byte, 4096)); err != nil {
-			return nil, err
+		tgt.Sys.M.Tracer().StartDigest()
+		if core < len(shards) {
+			shards[core] = tgt
 		}
-		return tgt, nil
+		return tgt, tgt.PutFile("/index.html", make([]byte, 4096))
 	}
 }
 
-// virtualView strips the wall-clock fields from a parallel result so runs
-// can be compared for virtual-time determinism.
-func virtualView(ps *ParallelStats) ParallelStats {
-	v := *ps
-	v.WallSeconds, v.WallRPS = 0, 0
-	return v
+// shardDigests pins a sharded run: each shard's stream digest with its own
+// figures and the merged ones folded in — every virtual-time result, so
+// neither how the host schedules the shard goroutines nor a second run in
+// the process may move one.
+func shardDigests(ps *ParallelStats, shards []*Target) []uint64 {
+	out := make([]uint64, len(shards))
+	for c, tgt := range shards {
+		out[c] = cubicletest.StreamDigest(tgt.Sys.M, fmt.Appendf(nil, "%+v %+v", *ps.PerCore[c], ps.OpenLoopStats))
+	}
+	return out
 }
 
 // TestParallelOpenLoopDeterministic is the siege-level determinism gate:
-// the same configuration driven five times produces identical virtual-time
-// results — counters, latency percentiles and per-shard stats — regardless
-// of how the host schedules the shard goroutines. Under -race it also
-// gates that the shards share nothing.
+// three shards' streams and virtual-time results — counters, latency
+// percentiles and per-shard stats — against their pins. Under -race it
+// also gates that the shards share nothing.
 func TestParallelOpenLoopDeterministic(t *testing.T) {
-	opts := OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 48}
-	run := func() ParallelStats {
-		ps, err := ParallelOpenLoop(3, mkShard(t), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return virtualView(ps)
+	shards := make([]*Target, 3)
+	ps, err := ParallelOpenLoop(3, mkShard(shards), OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 48})
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := run()
-	if first.OK == 0 {
-		t.Fatalf("no completed requests: %+v", first.OpenLoopStats)
+	if ps.OK != 48 {
+		t.Fatalf("%d of 48 requests completed: %+v", ps.OK, ps.OpenLoopStats)
 	}
-	for i := 1; i < 5; i++ {
-		if got := run(); !reflect.DeepEqual(got, first) {
-			t.Fatalf("run %d diverged:\n got  %+v\n want %+v", i, got, first)
-		}
+	want := []uint64{0x7254096e4a00f385, 0x7254096e4a00f385, 0x7254096e4a00f385}
+	if got := shardDigests(ps, shards); !slices.Equal(got, want) {
+		t.Errorf("shard digests %#x, want %#x", got, want)
 	}
 }
 
@@ -69,7 +71,7 @@ func TestParallelOpenLoopDeterministic(t *testing.T) {
 func TestParallelOpenLoopOneCoreMatchesSequential(t *testing.T) {
 	opts := OpenLoopOptions{Path: "/index.html", Rate: 1500, Requests: 26}
 	for _, cores := range []int{1, 2, 3, 4} {
-		ps, err := ParallelOpenLoop(cores, mkShard(t), opts)
+		ps, err := ParallelOpenLoop(cores, mkShard(nil), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +82,7 @@ func TestParallelOpenLoopOneCoreMatchesSequential(t *testing.T) {
 		var lats []uint64
 		var maxElapsed uint64
 		for c := 0; c < cores; c++ {
-			tgt, err := mkShard(t)(c)
+			tgt, err := mkShard(nil)(c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +129,7 @@ func TestParallelOpenLoopOneCoreMatchesSequential(t *testing.T) {
 // shards complete their share.
 func TestParallelOpenLoopShardsLoad(t *testing.T) {
 	opts := OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 10}
-	ps, err := ParallelOpenLoop(4, mkShard(t), opts)
+	ps, err := ParallelOpenLoop(4, mkShard(nil), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,71 +150,55 @@ func TestParallelOpenLoopShardsLoad(t *testing.T) {
 // TestParallelOpenLoopUnderChaos is the chaos+SMP smoke: every shard runs
 // under supervision with an armed deterministic fault injector aimed at
 // RAMFS, and the sharded run must (a) terminate without a stall or an
-// uncontained panic, (b) actually inject and contain faults, and (c)
-// reproduce the same virtual-time figures and per-shard monitor stats on
-// a second run — chaos schedules are part of the determinism contract.
+// uncontained panic, (b) actually inject and contain faults, and (c) match
+// its pinned shard digests — chaos schedules are part of the determinism
+// contract.
 func TestParallelOpenLoopUnderChaos(t *testing.T) {
-	const cores = 2
-	run := func() (ParallelStats, []cubicle.Stats) {
-		targets := make([]*Target, cores)
-		mk := func(core int) (*Target, error) {
-			policy := cubicle.DefaultRestartPolicy()
-			policy.MaxRestarts = 1000
-			policy.CrossingBudget = 200_000_000
-			tgt, err := NewTargetOpts(Options{
-				Mode:        cubicle.ModeFull,
-				Supervision: &policy,
-				Chaos: &faultinject.Config{
-					Seed:           uint64(11 + core),
-					Target:         ramfs.Name,
-					ProtAtCrossing: 0.004,
-					ProtAtWindowOp: 0.002,
-					ProtAtRetag:    0.001,
-				},
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := tgt.PutFile("/index.html", make([]byte, 4096)); err != nil {
-				return nil, err
-			}
-			tgt.Sys.Chaos.Arm()
-			targets[core] = tgt
-			return tgt, nil
-		}
-		opts := OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 60}
-		ps, err := ParallelOpenLoop(cores, mk, opts)
+	shards := make([]*Target, 2)
+	mk := func(core int) (*Target, error) {
+		policy := cubicle.DefaultRestartPolicy()
+		policy.MaxRestarts = 1000
+		policy.CrossingBudget = 200_000_000
+		tgt, err := NewTargetOpts(Options{
+			Mode:        cubicle.ModeFull,
+			Supervision: &policy,
+			TraceEvents: 64,
+			Chaos: &faultinject.Config{
+				Seed:           uint64(11 + core),
+				Target:         ramfs.Name,
+				ProtAtCrossing: 0.004,
+				ProtAtWindowOp: 0.002,
+				ProtAtRetag:    0.001,
+			},
+		})
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		stats := make([]cubicle.Stats, cores)
-		for c, tgt := range targets {
-			st := tgt.Sys.M.Stats
-			st.Calls = nil // map iteration order irrelevant; edges checked via DeepEqual of counters
-			stats[c] = st
+		tgt.Sys.M.Tracer().StartDigest()
+		if err := tgt.PutFile("/index.html", make([]byte, 4096)); err != nil {
+			return nil, err
 		}
-		return virtualView(ps), stats
+		tgt.Sys.Chaos.Arm()
+		shards[core] = tgt
+		return tgt, nil
 	}
-	first, stats0 := run()
+	ps, err := ParallelOpenLoop(len(shards), mk, OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var injected, contained uint64
-	for _, st := range stats0 {
-		injected += st.InjectedFaults
-		contained += st.ContainedFaults
+	for _, tgt := range shards {
+		injected += tgt.Sys.M.Stats.InjectedFaults
+		contained += tgt.Sys.M.Stats.ContainedFaults
 	}
-	if injected == 0 {
-		t.Fatalf("chaos shards injected no faults; schedule or rate broken")
+	if injected == 0 || contained == 0 {
+		t.Fatalf("chaos shards injected %d faults and contained %d", injected, contained)
 	}
-	if contained == 0 {
-		t.Fatalf("faults injected but none contained: %+v", stats0)
+	if ps.OK == 0 {
+		t.Fatalf("no request survived the chaos run: %+v", ps.OpenLoopStats)
 	}
-	if first.OK == 0 {
-		t.Fatalf("no request survived the chaos run: %+v", first.OpenLoopStats)
-	}
-	again, stats1 := run()
-	if !reflect.DeepEqual(again, first) {
-		t.Fatalf("chaos SMP run not reproducible:\n got  %+v\n want %+v", again, first)
-	}
-	if !reflect.DeepEqual(stats1, stats0) {
-		t.Fatalf("per-shard chaos stats diverged:\n got  %+v\n want %+v", stats1, stats0)
+	want := []uint64{0x466baf417b220b3c, 0x9c2ef574501e3516}
+	if got := shardDigests(ps, shards); !slices.Equal(got, want) {
+		t.Errorf("shard digests %#x, want %#x", got, want)
 	}
 }

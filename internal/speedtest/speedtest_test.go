@@ -1,11 +1,13 @@
 package speedtest_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"cubicleos/internal/boot"
 	"cubicleos/internal/cubicle"
+	"cubicleos/internal/cubicle/cubicletest"
 	"cubicleos/internal/ramfs"
 	"cubicleos/internal/speedtest"
 	"cubicleos/internal/sqldb"
@@ -152,25 +154,24 @@ func TestUnknownQueryFails(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossRuns pins a size-5 pass in Unikraft mode: its
+// stream, clock and counters from the first statement on, with every
+// query's cycles folded in.
 func TestDeterministicAcrossRuns(t *testing.T) {
-	run := func() uint64 {
-		s, r := newRunner(t, 5)
-		var cycles uint64
-		err := s.RunAs("SQLITE", func(e *cubicle.Env) {
-			ms, err := r.RunAll(s.M.Clock.Cycles)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range ms {
-				cycles += m.Cycles
-			}
-		})
-		if err != nil {
+	s, r := newRunner(t, 5)
+	s.M.EnableTracing(64).StartDigest()
+	var ms []speedtest.Measurement
+	err := s.RunAs("SQLITE", func(e *cubicle.Env) {
+		var err error
+		if ms, err = r.RunAll(s.M.Clock.Cycles); err != nil {
 			t.Fatal(err)
 		}
-		return cycles
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("speedtest not deterministic: %d vs %d cycles", a, b)
+	const want = uint64(0x40546bec558894da)
+	if got := cubicletest.StreamDigest(s.M, fmt.Appendf(nil, "%v", ms)); got != want {
+		t.Errorf("speedtest digest %#x, want %#x", got, want)
 	}
 }

@@ -20,6 +20,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"sort"
 
@@ -224,6 +225,8 @@ type Tracer struct {
 	// spans.
 	open  [][]openCall
 	openM []openCall
+
+	digest uint64 // FNV-1a of the stream from StartDigest on; 0 before
 }
 
 type openCall struct {
@@ -294,10 +297,49 @@ func (t *Tracer) Record(k Kind, thread, cubicle, other int, arg, cost uint64, na
 	ev.Cost = cost
 	ev.Name = name
 	t.next++
+	if t.digest != 0 {
+		t.fold(ev)
+	}
 	if cost > 0 {
 		t.observeClass(k, cost)
 	}
 	return now
+}
+
+// StartDigest starts Digest from the events the ring holds, refusing
+// (false) once it has dropped one; Record folds each later event.
+func (t *Tracer) StartDigest() bool {
+	if t.Dropped() != 0 {
+		return false
+	}
+	t.digest = 14695981039346656037 // FNV-1a's offset basis
+	for i := range t.buf[:t.next] {
+		t.fold(&t.buf[i])
+	}
+	return true
+}
+
+// Digest is the FNV-1a of every event recorded (see fold), exact whatever
+// the ring's size; 0 until StartDigest.
+func (t *Tracer) Digest() uint64 { return t.digest }
+
+// fold adds Seq, Cycle, Kind, Thread, Cubicle, Other, Arg and Cost as
+// little-endian uint64s (the int32s sign-extended), then len(Name) and Name.
+func (t *Tracer) fold(ev *Event) {
+	var b [72]byte
+	for i, v := range [...]uint64{ev.Seq, ev.Cycle, uint64(ev.Kind), uint64(ev.Thread), uint64(ev.Cubicle),
+		uint64(ev.Other), ev.Arg, ev.Cost, uint64(len(ev.Name))} {
+		binary.LittleEndian.PutUint64(b[8*i:], v)
+	}
+	t.digest = FNV(FNV(t.digest, b[:]), ev.Name)
+}
+
+// FNV continues the 64-bit FNV-1a h over the bytes of b.
+func FNV[B string | []byte](h uint64, b B) uint64 {
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * 1099511628211
+	}
+	return h
 }
 
 // observeClass folds one cost observation into the event class histogram.

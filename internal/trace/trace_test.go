@@ -68,12 +68,20 @@ func TestHistQuantile(t *testing.T) {
 	}
 }
 
+// TestRingWrapKeepsCounts: 100 events through a 16-event ring are all
+// counted and the newest 16 kept in order, and the digest started on the
+// empty ring folds them exactly as a ring that holds them all does;
+// recording into it allocates nothing, and the wrapped ring refuses to
+// start another.
 func TestRingWrapKeepsCounts(t *testing.T) {
 	clock := &cycles.Clock{}
-	tr := New(clock, 16)
+	tr, whole := New(clock, 16), New(clock, 128)
+	tr.StartDigest()
 	for i := 0; i < 100; i++ {
 		clock.Charge(10)
-		tr.Record(EvRetag, -1, 1, 2, uint64(i), 0, "")
+		for _, r := range []*Tracer{tr, whole} {
+			r.Record(Kind(i%int(NumKinds)), i%3-1, i, -i, uint64(i)<<40, 0, kindNames[i%int(NumKinds)])
+		}
 	}
 	if got := tr.Recorded(); got != 100 {
 		t.Fatalf("recorded = %d, want 100 despite ring wrap", got)
@@ -90,6 +98,15 @@ func TestRingWrapKeepsCounts(t *testing.T) {
 		if want := uint64(100 - 16 + i); ev.Seq != want {
 			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, want)
 		}
+	}
+	if whole.StartDigest(); whole.Digest() != tr.Digest() || tr.Digest() == 0 {
+		t.Errorf("digest %#x folded as recorded, %#x from the ring", tr.Digest(), whole.Digest())
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.Record(EvCopy, 0, 1, 2, 3, 0, "copy") }); n != 0 {
+		t.Errorf("recording into a digest allocates %.1f objects", n)
+	}
+	if tr.StartDigest() {
+		t.Error("a ring that dropped events started a digest")
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/cycles"
 	"cubicleos/internal/ramfs"
-	"cubicleos/internal/trace"
 	"cubicleos/internal/vfscore"
 )
 
@@ -107,14 +106,13 @@ type ipcCall struct {
 	spec  payloadSpec
 	name  string // operation name, for trace events
 	cost  uint64 // per-call IPC cost of this boundary
-	mon   *cubicle.Monitor
 	stats *Stats
 }
 
 // Call marshals, switches, dispatches and replies.
 func (c ipcCall) Call(e *cubicle.Env, args ...uint64) []uint64 {
 	c.stats.Calls++
-	clock := c.mon.Clock
+	clock := e.M.Clock
 	clock.Charge(c.cost)
 	overhead := c.cost
 	// In-payload: copy into the message at the caller, out of it at the
@@ -141,9 +139,7 @@ func (c ipcCall) Call(e *cubicle.Env, args ...uint64) []uint64 {
 		c.stats.BytesCopied += 2 * n
 		payload += 2 * n
 	}
-	if trc := c.mon.Tracer(); trc != nil {
-		trc.Record(trace.EvIPC, e.T.TID(), int(e.Cubicle()), 0, payload, overhead, c.name)
-	}
+	e.NoteIPC(c.name, payload, overhead)
 	return rets
 }
 
@@ -189,7 +185,7 @@ func NewSQLite(model KernelModel, components int, app *cubicle.Component) (*Depl
 			if !ok {
 				spec = payloadSpec{lenArg: -1}
 			}
-			return ipcCall{inner: inner, model: model, spec: spec, name: name, cost: cost, mon: sys.M, stats: &d.Stats}
+			return ipcCall{inner: inner, model: model, spec: spec, name: name, cost: cost, stats: &d.Stats}
 		}
 	}
 

@@ -11,6 +11,10 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# Every pinned digest again, twice in one process: state a run leaves
+# behind in the process must not move the next run's stream.
+go test -count 2 -run 'TestStreamDigestsPinned|TestSMPCoresSurchargeStreamPinned|TestSMP(ParallelRetagsDeterministic|SharedPageRetagsConserve)|TestParallelOpenLoop(Deterministic|UnderChaos)|TestChaosScheduleIsDeterministic|TestDeterministicAcrossRuns' . ./internal/cubicle/ ./internal/siege/ ./internal/speedtest/
+
 # The exact allocation counts of a fetch, an open-loop arrival, a cluster
 # arrival (the benchmark bounds allocs_per_op at 2 %, less than an object a
 # request) and a steady-state checkpoint sweep skip under the race

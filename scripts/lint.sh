@@ -58,14 +58,21 @@ if [ -n "$clocks" ]; then
     fail "internal/cubicle or internal/trace constructs a cycles.Clock outside NewMonitor"
 fi
 
-# One recorder (DESIGN.md §6): an event happens in internal/cubicle only
-# through note, which bumps the event's Counters rows in Stats and, with
-# tracing on, appends it to the ring. No other code there bumps a Stats
-# counter or calls the tracer, save CallExit closing the span note opened.
-notes="$(awk '/^func /{fn=$0} /Stats\.[A-Za-z]+(\[[^]]*\])?[[:space:]]*(\+\+|\+=)/ || (/\.trc\.[A-Za-z]+\(/ && !/\.trc\.CallExit\(/) { if (fn !~ /^func \(m \*Monitor\) note\(/) print FILENAME ":" FNR ": " $0 }' $(ls internal/cubicle/*.go | grep -v _test.go))"
+# One recorder (DESIGN.md §6): an event happens only through
+# internal/cubicle's note, which bumps the event's Counters rows in Stats
+# and, with tracing on, appends it to the ring. No other code there bumps a
+# Stats counter or calls the tracer, and no non-test file of any package
+# outside internal/trace records into a tracer (Record, CallEnter,
+# CallExit) — save CallExit in internal/cubicle closing the span note opened.
+notes="$(find . -name '*.go' -not -name '*_test.go' -not -path './internal/trace/*' | xargs awk '
+    FNR == 1 { fn = ""; cub = FILENAME ~ /^\.\/internal\/cubicle\/[^\/]*$/ }
+    /^func / { fn = $0 }
+    (cub && (/Stats\.[A-Za-z]+(\[[^]]*\])?[[:space:]]*(\+\+|\+=)/ || /\.trc\.[A-Za-z]+\(/)) || /\.(Record|CallEnter|CallExit)\(/ {
+        if (fn !~ /^func \(m \*Monitor\) note\(/ && !(cub && /\.CallExit\(/)) print FILENAME ":" FNR ": " $0
+    }')"
 if [ -n "$notes" ]; then
     echo "$notes"
-    fail "internal/cubicle bumps a Stats counter or calls the tracer outside note"
+    fail "a Stats counter bumped or a tracer called outside internal/cubicle's note"
 fi
 
 # One view maker a package (DESIGN.md §16): a text that aliases a record's
