@@ -159,66 +159,49 @@ func TestStatsResetGivesFreshMap(t *testing.T) {
 	}
 }
 
-// TestTracingDisabledAddsNoAllocations is the benchmark guard in test
-// form: with no tracer attached, the cross-cubicle call path must not
-// allocate, so ModeFull measurements are unaffected by the existence of
-// the observability layer.
-func TestTracingDisabledAddsNoAllocations(t *testing.T) {
-	ts := bootPair(t, ModeFull)
-	h := ts.m.MustResolve(ts.cubs["BAR"].ID, "FOO", "foo_noop")
-	ts.enter(t, "BAR", func(e *Env) {
-		// Warm up: first calls populate the per-edge stats map and any
-		// lazily-built thread state.
-		for i := 0; i < 16; i++ {
-			h.Call(e)
-		}
-		allocs := testing.AllocsPerRun(200, func() { h.Call(e) })
-		// Generous margin: the call path itself is allocation-free; allow
-		// a stray allocation for runtime noise but fail on a per-call
-		// event or label allocation sneaking in.
-		if allocs > 0.5 {
-			t.Fatalf("tracing-disabled call allocates %.2f objects/op, want 0", allocs)
-		}
-	})
-}
-
 // TestCrossingWithWordsAddsNoAllocations is the exact gate on the crossing
 // ABI: a call that carries three argument words and returns two allocates
 // nothing — the words ride the thread's word stack, the results its
 // scratch — in the three monitor shapes the benchmark's HTTP workloads
 // run, all through the one crossing body: bare, supervised (the contain
 // defer registered) and checkpointing (entered at depth 0 so the cadence
-// gate runs).
+// gate runs). The "noop" row is a cubicle-to-cubicle crossing with no
+// words and no tracer: the observability layer costs an untraced crossing
+// nothing.
 func TestCrossingWithWordsAddsNoAllocations(t *testing.T) {
+	leaf3 := func(t *testing.T, w *abiWorld) {
+		if r := w.monLeaf3.Call(w.env, 1, 2, 3); r[0] != 3 || r[1] != 3 {
+			t.Fatalf("leaf3(1, 2, 3) returned %v, want [3 3]", r)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		wire func(m *Monitor)
+		call func(t *testing.T, w *abiWorld)
 	}{
-		{"bare", nil},
-		{"supervised", func(m *Monitor) { m.EnableContainment(DefaultRestartPolicy()) }},
-		{"checkpointing", func(m *Monitor) { m.EnableCheckpoints(5_000_000) }},
+		{"bare", nil, leaf3},
+		{"supervised", func(m *Monitor) { m.EnableContainment(DefaultRestartPolicy()) }, leaf3},
+		{"checkpointing", func(m *Monitor) { m.EnableCheckpoints(5_000_000) }, leaf3},
+		{"noop", nil, func(t *testing.T, w *abiWorld) {
+			w.enter(t, "APP", func(e *Env) { w.noop.Call(e) })
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := bootABI(t, tc.wire)
-			e := w.env
-			call := func() {
-				if r := w.monLeaf3.Call(e, 1, 2, 3); r[0] != 3 || r[1] != 3 {
-					t.Fatalf("leaf3(1, 2, 3) returned %v, want [3 3]", r)
-				}
-			}
+			call := func() { tc.call(t, w) }
 			for i := 0; i < 16; i++ {
 				call() // the per-edge stats entry, LEAF's stack, the word stack
 			}
 			if allocs := testing.AllocsPerRun(1000, call); allocs != 0 {
-				t.Fatalf("a 3-words-in, 2-words-out crossing allocates %.0f objects, want 0", allocs)
+				t.Fatalf("a crossing allocates %.0f objects, want 0", allocs)
 			}
 		})
 	}
 }
 
 // BenchmarkCrossingArgsRets is the crossing real callers make — three
-// argument words in, two result words out. scripts/bench.sh -assert gates
-// its allocs/op at exactly 0.
+// argument words in, two result words out; TestCrossingWithWordsAddsNoAllocations
+// gates its allocations.
 func BenchmarkCrossingArgsRets(b *testing.B) {
 	w := bootABI(b, nil)
 	e := w.env
@@ -231,78 +214,70 @@ func BenchmarkCrossingArgsRets(b *testing.B) {
 	}
 }
 
-// benchCall measures one FOO←BAR noop cross-cubicle call in ModeFull.
-func benchCall(b *testing.B, traced bool) {
-	var tt testing.T
-	ts := bootPair(&tt, ModeFull)
-	if tt.Failed() {
-		b.Fatal("boot failed")
-	}
-	if traced {
-		ts.m.EnableTracing(1 << 12)
-	}
-	h := ts.m.MustResolve(ts.cubs["BAR"].ID, "FOO", "foo_noop")
-	cub := ts.cubs["BAR"]
-	e := ts.env
-	e.T.pushFrame(cub.ID, true)
-	defer e.T.popFrame()
-	ts.m.wrpkru(e.T, ts.m.pkruFor(cub.ID))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Call(e)
-	}
-}
-
-func BenchmarkCallTracingDisabled(b *testing.B) { benchCall(b, false) }
-func BenchmarkCallTracingEnabled(b *testing.B)  { benchCall(b, true) }
-
-// BenchmarkCallTracingPaired measures the tracing-overhead ratio with
-// traced and untraced batches interleaved at ~10 µs granularity, so host
-// noise (CPU contention on a shared machine) hits both sides equally and
-// cancels in the quotient. The "ratio" metric is what
-// scripts/bench.sh -assert gates; the two plain benchmarks above report
-// the absolute ns/op.
-func BenchmarkCallTracingPaired(b *testing.B) {
-	var tt testing.T
-	boot := func(traced bool) (Handle, *Env) {
-		ts := bootPair(&tt, ModeFull)
-		if tt.Failed() {
-			b.Fatal("boot failed")
-		}
+// tracingPair boots two ModeFull systems, the second traced, and returns a
+// function that makes calls BAR→FOO noop crossings on each, in interleaved
+// batches of about 100 µs, so host noise (CPU contention on a shared
+// machine) hits both sides equally and cancels in the quotient it returns:
+// the traced side's host time over the untraced side's.
+func tracingPair(tb testing.TB) func(calls int) float64 {
+	boot := func(traced bool) func(n int) {
+		ts := bootPair(tb, ModeFull)
 		if traced {
 			ts.m.EnableTracing(1 << 12)
 		}
-		h := ts.m.MustResolve(ts.cubs["BAR"].ID, "FOO", "foo_noop")
+		bar := ts.cubs["BAR"].ID
+		h := ts.m.MustResolve(bar, "FOO", "foo_noop")
 		e := ts.env
-		e.T.pushFrame(ts.cubs["BAR"].ID, true)
-		ts.m.wrpkru(e.T, ts.m.pkruFor(ts.cubs["BAR"].ID))
-		return h, e
+		e.T.pushFrame(bar, true)
+		ts.m.wrpkru(e.T, ts.m.pkruFor(bar))
+		return func(n int) {
+			for i := 0; i < n; i++ {
+				h.Call(e)
+			}
+		}
 	}
-	hDis, eDis := boot(false)
-	hEn, eEn := boot(true)
+	untraced, traced := boot(false), boot(true)
+	return func(calls int) float64 {
+		const batch = 512
+		var tDis, tEn time.Duration
+		for n := 0; n < calls; n += batch {
+			k := min(batch, calls-n)
+			t0 := time.Now()
+			untraced(k)
+			t1 := time.Now()
+			traced(k)
+			tDis += t1.Sub(t0)
+			tEn += time.Since(t1)
+		}
+		return float64(tEn) / float64(tDis)
+	}
+}
 
-	const batch = 512
-	var tDis, tEn time.Duration
+// raceBuild is set by race_test.go.
+var raceBuild bool
+
+// TestTracingOverheadRatio is the always-on observability gate: a traced
+// crossing costs at most 1.9 times an untraced one in host time
+// (EXPERIMENTS.md, "Tracing overhead", has how the ratio moved). The call
+// count is fixed, about a second of crossings on a 2-vCPU host.
+func TestTracingOverheadRatio(t *testing.T) {
+	if raceBuild {
+		t.Skip("race instrumentation, not the tracer, sets the ratio")
+	}
+	const calls, limit = 5_000_000, 1.9
+	if r := tracingPair(t)(calls); r > limit {
+		t.Errorf("a traced crossing costs %.3f times an untraced one, want at most %.1f", r, limit)
+	} else {
+		t.Logf("tracing overhead ratio %.3f", r)
+	}
+}
+
+// BenchmarkCallTracingPaired reports tracingPair's quotient over b.N
+// crossings a side as its "ratio" metric.
+func BenchmarkCallTracingPaired(b *testing.B) {
+	ratio := tracingPair(b)
 	b.ResetTimer()
-	for n := 0; n < b.N; n += batch {
-		k := batch
-		if rem := b.N - n; rem < k {
-			k = rem
-		}
-		t0 := time.Now()
-		for i := 0; i < k; i++ {
-			hDis.Call(eDis)
-		}
-		t1 := time.Now()
-		for i := 0; i < k; i++ {
-			hEn.Call(eEn)
-		}
-		tDis += t1.Sub(t0)
-		tEn += time.Since(t1)
-	}
+	r := ratio(b.N)
 	b.StopTimer()
-	if tDis > 0 {
-		b.ReportMetric(float64(tEn)/float64(tDis), "ratio")
-	}
+	b.ReportMetric(r, "ratio")
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"cubicleos/internal/cubicle"
@@ -12,6 +13,13 @@ import (
 // speedtestPass boots the benchmark's SQLite deployment (Figure 8 layout,
 // full isolation, size 100), fills the schema and runs every query.
 func speedtestPass(tb testing.TB) *SQLiteTarget {
+	tgt := speedtestSetup(tb)
+	speedtestQueries(tb, tgt)
+	return tgt
+}
+
+// speedtestSetup boots the deployment and fills the schema.
+func speedtestSetup(tb testing.TB) *SQLiteTarget {
 	tgt, err := NewSQLiteTarget(cubicle.ModeFull, nil, 100, UnikraftWorkScale)
 	if err != nil {
 		tb.Fatal(err)
@@ -19,12 +27,17 @@ func speedtestPass(tb testing.TB) *SQLiteTarget {
 	if err := tgt.Setup(); err != nil {
 		tb.Fatal(err)
 	}
+	return tgt
+}
+
+// speedtestQueries runs the 31 queries: what the repo benchmark's
+// sqlite_speedtest measures of an operation.
+func speedtestQueries(tb testing.TB, tgt *SQLiteTarget) {
 	for _, id := range speedtest.QueryIDs {
 		if _, err := tgt.RunQuery(id); err != nil {
 			tb.Fatalf("query %d: %v", id, err)
 		}
 	}
-	return tgt
 }
 
 // TestSpeedtestImagePinned pins what a change to the engine's host side
@@ -62,6 +75,38 @@ func TestSpeedtestImagePinned(t *testing.T) {
 	}
 }
 
+// raceBuild is set by race_test.go.
+var raceBuild bool
+
+// TestSpeedtestPassAllocations bounds what one pass allocates, and of it
+// what the 31 queries allocate (the benchmark's alloc_bytes_per_op and
+// allocs_per_op): 7 970 400 bytes at most a pass in a process that has
+// booted nothing before, 2 008 912 bytes its queries, both bounded 10 %
+// above, and exactly 647 objects its queries (8 031 while aggregate
+// state, index bounds, splits and the journal's inode were made afresh).
+// A page miss takes an evicted frame, a mapped page costs no frame until
+// it is written, a row's text is read in place, a statement reuses the
+// parser's nodes and the DB's buffers and arenas, a spilled pre-image's
+// buffer goes back to the free list, and RAMFS recreates the journal from
+// the inode it last unlinked (DESIGN.md §16). Counted on one P, as the
+// checkpoint sweep's are.
+func TestSpeedtestPassAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms0, ms1, ms2 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	tgt := speedtestSetup(t)
+	runtime.ReadMemStats(&ms1)
+	speedtestQueries(t, tgt)
+	runtime.ReadMemStats(&ms2)
+	pass, queries, objs := ms2.TotalAlloc-ms0.TotalAlloc, ms2.TotalAlloc-ms1.TotalAlloc, ms2.Mallocs-ms1.Mallocs
+	if pass > 8_767_440 || queries > 2_209_804 || objs > 647 {
+		t.Errorf("a pass allocates %d bytes, its queries %d in %d objects; want at most 8 767 440, 2 209 804 in 647", pass, queries, objs)
+	}
+}
+
 // BenchmarkSpeedtestPass is one sqlite_speedtest operation of the repo
 // benchmark plus its set-up: boot, fill, 31 queries.
 func BenchmarkSpeedtestPass(b *testing.B) {
@@ -71,25 +116,15 @@ func BenchmarkSpeedtestPass(b *testing.B) {
 	}
 }
 
-// BenchmarkSpeedtestQueries is what the repo benchmark's sqlite_speedtest
-// measures of an operation: the 31 queries on a freshly booted and filled
-// deployment, the boot and the fill outside the timer and the counts.
+// BenchmarkSpeedtestQueries times the 31 queries on a freshly booted and
+// filled deployment, the boot and the fill outside the timer and the
+// counts.
 func BenchmarkSpeedtestQueries(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		tgt, err := NewSQLiteTarget(cubicle.ModeFull, nil, 100, UnikraftWorkScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tgt.Setup(); err != nil {
-			b.Fatal(err)
-		}
+		tgt := speedtestSetup(b)
 		b.StartTimer()
-		for _, id := range speedtest.QueryIDs {
-			if _, err := tgt.RunQuery(id); err != nil {
-				b.Fatalf("query %d: %v", id, err)
-			}
-		}
+		speedtestQueries(b, tgt)
 	}
 }

@@ -319,45 +319,57 @@ func TestOpenLoopAllocationCounts(t *testing.T) {
 
 // TestCheckpointSweepAllocatesNothing: once two sweeps have grown the
 // monitor's image, the hooks' blobs and both encode buffers of every
-// record, a checkpoint sweep of an idle governed target allocates no
-// object and no byte (280 064 bytes in 18 objects while every capture
-// built its image, blobs and encoding afresh). Counts are whole objects
-// and bytes a sweep, as testing.AllocsPerRun takes them, on one P: what
-// the runtime allocates for itself now and then (a thread it starts on a
-// loaded host) is not the sweep's.
+// record, a checkpoint sweep of an idle target allocates no object and no
+// byte (280 064 bytes in 18 objects while every capture built its image,
+// blobs and encoding afresh) — on the governed deployment, and on the one
+// a cluster backend runs: supervised, closed sockets reaped, 32 files.
+// Counts are whole objects and bytes a sweep, as testing.AllocsPerRun
+// takes them, on one P: what the runtime allocates for itself now and then
+// (a thread it starts on a loaded host) is not the sweep's.
 func TestCheckpointSweepAllocatesNothing(t *testing.T) {
 	if raceBuild {
 		t.Skip("exact allocation counts are not meaningful under the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const interval = 5_000_000
-	o := Options{Mode: cubicle.ModeFull}.Governed()
-	o.CheckpointInterval = interval
-	tgt, err := NewTargetOpts(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seededFiles(t, tgt, 4, 4<<10)
-	m := tgt.Sys.M
-	sweep := func() {
-		m.Clock.Charge(interval)
-		tgt.Step()
-	}
-	sweep()
-	sweep()
-	const sweeps = 100
-	before := m.Stats.Checkpoints
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	for i := 0; i < sweeps; i++ {
-		sweep()
-	}
-	runtime.ReadMemStats(&ms1)
-	if got := m.Stats.Checkpoints - before; got < sweeps {
-		t.Fatalf("%d sweeps took %d checkpoints, want at least one each", sweeps, got)
-	}
-	if objs, b := ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc; objs/sweeps != 0 || b/sweeps != 0 {
-		t.Errorf("%d steady-state sweeps allocated %d objects, %d bytes; want none", sweeps, objs, b)
+	policy := cubicle.DefaultRestartPolicy()
+	for _, tc := range []struct {
+		name  string
+		o     Options
+		files int
+	}{
+		{"governed", Options{Mode: cubicle.ModeFull}.Governed(), 4},
+		{"production", Options{Mode: cubicle.ModeFull, Supervision: &policy, ReapClosed: true}, 32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.o.CheckpointInterval = interval
+			tgt, err := NewTargetOpts(tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seededFiles(t, tgt, tc.files, 4<<10)
+			m := tgt.Sys.M
+			sweep := func() {
+				m.Clock.Charge(interval)
+				tgt.Step()
+			}
+			sweep()
+			sweep()
+			const sweeps = 100
+			before := m.Stats.Checkpoints
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			for i := 0; i < sweeps; i++ {
+				sweep()
+			}
+			runtime.ReadMemStats(&ms1)
+			if got := m.Stats.Checkpoints - before; got < sweeps {
+				t.Fatalf("%d sweeps took %d checkpoints, want at least one each", sweeps, got)
+			}
+			if objs, b := ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc; objs/sweeps != 0 || b/sweeps != 0 {
+				t.Errorf("%d steady-state sweeps allocated %d objects, %d bytes; want none", sweeps, objs, b)
+			}
+		})
 	}
 }
 

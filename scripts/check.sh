@@ -15,11 +15,13 @@ go test -race ./...
 # behind in the process must not move the next run's stream.
 go test -count 2 -run 'TestStreamDigestsPinned|TestSMPCoresSurchargeStreamPinned|TestSMP(ParallelRetagsDeterministic|SharedPageRetagsConserve)|TestParallelOpenLoop(Deterministic|UnderChaos)|TestChaosScheduleIsDeterministic|TestDeterministicAcrossRuns' . ./internal/cubicle/ ./internal/siege/ ./internal/speedtest/
 
-# The exact allocation counts of a fetch, an open-loop arrival, a cluster
-# arrival (the benchmark bounds allocs_per_op at 2 %, less than an object a
-# request) and a steady-state checkpoint sweep skip under the race
-# detector, so they run plain.
-go test -run 'TestFetchAllocationCounts|TestOpenLoopAllocationCounts|TestClusterAllocationCounts|TestCheckpointSweepAllocatesNothing' ./internal/siege/ ./internal/cluster/
+# The allocation gates the race detector's instrumentation moves — the
+# exact counts of a fetch, an open-loop arrival, a cluster arrival (the
+# benchmark bounds allocs_per_op at 2 %, less than an object a request) and
+# a steady-state checkpoint sweep, the bounds of a warm boot and a speedtest
+# pass — and the tracing-overhead ratio (paired, <= 1.9) skip under it, so
+# they run plain.
+go test -run 'TestFetchAllocationCounts|TestOpenLoopAllocationCounts|TestClusterAllocationCounts|TestCheckpointSweepAllocatesNothing|TestTable2BootAllocations|TestSpeedtestPassAllocations|TestTracingOverheadRatio' . ./internal/siege/ ./internal/cluster/ ./internal/experiments/ ./internal/cubicle/
 
 # benchmark/ is a Go module of its own that `./...` never reaches: it
 # keeps traced copies of siege's request loop that must cost the same
@@ -28,15 +30,11 @@ go test -run 'TestFetchAllocationCounts|TestOpenLoopAllocationCounts|TestCluster
 go vet -C benchmark ./...
 go test -C benchmark ./...
 
-# The design rules the compiler does not check and the reachability gate
-# (DESIGN.md §6, §10, §12, §16); every defer of the trampoline open-coded
-# (§15); every benchmark of the module once; then the tracing-overhead ratio
-# (paired, ≤ 1.9) and the exact allocation gates of crossings, rows and a
-# speedtest pass.
+# The design rules the compiler does not check, every defer of the
+# trampoline open-coded and the reachability gate (DESIGN.md §6, §10, §12,
+# §15, §16); then every benchmark of the module once.
 ./scripts/lint.sh
-./scripts/defercheck.sh
-./scripts/bench.sh -quick >/dev/null
-./scripts/bench.sh -assert
+go test -run '^$' -bench . -benchtime 1x ./... >/dev/null
 
 set +x
 . scripts/runlib.sh
@@ -46,5 +44,5 @@ runall smoke "$bin"
 ./scripts/runcover.sh
 
 # Baseline for the next simplicity PR.
-echo "check.sh: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l) non-test Go lines outside benchmark/, $(find internal/siege internal/cluster -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) of them in internal/siege + internal/cluster, $(find cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) under cmd/"
+echo "check.sh: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l) non-test Go lines outside benchmark/, $(find internal/siege internal/cluster -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) of them in internal/siege + internal/cluster, $(find cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) under cmd/, $(find scripts -type f | xargs cat | wc -l) lines in scripts/"
 echo "check.sh: all green"

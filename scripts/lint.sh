@@ -90,6 +90,18 @@ for f in internal/sqldb/value.go internal/speedtest/speedtest.go; do
     fi
 done
 
+# Open-coded defers (DESIGN.md §15): a defer the compiler does not
+# open-code goes through runtime.deferprocStack and the panic-time defer
+# walk on every crossing, so Handle.Call is split into bodies of at most
+# two defers and one return; every defer of trampoline.go is open-coded.
+defers="$(go build -gcflags=-d=defer ./internal/cubicle 2>&1 | grep 'trampoline\.go' || true)"
+if [ -z "$defers" ]; then
+    fail "the compiler reported no defers in internal/cubicle/trampoline.go"
+fi
+if echo "$defers" | grep -v 'open-coded defer$'; then
+    fail "the defers above are not open-coded"
+fi
+
 # Reachability (reach_test.go): every exported name under internal/ is
 # reached by name from non-test code, or allowed with its reason.
 go test -count=1 -run '^TestExportedNamesAreReached$' .
