@@ -39,7 +39,8 @@ func TestCheckFlags(t *testing.T) {
 
 // TestDocsQuoteTheClaims: EXPERIMENTS.md quotes every claim line
 // cubicle-bench -fig all -size 100 prints, and every claim line it or
-// README.md quotes is one of them.
+// README.md quotes is one of them. Figure 7's section, as -fig 7 prints
+// it, is byte for byte fig7Golden: the paper's ≈2× large-file result.
 func TestDocsQuoteTheClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("draws every figure at size 100")
@@ -47,8 +48,13 @@ func TestDocsQuoteTheClaims(t *testing.T) {
 	var out strings.Builder
 	d := &drawing{100, 8, experiments.Runs{}}
 	for _, f := range figures {
-		if err := f.draw(&out, d); err != nil {
+		var section strings.Builder
+		if err := f.draw(&section, d); err != nil {
 			t.Fatal(err)
+		}
+		out.WriteString(section.String())
+		if f.name == "7" {
+			checkFig7(t, "==== "+f.title+" ====\n"+section.String()+"\n")
 		}
 	}
 	printed := claimLines(out.String())
@@ -81,4 +87,34 @@ func claimLines(text string) map[string]bool {
 		}
 	}
 	return lines
+}
+
+// fig7Golden is what cubicle-bench -fig 7 prints.
+const fig7Golden = "testdata/fig7_seed.golden"
+
+// checkFig7 fails unless got is fig7Golden, naming the first line that
+// differs and the command that rewrites the golden.
+func checkFig7(t *testing.T, got string) {
+	t.Helper()
+	want, err := os.ReadFile(fig7Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	at := func(lines []string) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "(end of text)"
+	}
+	t.Errorf("Figure 7 differs from %s at line %d:\n got %q\nwant %q\n"+
+		"a change that moves it on purpose rewrites it: go run ./cmd/cubicle-bench -fig 7 > cmd/cubicle-bench/%s",
+		fig7Golden, i+1, at(g), at(w), fig7Golden)
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"cubicleos/internal/cubicle"
 	"cubicleos/internal/faultinject"
@@ -74,9 +75,16 @@ func TestClusterAllocationCounts(t *testing.T) {
 }
 
 // TestClusterGoodputScales: N backends at N× the single-backend offered
-// rate complete (nearly) everything — goodput scales with fleet size.
+// rate complete (nearly) everything — goodput scales with fleet size, to
+// at least 0.8 × N × one backend's (1.6× at 2, 3.2× at 4; it reads
+// exactly 2× and 4×) — at one backend's tail latency: p99 within 1 %
+// (5.4394 ms at every size). At this load goodput is the offered rate,
+// so only the tail sees a backend that serves slowly: one of four slowed
+// 3× reads 5.67 ms if it is backend 0, 5.50 ms if it is backend 2.
 func TestClusterGoodputScales(t *testing.T) {
-	goodput := map[int]float64{}
+	// One backend's goodput and p99.
+	var goodput float64
+	var p99 time.Duration
 	for _, n := range []int{1, 2, 4} {
 		c := bootCluster(t, Options{Backends: n, Mode: cubicle.ModeFull})
 		st, err := c.RunOpenLoop(RunOptions{Path: "/index.html", Rate: 1500 * float64(n), Requests: 40 * n})
@@ -87,12 +95,18 @@ func TestClusterGoodputScales(t *testing.T) {
 		if st.OK < st.Arrivals*9/10 {
 			t.Fatalf("backends=%d: only %d/%d OK", n, st.OK, st.Arrivals)
 		}
-		goodput[n] = st.GoodputRPS
 		t.Logf("backends=%d goodput=%.0f rps p50=%v p99=%v", n, st.GoodputRPS, st.P50, st.P99)
-	}
-	if goodput[2] < 1.5*goodput[1] || goodput[4] < 2.5*goodput[1] {
-		t.Fatalf("goodput does not scale: 1→%.0f 2→%.0f 4→%.0f rps",
-			goodput[1], goodput[2], goodput[4])
+		if n == 1 {
+			goodput, p99 = st.GoodputRPS, st.P99
+			continue
+		}
+		if want := 0.8 * float64(n) * goodput; st.GoodputRPS < want {
+			t.Errorf("goodput does not scale: %d backends reach %.0f rps, want >= %.0f (1 backend: %.0f)",
+				n, st.GoodputRPS, want, goodput)
+		}
+		if float64(st.P99) > 1.01*float64(p99) {
+			t.Errorf("%d backends' p99 %v is more than 1%% over one backend's %v", n, st.P99, p99)
+		}
 	}
 }
 

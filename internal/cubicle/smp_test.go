@@ -186,11 +186,11 @@ func smpPingPong(t *testing.T, cores, iters int, size uint64) smpRun {
 	return smpRun{digest: h, stats: m.Stats, ts: ts, addrs: addrs}
 }
 
-// TestSMPParallelRetagsDeterministic is the monitor-level determinism gate:
+// TestSMPParallelRetagsPinned is the monitor-level determinism gate:
 // two interleaved threads hammer cross-cubicle calls and trap-and-map retags
 // of their own pages, and the run's clocks, stats and events match their
 // pinned digest.
-func TestSMPParallelRetagsDeterministic(t *testing.T) {
+func TestSMPParallelRetagsPinned(t *testing.T) {
 	r := smpPingPong(t, 2, 40, 4096)
 	if want := uint64(0x6470e0531749ae23); r.digest != want {
 		t.Errorf("digest %#x, want %#x", r.digest, want)
@@ -203,14 +203,14 @@ func TestSMPParallelRetagsDeterministic(t *testing.T) {
 	}
 }
 
-// TestSMPSharedPageRetagsConserve is the contended shape: both threads'
+// TestSMPSharedPageRetagsPinned is the contended shape: both threads'
 // 64-byte buffers sit on ONE heap page, so each thread's trap retags the page
 // the other thread last held. One goroutine drives both threads, so their
 // retags are ordered by program order and the run is held to a pinned
 // digest like the disjoint-page shape — on top of the conservation laws:
 // no call, window op or store is lost, every trap is answered by exactly
 // one retag and one shootdown, and nothing is denied.
-func TestSMPSharedPageRetagsConserve(t *testing.T) {
+func TestSMPSharedPageRetagsPinned(t *testing.T) {
 	const iters = 40
 	r := smpPingPong(t, 2, iters, 64)
 	if want := uint64(0xf18f1f1a308fa034); r.digest != want {

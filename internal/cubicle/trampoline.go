@@ -136,7 +136,7 @@ func (tr *Trampoline) GuardAddr(caller ID) vm.Addr { return tr.guards[caller] }
 // checkpoint cadence, admission, call accounting — and holds no defer; the
 // two bodies it ends in (callLocal, cross) have one return and at most two
 // defers each, which keeps every defer in this file open-coded
-// (scripts/defercheck.sh fails on one that is not).
+// (scripts/lint.sh's defer rule fails on one that is not).
 func (h Handle) Call(e *Env, args ...uint64) []uint64 {
 	if h.tr == nil {
 		panic(&CFIFault{Cubicle: e.T.cur, Target: "<nil>", Reason: "call through unresolved handle"})

@@ -118,11 +118,11 @@ func TestSiegeUnderChaos(t *testing.T) {
 	}
 }
 
-// TestChaosScheduleIsDeterministic pins reproducibility end to end: a
+// TestChaosSchedulePinned pins reproducibility end to end: a
 // target booted with seed 21 and driven through the same workload matches
 // its pinned stream digest: the fault schedule, every crossing and the
 // containment counters.
-func TestChaosScheduleIsDeterministic(t *testing.T) {
+func TestChaosSchedulePinned(t *testing.T) {
 	policy := cubicle.DefaultRestartPolicy()
 	policy.MaxRestarts = 1000
 	tgt, err := NewTargetOpts(Options{

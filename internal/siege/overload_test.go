@@ -89,6 +89,13 @@ func TestOpenLoopGracefulDegradation(t *testing.T) {
 	if gHi.MaxConns > 16 {
 		t.Errorf("admission control leaked: MaxConns = %d, limit 16", gHi.MaxConns)
 	}
+	// The run is deterministic, so its split is pinned too: OpenLoop
+	// samples the connection count between steps and reads 12 under the
+	// limit of 16, so only the split sees the limit move (at 17: 64
+	// completed, 56 shed, 13 connections).
+	if gHi.OK != 61 || gHi.Shed != 59 || gHi.MaxConns != 12 {
+		t.Errorf("governed run at 8000 rps: ok=%d shed=%d maxconns=%d, want 61/59/12", gHi.OK, gHi.Shed, gHi.MaxConns)
+	}
 	if gHi.P99 >= uHi.P99 {
 		t.Errorf("governed p99 %v not below ungoverned p99 %v", gHi.P99, uHi.P99)
 	}

@@ -41,11 +41,11 @@ func shardDigests(ps *ParallelStats, shards []*Target) []uint64 {
 	return out
 }
 
-// TestParallelOpenLoopDeterministic is the siege-level determinism gate:
+// TestParallelOpenLoopPinned is the siege-level determinism gate:
 // three shards' streams and virtual-time results — counters, latency
 // percentiles and per-shard stats — against their pins. Under -race it
 // also gates that the shards share nothing.
-func TestParallelOpenLoopDeterministic(t *testing.T) {
+func TestParallelOpenLoopPinned(t *testing.T) {
 	shards := make([]*Target, 3)
 	ps, err := ParallelOpenLoop(3, mkShard(shards), OpenLoopOptions{Path: "/index.html", Rate: 2000, Requests: 48})
 	if err != nil {
@@ -147,13 +147,13 @@ func TestParallelOpenLoopShardsLoad(t *testing.T) {
 	}
 }
 
-// TestParallelOpenLoopUnderChaos is the chaos+SMP smoke: every shard runs
-// under supervision with an armed deterministic fault injector aimed at
-// RAMFS, and the sharded run must (a) terminate without a stall or an
-// uncontained panic, (b) actually inject and contain faults, and (c) match
-// its pinned shard digests — chaos schedules are part of the determinism
-// contract.
-func TestParallelOpenLoopUnderChaos(t *testing.T) {
+// TestParallelOpenLoopUnderChaosPinned is the chaos+SMP smoke: every
+// shard runs under supervision with an armed deterministic fault injector
+// aimed at RAMFS, and the sharded run must (a) terminate without a stall
+// or an uncontained panic, (b) actually inject and contain faults, and (c)
+// match its pinned shard digests — chaos schedules are part of the
+// determinism contract.
+func TestParallelOpenLoopUnderChaosPinned(t *testing.T) {
 	shards := make([]*Target, 2)
 	mk := func(core int) (*Target, error) {
 		policy := cubicle.DefaultRestartPolicy()

@@ -154,10 +154,10 @@ func TestUnknownQueryFails(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossRuns pins a size-5 pass in Unikraft mode: its
+// TestSpeedtestStreamPinned pins a size-5 pass in Unikraft mode: its
 // stream, clock and counters from the first statement on, with every
 // query's cycles folded in.
-func TestDeterministicAcrossRuns(t *testing.T) {
+func TestSpeedtestStreamPinned(t *testing.T) {
 	s, r := newRunner(t, 5)
 	s.M.EnableTracing(64).StartDigest()
 	var ms []speedtest.Measurement

@@ -11,9 +11,9 @@ go vet ./...
 go build ./...
 go test -race ./...
 
-# Every pinned digest again, twice in one process: state a run leaves
-# behind in the process must not move the next run's stream.
-go test -count 2 -run 'TestStreamDigestsPinned|TestSMPCoresSurchargeStreamPinned|TestSMP(ParallelRetagsDeterministic|SharedPageRetagsConserve)|TestParallelOpenLoop(Deterministic|UnderChaos)|TestChaosScheduleIsDeterministic|TestDeterministicAcrossRuns' . ./internal/cubicle/ ./internal/siege/ ./internal/speedtest/
+# Every pin again (each pinned test's name says Pinned), twice in one
+# process: state a run leaves behind must not move the next run's stream.
+go test -count 2 -run Pinned ./...
 
 # The allocation gates the race detector's instrumentation moves — the
 # exact counts of a fetch, an open-loop arrival, a cluster arrival (the

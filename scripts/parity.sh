@@ -4,8 +4,8 @@
 # scripts/runs.txt twice on each side and compares what it prints, stdout
 # and stderr. One line a run: same, differs (with the first differing
 # line, < the parent's, > the working tree's) or nondeterministic (a side
-# printed two different outputs). Then the pinned stream digests and
-# images, each side against its own pins. Times nothing; exits non-zero
+# printed two different outputs). Then every test whose name says
+# Pinned, each side against its own pins. Times nothing; exits non-zero
 # only on a nondeterministic run, because a declared model change differs
 # on purpose.
 # Usage: scripts/parity.sh [REV]
@@ -22,7 +22,7 @@ declare -A src=([parent]=$tmp/src [head]=$PWD)
 
 n=0 same=0 differs=0 nondet=0
 runs parity >"$tmp/runs"
-while IFS=$'\t' read -r -u3 pkg args check; do
+while read -r -u3 pkg args; do
     n=$((n + 1))
     for side in parent head; do
         for o in "$tmp/$side/$n.1" "$tmp/$side/$n.2"; do
@@ -43,9 +43,8 @@ while IFS=$'\t' read -r -u3 pkg args check; do
     fi
 done 3<"$tmp/runs"
 
-pins='TestStreamDigestsPinned|TestSpeedtestImagePinned|TestSMPCoresSurchargeStreamPinned|TestWireFramesPinned'
 for side in parent head; do
-    if (cd "${src[$side]}" && go test -count=1 -run "$pins" . ./internal/experiments/ ./internal/siege/ ./internal/netdev/) >"$tmp/$side.pins" 2>&1; then
+    if (cd "${src[$side]}" && go test -count=1 -run Pinned ./...) >"$tmp/$side.pins" 2>&1; then
         echo "pins: $side pass"
     else
         echo "pins: $side FAIL"

@@ -2,10 +2,10 @@
 # which source this file from the root of the checkout.
 set -f # a run's arguments are split on blanks and never globbed
 
-# runs TAG prints package, arguments and check, tab-separated, of every
-# line of runs.txt tagged TAG that this host runs: a 2cpu line needs two
-# CPUs, a 1cpu line runs only where there is one. It fails on a line
-# tagged both smoke and cover, which check.sh would run twice.
+# runs TAG prints package and arguments of every line of runs.txt tagged
+# TAG that this host runs: a 2cpu line needs two CPUs, a 1cpu line runs
+# only where there is one. It fails on a line tagged both smoke and
+# cover, which check.sh would run twice.
 runs() {
     awk -v tag="$1" -v cpus="$(nproc)" '
     /^[[:space:]]*(#|$)/ { next }
@@ -15,10 +15,8 @@ runs() {
         if ("smoke" in has && "cover" in has) { print "runs.txt:" NR ": both smoke and cover" > "/dev/stderr"; exit 1 }
         if (!(tag in has)) next
         if ("2cpu" in has && cpus < 2 || "1cpu" in has && cpus >= 2) { print "runs: not on this " cpus "-CPU host: " $0 > "/dev/stderr"; next }
-        split($0, part, /[[:space:]]*\|[[:space:]]*/)
-        sub(/^[[:space:]]*[^[:space:]]+[[:space:]]+[^[:space:]]+[[:space:]]*/, "", part[1])
-        sub(/[[:space:]]+$/, "", part[1])
-        printf "%s\t%s\t%s\n", $2, part[1], part[2]
+        $1 = ""
+        print
     }' scripts/runs.txt
 }
 
@@ -37,26 +35,20 @@ build() {
 }
 
 # runall TAG DIR [cover] builds into DIR and runs every TAG line, each
-# with its stdout kept in .runs/ and then read by its check, if any: a
-# non-zero exit of either fails. With cover, each package is built with
-# counters for every internal package and itself (without itself in
-# -coverpkg a main writes no counters when it exits).
+# with its stdout kept in .runs/: a non-zero exit fails. With cover, each
+# package is built with counters for every internal package and itself
+# (without itself in -coverpkg a main writes no counters when it exits).
 runall() {
-    local pkg args check cmd out
+    local pkg args cmd out
     runs "$1" >"$2/runs"
     mkdir -p .runs
-    while IFS=$'\t' read -r -u3 pkg args check; do
+    while read -r -u3 pkg args; do
         build "$pkg" "$2" ${3:+-cover -coverpkg=cubicleos/internal/...,cubicleos/${pkg#./}}
         cmd="${pkg##*/}${args:+ $args}"
         out=.runs/${cmd//[ \/]/_}.out
-        echo "run: $cmd${check:+ | $check}" >&2
+        echo "run: $cmd" >&2
         if ! "$2/${pkg##*/}" $args >"$out" </dev/null; then
             echo "run: $cmd failed" >&2
-            return 1
-        fi
-        if [ -n "$check" ] && ! sh -c "$check" <"$out" >"$out.check" 2>&1; then
-            head -n 20 "$out.check" >&2
-            echo "run: $cmd: check failed: $check" >&2
             return 1
         fi
     done 3<"$2/runs"
